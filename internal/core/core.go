@@ -165,24 +165,12 @@ func (s *System) initTelemetry() {
 	s.tel = telemetry.NewSet()
 	s.Dev.RegisterTelemetry(s.tel)
 	s.Ctrl.RegisterTelemetry(s.tel)
-	s.tel.Gauge("libfs.remaps", func() int64 {
-		s.appsMu.Lock()
-		defer s.appsMu.Unlock()
-		var n int64
-		for _, fs := range s.apps {
-			n += fs.Stats.Remaps.Load()
-		}
-		return n
-	})
-	s.tel.Gauge("libfs.reacquires", func() int64 {
-		s.appsMu.Lock()
-		defer s.appsMu.Unlock()
-		var n int64
-		for _, fs := range s.apps {
-			n += fs.Stats.Reacquires.Load()
-		}
-		return n
-	})
+	s.tel.Gauge("libfs.remaps", s.sumApps(func(fs *libfs.FS) int64 { return fs.Stats.Remaps.Load() }))
+	s.tel.Gauge("libfs.reacquires", s.sumApps(func(fs *libfs.FS) int64 { return fs.Stats.Reacquires.Load() }))
+	// Release-time dentry-log compactions and the dead record slots they
+	// dropped (libfs/compact.go).
+	s.tel.Gauge("libfs.dir_compactions", s.sumApps(func(fs *libfs.FS) int64 { return fs.Stats.DirCompactions.Load() }))
+	s.tel.Gauge("libfs.dir_compacted_slots", s.sumApps(func(fs *libfs.FS) int64 { return fs.Stats.DirCompactedSlots.Load() }))
 	s.tel.Gauge("trace.events", func() int64 {
 		return int64(s.Ctrl.Trace().Total())
 	})
@@ -190,35 +178,11 @@ func (s *System) initTelemetry() {
 	// expose theirs under the same key.
 	//arcklint:allow counterreg every system meters "syscalls" in its own private Set so bench tooling reads one cross-system key
 	s.tel.Gauge("syscalls", s.Ctrl.Stats.Syscalls.Load)
-	s.tel.Gauge("leases.hit", func() int64 {
-		s.appsMu.Lock()
-		defer s.appsMu.Unlock()
-		var n int64
-		for _, fs := range s.apps {
-			n += fs.Stats.LeaseHits.Load()
-		}
-		return n
-	})
-	s.tel.Gauge("leases.miss", func() int64 {
-		s.appsMu.Lock()
-		defer s.appsMu.Unlock()
-		var n int64
-		for _, fs := range s.apps {
-			n += fs.Stats.LeaseMisses.Load()
-		}
-		return n
-	})
+	s.tel.Gauge("leases.hit", s.sumApps(func(fs *libfs.FS) int64 { return fs.Stats.LeaseHits.Load() }))
+	s.tel.Gauge("leases.miss", s.sumApps(func(fs *libfs.FS) int64 { return fs.Stats.LeaseMisses.Load() }))
 	// "syscalls.avoided" is the companion of "syscalls": crossings the
 	// grant leases elided, summed across applications.
-	s.tel.Gauge("syscalls.avoided", func() int64 {
-		s.appsMu.Lock()
-		defer s.appsMu.Unlock()
-		var n int64
-		for _, fs := range s.apps {
-			n += fs.Stats.SyscallsAvoided.Load()
-		}
-		return n
-	})
+	s.tel.Gauge("syscalls.avoided", s.sumApps(func(fs *libfs.FS) int64 { return fs.Stats.SyscallsAvoided.Load() }))
 	// "span.recorded" counts spans the arcktrace sampler committed to the
 	// per-thread rings; the obs-smoke bench bound pins it at ~0 when
 	// tracing is disabled.
@@ -226,15 +190,21 @@ func (s *System) initTelemetry() {
 	// "htable.read_locks" counts bucket-lock acquisitions taken on behalf
 	// of directory lookups, summed across applications. The lock-free
 	// data plane never takes one, which the benchcheck bound pins at 0.
-	s.tel.Gauge("htable.read_locks", func() int64 {
+	s.tel.Gauge("htable.read_locks", s.sumApps((*libfs.FS).ReadLockCount))
+}
+
+// sumApps returns a gauge that sums one LibFS counter over every attached
+// application.
+func (s *System) sumApps(counter func(*libfs.FS) int64) func() int64 {
+	return func() int64 {
 		s.appsMu.Lock()
 		defer s.appsMu.Unlock()
 		var n int64
 		for _, fs := range s.apps {
-			n += fs.ReadLockCount()
+			n += counter(fs)
 		}
 		return n
-	})
+	}
 }
 
 // Telemetry returns the system-wide counter set.

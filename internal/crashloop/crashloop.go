@@ -464,7 +464,7 @@ func runIteration(cfg *Config, iter int, iterSeed int64) (*iterResult, error) {
 // pickKill draws the iteration's crash schedule.
 func (it *iteration) pickKill() killSpec {
 	k := killSpec{policy: it.rng.Intn(4)}
-	sites := []string{"libfs.create.marker", "pmem.batch.barrier", "pmem.batch.drain"}
+	sites := []string{"libfs.create.marker", "pmem.batch.barrier", "pmem.batch.drain", "libfs.compact.swap"}
 	switch roll := it.rng.Intn(100); {
 	case roll < 40:
 		k.kind = "fence"

@@ -1,6 +1,10 @@
 package crashmc
 
-import "arckfs/internal/libfs"
+import (
+	"fmt"
+
+	"arckfs/internal/libfs"
+)
 
 // Campaign returns the standard workload configurations, with each
 // configuration's Expect oracle. Two pairs are the checker's own
@@ -42,6 +46,23 @@ func Campaign() []Config {
 		{Kind: OpRelease},
 		{Kind: OpRename, Path: "/dir/file" + long, Path2: "/dir/moved" + long},
 		{Kind: OpTruncate, Path: "/dir/moved" + long, Size: 64},
+		{Kind: OpCreate, Path: "/doomed" + long},
+		{Kind: OpUnlink, Path: "/doomed" + long},
+		{Kind: OpRelease},
+	}
+	// Churn the root to one dead slot short of a compaction, then tip it
+	// over inside the tracked window: the second release rewrites the log
+	// with the keepers — verified, multi-line records — in the pages it
+	// replaces.
+	churnWarm := append([]Op(nil), warm...)
+	for i := 0; i < 6; i++ {
+		churnWarm = append(churnWarm, Op{Kind: OpCreate, Path: fmt.Sprintf("/keeper%d%s", i, long)})
+	}
+	for i := 0; i < libfs.CompactMinDeadSlots-1; i++ {
+		p := fmt.Sprintf("/churn%03d", i)
+		churnWarm = append(churnWarm, Op{Kind: OpCreate, Path: p}, Op{Kind: OpUnlink, Path: p})
+	}
+	compact := []Op{
 		{Kind: OpCreate, Path: "/doomed" + long},
 		{Kind: OpUnlink, Path: "/doomed" + long},
 		{Kind: OpRelease},
@@ -100,6 +121,15 @@ func Campaign() []Config {
 			SerialData: true,
 			Warmup:     warm,
 			Ops:        mixed,
+		},
+		{
+			// Release-time log compaction: every crash image at the
+			// chain-durable fence and at the head-publish fence must mount,
+			// repair clean and still resolve every verified path — the old
+			// chain or the new one, never a mixture.
+			Name:   "compact-churn/arckfs+",
+			Warmup: churnWarm,
+			Ops:    compact,
 		},
 	}
 }

@@ -129,6 +129,7 @@ type Result struct {
 	Exhaustive      int // points enumerated completely
 	Sampled         int // points covered by corners + sampling
 	Skipped         int // points with an empty dirty set
+	Compactions     int // directory-log compactions the tracked ops ran
 	Elapsed         time.Duration
 	Counterexamples []*Counterexample
 }
@@ -226,10 +227,13 @@ type checker struct {
 	inflight  *Op
 	opIdx     int
 	inRelease bool
-	seen      map[string]bool // one counterexample per invariant
-	res       *Result
-	replay    *replayState
-	err       error // sticky error raised inside an observation
+	// inCompaction is set while the LibFS compacts a directory's log
+	// inside a release: those fences are its own persist schedule.
+	inCompaction bool
+	seen         map[string]bool // one counterexample per invariant
+	res          *Result
+	replay       *replayState
+	err          error // sticky error raised inside an observation
 }
 
 func newChecker(cfg Config) (*checker, error) {
@@ -245,7 +249,7 @@ func newChecker(cfg Config) (*checker, error) {
 		seen: map[string]bool{},
 		res:  &Result{Config: cfg},
 	}
-	hooks := &libfs.Hooks{}
+	hooks := &libfs.Hooks{DirCompaction: func(begin bool) { c.inCompaction = begin }}
 	switch cfg.Interleave {
 	case "":
 	case "marker-window":
@@ -299,6 +303,8 @@ func (c *checker) runOp(op Op) error {
 // escaped the op's own persist schedule entirely (the reserveDentry
 // hole's shape).
 func (c *checker) run() error {
+	compacted := c.fs.Stats.DirCompactions.Load()
+	defer func() { c.res.Compactions = int(c.fs.Stats.DirCompactions.Load() - compacted) }()
 	for i := range c.cfg.Ops {
 		op := c.cfg.Ops[i]
 		c.opIdx = i
@@ -355,11 +361,12 @@ func (c *checker) observe() {
 	if c.err != nil || !c.dev.Tracking() {
 		return
 	}
-	if c.inRelease {
+	if c.inRelease && !c.inCompaction {
 		// Fences inside the kernel release protocol are not LibFS
 		// persist points; the kernel is trusted (see hardened). The
 		// post-op checkpoint still enumerates whatever LibFS left dirty
-		// across the release.
+		// across the release. A log compaction the LibFS runs before
+		// crossing is its own schedule and is observed like any op.
 		return
 	}
 	c.res.Points++

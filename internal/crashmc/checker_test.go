@@ -262,3 +262,42 @@ func TestCheckImageModelFree(t *testing.T) {
 		t.Fatalf("clean image fails model-free check: %v", vs)
 	}
 }
+
+// TestCompactionConfigCompacts guards the compact-churn configuration
+// against silently testing nothing: its warmup stops one dead slot short
+// of libfs.CompactMinDeadSlots, so the tracked release must run exactly
+// one compaction, and the checker must have enumerated crash images at
+// both of its fences — a page of streamed lines (sampled) and the single
+// head line (exhaustive) — on top of the per-op points.
+func TestCompactionConfigCompacts(t *testing.T) {
+	var cfg Config
+	for _, c := range Campaign() {
+		if c.Name == "compact-churn/arckfs+" {
+			cfg = c
+		}
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.OK() {
+		t.Fatalf("compaction admitted a bad crash state: %v", res.Counterexamples[0])
+	}
+	if res.Compactions != 1 {
+		t.Fatalf("tracked ops ran %d compactions, want 1", res.Compactions)
+	}
+	plain := cfg
+	plain.Ops = cfg.Ops[:len(cfg.Ops)-1] // the same ops without the release
+	base, err := Run(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The release adds its post-op checkpoint and the two compaction fences.
+	if got := res.Points - base.Points; got != 3 {
+		t.Fatalf("the compacting release added %d observation points, want 3", got)
+	}
+	if res.Sampled <= base.Sampled || res.Images < base.Images+100 {
+		t.Fatalf("compaction fences barely enumerated: %d images (%d without), sampled %d (%d without)",
+			res.Images, base.Images, res.Sampled, base.Sampled)
+	}
+}

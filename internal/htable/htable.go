@@ -47,8 +47,21 @@ type Entry struct {
 	hash uint32
 	name string
 	Ino  uint64
-	Ref  uint64 // opaque payload: PM location of the dentry record
+	// ref is the opaque payload: the PM location of the dentry record. It
+	// is atomic because log compaction relocates records — and rewrites
+	// this word through SetRef — while lockless readers may be loading it.
+	ref atomic.Uint64
 }
+
+// Name returns the entry's name.
+func (e *Entry) Name() string { return e.name }
+
+// Ref returns the entry's payload.
+func (e *Entry) Ref() uint64 { return e.ref.Load() }
+
+// SetRef replaces the entry's payload in place. The caller holds the
+// entry's bucket lock (or LockAll).
+func (e *Entry) SetRef(ref uint64) { e.ref.Store(ref) }
 
 // pool recycles entries through a freelist so that, as in the C artifact,
 // a freed entry's memory can be handed out again immediately.
@@ -220,7 +233,7 @@ func (lb *LockedBucket) Insert(name string, ino, ref uint64) bool {
 	e.hash = Hash(name)
 	e.name = name
 	e.Ino = ino
-	e.Ref = ref
+	e.ref.Store(ref)
 	e.next.Store(lb.b.head.Load())
 	lb.b.head.Store(e)
 	lb.t.count.Add(1)
@@ -234,7 +247,7 @@ func (lb *LockedBucket) Delete(name string) (ino, ref uint64, ok bool) {
 	var prev *Entry
 	for e := lb.b.head.Load(); e != nil; e = e.next.Load() {
 		if e.hash == h && e.name == name {
-			ino, ref = e.Ino, e.Ref
+			ino, ref = e.Ino, e.ref.Load()
 			next := e.next.Load()
 			if prev == nil {
 				lb.b.head.Store(next)
@@ -301,7 +314,7 @@ func (t *Table) Lookup(rd *rcu.Reader, name string) (ino, ref uint64, ok bool, e
 				// with it.
 				t.TraverseHook()
 			}
-			ehash, ename, eino, eref := e.hash, e.name, e.Ino, e.Ref
+			ehash, ename, eino, eref := e.hash, e.name, e.Ino, e.ref.Load()
 			next := e.next.Load()
 			g2 := e.gen.Load()
 			if g1 != g2 || g1%2 == 0 {
@@ -337,7 +350,7 @@ func (t *Table) lookupLocked(name string) (ino, ref uint64, ok bool) {
 	defer b.lock.Unlock()
 	for e := b.head.Load(); e != nil; e = e.next.Load() {
 		if e.hash == h && e.name == name {
-			return e.Ino, e.Ref, true
+			return e.Ino, e.ref.Load(), true
 		}
 	}
 	return 0, 0, false
@@ -358,7 +371,7 @@ func (t *Table) Range(fn func(name string, ino, ref uint64) bool) {
 			return
 		}
 		for e := b.head.Load(); e != nil; e = e.next.Load() {
-			if !fn(e.name, e.Ino, e.Ref) {
+			if !fn(e.name, e.Ino, e.ref.Load()) {
 				b.lock.Unlock()
 				return
 			}
@@ -381,6 +394,17 @@ func (t *Table) LockAll() (unlock func()) {
 			arr.buckets[i].lock.Unlock()
 		}
 		t.growMu.Unlock()
+	}
+}
+
+// EachLocked calls fn for every live entry. The caller holds LockAll, so
+// no writer can change the table underneath the walk; fn may SetRef.
+func (t *Table) EachLocked(fn func(e *Entry)) {
+	arr := t.arr.Load()
+	for i := range arr.buckets {
+		for e := arr.buckets[i].head.Load(); e != nil; e = e.next.Load() {
+			fn(e)
+		}
 	}
 }
 
@@ -409,7 +433,8 @@ func (t *Table) maybeGrow() {
 	for i := range arr.buckets {
 		for e := arr.buckets[i].head.Load(); e != nil; e = e.next.Load() {
 			ne := t.pool.alloc()
-			ne.hash, ne.name, ne.Ino, ne.Ref = e.hash, e.name, e.Ino, e.Ref
+			ne.hash, ne.name, ne.Ino = e.hash, e.name, e.Ino
+			ne.ref.Store(e.ref.Load())
 			nb := &newArr.buckets[ne.hash&newArr.mask]
 			ne.next.Store(nb.head.Load())
 			nb.head.Store(ne)

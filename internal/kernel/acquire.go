@@ -327,55 +327,74 @@ func (c *Controller) establish(se *shadowEnt, appID AppID) error {
 }
 
 // buildSnapshot parses and copies the inode's metadata state: the
-// rollback point and verification baseline.
+// rollback point and verification baseline. It runs at acquire, where
+// the parse is also the only structural check on what a previous holder
+// left behind; transfers that keep the hold snapshot the view they just
+// verified instead (snapshotDir/snapshotFile).
 func (c *Controller) buildSnapshot(se *shadowEnt) (*snapshot, error) {
 	ino := se.info.Ino
-	snap := &snapshot{pageData: make(map[uint64][]byte)}
-	copyPage := func(p uint64) {
-		b := make([]byte, layout.PageSize)
-		c.dev.Read(int64(p*layout.PageSize), b)
-		snap.pageData[p] = b
-	}
-	rec := make([]byte, layout.InodeSize)
-	c.dev.Read(layout.InodeOff(c.geo, ino), rec)
-	snap.inodeRec = rec
-
 	switch se.info.Type {
 	case layout.TypeDir:
 		dv, err := c.ver.ParseDir(ino)
 		if err != nil {
 			return nil, err
 		}
-		old := &verifier.DirOld{Entries: make(map[string]uint64, len(dv.Entries)), Pages: make(map[uint64]bool, len(dv.Pages))}
-		for name, d := range dv.Entries {
-			old.Entries[name] = d.Ino
-		}
-		copyPage(se.info.DataRoot)
-		for _, p := range dv.Pages {
-			old.Pages[p] = true
-			copyPage(p)
-		}
-		snap.dirOld = old
+		return c.snapshotDir(ino, dv), nil
 	case layout.TypeFile:
 		fv, err := c.ver.ParseFile(ino)
 		if err != nil {
 			return nil, err
 		}
-		old := &verifier.FileOld{Blocks: map[uint64]bool{}, MapPages: map[uint64]bool{}, Size: fv.Inode.Size}
-		for _, p := range fv.MapPages {
-			old.MapPages[p] = true
-			copyPage(p)
-		}
-		for _, b := range fv.Blocks {
-			if b != 0 {
-				old.Blocks[b] = true
-			}
-		}
-		snap.fileOld = old
-	default:
-		return nil, fmt.Errorf("inode %d: unknown type %d", ino, se.info.Type)
+		return c.snapshotFile(ino, fv), nil
 	}
-	return snap, nil
+	return nil, fmt.Errorf("inode %d: unknown type %d", ino, se.info.Type)
+}
+
+// newSnapshot starts a snapshot with the inode record and the given
+// metadata pages copied raw, for rollback.
+func (c *Controller) newSnapshot(ino uint64, pages ...[]uint64) *snapshot {
+	snap := &snapshot{pageData: make(map[uint64][]byte), inodeRec: make([]byte, layout.InodeSize)}
+	c.dev.Read(layout.InodeOff(c.geo, ino), snap.inodeRec)
+	for _, ps := range pages {
+		for _, p := range ps {
+			b := make([]byte, layout.PageSize)
+			c.dev.Read(int64(p*layout.PageSize), b)
+			snap.pageData[p] = b
+		}
+	}
+	return snap
+}
+
+// snapshotDir builds directory ino's snapshot from a parsed view: the
+// baseline is exactly the entry and page sets of dv, so what a transfer
+// verified and what the next one diffs against cannot drift apart.
+func (c *Controller) snapshotDir(ino uint64, dv *verifier.DirView) *snapshot {
+	snap := c.newSnapshot(ino, []uint64{dv.Inode.DataRoot}, dv.Pages)
+	old := &verifier.DirOld{Entries: make(map[string]uint64, len(dv.Entries)), Pages: make(map[uint64]bool, len(dv.Pages))}
+	for name, d := range dv.Entries {
+		old.Entries[name] = d.Ino
+	}
+	for _, p := range dv.Pages {
+		old.Pages[p] = true
+	}
+	snap.dirOld = old
+	return snap
+}
+
+// snapshotFile is snapshotDir for a regular file.
+func (c *Controller) snapshotFile(ino uint64, fv *verifier.FileView) *snapshot {
+	snap := c.newSnapshot(ino, fv.MapPages)
+	old := &verifier.FileOld{Blocks: map[uint64]bool{}, MapPages: map[uint64]bool{}, Size: fv.Inode.Size}
+	for _, p := range fv.MapPages {
+		old.MapPages[p] = true
+	}
+	for _, b := range fv.Blocks {
+		if b != 0 {
+			old.Blocks[b] = true
+		}
+	}
+	snap.fileOld = old
+	return snap
 }
 
 // xferKind distinguishes the three ownership-transfer entry points that
@@ -574,7 +593,11 @@ func (c *Controller) releaseHeld(se *shadowEnt, appID AppID, view ctlView) error
 }
 
 // verifyAndApply runs the verifier on se's current core state and
-// applies the verdict. keepHeld distinguishes Commit from Release.
+// applies the verdict. keepHeld distinguishes Commit from Release: the
+// hold continues, so the view just verified becomes the new baseline —
+// never a second parse, which would cost the transfer twice and let
+// writes a still-mapped holder slips in between the two become baseline
+// without having been verified.
 // Caller holds se's shard lock (files) or the exclusive epoch.
 func (c *Controller) verifyAndApply(se *shadowEnt, appID AppID, keepHeld bool, view ctlView) error {
 	c.Stats.Verifications.Add(1)
@@ -592,7 +615,11 @@ func (c *Controller) verifyAndApply(se *shadowEnt, appID AppID, keepHeld bool, v
 		c.trace.Record(telemetry.EvVerifyOK, appID, ino, int64(res.ChildCount), int64(len(res.Pages)))
 		c.applyNewInode(se, appID, res, view.held)
 		if keepHeld {
-			return c.refreshSnapshot(se)
+			if res.Dir != nil {
+				se.snap = c.snapshotDir(ino, res.Dir)
+			} else {
+				se.snap = c.snapshotFile(ino, res.File)
+			}
 		}
 		return nil
 	}
@@ -608,6 +635,9 @@ func (c *Controller) verifyAndApply(se *shadowEnt, appID AppID, keepHeld bool, v
 		}
 		c.trace.Record(telemetry.EvVerifyOK, appID, ino, int64(res.View.Records), int64(len(res.View.Pages)))
 		c.applyDir(se, appID, res)
+		if keepHeld {
+			se.snap = c.snapshotDir(ino, res.View)
+		}
 	case layout.TypeFile:
 		res, err := c.ver.VerifyFile(appID, ino, se.snap.fileOld, view)
 		if err != nil {
@@ -618,21 +648,12 @@ func (c *Controller) verifyAndApply(se *shadowEnt, appID AppID, keepHeld bool, v
 		}
 		c.trace.Record(telemetry.EvVerifyOK, appID, ino, 0, int64(len(res.View.MapPages)))
 		c.applyFile(se, appID, res)
+		if keepHeld {
+			se.snap = c.snapshotFile(ino, res.View)
+		}
 	default:
 		return fmt.Errorf("inode %d: unknown shadow type %d", ino, se.info.Type)
 	}
-	if keepHeld {
-		return c.refreshSnapshot(se)
-	}
-	return nil
-}
-
-func (c *Controller) refreshSnapshot(se *shadowEnt) error {
-	snap, err := c.buildSnapshot(se)
-	if err != nil {
-		return fmt.Errorf("inode %d unreadable after commit: %w", se.info.Ino, err)
-	}
-	se.snap = snap
 	return nil
 }
 

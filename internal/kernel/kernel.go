@@ -280,9 +280,10 @@ type Mapping struct {
 // Ino returns the mapped inode number.
 func (m *Mapping) Ino() uint64 { return m.ino }
 
-// Valid reports whether the mapping is still established.
+// Valid reports whether the mapping is still established (a nil mapping
+// never was).
 func (m *Mapping) Valid() bool {
-	return m.ok.Load()
+	return m != nil && m.ok.Load()
 }
 
 // newMapping returns an established mapping for app on ino.

@@ -6,6 +6,7 @@
 package kernel_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -128,7 +129,7 @@ func TestShardStressMultiApp(t *testing.T) {
 			}
 			for it := 0; it < iters; it++ {
 				name := fmt.Sprintf("%s/f%d", dir, it%8)
-				if err := th.Create(name); err != nil && err != fsapi.ErrExist {
+				if err := th.Create(name); err != nil && !errors.Is(err, fsapi.ErrExist) {
 					fail("create", err)
 					return
 				}
@@ -184,7 +185,7 @@ func TestShardStressMultiApp(t *testing.T) {
 			defer wg.Done()
 			for it := 0; it < iters*2; it++ {
 				_, err := sys.Ctrl.Acquire(id, shared.Ino, true)
-				if err == fsapi.ErrBusy {
+				if errors.Is(err, fsapi.ErrBusy) {
 					continue // a peer holds it; expected under contention
 				}
 				if err != nil {

@@ -339,14 +339,19 @@ func TailCount(dev *pmem.Device, page uint64) int {
 	return int(dev.Load16(int64(page * PageSize)))
 }
 
+// TailHeadOff returns the device offset of tail i's 8-byte head pointer.
+func TailHeadOff(page uint64, i int) int64 {
+	return int64(page*PageSize) + 8 + int64(i)*8
+}
+
 // TailHead returns tail i's first log page (0 = empty tail).
 func TailHead(dev *pmem.Device, page uint64, i int) uint64 {
-	return dev.Load64(int64(page*PageSize) + 8 + int64(i)*8)
+	return dev.Load64(TailHeadOff(page, i))
 }
 
 // SetTailHead links tail i to head. Caller persists.
 func SetTailHead(dev *pmem.Device, page uint64, i int, head uint64) {
-	dev.Store64(int64(page*PageSize)+8+int64(i)*8, head)
+	dev.Store64(TailHeadOff(page, i), head)
 }
 
 // --- Log pages (shared by dentry logs and block maps) --------------------
@@ -430,6 +435,21 @@ func WriteDentryBody(dev *pmem.Device, r DentryRef, ino uint64, name string) {
 	dev.Store32(off+deHash, htable.Hash(name))
 	dev.Store16(off+deNameLen, 0)
 	dev.Write(off+deName, []byte(name))
+}
+
+// EncodeDentry renders a complete, committed record for (ino, name) into
+// buf — zeroed, and at least DentryRecLen(len(name)) bytes — and returns
+// the record length. It is for callers that build a whole log page in
+// DRAM and stream it into a chain nothing can reach yet (log compaction);
+// a record written in place must use the two-step WriteDentryBody /
+// CommitDentry protocol instead.
+func EncodeDentry(buf []byte, ino uint64, name string) int {
+	binary.LittleEndian.PutUint64(buf[deIno:], ino)
+	binary.LittleEndian.PutUint16(buf[deRecLen:], uint16(DentryRecLen(len(name))))
+	binary.LittleEndian.PutUint32(buf[deHash:], htable.Hash(name))
+	binary.LittleEndian.PutUint16(buf[deNameLen:], uint16(len(name)))
+	copy(buf[deName:], name)
+	return DentryRecLen(len(name))
 }
 
 // CommitDentry sets the commit marker (step 2). Caller persists the

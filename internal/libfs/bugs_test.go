@@ -562,10 +562,10 @@ func mustIno(t *testing.T, fs *FS, name string) uint64 {
 		// Fall back: scan every directory table.
 		fs.mtab.Range(func(k, v any) bool {
 			mi := v.(*minode)
-			if mi.dir == nil {
+			if mi.dir.Load() == nil {
 				return true
 			}
-			mi.dir.ht.Range(func(n string, ino, _ uint64) bool {
+			mi.ht().Range(func(n string, ino, _ uint64) bool {
 				if n == name {
 					found = ino
 					return false

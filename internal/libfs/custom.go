@@ -65,7 +65,7 @@ func (t *Thread) CreateBatch(dir string, names []string) (n int, err error) {
 
 		var ref layout.DentryRef
 		var insErr error
-		dmi.dir.ht.WithBucket(name, func(lb *htable.LockedBucket) {
+		dmi.ht().WithBucket(name, func(lb *htable.LockedBucket) {
 			if _, exists := lb.Get(name); exists {
 				insErr = fsapi.ErrExist
 				return
@@ -102,7 +102,7 @@ func (fs *FS) finishBatch(t *Thread, dmi *minode, pending []pendingCreate) {
 		mi.cacheAttrs(0, 1, fs.clock.Load())
 		fs.mtab.Store(pc.ino, mi)
 	}
-	dmi.cacheAttrs(uint64(dmi.dir.ht.Len()), 2, fs.clock.Load())
+	dmi.cacheAttrs(uint64(dmi.ht().Len()), 2, fs.clock.Load())
 }
 
 type pendingCreate struct {

@@ -75,7 +75,7 @@ func (t *Thread) resolveParent(path string, write bool) (*minode, string, error)
 			if err := t.fs.reacquire(t, mi); err != nil {
 				return nil, "", err
 			}
-		} else if mi.mapping != nil && !mi.mapping.Valid() {
+		} else if mi.unmapped() {
 			// A trust-group peer (or an involuntary release) took the
 			// inode; the patched LibFS re-acquires, ArckFS crashes.
 			if err := t.fs.remap(t, mi); err != nil {
@@ -110,7 +110,7 @@ func (fs *FS) persistDentryBody(b *pmem.Batch, r layout.DentryRef, nameLen int) 
 // possibly persist. The marker line is queued only after that Barrier —
 // it must never merge into the body epoch.
 func (fs *FS) appendDentry(t *Thread, mi *minode, childIno uint64, name string) (layout.DentryRef, error) {
-	ds := mi.dir
+	ds := mi.dir.Load()
 	ti := t.cpu % len(ds.tails)
 	tc := &ds.tails[ti]
 	tc.mu.Lock()
@@ -152,6 +152,7 @@ func (fs *FS) appendDentry(t *Thread, mi *minode, childIno uint64, name string) 
 	t.pb.Barrier()
 
 	tc.off += layout.DentryRecLen(len(name))
+	tc.slots++
 	return r, nil
 }
 
@@ -166,7 +167,8 @@ func (fs *FS) ensureTailSpace(t *Thread, ds *dirState, ti int, tc *tailCursor, n
 		}
 		ds.idxMu.Lock()
 		layout.SetTailHead(fs.dev, ds.tailset, ti, p)
-		fs.dev.Persist(int64(ds.tailset*layout.PageSize)+8+int64(ti)*8, 8)
+		fs.dev.Persist(layout.TailHeadOff(ds.tailset, ti), 8)
+		ds.unverified = append(ds.unverified, p)
 		ds.idxMu.Unlock()
 		tc.page, tc.off = p, 0
 	}
@@ -178,6 +180,7 @@ func (fs *FS) ensureTailSpace(t *Thread, ds *dirState, ti int, tc *tailCursor, n
 		ds.idxMu.Lock()
 		layout.SetNextPage(fs.dev, tc.page, p)
 		fs.dev.Persist(int64(tc.page*layout.PageSize)+layout.NextPtrOff, 8)
+		ds.unverified = append(ds.unverified, p)
 		ds.idxMu.Unlock()
 		tc.page, tc.off = p, 0
 	}
@@ -210,7 +213,7 @@ func (fs *FS) insertEntry(t *Thread, mi *minode, childIno uint64, name string) (
 		if err != nil {
 			return 0, err
 		}
-		if !mi.dir.ht.Insert(name, childIno, uint64(r)) {
+		if !mi.ht().Insert(name, childIno, uint64(r)) {
 			// Name exists; the reserved record stays a dead slot.
 			return 0, fsapi.ErrExist
 		}
@@ -218,7 +221,7 @@ func (fs *FS) insertEntry(t *Thread, mi *minode, childIno uint64, name string) (
 			h()
 		}
 		if err := fs.fillDentry(t, mi, r, childIno, name); err != nil {
-			mi.dir.ht.Delete(name)
+			mi.ht().Delete(name)
 			return 0, err
 		}
 		return r, nil
@@ -226,7 +229,7 @@ func (fs *FS) insertEntry(t *Thread, mi *minode, childIno uint64, name string) (
 	// ArckFS+: the bucket lock covers both updates.
 	var r layout.DentryRef
 	var err error
-	mi.dir.ht.WithBucket(name, func(lb *htable.LockedBucket) {
+	mi.ht().WithBucket(name, func(lb *htable.LockedBucket) {
 		if _, exists := lb.Get(name); exists {
 			err = fsapi.ErrExist
 			return
@@ -243,7 +246,7 @@ func (fs *FS) insertEntry(t *Thread, mi *minode, childIno uint64, name string) (
 // reserveDentry claims log space for a record (tail lock only): it
 // persists the record length so scans skip the slot until it is filled.
 func (fs *FS) reserveDentry(t *Thread, mi *minode, nameLen int) (layout.DentryRef, error) {
-	ds := mi.dir
+	ds := mi.dir.Load()
 	ti := t.cpu % len(ds.tails)
 	tc := &ds.tails[ti]
 	tc.mu.Lock()
@@ -267,6 +270,7 @@ func (fs *FS) reserveDentry(t *Thread, mi *minode, nameLen int) (layout.DentryRe
 		t.pb.Flush(r.DevOff()+8, 2)
 	}
 	tc.off += layout.DentryRecLen(nameLen)
+	tc.slots++
 	return r, nil
 }
 
@@ -303,7 +307,7 @@ func (fs *FS) removeEntry(mi *minode, name string) (uint64, error) {
 		return 0, err
 	}
 	if fs.opts.Bugs.Has(BugAuxCoreRace) {
-		ino, ref, ok := mi.dir.ht.Delete(name)
+		ino, ref, ok := mi.ht().Delete(name)
 		if !ok {
 			return 0, fsapi.ErrNotExist
 		}
@@ -323,7 +327,7 @@ func (fs *FS) removeEntry(mi *minode, name string) (uint64, error) {
 	}
 	var ino uint64
 	var err error
-	mi.dir.ht.WithBucket(name, func(lb *htable.LockedBucket) {
+	mi.ht().WithBucket(name, func(lb *htable.LockedBucket) {
 		e, ok := lb.Get(name)
 		if !ok {
 			err = fsapi.ErrNotExist
@@ -332,8 +336,9 @@ func (fs *FS) removeEntry(mi *minode, name string) (uint64, error) {
 		if err = fs.checkMapped(mi); err != nil {
 			return
 		}
-		layout.InvalidateDentry(fs.dev, layout.DentryRef(e.Ref))
-		fs.dev.Persist(layout.DentryRef(e.Ref).MarkerOff(), 2)
+		r := layout.DentryRef(e.Ref())
+		layout.InvalidateDentry(fs.dev, r)
+		fs.dev.Persist(r.MarkerOff(), 2)
 		ino, _, _ = lb.Delete(name)
 	})
 	return ino, err
@@ -370,7 +375,7 @@ func (t *Thread) Create(path string) (err error) {
 	mi.fresh.Store(true)
 	mi.cacheAttrs(0, 1, in.MTime)
 	fs.mtab.Store(ino, mi)
-	dir.cacheAttrs(uint64(dir.dir.ht.Len()), 2, in.MTime)
+	dir.cacheAttrs(uint64(dir.ht().Len()), 2, in.MTime)
 	return nil
 }
 
@@ -412,16 +417,17 @@ func (t *Thread) Mkdir(path string) (err error) {
 		fs.recyclePages(t.cpu, []uint64{tailset})
 		return err
 	}
-	mi := &minode{ino: ino, typ: layout.TypeDir, dir: &dirState{
+	mi := &minode{ino: ino, typ: layout.TypeDir}
+	mi.dir.Store(&dirState{
 		ht:      fs.newDirTable(),
 		tailset: tailset,
 		tails:   make([]tailCursor, ntails),
-	}}
+	})
 	mi.parent.Store(dir.ino)
 	mi.fresh.Store(true)
 	mi.cacheAttrs(0, 2, in.MTime)
 	fs.mtab.Store(ino, mi)
-	dir.cacheAttrs(uint64(dir.dir.ht.Len()), 2, in.MTime)
+	dir.cacheAttrs(uint64(dir.ht().Len()), 2, in.MTime)
 	return nil
 }
 
@@ -429,7 +435,7 @@ func (t *Thread) Mkdir(path string) (err error) {
 // only for its length (the FS-wide tail count).
 func (fs *FS) rootTails() []tailCursor {
 	if v, ok := fs.mtab.Load(uint64(layout.RootIno)); ok {
-		return v.(*minode).dir.tails
+		return v.(*minode).dir.Load().tails
 	}
 	// Root not faulted in yet: read the count from PM.
 	in, _, _ := layout.ReadInode(fs.dev, fs.geo, layout.RootIno)
@@ -467,7 +473,7 @@ func (t *Thread) Unlink(path string) (err error) {
 		layout.FreeInode(fs.dev, fs.geo, childIno)
 		fs.dev.Persist(layout.InodeOff(fs.geo, childIno), layout.InodeSize)
 	}
-	dir.cacheAttrs(uint64(dir.dir.ht.Len()), 2, fs.clock.Load())
+	dir.cacheAttrs(uint64(dir.ht().Len()), 2, fs.clock.Load())
 	return nil
 }
 
@@ -493,7 +499,7 @@ func (fs *FS) destroyFile(t *Thread, child *minode) {
 				}
 			}
 		}
-		fs.retirePages(t, pages)
+		fs.retirePages(t.cpu, pages)
 		fs.retireIno(t, child.ino)
 	}
 	child.lock.Unlock()
@@ -524,7 +530,7 @@ func (t *Thread) Rmdir(path string) (err error) {
 	if child.typ != layout.TypeDir {
 		return fsapi.ErrNotDir
 	}
-	if child.dir.ht.Len() != 0 {
+	if child.ht().Len() != 0 {
 		return fsapi.ErrNotEmpty
 	}
 	if _, err := fs.removeEntry(dir, name); err != nil {
@@ -535,23 +541,31 @@ func (t *Thread) Rmdir(path string) (err error) {
 	fs.dev.Persist(layout.InodeOff(fs.geo, child.ino), layout.InodeSize)
 	fs.mtab.Delete(child.ino)
 	if child.fresh.Load() {
-		var pages []uint64
-		pages = append(pages, child.dir.tailset)
-		for i := range child.dir.tails {
-			tc := &child.dir.tails[i]
-			for p := layout.TailHead(fs.dev, child.dir.tailset, i); p != 0; p = layout.NextPage(fs.dev, p) {
-				pages = append(pages, p)
-			}
-			_ = tc
+		cds := child.dir.Load()
+		pages := []uint64{cds.tailset}
+		for _, chain := range fs.dirLogPages(cds) {
+			pages = append(pages, chain...)
 		}
 		// Same grace-period discipline as destroyFile: a lock-free
 		// lookup may still be scanning these log pages.
-		fs.retirePages(t, pages)
+		fs.retirePages(t.cpu, pages)
 		fs.retireIno(t, child.ino)
 	}
 	child.lock.Unlock()
-	dir.cacheAttrs(uint64(dir.dir.ht.Len()), 2, fs.clock.Load())
+	dir.cacheAttrs(uint64(dir.ht().Len()), 2, fs.clock.Load())
 	return nil
+}
+
+// dirLogPages walks ds's log chains on PM and returns each tail's pages
+// in link order (nil for an empty tail).
+func (fs *FS) dirLogPages(ds *dirState) [][]uint64 {
+	chains := make([][]uint64, len(ds.tails))
+	for i := range chains {
+		for p := layout.TailHead(fs.dev, ds.tailset, i); p != 0; p = layout.NextPage(fs.dev, p) {
+			chains[i] = append(chains[i], p)
+		}
+	}
+	return chains
 }
 
 // Readdir lists a directory's names in sorted order.
@@ -564,8 +578,9 @@ func (t *Thread) Readdir(path string) (names []string, err error) {
 	if mi.typ != layout.TypeDir {
 		return nil, fsapi.ErrNotDir
 	}
-	names = make([]string, 0, mi.dir.ht.Len())
-	mi.dir.ht.Range(func(name string, _, _ uint64) bool {
+	ht := mi.ht()
+	names = make([]string, 0, ht.Len())
+	ht.Range(func(name string, _, _ uint64) bool {
 		names = append(names, name)
 		return true
 	})

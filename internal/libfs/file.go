@@ -1,6 +1,8 @@
 package libfs
 
 import (
+	"errors"
+
 	"arckfs/internal/fsapi"
 	"arckfs/internal/layout"
 	"arckfs/internal/pmem"
@@ -25,7 +27,7 @@ func (t *Thread) ReadAt(fd fsapi.FD, p []byte, off int64) (n int, err error) {
 		return 0, err
 	}
 	n, err = t.readAt(mi, p, off)
-	if err == fsapi.ErrBusError {
+	if errors.Is(err, fsapi.ErrBusError) {
 		if rerr := t.fs.remap(t, mi); rerr == nil {
 			return t.readAt(mi, p, off)
 		}
@@ -110,7 +112,7 @@ func (t *Thread) WriteAt(fd fsapi.FD, p []byte, off int64) (n int, err error) {
 		return 0, err
 	}
 	n, err = t.fs.writeAt(t, mi, p, off)
-	if err == fsapi.ErrBusError {
+	if errors.Is(err, fsapi.ErrBusError) {
 		if rerr := t.fs.remap(t, mi); rerr == nil {
 			return t.fs.writeAt(t, mi, p, off)
 		}
@@ -317,7 +319,7 @@ func (t *Thread) Truncate(path string, size uint64) (err error) {
 		// A lock-free reader that loaded the old size before the store
 		// above can still chase the unpublished block pointers, so the
 		// pages must wait out a grace period before they are reusable.
-		fs.retirePages(t, freed)
+		fs.retirePages(t.cpu, freed)
 	}
 	mi.cacheAttrs(size, 1, fs.clock.Load())
 	return nil

@@ -107,6 +107,13 @@ type Hooks struct {
 	// the reader leaves its read-side section. The reclamation stress
 	// test widens the window with it.
 	FileReadBlock func()
+	// DirCompaction brackets a release-time dentry-log compaction: it
+	// runs with true before the new chains are written and with false once
+	// the old pages are retired. The persist schedule in between is the
+	// LibFS's own — the only part of a release that is — so the crash
+	// checkers use the bracket to observe fences they otherwise skip as
+	// kernel protocol.
+	DirCompaction func(begin bool)
 }
 
 // Options configures a LibFS instance.
@@ -171,6 +178,10 @@ type FS struct {
 
 	mtab sync.Map // ino -> *minode
 
+	// renameMu serializes this LibFS's cross-directory directory renames
+	// (see Rename).
+	renameMu sync.Mutex
+
 	inoMu   hlock.SpinLock
 	inoPool []uint64
 
@@ -203,6 +214,10 @@ type FS struct {
 	tracer   *span.Tracer
 	appRow   *telemetry.AppRow
 	appStats func() []telemetry.AppStat
+	// relLane is ReleaseAll's lane in the tracer, made on first traced
+	// use; relMu guards it and the lane's sampling counter.
+	relMu   sync.Mutex
+	relLane *span.Local
 
 	// delegates is the I/O delegation pool (see delegate.go).
 	delegates delegatePool
@@ -226,6 +241,10 @@ type Stats struct {
 	// peer actively held: served from the retained last-verified aux
 	// because a read cannot steal ownership from a live holder.
 	StaleReads atomic.Int64
+	// DirCompactions counts release-time dentry-log rewrites (compact.go)
+	// and DirCompactedSlots the dead record slots they dropped.
+	DirCompactions    atomic.Int64
+	DirCompactedSlots atomic.Int64
 }
 
 // SetTelemetry attaches the owning system's counter set (core.NewApp
@@ -479,15 +498,14 @@ func (fs *FS) recyclePages(cpu int, pages []uint64) {
 // RCU read-side section may still hold a block pointer it loaded before
 // the unpublish, so recycling waits out a grace period through the FS's
 // domain — the same retire path htable uses for unlinked bucket entries.
-func (fs *FS) retirePages(t *Thread, pages []uint64) {
+func (fs *FS) retirePages(cpu int, pages []uint64) {
 	if len(pages) == 0 {
 		return
 	}
 	if fs.opts.SerialData {
-		fs.recyclePages(t.cpu, pages)
+		fs.recyclePages(cpu, pages)
 		return
 	}
-	cpu := t.cpu
 	fs.dom.Defer(func() { fs.recyclePages(cpu, pages) })
 }
 
@@ -546,13 +564,19 @@ type fdEnt struct {
 	mi *minode
 }
 
+// newBatch returns a persist queue in the configured (batched or eager)
+// mode.
+func (fs *FS) newBatch() *pmem.Batch {
+	if fs.opts.EagerPersist {
+		return fs.dev.NewEagerBatch()
+	}
+	return fs.dev.NewBatch()
+}
+
 // NewThread implements fsapi.FS.
 func (fs *FS) NewThread(cpu int) fsapi.Thread {
 	fs.nthreads.Add(1)
-	pb := fs.dev.NewBatch()
-	if fs.opts.EagerPersist {
-		pb = fs.dev.NewEagerBatch()
-	}
+	pb := fs.newBatch()
 	t := &Thread{fs: fs, cpu: cpu, rd: fs.dom.Register(), pb: pb, tl: fs.tracer.NewLocal()}
 	// The batch reports every flush, streaming store, and fence to the
 	// thread (see Thread.SpanEvent), which counts them per-app and attaches

@@ -27,8 +27,9 @@ type minode struct {
 
 	// mapping is the kernel mapping handle; nil for inodes this LibFS
 	// created and has not yet committed (self-built core state needs no
-	// mapping).
-	mapping *kernel.Mapping
+	// mapping). Like dir and file it is published atomically: remap and
+	// reacquire swap it while lock-free readers are checking it.
+	mapping atomic.Pointer[kernel.Mapping]
 
 	// lock is the per-inode readers-writer lock: files take it for
 	// read/write; directories take it for whole-inode operations
@@ -49,7 +50,7 @@ type minode struct {
 	// re-acquire.
 	released atomic.Bool
 
-	dir *dirState
+	dir atomic.Pointer[dirState]
 	// file is published atomically because the lock-free read path
 	// dereferences it with no lock held; remap/reacquire swap in a fresh
 	// fileState while readers may be mid-walk on the old one.
@@ -64,13 +65,22 @@ type dirState struct {
 	// idxMu is the "index tail" lock: it serializes structural log
 	// growth (linking new pages, publishing tail heads).
 	idxMu hlock.SpinLock
+	// unverified lists the log pages this LibFS linked since the kernel
+	// last verified the directory. They are still app-granted, so when
+	// compaction unlinks them they go back to the LibFS pool; every other
+	// log page is inode-owned and the kernel frees it at the next
+	// verification. Guarded by idxMu.
+	unverified []uint64
 }
 
 type tailCursor struct {
 	mu   hlock.SpinLock
 	page uint64 // 0 = tail empty
 	off  int
-	_    [40]byte
+	// slots counts the record slots (live, dead, reserved) in this
+	// tail's chain: the buildMinode scan plus every append since.
+	slots int
+	_     [32]byte
 }
 
 // fileState is a file's auxiliary block index. Writers mutate it under
@@ -139,10 +149,20 @@ func (st *fileState) ensureBlocks(n int) {
 	}
 }
 
+// ht returns a directory minode's current hash table.
+func (mi *minode) ht() *htable.Table { return mi.dir.Load().ht }
+
+// unmapped reports whether the kernel revoked the inode's mapping (an
+// inode that never had one is self-built, not unmapped).
+func (mi *minode) unmapped() bool {
+	m := mi.mapping.Load()
+	return m != nil && !m.Valid()
+}
+
 // checkMapped returns the §4.3 simulated bus error if the inode's core
 // state is no longer mapped.
 func (fs *FS) checkMapped(mi *minode) error {
-	if mi.mapping != nil && !mi.mapping.Valid() {
+	if mi.unmapped() {
 		return fsapi.ErrBusError
 	}
 	return nil
@@ -175,7 +195,7 @@ func (fs *FS) getMinode(t *Thread, ino uint64, write bool) (*minode, error) {
 				if err := fs.reacquire(t, mi); err != nil {
 					return nil, err
 				}
-			case mi.mapping == nil || !mi.mapping.Valid():
+			case !mi.mapping.Load().Valid():
 				// The dormant lease is gone: another application owned
 				// this inode since we released it, so the retained
 				// auxiliary state may be stale. Re-acquire and rebuild;
@@ -227,15 +247,15 @@ func (fs *FS) remap(t *Thread, mi *minode) error {
 	}
 	mi.lock.Lock()
 	defer mi.lock.Unlock()
-	if mi.mapping != nil && mi.mapping.Valid() {
+	if mi.mapping.Load().Valid() {
 		return nil // raced with another remapper
 	}
 	fresh, err := fs.buildMinode(mi.ino, m)
 	if err != nil {
 		return err
 	}
-	mi.mapping = m
-	mi.dir = fresh.dir
+	mi.mapping.Store(m)
+	mi.dir.Store(fresh.dir.Load())
 	mi.file.Store(fresh.file.Load())
 	mi.attrs.Store(fresh.attrs.Load())
 	mi.released.Store(false)
@@ -258,7 +278,7 @@ func (fs *FS) reacquire(t *Thread, mi *minode) error {
 			mi.lock.Unlock()
 			return nil // lost the race to another re-acquirer
 		}
-		if mi.mapping.Reactivate() {
+		if mi.mapping.Load().Reactivate() {
 			mi.released.Store(false)
 			mi.lock.Unlock()
 			fs.Stats.LeaseHits.Add(1)
@@ -289,8 +309,8 @@ func (fs *FS) reacquire(t *Thread, mi *minode) error {
 	if err != nil {
 		return err
 	}
-	mi.mapping = m
-	mi.dir = fresh.dir
+	mi.mapping.Store(m)
+	mi.dir.Store(fresh.dir.Load())
 	mi.file.Store(fresh.file.Load())
 	mi.attrs.Store(fresh.attrs.Load())
 	mi.released.Store(false)
@@ -305,7 +325,8 @@ func (fs *FS) buildMinode(ino uint64, m *kernel.Mapping) (*minode, error) {
 	if !ok || corrupt {
 		return nil, fsapi.ErrStale
 	}
-	mi := &minode{ino: ino, typ: in.Type, mapping: m}
+	mi := &minode{ino: ino, typ: in.Type}
+	mi.mapping.Store(m)
 	mi.parent.Store(in.Parent)
 	switch in.Type {
 	case layout.TypeDir:
@@ -321,6 +342,7 @@ func (fs *FS) buildMinode(ino uint64, m *kernel.Mapping) (*minode, error) {
 			}
 			var scanErr error
 			page, off, corrupt := layout.ScanTail(fs.dev, head, func(d layout.Dentry) bool {
+				ds.tails[t].slots++
 				if d.Live {
 					if !ds.ht.Insert(d.Name, d.Ino, uint64(d.Ref)) {
 						scanErr = fsapi.ErrStale
@@ -338,7 +360,7 @@ func (fs *FS) buildMinode(ino uint64, m *kernel.Mapping) (*minode, error) {
 			ds.tails[t].page = page
 			ds.tails[t].off = off
 		}
-		mi.dir = ds
+		mi.dir.Store(ds)
 		mi.cacheAttrs(uint64(ds.ht.Len()), in.Nlink, in.MTime)
 	case layout.TypeFile:
 		var blocks, mapPages []uint64
@@ -387,14 +409,15 @@ func (fs *FS) newDirTable() *htable.Table {
 // lookupInDir finds name in dir's hash table using the configured reader
 // discipline. The caller supplies its RCU reader.
 func (fs *FS) lookupInDir(t *Thread, mi *minode, name string) (uint64, uint64, bool, error) {
-	if mi.dir == nil {
+	ds := mi.dir.Load()
+	if ds == nil {
 		return 0, 0, false, fsapi.ErrNotDir
 	}
 	var rd = t.rd
 	if fs.opts.Bugs.Has(BugLocklessBucketRead) {
 		rd = nil
 	}
-	ino, ref, ok, err := mi.dir.ht.Lookup(rd, name)
+	ino, ref, ok, err := ds.ht.Lookup(rd, name)
 	if err != nil {
 		// The simulated segfault of §4.5.
 		return 0, 0, false, fsapi.ErrSegfault

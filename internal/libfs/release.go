@@ -7,6 +7,7 @@ import (
 	"arckfs/internal/kernel"
 	"arckfs/internal/layout"
 	"arckfs/internal/telemetry"
+	"arckfs/internal/telemetry/span"
 )
 
 // ensureCommitted makes the kernel's view of mi a committed shadow inode,
@@ -47,7 +48,26 @@ func (fs *FS) commitCrossing(t *Thread, ino uint64) error {
 	begin := t.crossStart()
 	err := fs.ctrl.CommitObserved(fs.app, ino, t.sink())
 	t.crossEnd(telemetry.EvCommit, begin)
+	if v, ok := fs.mtab.Load(ino); ok && err == nil {
+		v.(*minode).dir.Load().markVerified()
+	}
 	return err
+}
+
+// markVerified records that the kernel has verified the directory (a
+// successful Commit or Release): every log page linked so far is now
+// inode-owned. A page a concurrent append links while the crossing is in
+// flight is forgotten with the rest even if the kernel's parse missed it;
+// should compaction later unlink it, it stays granted-but-idle until the
+// app unregisters — the safe side, since handing the pool a page the
+// kernel did adopt would fail the next verification that links it.
+func (ds *dirState) markVerified() {
+	if ds == nil {
+		return
+	}
+	ds.idxMu.Lock()
+	ds.unverified = nil
+	ds.idxMu.Unlock()
 }
 
 // markChildrenKnown clears the fresh flag on every cached minode whose
@@ -85,7 +105,11 @@ func (fs *FS) CommitInode(t *Thread, path string) (err error) {
 // ArckFS as shipped: the release happens with no synchronization at all —
 // another thread inside an operation dereferences the unmapped core
 // state and crashes (the simulated bus error).
-func (fs *FS) ReleaseInode(ino uint64) error {
+func (fs *FS) ReleaseInode(ino uint64) error { return fs.releaseInode(ino, nil) }
+
+// releaseInode is ReleaseInode reporting LibFS-side release work to the
+// caller's span (nil-safe).
+func (fs *FS) releaseInode(ino uint64, sp *span.Span) error {
 	v, ok := fs.mtab.Load(ino)
 	if !ok {
 		return fs.ctrl.Release(fs.app, ino)
@@ -103,8 +127,10 @@ func (fs *FS) ReleaseInode(ino uint64) error {
 	}
 	mi.lock.Lock()
 	var unlockAll func()
-	if mi.dir != nil {
-		unlockAll = mi.dir.ht.LockAll()
+	if ds := mi.dir.Load(); ds != nil {
+		unlockAll = ds.ht.LockAll()
+		// The directory is quiescent: hand back live entries, not history.
+		fs.compactDir(mi, sp)
 	}
 	var err error
 	if fs.opts.NoLeases {
@@ -118,10 +144,13 @@ func (fs *FS) ReleaseInode(ino uint64) error {
 		var m *kernel.Mapping
 		m, err = fs.ctrl.ReleaseLeased(fs.app, ino)
 		if err == nil && m != nil {
-			mi.mapping = m
+			mi.mapping.Store(m)
 		}
 	}
 	mi.released.Store(true)
+	if err == nil {
+		mi.dir.Load().markVerified()
+	}
 	if unlockAll != nil {
 		unlockAll()
 	}
@@ -136,7 +165,20 @@ func (fs *FS) ReleaseInode(ino uint64) error {
 // order (parents before children, so fresh children become pending at
 // their parent's release and commit at their own). It returns the first
 // error encountered, after attempting everything.
-func (fs *FS) ReleaseAll() error {
+func (fs *FS) ReleaseAll() (err error) {
+	// One span per call, on a lane of the FS's own (a release has no
+	// thread): a slow ReleaseAll shows its compactions in a flight record.
+	// Only Begin needs the lane to itself.
+	fs.relMu.Lock()
+	if fs.relLane == nil && fs.tracer.Enabled() {
+		fs.relLane = fs.tracer.NewLocal()
+	}
+	lane := fs.relLane
+	sp := lane.Begin(fsapi.OpRelease, int64(fs.app))
+	fs.relMu.Unlock()
+	defer func() { lane.End(sp, err) }()
+	compactions := fs.Stats.DirCompactions.Load()
+
 	// Quiesce the data plane before handing ownership back: retired
 	// pages and inode numbers parked behind grace periods land in the
 	// allocator pools now, so resource reuse from here on is identical
@@ -175,11 +217,16 @@ func (fs *FS) ReleaseAll() error {
 		}
 		return ents[i].mi.ino < ents[j].mi.ino
 	})
-	var firstErr error
 	for _, e := range ents {
-		if err := fs.ReleaseInode(e.mi.ino); err != nil && firstErr == nil {
-			firstErr = err
+		if rerr := fs.releaseInode(e.mi.ino, sp); rerr != nil && err == nil {
+			err = rerr
 		}
 	}
-	return firstErr
+	if fs.Stats.DirCompactions.Load() != compactions {
+		// Same reason as the Barrier above: pages a compaction retired must
+		// be back in the pool when ReleaseAll returns, whichever read
+		// discipline parked them.
+		fs.dom.Barrier()
+	}
+	return err
 }

@@ -43,7 +43,12 @@ func (t *Thread) Rename(oldPath, newPath string) (err error) {
 	protectedDirMove := isDir && crossDir && !fs.opts.Bugs.Has(BugNoCycleCheck)
 	if protectedDirMove {
 		// §4.6 patch, case 1: serialize cross-directory directory renames
-		// through the kernel's global lease.
+		// through the kernel's global lease. The lease is held by the
+		// application, and an application's second acquire succeeds at
+		// once, so it excludes other LibFSes only; this LibFS's own
+		// threads queue on renameMu first.
+		fs.renameMu.Lock()
+		defer fs.renameMu.Unlock()
 		begin := t.crossStart()
 		fs.ctrl.RenameLockAcquire(fs.app)
 		t.crossEnd(telemetry.EvRenameLockAcquire, begin)

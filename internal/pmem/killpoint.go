@@ -22,6 +22,9 @@ import "sync/atomic"
 //
 //	libfs.create.marker  — after a dentry commit-marker store, before
 //	                       the operation's final persist barrier
+//	libfs.compact.swap   — inside a release-time dentry-log compaction,
+//	                       after the new chains are fenced durable,
+//	                       before the tail heads that publish them
 //	pmem.batch.barrier   — entry of Batch.Barrier, before the queue
 //	                       drains and the fence issues
 //	pmem.batch.drain     — entry of Batch.Drain with lines queued
@@ -38,6 +41,7 @@ var armedKill atomic.Pointer[killArm]
 func KillpointSites() []string {
 	return []string{
 		"libfs.create.marker",
+		"libfs.compact.swap",
 		"pmem.batch.barrier",
 		"pmem.batch.drain",
 		"kernel.recover.pass",

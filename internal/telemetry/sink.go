@@ -51,6 +51,9 @@ const (
 	// scheduler before being admitted. a = app id, b = wait in
 	// nanoseconds.
 	SpanEvAdmitWait
+	// SpanEvDirCompact: a release rewrote a directory's dentry log before
+	// handing it back. a = inode, b = duration in nanoseconds.
+	SpanEvDirCompact
 )
 
 var spanEventNames = [...]string{
@@ -63,6 +66,7 @@ var spanEventNames = [...]string{
 	SpanEvShardWait:    "shard-wait",
 	SpanEvRecoveryPass: "recovery-pass",
 	SpanEvAdmitWait:    "admit-wait",
+	SpanEvDirCompact:   "dir-compact",
 }
 
 // SpanEventName returns the display name of a SpanEv* kind.

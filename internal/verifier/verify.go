@@ -345,6 +345,10 @@ type NewInodeResult struct {
 	// other granted inodes: they become pending in turn.
 	PendingChildren []ChildChange
 	ChildCount      uint32
+	// Dir or File (by inode type) is the parsed view the verdict was
+	// reached on.
+	Dir  *DirView
+	File *FileView
 }
 
 // VerifyNewInode checks a freshly created inode at commit time. parent is
@@ -368,6 +372,7 @@ func (v *V) VerifyNewInode(app int64, ino, parent uint64, kv KernelView) (*NewIn
 		if err != nil {
 			return nil, fail(ino, "structural: %v", err)
 		}
+		res.File = fv
 		for _, p := range fv.MapPages {
 			if !kv.PageUsableBy(app, ino, p) {
 				return nil, fail(ino, "map page %d not granted", p)
@@ -388,6 +393,7 @@ func (v *V) VerifyNewInode(app int64, ino, parent uint64, kv KernelView) (*NewIn
 		if err != nil {
 			return nil, fail(ino, "structural: %v", err)
 		}
+		res.Dir = dv
 		if in.DataRoot < v.Geo.DataStart || !kv.PageUsableBy(app, ino, in.DataRoot) {
 			return nil, fail(ino, "tail-set page %d not granted", in.DataRoot)
 		}
