@@ -3,20 +3,16 @@
 //
 // Usage:
 //
-//	arckbench -exp figure3|figure4|table2|dataScale|fxmark|filebench|leveldb|table4|crashmc|all \
+//	arckbench -exp figure3|figure4|table2|dataScale|fxmark|filebench|leveldb|table4|all \
 //	          [-threads 1,2,4,8,16,32,64] [-ops 20000] [-dev 512] [-fast] \
 //	          [-systems arckfs,arckfs+,nova,pmfs,kucofs] [-persist batched|eager] \
-//	          [-serial-kernel] [-serial-data] [-json out.json] [-sha <commit>] [-timestamp <rfc3339>]
+//	          [-serial-kernel] [-serial-data] [-json out.json]
 //
 // -json writes a machine-readable run record alongside the rendered
-// tables: provenance (git commit, wall time, deterministic config
-// hash), configuration, then one cell per measurement with ops/sec,
-// sampled latency percentiles (p50/p90/p99/max), telemetry counter
-// deltas (flushes, fences, ntstores, syscalls — absolute and per-op),
-// and the per-app attribution delta. -sha and -timestamp override the
-// recorded provenance (defaults: $GITHUB_SHA and the wall clock, both
-// read outside any measured region) — benchcheck -record keys the perf
-// trajectory on them.
+// tables: the configuration, then one cell per measurement with
+// ops/sec, sampled latency percentiles (p50/p90/p99/max), telemetry
+// counter deltas (flushes, fences, ntstores, syscalls — absolute and
+// per-op), and the per-app attribution delta.
 //
 // -persist eager disables the LibFS write-combining persist batcher;
 // pairing a batched and an eager run of the same experiment quantifies
@@ -45,10 +41,6 @@
 // often the device lied. Crash-consistency under the same lies is
 // cmd/arckcrash's job.
 //
-// -exp crashmc runs the crash-state model-checking campaign instead of
-// a benchmark (not part of "all"); the process exits non-zero on any
-// oracle mismatch, which is how CI uses it as a smoke gate.
-//
 // -exp tenants runs the multi-tenant serving ablation (not part of
 // "all"): the tenant-scaling sweep over -tenants population sizes (k
 // suffix allowed: "16,128,1k,4k,10k"), the measured idle-tenant
@@ -75,7 +67,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: figure3, figure4, table2, dataScale, fxmark, filebench, leveldb, table4, crashmc, all")
+	exp := flag.String("exp", "all", "experiment: figure3, figure4, table2, dataScale, fxmark, filebench, leveldb, table4, all")
 	threads := flag.String("threads", "1,2,4,8,16,32,64", "comma-separated thread sweep")
 	ops := flag.Int("ops", 20000, "total operations per measurement cell")
 	dev := flag.Int64("dev", 512, "device size in MiB per instance")
@@ -85,8 +77,6 @@ func main() {
 	bigMB := flag.Uint64("share-big", 256, "Table 4 big shared-file size (MiB; paper uses 1024)")
 	trials := flag.Int("trials", 3, "best-of-N trials for single-thread cells")
 	jsonOut := flag.String("json", "", "write a machine-readable run record to this path")
-	sha := flag.String("sha", os.Getenv("GITHUB_SHA"), "git commit recorded in the run record (provenance only)")
-	timestamp := flag.String("timestamp", "", "RFC3339 wall time recorded in the run record (default: now, read outside any measured region)")
 	persist := flag.String("persist", "batched", "ArckFS persist schedule: batched or eager")
 	serial := flag.Bool("serial-kernel", false, "run the ArckFS kernels single-locked and lease-free (control-plane A/B baseline)")
 	serialData := flag.Bool("serial-data", false, "run the ArckFS data plane with locked read paths (data-plane A/B baseline)")
@@ -110,7 +100,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *exp != "all" && !isKnown(*exp) {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (want figure3, figure4, table2, dataScale, fxmark, filebench, leveldb, table4, crashmc, tenants, or all)\n", *exp)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (want figure3, figure4, table2, dataScale, fxmark, filebench, leveldb, table4, tenants, or all)\n", *exp)
 		os.Exit(2)
 	}
 	tenantCounts, err := parseTenants(*tenants)
@@ -156,7 +146,6 @@ func main() {
 	}
 	if *jsonOut != "" {
 		cfg.Rec = experiments.NewRecorder(cfg)
-		cfg.Rec.SetProvenance(*sha, *timestamp)
 	}
 
 	run := func(name string, fn func() error) {
@@ -186,12 +175,6 @@ func main() {
 	// cells and exists for targeted persistence-cost comparisons.
 	if *exp == "fxmark" {
 		run("fxmark", func() error { return experiments.Fxmark(cfg) })
-	}
-	// crashmc is not part of "all" either: it is a correctness campaign,
-	// not a performance experiment — CI runs it as its own smoke job and
-	// fails on any oracle mismatch.
-	if *exp == "crashmc" {
-		run("crashmc", func() error { return experiments.Crashmc(cfg) })
 	}
 	// tenants is not part of "all": it measures the multi-tenant serving
 	// path (ArckFS+-only), not a paper figure, and 10k-population sweeps
@@ -224,7 +207,7 @@ func main() {
 
 func isKnown(e string) bool {
 	switch e {
-	case "figure3", "figure4", "table2", "dataScale", "fxmark", "filebench", "leveldb", "table4", "crashmc", "tenants":
+	case "figure3", "figure4", "table2", "dataScale", "fxmark", "filebench", "leveldb", "table4", "tenants":
 		return true
 	}
 	return false

@@ -29,7 +29,6 @@
 //	tenants                   per-tenant quota/usage table: outstanding
 //	                          page and inode grants against the limits
 //	lint                      run the arcklint checkers over this source tree
-//	crashmc [name]            run the crash-state model-checking campaign
 //	                          (or just the configs whose name contains name)
 //	help, quit
 package main
@@ -44,7 +43,6 @@ import (
 
 	"arckfs"
 	"arckfs/internal/analysis"
-	"arckfs/internal/crashmc"
 	"arckfs/internal/telemetry"
 )
 
@@ -80,7 +78,7 @@ func main() {
 		var err error
 		switch cmd {
 		case "help":
-			fmt.Println("mkdir create write cat ls stat rm rmdir mv trunc release fsck crash stats shards trace spans top tenants lint crashmc quit")
+			fmt.Println("mkdir create write cat ls stat rm rmdir mv trunc release fsck crash stats shards trace spans top tenants lint quit")
 		case "quit", "exit":
 			return
 		case "mkdir":
@@ -170,8 +168,6 @@ func main() {
 			printShards(sys)
 		case "lint":
 			err = runLint()
-		case "crashmc":
-			err = runCrashmc(arg(0))
 		case "trace":
 			printTrace(sys, args)
 		case "spans":
@@ -363,31 +359,6 @@ func runLint() error {
 		fmt.Println(" ", f)
 	}
 	fmt.Printf("  %d finding(s), %d suppressed\n", unsuppressed, suppressed)
-	return nil
-}
-
-// runCrashmc runs the crash-state model-checking campaign (or the
-// subset whose names contain filter) on fresh scratch devices — the
-// shell's own image is untouched.
-func runCrashmc(filter string) error {
-	ran := 0
-	for _, cfg := range crashmc.Campaign() {
-		if filter != "" && !strings.Contains(cfg.Name, filter) {
-			continue
-		}
-		ran++
-		res, err := crashmc.Run(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(" ", res.Summary())
-		for _, ce := range res.Counterexamples {
-			fmt.Println("    counterexample:", ce)
-		}
-	}
-	if ran == 0 {
-		return fmt.Errorf("no campaign config matches %q", filter)
-	}
 	return nil
 }
 

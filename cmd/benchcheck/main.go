@@ -10,28 +10,14 @@
 // Usage:
 //
 //	benchcheck -bounds bench_bounds.json record.json [record2.json ...]
-//	benchcheck -bounds bench_bounds.json -record BENCH_trajectory.json record.json [...]
-//
-// With -record, benchcheck additionally maintains the checked-in
-// performance trajectory: each record's cells are compared against the
-// trailing-window mean of their (workload, fs, threads, config_hash)
-// series — failing on a throughput drop beyond -tolerance, after
-// normalizing out run-wide host-speed drift (see checkTrajectory) —
-// and then appended to the trajectory file, stamped with the record's
-// git SHA and timestamp.
 //
 // Per-op counts are deterministic for a given workload and persist
 // schedule — unlike throughput they do not depend on host speed — so the
 // bounds can be tight and the job can run on a tiny op count. A bound
 // that matches no cell in any record is an error too: it means the
-// workload or system was renamed and the bound went stale.
-//
-// The two gates want different run sizes: bounds are calibrated at a
-// small op count (per-op costs for create-heavy workloads grow with
-// directory scale), while trajectory throughput samples need larger
-// cells to beat scheduler noise. An empty -bounds value skips the
-// bounds phase so a trajectory-only invocation can consume records at
-// its own config.
+// workload or system was renamed and the bound went stale. The bounds
+// are calibrated at a small op count: per-op costs for create-heavy
+// workloads grow with directory scale.
 package main
 
 import (
@@ -65,28 +51,22 @@ type BoundsFile struct {
 }
 
 func main() {
-	boundsPath := flag.String("bounds", "bench_bounds.json", "bounds file ('' skips the bounds phase)")
-	record := flag.String("record", "", "trajectory file to gate against and append to (e.g. BENCH_trajectory.json)")
-	window := flag.Int("window", 5, "trailing rows per series the trajectory gate averages over")
-	tolerance := flag.Float64("tolerance", 0.10, "largest tolerated relative throughput drop vs the trailing-window mean")
+	boundsPath := flag.String("bounds", "bench_bounds.json", "bounds file")
 	flag.Parse()
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: benchcheck -bounds bench_bounds.json [-record BENCH_trajectory.json] record.json [...]")
+		fmt.Fprintln(os.Stderr, "usage: benchcheck -bounds bench_bounds.json record.json [...]")
 		os.Exit(2)
 	}
 
 	var bf BoundsFile
-	if *boundsPath != "" {
-		if err := readJSON(*boundsPath, &bf); err != nil {
-			fatal("reading bounds: %v", err)
-		}
-		if len(bf.Bounds) == 0 {
-			fatal("%s defines no bounds", *boundsPath)
-		}
+	if err := readJSON(*boundsPath, &bf); err != nil {
+		fatal("reading bounds: %v", err)
+	}
+	if len(bf.Bounds) == 0 {
+		fatal("%s defines no bounds", *boundsPath)
 	}
 
 	var cells []experiments.Cell
-	var recs []experiments.RunRecord
 	for _, path := range flag.Args() {
 		var rec experiments.RunRecord
 		if err := readJSON(path, &rec); err != nil {
@@ -97,7 +77,6 @@ func main() {
 				path, rec.Config.Persist)
 		}
 		cells = append(cells, rec.Cells...)
-		recs = append(recs, rec)
 	}
 
 	failures := 0
@@ -152,15 +131,7 @@ func main() {
 	if failures > 0 {
 		fatal("%d bound(s) violated", failures)
 	}
-	if *boundsPath != "" {
-		fmt.Printf("benchcheck: %d bounds satisfied across %d cells\n", len(bf.Bounds), len(cells))
-	}
-
-	if *record != "" {
-		if n := checkTrajectory(*record, *window, *tolerance, recs); n > 0 {
-			fatal("%d trajectory regression(s)", n)
-		}
-	}
+	fmt.Printf("benchcheck: %d bounds satisfied across %d cells\n", len(bf.Bounds), len(cells))
 }
 
 func readJSON(path string, v any) error {

@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -505,7 +506,7 @@ func LevelDB(cfg Config) error {
 					return db.Put(key((i*2654435761)%n), val)
 				case "readrandom":
 					_, err := db.Get(key((i * 40503) % n))
-					if err == fsapi.ErrNotExist {
+					if errors.Is(err, fsapi.ErrNotExist) {
 						return nil
 					}
 					return err

@@ -2,11 +2,8 @@ package experiments
 
 import (
 	"encoding/json"
-	"fmt"
-	"hash/fnv"
 	"os"
 	"sync"
-	"time"
 
 	"arckfs/internal/harness"
 	"arckfs/internal/pmem"
@@ -64,8 +61,7 @@ type RunConfig struct {
 	// per-inode locks on every read).
 	Data string `json:"data"`
 	// Faults names the device lie modes the run injected ("drop-flush",
-	// "torn-line", comma mixes). Empty for an honest device — omitempty
-	// keeps historical trajectory config hashes stable.
+	// "torn-line", comma mixes). Empty for an honest device.
 	Faults string `json:"faults,omitempty"`
 	// Admission is the crossing admission scheduler shape: "" (off, the
 	// default outside the tenants experiment), "wdrr" (weighted deficit
@@ -73,41 +69,18 @@ type RunConfig struct {
 	// MaxInflight is its slot count. Epoch is "" (big-reader lock, the
 	// default) or "flat" (single shared reader counter — the A/B
 	// baseline). Tenants echoes the tenants experiment's population
-	// sweep. All omitempty so historical config hashes stay stable.
+	// sweep.
 	Admission   string `json:"admission,omitempty"`
 	MaxInflight int    `json:"max_inflight,omitempty"`
 	Epoch       string `json:"epoch,omitempty"`
 	Tenants     []int  `json:"tenants,omitempty"`
 }
 
-// Hash is the deterministic digest trajectory rows are keyed by: two
-// records with equal hashes were produced under an identical
-// configuration, so their throughputs are comparable. FNV-1a over the
-// canonical (encoding/json, sorted-field) form of the config.
-func (c RunConfig) Hash() string {
-	data, err := json.Marshal(c)
-	if err != nil {
-		// RunConfig is plain data; Marshal cannot fail on it.
-		panic(err)
-	}
-	h := fnv.New64a()
-	h.Write(data)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
 // RunRecord is the top-level JSON document arckbench -json emits.
-//
-// GitSHA and Timestamp are provenance passed in by the caller (CI sets
-// -sha/-timestamp from its environment); neither is read inside a
-// measured region. ConfigHash is derived from Config and joins the
-// record to its trajectory rows.
 type RunRecord struct {
-	Tool       string    `json:"tool"`
-	GitSHA     string    `json:"git_sha,omitempty"`
-	Timestamp  string    `json:"timestamp,omitempty"`
-	ConfigHash string    `json:"config_hash"`
-	Config     RunConfig `json:"config"`
-	Cells      []Cell    `json:"cells"`
+	Tool   string    `json:"tool"`
+	Config RunConfig `json:"config"`
+	Cells  []Cell    `json:"cells"`
 }
 
 // Recorder accumulates Cells across experiments. A nil *Recorder is
@@ -163,30 +136,7 @@ func NewRecorder(cfg Config) *Recorder {
 		Epoch:       epoch,
 		Tenants:     cfg.TenantCounts,
 	}
-	return &Recorder{rec: RunRecord{
-		Tool:       "arckbench",
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		ConfigHash: rc.Hash(),
-		Config:     rc,
-	}}
-}
-
-// SetProvenance overrides the record's provenance with caller-supplied
-// values: the commit under test and the (externally chosen) wall time,
-// so records and trajectory rows are joinable across CI runs. Empty
-// arguments leave the current values in place.
-func (r *Recorder) SetProvenance(sha, timestamp string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if sha != "" {
-		r.rec.GitSHA = sha
-	}
-	if timestamp != "" {
-		r.rec.Timestamp = timestamp
-	}
-	r.mu.Unlock()
+	return &Recorder{rec: RunRecord{Tool: "arckbench", Config: rc}}
 }
 
 // perOpKeys maps counter names to their per-op JSON keys.

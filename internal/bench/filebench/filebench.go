@@ -10,6 +10,7 @@
 package filebench
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -91,12 +92,12 @@ func Run(fs fsapi.FS, cfg Config, threads, opsPerThread int) (harness.Result, er
 
 	var sets []*fileset
 	mkset := func(dir string) (*fileset, error) {
-		if err := setup.Mkdir(dir); err != nil && err != fsapi.ErrExist {
+		if err := setup.Mkdir(dir); err != nil && !errors.Is(err, fsapi.ErrExist) {
 			return nil, err
 		}
 		set := newFileset(dir, cfg.Files)
 		for _, name := range set.names {
-			if err := setup.Create(name); err != nil && err != fsapi.ErrExist {
+			if err := setup.Create(name); err != nil && !errors.Is(err, fsapi.ErrExist) {
 				return nil, err
 			}
 			fd, err := setup.Open(name)
@@ -127,7 +128,7 @@ func Run(fs fsapi.FS, cfg Config, threads, opsPerThread int) (harness.Result, er
 			sets = append(sets, set)
 		}
 	}
-	if err := setup.Mkdir("/logs"); err != nil && err != fsapi.ErrExist {
+	if err := setup.Mkdir("/logs"); err != nil && !errors.Is(err, fsapi.ErrExist) {
 		return harness.Result{}, err
 	}
 
@@ -137,7 +138,7 @@ func Run(fs fsapi.FS, cfg Config, threads, opsPerThread int) (harness.Result, er
 		set := sets[tid]
 		rng := rand.New(rand.NewSource(int64(tid)*101 + 3))
 		logPath := fmt.Sprintf("/logs/log%d", tid)
-		if err := t.Create(logPath); err != nil && err != fsapi.ErrExist {
+		if err := t.Create(logPath); err != nil && !errors.Is(err, fsapi.ErrExist) {
 			return harness.Result{}, err
 		}
 		logFD, err := t.Open(logPath)
@@ -152,7 +153,7 @@ func Run(fs fsapi.FS, cfg Config, threads, opsPerThread int) (harness.Result, er
 				// delete + recreate + write whole file
 				idx := rng.Intn(len(set.names))
 				err := set.withFile(idx, func(p string) error {
-					if err := t.Unlink(p); err != nil && err != fsapi.ErrNotExist {
+					if err := t.Unlink(p); err != nil && !errors.Is(err, fsapi.ErrNotExist) {
 						return err
 					}
 					if err := t.Create(p); err != nil {
@@ -203,7 +204,7 @@ func Run(fs fsapi.FS, cfg Config, threads, opsPerThread int) (harness.Result, er
 				// delete a mail file
 				idx := rng.Intn(len(set.names))
 				if err := set.withFile(idx, func(p string) error {
-					if err := t.Unlink(p); err != nil && err != fsapi.ErrNotExist {
+					if err := t.Unlink(p); err != nil && !errors.Is(err, fsapi.ErrNotExist) {
 						return err
 					}
 					return nil
@@ -212,7 +213,7 @@ func Run(fs fsapi.FS, cfg Config, threads, opsPerThread int) (harness.Result, er
 				}
 				// create + append + fsync (mail arrival)
 				if err := set.withFile(idx, func(p string) error {
-					if err := t.Create(p); err != nil && err != fsapi.ErrExist {
+					if err := t.Create(p); err != nil && !errors.Is(err, fsapi.ErrExist) {
 						return err
 					}
 					fd, err := t.Open(p)
@@ -232,7 +233,7 @@ func Run(fs fsapi.FS, cfg Config, threads, opsPerThread int) (harness.Result, er
 				if err := set.withFile(idx2, func(p string) error {
 					fd, err := t.Open(p)
 					if err != nil {
-						if err == fsapi.ErrNotExist {
+						if errors.Is(err, fsapi.ErrNotExist) {
 							return nil // deleted by a peer; Filebench skips
 						}
 						return err
@@ -254,7 +255,7 @@ func Run(fs fsapi.FS, cfg Config, threads, opsPerThread int) (harness.Result, er
 				return set.withFile(idx3, func(p string) error {
 					fd, err := t.Open(p)
 					if err != nil {
-						if err == fsapi.ErrNotExist {
+						if errors.Is(err, fsapi.ErrNotExist) {
 							return nil
 						}
 						return err

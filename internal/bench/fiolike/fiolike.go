@@ -4,6 +4,7 @@
 package fiolike
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -38,7 +39,7 @@ func Run(fs fsapi.FS, job Job, threads, opsPerThread int) (harness.Result, error
 	blob := make([]byte, 1<<20)
 	for tid := 0; tid < threads; tid++ {
 		p := fmt.Sprintf("/fio%d", tid)
-		if err := setup.Create(p); err != nil && err != fsapi.ErrExist {
+		if err := setup.Create(p); err != nil && !errors.Is(err, fsapi.ErrExist) {
 			return harness.Result{}, err
 		}
 		fd, err := setup.Open(p)

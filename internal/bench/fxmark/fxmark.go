@@ -19,6 +19,7 @@
 package fxmark
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -71,7 +72,7 @@ func mkdirAll(t fsapi.Thread, path string) error {
 	cur := ""
 	for _, c := range comps {
 		cur += "/" + c
-		if err := t.Mkdir(cur); err != nil && err != fsapi.ErrExist {
+		if err := t.Mkdir(cur); err != nil && !errors.Is(err, fsapi.ErrExist) {
 			return err
 		}
 	}
@@ -86,7 +87,7 @@ func setupDeepDirs(fs fsapi.FS, threads int, cfg Config) error {
 		if err := mkdirAll(t, deepDir(tid)); err != nil {
 			return err
 		}
-		if err := t.Create(deepDir(tid) + "/file"); err != nil && err != fsapi.ErrExist {
+		if err := t.Create(deepDir(tid) + "/file"); err != nil && !errors.Is(err, fsapi.ErrExist) {
 			return err
 		}
 	}
@@ -184,7 +185,7 @@ var Metadata = []Workload{
 				return err
 			}
 			err := t.Create(deepDir(0) + "/file")
-			if err == fsapi.ErrExist {
+			if errors.Is(err, fsapi.ErrExist) {
 				return nil
 			}
 			return err
@@ -236,7 +237,7 @@ var Metadata = []Workload{
 				return err
 			}
 			for i := 0; i < cfg.DirFiles; i++ {
-				if err := t.Create(fmt.Sprintf("/shared-enum/f%d", i)); err != nil && err != fsapi.ErrExist {
+				if err := t.Create(fmt.Sprintf("/shared-enum/f%d", i)); err != nil && !errors.Is(err, fsapi.ErrExist) {
 					return err
 				}
 			}
@@ -269,7 +270,7 @@ var Metadata = []Workload{
 				// Bound the fileset: recycle names with an unlink every
 				// other op, as the artifact's bounded variant does.
 				p := fmt.Sprintf("%s/c%d", dir, i%4096)
-				if err := t.Create(p); err == fsapi.ErrExist {
+				if err := t.Create(p); errors.Is(err, fsapi.ErrExist) {
 					if err := t.Unlink(p); err != nil {
 						return err
 					}
@@ -292,8 +293,8 @@ var Metadata = []Workload{
 			t := fs.NewThread(tid)
 			return func(i int) error {
 				p := fmt.Sprintf("/shared-create/t%d-c%d", tid, i%4096)
-				if err := t.Create(p); err == fsapi.ErrExist {
-					if err := t.Unlink(p); err != nil && err != fsapi.ErrNotExist {
+				if err := t.Create(p); errors.Is(err, fsapi.ErrExist) {
+					if err := t.Unlink(p); err != nil && !errors.Is(err, fsapi.ErrNotExist) {
 						return err
 					}
 					return t.Create(p)
@@ -321,7 +322,7 @@ var Metadata = []Workload{
 			dir := privDir(tid)
 			return func(i int) error {
 				p := fmt.Sprintf("%s/u%d", dir, i%1024)
-				if err := t.Create(p); err != nil && err != fsapi.ErrExist {
+				if err := t.Create(p); err != nil && !errors.Is(err, fsapi.ErrExist) {
 					return err
 				}
 				return t.Unlink(p)
@@ -339,7 +340,7 @@ var Metadata = []Workload{
 			t := fs.NewThread(tid)
 			return func(i int) error {
 				p := fmt.Sprintf("/shared-unlink/t%d-u%d", tid, i%1024)
-				if err := t.Create(p); err != nil && err != fsapi.ErrExist {
+				if err := t.Create(p); err != nil && !errors.Is(err, fsapi.ErrExist) {
 					return err
 				}
 				return t.Unlink(p)
@@ -393,10 +394,10 @@ var Metadata = []Workload{
 			return func(i int) error {
 				src := fmt.Sprintf("%s/m%d", dir, i%1024)
 				dst := fmt.Sprintf("/shared-move/t%d-m%d", tid, i%1024)
-				if err := t.Create(src); err != nil && err != fsapi.ErrExist {
+				if err := t.Create(src); err != nil && !errors.Is(err, fsapi.ErrExist) {
 					return err
 				}
-				if err := t.Unlink(dst); err != nil && err != fsapi.ErrNotExist {
+				if err := t.Unlink(dst); err != nil && !errors.Is(err, fsapi.ErrNotExist) {
 					return err
 				}
 				return t.Rename(src, dst)
@@ -516,7 +517,7 @@ func setupDataFiles(fs fsapi.FS, threads int, cfg Config) error {
 
 func setupSharedDataFile(fs fsapi.FS, threads int, cfg Config) error {
 	t := fs.NewThread(0)
-	if err := t.Create("/shared-data"); err != nil && err != fsapi.ErrExist {
+	if err := t.Create("/shared-data"); err != nil && !errors.Is(err, fsapi.ErrExist) {
 		return err
 	}
 	fd, err := t.Open("/shared-data")

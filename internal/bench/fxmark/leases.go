@@ -1,6 +1,10 @@
 package fxmark
 
-import "arckfs/internal/fsapi"
+import (
+	"errors"
+
+	"arckfs/internal/fsapi"
+)
 
 // Releaser is implemented by file systems with an explicit voluntary
 // ownership release (the ArckFS LibFS). Systems without one run MWRA as
@@ -33,7 +37,7 @@ var Leases = []Workload{
 					return err
 				}
 				p := privDir(tid) + "/lease"
-				if err := t.Create(p); err != nil && err != fsapi.ErrExist {
+				if err := t.Create(p); err != nil && !errors.Is(err, fsapi.ErrExist) {
 					return err
 				}
 				fd, err := t.Open(p)

@@ -1,6 +1,7 @@
 package fxmark
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -35,7 +36,7 @@ var Lookup = []Workload{
 			blob := make([]byte, 4096)
 			for i := 0; i < cfg.DirFiles; i++ {
 				p := fmt.Sprintf("/shared-lookup/f%d", i)
-				if err := t.Create(p); err == fsapi.ErrExist {
+				if err := t.Create(p); errors.Is(err, fsapi.ErrExist) {
 					continue
 				} else if err != nil {
 					return err

@@ -11,17 +11,17 @@ import "testing"
 // makes TestSerialDataCrashStatesMatchLockFree flake.
 func TestCrashStateEnumerationDeterministic(t *testing.T) {
 	for _, serial := range []bool{false, true} {
-		a, af := dataPlaneCrashStates(t, serial)
-		b, bf := dataPlaneCrashStates(t, serial)
-		if af != bf {
+		a := dataPlaneCrashStates(t, serial, 0)
+		b := dataPlaneCrashStates(t, serial, 1)
+		if a.final != b.final {
 			t.Errorf("serialData=%v: final images differ between identical runs", serial)
 		}
-		if len(a) != len(b) {
+		if len(a.states) != len(b.states) {
 			t.Errorf("serialData=%v: crash-state count differs between identical runs: %d vs %d",
-				serial, len(a), len(b))
+				serial, len(a.states), len(b.states))
 		}
-		for k := range a {
-			if !b[k] {
+		for k := range a.states {
+			if !b.states[k] {
 				t.Errorf("serialData=%v: crash state admitted by run A is missing from run B", serial)
 				break
 			}

@@ -4,66 +4,28 @@ import (
 	"reflect"
 	"testing"
 
-	"arckfs/internal/libfs"
+	"arckfs/internal/pmem"
 	"arckfs/internal/telemetry"
 	"arckfs/internal/telemetry/span"
 )
-
-// TestCampaignOracle is the checker's acceptance test (and the
-// project's acceptance criterion for crashmc): every campaign
-// configuration must match its Expect oracle — the §4.2 missing-fence
-// bug and the PR 3 reserveDentry record-length hole are rediscovered
-// from their bug flags alone, and the patched ArckFS+ yields zero
-// counterexamples under the same budget.
-func TestCampaignOracle(t *testing.T) {
-	for _, cfg := range Campaign() {
-		cfg := cfg
-		t.Run(cfg.Name, func(t *testing.T) {
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.OK() {
-				var got []string
-				for _, ce := range res.Counterexamples {
-					got = append(got, ce.String())
-				}
-				t.Fatalf("oracle mismatch: expected %v, got %d counterexample(s): %v",
-					cfg.Expect, len(res.Counterexamples), got)
-			}
-			if res.Points == 0 {
-				t.Fatal("no observation points visited")
-			}
-		})
-	}
-}
 
 // TestSection42CounterexampleShape pins what the §4.2 counterexample
 // looks like after shrinking: a single create suffices, and the minimal
 // persisted-line set is non-empty (the commit marker's line must
 // persist for the body to be torn under it).
 func TestSection42CounterexampleShape(t *testing.T) {
-	var cfg Config
-	for _, c := range Campaign() {
-		if c.Name == "create-commit/arckfs" {
-			cfg = c
-		}
+	res := rowResult(t, "create-commit/arckfs")
+	if len(res.Breaches) != 1 {
+		t.Fatalf("want exactly one counterexample, got %d", len(res.Breaches))
 	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Counterexamples) != 1 {
-		t.Fatalf("want exactly one counterexample, got %d", len(res.Counterexamples))
-	}
-	ce := res.Counterexamples[0]
+	ce := res.Breaches[0]
 	if ce.Invariant != InvNoTornCommit {
 		t.Fatalf("want %s, got %s", InvNoTornCommit, ce.Invariant)
 	}
 	if len(ce.Ops) != 1 || ce.Ops[0].Kind != OpCreate {
 		t.Fatalf("shrunk schedule should be the single create, got %v", ce.Ops)
 	}
-	if len(ce.Keep) == 0 {
+	if len(ce.Crash.Keep) == 0 {
 		t.Fatal("a torn commit needs at least the marker line persisted; Keep is empty")
 	}
 }
@@ -74,25 +36,16 @@ func TestSection42CounterexampleShape(t *testing.T) {
 // crash state that loses the file is exactly the fenced-durable image,
 // because the record length was never flushed at all.
 func TestReserveHoleCounterexampleShape(t *testing.T) {
-	var cfg Config
-	for _, c := range Campaign() {
-		if c.Name == "reserve-scan/arckfs" {
-			cfg = c
-		}
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := rowResult(t, "reserve-scan/arckfs")
 	if !res.Violated(InvVerifiedDurable) {
-		t.Fatalf("reserve hole not rediscovered: %v", res.Counterexamples)
+		t.Fatalf("reserve hole not rediscovered: %v", res.Breaches)
 	}
-	for _, ce := range res.Counterexamples {
+	for _, ce := range res.Breaches {
 		if ce.Invariant != InvVerifiedDurable {
 			continue
 		}
-		if len(ce.Keep) != 0 {
-			t.Errorf("minimal counterexample should persist nothing (the hole is an unflushed line), got %v", ce.Keep)
+		if len(ce.Crash.Keep) != 0 {
+			t.Errorf("minimal counterexample should persist nothing (the hole is an unflushed line), got %v", ce.Crash.Keep)
 		}
 		// The dead slot requires the duplicate create; shrinking must not
 		// remove it.
@@ -110,19 +63,10 @@ func TestReserveHoleCounterexampleShape(t *testing.T) {
 
 // TestRunDeterminism: same config, same seed — identical result shape
 // and identical counterexamples, down to points, line offsets, and
-// prefix choices. The CI smoke job and generated repros rely on this.
+// prefix choices. The CI smoke job and artifact replay rely on this.
 func TestRunDeterminism(t *testing.T) {
-	var cfg Config
-	for _, c := range Campaign() {
-		if c.Name == "create-commit/arckfs" {
-			cfg = c
-		}
-	}
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
+	a := rowResult(t, "create-commit/arckfs")
+	b, err := Run(rowConfig(t, "create-commit/arckfs"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,27 +76,18 @@ func TestRunDeterminism(t *testing.T) {
 	}
 	// The flight records carry wall-clock timings, so they are compared
 	// structurally; everything else must match byte for byte.
-	fa, fb := stripFlights(a), stripFlights(b)
-	if !reflect.DeepEqual(a.Counterexamples, b.Counterexamples) {
-		t.Fatalf("nondeterministic counterexamples:\n%v\nvs\n%v", a.Counterexamples, b.Counterexamples)
+	if len(a.Breaches) != len(b.Breaches) {
+		t.Fatalf("breach count differs: %d vs %d", len(a.Breaches), len(b.Breaches))
 	}
-	if len(fa) != len(fb) {
-		t.Fatalf("flight count differs: %d vs %d", len(fa), len(fb))
+	for i := range a.Breaches {
+		ba, bb := *a.Breaches[i], *b.Breaches[i]
+		assertSameFlightShape(t, ba.Flight, bb.Flight)
+		ba.Flight, bb.Flight = nil, nil
+		ba.Artifact, bb.Artifact = "", ""
+		if !reflect.DeepEqual(ba, bb) {
+			t.Fatalf("nondeterministic counterexamples:\n%v\nvs\n%v", ba, bb)
+		}
 	}
-	for i := range fa {
-		assertSameFlightShape(t, fa[i], fb[i])
-	}
-}
-
-// stripFlights detaches every counterexample's flight record, returning
-// them in order.
-func stripFlights(r *Result) []*span.FlightRecord {
-	out := make([]*span.FlightRecord, len(r.Counterexamples))
-	for i, ce := range r.Counterexamples {
-		out[i] = ce.Flight
-		ce.Flight = nil
-	}
-	return out
 }
 
 // assertSameFlightShape checks the timing-independent content of two
@@ -187,77 +122,19 @@ func assertSameFlightShape(t *testing.T, a, b *span.FlightRecord) {
 	}
 }
 
-// TestReplayPair replays the §4.2 counterexample in process: under the
-// buggy flags the recorded crash image must still violate I2; with the
-// fence restored (ArckFS+) the same schedule and assignment must be
-// benign.
-func TestReplayPair(t *testing.T) {
-	var cfg Config
-	for _, c := range Campaign() {
-		if c.Name == "create-commit/arckfs" {
-			cfg = c
-		}
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Counterexamples) == 0 {
-		t.Fatal("no counterexample to replay")
-	}
-	r := ReproOf(res.Counterexamples[0], cfg.Interleave)
-
-	reached, vs, err := ReplayOutcome(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reached {
-		t.Fatal("buggy replay never reached the recorded point")
-	}
-	found := false
-	for _, v := range vs {
-		if v.Invariant == r.Invariant {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("buggy replay did not reproduce %s (got %v)", r.Invariant, vs)
-	}
-
-	patched := r
-	patched.Bugs = uint32(libfs.BugsNone)
-	reached, vs, err = ReplayOutcome(patched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reached {
-		for _, v := range vs {
-			if v.Invariant == r.Invariant {
-				t.Fatalf("patched replay still violates %s: %v", r.Invariant, v)
-			}
-		}
-	}
-}
-
 // TestCheckImageModelFree exercises the arckfsck -deep entry: a clean
 // post-release image passes the model-free invariants.
 func TestCheckImageModelFree(t *testing.T) {
-	var cfg Config
-	for _, c := range Campaign() {
-		if c.Name == "create-commit/arckfs+" {
-			cfg = c
-		}
-	}
+	cfg := rowConfig(t, "create-commit/arckfs+")
 	cfg.fill()
-	c, err := newChecker(cfg)
+	r, err := newRig(&cfg, cfg.Seed, func() {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.dev.SetFenceObserver(nil)
-	if err := c.runOp(Op{Kind: OpRelease}); err != nil {
+	if err := r.runOp(Op{Kind: OpRelease}); err != nil {
 		t.Fatal(err)
 	}
-	img := c.dev.CrashImage(func(_ int64, versions int) int { return versions })
+	img := r.dev.CrashImage(pmem.CrashPersistAll)
 	if vs := CheckImage(img, nil); len(vs) != 0 {
 		t.Fatalf("clean image fails model-free check: %v", vs)
 	}
@@ -270,24 +147,15 @@ func TestCheckImageModelFree(t *testing.T) {
 // both of its fences — a page of streamed lines (sampled) and the single
 // head line (exhaustive) — on top of the per-op points.
 func TestCompactionConfigCompacts(t *testing.T) {
-	var cfg Config
-	for _, c := range Campaign() {
-		if c.Name == "compact-churn/arckfs+" {
-			cfg = c
-		}
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := rowResult(t, "compact-churn/arckfs+")
 	if !res.OK() {
-		t.Fatalf("compaction admitted a bad crash state: %v", res.Counterexamples[0])
+		t.Fatalf("compaction admitted a bad crash state: %v", res.Breaches[0])
 	}
 	if res.Compactions != 1 {
 		t.Fatalf("tracked ops ran %d compactions, want 1", res.Compactions)
 	}
-	plain := cfg
-	plain.Ops = cfg.Ops[:len(cfg.Ops)-1] // the same ops without the release
+	plain := rowConfig(t, "compact-churn/arckfs+")
+	plain.Ops = plain.Ops[:len(plain.Ops)-1] // the same ops without the release
 	base, err := Run(plain)
 	if err != nil {
 		t.Fatal(err)

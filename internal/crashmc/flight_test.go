@@ -17,20 +17,11 @@ import (
 // commit-marker store — i.e. a span holding a SpanEvFlush event whose
 // line range covers a line the shrunk counterexample keeps persisted.
 func TestFlightRecorderCapturesBreach(t *testing.T) {
-	var cfg Config
-	for _, c := range Campaign() {
-		if c.Name == "create-commit/arckfs" {
-			cfg = c
-		}
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Counterexamples) == 0 {
+	res := rowResult(t, "create-commit/arckfs")
+	if len(res.Breaches) == 0 {
 		t.Fatal("no counterexample; nothing to record")
 	}
-	ce := res.Counterexamples[0]
+	ce := res.Breaches[0]
 	if ce.Flight == nil {
 		t.Fatal("counterexample has no flight record")
 	}
@@ -50,7 +41,7 @@ func TestFlightRecorderCapturesBreach(t *testing.T) {
 				continue
 			}
 			lo, hi := ev.A, ev.A+ev.B*pmem.LineSize
-			for _, lc := range ce.Keep {
+			for _, lc := range ce.Crash.Keep {
 				if lc.Off >= lo && lc.Off < hi {
 					covered = true
 				}
@@ -58,7 +49,7 @@ func TestFlightRecorderCapturesBreach(t *testing.T) {
 		}
 	}
 	if !covered {
-		t.Fatalf("no span in the flight flushed a kept marker line (Keep=%v)", ce.Keep)
+		t.Fatalf("no span in the flight flushed a kept marker line (Keep=%v)", ce.Crash.Keep)
 	}
 }
 
@@ -66,17 +57,7 @@ func TestFlightRecorderCapturesBreach(t *testing.T) {
 // end: the record lands in the requested directory, the name is
 // sanitized, and the JSON round-trips with kinds rendered by name.
 func TestFlightRecordWriteFile(t *testing.T) {
-	var cfg Config
-	for _, c := range Campaign() {
-		if c.Name == "create-commit/arckfs" {
-			cfg = c
-		}
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ce := res.Counterexamples[0]
+	ce := rowResult(t, "create-commit/arckfs").Breaches[0]
 
 	dir := t.TempDir()
 	path, err := ce.Flight.WriteFile(dir, "flight/create:commit")

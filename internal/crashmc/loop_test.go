@@ -1,12 +1,9 @@
-package crashloop
+package crashmc
 
 import (
-	"path/filepath"
 	"reflect"
 	"testing"
 
-	"arckfs/internal/crashmc"
-	"arckfs/internal/kernel"
 	"arckfs/internal/libfs"
 	"arckfs/internal/pmem"
 )
@@ -20,7 +17,6 @@ func TestSeededDeterminism(t *testing.T) {
 		{Name: "det-bug", Bugs: libfs.BugMissingFence},
 		{Name: "det-lie", Faults: pmem.FaultDropFlush | pmem.FaultDropFence | pmem.FaultTearLine},
 	} {
-		cfg.NoArtifacts = true
 		cfg.fill()
 		for iter := 0; iter < 6; iter++ {
 			seed := int64(1000 + iter)
@@ -32,16 +28,16 @@ func TestSeededDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s iter %d replay: %v", cfg.Name, iter, err)
 			}
-			if !reflect.DeepEqual(a.OpLog, b.OpLog) {
+			if !reflect.DeepEqual(a.ops, b.ops) {
 				t.Fatalf("%s iter %d: op logs diverged", cfg.Name, iter)
 			}
-			if !reflect.DeepEqual(a.Crash, b.Crash) {
+			if !reflect.DeepEqual(a.crash, b.crash) {
 				t.Fatalf("%s iter %d: crash points diverged: %v vs %v",
-					cfg.Name, iter, a.Crash, b.Crash)
+					cfg.Name, iter, a.crash, b.crash)
 			}
-			if len(a.Breaches) != len(b.Breaches) {
+			if len(a.breaches) != len(b.breaches) {
 				t.Fatalf("%s iter %d: breach counts diverged: %d vs %d",
-					cfg.Name, iter, len(a.Breaches), len(b.Breaches))
+					cfg.Name, iter, len(a.breaches), len(b.breaches))
 			}
 		}
 	}
@@ -86,18 +82,10 @@ func TestBaselineSoak(t *testing.T) {
 // verified-state loss on the very same workloads — bug classes honest
 // crash-state enumeration cannot reach.
 func TestLieModesBreachPatchedSystem(t *testing.T) {
-	expect := []string{crashmc.InvNoTornCommit, crashmc.InvVerifiedDurable}
 	for _, mode := range []pmem.FaultMode{pmem.FaultDropFlush, pmem.FaultDropFence} {
-		res, err := Run(Config{
-			Name:        "lie-" + mode.String(),
-			Faults:      mode,
-			Iters:       40,
-			Seed:        1,
-			NoArtifacts: true,
-			Expect:      expect,
-		})
-		if err != nil {
-			t.Fatal(err)
+		res := rowResult(t, "lie-"+mode.String())
+		if res.Config.Bugs != libfs.BugsNone || res.Config.Faults != mode {
+			t.Fatalf("%s: row is not the patched system under that lie: %+v", mode, res.Config)
 		}
 		if !res.OK() {
 			t.Fatalf("%s: %s", mode, res.Summary())
@@ -116,53 +104,26 @@ func TestLieModesBreachPatchedSystem(t *testing.T) {
 // the file (its reads are volatile), so the crash image must fail
 // I3-verified-durable, and only under the lie.
 func TestAimedDropFlush(t *testing.T) {
-	run := func(lie bool) []crashmc.Violation {
-		dev := pmem.New(4<<20, nil)
-		ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 256})
+	run := func(lie bool) []Violation {
+		cfg := Config{Name: "aimed"}
+		cfg.fill()
+		r, err := newRig(&cfg, 1, func() {})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs := libfs.New(ctrl, ctrl.RegisterApp(0, 0), libfs.Options{
-			GrantInoBatch:  32,
-			GrantPageBatch: 32,
-			DirBuckets:     8,
-		})
-		th := fs.NewThread(0)
-		warm := warmupOps()
-		for _, op := range warm {
-			if err := op.Apply(th, fs.ReleaseAll); err != nil {
-				t.Fatalf("warmup %s: %v", op, err)
-			}
-		}
-		if err := fs.ReleaseAll(); err != nil {
-			t.Fatal(err)
-		}
-		oracle := crashmc.NewOracle(warm)
-
 		active := false
 		if lie {
 			p := pmem.NewFaultPlan(pmem.FaultDropFlush, 1)
 			p.FlushEvery = 1
 			p.Filter = func(int64) bool { return active }
-			dev.SetFaultPlan(p)
+			r.dev.SetFaultPlan(p)
 		}
-		dev.EnableTracking()
-
-		victim := crashmc.Op{Kind: crashmc.OpCreate, Path: "/w0/victim" + longName}
-		active = true
-		if err := victim.Apply(th, fs.ReleaseAll); err != nil {
-			t.Fatalf("victim create: %v", err)
+		r.ops = []Op{{Kind: OpCreate, Path: "/w0/victim" + longName}, {Kind: OpRelease}}
+		active = true // until the victim's create completes
+		if err = r.run(func() bool { active = false; return false }); err != nil {
+			t.Fatal(err)
 		}
-		active = false
-		oracle.Apply(victim)
-		rel := crashmc.Op{Kind: crashmc.OpRelease}
-		if err := rel.Apply(th, fs.ReleaseAll); err != nil {
-			t.Fatalf("release: %v", err)
-		}
-		oracle.Apply(rel)
-
-		img := dev.CrashImage(pmem.CrashDropAll)
-		return crashmc.CheckImage(img, oracle.ExpectPresent(nil))
+		return CheckImage(r.dev.CrashImage(pmem.CrashDropAll), r.oracle.ExpectPresent(nil))
 	}
 
 	if vs := run(false); len(vs) != 0 {
@@ -173,73 +134,8 @@ func TestAimedDropFlush(t *testing.T) {
 		t.Fatalf("aimed dropped flush on the commit path went undetected")
 	}
 	for _, v := range vs {
-		if v.Invariant != crashmc.InvNoTornCommit && v.Invariant != crashmc.InvVerifiedDurable {
+		if v.Invariant != InvNoTornCommit && v.Invariant != InvVerifiedDurable {
 			t.Fatalf("unexpected invariant %s: %s", v.Invariant, v.Detail)
 		}
-	}
-}
-
-// TestArtifactRoundTrip writes a breach artifact, loads it back, and
-// replays it: the replay must re-find the same invariant at the same
-// crash point from the artifact alone.
-func TestArtifactRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	res, err := Run(Config{
-		Name:        "roundtrip",
-		Bugs:        libfs.BugAuxCoreRace | libfs.BugReserveLenUnflushed,
-		Iters:       40,
-		Seed:        1,
-		ArtifactDir: dir,
-		Expect:      []string{crashmc.InvVerifiedDurable},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Breaches) == 0 {
-		t.Fatalf("no breach to round-trip: %s", res.Summary())
-	}
-	first := res.Breaches[0]
-	if first.Artifact == "" {
-		t.Fatalf("breach has no artifact path")
-	}
-	b, err := LoadBreach(first.Artifact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Invariant != first.Invariant || b.IterSeed != first.IterSeed {
-		t.Fatalf("artifact round-trip mangled the breach: %v vs %v", b, first)
-	}
-	out, err := Replay(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Reproduced {
-		t.Fatalf("replay of %s did not reproduce", filepath.Base(first.Artifact))
-	}
-}
-
-// TestExpectSemantics checks Result.OK's inclusion rules directly.
-func TestExpectSemantics(t *testing.T) {
-	mk := func(expect []string, invs ...string) *Result {
-		r := &Result{Config: Config{Expect: expect}}
-		for _, inv := range invs {
-			r.Breaches = append(r.Breaches, &Breach{Invariant: inv})
-		}
-		return r
-	}
-	if !mk(nil).OK() {
-		t.Fatal("clean config with no breaches must be OK")
-	}
-	if mk(nil, crashmc.InvNoTornCommit).OK() {
-		t.Fatal("clean config with a breach must fail")
-	}
-	if mk([]string{crashmc.InvNoTornCommit}).OK() {
-		t.Fatal("expected breach not found must fail")
-	}
-	if !mk([]string{crashmc.InvNoTornCommit}, crashmc.InvNoTornCommit).OK() {
-		t.Fatal("expected breach found must be OK")
-	}
-	if mk([]string{crashmc.InvNoTornCommit}, crashmc.InvRepairIdempotent).OK() {
-		t.Fatal("unexpected invariant must fail even when another was expected")
 	}
 }

@@ -18,11 +18,10 @@ import (
 // is a real loss of verified state, never a modeling artifact.
 //
 // It is updated incrementally, one completed op at a time (Apply), which
-// is what lets the crash-loop orchestrator (internal/crashloop) persist
-// an expected state per iteration instead of replaying the whole op log:
-// the live namespace (Live) drives workload generation, and the verified
-// set (ExpectPresent) is the durability assertion checked after every
-// simulated crash.
+// is what lets the loop driver keep an expected state per iteration
+// instead of replaying the whole op log: the live namespace (Live)
+// drives workload generation, and the verified set (ExpectPresent) is
+// the durability assertion checked after every simulated crash.
 type Oracle struct {
 	// cur maps every path that exists in the running FS to whether it is
 	// a directory.
@@ -80,7 +79,7 @@ func (m *Oracle) Apply(op Op) {
 		}
 	}
 	// OpWrite and OpTruncate change file contents, not the namespace;
-	// the checkers assert presence only, so they leave the oracle alone.
+	// the drivers assert presence only, so they leave the oracle alone.
 }
 
 // unassert removes path and its subtree from the verified set.

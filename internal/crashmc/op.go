@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"arckfs/internal/fsapi"
-	"arckfs/internal/libfs"
 )
 
 // OpKind enumerates the scripted workload operations.
@@ -52,16 +51,16 @@ func (k OpKind) String() string {
 
 // Op is one scripted workload step.
 type Op struct {
-	Kind  OpKind
-	Path  string
-	Path2 string // rename destination
-	Size  int    // write / truncate size
+	Kind  OpKind `json:"kind"`
+	Path  string `json:"path,omitempty"`
+	Path2 string `json:"path2,omitempty"` // rename destination
+	Size  int    `json:"size,omitempty"`  // write / truncate size
 
 	// WantErr marks an op that must fail (e.g. the duplicate create that
-	// plants a dead reserved slot). The checker aborts the run if the
+	// plants a dead reserved slot). The rig aborts the run if the
 	// outcome does not match, so op-schedule shrinking can never mistake
 	// a changed error for a preserved counterexample.
-	WantErr bool
+	WantErr bool `json:"want_err,omitempty"`
 }
 
 func (o Op) String() string {
@@ -81,20 +80,11 @@ func (o Op) String() string {
 	return s
 }
 
-// apply runs the op against the workload's FS and thread, returning the
-// operation's error.
-func (o Op) apply(fs *libfs.FS, th fsapi.Thread) error {
-	return o.Apply(th, fs.ReleaseAll)
-}
-
-// Apply runs the op against th. release implements OpRelease — the
+// apply runs the op against th. release implements OpRelease: the
 // system-specific "return every held inode to the kernel for
-// verification" hook (libfs.FS.ReleaseAll on ArckFS; nil makes OpRelease
-// a no-op for systems without release semantics, such as the baselines,
-// which verify durability at fsync instead). It exists so harnesses
-// outside this package (internal/crashloop) can drive the same op
-// vocabulary against any fsapi.Thread.
-func (o Op) Apply(th fsapi.Thread, release func() error) error {
+// verification" step (a no-op for systems without release semantics,
+// such as the baselines, which verify durability at fsync instead).
+func (o Op) apply(th fsapi.Thread, release func() error) error {
 	switch o.Kind {
 	case OpCreate:
 		return th.Create(o.Path)
@@ -123,9 +113,6 @@ func (o Op) Apply(th fsapi.Thread, release func() error) error {
 	case OpRename:
 		return th.Rename(o.Path, o.Path2)
 	case OpRelease:
-		if release == nil {
-			return nil
-		}
 		return release()
 	}
 	return fmt.Errorf("crashmc: unknown op kind %d", int(o.Kind))

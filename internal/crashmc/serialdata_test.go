@@ -1,53 +1,64 @@
 package crashmc
 
 import (
-	"fmt"
-	"hash/fnv"
+	"hash/maphash"
+	"sync"
 	"testing"
 
-	"arckfs/internal/kernel"
-	"arckfs/internal/libfs"
 	"arckfs/internal/pmem"
 )
 
-// dataPlaneCrashStates replays one mixed metadata+data schedule under the
-// given read discipline and returns the set of crash states admitted at
-// every fence (keyed by image digest), plus the final durable image's
-// digest. At each fence the first few dirty lines are enumerated through
-// every keep-subset — the truncation is deterministic, so it cuts both
-// disciplines identically and cannot mask a divergence by itself.
-func dataPlaneCrashStates(t *testing.T, serialData bool) (states map[string]bool, final string) {
+// crashStates is what one run of the mixed-ops schedule admits: the set
+// of crash images (by digest) over every fence, and the final durable
+// image's digest.
+type crashStates struct {
+	states map[uint64]bool
+	final  uint64
+}
+
+// dataPlaneRuns holds two independent runs per read discipline; the
+// determinism and discipline-equivalence tests share them.
+var dataPlaneRuns struct {
+	once [2]sync.Once
+	runs [2][2]crashStates
+}
+
+var digestSeed = maphash.MakeSeed()
+
+// dataPlaneCrashStates returns run i (0 or 1) of the campaign's mixed
+// metadata+data schedule under the given read discipline, booted and
+// driven through the rig. Its own fence observer sees every fence —
+// kernel-protocol ones included, unlike the drivers — and enumerates the
+// first few dirty lines through every keep-subset; the truncation is
+// deterministic, so it cuts both disciplines identically and cannot
+// mask a divergence by itself.
+func dataPlaneCrashStates(t *testing.T, serialData bool, i int) crashStates {
 	t.Helper()
-	const long = "-0123456789-0123456789-0123456789-0123456789-0123456789"
-	dev := pmem.New(4<<20, nil)
-	ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 256})
+	d := 0
+	if serialData {
+		d = 1
+	}
+	dataPlaneRuns.once[d].Do(func() {
+		for i := range dataPlaneRuns.runs[d] {
+			dataPlaneRuns.runs[d][i] = runDataPlane(t, serialData)
+		}
+	})
+	return dataPlaneRuns.runs[d][i]
+}
+
+func runDataPlane(t *testing.T, serialData bool) crashStates {
+	cfg := rowConfig(t, "mixed-ops/arckfs+")
+	cfg.SerialData = serialData
+	cfg.fill()
+	r, err := newRig(&cfg, cfg.Seed, func() {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := libfs.New(ctrl, ctrl.RegisterApp(0, 0), libfs.Options{
-		GrantInoBatch:  32,
-		GrantPageBatch: 32,
-		DirBuckets:     8,
-		SerialData:     serialData,
-	})
-	th := fs.NewThread(0)
-	if err := th.Create("/warmup" + long); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.ReleaseAll(); err != nil {
-		t.Fatal(err)
-	}
-
-	digest := func(img []byte) string {
-		h := fnv.New64a()
-		h.Write(img)
-		return fmt.Sprintf("%016x", h.Sum64())
-	}
-	states = map[string]bool{}
-	dev.EnableTracking()
+	r.ops = cfg.Ops
+	out := crashStates{states: map[uint64]bool{}}
 	const maxEnum = 6
-	dev.SetFenceObserver(func() {
-		dirty := dev.DirtyLines()
+	r.dev.SetFenceObserver(func() {
+		dirty := r.dev.DirtyLines()
 		n := len(dirty)
 		if n > maxEnum {
 			n = maxEnum
@@ -59,32 +70,15 @@ func dataPlaneCrashStates(t *testing.T, serialData bool) (states map[string]bool
 					keep = append(keep, dirty[i])
 				}
 			}
-			states[digest(dev.CrashImage(pmem.CrashKeepLines(keep...)))] = true
+			out.states[maphash.Bytes(digestSeed, r.dev.CrashImage(pmem.CrashKeepLines(keep...)))] = true
 		}
 	})
-
-	file, moved, doomed := "/dir/file"+long, "/dir/moved"+long, "/doomed"+long
-	step := func(name string, err error) {
-		if err != nil {
-			t.Fatalf("%s (serialData=%v): %v", name, serialData, err)
-		}
+	if err := r.run(func() bool { return false }); err != nil {
+		t.Fatalf("serialData=%v: %v", serialData, err)
 	}
-	step("mkdir", th.Mkdir("/dir"))
-	step("create", th.Create(file))
-	fd, err := th.Open(file)
-	step("open", err)
-	_, err = th.WriteAt(fd, make([]byte, 300), 0)
-	step("write", err)
-	step("close", th.Close(fd))
-	step("release", fs.ReleaseAll())
-	step("rename", th.Rename(file, moved))
-	step("truncate", th.Truncate(moved, 64))
-	step("create2", th.Create(doomed))
-	step("unlink", th.Unlink(doomed))
-	step("release2", fs.ReleaseAll())
-
-	dev.SetFenceObserver(nil)
-	return states, digest(dev.CrashImage(pmem.CrashDropAll))
+	r.dev.SetFenceObserver(nil)
+	out.final = maphash.Bytes(digestSeed, r.dev.CrashImage(pmem.CrashDropAll))
+	return out
 }
 
 // TestSerialDataCrashStatesMatchLockFree pins the data-plane invariant
@@ -94,16 +88,16 @@ func dataPlaneCrashStates(t *testing.T, serialData bool) (states map[string]bool
 // durable image. A divergence means a read path started mutating persist
 // ordering — the regression this test exists to catch.
 func TestSerialDataCrashStatesMatchLockFree(t *testing.T) {
-	lockfree, lfFinal := dataPlaneCrashStates(t, false)
-	locked, lkFinal := dataPlaneCrashStates(t, true)
-	if lfFinal != lkFinal {
+	lockfree := dataPlaneCrashStates(t, false, 0)
+	locked := dataPlaneCrashStates(t, true, 0)
+	if lockfree.final != locked.final {
 		t.Fatal("final durable images differ between lock-free and serial-data runs")
 	}
-	if len(lockfree) != len(locked) {
-		t.Fatalf("crash-state count differs: lock-free %d, serial-data %d", len(lockfree), len(locked))
+	if len(lockfree.states) != len(locked.states) {
+		t.Fatalf("crash-state count differs: lock-free %d, serial-data %d", len(lockfree.states), len(locked.states))
 	}
-	for k := range lockfree {
-		if !locked[k] {
+	for k := range lockfree.states {
+		if !locked.states[k] {
 			t.Fatal("lock-free run admits a crash state the serial-data run does not")
 		}
 	}

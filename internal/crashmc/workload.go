@@ -1,4 +1,4 @@
-package crashloop
+package crashmc
 
 import (
 	"fmt"
@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"arckfs/internal/crashmc"
 	"arckfs/internal/fsapi"
 )
 
@@ -25,8 +24,8 @@ const longName = "-0123456789-0123456789-0123456789-0123456789-0123456789"
 // names make torn commits expressible, releases set the durability
 // points the oracle asserts against, and renames/unlinks churn the
 // verified set.
-func genOps(rng *rand.Rand, oracle *crashmc.Oracle, n int) []crashmc.Op {
-	var ops []crashmc.Op
+func genOps(rng *rand.Rand, oracle *Oracle, n int) []Op {
+	var ops []Op
 	pick := func(list []string) string { return list[rng.Intn(len(list))] }
 	join := func(dir, name string) string {
 		if dir == "/" {
@@ -49,16 +48,16 @@ func genOps(rng *rand.Rand, oracle *crashmc.Oracle, n int) []crashmc.Op {
 		}
 	}
 	snapshotKids()
-	emit := func(op crashmc.Op) {
+	emit := func(op Op) {
 		ops = append(ops, op)
 		if op.WantErr {
 			return
 		}
 		oracle.Apply(op)
 		switch op.Kind {
-		case crashmc.OpRelease:
+		case OpRelease:
 			snapshotKids()
-		case crashmc.OpRename:
+		case OpRename:
 			// Keep committedKids keyed by current paths across renames.
 			moved := map[string]bool{}
 			for d := range committedKids {
@@ -100,39 +99,39 @@ func genOps(rng *rand.Rand, oracle *crashmc.Oracle, n int) []crashmc.Op {
 			if rng.Intn(100) < 35 {
 				name += longName
 			}
-			emit(crashmc.Op{Kind: crashmc.OpCreate, Path: join(pick(oracle.Dirs()), name)})
+			emit(Op{Kind: OpCreate, Path: join(pick(oracle.Dirs()), name)})
 		case roll < 36: // duplicate create — plants a dead reserved slot
 			files := oracle.Files()
 			if len(files) == 0 {
 				continue
 			}
-			emit(crashmc.Op{Kind: crashmc.OpCreate, Path: pick(files), WantErr: true})
+			emit(Op{Kind: OpCreate, Path: pick(files), WantErr: true})
 		case roll < 44: // mkdir
-			emit(crashmc.Op{Kind: crashmc.OpMkdir, Path: join(pick(oracle.Dirs()), fmt.Sprintf("d%03d", i))})
+			emit(Op{Kind: OpMkdir, Path: join(pick(oracle.Dirs()), fmt.Sprintf("d%03d", i))})
 		case roll < 56: // write
 			files := oracle.Files()
 			if len(files) == 0 {
 				continue
 			}
-			emit(crashmc.Op{Kind: crashmc.OpWrite, Path: pick(files), Size: 1 + rng.Intn(400)})
+			emit(Op{Kind: OpWrite, Path: pick(files), Size: 1 + rng.Intn(400)})
 		case roll < 62: // truncate
 			files := oracle.Files()
 			if len(files) == 0 {
 				continue
 			}
-			emit(crashmc.Op{Kind: crashmc.OpTruncate, Path: pick(files), Size: rng.Intn(256)})
+			emit(Op{Kind: OpTruncate, Path: pick(files), Size: rng.Intn(256)})
 		case roll < 72: // unlink
 			files := oracle.Files()
 			if len(files) == 0 {
 				continue
 			}
-			emit(crashmc.Op{Kind: crashmc.OpUnlink, Path: pick(files)})
+			emit(Op{Kind: OpUnlink, Path: pick(files)})
 		case roll < 76: // rmdir (empty directories only)
 			ed := emptyDirs()
 			if len(ed) == 0 {
 				continue
 			}
-			emit(crashmc.Op{Kind: crashmc.OpRmdir, Path: pick(ed)})
+			emit(Op{Kind: OpRmdir, Path: pick(ed)})
 		case roll < 90: // rename within the parent directory
 			// Same-parent renames only: the Trio release protocol verifies
 			// a cross-directory relocation's removal and addition as the
@@ -155,11 +154,11 @@ func genOps(rng *rand.Rand, oracle *crashmc.Oracle, n int) []crashmc.Op {
 			}
 			src := pick(victims)
 			dir, _ := fsapi.SplitPath(src)
-			emit(crashmc.Op{Kind: crashmc.OpRename,
+			emit(Op{Kind: OpRename,
 				Path:  src,
 				Path2: join(dir, fmt.Sprintf("r%03d", i))})
 		default: // release — the Trio durability point
-			emit(crashmc.Op{Kind: crashmc.OpRelease})
+			emit(Op{Kind: OpRelease})
 		}
 	}
 	return ops

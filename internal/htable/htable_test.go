@@ -1,6 +1,7 @@
 package htable
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -153,7 +154,7 @@ func TestBug45UseAfterFree(t *testing.T) {
 	tbl.Insert("recycler", 2, 20)
 	close(resume)
 
-	if err := <-errc; err != ErrUseAfterFree {
+	if err := <-errc; !errors.Is(err, ErrUseAfterFree) {
 		t.Fatalf("lockless reader returned %v, want ErrUseAfterFree", err)
 	}
 }

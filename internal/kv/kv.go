@@ -9,6 +9,7 @@ package kv
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -75,7 +76,7 @@ func Open(fs fsapi.FS, opts Options) (*DB, error) {
 		levels:  make([][]*tableMeta, opts.MaxLevels),
 		t:       fs.NewThread(0),
 	}
-	if err := db.t.Mkdir(opts.Dir); err != nil && err != fsapi.ErrExist {
+	if err := db.t.Mkdir(opts.Dir); err != nil && !errors.Is(err, fsapi.ErrExist) {
 		return nil, err
 	}
 	if err := db.loadManifest(); err != nil {
@@ -262,7 +263,7 @@ func (db *DB) compactLocked(lvl int) error {
 			r.close()
 			delete(db.readers, meta.file)
 		}
-		if err := db.t.Unlink(meta.file); err != nil && err != fsapi.ErrNotExist {
+		if err := db.t.Unlink(meta.file); err != nil && !errors.Is(err, fsapi.ErrNotExist) {
 			return err
 		}
 	}
@@ -364,7 +365,7 @@ func (db *DB) writeManifestLocked() error {
 		}
 	}
 	tmp := db.manifestPath() + ".tmp"
-	if err := db.t.Unlink(tmp); err != nil && err != fsapi.ErrNotExist {
+	if err := db.t.Unlink(tmp); err != nil && !errors.Is(err, fsapi.ErrNotExist) {
 		return err
 	}
 	if err := db.t.Create(tmp); err != nil {
@@ -380,7 +381,7 @@ func (db *DB) writeManifestLocked() error {
 	}
 	db.t.Fsync(fd)
 	db.t.Close(fd)
-	if err := db.t.Unlink(db.manifestPath()); err != nil && err != fsapi.ErrNotExist {
+	if err := db.t.Unlink(db.manifestPath()); err != nil && !errors.Is(err, fsapi.ErrNotExist) {
 		return err
 	}
 	return db.t.Rename(tmp, db.manifestPath())
@@ -388,7 +389,7 @@ func (db *DB) writeManifestLocked() error {
 
 func (db *DB) loadManifest() error {
 	st, err := db.t.Stat(db.manifestPath())
-	if err == fsapi.ErrNotExist {
+	if errors.Is(err, fsapi.ErrNotExist) {
 		return nil // fresh database
 	}
 	if err != nil {

@@ -2,6 +2,7 @@ package kv
 
 import (
 	"encoding/binary"
+	"errors"
 
 	"arckfs/internal/fsapi"
 )
@@ -18,7 +19,7 @@ type wal struct {
 }
 
 func openWAL(t fsapi.Thread, path string) (*wal, error) {
-	if err := t.Create(path); err != nil && err != fsapi.ErrExist {
+	if err := t.Create(path); err != nil && !errors.Is(err, fsapi.ErrExist) {
 		return nil, err
 	}
 	fd, err := t.Open(path)
@@ -65,7 +66,7 @@ func (w *wal) reset() error {
 // replayWAL applies surviving log records into the memtable at open.
 func (db *DB) replayWAL() error {
 	st, err := db.t.Stat(db.walPath())
-	if err == fsapi.ErrNotExist {
+	if errors.Is(err, fsapi.ErrNotExist) {
 		return nil
 	}
 	if err != nil {

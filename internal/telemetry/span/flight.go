@@ -32,9 +32,8 @@ func ArtifactDir(dir string) string {
 // non-portable runes become '-'). It returns the path written.
 //
 // This is the single artifact writer shared by every breach-emitting
-// tool (crashmc counterexamples, arckfsck reports, arckcrash breach
-// artifacts), so all of them honor the same $ARCK_FLIGHT_DIR directory
-// convention.
+// tool (arckcrash breach artifacts, arckfsck reports), so all of them
+// honor the same $ARCK_FLIGHT_DIR directory convention.
 func WriteArtifact(dir, name string, v any) (string, error) {
 	dir = ArtifactDir(dir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {

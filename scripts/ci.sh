@@ -1,0 +1,66 @@
+#!/usr/bin/env bash
+# The whole CI gauntlet (.github/workflows/ci.yml) in one local command:
+#
+#   bash scripts/ci.sh
+#
+# Stops at the first failing step. Run products (bench records, breach
+# artifacts) go to a temporary directory that is removed on exit, except
+# the repo benchmark's own .bench_build/ and benchmark/out/ (gitignored).
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+out="$(mktemp -d)"
+trap 'rm -rf "$out"' EXIT
+step() { printf '\n=== %s ===\n' "$*"; }
+
+step gofmt
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+  echo "files need gofmt:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
+
+step vet;   go vet ./...
+step build; go build ./...
+step test;  go test ./...
+
+step "race (concurrency-sensitive packages)"
+go test -race \
+  ./internal/harness/ ./internal/telemetry/ ./internal/telemetry/span/ \
+  ./internal/kernel/ ./internal/libfs/ ./internal/kv/ ./internal/rcu/ \
+  ./internal/htable/ ./internal/pmem/ ./internal/pmalloc/
+
+step "race at GOMAXPROCS 1, 2, 4"
+for p in 1 2 4; do
+  GOMAXPROCS=$p go test -race \
+    ./internal/core/ ./internal/crashmc/ ./internal/hlock/ ./internal/tenancy/
+  GOMAXPROCS=$p go test -race -count=2 \
+    -run 'Compact|HandoffChurn|ReleaseAllSpan|TestBug46|ShardStress|ParsesOnce|SetRef' \
+    ./internal/libfs/ ./internal/kernel/ ./internal/htable/
+done
+
+step "arcklint (baseline + runtime budget, suppression audit, package docs)"
+go run ./cmd/arcklint -baseline scripts/arcklint_baseline.json ./...
+go run ./cmd/arcklint -suppressions -strict ./...
+sh scripts/check_pkg_docs.sh
+
+step "arckcrash campaign (oracles + strict killpoint sweep)"
+go run ./cmd/arckcrash -iters 40 -seed 1 -artifacts "$out/crash-artifacts"
+
+step "per-op persistence-cost bounds"
+go run ./cmd/arckbench -exp table2 -fast -threads 1,2 -ops 800 -dev 64 -trials 1 \
+  -systems arckfs+,arckfs -json "$out/table2.json" >/dev/null
+go run ./cmd/arckbench -exp fxmark -fast -threads 1,2,4,8,16 -ops 800 -dev 128 -trials 1 \
+  -systems arckfs+,arckfs -json "$out/fxmark.json" >/dev/null
+go run ./cmd/benchcheck -bounds bench_bounds.json "$out/table2.json" "$out/fxmark.json"
+
+step "tenant sweep bounds"
+go run ./cmd/arckbench -exp tenants -fast -tenants 16,128,1k,4k,10k -dev 64 \
+  -json "$out/tenants.json" >/dev/null
+go run ./cmd/benchcheck -bounds bench_bounds_tenants.json "$out/tenants.json"
+
+step "repo benchmark module tests"
+(cd benchmark && go test ./...)
+
+printf '\nci.sh: all steps passed\n'
