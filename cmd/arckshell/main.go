@@ -258,10 +258,13 @@ func printSpans(sys *arckfs.System, n int) {
 			sp.ID, sp.Op, sp.App, float64(sp.DurNS)/1e3, len(sp.Events), suffix)
 		for _, ev := range sp.Events {
 			detail := fmt.Sprintf("a=%d b=%d", ev.A, ev.B)
-			if ev.Kind == telemetry.SpanEvCrossing {
+			switch ev.Kind {
+			case telemetry.SpanEvCrossing:
 				detail = fmt.Sprintf("%s %.2fµs", telemetry.EventKind(ev.A), float64(ev.B)/1e3)
+			case telemetry.SpanEvReleaseBatch:
+				detail = fmt.Sprintf("1 crossing, %d inode(s) %.2fµs", ev.A, float64(ev.B)/1e3)
 			}
-			fmt.Printf("        +%8.2fµs %-12s %s\n",
+			fmt.Printf("        +%8.2fµs %-13s %s\n",
 				float64(ev.TNS)/1e3, telemetry.SpanEventName(ev.Kind), detail)
 		}
 	}

@@ -85,7 +85,7 @@ func (v ctlView) OwnedByOther(app AppID, ino uint64) bool {
 	}
 	// A dormant holder does not block removal — reclaim its lease, just
 	// as a plain Release would have left the inode kernel-held.
-	if v.c.reclaimDormant(se) {
+	if v.c.reclaimDormant(se, false) {
 		return false
 	}
 	return true
@@ -120,13 +120,18 @@ func (c *Controller) isDescendant(node, anc uint64, held *shadowShard) bool {
 }
 
 // reclaimDormant tears down a mapping whose holder lease-released the
-// inode (ReleaseLeased). The release-time verification already ran and
-// the holder has not re-activated — winning the dormant CAS guarantees
-// it never will — so the core state is exactly as verified and the
-// kernel reclaims without re-running the verifier. Returns false if
-// there was no dormant mapping or the holder re-activated first.
+// inode (ReleaseBatch, leased). The release-time verification already ran
+// and the holder has not re-activated — winning the dormant CAS guarantees
+// it never will — so the core state is exactly as verified. That one
+// invariant pays twice: the kernel reclaims without re-running the
+// verifier, and with handOver (the acquire paths, which establish the next
+// holder in the same critical section) the snapshot that release built
+// from the view it verified stays on se as the next holder's baseline, so
+// the acquire does not parse again. Every other reclaim drops it: no
+// snapshot outlives the inode's next acquire. Returns false if there was
+// no dormant mapping or the holder re-activated first.
 // Caller holds the inode's shard lock or the exclusive epoch.
-func (c *Controller) reclaimDormant(se *shadowEnt) bool {
+func (c *Controller) reclaimDormant(se *shadowEnt, handOver bool) bool {
 	m := se.mapping
 	if m == nil || !m.dormant.CompareAndSwap(true, false) {
 		return false
@@ -140,7 +145,9 @@ func (c *Controller) reclaimDormant(se *shadowEnt) bool {
 	c.trace.Record(telemetry.EvUnmap, se.owner, se.info.Ino, 0, 0)
 	se.owner = 0
 	se.mapping = nil
-	se.snap = nil
+	if !handOver {
+		se.snap = nil
+	}
 	return true
 }
 
@@ -212,7 +219,7 @@ func (c *Controller) acquireFast(appID AppID, ino uint64, write bool, sink telem
 		se.lease = c.now().Add(c.opts.LeaseTTL)
 		return se.mapping, nil, true
 	}
-	if se.owner != 0 && !c.reclaimDormant(se) {
+	if se.owner != 0 && !c.reclaimDormant(se, true) {
 		holder := c.lookupApp(se.owner)
 		if holder != nil && holder.group.Load() != 0 && holder.group.Load() == a.group.Load() {
 			return c.groupTransfer(se, appID), nil, true
@@ -262,7 +269,7 @@ func (c *Controller) acquireExcl(appID AppID, ino uint64, write bool) (*Mapping,
 		se.lease = c.now().Add(c.opts.LeaseTTL)
 		return se.mapping, nil
 	}
-	if se.owner != 0 && !c.reclaimDormant(se) {
+	if se.owner != 0 && !c.reclaimDormant(se, true) {
 		holder := c.lookupApp(se.owner)
 		if holder != nil && holder.group.Load() != 0 && holder.group.Load() == a.group.Load() {
 			return c.groupTransfer(se, appID), nil
@@ -308,16 +315,20 @@ func (c *Controller) groupTransfer(se *shadowEnt, appID AppID) *Mapping {
 	return m
 }
 
-// establish snapshots ino's core state and establishes app's mapping.
+// establish makes app the holder of kernel-held se and maps its core
+// state. The baseline is the snapshot a dormant holder's release handed
+// over (reclaimDormant) when there is one; otherwise it is parsed here.
 // Caller holds se's shard lock or the exclusive epoch.
 func (c *Controller) establish(se *shadowEnt, appID AppID) error {
-	snap, err := c.buildSnapshot(se)
-	if err != nil {
-		// A kernel-held inode that does not parse is corrupt at rest.
-		se.inaccessible = true
-		return fmt.Errorf("inode %d unreadable at acquire: %w", se.info.Ino, err)
+	if se.snap == nil {
+		snap, err := c.buildSnapshot(se)
+		if err != nil {
+			// A kernel-held inode that does not parse is corrupt at rest.
+			se.inaccessible = true
+			return fmt.Errorf("inode %d unreadable at acquire: %w", se.info.Ino, err)
+		}
+		se.snap = snap
 	}
-	se.snap = snap
 	se.owner = appID
 	se.mapping = newMapping(se.info.Ino, appID)
 	se.lease = c.now().Add(c.opts.LeaseTTL)
@@ -327,10 +338,11 @@ func (c *Controller) establish(se *shadowEnt, appID AppID) error {
 }
 
 // buildSnapshot parses and copies the inode's metadata state: the
-// rollback point and verification baseline. It runs at acquire, where
-// the parse is also the only structural check on what a previous holder
-// left behind; transfers that keep the hold snapshot the view they just
-// verified instead (snapshotDir/snapshotFile).
+// rollback point and verification baseline. It runs at a cold acquire,
+// where the parse is also the only structural check on what a previous
+// holder left behind; transfers that keep the hold — or leave it dormant
+// for the next acquire to adopt — snapshot the view they just verified
+// instead (snapshotDir/snapshotFile).
 func (c *Controller) buildSnapshot(se *shadowEnt) (*snapshot, error) {
 	ino := se.info.Ino
 	switch se.info.Type {
@@ -397,8 +409,8 @@ func (c *Controller) snapshotFile(ino uint64, fv *verifier.FileView) *snapshot {
 	return snap
 }
 
-// xferKind distinguishes the three ownership-transfer entry points that
-// share guard logic: Release, Commit, and ReleaseLeased.
+// xferKind distinguishes the three ownership transfers that share guard
+// logic: plain release, Commit, and leased release.
 type xferKind int
 
 const (
@@ -407,19 +419,68 @@ const (
 	xferLease
 )
 
-// Release returns ino to the kernel: unmap, verify, apply or roll back.
-func (c *Controller) Release(appID AppID, ino uint64) error {
-	return c.ReleaseObserved(appID, ino, nil)
+// MaxReleaseBatch is the most inodes one ReleaseBatch crossing accepts:
+// the crossing holds one admission slot for all of its verifications, so
+// the work a tenant can put behind a single slot has to be bounded.
+const MaxReleaseBatch = 64
+
+// Released is one inode's outcome of a ReleaseBatch.
+type Released struct {
+	// Mapping is the dormant mapping a leased release left established,
+	// for the LibFS to cache; nil after a plain release, and after a
+	// failed verification (the inode was fully released).
+	Mapping *Mapping
+	Err     error
 }
 
-// ReleaseObserved is Release with a span sink for timed shard-wait
-// events (nil = plain Release).
-func (c *Controller) ReleaseObserved(appID AppID, ino uint64, sink telemetry.SpanSink) error {
+// ReleaseBatch returns inos to the kernel in one crossing — one admission
+// slot, one rate-quota token — transferring them one by one in the order
+// given, which the caller makes Rule-1 order (parents before children):
+// unmap, verify, apply or roll back, files under their shard lock and
+// directories under the exclusive epoch. A failed verification tears down
+// that inode only; the rest of the batch proceeds.
+//
+// leased selects release under a grant lease: the state is verified and
+// applied exactly as on a plain release, but the mapping is left
+// established and dormant instead of being torn down. The LibFS may
+// re-activate it with Mapping.Reactivate — skipping the re-Acquire
+// crossing — until the kernel reclaims it for another application
+// (reclaimDormant).
+//
+// sink (nil-safe) receives timed admission- and shard-wait events. A batch
+// longer than MaxReleaseBatch is refused whole.
+func (c *Controller) ReleaseBatch(appID AppID, inos []uint64, leased bool, sink telemetry.SpanSink) []Released {
 	defer c.syscallObserved(appID, sink)()
-	c.Stats.Releases.Add(1)
-	c.trace.Record(telemetry.EvRelease, appID, ino, 0, 0)
-	_, err := c.transfer(appID, ino, xferRelease, sink)
-	return err
+	out := make([]Released, len(inos))
+	if len(inos) > MaxReleaseBatch {
+		err := fmt.Errorf("release of %d inodes exceeds the batch cap %d: %w", len(inos), MaxReleaseBatch, fsapi.ErrInval)
+		for i := range out {
+			out[i].Err = err
+		}
+		return out
+	}
+	c.Stats.Releases.Add(int64(len(inos)))
+	kind, lease := xferRelease, int64(0)
+	if leased {
+		c.Stats.LeasedReleases.Add(int64(len(inos)))
+		kind, lease = xferLease, 1
+	}
+	for i, ino := range inos {
+		c.trace.Record(telemetry.EvRelease, appID, ino, lease, 0)
+		out[i].Mapping, out[i].Err = c.transfer(appID, ino, kind, sink)
+	}
+	return out
+}
+
+// Release is a plain ReleaseBatch of one.
+func (c *Controller) Release(appID AppID, ino uint64) error {
+	return c.ReleaseBatch(appID, []uint64{ino}, false, nil)[0].Err
+}
+
+// ReleaseLeased is a leased ReleaseBatch of one.
+func (c *Controller) ReleaseLeased(appID AppID, ino uint64) (*Mapping, error) {
+	r := c.ReleaseBatch(appID, []uint64{ino}, true, nil)[0]
+	return r.Mapping, r.Err
 }
 
 // Commit verifies ino's current state without releasing it [Trio §4.3]:
@@ -438,27 +499,6 @@ func (c *Controller) CommitObserved(appID AppID, ino uint64, sink telemetry.Span
 	c.trace.Record(telemetry.EvCommit, appID, ino, 0, 0)
 	_, err := c.transfer(appID, ino, xferCommit, sink)
 	return err
-}
-
-// ReleaseLeased is Release under a grant lease: the state is verified
-// and applied exactly as on Release, but the mapping is left established
-// and dormant instead of being torn down. The LibFS may re-activate it
-// with Mapping.Reactivate — skipping the re-Acquire crossing — until the
-// kernel reclaims it for another application (reclaimDormant). Returns
-// the dormant mapping so the LibFS can cache it (nil if verification
-// failed and the inode was fully released).
-func (c *Controller) ReleaseLeased(appID AppID, ino uint64) (*Mapping, error) {
-	return c.ReleaseLeasedObserved(appID, ino, nil)
-}
-
-// ReleaseLeasedObserved is ReleaseLeased with a span sink for timed
-// shard-wait events (nil = plain ReleaseLeased).
-func (c *Controller) ReleaseLeasedObserved(appID AppID, ino uint64, sink telemetry.SpanSink) (*Mapping, error) {
-	defer c.syscallObserved(appID, sink)()
-	c.Stats.Releases.Add(1)
-	c.Stats.LeasedReleases.Add(1)
-	c.trace.Record(telemetry.EvRelease, appID, ino, 1, 0)
-	return c.transfer(appID, ino, xferLease, sink)
 }
 
 func (c *Controller) transfer(appID AppID, ino uint64, kind xferKind, sink telemetry.SpanSink) (*Mapping, error) {
@@ -718,7 +758,7 @@ func (c *Controller) applyDir(se *shadowEnt, appID AppID, res *verifier.DirResul
 			child := c.shadowGet(ch.Ino, nil)
 			// A dormant holder's lease does not survive relocation: the
 			// next access pays a full Acquire under the new parent.
-			c.reclaimDormant(child)
+			c.reclaimDormant(child, false)
 			child.info.Parent = se.info.Ino
 			child.inode.Parent = se.info.Ino
 			c.writeShadow(child)

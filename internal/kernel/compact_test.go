@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"bytes"
 	"testing"
 
 	"arckfs/internal/layout"
@@ -188,13 +187,7 @@ func TestForgedCompactionRejectedAndRolledBack(t *testing.T) {
 			if !IsVerificationError(err) {
 				t.Fatalf("release = %v, want a verification failure", err)
 			}
-			for off, want := range before {
-				got := make([]byte, len(want))
-				h.dev.Read(off, got)
-				if !bytes.Equal(got, want) {
-					t.Fatalf("bytes at %#x not restored by rollback", off)
-				}
-			}
+			h.wantBytes(before, "after rollback")
 			// And the restored directory is usable and unchanged.
 			if _, err := h.c.Acquire(app, layout.RootIno, true); err != nil {
 				t.Fatalf("acquire after rollback: %v", err)
@@ -207,9 +200,11 @@ func TestForgedCompactionRejectedAndRolledBack(t *testing.T) {
 }
 
 // TestDirTransferParsesOnce pins the verifier's work per transfer of a
-// directory at one parse: Commit and ReleaseLeased make the view they
+// directory at one parse: Commit and a leased release make the view they
 // verified the new baseline instead of parsing again, and so does the
-// Rule-1 commit of a new directory. Only Acquire adds a parse of its own.
+// Rule-1 commit of a new directory. An Acquire that wins a dormant lease
+// adopts that baseline and parses nothing; only a cold Acquire — after a
+// plain release — adds a parse of its own.
 func TestDirTransferParsesOnce(t *testing.T) {
 	h, app, _ := compactionFixture(t)
 	slots := int64(0)
@@ -234,7 +229,9 @@ func TestDirTransferParsesOnce(t *testing.T) {
 	parses("Commit", func() error { return h.c.Commit(app, layout.RootIno) }, 1)
 	parses("ReleaseLeased", func() error { _, err := h.c.ReleaseLeased(app, layout.RootIno); return err }, 1)
 	other := h.c.RegisterApp(0, 0)
-	parses("Acquire", func() error { _, err := h.c.Acquire(other, layout.RootIno, true); return err }, 1)
+	parses("Acquire of a dormant lease", func() error { _, err := h.c.Acquire(other, layout.RootIno, true); return err }, 0)
+	parses("Release", func() error { return h.c.Release(other, layout.RootIno) }, 1)
+	parses("cold Acquire", func() error { _, err := h.c.Acquire(other, layout.RootIno, true); return err }, 1)
 	parses("Release", func() error { return h.c.Release(other, layout.RootIno) }, 1)
 
 	// A new directory: pending after its parent's release, then its own

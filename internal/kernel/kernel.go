@@ -742,7 +742,7 @@ func (c *Controller) SetACL(ino uint64, appID AppID, perm uint16) {
 	// permission change: reclaim its mapping so the next access pays a
 	// full, ACL-checked Acquire.
 	if se := sh.m[ino]; se != nil && se.owner != 0 {
-		c.reclaimDormant(se)
+		c.reclaimDormant(se, false)
 	}
 	as := c.aclShardOf(ino)
 	if !as.mu.TryLock() {

@@ -202,8 +202,11 @@ func (fs *FS) newLogPage(t *Thread) (uint64, error) {
 
 // insertEntry links (childIno, name) into mi, placing the persistent
 // update inside (patched, §4.4) or outside (buggy) the bucket critical
-// section. It returns the new record's ref.
-func (fs *FS) insertEntry(t *Thread, mi *minode, childIno uint64, name string) (layout.DentryRef, error) {
+// section. child, when the entry creates an inode, is published in the
+// inode table inside that section too: a release of mi — which needs every
+// bucket lock — then finds either no entry and no child, or both. It
+// returns the new record's ref.
+func (fs *FS) insertEntry(t *Thread, mi *minode, childIno uint64, name string, child *minode) (layout.DentryRef, error) {
 	if fs.opts.Bugs.Has(BugAuxCoreRace) {
 		// ArckFS as shipped: reserve log space, publish the name in
 		// auxiliary state, and only then write the core record — with no
@@ -224,23 +227,55 @@ func (fs *FS) insertEntry(t *Thread, mi *minode, childIno uint64, name string) (
 			mi.ht().Delete(name)
 			return 0, err
 		}
+		if child != nil {
+			fs.mtab.Store(childIno, child)
+		}
 		return r, nil
 	}
 	// ArckFS+: the bucket lock covers both updates.
 	var r layout.DentryRef
-	var err error
-	mi.ht().WithBucket(name, func(lb *htable.LockedBucket) {
+	err := fs.withHeldBucket(t, mi, name, func(lb *htable.LockedBucket) error {
 		if _, exists := lb.Get(name); exists {
-			err = fsapi.ErrExist
-			return
+			return fsapi.ErrExist
 		}
-		r, err = fs.appendDentry(t, mi, childIno, name)
-		if err != nil {
-			return
+		var err error
+		if r, err = fs.appendDentry(t, mi, childIno, name); err != nil {
+			return err
+		}
+		if child != nil {
+			fs.mtab.Store(childIno, child)
 		}
 		lb.Insert(name, childIno, uint64(r))
+		return nil
 	})
 	return r, err
+}
+
+// withHeldBucket runs fn with name's bucket of mi locked and mi held.
+// The caller checked that mi is held before it came here, but a release
+// takes every bucket lock, so one may have slipped in since: the check is
+// repeated under the lock, and a released directory is taken back —
+// outside the lock, which a release of it would need — before the next
+// try. Without this an operation that lost that race would write through a
+// dormant mapping, behind the verification that made it dormant.
+func (fs *FS) withHeldBucket(t *Thread, mi *minode, name string, fn func(*htable.LockedBucket) error) error {
+	for {
+		ht := mi.ht()
+		held := false
+		var err error
+		ht.WithBucket(name, func(lb *htable.LockedBucket) {
+			// A reacquire that rebuilt the directory swapped the table.
+			if held = !mi.released.Load() && mi.ht() == ht; held {
+				err = fn(lb)
+			}
+		})
+		if held {
+			return err
+		}
+		if err := fs.reacquire(t, mi); err != nil {
+			return err
+		}
+	}
 }
 
 // reserveDentry claims log space for a record (tail lock only): it
@@ -300,9 +335,12 @@ func (fs *FS) fillDentry(t *Thread, mi *minode, r layout.DentryRef, childIno uin
 }
 
 // removeEntry unlinks name from mi and invalidates its persistent
-// record, honoring the §4.4 critical-section setting. It returns the
-// removed child's ino.
-func (fs *FS) removeEntry(mi *minode, name string) (uint64, error) {
+// record, honoring the §4.4 critical-section setting. doomed, for an entry
+// whose inode goes away with it, destroys that inode inside the critical
+// section: a release of mi — which needs every bucket lock — then never
+// finds the entry gone and the inode still there, in the inode table or
+// half-zeroed on the device. It returns the removed child's ino.
+func (fs *FS) removeEntry(t *Thread, mi *minode, name string, doomed func(ino uint64)) (uint64, error) {
 	if err := fs.checkMapped(mi); err != nil {
 		return 0, err
 	}
@@ -323,23 +361,28 @@ func (fs *FS) removeEntry(mi *minode, name string) (uint64, error) {
 		}
 		layout.InvalidateDentry(fs.dev, r)
 		fs.dev.Persist(r.MarkerOff(), 2)
+		if doomed != nil {
+			doomed(ino)
+		}
 		return ino, nil
 	}
 	var ino uint64
-	var err error
-	mi.ht().WithBucket(name, func(lb *htable.LockedBucket) {
+	err := fs.withHeldBucket(t, mi, name, func(lb *htable.LockedBucket) error {
 		e, ok := lb.Get(name)
 		if !ok {
-			err = fsapi.ErrNotExist
-			return
+			return fsapi.ErrNotExist
 		}
-		if err = fs.checkMapped(mi); err != nil {
-			return
+		if err := fs.checkMapped(mi); err != nil {
+			return err
 		}
 		r := layout.DentryRef(e.Ref())
 		layout.InvalidateDentry(fs.dev, r)
 		fs.dev.Persist(r.MarkerOff(), 2)
 		ino, _, _ = lb.Delete(name)
+		if doomed != nil {
+			doomed(ino)
+		}
+		return nil
 	})
 	return ino, err
 }
@@ -365,16 +408,15 @@ func (t *Thread) Create(path string) (err error) {
 	// "dentry and inode") without per-line write-backs.
 	rec := layout.EncodeInode(&in)
 	t.pb.WriteStream(layout.InodeOff(fs.geo, ino), rec[:])
-	if _, err := fs.insertEntry(t, dir, ino, name); err != nil {
-		fs.recycleIno(ino)
-		return err
-	}
 	mi := &minode{ino: ino, typ: layout.TypeFile}
 	mi.file.Store(&fileState{})
 	mi.parent.Store(dir.ino)
 	mi.fresh.Store(true)
 	mi.cacheAttrs(0, 1, in.MTime)
-	fs.mtab.Store(ino, mi)
+	if _, err := fs.insertEntry(t, dir, ino, name, mi); err != nil {
+		fs.recycleIno(ino)
+		return err
+	}
 	dir.cacheAttrs(uint64(dir.ht().Len()), 2, in.MTime)
 	return nil
 }
@@ -412,11 +454,6 @@ func (t *Thread) Mkdir(path string) (err error) {
 	}
 	rec := layout.EncodeInode(&in)
 	t.pb.WriteStream(layout.InodeOff(fs.geo, ino), rec[:])
-	if _, err := fs.insertEntry(t, dir, ino, name); err != nil {
-		fs.recycleIno(ino)
-		fs.recyclePages(t.cpu, []uint64{tailset})
-		return err
-	}
 	mi := &minode{ino: ino, typ: layout.TypeDir}
 	mi.dir.Store(&dirState{
 		ht:      fs.newDirTable(),
@@ -426,7 +463,11 @@ func (t *Thread) Mkdir(path string) (err error) {
 	mi.parent.Store(dir.ino)
 	mi.fresh.Store(true)
 	mi.cacheAttrs(0, 2, in.MTime)
-	fs.mtab.Store(ino, mi)
+	if _, err := fs.insertEntry(t, dir, ino, name, mi); err != nil {
+		fs.recycleIno(ino)
+		fs.recyclePages(t.cpu, []uint64{tailset})
+		return err
+	}
 	dir.cacheAttrs(uint64(dir.ht().Len()), 2, in.MTime)
 	return nil
 }
@@ -462,23 +503,26 @@ func (t *Thread) Unlink(path string) (err error) {
 	if in, inOk, _ := layout.ReadInode(fs.dev, fs.geo, childIno); inOk && in.Type == layout.TypeDir {
 		return fsapi.ErrIsDir
 	}
-	if _, err := fs.removeEntry(dir, name); err != nil {
+	_, err = fs.removeEntry(t, dir, name, func(ino uint64) {
+		if v, cached := fs.mtab.LoadAndDelete(ino); cached {
+			fs.destroyFile(t, v.(*minode))
+		} else {
+			// Not in our table: zero the record; the kernel reclaims pages
+			// at the directory's next verification.
+			layout.FreeInode(fs.dev, fs.geo, ino)
+			fs.dev.Persist(layout.InodeOff(fs.geo, ino), layout.InodeSize)
+		}
+	})
+	if err != nil {
 		return err
-	}
-	if v, cached := fs.mtab.Load(childIno); cached {
-		fs.destroyFile(t, v.(*minode))
-	} else {
-		// Not in our table: zero the record; the kernel reclaims pages
-		// at the directory's next verification.
-		layout.FreeInode(fs.dev, fs.geo, childIno)
-		fs.dev.Persist(layout.InodeOff(fs.geo, childIno), layout.InodeSize)
 	}
 	dir.cacheAttrs(uint64(dir.ht().Len()), 2, fs.clock.Load())
 	return nil
 }
 
-// destroyFile tears down an unlinked file: zero the inode record and,
-// when the kernel never learned of the inode, recycle its resources.
+// destroyFile tears down an unlinked file, already out of the inode
+// table: zero the inode record and, when the kernel never learned of the
+// inode, recycle its resources.
 // The resources are retired through the RCU domain, not recycled in
 // place: child.lock excludes only SerialData readers, so on the
 // lock-free plane a thread with an open FD can be mid-copyOutRange on
@@ -487,7 +531,6 @@ func (fs *FS) destroyFile(t *Thread, child *minode) {
 	child.lock.Lock()
 	layout.FreeInode(fs.dev, fs.geo, child.ino)
 	fs.dev.Persist(layout.InodeOff(fs.geo, child.ino), layout.InodeSize)
-	fs.mtab.Delete(child.ino)
 	if child.fresh.Load() {
 		var pages []uint64
 		if st := child.file.Load(); st != nil {
@@ -533,25 +576,27 @@ func (t *Thread) Rmdir(path string) (err error) {
 	if child.ht().Len() != 0 {
 		return fsapi.ErrNotEmpty
 	}
-	if _, err := fs.removeEntry(dir, name); err != nil {
+	_, err = fs.removeEntry(t, dir, name, func(uint64) {
+		child.lock.Lock()
+		layout.FreeInode(fs.dev, fs.geo, child.ino)
+		fs.dev.Persist(layout.InodeOff(fs.geo, child.ino), layout.InodeSize)
+		fs.mtab.Delete(child.ino)
+		if child.fresh.Load() {
+			cds := child.dir.Load()
+			pages := []uint64{cds.tailset}
+			for _, chain := range fs.dirLogPages(cds) {
+				pages = append(pages, chain...)
+			}
+			// Same grace-period discipline as destroyFile: a lock-free
+			// lookup may still be scanning these log pages.
+			fs.retirePages(t.cpu, pages)
+			fs.retireIno(t, child.ino)
+		}
+		child.lock.Unlock()
+	})
+	if err != nil {
 		return err
 	}
-	child.lock.Lock()
-	layout.FreeInode(fs.dev, fs.geo, child.ino)
-	fs.dev.Persist(layout.InodeOff(fs.geo, child.ino), layout.InodeSize)
-	fs.mtab.Delete(child.ino)
-	if child.fresh.Load() {
-		cds := child.dir.Load()
-		pages := []uint64{cds.tailset}
-		for _, chain := range fs.dirLogPages(cds) {
-			pages = append(pages, chain...)
-		}
-		// Same grace-period discipline as destroyFile: a lock-free
-		// lookup may still be scanning these log pages.
-		fs.retirePages(t.cpu, pages)
-		fs.retireIno(t, child.ino)
-	}
-	child.lock.Unlock()
 	dir.cacheAttrs(uint64(dir.ht().Len()), 2, fs.clock.Load())
 	return nil
 }

@@ -120,6 +120,25 @@ func (t *Thread) WriteAt(fd fsapi.FD, p []byte, off int64) (n int, err error) {
 	return n, err
 }
 
+// lockHeld takes mi.lock for a writer with mi held: a released inode is
+// taken back first, and because a release may slip in between that and
+// the lock — it takes the same lock — the check is repeated under it. The
+// file counterpart of withHeldBucket.
+func (fs *FS) lockHeld(t *Thread, mi *minode) error {
+	for {
+		if mi.released.Load() {
+			if err := fs.reacquire(t, mi); err != nil {
+				return err
+			}
+		}
+		mi.lock.Lock()
+		if !mi.released.Load() {
+			return nil
+		}
+		mi.lock.Unlock()
+	}
+}
+
 func (fs *FS) writeAt(t *Thread, mi *minode, p []byte, off int64) (int, error) {
 	if mi.typ != layout.TypeFile {
 		return 0, fsapi.ErrIsDir
@@ -130,12 +149,9 @@ func (fs *FS) writeAt(t *Thread, mi *minode, p []byte, off int64) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	if mi.released.Load() {
-		if err := fs.reacquire(t, mi); err != nil {
-			return 0, err
-		}
+	if err := fs.lockHeld(t, mi); err != nil {
+		return 0, err
 	}
-	mi.lock.Lock()
 	defer mi.lock.Unlock()
 	if err := fs.checkMapped(mi); err != nil {
 		return 0, err
@@ -274,12 +290,9 @@ func (t *Thread) Truncate(path string, size uint64) (err error) {
 	if mi.typ != layout.TypeFile {
 		return fsapi.ErrIsDir
 	}
-	if mi.released.Load() {
-		if err := fs.reacquire(t, mi); err != nil {
-			return err
-		}
+	if err := fs.lockHeld(t, mi); err != nil {
+		return err
 	}
-	mi.lock.Lock()
 	defer mi.lock.Unlock()
 	if err := fs.checkMapped(mi); err != nil {
 		return err

@@ -214,8 +214,8 @@ type FS struct {
 	tracer   *span.Tracer
 	appRow   *telemetry.AppRow
 	appStats func() []telemetry.AppStat
-	// relLane is ReleaseAll's lane in the tracer, made on first traced
-	// use; relMu guards it and the lane's sampling counter.
+	// relMu runs ReleaseAll calls one at a time; relLane is their lane in
+	// the tracer, made on first traced use.
 	relMu   sync.Mutex
 	relLane *span.Local
 

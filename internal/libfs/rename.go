@@ -1,6 +1,8 @@
 package libfs
 
 import (
+	"runtime"
+
 	"arckfs/internal/fsapi"
 	"arckfs/internal/layout"
 	"arckfs/internal/telemetry"
@@ -81,13 +83,18 @@ func (t *Thread) Rename(oldPath, newPath string) (err error) {
 		}
 	}
 
-	// The persistent and auxiliary moves.
-	if _, err := fs.insertEntry(t, newDir, childIno, newName); err != nil {
+	// The persistent and auxiliary moves, with both directories pinned: in
+	// between them the child is linked twice, which no release may see.
+	if err := fs.pinDirs(t, oldDir, newDir); err != nil {
 		return err
 	}
-	if _, err := fs.removeEntry(oldDir, oldName); err != nil {
+	defer unpinDirs(oldDir, newDir)
+	if _, err := fs.insertEntry(t, newDir, childIno, newName, nil); err != nil {
+		return err
+	}
+	if _, err := fs.removeEntry(t, oldDir, oldName, nil); err != nil {
 		// Roll the insertion back to keep aux state consistent.
-		_, _ = fs.removeEntry(newDir, newName)
+		_, _ = fs.removeEntry(t, newDir, newName, nil)
 		return err
 	}
 	if crossDir {
@@ -103,6 +110,44 @@ func (t *Thread) Rename(oldPath, newPath string) (err error) {
 		}
 	}
 	return nil
+}
+
+// pinDirs takes a's and b's inode locks shared, with both directories
+// held; unpinDirs drops them. A release takes the lock exclusively, so
+// until then it cannot hand either directory back. pinDirs never waits for
+// the second lock with the first in hand: ReleaseAll holds many of these
+// at once, in an order of its own. While the pins are in place
+// withHeldBucket's second look cannot fail — a release or a rebuild needs
+// the lock exclusively — so nothing under them tries to take it.
+func (fs *FS) pinDirs(t *Thread, a, b *minode) error {
+	for {
+		for _, d := range [...]*minode{a, b} {
+			if d.released.Load() {
+				if err := fs.reacquire(t, d); err != nil {
+					return err
+				}
+			}
+		}
+		//arcklint:allow lockorder the second lock is only ever tried: when it is taken, the first is dropped before the next round, so this never waits with a lock in hand
+		a.lock.RLock()
+		if a != b && !b.lock.TryRLock() {
+			a.lock.RUnlock()
+			runtime.Gosched()
+			a, b = b, a
+			continue
+		}
+		if !a.released.Load() && !b.released.Load() {
+			return nil
+		}
+		unpinDirs(a, b)
+	}
+}
+
+func unpinDirs(a, b *minode) {
+	a.lock.RUnlock()
+	if a != b {
+		b.lock.RUnlock()
+	}
 }
 
 // rewriteParent updates child's inode-record parent pointer and persists

@@ -54,6 +54,9 @@ const (
 	// SpanEvDirCompact: a release rewrote a directory's dentry log before
 	// handing it back. a = inode, b = duration in nanoseconds.
 	SpanEvDirCompact
+	// SpanEvReleaseBatch: one vectored release crossing completed.
+	// a = inodes released by the crossing, b = its duration in nanoseconds.
+	SpanEvReleaseBatch
 )
 
 var spanEventNames = [...]string{
@@ -67,6 +70,7 @@ var spanEventNames = [...]string{
 	SpanEvRecoveryPass: "recovery-pass",
 	SpanEvAdmitWait:    "admit-wait",
 	SpanEvDirCompact:   "dir-compact",
+	SpanEvReleaseBatch: "release-batch",
 }
 
 // SpanEventName returns the display name of a SpanEv* kind.
