@@ -16,6 +16,9 @@ type wal struct {
 	path string
 	fd   fsapi.FD
 	off  int64
+	// rec is the reusable record buffer: append runs under db.mu and
+	// WriteAt copies before it returns, so one buffer serves every Put.
+	rec []byte
 }
 
 func openWAL(t fsapi.Thread, path string) (*wal, error) {
@@ -35,8 +38,12 @@ func openWAL(t fsapi.Thread, path string) (*wal, error) {
 
 func (w *wal) append(key, val []byte, del bool) error {
 	total := 4 + 1 + 4 + 4 + len(key) + len(val)
-	buf := make([]byte, total)
+	if cap(w.rec) < total {
+		w.rec = make([]byte, total)
+	}
+	buf := w.rec[:total]
 	binary.LittleEndian.PutUint32(buf[0:], uint32(total))
+	buf[4] = 0
 	if del {
 		buf[4] = 1
 	}

@@ -197,10 +197,11 @@ func (fs *FS) writeAt(t *Thread, mi *minode, p []byte, off int64) (int, error) {
 		dirtyMap = append(dirtyMap, bi)
 	}
 
-	// Pass 2: copy and flush the data — delegated across the worker pool
-	// for large requests (§5.2's I/O delegation), inline otherwise.
+	// Pass 2: copy the data — fanned out to delegate workers for large
+	// requests (§5.2's I/O delegation), inline otherwise. Either way it
+	// is durable at the barrier below.
 	if len(p) >= DelegationThreshold {
-		fs.delegatedCopyIn(st, off, p)
+		fs.delegatedCopyIn(t, st, off, p)
 	} else {
 		fs.copyInRange(t.pb, st, off, p)
 	}

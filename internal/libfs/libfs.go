@@ -218,9 +218,6 @@ type FS struct {
 	// the tracer, made on first traced use.
 	relMu   sync.Mutex
 	relLane *span.Local
-
-	// delegates is the I/O delegation pool (see delegate.go).
-	delegates delegatePool
 }
 
 // Stats counts LibFS events of interest to telemetry: remaps after an

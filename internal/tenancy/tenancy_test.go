@@ -2,11 +2,14 @@ package tenancy
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"arckfs/internal/core"
 	"arckfs/internal/kernel"
+	"arckfs/internal/libfs"
 )
 
 func newSys(t *testing.T) *core.System {
@@ -186,5 +189,46 @@ func TestSpawnAsCredentials(t *testing.T) {
 	}
 	if err := tn.Retire(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRetiredTenantsLeaveNoGoroutines: a tenant that issued delegated I/O
+// (libfs.DelegationThreshold and up fans out to worker goroutines) must
+// take every one of them with it — the fan-out is per call, so nothing
+// keeps a retired tenant's LibFS reachable.
+func TestRetiredTenantsLeaveNoGoroutines(t *testing.T) {
+	sys := newSys(t)
+	reg := NewRegistry(sys)
+	start := runtime.NumGoroutine()
+	buf := make([]byte, libfs.DelegationThreshold)
+	for i := 0; i < 8; i++ {
+		tn, err := reg.Spawn(kernel.Quota{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		th := tn.Thread(0)
+		path := fmt.Sprintf("/big-%d", i)
+		if err := th.Create(path); err != nil {
+			t.Fatal(err)
+		}
+		fd, err := th.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := th.WriteAt(fd, buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := th.ReadAt(fd, buf, 0); err != nil || n != len(buf) {
+			t.Fatalf("delegated read: %d, %v", n, err)
+		}
+		if err := tn.Retire(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A worker signals the join a few instructions before it is gone.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > start; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after retiring every tenant, %d before the first spawn", runtime.NumGoroutine(), start)
+		}
 	}
 }
