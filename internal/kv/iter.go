@@ -40,18 +40,80 @@ func (h *iterHeap) Push(x any)   { *h = append(*h, x.(*source)) }
 func (h *iterHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 func (h iterHeap) Peek() *source { return h[0] }
 
+// runSource is a merge input over the entry sections of tables whose key
+// ranges ascend without overlap: one level-0 table, or part of a deeper
+// level. It returns nil when the run holds no entry.
+func runSource(prio int, run [][]byte) *source {
+	s := &source{prio: prio}
+	pos := 0
+	s.next = func() bool {
+		for len(run) > 0 && pos+8 > len(run[0]) {
+			run, pos = run[1:], 0
+		}
+		if len(run) == 0 {
+			return false
+		}
+		s.key, s.val, s.del, pos = decodeEntry(run[0], pos)
+		return true
+	}
+	if !s.next() {
+		return nil
+	}
+	return s
+}
+
+// runsOf splits the tables of one level into sorted runs, newest first:
+// level-0 tables overlap, so each is its own run; a deeper level is one.
+func runsOf(lvl int, tables []*tableMeta) [][]*tableMeta {
+	if lvl > 0 {
+		return [][]*tableMeta{tables}
+	}
+	runs := make([][]*tableMeta, len(tables))
+	for i := range tables {
+		runs[i] = tables[i : i+1]
+	}
+	return runs
+}
+
+// sources reads the entry sections of runs (newest first) and returns
+// them as merge inputs with priorities from prio up.
+func (db *DB) sources(prio int, runs [][]*tableMeta) (iterHeap, error) {
+	var h iterHeap
+	for _, tables := range runs {
+		run := make([][]byte, len(tables))
+		for i, meta := range tables {
+			var err error
+			if run[i], err = db.readers[meta.file].load(); err != nil {
+				return nil, err
+			}
+		}
+		if s := runSource(prio, run); s != nil {
+			h = append(h, s)
+		}
+		prio++
+	}
+	return h, nil
+}
+
 // NewIterator creates a merged iterator positioned before the first key.
 func (db *DB) NewIterator() (*Iterator, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	it := &Iterator{}
-	prio := 0
+
+	// Table sources: every entry section is read now (tables are
+	// immutable; this snapshot stays consistent after the lock drops).
+	var runs [][]*tableMeta
+	for lvl, tables := range db.levels {
+		runs = append(runs, runsOf(lvl, tables)...)
+	}
+	h, err := db.sources(1, runs)
+	if err != nil {
+		return nil, err
+	}
 
 	// Memtable source.
-	node := db.mem.first()
-	if node != nil {
-		s := &source{prio: prio}
-		cur := node
+	if cur := db.mem.first(); cur != nil {
+		s := &source{prio: 0}
 		s.next = func() bool {
 			if cur == nil {
 				return false
@@ -60,84 +122,39 @@ func (db *DB) NewIterator() (*Iterator, error) {
 			cur = cur.next[0]
 			return true
 		}
-		if s.next() {
-			it.h = append(it.h, s)
-		}
+		s.next()
+		h = append(h, s)
 	}
-	prio++
+	heap.Init(&h)
+	return &Iterator{h: h}, nil
+}
 
-	// Table sources: materialize each table's entries (tables are
-	// immutable; this snapshot stays consistent after the lock drops).
-	for _, tables := range db.levels {
-		for _, meta := range tables {
-			r := db.readers[meta.file]
-			if r == nil {
-				continue
-			}
-			type ent struct {
-				k, v []byte
-				del  bool
-			}
-			var ents []ent
-			if err := r.scan(func(k, v []byte, del bool) bool {
-				ents = append(ents, ent{append([]byte(nil), k...), append([]byte(nil), v...), del})
-				return true
-			}); err != nil {
-				return nil, err
-			}
-			if len(ents) == 0 {
-				prio++
-				continue
-			}
-			i := 0
-			s := &source{prio: prio}
-			s.next = func() bool {
-				if i >= len(ents) {
-					return false
-				}
-				s.key, s.val, s.del = ents[i].k, ents[i].v, ents[i].del
-				i++
-				return true
-			}
-			s.next()
-			it.h = append(it.h, s)
-			prio++
+// pop removes the smallest key from the merge and returns its newest
+// version; the slices alias the sources' buffers.
+func (h *iterHeap) pop() (key, val []byte, del bool) {
+	s := h.Peek()
+	key, val, del = s.key, s.val, s.del
+	// Older versions of the key sort right behind it.
+	for h.Len() > 0 && bytes.Equal(h.Peek().key, key) {
+		if s := h.Peek(); s.next() {
+			heap.Fix(h, 0)
+		} else {
+			heap.Pop(h)
 		}
 	}
-	heap.Init(&it.h)
-	return it, nil
+	return key, val, del
 }
 
 // Next advances to the next live key and reports whether one exists.
 func (it *Iterator) Next() bool {
-	var lastKey []byte
 	for it.h.Len() > 0 {
-		s := it.h.Peek()
-		key := append([]byte(nil), s.key...)
-		val := append([]byte(nil), s.val...)
-		del := s.del
-		if s.next() {
-			heap.Fix(&it.h, 0)
-		} else {
-			heap.Pop(&it.h)
-		}
-		if lastKey != nil && bytes.Equal(key, lastKey) {
-			continue // shadowed older version
-		}
-		lastKey = key
-		// Skip older versions of this key still in the heap.
-		for it.h.Len() > 0 && bytes.Equal(it.h.Peek().key, key) {
-			shadow := it.h.Peek()
-			if shadow.next() {
-				heap.Fix(&it.h, 0)
-			} else {
-				heap.Pop(&it.h)
-			}
-		}
+		key, val, del := it.h.pop()
 		if del {
 			continue
 		}
-		it.current.key, it.current.val, it.current.ok = key, val, true
+		it.current.key = append([]byte(nil), key...)
+		it.current.val = append([]byte(nil), val...)
+		it.current.ok = true
 		return true
 	}
 	it.current.ok = false

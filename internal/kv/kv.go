@@ -1,17 +1,30 @@
 // Package kv implements a LevelDB-style log-structured-merge key-value
 // store on top of the fsapi file systems: a write-ahead log, a skiplist
-// memtable, sorted string tables, size-tiered leveled compaction, and a
-// manifest for recovery. It is the substrate for the paper's LevelDB
-// benchmark (§5.3): its workload is dominated by file data operations,
-// which is exactly why ArckFS and ArckFS+ perform alike on it.
+// memtable, sorted string tables of bounded size, leveled compaction that
+// picks its inputs by key overlap, and a manifest for recovery. It is the
+// substrate for the paper's LevelDB benchmark (§5.3): its workload is
+// dominated by file data operations, which is exactly why ArckFS and
+// ArckFS+ perform alike on it.
+//
+// Level 0 holds flushed memtables, newest first, and they may overlap.
+// Every deeper level is one sorted run of disjoint tables, so a Get probes
+// at most one table per level. A full level 0 merges with the level-1
+// tables it overlaps; a deeper level over its table limit pushes one table
+// at a time into the overlapping tables of the next. Inputs that overlap
+// nothing move down by a manifest write alone, which is why an in-order
+// fill writes every entry once. The manifest is installed before anything
+// it supersedes is removed, and Open removes what it does not name.
 package kv
 
 import (
 	"bytes"
+	"container/heap"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"arckfs/internal/fsapi"
@@ -21,13 +34,16 @@ import (
 type Options struct {
 	// Dir is the database directory (created if missing).
 	Dir string
-	// MemtableBytes triggers a flush when the memtable exceeds it.
+	// MemtableBytes triggers a flush when the memtable exceeds it, and
+	// bounds the size of a table that a compaction writes.
 	MemtableBytes int
 	// L0Tables triggers a compaction of level 0 into level 1.
 	L0Tables int
-	// LevelRatio is the size multiplier between consecutive levels.
+	// LevelRatio is the multiplier between the table limits of consecutive
+	// levels: level lvl ≥ 1 holds up to L0Tables × LevelRatio^lvl tables.
 	LevelRatio int
-	// MaxLevels bounds the tree depth.
+	// MaxLevels bounds the tree depth (at least 2); the deepest level has
+	// no limit.
 	MaxLevels int
 }
 
@@ -47,6 +63,9 @@ func (o *Options) fill() {
 	if o.MaxLevels == 0 {
 		o.MaxLevels = 5
 	}
+	if o.MaxLevels < 2 {
+		o.MaxLevels = 2 // level 0 needs a level to compact into
+	}
 }
 
 // DB is one open store. It is safe for concurrent use; writes serialize
@@ -59,7 +78,8 @@ type DB struct {
 	mu      sync.RWMutex
 	mem     *memtable
 	wal     *wal
-	levels  [][]*tableMeta // levels[0] newest-first; deeper levels sorted runs
+	levels  [][]*tableMeta // levels[0] newest-first; deeper levels sorted, disjoint runs
+	pushed  [][]byte       // per level ≥ 1: largest key of the last table pushed down
 	readers map[string]*tableReader
 	nextNum int
 	t       fsapi.Thread // internal maintenance thread
@@ -82,6 +102,7 @@ func Open(fs fsapi.FS, opts Options) (*DB, error) {
 	if err := db.loadManifest(); err != nil {
 		return nil, err
 	}
+	db.pushed = make([][]byte, len(db.levels))
 	if err := db.replayWAL(); err != nil {
 		return nil, err
 	}
@@ -196,146 +217,191 @@ func (db *DB) flushLocked() error {
 	if db.mem.entries == 0 {
 		return nil
 	}
-	num := db.nextNum
-	db.nextNum++
-	meta, err := writeTable(db.t, db.tablePath(num), func(yield func(k, v []byte, del bool)) {
-		db.mem.iter(func(k, v []byte, del bool) bool {
-			yield(k, v, del)
-			return true
-		})
+	var w tableWriter
+	db.mem.iter(func(k, v []byte, del bool) bool {
+		w.add(k, v, del)
+		return true
 	})
+	meta, err := db.finishTable(&w)
 	if err != nil {
 		return err
 	}
-	r, err := openTable(db.t, meta)
-	if err != nil {
-		return err
-	}
-	db.readers[meta.file] = r
 	db.levels[0] = append([]*tableMeta{meta}, db.levels[0]...)
 	db.mem = newMemtable()
-	// Truncate the WAL: its contents are now durable in the table.
-	if err := db.wal.reset(); err != nil {
+	// The manifest names the table before the WAL forgets its contents.
+	if err := db.writeManifestLocked(); err != nil {
 		return err
 	}
-	if err := db.writeManifestLocked(); err != nil {
+	if err := db.wal.reset(); err != nil {
 		return err
 	}
 	return db.maybeCompactLocked()
 }
 
-// maybeCompactLocked merges L0 into L1 when L0 is full, and cascades
-// size-triggered merges down the levels.
+// finishTable writes w out under the next table number and opens it.
+func (db *DB) finishTable(w *tableWriter) (*tableMeta, error) {
+	path := db.tablePath(db.nextNum)
+	db.nextNum++
+	meta, err := w.finish(db.t, path)
+	if err == nil {
+		db.readers[path], err = openTable(db.t, meta)
+	}
+	if err != nil {
+		_ = db.dropTables([]*tableMeta{{file: path}}) // best effort, as in mergeTables
+		return nil, err
+	}
+	return meta, nil
+}
+
+// maybeCompactLocked empties level 0 into level 1 once it holds L0Tables
+// tables, then walks down: a level over L0Tables × LevelRatio^lvl tables
+// pushes one table at a time into the next until it fits. The deepest
+// level has no limit.
 func (db *DB) maybeCompactLocked() error {
 	if len(db.levels[0]) >= db.opts.L0Tables {
-		if err := db.compactLocked(0); err != nil {
+		if err := db.compactLocked(0, db.levels[0]); err != nil {
 			return err
 		}
 	}
-	limit := db.opts.L0Tables * db.opts.LevelRatio
-	for lvl := 1; lvl < db.opts.MaxLevels-1; lvl++ {
-		if len(db.levels[lvl]) > limit {
-			if err := db.compactLocked(lvl); err != nil {
+	limit := db.opts.L0Tables
+	for lvl := 1; lvl < len(db.levels)-1; lvl++ {
+		limit *= db.opts.LevelRatio
+		for len(db.levels[lvl]) > limit {
+			if err := db.compactLocked(lvl, []*tableMeta{db.pickLocked(lvl)}); err != nil {
 				return err
 			}
 		}
-		limit *= db.opts.LevelRatio
 	}
 	return nil
 }
 
-// compactLocked merges every table of lvl with every table of lvl+1 into
-// a fresh sorted run at lvl+1.
-func (db *DB) compactLocked(lvl int) error {
-	srcs := append(append([]*tableMeta{}, db.levels[lvl]...), db.levels[lvl+1]...)
-	if len(srcs) == 0 {
-		return nil
+// pickLocked chooses the table of lvl (≥ 1) to push down: the first one
+// past where the previous push ended, so that pushes rotate through the
+// key space instead of draining one end of it.
+func (db *DB) pickLocked(lvl int) *tableMeta {
+	tables := db.levels[lvl]
+	i := sort.Search(len(tables), func(i int) bool {
+		return bytes.Compare(tables[i].largest, db.pushed[lvl]) > 0
+	})
+	if i == len(tables) {
+		i = 0
 	}
-	// Priority order: earlier in srcs wins (L0 is newest-first, and
-	// shallower levels are newer than deeper ones).
-	merged, err := db.mergeTables(srcs, lvl+1 == db.opts.MaxLevels-1)
-	if err != nil {
+	db.pushed[lvl] = tables[i].largest
+	return tables[i]
+}
+
+// compactLocked moves upper — every table of level 0, or tables of a
+// deeper lvl in that level's order — into lvl+1, merging it with the
+// tables there whose key range it overlaps. When upper is disjoint and
+// nothing there overlaps it, the tables move as they are and only the
+// manifest is written.
+func (db *DB) compactLocked(lvl int, upper []*tableMeta) error {
+	byKey := slices.Clone(upper)
+	slices.SortFunc(byKey, func(a, b *tableMeta) int { return bytes.Compare(a.smallest, b.smallest) })
+	lo, hi, disjoint := byKey[0].smallest, byKey[0].largest, true
+	for _, m := range byKey[1:] {
+		disjoint = disjoint && bytes.Compare(hi, m.smallest) < 0
+		if bytes.Compare(m.largest, hi) > 0 {
+			hi = m.largest
+		}
+	}
+	next := db.levels[lvl+1]
+	from := sort.Search(len(next), func(i int) bool { return bytes.Compare(next[i].largest, lo) >= 0 })
+	to := sort.Search(len(next), func(i int) bool { return bytes.Compare(next[i].smallest, hi) > 0 })
+
+	out, inputs := byKey, []*tableMeta(nil)
+	if !disjoint || from < to {
+		var err error
+		if out, err = db.mergeTables(lvl+1, append(runsOf(lvl, upper), next[from:to])); err != nil {
+			return err
+		}
+		inputs = slices.Concat(upper, next[from:to])
+	}
+	db.levels[lvl] = slices.DeleteFunc(slices.Clone(db.levels[lvl]), func(m *tableMeta) bool { return slices.Contains(upper, m) })
+	db.levels[lvl+1] = slices.Concat(next[:from], out, next[to:])
+	// The manifest stops naming the inputs before they are unlinked.
+	if err := db.writeManifestLocked(); err != nil {
 		return err
 	}
-	// Install: new run replaces both levels; old tables removed.
-	for _, meta := range srcs {
+	return db.dropTables(inputs)
+}
+
+// mergeTables streams the newest version of every key in runs (newest run
+// first) into tables of at most MemtableBytes, bound for level outLvl. A
+// tombstone is dropped when no deeper level has a table over its key, so
+// that no older version can resurface.
+func (db *DB) mergeTables(outLvl int, runs [][]*tableMeta) (out []*tableMeta, err error) {
+	h, err := db.sources(0, runs)
+	if err != nil {
+		return nil, err
+	}
+	heap.Init(&h)
+	// An output table ends early rather than span LevelRatio tables of
+	// the level below its own, which bounds what pushing it down will
+	// rewrite (LevelDB's grandparent rule).
+	var below []*tableMeta
+	if outLvl+1 < len(db.levels) {
+		below = db.levels[outLvl+1]
+	}
+	spanned := 0
+	var w tableWriter
+	finish := func() {
+		var meta *tableMeta
+		if meta, err = db.finishTable(&w); err == nil {
+			out = append(out, meta)
+		}
+		w = tableWriter{}
+	}
+	for h.Len() > 0 && err == nil {
+		key, val, del := h.pop()
+		if del && !db.coveredBelow(outLvl, key) {
+			continue
+		}
+		for ; len(below) > 0 && bytes.Compare(below[0].largest, key) < 0; below = below[1:] {
+			spanned++
+		}
+		if w.count > 0 && (w.sizeWith(key, val) > db.opts.MemtableBytes || spanned >= db.opts.LevelRatio) {
+			finish()
+		}
+		if w.count == 0 {
+			spanned = 0
+		}
+		w.add(key, val, del)
+	}
+	if w.count > 0 && err == nil {
+		finish()
+	}
+	if err != nil {
+		_ = db.dropTables(out) // best effort: Open removes what stays behind
+		return nil, err
+	}
+	return out, nil
+}
+
+// coveredBelow reports whether a level deeper than lvl has a table whose
+// key range covers key.
+func (db *DB) coveredBelow(lvl int, key []byte) bool {
+	for _, tables := range db.levels[lvl+1:] {
+		if searchTables(tables, key) >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// dropTables closes and unlinks tables the manifest does not name.
+func (db *DB) dropTables(tables []*tableMeta) error {
+	var errs []error
+	for _, meta := range tables {
 		if r := db.readers[meta.file]; r != nil {
 			r.close()
 			delete(db.readers, meta.file)
 		}
 		if err := db.t.Unlink(meta.file); err != nil && !errors.Is(err, fsapi.ErrNotExist) {
-			return err
+			errs = append(errs, err)
 		}
 	}
-	db.levels[lvl] = nil
-	db.levels[lvl+1] = merged
-	return db.writeManifestLocked()
-}
-
-// mergeTables produces a sorted, deduplicated run from srcs (earlier
-// tables take precedence). dropTombstones is set when merging into the
-// bottom level.
-func (db *DB) mergeTables(srcs []*tableMeta, dropTombstones bool) ([]*tableMeta, error) {
-	type rec struct {
-		val []byte
-		del bool
-	}
-	// Materialized merge: newest-first insertion so older values never
-	// overwrite newer ones. (LevelDB streams this; materializing is
-	// equivalent for our scales and keeps the code auditable.)
-	entries := map[string]rec{}
-	for _, meta := range srcs {
-		r := db.readers[meta.file]
-		if r == nil {
-			var err error
-			r, err = openTable(db.t, meta)
-			if err != nil {
-				return nil, err
-			}
-			db.readers[meta.file] = r
-		}
-		err := r.scan(func(k, v []byte, del bool) bool {
-			if _, seen := entries[string(k)]; !seen {
-				entries[string(k)] = rec{val: append([]byte(nil), v...), del: del}
-			}
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	keys := make([]string, 0, len(entries))
-	for k := range entries {
-		if dropTombstones && entries[k].del {
-			continue
-		}
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	num := db.nextNum
-	db.nextNum++
-	meta, err := writeTable(db.t, db.tablePath(num), func(yield func(k, v []byte, del bool)) {
-		for _, k := range keys {
-			e := entries[k]
-			yield([]byte(k), e.val, e.del)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	r, err := openTable(db.t, meta)
-	if err != nil {
-		return nil, err
-	}
-	db.readers[meta.file] = r
-	if meta.entries == 0 {
-		// Everything compacted away.
-		r.close()
-		delete(db.readers, meta.file)
-		db.t.Unlink(meta.file)
-		return nil, nil
-	}
-	return []*tableMeta{meta}, nil
+	return errors.Join(errs...)
 }
 
 // --- Manifest ---------------------------------------------------------------
@@ -387,51 +453,109 @@ func (db *DB) writeManifestLocked() error {
 	return db.t.Rename(tmp, db.manifestPath())
 }
 
-func (db *DB) loadManifest() error {
-	st, err := db.t.Stat(db.manifestPath())
-	if errors.Is(err, fsapi.ErrNotExist) {
-		return nil // fresh database
+// readAll returns the contents of the file at path.
+func readAll(t fsapi.Thread, path string) ([]byte, error) {
+	st, err := t.Stat(path)
+	if err != nil || st.Size == 0 {
+		return nil, err
 	}
+	fd, err := t.Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	fd, err := db.t.Open(db.manifestPath())
-	if err != nil {
-		return err
-	}
-	defer db.t.Close(fd)
+	defer t.Close(fd)
 	buf := make([]byte, st.Size)
-	if _, err := db.t.ReadAt(fd, buf, 0); err != nil {
+	_, err = t.ReadAt(fd, buf, 0)
+	return buf, err
+}
+
+// parseManifest decodes a manifest, whose keys go on aliasing buf; ok is
+// false unless buf is exactly one manifest.
+func parseManifest(buf []byte) (nextNum int, levels [][]*tableMeta, ok bool) {
+	ok = true
+	take := func(n int) []byte {
+		if n < 0 || n > len(buf) {
+			ok, n = false, 0
+		}
+		b := buf[:n]
+		buf = buf[n:]
+		return b
+	}
+	get32 := func() int {
+		if b := take(4); ok {
+			return int(binary.LittleEndian.Uint32(b))
+		}
+		return 0
+	}
+	nextNum = get32()
+	if n := get32(); n <= len(buf)/4 { // every level has a count
+		levels = make([][]*tableMeta, n)
+	} else {
+		ok = false
+	}
+	for lvl := range levels {
+		for n := get32(); n > 0 && ok; n-- {
+			meta := &tableMeta{file: string(take(get32()))}
+			meta.smallest = take(get32())
+			meta.largest = take(get32())
+			meta.entries = get32()
+			levels[lvl] = append(levels[lvl], meta)
+		}
+	}
+	return nextNum, levels, ok && len(buf) == 0
+}
+
+// loadManifest opens the tables the manifest names and removes what a
+// failed flush or compaction left beside them.
+func (db *DB) loadManifest() error {
+	path := db.manifestPath()
+	buf, err := readAll(db.t, path)
+	// writeManifestLocked unlinks the old manifest before it renames the
+	// new one into place: with no MANIFEST, a complete MANIFEST.tmp is the
+	// manifest, and an incomplete one belongs to a store that never had one.
+	adopt := errors.Is(err, fsapi.ErrNotExist)
+	if adopt {
+		buf, err = readAll(db.t, path+".tmp")
+	}
+	if err != nil && !errors.Is(err, fsapi.ErrNotExist) {
 		return err
 	}
-	pos := 0
-	get32 := func() uint32 {
-		v := binary.LittleEndian.Uint32(buf[pos:])
-		pos += 4
-		return v
+	nextNum, levels, ok := parseManifest(buf)
+	switch {
+	case ok && adopt:
+		if err := db.t.Rename(path+".tmp", path); err != nil {
+			return err
+		}
+	case !ok && !adopt:
+		return fmt.Errorf("kv: %s is corrupt", path)
+	case !ok:
+		nextNum, levels = 0, nil
 	}
-	db.nextNum = int(get32())
-	nlevels := int(get32())
-	for lvl := 0; lvl < nlevels && lvl < len(db.levels); lvl++ {
-		n := int(get32())
-		for i := 0; i < n; i++ {
-			fl := int(get32())
-			file := string(buf[pos : pos+fl])
-			pos += fl
-			sl := int(get32())
-			smallest := append([]byte(nil), buf[pos:pos+sl]...)
-			pos += sl
-			ll := int(get32())
-			largest := append([]byte(nil), buf[pos:pos+ll]...)
-			pos += ll
-			entries := int(get32())
-			meta := &tableMeta{file: file, smallest: smallest, largest: largest, entries: entries}
-			r, err := openTable(db.t, meta)
-			if err != nil {
+	db.nextNum = nextNum
+	if len(levels) > len(db.levels) {
+		// Written with a larger MaxLevels: keep every table reachable.
+		db.levels = append(db.levels, make([][]*tableMeta, len(levels)-len(db.levels))...)
+	}
+	named := map[string]bool{}
+	for lvl, tables := range levels {
+		db.levels[lvl] = tables
+		for _, meta := range tables {
+			if db.readers[meta.file], err = openTable(db.t, meta); err != nil {
 				return err
 			}
-			db.levels[lvl] = append(db.levels[lvl], meta)
-			db.readers[meta.file] = r
+			_, name := fsapi.SplitPath(meta.file)
+			named[name] = true
+		}
+	}
+	names, err := db.t.Readdir(db.opts.Dir)
+	if err != nil {
+		return err
+	}
+	for _, name := range names {
+		if name == "MANIFEST.tmp" || strings.HasPrefix(name, "sst-") && !named[name] {
+			if err := db.t.Unlink(db.opts.Dir + "/" + name); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -132,10 +132,11 @@ func TestDeepCompactionCascade(t *testing.T) {
 
 func TestIteratorAfterReopen(t *testing.T) {
 	sys := newStoreFS(t)
-	db, err := Open(sys, Options{MemtableBytes: 4 << 10})
+	raw, err := Open(sys, Options{MemtableBytes: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
+	db := checkedDB{raw, t}
 	for i := 0; i < 200; i++ {
 		db.Put([]byte(fmt.Sprintf("it%03d", i)), []byte("x"))
 	}
@@ -143,6 +144,7 @@ func TestIteratorAfterReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkLevels(t, db2)
 	keys, err := db2.Keys()
 	if err != nil || len(keys) != 200 {
 		t.Fatalf("keys after reopen: %d, %v", len(keys), err)

@@ -13,7 +13,7 @@ import (
 	"arckfs/internal/fsapi"
 )
 
-func newStore(t testing.TB, opts Options) (*DB, fsapi.FS) {
+func newStore(t testing.TB, opts Options) (checkedDB, fsapi.FS) {
 	t.Helper()
 	sys, err := core.NewSystem(core.Config{DevSize: 256 << 20})
 	if err != nil {
@@ -24,7 +24,7 @@ func newStore(t testing.TB, opts Options) (*DB, fsapi.FS) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return db, app
+	return checkedDB{db, t}, app
 }
 
 func TestPutGetDelete(t *testing.T) {
@@ -118,10 +118,11 @@ func TestReopenRecoversFromManifestAndWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	app := sys.NewApp(0, 0)
-	db, err := Open(app, Options{MemtableBytes: 16 << 10})
+	raw, err := Open(app, Options{MemtableBytes: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
+	db := checkedDB{raw, t}
 	for i := 0; i < 500; i++ {
 		db.Put([]byte(fmt.Sprintf("p%04d", i)), []byte(fmt.Sprintf("v%d", i)))
 	}
@@ -130,6 +131,7 @@ func TestReopenRecoversFromManifestAndWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkLevels(t, db2)
 	for i := 0; i < 500; i++ {
 		got, err := db2.Get([]byte(fmt.Sprintf("p%04d", i)))
 		if err != nil || string(got) != fmt.Sprintf("v%d", i) {
@@ -197,10 +199,11 @@ func TestOnNovaBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := Open(fs, Options{MemtableBytes: 8 << 10})
+	raw, err := Open(fs, Options{MemtableBytes: 8 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
+	db := checkedDB{raw, t}
 	for i := 0; i < 300; i++ {
 		if err := db.Put([]byte(fmt.Sprintf("n%04d", i)), []byte("v")); err != nil {
 			t.Fatal(err)

@@ -32,9 +32,52 @@ type tableMeta struct {
 	entries  int
 }
 
-// writeTable writes sorted entries to path via t and returns its meta.
-// src must yield keys in strictly increasing order.
-func writeTable(t fsapi.Thread, path string, src func(yield func(key, val []byte, del bool))) (*tableMeta, error) {
+// tableWriter accumulates sorted entries into one table image. Keys must
+// be added in strictly increasing order.
+type tableWriter struct {
+	buf, idx          bytes.Buffer
+	smallest, largest []byte
+	count             int
+}
+
+func (w *tableWriter) add(key, val []byte, del bool) {
+	var hdr [8]byte
+	if w.count%indexStride == 0 {
+		binary.LittleEndian.PutUint32(hdr[:4], uint32(len(key)))
+		w.idx.Write(hdr[:4])
+		w.idx.Write(key)
+		binary.LittleEndian.PutUint64(hdr[:], uint64(w.buf.Len()))
+		w.idx.Write(hdr[:])
+	}
+	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(key)))
+	vlen := uint32(len(val))
+	if del {
+		vlen = tombstoneLen
+	}
+	binary.LittleEndian.PutUint32(hdr[4:], vlen)
+	w.buf.Write(hdr[:])
+	w.buf.Write(key)
+	if !del {
+		w.buf.Write(val)
+	}
+	if w.smallest == nil {
+		w.smallest = append([]byte(nil), key...)
+	}
+	w.largest = append(w.largest[:0], key...)
+	w.count++
+}
+
+// sizeWith bounds the file size if key → val were added and the table
+// finished: it charges every entry an index slot, which only every
+// indexStride-th one takes.
+func (w *tableWriter) sizeWith(key, val []byte) int {
+	entry := 8 + len(key) + len(val)
+	index := 4 + len(key) + 8
+	return w.buf.Len() + w.idx.Len() + entry + index + len(w.smallest) + len(key) + footerSize
+}
+
+// finish writes the table to path via t, syncs it and returns its meta.
+func (w *tableWriter) finish(t fsapi.Thread, path string) (*tableMeta, error) {
 	if err := t.Create(path); err != nil {
 		return nil, err
 	}
@@ -44,64 +87,28 @@ func writeTable(t fsapi.Thread, path string, src func(yield func(key, val []byte
 	}
 	defer t.Close(fd)
 
-	var buf bytes.Buffer
-	var idx bytes.Buffer
-	var smallest, largest []byte
-	count := 0
-	src(func(key, val []byte, del bool) {
-		if count%indexStride == 0 {
-			var kl [4]byte
-			binary.LittleEndian.PutUint32(kl[:], uint32(len(key)))
-			idx.Write(kl[:])
-			idx.Write(key)
-			var off [8]byte
-			binary.LittleEndian.PutUint64(off[:], uint64(buf.Len()))
-			idx.Write(off[:])
-		}
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[:4], uint32(len(key)))
-		vlen := uint32(len(val))
-		if del {
-			vlen = tombstoneLen
-		}
-		binary.LittleEndian.PutUint32(hdr[4:], vlen)
-		buf.Write(hdr[:])
-		buf.Write(key)
-		if !del {
-			buf.Write(val)
-		}
-		if smallest == nil {
-			smallest = append([]byte(nil), key...)
-		}
-		largest = append(largest[:0], key...)
-		count++
-	})
-
-	indexOff := buf.Len()
-	indexCount := 0
-	if count > 0 {
-		indexCount = (count + indexStride - 1) / indexStride
-	}
-	buf.Write(idx.Bytes())
+	indexOff := w.buf.Len()
+	indexCount := (w.count + indexStride - 1) / indexStride
+	w.buf.Write(w.idx.Bytes())
 	// Trailer: smallest key, largest key, footer.
-	buf.Write(smallest)
-	buf.Write(largest)
+	w.buf.Write(w.smallest)
+	w.buf.Write(w.largest)
 	var foot [footerSize]byte
 	binary.LittleEndian.PutUint64(foot[0:], uint64(indexOff))
 	binary.LittleEndian.PutUint32(foot[8:], uint32(indexCount))
-	binary.LittleEndian.PutUint32(foot[12:], uint32(count))
-	binary.LittleEndian.PutUint32(foot[16:], uint32(len(smallest)))
-	binary.LittleEndian.PutUint32(foot[20:], uint32(len(largest)))
+	binary.LittleEndian.PutUint32(foot[12:], uint32(w.count))
+	binary.LittleEndian.PutUint32(foot[16:], uint32(len(w.smallest)))
+	binary.LittleEndian.PutUint32(foot[20:], uint32(len(w.largest)))
 	binary.LittleEndian.PutUint64(foot[24:], ssMagic)
-	buf.Write(foot[:])
+	w.buf.Write(foot[:])
 
-	if _, err := t.WriteAt(fd, buf.Bytes(), 0); err != nil {
+	if _, err := t.WriteAt(fd, w.buf.Bytes(), 0); err != nil {
 		return nil, err
 	}
 	if err := t.Fsync(fd); err != nil {
 		return nil, err
 	}
-	return &tableMeta{file: path, smallest: smallest, largest: largest, entries: count}, nil
+	return &tableMeta{file: path, smallest: w.smallest, largest: w.largest, entries: w.count}, nil
 }
 
 // tableReader serves point lookups and scans from one table. It keeps
@@ -187,19 +194,10 @@ func (r *tableReader) get(key []byte) (val []byte, del, found bool, err error) {
 	if _, err := r.t.ReadAt(r.fd, blk, start); err != nil {
 		return nil, false, false, err
 	}
-	pos := 0
-	for pos+8 <= len(blk) {
-		kl := int(binary.LittleEndian.Uint32(blk[pos:]))
-		vl := binary.LittleEndian.Uint32(blk[pos+4:])
-		pos += 8
-		k := blk[pos : pos+kl]
-		pos += kl
-		tomb := vl == tombstoneLen
-		var v []byte
-		if !tomb {
-			v = blk[pos : pos+int(vl)]
-			pos += int(vl)
-		}
+	for pos := 0; pos+8 <= len(blk); {
+		var k, v []byte
+		var tomb bool
+		k, v, tomb, pos = decodeEntry(blk, pos)
 		switch bytes.Compare(k, key) {
 		case 0:
 			if tomb {
@@ -213,28 +211,23 @@ func (r *tableReader) get(key []byte) (val []byte, del, found bool, err error) {
 	return nil, false, false, nil
 }
 
-// scan yields every entry in order.
-func (r *tableReader) scan(fn func(key, val []byte, del bool) bool) error {
+// decodeEntry parses the entry at data[pos:] and returns the position of
+// the one after it; key and val alias data.
+func decodeEntry(data []byte, pos int) (key, val []byte, del bool, next int) {
+	kl := int(binary.LittleEndian.Uint32(data[pos:]))
+	vl := binary.LittleEndian.Uint32(data[pos+4:])
+	pos += 8
+	key = data[pos : pos+kl]
+	pos += kl
+	if vl == tombstoneLen {
+		return key, nil, true, pos
+	}
+	return key, data[pos : pos+int(vl)], false, pos + int(vl)
+}
+
+// load reads the entry section, which is in key order, for a merge.
+func (r *tableReader) load() ([]byte, error) {
 	data := make([]byte, r.dataSize)
-	if _, err := r.t.ReadAt(r.fd, data, 0); err != nil {
-		return err
-	}
-	pos := 0
-	for pos+8 <= len(data) {
-		kl := int(binary.LittleEndian.Uint32(data[pos:]))
-		vl := binary.LittleEndian.Uint32(data[pos+4:])
-		pos += 8
-		key := data[pos : pos+kl]
-		pos += kl
-		tomb := vl == tombstoneLen
-		var val []byte
-		if !tomb {
-			val = data[pos : pos+int(vl)]
-			pos += int(vl)
-		}
-		if !fn(key, val, tomb) {
-			return nil
-		}
-	}
-	return nil
+	_, err := r.t.ReadAt(r.fd, data, 0)
+	return data, err
 }

@@ -72,23 +72,11 @@ func (w *wal) reset() error {
 
 // replayWAL applies surviving log records into the memtable at open.
 func (db *DB) replayWAL() error {
-	st, err := db.t.Stat(db.walPath())
+	buf, err := readAll(db.t, db.walPath())
 	if errors.Is(err, fsapi.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
-		return err
-	}
-	if st.Size == 0 {
-		return nil
-	}
-	fd, err := db.t.Open(db.walPath())
-	if err != nil {
-		return err
-	}
-	defer db.t.Close(fd)
-	buf := make([]byte, st.Size)
-	if _, err := db.t.ReadAt(fd, buf, 0); err != nil {
 		return err
 	}
 	pos := 0

@@ -40,6 +40,9 @@ for p in 1 2 4; do
     ./internal/libfs/ ./internal/kernel/ ./internal/htable/
 done
 
+step "per-layer Go benchmarks build and run once"
+go test -run '^$' -bench . -benchtime 1x ./internal/libfs/ ./internal/kv/
+
 step "arcklint (baseline + runtime budget, suppression audit, package docs)"
 go run ./cmd/arcklint -baseline scripts/arcklint_baseline.json ./...
 go run ./cmd/arcklint -suppressions -strict ./...
