@@ -6,7 +6,7 @@
 //	arckbench -exp figure3|figure4|table2|dataScale|fxmark|filebench|leveldb|table4|all \
 //	          [-threads 1,2,4,8,16,32,64] [-ops 20000] [-dev 512] [-fast] \
 //	          [-systems arckfs,arckfs+,nova,pmfs,kucofs] [-persist batched|eager] \
-//	          [-serial-kernel] [-serial-data] [-json out.json]
+//	          [-json out.json]
 //
 // -json writes a machine-readable run record alongside the rendered
 // tables: the configuration, then one cell per measurement with
@@ -18,20 +18,10 @@
 // pairing a batched and an eager run of the same experiment quantifies
 // the batching optimization (see EXPERIMENTS.md).
 //
-// -serial-kernel reverts the ArckFS control plane to one exclusive lock
-// per kernel crossing with no grant leases; pairing it with a default
-// run quantifies the sharded control plane (see EXPERIMENTS.md). The
-// fxmark experiment additionally runs the MWRA release/reopen workload,
-// whose per-op syscalls and syscalls_avoided deltas expose the lease
-// hit rate directly.
-//
-// -serial-data reverts the ArckFS data plane to its locked read paths
-// (bucket locks on directory lookups, per-inode reader-writer locks on
-// file reads); pairing it with a default run quantifies the RCU
-// lock-free read paths (see EXPERIMENTS.md). The fxmark MRSL workload —
-// shared-directory open/stat/read — is the read-mostly cell built for
-// that comparison, and its per-op read_locks delta pins the lock-free
-// path at zero bucket-lock acquisitions.
+// The fxmark experiment additionally runs the MWRA release/reopen
+// workload, whose per-op syscalls and syscalls_avoided deltas expose the
+// grant-lease hit rate directly, and MRSL, the shared-directory
+// open/stat/read cell that exercises the lock-free read paths.
 //
 // -faults attaches a seeded device lie plan to the ArckFS systems
 // (dropped flushes, lying fences, torn lines — see internal/pmem
@@ -46,9 +36,7 @@
 // suffix allowed: "16,128,1k,4k,10k"), the measured idle-tenant
 // footprint, and the revocation storm (-storm-tenants /
 // -storm-migrations). -max-inflight sizes the crossing admission
-// scheduler; -serial-admission collapses it to one FIFO and -flat-epoch
-// reverts the kernel epoch lock to a single shared counter — the two
-// before/after baselines EXPERIMENTS.md charts.
+// scheduler.
 //
 // Table 1 (the six bugs and their fixes) is reproduced by the test
 // suite: go test ./internal/libfs -run TestBug -v
@@ -78,16 +66,12 @@ func main() {
 	trials := flag.Int("trials", 3, "best-of-N trials for single-thread cells")
 	jsonOut := flag.String("json", "", "write a machine-readable run record to this path")
 	persist := flag.String("persist", "batched", "ArckFS persist schedule: batched or eager")
-	serial := flag.Bool("serial-kernel", false, "run the ArckFS kernels single-locked and lease-free (control-plane A/B baseline)")
-	serialData := flag.Bool("serial-data", false, "run the ArckFS data plane with locked read paths (data-plane A/B baseline)")
 	faults := flag.String("faults", "", "device lie modes for the ArckFS systems: drop-flush, drop-fence, torn-line (comma mix; throughput should be unaffected)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the device lie plan")
 	tenants := flag.String("tenants", "16,128,1k", "tenant population sweep for -exp tenants (k suffix = x1000)")
 	stormTenants := flag.Int("storm-tenants", 256, "revocation-storm tenant count for -exp tenants")
 	stormMigrations := flag.Int("storm-migrations", 0, "revocation-storm migration count (default 4x tenants)")
 	maxInflight := flag.Int("max-inflight", 0, "admission-scheduler slot count (0 = off; -exp tenants defaults to 4)")
-	serialAdmission := flag.Bool("serial-admission", false, "collapse the admission scheduler to one FIFO (fair-share A/B baseline)")
-	flatEpoch := flag.Bool("flat-epoch", false, "run the kernel epoch lock as a single shared counter (big-reader-lock A/B baseline)")
 	flag.Parse()
 
 	if *persist != "batched" && *persist != "eager" {
@@ -123,26 +107,22 @@ func main() {
 		ths = append(ths, v)
 	}
 	cfg := experiments.Config{
-		Systems:    strings.Split(*systems, ","),
-		Threads:    ths,
-		TotalOps:   *ops,
-		DevSize:    *dev << 20,
-		Realistic:  !*fast,
-		Trials:     *trials,
-		Eager:      *persist == "eager",
-		Serial:     *serial,
-		SerialData: *serialData,
-		Faults:     faultModes,
-		FaultSeed:  *faultSeed,
-		Out:        os.Stdout,
+		Systems:   strings.Split(*systems, ","),
+		Threads:   ths,
+		TotalOps:  *ops,
+		DevSize:   *dev << 20,
+		Realistic: !*fast,
+		Trials:    *trials,
+		Eager:     *persist == "eager",
+		Faults:    faultModes,
+		FaultSeed: *faultSeed,
+		Out:       os.Stdout,
 	}
 	if *exp == "tenants" {
 		cfg.TenantCounts = tenantCounts
 		cfg.StormTenants = *stormTenants
 		cfg.StormMigrations = *stormMigrations
 		cfg.MaxInflight = *maxInflight
-		cfg.SerialAdmission = *serialAdmission
-		cfg.FlatEpoch = *flatEpoch
 	}
 	if *jsonOut != "" {
 		cfg.Rec = experiments.NewRecorder(cfg)

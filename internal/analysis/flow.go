@@ -67,8 +67,8 @@ type assignClient interface {
 // branchClient is an optional extension: onBranch fires on the state copy
 // entering each arm of an if statement, with the controlling condition
 // and which arm (taken=true for the then branch). Checkers use it to
-// model guard conditions — a SerialData branch excludes lock-free
-// readers, a size-comparing branch legitimizes an unzeroed publish.
+// model guard conditions — a size-comparing branch legitimizes an
+// unzeroed publish.
 type branchClient interface {
 	onBranch(st flowState, cond ast.Expr, taken bool)
 }

@@ -15,10 +15,7 @@ import (
 //
 //  1. FS.retirePages / FS.retireIno, which park the resource behind a
 //     grace period (rcu.Domain.Defer) before recycling it;
-//  2. a path provably excluded from lock-free readers — the then-branch
-//     of a SerialData/SerialReaders guard, where the caller's lock
-//     already serializes every reader;
-//  3. resources that were freshly allocated in the same function and
+//  2. resources that were freshly allocated in the same function and
 //     never published (a failure path returning an allocPage/allocIno
 //     result it never stored anywhere reader-visible).
 //
@@ -37,21 +34,18 @@ import (
 var retireCheckAnalyzer = &Analyzer{
 	Name: "retirecheck",
 	Doc: "reader-reachable pages/inodes must go back to allocator pools " +
-		"through retirePages/retireIno or a reader-excluded path (PR 7 " +
-		"use-after-free class)",
+		"through retirePages/retireIno (PR 7 use-after-free class)",
 	Run: runRetireCheck,
 }
 
 type rcState struct {
-	// excl: this path is excluded from lock-free readers (serial guard).
-	excl bool
 	// fresh marks locals holding resources allocated in this function and
 	// not yet published.
 	fresh map[*types.Var]bool
 }
 
 func (s *rcState) Copy() flowState {
-	c := &rcState{excl: s.excl, fresh: make(map[*types.Var]bool, len(s.fresh))}
+	c := &rcState{fresh: make(map[*types.Var]bool, len(s.fresh))}
 	for k, v := range s.fresh {
 		c.fresh[k] = v
 	}
@@ -60,9 +54,8 @@ func (s *rcState) Copy() flowState {
 
 func (s *rcState) Merge(o flowState) {
 	os := o.(*rcState)
-	// Both facts are claims of safety, so the join keeps them only when
-	// both incoming paths agree.
-	s.excl = s.excl && os.excl
+	// Freshness is a claim of safety, so the join keeps it only when both
+	// incoming paths agree.
 	for k := range s.fresh {
 		if !os.fresh[k] {
 			delete(s.fresh, k)
@@ -74,13 +67,6 @@ type rcClient struct {
 	pkg      *Package
 	prog     *Program
 	findings *[]Finding
-}
-
-func (c *rcClient) onBranch(st flowState, cond ast.Expr, taken bool) {
-	s := st.(*rcState)
-	if guard, when := serialGuardCond(cond); guard && taken == when {
-		s.excl = true
-	}
 }
 
 func (c *rcClient) onAssign(w *flowWalker, st flowState, as *ast.AssignStmt) {
@@ -116,9 +102,6 @@ func (c *rcClient) onAssign(w *flowWalker, st flowState, as *ast.AssignStmt) {
 
 func (c *rcClient) onCall(w *flowWalker, st flowState, call *ast.CallExpr) {
 	s := st.(*rcState)
-	if s.excl {
-		return
-	}
 	fn, _ := resolveCallee(c.prog, c.pkg, call)
 	if fn != nil {
 		if name, res, ok := recycleTarget(fn, call); ok {
@@ -127,7 +110,7 @@ func (c *rcClient) onCall(w *flowWalker, st flowState, call *ast.CallExpr) {
 					Pos: c.prog.Fset.Position(call.Pos()),
 					Message: fmt.Sprintf("%s returns possibly reader-reachable resources "+
 						"directly to the allocator pool: an RCU reader may still hold them; "+
-						"use retirePages/retireIno or a reader-excluded path", name),
+						"use retirePages/retireIno", name),
 				})
 			}
 			return
@@ -179,8 +162,8 @@ func runRetireCheck(prog *Program) []Finding {
 				c := &rcClient{pkg: pkg, prog: prog, findings: &findings}
 				walkFunc(pkg, fd.Body, c, &rcState{fresh: make(map[*types.Var]bool)})
 				// Closures run under scheduling the enclosing walk cannot
-				// see; check each body standalone with a pessimistic (no
-				// guard, nothing fresh) entry state — except the Defer
+				// see; check each body standalone with a pessimistic
+				// (nothing fresh) entry state — except the Defer
 				// thunks, which execute after the grace period.
 				ast.Inspect(fd, func(n ast.Node) bool {
 					lit, ok := n.(*ast.FuncLit)

@@ -63,8 +63,8 @@ type Summary struct {
 	SyncVia string
 	// MayRecycle: the call can return a reader-reachable page or inode
 	// directly to an allocator pool — a recyclePages/recycleIno call that
-	// is neither SerialData-guarded nor provably fed only freshly
-	// allocated resources, transitively. Sites suppressed with
+	// is not provably fed only freshly allocated resources,
+	// transitively. Sites suppressed with
 	// //arcklint:allow retirecheck do not propagate. RecycleVia names the
 	// first cause.
 	MayRecycle bool
@@ -439,34 +439,6 @@ func calleeName(prog *Program, pkg *Package, call *ast.CallExpr) string {
 
 // --- shared condition / freshness helpers ---------------------------------
 
-// serialGuardField matches the option fields whose true branch excludes
-// lock-free readers: under SerialData (libfs) or SerialReaders (htable)
-// the caller's lock already serializes against every reader, so
-// immediate recycling is legal.
-func serialGuardField(name string) bool {
-	return name == "SerialData" || name == "SerialReaders"
-}
-
-// serialGuardCond classifies an if condition as a reader-exclusion
-// guard. It returns (isGuard, guardWhenTaken): a bare
-// fs.opts.SerialData selector excludes readers in the then branch; its
-// negation excludes them in the else branch.
-func serialGuardCond(cond ast.Expr) (bool, bool) {
-	cond = ast.Unparen(cond)
-	if u, ok := cond.(*ast.UnaryExpr); ok && u.Op == token.NOT {
-		if isSerialSelector(u.X) {
-			return true, false
-		}
-		return false, false
-	}
-	return isSerialSelector(cond), true
-}
-
-func isSerialSelector(e ast.Expr) bool {
-	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
-	return ok && serialGuardField(sel.Sel.Name)
-}
-
 // mentionsSize reports whether a condition consults the published size:
 // any identifier or selector whose name contains "size" (curSize,
 // st.size.Load(), fileSize...). publishorder accepts an unzeroed page
@@ -594,7 +566,6 @@ type sumState struct {
 	barriered bool // >=1 Batch.Barrier so far on this path
 	flushed   bool // >=1 flush-ish call so far on this path
 	pin       int  // RCU pin depth
-	excl      bool // reader-excluded path (serial-discipline guard taken)
 	fresh     map[*types.Var]bool
 	drained   map[*types.Var]bool // batch params drained/escaped
 }
@@ -602,7 +573,7 @@ type sumState struct {
 func (s *sumState) Copy() flowState {
 	c := &sumState{
 		dirty: s.dirty, barriered: s.barriered, flushed: s.flushed,
-		pin: s.pin, excl: s.excl,
+		pin:     s.pin,
 		fresh:   make(map[*types.Var]bool, len(s.fresh)),
 		drained: make(map[*types.Var]bool, len(s.drained)),
 	}
@@ -623,7 +594,6 @@ func (s *sumState) Merge(o flowState) {
 	if os.pin > s.pin {
 		s.pin = os.pin
 	}
-	s.excl = s.excl && os.excl
 	for k := range s.fresh {
 		if !os.fresh[k] {
 			delete(s.fresh, k)
@@ -738,13 +708,6 @@ func isBatchPtr(t types.Type) bool {
 
 func (c *sumClient) suppressedAt(pos token.Pos, checker string) bool {
 	return c.ss.suppressed(c.prog.Fset.Position(pos), checker)
-}
-
-func (c *sumClient) onBranch(st flowState, cond ast.Expr, taken bool) {
-	s := st.(*sumState)
-	if guard, when := serialGuardCond(cond); guard && taken == when {
-		s.excl = true
-	}
 }
 
 func (c *sumClient) onAssign(w *flowWalker, st flowState, as *ast.AssignStmt) {
@@ -887,7 +850,7 @@ func (c *sumClient) onCall(w *flowWalker, st flowState, call *ast.CallExpr) {
 		}
 		// Direct pool-return primitives.
 		if name, res, ok := recycleTarget(fn, call); ok {
-			if !s.excl && !allFresh(c.pkg, res, s.fresh) &&
+			if !allFresh(c.pkg, res, s.fresh) &&
 				!c.suppressedAt(call.Pos(), "retirecheck") && !c.out.MayRecycle {
 				c.out.MayRecycle = true
 				c.out.RecycleVia = name
@@ -945,7 +908,7 @@ func (c *sumClient) applyCalleeSummary(s *sumState, sum *Summary, call *ast.Call
 		c.out.MaySync = true
 		c.out.SyncVia = calleeName(c.prog, c.pkg, call) + " -> " + sum.SyncVia
 	}
-	if sum.MayRecycle && !s.excl && !c.suppressedAt(call.Pos(), "retirecheck") && !c.out.MayRecycle {
+	if sum.MayRecycle && !c.suppressedAt(call.Pos(), "retirecheck") && !c.out.MayRecycle {
 		c.out.MayRecycle = true
 		c.out.RecycleVia = calleeName(c.prog, c.pkg, call) + " -> " + sum.RecycleVia
 	}

@@ -1,14 +1,11 @@
 // Package retirecheck exercises the reclamation protocol of the
 // lock-free plane: a page or inode number a concurrent RCU reader may
 // still reach must return to the allocator pool through retirePages /
-// retireIno (a grace period) or on a provably reader-excluded path. The
-// FS/allocPage/recyclePages shapes mirror the real libfs ones: the
+// retireIno (a grace period). The FS/allocPage/recyclePages shapes mirror the real libfs ones: the
 // checker keys its symbol table on the receiver type name.
 package retirecheck
 
 import "fixture/internal/rcu"
-
-type options struct{ SerialData bool }
 
 // word stands in for the stubbed atomic.Uint64 slot of a block array:
 // the checkers match arr[i].Store / .Load syntactically.
@@ -18,8 +15,7 @@ func (w *word) Store(v uint64) { w.v = v }
 func (w *word) Load() uint64   { return w.v }
 
 type FS struct {
-	opts options
-	dom  *rcu.Domain
+	dom *rcu.Domain
 }
 
 func (fs *FS) allocPage(cpu int) uint64 { return 1 }
@@ -30,15 +26,10 @@ func (fs *FS) recyclePages(cpu int, pages []uint64) {}
 
 func (fs *FS) recycleIno(ino uint64) {}
 
-// retirePages is the blessed route back to the pool: recycle immediately
-// when the mount is serial (no lock-free readers exist), otherwise park
-// the pages behind a grace period. The Defer thunk is the retire path
-// itself, so the recycle inside it is the protocol working as intended.
+// retirePages is the blessed route back to the pool: park the pages
+// behind a grace period. The Defer thunk is the retire path itself, so
+// the recycle inside it is the protocol working as intended.
 func (fs *FS) retirePages(cpu int, pages []uint64) {
-	if fs.opts.SerialData {
-		fs.recyclePages(cpu, pages)
-		return
-	}
 	fs.dom.Defer(func() {
 		fs.recyclePages(cpu, pages)
 	})
@@ -65,15 +56,6 @@ func (fs *FS) truncateShrinkFixed(cpu int, arr []word, from, to int) {
 		arr[bi].Store(0)
 	}
 	fs.retirePages(cpu, freed)
-}
-
-// serialDirectFree recycles directly only on the reader-excluded branch.
-func (fs *FS) serialDirectFree(cpu int, pages []uint64) {
-	if fs.opts.SerialData {
-		fs.recyclePages(cpu, pages)
-	} else {
-		fs.retirePages(cpu, pages)
-	}
 }
 
 // freshFailure returns resources allocated in this very function and

@@ -49,15 +49,6 @@ type Config struct {
 	// to A/B the batching optimization; recorded in the -json output as
 	// config.persist.
 	Eager bool
-	// Serial runs the ArckFS kernels with the pre-scaling control plane:
-	// one exclusive lock around every crossing and no grant leases
-	// (baselines are unaffected). Used to A/B the sharded control plane;
-	// recorded in the -json output as config.kernel.
-	Serial bool
-	// SerialData runs the ArckFS data plane with its pre-RCU locked read
-	// paths (baselines are unaffected). Used to A/B the lock-free data
-	// plane; recorded in the -json output as config.data.
-	SerialData bool
 	// Faults attaches a seeded device lie plan to the ArckFS systems
 	// (pmem.FaultPlan; baselines are unaffected). Lies never change what
 	// reads observe, so throughput is expected to be unchanged — running
@@ -72,16 +63,11 @@ type Config struct {
 	// revocation storm (defaults 256 and 4x tenants). MaxInflight bounds
 	// concurrent kernel crossings via the admission scheduler (the
 	// tenants experiment defaults it to 8 when unset; other experiments
-	// leave admission off at 0). SerialAdmission collapses the scheduler
-	// to one FIFO and FlatEpoch reverts the epoch lock to a single shared
-	// counter — the two bottleneck-fix A/B baselines; recorded in the
-	// -json output as config.admission / config.epoch.
+	// leave admission off at 0).
 	TenantCounts    []int
 	StormTenants    int
 	StormMigrations int
 	MaxInflight     int
-	SerialAdmission bool
-	FlatEpoch       bool
 	// Out receives rendered tables.
 	Out io.Writer
 	// Rec, when non-nil, accumulates machine-readable cells for the
@@ -119,13 +105,7 @@ func (c *Config) cost() *costmodel.Model {
 
 // MakeFS constructs a fresh instance of the named file system.
 func MakeFS(name string, devSize int64, cost *costmodel.Model) (fsapi.FS, error) {
-	return MakeFSPersist(name, devSize, cost, false)
-}
-
-// MakeFSPersist is MakeFS with an explicit persist mode: eager disables
-// the ArckFS write-combining batcher (baselines ignore the flag).
-func MakeFSPersist(name string, devSize int64, cost *costmodel.Model, eager bool) (fsapi.FS, error) {
-	return MakeFSWith(name, FSOpts{DevSize: devSize, Cost: cost, Eager: eager})
+	return MakeFSWith(name, FSOpts{DevSize: devSize, Cost: cost})
 }
 
 // FSOpts parameterizes MakeFSWith. The zero value matches MakeFS.
@@ -134,12 +114,6 @@ type FSOpts struct {
 	Cost    *costmodel.Model
 	// Eager disables the ArckFS persist batcher (baselines ignore it).
 	Eager bool
-	// Serial runs the ArckFS kernel single-locked and lease-free
-	// (baselines ignore it).
-	Serial bool
-	// SerialData runs the ArckFS data plane with locked read paths
-	// (baselines ignore it).
-	SerialData bool
 	// Faults attaches a seeded device lie plan (baselines ignore it).
 	Faults    pmem.FaultMode
 	FaultSeed int64
@@ -151,9 +125,7 @@ func MakeFSWith(name string, o FSOpts) (fsapi.FS, error) {
 	arck := func(mode core.Mode) (fsapi.FS, error) {
 		sys, err := core.NewSystem(core.Config{
 			Mode: mode, DevSize: o.DevSize, Cost: o.Cost,
-			EagerPersist: o.Eager, SerialKernel: o.Serial,
-			SerialData: o.SerialData,
-			Faults:     o.Faults, FaultSeed: o.FaultSeed,
+			EagerPersist: o.Eager, Faults: o.Faults, FaultSeed: o.FaultSeed,
 		})
 		if err != nil {
 			return nil, err
@@ -178,8 +150,8 @@ func MakeFSWith(name string, o FSOpts) (fsapi.FS, error) {
 // makeFS builds the named system under this run's configuration.
 func (c *Config) makeFS(name string) (fsapi.FS, error) {
 	return MakeFSWith(name, FSOpts{
-		DevSize: c.DevSize, Cost: c.cost(), Eager: c.Eager, Serial: c.Serial,
-		SerialData: c.SerialData, Faults: c.Faults, FaultSeed: c.FaultSeed,
+		DevSize: c.DevSize, Cost: c.cost(), Eager: c.Eager,
+		Faults: c.Faults, FaultSeed: c.FaultSeed,
 	})
 }
 

@@ -52,28 +52,14 @@ type RunConfig struct {
 	// (write-combining batcher, the default) or "eager" (one clwb per
 	// call site, the pre-batching behavior).
 	Persist string `json:"persist"`
-	// Kernel is the ArckFS control-plane shape the run used: "sharded"
-	// (lock-striped state plus grant leases, the default) or "serial"
-	// (one exclusive lock per crossing, no leases).
-	Kernel string `json:"kernel"`
-	// Data is the ArckFS data-plane shape the run used: "lockfree"
-	// (RCU-protected read paths, the default) or "serial" (bucket and
-	// per-inode locks on every read).
-	Data string `json:"data"`
 	// Faults names the device lie modes the run injected ("drop-flush",
 	// "torn-line", comma mixes). Empty for an honest device.
 	Faults string `json:"faults,omitempty"`
-	// Admission is the crossing admission scheduler shape: "" (off, the
-	// default outside the tenants experiment), "wdrr" (weighted deficit
-	// round-robin), or "serial" (one FIFO — the A/B baseline).
-	// MaxInflight is its slot count. Epoch is "" (big-reader lock, the
-	// default) or "flat" (single shared reader counter — the A/B
-	// baseline). Tenants echoes the tenants experiment's population
-	// sweep.
-	Admission   string `json:"admission,omitempty"`
-	MaxInflight int    `json:"max_inflight,omitempty"`
-	Epoch       string `json:"epoch,omitempty"`
-	Tenants     []int  `json:"tenants,omitempty"`
+	// MaxInflight is the crossing admission scheduler's slot count (0 =
+	// admission off, the default outside the tenants experiment). Tenants
+	// echoes the tenants experiment's population sweep.
+	MaxInflight int   `json:"max_inflight,omitempty"`
+	Tenants     []int `json:"tenants,omitempty"`
 }
 
 // RunRecord is the top-level JSON document arckbench -json emits.
@@ -97,28 +83,9 @@ func NewRecorder(cfg Config) *Recorder {
 	if cfg.Eager {
 		persist = "eager"
 	}
-	kern := "sharded"
-	if cfg.Serial {
-		kern = "serial"
-	}
-	data := "lockfree"
-	if cfg.SerialData {
-		data = "serial"
-	}
 	faults := ""
 	if cfg.Faults != pmem.FaultsNone {
 		faults = cfg.Faults.String()
-	}
-	admission := ""
-	if cfg.MaxInflight > 0 {
-		admission = "wdrr"
-		if cfg.SerialAdmission {
-			admission = "serial"
-		}
-	}
-	epoch := ""
-	if cfg.FlatEpoch {
-		epoch = "flat"
 	}
 	rc := RunConfig{
 		Systems:     cfg.Systems,
@@ -128,12 +95,8 @@ func NewRecorder(cfg Config) *Recorder {
 		Realistic:   cfg.Realistic,
 		Trials:      cfg.Trials,
 		Persist:     persist,
-		Kernel:      kern,
-		Data:        data,
 		Faults:      faults,
-		Admission:   admission,
 		MaxInflight: cfg.MaxInflight,
-		Epoch:       epoch,
 		Tenants:     cfg.TenantCounts,
 	}
 	return &Recorder{rec: RunRecord{Tool: "arckbench", Config: rc}}
@@ -150,9 +113,6 @@ var perOpKeys = map[string]string{
 	// span.recorded is the tracer's sampled-span gauge: zero whenever
 	// tracing is disabled, which the obs-smoke CI bound pins.
 	"span.recorded": "spans",
-	// htable.read_locks counts read-path bucket-lock acquisitions: zero
-	// under the lock-free data plane, which the benchcheck bound pins.
-	"htable.read_locks": "read_locks",
 	// pmalloc.steals.remote counts pages stolen across NUMA node groups;
 	// node-local allocation paths keep it at zero.
 	"pmalloc.steals.remote": "steals_remote",

@@ -14,9 +14,7 @@ import (
 // sweep (population sizes from cfg.TenantCounts), the measured
 // idle-tenant footprint, and the revocation storm. It is ArckFS+-only —
 // the baselines have no registration concept — and is not part of
-// arckbench "all"; EXPERIMENTS.md pairs a default run against
-// -serial-admission and -flat-epoch runs to A/B the two bottleneck
-// fixes.
+// arckbench "all".
 func Tenants(cfg Config) error {
 	cfg.fill()
 	counts := cfg.TenantCounts
@@ -32,8 +30,7 @@ func Tenants(cfg Config) error {
 	mkSys := func() (*core.System, error) {
 		return core.NewSystem(core.Config{
 			Mode: core.ArckFSPlus, DevSize: cfg.DevSize, Cost: cfg.cost(),
-			MaxInflight: maxInflight, SerialAdmission: cfg.SerialAdmission,
-			FlatEpoch: cfg.FlatEpoch,
+			MaxInflight: maxInflight,
 		})
 	}
 	// Every tenant gets a real quota so the sweep also measures the
@@ -47,8 +44,7 @@ func Tenants(cfg Config) error {
 	fmt.Fprintf(cfg.Out, "idle tenant footprint: %.0f B/tenant over 2048 tenants (budget: 8192 B)\n\n", per)
 
 	tbl := harness.Table{
-		Title: fmt.Sprintf("Tenant scaling (admission=%s, epoch=%s, %d active workers)",
-			admissionName(maxInflight, cfg.SerialAdmission), epochName(cfg.FlatEpoch), 8),
+		Title:   fmt.Sprintf("Tenant scaling (%d crossings in flight, %d active workers)", maxInflight, 8),
 		Headers: []string{"tenants", "spawn µs/t", "retire µs/t", "active ops/s", "p99 µs", "admit queued", "shards"},
 	}
 	for _, n := range counts {
@@ -101,21 +97,4 @@ func Tenants(cfg Config) error {
 	fmt.Fprintf(cfg.Out, "revocation storm: %d tenants, %d migrations, %.0f migrations/s, p99 %.1f µs\n",
 		storm.Tenants, storm.Migrations, storm.Result.OpsPerSec(), p99)
 	return nil
-}
-
-func admissionName(maxInflight int, serial bool) string {
-	if maxInflight <= 0 {
-		return "off"
-	}
-	if serial {
-		return "serial"
-	}
-	return "wdrr"
-}
-
-func epochName(flat bool) string {
-	if flat {
-		return "flat"
-	}
-	return "brlock"
 }

@@ -23,8 +23,8 @@ type Releaser interface {
 // MWRA is the grant-lease round trip: every iteration voluntarily
 // returns the file to the kernel and immediately wants it back. With
 // leases the release leaves the mapping dormant and the re-acquire is a
-// CAS in userspace; without them (ArckFS, or -serial-kernel) each
-// iteration pays a release and an acquire crossing.
+// CAS in userspace; without them (ArckFS as shipped) each iteration pays
+// a release and an acquire crossing.
 var Leases = []Workload{
 	{
 		Name: "MWRA",

@@ -18,11 +18,8 @@ import (
 // private file through a long-lived descriptor (no lookups), while the
 // MR* metadata workloads never touch file data. MRSL does both against
 // one shared directory, so every iteration walks the same bucket chains
-// and block indexes from every thread concurrently. Under the lock-free
-// data plane the whole loop takes no lock (the per-op read_locks delta
-// is pinned at zero); under -serial-data each open and read serializes
-// on the bucket and inode locks, which is the scaling gap the
-// EXPERIMENTS.md ablation measures.
+// and block indexes from every thread concurrently; on the lock-free
+// data plane the whole loop takes no lock.
 var Lookup = []Workload{
 	{
 		Name: "MRSL",

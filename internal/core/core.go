@@ -44,50 +44,26 @@ type Config struct {
 	DevSize int64
 	// Cost is the latency model; nil charges nothing.
 	Cost *costmodel.Model
-	// InodeCap and NTails configure the format (defaults 1<<16, 4).
+	// InodeCap is the format's inode table capacity (default 1<<16).
 	InodeCap uint64
-	NTails   int
-	// Policy is the kernel's corruption policy.
-	Policy kernel.Policy
 	// Bugs, when non-nil, overrides the Mode's bug preset (for per-bug
 	// ablation).
 	Bugs *libfs.Bugs
 	// Hooks are the deterministic race-window hooks for tests.
 	Hooks *libfs.Hooks
-	// DirBuckets sizes directory hash tables.
-	DirBuckets int
 	// EagerPersist disables the LibFS write-combining persist batcher
 	// (see libfs.Options.EagerPersist); benchmarks use it to A/B the
 	// batching optimization.
 	EagerPersist bool
 	// Tracking enables pmem crash tracking from the moment after format.
 	Tracking bool
-	// LeaseTTL bounds inode ownership; RenameLeaseTTL bounds the global
-	// rename lock.
-	LeaseTTL       time.Duration
-	RenameLeaseTTL time.Duration
-	// SerialKernel reverts the control plane to its pre-scaling shape:
-	// every kernel crossing serializes behind one exclusive lock
-	// (kernel.Options.Serialize) and the LibFS grant-lease fast paths
-	// are disabled (libfs.Options.NoLeases). Benchmarks use it as the
-	// A/B baseline for the sharded control plane.
-	SerialKernel bool
-	// SerialData reverts the data plane to its pre-RCU shape: directory
-	// lookups take the bucket lock and file reads take the per-inode
-	// reader-writer lock (libfs.Options.SerialData). Benchmarks use it
-	// as the A/B baseline for the lock-free read paths.
-	SerialData bool
-	// RecoverWorkers bounds the recovery worker pool used by Recover; 0
-	// picks a default from GOMAXPROCS, 1 forces the serial scan.
-	RecoverWorkers int
+	// LeaseTTL bounds inode ownership.
+	LeaseTTL time.Duration
 	// SpanSampling enables arcktrace causal span tracing from boot: 1
 	// traces every operation, N traces one in N (rounded up to a power of
 	// two). 0 (the default) leaves the tracer attached but disabled —
 	// tools can still flip it on at runtime via System.Tracer().
 	SpanSampling int
-	// SpanRing caps the number of retained spans per thread (default
-	// span.DefaultRingCap).
-	SpanRing int
 	// Faults attaches a seeded device lie plan (pmem.FaultPlan): dropped
 	// flushes, lying fences, torn lines. Lies never change what reads
 	// observe, only which crash states are reachable — benchmarks run
@@ -97,17 +73,8 @@ type Config struct {
 	FaultSeed int64
 	// MaxInflight bounds concurrently-running kernel crossings with the
 	// fair-share admission scheduler (kernel.Options.MaxInflight); 0
-	// leaves admission off. SerialAdmission collapses the scheduler's
-	// per-tenant queues into one FIFO — the `-serial-admission` A/B
-	// baseline.
-	MaxInflight     int
-	SerialAdmission bool
-	// FlatEpoch reverts the kernel's epoch lock to a single shared
-	// reader counter (the pre-big-reader-lock shape; A/B baseline).
-	FlatEpoch bool
-	// ShadowShards overrides the initial shadow-table shard count (0
-	// picks the default; the table regrows with tenant count either way).
-	ShadowShards int
+	// leaves admission off.
+	MaxInflight int
 }
 
 func (c *Config) fill() {
@@ -153,7 +120,7 @@ func (c *Config) newTracer() *span.Tracer {
 	if every <= 0 {
 		every = span.DefaultSampleEvery
 	}
-	tr := span.New(c.SpanRing, every)
+	tr := span.New(span.DefaultRingCap, every)
 	tr.SetEnabled(c.SpanSampling > 0)
 	return tr
 }
@@ -187,10 +154,6 @@ func (s *System) initTelemetry() {
 	// per-thread rings; the obs-smoke bench bound pins it at ~0 when
 	// tracing is disabled.
 	s.tel.Gauge("span.recorded", s.tracer.Recorded)
-	// "htable.read_locks" counts bucket-lock acquisitions taken on behalf
-	// of directory lookups, summed across applications. The lock-free
-	// data plane never takes one, which the benchcheck bound pins at 0.
-	s.tel.Gauge("htable.read_locks", s.sumApps((*libfs.FS).ReadLockCount))
 }
 
 // sumApps returns a gauge that sums one LibFS counter over every attached
@@ -216,19 +179,12 @@ func NewSystem(cfg Config) (*System, error) {
 	dev := pmem.New(cfg.DevSize, cfg.Cost)
 	dim := telemetry.NewAppDim()
 	ctrl, err := kernel.Format(dev, kernel.Options{
-		Mode:            cfg.verifierMode(),
-		Policy:          cfg.Policy,
-		Cost:            cfg.Cost,
-		InodeCap:        cfg.InodeCap,
-		NTails:          cfg.NTails,
-		LeaseTTL:        cfg.LeaseTTL,
-		RenameLeaseTTL:  cfg.RenameLeaseTTL,
-		Serialize:       cfg.SerialKernel,
-		AppDim:          dim,
-		MaxInflight:     cfg.MaxInflight,
-		SerialAdmission: cfg.SerialAdmission,
-		FlatEpoch:       cfg.FlatEpoch,
-		ShadowShards:    cfg.ShadowShards,
+		Mode:        cfg.verifierMode(),
+		Cost:        cfg.Cost,
+		InodeCap:    cfg.InodeCap,
+		LeaseTTL:    cfg.LeaseTTL,
+		AppDim:      dim,
+		MaxInflight: cfg.MaxInflight,
 	})
 	if err != nil {
 		return nil, err
@@ -263,19 +219,12 @@ func Recover(img []byte, cfg Config) (*System, *kernel.Report, error) {
 		sink = sp
 	}
 	ctrl, rep, err := kernel.Mount(dev, kernel.Options{
-		Mode:            cfg.verifierMode(),
-		Policy:          cfg.Policy,
-		Cost:            cfg.Cost,
-		LeaseTTL:        cfg.LeaseTTL,
-		RenameLeaseTTL:  cfg.RenameLeaseTTL,
-		Serialize:       cfg.SerialKernel,
-		RecoverWorkers:  cfg.RecoverWorkers,
-		AppDim:          dim,
-		Span:            sink,
-		MaxInflight:     cfg.MaxInflight,
-		SerialAdmission: cfg.SerialAdmission,
-		FlatEpoch:       cfg.FlatEpoch,
-		ShadowShards:    cfg.ShadowShards,
+		Mode:        cfg.verifierMode(),
+		Cost:        cfg.Cost,
+		LeaseTTL:    cfg.LeaseTTL,
+		AppDim:      dim,
+		Span:        sink,
+		MaxInflight: cfg.MaxInflight,
 	}, true)
 	rl.End(sp, err)
 	if err != nil {
@@ -296,10 +245,7 @@ func (s *System) NewApp(uid, gid uint32) *libfs.FS {
 		Bugs:         s.cfg.bugs(),
 		Cost:         s.cfg.Cost,
 		Hooks:        s.cfg.Hooks,
-		DirBuckets:   s.cfg.DirBuckets,
 		EagerPersist: s.cfg.EagerPersist,
-		NoLeases:     s.cfg.SerialKernel,
-		SerialData:   s.cfg.SerialData,
 	})
 	fs.SetTelemetry(s.tel)
 	fs.SetObservability(s.tracer, s.appDim.Row(int64(app)))

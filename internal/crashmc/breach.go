@@ -68,7 +68,6 @@ type Breach struct {
 	Config     string `json:"config"`
 	System     string `json:"system"`
 	Bugs       uint32 `json:"bugs"`
-	SerialData bool   `json:"serial_data,omitempty"`
 	Interleave string `json:"interleave,omitempty"`
 	Faults     string `json:"faults"`
 	Tenants    int    `json:"tenants"`
@@ -137,7 +136,6 @@ func Replay(b *Breach) (*ReplayOutcome, error) {
 		Name:        b.Config,
 		System:      b.System,
 		Bugs:        libfs.Bugs(b.Bugs),
-		SerialData:  b.SerialData,
 		Interleave:  b.Interleave,
 		Faults:      faults,
 		Tenants:     b.Tenants,

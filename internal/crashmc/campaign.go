@@ -225,12 +225,6 @@ func Campaign() []Config {
 		{Name: "reserve-scan/arckfs", Bugs: libfs.BugAuxCoreRace | libfs.BugReserveLenUnflushed, Warmup: warm, Ops: reserve, Expect: []string{lost}},
 		{Name: "reserve-scan/arckfs+", Warmup: warm, Ops: reserve},
 		{Name: "mixed-ops/arckfs+", Warmup: warm, Ops: mixed},
-		// The locked data plane must be crash-equivalent to the lock-free
-		// default: the read discipline changes no write path, so this run
-		// must stay clean over the same schedule (and
-		// TestSerialDataCrashStatesMatchLockFree pins the state sets as
-		// identical, not merely both clean).
-		{Name: "mixed-ops/serial-data", SerialData: true, Warmup: warm, Ops: mixed},
 		// Release-time log compaction: every crash image at the
 		// chain-durable fence and at the head-publish fence must mount,
 		// repair clean and still resolve every verified path — the old

@@ -46,12 +46,6 @@ type Config struct {
 	System string
 	// Bugs is the injected LibFS bug set (libfs.BugsNone = ArckFS+).
 	Bugs libfs.Bugs
-	// SerialData runs the workload under the locked data-plane read paths
-	// (libfs.Options.SerialData). The read discipline must not change the
-	// persist schedule, so a SerialData run explores the same crash-state
-	// space as the lock-free default — the campaign carries one such row
-	// as the tripwire.
-	SerialData bool
 	// Interleave optionally names an extra instrumented observation
 	// point. "marker-window" observes inside the §4.2 commit window
 	// (after the marker's flush is queued, before the final fence),
@@ -183,7 +177,6 @@ func newRig(cfg *Config, seed int64, onPoint func()) (*rig, error) {
 				GrantInoBatch:  32,
 				GrantPageBatch: 32,
 				DirBuckets:     8,
-				SerialData:     cfg.SerialData,
 			})
 			fs.SetObservability(r.tracer, nil)
 			r.fss = append(r.fss, fs)
@@ -391,7 +384,6 @@ func (r *rig) breach(iter int, iterSeed int64, crash Crash, v Violation) *Breach
 		Config:     r.cfg.Name,
 		System:     r.cfg.System,
 		Bugs:       uint32(r.cfg.Bugs),
-		SerialData: r.cfg.SerialData,
 		Interleave: r.cfg.Interleave,
 		Faults:     r.cfg.Faults.String(),
 		Tenants:    r.cfg.Tenants,

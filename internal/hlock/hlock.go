@@ -141,27 +141,14 @@ type brSlot struct {
 // The zero value is unlocked.
 type BRLock struct {
 	writer atomic.Int32
-	// flat routes every reader to slot 0, restoring RWSpin's
-	// all-readers-on-one-line behaviour (the A/B baseline for the
-	// tenant-scaling experiment). Writer priority is kept in both modes.
-	flat  atomic.Bool
-	_     [56]byte
-	slots [BRSlots]brSlot
+	_      [60]byte
+	slots  [BRSlots]brSlot
 }
-
-// SetFlat selects the degraded single-counter reader mode (true) or the
-// striped big-reader mode (false). Callers flip it only while the lock
-// is quiescent; in-flight readers are still unlocked correctly either
-// way because RUnlock takes the slot token.
-func (l *BRLock) SetFlat(flat bool) { l.flat.Store(flat) }
 
 // slot picks this goroutine's reader slot from its stack address:
 // stable while the goroutine lives (modulo stack moves, which only cost
 // a slot switch, never correctness — the token travels with the caller).
 func (l *BRLock) slot() int {
-	if l.flat.Load() {
-		return 0
-	}
 	var probe byte
 	p := uintptr(unsafe.Pointer(&probe))
 	return int((p>>10)^(p>>16)) & (BRSlots - 1)

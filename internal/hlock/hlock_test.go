@@ -136,29 +136,26 @@ func TestBRLockReadersShareWritersExclude(t *testing.T) {
 }
 
 func TestBRLockCounter(t *testing.T) {
-	for _, flat := range []bool{false, true} {
-		var l BRLock
-		l.SetFlat(flat)
-		var shared int
-		var wg sync.WaitGroup
-		for i := 0; i < 8; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := 0; j < 500; j++ {
-					l.Lock()
-					shared++
-					l.Unlock()
-					s := l.RLock()
-					_ = shared
-					l.RUnlock(s)
-				}
-			}()
-		}
-		wg.Wait()
-		if shared != 4000 {
-			t.Fatalf("flat=%v: shared = %d, want 4000", flat, shared)
-		}
+	var l BRLock
+	var shared int
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 500; j++ {
+				l.Lock()
+				shared++
+				l.Unlock()
+				s := l.RLock()
+				_ = shared
+				l.RUnlock(s)
+			}
+		}()
+	}
+	wg.Wait()
+	if shared != 4000 {
+		t.Fatalf("shared = %d, want 4000", shared)
 	}
 }
 

@@ -109,12 +109,6 @@ type Options struct {
 	// RCUReaders enables the §4.5 patch: lockless readers are protected
 	// by the domain and frees are deferred past a grace period.
 	RCUReaders bool
-	// SerialReaders makes Lookup take the bucket lock — the fully
-	// serialized baseline side of the data-plane A/B experiment. It
-	// takes precedence over RCUReaders and needs no Domain: a reader
-	// holding the bucket lock excludes the writers that could recycle
-	// entries under it.
-	SerialReaders bool
 	// Dom is required when RCUReaders is set.
 	Dom *rcu.Domain
 	// InitialBuckets must be a power of two; 0 means 8.
@@ -126,11 +120,6 @@ type Options struct {
 	// does on real hardware (the window is nanoseconds and the recycled
 	// memory is usually a valid entry again).
 	StrictUAF bool
-	// ReadLocks, when set, counts every bucket-lock acquisition made on
-	// behalf of a read (SerialReaders lookups). The lock-free read path
-	// never touches it, which is exactly what the benchcheck bound
-	// "htable.read_locks max 0" pins.
-	ReadLocks *atomic.Int64
 }
 
 // Table is the per-directory name index.
@@ -285,16 +274,11 @@ func (t *Table) Delete(name string) (ino, ref uint64, ok bool) {
 	return
 }
 
-// Lookup finds name under the configured reader discipline: bucket-locked
-// when SerialReaders is set, otherwise lockless (RCU-protected when
-// RCUReaders is set, unprotected in the §4.5 buggy mode). rd may be nil
+// Lookup finds name without taking the bucket lock: RCU-protected when
+// RCUReaders is set, unprotected in the §4.5 buggy mode. rd may be nil
 // unless RCU readers are enabled. On a detected recycled read it returns
 // ErrUseAfterFree.
 func (t *Table) Lookup(rd *rcu.Reader, name string) (ino, ref uint64, ok bool, err error) {
-	if t.opts.SerialReaders {
-		ino, ref, ok = t.lookupLocked(name)
-		return ino, ref, ok, nil
-	}
 	if t.opts.RCUReaders {
 		rd.ReadLock()
 		defer rd.ReadUnlock()
@@ -337,23 +321,6 @@ func (t *Table) Lookup(rd *rcu.Reader, name string) (ino, ref uint64, ok bool, e
 			return 0, 0, false, nil
 		}
 	}
-}
-
-// lookupLocked is the serialized read path: it takes the bucket lock for
-// the traversal, counting the acquisition in Options.ReadLocks.
-func (t *Table) lookupLocked(name string) (ino, ref uint64, ok bool) {
-	if t.opts.ReadLocks != nil {
-		t.opts.ReadLocks.Add(1)
-	}
-	h := Hash(name)
-	_, b := t.lockBucket(h)
-	defer b.lock.Unlock()
-	for e := b.head.Load(); e != nil; e = e.next.Load() {
-		if e.hash == h && e.name == name {
-			return e.Ino, e.ref.Load(), true
-		}
-	}
-	return 0, 0, false
 }
 
 // Range calls fn for every live entry under bucket locks (a consistent

@@ -169,10 +169,8 @@ func (c *Controller) AcquireObserved(appID AppID, ino uint64, write bool, sink t
 		wr = 1
 	}
 	c.trace.Record(telemetry.EvAcquire, appID, ino, wr, 0)
-	if !c.opts.Serialize {
-		if m, err, handled := c.acquireFast(appID, ino, write, sink); handled {
-			return m, err
-		}
+	if m, err, handled := c.acquireFast(appID, ino, write, sink); handled {
+		return m, err
 	}
 	c.enterExcl()
 	defer c.exitExcl()
@@ -502,10 +500,8 @@ func (c *Controller) CommitObserved(appID AppID, ino uint64, sink telemetry.Span
 }
 
 func (c *Controller) transfer(appID AppID, ino uint64, kind xferKind, sink telemetry.SpanSink) (*Mapping, error) {
-	if !c.opts.Serialize {
-		if m, err, handled := c.transferFast(appID, ino, kind, sink); handled {
-			return m, err
-		}
+	if m, err, handled := c.transferFast(appID, ino, kind, sink); handled {
+		return m, err
 	}
 	c.enterExcl()
 	defer c.exitExcl()

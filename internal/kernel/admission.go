@@ -12,7 +12,7 @@ import (
 // MaxInflight crossings run concurrently, and when the slots are full,
 // excess crossings queue per tenant and are handed off by weighted
 // deficit round-robin. The scheduler sits in front of the epoch lock
-// (syscall runs it before enterShared/enterExcl), so a queued crossing
+// (syscall runs it before the epoch is taken), so a queued crossing
 // holds no kernel lock while it waits and one hot tenant cannot convoy
 // every other tenant's crossings behind its own burst.
 //
@@ -24,8 +24,7 @@ import (
 // free counter, so a waiting tenant cannot be starved by fast-path
 // arrivals racing the refill.
 type admission struct {
-	serial bool
-	dim    *telemetry.AppDim
+	dim *telemetry.AppDim
 
 	slots atomic.Int64 // free slots (fast path)
 
@@ -55,20 +54,11 @@ type tenantQ struct {
 	inRing  bool
 }
 
-func newAdmission(maxInflight int, serial bool, dim *telemetry.AppDim) *admission {
-	ad := &admission{serial: serial, dim: dim, qs: make(map[AppID]*tenantQ)}
+func newAdmission(maxInflight int, dim *telemetry.AppDim) *admission {
+	ad := &admission{dim: dim, qs: make(map[AppID]*tenantQ)}
 	ad.slots.Store(int64(maxInflight))
 	ad.releaseFn = ad.release
 	return ad
-}
-
-// key collapses every tenant onto one FIFO queue in serial mode (the
-// naive-admission A/B baseline).
-func (ad *admission) key(app AppID) AppID {
-	if ad.serial {
-		return 0
-	}
-	return app
 }
 
 // tryAcquire takes a free slot without queueing.
@@ -116,12 +106,11 @@ func (ad *admission) admit(app AppID, sink telemetry.SpanSink) {
 
 func (ad *admission) enqueue(app AppID) chan struct{} {
 	ch := make(chan struct{})
-	key := ad.key(app)
 	ad.mu.Lock()
-	q := ad.qs[key]
+	q := ad.qs[app]
 	if q == nil {
-		q = &tenantQ{app: key, weight: 1}
-		ad.qs[key] = q
+		q = &tenantQ{app: app, weight: 1}
+		ad.qs[app] = q
 	}
 	q.waiters = append(q.waiters, ch)
 	if !q.inRing {
@@ -136,10 +125,9 @@ func (ad *admission) enqueue(app AppID) chan struct{} {
 // dequeue removes ch from app's queue if it is still waiting, reporting
 // whether it did (false means a release already handed ch a slot).
 func (ad *admission) dequeue(app AppID, ch chan struct{}) bool {
-	key := ad.key(app)
 	ad.mu.Lock()
 	defer ad.mu.Unlock()
-	q := ad.qs[key]
+	q := ad.qs[app]
 	if q == nil {
 		return false
 	}
@@ -208,9 +196,6 @@ func (ad *admission) pickLocked() chan struct{} {
 // setWeight records app's fair-share weight for future scheduling
 // rounds.
 func (ad *admission) setWeight(app AppID, w int64) {
-	if ad.serial {
-		return
-	}
 	ad.mu.Lock()
 	q := ad.qs[app]
 	if q == nil {

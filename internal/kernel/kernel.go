@@ -11,8 +11,7 @@
 //
 // The control plane is sharded (see shard.go): single-inode crossings
 // run under a shared epoch plus a per-shard spinlock, multi-inode
-// crossings drain the epoch exclusively. Options.Serialize restores the
-// old single-global-lock behaviour for A/B comparison.
+// crossings drain the epoch exclusively.
 package kernel
 
 import (
@@ -64,42 +63,16 @@ type Options struct {
 	// LeaseTTL bounds how long an application may hold an inode another
 	// application is waiting for; 0 means a generous default.
 	LeaseTTL time.Duration
-	// RenameLeaseTTL bounds the global rename lock lease.
-	RenameLeaseTTL time.Duration
 	// TraceCap sizes the kernel-crossing trace ring (0 = 1024 events).
 	TraceCap int
-	// Serialize pins every crossing to the exclusive epoch, restoring
-	// the pre-sharding single-global-lock kernel (the baseline side of
-	// the control-plane scaling experiment).
-	Serialize bool
-	// FlatEpoch degrades the big-reader epoch lock to a single shared
-	// reader counter (every reader on one cache line, no writer
-	// priority) — the pre-tenancy epoch behaviour, kept as the A/B
-	// baseline for the tenant-scaling experiment.
-	FlatEpoch bool
-	// ShadowShards sets the initial shadow-table shard count (rounded up
-	// to a power of two; 0 = 16). The controller grows the shard count
-	// with the registered-app count regardless, so this only matters for
-	// callers that want the final size up front.
-	ShadowShards int
 	// MaxInflight caps concurrently admitted kernel crossings; excess
 	// crossings queue in the fair-share admission scheduler (see
 	// admission.go). 0 disables admission entirely: the only residual
 	// cost is one nil check per crossing.
 	MaxInflight int
-	// SerialAdmission replaces the weighted deficit round-robin handoff
-	// with a single global FIFO queue — the naive admission baseline for
-	// the tenant-scaling A/B (arckbench -serial-admission).
-	SerialAdmission bool
 	// RecoverWorkers bounds the recovery worker pool (Mount/Fsck).
 	// 0 = min(GOMAXPROCS, 8); 1 = serial.
 	RecoverWorkers int
-	// NUMANodes groups the page allocator's stripes into this many NUMA
-	// node groups: refill and free stay node-local, and cross-node
-	// stealing (which pays the modeled interconnect cost) happens only
-	// when the local group is dry. 0 = 2 groups, the paper testbed's
-	// dual-socket shape; 1 = a single group (no NUMA modeling).
-	NUMANodes int
 	// AppDim, when set, receives per-application crossing counts: every
 	// syscall is charged to the calling app's row, so involuntary work
 	// (lease reclaims triggered by a competitor) is attributed too.
@@ -119,14 +92,8 @@ func (o *Options) fill() {
 	if o.LeaseTTL == 0 {
 		o.LeaseTTL = 10 * time.Second
 	}
-	if o.RenameLeaseTTL == 0 {
-		o.RenameLeaseTTL = time.Second
-	}
 	if o.TraceCap == 0 {
 		o.TraceCap = 1024
-	}
-	if o.NUMANodes == 0 {
-		o.NUMANodes = 2
 	}
 }
 
@@ -389,7 +356,7 @@ func Format(dev *pmem.Device, opts Options) (*Controller, error) {
 	// tail-set belongs to the root inode and is excluded from the free
 	// pool.
 	c.alloc = pmalloc.NewExcluding(g, rootIn.DataRoot)
-	c.alloc.ConfigureNUMA(opts.NUMANodes, c.cost)
+	c.alloc.ConfigureNUMA(numaNodes, c.cost)
 	c.pages[rootIn.DataRoot] = ownIno(layout.RootIno)
 	// Inode free list (descending so grants ascend).
 	for ino := g.InodeCap - 1; ino >= 2; ino-- {
@@ -408,13 +375,12 @@ func newController(dev *pmem.Device, g layout.Geometry, opts Options) *Controlle
 		apps:  make(map[AppID]*app),
 		trace: telemetry.NewRing(opts.TraceCap),
 	}
-	c.shadow.Store(newShadowGen(shardsFor(opts.ShadowShards)))
+	c.shadow.Store(newShadowGen(nShadowMin))
 	for i := range c.aclTab {
 		c.aclTab[i].m = make(map[aclKey]uint16)
 	}
-	c.epoch.SetFlat(opts.FlatEpoch)
 	if opts.MaxInflight > 0 {
-		c.adm = newAdmission(opts.MaxInflight, opts.SerialAdmission, opts.AppDim)
+		c.adm = newAdmission(opts.MaxInflight, opts.AppDim)
 	}
 	now := clockFn(time.Now)
 	c.clock.Store(&now)
@@ -519,7 +485,7 @@ func (c *Controller) SetClock(now func() time.Time) {
 // (the tenant-scaling fix: shard counts follow tenant counts).
 func (c *Controller) RegisterApp(uid, gid uint32) AppID {
 	defer c.syscall(0)()
-	e := c.enterShared()
+	e := c.epoch.RLock()
 	if !c.appsMu.TryLock() {
 		c.appsContended.Add(1)
 		c.appsMu.Lock()
@@ -530,7 +496,7 @@ func (c *Controller) RegisterApp(uid, gid uint32) AppID {
 	c.apps[id] = &app{id: id, uid: uid, gid: gid, grantedInos: make(map[uint64]bool)}
 	napps := len(c.apps)
 	c.appsMu.Unlock()
-	c.exitShared(e)
+	c.epoch.RUnlock(e)
 	c.maybeGrowShards(napps)
 	return id
 }
@@ -603,8 +569,8 @@ func (c *Controller) UnregisterApp(appID AppID) error {
 // inode ownership moves among them without verification (§5.4).
 func (c *Controller) NewTrustGroup(ids ...AppID) (int, error) {
 	defer c.syscall(0)()
-	e := c.enterShared()
-	defer c.exitShared(e)
+	e := c.epoch.RLock()
+	defer c.epoch.RUnlock(e)
 	if !c.appsMu.TryLock() {
 		c.appsContended.Add(1)
 		c.appsMu.Lock()
@@ -627,8 +593,8 @@ func (c *Controller) NewTrustGroup(ids ...AppID) (int, error) {
 func (c *Controller) GrantInodes(appID AppID, n int) ([]uint64, error) {
 	defer c.syscall(appID)()
 	c.trace.Record(telemetry.EvGrantInodes, appID, 0, int64(n), 0)
-	e := c.enterShared()
-	defer c.exitShared(e)
+	e := c.epoch.RLock()
+	defer c.epoch.RUnlock(e)
 	if !c.appsMu.TryLock() {
 		c.appsContended.Add(1)
 		c.appsMu.Lock()
@@ -673,8 +639,8 @@ func (c *Controller) GrantPages(appID AppID, cpu, n int) ([]uint64, error) {
 		a.pagesOut.Add(-int64(n))
 		return nil, fsapi.ErrNoSpace
 	}
-	e := c.enterShared()
-	defer c.exitShared(e)
+	e := c.epoch.RLock()
+	defer c.epoch.RUnlock(e)
 	if c.lookupApp(appID) == nil {
 		a.pagesOut.Add(-int64(n))
 		c.alloc.Free(pages...)
@@ -691,14 +657,14 @@ func (c *Controller) GrantPages(appID AppID, cpu, n int) ([]uint64, error) {
 func (c *Controller) ReturnPages(appID AppID, pages []uint64) {
 	defer c.syscall(appID)()
 	c.trace.Record(telemetry.EvReturnPages, appID, 0, int64(len(pages)), 0)
-	e := c.enterShared()
+	e := c.epoch.RLock()
 	var back []uint64
 	for _, p := range pages {
 		if c.casPageOwner(p, ownApp(appID), ownFree) {
 			back = append(back, p)
 		}
 	}
-	c.exitShared(e)
+	c.epoch.RUnlock(e)
 	if len(back) > 0 {
 		if a := c.lookupApp(appID); a != nil {
 			a.pagesOut.Add(-int64(len(back)))
@@ -711,7 +677,7 @@ func (c *Controller) ReturnPages(appID AppID, pages []uint64) {
 func (c *Controller) RenameLockAcquire(appID AppID) {
 	defer c.syscall(appID)()
 	c.trace.Record(telemetry.EvRenameLockAcquire, appID, 0, 0, 0)
-	c.renameLock.Acquire(appID, c.opts.RenameLeaseTTL)
+	c.renameLock.Acquire(appID, renameLeaseTTL)
 }
 
 // RenameLockRelease returns the lease; false means it had expired and
@@ -729,8 +695,8 @@ func (c *Controller) RenameLockRelease(appID AppID) bool {
 func (c *Controller) SetACL(ino uint64, appID AppID, perm uint16) {
 	defer c.syscall(appID)()
 	c.trace.Record(telemetry.EvSetACL, appID, ino, int64(perm), 0)
-	e := c.enterShared()
-	defer c.exitShared(e)
+	e := c.epoch.RLock()
+	defer c.epoch.RUnlock(e)
 	sh := c.shardOf(ino)
 	if !sh.mu.TryLock() {
 		sh.contended.Add(1)
@@ -782,8 +748,8 @@ func (c *Controller) FreePageFraction() float64 {
 
 // ShadowOf returns a copy of ino's shadow info (tests and tools).
 func (c *Controller) ShadowOf(ino uint64) (verifier.ShadowInfo, bool) {
-	e := c.enterShared()
-	defer c.exitShared(e)
+	e := c.epoch.RLock()
+	defer c.epoch.RUnlock(e)
 	se := c.shadowGet(ino, nil)
 	if se == nil {
 		return verifier.ShadowInfo{}, false
@@ -796,8 +762,8 @@ func (c *Controller) ShadowOf(ino uint64) (verifier.ShadowInfo, bool) {
 // may reclaim the inode at any time, so it is kernel-held for every
 // observer but the lease holder itself.
 func (c *Controller) OwnerOf(ino uint64) AppID {
-	e := c.enterShared()
-	defer c.exitShared(e)
+	e := c.epoch.RLock()
+	defer c.epoch.RUnlock(e)
 	sh := c.shardOf(ino)
 	if !sh.mu.TryLock() {
 		sh.contended.Add(1)

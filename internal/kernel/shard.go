@@ -31,13 +31,20 @@ import (
 // < aclShard.mu < Mapping.mu.
 
 const (
-	// nShadowShardsMin is the floor (and default) shadow shard count; the
+	// nShadowMin is the floor (and initial) shadow shard count; the
 	// controller grows the table with the registered-app count up to
-	// nShadowShardsMax (see maybeGrowShards).
-	nShadowShardsMin = 16
-	nShadowShardsMax = 4096
-	nPageStripes     = 16
-	nACLShards       = 8
+	// nShadowMax (see maybeGrowShards).
+	nShadowMin   = 16
+	nShadowMax   = 4096
+	nPageStripes = 16
+	nACLShards   = 8
+	// numaNodes groups the page allocator's stripes into NUMA node
+	// groups: refill and free stay node-local, and cross-node stealing
+	// (which pays the modeled interconnect cost) happens only when the
+	// local group is dry. 2 is the paper testbed's dual-socket shape.
+	numaNodes = 2
+	// renameLeaseTTL bounds the global rename lock lease (§4.6).
+	renameLeaseTTL = time.Second
 )
 
 // shadowGen is one generation of the shadow-shard table. The controller
@@ -53,10 +60,10 @@ type shadowGen struct {
 
 // shardsFor returns the shard count appropriate for napps registered
 // applications: the next power of two at or above napps, clamped to
-// [nShadowShardsMin, nShadowShardsMax].
+// [nShadowMin, nShadowMax].
 func shardsFor(napps int) int {
-	n := nShadowShardsMin
-	for n < napps && n < nShadowShardsMax {
+	n := nShadowMin
+	for n < napps && n < nShadowMax {
 		n <<= 1
 	}
 	return n
@@ -149,27 +156,6 @@ func (c *Controller) enterExcl() {
 }
 
 func (c *Controller) exitExcl() { c.epoch.Unlock() }
-
-// enterShared begins a single-inode crossing and returns the epoch
-// reader-slot token the caller must pass back to exitShared. With
-// Options.Serialize the controller degrades to the pre-sharding
-// single-global-lock behaviour (the A/B baseline in EXPERIMENTS.md):
-// every crossing is exclusive, marked by a negative token.
-func (c *Controller) enterShared() int {
-	if c.opts.Serialize {
-		c.enterExcl()
-		return -1
-	}
-	return c.epoch.RLock()
-}
-
-func (c *Controller) exitShared(tok int) {
-	if tok < 0 {
-		c.exitExcl()
-		return
-	}
-	c.epoch.RUnlock(tok)
-}
 
 // shadowGet looks ino up in its shard. held, if non-nil, is a shard the
 // caller already holds: lookups that land on it use the lock already

@@ -62,17 +62,15 @@ func logPages(t testing.TB, fs *FS, w *Thread, dir string) int {
 
 // TestReleaseCompactsChurnedDirectory: a mostly-dead log is rewritten at
 // release, the live set and the retained auxiliary state survive it on
-// both the lease-hit and the lease-miss reacquire paths, and the result
-// mounts clean.
+// both reacquire paths, and the result mounts clean. leases=true: the
+// dormant lease is still there at the reopen (a hit). leases=false: a
+// peer acquired and released /d in between, so the Reactivate CAS is lost
+// and the reopen is a real Acquire that rebuilds from the rewritten log.
 func TestReleaseCompactsChurnedDirectory(t *testing.T) {
 	for _, leases := range []bool{true, false} {
 		t.Run(fmt.Sprintf("leases=%v", leases), func(t *testing.T) {
-			dev := pmem.New(64<<20, nil)
-			ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 1 << 12})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fs := New(ctrl, ctrl.RegisterApp(0, 0), Options{NoLeases: !leases})
+			fs := newFS(t, BugsNone, nil)
+			peer := New(fs.ctrl, fs.ctrl.RegisterApp(0, 0), Options{})
 			w := th(t, fs)
 			if err := w.Mkdir("/d"); err != nil {
 				t.Fatal(err)
@@ -94,11 +92,23 @@ func TestReleaseCompactsChurnedDirectory(t *testing.T) {
 			if n := fs.Stats.DirCompactions.Load(); n != 1 {
 				t.Fatalf("compactions = %d, want 1", n)
 			}
+			// /d was fresh, so the log pages the compaction dropped go back
+			// to the pools: by now, or identical runs would allocate differently.
+			if n := fs.dom.Pending(); n != 0 {
+				t.Fatalf("%d retirements still pending after a compacting ReleaseAll", n)
+			}
 			if n := fs.Stats.DirCompactedSlots.Load(); n < int64(2*CompactMinDeadSlots) {
 				t.Fatalf("compacted slots = %d, want most of the %d dead ones", n, 3*CompactMinDeadSlots)
 			}
 			if after := logPages(t, fs, w, "/d"); after >= before {
 				t.Fatalf("log pages %d -> %d, want fewer", before, after)
+			}
+			hits, misses := fs.Stats.LeaseHits.Load(), fs.Stats.LeaseMisses.Load()
+			if !leases {
+				mustNames(t, th(t, peer), "/d")
+				if err := peer.ReleaseAll(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if got := mustNames(t, w, "/d"); !reflect.DeepEqual(got, want) {
 				t.Fatalf("names after compaction differ: %d vs %d", len(got), len(want))
@@ -117,19 +127,18 @@ func TestReleaseCompactsChurnedDirectory(t *testing.T) {
 			if err := fs.ReleaseAll(); err != nil {
 				t.Fatalf("release after post-compaction writes: %v", err)
 			}
-			if leases && fs.Stats.LeaseHits.Load() == 0 {
-				t.Fatal("the reacquire after compaction should have been a lease hit")
+			if hit, miss := fs.Stats.LeaseHits.Load() > hits, fs.Stats.LeaseMisses.Load() > misses; hit != leases || miss == leases {
+				t.Fatalf("the reacquire after compaction: lease hit %v, miss %v; want hit %v, miss %v", hit, miss, leases, !leases)
 			}
 
 			// A second application rebuilds from PM alone.
-			fs2 := New(ctrl, ctrl.RegisterApp(0, 0), Options{})
-			if got := mustNames(t, th(t, fs2), "/d"); !reflect.DeepEqual(got, want) {
+			if got := mustNames(t, th(t, peer), "/d"); !reflect.DeepEqual(got, want) {
 				t.Fatalf("peer sees %d names, want %d", len(got), len(want))
 			}
-			if err := fs2.ReleaseAll(); err != nil {
+			if err := peer.ReleaseAll(); err != nil {
 				t.Fatal(err)
 			}
-			if rep, err := kernel.Fsck(dev, kernel.Options{}); err != nil || !rep.Clean() {
+			if rep, err := kernel.Fsck(fs.dev, kernel.Options{}); err != nil || !rep.Clean() {
 				t.Fatalf("fsck after compaction: %v %v", rep, err)
 			}
 		})
@@ -444,43 +453,6 @@ func TestCompactionCrashStatesKeepLiveSet(t *testing.T) {
 		if got := mustNames(t, r, "/d"); !reflect.DeepEqual(got, want) {
 			t.Fatalf("image %d: %d names after recovery, want the %d pre-compaction ones", i, len(got), len(want))
 		}
-	}
-}
-
-// TestCompactionRecyclesAlikeUnderBothReadDisciplines: pages a compaction
-// retires must be back in the pools when ReleaseAll returns whichever
-// discipline parked them, or the two would allocate differently from
-// then on (crashmc compares whole device images across disciplines).
-func TestCompactionRecyclesAlikeUnderBothReadDisciplines(t *testing.T) {
-	pools := func(serial bool) [8][]uint64 {
-		dev := pmem.New(8<<20, nil)
-		ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 1 << 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs := New(ctrl, ctrl.RegisterApp(0, 0), Options{SerialData: serial, GrantPageBatch: 32})
-		w := th(t, fs)
-		// A fresh directory: every log page is still app-granted, so the
-		// compaction retires them all to the pool.
-		if err := w.Mkdir("/d"); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 30; i++ {
-			if err := w.Create(fmt.Sprintf("/d/keep-%02d", i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		churn(t, w, "/d", 3*CompactMinDeadSlots)
-		if err := fs.ReleaseAll(); err != nil {
-			t.Fatal(err)
-		}
-		if fs.Stats.DirCompactions.Load() != 1 || fs.dom.Pending() != 0 {
-			t.Fatalf("serial=%v: compactions %d, retirements pending %d", serial, fs.Stats.DirCompactions.Load(), fs.dom.Pending())
-		}
-		return fs.pagePool
-	}
-	if lf, sd := pools(false), pools(true); !reflect.DeepEqual(lf, sd) {
-		t.Fatalf("page pools differ after a compacting ReleaseAll:\nlock-free   %v\nserial-data %v", lf, sd)
 	}
 }
 

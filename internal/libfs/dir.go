@@ -524,9 +524,9 @@ func (t *Thread) Unlink(path string) (err error) {
 // table: zero the inode record and, when the kernel never learned of the
 // inode, recycle its resources.
 // The resources are retired through the RCU domain, not recycled in
-// place: child.lock excludes only SerialData readers, so on the
-// lock-free plane a thread with an open FD can be mid-copyOutRange on
-// these very pages, and reuse must wait out its read-side section.
+// place: child.lock excludes no reader, so a thread with an open FD can
+// be mid-copyOutRange on these very pages, and reuse must wait out its
+// read-side section.
 func (fs *FS) destroyFile(t *Thread, child *minode) {
 	child.lock.Lock()
 	layout.FreeInode(fs.dev, fs.geo, child.ino)

@@ -1,8 +1,10 @@
 package libfs
 
 import (
+	"errors"
 	"testing"
 
+	"arckfs/internal/fsapi"
 	"arckfs/internal/kernel"
 	"arckfs/internal/pmem"
 )
@@ -110,6 +112,45 @@ func TestTruncateFlushCountBatched(t *testing.T) {
 	}
 	if eagerFences != 1 {
 		t.Fatalf("eager truncate issued %d fences, want 1", eagerFences)
+	}
+}
+
+// TestReadPathsPersistNothing pins what the lock-free read plane stands
+// on: Stat, Open, ReadAt (inline and delegated), Readdir and a failed
+// lookup of held inodes store, flush and fence nothing and never cross
+// into the kernel — so no read can move the persist schedule the crash
+// checkers enumerate.
+func TestReadPathsPersistNothing(t *testing.T) {
+	fs := newFS(t, BugsNone, nil)
+	w := th(t, fs)
+	ok := func(_ any, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]byte, 2*DelegationThreshold)
+	ok(nil, w.Mkdir("/d"))
+	ok(nil, w.Create("/d/f"))
+	fd, err := w.Open("/d/f")
+	ok(fd, err)
+	ok(w.WriteAt(fd, buf, 0))
+	counters := func() [5]int64 {
+		d := &fs.dev.Stats
+		return [5]int64{d.Flushes.Load(), d.Fences.Load(), d.NTStores.Load(), d.Stores.Load(),
+			fs.ctrl.Stats.Syscalls.Load()}
+	}
+	before := counters()
+	ok(w.Stat("/d/f"))
+	ok(w.Open("/d/f"))
+	ok(w.ReadAt(fd, buf[:layoutPageSize], 0))
+	ok(w.ReadAt(fd, buf, 0))
+	ok(w.Readdir("/d"))
+	if _, err := w.Stat("/d/absent"); !errors.Is(err, fsapi.ErrNotExist) {
+		t.Fatalf("Stat of an absent name: %v, want ErrNotExist", err)
+	}
+	if after := counters(); after != before {
+		t.Fatalf("read paths moved flushes/fences/ntstores/stores/syscalls by %v -> %v, want no change", before, after)
 	}
 }
 

@@ -35,10 +35,13 @@ func (t *Thread) ReadAt(fd fsapi.FD, p []byte, off int64) (n int, err error) {
 	return n, err
 }
 
-// readAt dispatches to the configured data-plane read discipline. The
-// reacquire of a released inode happens before either path so the
-// lock-free variant never crosses into the kernel inside its RCU
-// critical section.
+// readAt walks the published block index inside an RCU read-side
+// critical section, taking no lock at all. Bytes that overlap a
+// concurrent write to the same region are unspecified; the index walk
+// itself is always safe because writers publish entries before the size
+// that makes them reachable. The reacquire of a released inode happens
+// first so the read never crosses into the kernel inside its critical
+// section.
 func (t *Thread) readAt(mi *minode, p []byte, off int64) (int, error) {
 	if mi.typ != layout.TypeFile {
 		return 0, fsapi.ErrIsDir
@@ -48,27 +51,6 @@ func (t *Thread) readAt(mi *minode, p []byte, off int64) (int, error) {
 			return 0, err
 		}
 	}
-	if t.fs.opts.SerialData {
-		return t.readAtLocked(mi, p, off)
-	}
-	return t.readAtLockFree(mi, p, off)
-}
-
-// readAtLocked is the serialized baseline: the per-inode reader-writer
-// lock excludes concurrent writers for the whole copy.
-func (t *Thread) readAtLocked(mi *minode, p []byte, off int64) (int, error) {
-	mi.lock.RLock()
-	defer mi.lock.RUnlock()
-	return t.readAtCommon(mi, p, off)
-}
-
-// readAtLockFree walks the published block index inside an RCU read-side
-// critical section, taking no lock at all. Bytes that overlap a
-// concurrent write to the same region are unspecified (the serialized
-// discipline's whole-read atomicity is not preserved); the index walk
-// itself is always safe because writers publish entries before the size
-// that makes them reachable.
-func (t *Thread) readAtLockFree(mi *minode, p []byte, off int64) (int, error) {
 	t.rd.ReadLock()
 	defer t.rd.ReadUnlock()
 	return t.readAtCommon(mi, p, off)

@@ -136,20 +136,6 @@ type Options struct {
 	// schedule. Benchmarks use it to A/B the batcher; fence placement
 	// (and so crash semantics) is identical in both modes.
 	EagerPersist bool
-	// NoLeases disables the grant-lease fast paths: voluntary releases
-	// tear the mapping down instead of leaving it dormant, re-acquires
-	// always cross into the kernel, and page grants are not over-granted
-	// into a reserve. Benchmarks use it (together with
-	// kernel.Options.Serialize) as the pre-scaling control-plane
-	// baseline.
-	NoLeases bool
-	// SerialData serializes the data plane's read paths: directory
-	// lookups take the bucket lock and file reads take the per-inode
-	// reader-writer lock, restoring the pre-RCU locked implementation.
-	// Benchmarks use it as the baseline side of the data-plane scaling
-	// experiment. Ignored when BugLocklessBucketRead selects the §4.5
-	// undisciplined reader.
-	SerialData bool
 }
 
 func (o *Options) fill() {
@@ -195,12 +181,6 @@ type FS struct {
 
 	nthreads atomic.Int64
 	clock    atomic.Uint64 // logical mtime source
-
-	// readLocks counts bucket-lock acquisitions made on behalf of
-	// directory lookups; only the SerialData discipline increments it,
-	// so the "htable.read_locks" telemetry gauge pins the lock-free read
-	// path at zero.
-	readLocks atomic.Int64
 
 	// Stats counts the LibFS's recovery-path events (telemetry only).
 	Stats Stats
@@ -281,10 +261,6 @@ func (fs *FS) Bugs() Bugs { return fs.opts.Bugs }
 
 // Domain exposes the RCU domain (tests).
 func (fs *FS) Domain() *rcu.Domain { return fs.dom }
-
-// ReadLockCount returns the number of bucket-lock acquisitions taken on
-// behalf of directory lookups — zero unless SerialData is set.
-func (fs *FS) ReadLockCount() int64 { return fs.readLocks.Load() }
 
 func (fs *FS) now() uint64 { return fs.clock.Add(1) }
 
@@ -367,9 +343,9 @@ func (fs *FS) reserveTTL() time.Duration {
 }
 
 // allocPage takes a granted page, refilling from the kernel when the
-// stripe runs dry. With leases enabled a dry stripe first consumes its
-// reserve — pages the kernel already granted on a previous crossing — so
-// the refill costs no syscall; only when both pool and reserve are empty
+// stripe runs dry. A dry stripe first consumes its reserve — pages the
+// kernel already granted on a previous crossing — so the refill costs no
+// syscall; only when both pool and reserve are empty
 // does the stripe cross, over-granting to restock both halves.
 func (fs *FS) allocPage(t *Thread, cpu int) (uint64, error) {
 	s := uint(cpu) % 8
@@ -429,8 +405,8 @@ func (fs *FS) allocPage(t *Thread, cpu int) (uint64, error) {
 	return p, nil
 }
 
-// grantPageBatch performs the kernel page-grant crossing. With leases it
-// asks for double the batch and splits the result into an immediate pool
+// grantPageBatch performs the kernel page-grant crossing. It asks for
+// double the batch and splits the result into an immediate pool
 // and a parked reserve; when the double grant fails (a small device near
 // capacity) it falls back to a plain single grant so leases never turn a
 // satisfiable allocation into ENOSPC. Under high allocator pressure
@@ -439,7 +415,7 @@ func (fs *FS) allocPage(t *Thread, cpu int) (uint64, error) {
 // wrong trade, and skipping saves the doomed double-grant crossing.
 func (fs *FS) grantPageBatch(t *Thread, cpu int) (pool, reserve []uint64, err error) {
 	n := fs.opts.GrantPageBatch
-	if !fs.opts.NoLeases && fs.ctrl.FreePageFraction() >= reservePressureHigh {
+	if fs.ctrl.FreePageFraction() >= reservePressureHigh {
 		begin := t.crossStart()
 		batch, err := fs.ctrl.GrantPages(fs.app, cpu, 2*n)
 		t.crossEnd(telemetry.EvGrantPages, begin)
@@ -489,18 +465,12 @@ func (fs *FS) recyclePages(cpu int, pages []uint64) {
 }
 
 // retirePages returns pages a writer has just unpublished (truncate
-// shrink, unlink teardown) to the allocator pool. Under the SerialData
-// discipline the caller's inode lock excluded every reader, so the pages
-// recycle immediately; on the lock-free data plane a reader inside an
-// RCU read-side section may still hold a block pointer it loaded before
-// the unpublish, so recycling waits out a grace period through the FS's
+// shrink, unlink teardown) to the allocator pool. A reader inside an RCU
+// read-side section may still hold a block pointer it loaded before the
+// unpublish, so recycling waits out a grace period through the FS's
 // domain — the same retire path htable uses for unlinked bucket entries.
 func (fs *FS) retirePages(cpu int, pages []uint64) {
 	if len(pages) == 0 {
-		return
-	}
-	if fs.opts.SerialData {
-		fs.recyclePages(cpu, pages)
 		return
 	}
 	fs.dom.Defer(func() { fs.recyclePages(cpu, pages) })
@@ -516,7 +486,7 @@ func (fs *FS) retirePages(cpu int, pages []uint64) {
 func (fs *FS) reclaimRetired() bool {
 	drained := false
 	for fs.dom.Pending() > 0 {
-		//arcklint:allow graceblock allocation-failure path only: serial mode never defers (so never waits here), and lock-free readers take no inode or pool lock, so no pinned reader can be stalled behind the locks our callers hold
+		//arcklint:allow graceblock allocation-failure path only: readers take no inode or pool lock, so no pinned reader can be stalled behind the locks our callers hold while they wait here
 		fs.dom.Synchronize()
 		drained = true
 		runtime.Gosched()
@@ -528,10 +498,6 @@ func (fs *FS) reclaimRetired() bool {
 // inode number: reuse waits until no reader can still be acting on the
 // stale minode.
 func (fs *FS) retireIno(t *Thread, ino uint64) {
-	if fs.opts.SerialData {
-		fs.recycleIno(ino)
-		return
-	}
 	fs.dom.Defer(func() { fs.recycleIno(ino) })
 }
 

@@ -32,8 +32,8 @@ type minode struct {
 	mapping atomic.Pointer[kernel.Mapping]
 
 	// lock is the per-inode readers-writer lock: files take it for
-	// read/write; directories take it for whole-inode operations
-	// (release, rename source/target pinning).
+	// writes (reads take no lock); directories take it for whole-inode
+	// operations (release, rename source/target pinning).
 	lock hlock.RWSpin
 
 	// attrs is the §4.3 cached state: an immutable snapshot readers use
@@ -264,34 +264,32 @@ func (fs *FS) remap(t *Thread, mi *minode) error {
 
 // reacquire remaps a released inode (§4.3 patch path: aux was retained).
 //
-// With grant leases, a voluntary release left the mapping dormant in the
-// kernel instead of tearing it down; if no other application reclaimed
-// the inode in the meantime, the CAS in Reactivate wins it back without
-// a kernel crossing, and the retained auxiliary state is still exact
-// because a dormant inode's core state cannot have changed (any change
-// requires a reclaim, which fails the CAS). Only on a lost CAS — the
-// kernel revoked the lease — does this fall back to a real Acquire.
+// A voluntary release left the mapping dormant in the kernel instead of
+// tearing it down; if no other application reclaimed the inode in the
+// meantime, the CAS in Reactivate wins it back without a kernel crossing,
+// and the retained auxiliary state is still exact because a dormant
+// inode's core state cannot have changed (any change requires a reclaim,
+// which fails the CAS). Only on a lost CAS — the kernel revoked the
+// lease — does this fall back to a real Acquire.
 func (fs *FS) reacquire(t *Thread, mi *minode) error {
-	if !fs.opts.NoLeases {
-		mi.lock.Lock()
-		if !mi.released.Load() {
-			mi.lock.Unlock()
-			return nil // lost the race to another re-acquirer
-		}
-		if mi.mapping.Load().Reactivate() {
-			mi.released.Store(false)
-			mi.lock.Unlock()
-			fs.Stats.LeaseHits.Add(1)
-			fs.Stats.SyscallsAvoided.Add(1)
-			// The span's record of the crossing that did NOT happen: a
-			// lease-hit operation must still trace end to end.
-			t.spanEv(telemetry.SpanEvLeaseHit, int64(mi.ino), 0)
-			return nil
-		}
+	mi.lock.Lock()
+	if !mi.released.Load() {
 		mi.lock.Unlock()
-		fs.Stats.LeaseMisses.Add(1)
-		t.spanEv(telemetry.SpanEvLeaseMiss, int64(mi.ino), 0)
+		return nil // lost the race to another re-acquirer
 	}
+	if mi.mapping.Load().Reactivate() {
+		mi.released.Store(false)
+		mi.lock.Unlock()
+		fs.Stats.LeaseHits.Add(1)
+		fs.Stats.SyscallsAvoided.Add(1)
+		// The span's record of the crossing that did NOT happen: a
+		// lease-hit operation must still trace end to end.
+		t.spanEv(telemetry.SpanEvLeaseHit, int64(mi.ino), 0)
+		return nil
+	}
+	mi.lock.Unlock()
+	fs.Stats.LeaseMisses.Add(1)
+	t.spanEv(telemetry.SpanEvLeaseMiss, int64(mi.ino), 0)
 	fs.Stats.Reacquires.Add(1)
 	begin := t.crossStart()
 	m, err := fs.ctrl.AcquireObserved(fs.app, mi.ino, true, t.sink())
@@ -376,22 +374,15 @@ func (fs *FS) buildMinode(ino uint64, m *kernel.Mapping) (*minode, error) {
 	return mi, nil
 }
 
-// newDirTable builds a directory hash table honoring the §4.5 bug flag
-// and the data-plane A/B switch: buggy mode reads with no discipline at
-// all, SerialData takes the bucket lock per lookup (counted in
-// fs.readLocks), and the default is the RCU-protected lock-free path.
+// newDirTable builds a directory hash table honoring the §4.5 bug flag:
+// buggy mode reads with no discipline at all (lockless and unprotected,
+// as shipped); the default is the RCU-protected lock-free path.
 func (fs *FS) newDirTable() *htable.Table {
 	opts := htable.Options{
 		InitialBuckets: fs.opts.DirBuckets,
 		StrictUAF:      fs.opts.StrictUAF,
-		ReadLocks:      &fs.readLocks,
 	}
-	switch {
-	case fs.opts.Bugs.Has(BugLocklessBucketRead):
-		// §4.5 as shipped: lockless and unprotected.
-	case fs.opts.SerialData:
-		opts.SerialReaders = true
-	default:
+	if !fs.opts.Bugs.Has(BugLocklessBucketRead) {
 		opts.RCUReaders = true
 		opts.Dom = fs.dom
 	}
@@ -406,8 +397,8 @@ func (fs *FS) newDirTable() *htable.Table {
 	return t
 }
 
-// lookupInDir finds name in dir's hash table using the configured reader
-// discipline. The caller supplies its RCU reader.
+// lookupInDir finds name in dir's hash table without locking; the §4.5
+// bug drops the RCU protection. The caller supplies its RCU reader.
 func (fs *FS) lookupInDir(t *Thread, mi *minode, name string) (uint64, uint64, bool, error) {
 	ds := mi.dir.Load()
 	if ds == nil {
