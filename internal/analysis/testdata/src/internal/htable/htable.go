@@ -6,6 +6,6 @@ type LockedBucket struct{}
 
 type Table struct{}
 
-func (t *Table) WithBucket(name string, fn func(*LockedBucket)) { fn(&LockedBucket{}) }
+func (t *Table) WithBucket(name string, fn func(LockedBucket)) { fn(LockedBucket{}) }
 
 func (t *Table) LockAll() func() { return func() {} }

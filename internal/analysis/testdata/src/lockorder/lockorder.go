@@ -71,7 +71,7 @@ func tryIgnored(mi *minode, tc *tailCursor) {
 // bucketNest: the WithBucket callback runs with the bucket lock held;
 // taking the tail lock inside it follows the order.
 func bucketNest(ht *htable.Table, tc *tailCursor) {
-	ht.WithBucket("k", func(b *htable.LockedBucket) {
+	ht.WithBucket("k", func(b htable.LockedBucket) {
 		tc.mu.Lock()
 		tc.mu.Unlock()
 	})
@@ -80,7 +80,7 @@ func bucketNest(ht *htable.Table, tc *tailCursor) {
 // bucketInverted enters a bucket while already holding the tail lock.
 func bucketInverted(ht *htable.Table, tc *tailCursor) {
 	tc.mu.Lock()
-	ht.WithBucket("k", func(b *htable.LockedBucket) {}) // want "while holding"
+	ht.WithBucket("k", func(b htable.LockedBucket) {}) // want "while holding"
 	tc.mu.Unlock()
 }
 

@@ -137,11 +137,13 @@ type Table struct {
 	TraverseHook func()
 }
 
+const defaultBuckets = 8
+
 // New creates a table.
 func New(opts Options) *Table {
 	n := opts.InitialBuckets
 	if n == 0 {
-		n = 8
+		n = defaultBuckets
 	}
 	if n&(n-1) != 0 {
 		panic("htable: InitialBuckets must be a power of two")
@@ -155,8 +157,8 @@ func New(opts Options) *Table {
 }
 
 // Hash is FNV-1a, exported so the LibFS can co-locate hashes in dentry
-// records.
-func Hash(name string) uint32 {
+// records. It takes the name as a string or as the bytes of a record.
+func Hash[S string | []byte](name S) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(name); i++ {
 		h ^= uint32(name[i])
@@ -168,58 +170,65 @@ func Hash(name string) uint32 {
 // Len returns the number of live entries.
 func (t *Table) Len() int { return int(t.count.Load()) }
 
+// LockedBucket gives a writer exclusive access to one bucket so the LibFS
+// can extend the critical section over the persistent update (§4.4). It is
+// two words handed around by value: a writer allocates nothing for it.
+type LockedBucket struct {
+	t *Table
+	b *bucket
+}
+
 // lockBucket locks the bucket for hash under the current array, retrying
-// across concurrent resizes, and returns the array and bucket.
-func (t *Table) lockBucket(h uint32) (*bucketArray, *bucket) {
+// across concurrent resizes.
+func (t *Table) lockBucket(h uint32) LockedBucket {
 	for {
 		arr := t.arr.Load()
 		b := &arr.buckets[h&arr.mask]
 		b.lock.Lock()
 		if t.arr.Load() == arr {
-			return arr, b
+			return LockedBucket{t: t, b: b}
 		}
 		b.lock.Unlock()
 	}
 }
 
-// LockedBucket gives a writer exclusive access to one bucket so the LibFS
-// can extend the critical section over the persistent update (§4.4).
-type LockedBucket struct {
-	t   *Table
-	arr *bucketArray
-	b   *bucket
+func (lb LockedBucket) unlock() {
+	lb.b.lock.Unlock()
+	lb.t.maybeGrow()
 }
 
 // WithBucket runs fn with the bucket for name locked.
-func (t *Table) WithBucket(name string, fn func(*LockedBucket)) {
-	h := Hash(name)
-	arr, b := t.lockBucket(h)
-	lb := LockedBucket{t: t, arr: arr, b: b}
-	defer func() {
-		b.lock.Unlock()
-		t.maybeGrow()
-	}()
-	fn(&lb)
+func (t *Table) WithBucket(name string, fn func(LockedBucket)) {
+	lb := t.lockBucket(Hash(name))
+	defer lb.unlock()
+	fn(lb)
+}
+
+// find walks b's chain for name (a string, or the bytes of a record), also
+// returning the entry's predecessor. Caller holds the bucket lock.
+func find[S string | []byte](b *bucket, h uint32, name S) (prev, e *Entry) {
+	for e = b.head.Load(); e != nil; prev, e = e, e.next.Load() {
+		if e.hash == h && e.name == string(name) {
+			return prev, e
+		}
+	}
+	return nil, nil
 }
 
 // Get looks name up under the bucket lock.
-func (lb *LockedBucket) Get(name string) (*Entry, bool) {
-	h := Hash(name)
-	for e := lb.b.head.Load(); e != nil; e = e.next.Load() {
-		if e.hash == h && e.name == name {
-			return e, true
-		}
-	}
-	return nil, false
+func (lb LockedBucket) Get(name string) (*Entry, bool) {
+	_, e := find(lb.b, Hash(name), name)
+	return e, e != nil
 }
 
 // Insert adds a live entry; it reports false if name already exists.
-func (lb *LockedBucket) Insert(name string, ino, ref uint64) bool {
-	if _, ok := lb.Get(name); ok {
+func (lb LockedBucket) Insert(name string, ino, ref uint64) bool {
+	h := Hash(name)
+	if _, e := find(lb.b, h, name); e != nil {
 		return false
 	}
 	e := lb.t.pool.alloc()
-	e.hash = Hash(name)
+	e.hash = h
 	e.name = name
 	e.Ino = ino
 	e.ref.Store(ref)
@@ -231,25 +240,20 @@ func (lb *LockedBucket) Insert(name string, ino, ref uint64) bool {
 
 // Delete unlinks name and retires the entry (immediately in buggy mode,
 // after a grace period in RCU mode). It returns the entry's payloads.
-func (lb *LockedBucket) Delete(name string) (ino, ref uint64, ok bool) {
-	h := Hash(name)
-	var prev *Entry
-	for e := lb.b.head.Load(); e != nil; e = e.next.Load() {
-		if e.hash == h && e.name == name {
-			ino, ref = e.Ino, e.ref.Load()
-			next := e.next.Load()
-			if prev == nil {
-				lb.b.head.Store(next)
-			} else {
-				prev.next.Store(next)
-			}
-			lb.t.count.Add(-1)
-			lb.t.retire(e)
-			return ino, ref, true
-		}
-		prev = e
+func (lb LockedBucket) Delete(name string) (ino, ref uint64, ok bool) {
+	prev, e := find(lb.b, Hash(name), name)
+	if e == nil {
+		return 0, 0, false
 	}
-	return 0, 0, false
+	ino, ref = e.Ino, e.ref.Load()
+	if next := e.next.Load(); prev == nil {
+		lb.b.head.Store(next)
+	} else {
+		prev.next.Store(next)
+	}
+	lb.t.count.Add(-1)
+	lb.t.retire(e)
+	return ino, ref, true
 }
 
 func (t *Table) retire(e *Entry) {
@@ -263,15 +267,41 @@ func (t *Table) retire(e *Entry) {
 
 // Insert is the convenience single-step writer.
 func (t *Table) Insert(name string, ino, ref uint64) bool {
-	var ok bool
-	t.WithBucket(name, func(lb *LockedBucket) { ok = lb.Insert(name, ino, ref) })
+	lb := t.lockBucket(Hash(name))
+	ok := lb.Insert(name, ino, ref)
+	lb.unlock()
 	return ok
 }
 
 // Delete is the convenience single-step writer.
 func (t *Table) Delete(name string) (ino, ref uint64, ok bool) {
-	t.WithBucket(name, func(lb *LockedBucket) { ino, ref, ok = lb.Delete(name) })
+	lb := t.lockBucket(Hash(name))
+	ino, ref, ok = lb.Delete(name)
+	lb.unlock()
 	return
+}
+
+// Intern returns the record name as a string: the table's own copy when
+// it holds the name, so that a table rebuilt from a log most of which an
+// older table already indexes allocates strings for the new names only.
+func (t *Table) Intern(name []byte) string {
+	h := Hash(name)
+	lb := t.lockBucket(h)
+	defer lb.b.lock.Unlock()
+	if _, e := find(lb.b, h, name); e != nil {
+		return e.name
+	}
+	return string(name)
+}
+
+// BucketsFor returns the InitialBuckets under which n entries insert
+// without the table growing.
+func BucketsFor(n int) int {
+	b := defaultBuckets
+	for b*4 < n {
+		b *= 2
+	}
+	return b
 }
 
 // Lookup finds name without taking the bucket lock: RCU-protected when

@@ -98,7 +98,7 @@ func TestRangeEarlyStop(t *testing.T) {
 
 func TestWithBucketExtendedCriticalSection(t *testing.T) {
 	tbl := New(Options{})
-	tbl.WithBucket("x", func(lb *LockedBucket) {
+	tbl.WithBucket("x", func(lb LockedBucket) {
 		if !lb.Insert("x", 7, 70) {
 			t.Fatal("insert failed")
 		}
@@ -115,6 +115,46 @@ func TestWithBucketExtendedCriticalSection(t *testing.T) {
 	})
 	if tbl.Len() != 0 {
 		t.Fatalf("Len = %d", tbl.Len())
+	}
+}
+
+// TestWritersDoNotAllocate: a bucket critical section costs its caller no
+// heap object — the LockedBucket travels by value — and neither do the
+// single-step writers once the pool holds an entry to recycle; a table
+// made for n names takes n without growing; Intern hands out the table's
+// own string for a name it holds.
+func TestWritersDoNotAllocate(t *testing.T) {
+	tbl := New(Options{})
+	tbl.Insert("warm", 1, 1)
+	tbl.Delete("warm")
+	hits := 0
+	if n := testing.AllocsPerRun(100, func() {
+		tbl.Insert("x", 7, 70)
+		tbl.WithBucket("x", func(lb LockedBucket) {
+			if _, ok := lb.Get("x"); ok {
+				hits++
+			}
+		})
+		tbl.Delete("x")
+	}); n != 0 || hits != 101 {
+		t.Fatalf("insert, locked get and delete: %v allocations a round, %d hits", n, hits)
+	}
+
+	const names = 1000
+	sized := New(Options{InitialBuckets: BucketsFor(names)})
+	before := sized.arr.Load()
+	for i := 0; i < names; i++ {
+		sized.Insert(fmt.Sprintf("n%d", i), uint64(i), 0)
+	}
+	if sized.arr.Load() != before {
+		t.Fatalf("a table made for %d names grew to %d buckets taking them", names, len(sized.arr.Load().buckets))
+	}
+	held, fresh := []byte("n17"), []byte("other")
+	if n := testing.AllocsPerRun(100, func() { sized.Intern(held) }); n != 0 {
+		t.Fatalf("Intern of a held name allocates %v objects", n)
+	}
+	if got := sized.Intern(fresh); got != "other" {
+		t.Fatalf("Intern of a new name = %q", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"arckfs/internal/fsapi"
@@ -335,12 +336,10 @@ func (c *Controller) establish(se *shadowEnt, appID AppID) error {
 	return nil
 }
 
-// buildSnapshot parses and copies the inode's metadata state: the
-// rollback point and verification baseline. It runs at a cold acquire,
-// where the parse is also the only structural check on what a previous
-// holder left behind; transfers that keep the hold — or leave it dormant
-// for the next acquire to adopt — snapshot the view they just verified
-// instead (snapshotDir/snapshotFile).
+// buildSnapshot parses the inode's metadata state at a cold acquire, where
+// the parse is also the only structural check on what a previous holder
+// left behind. Transfers that keep the hold — or leave it dormant for the
+// next acquire to adopt — snapshot the view they just verified instead.
 func (c *Controller) buildSnapshot(se *shadowEnt) (*snapshot, error) {
 	ino := se.info.Ino
 	switch se.info.Type {
@@ -349,62 +348,68 @@ func (c *Controller) buildSnapshot(se *shadowEnt) (*snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		return c.snapshotDir(ino, dv), nil
+		return c.newSnapshot(ino, dv, nil, nil), nil
 	case layout.TypeFile:
 		fv, err := c.ver.ParseFile(ino)
 		if err != nil {
 			return nil, err
 		}
-		return c.snapshotFile(ino, fv), nil
+		return c.newSnapshot(ino, nil, fv, nil), nil
 	}
 	return nil, fmt.Errorf("inode %d: unknown type %d", ino, se.info.Type)
 }
 
-// newSnapshot starts a snapshot with the inode record and the given
-// metadata pages copied raw, for rollback.
-func (c *Controller) newSnapshot(ino uint64, pages ...[]uint64) *snapshot {
-	snap := &snapshot{pageData: make(map[uint64][]byte), inodeRec: make([]byte, layout.InodeSize)}
-	c.dev.Read(layout.InodeOff(c.geo, ino), snap.inodeRec)
-	for _, ps := range pages {
-		for _, p := range ps {
-			b := make([]byte, layout.PageSize)
-			c.dev.Read(int64(p*layout.PageSize), b)
-			snap.pageData[p] = b
-		}
+// newSnapshot makes a parsed view (dv or fv) ino's snapshot: the baseline
+// is the view itself, so what a transfer verified and what the next one
+// diffs against cannot drift apart, and the rollback bytes are copied raw.
+// old, the snapshot this one supersedes, donates its buffer.
+func (c *Controller) newSnapshot(ino uint64, dv *verifier.DirView, fv *verifier.FileView, old *snapshot) *snapshot {
+	snap := &snapshot{dir: dv, file: fv}
+	if n := snap.rawSize(); old != nil && cap(old.raw) >= n {
+		snap.raw = old.raw[:n]
+	} else {
+		snap.raw = make([]byte, n)
 	}
+	c.copySnapshot(ino, snap, false)
 	return snap
 }
 
-// snapshotDir builds directory ino's snapshot from a parsed view: the
-// baseline is exactly the entry and page sets of dv, so what a transfer
-// verified and what the next one diffs against cannot drift apart.
-func (c *Controller) snapshotDir(ino uint64, dv *verifier.DirView) *snapshot {
-	snap := c.newSnapshot(ino, []uint64{dv.Inode.DataRoot}, dv.Pages)
-	old := &verifier.DirOld{Entries: make(map[string]uint64, len(dv.Entries)), Pages: make(map[uint64]bool, len(dv.Pages))}
-	for name, d := range dv.Entries {
-		old.Entries[name] = d.Ino
+func (s *snapshot) pages() []uint64 {
+	if s.dir != nil {
+		return s.dir.Pages
 	}
-	for _, p := range dv.Pages {
-		old.Pages[p] = true
-	}
-	snap.dirOld = old
-	return snap
+	return s.file.MapPages
 }
 
-// snapshotFile is snapshotDir for a regular file.
-func (c *Controller) snapshotFile(ino uint64, fv *verifier.FileView) *snapshot {
-	snap := c.newSnapshot(ino, fv.MapPages)
-	old := &verifier.FileOld{Blocks: map[uint64]bool{}, MapPages: map[uint64]bool{}, Size: fv.Inode.Size}
-	for _, p := range fv.MapPages {
-		old.MapPages[p] = true
+func (s *snapshot) rawSize() int {
+	n := layout.InodeSize + len(s.pages())*layout.PageSize
+	if s.dir != nil {
+		n += layout.PageSize // the tail set
 	}
-	for _, b := range fv.Blocks {
-		if b != 0 {
-			old.Blocks[b] = true
+	return n
+}
+
+// copySnapshot fills snap.raw from the device, or with restore writes it
+// back and persists it: the inode record, a directory's tail-set page,
+// then the view's pages in order.
+func (c *Controller) copySnapshot(ino uint64, snap *snapshot, restore bool) {
+	raw := snap.raw
+	move := func(off int64, n int) {
+		if restore {
+			c.dev.Write(off, raw[:n])
+			c.dev.Persist(off, int64(n))
+		} else {
+			c.dev.Read(off, raw[:n])
 		}
+		raw = raw[n:]
 	}
-	snap.fileOld = old
-	return snap
+	move(layout.InodeOff(c.geo, ino), layout.InodeSize)
+	if snap.dir != nil {
+		move(int64(snap.dir.Inode.DataRoot*layout.PageSize), layout.PageSize)
+	}
+	for _, p := range snap.pages() {
+		move(int64(p*layout.PageSize), layout.PageSize)
+	}
 }
 
 // xferKind distinguishes the three ownership transfers that share guard
@@ -651,18 +656,14 @@ func (c *Controller) verifyAndApply(se *shadowEnt, appID AppID, keepHeld bool, v
 		c.trace.Record(telemetry.EvVerifyOK, appID, ino, int64(res.ChildCount), int64(len(res.Pages)))
 		c.applyNewInode(se, appID, res, view.held)
 		if keepHeld {
-			if res.Dir != nil {
-				se.snap = c.snapshotDir(ino, res.Dir)
-			} else {
-				se.snap = c.snapshotFile(ino, res.File)
-			}
+			se.snap = c.newSnapshot(ino, res.Dir, res.File, nil)
 		}
 		return nil
 	}
 
 	switch se.info.Type {
 	case layout.TypeDir:
-		res, err := c.ver.VerifyDir(appID, ino, se.snap.dirOld, view)
+		res, err := c.ver.VerifyDir(appID, ino, se.snap.dir, view)
 		if err != nil {
 			c.Stats.VerifyFailures.Add(1)
 			c.trace.Record(telemetry.EvVerifyFail, appID, ino, 0, 0)
@@ -672,10 +673,10 @@ func (c *Controller) verifyAndApply(se *shadowEnt, appID AppID, keepHeld bool, v
 		c.trace.Record(telemetry.EvVerifyOK, appID, ino, int64(res.View.Records), int64(len(res.View.Pages)))
 		c.applyDir(se, appID, res)
 		if keepHeld {
-			se.snap = c.snapshotDir(ino, res.View)
+			se.snap = c.newSnapshot(ino, res.View, nil, se.snap)
 		}
 	case layout.TypeFile:
-		res, err := c.ver.VerifyFile(appID, ino, se.snap.fileOld, view)
+		res, err := c.ver.VerifyFile(appID, ino, se.snap.file, view)
 		if err != nil {
 			c.Stats.VerifyFailures.Add(1)
 			c.trace.Record(telemetry.EvVerifyFail, appID, ino, 0, 0)
@@ -685,7 +686,7 @@ func (c *Controller) verifyAndApply(se *shadowEnt, appID AppID, keepHeld bool, v
 		c.trace.Record(telemetry.EvVerifyOK, appID, ino, 0, int64(len(res.View.MapPages)))
 		c.applyFile(se, appID, res)
 		if keepHeld {
-			se.snap = c.snapshotFile(ino, res.View)
+			se.snap = c.newSnapshot(ino, nil, res.View, se.snap)
 		}
 	default:
 		return fmt.Errorf("inode %d: unknown shadow type %d", ino, se.info.Type)
@@ -700,12 +701,7 @@ func (c *Controller) applyPolicy(se *shadowEnt, held *shadowShard) {
 	case PolicyRollback:
 		c.Stats.Rollbacks.Add(1)
 		if se.snap != nil {
-			c.dev.Write(layout.InodeOff(c.geo, se.info.Ino), se.snap.inodeRec)
-			c.dev.Persist(layout.InodeOff(c.geo, se.info.Ino), layout.InodeSize)
-			for p, data := range se.snap.pageData {
-				c.dev.Write(int64(p*layout.PageSize), data)
-				c.dev.Persist(int64(p*layout.PageSize), layout.PageSize)
-			}
+			c.copySnapshot(se.info.Ino, se.snap, true)
 		} else {
 			// A pending inode has no snapshot: discard it entirely.
 			layout.FreeInode(c.dev, c.geo, se.info.Ino)
@@ -838,27 +834,27 @@ func (c *Controller) freeInode(ino uint64) {
 	if se.mapping != nil {
 		se.mapping.revoke()
 	}
-	// Reclaim every page the inode owns.
+	// Reclaim every page the inode owns. The releasing LibFS has zeroed
+	// the inode record, so the pages are the ones the kernel verified: the
+	// baseline view while the inode is held, else what the shadow's own
+	// root and size reach (nobody could write an unheld inode since).
 	var freed []uint64
-	switch se.info.Type {
-	case layout.TypeFile:
-		if fv, err := c.ver.ParseFile(ino); err == nil {
-			freed = append(freed, fv.MapPages...)
-			for _, b := range fv.Blocks {
-				if b != 0 {
-					freed = append(freed, b)
-				}
-			}
-		}
-	case layout.TypeDir:
-		if dv, err := c.ver.ParseDir(ino); err == nil {
-			freed = append(freed, se.info.DataRoot)
-			freed = append(freed, dv.Pages...)
-		}
+	switch snap := se.snap; {
+	case !se.info.Committed:
+		// A pending inode owns nothing: its pages are still the app's.
+	case snap != nil && snap.file != nil:
+		freed = slices.Concat(snap.file.MapPages, snap.file.Blocks)
+	case snap != nil:
+		freed = slices.Concat([]uint64{se.info.DataRoot}, snap.dir.Pages)
+	case se.info.Type == layout.TypeFile:
+		freed = slices.Concat(layout.MapChainPages(c.dev, se.inode.DataRoot),
+			layout.WalkBlockMap(c.dev, se.inode.DataRoot, layout.BlocksForSize(se.inode.Size)))
+	default:
+		freed = c.inodePages(ino, se)
 	}
 	var reclaim []uint64
 	for _, p := range freed {
-		if c.casPageOwner(p, ownIno(ino), ownFree) {
+		if p < uint64(len(c.pages)) && c.casPageOwner(p, ownIno(ino), ownFree) {
 			reclaim = append(reclaim, p)
 		}
 	}

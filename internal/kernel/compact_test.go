@@ -18,9 +18,9 @@ func (h *harness) liveEntries(dirIno uint64) []liveEntry {
 	in, _, _ := layout.ReadInode(h.dev, h.g, dirIno)
 	var out []liveEntry
 	for ti := 0; ti < int(in.NTails); ti++ {
-		layout.ScanTail(h.dev, layout.TailHead(h.dev, in.DataRoot, ti), func(d layout.Dentry) bool {
+		layout.ScanTail(h.dev, layout.TailHead(h.dev, in.DataRoot, ti), func(d layout.RawDentry) bool {
 			if d.Live {
-				out = append(out, liveEntry{d.Name, d.Ino})
+				out = append(out, liveEntry{string(d.Name), d.Ino})
 			}
 			return true
 		})
@@ -210,7 +210,7 @@ func TestDirTransferParsesOnce(t *testing.T) {
 	slots := int64(0)
 	in, _, _ := layout.ReadInode(h.dev, h.g, layout.RootIno)
 	for ti := 0; ti < int(in.NTails); ti++ {
-		layout.ScanTail(h.dev, layout.TailHead(h.dev, in.DataRoot, ti), func(layout.Dentry) bool { slots++; return true })
+		layout.ScanTail(h.dev, layout.TailHead(h.dev, in.DataRoot, ti), func(layout.RawDentry) bool { slots++; return true })
 	}
 	if slots == 0 {
 		t.Fatal("fixture has no records")

@@ -188,13 +188,16 @@ type shadowEnt struct {
 	inaccessible bool
 }
 
+// snapshot is a held inode's rollback point and verification baseline:
+// the view the kernel last verified (or parsed at a cold acquire), which
+// the next verification diffs against as it is, and raw copies of the
+// inode record and of the view's metadata pages (tail-set and log pages
+// for a directory, map pages for a file).
 type snapshot struct {
-	dirOld  *verifier.DirOld
-	fileOld *verifier.FileOld
-	// pageData holds raw copies of the metadata pages (tail-set and log
-	// pages for directories, map pages for files) for rollback.
-	pageData map[uint64][]byte
-	inodeRec []byte
+	// Exactly one of dir and file is set.
+	dir  *verifier.DirView
+	file *verifier.FileView
+	raw  []byte
 }
 
 type app struct {

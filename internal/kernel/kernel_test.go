@@ -14,7 +14,7 @@ import (
 // --- LibFS-style helpers: build core state the way a LibFS would --------
 
 type harness struct {
-	t   *testing.T
+	t   testing.TB
 	dev *pmem.Device
 	c   *Controller
 	g   layout.Geometry
@@ -22,8 +22,13 @@ type harness struct {
 
 func newHarness(t *testing.T, mode verifier.Mode) *harness {
 	t.Helper()
-	dev := pmem.New(512*layout.PageSize, nil)
-	c, err := Format(dev, Options{Mode: mode, InodeCap: 256, NTails: 2})
+	return newSizedHarness(t, mode, 512, 256)
+}
+
+func newSizedHarness(t testing.TB, mode verifier.Mode, pages int, inodes uint64) *harness {
+	t.Helper()
+	dev := pmem.New(int64(pages)*layout.PageSize, nil)
+	c, err := Format(dev, Options{Mode: mode, InodeCap: inodes, NTails: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +100,8 @@ func (h *harness) findDentry(dirIno uint64, name string) (layout.DentryRef, bool
 		}
 		var found layout.DentryRef
 		ok := false
-		layout.ScanTail(h.dev, head, func(d layout.Dentry) bool {
-			if d.Live && d.Name == name {
+		layout.ScanTail(h.dev, head, func(d layout.RawDentry) bool {
+			if d.Live && string(d.Name) == name {
 				found, ok = d.Ref, true
 				return false
 			}
@@ -335,6 +340,64 @@ func TestEmptyDirRemovalOK(t *testing.T) {
 	}
 	if _, ok := h.c.ShadowOf(dir); ok {
 		t.Fatal("removed dir still has a shadow")
+	}
+}
+
+// TestRemovalFreesPagesWithoutTheInodeRecord: a LibFS zeroes the record of
+// an inode it removes, so the kernel finds the inode's pages from what it
+// verified — the held baseline, or the shadow's own root and size — and a
+// record it never verified (a pending inode's) sizes nothing.
+func TestRemovalFreesPagesWithoutTheInodeRecord(t *testing.T) {
+	zero := func(h *harness, ino uint64) {
+		layout.FreeInode(h.dev, h.g, ino)
+		h.dev.Persist(layout.InodeOff(h.g, ino), layout.InodeSize)
+	}
+	for _, held := range []bool{true, false} {
+		h := newHarness(t, verifier.Enhanced)
+		app := h.c.RegisterApp(0, 0)
+		h.c.Acquire(app, layout.RootIno, true)
+		dir := h.mkdir(app, layout.RootIno, "d")
+		file, _, _ := h.mkdatafile(app, layout.RootIno, "f")
+		for _, ino := range []uint64{layout.RootIno, dir, file} {
+			if err := h.c.Commit(app, ino); err != nil {
+				t.Fatal(err)
+			}
+			if !held && ino != layout.RootIno {
+				if err := h.c.Release(app, ino); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		free := h.c.FreeCount()
+		for name, ino := range map[string]uint64{"d": dir, "f": file} {
+			h.unlink(layout.RootIno, name)
+			zero(h, ino)
+		}
+		if err := h.c.Release(app, layout.RootIno); err != nil {
+			t.Fatal(err)
+		}
+		// The directory's tail set, the file's map page and its block.
+		if got := h.c.FreeCount() - free; got != 3 {
+			t.Fatalf("held=%v: removing a directory and a one-block file freed %d pages, want 3", held, got)
+		}
+	}
+
+	h := newHarness(t, verifier.Enhanced)
+	app := h.c.RegisterApp(0, 0)
+	h.c.Acquire(app, layout.RootIno, true)
+	ino, mapPage, _ := h.mkdatafile(app, layout.RootIno, "pending")
+	in, _, _ := layout.ReadInode(h.dev, h.g, ino)
+	in.Size = 1 << 60
+	layout.WriteInode(h.dev, h.g, ino, &in)
+	if err := h.c.Commit(app, layout.RootIno); err != nil {
+		t.Fatal(err)
+	}
+	h.unlink(layout.RootIno, "pending")
+	if err := h.c.Release(app, layout.RootIno); err != nil {
+		t.Fatal(err)
+	}
+	if o := h.c.pageOwnerAt(mapPage); o != ownApp(app) {
+		t.Fatalf("a never-committed inode's map page changed owner to %#x", o)
 	}
 }
 

@@ -329,7 +329,7 @@ func (c *Controller) reconcileDir(dirIno uint64, se *shadowEnt, rep *Report, rep
 		if head == 0 {
 			continue
 		}
-		layout.ScanTail(c.dev, head, func(d layout.Dentry) bool {
+		layout.ScanTail(c.dev, head, func(d layout.RawDentry) bool {
 			if !d.Live {
 				return true
 			}

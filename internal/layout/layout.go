@@ -473,10 +473,25 @@ type Dentry struct {
 	RecLen int
 }
 
-// ReadDentry decodes the record at r. corrupt is true when the committed
+// RawDentry is a record as ScanTail decodes it: Name is the scan's own
+// buffer, valid until the callback returns, so a scan allocates nothing per
+// record. The verifier and a rebuilding LibFS materialise a string only
+// for the names they do not already hold.
+type RawDentry struct {
+	Ref    DentryRef
+	Ino    uint64
+	Name   []byte
+	Live   bool
+	RecLen int
+}
+
+// readDentry decodes the record at r. The name is copied into buf (MaxName
+// bytes) once, and the hash check runs on the copy: whoever races the read
+// with a write to the record, the name the caller goes on to validate and
+// keep is the name that was checked. corrupt is true when the committed
 // marker disagrees with the stored hash or length — the §4.2 partial
-// persist signature.
-func ReadDentry(dev *pmem.Device, r DentryRef) (d Dentry, corrupt bool) {
+// persist signature; Name is nil then.
+func readDentry(dev *pmem.Device, r DentryRef, buf []byte) (d RawDentry, corrupt bool) {
 	off := r.DevOff()
 	d.Ref = r
 	d.Ino = dev.Load64(off + deIno)
@@ -489,20 +504,29 @@ func ReadDentry(dev *pmem.Device, r DentryRef) (d Dentry, corrupt bool) {
 	if nameLen > MaxName || DentryRecLen(nameLen) != d.RecLen || d.Ino == 0 {
 		return d, true
 	}
-	name := string(dev.Slice(off+deName, int64(nameLen)))
-	if htable.Hash(name) != dev.Load32(off+deHash) {
+	dev.Read(off+deName, buf[:nameLen])
+	if htable.Hash(buf[:nameLen]) != dev.Load32(off+deHash) {
 		return d, true
 	}
-	d.Name = name
+	d.Name = buf[:nameLen]
 	return d, false
+}
+
+// ReadDentry decodes the record at r, reporting corruption as readDentry
+// does.
+func ReadDentry(dev *pmem.Device, r DentryRef) (Dentry, bool) {
+	var buf [MaxName]byte
+	d, corrupt := readDentry(dev, r, buf[:])
+	return Dentry{Ref: d.Ref, Ino: d.Ino, Name: string(d.Name), Live: d.Live, RecLen: d.RecLen}, corrupt
 }
 
 // ScanTail walks one tail's log pages from head, invoking fn for every
 // record slot (live or dead) until the log's append frontier. It returns
 // the tail's frontier (page, offset, and the last page visited) so a
 // LibFS can rebuild its append cursor, and whether any committed record
-// was corrupt.
-func ScanTail(dev *pmem.Device, head uint64, fn func(Dentry) bool) (lastPage uint64, lastOff int, corrupt bool) {
+// was corrupt. The chain must not loop.
+func ScanTail(dev *pmem.Device, head uint64, fn func(RawDentry) bool) (lastPage uint64, lastOff int, corrupt bool) {
+	name := make([]byte, MaxName) // every record's Name; the scan's one allocation
 	page := head
 	for page != 0 {
 		off := 0
@@ -518,7 +542,7 @@ func ScanTail(dev *pmem.Device, head uint64, fn func(Dentry) bool) (lastPage uin
 				// Torn length: stop at the corruption.
 				return page, off, true
 			}
-			d, c := ReadDentry(dev, r)
+			d, c := readDentry(dev, r, name)
 			if c {
 				corrupt = true
 			}
@@ -584,12 +608,14 @@ func BlocksForSize(size uint64) int {
 	return int((size + PageSize - 1) / PageSize)
 }
 
-// ValidName reports whether a file name is acceptable.
-func ValidName(name string) bool {
-	if len(name) == 0 || len(name) > MaxName || name == "." || name == ".." {
+// ValidName reports whether a file name (a string, or the bytes of a
+// record) is acceptable.
+func ValidName[S string | []byte](name S) bool {
+	n := len(name)
+	if n == 0 || n > MaxName || name[0] == '.' && (n == 1 || n == 2 && name[1] == '.') {
 		return false
 	}
-	for i := 0; i < len(name); i++ {
+	for i := 0; i < n; i++ {
 		if name[i] == '/' || name[i] == 0 {
 			return false
 		}

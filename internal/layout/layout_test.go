@@ -207,9 +207,9 @@ func TestScanTailMultiPage(t *testing.T) {
 	want = append(want, "overflow")
 
 	var got []string
-	lastPage, lastOff, corrupt := ScanTail(dev, p1, func(d Dentry) bool {
+	lastPage, lastOff, corrupt := ScanTail(dev, p1, func(d RawDentry) bool {
 		if d.Live {
-			got = append(got, d.Name)
+			got = append(got, string(d.Name))
 		}
 		return true
 	})
@@ -245,7 +245,7 @@ func TestScanTailSkipsDeadAndStops(t *testing.T) {
 		off += DentryRecLen(len(name))
 	}
 	live, dead := 0, 0
-	ScanTail(dev, p, func(d Dentry) bool {
+	ScanTail(dev, p, func(d RawDentry) bool {
 		if d.Live {
 			live++
 		} else {
@@ -258,10 +258,29 @@ func TestScanTailSkipsDeadAndStops(t *testing.T) {
 	}
 	// Early stop.
 	n := 0
-	ScanTail(dev, p, func(d Dentry) bool { n++; return n < 2 })
+	ScanTail(dev, p, func(d RawDentry) bool { n++; return n < 2 })
 	if n != 2 {
 		t.Fatalf("early stop visited %d", n)
 	}
+}
+
+// TestScanTailNameIsACopy: the name a scan hands out is the copy its hash
+// was checked on, so a holder that rewrites the record under a verifying
+// kernel cannot slip another name past the check.
+func TestScanTailNameIsACopy(t *testing.T) {
+	dev, g := newDev(t, 64)
+	p := g.DataStart + 1
+	ZeroPage(dev, p)
+	r := MakeDentryRef(p, 0)
+	WriteDentryBody(dev, r, 7, "honest")
+	CommitDentry(dev, r, len("honest"))
+	ScanTail(dev, p, func(d RawDentry) bool {
+		dev.Write(r.DevOff()+DentryHeaderSize, []byte("../../"))
+		if string(d.Name) != "honest" {
+			t.Fatalf("the scanned name follows the device: %q", d.Name)
+		}
+		return true
+	})
 }
 
 func TestScanTailTornLength(t *testing.T) {
@@ -388,9 +407,9 @@ func TestQuickScanMatchesModel(t *testing.T) {
 			}
 		}
 		got := map[string]uint64{}
-		_, _, corrupt := ScanTail(dev, head, func(d Dentry) bool {
+		_, _, corrupt := ScanTail(dev, head, func(d RawDentry) bool {
 			if d.Live {
-				got[d.Name] = d.Ino
+				got[string(d.Name)] = d.Ino
 			}
 			return true
 		})

@@ -125,7 +125,7 @@ func (fs *FS) compactDir(mi *minode, sp *span.Span) {
 		if r.last == 0 {
 			continue
 		}
-		layout.ScanTail(fs.dev, r.last, func(layout.Dentry) bool { r.slots++; return true })
+		layout.ScanTail(fs.dev, r.last, func(layout.RawDentry) bool { r.slots++; return true })
 		r.slots += len(r.ents)
 		if r.dead = ds.tails[ti].slots - r.slots; r.dead > 0 {
 			rw = append(rw, r)

@@ -260,6 +260,17 @@ func TestHandoffChurnAccounting(t *testing.T) {
 			t.Fatalf("app %d still has %d pages granted after returning its pools: leaked by compaction", u.App, u.PagesOut)
 		}
 	}
+	wantConserved(t, ctrl, dev)
+	if rep, err := kernel.Fsck(dev, kernel.Options{}); err != nil || !rep.Clean() {
+		t.Fatalf("fsck: %v %v", rep, err)
+	}
+}
+
+// wantConserved fails the test unless free pages plus the pages reachable
+// from the inode table are the whole data region: nothing leaked, nothing
+// freed while in use. Every application must have returned its grants.
+func wantConserved(t *testing.T, ctrl *kernel.Controller, dev *pmem.Device) {
+	t.Helper()
 	geo := ctrl.Geometry()
 	reachable := 0
 	for ino := uint64(1); ino < geo.InodeCap; ino++ {
@@ -284,6 +295,85 @@ func TestHandoffChurnAccounting(t *testing.T) {
 	}
 	if data := int(geo.PageCount - geo.DataStart); ctrl.FreeCount()+reachable != data {
 		t.Fatalf("free %d + inode-owned %d != %d data pages", ctrl.FreeCount(), reachable, data)
+	}
+}
+
+// TestUnlinkOfCommittedFileFreesItsPages: a LibFS zeroes the inode record
+// of a file it unlinks, so the kernel, verifying the removal, must find the
+// file's pages without that record. It used to parse the record, fail, and
+// free nothing until the next mount: 257 pages a round here. The file is
+// unlinked by the application that still holds it, by one that holds only
+// the directory, and by one that never held it at all.
+func TestUnlinkOfCommittedFileFreesItsPages(t *testing.T) {
+	dev := pmem.New(64<<20, nil)
+	ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fss [2]*FS
+	var ws [2]*Thread
+	for a := range fss {
+		fss[a] = New(ctrl, ctrl.RegisterApp(0, 0), Options{})
+		ws[a] = fss[a].NewThread(a).(*Thread)
+	}
+	settle := func() {
+		t.Helper()
+		for a := range fss {
+			if err := fss[a].ReleaseAll(); err != nil {
+				t.Fatal(err)
+			}
+			fss[a].dom.Barrier()
+			fss[a].ReturnGrants()
+		}
+	}
+	if err := ws[0].Mkdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	settle()
+	free := 0 // once /d has its first log page
+	chunk := make([]byte, 1<<20)
+	for round := 0; round < 10; round++ {
+		if err := ws[0].Create("/d/f"); err != nil {
+			t.Fatal(err)
+		}
+		fd, err := ws[0].Open("/d/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ws[0].WriteAt(fd, chunk, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := ws[0].Close(fd); err != nil {
+			t.Fatal(err)
+		}
+		if err := fss[0].ReleaseAll(); err != nil { // commits /d/f
+			t.Fatal(err)
+		}
+		unlinker := ws[0]
+		switch round % 3 {
+		case 1: // holds the file again, and has overwritten a block, when it unlinks it
+			if fd, err = ws[0].Open("/d/f"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ws[0].WriteAt(fd, chunk[:4096], 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := ws[0].Close(fd); err != nil {
+				t.Fatal(err)
+			}
+		case 2: // never held the file
+			unlinker = ws[1]
+		}
+		if err := unlinker.Unlink("/d/f"); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		settle()
+		if got := ctrl.FreeCount(); round == 0 {
+			free = got
+		} else if got != free {
+			t.Fatalf("round %d: %d pages free after the unlink was verified, %d after round 0", round, got, free)
+		}
+		wantConserved(t, ctrl, dev)
 	}
 	if rep, err := kernel.Fsck(dev, kernel.Options{}); err != nil || !rep.Clean() {
 		t.Fatalf("fsck: %v %v", rep, err)

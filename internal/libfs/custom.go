@@ -65,7 +65,7 @@ func (t *Thread) CreateBatch(dir string, names []string) (n int, err error) {
 
 		var ref layout.DentryRef
 		var insErr error
-		dmi.ht().WithBucket(name, func(lb *htable.LockedBucket) {
+		dmi.ht().WithBucket(name, func(lb htable.LockedBucket) {
 			if _, exists := lb.Get(name); exists {
 				insErr = fsapi.ErrExist
 				return

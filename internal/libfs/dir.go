@@ -234,7 +234,7 @@ func (fs *FS) insertEntry(t *Thread, mi *minode, childIno uint64, name string, c
 	}
 	// ArckFS+: the bucket lock covers both updates.
 	var r layout.DentryRef
-	err := fs.withHeldBucket(t, mi, name, func(lb *htable.LockedBucket) error {
+	err := fs.withHeldBucket(t, mi, name, func(lb htable.LockedBucket) error {
 		if _, exists := lb.Get(name); exists {
 			return fsapi.ErrExist
 		}
@@ -258,12 +258,12 @@ func (fs *FS) insertEntry(t *Thread, mi *minode, childIno uint64, name string, c
 // outside the lock, which a release of it would need — before the next
 // try. Without this an operation that lost that race would write through a
 // dormant mapping, behind the verification that made it dormant.
-func (fs *FS) withHeldBucket(t *Thread, mi *minode, name string, fn func(*htable.LockedBucket) error) error {
+func (fs *FS) withHeldBucket(t *Thread, mi *minode, name string, fn func(htable.LockedBucket) error) error {
 	for {
 		ht := mi.ht()
 		held := false
 		var err error
-		ht.WithBucket(name, func(lb *htable.LockedBucket) {
+		ht.WithBucket(name, func(lb htable.LockedBucket) {
 			// A reacquire that rebuilt the directory swapped the table.
 			if held = !mi.released.Load() && mi.ht() == ht; held {
 				err = fn(lb)
@@ -367,7 +367,7 @@ func (fs *FS) removeEntry(t *Thread, mi *minode, name string, doomed func(ino ui
 		return ino, nil
 	}
 	var ino uint64
-	err := fs.withHeldBucket(t, mi, name, func(lb *htable.LockedBucket) error {
+	err := fs.withHeldBucket(t, mi, name, func(lb htable.LockedBucket) error {
 		e, ok := lb.Get(name)
 		if !ok {
 			return fsapi.ErrNotExist
@@ -456,7 +456,7 @@ func (t *Thread) Mkdir(path string) (err error) {
 	t.pb.WriteStream(layout.InodeOff(fs.geo, ino), rec[:])
 	mi := &minode{ino: ino, typ: layout.TypeDir}
 	mi.dir.Store(&dirState{
-		ht:      fs.newDirTable(),
+		ht:      fs.newDirTable(0),
 		tailset: tailset,
 		tails:   make([]tailCursor, ntails),
 	})

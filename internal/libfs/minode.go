@@ -222,7 +222,7 @@ func (fs *FS) getMinode(t *Thread, ino uint64, write bool) (*minode, error) {
 	if err != nil {
 		return nil, err
 	}
-	mi, err := fs.buildMinode(ino, m)
+	mi, err := fs.buildMinode(ino, m, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +250,7 @@ func (fs *FS) remap(t *Thread, mi *minode) error {
 	if mi.mapping.Load().Valid() {
 		return nil // raced with another remapper
 	}
-	fresh, err := fs.buildMinode(mi.ino, m)
+	fresh, err := fs.buildMinode(mi.ino, m, mi.dir.Load())
 	if err != nil {
 		return err
 	}
@@ -303,7 +303,7 @@ func (fs *FS) reacquire(t *Thread, mi *minode) error {
 		return nil // lost the race to another re-acquirer
 	}
 	// The core state may have changed while released; rebuild aux.
-	fresh, err := fs.buildMinode(mi.ino, m)
+	fresh, err := fs.buildMinode(mi.ino, m, mi.dir.Load())
 	if err != nil {
 		return err
 	}
@@ -317,8 +317,11 @@ func (fs *FS) reacquire(t *Thread, mi *minode) error {
 
 // buildMinode reads ino's core state and constructs auxiliary state —
 // Trio step 3: "the LibFS builds its auxiliary state from the core
-// state".
-func (fs *FS) buildMinode(ino uint64, m *kernel.Mapping) (*minode, error) {
+// state". retained, when the inode is a directory this LibFS held before,
+// is the auxiliary state it kept: the rebuilt table is sized from it, so
+// it fills without growing, and shares its strings for the names that are
+// still there.
+func (fs *FS) buildMinode(ino uint64, m *kernel.Mapping, retained *dirState) (*minode, error) {
 	in, ok, corrupt := layout.ReadInode(fs.dev, fs.geo, ino)
 	if !ok || corrupt {
 		return nil, fsapi.ErrStale
@@ -328,8 +331,13 @@ func (fs *FS) buildMinode(ino uint64, m *kernel.Mapping) (*minode, error) {
 	mi.parent.Store(in.Parent)
 	switch in.Type {
 	case layout.TypeDir:
+		name := func(rec []byte) string { return string(rec) }
+		entries := 0
+		if retained != nil {
+			name, entries = retained.ht.Intern, retained.ht.Len()
+		}
 		ds := &dirState{
-			ht:      fs.newDirTable(),
+			ht:      fs.newDirTable(entries),
 			tailset: in.DataRoot,
 			tails:   make([]tailCursor, in.NTails),
 		}
@@ -339,10 +347,10 @@ func (fs *FS) buildMinode(ino uint64, m *kernel.Mapping) (*minode, error) {
 				continue
 			}
 			var scanErr error
-			page, off, corrupt := layout.ScanTail(fs.dev, head, func(d layout.Dentry) bool {
+			page, off, corrupt := layout.ScanTail(fs.dev, head, func(d layout.RawDentry) bool {
 				ds.tails[t].slots++
 				if d.Live {
-					if !ds.ht.Insert(d.Name, d.Ino, uint64(d.Ref)) {
+					if !ds.ht.Insert(name(d.Name), d.Ino, uint64(d.Ref)) {
 						scanErr = fsapi.ErrStale
 						return false
 					}
@@ -374,12 +382,13 @@ func (fs *FS) buildMinode(ino uint64, m *kernel.Mapping) (*minode, error) {
 	return mi, nil
 }
 
-// newDirTable builds a directory hash table honoring the §4.5 bug flag:
-// buggy mode reads with no discipline at all (lockless and unprotected,
-// as shipped); the default is the RCU-protected lock-free path.
-func (fs *FS) newDirTable() *htable.Table {
+// newDirTable builds a directory hash table that holds entries names
+// before it has to grow, honoring the §4.5 bug flag: buggy mode reads with
+// no discipline at all (lockless and unprotected, as shipped); the default
+// is the RCU-protected lock-free path.
+func (fs *FS) newDirTable(entries int) *htable.Table {
 	opts := htable.Options{
-		InitialBuckets: fs.opts.DirBuckets,
+		InitialBuckets: max(fs.opts.DirBuckets, htable.BucketsFor(entries)),
 		StrictUAF:      fs.opts.StrictUAF,
 	}
 	if !fs.opts.Bugs.Has(BugLocklessBucketRead) {

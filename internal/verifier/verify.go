@@ -2,32 +2,18 @@ package verifier
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"arckfs/internal/layout"
 )
 
 // Verification results feed kernel-side frees, grants, and shadow writes,
-// so their order must not depend on Go map iteration: a nondeterministic
-// persist schedule would make crash-state enumeration (crashmc) flaky.
-// sortedEntryNames and sortedPageSet pin the iteration orders.
-func sortedEntryNames[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for name := range m {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedPageSet(m map[uint64]bool) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for p := range m {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// so their order is part of the persist contract: a different order is a
+// different persist schedule, and crash-state enumeration (crashmc) pins
+// it. Changes run in name order, additions before removals; NewPages in
+// chain and block-map order; FreedPages in ascending page order, metadata
+// pages first. The views keep names and pages sorted, so the diffs below
+// produce these orders by construction.
 
 // ChildAction classifies a verified change to a directory's children.
 type ChildAction int
@@ -59,13 +45,6 @@ type ChildChange struct {
 	Action ChildAction
 }
 
-// DirOld is the kernel's snapshot of a directory's verified entry set and
-// page set, taken when the inode was acquired (or last committed).
-type DirOld struct {
-	Entries map[string]uint64
-	Pages   map[uint64]bool
-}
-
 // DirResult is the outcome of a successful directory verification.
 type DirResult struct {
 	Changes    []ChildChange
@@ -92,13 +71,15 @@ func fail(ino uint64, format string, args ...any) error {
 }
 
 // VerifyDir checks directory ino as released (or committed) by app
-// against the snapshot old and the kernel's shadow state.
-func (v *V) VerifyDir(app int64, ino uint64, old *DirOld, kv KernelView) (*DirResult, error) {
+// against old, the view its last verification (or its acquire) produced,
+// and the kernel's shadow state.
+func (v *V) VerifyDir(app int64, ino uint64, old *DirView, kv KernelView) (*DirResult, error) {
 	sh, ok := kv.Shadow(ino)
 	if !ok {
 		return nil, fail(ino, "no shadow record")
 	}
-	dv, err := v.ParseDir(ino)
+	// was holds the old side of every name that changed, now the new side.
+	dv, was, now, err := v.parseDir(ino, old)
 	if err != nil {
 		return nil, fail(ino, "structural: %v", err)
 	}
@@ -120,104 +101,85 @@ func (v *V) VerifyDir(app int64, ino uint64, old *DirOld, kv KernelView) (*DirRe
 	// Inodes that gained an entry in this directory: a "removal" of one
 	// of these under another name is a rename within the directory, not
 	// a deletion.
-	addedInos := map[uint64]bool{}
-	for name, d := range dv.Entries {
-		if oldIno, existed := old.Entries[name]; !existed || oldIno != d.Ino {
-			addedInos[d.Ino] = true
-		}
+	addedInos := make([]uint64, len(now))
+	for i, e := range now {
+		addedInos[i] = e.Ino
 	}
+	slices.Sort(addedInos)
 
 	// Additions and replacements.
-	for _, name := range sortedEntryNames(dv.Entries) {
-		d := dv.Entries[name]
-		oldIno, existed := old.Entries[name]
-		if existed && oldIno == d.Ino {
-			continue
-		}
-		if existed && !addedInos[oldIno] {
+	for _, e := range now {
+		name := e.Name
+		if i, replaced := searchName(was, name); replaced && !contains(addedInos, was[i].Ino) {
 			// Same name now points at a different inode: verify the
 			// removal of the old target too.
-			if err := v.verifyRemoval(app, ino, name, oldIno, kv, res); err != nil {
+			if err := v.verifyRemoval(app, ino, name, was[i].Ino, kv, res); err != nil {
 				return nil, err
 			}
 		}
-		if kv.InodeGrantedTo(app, d.Ino) {
+		if kv.InodeGrantedTo(app, e.Ino) {
 			// A freshly created inode: its record must at least decode
 			// and claim this directory as its parent; its contents are
 			// verified at its own commit (LibFS Rule 1).
-			cin, cok, ccorrupt := layout.ReadInode(v.Dev, v.Geo, d.Ino)
+			cin, cok, ccorrupt := layout.ReadInode(v.Dev, v.Geo, e.Ino)
 			if ccorrupt || !cok {
-				return nil, fail(ino, "entry %q links invalid new inode %d", name, d.Ino)
+				return nil, fail(ino, "entry %q links invalid new inode %d", name, e.Ino)
 			}
 			if cin.Parent != ino {
-				return nil, fail(ino, "new inode %d claims parent %d, linked under %d", d.Ino, cin.Parent, ino)
+				return nil, fail(ino, "new inode %d claims parent %d, linked under %d", e.Ino, cin.Parent, ino)
 			}
 			if cin.Type != layout.TypeFile && cin.Type != layout.TypeDir {
-				return nil, fail(ino, "new inode %d has unknown type %d", d.Ino, cin.Type)
+				return nil, fail(ino, "new inode %d has unknown type %d", e.Ino, cin.Type)
 			}
-			res.Changes = append(res.Changes, ChildChange{Name: name, Ino: d.Ino, Action: AddNew})
+			res.Changes = append(res.Changes, ChildChange{Name: name, Ino: e.Ino, Action: AddNew})
 			continue
 		}
-		csh, cok := kv.Shadow(d.Ino)
+		csh, cok := kv.Shadow(e.Ino)
 		if !cok || !csh.Committed {
-			return nil, fail(ino, "entry %q links unknown inode %d", name, d.Ino)
+			return nil, fail(ino, "entry %q links unknown inode %d", name, e.Ino)
 		}
-		// An existing committed inode appearing here is a relocation.
-		if v.Mode == Enhanced {
-			if csh.Parent == ino {
-				// Re-link under the same parent (rename within dir was
-				// handled as remove+add of the same ino). Accept.
-				res.Changes = append(res.Changes, ChildChange{Name: name, Ino: d.Ino, Action: RelocateIn})
-				continue
-			}
+		// An existing committed inode appearing here is a relocation. The
+		// Original verifier accepts the new link with no relocation
+		// protocol — one half of the §4.1 bug. A re-link under the same
+		// parent is a rename within the directory (remove + add of the
+		// same inode).
+		if v.Mode == Enhanced && csh.Parent != ino {
 			if !kv.OwnedBy(app, csh.Parent) {
-				return nil, fail(ino, "relocation of inode %d: old parent %d not held by releasing LibFS", d.Ino, csh.Parent)
+				return nil, fail(ino, "relocation of inode %d: old parent %d not held by releasing LibFS", e.Ino, csh.Parent)
 			}
-			if kv.IsDescendant(ino, d.Ino) {
-				return nil, fail(ino, "relocation of inode %d would create a cycle", d.Ino)
+			if kv.IsDescendant(ino, e.Ino) {
+				return nil, fail(ino, "relocation of inode %d would create a cycle", e.Ino)
 			}
 			if csh.Type == layout.TypeDir && !kv.HoldsRenameLock(app) {
-				return nil, fail(ino, "directory relocation of inode %d without the global rename lock", d.Ino)
+				return nil, fail(ino, "directory relocation of inode %d without the global rename lock", e.Ino)
 			}
-			res.Changes = append(res.Changes, ChildChange{Name: name, Ino: d.Ino, Action: RelocateIn})
-		} else {
-			// Original verifier: accepts the new link with no relocation
-			// protocol — one half of the §4.1 bug.
-			res.Changes = append(res.Changes, ChildChange{Name: name, Ino: d.Ino, Action: RelocateIn})
 		}
+		res.Changes = append(res.Changes, ChildChange{Name: name, Ino: e.Ino, Action: RelocateIn})
 	}
 
-	// Removals.
-	for _, name := range sortedEntryNames(old.Entries) {
-		oldIno := old.Entries[name]
-		if d, still := dv.Entries[name]; still && d.Ino == oldIno {
+	// Removals: names that are gone, not replaced (handled above) and not
+	// renamed within this directory.
+	for _, e := range was {
+		if _, replaced := searchName(now, e.Name); replaced || contains(addedInos, e.Ino) {
 			continue
 		}
-		if _, replaced := dv.Entries[name]; replaced {
-			continue // handled above as a replacement
-		}
-		if addedInos[oldIno] {
-			continue // renamed within this directory
-		}
-		if err := v.verifyRemoval(app, ino, name, oldIno, kv, res); err != nil {
+		if err := v.verifyRemoval(app, ino, e.Name, e.Ino, kv, res); err != nil {
 			return nil, err
 		}
 	}
 
 	// Page accounting: every page newly linked into the log must be
 	// usable by this app; pages no longer linked are reclaimed.
-	cur := map[uint64]bool{}
 	for _, p := range dv.Pages {
-		cur[p] = true
-		if !old.Pages[p] {
+		if !contains(old.pageSet, p) {
 			if !kv.PageUsableBy(app, ino, p) {
 				return nil, fail(ino, "log page %d not granted to the releasing LibFS", p)
 			}
 			res.NewPages = append(res.NewPages, p)
 		}
 	}
-	for _, p := range sortedPageSet(old.Pages) {
-		if !cur[p] {
+	for _, p := range old.pageSet {
+		if !contains(dv.pageSet, p) {
 			res.FreedPages = append(res.FreedPages, p)
 		}
 	}
@@ -265,14 +227,6 @@ func (v *V) verifyRemoval(app int64, dirIno uint64, name string, childIno uint64
 	return nil
 }
 
-// FileOld is the kernel's acquire-time snapshot of a file's verified
-// block set.
-type FileOld struct {
-	Blocks   map[uint64]bool // data blocks (nonzero only)
-	MapPages map[uint64]bool
-	Size     uint64
-}
-
 // FileResult is the outcome of a successful file verification.
 type FileResult struct {
 	NewPages   []uint64
@@ -281,13 +235,14 @@ type FileResult struct {
 	View       *FileView
 }
 
-// VerifyFile checks regular file ino as released by app.
-func (v *V) VerifyFile(app int64, ino uint64, old *FileOld, kv KernelView) (*FileResult, error) {
+// VerifyFile checks regular file ino as released by app against old, the
+// view its last verification (or its acquire) produced.
+func (v *V) VerifyFile(app int64, ino uint64, old *FileView, kv KernelView) (*FileResult, error) {
 	sh, ok := kv.Shadow(ino)
 	if !ok {
 		return nil, fail(ino, "no shadow record")
 	}
-	fv, err := v.ParseFile(ino)
+	fv, came, gone, err := v.parseFile(ino, old)
 	if err != nil {
 		return nil, fail(ino, "structural: %v", err)
 	}
@@ -299,35 +254,29 @@ func (v *V) VerifyFile(app int64, ino uint64, old *FileOld, kv KernelView) (*Fil
 		return nil, fail(ino, "parent pointer changed by LibFS")
 	}
 	res := &FileResult{Inode: in, View: fv}
-	cur := map[uint64]bool{}
 	for _, p := range fv.MapPages {
-		cur[p] = true
-		if !old.MapPages[p] {
+		if !contains(old.mapSet, p) {
 			if !kv.PageUsableBy(app, ino, p) {
 				return nil, fail(ino, "map page %d not granted to the releasing LibFS", p)
 			}
 			res.NewPages = append(res.NewPages, p)
 		}
 	}
-	for _, b := range fv.Blocks {
-		if b == 0 {
-			continue
-		}
-		cur[b] = true
-		if !old.Blocks[b] && !old.MapPages[b] {
+	for _, b := range came {
+		if !contains(old.blockSet, b) && !contains(old.mapSet, b) {
 			if !kv.PageUsableBy(app, ino, b) {
 				return nil, fail(ino, "data block %d not granted to the releasing LibFS", b)
 			}
 			res.NewPages = append(res.NewPages, b)
 		}
 	}
-	for _, p := range sortedPageSet(old.MapPages) {
-		if !cur[p] {
+	for _, p := range old.mapSet {
+		if !contains(fv.mapSet, p) && !contains(fv.blockSet, p) {
 			res.FreedPages = append(res.FreedPages, p)
 		}
 	}
-	for _, b := range sortedPageSet(old.Blocks) {
-		if !cur[b] {
+	for _, b := range gone {
+		if !contains(fv.blockSet, b) && !contains(fv.mapSet, b) {
 			res.FreedPages = append(res.FreedPages, b)
 		}
 	}
@@ -404,12 +353,11 @@ func (v *V) VerifyNewInode(app int64, ino, parent uint64, kv KernelView) (*NewIn
 			}
 			res.Pages = append(res.Pages, p)
 		}
-		for _, name := range sortedEntryNames(dv.Entries) {
-			d := dv.Entries[name]
-			if !kv.InodeGrantedTo(app, d.Ino) {
-				return nil, fail(ino, "entry %q links inode %d not granted to the LibFS", name, d.Ino)
+		for _, e := range dv.Entries {
+			if !kv.InodeGrantedTo(app, e.Ino) {
+				return nil, fail(ino, "entry %q links inode %d not granted to the LibFS", e.Name, e.Ino)
 			}
-			res.PendingChildren = append(res.PendingChildren, ChildChange{Name: name, Ino: d.Ino, Action: AddNew})
+			res.PendingChildren = append(res.PendingChildren, ChildChange{Name: e.Name, Ino: e.Ino, Action: AddNew})
 		}
 		res.ChildCount = uint32(len(dv.Entries))
 	default:

@@ -29,19 +29,19 @@ step "race (concurrency-sensitive packages)"
 go test -race \
   ./internal/harness/ ./internal/telemetry/ ./internal/telemetry/span/ \
   ./internal/kernel/ ./internal/libfs/ ./internal/kv/ ./internal/rcu/ \
-  ./internal/htable/ ./internal/pmem/ ./internal/pmalloc/
+  ./internal/htable/ ./internal/pmem/ ./internal/pmalloc/ ./internal/verifier/
 
 step "race at GOMAXPROCS 1, 2, 4"
 for p in 1 2 4; do
   GOMAXPROCS=$p go test -race \
     ./internal/core/ ./internal/crashmc/ ./internal/hlock/ ./internal/tenancy/
   GOMAXPROCS=$p go test -race -count=2 \
-    -run 'Compact|HandoffChurn|HandoffTurn|ReleaseAllSpan|ReleaseAllLockOrder|TestBug43|TestBug46|ShardStress|ParsesOnce|SetRef|Delegated' \
+    -run 'Compact|HandoffChurn|HandoffTurn|Reacquire|UnlinkOfCommitted|ReleaseAllSpan|ReleaseAllLockOrder|TestBug43|TestBug46|ShardStress|ParsesOnce|SetRef|Delegated' \
     ./internal/libfs/ ./internal/kernel/ ./internal/htable/
 done
 
 step "per-layer Go benchmarks build and run once"
-go test -run '^$' -bench . -benchtime 1x ./internal/libfs/ ./internal/kv/
+go test -run '^$' -bench . -benchtime 1x ./internal/libfs/ ./internal/kv/ ./internal/verifier/ ./internal/kernel/
 
 step "arcklint (baseline + runtime budget, suppression audit, package docs)"
 go run ./cmd/arcklint -baseline scripts/arcklint_baseline.json ./...
