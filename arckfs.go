@@ -171,7 +171,6 @@ var (
 // CrashImage materializes the durable state a power failure at this
 // instant could leave, under policy. Requires CrashTracking.
 func (s *System) CrashImage(policy CrashPolicy) []byte {
-	s.sys.Ctrl.Trace().Record(telemetry.EvCrashSnapshot, 0, 0, 0, 0)
 	return s.sys.Dev.CrashImage(policy)
 }
 
@@ -205,9 +204,6 @@ func (s *System) ShardStats() []ShardStat { return s.sys.Ctrl.ShardStats() }
 // events, kernel crossings, verifier work units, and LibFS recovery
 // paths, all by name (see internal/telemetry).
 func (s *System) Telemetry() *telemetry.Set { return s.sys.Telemetry() }
-
-// Trace returns the bounded ring of kernel-crossing events.
-func (s *System) Trace() *telemetry.Ring { return s.sys.Ctrl.Trace() }
 
 // Span is one traced operation: app, op kind, duration, and the causal
 // child events it collected (flushes, fences, kernel crossings, lease
@@ -255,13 +251,6 @@ func (s *System) Usage() []AppUsage { return s.sys.Ctrl.Usage() }
 // grant and crossing quotas at runtime.
 func (s *System) SetQuota(a *App, q Quota) error {
 	return s.sys.Ctrl.SetQuota(a.fs.App(), q)
-}
-
-// DeviceStats returns persistence-event counters (stores, flushes,
-// fences) of the simulated device.
-func (s *System) DeviceStats() (stores, bytes, flushes, fences int64) {
-	st := &s.sys.Dev.Stats
-	return st.Stores.Load(), st.Bytes.Load(), st.Flushes.Load(), st.Fences.Load()
 }
 
 // App is one application's library file system.

@@ -19,9 +19,10 @@
 //	crash                     simulate a power failure and remount
 //	stats                     live telemetry snapshot (JSON, all counters)
 //	shards                    per-shard kernel lock counters (contention)
-//	trace [n] [filter...]     last n kernel-crossing events (default 16);
-//	                          filters are kind-name substrings (acquire,
-//	                          commit, grant, verify...) or app=<id>
+//	trace [n] [filter...]     last n kernel crossings (default 16), from
+//	                          the span rings; filters are kind-name
+//	                          substrings (acquire, commit, grant,
+//	                          release...) or app=<id>
 //	spans [n]                 slowest recent operation spans (default 10)
 //	                          with their causal event history
 //	top                       per-app attribution: rank tenants by
@@ -37,6 +38,7 @@ import (
 	"bufio"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -189,21 +191,21 @@ func main() {
 	}
 }
 
-// printTrace renders the tail of the kernel-crossing ring. args is an
-// optional count followed by filters: kind-name substrings (any may
+// printTrace renders the last n kernel crossings, read off the span
+// rings: every crossing is a child of the operation that paid it, and the
+// shell runs one operation at a time, so span order is time order. args
+// is an optional count followed by filters: kind-name substrings (any may
 // match) and/or one app=<id>.
 func printTrace(sys *arckfs.System, args []string) {
 	n := 16
-	rest := args
 	if len(args) > 0 {
 		if v, err := strconv.Atoi(args[0]); err == nil && v > 0 {
-			n = v
-			rest = args[1:]
+			n, args = v, args[1:]
 		}
 	}
 	appFilter := int64(-1)
 	var kinds []string
-	for _, f := range rest {
+	for _, f := range args {
 		if after, ok := strings.CutPrefix(f, "app="); ok {
 			if v, err := strconv.ParseInt(after, 10, 64); err == nil {
 				appFilter = v
@@ -212,32 +214,32 @@ func printTrace(sys *arckfs.System, args []string) {
 		}
 		kinds = append(kinds, strings.ToLower(f))
 	}
-	var out []telemetry.Event
-	for _, ev := range sys.Trace().Snapshot() {
-		if appFilter >= 0 && ev.App != appFilter {
+	var out []string
+	for _, sp := range sys.Spans() {
+		if appFilter >= 0 && sp.App != appFilter {
 			continue
 		}
-		if len(kinds) > 0 {
-			match := false
-			for _, k := range kinds {
-				if strings.Contains(ev.Kind.String(), k) {
-					match = true
-				}
-			}
-			if !match {
+		for _, ev := range sp.Events {
+			var kind, inodes string
+			switch ev.Kind {
+			case telemetry.SpanEvCrossing:
+				kind = telemetry.EventKind(ev.A).String()
+			case telemetry.SpanEvReleaseBatch:
+				kind, inodes = telemetry.SpanEventName(ev.Kind), fmt.Sprintf(" %d inode(s)", ev.A)
+			default:
 				continue
 			}
+			if len(kinds) == 0 || slices.ContainsFunc(kinds, func(k string) bool { return strings.Contains(kind, k) }) {
+				out = append(out, fmt.Sprintf("+%.3fms %-19s app=%d %-8s %.2fµs%s",
+					float64(sp.StartNS+ev.TNS)/1e6, kind, sp.App, sp.Op, float64(ev.B)/1e3, inodes))
+			}
 		}
-		out = append(out, ev)
-	}
-	if len(out) > n {
-		out = out[len(out)-n:]
 	}
 	if len(out) == 0 {
 		fmt.Println("  (no matching kernel crossings)")
 	}
-	for _, ev := range out {
-		fmt.Println(" ", ev.String())
+	for _, line := range out[max(0, len(out)-n):] {
+		fmt.Println(" ", line)
 	}
 }
 

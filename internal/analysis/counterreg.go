@@ -18,7 +18,7 @@ import (
 //     flagged against the first (sites are ordered by position, so the
 //     canonical one is stable).
 //  3. Any other string literal that looks like a namespaced counter name
-//     (pmem.*, kernel.*, verifier.*, libfs.*, trace.*, pmalloc.*) must
+//     (pmem.*, kernel.*, verifier.*, libfs.*, pmalloc.*) must
 //     match a registered name — the drift that silently breaks dashboards
 //     and bench tooling when a counter is renamed but a lookup key is
 //     not. Whitebox killpoint sites (pmem.Killpoint /
@@ -40,7 +40,7 @@ var counterRegAnalyzer = &Analyzer{
 // without a namespace dot (e.g. "syscalls") are not checked for drift but
 // still participate in the once-only rule. Dotted suffixes are allowed
 // ("pmalloc.steals.remote", "kernel.shard.acquisitions").
-var counterNameRe = regexp.MustCompile(`^(pmem|kernel|verifier|libfs|trace|pmalloc)\.[a-z0-9_.]+$`)
+var counterNameRe = regexp.MustCompile(`^(pmem|kernel|verifier|libfs|pmalloc)\.[a-z0-9_.]+$`)
 
 type regSite struct {
 	name string

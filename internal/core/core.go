@@ -134,13 +134,11 @@ func (s *System) initTelemetry() {
 	s.Ctrl.RegisterTelemetry(s.tel)
 	s.tel.Gauge("libfs.remaps", s.sumApps(func(fs *libfs.FS) int64 { return fs.Stats.Remaps.Load() }))
 	s.tel.Gauge("libfs.reacquires", s.sumApps(func(fs *libfs.FS) int64 { return fs.Stats.Reacquires.Load() }))
+	s.tel.Gauge("libfs.stale_reads", s.sumApps(func(fs *libfs.FS) int64 { return fs.Stats.StaleReads.Load() }))
 	// Release-time dentry-log compactions and the dead record slots they
 	// dropped (libfs/compact.go).
 	s.tel.Gauge("libfs.dir_compactions", s.sumApps(func(fs *libfs.FS) int64 { return fs.Stats.DirCompactions.Load() }))
 	s.tel.Gauge("libfs.dir_compacted_slots", s.sumApps(func(fs *libfs.FS) int64 { return fs.Stats.DirCompactedSlots.Load() }))
-	s.tel.Gauge("trace.events", func() int64 {
-		return int64(s.Ctrl.Trace().Total())
-	})
 	// "syscalls" is the cross-system comparable name: the baselines
 	// expose theirs under the same key.
 	//arcklint:allow counterreg every system meters "syscalls" in its own private Set so bench tooling reads one cross-system key

@@ -113,6 +113,43 @@ func TestInvoluntaryReleaseUnderLeaseExpiry(t *testing.T) {
 	}
 }
 
+// TestStaleReadIsCounted: a read-only touch of a released directory that
+// a peer now holds does not steal it; it is served from the retained
+// (last-verified) auxiliary state and shows up in libfs.stale_reads.
+func TestStaleReadIsCounted(t *testing.T) {
+	sys, err := NewSystem(Config{DevSize: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := sys.NewApp(0, 0), sys.NewApp(0, 0)
+	w := a.NewThread(0)
+	if err := w.Mkdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Create("/d/name"); err != nil {
+		t.Fatal(err)
+	}
+	dir, err := w.Stat("/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.ReleaseAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Ctrl.Acquire(b.App(), dir.Ino, true); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := w.Stat("/d/name"); err != nil || st.Dir {
+		t.Fatalf("stat under a peer's hold: %+v, %v", st, err)
+	}
+	if got := sys.Telemetry().Snapshot()["libfs.stale_reads"]; got != 1 {
+		t.Fatalf("libfs.stale_reads = %d, want 1", got)
+	}
+	if owner := sys.Ctrl.OwnerOf(dir.Ino); owner != b.App() {
+		t.Fatalf("the read moved /d to app %d, want it left with %d", owner, b.App())
+	}
+}
+
 // TestParallelAppsPrivateTrees runs several applications concurrently on
 // disjoint trees with worker threads each, under full verification at
 // the end. Run with -race.

@@ -143,7 +143,6 @@ func (c *Controller) reclaimDormant(se *shadowEnt, handOver bool) bool {
 	}
 	se.groupMappings = nil
 	c.cost.Unmap()
-	c.trace.Record(telemetry.EvUnmap, se.owner, se.info.Ino, 0, 0)
 	se.owner = 0
 	se.mapping = nil
 	if !handOver {
@@ -165,11 +164,6 @@ func (c *Controller) Acquire(appID AppID, ino uint64, write bool) (*Mapping, err
 func (c *Controller) AcquireObserved(appID AppID, ino uint64, write bool, sink telemetry.SpanSink) (*Mapping, error) {
 	defer c.syscallObserved(appID, sink)()
 	c.Stats.Acquires.Add(1)
-	var wr int64
-	if write {
-		wr = 1
-	}
-	c.trace.Record(telemetry.EvAcquire, appID, ino, wr, 0)
 	if m, err, handled := c.acquireFast(appID, ino, write, sink); handled {
 		return m, err
 	}
@@ -279,7 +273,6 @@ func (c *Controller) acquireExcl(appID AppID, ino uint64, write bool) (*Mapping,
 		// Lease expired: involuntary release. The holder may be mid-
 		// operation; that is its problem (§4.3 discussion).
 		c.Stats.Involuntary.Add(1)
-		c.trace.Record(telemetry.EvLeaseExpire, se.owner, ino, int64(appID), 0)
 		if err := c.releaseHeld(se, se.owner, ctlView{c: c}); err != nil && !IsVerificationError(err) {
 			return nil, err
 		}
@@ -295,7 +288,6 @@ func (c *Controller) acquireExcl(appID AppID, ino uint64, write bool) (*Mapping,
 // Caller holds se's shard lock or the exclusive epoch.
 func (c *Controller) groupTransfer(se *shadowEnt, appID AppID) *Mapping {
 	c.Stats.TrustTransfers.Add(1)
-	c.trace.Record(telemetry.EvTrustTransfer, appID, se.info.Ino, se.owner, 0)
 	for _, m := range se.groupMappings {
 		if m.app == appID && m.Valid() {
 			se.lease = c.now().Add(c.opts.LeaseTTL)
@@ -332,7 +324,6 @@ func (c *Controller) establish(se *shadowEnt, appID AppID) error {
 	se.mapping = newMapping(se.info.Ino, appID)
 	se.lease = c.now().Add(c.opts.LeaseTTL)
 	c.cost.Map()
-	c.trace.Record(telemetry.EvMap, appID, se.info.Ino, 0, 0)
 	return nil
 }
 
@@ -463,13 +454,12 @@ func (c *Controller) ReleaseBatch(appID AppID, inos []uint64, leased bool, sink 
 		return out
 	}
 	c.Stats.Releases.Add(int64(len(inos)))
-	kind, lease := xferRelease, int64(0)
+	kind := xferRelease
 	if leased {
 		c.Stats.LeasedReleases.Add(int64(len(inos)))
-		kind, lease = xferLease, 1
+		kind = xferLease
 	}
 	for i, ino := range inos {
-		c.trace.Record(telemetry.EvRelease, appID, ino, lease, 0)
 		out[i].Mapping, out[i].Err = c.transfer(appID, ino, kind, sink)
 	}
 	return out
@@ -499,7 +489,6 @@ func (c *Controller) Commit(appID AppID, ino uint64) error {
 func (c *Controller) CommitObserved(appID AppID, ino uint64, sink telemetry.SpanSink) error {
 	defer c.syscallObserved(appID, sink)()
 	c.Stats.Commits.Add(1)
-	c.trace.Record(telemetry.EvCommit, appID, ino, 0, 0)
 	_, err := c.transfer(appID, ino, xferCommit, sink)
 	return err
 }
@@ -590,7 +579,6 @@ func (c *Controller) transferHeld(se *shadowEnt, appID AppID, kind xferKind, vie
 			se.mapping.revoke()
 		}
 		c.cost.Unmap()
-		c.trace.Record(telemetry.EvUnmap, appID, se.info.Ino, 0, 0)
 		se.owner = 0
 		se.mapping = nil
 		se.snap = nil
@@ -625,7 +613,6 @@ func (c *Controller) releaseHeld(se *shadowEnt, appID AppID, view ctlView) error
 	}
 	se.groupMappings = nil
 	c.cost.Unmap()
-	c.trace.Record(telemetry.EvUnmap, appID, se.info.Ino, 0, 0)
 	err := c.verifyAndApply(se, appID, false, view)
 	se.owner = 0
 	se.mapping = nil
@@ -649,11 +636,9 @@ func (c *Controller) verifyAndApply(se *shadowEnt, appID AppID, keepHeld bool, v
 		res, err := c.ver.VerifyNewInode(appID, ino, se.info.Parent, view)
 		if err != nil {
 			c.Stats.VerifyFailures.Add(1)
-			c.trace.Record(telemetry.EvVerifyFail, appID, ino, 0, 0)
 			c.applyPolicy(se, view.held)
 			return err
 		}
-		c.trace.Record(telemetry.EvVerifyOK, appID, ino, int64(res.ChildCount), int64(len(res.Pages)))
 		c.applyNewInode(se, appID, res, view.held)
 		if keepHeld {
 			se.snap = c.newSnapshot(ino, res.Dir, res.File, nil)
@@ -666,11 +651,9 @@ func (c *Controller) verifyAndApply(se *shadowEnt, appID AppID, keepHeld bool, v
 		res, err := c.ver.VerifyDir(appID, ino, se.snap.dir, view)
 		if err != nil {
 			c.Stats.VerifyFailures.Add(1)
-			c.trace.Record(telemetry.EvVerifyFail, appID, ino, 0, 0)
 			c.applyPolicy(se, view.held)
 			return err
 		}
-		c.trace.Record(telemetry.EvVerifyOK, appID, ino, int64(res.View.Records), int64(len(res.View.Pages)))
 		c.applyDir(se, appID, res)
 		if keepHeld {
 			se.snap = c.newSnapshot(ino, res.View, nil, se.snap)
@@ -679,11 +662,9 @@ func (c *Controller) verifyAndApply(se *shadowEnt, appID AppID, keepHeld bool, v
 		res, err := c.ver.VerifyFile(appID, ino, se.snap.file, view)
 		if err != nil {
 			c.Stats.VerifyFailures.Add(1)
-			c.trace.Record(telemetry.EvVerifyFail, appID, ino, 0, 0)
 			c.applyPolicy(se, view.held)
 			return err
 		}
-		c.trace.Record(telemetry.EvVerifyOK, appID, ino, 0, int64(len(res.View.MapPages)))
 		c.applyFile(se, appID, res)
 		if keepHeld {
 			se.snap = c.newSnapshot(ino, nil, res.View, se.snap)

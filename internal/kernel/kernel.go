@@ -63,8 +63,6 @@ type Options struct {
 	// LeaseTTL bounds how long an application may hold an inode another
 	// application is waiting for; 0 means a generous default.
 	LeaseTTL time.Duration
-	// TraceCap sizes the kernel-crossing trace ring (0 = 1024 events).
-	TraceCap int
 	// MaxInflight caps concurrently admitted kernel crossings; excess
 	// crossings queue in the fair-share admission scheduler (see
 	// admission.go). 0 disables admission entirely: the only residual
@@ -91,9 +89,6 @@ func (o *Options) fill() {
 	}
 	if o.LeaseTTL == 0 {
 		o.LeaseTTL = 10 * time.Second
-	}
-	if o.TraceCap == 0 {
-		o.TraceCap = 1024
 	}
 }
 
@@ -333,10 +328,6 @@ type Controller struct {
 	// epoch held.
 	clock atomic.Pointer[clockFn]
 
-	// trace records kernel crossings and verifier runs; bounded, always
-	// on (the per-event cost is one atomic increment and one store).
-	trace *telemetry.Ring
-
 	Stats Stats
 }
 
@@ -376,7 +367,6 @@ func newController(dev *pmem.Device, g layout.Geometry, opts Options) *Controlle
 		opts:  opts,
 		pages: make([]pageOwner, g.PageCount),
 		apps:  make(map[AppID]*app),
-		trace: telemetry.NewRing(opts.TraceCap),
 	}
 	c.shadow.Store(newShadowGen(nShadowMin))
 	for i := range c.aclTab {
@@ -423,9 +413,6 @@ func (c *Controller) syscallObserved(appID AppID, sink telemetry.SpanSink) func(
 	c.adm.admit(appID, sink)
 	return c.adm.releaseFn
 }
-
-// Trace returns the kernel-crossing trace ring.
-func (c *Controller) Trace() *telemetry.Ring { return c.trace }
 
 // VerifierStats exposes the verifier's work counters.
 func (c *Controller) VerifierStats() *verifier.Stats { return &c.ver.Stats }
@@ -516,7 +503,6 @@ func (c *Controller) UnregisterApp(appID AppID) error {
 	if a == nil {
 		return fmt.Errorf("kernel: unknown app %d", appID)
 	}
-	c.trace.Record(telemetry.EvUnregisterApp, appID, 0, 0, 0)
 	c.enterExcl()
 	defer c.exitExcl()
 	// Force-release everything the app still owns. releaseHeld verifies
@@ -595,7 +581,6 @@ func (c *Controller) NewTrustGroup(ids ...AppID) (int, error) {
 // files and directories in them without further system calls.
 func (c *Controller) GrantInodes(appID AppID, n int) ([]uint64, error) {
 	defer c.syscall(appID)()
-	c.trace.Record(telemetry.EvGrantInodes, appID, 0, int64(n), 0)
 	e := c.epoch.RLock()
 	defer c.epoch.RUnlock(e)
 	if !c.appsMu.TryLock() {
@@ -629,7 +614,6 @@ func (c *Controller) GrantInodes(appID AppID, n int) ([]uint64, error) {
 // outstanding-page quota.
 func (c *Controller) GrantPages(appID AppID, cpu, n int) ([]uint64, error) {
 	defer c.syscall(appID)()
-	c.trace.Record(telemetry.EvGrantPages, appID, 0, int64(n), 0)
 	a := c.lookupApp(appID)
 	if a == nil {
 		return nil, fmt.Errorf("kernel: unknown app %d", appID)
@@ -659,7 +643,6 @@ func (c *Controller) GrantPages(appID AppID, cpu, n int) ([]uint64, error) {
 // uncharging them from the app's outstanding-page quota.
 func (c *Controller) ReturnPages(appID AppID, pages []uint64) {
 	defer c.syscall(appID)()
-	c.trace.Record(telemetry.EvReturnPages, appID, 0, int64(len(pages)), 0)
 	e := c.epoch.RLock()
 	var back []uint64
 	for _, p := range pages {
@@ -679,7 +662,6 @@ func (c *Controller) ReturnPages(appID AppID, pages []uint64) {
 // RenameLockAcquire takes the global rename lease for app (§4.6 patch).
 func (c *Controller) RenameLockAcquire(appID AppID) {
 	defer c.syscall(appID)()
-	c.trace.Record(telemetry.EvRenameLockAcquire, appID, 0, 0, 0)
 	c.renameLock.Acquire(appID, renameLeaseTTL)
 }
 
@@ -687,7 +669,6 @@ func (c *Controller) RenameLockAcquire(appID AppID) {
 // been stolen.
 func (c *Controller) RenameLockRelease(appID AppID) bool {
 	defer c.syscall(appID)()
-	c.trace.Record(telemetry.EvRenameLockRelease, appID, 0, 0, 0)
 	return c.renameLock.Release(appID)
 }
 
@@ -697,7 +678,6 @@ func (c *Controller) RenameLockRelease(appID AppID) bool {
 // models (and charges) a kernel crossing.
 func (c *Controller) SetACL(ino uint64, appID AppID, perm uint16) {
 	defer c.syscall(appID)()
-	c.trace.Record(telemetry.EvSetACL, appID, ino, int64(perm), 0)
 	e := c.epoch.RLock()
 	defer c.epoch.RUnlock(e)
 	sh := c.shardOf(ino)

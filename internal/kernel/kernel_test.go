@@ -194,6 +194,26 @@ func TestAcquireIdempotentForOwner(t *testing.T) {
 	h.c.Release(app, layout.RootIno)
 }
 
+// TestRepeatAcquireAllocatesNothing pins the crossing's fast path: an
+// owner asking again for what it holds is counted (Stats, the app row) and
+// answered with the existing mapping, and no record of it is built.
+func TestRepeatAcquireAllocatesNothing(t *testing.T) {
+	h := newHarness(t, verifier.Enhanced)
+	app := h.c.RegisterApp(0, 0)
+	held, err := h.c.Acquire(app, layout.RootIno, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if m, err := h.c.Acquire(app, layout.RootIno, true); err != nil || m != held {
+			t.Fatalf("re-acquire: %v, same=%v", err, m == held)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a repeat acquire allocates %v objects, want 0", allocs)
+	}
+}
+
 func TestCreateCommitFlow(t *testing.T) {
 	h := newHarness(t, verifier.Enhanced)
 	app := h.c.RegisterApp(0, 0)

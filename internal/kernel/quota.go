@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"time"
-
-	"arckfs/internal/telemetry"
 )
 
 // ErrQuota is returned (wrapped, with context) when a grant would push a
@@ -41,7 +39,6 @@ type Quota struct {
 // below the new limit.
 func (c *Controller) SetQuota(appID AppID, q Quota) error {
 	defer c.syscall(appID)()
-	c.trace.Record(telemetry.EvSetQuota, appID, 0, q.MaxPages, q.MaxInodes)
 	a := c.lookupApp(appID)
 	if a == nil {
 		return fmt.Errorf("kernel: unknown app %d", appID)

@@ -17,21 +17,22 @@ import (
 	"arckfs/internal/telemetry/span"
 )
 
-// crossings counts the kernel crossings the trace ring recorded after
-// sequence number since, by kind. A vectored release records one EvRelease
-// per inode, so releases are inodes, not crossings.
-func crossings(ctrl *kernel.Controller, since uint64) (acquires, releases, other int64) {
-	for _, ev := range ctrl.Trace().Snapshot() {
-		if ev.Seq < since {
+// spanCrossings counts the kernel crossings that the children of tr's
+// spans with an ID above since witnessed: timed crossings by kind, and
+// vectored releases.
+func spanCrossings(tr *span.Tracer, since uint64) (byKind map[telemetry.EventKind]int64, batches int64) {
+	byKind = make(map[telemetry.EventKind]int64)
+	for _, sp := range tr.Snapshot() {
+		if sp.ID <= since {
 			continue
 		}
-		switch ev.Kind {
-		case telemetry.EvAcquire:
-			acquires++
-		case telemetry.EvRelease:
-			releases++
-		case telemetry.EvGrantInodes, telemetry.EvGrantPages, telemetry.EvReturnPages, telemetry.EvCommit:
-			other++
+		for _, ev := range sp.Events {
+			switch ev.Kind {
+			case telemetry.SpanEvCrossing:
+				byKind[telemetry.EventKind(ev.A)]++
+			case telemetry.SpanEvReleaseBatch:
+				batches++
+			}
 		}
 	}
 	return
@@ -41,14 +42,16 @@ func crossings(ctrl *kernel.Controller, since uint64) (acquires, releases, other
 // applications alternate on a shared directory and shared files; each turn
 // pays one crossing per inode it has to take over, one for everything it
 // hands back, and the verifier walks each released inode once — the
-// acquire adopts the peer's verified baseline. The turn's release span
-// shows that one crossing with its inode count; the trace ring still lists
-// every inode; the per-app row counts crossings.
+// acquire adopts the peer's verified baseline. Every span is sampled, so
+// the holder's span rings account for every crossing the kernel charged —
+// each is a child of the operation that paid it — and the per-app row
+// counts the same; the turn's release span shows its one crossing with the
+// inode count.
 func TestHandoffTurnIsOneReleaseCrossing(t *testing.T) {
 	const shared, batch = 4, 8
 	dev := pmem.New(64<<20, nil)
 	dim := telemetry.NewAppDim()
-	ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 1 << 12, TraceCap: 1 << 12, AppDim: dim})
+	ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 1 << 12, AppDim: dim})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +93,7 @@ func TestHandoffTurnIsOneReleaseCrossing(t *testing.T) {
 	vs := ctrl.VerifierStats()
 	for turn := 0; turn < 6; turn++ {
 		a := turn % 2
-		since := ctrl.Trace().Total()
+		since := uint64(trs[a].Recorded()) // span IDs count from 1
 		st := ctrl.Stats.Snapshot()
 		row := dim.Row(int64(fss[a].app)).Get(telemetry.AppSyscalls)
 		walked := vs.Dentries.Load() + vs.Pages.Load()
@@ -114,24 +117,28 @@ func TestHandoffTurnIsOneReleaseCrossing(t *testing.T) {
 			t.Fatalf("turn %d release: %v", turn, err)
 		}
 		d := ctrl.Stats.Snapshot()
-		acquires, releases, other := crossings(ctrl, since)
 		// Root, /h, the shared files and this turn's new files.
 		const n = 2 + shared + batch
-		if releases != n || d.Releases-st.Releases != n || d.Verifications-st.Verifications != n {
-			t.Fatalf("turn %d: %d release events, %d releases, %d verifications; want %d each",
-				turn, releases, d.Releases-st.Releases, d.Verifications-st.Verifications, n)
+		if d.Releases-st.Releases != n || d.Verifications-st.Verifications != n {
+			t.Fatalf("turn %d: %d releases, %d verifications; want %d each",
+				turn, d.Releases-st.Releases, d.Verifications-st.Verifications, n)
 		}
-		if turn == 0 {
-			continue // app 0 wins its own leases back: no acquire to pin
+		byKind, batches := spanCrossings(trs[a], since)
+		acquires, commits := byKind[telemetry.EvAcquire], byKind[telemetry.EvCommit]
+		grants := byKind[telemetry.EvGrantInodes] + byKind[telemetry.EvGrantPages]
+		if acquires != d.Acquires-st.Acquires || commits != d.Commits-st.Commits || batches != 1 {
+			t.Fatalf("turn %d: spans show %d acquires, %d commits, %d release crossings; kernel counted %d, %d, want 1",
+				turn, acquires, commits, batches, d.Acquires-st.Acquires, d.Commits-st.Commits)
 		}
-		if acquires != 2+shared || d.Acquires-st.Acquires != acquires {
-			t.Fatalf("turn %d: %d acquires, want %d", turn, acquires, 2+shared)
-		}
-		if got := d.Syscalls - st.Syscalls; got != acquires+other+1 {
-			t.Fatalf("turn %d: %d crossings, want %d acquires + %d grants + 1 release", turn, got, acquires, other)
+		if got := d.Syscalls - st.Syscalls; got != acquires+commits+grants+batches {
+			t.Fatalf("turn %d: kernel charged %d crossings, spans show %d acquires + %d commits + %d grants + %d release (%v)",
+				turn, got, acquires, commits, grants, batches, byKind)
 		}
 		if got := dim.Row(int64(fss[a].app)).Get(telemetry.AppSyscalls) - row; got != d.Syscalls-st.Syscalls {
 			t.Fatalf("turn %d: app row counts %d crossings, kernel %d", turn, got, d.Syscalls-st.Syscalls)
+		}
+		if acquires != 2+shared {
+			t.Fatalf("turn %d: %d acquires, want %d: everything the peer held", turn, acquires, 2+shared)
 		}
 		if trs[a].Recorded() != spans+1 {
 			t.Fatalf("turn %d: ReleaseAll recorded %d spans, want 1", turn, trs[a].Recorded()-spans)

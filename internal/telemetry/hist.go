@@ -1,10 +1,10 @@
 // Package telemetry is the observability layer of the reproduction: it
-// provides lock-free latency histograms, a bounded trace ring of
-// structured events, and a counter registry with expvar-style JSON
-// snapshots. The kernel, the LibFS, the verifier, and the simulated
-// device all publish through it, and the benchmark harness consumes it
-// to attach latency percentiles and per-operation counter deltas to
-// every measurement cell.
+// provides lock-free latency histograms, a counter registry with
+// expvar-style JSON snapshots, per-application counter rows, and the
+// event vocabulary of the span recorder (telemetry/span). The kernel,
+// the LibFS, the verifier, and the simulated device all publish through
+// it, and the benchmark harness consumes it to attach latency percentiles
+// and per-operation counter deltas to every measurement cell.
 package telemetry
 
 import (

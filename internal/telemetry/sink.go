@@ -31,9 +31,9 @@ const (
 	// SpanEvFence: an ordering-epoch boundary (sfence). a = unique lines
 	// written back by the drain that preceded it.
 	SpanEvFence
-	// SpanEvCrossing: one kernel crossing completed. a = the trace
-	// EventKind of the crossing (EvAcquire, EvCommit, ...), b = its
-	// duration in nanoseconds.
+	// SpanEvCrossing: one kernel crossing completed. a = the EventKind
+	// of the crossing (EvAcquire, EvCommit, ...), b = its duration in
+	// nanoseconds.
 	SpanEvCrossing
 	// SpanEvLeaseHit: a kernel crossing was elided by a grant lease or a
 	// dormant-mapping reactivation. a = inode (0 for page grants).
@@ -71,6 +71,35 @@ var spanEventNames = [...]string{
 	SpanEvAdmitWait:    "admit-wait",
 	SpanEvDirCompact:   "dir-compact",
 	SpanEvReleaseBatch: "release-batch",
+}
+
+// EventKind says which kernel crossing a SpanEvCrossing event timed. A
+// vectored release is not one of them: it has its own event,
+// SpanEvReleaseBatch, because its payload is an inode count.
+type EventKind uint8
+
+// Crossing kinds.
+const (
+	EvAcquire EventKind = iota + 1
+	EvCommit
+	EvGrantInodes
+	EvGrantPages
+	EvRenameLockAcquire
+)
+
+var eventKindNames = [...]string{
+	EvAcquire:           "acquire",
+	EvCommit:            "commit",
+	EvGrantInodes:       "grant-inodes",
+	EvGrantPages:        "grant-pages",
+	EvRenameLockAcquire: "rename-lock-acquire",
+}
+
+func (k EventKind) String() string {
+	if int(k) < len(eventKindNames) && eventKindNames[k] != "" {
+		return eventKindNames[k]
+	}
+	return fmt.Sprintf("event(%d)", uint8(k))
 }
 
 // SpanEventName returns the display name of a SpanEv* kind.

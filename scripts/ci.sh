@@ -21,6 +21,13 @@ if [ -n "$unformatted" ]; then
   exit 1
 fi
 
+step "CHANGES.md (last entry at most 600 characters; the detail goes in the commit)"
+n="$(tail -n 1 CHANGES.md | tr -d '\n' | wc -m)"
+if [ "$n" -gt 600 ]; then
+  echo "CHANGES.md: the last entry is $n characters" >&2
+  exit 1
+fi
+
 step vet;   go vet ./...
 step build; go build ./...
 step test;  go test ./...
@@ -36,7 +43,7 @@ for p in 1 2 4; do
   GOMAXPROCS=$p go test -race \
     ./internal/core/ ./internal/crashmc/ ./internal/hlock/ ./internal/tenancy/
   GOMAXPROCS=$p go test -race -count=2 \
-    -run 'Compact|HandoffChurn|HandoffTurn|Reacquire|UnlinkOfCommitted|ReleaseAllSpan|ReleaseAllLockOrder|TestBug43|TestBug46|ShardStress|ParsesOnce|SetRef|Delegated' \
+    -run 'Compact|HandoffChurn|HandoffTurn|Reacquire|UnlinkOfCommitted|ReleaseAllSpan|ReleaseAllLockOrder|TestBug43|TestBug46|ShardStress|ParsesOnce|SetRef|Delegated|RepeatAcquire' \
     ./internal/libfs/ ./internal/kernel/ ./internal/htable/
 done
 
