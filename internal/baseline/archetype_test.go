@@ -1,15 +1,15 @@
 package baseline_test
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
-	"arckfs/internal/baseline/kucofs"
-	"arckfs/internal/baseline/nova"
-	"arckfs/internal/baseline/pmfs"
+	"arckfs/internal/baseline"
 	"arckfs/internal/costmodel"
+	"arckfs/internal/fsapi"
 )
 
 // The three baselines are architectural archetypes; these tests pin the
@@ -21,10 +21,7 @@ import (
 // complete correctly under heavy cross-directory churn) and that the
 // journal never corrupts counts.
 func TestPmfsGlobalJournalSerializes(t *testing.T) {
-	fs, err := pmfs.New(64<<20, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := mustNew(t, "pmfs", 64<<20, nil)
 	setup := fs.NewThread(0)
 	for d := 0; d < 4; d++ {
 		if err := setup.Mkdir(fmt.Sprintf("/d%d", d)); err != nil {
@@ -63,10 +60,7 @@ func TestPmfsGlobalJournalSerializes(t *testing.T) {
 // TestNovaCOWPreservesOldDataOnPartialWrite: NOVA's copy-on-write must
 // carry the untouched part of a page into the new block.
 func TestNovaCOWPreservesOldDataOnPartialWrite(t *testing.T) {
-	fs, err := nova.New(32<<20, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := mustNew(t, "nova", 32<<20, nil)
 	w := fs.NewThread(0)
 	w.Create("/f")
 	fd, _ := w.Open("/f")
@@ -93,10 +87,7 @@ func TestNovaCOWPreservesOldDataOnPartialWrite(t *testing.T) {
 // ~1 ms here, so the difference is unmistakable).
 func TestKucofsDataPathAvoidsSyscalls(t *testing.T) {
 	cost := &costmodel.Model{SyscallNS: 1_000_000} // 1 ms per crossing
-	fs, err := kucofs.New(32<<20, cost)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := mustNew(t, "kucofs", 32<<20, cost)
 	w := fs.NewThread(0)
 	start := time.Now()
 	if err := w.Create("/f"); err != nil { // 1 metadata op => ≥1 ms
@@ -126,41 +117,102 @@ func TestKucofsDataPathAvoidsSyscalls(t *testing.T) {
 	}
 }
 
-// TestNovaRenameLockOrdering: cross-directory renames in both directions
-// concurrently must not deadlock (ordered inode locking).
-func TestNovaRenameLockOrdering(t *testing.T) {
-	fs, err := nova.New(32<<20, nil)
-	if err != nil {
-		t.Fatal(err)
+// eachArchetype runs f as one subtest per archetype, for the properties
+// the shared skeleton gives all of them.
+func eachArchetype(t *testing.T, f func(t *testing.T, name string)) {
+	for _, name := range baseline.Names() {
+		t.Run(name, func(t *testing.T) { f(t, name) })
 	}
-	w := fs.NewThread(0)
-	w.Mkdir("/a")
-	w.Mkdir("/b")
-	w.Create("/a/x")
-	w.Create("/b/y")
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		t1 := fs.NewThread(1)
-		for i := 0; i < 100; i++ {
-			t1.Rename("/a/x", "/b/x")
-			t1.Rename("/b/x", "/a/x")
+}
+
+// TestRenameLockOrdering: cross-directory renames in both directions
+// concurrently must not deadlock (ordered inode locking), whatever lock
+// the discipline's commit takes inside them.
+func TestRenameLockOrdering(t *testing.T) {
+	eachArchetype(t, func(t *testing.T, name string) {
+		fs := mustNew(t, name, 32<<20, nil)
+		w := fs.NewThread(0)
+		w.Mkdir("/a")
+		w.Mkdir("/b")
+		w.Create("/a/x")
+		w.Create("/b/y")
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			t1 := fs.NewThread(1)
+			for i := 0; i < 100; i++ {
+				t1.Rename("/a/x", "/b/x")
+				t1.Rename("/b/x", "/a/x")
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			t2 := fs.NewThread(2)
+			for i := 0; i < 100; i++ {
+				t2.Rename("/b/y", "/a/y")
+				t2.Rename("/a/y", "/b/y")
+			}
+		}()
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatal("cross-directory renames deadlocked")
 		}
-	}()
-	go func() {
-		defer wg.Done()
-		t2 := fs.NewThread(2)
-		for i := 0; i < 100; i++ {
-			t2.Rename("/b/y", "/a/y")
-			t2.Rename("/a/y", "/b/y")
+		for _, p := range []string{"/a/x", "/b/y"} {
+			if _, err := w.Stat(p); err != nil {
+				t.Fatalf("%s after the renames: %v", p, err)
+			}
 		}
-	}()
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("cross-directory renames deadlocked")
-	}
+	})
+}
+
+// TestShrinkZeroesTheCutTail: a shrink into the middle of a block must
+// not leave the cut-off bytes where a later grow, or a write past the
+// gap, exposes them again.
+func TestShrinkZeroesTheCutTail(t *testing.T) {
+	eachArchetype(t, func(t *testing.T, name string) {
+		for _, regrow := range []struct {
+			name string
+			do   func(w fsapi.Thread, fd fsapi.FD) error
+		}{
+			{"grow", func(w fsapi.Thread, _ fsapi.FD) error { return w.Truncate("/f", 4096) }},
+			{"write-past-gap", func(w fsapi.Thread, fd fsapi.FD) error {
+				_, err := w.WriteAt(fd, []byte{0x22}, 4095)
+				return err
+			}},
+		} {
+			t.Run(regrow.name, func(t *testing.T) {
+				w := mustNew(t, name, 32<<20, nil).NewThread(0)
+				if err := w.Create("/f"); err != nil {
+					t.Fatal(err)
+				}
+				fd, err := w.Open("/f")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := w.WriteAt(fd, bytes.Repeat([]byte{0x11}, 8192), 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Truncate("/f", 100); err != nil {
+					t.Fatal(err)
+				}
+				if err := regrow.do(w, fd); err != nil {
+					t.Fatal(err)
+				}
+				got := make([]byte, 4095)
+				if n, err := w.ReadAt(fd, got, 0); err != nil || n != len(got) {
+					t.Fatalf("ReadAt = %d, %v", n, err)
+				}
+				if !bytes.Equal(got[:100], bytes.Repeat([]byte{0x11}, 100)) {
+					t.Fatal("the kept head changed")
+				}
+				if stale := len(got[100:]) - bytes.Count(got[100:], []byte{0}); stale != 0 {
+					t.Fatalf("%d stale bytes read back past the shrink", stale)
+				}
+			})
+		}
+	})
 }

@@ -6,43 +6,30 @@ package baseline_test
 import (
 	"testing"
 
-	"arckfs/internal/baseline/kucofs"
-	"arckfs/internal/baseline/nova"
-	"arckfs/internal/baseline/pmfs"
+	"arckfs/internal/baseline"
 	"arckfs/internal/core"
+	"arckfs/internal/costmodel"
 	"arckfs/internal/fsapi"
 	"arckfs/internal/fsapi/fstest"
 )
 
-func TestNovaConformance(t *testing.T) {
-	fstest.Run(t, func(t *testing.T) fsapi.FS {
-		fs, err := nova.New(64<<20, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fs
-	})
+// mustNew formats the named archetype or fails the test.
+func mustNew(t testing.TB, name string, size int64, cost *costmodel.Model) *baseline.FS {
+	t.Helper()
+	fs, err := baseline.New(name, size, cost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
 }
 
-func TestPmfsConformance(t *testing.T) {
-	fstest.Run(t, func(t *testing.T) fsapi.FS {
-		fs, err := pmfs.New(64<<20, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fs
-	})
+func conformance(t *testing.T, name string) {
+	fstest.Run(t, func(t *testing.T) fsapi.FS { return mustNew(t, name, 64<<20, nil) })
 }
 
-func TestKucofsConformance(t *testing.T) {
-	fstest.Run(t, func(t *testing.T) fsapi.FS {
-		fs, err := kucofs.New(64<<20, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fs
-	})
-}
+func TestNovaConformance(t *testing.T)   { conformance(t, "nova") }
+func TestPmfsConformance(t *testing.T)   { conformance(t, "pmfs") }
+func TestKucofsConformance(t *testing.T) { conformance(t, "kucofs") }
 
 func TestArckFSPlusConformance(t *testing.T) {
 	fstest.Run(t, func(t *testing.T) fsapi.FS {
@@ -66,22 +53,5 @@ func TestArckFSSingleThreadConformance(t *testing.T) {
 		}
 		return sys.NewApp(0, 0)
 	}
-	t.Run("CreateOpenReadWrite", func(t *testing.T) {
-		fs := mk(t)
-		w := fs.NewThread(0)
-		if err := w.Create("/f"); err != nil {
-			t.Fatal(err)
-		}
-		fd, err := w.Open("/f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.WriteAt(fd, []byte("abc"), 0); err != nil {
-			t.Fatal(err)
-		}
-		got := make([]byte, 3)
-		if _, err := w.ReadAt(fd, got, 0); err != nil || string(got) != "abc" {
-			t.Fatalf("read %q, %v", got, err)
-		}
-	})
+	t.Run("CreateOpenReadWrite", func(t *testing.T) { fstest.CreateOpenReadWrite(t, mk(t)) })
 }

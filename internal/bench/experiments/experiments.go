@@ -9,9 +9,7 @@ import (
 	"fmt"
 	"io"
 
-	"arckfs/internal/baseline/kucofs"
-	"arckfs/internal/baseline/nova"
-	"arckfs/internal/baseline/pmfs"
+	"arckfs/internal/baseline"
 	"arckfs/internal/bench/filebench"
 	"arckfs/internal/bench/fiolike"
 	"arckfs/internal/bench/fxmark"
@@ -27,7 +25,7 @@ import (
 // AllSystems lists every file system the evaluation compares. The
 // remaining baselines of the paper (ext4, OdinFS, WineFS, SplitFS,
 // Strata) are represented by these archetypes; see DESIGN.md.
-var AllSystems = []string{"arckfs", "arckfs+", "nova", "pmfs", "kucofs"}
+var AllSystems = append([]string{"arckfs", "arckfs+"}, baseline.Names()...)
 
 // Config parameterizes a run.
 type Config struct {
@@ -137,14 +135,12 @@ func MakeFSWith(name string, o FSOpts) (fsapi.FS, error) {
 		return arck(core.ArckFSPlus)
 	case "arckfs":
 		return arck(core.ArckFS)
-	case "nova":
-		return nova.New(o.DevSize, o.Cost)
-	case "pmfs":
-		return pmfs.New(o.DevSize, o.Cost)
-	case "kucofs":
-		return kucofs.New(o.DevSize, o.Cost)
 	}
-	return nil, fmt.Errorf("unknown file system %q", name)
+	fs, err := baseline.New(name, o.DevSize, o.Cost)
+	if err != nil {
+		return nil, err
+	}
+	return fs, nil
 }
 
 // makeFS builds the named system under this run's configuration.

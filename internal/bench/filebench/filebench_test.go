@@ -3,7 +3,7 @@ package filebench
 import (
 	"testing"
 
-	"arckfs/internal/baseline/nova"
+	"arckfs/internal/baseline"
 	"arckfs/internal/core"
 	"arckfs/internal/fsapi"
 )
@@ -48,7 +48,7 @@ func TestPrivateDirVariant(t *testing.T) {
 }
 
 func TestWebproxyOnNova(t *testing.T) {
-	fs, err := nova.New(128<<20, nil)
+	fs, err := baseline.New("nova", 128<<20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@ package fiolike
 import (
 	"testing"
 
-	"arckfs/internal/baseline/pmfs"
+	"arckfs/internal/baseline"
 	"arckfs/internal/core"
 	"arckfs/internal/harness"
 )
@@ -26,7 +26,7 @@ func TestStandardJobsRun(t *testing.T) {
 }
 
 func TestFioOnPmfs(t *testing.T) {
-	fs, err := pmfs.New(64<<20, nil)
+	fs, err := baseline.New("pmfs", 64<<20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

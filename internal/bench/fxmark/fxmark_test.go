@@ -3,7 +3,7 @@ package fxmark
 import (
 	"testing"
 
-	"arckfs/internal/baseline/nova"
+	"arckfs/internal/baseline"
 	"arckfs/internal/core"
 	"arckfs/internal/fsapi"
 )
@@ -22,7 +22,7 @@ func eachFS(t *testing.T, fn func(t *testing.T, fs fsapi.FS)) {
 		fn(t, sys.NewApp(0, 0))
 	})
 	t.Run("nova", func(t *testing.T) {
-		fs, err := nova.New(128<<20, nil)
+		fs, err := baseline.New("nova", 128<<20, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

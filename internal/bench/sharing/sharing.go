@@ -11,7 +11,7 @@ import (
 	"fmt"
 	"time"
 
-	"arckfs/internal/baseline/nova"
+	"arckfs/internal/baseline"
 	"arckfs/internal/core"
 	"arckfs/internal/costmodel"
 	"arckfs/internal/fsapi"
@@ -175,7 +175,7 @@ func ArckCreate(sys *core.System, batch, turns int, trust bool) (CreateResult, e
 // NovaWrite is the kernel-file-system comparator for the write rows: two
 // threads of one NOVA instance, no ownership concept.
 func NovaWrite(cost *costmodel.Model, devSize int64, fileSize uint64, iters int) (WriteResult, error) {
-	fs, err := nova.New(devSize, cost)
+	fs, err := baseline.New("nova", devSize, cost)
 	if err != nil {
 		return WriteResult{}, err
 	}
@@ -210,7 +210,7 @@ func NovaWrite(cost *costmodel.Model, devSize int64, fileSize uint64, iters int)
 
 // NovaCreate is the comparator for the create rows.
 func NovaCreate(cost *costmodel.Model, devSize int64, batch, turns int) (CreateResult, error) {
-	fs, err := nova.New(devSize, cost)
+	fs, err := baseline.New("nova", devSize, cost)
 	if err != nil {
 		return CreateResult{}, err
 	}

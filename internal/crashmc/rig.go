@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"arckfs/internal/baseline/kucofs"
-	"arckfs/internal/baseline/nova"
-	"arckfs/internal/baseline/pmfs"
+	"arckfs/internal/baseline"
 	"arckfs/internal/fsapi"
 	"arckfs/internal/kernel"
 	"arckfs/internal/layout"
@@ -183,18 +181,7 @@ func newRig(cfg *Config, seed int64, onPoint func()) (*rig, error) {
 			r.ths = append(r.ths, fs.NewThread(0))
 		}
 	} else {
-		var bfs fsapi.FS
-		var err error
-		switch cfg.System {
-		case "nova":
-			bfs, err = nova.New(devSize, nil)
-		case "pmfs":
-			bfs, err = pmfs.New(devSize, nil)
-		case "kucofs":
-			bfs, err = kucofs.New(devSize, nil)
-		default:
-			err = fmt.Errorf("crashmc: unknown system %q", cfg.System)
-		}
+		bfs, err := baseline.New(cfg.System, devSize, nil)
 		if err != nil {
 			return nil, err
 		}

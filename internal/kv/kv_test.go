@@ -8,7 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"arckfs/internal/baseline/nova"
+	"arckfs/internal/baseline"
 	"arckfs/internal/core"
 	"arckfs/internal/fsapi"
 )
@@ -195,7 +195,7 @@ func len43(n int) int {
 }
 
 func TestOnNovaBaseline(t *testing.T) {
-	fs, err := nova.New(128<<20, nil)
+	fs, err := baseline.New("nova", 128<<20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,8 @@ step "race (concurrency-sensitive packages)"
 go test -race \
   ./internal/harness/ ./internal/telemetry/ ./internal/telemetry/span/ \
   ./internal/kernel/ ./internal/libfs/ ./internal/kv/ ./internal/rcu/ \
-  ./internal/htable/ ./internal/pmem/ ./internal/pmalloc/ ./internal/verifier/
+  ./internal/htable/ ./internal/pmem/ ./internal/pmalloc/ ./internal/verifier/ \
+  ./internal/baseline/
 
 step "race at GOMAXPROCS 1, 2, 4"
 for p in 1 2 4; do
