@@ -13,8 +13,8 @@ import (
 // never be returned straight to an allocator pool. The only legal routes
 // back to a pool are
 //
-//  1. FS.retirePages / FS.retireIno, which park the resource behind a
-//     grace period (rcu.Domain.Defer) before recycling it;
+//  1. FS.retire, which parks the resource behind a grace period — in an
+//     object handed to rcu.Domain.Retire — before recycling it;
 //  2. resources that were freshly allocated in the same function and
 //     never published (a failure path returning an allocPage/allocIno
 //     result it never stored anywhere reader-visible).
@@ -28,13 +28,16 @@ import (
 // violation cannot hide one or more calls down (see summary.go).
 //
 // Function literals are checked like named functions, except thunks
-// passed to rcu.Domain.Defer: those run after the grace period — they
-// ARE the retire path — so recycling inside them is the protocol working
-// as intended.
+// passed to rcu.Domain.Defer, and so is every method except the Reclaim
+// method of a type handed to rcu.Domain.Retire: those run after the grace
+// period — they ARE the retire path — so recycling inside them is the
+// protocol working as intended. Only the domain may run them: a Reclaim
+// method called directly is an ordinary call into a function that
+// recycles, and is flagged as one.
 var retireCheckAnalyzer = &Analyzer{
 	Name: "retirecheck",
 	Doc: "reader-reachable pages/inodes must go back to allocator pools " +
-		"through retirePages/retireIno (PR 7 use-after-free class)",
+		"through a grace period (PR 7 use-after-free class)",
 	Run: runRetireCheck,
 }
 
@@ -110,7 +113,7 @@ func (c *rcClient) onCall(w *flowWalker, st flowState, call *ast.CallExpr) {
 					Pos: c.prog.Fset.Position(call.Pos()),
 					Message: fmt.Sprintf("%s returns possibly reader-reachable resources "+
 						"directly to the allocator pool: an RCU reader may still hold them; "+
-						"use retirePages/retireIno", name),
+						"retire them through the RCU domain", name),
 				})
 			}
 			return
@@ -149,14 +152,43 @@ func deferThunks(pkg *Package, file *ast.File) map[*ast.FuncLit]bool {
 	return out
 }
 
+// reclaimMethods collects the Reclaim method of every type some call in
+// the program hands to rcu.Domain.Retire: the blessed retire methods.
+func reclaimMethods(prog *Program) map[*types.Func]bool {
+	out := make(map[*types.Func]bool)
+	for _, pkg := range prog.Pkgs {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) != 1 ||
+					!isMethod(calleeFunc(pkg, call), "internal/rcu", "Domain", "Retire") {
+					return true
+				}
+				if t := pkg.Info.TypeOf(call.Args[0]); t != nil && !types.IsInterface(t) {
+					obj, _, _ := types.LookupFieldOrMethod(t, true, pkg.Types, "Reclaim")
+					if m, ok := obj.(*types.Func); ok {
+						out[m] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return out
+}
+
 func runRetireCheck(prog *Program) []Finding {
 	var findings []Finding
+	reclaim := reclaimMethods(prog)
 	for _, pkg := range prog.Pkgs {
 		for _, file := range pkg.Files {
 			blessed := deferThunks(pkg, file)
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
+					continue
+				}
+				if m, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok && reclaim[m] {
 					continue
 				}
 				c := &rcClient{pkg: pkg, prog: prog, findings: &findings}

@@ -5,11 +5,14 @@ package rcu
 
 type Domain struct{}
 
-func (d *Domain) Synchronize()     {}
-func (d *Domain) Barrier()         {}
-func (d *Domain) Defer(fn func())  {}
-func (d *Domain) Pending() int     { return 0 }
-func (d *Domain) Register() Reader { return Reader{} }
+func (d *Domain) Synchronize()       {}
+func (d *Domain) Barrier()           {}
+func (d *Domain) Defer(fn func())    {}
+func (d *Domain) Retire(r Reclaimer) {}
+func (d *Domain) Pending() int       { return 0 }
+func (d *Domain) Register() Reader   { return Reader{} }
+
+type Reclaimer interface{ Reclaim() }
 
 type Reader struct{}
 

@@ -1,8 +1,9 @@
 // Package retirecheck exercises the reclamation protocol of the
 // lock-free plane: a page or inode number a concurrent RCU reader may
-// still reach must return to the allocator pool through retirePages /
-// retireIno (a grace period). The FS/allocPage/recyclePages shapes mirror the real libfs ones: the
-// checker keys its symbol table on the receiver type name.
+// still reach must return to the allocator pool through a grace period —
+// a Domain.Defer thunk or the Reclaim method of an object handed to
+// Domain.Retire. The FS/allocPage/recyclePages shapes mirror the real
+// libfs ones: the checker keys its symbol table on the receiver type name.
 package retirecheck
 
 import "fixture/internal/rcu"
@@ -33,6 +34,42 @@ func (fs *FS) retirePages(cpu int, pages []uint64) {
 	fs.dom.Defer(func() {
 		fs.recyclePages(cpu, pages)
 	})
+}
+
+// retiree is the real libfs shape: the object that carries unpublished
+// pages and an inode number past the grace period. Its Reclaim method is
+// the retire path — retire hands a *retiree to Domain.Retire — so the
+// recycles inside it are the protocol working as intended.
+type retiree struct {
+	fs    *FS
+	cpu   int
+	pages []uint64
+	ino   uint64
+}
+
+func (r *retiree) Reclaim() {
+	r.fs.recyclePages(r.cpu, r.pages)
+	r.fs.recycleIno(r.ino)
+}
+
+func (fs *FS) retire(cpu int, pages []uint64, ino uint64) {
+	fs.dom.Retire(&retiree{fs: fs, cpu: cpu, pages: pages, ino: ino})
+}
+
+// reclaimNow skips the grace period: it runs the retire path itself, and
+// recycles beside it. Only the domain may call Reclaim.
+func (fs *FS) reclaimNow(cpu int, pages []uint64, ino uint64) {
+	r := &retiree{fs: fs, cpu: cpu, pages: pages}
+	r.Reclaim()        // want "can recycle reader-reachable resources"
+	fs.recycleIno(ino) // want "directly to the allocator pool"
+}
+
+// notRetired has a Reclaim method too, but nothing hands one to the
+// domain: the name alone blesses nothing.
+type notRetired struct{ fs *FS }
+
+func (n *notRetired) Reclaim() {
+	n.fs.recycleIno(1) // want "directly to the allocator pool"
 }
 
 // truncateShrink mirrors the pre-fix Truncate shrink path: it unpublishes

@@ -180,12 +180,12 @@ func (fs *FS) dropInode(in *inode) {
 // resolve walks path to its inode, read-locking each directory briefly.
 func (fs *FS) resolve(path string) (*inode, error) {
 	cur := fs.root
-	for _, name := range fsapi.Components(path) {
+	for c := fsapi.Walk(path); c.Next(); {
 		if !cur.dir {
 			return nil, fsapi.ErrNotDir
 		}
 		cur.mu.RLock()
-		childIno, ok := cur.children[name]
+		childIno, ok := cur.children[c.Name()]
 		cur.mu.RUnlock()
 		if !ok {
 			return nil, fsapi.ErrNotExist

@@ -54,4 +54,5 @@ func TestArckFSSingleThreadConformance(t *testing.T) {
 		return sys.NewApp(0, 0)
 	}
 	t.Run("CreateOpenReadWrite", func(t *testing.T) { fstest.CreateOpenReadWrite(t, mk(t)) })
+	t.Run("PathForms", func(t *testing.T) { fstest.PathForms(t, mk(t)) })
 }

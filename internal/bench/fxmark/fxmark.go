@@ -68,10 +68,9 @@ func deepDir(tid int) string {
 }
 
 func mkdirAll(t fsapi.Thread, path string) error {
-	comps := fsapi.Components(path)
 	cur := ""
-	for _, c := range comps {
-		cur += "/" + c
+	for c := fsapi.Walk(path); c.Next(); {
+		cur += "/" + c.Name()
 		if err := t.Mkdir(cur); err != nil && !errors.Is(err, fsapi.ErrExist) {
 			return err
 		}

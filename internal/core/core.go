@@ -135,6 +135,11 @@ func (s *System) initTelemetry() {
 	s.tel.Gauge("libfs.remaps", s.sumApps(func(fs *libfs.FS) int64 { return fs.Stats.Remaps.Load() }))
 	s.tel.Gauge("libfs.reacquires", s.sumApps(func(fs *libfs.FS) int64 { return fs.Stats.Reacquires.Load() }))
 	s.tel.Gauge("libfs.stale_reads", s.sumApps(func(fs *libfs.FS) int64 { return fs.Stats.StaleReads.Load() }))
+	// Each application's RCU domain: what is queued behind a grace period
+	// now, and the grace periods run and objects reclaimed so far.
+	s.tel.Gauge("rcu.pending", s.sumApps(func(fs *libfs.FS) int64 { return int64(fs.Domain().Pending()) }))
+	s.tel.Gauge("rcu.grace_periods", s.sumApps(func(fs *libfs.FS) int64 { return fs.Domain().GracePeriods() }))
+	s.tel.Gauge("rcu.reclaimed", s.sumApps(func(fs *libfs.FS) int64 { return fs.Domain().Reclaimed() }))
 	// Release-time dentry-log compactions and the dead record slots they
 	// dropped (libfs/compact.go).
 	s.tel.Gauge("libfs.dir_compactions", s.sumApps(func(fs *libfs.FS) int64 { return fs.Stats.DirCompactions.Load() }))

@@ -150,6 +150,46 @@ func TestStaleReadIsCounted(t *testing.T) {
 	}
 }
 
+// TestRCUGauges: an unlink burst leaves its bucket entries and inode
+// numbers queued behind a grace period, where rcu.pending shows them;
+// ReleaseAll drains the domain, which moves rcu.reclaimed by as many and
+// rcu.grace_periods by at least the one it took.
+func TestRCUGauges(t *testing.T) {
+	sys, err := NewSystem(Config{DevSize: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := sys.NewApp(0, 0)
+	w := a.NewThread(0)
+	const files = 40
+	for i := 0; i < files; i++ {
+		if err := w.Create(fmt.Sprintf("/f%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < files; i++ {
+		if err := w.Unlink(fmt.Sprintf("/f%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := sys.Telemetry().Snapshot()
+	// An entry and a retiree for each file.
+	if got := before["rcu.pending"]; got != 2*files {
+		t.Fatalf("rcu.pending = %d after %d unlinks, want %d", got, files, 2*files)
+	}
+	if err := a.ReleaseAll(); err != nil {
+		t.Fatal(err)
+	}
+	after := sys.Telemetry().Snapshot()
+	if after["rcu.pending"] != 0 ||
+		after["rcu.reclaimed"]-before["rcu.reclaimed"] != 2*files ||
+		after["rcu.grace_periods"] <= before["rcu.grace_periods"] {
+		t.Fatalf("after ReleaseAll: pending %d, reclaimed %d -> %d, grace periods %d -> %d",
+			after["rcu.pending"], before["rcu.reclaimed"], after["rcu.reclaimed"],
+			before["rcu.grace_periods"], after["rcu.grace_periods"])
+	}
+}
+
 // TestParallelAppsPrivateTrees runs several applications concurrently on
 // disjoint trees with worker threads each, under full verification at
 // the end. Run with -race.

@@ -97,29 +97,62 @@ func SplitPath(path string) (dir, name string) {
 }
 
 // Clean normalizes an absolute path: collapses repeated slashes and
-// removes a trailing slash. It does not interpret "." or "..".
+// removes a trailing slash. It does not interpret "." or "..". It reads the
+// path once, and returns a path that is already clean as it is.
 func Clean(path string) string {
-	if path == "" {
+	var buf []byte // nil until the first byte that has to change
+	if path == "" || path[0] != '/' {
+		buf = append(make([]byte, 0, len(path)+1), '/')
+	}
+	for i := 0; i < len(path); i++ {
+		// A slash before another slash, or at the end, separates nothing.
+		if path[i] == '/' && (i+1 == len(path) || path[i+1] == '/') {
+			if buf == nil {
+				buf = append(make([]byte, 0, len(path)), path[:i]...)
+			}
+			continue
+		}
+		if buf != nil {
+			buf = append(buf, path[i])
+		}
+	}
+	switch {
+	case buf == nil:
+		return path
+	case len(buf) == 0:
 		return "/"
 	}
-	if !strings.HasPrefix(path, "/") {
-		path = "/" + path
-	}
-	for strings.Contains(path, "//") {
-		path = strings.ReplaceAll(path, "//", "/")
-	}
-	if len(path) > 1 && strings.HasSuffix(path, "/") {
-		path = path[:len(path)-1]
-	}
-	return path
+	return string(buf)
 }
 
-// Components splits a cleaned absolute path into its path elements.
-// The root yields an empty slice.
-func Components(path string) []string {
-	path = Clean(path)
-	if path == "/" {
-		return nil
-	}
-	return strings.Split(path[1:], "/")
+// PathCursor yields the elements of a path one at a time, as substrings of
+// the path: walking a path allocates nothing. Repeated, leading and
+// trailing slashes separate nothing, so the elements are those of the
+// cleaned path and the root has none.
+//
+//	for c := fsapi.Walk(path); c.Next(); {
+//		name := c.Name()
+//	}
+type PathCursor struct {
+	name, rest string
 }
+
+// Walk returns a cursor before path's first element.
+func Walk(path string) PathCursor { return PathCursor{rest: path} }
+
+// Next moves to the next element and reports whether there is one.
+func (c *PathCursor) Next() bool {
+	s := c.rest
+	for len(s) > 0 && s[0] == '/' {
+		s = s[1:]
+	}
+	i := strings.IndexByte(s, '/')
+	if i < 0 {
+		i = len(s)
+	}
+	c.name, c.rest = s[:i], s[i:]
+	return i > 0
+}
+
+// Name returns the element the last call of Next moved to.
+func (c *PathCursor) Name() string { return c.name }

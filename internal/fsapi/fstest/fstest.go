@@ -17,6 +17,7 @@ import (
 // Run executes the conformance suite against a fresh FS from mk.
 func Run(t *testing.T, mk func(t *testing.T) fsapi.FS) {
 	t.Run("CreateOpenReadWrite", func(t *testing.T) { CreateOpenReadWrite(t, mk(t)) })
+	t.Run("PathForms", func(t *testing.T) { PathForms(t, mk(t)) })
 	t.Run("Errnos", func(t *testing.T) { testErrnos(t, mk(t)) })
 	t.Run("MkdirReaddir", func(t *testing.T) { testMkdirReaddir(t, mk(t)) })
 	t.Run("UnlinkRmdir", func(t *testing.T) { testUnlinkRmdir(t, mk(t)) })
@@ -62,6 +63,36 @@ func CreateOpenReadWrite(t *testing.T, fs fsapi.FS) {
 	}
 	if err := w.Close(fd); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// PathForms: repeated and trailing slashes separate nothing, so an
+// unclean path names what its cleaned form names. Exported, like the first
+// case, for buggy ArckFS.
+func PathForms(t *testing.T, fs fsapi.FS) {
+	w := fs.NewThread(0)
+	if err := w.Mkdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Create("/d//f"); err != nil {
+		t.Fatal(err)
+	}
+	fd, err := w.Open("//d/f/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.WriteAt(fd, []byte("seven b"), 0); err != nil {
+		t.Fatal(err)
+	}
+	clean, err := w.Stat("/d/f")
+	if err != nil || clean.Size != 7 || clean.Dir {
+		t.Fatalf("Stat(/d/f) = %+v, %v", clean, err)
+	}
+	if unclean, err := w.Stat("//d//f/"); err != nil || unclean != clean {
+		t.Fatalf("Stat(//d//f/) = %+v, %v; Stat(/d/f) = %+v", unclean, err, clean)
+	}
+	if root, err := w.Stat("//"); err != nil || !root.Dir {
+		t.Fatalf("Stat(//) = %+v, %v", root, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package htable implements the directory auxiliary-state hash table of
-// ArckFS: DRAM name → inode index with one spinlock per bucket, entry
-// reuse through a freelist, and growth by rehashing.
+// ArckFS: DRAM name → inode index with one spinlock per bucket, chain
+// nodes cut from slabs and reused through a freelist, and growth by
+// rehashing into one slab.
 //
 // The table supports the three reader disciplines the paper discusses:
 //
@@ -13,8 +14,9 @@
 //     that observes a torn generation reports ErrUseAfterFree, the
 //     simulated segfault.
 //   - ArckFS+ (§4.5 patch): readers run inside RCU read-side critical
-//     sections and writers retire entries through rcu.Domain.Defer, so
-//     the entry cannot be recycled while a reader may hold it.
+//     sections and writers hand the entry itself to rcu.Domain.Retire —
+//     it is its own rcu_head — so it cannot be recycled while a reader
+//     may hold it, and deleting a name allocates nothing.
 //   - Locked readers: used by writers that already hold the bucket lock.
 //
 // The table deliberately does not know what its payloads mean: the LibFS
@@ -51,7 +53,14 @@ type Entry struct {
 	// is atomic because log compaction relocates records — and rewrites
 	// this word through SetRef — while lockless readers may be loading it.
 	ref atomic.Uint64
+
+	// pool is where the entry goes back to.
+	pool *pool
 }
+
+// Reclaim returns the entry to its table's freelist: an unlinked entry is
+// what a writer retires through the RCU domain (rcu.Reclaimer).
+func (e *Entry) Reclaim() { e.pool.release(e) }
 
 // Name returns the entry's name.
 func (e *Entry) Name() string { return e.name }
@@ -63,11 +72,21 @@ func (e *Entry) Ref() uint64 { return e.ref.Load() }
 // entry's bucket lock (or LockAll).
 func (e *Entry) SetRef(ref uint64) { e.ref.Store(ref) }
 
-// pool recycles entries through a freelist so that, as in the C artifact,
-// a freed entry's memory can be handed out again immediately.
+// Slabs start at minSlab entries and double up to maxSlab: a directory of
+// a few names pays for a few, a large one allocates once per maxSlab.
+const (
+	minSlab = 8
+	maxSlab = 256
+)
+
+// pool hands out entries: recycled ones first, last freed first, so that —
+// as in the C artifact — a freed entry's memory can be handed out again
+// immediately; otherwise the next one of the current slab.
 type pool struct {
 	mu   hlock.SpinLock
 	free []*Entry
+	slab []Entry // the part of the newest slab not handed out yet
+	grow int     // size of the next slab
 }
 
 func (p *pool) alloc() *Entry {
@@ -76,13 +95,37 @@ func (p *pool) alloc() *Entry {
 	if n := len(p.free); n > 0 {
 		e = p.free[n-1]
 		p.free = p.free[:n-1]
+	} else {
+		if len(p.slab) == 0 {
+			p.grow = min(max(2*p.grow, minSlab), maxSlab)
+			p.newSlab(p.grow)
+		}
+		e, p.slab = &p.slab[0], p.slab[1:]
 	}
 	p.mu.Unlock()
-	if e == nil {
-		e = &Entry{}
-	}
 	e.gen.Add(1) // even -> odd: live
 	return e
+}
+
+func (p *pool) newSlab(n int) {
+	p.slab = make([]Entry, n)
+	for i := range p.slab {
+		p.slab[i].pool = p
+	}
+}
+
+// reserve makes the next n allocations come out of what the pool has and
+// one slab of exactly the size they still need: a table that knows how
+// many names it is about to take allocates for them once.
+func (p *pool) reserve(n int) {
+	p.mu.Lock()
+	if need := n - len(p.free) - len(p.slab); need > 0 {
+		for i := range p.slab {
+			p.free = append(p.free, &p.slab[i])
+		}
+		p.newSlab(need)
+	}
+	p.mu.Unlock()
 }
 
 func (p *pool) release(e *Entry) {
@@ -258,7 +301,7 @@ func (lb LockedBucket) Delete(name string) (ino, ref uint64, ok bool) {
 
 func (t *Table) retire(e *Entry) {
 	if t.opts.RCUReaders {
-		t.opts.Dom.Defer(func() { t.pool.release(e) })
+		t.opts.Dom.Retire(e)
 	} else {
 		// ArckFS as shipped: the entry is reusable immediately.
 		t.pool.release(e)
@@ -293,6 +336,11 @@ func (t *Table) Intern(name []byte) string {
 	}
 	return string(name)
 }
+
+// Reserve readies the table to take n more names with one allocation for
+// their entries; with InitialBuckets from BucketsFor(n), the way to build
+// a table for a directory of known size.
+func (t *Table) Reserve(n int) { t.pool.reserve(n) }
 
 // BucketsFor returns the InitialBuckets under which n entries insert
 // without the table growing.
@@ -406,8 +454,9 @@ func (t *Table) EachLocked(fn func(e *Entry)) {
 }
 
 // maybeGrow doubles the bucket array when the load factor exceeds 4.
-// Growth copies entries into fresh nodes and retires the old ones, so
-// in-flight lockless readers keep traversing intact old chains.
+// Growth copies entries into fresh nodes — one slab for what the freelist
+// does not cover — and retires the old ones, so in-flight lockless readers
+// keep traversing intact old chains.
 func (t *Table) maybeGrow() {
 	arr := t.arr.Load()
 	if t.count.Load() <= int64(len(arr.buckets))*4 {
@@ -427,6 +476,7 @@ func (t *Table) maybeGrow() {
 		buckets: make([]bucket, len(arr.buckets)*2),
 		mask:    uint32(len(arr.buckets)*2 - 1),
 	}
+	t.pool.reserve(int(t.count.Load()))
 	for i := range arr.buckets {
 		for e := arr.buckets[i].head.Load(); e != nil; e = e.next.Load() {
 			ne := t.pool.alloc()

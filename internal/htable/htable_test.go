@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 
+	"arckfs/internal/race"
 	"arckfs/internal/rcu"
 )
 
@@ -120,35 +122,77 @@ func TestWithBucketExtendedCriticalSection(t *testing.T) {
 
 // TestWritersDoNotAllocate: a bucket critical section costs its caller no
 // heap object — the LockedBucket travels by value — and neither do the
-// single-step writers once the pool holds an entry to recycle; a table
-// made for n names takes n without growing; Intern hands out the table's
-// own string for a name it holds.
+// single-step writers once the pool holds an entry to recycle, in the
+// table ArckFS as shipped runs (freed at once) and in the one ArckFS+ runs
+// (the entry retired through the domain as it is, recycled by the grace
+// period); a table made for n names takes n without growing and with one
+// allocation for their entries; Intern hands out the table's own string
+// for a name it holds.
 func TestWritersDoNotAllocate(t *testing.T) {
-	tbl := New(Options{})
-	tbl.Insert("warm", 1, 1)
-	tbl.Delete("warm")
-	hits := 0
-	if n := testing.AllocsPerRun(100, func() {
-		tbl.Insert("x", 7, 70)
-		tbl.WithBucket("x", func(lb LockedBucket) {
-			if _, ok := lb.Get("x"); ok {
-				hits++
-			}
-		})
-		tbl.Delete("x")
-	}); n != 0 || hits != 101 {
-		t.Fatalf("insert, locked get and delete: %v allocations a round, %d hits", n, hits)
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	dom := rcu.NewDomain()
+	for _, arm := range []struct {
+		name  string
+		opts  Options
+		grace func()
+	}{
+		{"freed at once", Options{}, func() {}},
+		{"retired through RCU", Options{RCUReaders: true, Dom: dom}, dom.Synchronize},
+	} {
+		tbl := New(arm.opts)
+		tbl.Insert("warm", 1, 1)
+		tbl.Delete("warm")
+		arm.grace()
+		hits := 0
+		if n := testing.AllocsPerRun(100, func() {
+			tbl.Insert("x", 7, 70)
+			tbl.WithBucket("x", func(lb LockedBucket) {
+				if _, ok := lb.Get("x"); ok {
+					hits++
+				}
+			})
+			tbl.Delete("x")
+			arm.grace()
+		}); n != 0 || hits != 101 {
+			t.Fatalf("%s: insert, locked get and delete: %v allocations a round, %d hits", arm.name, n, hits)
+		}
 	}
 
 	const names = 1000
 	sized := New(Options{InitialBuckets: BucketsFor(names)})
 	before := sized.arr.Load()
-	for i := 0; i < names; i++ {
-		sized.Insert(fmt.Sprintf("n%d", i), uint64(i), 0)
+	keys := make([]string, names)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("n%d", i)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	sized.Reserve(names)
+	for i, k := range keys {
+		sized.Insert(k, uint64(i), 0)
+	}
+	runtime.ReadMemStats(&m1)
+	if n := m1.Mallocs - m0.Mallocs; n > 2 {
+		t.Fatalf("%d names into a table reserved for them: %d allocations, want the one slab", names, n)
 	}
 	if sized.arr.Load() != before {
 		t.Fatalf("a table made for %d names grew to %d buckets taking them", names, len(sized.arr.Load().buckets))
 	}
+	// An unsized table pays per slab and per doubling, not per name: each
+	// growth copies into one slab, and the slabs in between double.
+	grown := New(Options{RCUReaders: true, Dom: dom})
+	runtime.ReadMemStats(&m0)
+	for i, k := range keys {
+		grown.Insert(k, uint64(i), 0)
+	}
+	runtime.ReadMemStats(&m1)
+	if n := m1.Mallocs - m0.Mallocs; n > 64 || grown.Len() != names {
+		t.Fatalf("%d names into a growing table: %d allocations, %d held", names, n, grown.Len())
+	}
+	dom.Barrier()
+
 	held, fresh := []byte("n17"), []byte("other")
 	if n := testing.AllocsPerRun(100, func() { sized.Intern(held) }); n != 0 {
 		t.Fatalf("Intern of a held name allocates %v objects", n)

@@ -252,18 +252,20 @@ func WriteInode(dev *pmem.Device, g Geometry, ino uint64, in *Inode) {
 	dev.Store32(off+inCsum, crc32.Checksum(dev.Slice(off, inCsum), crcTab))
 }
 
-// EncodeInode renders in as a complete InodeSize-byte record — all
-// fields, zero padding, checksum — for callers that store the whole
-// record at once with streaming (non-temporal) stores instead of
+// EncodeInodeInto renders in as a complete InodeSize-byte record — all
+// fields, zero padding, checksum — into rec, for callers that store the
+// whole record at once with streaming (non-temporal) stores instead of
 // field-by-field with a trailing flush. The record is two full cache
-// lines, so a pmem.Batch can WriteStream it with no clwb at all.
+// lines, so a pmem.Batch can WriteStream it with no clwb at all. The
+// caller owns rec and may render into it again once the record is stored
+// (the checksum call would move a record returned by value to the heap).
 //
 // The checksum is computed over the rendered buffer, so unlike WriteInode
 // (which checksums whatever the padding bytes on the device happen to
 // hold) an encoded record always has zeroed padding; both forms verify
 // under ReadInode.
-func EncodeInode(in *Inode) [InodeSize]byte {
-	var rec [InodeSize]byte
+func EncodeInodeInto(rec *[InodeSize]byte, in *Inode) {
+	*rec = [InodeSize]byte{}
 	binary.LittleEndian.PutUint16(rec[inType:], in.Type)
 	binary.LittleEndian.PutUint16(rec[inPerm:], in.Perm)
 	binary.LittleEndian.PutUint16(rec[inNlink:], in.Nlink)
@@ -277,7 +279,6 @@ func EncodeInode(in *Inode) [InodeSize]byte {
 	binary.LittleEndian.PutUint64(rec[inCTime:], in.CTime)
 	binary.LittleEndian.PutUint64(rec[inMTime:], in.MTime)
 	binary.LittleEndian.PutUint32(rec[inCsum:], crc32.Checksum(rec[:inCsum], crcTab))
-	return rec
 }
 
 // ReadInode decodes ino's record. ok is false for a free slot; corrupt is

@@ -86,6 +86,33 @@ func TestInodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeInodeIntoReusedBuffer: a record rendered into a buffer that
+// still holds another record reads back as the inode, padding zeroed, and
+// rendering allocates nothing.
+func TestEncodeInodeIntoReusedBuffer(t *testing.T) {
+	dev, g := newDev(t, 64)
+	in := Inode{
+		Type: TypeDir, Perm: PermRead, Nlink: 2, NTails: 4,
+		UID: 7, GID: 8, Size: 99, DataRoot: 31, Parent: 3, Gen: 9, CTime: 5, MTime: 6,
+	}
+	var rec, clean [InodeSize]byte
+	for i := range rec {
+		rec[i] = 0xa5
+	}
+	EncodeInodeInto(&rec, &in)
+	EncodeInodeInto(&clean, &in)
+	if rec != clean {
+		t.Fatal("a record rendered over old bytes differs from one rendered into zeroes")
+	}
+	dev.Write(InodeOff(g, 6), rec[:])
+	if got, ok, corrupt := ReadInode(dev, g, 6); !ok || corrupt || got != in {
+		t.Fatalf("read back %+v ok=%v corrupt=%v, want %+v", got, ok, corrupt, in)
+	}
+	if n := testing.AllocsPerRun(100, func() { EncodeInodeInto(&rec, &in) }); n != 0 {
+		t.Fatalf("EncodeInodeInto allocates %v objects", n)
+	}
+}
+
 func TestInodeChecksumDetectsCorruption(t *testing.T) {
 	dev, g := newDev(t, 64)
 	in := Inode{Type: TypeFile, Perm: PermRead, Nlink: 1}

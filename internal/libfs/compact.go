@@ -187,7 +187,7 @@ func (fs *FS) compactDir(mi *minode, sp *span.Span) {
 	}
 	ds.unverified = append(keep, fresh...)
 	ds.idxMu.Unlock()
-	fs.retirePages(compactStripe, retire)
+	fs.retire(compactStripe, retire, 0)
 
 	// Repoint the retained auxiliary state. Lock-free lookups may load a
 	// ref while it is rewritten (hence the atomic store); the only code

@@ -60,8 +60,7 @@ func (t *Thread) CreateBatch(dir string, names []string) (n int, err error) {
 			Type: layout.TypeFile, Perm: layout.PermRead | layout.PermWrite,
 			Nlink: 1, Parent: dmi.ino, MTime: fs.now(),
 		}
-		rec := layout.EncodeInode(&in)
-		t.pb.WriteStream(layout.InodeOff(fs.geo, ino), rec[:])
+		t.streamInode(ino, &in)
 
 		var ref layout.DentryRef
 		var insErr error
@@ -95,12 +94,7 @@ func (t *Thread) CreateBatch(dir string, names []string) (n int, err error) {
 func (fs *FS) finishBatch(t *Thread, dmi *minode, pending []pendingCreate) {
 	fs.commitBatch(t, pending)
 	for _, pc := range pending {
-		mi := &minode{ino: pc.ino, typ: layout.TypeFile}
-		mi.file.Store(&fileState{})
-		mi.parent.Store(dmi.ino)
-		mi.fresh.Store(true)
-		mi.cacheAttrs(0, 1, fs.clock.Load())
-		fs.mtab.Store(pc.ino, mi)
+		fs.mtab.Store(pc.ino, newFileMinode(pc.ino, dmi.ino, fs.clock.Load()))
 	}
 	dmi.cacheAttrs(uint64(dmi.ht().Len()), 2, fs.clock.Load())
 }

@@ -11,15 +11,16 @@ import (
 
 // resolve walks path to its minode.
 func (t *Thread) resolve(path string) (*minode, error) {
-	comps := fsapi.Components(path)
 	mi, err := t.fs.getMinode(t, layout.RootIno, false)
 	if err != nil {
 		return nil, err
 	}
-	for depth, name := range comps {
+	depth := 0
+	for c := fsapi.Walk(path); c.Next(); depth++ {
 		if depth > 512 {
 			return nil, fsapi.ErrLoop
 		}
+		name := c.Name()
 		if mi.typ != layout.TypeDir {
 			return nil, fsapi.ErrNotDir
 		}
@@ -406,13 +407,8 @@ func (t *Thread) Create(path string) (err error) {
 	// Stream the whole inode record: its durability joins the dentry body
 	// under the §4.2 body-epoch Barrier (step 1 of the protocol covers
 	// "dentry and inode") without per-line write-backs.
-	rec := layout.EncodeInode(&in)
-	t.pb.WriteStream(layout.InodeOff(fs.geo, ino), rec[:])
-	mi := &minode{ino: ino, typ: layout.TypeFile}
-	mi.file.Store(&fileState{})
-	mi.parent.Store(dir.ino)
-	mi.fresh.Store(true)
-	mi.cacheAttrs(0, 1, in.MTime)
+	t.streamInode(ino, &in)
+	mi := newFileMinode(ino, dir.ino, in.MTime)
 	if _, err := fs.insertEntry(t, dir, ino, name, mi); err != nil {
 		fs.recycleIno(ino)
 		return err
@@ -452,8 +448,7 @@ func (t *Thread) Mkdir(path string) (err error) {
 		Nlink: 2, Parent: dir.ino, DataRoot: tailset, NTails: uint16(ntails),
 		MTime: fs.now(),
 	}
-	rec := layout.EncodeInode(&in)
-	t.pb.WriteStream(layout.InodeOff(fs.geo, ino), rec[:])
+	t.streamInode(ino, &in)
 	mi := &minode{ino: ino, typ: layout.TypeDir}
 	mi.dir.Store(&dirState{
 		ht:      fs.newDirTable(0),
@@ -542,8 +537,7 @@ func (fs *FS) destroyFile(t *Thread, child *minode) {
 				}
 			}
 		}
-		fs.retirePages(t.cpu, pages)
-		fs.retireIno(t, child.ino)
+		fs.retire(t.cpu, pages, child.ino)
 	}
 	child.lock.Unlock()
 }
@@ -589,8 +583,7 @@ func (t *Thread) Rmdir(path string) (err error) {
 			}
 			// Same grace-period discipline as destroyFile: a lock-free
 			// lookup may still be scanning these log pages.
-			fs.retirePages(t.cpu, pages)
-			fs.retireIno(t, child.ino)
+			fs.retire(t.cpu, pages, child.ino)
 		}
 		child.lock.Unlock()
 	})

@@ -2,10 +2,10 @@ package libfs
 
 import (
 	"errors"
+	"slices"
 
 	"arckfs/internal/fsapi"
 	"arckfs/internal/layout"
-	"arckfs/internal/pmem"
 )
 
 // Open returns a descriptor for an existing file or directory.
@@ -147,7 +147,7 @@ func (fs *FS) writeAt(t *Thread, mi *minode, p []byte, off int64) (int, error) {
 	// blocks the write covers only partially. The zeroes are streamed so
 	// they are durable at the data barrier (the old code never flushed
 	// them, so a crash could expose garbage through a fenced pointer).
-	var dirtyMap []int
+	t.dirty = t.dirty[:0]
 	st.ensureBlocks(needBlocks)
 	arr := st.blockArr()
 	curSize := st.size.Load()
@@ -176,7 +176,7 @@ func (fs *FS) writeAt(t *Thread, mi *minode, p []byte, off int64) (int, error) {
 			t.pb.ZeroStream(int64(b*layout.PageSize), layout.PageSize)
 		}
 		arr[bi].Store(b)
-		dirtyMap = append(dirtyMap, bi)
+		t.dirty = append(t.dirty, bi)
 	}
 
 	// Pass 2: copy the data — fanned out to delegate workers for large
@@ -194,7 +194,7 @@ func (fs *FS) writeAt(t *Thread, mi *minode, p []byte, off int64) (int, error) {
 	// mode merges data and inode into one ordering epoch (one fence per
 	// op instead of two). Eager mode keeps the unconditional fence of the
 	// pre-batching schedule.
-	if len(dirtyMap) > 0 || end > st.size.Load() || t.pb.Eager() {
+	if len(t.dirty) > 0 || end > st.size.Load() || t.pb.Eager() {
 		t.pb.Barrier()
 	}
 
@@ -203,7 +203,7 @@ func (fs *FS) writeAt(t *Thread, mi *minode, p []byte, off int64) (int, error) {
 		t.pb.Drain()
 		return written, err
 	}
-	for _, bi := range dirtyMap {
+	for _, bi := range t.dirty {
 		page := st.mapPages[bi/layout.MapEntriesPerPage]
 		layout.SetMapEntry(fs.dev, page, bi%layout.MapEntriesPerPage, arr[bi].Load())
 		// Adjacent 8-byte entries coalesce into single-line flushes in
@@ -215,7 +215,7 @@ func (fs *FS) writeAt(t *Thread, mi *minode, p []byte, off int64) (int, error) {
 	if end > st.size.Load() {
 		st.size.Store(end)
 	}
-	fs.persistFileInode(t.pb, mi)
+	fs.persistFileInode(t, mi)
 	t.pb.Barrier()
 	mi.cacheAttrs(st.size.Load(), 1, fs.clock.Load())
 	return written, nil
@@ -246,7 +246,7 @@ func (fs *FS) ensureMapCapacity(t *Thread, mi *minode, n int) error {
 
 // persistFileInode streams mi's rewritten inode record (size, mtime, root
 // pointer) into the batch. The caller issues the Barrier.
-func (fs *FS) persistFileInode(b *pmem.Batch, mi *minode) {
+func (fs *FS) persistFileInode(t *Thread, mi *minode) {
 	st := mi.file.Load()
 	var root uint64
 	if len(st.mapPages) > 0 {
@@ -257,8 +257,7 @@ func (fs *FS) persistFileInode(b *pmem.Batch, mi *minode) {
 		Nlink: 1, Size: st.size.Load(), DataRoot: root, Parent: mi.parent.Load(),
 		MTime: fs.now(),
 	}
-	rec := layout.EncodeInode(&in)
-	b.WriteStream(layout.InodeOff(fs.geo, mi.ino), rec[:])
+	t.streamInode(mi.ino, &in)
 }
 
 // Truncate sets path's size. Shrinking frees whole blocks beyond the new
@@ -286,7 +285,7 @@ func (t *Thread) Truncate(path string, size uint64) (err error) {
 		if err := fs.ensureMapCapacity(t, mi, layout.BlocksForSize(size)); err != nil {
 			return err
 		}
-		fs.persistFileInode(t.pb, mi)
+		fs.persistFileInode(t, mi)
 		t.pb.Barrier()
 		mi.cacheAttrs(st.size.Load(), 1, fs.clock.Load())
 		return nil
@@ -296,10 +295,10 @@ func (t *Thread) Truncate(path string, size uint64) (err error) {
 	// so a concurrent lock-free reader never chases a freed page.
 	st.size.Store(size)
 	arr := st.blockArr()
-	var freed []uint64
+	t.freed = t.freed[:0]
 	for bi := keep; bi < st.nblocks; bi++ {
 		if b := arr[bi].Load(); b != 0 {
-			freed = append(freed, b)
+			t.freed = append(t.freed, b)
 			page := st.mapPages[bi/layout.MapEntriesPerPage]
 			layout.SetMapEntry(fs.dev, page, bi%layout.MapEntriesPerPage, 0)
 			// Eight adjacent cleared entries share a line; the batch
@@ -309,13 +308,13 @@ func (t *Thread) Truncate(path string, size uint64) (err error) {
 		}
 	}
 	st.nblocks = keep
-	fs.persistFileInode(t.pb, mi)
+	fs.persistFileInode(t, mi)
 	t.pb.Barrier()
 	if mi.fresh.Load() {
 		// A lock-free reader that loaded the old size before the store
 		// above can still chase the unpublished block pointers, so the
 		// pages must wait out a grace period before they are reusable.
-		fs.retirePages(t.cpu, freed)
+		fs.retire(t.cpu, slices.Clone(t.freed), 0)
 	}
 	mi.cacheAttrs(size, 1, fs.clock.Load())
 	return nil

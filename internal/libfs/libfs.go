@@ -259,7 +259,7 @@ func (fs *FS) Name() string {
 // Bugs returns the configured bug set.
 func (fs *FS) Bugs() Bugs { return fs.opts.Bugs }
 
-// Domain exposes the RCU domain (tests).
+// Domain exposes the RCU domain (tests, telemetry).
 func (fs *FS) Domain() *rcu.Domain { return fs.dom }
 
 func (fs *FS) now() uint64 { return fs.clock.Add(1) }
@@ -464,16 +464,37 @@ func (fs *FS) recyclePages(cpu int, pages []uint64) {
 	fs.pageMu[s].Unlock()
 }
 
-// retirePages returns pages a writer has just unpublished (truncate
-// shrink, unlink teardown) to the allocator pool. A reader inside an RCU
-// read-side section may still hold a block pointer it loaded before the
-// unpublish, so recycling waits out a grace period through the FS's
-// domain — the same retire path htable uses for unlinked bucket entries.
-func (fs *FS) retirePages(cpu int, pages []uint64) {
-	if len(pages) == 0 {
+// retiree is what an unlink, an rmdir or a shrinking truncate leaves
+// behind of a never-committed inode: pages a writer has just unpublished
+// and, when the inode itself went, its number (0 otherwise). A reader
+// inside an RCU read-side section may still hold a block pointer it loaded
+// before the unpublish, or be acting on the stale minode, so reuse waits
+// out a grace period through the FS's domain — the same retire path htable
+// uses for unlinked bucket entries. One object carries both, pages first:
+// the order the allocator pools see them in is the order they hand them
+// out again.
+type retiree struct {
+	fs    *FS
+	cpu   int
+	pages []uint64
+	ino   uint64
+}
+
+// Reclaim runs after the grace period (rcu.Reclaimer).
+func (r *retiree) Reclaim() {
+	r.fs.recyclePages(r.cpu, r.pages)
+	if r.ino != 0 {
+		r.fs.recycleIno(r.ino)
+	}
+}
+
+// retire queues pages, which it keeps, and ino (0 for none) for reuse
+// after a grace period.
+func (fs *FS) retire(cpu int, pages []uint64, ino uint64) {
+	if len(pages) == 0 && ino == 0 {
 		return
 	}
-	fs.dom.Defer(func() { fs.recyclePages(cpu, pages) })
+	fs.dom.Retire(&retiree{fs: fs, cpu: cpu, pages: pages, ino: ino})
 }
 
 // reclaimRetired drains the retire queue — including callbacks an
@@ -494,13 +515,6 @@ func (fs *FS) reclaimRetired() bool {
 	return drained
 }
 
-// retireIno parallels retirePages for a destroyed file's never-committed
-// inode number: reuse waits until no reader can still be acting on the
-// stale minode.
-func (fs *FS) retireIno(t *Thread, ino uint64) {
-	fs.dom.Defer(func() { fs.recycleIno(ino) })
-}
-
 // --- Threads ---------------------------------------------------------------
 
 // Thread is a per-worker handle; it carries the virtual CPU (for log-tail
@@ -510,7 +524,8 @@ type Thread struct {
 	fs  *FS
 	cpu int
 	rd  *rcu.Reader
-	fds []*fdEnt
+	// fds is the descriptor table: fd i is fds[i], nil when closed.
+	fds []*minode
 	// pb is the thread's persist batcher. Operations enqueue
 	// line-granular flushes into it and end on a Barrier, so the queue is
 	// empty between operations.
@@ -521,10 +536,20 @@ type Thread struct {
 	// only while a sampled operation is executing on this thread.
 	tl *span.Local
 	sp *span.Span
+
+	// Scratch an operation fills and is done with before it returns: the
+	// inode record being streamed (see streamInode), the block indexes a
+	// write installed, the pages a truncate unpublished.
+	rec   [layout.InodeSize]byte
+	dirty []int
+	freed []uint64
 }
 
-type fdEnt struct {
-	mi *minode
+// streamInode renders in and streams it to ino's slot: the whole record
+// goes out with non-temporal stores, durable at the caller's next Barrier.
+func (t *Thread) streamInode(ino uint64, in *layout.Inode) {
+	layout.EncodeInodeInto(&t.rec, in)
+	t.pb.WriteStream(layout.InodeOff(t.fs.geo, ino), t.rec[:])
 }
 
 // newBatch returns a persist queue in the configured (batched or eager)
@@ -565,13 +590,13 @@ func (t *Thread) Detach() {
 }
 
 func (t *Thread) newFD(mi *minode) fsapi.FD {
-	for i, e := range t.fds {
-		if e == nil {
-			t.fds[i] = &fdEnt{mi: mi}
+	for i, open := range t.fds {
+		if open == nil {
+			t.fds[i] = mi
 			return fsapi.FD(i)
 		}
 	}
-	t.fds = append(t.fds, &fdEnt{mi: mi})
+	t.fds = append(t.fds, mi)
 	return fsapi.FD(len(t.fds) - 1)
 }
 
@@ -579,7 +604,7 @@ func (t *Thread) lookupFD(fd fsapi.FD) (*minode, error) {
 	if int(fd) < 0 || int(fd) >= len(t.fds) || t.fds[fd] == nil {
 		return nil, fsapi.ErrBadFd
 	}
-	return t.fds[fd].mi, nil
+	return t.fds[fd], nil
 }
 
 // Close implements fsapi.Thread.

@@ -2,6 +2,7 @@ package libfs
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 
 	"arckfs/internal/fsapi"
@@ -36,9 +37,9 @@ type minode struct {
 	// operations (release, rename source/target pinning).
 	lock hlock.RWSpin
 
-	// attrs is the §4.3 cached state: an immutable snapshot readers use
-	// without dereferencing PM.
-	attrs atomic.Pointer[fsapi.Stat]
+	// attrs is the §4.3 cached state: the attributes readers use without
+	// dereferencing PM.
+	attrs attrCache
 
 	// fresh marks an inode created by this LibFS that the kernel has not
 	// learned about (no pending/committed shadow): its inode number and
@@ -56,6 +57,25 @@ type minode struct {
 	// fileState while readers may be mid-walk on the old one.
 	file atomic.Pointer[fileState]
 }
+
+// attrCache holds an inode's changing attributes in place, under a
+// sequence counter: odd while a writer is inside. Writers — concurrent
+// creators in different buckets of one directory are the case — take turns
+// on the counter; a reader retries until it has read all three fields
+// between two equal, even counts, so it never pairs the size of one update
+// with the mtime of another. Every field is atomic: the counter orders
+// them, it does not excuse a race.
+type attrCache struct {
+	seq   atomic.Uint32
+	nlink atomic.Uint32
+	size  atomic.Uint64
+	mtime atomic.Uint64
+}
+
+// attrSpins is how often a reader or writer of attrCache retries before
+// it yields the processor: on one core the writer it waits for cannot
+// finish until it does.
+const attrSpins = 16
 
 // dirState is a directory's auxiliary state plus its log-append cursors.
 type dirState struct {
@@ -168,20 +188,53 @@ func (fs *FS) checkMapped(mi *minode) error {
 	return nil
 }
 
-// cacheAttrs refreshes the cached attribute snapshot from in-memory
-// knowledge.
+// cacheAttrs refreshes the cached attributes from in-memory knowledge.
 func (mi *minode) cacheAttrs(size uint64, nlink uint16, mtime uint64) {
-	mi.attrs.Store(&fsapi.Stat{
-		Ino:   mi.ino,
-		Dir:   mi.typ == layout.TypeDir,
-		Size:  size,
-		Nlink: nlink,
-		MTime: mtime,
-	})
+	a := &mi.attrs
+	for spins := 1; ; spins++ {
+		if s := a.seq.Load(); s&1 == 0 && a.seq.CompareAndSwap(s, s+1) {
+			break
+		}
+		if spins%attrSpins == 0 {
+			runtime.Gosched()
+		}
+	}
+	a.size.Store(size)
+	a.nlink.Store(uint32(nlink))
+	a.mtime.Store(mtime)
+	a.seq.Add(1)
 }
 
-// stat returns the cached attribute snapshot.
-func (mi *minode) stat() fsapi.Stat { return *mi.attrs.Load() }
+// stat returns the cached attributes as one writer left them.
+func (mi *minode) stat() fsapi.Stat {
+	a := &mi.attrs
+	st := fsapi.Stat{Ino: mi.ino, Dir: mi.typ == layout.TypeDir}
+	for spins := 1; ; spins++ {
+		s := a.seq.Load()
+		st.Size, st.Nlink, st.MTime = a.size.Load(), uint16(a.nlink.Load()), a.mtime.Load()
+		if s&1 == 0 && a.seq.Load() == s {
+			return st
+		}
+		if spins%attrSpins == 0 {
+			runtime.Gosched()
+		}
+	}
+}
+
+// newFileMinode builds the minode of an empty file this LibFS has just
+// created, block index included: one object.
+func newFileMinode(ino, parent, mtime uint64) *minode {
+	f := &struct {
+		minode
+		st fileState
+	}{minode: minode{ino: ino, typ: layout.TypeFile}}
+	mi := &f.minode
+	mi.file.Store(&f.st)
+	mi.parent.Store(parent)
+	mi.fresh.Store(true)
+	mi.cacheAttrs(0, 1, mtime)
+	return mi
+}
 
 // getMinode returns the in-memory inode for ino, acquiring it from the
 // kernel and rebuilding auxiliary state on first touch. t (nil-tolerated)
@@ -257,7 +310,7 @@ func (fs *FS) remap(t *Thread, mi *minode) error {
 	mi.mapping.Store(m)
 	mi.dir.Store(fresh.dir.Load())
 	mi.file.Store(fresh.file.Load())
-	mi.attrs.Store(fresh.attrs.Load())
+	mi.adoptAttrs(fresh)
 	mi.released.Store(false)
 	return nil
 }
@@ -310,9 +363,15 @@ func (fs *FS) reacquire(t *Thread, mi *minode) error {
 	mi.mapping.Store(m)
 	mi.dir.Store(fresh.dir.Load())
 	mi.file.Store(fresh.file.Load())
-	mi.attrs.Store(fresh.attrs.Load())
+	mi.adoptAttrs(fresh)
 	mi.released.Store(false)
 	return nil
+}
+
+// adoptAttrs takes over the attributes of a freshly built minode.
+func (mi *minode) adoptAttrs(fresh *minode) {
+	st := fresh.stat()
+	mi.cacheAttrs(st.Size, st.Nlink, st.MTime)
 }
 
 // buildMinode reads ino's core state and constructs auxiliary state —
@@ -396,6 +455,7 @@ func (fs *FS) newDirTable(entries int) *htable.Table {
 		opts.Dom = fs.dom
 	}
 	t := htable.New(opts)
+	t.Reserve(entries)
 	// Indirect through the Hooks struct so tests can arm the window after
 	// tables already exist.
 	t.TraverseHook = func() {

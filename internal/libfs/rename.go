@@ -158,8 +158,7 @@ func (fs *FS) rewriteParent(t *Thread, child *minode, newParent uint64) {
 		return
 	}
 	in.Parent = newParent
-	rec := layout.EncodeInode(&in)
-	t.pb.WriteStream(layout.InodeOff(fs.geo, child.ino), rec[:])
+	t.streamInode(child.ino, &in)
 	t.pb.Barrier()
 	child.parent.Store(newParent)
 }

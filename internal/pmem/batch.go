@@ -2,7 +2,7 @@ package pmem
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"arckfs/internal/telemetry"
 )
@@ -47,13 +47,13 @@ type Batch struct {
 	dev   *Device
 	eager bool
 
-	// pending is the set of queued line offsets in the current epoch,
-	// allocated on first Flush: a thread that only ever streams (or never
-	// writes) carries no map, which matters when thousands of idle
-	// tenants each hold a Batch.
-	pending map[int64]struct{}
-	// scratch is the reusable sort buffer Barrier drains into.
-	scratch []int64
+	// pending is the set of queued line offsets in the current epoch, kept
+	// sorted: an operation queues a handful of lines, mostly in ascending
+	// order, so a Flush appends or binary-searches and a Barrier reads the
+	// runs straight off it. Allocated on first Flush: a thread that only
+	// ever streams (or never writes) carries no queue, which matters when
+	// thousands of idle tenants each hold a Batch.
+	pending []int64
 	// sink, when set, receives one span event per Flush/stream/Barrier so
 	// a sampled operation's span carries its persist history. The sink is
 	// the owning thread (which no-ops when no span is open), so the
@@ -99,14 +99,16 @@ func (b *Batch) Flush(off, n int64) {
 	}
 	b.dev.check(off, n)
 	if b.pending == nil {
-		b.pending = make(map[int64]struct{}, 32)
+		b.pending = make([]int64, 0, 32)
 	}
 	for l := first; l <= last; l += LineSize {
-		if _, dup := b.pending[l]; dup {
+		if q := len(b.pending); q == 0 || l > b.pending[q-1] {
+			b.pending = append(b.pending, l)
+		} else if i, dup := slices.BinarySearch(b.pending, l); dup {
 			b.dev.Stats.BatchDedup.Add(1)
-			continue
+		} else {
+			b.pending = slices.Insert(b.pending, i, l)
 		}
-		b.pending[l] = struct{}{}
 	}
 }
 
@@ -148,14 +150,9 @@ func (b *Batch) Pending() int { return len(b.pending) }
 func (b *Batch) Barrier() {
 	Killpoint("pmem.batch.barrier")
 	drained := int64(len(b.pending))
-	if !b.eager && len(b.pending) > 0 {
-		b.scratch = b.scratch[:0]
-		for l := range b.pending {
-			b.scratch = append(b.scratch, l)
-		}
-		sort.Slice(b.scratch, func(i, j int) bool { return b.scratch[i] < b.scratch[j] })
-		runStart, runEnd := b.scratch[0], b.scratch[0]+LineSize
-		for _, l := range b.scratch[1:] {
+	if len(b.pending) > 0 {
+		runStart, runEnd := b.pending[0], b.pending[0]+LineSize
+		for _, l := range b.pending[1:] {
 			if l == runEnd {
 				runEnd += LineSize
 				continue
@@ -164,7 +161,7 @@ func (b *Batch) Barrier() {
 			runStart, runEnd = l, l+LineSize
 		}
 		b.dev.Flush(runStart, runEnd-runStart)
-		clear(b.pending)
+		b.pending = b.pending[:0]
 	}
 	b.dev.Fence()
 	if b.sink != nil {

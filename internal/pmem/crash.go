@@ -1,8 +1,9 @@
 package pmem
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"arckfs/internal/costmodel"
 )
@@ -76,7 +77,7 @@ func (d *Device) CrashImage(policy CrashPolicy) []byte {
 	for l := range d.lines {
 		order = append(order, l)
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	slices.Sort(order)
 	persisted := make([]int64, 0, len(order))
 	for _, l := range order {
 		lt := d.lines[l]
@@ -120,7 +121,7 @@ func (d *Device) DirtyLineStates() []LineState {
 	for l, lt := range d.lines {
 		states = append(states, LineState{Off: l * LineSize, Versions: len(lt.versions)})
 	}
-	sort.Slice(states, func(i, j int) bool { return states[i].Off < states[j].Off })
+	slices.SortFunc(states, func(a, b LineState) int { return cmp.Compare(a.Off, b.Off) })
 	return states
 }
 
@@ -136,7 +137,7 @@ func (d *Device) DirtyLines() []int64 {
 	for l := range d.lines {
 		offs = append(offs, l*LineSize)
 	}
-	sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
+	slices.Sort(offs)
 	return offs
 }
 

@@ -3,7 +3,7 @@ package pmem
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -193,7 +193,7 @@ func (d *Device) applyTear(img []byte, persisted []int64) {
 	if d.fault == nil || !d.fault.Modes.Has(FaultTearLine) || len(persisted) == 0 {
 		return
 	}
-	sort.Slice(persisted, func(i, j int) bool { return persisted[i] < persisted[j] })
+	slices.Sort(persisted)
 	idx, split := d.fault.tearChoice(len(persisted))
 	off := persisted[idx]
 	copy(img[off+int64(split):off+LineSize], d.persistent[off+int64(split):off+LineSize])

@@ -6,8 +6,14 @@
 //
 // The implementation is a classic three-epoch scheme. Each reader pins
 // the global epoch on entry; Synchronize advances the epoch and waits for
-// all pinned readers to observe it; callbacks registered with Defer run
-// once two epoch advances have completed after registration.
+// all pinned readers to observe it; objects handed to Retire are reclaimed
+// by the first grace period that starts after they were retired.
+//
+// Retiring is the C artifact's call_rcu, which threads an intrusive
+// rcu_head through the retired object and allocates nothing: the queue
+// holds the object itself, as a Reclaimer, and a grace period sorts the
+// queue into a buffer it keeps, so a retire-and-reclaim cycle in steady
+// state allocates nothing either.
 package rcu
 
 import (
@@ -16,27 +22,46 @@ import (
 	"sync/atomic"
 )
 
+// Reclaimer is an object a writer has unlinked and whose memory or
+// resources may be reused once no reader can still hold it. Reclaim runs
+// after a grace period, on the goroutine that completed it; it must not
+// start a grace period of the same domain. Pointer types make the cheapest
+// Reclaimers: queueing one allocates nothing.
+type Reclaimer interface {
+	Reclaim()
+}
+
 // Domain is an independent RCU context. A file system instance owns one.
 type Domain struct {
 	epoch atomic.Uint64 // global epoch, starts at 1
 
-	mu      sync.Mutex // guards readers list and callback queues
-	readers []*Reader
+	// readers is replaced, never edited, under mu: a grace period walks
+	// the list it loaded while threads come and go.
+	mu      sync.Mutex
+	readers atomic.Pointer[[]*Reader]
 
-	cbMu      sync.Mutex
-	callbacks []deferred
-	inflight  atomic.Int64 // reaped callbacks not yet executed
+	cbMu     sync.Mutex
+	retired  []deferred   // the queue, in retire order
+	inflight atomic.Int64 // reaped objects not yet reclaimed
+
+	// reapMu lets one grace period reclaim at a time, so that ripe — what
+	// it took off the queue — can be one buffer, kept between them.
+	reapMu sync.Mutex
+	ripe   []deferred
+
+	graces    atomic.Int64
+	reclaimed atomic.Int64
 
 	// AutoReclaimThreshold triggers an asynchronous grace period once
-	// this many callbacks are queued, bounding deferred memory the way
+	// this many objects are queued, bounding deferred memory the way
 	// userspace-RCU's batched reclamation does. Zero disables it.
 	AutoReclaimThreshold int
 	reclaiming           atomic.Bool
 }
 
 type deferred struct {
-	epoch uint64 // registration epoch
-	fn    func()
+	epoch uint64 // epoch at Retire
+	obj   Reclaimer
 }
 
 // NewDomain creates an RCU domain with auto-reclamation enabled.
@@ -61,7 +86,9 @@ type Reader struct {
 func (d *Domain) Register() *Reader {
 	r := &Reader{dom: d}
 	d.mu.Lock()
-	d.readers = append(d.readers, r)
+	old := d.loadReaders()
+	list := append(old[:len(old):len(old)], r) // a copy: the old list is being walked
+	d.readers.Store(&list)
 	d.mu.Unlock()
 	return r
 }
@@ -72,13 +99,22 @@ func (d *Domain) Unregister(r *Reader) {
 		panic("rcu: unregistering an active reader")
 	}
 	d.mu.Lock()
-	for i, x := range d.readers {
-		if x == r {
-			d.readers = append(d.readers[:i], d.readers[i+1:]...)
-			break
+	old := d.loadReaders()
+	list := make([]*Reader, 0, len(old))
+	for _, x := range old {
+		if x != r {
+			list = append(list, x)
 		}
 	}
+	d.readers.Store(&list)
 	d.mu.Unlock()
+}
+
+func (d *Domain) loadReaders() []*Reader {
+	if p := d.readers.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // ReadLock enters a read-side critical section. Nesting is allowed.
@@ -104,15 +140,11 @@ func (r *Reader) ReadUnlock() {
 func (r *Reader) Active() bool { return r.depth > 0 }
 
 // Synchronize waits until every read-side critical section that was
-// active when it was called has ended, then runs any ripe deferred
-// callbacks.
+// active when it was called has ended, then reclaims what was retired
+// before the call.
 func (d *Domain) Synchronize() {
 	target := d.epoch.Add(1)
-	d.mu.Lock()
-	readers := make([]*Reader, len(d.readers))
-	copy(readers, d.readers)
-	d.mu.Unlock()
-	for _, r := range readers {
+	for _, r := range d.loadReaders() {
 		attempts := 0
 		for {
 			p := r.pinned.Load()
@@ -125,18 +157,19 @@ func (d *Domain) Synchronize() {
 			}
 		}
 	}
+	d.graces.Add(1)
 	d.reap(target)
 }
 
-// Defer schedules fn to run after a grace period. It may be called from
-// writers holding locks; fn runs on a later Synchronize (or Barrier).
-// When the queue exceeds AutoReclaimThreshold, a background grace period
-// drains it.
-func (d *Domain) Defer(fn func()) {
+// Retire queues obj to be reclaimed after a grace period. It may be
+// called from writers holding locks; Reclaim runs on a later Synchronize
+// (or Barrier). When the queue exceeds AutoReclaimThreshold, a background
+// grace period drains it.
+func (d *Domain) Retire(obj Reclaimer) {
 	e := d.epoch.Load()
 	d.cbMu.Lock()
-	d.callbacks = append(d.callbacks, deferred{epoch: e, fn: fn})
-	n := len(d.callbacks)
+	d.retired = append(d.retired, deferred{epoch: e, obj: obj})
+	n := len(d.retired)
 	d.cbMu.Unlock()
 	if d.AutoReclaimThreshold > 0 && n >= d.AutoReclaimThreshold &&
 		d.reclaiming.CompareAndSwap(false, true) {
@@ -147,50 +180,66 @@ func (d *Domain) Defer(fn func()) {
 	}
 }
 
-// reap runs callbacks registered at least one full epoch before now.
+// Defer retires a function: fn runs after a grace period.
+func (d *Domain) Defer(fn func()) { d.Retire(callback(fn)) }
+
+type callback func()
+
+func (fn callback) Reclaim() { fn() }
+
+// reap reclaims what was retired at least one full epoch before now, in
+// retire order. What is not ripe yet closes up at the front of the queue,
+// in place.
 func (d *Domain) reap(now uint64) {
+	d.reapMu.Lock()
+	defer d.reapMu.Unlock()
+	ripe := d.ripe[:0]
 	d.cbMu.Lock()
-	var ripe, rest []deferred
-	for _, cb := range d.callbacks {
-		if cb.epoch < now {
-			ripe = append(ripe, cb)
+	rest := d.retired[:0]
+	for _, r := range d.retired {
+		if r.epoch < now {
+			ripe = append(ripe, r)
 		} else {
-			rest = append(rest, cb)
+			rest = append(rest, r)
 		}
 	}
-	d.callbacks = rest
+	clear(d.retired[len(rest):])
+	d.retired = rest
 	d.inflight.Add(int64(len(ripe)))
 	d.cbMu.Unlock()
-	for _, cb := range ripe {
-		cb.fn()
+	for i := range ripe {
+		ripe[i].obj.Reclaim()
+		ripe[i].obj = nil
 		d.inflight.Add(-1)
 	}
+	d.reclaimed.Add(int64(len(ripe)))
+	d.ripe = ripe
 }
 
-// Barrier runs grace periods until every callback registered before the
-// call has executed — including callbacks a concurrent grace period had
-// already reaped but not yet run.
+// Barrier runs grace periods until everything retired before the call
+// has been reclaimed — including objects a concurrent grace period had
+// already reaped but not yet reclaimed.
 func (d *Domain) Barrier() {
-	for {
-		d.cbMu.Lock()
-		n := len(d.callbacks) + int(d.inflight.Load())
-		d.cbMu.Unlock()
-		if n == 0 {
-			return
-		}
+	for d.Pending() > 0 {
 		d.Synchronize()
 		runtime.Gosched()
 	}
 }
 
-// Pending returns the number of callbacks queued or currently executing
-// (for tests, metrics, and reclaim-aware allocators). A callback counts
-// until its effects are visible: reaped-but-not-yet-run callbacks are
+// Pending returns the number of objects queued or being reclaimed (for
+// tests, metrics, and reclaim-aware allocators). An object counts until
+// its effects are visible: reaped-but-not-yet-reclaimed objects are
 // included, so a caller that spins until Pending reaches zero observes
 // everything a concurrent grace period was still releasing.
 func (d *Domain) Pending() int {
 	d.cbMu.Lock()
-	n := len(d.callbacks) + int(d.inflight.Load())
+	n := len(d.retired) + int(d.inflight.Load())
 	d.cbMu.Unlock()
 	return n
 }
+
+// GracePeriods returns how many grace periods the domain has completed.
+func (d *Domain) GracePeriods() int64 { return d.graces.Load() }
+
+// Reclaimed returns how many retired objects grace periods have reclaimed.
+func (d *Domain) Reclaimed() int64 { return d.reclaimed.Load() }

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"arckfs/internal/race"
 )
 
 func TestReadLockNesting(t *testing.T) {
@@ -185,5 +187,61 @@ func TestStressReclamation(t *testing.T) {
 	d.Barrier()
 	if v := violations.Load(); v != 0 {
 		t.Fatalf("%d reclaimed-while-read violations", v)
+	}
+}
+
+type countedObj struct{ reclaims int }
+
+func (o *countedObj) Reclaim() { o.reclaims++ }
+
+// TestRetireDoesNotAllocate pins a retire-and-reclaim cycle at zero heap
+// objects once the queue and the reap buffer have their size: a pointer
+// goes into the queue as it is, and a grace period moves it to a buffer
+// the domain keeps.
+func TestRetireDoesNotAllocate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	d := NewDomain()
+	d.Register()
+	objs := make([]countedObj, 16)
+	round := func() {
+		for i := range objs {
+			d.Retire(&objs[i])
+		}
+		d.Synchronize()
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("16 retires and a grace period allocate %v objects, want 0", n)
+	}
+	if objs[0].reclaims != 102 || d.Pending() != 0 {
+		t.Fatalf("object reclaimed %d times in 102 rounds, %d pending", objs[0].reclaims, d.Pending())
+	}
+	if got := d.Reclaimed(); got != 102*16 || d.GracePeriods() != 102 {
+		t.Fatalf("Reclaimed = %d, GracePeriods = %d, want %d and 102", got, d.GracePeriods(), 102*16)
+	}
+}
+
+// TestReclaimOrder: objects are reclaimed in the order they were retired,
+// across grace periods that each leave part of the queue behind.
+func TestReclaimOrder(t *testing.T) {
+	d := NewDomain()
+	var got []int
+	for i := 0; i < 40; i++ {
+		i := i
+		d.Defer(func() { got = append(got, i) })
+		if i%7 == 6 {
+			d.Synchronize()
+		}
+	}
+	d.Barrier()
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("reclaim order %v", got)
+		}
+	}
+	if len(got) != 40 {
+		t.Fatalf("%d of 40 reclaimed", len(got))
 	}
 }

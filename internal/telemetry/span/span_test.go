@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"arckfs/internal/fsapi"
+	"arckfs/internal/race"
 	"arckfs/internal/telemetry"
 )
 
@@ -17,7 +18,7 @@ import (
 func TestDisabledOverheadPin(t *testing.T) {
 	tr := New(64, 64)
 	l := tr.NewLocal()
-	if raceEnabled {
+	if race.Enabled {
 		for i := 0; i < 1000; i++ {
 			sp := l.Begin(fsapi.OpCreate, 1)
 			sp.Event(telemetry.SpanEvFence, 0, 0)
@@ -56,7 +57,7 @@ func TestSamplingOverheadPin(t *testing.T) {
 	if got := tr.Recorded(); got != ops/64 {
 		t.Fatalf("recorded %d spans over %d ops, want exactly %d", got, ops, ops/64)
 	}
-	if !raceEnabled {
+	if !race.Enabled {
 		// AllocsPerRun's uncounted warm-up call lands on the sample
 		// boundary (op 640); the 62 measured calls that follow all take
 		// the sampled-out path, which must not allocate.

@@ -44,9 +44,12 @@ for p in 1 2 4; do
   GOMAXPROCS=$p go test -race \
     ./internal/core/ ./internal/crashmc/ ./internal/hlock/ ./internal/tenancy/
   GOMAXPROCS=$p go test -race -count=2 \
-    -run 'Compact|HandoffChurn|HandoffTurn|Reacquire|UnlinkOfCommitted|ReleaseAllSpan|ReleaseAllLockOrder|TestBug43|TestBug46|ShardStress|ParsesOnce|SetRef|Delegated|RepeatAcquire' \
+    -run 'Compact|HandoffChurn|HandoffTurn|Reacquire|UnlinkOfCommitted|ReleaseAllSpan|ReleaseAllLockOrder|TestBug43|TestBug46|ShardStress|ParsesOnce|SetRef|Delegated|RepeatAcquire|StatNeverTears|StatVsConcurrentWriters' \
     ./internal/libfs/ ./internal/kernel/ ./internal/htable/
 done
+
+step "fuzz the path cursor for 5 s (native Go fuzzing; the seed corpus already ran under go test)"
+go test -run '^$' -fuzz=FuzzPathCursor -fuzztime=5s ./internal/fsapi/
 
 step "per-layer Go benchmarks build and run once"
 go test -run '^$' -bench . -benchtime 1x ./internal/libfs/ ./internal/kv/ ./internal/verifier/ ./internal/kernel/
