@@ -192,12 +192,13 @@ type KernelStats = kernel.Snapshot
 // Stats snapshots the kernel's event counters.
 func (s *System) Stats() KernelStats { return s.sys.Ctrl.Stats.Snapshot() }
 
-// ShardStat describes one lock shard of the kernel's sharded control
-// plane (shadow-inode shards, page-owner stripes, ACL shards, and the
-// app table), with its acquisition and contention counters.
+// ShardStat describes one counted lock of the kernel's sharded control
+// plane (a shadow-inode shard or the app table), with its acquisition and
+// contention counters.
 type ShardStat = kernel.ShardStat
 
-// ShardStats returns per-shard lock counters, in a stable order.
+// ShardStats returns the lock counters in a stable order: the shadow
+// shards by index, then the app table.
 func (s *System) ShardStats() []ShardStat { return s.sys.Ctrl.ShardStats() }
 
 // Telemetry returns the system-wide counter set: pmem persistence

@@ -17,13 +17,15 @@ import (
 //	libfs/minode   < libfs/dirbucket < libfs/dirtail < libfs/diridx
 //	             < libfs/inomu < libfs/pagemu
 //	             < kernel/epoch < kernel/shadowshard < kernel/apps
-//	             < kernel/pagestripe < kernel/aclshard < kernel/mapping
+//	             < kernel/mapping
 //
 // The kernel classes mirror the sharded control plane: the big-reader
 // epoch is outermost, then the shadow-inode shard for the crossing's
-// target, then the leaf locks (app table, page-owner stripes, ACL
-// shards) that fast paths take briefly while holding their shard, and
-// innermost the per-mapping revocation lock.
+// target, then the app table's leaf lock that fast paths take briefly
+// while holding their shard, and innermost the per-mapping revocation
+// lock. The counted locks are hlock.CountedSpin fields: a class resolves
+// from the (struct, field) pair of an internal/hlock receiver, so the
+// field names below are what keeps their ranks.
 //
 // libfs/dirbucket is the directory hash-table bucket lock, acquired
 // through Table.WithBucket; the checker interprets the callback inline
@@ -67,9 +69,7 @@ var lockClasses = map[[2]string]lockClass{
 	{"Controller", "epoch"}:  {6, "kernel/epoch"},
 	{"shadowShard", "mu"}:    {7, "kernel/shadowshard"},
 	{"Controller", "appsMu"}: {8, "kernel/apps"},
-	{"pageStripe", "mu"}:     {9, "kernel/pagestripe"},
-	{"aclShard", "mu"}:       {10, "kernel/aclshard"},
-	{"Mapping", "mu"}:        {11, "kernel/mapping"},
+	{"Mapping", "mu"}:        {9, "kernel/mapping"},
 }
 
 // bucketClass is acquired via htable's WithBucket rather than a direct

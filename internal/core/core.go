@@ -111,6 +111,17 @@ type System struct {
 	appDim *telemetry.AppDim
 	appsMu sync.Mutex
 	apps   []*libfs.FS
+	// sums are the per-application counters the telemetry set adds up
+	// (sumApps); RetireApp folds a retiring LibFS's totals into them.
+	sums []*appSum
+}
+
+// appSum is one LibFS counter summed over every application: the live
+// ones are read when the gauge is, the retired ones' final values are
+// kept in retired (under appsMu) so the gauge never runs backwards.
+type appSum struct {
+	counter func(*libfs.FS) int64
+	retired int64
 }
 
 // newTracer builds the system tracer from the config: always attached
@@ -137,7 +148,7 @@ func (s *System) initTelemetry() {
 	s.tel.Gauge("libfs.stale_reads", s.sumApps(func(fs *libfs.FS) int64 { return fs.Stats.StaleReads.Load() }))
 	// Each application's RCU domain: what is queued behind a grace period
 	// now, and the grace periods run and objects reclaimed so far.
-	s.tel.Gauge("rcu.pending", s.sumApps(func(fs *libfs.FS) int64 { return int64(fs.Domain().Pending()) }))
+	s.tel.Gauge("rcu.pending", s.sumLive(func(fs *libfs.FS) int64 { return int64(fs.Domain().Pending()) }))
 	s.tel.Gauge("rcu.grace_periods", s.sumApps(func(fs *libfs.FS) int64 { return fs.Domain().GracePeriods() }))
 	s.tel.Gauge("rcu.reclaimed", s.sumApps(func(fs *libfs.FS) int64 { return fs.Domain().Reclaimed() }))
 	// Release-time dentry-log compactions and the dead record slots they
@@ -159,15 +170,27 @@ func (s *System) initTelemetry() {
 	s.tel.Gauge("span.recorded", s.tracer.Recorded)
 }
 
-// sumApps returns a gauge that sums one LibFS counter over every attached
-// application.
+// sumApps returns a gauge that sums one LibFS counter over every
+// application the system has had, retired ones included.
 func (s *System) sumApps(counter func(*libfs.FS) int64) func() int64 {
+	sum := &appSum{counter: counter}
+	s.sums = append(s.sums, sum)
+	return s.sumGauge(sum)
+}
+
+// sumLive is sumApps for a level (rcu.pending): attached applications
+// only, because what a retired one had queued is not queued any more.
+func (s *System) sumLive(level func(*libfs.FS) int64) func() int64 {
+	return s.sumGauge(&appSum{counter: level})
+}
+
+func (s *System) sumGauge(sum *appSum) func() int64 {
 	return func() int64 {
 		s.appsMu.Lock()
 		defer s.appsMu.Unlock()
-		var n int64
+		n := sum.retired
 		for _, fs := range s.apps {
-			n += counter(fs)
+			n += sum.counter(fs)
 		}
 		return n
 	}
@@ -259,8 +282,9 @@ func (s *System) NewApp(uid, gid uint32) *libfs.FS {
 	return fs
 }
 
-// RetireApp tears one application down: the LibFS is dropped from the
-// system's telemetry aggregation, the kernel unregisters the app
+// RetireApp tears one application down: the LibFS leaves the system's
+// telemetry aggregation (its counter totals stay, folded into the retired
+// sums), the kernel unregisters the app
 // (force-releasing owned inodes and reclaiming every outstanding
 // grant), and the per-app attribution row is evicted so long-lived
 // systems spinning tenants up and down hold state for live tenants
@@ -271,6 +295,9 @@ func (s *System) RetireApp(fs *libfs.FS) error {
 	for i, x := range s.apps {
 		if x == fs {
 			s.apps = append(s.apps[:i], s.apps[i+1:]...)
+			for _, sum := range s.sums {
+				sum.retired += sum.counter(fs)
+			}
 			break
 		}
 	}

@@ -52,6 +52,43 @@ func (l *SpinLock) Unlock() {
 // Locked reports a racy snapshot of whether the lock is held.
 func (l *SpinLock) Locked() bool { return l.state.Load() != 0 }
 
+// CountedSpin is a SpinLock that keeps its own traffic counters: every
+// acquisition, and every Lock that found the lock held and had to wait.
+// A failed TryLock counts nothing — the caller did not wait.
+// The zero value is unlocked.
+type CountedSpin struct {
+	mu           SpinLock
+	acquisitions atomic.Int64
+	contended    atomic.Int64
+}
+
+// Lock acquires the lock, counting the acquisition and, if it had to
+// spin, the contention.
+func (l *CountedSpin) Lock() {
+	if !l.mu.TryLock() {
+		l.contended.Add(1)
+		l.mu.Lock()
+	}
+	l.acquisitions.Add(1)
+}
+
+// TryLock acquires the lock if it is free and reports whether it did.
+func (l *CountedSpin) TryLock() bool {
+	ok := l.mu.TryLock()
+	if ok {
+		l.acquisitions.Add(1)
+	}
+	return ok
+}
+
+// Unlock releases the lock.
+func (l *CountedSpin) Unlock() { l.mu.Unlock() }
+
+// Counts returns the acquisitions so far and how many of them waited.
+func (l *CountedSpin) Counts() (acquisitions, contended int64) {
+	return l.acquisitions.Load(), l.contended.Load()
+}
+
 // RWSpin is a readers-writer spinlock with writer preference encoded as a
 // single atomic counter: positive values count readers, the writerBias
 // marks an exclusive holder.

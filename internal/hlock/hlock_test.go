@@ -54,6 +54,55 @@ func TestSpinLockUnlockOfUnlockedPanics(t *testing.T) {
 	l.Unlock()
 }
 
+// TestCountedSpin pins the accounting CountedSpin adds to a SpinLock: it
+// still excludes, every acquisition is counted exactly once whichever way
+// it was taken, only a Lock that waited counts as contended, and a failed
+// TryLock counts nothing.
+func TestCountedSpin(t *testing.T) {
+	var l CountedSpin
+	for i := 0; i < 10; i++ {
+		l.Lock()
+		l.Unlock()
+	}
+	if acq, cont := l.Counts(); acq != 10 || cont != 0 {
+		t.Fatalf("uncontended: acquisitions=%d contended=%d, want 10 and 0", acq, cont)
+	}
+	if !l.TryLock() {
+		t.Fatal("TryLock on free lock failed")
+	}
+	if l.TryLock() {
+		t.Fatal("TryLock on held lock succeeded")
+	}
+	l.Unlock()
+	if acq, cont := l.Counts(); acq != 11 || cont != 0 {
+		t.Fatalf("after one TryLock hit and one miss: acquisitions=%d contended=%d, want 11 and 0", acq, cont)
+	}
+
+	const workers, rounds = 8, 1000
+	var shared CountedSpin
+	var counter int
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < rounds; j++ {
+				shared.Lock()
+				counter++
+				shared.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	acq, cont := shared.Counts()
+	if counter != workers*rounds || acq != workers*rounds {
+		t.Fatalf("counter=%d acquisitions=%d, want %d each", counter, acq, workers*rounds)
+	}
+	if cont < 0 || cont > acq {
+		t.Fatalf("contended=%d outside [0, acquisitions=%d]", cont, acq)
+	}
+}
+
 func TestRWSpinReadersShareWritersExclude(t *testing.T) {
 	var l RWSpin
 	l.RLock()

@@ -11,24 +11,20 @@ import (
 	"arckfs/internal/verifier"
 )
 
-// lockShard takes ino's shard lock with the TryLock-contended accounting
-// convention. When the lock was contended and the caller supplied a span
-// sink, the blocked wait is reported as a timed shard-wait event — the
-// per-span view of the aggregate kernel.shard.contended gauge.
+// lockShard takes ino's shard lock. When the caller supplied a span sink
+// and the lock was contended, the blocked wait is reported as a timed
+// shard-wait event — the per-span view of the aggregate
+// kernel.shard.contended gauge.
 func (c *Controller) lockShard(ino uint64, sink telemetry.SpanSink) *shadowShard {
 	sh := c.shardOf(ino)
-	if !sh.mu.TryLock() {
-		sh.contended.Add(1)
-		if sink != nil {
-			begin := time.Now()
-			sh.mu.Lock()
-			sink.SpanEvent(telemetry.SpanEvShardWait, int64(c.shardIndex(ino)),
-				time.Since(begin).Nanoseconds())
-		} else {
-			sh.mu.Lock()
-		}
+	if sink == nil {
+		sh.mu.Lock()
+	} else if !sh.mu.TryLock() {
+		begin := time.Now()
+		sh.mu.Lock()
+		sink.SpanEvent(telemetry.SpanEvShardWait, int64(c.shardIndex(ino)),
+			time.Since(begin).Nanoseconds())
 	}
-	sh.acquisitions.Add(1)
 	return sh
 }
 
@@ -164,43 +160,58 @@ func (c *Controller) Acquire(appID AppID, ino uint64, write bool) (*Mapping, err
 func (c *Controller) AcquireObserved(appID AppID, ino uint64, write bool, sink telemetry.SpanSink) (*Mapping, error) {
 	defer c.syscallObserved(appID, sink)()
 	c.Stats.Acquires.Add(1)
-	if m, err, handled := c.acquireFast(appID, ino, write, sink); handled {
+	if m, err, punt := c.acquireFast(appID, ino, write, sink); !punt {
 		return m, err
 	}
-	c.enterExcl()
-	defer c.exitExcl()
 	return c.acquireExcl(appID, ino, write)
 }
 
-// acquireFast handles every acquire that touches only ino's own shard:
-// all of them except the expired-lease involuntary release, whose
-// verification can span shards. handled=false punts to acquireExcl.
-func (c *Controller) acquireFast(appID AppID, ino uint64, write bool, sink telemetry.SpanSink) (m *Mapping, err error, handled bool) {
+// acquireFast runs the acquire under the shared epoch and ino's shard
+// lock, which covers every acquire that touches only ino's own shard: all
+// of them except the expired-lease involuntary release (punt=true).
+func (c *Controller) acquireFast(appID AppID, ino uint64, write bool, sink telemetry.SpanSink) (m *Mapping, err error, punt bool) {
 	e := c.epoch.RLock()
 	defer c.epoch.RUnlock(e)
 	sh := c.lockShard(ino, sink)
 	defer sh.mu.Unlock()
+	return c.acquireHeld(sh.m[ino], appID, ino, write, false)
+}
 
+// acquireExcl runs the acquire again from the top under the exclusive
+// epoch (the world may have changed since the fast path punted).
+func (c *Controller) acquireExcl(appID AppID, ino uint64, write bool) (*Mapping, error) {
+	c.enterExcl()
+	defer c.exitExcl()
+	m, err, _ := c.acquireHeld(c.shadowGet(ino, nil), appID, ino, write, true)
+	return m, err
+}
+
+// acquireHeld is the acquire itself — every existence, permission,
+// ownership and lease check — on ino's shadow entry se (nil = no such
+// inode). The caller holds se's shard lock (excl=false) or the exclusive
+// epoch (excl=true); the one thing only the exclusive caller may do is the
+// expired-lease involuntary release, whose verification can span shards
+// for a directory: the shard-locked caller gets punt=true instead.
+func (c *Controller) acquireHeld(se *shadowEnt, appID AppID, ino uint64, write, excl bool) (m *Mapping, err error, punt bool) {
 	a := c.lookupApp(appID)
 	if a == nil {
-		return nil, fmt.Errorf("kernel: unknown app %d", appID), true
+		return nil, fmt.Errorf("kernel: unknown app %d", appID), false
 	}
-	se := sh.m[ino]
 	if se == nil || (!se.info.Committed && se.owner != appID) {
-		return nil, fsapi.ErrNotExist, true
+		return nil, fsapi.ErrNotExist, false
 	}
 	if se.inaccessible {
-		return nil, fmt.Errorf("inode %d marked inaccessible: %w", ino, fsapi.ErrPerm), true
+		return nil, fmt.Errorf("inode %d marked inaccessible: %w", ino, fsapi.ErrPerm), false
 	}
 	perm := se.info.Perm
-	if ov, ok := c.acl(appID, ino); ok {
+	if ov, ok := se.acl[appID]; ok {
 		perm = ov
 	}
 	if write && perm&layout.PermWrite == 0 {
-		return nil, fsapi.ErrPerm, true
+		return nil, fsapi.ErrPerm, false
 	}
 	if !write && perm&layout.PermRead == 0 {
-		return nil, fsapi.ErrPerm, true
+		return nil, fsapi.ErrPerm, false
 	}
 	if se.owner == appID {
 		if m := se.mapping; m != nil && m.dormant.Load() {
@@ -210,77 +221,30 @@ func (c *Controller) acquireFast(appID AppID, ino uint64, write bool, sink telem
 			m.dormant.CompareAndSwap(true, false)
 		}
 		se.lease = c.now().Add(c.opts.LeaseTTL)
-		return se.mapping, nil, true
+		return se.mapping, nil, false
 	}
 	if se.owner != 0 && !c.reclaimDormant(se, true) {
 		holder := c.lookupApp(se.owner)
 		if holder != nil && holder.group.Load() != 0 && holder.group.Load() == a.group.Load() {
-			return c.groupTransfer(se, appID), nil, true
+			return c.groupTransfer(se, appID), nil, false
 		}
 		if c.now().Before(se.lease) {
-			return nil, errBusy(ino, se.owner), true
+			return nil, errBusy(ino, se.owner), false
 		}
-		// Lease expired: the involuntary release verifies the holder's
-		// state, which for a directory spans shards — exclusive epoch.
-		return nil, nil, false
-	}
-	if err := c.establish(se, appID); err != nil {
-		return nil, err, true
-	}
-	return se.mapping, nil, true
-}
-
-// acquireExcl is the slow acquire path under the exclusive epoch; it
-// re-checks everything (the world may have changed since the fast path
-// punted).
-func (c *Controller) acquireExcl(appID AppID, ino uint64, write bool) (*Mapping, error) {
-	a := c.lookupApp(appID)
-	if a == nil {
-		return nil, fmt.Errorf("kernel: unknown app %d", appID)
-	}
-	se := c.shadowGet(ino, nil)
-	if se == nil || (!se.info.Committed && se.owner != appID) {
-		return nil, fsapi.ErrNotExist
-	}
-	if se.inaccessible {
-		return nil, fmt.Errorf("inode %d marked inaccessible: %w", ino, fsapi.ErrPerm)
-	}
-	perm := se.info.Perm
-	if ov, ok := c.acl(appID, ino); ok {
-		perm = ov
-	}
-	if write && perm&layout.PermWrite == 0 {
-		return nil, fsapi.ErrPerm
-	}
-	if !write && perm&layout.PermRead == 0 {
-		return nil, fsapi.ErrPerm
-	}
-	if se.owner == appID {
-		if m := se.mapping; m != nil && m.dormant.Load() {
-			m.dormant.CompareAndSwap(true, false)
-		}
-		se.lease = c.now().Add(c.opts.LeaseTTL)
-		return se.mapping, nil
-	}
-	if se.owner != 0 && !c.reclaimDormant(se, true) {
-		holder := c.lookupApp(se.owner)
-		if holder != nil && holder.group.Load() != 0 && holder.group.Load() == a.group.Load() {
-			return c.groupTransfer(se, appID), nil
-		}
-		if c.now().Before(se.lease) {
-			return nil, errBusy(ino, se.owner)
+		if !excl {
+			return nil, nil, true
 		}
 		// Lease expired: involuntary release. The holder may be mid-
 		// operation; that is its problem (§4.3 discussion).
 		c.Stats.Involuntary.Add(1)
 		if err := c.releaseHeld(se, se.owner, ctlView{c: c}); err != nil && !IsVerificationError(err) {
-			return nil, err
+			return nil, err, false
 		}
 	}
 	if err := c.establish(se, appID); err != nil {
-		return nil, err
+		return nil, err, false
 	}
-	return se.mapping, nil
+	return se.mapping, nil, false
 }
 
 // groupTransfer hands se to a trust-group peer (§5.4): the holder's
@@ -494,12 +458,12 @@ func (c *Controller) CommitObserved(appID AppID, ino uint64, sink telemetry.Span
 }
 
 func (c *Controller) transfer(appID AppID, ino uint64, kind xferKind, sink telemetry.SpanSink) (*Mapping, error) {
-	if m, err, handled := c.transferFast(appID, ino, kind, sink); handled {
+	if m, err, punt := c.transferFast(appID, ino, kind, sink); !punt {
 		return m, err
 	}
 	c.enterExcl()
 	defer c.exitExcl()
-	return c.transferExcl(appID, ino, kind)
+	return c.transferHeld(c.shadowGet(ino, nil), appID, ino, kind, ctlView{c: c})
 }
 
 // transferFast handles file transfers on the shared epoch: file
@@ -507,52 +471,36 @@ func (c *Controller) transfer(appID AppID, ino uint64, kind xferKind, sink telem
 // words, so the shard lock suffices. Directories punt to the exclusive
 // epoch (their commits create, relocate, and free children on other
 // shards).
-func (c *Controller) transferFast(appID AppID, ino uint64, kind xferKind, sink telemetry.SpanSink) (m *Mapping, err error, handled bool) {
+func (c *Controller) transferFast(appID AppID, ino uint64, kind xferKind, sink telemetry.SpanSink) (m *Mapping, err error, punt bool) {
 	e := c.epoch.RLock()
 	defer c.epoch.RUnlock(e)
 	sh := c.lockShard(ino, sink)
 	defer sh.mu.Unlock()
 
 	se := sh.m[ino]
-	if se == nil {
-		return nil, c.missingTransferErr(appID, ino), true
+	if se != nil && se.info.Type == layout.TypeDir {
+		return nil, nil, true
 	}
-	if se.info.Type == layout.TypeDir {
-		return nil, nil, false
-	}
-	if se.owner != appID {
-		return nil, fmt.Errorf("inode %d not held by app %d: %w", ino, appID, fsapi.ErrPerm), true
-	}
-	m2, err := c.transferHeld(se, appID, kind, ctlView{c: c, held: sh})
-	return m2, err, true
+	m, err = c.transferHeld(se, appID, ino, kind, ctlView{c: c, held: sh})
+	return m, err, false
 }
 
-// transferExcl is the transfer slow path under the exclusive epoch.
-func (c *Controller) transferExcl(appID AppID, ino uint64, kind xferKind) (*Mapping, error) {
-	se := c.shadowGet(ino, nil)
+// transferHeld guard-checks and applies one transfer kind to ino's shadow
+// entry se (nil = no such inode). Caller holds se's shard lock or the
+// exclusive epoch.
+func (c *Controller) transferHeld(se *shadowEnt, appID AppID, ino uint64, kind xferKind, view ctlView) (*Mapping, error) {
 	if se == nil {
-		return nil, c.missingTransferErr(appID, ino)
+		// Either a LibFS Rule 1 violation (releasing a granted inode whose
+		// parent was never committed — from the kernel's perspective it is
+		// disconnected from the root) or plain absence.
+		if c.inoGranted(appID, ino) {
+			return nil, &verifier.FailError{Ino: ino, Reason: "new inode disconnected from the root (I3, LibFS Rule 1)"}
+		}
+		return nil, fsapi.ErrNotExist
 	}
 	if se.owner != appID {
 		return nil, fmt.Errorf("inode %d not held by app %d: %w", ino, appID, fsapi.ErrPerm)
 	}
-	return c.transferHeld(se, appID, kind, ctlView{c: c})
-}
-
-// missingTransferErr classifies a transfer of an unknown inode: either a
-// LibFS Rule 1 violation (releasing a granted inode whose parent was
-// never committed — from the kernel's perspective it is disconnected
-// from the root) or plain absence.
-func (c *Controller) missingTransferErr(appID AppID, ino uint64) error {
-	if c.inoGranted(appID, ino) {
-		return &verifier.FailError{Ino: ino, Reason: "new inode disconnected from the root (I3, LibFS Rule 1)"}
-	}
-	return fsapi.ErrNotExist
-}
-
-// transferHeld applies one transfer kind to an inode the caller has
-// guard-checked. Caller holds se's shard lock or the exclusive epoch.
-func (c *Controller) transferHeld(se *shadowEnt, appID AppID, kind xferKind, view ctlView) (*Mapping, error) {
 	if m := se.mapping; m != nil && m.dormant.Load() {
 		// The app transfers an inode it had lease-released (a LibFS may
 		// order a Commit of a released parent before re-activating it):
@@ -713,16 +661,7 @@ func (c *Controller) applyDir(se *shadowEnt, appID AppID, res *verifier.DirResul
 	for _, ch := range res.Changes {
 		switch ch.Action {
 		case verifier.AddNew:
-			c.ungrant(appID, ch.Ino)
-			cin, _, _ := layout.ReadInode(c.dev, c.geo, ch.Ino)
-			child := &shadowEnt{
-				info:  shadowInfoOf(ch.Ino, &cin, 0, false),
-				inode: cin,
-				owner: appID,
-			}
-			child.mapping = newMapping(ch.Ino, appID)
-			child.lease = c.now().Add(c.opts.LeaseTTL)
-			c.shadowPut(ch.Ino, child, nil)
+			c.putPendingChild(appID, ch.Ino, nil)
 		case verifier.RelocateIn:
 			// Advance the child's verified parent pointer. The Original
 			// verifier also tracks parents for files (cross-directory
@@ -747,6 +686,22 @@ func (c *Controller) applyDir(se *shadowEnt, appID AppID, res *verifier.DirResul
 	c.writeShadow(se)
 }
 
+// putPendingChild gives a child that appID created under a directory being
+// verified its shadow entry: uncommitted, held by its creator, the inode
+// number no longer an outstanding grant. held follows the shadowGet
+// convention.
+func (c *Controller) putPendingChild(appID AppID, ino uint64, held *shadowShard) {
+	c.ungrant(appID, ino)
+	cin, _, _ := layout.ReadInode(c.dev, c.geo, ino)
+	c.shadowPut(ino, &shadowEnt{
+		info:    shadowInfoOf(ino, &cin, 0, false),
+		inode:   cin,
+		owner:   appID,
+		mapping: newMapping(ino, appID),
+		lease:   c.now().Add(c.opts.LeaseTTL),
+	}, held)
+}
+
 func (c *Controller) applyFile(se *shadowEnt, appID AppID, res *verifier.FileResult) {
 	se.inode = res.Inode
 	c.applyPages(se.info.Ino, appID, res.NewPages, res.FreedPages)
@@ -760,16 +715,7 @@ func (c *Controller) applyNewInode(se *shadowEnt, appID AppID, res *verifier.New
 	// PendingChildren only occur for directories, which commit under the
 	// exclusive epoch (held == nil): the cross-shard shadowPut is safe.
 	for _, ch := range res.PendingChildren {
-		c.ungrant(appID, ch.Ino)
-		cin, _, _ := layout.ReadInode(c.dev, c.geo, ch.Ino)
-		child := &shadowEnt{
-			info:  shadowInfoOf(ch.Ino, &cin, 0, false),
-			inode: cin,
-			owner: appID,
-		}
-		child.mapping = newMapping(ch.Ino, appID)
-		child.lease = c.now().Add(c.opts.LeaseTTL)
-		c.shadowPut(ch.Ino, child, held)
+		c.putPendingChild(appID, ch.Ino, held)
 	}
 	c.writeShadow(se)
 }

@@ -156,12 +156,6 @@ func ownIno(ino uint64) pageOwner {
 	return ownKindIno | pageOwner(ino)
 }
 
-// aclKey identifies a per-application permission override.
-type aclKey struct {
-	ino uint64
-	app AppID
-}
-
 // shadowEnt is the kernel's in-memory authoritative record for one inode;
 // it is mirrored to the PM shadow table on every verified change. Except
 // at mount time, it is accessed with its shard lock or the exclusive
@@ -181,6 +175,9 @@ type shadowEnt struct {
 	lease         time.Time
 
 	inaccessible bool
+	// acl holds per-application permission overrides (SetACL); nil until
+	// one is set. It lives here so an override dies with its inode.
+	acl map[AppID]uint16
 }
 
 // snapshot is a held inode's rollback point and verification baseline:
@@ -297,9 +294,9 @@ type Controller struct {
 	shadow            atomic.Pointer[shadowGen]
 	shadowRetiredAcq  atomic.Int64
 	shadowRetiredCont atomic.Int64
-	pages             []pageOwner
-	pageStripe        [nPageStripes]pageStripe
-	aclTab            [nACLShards]aclShard
+	// pages holds one pageOwner word per device page, accessed only
+	// through pageOwnerAt/setPageOwner/casPageOwner (atomics).
+	pages []uint64
 
 	// adm is the fair-share crossing admission scheduler (admission.go);
 	// nil when Options.MaxInflight is 0.
@@ -314,13 +311,11 @@ type Controller struct {
 
 	// appsMu guards the app table, grantedInos sets, the inode free
 	// list, and the id counters.
-	appsMu           hlock.SpinLock
-	appsAcquisitions atomic.Int64
-	appsContended    atomic.Int64
-	apps             map[AppID]*app
-	nextApp          AppID
-	inoFree          []uint64
-	nextGroup        int
+	appsMu    hlock.CountedSpin
+	apps      map[AppID]*app
+	nextApp   AppID
+	inoFree   []uint64
+	nextGroup int
 
 	renameLock hlock.LeaseLock
 
@@ -351,7 +346,7 @@ func Format(dev *pmem.Device, opts Options) (*Controller, error) {
 	// pool.
 	c.alloc = pmalloc.NewExcluding(g, rootIn.DataRoot)
 	c.alloc.ConfigureNUMA(numaNodes, c.cost)
-	c.pages[rootIn.DataRoot] = ownIno(layout.RootIno)
+	c.setPageOwner(rootIn.DataRoot, ownIno(layout.RootIno))
 	// Inode free list (descending so grants ascend).
 	for ino := g.InodeCap - 1; ino >= 2; ino-- {
 		c.inoFree = append(c.inoFree, ino)
@@ -365,13 +360,10 @@ func newController(dev *pmem.Device, g layout.Geometry, opts Options) *Controlle
 		geo:   g,
 		cost:  opts.Cost,
 		opts:  opts,
-		pages: make([]pageOwner, g.PageCount),
+		pages: make([]uint64, g.PageCount),
 		apps:  make(map[AppID]*app),
 	}
 	c.shadow.Store(newShadowGen(nShadowMin))
-	for i := range c.aclTab {
-		c.aclTab[i].m = make(map[aclKey]uint16)
-	}
 	if opts.MaxInflight > 0 {
 		c.adm = newAdmission(opts.MaxInflight, opts.AppDim)
 	}
@@ -476,11 +468,7 @@ func (c *Controller) SetClock(now func() time.Time) {
 func (c *Controller) RegisterApp(uid, gid uint32) AppID {
 	defer c.syscall(0)()
 	e := c.epoch.RLock()
-	if !c.appsMu.TryLock() {
-		c.appsContended.Add(1)
-		c.appsMu.Lock()
-	}
-	c.appsAcquisitions.Add(1)
+	c.appsMu.Lock()
 	c.nextApp++
 	id := c.nextApp
 	c.apps[id] = &app{id: id, uid: uid, gid: gid, grantedInos: make(map[uint64]bool)}
@@ -520,11 +508,7 @@ func (c *Controller) UnregisterApp(appID AppID) error {
 		}
 	}
 	// Unused inode grants go back to the free pool.
-	if !c.appsMu.TryLock() {
-		c.appsContended.Add(1)
-		c.appsMu.Lock()
-	}
-	c.appsAcquisitions.Add(1)
+	c.appsMu.Lock()
 	for ino := range a.grantedInos {
 		c.inoFree = append(c.inoFree, ino)
 	}
@@ -536,9 +520,8 @@ func (c *Controller) UnregisterApp(appID AppID) error {
 	if a.pagesOut.Load() > 0 {
 		var back []uint64
 		want := ownApp(appID)
-		for p, o := range c.pages {
-			if o == want {
-				c.pages[p] = ownFree
+		for p := range c.pages {
+			if c.casPageOwner(uint64(p), want, ownFree) {
 				back = append(back, uint64(p))
 			}
 		}
@@ -560,11 +543,7 @@ func (c *Controller) NewTrustGroup(ids ...AppID) (int, error) {
 	defer c.syscall(0)()
 	e := c.epoch.RLock()
 	defer c.epoch.RUnlock(e)
-	if !c.appsMu.TryLock() {
-		c.appsContended.Add(1)
-		c.appsMu.Lock()
-	}
-	c.appsAcquisitions.Add(1)
+	c.appsMu.Lock()
 	defer c.appsMu.Unlock()
 	c.nextGroup++
 	for _, id := range ids {
@@ -583,11 +562,7 @@ func (c *Controller) GrantInodes(appID AppID, n int) ([]uint64, error) {
 	defer c.syscall(appID)()
 	e := c.epoch.RLock()
 	defer c.epoch.RUnlock(e)
-	if !c.appsMu.TryLock() {
-		c.appsContended.Add(1)
-		c.appsMu.Lock()
-	}
-	c.appsAcquisitions.Add(1)
+	c.appsMu.Lock()
 	defer c.appsMu.Unlock()
 	a, ok := c.apps[appID]
 	if !ok {
@@ -674,46 +649,30 @@ func (c *Controller) RenameLockRelease(appID AppID) bool {
 
 // SetACL overrides app's permission bits on ino (layout.PermRead |
 // layout.PermWrite). The §3.1 attack scenario uses this to deny App1
-// write access on specific inodes. Like every other entry point it
-// models (and charges) a kernel crossing.
+// write access on specific inodes. The override lives in the inode's
+// shadow entry and is freed with it; on an inode that has no shadow entry
+// SetACL is a no-op. Like every other entry point it models (and charges)
+// a kernel crossing.
 func (c *Controller) SetACL(ino uint64, appID AppID, perm uint16) {
 	defer c.syscall(appID)()
 	e := c.epoch.RLock()
 	defer c.epoch.RUnlock(e)
-	sh := c.shardOf(ino)
-	if !sh.mu.TryLock() {
-		sh.contended.Add(1)
-		sh.mu.Lock()
-	}
-	sh.acquisitions.Add(1)
+	sh := c.lockShard(ino, nil)
 	defer sh.mu.Unlock()
+	se := sh.m[ino]
+	if se == nil {
+		return
+	}
 	// A dormant (lease-released) holder must not re-activate across a
 	// permission change: reclaim its mapping so the next access pays a
 	// full, ACL-checked Acquire.
-	if se := sh.m[ino]; se != nil && se.owner != 0 {
+	if se.owner != 0 {
 		c.reclaimDormant(se, false)
 	}
-	as := c.aclShardOf(ino)
-	if !as.mu.TryLock() {
-		as.contended.Add(1)
-		as.mu.Lock()
+	if se.acl == nil {
+		se.acl = make(map[AppID]uint16)
 	}
-	as.acquisitions.Add(1)
-	as.m[aclKey{ino, appID}] = perm
-	as.mu.Unlock()
-}
-
-// acl returns app's permission override for ino, if any.
-func (c *Controller) acl(appID AppID, ino uint64) (uint16, bool) {
-	as := c.aclShardOf(ino)
-	if !as.mu.TryLock() {
-		as.contended.Add(1)
-		as.mu.Lock()
-	}
-	as.acquisitions.Add(1)
-	p, ok := as.m[aclKey{ino, appID}]
-	as.mu.Unlock()
-	return p, ok
+	se.acl[appID] = perm
 }
 
 // FreeCount exposes allocator occupancy for tests.
@@ -747,12 +706,7 @@ func (c *Controller) ShadowOf(ino uint64) (verifier.ShadowInfo, bool) {
 func (c *Controller) OwnerOf(ino uint64) AppID {
 	e := c.epoch.RLock()
 	defer c.epoch.RUnlock(e)
-	sh := c.shardOf(ino)
-	if !sh.mu.TryLock() {
-		sh.contended.Add(1)
-		sh.mu.Lock()
-	}
-	sh.acquisitions.Add(1)
+	sh := c.lockShard(ino, nil)
 	defer sh.mu.Unlock()
 	if se := sh.m[ino]; se != nil {
 		if se.mapping != nil && se.mapping.dormant.Load() {

@@ -88,11 +88,7 @@ type AppUsage struct {
 // Usage snapshots every registered app's outstanding grants and quota,
 // sorted by app ID. Introspection only: no crossing is charged.
 func (c *Controller) Usage() []AppUsage {
-	if !c.appsMu.TryLock() {
-		c.appsContended.Add(1)
-		c.appsMu.Lock()
-	}
-	c.appsAcquisitions.Add(1)
+	c.appsMu.Lock()
 	out := make([]AppUsage, 0, len(c.apps))
 	for id, a := range c.apps {
 		out = append(out, AppUsage{

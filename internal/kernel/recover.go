@@ -281,7 +281,7 @@ func Mount(dev *pmem.Device, opts Options, repair bool) (*Controller, *Report, e
 	var usedPages []uint64
 	for i, ino := range inos {
 		for _, p := range inoPageLists[i] {
-			c.pages[p] = ownIno(ino)
+			c.setPageOwner(p, ownIno(ino))
 		}
 		usedPages = append(usedPages, inoPageLists[i]...)
 	}

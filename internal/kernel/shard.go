@@ -16,9 +16,9 @@ import (
 //
 //   - Single-inode crossings (Acquire, file Release/Commit, grants,
 //     ReturnPages, SetACL, ...) run under epoch.RLock plus the target
-//     shard's spinlock. Shared state off the fast inode path (the app
-//     table, page-owner words, ACL overrides) is guarded by its own
-//     short leaf locks, so fast-path holders never take two locks of the
+//     shard's spinlock, which also guards the entry's ACL overrides. The
+//     app table has its own short leaf lock; page-owner words are
+//     single-word atomics. Fast-path holders never take two locks of the
 //     same class.
 //   - Multi-inode crossings (directory Release/Commit, which can create,
 //     relocate, or free children across shards; ForceRelease; expired-
@@ -27,17 +27,14 @@ import (
 //     old global mutex, so cross-inode atomicity is unchanged.
 //
 // The declared lock order (see internal/analysis lockorder) is
-// Controller.epoch < shadowShard.mu < Controller.appsMu < pageStripe.mu
-// < aclShard.mu < Mapping.mu.
+// Controller.epoch < shadowShard.mu < Controller.appsMu < Mapping.mu.
 
 const (
 	// nShadowMin is the floor (and initial) shadow shard count; the
 	// controller grows the table with the registered-app count up to
 	// nShadowMax (see maybeGrowShards).
-	nShadowMin   = 16
-	nShadowMax   = 4096
-	nPageStripes = 16
-	nACLShards   = 8
+	nShadowMin = 16
+	nShadowMax = 4096
 	// numaNodes groups the page allocator's stripes into NUMA node
 	// groups: refill and free stay node-local, and cross-node stealing
 	// (which pays the modeled interconnect cost) happens only when the
@@ -99,34 +96,19 @@ func (c *Controller) maybeGrowShards(napps int) {
 		for ino, se := range sh.m {
 			next.shards[ino&next.mask].m[ino] = se
 		}
-		c.shadowRetiredAcq.Add(sh.acquisitions.Load())
-		c.shadowRetiredCont.Add(sh.contended.Load())
+		acq, cont := sh.mu.Counts()
+		c.shadowRetiredAcq.Add(acq)
+		c.shadowRetiredCont.Add(cont)
 	}
 	c.shadow.Store(next)
 }
 
-// shadowShard holds a stripe of the shadow-inode table. The counters
-// feed the kernel.shard.* telemetry and arckshell's `shards` command.
+// shadowShard holds a stripe of the shadow-inode table. The lock's
+// counters feed the kernel.shard.* telemetry and arckshell's `shards`
+// command.
 type shadowShard struct {
-	mu           hlock.SpinLock
-	m            map[uint64]*shadowEnt
-	acquisitions atomic.Int64
-	contended    atomic.Int64
-}
-
-// pageStripe guards a stripe of the page-owner array.
-type pageStripe struct {
-	mu           hlock.SpinLock
-	acquisitions atomic.Int64
-	contended    atomic.Int64
-}
-
-// aclShard holds a stripe of the per-app permission overrides.
-type aclShard struct {
-	mu           hlock.SpinLock
-	m            map[aclKey]uint16
-	acquisitions atomic.Int64
-	contended    atomic.Int64
+	mu hlock.CountedSpin
+	m  map[uint64]*shadowEnt
 }
 
 func (c *Controller) shardOf(ino uint64) *shadowShard {
@@ -138,14 +120,6 @@ func (c *Controller) shardOf(ino uint64) *shadowShard {
 // payloads and tooling).
 func (c *Controller) shardIndex(ino uint64) int {
 	return int(ino & c.shadow.Load().mask)
-}
-
-func (c *Controller) stripeOf(page uint64) *pageStripe {
-	return &c.pageStripe[page%nPageStripes]
-}
-
-func (c *Controller) aclShardOf(ino uint64) *aclShard {
-	return &c.aclTab[ino%nACLShards]
 }
 
 // enterExcl begins an exclusive (multi-inode) crossing: every fast-path
@@ -166,11 +140,7 @@ func (c *Controller) shadowGet(ino uint64, held *shadowShard) *shadowEnt {
 	if sh == held {
 		return sh.m[ino]
 	}
-	if !sh.mu.TryLock() {
-		sh.contended.Add(1)
-		sh.mu.Lock()
-	}
-	sh.acquisitions.Add(1)
+	sh.mu.Lock()
 	se := sh.m[ino]
 	sh.mu.Unlock()
 	return se
@@ -184,11 +154,7 @@ func (c *Controller) shadowPut(ino uint64, se *shadowEnt, held *shadowShard) {
 		sh.m[ino] = se
 		return
 	}
-	if !sh.mu.TryLock() {
-		sh.contended.Add(1)
-		sh.mu.Lock()
-	}
-	sh.acquisitions.Add(1)
+	sh.mu.Lock()
 	sh.m[ino] = se
 	sh.mu.Unlock()
 }
@@ -201,11 +167,7 @@ func (c *Controller) shadowDelete(ino uint64, held *shadowShard) {
 		delete(sh.m, ino)
 		return
 	}
-	if !sh.mu.TryLock() {
-		sh.contended.Add(1)
-		sh.mu.Lock()
-	}
-	sh.acquisitions.Add(1)
+	sh.mu.Lock()
 	delete(sh.m, ino)
 	sh.mu.Unlock()
 }
@@ -232,55 +194,26 @@ func (c *Controller) shadowCount() int {
 	return n
 }
 
-// pageOwnerAt reads one page-owner word under its stripe lock.
+// pageOwnerAt, setPageOwner and casPageOwner are the only accessors of the
+// page-owner words: each is one atomic load, store or compare-and-swap, so
+// no lock orders them.
 func (c *Controller) pageOwnerAt(page uint64) pageOwner {
-	ps := c.stripeOf(page)
-	if !ps.mu.TryLock() {
-		ps.contended.Add(1)
-		ps.mu.Lock()
-	}
-	ps.acquisitions.Add(1)
-	o := c.pages[page]
-	ps.mu.Unlock()
-	return o
+	return pageOwner(atomic.LoadUint64(&c.pages[page]))
 }
 
-// setPageOwner writes one page-owner word under its stripe lock.
 func (c *Controller) setPageOwner(page uint64, o pageOwner) {
-	ps := c.stripeOf(page)
-	if !ps.mu.TryLock() {
-		ps.contended.Add(1)
-		ps.mu.Lock()
-	}
-	ps.acquisitions.Add(1)
-	c.pages[page] = o
-	ps.mu.Unlock()
+	atomic.StoreUint64(&c.pages[page], uint64(o))
 }
 
 // casPageOwner sets page's owner to next only if it currently equals
 // prev, reporting whether the swap happened.
 func (c *Controller) casPageOwner(page uint64, prev, next pageOwner) bool {
-	ps := c.stripeOf(page)
-	if !ps.mu.TryLock() {
-		ps.contended.Add(1)
-		ps.mu.Lock()
-	}
-	ps.acquisitions.Add(1)
-	swapped := c.pages[page] == prev
-	if swapped {
-		c.pages[page] = next
-	}
-	ps.mu.Unlock()
-	return swapped
+	return atomic.CompareAndSwapUint64(&c.pages[page], uint64(prev), uint64(next))
 }
 
 // lookupApp returns the registered app, or nil.
 func (c *Controller) lookupApp(id AppID) *app {
-	if !c.appsMu.TryLock() {
-		c.appsContended.Add(1)
-		c.appsMu.Lock()
-	}
-	c.appsAcquisitions.Add(1)
+	c.appsMu.Lock()
 	a := c.apps[id]
 	c.appsMu.Unlock()
 	return a
@@ -289,11 +222,7 @@ func (c *Controller) lookupApp(id AppID) *app {
 // inoGranted reports whether ino was granted to app and not yet bound to
 // a committed creation.
 func (c *Controller) inoGranted(id AppID, ino uint64) bool {
-	if !c.appsMu.TryLock() {
-		c.appsContended.Add(1)
-		c.appsMu.Lock()
-	}
-	c.appsAcquisitions.Add(1)
+	c.appsMu.Lock()
 	a := c.apps[id]
 	ok := a != nil && a.grantedInos[ino]
 	c.appsMu.Unlock()
@@ -302,11 +231,7 @@ func (c *Controller) inoGranted(id AppID, ino uint64) bool {
 
 // ungrant drops ino from app's granted set (the creation committed).
 func (c *Controller) ungrant(id AppID, ino uint64) {
-	if !c.appsMu.TryLock() {
-		c.appsContended.Add(1)
-		c.appsMu.Lock()
-	}
-	c.appsAcquisitions.Add(1)
+	c.appsMu.Lock()
 	if a := c.apps[id]; a != nil {
 		delete(a.grantedInos, ino)
 	}
@@ -315,45 +240,34 @@ func (c *Controller) ungrant(id AppID, ino uint64) {
 
 // pushInoFree returns ino to the free-number pool.
 func (c *Controller) pushInoFree(ino uint64) {
-	if !c.appsMu.TryLock() {
-		c.appsContended.Add(1)
-		c.appsMu.Lock()
-	}
-	c.appsAcquisitions.Add(1)
+	c.appsMu.Lock()
 	c.inoFree = append(c.inoFree, ino)
 	c.appsMu.Unlock()
 }
 
-// ShardStat is one shard's lock-traffic counters (telemetry; the
-// arckshell `shards` command renders these).
+// ShardStat is one lock's traffic counters (telemetry; the arckshell
+// `shards` command renders these).
 type ShardStat struct {
-	Kind         string // "shadow", "page", "acl", "apps"
+	Kind         string // "shadow" or "apps"
 	Index        int
 	Acquisitions int64
 	Contended    int64
 }
 
-// ShardStats snapshots per-shard lock acquisition and contention
-// counters for every stripe of the control-plane state. Shadow-shard
-// rows reset when the table grows a generation; the retired generations'
-// totals stay in the aggregate gauges (shardTelemetry).
+// ShardStats snapshots the acquisition and contention counters of every
+// counted control-plane lock: one row per shadow shard, then the app
+// table's. Shadow-shard rows reset when the table grows a generation; the
+// retired generations' totals stay in the aggregate gauges
+// (shardTelemetry).
 func (c *Controller) ShardStats() []ShardStat {
 	g := c.shadow.Load()
-	out := make([]ShardStat, 0, len(g.shards)+nPageStripes+nACLShards+1)
+	out := make([]ShardStat, 0, len(g.shards)+1)
 	for i := range g.shards {
-		sh := &g.shards[i]
-		out = append(out, ShardStat{"shadow", i, sh.acquisitions.Load(), sh.contended.Load()})
+		acq, cont := g.shards[i].mu.Counts()
+		out = append(out, ShardStat{"shadow", i, acq, cont})
 	}
-	for i := range c.pageStripe {
-		ps := &c.pageStripe[i]
-		out = append(out, ShardStat{"page", i, ps.acquisitions.Load(), ps.contended.Load()})
-	}
-	for i := range c.aclTab {
-		as := &c.aclTab[i]
-		out = append(out, ShardStat{"acl", i, as.acquisitions.Load(), as.contended.Load()})
-	}
-	out = append(out, ShardStat{"apps", 0, c.appsAcquisitions.Load(), c.appsContended.Load()})
-	return out
+	acq, cont := c.appsMu.Counts()
+	return append(out, ShardStat{"apps", 0, acq, cont})
 }
 
 // shardTelemetry sums a counter over every shard, including retired

@@ -15,6 +15,7 @@ import (
 	"arckfs/internal/core"
 	"arckfs/internal/fsapi"
 	"arckfs/internal/kernel"
+	"arckfs/internal/layout"
 	"arckfs/internal/libfs"
 	"arckfs/internal/pmem"
 )
@@ -306,5 +307,55 @@ func TestRecoveryParallelMatchesSerial(t *testing.T) {
 					name, ino, s1, ok1, s8, ok8)
 			}
 		}
+	}
+}
+
+// TestACLDiesWithItsInode: a permission override belongs to the inode it
+// was set on, not to the inode number. The file is unlinked and the number
+// — granted one at a time, so it comes straight back — is reused for a new
+// file; the override on the dead file must not decide who may open the new
+// one.
+func TestACLDiesWithItsInode(t *testing.T) {
+	sys, err := core.NewSystem(core.Config{DevSize: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := libfs.New(sys.Ctrl, sys.Ctrl.RegisterApp(0, 0), libfs.Options{GrantInoBatch: 1})
+	th := fs.NewThread(0)
+	peer := sys.Ctrl.RegisterApp(0, 0)
+	create := func() uint64 {
+		t.Helper()
+		if err := th.Create("/f"); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.ReleaseAll(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := th.Stat("/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Ino
+	}
+
+	old := create()
+	sys.Ctrl.SetACL(old, peer, layout.PermRead)
+	if _, err := sys.Ctrl.Acquire(peer, old, true); !errors.Is(err, fsapi.ErrPerm) {
+		t.Fatalf("write acquire under a read-only override = %v, want ErrPerm", err)
+	}
+	if err := th.Unlink("/f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.ReleaseAll(); err != nil {
+		t.Fatal(err)
+	}
+	if fresh := create(); fresh != old {
+		t.Fatalf("new file got inode %d, want the recycled %d (the test would prove nothing)", fresh, old)
+	}
+	if err := fs.ReleaseAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Ctrl.Acquire(peer, old, true); err != nil {
+		t.Fatalf("the dead file's override outlived it: write acquire of the new inode %d = %v", old, err)
 	}
 }

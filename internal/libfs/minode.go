@@ -303,16 +303,7 @@ func (fs *FS) remap(t *Thread, mi *minode) error {
 	if mi.mapping.Load().Valid() {
 		return nil // raced with another remapper
 	}
-	fresh, err := fs.buildMinode(mi.ino, m, mi.dir.Load())
-	if err != nil {
-		return err
-	}
-	mi.mapping.Store(m)
-	mi.dir.Store(fresh.dir.Load())
-	mi.file.Store(fresh.file.Load())
-	mi.adoptAttrs(fresh)
-	mi.released.Store(false)
-	return nil
+	return fs.adopt(mi, m)
 }
 
 // reacquire remaps a released inode (§4.3 patch path: aux was retained).
@@ -355,7 +346,14 @@ func (fs *FS) reacquire(t *Thread, mi *minode) error {
 	if !mi.released.Load() {
 		return nil // lost the race to another re-acquirer
 	}
-	// The core state may have changed while released; rebuild aux.
+	return fs.adopt(mi, m)
+}
+
+// adopt makes m, a mapping the kernel has just established, mi's own: the
+// core state may have changed while mi was not held, so the auxiliary
+// state and the cached attributes are rebuilt from it. Caller holds
+// mi.lock.
+func (fs *FS) adopt(mi *minode, m *kernel.Mapping) error {
 	fresh, err := fs.buildMinode(mi.ino, m, mi.dir.Load())
 	if err != nil {
 		return err
@@ -363,15 +361,10 @@ func (fs *FS) reacquire(t *Thread, mi *minode) error {
 	mi.mapping.Store(m)
 	mi.dir.Store(fresh.dir.Load())
 	mi.file.Store(fresh.file.Load())
-	mi.adoptAttrs(fresh)
-	mi.released.Store(false)
-	return nil
-}
-
-// adoptAttrs takes over the attributes of a freshly built minode.
-func (mi *minode) adoptAttrs(fresh *minode) {
 	st := fresh.stat()
 	mi.cacheAttrs(st.Size, st.Nlink, st.MTime)
+	mi.released.Store(false)
+	return nil
 }
 
 // buildMinode reads ino's core state and constructs auxiliary state —

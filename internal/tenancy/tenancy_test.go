@@ -232,3 +232,50 @@ func TestRetiredTenantsLeaveNoGoroutines(t *testing.T) {
 		}
 	}
 }
+
+// TestCountersSurviveRetire pins the system counters as monotonic across a
+// tenant's whole life: the per-application sums (leases.*, libfs.*, rcu.*,
+// syscalls.avoided) must keep a retired tenant's totals, because tools read
+// them as deltas. Levels are exempt — they are allowed to fall.
+func TestCountersSurviveRetire(t *testing.T) {
+	levels := map[string]bool{"rcu.pending": true, "kernel.admission.queue_depth": true}
+	sys := newSys(t)
+	reg := NewRegistry(sys)
+	tn, err := reg.Spawn(kernel.Quota{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := tn.Thread(0)
+	for round := 0; round < 3; round++ {
+		name := fmt.Sprintf("/f%d", round)
+		if err := th.Create(name); err != nil {
+			t.Fatal(err)
+		}
+		if err := tn.FS().ReleaseAll(); err != nil {
+			t.Fatal(err)
+		}
+		// Back in through the dormant leases, then retire the name through
+		// the RCU domain.
+		if _, err := th.Stat(name); err != nil {
+			t.Fatal(err)
+		}
+		if err := th.Unlink(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := sys.Telemetry().Snapshot()
+	for _, k := range []string{"leases.hit", "syscalls.avoided", "rcu.reclaimed"} {
+		if before[k] == 0 {
+			t.Fatalf("the work did not move %s: the test would prove nothing", k)
+		}
+	}
+	if err := tn.Retire(); err != nil {
+		t.Fatal(err)
+	}
+	after := sys.Telemetry().Snapshot()
+	for k, v := range before {
+		if !levels[k] && after[k] < v {
+			t.Errorf("%s fell from %d to %d when the tenant retired", k, v, after[k])
+		}
+	}
+}
