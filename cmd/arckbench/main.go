@@ -5,31 +5,20 @@
 //
 //	arckbench -exp figure3|figure4|table2|dataScale|fxmark|filebench|leveldb|table4|all \
 //	          [-threads 1,2,4,8,16,32,64] [-ops 20000] [-dev 512] [-fast] \
-//	          [-systems arckfs,arckfs+,nova,pmfs,kucofs] [-persist batched|eager] \
-//	          [-json out.json]
+//	          [-systems arckfs,arckfs+,nova,pmfs,kucofs] [-persist batched|eager]
 //
-// -json writes a machine-readable run record alongside the rendered
-// tables: the configuration, then one cell per measurement with
-// ops/sec, sampled latency percentiles (p50/p90/p99/max), telemetry
-// counter deltas (flushes, fences, ntstores, syscalls — absolute and
-// per-op), and the per-app attribution delta.
+// The output is the rendered tables. The per-op costs behind them
+// (flushes, fences, crossings, lease hits, admission) are deterministic
+// and are pinned by go test -run TestCostBounds ./internal/bench/fxmark/,
+// which runs small -fast table2, fxmark and tenants cells.
 //
-// -persist eager disables the LibFS write-combining persist batcher;
-// pairing a batched and an eager run of the same experiment quantifies
-// the batching optimization (see EXPERIMENTS.md).
+// -persist eager disables the LibFS write-combining persist batcher, the
+// reference schedule the batching optimization is measured against.
 //
 // The fxmark experiment additionally runs the MWRA release/reopen
-// workload, whose per-op syscalls and syscalls_avoided deltas expose the
-// grant-lease hit rate directly, and MRSL, the shared-directory
-// open/stat/read cell that exercises the lock-free read paths.
-//
-// -faults attaches a seeded device lie plan to the ArckFS systems
-// (dropped flushes, lying fences, torn lines — see internal/pmem
-// FaultMode). Lies change only which crash states are reachable, never
-// what reads observe, so a -faults sweep should match the honest run's
-// throughput; the pmem.lies.* counters in the -json output record how
-// often the device lied. Crash-consistency under the same lies is
-// cmd/arckcrash's job.
+// workload, which exercises the grant leases, and MRSL, the
+// shared-directory open/stat/read cell that exercises the lock-free
+// read paths.
 //
 // -exp tenants runs the multi-tenant serving ablation (not part of
 // "all"): the tenant-scaling sweep over -tenants population sizes (k
@@ -51,7 +40,6 @@ import (
 	"strings"
 
 	"arckfs/internal/bench/experiments"
-	"arckfs/internal/pmem"
 )
 
 func main() {
@@ -64,10 +52,7 @@ func main() {
 	smallMB := flag.Uint64("share-small", 2, "Table 4 small shared-file size (MiB)")
 	bigMB := flag.Uint64("share-big", 256, "Table 4 big shared-file size (MiB; paper uses 1024)")
 	trials := flag.Int("trials", 3, "best-of-N trials for single-thread cells")
-	jsonOut := flag.String("json", "", "write a machine-readable run record to this path")
 	persist := flag.String("persist", "batched", "ArckFS persist schedule: batched or eager")
-	faults := flag.String("faults", "", "device lie modes for the ArckFS systems: drop-flush, drop-fence, torn-line (comma mix; throughput should be unaffected)")
-	faultSeed := flag.Int64("fault-seed", 1, "seed for the device lie plan")
 	tenants := flag.String("tenants", "16,128,1k", "tenant population sweep for -exp tenants (k suffix = x1000)")
 	stormTenants := flag.Int("storm-tenants", 256, "revocation-storm tenant count for -exp tenants")
 	stormMigrations := flag.Int("storm-migrations", 0, "revocation-storm migration count (default 4x tenants)")
@@ -76,11 +61,6 @@ func main() {
 
 	if *persist != "batched" && *persist != "eager" {
 		fmt.Fprintf(os.Stderr, "bad -persist %q (want batched or eager)\n", *persist)
-		os.Exit(2)
-	}
-	faultModes, err := pmem.ParseFaultModes(*faults)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if *exp != "all" && !isKnown(*exp) {
@@ -114,8 +94,6 @@ func main() {
 		Realistic: !*fast,
 		Trials:    *trials,
 		Eager:     *persist == "eager",
-		Faults:    faultModes,
-		FaultSeed: *faultSeed,
 		Out:       os.Stdout,
 	}
 	if *exp == "tenants" {
@@ -123,9 +101,6 @@ func main() {
 		cfg.StormTenants = *stormTenants
 		cfg.StormMigrations = *stormMigrations
 		cfg.MaxInflight = *maxInflight
-	}
-	if *jsonOut != "" {
-		cfg.Rec = experiments.NewRecorder(cfg)
 	}
 
 	run := func(name string, fn func() error) {
@@ -175,13 +150,6 @@ func main() {
 		run("table4", func() error {
 			return experiments.Table4(cfg, *smallMB<<20, *bigMB<<20, 400, 20)
 		})
-	}
-	if cfg.Rec != nil {
-		if err := cfg.Rec.WriteFile(*jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonOut)
 	}
 }
 

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 )
@@ -95,63 +93,5 @@ func TestTable4Smoke(t *testing.T) {
 func TestMakeFSUnknown(t *testing.T) {
 	if _, err := MakeFS("zfs", 1<<20, nil); err == nil {
 		t.Fatal("unknown FS accepted")
-	}
-}
-
-// TestRecorderJSON runs Figure 3 with a recorder attached and checks
-// that the machine-readable record carries the fields the -json output
-// promises: per-cell throughput, latency percentiles, and counter
-// deltas with per-op normalization.
-func TestRecorderJSON(t *testing.T) {
-	var out strings.Builder
-	cfg := tiny(&out)
-	cfg.Rec = NewRecorder(cfg)
-	if err := Figure3(cfg); err != nil {
-		t.Fatal(err)
-	}
-	rec := cfg.Rec.Record()
-	if rec.Tool != "arckbench" || len(rec.Config.Systems) != 3 {
-		t.Fatalf("config not echoed: %+v", rec.Config)
-	}
-	// 5 workloads x 3 systems.
-	if len(rec.Cells) != 15 {
-		t.Fatalf("cells = %d, want 15", len(rec.Cells))
-	}
-	sawCounters := false
-	for _, c := range rec.Cells {
-		if c.Experiment != "figure3" || c.FS == "" || c.Workload == "" {
-			t.Fatalf("incomplete cell %+v", c)
-		}
-		if c.Ops <= 0 || c.OpsPerSec <= 0 {
-			t.Fatalf("no throughput in cell %+v", c)
-		}
-		if c.Latency == nil || c.Latency.Count <= 0 || c.Latency.P99NS < c.Latency.P50NS {
-			t.Fatalf("bad latency summary in cell %+v", c)
-		}
-		if c.Workload == "MWCL" && c.Counters["pmem.fences"] > 0 {
-			sawCounters = true
-			if c.PerOp["fences"] <= 0 {
-				t.Fatalf("per-op fences missing: %+v", c.PerOp)
-			}
-		}
-	}
-	if !sawCounters {
-		t.Fatal("no cell carried fence counters")
-	}
-
-	path := t.TempDir() + "/out.json"
-	if err := cfg.Rec.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back RunRecord
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(back.Cells) != len(rec.Cells) {
-		t.Fatalf("roundtrip lost cells: %d vs %d", len(back.Cells), len(rec.Cells))
 	}
 }

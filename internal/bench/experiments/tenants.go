@@ -56,7 +56,6 @@ func Tenants(cfg Config) error {
 		if err != nil {
 			return fmt.Errorf("tenants@%d: %w", n, err)
 		}
-		cfg.Rec.Add("tenants", res.Active)
 		p99 := 0.0
 		if res.Active.Lat != nil {
 			p99 = float64(res.Active.Lat.P99NS) / 1e3
@@ -89,7 +88,6 @@ func Tenants(cfg Config) error {
 	if err != nil {
 		return fmt.Errorf("storm@%d: %w", stormN, err)
 	}
-	cfg.Rec.Add("tenants", storm.Result)
 	p99 := 0.0
 	if storm.Result.Lat != nil {
 		p99 = float64(storm.Result.Lat.P99NS) / 1e3

@@ -155,7 +155,7 @@ type StormResult struct {
 // all of them round-robin: tenant k writes a 4 KiB block, voluntarily
 // releases the inode, and the next tenant's acquire pays the transfer's
 // unmap + verify + rebuild. Per-migration latency lands in the result's
-// histogram; the p99 is the number benchcheck bounds.
+// histogram; TestCostBounds bounds its p99.
 func RevocationStorm(sys *core.System, n, migrations int) (StormResult, error) {
 	if n < 2 {
 		return StormResult{}, fmt.Errorf("storm needs >=2 tenants, got %d", n)

@@ -64,13 +64,6 @@ type Config struct {
 	// two). 0 (the default) leaves the tracer attached but disabled —
 	// tools can still flip it on at runtime via System.Tracer().
 	SpanSampling int
-	// Faults attaches a seeded device lie plan (pmem.FaultPlan): dropped
-	// flushes, lying fences, torn lines. Lies never change what reads
-	// observe, only which crash states are reachable — benchmarks run
-	// identically while crash tools (arckcrash) see the misbehaving
-	// device. FaultSeed seeds the plan (0 is a valid seed).
-	Faults    pmem.FaultMode
-	FaultSeed int64
 	// MaxInflight bounds concurrently-running kernel crossings with the
 	// fair-share admission scheduler (kernel.Options.MaxInflight); 0
 	// leaves admission off.
@@ -165,7 +158,7 @@ func (s *System) initTelemetry() {
 	// grant leases elided, summed across applications.
 	s.tel.Gauge("syscalls.avoided", s.sumApps(func(fs *libfs.FS) int64 { return fs.Stats.SyscallsAvoided.Load() }))
 	// "span.recorded" counts spans the arcktrace sampler committed to the
-	// per-thread rings; the obs-smoke bench bound pins it at ~0 when
+	// per-thread rings; fxmark.TestCostBounds pins it at 0 per op while
 	// tracing is disabled.
 	s.tel.Gauge("span.recorded", s.tracer.Recorded)
 }
@@ -215,9 +208,6 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Faults != pmem.FaultsNone {
-		dev.SetFaultPlan(pmem.NewFaultPlan(cfg.Faults, cfg.FaultSeed))
-	}
 	if cfg.Tracking {
 		dev.EnableTracking()
 	}
@@ -231,9 +221,6 @@ func NewSystem(cfg Config) (*System, error) {
 func Recover(img []byte, cfg Config) (*System, *kernel.Report, error) {
 	cfg.fill()
 	dev := pmem.Restore(img, cfg.Cost)
-	if cfg.Faults != pmem.FaultsNone {
-		dev.SetFaultPlan(pmem.NewFaultPlan(cfg.Faults, cfg.FaultSeed))
-	}
 	dim := telemetry.NewAppDim()
 	// Recovery itself is traced: the mount runs under an OpRecover span
 	// whose child events are the per-pass timings the kernel reports.
@@ -275,7 +262,6 @@ func (s *System) NewApp(uid, gid uint32) *libfs.FS {
 	})
 	fs.SetTelemetry(s.tel)
 	fs.SetObservability(s.tracer, s.appDim.Row(int64(app)))
-	fs.SetAppStats(s.AppStats)
 	s.appsMu.Lock()
 	s.apps = append(s.apps, fs)
 	s.appsMu.Unlock()

@@ -25,46 +25,11 @@ import (
 // of a steady-state workload match the full distribution.
 var LatencySample = 8
 
-// Source is anything that can snapshot a named-counter state; a
-// *telemetry.Set satisfies it.
-type Source interface {
-	Snapshot() map[string]int64
-}
-
-// AppSource is a Source that additionally attributes work to
-// applications; systems with an app-keyed counter dimension satisfy it.
-type AppSource interface {
-	Source
-	AppStats() []telemetry.AppStat
-}
-
-// source adapts a system under test: counter snapshots come from its
-// telemetry set, per-app attribution (when the system has it) from its
-// AppStats method.
-type source struct {
-	set *telemetry.Set
-	sys any
-}
-
-func (s source) Snapshot() map[string]int64 { return s.set.Snapshot() }
-
-func (s source) AppStats() []telemetry.AppStat {
-	if p, ok := s.sys.(interface{ AppStats() []telemetry.AppStat }); ok {
-		return p.AppStats()
-	}
-	return nil
-}
-
-// SourceOf returns the telemetry source a file system under test
-// exposes via a Telemetry() method, or nil if it has none. If the
-// system also exposes AppStats() — per-application attribution — the
-// returned source satisfies AppSource and RunCounted records the
-// per-app delta alongside the counters.
-func SourceOf(v any) Source {
+// SourceOf returns the telemetry set a file system under test exposes
+// via a Telemetry() method, or nil if it has none.
+func SourceOf(v any) *telemetry.Set {
 	if p, ok := v.(interface{ Telemetry() *telemetry.Set }); ok {
-		if s := p.Telemetry(); s != nil {
-			return source{set: s, sys: v}
-		}
+		return p.Telemetry()
 	}
 	return nil
 }
@@ -83,15 +48,9 @@ type Result struct {
 	// disabled or no op completed.
 	Lat *telemetry.LatencySummary
 
-	// Counters is the delta of the telemetry source across the measured
-	// region; nil when the run had no source.
+	// Counters is the delta of the telemetry set across the measured
+	// region; nil when the run had no set.
 	Counters map[string]int64
-
-	// Apps is the per-application attribution delta across the measured
-	// region (counter deltas; the latency summary is the cumulative
-	// after-side histogram). Nil unless the source is an AppSource with
-	// at least one active app.
-	Apps []telemetry.AppStat
 }
 
 // OpsPerSec returns aggregate operation throughput.
@@ -117,13 +76,13 @@ func Run(fsName, workload string, threads, opsPerThread int, op func(tid, i int)
 	return RunCounted(nil, fsName, workload, threads, opsPerThread, op)
 }
 
-// RunCounted is Run with a telemetry source: the source is snapshotted
-// around the measured region (workload setup stays outside) and the
+// RunCounted is Run with a telemetry set (nil for none): the set is
+// snapshotted around the measured region (workload setup stays outside) and the
 // delta lands in Result.Counters. Each worker samples per-op latency
 // into its own histogram (see LatencySample); the merged summary lands
 // in Result.Lat. Ops counts operations that actually completed, so a
 // worker that aborts early does not inflate throughput.
-func RunCounted(src Source, fsName, workload string, threads, opsPerThread int, op func(tid, i int) error) Result {
+func RunCounted(src *telemetry.Set, fsName, workload string, threads, opsPerThread int, op func(tid, i int) error) Result {
 	var wg sync.WaitGroup
 	errs := make([]error, threads)
 	done := make([]int64, threads)
@@ -143,12 +102,8 @@ func RunCounted(src Source, fsName, workload string, threads, opsPerThread int, 
 		}
 	}
 	var before map[string]int64
-	var appsBefore []telemetry.AppStat
 	if src != nil {
 		before = src.Snapshot()
-		if a, ok := src.(AppSource); ok {
-			appsBefore = a.AppStats()
-		}
 	}
 	start := time.Now()
 	for tid := 0; tid < threads; tid++ {
@@ -189,9 +144,6 @@ func RunCounted(src Source, fsName, workload string, threads, opsPerThread int, 
 	}
 	if src != nil {
 		res.Counters = telemetry.Delta(before, src.Snapshot())
-		if a, ok := src.(AppSource); ok {
-			res.Apps = telemetry.AppDelta(appsBefore, a.AppStats())
-		}
 	}
 	if mask >= 0 {
 		merged := telemetry.NewHistogram()

@@ -189,11 +189,9 @@ type FS struct {
 	tel *telemetry.Set
 
 	// tracer and appRow are the arcktrace observability hooks, attached by
-	// SetObservability (see span.go); appStats is the owning system's
-	// whole-dimension snapshot, attached by SetAppStats. All may be nil.
-	tracer   *span.Tracer
-	appRow   *telemetry.AppRow
-	appStats func() []telemetry.AppStat
+	// SetObservability (see span.go). Both may be nil.
+	tracer *span.Tracer
+	appRow *telemetry.AppRow
 	// relMu runs ReleaseAll calls one at a time; relLane is their lane in
 	// the tracer, made on first traced use.
 	relMu   sync.Mutex

@@ -30,21 +30,6 @@ func (fs *FS) SetObservability(tr *span.Tracer, row *telemetry.AppRow) {
 // Tracer returns the attached span tracer, or nil.
 func (fs *FS) Tracer() *span.Tracer { return fs.tracer }
 
-// SetAppStats attaches the system-wide attribution snapshot: the LibFS
-// only owns its own row, so the owning system hands it a view of the
-// whole dimension for tooling (harness.AppSource) that reaches the
-// system through an fsapi.FS value.
-func (fs *FS) SetAppStats(fn func() []telemetry.AppStat) { fs.appStats = fn }
-
-// AppStats returns the per-application attribution snapshot of the
-// system this LibFS belongs to, or nil when not attached.
-func (fs *FS) AppStats() []telemetry.AppStat {
-	if fs.appStats == nil {
-		return nil
-	}
-	return fs.appStats()
-}
-
 // SpanEvent implements telemetry.SpanSink: the thread is its own persist
 // batch's sink, so pmem.Batch reports flushes, streaming stores, and
 // fences here without importing the span package. Per-app persist

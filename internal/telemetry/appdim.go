@@ -113,30 +113,6 @@ type AppStat struct {
 	Latency     *LatencySummary `json:"latency,omitempty"`
 }
 
-// AppDelta subtracts two attribution snapshots, returning after-before
-// per app (apps absent from before count from zero; apps absent from
-// after are dropped). Latency summaries are cumulative histograms and
-// cannot be subtracted, so the after-side summary is carried through.
-func AppDelta(before, after []AppStat) []AppStat {
-	prev := make(map[int64]AppStat, len(before))
-	for _, st := range before {
-		prev[st.App] = st
-	}
-	out := make([]AppStat, 0, len(after))
-	for _, st := range after {
-		p := prev[st.App]
-		st.Ops -= p.Ops
-		st.Syscalls -= p.Syscalls
-		st.Flushes -= p.Flushes
-		st.Fences -= p.Fences
-		st.NTStores -= p.NTStores
-		st.AdmitQueued -= p.AdmitQueued
-		st.AdmitWaitNS -= p.AdmitWaitNS
-		out = append(out, st)
-	}
-	return out
-}
-
 // AppDim is the app-keyed dimension of the counter registry: one AppRow
 // per application ID, created on first touch. The kernel charges
 // crossings into it and each LibFS charges persist traffic, so a snapshot

@@ -3,9 +3,10 @@
 #
 #   bash scripts/ci.sh
 #
-# Stops at the first failing step. Run products (bench records, breach
-# artifacts) go to a temporary directory that is removed on exit, except
-# the repo benchmark's own .bench_build/ and benchmark/out/ (gitignored).
+# Stops at the first failing step. Breach artifacts go to a temporary
+# directory that is removed on exit; the repo benchmark's own
+# .bench_build/ and benchmark/out/ are gitignored. The per-op cost gate
+# (fxmark.TestCostBounds) runs in the test step.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,18 +62,6 @@ sh scripts/check_pkg_docs.sh
 
 step "arckcrash campaign (oracles + strict killpoint sweep)"
 go run ./cmd/arckcrash -iters 40 -seed 1 -artifacts "$out/crash-artifacts"
-
-step "per-op persistence-cost bounds"
-go run ./cmd/arckbench -exp table2 -fast -threads 1,2 -ops 800 -dev 64 -trials 1 \
-  -systems arckfs+,arckfs -json "$out/table2.json" >/dev/null
-go run ./cmd/arckbench -exp fxmark -fast -threads 1,2,4,8,16 -ops 800 -dev 128 -trials 1 \
-  -systems arckfs+,arckfs -json "$out/fxmark.json" >/dev/null
-go run ./cmd/benchcheck -bounds bench_bounds.json "$out/table2.json" "$out/fxmark.json"
-
-step "tenant sweep bounds"
-go run ./cmd/arckbench -exp tenants -fast -tenants 16,128,1k,4k,10k -dev 64 \
-  -json "$out/tenants.json" >/dev/null
-go run ./cmd/benchcheck -bounds bench_bounds_tenants.json "$out/tenants.json"
 
 step "repo benchmark module tests"
 (cd benchmark && go test ./...)

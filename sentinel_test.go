@@ -76,13 +76,14 @@ func walkModuleGo(t *testing.T, fn func(fset *token.FileSet, path string, file *
 	}
 }
 
-// TestOptionFieldsAreSet keeps the four option structs honest: every
-// exported field is set somewhere in the module — a keyed composite
-// literal of that type, or an assignment through a variable declared
-// with it — other than in the struct's own fill(). A field nobody sets
-// has one value in use: make it a constant.
+// TestOptionFieldsAreSet keeps the option structs honest: every exported
+// field is set somewhere in the module — a keyed composite literal of
+// that type, or an assignment through a variable declared with it —
+// other than in the struct's own fill(). A field nobody sets has one
+// value in use: make it a constant.
 func TestOptionFieldsAreSet(t *testing.T) {
-	structs := []string{"core.Config", "kernel.Options", "libfs.Options", "htable.Options"}
+	structs := []string{"core.Config", "kernel.Options", "libfs.Options", "htable.Options",
+		"experiments.Config", "experiments.FSOpts"}
 	fields := map[string][]string{} // struct -> its exported fields
 	set := map[string]bool{}        // "struct.Field" -> set somewhere
 	walkModuleGo(t, func(_ *token.FileSet, path string, file *ast.File) {
