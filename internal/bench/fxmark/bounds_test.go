@@ -68,6 +68,8 @@ var costBounds = []costBound{
 		note: "every iteration's re-acquire should be a lease hit (measured 1.00); a drop means the lease fast path stopped firing"},
 	{fs: "arckfs", workload: "MWRA", metric: "syscalls", max: 2.6,
 		note: "unpatched LibFS pays the full release + re-acquire crossings every iteration (measured 2.00)"},
+	{fs: "arckfs+", workload: "MWRA", metric: "pmem.fences", min: 1.9, max: 2.4,
+		note: "the overwrite's fence plus one commit fence for the leased release crossing (measured 1.980-1.999)"},
 	{fs: "arckfs+", workload: "MWCL", metric: "span.recorded", max: 0,
 		note: "benchmarks run with span tracing disabled, so the tracer must record exactly zero spans (any nonzero value means the atomic enable gate leaks work onto the hot path)"},
 	{fs: "arckfs+", workload: "DWAL", metric: "pmalloc.steals.remote", max: 0,
@@ -84,6 +86,8 @@ var costBounds = []costBound{
 		note: "one migration is exactly two admitted crossings: the voluntary release and the next tenant's re-acquire (measured 2.00)"},
 	{fs: "arckfs+", workload: "RevocationStorm", metric: "kernel.acquires", min: 0.95, max: 1.05,
 		note: "every migration pays exactly one kernel Acquire (unmap + verify + rebuild); more means redundant transfers, fewer means the storm stopped migrating"},
+	{fs: "arckfs+", workload: "RevocationStorm", metric: "pmem.fences", min: 1.9, max: 2.4,
+		note: "a migration is the overwrite's fence plus one commit fence for its whole release crossing (measured 2.002); more means the crossing fences more than once"},
 	{fs: "arckfs+", workload: "RevocationStorm", metric: p99Metric, max: 2000,
 		note: "per-migration tail (measured 38-76 µs -fast). Host-speed sensitive, hence the wide margin; the bound catches tails that grow with the 256-tenant population or with admission backlog, which land in milliseconds"},
 

@@ -113,10 +113,11 @@ func TestRandomizedCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestCrashDuringVerifiedReleaseIsAtomic crashes between the operations
-// of a release-heavy workload: since kernel shadow writes are fenced,
-// every crash image recovers with the tree either before or after each
-// verified change, never in between.
+// TestCrashDuringVerifiedReleaseIsAtomic crashes after each ReleaseAll of
+// a release-heavy workload returns, dropping every unfenced line: each
+// released file survives, because a crossing's records are durable when it
+// returns. It does not crash inside a release; the crossing's interior is
+// enumerated record by record by TestCrossingAtomicByEnumeration.
 func TestCrashDuringVerifiedReleaseIsAtomic(t *testing.T) {
 	sys, err := NewSystem(Config{DevSize: 64 << 20})
 	if err != nil {

@@ -55,13 +55,17 @@
 // # Trusted (kernel-hardened) regions
 //
 // The superblock and the kernel's shadow inode table always persist
-// fully in every image. Shadow records are two cache lines written under
-// a single trailing fence inside the kernel; tearing them would fail
+// fully in every image. A kernel crossing queues all of its shadow and
+// inode-table writes and persists them under one fence (a second only
+// where a batch goes back from files to a directory), so its records
+// are unordered against each other until that fence, and each record —
+// two cache lines — is assumed to persist whole; tearing one would fail
 // recovery by construction and say nothing about LibFS ordering, which
 // is the property under test — the kernel is assumed correct throughout
-// this reproduction. For the same reason fences inside Release (the
-// kernel verification protocol) are not crash points, except those of a
-// log compaction, which is the LibFS's own schedule.
+// this reproduction. (core.TestCrossingAtomicByEnumeration checks the
+// cross-record order a crossing relaxes.) For the same reason fences
+// inside Release (the kernel verification protocol) are not crash points,
+// except those of a log compaction, which is the LibFS's own schedule.
 //
 // # Breaches
 //

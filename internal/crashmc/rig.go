@@ -297,10 +297,10 @@ func (r *rig) compactions() int {
 
 // hardened reports whether a line lies in a kernel-trusted region — the
 // superblock or the shadow inode table — that every crash image persists
-// fully, and that device lies therefore cannot touch. Shadow records
-// span two lines under one trailing fence inside the kernel; tearing
-// them fails recovery by construction and says nothing about LibFS
-// ordering, the property under test.
+// fully, and that device lies therefore cannot touch. A kernel crossing
+// persists all its records under one fence, each record (two lines)
+// assumed atomic; tearing one fails recovery by construction and says
+// nothing about LibFS ordering, the property under test.
 func (r *rig) hardened(off int64) bool {
 	if off < layout.PageSize {
 		return true

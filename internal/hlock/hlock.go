@@ -252,6 +252,16 @@ func (l *BRLock) Unlock() {
 	}
 }
 
+// Downgrade turns an exclusive hold into a shared one with no moment
+// unheld in between: readers may enter, writers still wait for the
+// returned slot token's RUnlock.
+func (l *BRLock) Downgrade() int {
+	s := l.slot()
+	l.slots[s].n.Add(1)
+	l.Unlock()
+	return s
+}
+
 // Locked reports a racy snapshot of whether any holder exists.
 func (l *BRLock) Locked() bool {
 	if l.writer.Load() != 0 {

@@ -184,6 +184,27 @@ func TestBRLockReadersShareWritersExclude(t *testing.T) {
 	}
 }
 
+// TestBRLockDowngrade: a downgraded hold admits readers and keeps writers
+// out until its token is released.
+func TestBRLockDowngrade(t *testing.T) {
+	var l BRLock
+	l.Lock()
+	s := l.Downgrade()
+	r := l.RLock()
+	if l.TryLock() {
+		t.Fatal("writer acquired beside a downgraded hold")
+	}
+	l.RUnlock(r)
+	if l.TryLock() {
+		t.Fatal("writer acquired before the downgraded hold was released")
+	}
+	l.RUnlock(s)
+	if !l.TryLock() {
+		t.Fatal("writer blocked once the downgraded hold was released")
+	}
+	l.Unlock()
+}
+
 func TestBRLockCounter(t *testing.T) {
 	var l BRLock
 	var shared int

@@ -37,10 +37,11 @@ func (c *Controller) lockShard(ino uint64, sink telemetry.SpanSink) *shadowShard
 // the file branch of VerifyNewInode read Shadow(ino) plus page-owner
 // words), so cross-shard lookups here — which briefly take another
 // shard's same-rank lock — only ever run under the exclusive epoch,
-// where no other holder exists.
+// where no other holder exists. Every write goes through q.
 type ctlView struct {
 	c    *Controller
 	held *shadowShard
+	q    *persistQ
 }
 
 func (v ctlView) Shadow(ino uint64) (verifier.ShadowInfo, bool) {
@@ -174,25 +175,25 @@ func (c *Controller) acquireFast(appID AppID, ino uint64, write bool, sink telem
 	defer c.epoch.RUnlock(e)
 	sh := c.lockShard(ino, sink)
 	defer sh.mu.Unlock()
-	return c.acquireHeld(sh.m[ino], appID, ino, write, false)
+	return c.acquireHeld(sh.m[ino], appID, ino, write, nil)
 }
 
 // acquireExcl runs the acquire again from the top under the exclusive
 // epoch (the world may have changed since the fast path punted).
 func (c *Controller) acquireExcl(appID AppID, ino uint64, write bool) (*Mapping, error) {
-	c.enterExcl()
-	defer c.exitExcl()
-	m, err, _ := c.acquireHeld(c.shadowGet(ino, nil), appID, ino, write, true)
+	q := c.crossing(true)
+	defer c.commit(q)
+	m, err, _ := c.acquireHeld(c.shadowGet(ino, nil), appID, ino, write, q)
 	return m, err
 }
 
 // acquireHeld is the acquire itself — every existence, permission,
 // ownership and lease check — on ino's shadow entry se (nil = no such
-// inode). The caller holds se's shard lock (excl=false) or the exclusive
-// epoch (excl=true); the one thing only the exclusive caller may do is the
-// expired-lease involuntary release, whose verification can span shards
-// for a directory: the shard-locked caller gets punt=true instead.
-func (c *Controller) acquireHeld(se *shadowEnt, appID AppID, ino uint64, write, excl bool) (m *Mapping, err error, punt bool) {
+// inode). The caller holds se's shard lock (q nil) or the exclusive epoch
+// (q its crossing's queue); the one thing only the exclusive caller may do
+// is the expired-lease involuntary release, whose verification can span
+// shards for a directory: the shard-locked caller gets punt=true instead.
+func (c *Controller) acquireHeld(se *shadowEnt, appID AppID, ino uint64, write bool, q *persistQ) (m *Mapping, err error, punt bool) {
 	a := c.lookupApp(appID)
 	if a == nil {
 		return nil, fmt.Errorf("kernel: unknown app %d", appID), false
@@ -231,13 +232,13 @@ func (c *Controller) acquireHeld(se *shadowEnt, appID AppID, ino uint64, write, 
 		if c.now().Before(se.lease) {
 			return nil, errBusy(ino, se.owner), false
 		}
-		if !excl {
+		if q == nil {
 			return nil, nil, true
 		}
 		// Lease expired: involuntary release. The holder may be mid-
 		// operation; that is its problem (§4.3 discussion).
 		c.Stats.Involuntary.Add(1)
-		if err := c.releaseHeld(se, se.owner, ctlView{c: c}); err != nil && !IsVerificationError(err) {
+		if err := c.releaseHeld(se, se.owner, ctlView{c: c, q: q}); err != nil && !IsVerificationError(err) {
 			return nil, err, false
 		}
 	}
@@ -325,7 +326,7 @@ func (c *Controller) newSnapshot(ino uint64, dv *verifier.DirView, fv *verifier.
 	} else {
 		snap.raw = make([]byte, n)
 	}
-	c.copySnapshot(ino, snap, false)
+	c.copySnapshot(ino, snap, nil)
 	return snap
 }
 
@@ -344,15 +345,15 @@ func (s *snapshot) rawSize() int {
 	return n
 }
 
-// copySnapshot fills snap.raw from the device, or with restore writes it
-// back and persists it: the inode record, a directory's tail-set page,
-// then the view's pages in order.
-func (c *Controller) copySnapshot(ino uint64, snap *snapshot, restore bool) {
+// copySnapshot fills snap.raw from the device, or with a restore queue
+// writes it back through that queue: the inode record, a directory's
+// tail-set page, then the view's pages in order.
+func (c *Controller) copySnapshot(ino uint64, snap *snapshot, restore *persistQ) {
 	raw := snap.raw
 	move := func(off int64, n int) {
-		if restore {
+		if restore != nil {
 			c.dev.Write(off, raw[:n])
-			c.dev.Persist(off, int64(n))
+			restore.Flush(off, int64(n))
 		} else {
 			c.dev.Read(off, raw[:n])
 		}
@@ -423,8 +424,10 @@ func (c *Controller) ReleaseBatch(appID AppID, inos []uint64, leased bool, sink 
 		c.Stats.LeasedReleases.Add(int64(len(inos)))
 		kind = xferLease
 	}
+	q := c.crossing(false)
+	defer c.commit(q)
 	for i, ino := range inos {
-		out[i].Mapping, out[i].Err = c.transfer(appID, ino, kind, sink)
+		out[i].Mapping, out[i].Err = c.transfer(appID, ino, kind, sink, q)
 	}
 	return out
 }
@@ -453,17 +456,34 @@ func (c *Controller) Commit(appID AppID, ino uint64) error {
 func (c *Controller) CommitObserved(appID AppID, ino uint64, sink telemetry.SpanSink) error {
 	defer c.syscallObserved(appID, sink)()
 	c.Stats.Commits.Add(1)
-	_, err := c.transfer(appID, ino, xferCommit, sink)
+	q := c.crossing(false)
+	defer c.commit(q)
+	_, err := c.transfer(appID, ino, xferCommit, sink, q)
 	return err
 }
 
-func (c *Controller) transfer(appID AppID, ino uint64, kind xferKind, sink telemetry.SpanSink) (*Mapping, error) {
-	if m, err, punt := c.transferFast(appID, ino, kind, sink); !punt {
+// transfer applies one transfer kind to ino. A crossing that reaches a
+// directory keeps an epoch to its commit: no crossing that spans records
+// may read the directory's change before it is durable. Files that follow
+// run on the epoch downgraded to shared, beside other apps' file crossings
+// (a file's change is one record, which the next writer rewrites whole).
+func (c *Controller) transfer(appID AppID, ino uint64, kind xferKind, sink telemetry.SpanSink, q *persistQ) (*Mapping, error) {
+	if q.excl {
+		if se := c.shadowGet(ino, nil); se != nil && se.info.Type == layout.TypeDir {
+			return c.transferHeld(se, appID, ino, kind, ctlView{c: c, q: q})
+		}
+		q.excl, q.shared = false, c.epoch.Downgrade()+1
+	}
+	if m, err, punt := c.transferFast(appID, ino, kind, sink, q); !punt {
 		return m, err
 	}
+	if q.shared > 0 { // the directories so far go durable before others may look
+		c.persist(q)
+		c.leaveEpoch(q)
+	}
 	c.enterExcl()
-	defer c.exitExcl()
-	return c.transferHeld(c.shadowGet(ino, nil), appID, ino, kind, ctlView{c: c})
+	q.excl = true
+	return c.transferHeld(c.shadowGet(ino, nil), appID, ino, kind, ctlView{c: c, q: q})
 }
 
 // transferFast handles file transfers on the shared epoch: file
@@ -471,9 +491,11 @@ func (c *Controller) transfer(appID AppID, ino uint64, kind xferKind, sink telem
 // words, so the shard lock suffices. Directories punt to the exclusive
 // epoch (their commits create, relocate, and free children on other
 // shards).
-func (c *Controller) transferFast(appID AppID, ino uint64, kind xferKind, sink telemetry.SpanSink) (m *Mapping, err error, punt bool) {
-	e := c.epoch.RLock()
-	defer c.epoch.RUnlock(e)
+func (c *Controller) transferFast(appID AppID, ino uint64, kind xferKind, sink telemetry.SpanSink, q *persistQ) (m *Mapping, err error, punt bool) {
+	if q.shared == 0 {
+		e := c.epoch.RLock()
+		defer c.epoch.RUnlock(e)
+	}
 	sh := c.lockShard(ino, sink)
 	defer sh.mu.Unlock()
 
@@ -481,7 +503,7 @@ func (c *Controller) transferFast(appID AppID, ino uint64, kind xferKind, sink t
 	if se != nil && se.info.Type == layout.TypeDir {
 		return nil, nil, true
 	}
-	m, err = c.transferHeld(se, appID, ino, kind, ctlView{c: c, held: sh})
+	m, err = c.transferHeld(se, appID, ino, kind, ctlView{c: c, held: sh, q: q})
 	return m, err, false
 }
 
@@ -542,14 +564,14 @@ func (c *Controller) transferHeld(se *shadowEnt, appID AppID, ino uint64, kind x
 // application crash.
 func (c *Controller) ForceRelease(ino uint64) error {
 	defer c.syscall(0)()
-	c.enterExcl()
-	defer c.exitExcl()
+	q := c.crossing(true)
+	defer c.commit(q)
 	se := c.shadowGet(ino, nil)
 	if se == nil || se.owner == 0 {
 		return fsapi.ErrNotExist
 	}
 	c.Stats.Involuntary.Add(1)
-	return c.releaseHeld(se, se.owner, ctlView{c: c})
+	return c.releaseHeld(se, se.owner, ctlView{c: c, q: q})
 }
 
 // releaseHeld tears down se's hold: revoke, unmap, verify, apply or
@@ -584,10 +606,10 @@ func (c *Controller) verifyAndApply(se *shadowEnt, appID AppID, keepHeld bool, v
 		res, err := c.ver.VerifyNewInode(appID, ino, se.info.Parent, view)
 		if err != nil {
 			c.Stats.VerifyFailures.Add(1)
-			c.applyPolicy(se, view.held)
+			c.applyPolicy(se, view)
 			return err
 		}
-		c.applyNewInode(se, appID, res, view.held)
+		c.applyNewInode(se, appID, res, view)
 		if keepHeld {
 			se.snap = c.newSnapshot(ino, res.Dir, res.File, nil)
 		}
@@ -599,10 +621,10 @@ func (c *Controller) verifyAndApply(se *shadowEnt, appID AppID, keepHeld bool, v
 		res, err := c.ver.VerifyDir(appID, ino, se.snap.dir, view)
 		if err != nil {
 			c.Stats.VerifyFailures.Add(1)
-			c.applyPolicy(se, view.held)
+			c.applyPolicy(se, view)
 			return err
 		}
-		c.applyDir(se, appID, res)
+		c.applyDir(se, appID, res, view.q)
 		if keepHeld {
 			se.snap = c.newSnapshot(ino, res.View, nil, se.snap)
 		}
@@ -610,10 +632,10 @@ func (c *Controller) verifyAndApply(se *shadowEnt, appID AppID, keepHeld bool, v
 		res, err := c.ver.VerifyFile(appID, ino, se.snap.file, view)
 		if err != nil {
 			c.Stats.VerifyFailures.Add(1)
-			c.applyPolicy(se, view.held)
+			c.applyPolicy(se, view)
 			return err
 		}
-		c.applyFile(se, appID, res)
+		c.applyFile(se, appID, res, view.q)
 		if keepHeld {
 			se.snap = c.newSnapshot(ino, nil, res.View, se.snap)
 		}
@@ -623,41 +645,41 @@ func (c *Controller) verifyAndApply(se *shadowEnt, appID AppID, keepHeld bool, v
 	return nil
 }
 
-// applyPolicy handles a verification failure. held follows the
-// shadowGet convention.
-func (c *Controller) applyPolicy(se *shadowEnt, held *shadowShard) {
+// applyPolicy handles a verification failure.
+func (c *Controller) applyPolicy(se *shadowEnt, view ctlView) {
 	switch c.opts.Policy {
 	case PolicyRollback:
 		c.Stats.Rollbacks.Add(1)
 		if se.snap != nil {
-			c.copySnapshot(se.info.Ino, se.snap, true)
+			c.copySnapshot(se.info.Ino, se.snap, view.q)
+			c.persist(view.q) // the next holder builds on these bytes
 		} else {
 			// A pending inode has no snapshot: discard it entirely.
 			layout.FreeInode(c.dev, c.geo, se.info.Ino)
-			c.dev.Persist(layout.InodeOff(c.geo, se.info.Ino), layout.InodeSize)
-			c.shadowDelete(se.info.Ino, held)
-			c.pushInoFree(se.info.Ino)
+			view.q.Flush(layout.InodeOff(c.geo, se.info.Ino), layout.InodeSize)
+			c.shadowDelete(se.info.Ino, view.held)
+			view.q.inos = append(view.q.inos, se.info.Ino)
 		}
 	case PolicyMarkInaccessible:
 		se.inaccessible = true
 	}
 }
 
-// writeShadow mirrors se to the PM shadow table.
-func (c *Controller) writeShadow(se *shadowEnt) {
+// writeShadow mirrors se to the PM shadow table through q.
+func (c *Controller) writeShadow(se *shadowEnt, q *persistQ) {
 	ex := &layout.ShadowExtra{
 		ChildCount:   se.info.ChildCount,
 		Committed:    se.info.Committed,
 		Inaccessible: se.inaccessible,
 	}
 	layout.WriteShadow(c.dev, c.geo, se.info.Ino, &se.inode, ex)
-	layout.PersistShadow(c.dev, c.geo, se.info.Ino)
+	q.Flush(layout.ShadowOff(c.geo, se.info.Ino), layout.InodeSize)
 }
 
 // applyDir commits a successful directory verification. Directory
 // transfers always run under the exclusive epoch (they touch children on
 // arbitrary shards).
-func (c *Controller) applyDir(se *shadowEnt, appID AppID, res *verifier.DirResult) {
+func (c *Controller) applyDir(se *shadowEnt, appID AppID, res *verifier.DirResult, q *persistQ) {
 	for _, ch := range res.Changes {
 		switch ch.Action {
 		case verifier.AddNew:
@@ -673,17 +695,17 @@ func (c *Controller) applyDir(se *shadowEnt, appID AppID, res *verifier.DirResul
 			c.reclaimDormant(child, false)
 			child.info.Parent = se.info.Ino
 			child.inode.Parent = se.info.Ino
-			c.writeShadow(child)
+			c.writeShadow(child, q)
 		case verifier.RemoveFile, verifier.RemoveEmptyDir:
-			c.freeInode(ch.Ino)
+			c.freeInode(ch.Ino, q)
 		case verifier.RenamedAway:
 			// Verified at the new parent's commit; nothing to do here.
 		}
 	}
 	se.inode = res.Inode
 	se.info.ChildCount = uint32(len(res.View.Entries))
-	c.applyPages(se.info.Ino, appID, res.NewPages, res.FreedPages)
-	c.writeShadow(se)
+	c.applyPages(se.info.Ino, appID, res.NewPages, res.FreedPages, q)
+	c.writeShadow(se, q)
 }
 
 // putPendingChild gives a child that appID created under a directory being
@@ -702,32 +724,30 @@ func (c *Controller) putPendingChild(appID AppID, ino uint64, held *shadowShard)
 	}, held)
 }
 
-func (c *Controller) applyFile(se *shadowEnt, appID AppID, res *verifier.FileResult) {
+func (c *Controller) applyFile(se *shadowEnt, appID AppID, res *verifier.FileResult, q *persistQ) {
 	se.inode = res.Inode
-	c.applyPages(se.info.Ino, appID, res.NewPages, res.FreedPages)
-	c.writeShadow(se)
+	c.applyPages(se.info.Ino, appID, res.NewPages, res.FreedPages, q)
+	c.writeShadow(se, q)
 }
 
-func (c *Controller) applyNewInode(se *shadowEnt, appID AppID, res *verifier.NewInodeResult, held *shadowShard) {
+func (c *Controller) applyNewInode(se *shadowEnt, appID AppID, res *verifier.NewInodeResult, view ctlView) {
 	se.inode = res.Inode
 	se.info = shadowInfoOf(se.info.Ino, &res.Inode, res.ChildCount, true)
 	c.adoptPages(se.info.Ino, appID, res.Pages)
 	// PendingChildren only occur for directories, which commit under the
 	// exclusive epoch (held == nil): the cross-shard shadowPut is safe.
 	for _, ch := range res.PendingChildren {
-		c.putPendingChild(appID, ch.Ino, held)
+		c.putPendingChild(appID, ch.Ino, view.held)
 	}
-	c.writeShadow(se)
+	c.writeShadow(se, view.q)
 }
 
-func (c *Controller) applyPages(ino uint64, appID AppID, newPages, freed []uint64) {
+func (c *Controller) applyPages(ino uint64, appID AppID, newPages, freed []uint64, q *persistQ) {
 	c.adoptPages(ino, appID, newPages)
-	if len(freed) > 0 {
-		for _, p := range freed {
-			c.setPageOwner(p, ownFree)
-		}
-		c.alloc.Free(freed...)
+	for _, p := range freed {
+		c.setPageOwner(p, ownFree)
 	}
+	q.pages = append(q.pages, freed...)
 }
 
 // adoptPages moves newly referenced pages from app-granted to
@@ -750,10 +770,10 @@ func (c *Controller) adoptPages(ino uint64, appID AppID, pages []uint64) {
 	}
 }
 
-// freeInode reclaims a deleted inode: its pages, its shadow record,
-// its PM records, and its number. Exclusive-epoch callers only (reached
-// through directory commits).
-func (c *Controller) freeInode(ino uint64) {
+// freeInode reclaims a deleted inode through q: its pages, its records,
+// and its number. Exclusive-epoch callers only (reached through directory
+// commits).
+func (c *Controller) freeInode(ino uint64, q *persistQ) {
 	se := c.shadowGet(ino, nil)
 	if se == nil {
 		return
@@ -779,17 +799,22 @@ func (c *Controller) freeInode(ino uint64) {
 	default:
 		freed = c.inodePages(ino, se)
 	}
-	var reclaim []uint64
 	for _, p := range freed {
 		if p < uint64(len(c.pages)) && c.casPageOwner(p, ownIno(ino), ownFree) {
-			reclaim = append(reclaim, p)
+			q.pages = append(q.pages, p)
 		}
 	}
-	c.alloc.Free(reclaim...)
-	layout.FreeInode(c.dev, c.geo, ino)
-	c.dev.Persist(layout.InodeOff(c.geo, ino), layout.InodeSize)
-	layout.FreeShadow(c.dev, c.geo, ino)
-	layout.PersistShadow(c.dev, c.geo, ino)
+	c.freeRecords(ino, q)
 	c.shadowDelete(ino, nil)
-	c.pushInoFree(ino)
+	q.inos = append(q.inos, ino)
+}
+
+// freeRecords frees ino's shadow record (one line) and its inode record if live.
+func (c *Controller) freeRecords(ino uint64, q *persistQ) {
+	if _, ok, corrupt := layout.ReadInode(c.dev, c.geo, ino); ok || corrupt {
+		layout.FreeInode(c.dev, c.geo, ino)
+		q.Flush(layout.InodeOff(c.geo, ino), layout.InodeSize)
+	}
+	layout.FreeShadow(c.dev, c.geo, ino)
+	q.Flush(layout.ShadowOff(c.geo, ino), 2)
 }

@@ -318,12 +318,61 @@ type Controller struct {
 	nextGroup int
 
 	renameLock hlock.LeaseLock
+	queues     sync.Pool // of *persistQ
 
 	// clock is a swappable test hook for lease expiry, read without the
 	// epoch held.
 	clock atomic.Pointer[clockFn]
 
 	Stats Stats
+}
+
+// persistQ is one crossing's writes: the lines they dirty and the pages and
+// inode numbers they free. persist fences the lines once — until then the
+// crossing's records (each assumed atomic) are unordered — and only then
+// frees the rest. The crossing's epoch hold: exclusive (excl), shared
+// (slot+1 in shared) or none.
+type persistQ struct {
+	*pmem.Batch
+	pages, inos []uint64
+	excl        bool
+	shared      int
+}
+
+// crossing takes a recycled queue and, with excl, the exclusive epoch.
+func (c *Controller) crossing(excl bool) *persistQ {
+	q := c.queues.Get().(*persistQ)
+	if q.excl = excl; excl {
+		c.enterExcl()
+	}
+	return q
+}
+
+func (c *Controller) persist(q *persistQ) {
+	q.Commit()
+	c.alloc.Free(q.pages...)
+	if len(q.inos) > 0 {
+		c.appsMu.Lock()
+		c.inoFree = append(c.inoFree, q.inos...)
+		c.appsMu.Unlock()
+	}
+	q.pages, q.inos = q.pages[:0], q.inos[:0]
+}
+
+// commit ends a crossing: persist, leave the epoch, recycle q.
+func (c *Controller) commit(q *persistQ) {
+	c.persist(q)
+	c.leaveEpoch(q)
+	c.queues.Put(q)
+}
+
+func (c *Controller) leaveEpoch(q *persistQ) {
+	if q.excl {
+		c.exitExcl()
+	} else if q.shared > 0 {
+		c.epoch.RUnlock(q.shared - 1)
+	}
+	q.excl, q.shared = false, 0
 }
 
 // Format writes a fresh file system and returns its controller.
@@ -364,6 +413,7 @@ func newController(dev *pmem.Device, g layout.Geometry, opts Options) *Controlle
 		apps:  make(map[AppID]*app),
 	}
 	c.shadow.Store(newShadowGen(nShadowMin))
+	c.queues.New = func() any { return &persistQ{Batch: dev.NewBatch()} }
 	if opts.MaxInflight > 0 {
 		c.adm = newAdmission(opts.MaxInflight, opts.AppDim)
 	}
@@ -491,8 +541,8 @@ func (c *Controller) UnregisterApp(appID AppID) error {
 	if a == nil {
 		return fmt.Errorf("kernel: unknown app %d", appID)
 	}
-	c.enterExcl()
-	defer c.exitExcl()
+	q := c.crossing(true)
+	defer c.commit(q)
 	// Force-release everything the app still owns. releaseHeld verifies
 	// the holder's state, exactly as an involuntary lease reclaim would.
 	var held []*shadowEnt
@@ -503,7 +553,7 @@ func (c *Controller) UnregisterApp(appID AppID) error {
 	})
 	for _, se := range held {
 		c.Stats.Involuntary.Add(1)
-		if err := c.releaseHeld(se, appID, ctlView{c: c}); err != nil && !IsVerificationError(err) {
+		if err := c.releaseHeld(se, appID, ctlView{c: c, q: q}); err != nil && !IsVerificationError(err) {
 			return err
 		}
 	}
@@ -518,14 +568,11 @@ func (c *Controller) UnregisterApp(appID AppID) error {
 	// common idle-tenant retire (pagesOut == 0 means no page the app was
 	// granted is still app-owned).
 	if a.pagesOut.Load() > 0 {
-		var back []uint64
-		want := ownApp(appID)
 		for p := range c.pages {
-			if c.casPageOwner(uint64(p), want, ownFree) {
-				back = append(back, uint64(p))
+			if c.casPageOwner(uint64(p), ownApp(appID), ownFree) {
+				q.pages = append(q.pages, uint64(p))
 			}
 		}
-		c.alloc.Free(back...)
 	}
 	c.quotaRates.Delete(appID)
 	if a.crossRate.Load() > 0 {

@@ -116,11 +116,18 @@ func Mount(dev *pmem.Device, opts Options, repair bool) (*Controller, *Report, e
 	c := newController(dev, g, opts)
 	rep := &Report{}
 	workers := recoverWorkers(opts)
+	qs := make([]*persistQ, workers) // one repair queue per worker
+	for w := range qs {
+		qs[w] = &persistQ{Batch: dev.NewBatch()}
+	}
 
-	// endPass reports each recovery pass's duration to the mount span
-	// (0-based, in the order the passes run below).
+	// endPass persists the pass's repairs (a fence per worker that made
+	// any) and reports its duration to the mount span (0-based, in order).
 	passBegin := time.Now()
 	endPass := func(i int) {
+		for _, q := range qs {
+			c.persist(q)
+		}
 		if opts.Span != nil {
 			opts.Span.SpanEvent(telemetry.SpanEvRecoveryPass, int64(i),
 				time.Since(passBegin).Nanoseconds())
@@ -155,7 +162,7 @@ func Mount(dev *pmem.Device, opts Options, repair bool) (*Controller, *Report, e
 		for ino := lo; ino < hi; ino++ {
 			sin, ex, ok, corrupt := layout.ReadShadow(dev, g, ino)
 			if corrupt {
-				chunkErr[i] = fmt.Errorf("kernel: shadow record %d corrupt; shadow table writes are fenced, device damaged", ino)
+				chunkErr[i] = fmt.Errorf("kernel: shadow record %d corrupt; records are assumed to persist whole, device damaged", ino)
 				return
 			}
 			if !ok || !ex.Committed {
@@ -201,7 +208,7 @@ func Mount(dev *pmem.Device, opts Options, repair bool) (*Controller, *Report, e
 		restored[w]++
 		if repair {
 			layout.WriteInode(dev, g, ino, &se.inode)
-			dev.Persist(layout.InodeOff(g, ino), layout.InodeSize)
+			qs[w].Flush(layout.InodeOff(g, ino), layout.InodeSize)
 		}
 	})
 	for _, n := range restored {
@@ -220,16 +227,17 @@ func Mount(dev *pmem.Device, opts Options, repair bool) (*Controller, *Report, e
 	for len(level) > 0 {
 		levelChildren := make([][]uint64, len(level))
 		levelReps := make([]Report, len(level))
-		parallelEach(workers, len(level), func(_, i int) {
+		parallelEach(workers, len(level), func(w, i int) {
 			se := c.shadowGet(level[i], nil)
 			if se.info.Type != layout.TypeDir {
 				return
 			}
-			children := c.reconcileDir(level[i], se, &levelReps[i], repair)
-			// Recount children after repair.
+			children := c.reconcileDir(level[i], se, &levelReps[i], repair, qs[w])
+			// Recount children after repair; rewrite the shadow if it moved.
+			moved := uint32(len(children)) != se.info.ChildCount
 			se.info.ChildCount = uint32(len(children))
-			if repair {
-				c.writeShadow(se)
+			if repair && moved {
+				c.writeShadow(se, qs[w])
 			}
 			levelChildren[i] = children
 		})
@@ -259,10 +267,7 @@ func Mount(dev *pmem.Device, opts Options, repair bool) (*Controller, *Report, e
 	for _, ino := range orphans {
 		rep.OrphanInodes++
 		if repair {
-			layout.FreeInode(dev, g, ino)
-			dev.Persist(layout.InodeOff(g, ino), layout.InodeSize)
-			layout.FreeShadow(dev, g, ino)
-			layout.PersistShadow(dev, g, ino)
+			c.freeRecords(ino, qs[0])
 		}
 		c.shadowDelete(ino, nil)
 	}
@@ -314,9 +319,9 @@ func (c *Controller) sortedInos() []uint64 {
 }
 
 // reconcileDir scans dirIno's dentry log, invalidating corrupt records
-// (torn §4.2 commits) and dangling entries, and returns the surviving
-// child inode numbers.
-func (c *Controller) reconcileDir(dirIno uint64, se *shadowEnt, rep *Report, repair bool) []uint64 {
+// (torn §4.2 commits) and dangling entries through q, and returns the
+// surviving child inode numbers.
+func (c *Controller) reconcileDir(dirIno uint64, se *shadowEnt, rep *Report, repair bool, q *persistQ) []uint64 {
 	var children []uint64
 	seen := map[string]bool{}
 	seenIno := map[uint64]bool{}
@@ -361,7 +366,7 @@ func (c *Controller) reconcileDir(dirIno uint64, se *shadowEnt, rep *Report, rep
 			if drop {
 				if repair {
 					layout.InvalidateDentry(c.dev, d.Ref)
-					c.dev.Persist(d.Ref.MarkerOff(), 2)
+					q.Flush(d.Ref.MarkerOff(), 2)
 				}
 				return true
 			}

@@ -64,6 +64,37 @@ func TestMountCleanTree(t *testing.T) {
 	}
 }
 
+// TestRepairMountWritesOnlyWhatChanged: recovery rewrites a directory's
+// shadow only when its recount moved, so a repairing mount of a clean tree
+// stores, flushes and fences nothing, and one that drops a torn entry pays
+// one fence in each pass that repaired something.
+func TestRepairMountWritesOnlyWhatChanged(t *testing.T) {
+	h := newHarness(t, verifier.Enhanced)
+	dirA, _, _, _ := buildCommittedTree(h, h.c.RegisterApp(0, 0))
+	counts := func() [3]int64 {
+		return [3]int64{h.dev.Stats.Stores.Load(), h.dev.Stats.Flushes.Load(), h.dev.Stats.Fences.Load()}
+	}
+	mount := func() [3]int64 {
+		t.Helper()
+		before := counts()
+		if _, _, err := Mount(h.dev, Options{Mode: verifier.Enhanced, RecoverWorkers: 1}, true); err != nil {
+			t.Fatal(err)
+		}
+		after := counts()
+		return [3]int64{after[0] - before[0], after[1] - before[1], after[2] - before[2]}
+	}
+	if d := mount(); d != [3]int64{} {
+		t.Fatalf("repair mount of a clean tree: %d stores, %d flushes, %d fences, want none", d[0], d[1], d[2])
+	}
+	r, _ := h.findDentry(dirA, "file1")
+	h.dev.Zero(r.DevOff()+layout.DentryHeaderSize, 5)
+	// Pass 3: the marker's line and dirA's shadow; pass 4: the orphaned
+	// file's shadow line and its live inode record.
+	if d := mount(); d[1] != 1+2+1+2 || d[2] != 2 {
+		t.Fatalf("repair of one torn entry: %d flushes, %d fences, want 6 and 2", d[1], d[2])
+	}
+}
+
 func TestMountRepairsTornDentry(t *testing.T) {
 	h := newHarness(t, verifier.Enhanced)
 	app := h.c.RegisterApp(0, 0)

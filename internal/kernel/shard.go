@@ -24,7 +24,9 @@ import (
 //     relocate, or free children across shards; ForceRelease; expired-
 //     lease reclaim) take epoch.Lock, draining every fast-path holder:
 //     the exclusive holder owns the whole controller, exactly like the
-//     old global mutex, so cross-inode atomicity is unchanged.
+//     old global mutex, so cross-inode atomicity is unchanged. A batch
+//     holds its epoch to its one fence, downgraded to shared for the
+//     files after its directories (transfer).
 //
 // The declared lock order (see internal/analysis lockorder) is
 // Controller.epoch < shadowShard.mu < Controller.appsMu < Mapping.mu.
@@ -235,13 +237,6 @@ func (c *Controller) ungrant(id AppID, ino uint64) {
 	if a := c.apps[id]; a != nil {
 		delete(a.grantedInos, ino)
 	}
-	c.appsMu.Unlock()
-}
-
-// pushInoFree returns ino to the free-number pool.
-func (c *Controller) pushInoFree(ino uint64) {
-	c.appsMu.Lock()
-	c.inoFree = append(c.inoFree, ino)
 	c.appsMu.Unlock()
 }
 

@@ -237,6 +237,12 @@ func InodeOff(g Geometry, ino uint64) int64 {
 // is responsible for flushing and fencing.
 func WriteInode(dev *pmem.Device, g Geometry, ino uint64, in *Inode) {
 	off := InodeOff(g, ino)
+	storeInode(dev, off, in)
+	dev.Store32(off+inCsum, crc32.Checksum(dev.Slice(off, inCsum), crcTab))
+}
+
+// storeInode stores in's fields at off (inode or shadow record), no checksum.
+func storeInode(dev *pmem.Device, off int64, in *Inode) {
 	dev.Store16(off+inType, in.Type)
 	dev.Store16(off+inPerm, in.Perm)
 	dev.Store16(off+inNlink, in.Nlink)
@@ -249,7 +255,31 @@ func WriteInode(dev *pmem.Device, g Geometry, ino uint64, in *Inode) {
 	dev.Store64(off+inGen, in.Gen)
 	dev.Store64(off+inCTime, in.CTime)
 	dev.Store64(off+inMTime, in.MTime)
-	dev.Store32(off+inCsum, crc32.Checksum(dev.Slice(off, inCsum), crcTab))
+}
+
+// loadInode decodes the inode or shadow record at off, as ReadInode does.
+func loadInode(dev *pmem.Device, off int64) (in Inode, ok, corrupt bool) {
+	in = Inode{
+		Type:     dev.Load16(off + inType),
+		Perm:     dev.Load16(off + inPerm),
+		Nlink:    dev.Load16(off + inNlink),
+		NTails:   dev.Load16(off + inNTails),
+		UID:      dev.Load32(off + inUID),
+		GID:      dev.Load32(off + inGID),
+		Size:     dev.Load64(off + inSize),
+		DataRoot: dev.Load64(off + inRoot),
+		Parent:   dev.Load64(off + inParent),
+		Gen:      dev.Load64(off + inGen),
+		CTime:    dev.Load64(off + inCTime),
+		MTime:    dev.Load64(off + inMTime),
+	}
+	if in.Type == TypeFree {
+		return in, false, false
+	}
+	if dev.Load32(off+inCsum) != crc32.Checksum(dev.Slice(off, inCsum), crcTab) {
+		return in, false, true
+	}
+	return in, true, false
 }
 
 // EncodeInodeInto renders in as a complete InodeSize-byte record — all
@@ -285,28 +315,7 @@ func EncodeInodeInto(rec *[InodeSize]byte, in *Inode) {
 // true when the record fails its checksum (e.g. a partially persisted
 // inode after a crash, §4.2).
 func ReadInode(dev *pmem.Device, g Geometry, ino uint64) (in Inode, ok, corrupt bool) {
-	off := InodeOff(g, ino)
-	in = Inode{
-		Type:     dev.Load16(off + inType),
-		Perm:     dev.Load16(off + inPerm),
-		Nlink:    dev.Load16(off + inNlink),
-		NTails:   dev.Load16(off + inNTails),
-		UID:      dev.Load32(off + inUID),
-		GID:      dev.Load32(off + inGID),
-		Size:     dev.Load64(off + inSize),
-		DataRoot: dev.Load64(off + inRoot),
-		Parent:   dev.Load64(off + inParent),
-		Gen:      dev.Load64(off + inGen),
-		CTime:    dev.Load64(off + inCTime),
-		MTime:    dev.Load64(off + inMTime),
-	}
-	if in.Type == TypeFree {
-		return in, false, false
-	}
-	if dev.Load32(off+inCsum) != crc32.Checksum(dev.Slice(off, inCsum), crcTab) {
-		return in, false, true
-	}
-	return in, true, false
+	return loadInode(dev, InodeOff(g, ino))
 }
 
 // FreeInode marks ino's slot free. Caller persists.
@@ -525,11 +534,14 @@ func ReadDentry(dev *pmem.Device, r DentryRef) (Dentry, bool) {
 // record slot (live or dead) until the log's append frontier. It returns
 // the tail's frontier (page, offset, and the last page visited) so a
 // LibFS can rebuild its append cursor, and whether any committed record
-// was corrupt. The chain must not loop.
+// was corrupt, as is a page off the device. The chain must not loop.
 func ScanTail(dev *pmem.Device, head uint64, fn func(RawDentry) bool) (lastPage uint64, lastOff int, corrupt bool) {
 	name := make([]byte, MaxName) // every record's Name; the scan's one allocation
 	page := head
 	for page != 0 {
+		if page >= uint64(dev.Size())/PageSize {
+			return page, 0, true
+		}
 		off := 0
 		for off+DentryHeaderSize <= LogDataSize {
 			r := MakeDentryRef(page, off)

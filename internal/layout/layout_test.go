@@ -322,6 +322,21 @@ func TestScanTailTornLength(t *testing.T) {
 	}
 }
 
+// TestScanTailOffDevicePage: a head or next pointer past the device — a
+// lying device's crash image, read by recovery — ends the scan as
+// corruption instead of a panic.
+func TestScanTailOffDevicePage(t *testing.T) {
+	dev, g := newDev(t, 64)
+	p := g.DataStart + 1
+	ZeroPage(dev, p)
+	SetNextPage(dev, p, 0x706f6e6d6c6b6a69) // name bytes read as a page number
+	for _, head := range []uint64{p, 64, 1 << 40} {
+		if _, _, corrupt := ScanTail(dev, head, nil); !corrupt {
+			t.Fatalf("head %#x: a chain leaving the device not reported", head)
+		}
+	}
+}
+
 func TestBlockMapHelpers(t *testing.T) {
 	dev, g := newDev(t, 128)
 	m1, m2 := g.DataStart+1, g.DataStart+2

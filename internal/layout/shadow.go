@@ -38,23 +38,14 @@ func ShadowOff(g Geometry, ino uint64) int64 {
 	return int64(g.ShadowStart*PageSize) + int64(ino)*InodeSize
 }
 
-// WriteShadow encodes the shadow record for ino. Caller persists (the
-// kernel always flushes and fences its own writes — the kernel is assumed
-// correct; only LibFS ordering is under test).
+// WriteShadow encodes the shadow record for ino. Caller persists: the
+// kernel queues the record's two lines with the rest of its crossing's
+// writes under one fence, so records are unordered against each other
+// until it, and each is assumed to persist whole (the kernel is trusted;
+// only LibFS ordering is under test).
 func WriteShadow(dev *pmem.Device, g Geometry, ino uint64, in *Inode, ex *ShadowExtra) {
 	off := ShadowOff(g, ino)
-	dev.Store16(off+inType, in.Type)
-	dev.Store16(off+inPerm, in.Perm)
-	dev.Store16(off+inNlink, in.Nlink)
-	dev.Store16(off+inNTails, in.NTails)
-	dev.Store32(off+inUID, in.UID)
-	dev.Store32(off+inGID, in.GID)
-	dev.Store64(off+inSize, in.Size)
-	dev.Store64(off+inRoot, in.DataRoot)
-	dev.Store64(off+inParent, in.Parent)
-	dev.Store64(off+inGen, in.Gen)
-	dev.Store64(off+inCTime, in.CTime)
-	dev.Store64(off+inMTime, in.MTime)
+	storeInode(dev, off, in)
 	dev.Store32(off+shChildCount, ex.ChildCount)
 	var fl uint8
 	if ex.Committed {
@@ -70,25 +61,8 @@ func WriteShadow(dev *pmem.Device, g Geometry, ino uint64, in *Inode, ex *Shadow
 // ReadShadow decodes ino's shadow record.
 func ReadShadow(dev *pmem.Device, g Geometry, ino uint64) (in Inode, ex ShadowExtra, ok, corrupt bool) {
 	off := ShadowOff(g, ino)
-	in = Inode{
-		Type:     dev.Load16(off + inType),
-		Perm:     dev.Load16(off + inPerm),
-		Nlink:    dev.Load16(off + inNlink),
-		NTails:   dev.Load16(off + inNTails),
-		UID:      dev.Load32(off + inUID),
-		GID:      dev.Load32(off + inGID),
-		Size:     dev.Load64(off + inSize),
-		DataRoot: dev.Load64(off + inRoot),
-		Parent:   dev.Load64(off + inParent),
-		Gen:      dev.Load64(off + inGen),
-		CTime:    dev.Load64(off + inCTime),
-		MTime:    dev.Load64(off + inMTime),
-	}
-	if in.Type == TypeFree {
-		return in, ex, false, false
-	}
-	if dev.Load32(off+inCsum) != crc32.Checksum(dev.Slice(off, inCsum), crcTab) {
-		return in, ex, false, true
+	if in, ok, corrupt = loadInode(dev, off); !ok {
+		return in, ex, ok, corrupt
 	}
 	fl := dev.Load8(off + shFlags)
 	ex = ShadowExtra{
@@ -99,14 +73,9 @@ func ReadShadow(dev *pmem.Device, g Geometry, ino uint64) (in Inode, ex ShadowEx
 	return in, ex, true, false
 }
 
-// FreeShadow clears ino's shadow record. Caller persists.
+// FreeShadow clears ino's shadow record by its type word alone: ReadShadow
+// reads a free type as free whatever the rest holds, so a free is one line
+// and no crash can tear it into a corrupt record. Caller persists.
 func FreeShadow(dev *pmem.Device, g Geometry, ino uint64) {
-	off := ShadowOff(g, ino)
-	dev.Store16(off+inType, TypeFree)
-	dev.Store32(off+inCsum, 0)
-}
-
-// PersistShadow flushes and fences ino's shadow record.
-func PersistShadow(dev *pmem.Device, g Geometry, ino uint64) {
-	dev.Persist(ShadowOff(g, ino), InodeSize)
+	dev.Store16(ShadowOff(g, ino)+inType, TypeFree)
 }

@@ -96,7 +96,7 @@ func (fs *FS) finishBatch(t *Thread, dmi *minode, pending []pendingCreate) {
 	for _, pc := range pending {
 		fs.mtab.Store(pc.ino, newFileMinode(pc.ino, dmi.ino, fs.clock.Load()))
 	}
-	dmi.cacheAttrs(uint64(dmi.ht().Len()), 2, fs.clock.Load())
+	dmi.cacheDirAttrs(fs.clock.Load())
 }
 
 type pendingCreate struct {

@@ -413,7 +413,7 @@ func (t *Thread) Create(path string) (err error) {
 		fs.recycleIno(ino)
 		return err
 	}
-	dir.cacheAttrs(uint64(dir.ht().Len()), 2, in.MTime)
+	dir.cacheDirAttrs(in.MTime)
 	return nil
 }
 
@@ -463,7 +463,7 @@ func (t *Thread) Mkdir(path string) (err error) {
 		fs.recyclePages(t.cpu, []uint64{tailset})
 		return err
 	}
-	dir.cacheAttrs(uint64(dir.ht().Len()), 2, in.MTime)
+	dir.cacheDirAttrs(in.MTime)
 	return nil
 }
 
@@ -511,7 +511,7 @@ func (t *Thread) Unlink(path string) (err error) {
 	if err != nil {
 		return err
 	}
-	dir.cacheAttrs(uint64(dir.ht().Len()), 2, fs.clock.Load())
+	dir.cacheDirAttrs(fs.clock.Load())
 	return nil
 }
 
@@ -590,7 +590,7 @@ func (t *Thread) Rmdir(path string) (err error) {
 	if err != nil {
 		return err
 	}
-	dir.cacheAttrs(uint64(dir.ht().Len()), 2, fs.clock.Load())
+	dir.cacheDirAttrs(fs.clock.Load())
 	return nil
 }
 

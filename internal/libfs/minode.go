@@ -190,19 +190,37 @@ func (fs *FS) checkMapped(mi *minode) error {
 
 // cacheAttrs refreshes the cached attributes from in-memory knowledge.
 func (mi *minode) cacheAttrs(size uint64, nlink uint16, mtime uint64) {
+	a := mi.writeAttrs()
+	a.size.Store(size)
+	a.nlink.Store(uint32(nlink))
+	a.mtime.Store(mtime)
+	a.seq.Add(1)
+}
+
+// cacheDirAttrs is cacheAttrs for a directory. Its size, the entry count,
+// is read inside the writer section: creators racing in different buckets
+// publish counts in the order they enter it, so the size never runs
+// backwards.
+func (mi *minode) cacheDirAttrs(mtime uint64) {
+	a := mi.writeAttrs()
+	a.size.Store(uint64(mi.ht().Len()))
+	a.nlink.Store(2)
+	a.mtime.Store(mtime)
+	a.seq.Add(1)
+}
+
+// writeAttrs enters the attribute writer section; the caller leaves it with
+// a.seq.Add(1).
+func (mi *minode) writeAttrs() *attrCache {
 	a := &mi.attrs
 	for spins := 1; ; spins++ {
 		if s := a.seq.Load(); s&1 == 0 && a.seq.CompareAndSwap(s, s+1) {
-			break
+			return a
 		}
 		if spins%attrSpins == 0 {
 			runtime.Gosched()
 		}
 	}
-	a.size.Store(size)
-	a.nlink.Store(uint32(nlink))
-	a.mtime.Store(mtime)
-	a.seq.Add(1)
 }
 
 // stat returns the cached attributes as one writer left them.

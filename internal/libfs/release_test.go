@@ -267,10 +267,21 @@ func TestVectoredReleaseMatchesSingleReleases(t *testing.T) {
 		return dev, ctrl
 	}
 	devV, ctrlV := run((*FS).ReleaseAll)
+	var dirs, dirRuns int64 // in the release lists, the vectored batches
 	devS, ctrlS := run(func(fs *FS) error {
 		fs.dom.Barrier()
 		var first error
+		prevDir := false
 		for _, ino := range heldInOrder(fs) {
+			v, _ := fs.mtab.Load(ino)
+			isDir := v.(*minode).typ == layout.TypeDir
+			if isDir {
+				dirs++
+				if !prevDir {
+					dirRuns++
+				}
+			}
+			prevDir = isDir
 			if err := fs.ReleaseInode(ino); err != nil && first == nil {
 				first = err
 			}
@@ -286,11 +297,19 @@ func TestVectoredReleaseMatchesSingleReleases(t *testing.T) {
 	if v, s := fmt.Sprint(ctrlV.Usage()), fmt.Sprint(ctrlS.Usage()); v != s {
 		t.Fatalf("usage: vectored %s, single %s", v, s)
 	}
+	// Crossings are what vectoring saves, and with them exclusive epochs: a
+	// single release takes one per directory, a batch one per run of
+	// consecutive directories, which it keeps (downgraded to shared while
+	// files follow) to its commit.
 	v, s := ctrlV.Stats.Snapshot(), ctrlS.Stats.Snapshot()
 	if v.Syscalls >= s.Syscalls {
 		t.Fatalf("vectored release made %d crossings, single %d", v.Syscalls, s.Syscalls)
 	}
-	v.Syscalls, s.Syscalls = 0, 0
+	if want := s.EpochExclusive - dirs + dirRuns; dirRuns == 0 || v.EpochExclusive != want {
+		t.Fatalf("vectored release took %d exclusive epochs, want %d (single %d, %d directories in %d runs)",
+			v.EpochExclusive, want, s.EpochExclusive, dirs, dirRuns)
+	}
+	v.Syscalls, s.Syscalls, v.EpochExclusive, s.EpochExclusive = 0, 0, 0, 0
 	if v != s {
 		t.Fatalf("kernel counters beyond crossings differ: vectored %+v, single %+v", v, s)
 	}

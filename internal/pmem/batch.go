@@ -149,6 +149,19 @@ func (b *Batch) Pending() int { return len(b.pending) }
 // durable when it returns.
 func (b *Batch) Barrier() {
 	Killpoint("pmem.batch.barrier")
+	b.barrier()
+}
+
+// Commit is the trusted kernel's Drain: a Barrier only if lines are
+// queued, and no killpoint — kernel fences are not the crash points under
+// test.
+func (b *Batch) Commit() {
+	if len(b.pending) > 0 {
+		b.barrier()
+	}
+}
+
+func (b *Batch) barrier() {
 	drained := int64(len(b.pending))
 	if len(b.pending) > 0 {
 		runStart, runEnd := b.pending[0], b.pending[0]+LineSize
