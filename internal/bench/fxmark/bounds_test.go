@@ -39,19 +39,21 @@ var costBounds = []costBound{
 	// Persistence and crossing costs of the default batched schedule, over
 	// the table2 and fxmark cells.
 	{fs: "arckfs+", workload: "MWCL", metric: "pmem.flushes", max: 1.6,
-		note: "create-heavy: batcher coalesces dentry body + inode lines (measured 1.26; eager schedule pays 3.64)"},
+		note: "create-heavy: batcher coalesces the dentry body's lines, the inode record streams (measured 1.26; eager schedule pays 2.65-3.54)"},
+	{fs: "arckfs+", workload: "MWCL", metric: "pmem.ntstores", max: 2.7,
+		note: "create streams its one-line inode record; the rest is the zero-streamed tail-set and log pages (measured 1.40-2.28; a two-line record reads 2.40-3.28)"},
 	{fs: "arckfs+", workload: "MWCL", metric: "pmem.fences", min: 1.9, max: 2.1,
 		note: "patched create is exactly two fences (body epoch + marker epoch); more means fence creep, fewer means a §4.2-class fence went missing"},
 	{fs: "arckfs", workload: "MWCL", metric: "pmem.fences", max: 1.1,
 		note: "buggy create is one combined epoch; the +1 delta vs arckfs+ is the §4.2 fix"},
 	{fs: "arckfs+", workload: "MWCM", metric: "pmem.flushes", max: 1.6,
 		note: "shared-directory create, same batched schedule as MWCL"},
-	{fs: "arckfs+", workload: "MWUL", metric: "pmem.flushes", max: 4.8,
-		note: "unlink keeps its eager link persists (measured 4.26)"},
+	{fs: "arckfs+", workload: "MWUL", metric: "pmem.flushes", max: 3.9,
+		note: "unlink keeps its eager link persists (measured 3.26)"},
 	{fs: "arckfs+", workload: "MWRL", metric: "pmem.flushes", max: 2.7,
 		note: "rename: batched parent rewrite (measured 2.26)"},
 	{fs: "arckfs+", workload: "DWAL", metric: "pmem.flushes", max: 1.3,
-		note: "4K append: data goes through line-aligned streaming stores, only the map entry + inode lines are flushed (measured 1.00; eager pays 67)"},
+		note: "4K append: data goes through line-aligned streaming stores, only the map entry's line is flushed, the inode record streams (measured 1.00; eager pays 66)"},
 	{fs: "arckfs+", workload: "DWAL", metric: "pmem.fences", max: 2.1,
 		note: "append allocates, so the data barrier before the size update must stay"},
 	{fs: "arckfs+", workload: "DWOL", metric: "pmem.flushes", max: 0.1,
@@ -94,12 +96,12 @@ var costBounds = []costBound{
 	// The batching ablation (EXPERIMENTS.md): the eager schedule's costs,
 	// and the batched fences the rows above leave out, so -v prints the
 	// whole eager → batched table.
-	{fs: "arckfs+", workload: "MWCL", metric: "pmem.flushes", eager: true, max: 5.4,
-		note: "eager create flushes dentry body, marker and inode lines one clwb per site (measured 3.65-4.54)"},
+	{fs: "arckfs+", workload: "MWCL", metric: "pmem.flushes", eager: true, max: 4.3,
+		note: "eager create flushes dentry body, marker and inode line one clwb per site (measured 2.65-3.54)"},
 	{fs: "arckfs+", workload: "MWCL", metric: "pmem.fences", eager: true, max: 2.4,
 		note: "the schedule moves flushes, not fences: two per create either way (measured 2.01-2.04)"},
-	{fs: "arckfs+", workload: "MWUL", metric: "pmem.flushes", eager: true, max: 9,
-		note: "eager unlink (measured 6.65-7.54)"},
+	{fs: "arckfs+", workload: "MWUL", metric: "pmem.flushes", eager: true, max: 6.7,
+		note: "eager unlink (measured 4.65-5.54)"},
 	{fs: "arckfs+", workload: "MWUL", metric: "pmem.fences", eager: true, max: 4.8,
 		note: "eager unlink (measured 4.01-4.04)"},
 	{fs: "arckfs+", workload: "MWUL", metric: "pmem.fences", max: 4.8,
@@ -110,16 +112,16 @@ var costBounds = []costBound{
 		note: "eager rename (measured 3.01-3.03)"},
 	{fs: "arckfs+", workload: "MWRL", metric: "pmem.fences", max: 3.6,
 		note: "batched rename fences equal eager's (measured 3.01-3.03)"},
-	{fs: "arckfs+", workload: "DWAL", metric: "pmem.flushes", eager: true, max: 81,
-		note: "eager append writes back all 64 data lines plus map and inode (measured 67.0-67.2)"},
+	{fs: "arckfs+", workload: "DWAL", metric: "pmem.flushes", eager: true, max: 80,
+		note: "eager append writes back all 64 data lines plus map and inode (measured 66.0-66.2)"},
 	{fs: "arckfs+", workload: "DWAL", metric: "pmem.fences", eager: true, max: 2.4,
 		note: "eager append keeps the data barrier (measured 2.00)"},
-	{fs: "arckfs+", workload: "DWOL", metric: "pmem.flushes", eager: true, max: 79,
-		note: "eager overwrite writes back all 64 data lines plus two metadata lines (measured 66.0)"},
+	{fs: "arckfs+", workload: "DWOL", metric: "pmem.flushes", eager: true, max: 78,
+		note: "eager overwrite writes back all 64 data lines plus the inode record's line (measured 65.0)"},
 	{fs: "arckfs+", workload: "DWOL", metric: "pmem.fences", eager: true, max: 2.4,
 		note: "eager overwrite does not merge the data barrier into the inode epoch (measured 2.00)"},
-	{fs: "arckfs+", workload: "DWTL", metric: "pmem.flushes", eager: true, max: 3.6,
-		note: "eager truncate flushes each 8-byte map entry's line (measured 3.00)"},
+	{fs: "arckfs+", workload: "DWTL", metric: "pmem.flushes", eager: true, max: 2.4,
+		note: "eager truncate flushes each 8-byte map entry's line and the inode record's (measured 2.00)"},
 	{fs: "arckfs+", workload: "DWTL", metric: "pmem.fences", eager: true, max: 1.2,
 		note: "eager truncate (measured 1.00)"},
 	{fs: "arckfs+", workload: "DWTL", metric: "pmem.fences", max: 1.2,

@@ -20,11 +20,11 @@ import (
 // records may have reached PM. One small handoff turn — two creates, two
 // unlinks of the peer's committed files, a block overwrite and a
 // same-directory rename — is stopped at that fence, and every assignment
-// of each dirty 128-byte record to its old or its new content is recovered:
-// each must mount, be fsck-clean after the repair, and resolve every path
-// verified before the crossing that the turn left in place. A record
-// itself stays atomic (the hardened-region assumption crashmc makes);
-// what is enumerated is the order across records.
+// of each dirty record to its old or its new content is recovered: each
+// must mount, be fsck-clean after the repair, and resolve every path
+// verified before the crossing that the turn left in place. A record is
+// one line, so it persists whole; what is enumerated is the order across
+// records.
 func TestCrossingAtomicByEnumeration(t *testing.T) {
 	dev := pmem.New(4<<20, nil)
 	ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 256})
@@ -72,7 +72,7 @@ func TestCrossingAtomicByEnumeration(t *testing.T) {
 	gone := []string{"/d/p0", "/d/p1", "/d/old"}
 
 	g := ctrl.Geometry()
-	var records [][]pmem.LineState // dirty lines by 128-byte record
+	var records [][]pmem.LineState // dirty lines by record
 	fences := 0
 	dev.EnableTracking()
 	dev.SetFenceObserver(func() {

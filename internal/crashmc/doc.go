@@ -58,8 +58,8 @@
 // fully in every image. A kernel crossing queues all of its shadow and
 // inode-table writes and persists them under one fence (a second only
 // where a batch goes back from files to a directory), so its records
-// are unordered against each other until that fence, and each record —
-// two cache lines — is assumed to persist whole; tearing one would fail
+// are unordered against each other until that fence; each record is one
+// cache line and so persists whole. Losing the kernel's writes would fail
 // recovery by construction and say nothing about LibFS ordering, which
 // is the property under test — the kernel is assumed correct throughout
 // this reproduction. (core.TestCrossingAtomicByEnumeration checks the

@@ -298,9 +298,9 @@ func (r *rig) compactions() int {
 // hardened reports whether a line lies in a kernel-trusted region — the
 // superblock or the shadow inode table — that every crash image persists
 // fully, and that device lies therefore cannot touch. A kernel crossing
-// persists all its records under one fence, each record (two lines)
-// assumed atomic; tearing one fails recovery by construction and says
-// nothing about LibFS ordering, the property under test.
+// persists all its records, one line each, under one fence; losing them
+// fails recovery by construction and says nothing about LibFS ordering,
+// the property under test.
 func (r *rig) hardened(off int64) bool {
 	if off < layout.PageSize {
 		return true

@@ -490,13 +490,13 @@ func (t *Table) maybeGrow() {
 	t.arr.Store(newArr)
 	for i := range arr.buckets {
 		// Retire old nodes after publication; old readers may still be
-		// walking them.
+		// walking them, so the old heads stay as they are. Writers re-check
+		// t.arr under the bucket lock and never touch the old chains again.
 		for e := arr.buckets[i].head.Load(); e != nil; {
 			next := e.next.Load()
 			t.retire(e)
 			e = next
 		}
-		arr.buckets[i].head.Store(nil)
 		arr.buckets[i].lock.Unlock()
 	}
 }

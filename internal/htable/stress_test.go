@@ -72,6 +72,45 @@ func TestRCULookupVsWritersSameBucket(t *testing.T) {
 	}
 }
 
+// TestLookupDuringGrowthFindsStableNames: a lock-free Lookup that loaded
+// the bucket array just before a growth published its successor walks the
+// old chains, which growth leaves intact, so it finds every name that was
+// never removed. 2 048 inserts grow a 2-bucket table ten times while a
+// reader looks up 4 stable names; a miss is a spurious ENOENT.
+func TestLookupDuringGrowthFindsStableNames(t *testing.T) {
+	stable := []string{"s0", "s1", "s2", "s3"}
+	for round := 0; round < 40; round++ {
+		dom := rcu.NewDomain()
+		tbl := New(Options{RCUReaders: true, Dom: dom, InitialBuckets: 2})
+		for i, name := range stable {
+			tbl.Insert(name, uint64(i)+1, 0)
+		}
+		var stop atomic.Bool
+		var misses atomic.Int64
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			rd := dom.Register()
+			defer dom.Unregister(rd)
+			for i := 0; !stop.Load(); i++ {
+				k := i % len(stable)
+				if ino, _, ok, err := tbl.Lookup(rd, stable[k]); err != nil || !ok || ino != uint64(k)+1 {
+					misses.Add(1)
+				}
+			}
+		}()
+		for i := 0; i < 2048; i++ {
+			tbl.Insert(fmt.Sprintf("n%d", i), uint64(i)+100, 0)
+		}
+		stop.Store(true)
+		<-done
+		dom.Barrier()
+		if m := misses.Load(); m != 0 {
+			t.Fatalf("round %d: %d lookups of a stable name missed while the table grew", round, m)
+		}
+	}
+}
+
 // TestRCUGracePeriodBlocksOnPinnedReader pins the reclamation contract
 // directly: a retired entry stays queued while any reader that could
 // hold it is pinned, the grace period completes only after the unpin,

@@ -13,18 +13,19 @@ import (
 
 // TestCrossingIsOneFence pins what a release crossing costs in PM. A
 // handoff turn's 21-inode ReleaseBatch issues one fence and flushes each
-// record it writes once: two lines per shadow record (the directory, 16
-// created and 4 touched files) and one per freed inode, whose shadow goes
-// by its type word and whose inode record the LibFS already zeroed. A
-// freed inode whose record the LibFS left live costs its two lines more.
+// record it writes once, one line a record: 21 shadow records (the
+// directory, 16 created and 4 touched files) and 16 freed shadows, which go
+// by their type word while the LibFS already freed the inode records —
+// 21 + 16 = 37. A freed inode whose record the LibFS left live costs its
+// line more.
 func TestCrossingIsOneFence(t *testing.T) {
 	b := newHandoffBench(t)
 	b.turn()
 	b.turn() // from here on each turn frees the peer's batch
 	fences, flushes := b.dev.Stats.Fences.Load(), b.dev.Stats.Flushes.Load()
 	b.turn()
-	if f, l := b.dev.Stats.Fences.Load()-fences, b.dev.Stats.Flushes.Load()-flushes; f != 1 || l != 2*(1+16+4)+16 {
-		t.Fatalf("a handoff turn's crossing issued %d fences and %d flushes, want 1 and %d", f, l, 2*(1+16+4)+16)
+	if f, l := b.dev.Stats.Fences.Load()-fences, b.dev.Stats.Flushes.Load()-flushes; f != 1 || l != (1+16+4)+16 {
+		t.Fatalf("a handoff turn's crossing issued %d fences and %d flushes, want 1 and %d", f, l, (1+16+4)+16)
 	}
 
 	for _, zeroed := range []bool{true, false} {
@@ -38,11 +39,11 @@ func TestCrossingIsOneFence(t *testing.T) {
 			}
 		}
 		h.unlink(layout.RootIno, "f")
-		want := int64(2 + 1 + 2) // root shadow, freed shadow, the record zeroed for the LibFS
+		want := int64(1 + 1 + 1) // root shadow, freed shadow, the record freed for the LibFS
 		if zeroed {
 			layout.FreeInode(h.dev, h.g, ino)
 			h.dev.Persist(layout.InodeOff(h.g, ino), layout.InodeSize)
-			want -= 2
+			want--
 		}
 		fences, flushes := h.dev.Stats.Fences.Load(), h.dev.Stats.Flushes.Load()
 		if err := h.c.Release(app, layout.RootIno); err != nil {

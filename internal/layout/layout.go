@@ -29,10 +29,12 @@ const (
 	// Magic identifies a formatted device.
 	Magic = uint64(0x31464b4352413147) // "G1ARCKF1"
 	// Version of the on-PM format.
-	Version = 1
+	Version = 2
 
-	// InodeSize is the on-PM inode record size.
-	InodeSize = 128
+	// InodeSize is the on-PM inode record size: one cache line, so a
+	// record is persisted by one flush or one streaming store and no
+	// crash can tear it across lines.
+	InodeSize = pmem.LineSize
 
 	// RootIno is the inode number of the root directory.
 	RootIno = 1
@@ -203,12 +205,11 @@ type Inode struct {
 	Size     uint64
 	DataRoot uint64 // file: first map page; dir: tail-set page
 	Parent   uint64
-	Gen      uint64
-	CTime    uint64
 	MTime    uint64
 }
 
-// Inode record offsets.
+// Inode record offsets. [48,60) holds the shadow record's extras
+// (shadow.go); the inode table's writers leave it zero.
 const (
 	inType   = 0
 	inPerm   = 2
@@ -219,10 +220,8 @@ const (
 	inSize   = 16
 	inRoot   = 24
 	inParent = 32
-	inGen    = 40
-	inCTime  = 48
-	inMTime  = 56
-	inCsum   = 124 // crc32c over [0,124)
+	inMTime  = 40
+	inCsum   = 60 // crc32c over [0,60)
 )
 
 // InodeOff returns the device offset of inode ino's record.
@@ -252,8 +251,6 @@ func storeInode(dev *pmem.Device, off int64, in *Inode) {
 	dev.Store64(off+inSize, in.Size)
 	dev.Store64(off+inRoot, in.DataRoot)
 	dev.Store64(off+inParent, in.Parent)
-	dev.Store64(off+inGen, in.Gen)
-	dev.Store64(off+inCTime, in.CTime)
 	dev.Store64(off+inMTime, in.MTime)
 }
 
@@ -269,8 +266,6 @@ func loadInode(dev *pmem.Device, off int64) (in Inode, ok, corrupt bool) {
 		Size:     dev.Load64(off + inSize),
 		DataRoot: dev.Load64(off + inRoot),
 		Parent:   dev.Load64(off + inParent),
-		Gen:      dev.Load64(off + inGen),
-		CTime:    dev.Load64(off + inCTime),
 		MTime:    dev.Load64(off + inMTime),
 	}
 	if in.Type == TypeFree {
@@ -285,8 +280,8 @@ func loadInode(dev *pmem.Device, off int64) (in Inode, ok, corrupt bool) {
 // EncodeInodeInto renders in as a complete InodeSize-byte record — all
 // fields, zero padding, checksum — into rec, for callers that store the
 // whole record at once with streaming (non-temporal) stores instead of
-// field-by-field with a trailing flush. The record is two full cache
-// lines, so a pmem.Batch can WriteStream it with no clwb at all. The
+// field-by-field with a trailing flush. The record is one full cache
+// line, so a pmem.Batch can WriteStream it with no clwb at all. The
 // caller owns rec and may render into it again once the record is stored
 // (the checksum call would move a record returned by value to the heap).
 //
@@ -305,8 +300,6 @@ func EncodeInodeInto(rec *[InodeSize]byte, in *Inode) {
 	binary.LittleEndian.PutUint64(rec[inSize:], in.Size)
 	binary.LittleEndian.PutUint64(rec[inRoot:], in.DataRoot)
 	binary.LittleEndian.PutUint64(rec[inParent:], in.Parent)
-	binary.LittleEndian.PutUint64(rec[inGen:], in.Gen)
-	binary.LittleEndian.PutUint64(rec[inCTime:], in.CTime)
 	binary.LittleEndian.PutUint64(rec[inMTime:], in.MTime)
 	binary.LittleEndian.PutUint32(rec[inCsum:], crc32.Checksum(rec[:inCsum], crcTab))
 }
@@ -318,11 +311,10 @@ func ReadInode(dev *pmem.Device, g Geometry, ino uint64) (in Inode, ok, corrupt 
 	return loadInode(dev, InodeOff(g, ino))
 }
 
-// FreeInode marks ino's slot free. Caller persists.
+// FreeInode marks ino's slot free by its type word alone, as FreeShadow
+// does. Caller persists.
 func FreeInode(dev *pmem.Device, g Geometry, ino uint64) {
-	off := InodeOff(g, ino)
-	dev.Store16(off+inType, TypeFree)
-	dev.Store32(off+inCsum, 0)
+	dev.Store16(InodeOff(g, ino)+inType, TypeFree)
 }
 
 // --- Directory tail sets -------------------------------------------------

@@ -2,6 +2,7 @@ package layout
 
 import (
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"strings"
 	"testing"
@@ -74,7 +75,7 @@ func TestInodeRoundTrip(t *testing.T) {
 	in := Inode{
 		Type: TypeFile, Perm: PermRead | PermWrite, Nlink: 1,
 		UID: 1000, GID: 100, Size: 12345, DataRoot: 17, Parent: RootIno,
-		Gen: 3, CTime: 111, MTime: 222,
+		MTime: 222,
 	}
 	WriteInode(dev, g, 5, &in)
 	got, ok, corrupt := ReadInode(dev, g, 5)
@@ -93,7 +94,7 @@ func TestEncodeInodeIntoReusedBuffer(t *testing.T) {
 	dev, g := newDev(t, 64)
 	in := Inode{
 		Type: TypeDir, Perm: PermRead, Nlink: 2, NTails: 4,
-		UID: 7, GID: 8, Size: 99, DataRoot: 31, Parent: 3, Gen: 9, CTime: 5, MTime: 6,
+		UID: 7, GID: 8, Size: 99, DataRoot: 31, Parent: 3, MTime: 6,
 	}
 	var rec, clean [InodeSize]byte
 	for i := range rec {
@@ -110,6 +111,71 @@ func TestEncodeInodeIntoReusedBuffer(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { EncodeInodeInto(&rec, &in) }); n != 0 {
 		t.Fatalf("EncodeInodeInto allocates %v objects", n)
+	}
+}
+
+// TestInodeRecordIsOneLine: an inode or shadow record is one aligned cache
+// line — every field, the shadow extras and the checksum lie in it — so one
+// flush or one streaming store persists it and no crash tears it across
+// lines. Two neighbouring shadow records round-trip their extras.
+func TestInodeRecordIsOneLine(t *testing.T) {
+	if InodeSize != pmem.LineSize {
+		t.Fatalf("InodeSize = %d, want one line (%d)", InodeSize, pmem.LineSize)
+	}
+	fields := []struct {
+		name      string
+		off, size int
+	}{
+		{"type", inType, 2}, {"perm", inPerm, 2}, {"nlink", inNlink, 2},
+		{"ntails", inNTails, 2}, {"uid", inUID, 4}, {"gid", inGID, 4},
+		{"size", inSize, 8}, {"root", inRoot, 8}, {"parent", inParent, 8},
+		{"mtime", inMTime, 8}, {"childcount", shChildCount, 4}, {"flags", shFlags, 1},
+		{"csum", inCsum, 4},
+	}
+	end := 0
+	for _, f := range fields {
+		if f.off < end || f.off+f.size > InodeSize {
+			t.Fatalf("field %s at [%d,%d) overlaps its predecessor or leaves [0,%d)", f.name, f.off, f.off+f.size, InodeSize)
+		}
+		end = f.off + f.size
+	}
+	if inCsum+4 != InodeSize {
+		t.Fatalf("checksum at %d does not end the record", inCsum)
+	}
+
+	dev, g := newDev(t, 64)
+	for _, ino := range []uint64{RootIno, 5, g.InodeCap - 1} {
+		if InodeOff(g, ino)%pmem.LineSize != 0 || ShadowOff(g, ino)%pmem.LineSize != 0 {
+			t.Fatalf("inode %d's records are not line-aligned", ino)
+		}
+	}
+	in := Inode{Type: TypeDir, Perm: PermRead, Nlink: 3, NTails: 2, Size: 4, DataRoot: 9, Parent: RootIno, MTime: 77}
+	exs := map[uint64]ShadowExtra{
+		5: {ChildCount: 0xdeadbeef, Committed: true},
+		6: {ChildCount: 3, Inaccessible: true},
+	}
+	for ino, ex := range exs {
+		WriteShadow(dev, g, ino, &in, &ex)
+	}
+	for ino, want := range exs {
+		got, ex, ok, corrupt := ReadShadow(dev, g, ino)
+		if !ok || corrupt || got != in || ex != want {
+			t.Fatalf("shadow %d read back %+v %+v ok=%v corrupt=%v, want %+v %+v", ino, got, ex, ok, corrupt, in, want)
+		}
+	}
+	if off := ShadowOff(g, 5); dev.Load32(off+48) != 0xdeadbeef || dev.Load8(off+52) != shFlagCommitted {
+		t.Fatal("shadow extras are not at offsets 48 and 52")
+	}
+}
+
+// TestLoadRejectsVersion1: an image of the two-line record format is
+// refused, not misread.
+func TestLoadRejectsVersion1(t *testing.T) {
+	dev, _ := newDev(t, 64)
+	dev.Store32(sbVersion, 1)
+	dev.Store32(sbCsum, crc32.Checksum(dev.Slice(0, sbCsum), crcTab))
+	if _, err := Load(dev); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("Load of a version-1 image: %v", err)
 	}
 }
 
@@ -389,11 +455,11 @@ func TestValidName(t *testing.T) {
 // Property: inode encode/decode round-trips for arbitrary field values.
 func TestQuickInodeRoundTrip(t *testing.T) {
 	dev, g := newDev(t, 64)
-	f := func(perm, nlink, ntails uint16, uid, gid uint32, size, root, parent, gen, ct, mt uint64) bool {
+	f := func(perm, nlink, ntails uint16, uid, gid uint32, size, root, parent, mt uint64) bool {
 		in := Inode{
 			Type: TypeFile, Perm: perm, Nlink: nlink, NTails: ntails,
 			UID: uid, GID: gid, Size: size, DataRoot: root, Parent: parent,
-			Gen: gen, CTime: ct, MTime: mt,
+			MTime: mt,
 		}
 		WriteInode(dev, g, 3, &in)
 		got, ok, corrupt := ReadInode(dev, g, 3)

@@ -20,11 +20,12 @@ type ShadowExtra struct {
 	Inaccessible bool
 }
 
-// Shadow record extra-field offsets (within the 128-byte record; the
-// mirrored inode fields use the same offsets as the inode table).
+// Shadow record extra-field offsets (within the one-line record, before
+// the checksum; the mirrored inode fields use the same offsets as the
+// inode table).
 const (
-	shChildCount = 64
-	shFlags      = 68
+	shChildCount = 48
+	shFlags      = 52
 
 	shFlagCommitted    = 1 << 0
 	shFlagInaccessible = 1 << 1
@@ -39,10 +40,9 @@ func ShadowOff(g Geometry, ino uint64) int64 {
 }
 
 // WriteShadow encodes the shadow record for ino. Caller persists: the
-// kernel queues the record's two lines with the rest of its crossing's
-// writes under one fence, so records are unordered against each other
-// until it, and each is assumed to persist whole (the kernel is trusted;
-// only LibFS ordering is under test).
+// kernel queues the record's line with the rest of its crossing's writes
+// under one fence, so records are unordered against each other until it.
+// A record is one line, so each persists whole.
 func WriteShadow(dev *pmem.Device, g Geometry, ino uint64, in *Inode, ex *ShadowExtra) {
 	off := ShadowOff(g, ino)
 	storeInode(dev, off, in)

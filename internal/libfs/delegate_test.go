@@ -160,7 +160,7 @@ func TestDelegatedWriteLineCounts(t *testing.T) {
 	}
 	const (
 		dataLines = size / pmem.LineSize              // 16 384
-		metaNT    = layout.PageSize/pmem.LineSize + 2 // the zeroed fresh map page + the inode record
+		metaNT    = layout.PageSize/pmem.LineSize + 1 // the zeroed fresh map page + the inode record's line
 	)
 	for _, tc := range []struct {
 		name        string
@@ -177,8 +177,8 @@ func TestDelegatedWriteLineCounts(t *testing.T) {
 		// and map entries 1..257 span 33 lines.
 		{"ragged", false, 5000, dataLines - 1 + 128 + metaNT, 33 + 2},
 		// Eager: nothing streams, every line written is flushed once —
-		// data, map page, one clwb per map entry, two inode lines.
-		{"aligned-eager", true, 0, 0, dataLines + layout.PageSize/pmem.LineSize + 256 + 2},
+		// data, map page, one clwb per map entry, the inode record's line.
+		{"aligned-eager", true, 0, 0, dataLines + layout.PageSize/pmem.LineSize + 256 + 1},
 	} {
 		nt, flushes, fences := run(tc.eager, tc.off)
 		if nt != tc.nt || flushes != tc.flushes {

@@ -65,11 +65,55 @@ func TestCreateFenceCountPatchedVsBuggy(t *testing.T) {
 	}
 }
 
+// TestInodeRecordPersistsOneLine pins the one-line inode record on the two
+// LibFS paths that persist one whole: a steady-state create stores exactly
+// one inode-table line, its record, streamed (the only line it streams),
+// and an unlink of a cached file stores and flushes exactly one, the freed
+// record's type word, beside the line of its cleared commit marker.
+func TestInodeRecordPersistsOneLine(t *testing.T) {
+	fs := newFS(t, BugsNone, nil)
+	w := th(t, fs)
+	if err := w.Mkdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Create("/d/warmup"); err != nil {
+		t.Fatal(err)
+	}
+	dev, lo, hi := fs.dev, int64(fs.geo.TableStart*layoutPageSize), int64(fs.geo.ShadowStart*layoutPageSize)
+	// run returns the inode-table lines op stored, as its fences see them
+	// dirty, and the lines it streamed and flushed.
+	run := func(op func() error) (lines int, streamed, flushed int64) {
+		t.Helper()
+		seen := map[int64]bool{}
+		dev.EnableTracking()
+		defer dev.DisableTracking()
+		dev.SetFenceObserver(func() {
+			for _, s := range dev.DirtyLineStates() {
+				if s.Off >= lo && s.Off < hi {
+					seen[s.Off] = true
+				}
+			}
+		})
+		defer dev.SetFenceObserver(nil)
+		nt, fl := dev.Stats.NTStores.Load(), dev.Stats.Flushes.Load()
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		return len(seen), dev.Stats.NTStores.Load() - nt, dev.Stats.Flushes.Load() - fl
+	}
+	if lines, streamed, _ := run(func() error { return w.Create("/d/f") }); lines != 1 || streamed != 1 {
+		t.Errorf("create stored %d inode-table lines and streamed %d lines, want 1 and 1", lines, streamed)
+	}
+	if lines, _, flushed := run(func() error { return w.Unlink("/d/f") }); lines != 1 || flushed != 1+1 {
+		t.Fatalf("unlink stored %d inode-table lines and flushed %d lines, want 1 and 2 (marker + record)", lines, flushed)
+	}
+}
+
 // TestTruncateFlushCountBatched pins the block-map flush coalescing: a
 // 64-block truncate clears 64 adjacent 8-byte map entries — eight cache
 // lines — so the batched path issues exactly 8 line write-backs and one
 // fence, where the eager path pays one clwb per entry plus the inode
-// record.
+// record's line.
 func TestTruncateFlushCountBatched(t *testing.T) {
 	run := func(eager bool) (flushes, fences int64) {
 		dev := pmem.New(64<<20, nil)
@@ -107,8 +151,8 @@ func TestTruncateFlushCountBatched(t *testing.T) {
 		t.Fatalf("batched truncate issued %d fences, want 1", fences)
 	}
 	eagerFlushes, eagerFences := run(true)
-	if eagerFlushes != 66 {
-		t.Fatalf("eager truncate issued %d flushes, want 66 (64 entries + 2 inode lines)", eagerFlushes)
+	if eagerFlushes != 64+1 {
+		t.Fatalf("eager truncate issued %d flushes, want 65 (64 entries + 1 inode line)", eagerFlushes)
 	}
 	if eagerFences != 1 {
 		t.Fatalf("eager truncate issued %d fences, want 1", eagerFences)
