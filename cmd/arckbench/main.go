@@ -5,15 +5,12 @@
 //
 //	arckbench -exp figure3|figure4|table2|dataScale|fxmark|filebench|leveldb|table4|all \
 //	          [-threads 1,2,4,8,16,32,64] [-ops 20000] [-dev 512] [-fast] \
-//	          [-systems arckfs,arckfs+,nova,pmfs,kucofs] [-persist batched|eager]
+//	          [-systems arckfs,arckfs+,nova,pmfs,kucofs]
 //
 // The output is the rendered tables. The per-op costs behind them
 // (flushes, fences, crossings, lease hits, admission) are deterministic
 // and are pinned by go test -run TestCostBounds ./internal/bench/fxmark/,
 // which runs small -fast table2, fxmark and tenants cells.
-//
-// -persist eager disables the LibFS write-combining persist batcher, the
-// reference schedule the batching optimization is measured against.
 //
 // The fxmark experiment additionally runs the MWRA release/reopen
 // workload, which exercises the grant leases, and MRSL, the
@@ -52,17 +49,12 @@ func main() {
 	smallMB := flag.Uint64("share-small", 2, "Table 4 small shared-file size (MiB)")
 	bigMB := flag.Uint64("share-big", 256, "Table 4 big shared-file size (MiB; paper uses 1024)")
 	trials := flag.Int("trials", 3, "best-of-N trials for single-thread cells")
-	persist := flag.String("persist", "batched", "ArckFS persist schedule: batched or eager")
 	tenants := flag.String("tenants", "16,128,1k", "tenant population sweep for -exp tenants (k suffix = x1000)")
 	stormTenants := flag.Int("storm-tenants", 256, "revocation-storm tenant count for -exp tenants")
 	stormMigrations := flag.Int("storm-migrations", 0, "revocation-storm migration count (default 4x tenants)")
 	maxInflight := flag.Int("max-inflight", 0, "admission-scheduler slot count (0 = off; -exp tenants defaults to 4)")
 	flag.Parse()
 
-	if *persist != "batched" && *persist != "eager" {
-		fmt.Fprintf(os.Stderr, "bad -persist %q (want batched or eager)\n", *persist)
-		os.Exit(2)
-	}
 	if *exp != "all" && !isKnown(*exp) {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q (want figure3, figure4, table2, dataScale, fxmark, filebench, leveldb, table4, tenants, or all)\n", *exp)
 		os.Exit(2)
@@ -93,7 +85,6 @@ func main() {
 		DevSize:   *dev << 20,
 		Realistic: !*fast,
 		Trials:    *trials,
-		Eager:     *persist == "eager",
 		Out:       os.Stdout,
 	}
 	if *exp == "tenants" {

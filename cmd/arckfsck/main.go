@@ -10,7 +10,7 @@
 //	arckfsck -demo
 //
 // With -demo, the tool builds a small file system in memory, injects the
-// paper's §4.2 partial-persist crash, and shows the report.
+// paper's §4.2 partial persist crash, and shows the report.
 //
 // With -deep, the image is additionally run through the crashmc
 // recovery invariants (internal/crashmc.CheckImage in model-free form):

@@ -7,7 +7,7 @@ import (
 )
 
 // epochdrain tracks every pmem.Batch obtained in a function (via
-// Device.NewBatch or NewEagerBatch) and requires that each one reaches a
+// Device.NewBatch) and requires that each one reaches a
 // drain point — Barrier, Drain, or AssertEmpty — or is handed off (used
 // as a call argument, stored into a struct, returned) on every path out
 // of the function, early error returns included. A batch dropped with
@@ -68,9 +68,7 @@ type edClient struct {
 
 // newBatchCall reports whether the call mints a fresh *pmem.Batch.
 func newBatchCall(pkg *Package, call *ast.CallExpr) bool {
-	fn := calleeFunc(pkg, call)
-	return isMethod(fn, "internal/pmem", "Device", "NewBatch") ||
-		isMethod(fn, "internal/pmem", "Device", "NewEagerBatch")
+	return isMethod(calleeFunc(pkg, call), "internal/pmem", "Device", "NewBatch")
 }
 
 func (c *edClient) onAssign(w *flowWalker, st flowState, as *ast.AssignStmt) {

@@ -55,7 +55,7 @@ func structHandoff(dev *pmem.Device) *holder {
 
 // callHandoff passes the batch on; the callee owns draining it.
 func callHandoff(dev *pmem.Device) {
-	b := dev.NewEagerBatch()
+	b := dev.NewBatch()
 	b.Flush(0, 64)
 	finish(b)
 }
@@ -71,10 +71,10 @@ func neverDrained(dev *pmem.Device) {
 
 // rebound replaces the empty first batch before queuing anything; only
 // the live binding must drain.
-func rebound(dev *pmem.Device, eager bool) {
+func rebound(dev *pmem.Device, fresh bool) {
 	b := dev.NewBatch()
-	if eager {
-		b = dev.NewEagerBatch()
+	if fresh {
+		b = dev.NewBatch()
 	}
 	b.Flush(0, 64)
 	b.Barrier()

@@ -18,7 +18,6 @@ func (d *Device) Flush(off, n int64)          {}
 func (d *Device) Fence()                      {}
 func (d *Device) Persist(off, n int64)        {}
 func (d *Device) NewBatch() *Batch            { return &Batch{} }
-func (d *Device) NewEagerBatch() *Batch       { return &Batch{} }
 
 type Batch struct{}
 

@@ -41,10 +41,6 @@ type Config struct {
 	// Trials repeats each single-thread cell and keeps the best run,
 	// suppressing scheduler noise (default 3 for Figure 3, 1 elsewhere).
 	Trials int
-	// Eager disables the ArckFS write-combining persist batcher, running
-	// the pre-batching persist schedule (baselines are unaffected). Used
-	// to A/B the batching optimization.
-	Eager bool
 	// TenantCounts is the population sweep of the tenants experiment
 	// (default 16,128,1024); StormTenants/StormMigrations size its
 	// revocation storm (defaults 256 and 4x tenants). MaxInflight bounds
@@ -96,17 +92,13 @@ func MakeFS(name string, devSize int64, cost *costmodel.Model) (fsapi.FS, error)
 type FSOpts struct {
 	DevSize int64
 	Cost    *costmodel.Model
-	// Eager disables the ArckFS persist batcher (baselines ignore it).
-	Eager bool
 }
 
 // MakeFSWith constructs a fresh instance of the named file system under
 // the given options.
 func MakeFSWith(name string, o FSOpts) (fsapi.FS, error) {
 	arck := func(mode core.Mode) (fsapi.FS, error) {
-		sys, err := core.NewSystem(core.Config{
-			Mode: mode, DevSize: o.DevSize, Cost: o.Cost, EagerPersist: o.Eager,
-		})
+		sys, err := core.NewSystem(core.Config{Mode: mode, DevSize: o.DevSize, Cost: o.Cost})
 		if err != nil {
 			return nil, err
 		}
@@ -127,7 +119,7 @@ func MakeFSWith(name string, o FSOpts) (fsapi.FS, error) {
 
 // makeFS builds the named system under this run's configuration.
 func (c *Config) makeFS(name string) (fsapi.FS, error) {
-	return MakeFSWith(name, FSOpts{DevSize: c.DevSize, Cost: c.cost(), Eager: c.Eager})
+	return MakeFSWith(name, FSOpts{DevSize: c.DevSize, Cost: c.cost()})
 }
 
 func opsFor(total, threads int) int {

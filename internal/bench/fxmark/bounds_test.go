@@ -10,8 +10,7 @@ import (
 )
 
 // costBound is one row of the cost gate: on every measured cell of (fs,
-// workload) — run under the eager persist schedule when eager is set —
-// metric per completed operation must stay within [min, max]. metric is
+// workload) metric per completed operation must stay within [min, max]. metric is
 // a telemetry counter key, or p99Metric. A min bound exists where the
 // count is the optimization (a floor on lease hits catches the fast path
 // silently no longer firing); min 0 sets no floor, since counts are never
@@ -23,7 +22,6 @@ import (
 // row in the same commit.
 type costBound struct {
 	fs, workload, metric string
-	eager                bool
 	min, max             float64
 	note                 string
 }
@@ -39,7 +37,7 @@ var costBounds = []costBound{
 	// Persistence and crossing costs of the default batched schedule, over
 	// the table2 and fxmark cells.
 	{fs: "arckfs+", workload: "MWCL", metric: "pmem.flushes", max: 1.6,
-		note: "create-heavy: batcher coalesces the dentry body's lines, the inode record streams (measured 1.26; eager schedule pays 2.65-3.54)"},
+		note: "create-heavy: batcher coalesces the dentry body's lines, the inode record streams (measured 1.26)"},
 	{fs: "arckfs+", workload: "MWCL", metric: "pmem.ntstores", max: 2.7,
 		note: "create streams its one-line inode record; the rest is the zero-streamed tail-set and log pages (measured 1.40-2.28; a two-line record reads 2.40-3.28)"},
 	{fs: "arckfs+", workload: "MWCL", metric: "pmem.fences", min: 1.9, max: 2.1,
@@ -49,11 +47,11 @@ var costBounds = []costBound{
 	{fs: "arckfs+", workload: "MWCM", metric: "pmem.flushes", max: 1.6,
 		note: "shared-directory create, same batched schedule as MWCL"},
 	{fs: "arckfs+", workload: "MWUL", metric: "pmem.flushes", max: 3.9,
-		note: "unlink keeps its eager link persists (measured 3.26)"},
+		note: "create + unlink: the create's 1.26, then the cleared marker and the freed record, one line each (measured 3.26)"},
 	{fs: "arckfs+", workload: "MWRL", metric: "pmem.flushes", max: 2.7,
 		note: "rename: batched parent rewrite (measured 2.26)"},
 	{fs: "arckfs+", workload: "DWAL", metric: "pmem.flushes", max: 1.3,
-		note: "4K append: data goes through line-aligned streaming stores, only the map entry's line is flushed, the inode record streams (measured 1.00; eager pays 66)"},
+		note: "4K append: data goes through line-aligned streaming stores, only the map entry's line is flushed, the inode record streams (measured 1.00)"},
 	{fs: "arckfs+", workload: "DWAL", metric: "pmem.fences", max: 2.1,
 		note: "append allocates, so the data barrier before the size update must stay"},
 	{fs: "arckfs+", workload: "DWOL", metric: "pmem.flushes", max: 0.1,
@@ -93,39 +91,15 @@ var costBounds = []costBound{
 	{fs: "arckfs+", workload: "RevocationStorm", metric: p99Metric, max: 2000,
 		note: "per-migration tail (measured 38-76 µs -fast). Host-speed sensitive, hence the wide margin; the bound catches tails that grow with the 256-tenant population or with admission backlog, which land in milliseconds"},
 
-	// The batching ablation (EXPERIMENTS.md): the eager schedule's costs,
-	// and the batched fences the rows above leave out, so -v prints the
-	// whole eager → batched table.
-	{fs: "arckfs+", workload: "MWCL", metric: "pmem.flushes", eager: true, max: 4.3,
-		note: "eager create flushes dentry body, marker and inode line one clwb per site (measured 2.65-3.54)"},
-	{fs: "arckfs+", workload: "MWCL", metric: "pmem.fences", eager: true, max: 2.4,
-		note: "the schedule moves flushes, not fences: two per create either way (measured 2.01-2.04)"},
-	{fs: "arckfs+", workload: "MWUL", metric: "pmem.flushes", eager: true, max: 6.7,
-		note: "eager unlink (measured 4.65-5.54)"},
-	{fs: "arckfs+", workload: "MWUL", metric: "pmem.fences", eager: true, max: 4.8,
-		note: "eager unlink (measured 4.01-4.04)"},
+	// The fences of the retired batching ablation (EXPERIMENTS.md): the
+	// write-combining batcher moves clwbs, never fences, so these sit where
+	// the unbatched schedule put them.
 	{fs: "arckfs+", workload: "MWUL", metric: "pmem.fences", max: 4.8,
-		note: "batched unlink fences equal eager's (measured 4.01-4.04)"},
-	{fs: "arckfs+", workload: "MWRL", metric: "pmem.flushes", eager: true, max: 3.9,
-		note: "eager rename (measured 2.57-3.22)"},
-	{fs: "arckfs+", workload: "MWRL", metric: "pmem.fences", eager: true, max: 3.6,
-		note: "eager rename (measured 3.01-3.03)"},
+		note: "create + unlink: the create's two epochs, then the cleared marker and the freed record each end on their own Barrier (measured 4.01-4.04)"},
 	{fs: "arckfs+", workload: "MWRL", metric: "pmem.fences", max: 3.6,
-		note: "batched rename fences equal eager's (measured 3.01-3.03)"},
-	{fs: "arckfs+", workload: "DWAL", metric: "pmem.flushes", eager: true, max: 80,
-		note: "eager append writes back all 64 data lines plus map and inode (measured 66.0-66.2)"},
-	{fs: "arckfs+", workload: "DWAL", metric: "pmem.fences", eager: true, max: 2.4,
-		note: "eager append keeps the data barrier (measured 2.00)"},
-	{fs: "arckfs+", workload: "DWOL", metric: "pmem.flushes", eager: true, max: 78,
-		note: "eager overwrite writes back all 64 data lines plus the inode record's line (measured 65.0)"},
-	{fs: "arckfs+", workload: "DWOL", metric: "pmem.fences", eager: true, max: 2.4,
-		note: "eager overwrite does not merge the data barrier into the inode epoch (measured 2.00)"},
-	{fs: "arckfs+", workload: "DWTL", metric: "pmem.flushes", eager: true, max: 2.4,
-		note: "eager truncate flushes each 8-byte map entry's line and the inode record's (measured 2.00)"},
-	{fs: "arckfs+", workload: "DWTL", metric: "pmem.fences", eager: true, max: 1.2,
-		note: "eager truncate (measured 1.00)"},
+		note: "rename: new entry's body and marker epochs, then the old marker's (measured 3.01-3.03)"},
 	{fs: "arckfs+", workload: "DWTL", metric: "pmem.fences", max: 1.2,
-		note: "batched truncate fences equal eager's (measured 1.00)"},
+		note: "truncate: map entries and inode record in one epoch (measured 1.00)"},
 }
 
 // costCell is one measured cell, labelled with the system the test built
@@ -133,7 +107,6 @@ var costBounds = []costBound{
 // experiment that measures it.
 type costCell struct {
 	fs, exp string
-	eager   bool
 	harness.Result
 }
 
@@ -153,20 +126,19 @@ func (c costCell) perOp(metric string) (float64, bool) {
 
 // TestCostBounds is the cost gate: it runs the cells arckbench -fast
 // measures — table2 (FxMark metadata at 1-2 threads, 64 MiB), fxmark
-// (every FxMark group at 1-16 threads, 128 MiB; the ablation's six
-// workloads again under the eager schedule), 800 ops a cell; the tenant
+// (every FxMark group at 1-16 threads, 128 MiB), 800 ops a cell; the tenant
 // sweep (16 to 10k tenants, 64 MiB) and the revocation storm (256
 // tenants, 1024 migrations) — and checks every costBounds row against
 // every cell it names. A row no cell measures fails too: the workload or
 // system was renamed and the row went stale.
 func TestCostBounds(t *testing.T) {
 	var cells []costCell
-	run := func(exp, fs string, w Workload, threads int, devSize int64, eager bool) {
+	run := func(exp, fs string, w Workload, threads int, devSize int64) {
 		mode := core.ArckFSPlus
 		if fs == "arckfs" {
 			mode = core.ArckFS
 		}
-		sys, err := core.NewSystem(core.Config{Mode: mode, DevSize: devSize, EagerPersist: eager})
+		sys, err := core.NewSystem(core.Config{Mode: mode, DevSize: devSize})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,26 +146,20 @@ func TestCostBounds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/%s@%d: %v", fs, w.Name, threads, err)
 		}
-		cells = append(cells, costCell{fs, exp, eager, res})
+		cells = append(cells, costCell{fs, exp, res})
 	}
 	for _, fs := range []string{"arckfs+", "arckfs"} {
 		for _, w := range Metadata {
 			for _, th := range []int{1, 2} {
-				run("table2", fs, w, th, 64<<20, false)
+				run("table2", fs, w, th, 64<<20)
 			}
 		}
 		for _, group := range [][]Workload{Metadata, Leases, Lookup, DataOps} {
 			for _, w := range group {
 				for _, th := range []int{1, 2, 4, 8, 16} {
-					run("fxmark", fs, w, th, 128<<20, false)
+					run("fxmark", fs, w, th, 128<<20)
 				}
 			}
-		}
-	}
-	for _, name := range []string{"MWCL", "MWUL", "MWRL", "DWAL", "DWOL", "DWTL"} {
-		w, _ := ByName(name)
-		for _, th := range []int{1, 2, 4, 8, 16} {
-			run("fxmark", "arckfs+", w, th, 128<<20, true)
 		}
 	}
 
@@ -212,22 +178,19 @@ func TestCostBounds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tenants@%d: %v", n, err)
 		}
-		cells = append(cells, costCell{"arckfs+", "tenants", false, res.Active})
+		cells = append(cells, costCell{"arckfs+", "tenants", res.Active})
 	}
 	storm, err := RevocationStorm(tenantSys(), 256, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells = append(cells, costCell{"arckfs+", "storm", false, storm.Result})
+	cells = append(cells, costCell{"arckfs+", "storm", storm.Result})
 
 	for _, b := range costBounds {
 		row := b.fs + "/" + b.workload + " " + b.metric
-		if b.eager {
-			row += " (eager)"
-		}
 		lo, hi, n := math.Inf(1), math.Inf(-1), 0
 		for _, c := range cells {
-			if c.fs != b.fs || c.Workload != b.workload || c.eager != b.eager {
+			if c.fs != b.fs || c.Workload != b.workload {
 				continue
 			}
 			v, ok := c.perOp(b.metric)

@@ -51,10 +51,6 @@ type Config struct {
 	Bugs *libfs.Bugs
 	// Hooks are the deterministic race-window hooks for tests.
 	Hooks *libfs.Hooks
-	// EagerPersist disables the LibFS write-combining persist batcher
-	// (see libfs.Options.EagerPersist); benchmarks use it to A/B the
-	// batching optimization.
-	EagerPersist bool
 	// Tracking enables pmem crash tracking from the moment after format.
 	Tracking bool
 	// LeaseTTL bounds inode ownership.
@@ -255,10 +251,9 @@ func Recover(img []byte, cfg Config) (*System, *kernel.Report, error) {
 func (s *System) NewApp(uid, gid uint32) *libfs.FS {
 	app := s.Ctrl.RegisterApp(uid, gid)
 	fs := libfs.New(s.Ctrl, app, libfs.Options{
-		Bugs:         s.cfg.bugs(),
-		Cost:         s.cfg.Cost,
-		Hooks:        s.cfg.Hooks,
-		EagerPersist: s.cfg.EagerPersist,
+		Bugs:  s.cfg.bugs(),
+		Cost:  s.cfg.Cost,
+		Hooks: s.cfg.Hooks,
 	})
 	fs.SetTelemetry(s.tel)
 	fs.SetObservability(s.tracer, s.appDim.Row(int64(app)))

@@ -36,7 +36,7 @@ type Crash struct {
 	Ordinal int `json:"ordinal"`
 	// OpIndex is the index of the op in flight (or just completed).
 	OpIndex int `json:"op_index"`
-	// Policy names the line-persistence policy a seeded kill's image
+	// Policy names the line persistence policy a seeded kill's image
 	// used: drop-all, one-alone, all-but-one, or random.
 	Policy string `json:"policy,omitempty"`
 	// Keep is an enumerated image's shrunk persisted-line assignment.

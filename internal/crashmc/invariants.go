@@ -16,7 +16,7 @@ const (
 	// image.
 	InvRecoverable = "I1-recoverable"
 	// InvNoTornCommit (I2): recovery must find no committed dentry
-	// record with a torn body — the §4.2 partial-persist signature.
+	// record with a torn body — the §4.2 partial persist signature.
 	InvNoTornCommit = "I2-no-torn-commit"
 	// InvVerifiedDurable (I3): every kernel-verified path untouched
 	// since the last completed release must still resolve after

@@ -253,7 +253,7 @@ func (it *iteration) capture(kind, site string, ordinal int) {
 	it.compacting = it.inCompaction
 }
 
-// pickPolicy draws the iteration's line-persistence policy over the
+// pickPolicy draws the iteration's line persistence policy over the
 // soft dirty lines.
 func (it *iteration) pickPolicy(soft []pmem.LineState) (string, map[int64]int) {
 	keep := make(map[int64]int, len(soft))

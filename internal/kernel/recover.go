@@ -18,7 +18,7 @@ import (
 type Report struct {
 	CommittedInodes int
 	// CorruptDentries counts committed records whose name hash or length
-	// was torn — the §4.2 partial-persist signature.
+	// was torn — the §4.2 partial persist signature.
 	CorruptDentries int
 	// DanglingEntries counts live dentries referencing inodes that were
 	// never committed (creations lost to a crash) or whose verified

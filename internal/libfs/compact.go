@@ -141,7 +141,7 @@ func (fs *FS) compactDir(mi *minode, sp *span.Span) {
 	}
 
 	// (1) Stream the new chains and fence them durable.
-	pb := fs.newBatch()
+	pb := fs.dev.NewBatch()
 	var fresh []uint64
 	for _, r := range rw {
 		sort.Slice(r.ents, func(i, j int) bool {
@@ -154,6 +154,7 @@ func (fs *FS) compactDir(mi *minode, sp *span.Span) {
 		err := fs.writeChain(pb, r)
 		fresh = append(fresh, r.pages...)
 		if err != nil {
+			pb.Drain() // a no-op: writeChain only streams, it queues nothing
 			//arcklint:allow retirecheck these pages were granted above and never linked: no reader, and no scan, can have reached them
 			fs.recyclePages(compactStripe, fresh)
 			return

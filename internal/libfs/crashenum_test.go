@@ -161,93 +161,91 @@ func TestExhaustiveCrashEnumerationUnlink(t *testing.T) {
 // of it; a record spanning two lines tears here in the create's body epoch
 // and the write's metadata epoch.
 func TestInodeRecordCrashAtomic(t *testing.T) {
-	for _, eager := range []bool{false, true} {
-		dev := pmem.New(8<<20, nil)
-		ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 1 << 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs := New(ctrl, ctrl.RegisterApp(0, 0), Options{EagerPersist: eager})
-		w := th(t, fs)
-		if err := w.Create("/f"); err != nil {
-			t.Fatal(err)
-		}
-		fd, err := w.Open("/f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fs.ReleaseAll(); err != nil {
-			t.Fatal(err)
-		}
-		lo := int64(fs.geo.TableStart * layout.PageSize)
-		hi := lo + int64(fs.geo.TablePages*layout.PageSize)
-		images, torn := 0, 0
-		check := func() {
-			var rec []pmem.LineState
-			for _, s := range dev.DirtyLineStates() {
-				if s.Off >= lo && s.Off < hi {
-					rec = append(rec, s)
-				}
+	dev := pmem.New(8<<20, nil)
+	ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := New(ctrl, ctrl.RegisterApp(0, 0), Options{})
+	w := th(t, fs)
+	if err := w.Create("/f"); err != nil {
+		t.Fatal(err)
+	}
+	fd, err := w.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.ReleaseAll(); err != nil {
+		t.Fatal(err)
+	}
+	lo := int64(fs.geo.TableStart * layout.PageSize)
+	hi := lo + int64(fs.geo.TablePages*layout.PageSize)
+	images, torn := 0, 0
+	check := func() {
+		var rec []pmem.LineState
+		for _, s := range dev.DirtyLineStates() {
+			if s.Off >= lo && s.Off < hi {
+				rec = append(rec, s)
 			}
-			keep := map[int64]int{}
-			var walk func(i int)
-			walk = func(i int) {
-				if i < len(rec) {
-					for v := 0; v <= rec[i].Versions; v++ {
-						keep[rec[i].Off] = v
-						walk(i + 1)
-					}
-					return
+		}
+		keep := map[int64]int{}
+		var walk func(i int)
+		walk = func(i int) {
+			if i < len(rec) {
+				for v := 0; v <= rec[i].Versions; v++ {
+					keep[rec[i].Off] = v
+					walk(i + 1)
 				}
-				for _, others := range []bool{false, true} {
-					img := dev.CrashImage(func(off int64, versions int) int {
-						if v, ok := keep[off]; ok {
-							return v
-						}
-						if others {
-							return versions
-						}
-						return 0
-					})
-					images++
-					rdev := pmem.Restore(img, nil)
-					for _, s := range rec {
-						if _, _, corrupt := layout.ReadInode(rdev, fs.geo, uint64(s.Off-lo)/layout.InodeSize); corrupt {
-							torn++
-							break
-						}
+				return
+			}
+			for _, others := range []bool{false, true} {
+				img := dev.CrashImage(func(off int64, versions int) int {
+					if v, ok := keep[off]; ok {
+						return v
+					}
+					if others {
+						return versions
+					}
+					return 0
+				})
+				images++
+				rdev := pmem.Restore(img, nil)
+				for _, s := range rec {
+					if _, _, corrupt := layout.ReadInode(rdev, fs.geo, uint64(s.Off-lo)/layout.InodeSize); corrupt {
+						torn++
+						break
 					}
 				}
 			}
-			if len(rec) > 0 {
-				walk(0)
-			}
 		}
-		for _, op := range []struct {
-			name string
-			run  func() error
-		}{
-			{"create", func() error { return w.Create("/victim") }},
-			{"growing write", func() error {
-				_, err := w.WriteAt(fd, make([]byte, layout.PageSize+100), 0)
-				return err
-			}},
-		} {
-			images, torn = 0, 0
-			dev.EnableTracking()
-			dev.SetFenceObserver(check)
-			err := op.run()
-			dev.SetFenceObserver(nil)
-			dev.DisableTracking()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if images == 0 {
-				t.Fatalf("eager=%v: %s left no inode-table line dirty at any fence; the enumeration is vacuous", eager, op.name)
-			}
-			if torn > 0 {
-				t.Errorf("eager=%v: %s: %d of %d crash images hold a corrupt inode record", eager, op.name, torn, images)
-			}
+		if len(rec) > 0 {
+			walk(0)
+		}
+	}
+	for _, op := range []struct {
+		name string
+		run  func() error
+	}{
+		{"create", func() error { return w.Create("/victim") }},
+		{"growing write", func() error {
+			_, err := w.WriteAt(fd, make([]byte, layout.PageSize+100), 0)
+			return err
+		}},
+	} {
+		images, torn = 0, 0
+		dev.EnableTracking()
+		dev.SetFenceObserver(check)
+		err := op.run()
+		dev.SetFenceObserver(nil)
+		dev.DisableTracking()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if images == 0 {
+			t.Fatalf("%s left no inode-table line dirty at any fence; the enumeration is vacuous", op.name)
+		}
+		if torn > 0 {
+			t.Errorf("%s: %d of %d crash images hold a corrupt inode record", op.name, torn, images)
 		}
 	}
 }

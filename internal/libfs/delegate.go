@@ -111,8 +111,7 @@ func (fs *FS) copyOutRange(st *fileState, off int64, p []byte) {
 // shared state), and issues the data barrier after the join. The
 // coordinator t keeps the ragged head and tail (< one line each) for its
 // own batch; the line-aligned interior goes to the workers, each chunk
-// through a sink-less batch of the FS's persist mode, and shows on t's
-// span as one streaming store.
+// through a sink-less batch, and reaches t's sink as one streaming store.
 func (fs *FS) delegatedCopyIn(t *Thread, st *fileState, off int64, p []byte) {
 	head := int(-off & (pmem.LineSize - 1))
 	cut := len(p) - int((off+int64(len(p)))&(pmem.LineSize-1))
@@ -122,7 +121,7 @@ func (fs *FS) delegatedCopyIn(t *Thread, st *fileState, off int64, p []byte) {
 	first := st.blockArr()[bodyOff/layout.PageSize].Load()
 	t.SpanEvent(telemetry.SpanEvNTStore, int64(first*layout.PageSize)+bodyOff%layout.PageSize, int64(len(body)))
 	fanOut(len(body), func(start, end int) {
-		fs.copyInRange(fs.newBatch(), st, bodyOff+int64(start), body[start:end])
+		fs.copyInRange(fs.dev.NewBatch(), st, bodyOff+int64(start), body[start:end])
 	})
 }
 

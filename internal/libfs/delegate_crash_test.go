@@ -42,14 +42,14 @@ type delegatedRig struct {
 	old, new []byte // whole-file contents before and after the write
 }
 
-func bootDelegated(t *testing.T, tc delegatedCase, eager bool) *delegatedRig {
+func bootDelegated(t *testing.T, tc delegatedCase) *delegatedRig {
 	t.Helper()
 	dev := pmem.New(4<<20, nil)
 	ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := New(ctrl, ctrl.RegisterApp(0, 0), Options{EagerPersist: eager})
+	fs := New(ctrl, ctrl.RegisterApp(0, 0), Options{})
 	r := &delegatedRig{tc: tc, dev: dev, w: th(t, fs)}
 	dirtyPool(t, r.w, tc.n+2*layout.PageSize) // unwritten data must not pass for a hole
 	if err := r.w.Create("/f"); err != nil {
@@ -182,7 +182,7 @@ func goid() string {
 func TestDelegatedWriteCrashStates(t *testing.T) {
 	for _, tc := range delegatedCases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := bootDelegated(t, tc, false)
+			r := bootDelegated(t, tc)
 			coordinator := goid()
 			var imgs [][]byte
 			r.write(t, func() {
@@ -268,86 +268,67 @@ func TestDelegatedWriteCrashStates(t *testing.T) {
 	}
 }
 
-// TestDelegatedWriteLiesReportAlike runs the same two writes on a lying
-// device under both persist schedules — the workers' streaming stores, and
-// the store + clwb that EagerPersist reverts them to — and requires the
-// lie to surface identically: a dropped write-back aimed at one interior
-// line is counted once, leaves exactly that line dirty past the final
-// fence and stale in the recovered file; a line torn at power failure in
-// the data epoch yields a byte-identical crash image.
+// TestDelegatedWriteLiesReportAlike runs the two writes on a lying device
+// and requires each lie to surface as it would on any line: a dropped
+// write-back aimed at one interior line the workers streamed is counted
+// once, leaves exactly that line dirty past the final fence and stale in
+// the recovered file; a line torn at power failure in the data epoch is
+// counted once. That a streamed line lies exactly like a store + clwb'd
+// one is pmem.TestStreamedLineLiesLikeFlushedLine.
 func TestDelegatedWriteLiesReportAlike(t *testing.T) {
-	type report struct {
-		lied, torn int64
-		dirty      []int64
-		file, img  []byte
-	}
 	for _, tc := range delegatedCases {
 		target := (tc.off + 128<<10) / pmem.LineSize * pmem.LineSize // an interior line, by file offset
 
-		dropFlush := func(eager bool) report {
-			r := bootDelegated(t, tc, eager)
-			plan := pmem.NewFaultPlan(pmem.FaultDropFlush, 1)
-			plan.FlushEvery = 1
-			plan.Filter = func(lineOff int64) bool { return lineOff == r.devLine(target) }
-			r.dev.SetFaultPlan(plan)
-			r.write(t, nil)
-			rep := report{lied: r.dev.Stats.LiedFlushes.Load(), dirty: r.dev.DirtyLines()}
-			if rep.lied != 1 || !reflect.DeepEqual(rep.dirty, []int64{r.devLine(target)}) {
-				t.Fatalf("%s eager=%v: %d lied flushes, dirty after the write %v; want 1 and the aimed line %d",
-					tc.name, eager, rep.lied, rep.dirty, r.devLine(target))
+		r := bootDelegated(t, tc)
+		plan := pmem.NewFaultPlan(pmem.FaultDropFlush, 1)
+		plan.FlushEvery = 1
+		plan.Filter = func(lineOff int64) bool { return lineOff == r.devLine(target) }
+		r.dev.SetFaultPlan(plan)
+		r.write(t, nil)
+		if lied, dirty := r.dev.Stats.LiedFlushes.Load(), r.dev.DirtyLines(); lied != 1 || !reflect.DeepEqual(dirty, []int64{r.devLine(target)}) {
+			t.Fatalf("%s: %d lied flushes, dirty after the write %v; want 1 and the aimed line %d",
+				tc.name, lied, dirty, r.devLine(target))
+		}
+		file, err := recoverFile(t, tc.name, r.dev.CrashImage(pmem.CrashDropAll))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		// The new size is durable over one line the device never wrote.
+		if len(file) != len(r.new) || bytes.Equal(file, r.new) {
+			t.Fatalf("%s: the dropped write-back is invisible after recovery", tc.name)
+		}
+		for i := range file {
+			if file[i] != r.new[i] && int64(i)/pmem.LineSize*pmem.LineSize != target {
+				t.Fatalf("%s: byte %d is stale, outside the aimed line", tc.name, i)
 			}
-			var err error
-			if rep.file, err = recoverFile(t, tc.name, r.dev.CrashImage(pmem.CrashDropAll)); err != nil {
-				t.Fatalf("%s eager=%v: %v", tc.name, eager, err)
-			}
-			// The new size is durable over one line the device never wrote.
-			if len(rep.file) != len(r.new) || bytes.Equal(rep.file, r.new) {
-				t.Fatalf("%s eager=%v: the dropped write-back is invisible after recovery", tc.name, eager)
-			}
-			for i := range rep.file {
-				if rep.file[i] != r.new[i] && int64(i)/pmem.LineSize*pmem.LineSize != target {
-					t.Fatalf("%s eager=%v: byte %d is stale, outside the aimed line", tc.name, eager, i)
-				}
-			}
-			return rep
 		}
 
-		tornLine := func(eager bool) report {
-			r := bootDelegated(t, tc, eager)
-			r.dev.SetFaultPlan(pmem.NewFaultPlan(pmem.FaultTearLine, 7))
-			var rep report
-			r.write(t, func() {
-				data := r.dataLines()
-				if rep.img != nil || data == nil {
-					return
+		r = bootDelegated(t, tc)
+		r.dev.SetFaultPlan(pmem.NewFaultPlan(pmem.FaultTearLine, 7))
+		var img []byte
+		r.write(t, func() {
+			data := r.dataLines()
+			if img != nil || data == nil {
+				return
+			}
+			dirty := 0
+			for _, l := range r.dev.DirtyLines() {
+				if data[l] {
+					dirty++
 				}
-				dirty := 0
-				for _, l := range r.dev.DirtyLines() {
-					if data[l] {
-						dirty++
-					}
+			}
+			if dirty < len(data) {
+				return // not the data epoch's fence
+			}
+			img = r.dev.CrashImage(func(off int64, versions int) int {
+				if data[off] {
+					return versions
 				}
-				if dirty < len(data) {
-					return // not the data epoch's fence
-				}
-				rep.img = r.dev.CrashImage(func(off int64, versions int) int {
-					if data[off] {
-						return versions
-					}
-					return 0
-				})
+				return 0
 			})
-			rep.torn = r.dev.Stats.TornLines.Load()
-			if rep.img == nil || rep.torn != 1 {
-				t.Fatalf("%s eager=%v: %d torn lines, image taken %v", tc.name, eager, rep.torn, rep.img != nil)
-			}
-			return rep
-		}
-
-		for name, run := range map[string]func(bool) report{"drop-flush": dropFlush, "torn-line": tornLine} {
-			if streamed, clwbd := run(false), run(true); !reflect.DeepEqual(streamed, clwbd) {
-				t.Errorf("%s/%s: the lie surfaces differently when the line was streamed than when it was clwb'd", tc.name, name)
-			}
+		})
+		if torn := r.dev.Stats.TornLines.Load(); img == nil || torn != 1 {
+			t.Fatalf("%s: %d torn lines, image taken %v", tc.name, torn, img != nil)
 		}
 	}
 }

@@ -131,18 +131,17 @@ func TestDelegatedReadConcurrentWithSmallIO(t *testing.T) {
 // TestDelegatedWriteLineCounts pins the persist schedule of a delegated
 // write at the counter level: the workers stream whole lines and queue no
 // clwb, so the only lines flushed are the block-map entries and the
-// coordinator's ragged edges; the fence count is what the store + clwb
-// workers paid (data, fresh map page, metadata); and EagerPersist still
-// reverts the whole path to one clwb per line through the one switch.
+// coordinator's ragged edges; and the fence count is what the store + clwb
+// workers paid (data, fresh map page, metadata).
 func TestDelegatedWriteLineCounts(t *testing.T) {
 	const size = 1 << 20
-	run := func(eager bool, off int64) (ntstores, flushes, fences int64) {
+	run := func(off int64) (ntstores, flushes, fences int64) {
 		dev := pmem.New(64<<20, nil)
 		ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 1 << 12})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs := New(ctrl, ctrl.RegisterApp(0, 0), Options{EagerPersist: eager})
+		fs := New(ctrl, ctrl.RegisterApp(0, 0), Options{})
 		w := th(t, fs)
 		if err := w.Create("/f"); err != nil {
 			t.Fatal(err)
@@ -164,23 +163,19 @@ func TestDelegatedWriteLineCounts(t *testing.T) {
 	)
 	for _, tc := range []struct {
 		name        string
-		eager       bool
 		off         int64
 		nt, flushes int64
 	}{
 		// 256 adjacent 8-byte map entries coalesce into 32 lines; no data
 		// line is flushed.
-		{"aligned", false, 0, dataLines + metaNT, 32},
+		{"aligned", 0, dataLines + metaNT, 32},
 		// Offset 5000 leaves a 56-byte head and an 8-byte tail: two edge
 		// lines flushed by the coordinator, 16 383 interior lines streamed,
 		// the two partially covered blocks zero-streamed first (128 lines),
 		// and map entries 1..257 span 33 lines.
-		{"ragged", false, 5000, dataLines - 1 + 128 + metaNT, 33 + 2},
-		// Eager: nothing streams, every line written is flushed once —
-		// data, map page, one clwb per map entry, the inode record's line.
-		{"aligned-eager", true, 0, 0, dataLines + layout.PageSize/pmem.LineSize + 256 + 1},
+		{"ragged", 5000, dataLines - 1 + 128 + metaNT, 33 + 2},
 	} {
-		nt, flushes, fences := run(tc.eager, tc.off)
+		nt, flushes, fences := run(tc.off)
 		if nt != tc.nt || flushes != tc.flushes {
 			t.Errorf("%s: %d NT lines, %d flushed lines; want %d, %d", tc.name, nt, flushes, tc.nt, tc.flushes)
 		}

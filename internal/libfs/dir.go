@@ -168,7 +168,8 @@ func (fs *FS) ensureTailSpace(t *Thread, ds *dirState, ti int, tc *tailCursor, n
 		}
 		ds.idxMu.Lock()
 		layout.SetTailHead(fs.dev, ds.tailset, ti, p)
-		fs.dev.Persist(layout.TailHeadOff(ds.tailset, ti), 8)
+		t.pb.Flush(layout.TailHeadOff(ds.tailset, ti), 8)
+		t.pb.Barrier()
 		ds.unverified = append(ds.unverified, p)
 		ds.idxMu.Unlock()
 		tc.page, tc.off = p, 0
@@ -180,7 +181,8 @@ func (fs *FS) ensureTailSpace(t *Thread, ds *dirState, ti int, tc *tailCursor, n
 		}
 		ds.idxMu.Lock()
 		layout.SetNextPage(fs.dev, tc.page, p)
-		fs.dev.Persist(int64(tc.page*layout.PageSize)+layout.NextPtrOff, 8)
+		t.pb.Flush(int64(tc.page*layout.PageSize)+layout.NextPtrOff, 8)
+		t.pb.Barrier()
 		ds.unverified = append(ds.unverified, p)
 		ds.idxMu.Unlock()
 		tc.page, tc.off = p, 0
@@ -294,7 +296,7 @@ func (fs *FS) reserveDentry(t *Thread, mi *minode, nameLen int) (layout.DentryRe
 		return 0, err
 	}
 	r := layout.MakeDentryRef(tc.page, tc.off)
-	//arcklint:allow flushcheck the write-back is skipped only when BugReserveLenUnflushed deliberately reproduces the PR 3 reservation-persistence hole for crashmc; the fixed path queues it below
+	//arcklint:allow flushcheck the write-back is skipped only when BugReserveLenUnflushed deliberately reproduces the reservation persistence hole for crashmc; the fixed path queues it below
 	fs.dev.Store16(r.DevOff()+8, uint16(layout.DentryRecLen(nameLen)))
 	if !fs.opts.Bugs.Has(BugReserveLenUnflushed) {
 		// Queue the write-back here, not just in fillDentry: if the
@@ -361,7 +363,8 @@ func (fs *FS) removeEntry(t *Thread, mi *minode, name string, doomed func(ino ui
 			return 0, fsapi.ErrSegfault
 		}
 		layout.InvalidateDentry(fs.dev, r)
-		fs.dev.Persist(r.MarkerOff(), 2)
+		t.pb.Flush(r.MarkerOff(), 2)
+		t.pb.Barrier()
 		if doomed != nil {
 			doomed(ino)
 		}
@@ -378,7 +381,8 @@ func (fs *FS) removeEntry(t *Thread, mi *minode, name string, doomed func(ino ui
 		}
 		r := layout.DentryRef(e.Ref())
 		layout.InvalidateDentry(fs.dev, r)
-		fs.dev.Persist(r.MarkerOff(), 2)
+		t.pb.Flush(r.MarkerOff(), 2)
+		t.pb.Barrier()
 		ino, _, _ = lb.Delete(name)
 		if doomed != nil {
 			doomed(ino)
@@ -505,7 +509,8 @@ func (t *Thread) Unlink(path string) (err error) {
 			// Not in our table: zero the record; the kernel reclaims pages
 			// at the directory's next verification.
 			layout.FreeInode(fs.dev, fs.geo, ino)
-			fs.dev.Persist(layout.InodeOff(fs.geo, ino), layout.InodeSize)
+			t.pb.Flush(layout.InodeOff(fs.geo, ino), layout.InodeSize)
+			t.pb.Barrier()
 		}
 	})
 	if err != nil {
@@ -525,7 +530,8 @@ func (t *Thread) Unlink(path string) (err error) {
 func (fs *FS) destroyFile(t *Thread, child *minode) {
 	child.lock.Lock()
 	layout.FreeInode(fs.dev, fs.geo, child.ino)
-	fs.dev.Persist(layout.InodeOff(fs.geo, child.ino), layout.InodeSize)
+	t.pb.Flush(layout.InodeOff(fs.geo, child.ino), layout.InodeSize)
+	t.pb.Barrier()
 	if child.fresh.Load() {
 		var pages []uint64
 		if st := child.file.Load(); st != nil {
@@ -573,7 +579,8 @@ func (t *Thread) Rmdir(path string) (err error) {
 	_, err = fs.removeEntry(t, dir, name, func(uint64) {
 		child.lock.Lock()
 		layout.FreeInode(fs.dev, fs.geo, child.ino)
-		fs.dev.Persist(layout.InodeOff(fs.geo, child.ino), layout.InodeSize)
+		t.pb.Flush(layout.InodeOff(fs.geo, child.ino), layout.InodeSize)
+		t.pb.Barrier()
 		fs.mtab.Delete(child.ino)
 		if child.fresh.Load() {
 			cds := child.dir.Load()

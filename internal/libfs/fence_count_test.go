@@ -16,19 +16,17 @@ import (
 // patch over-fences (a real throughput cost, Figure 3); fewer would
 // mean the fence regressed away.
 //
-// The absolute counts are pinned too, in both persist modes: a
-// steady-state create is exactly two fences patched (body epoch + marker
-// epoch) and one buggy (single combined epoch), with or without the
-// write-combining batcher. The batcher changes how many clwbs are
-// issued, never where the fences sit.
+// The absolute counts are pinned too: a steady-state create is exactly two
+// fences patched (body epoch + marker epoch) and one buggy (single
+// combined epoch).
 func TestCreateFenceCountPatchedVsBuggy(t *testing.T) {
-	fencesPerCreate := func(bugs Bugs, eager bool) int64 {
+	fencesPerCreate := func(bugs Bugs) int64 {
 		dev := pmem.New(64<<20, nil)
 		ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 1 << 12})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs := New(ctrl, ctrl.RegisterApp(0, 0), Options{Bugs: bugs, EagerPersist: eager})
+		fs := New(ctrl, ctrl.RegisterApp(0, 0), Options{Bugs: bugs})
 		w := fs.NewThread(0).(*Thread)
 		if err := w.Mkdir("/d"); err != nil {
 			t.Fatal(err)
@@ -46,23 +44,19 @@ func TestCreateFenceCountPatchedVsBuggy(t *testing.T) {
 		return dev.Stats.Fences.Load() - before
 	}
 
-	for _, mode := range []struct {
-		name  string
-		eager bool
-	}{{"batched", false}, {"eager", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			buggy := fencesPerCreate(BugMissingFence, mode.eager)
-			patched := fencesPerCreate(BugsNone, mode.eager)
-			if patched != buggy+1 {
-				t.Fatalf("patched create issued %d fences, buggy %d; want exactly one more",
-					patched, buggy)
-			}
-			if buggy != 1 || patched != 2 {
-				t.Fatalf("steady-state create fences = %d buggy / %d patched; want 1 / 2",
-					buggy, patched)
-			}
-		})
-	}
+	// The write-combining batcher is the one persist schedule.
+	t.Run("batched", func(t *testing.T) {
+		buggy := fencesPerCreate(BugMissingFence)
+		patched := fencesPerCreate(BugsNone)
+		if patched != buggy+1 {
+			t.Fatalf("patched create issued %d fences, buggy %d; want exactly one more",
+				patched, buggy)
+		}
+		if buggy != 1 || patched != 2 {
+			t.Fatalf("steady-state create fences = %d buggy / %d patched; want 1 / 2",
+				buggy, patched)
+		}
+	})
 }
 
 // TestInodeRecordPersistsOneLine pins the one-line inode record on the two
@@ -112,50 +106,36 @@ func TestInodeRecordPersistsOneLine(t *testing.T) {
 // TestTruncateFlushCountBatched pins the block-map flush coalescing: a
 // 64-block truncate clears 64 adjacent 8-byte map entries — eight cache
 // lines — so the batched path issues exactly 8 line write-backs and one
-// fence, where the eager path pays one clwb per entry plus the inode
-// record's line.
+// fence; the inode record streams.
 func TestTruncateFlushCountBatched(t *testing.T) {
-	run := func(eager bool) (flushes, fences int64) {
-		dev := pmem.New(64<<20, nil)
-		ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 1 << 12})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs := New(ctrl, ctrl.RegisterApp(0, 0), Options{EagerPersist: eager})
-		w := fs.NewThread(0).(*Thread)
-		if err := w.Create("/f"); err != nil {
-			t.Fatal(err)
-		}
-		fd, err := w.Open("/f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, layoutPageSize)
-		for i := 0; i < 64; i++ {
-			if _, err := w.WriteAt(fd, buf, int64(i)*layoutPageSize); err != nil {
-				t.Fatal(err)
-			}
-		}
-		beforeFl, beforeFe := dev.Stats.Flushes.Load(), dev.Stats.Fences.Load()
-		if err := w.Truncate("/f", 0); err != nil {
-			t.Fatal(err)
-		}
-		return dev.Stats.Flushes.Load() - beforeFl, dev.Stats.Fences.Load() - beforeFe
+	dev := pmem.New(64<<20, nil)
+	ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 1 << 12})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	flushes, fences := run(false)
-	if flushes != 8 {
+	w := New(ctrl, ctrl.RegisterApp(0, 0), Options{}).NewThread(0).(*Thread)
+	if err := w.Create("/f"); err != nil {
+		t.Fatal(err)
+	}
+	fd, err := w.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, layoutPageSize)
+	for i := 0; i < 64; i++ {
+		if _, err := w.WriteAt(fd, buf, int64(i)*layoutPageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	beforeFl, beforeFe := dev.Stats.Flushes.Load(), dev.Stats.Fences.Load()
+	if err := w.Truncate("/f", 0); err != nil {
+		t.Fatal(err)
+	}
+	if flushes := dev.Stats.Flushes.Load() - beforeFl; flushes != 8 {
 		t.Fatalf("batched 64-block truncate issued %d line flushes, want 8 (64 entries coalesced)", flushes)
 	}
-	if fences != 1 {
+	if fences := dev.Stats.Fences.Load() - beforeFe; fences != 1 {
 		t.Fatalf("batched truncate issued %d fences, want 1", fences)
-	}
-	eagerFlushes, eagerFences := run(true)
-	if eagerFlushes != 64+1 {
-		t.Fatalf("eager truncate issued %d flushes, want 65 (64 entries + 1 inode line)", eagerFlushes)
-	}
-	if eagerFences != 1 {
-		t.Fatalf("eager truncate issued %d fences, want 1", eagerFences)
 	}
 }
 

@@ -190,11 +190,10 @@ func (fs *FS) writeAt(t *Thread, mi *minode, p []byte, off int64) (int, error) {
 	written := len(p)
 	// Order: data before metadata. When the write installs no new block
 	// pointer and grows no size — an in-place overwrite — a reordered
-	// inode update can expose nothing but a stale mtime, so the batched
-	// mode merges data and inode into one ordering epoch (one fence per
-	// op instead of two). Eager mode keeps the unconditional fence of the
-	// pre-batching schedule.
-	if len(t.dirty) > 0 || end > st.size.Load() || t.pb.Eager() {
+	// inode update can expose nothing but a stale mtime, so data and
+	// inode merge into one ordering epoch (one fence per op instead of
+	// two).
+	if len(t.dirty) > 0 || end > st.size.Load() {
 		t.pb.Barrier()
 	}
 
@@ -237,7 +236,8 @@ func (fs *FS) ensureMapCapacity(t *Thread, mi *minode, n int) error {
 		if len(st.mapPages) > 0 {
 			last := st.mapPages[len(st.mapPages)-1]
 			layout.SetNextPage(fs.dev, last, p)
-			fs.dev.Persist(int64(last*layout.PageSize)+layout.NextPtrOff, 8)
+			t.pb.Flush(int64(last*layout.PageSize)+layout.NextPtrOff, 8)
+			t.pb.Barrier()
 		}
 		st.mapPages = append(st.mapPages, p)
 	}

@@ -54,7 +54,7 @@ const (
 	// BugNoCycleCheck (§4.6): no global rename lock and no
 	// descendant check on directory renames.
 	BugNoCycleCheck
-	// BugReserveLenUnflushed reproduces the reservation-persistence hole
+	// BugReserveLenUnflushed reproduces the reservation persistence hole
 	// arcklint found in this reproduction's own tree (PR 3): reserveDentry
 	// stores the reserved record length but does not queue its write-back,
 	// so when the auxiliary insert fails (duplicate name) the dead slot's
@@ -130,12 +130,6 @@ type Options struct {
 	// recycled entry (the paper's instrumented build); off, it retries
 	// as the un-instrumented artifact effectively does.
 	StrictUAF bool
-	// EagerPersist disables the per-thread write-combining persist
-	// batcher: every flush issues its clwb at the call site and no
-	// streaming stores are used, reproducing the pre-batching persist
-	// schedule. Benchmarks use it to A/B the batcher; fence placement
-	// (and so crash semantics) is identical in both modes.
-	EagerPersist bool
 }
 
 func (o *Options) fill() {
@@ -524,9 +518,10 @@ type Thread struct {
 	rd  *rcu.Reader
 	// fds is the descriptor table: fd i is fds[i], nil when closed.
 	fds []*minode
-	// pb is the thread's persist batcher. Operations enqueue
-	// line-granular flushes into it and end on a Barrier, so the queue is
-	// empty between operations.
+	// pb is the thread's persist batcher, and the only way its
+	// operations make a line durable: they enqueue line-granular flushes
+	// into it and end on a Barrier, so the queue is empty between
+	// operations.
 	pb *pmem.Batch
 
 	// tl is the thread's lane in the span tracer's ring (nil when the FS
@@ -550,19 +545,10 @@ func (t *Thread) streamInode(ino uint64, in *layout.Inode) {
 	t.pb.WriteStream(layout.InodeOff(t.fs.geo, ino), t.rec[:])
 }
 
-// newBatch returns a persist queue in the configured (batched or eager)
-// mode.
-func (fs *FS) newBatch() *pmem.Batch {
-	if fs.opts.EagerPersist {
-		return fs.dev.NewEagerBatch()
-	}
-	return fs.dev.NewBatch()
-}
-
 // NewThread implements fsapi.FS.
 func (fs *FS) NewThread(cpu int) fsapi.Thread {
 	fs.nthreads.Add(1)
-	pb := fs.newBatch()
+	pb := fs.dev.NewBatch()
 	t := &Thread{fs: fs, cpu: cpu, rd: fs.dom.Register(), pb: pb, tl: fs.tracer.NewLocal()}
 	// The batch reports every flush, streaming store, and fence to the
 	// thread (see Thread.SpanEvent), which counts them per-app and attaches

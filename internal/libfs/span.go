@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"arckfs/internal/fsapi"
+	"arckfs/internal/pmem"
 	"arckfs/internal/telemetry"
 	"arckfs/internal/telemetry/span"
 )
@@ -33,17 +34,18 @@ func (fs *FS) Tracer() *span.Tracer { return fs.tracer }
 // SpanEvent implements telemetry.SpanSink: the thread is its own persist
 // batch's sink, so pmem.Batch reports flushes, streaming stores, and
 // fences here without importing the span package. Per-app persist
-// counters accumulate on every operation; the event reaches a span only
-// while a sampled operation has one open.
+// counters accumulate on every operation, in the device's units: the
+// lines a fence wrote back (a queued flush may still be absorbed), the
+// lines a streaming store wrote. The event reaches a span only while a
+// sampled operation has one open.
 func (t *Thread) SpanEvent(kind uint8, a, b int64) {
 	if r := t.fs.appRow; r != nil {
 		switch kind {
-		case telemetry.SpanEvFlush:
-			r.Add(telemetry.AppFlushes, b) // b = cache lines queued
 		case telemetry.SpanEvFence:
+			r.Add(telemetry.AppFlushes, a) // a = unique lines drained
 			r.Add(telemetry.AppFences, 1)
 		case telemetry.SpanEvNTStore:
-			r.Add(telemetry.AppNTStores, 1)
+			r.Add(telemetry.AppNTStores, b/pmem.LineSize) // b = bytes streamed
 		}
 	}
 	t.sp.Event(kind, a, b)

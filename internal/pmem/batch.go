@@ -40,12 +40,10 @@ import (
 // the batched protocol admits no new crash states.
 //
 // A Batch is owned by a single thread and is not safe for concurrent
-// use. The degenerate eager mode (NewEagerBatch) reproduces the
-// pre-batching behavior — one clwb per call site, no streaming stores —
-// and exists so benchmarks can A/B the optimization.
+// use. The unbatched reference it is tested against is the raw Device
+// protocol: a store and a clwb at every site, a fence at every barrier.
 type Batch struct {
-	dev   *Device
-	eager bool
+	dev *Device
 
 	// pending is the set of queued line offsets in the current epoch, kept
 	// sorted: an operation queues a handful of lines, mostly in ascending
@@ -69,19 +67,6 @@ func (d *Device) NewBatch() *Batch {
 	return &Batch{dev: d}
 }
 
-// NewEagerBatch creates a pass-through queue: every Flush issues its clwb
-// immediately, Barrier only fences, and streaming writes degrade to
-// store+clwb. This is the pre-batching persist behavior.
-func (d *Device) NewEagerBatch() *Batch {
-	return &Batch{dev: d, eager: true}
-}
-
-// Eager reports whether the batch is in pass-through mode.
-func (b *Batch) Eager() bool { return b.eager }
-
-// Device returns the underlying device.
-func (b *Batch) Device() *Device { return b.dev }
-
 // Flush queues a clwb for every cache line overlapping [off, off+n).
 // Lines already queued in this epoch are absorbed.
 func (b *Batch) Flush(off, n int64) {
@@ -92,10 +77,6 @@ func (b *Batch) Flush(off, n int64) {
 	last := (off + n - 1) / LineSize * LineSize
 	if b.sink != nil {
 		b.sink.SpanEvent(telemetry.SpanEvFlush, first, (last-first)/LineSize+1)
-	}
-	if b.eager {
-		b.dev.Flush(off, n)
-		return
 	}
 	b.dev.check(off, n)
 	if b.pending == nil {
@@ -114,15 +95,10 @@ func (b *Batch) Flush(off, n int64) {
 
 // WriteStream writes p (line-aligned, whole lines) with non-temporal
 // stores: no clwb is queued, and the content is durable at the next
-// Barrier. In eager mode it degrades to a store plus immediate clwbs.
+// Barrier.
 func (b *Batch) WriteStream(off int64, p []byte) {
 	if b.sink != nil {
 		b.sink.SpanEvent(telemetry.SpanEvNTStore, off, int64(len(p)))
-	}
-	if b.eager {
-		b.dev.Write(off, p)
-		b.dev.Flush(off, int64(len(p)))
-		return
 	}
 	b.dev.WriteNT(off, p)
 }
@@ -131,11 +107,6 @@ func (b *Batch) WriteStream(off int64, p []byte) {
 func (b *Batch) ZeroStream(off, n int64) {
 	if b.sink != nil {
 		b.sink.SpanEvent(telemetry.SpanEvNTStore, off, n)
-	}
-	if b.eager {
-		b.dev.Zero(off, n)
-		b.dev.Flush(off, n)
-		return
 	}
 	b.dev.ZeroNT(off, n)
 }

@@ -78,7 +78,8 @@ type evLog []spanEv
 
 func (l *evLog) SpanEvent(kind uint8, a, b int64) { *l = append(*l, spanEv{kind, a, b}) }
 
-// persistQueue is what the differential drives on both sides.
+// persistQueue is what a test drives on a Batch and on its reference
+// (refBatch here, unbatched in batch_test.go).
 type persistQueue interface {
 	Flush(off, n int64)
 	WriteStream(off int64, p []byte)

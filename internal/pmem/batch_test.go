@@ -133,53 +133,29 @@ func TestWriteNTAlignmentPanics(t *testing.T) {
 	d.WriteNT(8, make([]byte, LineSize))
 }
 
-// Eager mode must reproduce the unbatched schedule exactly: flushes at
-// the call site, fence-only barriers, no streaming stores.
-func TestEagerBatchPassThrough(t *testing.T) {
-	d := testDev()
-	b := d.NewEagerBatch()
-	if !b.Eager() {
-		t.Fatal("eager batch not eager")
-	}
-	d.Store64(0, 1)
-	b.Flush(0, 8)
-	if got := d.Stats.Flushes.Load(); got != 1 {
-		t.Fatalf("eager flush deferred: %d flushes", got)
-	}
-	b.WriteStream(64, make([]byte, LineSize))
-	if got := d.Stats.NTStores.Load(); got != 0 {
-		t.Fatalf("eager WriteStream used %d streaming stores", got)
-	}
-	if got := d.Stats.Flushes.Load(); got != 2 {
-		t.Fatalf("eager WriteStream flushes = %d, want 2", got)
-	}
-	b.ZeroStream(128, LineSize)
-	if got := d.Stats.Flushes.Load(); got != 3 {
-		t.Fatalf("eager ZeroStream flushes = %d, want 3", got)
-	}
-	b.Barrier()
-	if got := d.Stats.Fences.Load(); got != 1 {
-		t.Fatalf("fences = %d, want 1", got)
-	}
-	if b.Pending() != 0 {
-		t.Fatal("eager batch queued lines")
-	}
+// unbatched is the raw Device protocol a Batch must be indistinguishable
+// from at every fence: a clwb at every flush site, a store + clwb where
+// the batch streams, and a fence at every barrier.
+type unbatched struct{ dev *Device }
+
+func (u unbatched) Flush(off, n int64) { u.dev.Flush(off, n) }
+
+func (u unbatched) WriteStream(off int64, p []byte) {
+	u.dev.Write(off, p)
+	u.dev.Flush(off, int64(len(p)))
 }
 
+func (u unbatched) Barrier() { u.dev.Fence() }
+
 // runProtocol executes the same two-epoch commit protocol (body lines,
-// barrier, marker line, barrier) through a batch and returns every
-// all-or-nothing crash image over the dirty lines captured at the hook
-// point between the two epochs.
-func runProtocol(t *testing.T, eager bool) (atHook [][]byte, final []byte) {
+// barrier, marker line, barrier) through q's persist surface and returns
+// every all-or-nothing crash image over the dirty lines captured at the
+// hook point between the two epochs.
+func runProtocol(t *testing.T, q func(*Device) persistQueue) (atHook [][]byte, final []byte) {
 	t.Helper()
 	d := testDev()
 	d.EnableTracking()
-	var b *Batch
-	if eager {
-		b = d.NewEagerBatch()
-	} else {
-		b = d.NewBatch()
-	}
+	b := q(d)
 	// Body: two lines plus a streamed record.
 	d.Store64(0, 0x0123)
 	b.Flush(0, 8)
@@ -207,34 +183,34 @@ func runProtocol(t *testing.T, eager bool) (atHook [][]byte, final []byte) {
 	return atHook, d.CrashImage(CrashDropAll)
 }
 
-// The batched and eager protocols must admit exactly the same set of
-// crash states — batching changes how many clwbs are issued, never what a
-// crash can expose.
-func TestBatchedCrashStatesMatchEager(t *testing.T) {
-	batched, bfinal := runProtocol(t, false)
-	eager, efinal := runProtocol(t, true)
-	if !bytes.Equal(bfinal, efinal) {
-		t.Fatal("final durable images differ between batched and eager")
+// The batched protocol and the unbatched device protocol must admit
+// exactly the same set of crash states — batching changes how many clwbs
+// are issued, never what a crash can expose.
+func TestBatchedCrashStatesMatchUnbatched(t *testing.T) {
+	batched, bfinal := runProtocol(t, func(d *Device) persistQueue { return d.NewBatch() })
+	ref, rfinal := runProtocol(t, func(d *Device) persistQueue { return unbatched{d} })
+	if !bytes.Equal(bfinal, rfinal) {
+		t.Fatal("final durable images differ between batched and unbatched")
 	}
 	key := func(img []byte) string { return string(img[:512]) }
 	bset := map[string]bool{}
 	for _, img := range batched {
 		bset[key(img)] = true
 	}
-	eset := map[string]bool{}
-	for _, img := range eager {
-		eset[key(img)] = true
+	rset := map[string]bool{}
+	for _, img := range ref {
+		rset[key(img)] = true
 	}
-	if len(bset) != len(eset) {
-		t.Fatalf("crash-state count differs: batched %d, eager %d", len(bset), len(eset))
+	if len(bset) != len(rset) {
+		t.Fatalf("crash-state count differs: batched %d, unbatched %d", len(bset), len(rset))
 	}
 	for k := range bset {
-		if !eset[k] {
-			t.Fatal("batched protocol admits a crash state eager does not")
+		if !rset[k] {
+			t.Fatal("batched protocol admits a crash state the unbatched one does not")
 		}
 	}
-	// In both modes the body must be durable in every state (it was
-	// fenced before the marker was queued).
+	// The body must be durable in every state (it was fenced before the
+	// marker was queued).
 	for _, img := range batched {
 		if le64(img[0:]) != 0x0123 || le64(img[64:]) != 0x4567 || img[256] != 0xaa {
 			t.Fatal("crash state lost fenced body content")

@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -110,6 +111,65 @@ func TestTearLineSplitsPersistingLine(t *testing.T) {
 	for i := split; i < LineSize; i++ {
 		if img[i] != 0 {
 			t.Fatalf("torn tail byte %d = %#x, want previous durable content", i, img[i])
+		}
+	}
+}
+
+// TestStreamedLineLiesLikeFlushedLine holds a line written by one streaming
+// store to the same line written by a store + clwb, each then fenced: in
+// the crash model they are one event (see WriteNT), so under a drop-flush
+// aimed at the line, a lying fence and a torn line both sides must count
+// the same lies, leave the same lines dirty, and materialize the same
+// crash images before and after the fence.
+func TestStreamedLineLiesLikeFlushedLine(t *testing.T) {
+	const line = 2 * LineSize
+	data := bytes.Repeat([]byte{0xEE}, LineSize)
+	type outcome struct {
+		flushes, fences, torn int64
+		dirty                 []int64
+		unfenced, fenced      []byte
+	}
+	run := func(plan func() *FaultPlan, streamed bool) outcome {
+		d := mkTracked(t)
+		d.SetFaultPlan(plan())
+		if streamed {
+			d.WriteNT(line, data)
+		} else {
+			d.Write(line, data)
+			d.Flush(line, LineSize)
+		}
+		unfenced := d.CrashImage(CrashPersistAll)
+		d.Fence()
+		return outcome{d.Stats.LiedFlushes.Load(), d.Stats.LiedFences.Load(), d.Stats.TornLines.Load(),
+			d.DirtyLines(), unfenced, d.CrashImage(CrashDropAll)}
+	}
+	for _, c := range []struct {
+		name string
+		plan func() *FaultPlan
+		lies func(outcome) int64
+	}{
+		{"drop-flush", func() *FaultPlan {
+			p := NewFaultPlan(FaultDropFlush, 1)
+			p.FlushEvery = 1
+			p.Filter = func(lineOff int64) bool { return lineOff == line }
+			return p
+		}, func(o outcome) int64 { return o.flushes }},
+		{"drop-fence", func() *FaultPlan {
+			p := NewFaultPlan(FaultDropFence, 1)
+			p.FenceEvery = 1
+			return p
+		}, func(o outcome) int64 { return o.fences }},
+		{"torn-line", func() *FaultPlan { return NewFaultPlan(FaultTearLine, 5) },
+			func(o outcome) int64 { return o.torn }},
+	} {
+		streamed, flushed := run(c.plan, true), run(c.plan, false)
+		if c.lies(streamed) != 1 {
+			t.Errorf("%s: the streamed side told %d lies, want 1", c.name, c.lies(streamed))
+		}
+		if !reflect.DeepEqual(streamed, flushed) {
+			t.Errorf("%s: the lie surfaces differently when the line was streamed than when it was clwb'd:\n streamed %d/%d/%d lies, dirty %v\n flushed  %d/%d/%d lies, dirty %v",
+				c.name, streamed.flushes, streamed.fences, streamed.torn, streamed.dirty,
+				flushed.flushes, flushed.fences, flushed.torn, flushed.dirty)
 		}
 	}
 }

@@ -15,11 +15,12 @@ const (
 	// AppSyscalls: kernel crossings charged to the app, counted by the
 	// kernel so involuntary work (lease reclaims) is attributed too.
 	AppSyscalls
-	// AppFlushes: cache-line write-backs issued by the app's threads.
+	// AppFlushes: cache lines the app's threads wrote back.
 	AppFlushes
 	// AppFences: ordering fences issued by the app's threads.
 	AppFences
-	// AppNTStores: non-temporal streaming stores by the app's threads.
+	// AppNTStores: cache lines the app's threads wrote with non-temporal
+	// streaming stores.
 	AppNTStores
 	// AppAdmitQueued: kernel crossings that queued in the fair-share
 	// admission scheduler instead of taking the fast path.

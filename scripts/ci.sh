@@ -47,6 +47,7 @@ for p in 1 2 4; do
   GOMAXPROCS=$p go test -race -count=2 \
     -run 'Compact|HandoffChurn|HandoffTurn|Reacquire|UnlinkOfCommitted|ReleaseAllSpan|ReleaseAllLockOrder|TestBug43|TestBug46|ShardStress|ParsesOnce|SetRef|Delegated|RepeatAcquire|StatNeverTears|StatVsConcurrentWriters|CountedSpin|AcquireGuard|ACLDies|ShardStatsKinds|TestCrossing|InodeRecordCrashAtomic|LookupDuringGrowth' \
     ./internal/libfs/ ./internal/kernel/ ./internal/htable/ ./internal/hlock/
+  GOMAXPROCS=$p go test -race -count=2 -run AppRowMatchesDevice ./internal/core/
 done
 
 step "fuzz the path cursor for 5 s (native Go fuzzing; the seed corpus already ran under go test)"
