@@ -23,6 +23,7 @@ func Run(t *testing.T, mk func(t *testing.T) fsapi.FS) {
 	t.Run("UnlinkRmdir", func(t *testing.T) { testUnlinkRmdir(t, mk(t)) })
 	t.Run("RenameFile", func(t *testing.T) { testRenameFile(t, mk(t)) })
 	t.Run("Truncate", func(t *testing.T) { testTruncate(t, mk(t)) })
+	t.Run("GrowthReadsZeroes", func(t *testing.T) { testGrowthReadsZeroes(t, mk(t)) })
 	t.Run("LargeIO", func(t *testing.T) { testLargeIO(t, mk(t)) })
 	t.Run("ParallelPrivateDirs", func(t *testing.T) { testParallel(t, mk(t)) })
 }
@@ -234,6 +235,86 @@ func testTruncate(t *testing.T, fs fsapi.FS) {
 	if n, _ := w.ReadAt(fd, got, 0); n != 5000 || !bytes.Equal(got, blob[:5000]) {
 		t.Fatalf("data after shrink: n=%d", n)
 	}
+}
+
+// testGrowthReadsZeroes: bytes a file held past its size before a shrink,
+// and whatever a fresh block held before it was allocated, read back as
+// zeroes once the file grows over them, by truncate or by a write past the
+// end. The file system's freed pages are recycled first, so a block that
+// is never zeroed cannot pass for one that was.
+func testGrowthReadsZeroes(t *testing.T, fs fsapi.FS) {
+	w := fs.NewThread(0)
+	junk := bytes.Repeat([]byte{0xA5}, 32<<10)
+	mustOK := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	write := func(fd fsapi.FD, p []byte, off int64) {
+		t.Helper()
+		if n, err := w.WriteAt(fd, p, off); err != nil || n != len(p) {
+			t.Fatalf("WriteAt(%d bytes at %d) = %d, %v", len(p), off, n, err)
+		}
+	}
+	// open creates path holding n junk bytes.
+	open := func(path string, n int) fsapi.FD {
+		t.Helper()
+		mustOK(w.Create(path))
+		fd, err := w.Open(path)
+		mustOK(err)
+		if n > 0 {
+			write(fd, junk[:n], 0)
+		}
+		return fd
+	}
+	// zeroes requires path's size to be size and [from, to) to read zero.
+	zeroes := func(path string, fd fsapi.FD, size uint64, from, to int64) {
+		t.Helper()
+		if st, err := w.Stat(path); err != nil || st.Size != size {
+			t.Fatalf("Stat(%s) = %+v, %v; want size %d", path, st, err, size)
+		}
+		got := make([]byte, to-from)
+		if n, err := w.ReadAt(fd, got, from); err != nil || n != len(got) {
+			t.Fatalf("ReadAt(%s, [%d, %d)) = %d, %v", path, from, to, n, err)
+		}
+		for i, b := range got {
+			if b != 0 {
+				t.Fatalf("%s: byte %d reads %#x, want 0", path, from+int64(i), b)
+			}
+		}
+	}
+
+	fd := open("/recycled", len(junk))
+	mustOK(w.Close(fd))
+	mustOK(w.Unlink("/recycled"))
+	// A file system that parks freed pages behind a grace period hands
+	// them back to its allocator at a release.
+	if r, ok := fs.(interface{ ReleaseAll() error }); ok {
+		mustOK(r.ReleaseAll())
+	}
+
+	fd = open("/shrunk", 8192)
+	mustOK(w.Truncate("/shrunk", 100))
+	mustOK(w.Truncate("/shrunk", 8192))
+	zeroes("/shrunk", fd, 8192, 100, 8192)
+
+	fd = open("/written", 8192)
+	mustOK(w.Truncate("/written", 100))
+	write(fd, []byte{1}, 200)
+	zeroes("/written", fd, 201, 100, 200)
+
+	fd = open("/fresh", 0)
+	write(fd, junk[:125], 0)
+	mustOK(w.Truncate("/fresh", 4096))
+	zeroes("/fresh", fd, 4096, 125, 4096)
+
+	// Past the end, across a block boundary: the rest of the old last
+	// block, a fresh block's head, and a fresh block after it.
+	fd = open("/crossing", 8192)
+	mustOK(w.Truncate("/crossing", 100))
+	write(fd, junk[:200], 8100)
+	zeroes("/crossing", fd, 8300, 100, 8100)
 }
 
 func testLargeIO(t *testing.T, fs fsapi.FS) {

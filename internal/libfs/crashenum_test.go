@@ -1,8 +1,13 @@
 package libfs
 
 import (
+	"bytes"
+	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 
+	"arckfs/internal/fsapi"
 	"arckfs/internal/kernel"
 	"arckfs/internal/layout"
 	"arckfs/internal/pmem"
@@ -248,6 +253,186 @@ func TestInodeRecordCrashAtomic(t *testing.T) {
 			t.Errorf("%s: %d of %d crash images hold a corrupt inode record", op.name, torn, images)
 		}
 	}
+}
+
+// bootGrowth commits /f at 100 bytes over a junk tail — 8 KiB of 0xAB
+// shrunk to 100 — on a pool of junk pages, and returns it open with
+// tracking on.
+func bootGrowth(t *testing.T) (*pmem.Device, *Thread, fsapi.FD) {
+	t.Helper()
+	dev := pmem.New(4<<20, nil)
+	ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := New(ctrl, ctrl.RegisterApp(0, 0), Options{})
+	w := th(t, fs)
+	dirtyPool(t, w, 4*layout.PageSize) // the write's fresh blocks must not pass for zeroes
+	if err := w.Create("/f"); err != nil {
+		t.Fatal(err)
+	}
+	fd, err := w.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.WriteAt(fd, bytes.Repeat([]byte{0xAB}, 2*layout.PageSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Truncate("/f", 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.ReleaseAll(); err != nil { // committed: 100 bytes over a junk tail is the durable baseline
+		t.Fatal(err)
+	}
+	dev.EnableTracking()
+	return dev, w, fd
+}
+
+// TestGrowthZeroesCrashStates takes, at every fence of a truncate-grow and
+// of a write past the end, the crash images where every dirty line is kept
+// or lost together, and where each one alone is kept or alone is lost. Each
+// image must recover fsck-clean, and every gap byte below the recovered
+// size must read zero: the zeroes are durable before the size that exposes
+// them. A map line kept without the size makes the file unreadable at
+// acquire (ROADMAP 3(b), not this test's concern); those images are counted
+// and skipped.
+func TestGrowthZeroesCrashStates(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		gapEnd int64 // [100, gapEnd) must read zero once grown
+		grow   func(w *Thread, fd fsapi.FD) error
+	}{
+		{"truncate-grow", 2 * layout.PageSize, func(w *Thread, _ fsapi.FD) error {
+			return w.Truncate("/f", 2*layout.PageSize)
+		}},
+		// Zeroes the rest of block 0 and the head of fresh block 1, then
+		// writes across into fresh block 2.
+		{"write-past-eof", 6000, func(w *Thread, fd fsapi.FD) error {
+			_, err := w.WriteAt(fd, bytes.Repeat([]byte{0x5A}, 4000), 6000)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev, w, fd := bootGrowth(t)
+			var imgs [][]byte
+			dev.SetFenceObserver(func() {
+				imgs = append(imgs, dev.CrashImage(pmem.CrashDropAll), dev.CrashImage(pmem.CrashPersistAll))
+				for _, l := range dev.DirtyLines() {
+					for _, alone := range []bool{true, false} {
+						imgs = append(imgs, dev.CrashImage(func(o int64, versions int) int {
+							if (o == l) == alone {
+								return versions
+							}
+							return 0
+						}))
+					}
+				}
+			})
+			err := tc.grow(w, fd)
+			dev.SetFenceObserver(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			grown, torn := 0, 0
+			for i, img := range imgs {
+				got, err := recoverFile(t, tc.name, img)
+				if err != nil && strings.Contains(err.Error(), "block pointer beyond size") {
+					torn++
+					continue
+				}
+				if err != nil {
+					t.Fatalf("image %d: %v", i, err)
+				}
+				if len(got) > 100 {
+					grown++
+				}
+				gap := got[min(100, len(got)):min(tc.gapEnd, int64(len(got)))]
+				if j := nonZero(gap); j >= 0 {
+					t.Fatalf("image %d: recovered size %d, gap byte at %d reads %#x", i, len(got), 100+j, gap[j])
+				}
+			}
+			if grown == 0 {
+				t.Fatalf("none of %d images recovered the grown file; the enumeration is vacuous", len(imgs))
+			}
+			t.Logf("%d images, %d grown, %d map lines without the size", len(imgs), grown, torn)
+		})
+	}
+}
+
+// TestGrowthZeroesConcurrentReader grows a junk-tailed file while a
+// lock-free reader loops ReadAt across the gap: it must read the old EOF
+// (nothing) or zeroes, never the pre-shrink bytes. The zeroes are stored
+// before the size is published, so the reader that sees the size also
+// sees them; the bytes it reads are never the ones being zeroed.
+func TestGrowthZeroesConcurrentReader(t *testing.T) {
+	fs := newFS(t, BugsNone, nil)
+	w := th(t, fs)
+	const old, grown = 100, 2 * layout.PageSize
+	for round := 0; round < 40; round++ {
+		path := fmt.Sprintf("/g%d", round)
+		if err := w.Create(path); err != nil {
+			t.Fatal(err)
+		}
+		fd, err := w.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.WriteAt(fd, bytes.Repeat([]byte{0xAB}, grown), 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Truncate(path, old); err != nil {
+			t.Fatal(err)
+		}
+		var stop atomic.Bool
+		started, done := make(chan struct{}), make(chan error, 1)
+		go func() {
+			r := fs.NewThread(1).(*Thread)
+			defer r.Detach()
+			rfd, err := r.Open(path)
+			close(started)
+			if err != nil {
+				done <- err
+				return
+			}
+			buf := make([]byte, grown-old)
+			for {
+				last := stop.Load()
+				n, err := r.ReadAt(rfd, buf, old)
+				if err != nil {
+					done <- err
+					return
+				}
+				if j := nonZero(buf[:n]); j >= 0 {
+					done <- fmt.Errorf("%s: gap byte at %d reads %#x", path, old+j, buf[j])
+					return
+				}
+				if last {
+					if n != len(buf) {
+						done <- fmt.Errorf("%s: read %d bytes past the old EOF after the grow, want %d", path, n, len(buf))
+						return
+					}
+					done <- nil
+					return
+				}
+			}
+		}()
+		<-started
+		err = w.Truncate(path, grown)
+		stop.Store(true)
+		if rerr := <-done; err != nil || rerr != nil {
+			t.Fatalf("grow: %v; reader: %v", err, rerr)
+		}
+	}
+}
+
+// nonZero returns the index of b's first non-zero byte, or -1.
+func nonZero(b []byte) int {
+	for i, c := range b {
+		if c != 0 {
+			return i
+		}
+	}
+	return -1
 }
 
 // TestBatchedCreateCrashEnumerationAtMarkerWindow enumerates crash

@@ -171,9 +171,11 @@ func TestDelegatedWriteLineCounts(t *testing.T) {
 		{"aligned", 0, dataLines + metaNT, 32},
 		// Offset 5000 leaves a 56-byte head and an 8-byte tail: two edge
 		// lines flushed by the coordinator, 16 383 interior lines streamed,
-		// the two partially covered blocks zero-streamed first (128 lines),
-		// and map entries 1..257 span 33 lines.
-		{"ragged", 5000, dataLines - 1 + 128 + metaNT, 33 + 2},
+		// and map entries 1..257 span 33 lines. Of the two partially
+		// covered fresh blocks only block 1's head gap [4096, 5000) is
+		// zero-streamed, rounded up to the line holding 5000: 15 lines.
+		// Block 257's tail lies past the new size and is not zeroed.
+		{"ragged", 5000, dataLines - 1 + 15 + metaNT, 33 + 2},
 	} {
 		nt, flushes, fences := run(tc.off)
 		if nt != tc.nt || flushes != tc.flushes {

@@ -1,6 +1,7 @@
 package libfs
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -136,6 +137,106 @@ func TestTruncateFlushCountBatched(t *testing.T) {
 	}
 	if fences := dev.Stats.Fences.Load() - beforeFe; fences != 1 {
 		t.Fatalf("batched truncate issued %d fences, want 1", fences)
+	}
+}
+
+// growthRig is a file /f holding n bytes of 0xAB, open as fd.
+func growthRig(t *testing.T, n int) (*FS, *Thread, fsapi.FD) {
+	t.Helper()
+	fs := newFS(t, BugsNone, nil)
+	w := th(t, fs)
+	if err := w.Create("/f"); err != nil {
+		t.Fatal(err)
+	}
+	fd, err := w.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.WriteAt(fd, bytes.Repeat([]byte{0xAB}, n), 0); err != nil {
+		t.Fatal(err)
+	}
+	return fs, w, fd
+}
+
+// persistDelta runs op and returns the lines it streamed and flushed and
+// the fences it issued.
+func persistDelta(t *testing.T, dev *pmem.Device, op func() error) (nt, flushes, fences int64) {
+	t.Helper()
+	s := &dev.Stats
+	nt0, fl0, fe0 := s.NTStores.Load(), s.Flushes.Load(), s.Fences.Load()
+	if err := op(); err != nil {
+		t.Fatal(err)
+	}
+	return s.NTStores.Load() - nt0, s.Flushes.Load() - fl0, s.Fences.Load() - fe0
+}
+
+// TestFreshBlockAppendStreamsNoZeroes pins a WAL record landing in a fresh
+// block: the block lies past the size and the write starts at its first
+// byte, so nothing is zeroed. The only line streamed is the inode record;
+// the 125 bytes are two stored and flushed lines, the new map entry one
+// more; data and metadata are one fence each. Before the block was
+// zero-streamed whole: 64 lines more.
+func TestFreshBlockAppendStreamsNoZeroes(t *testing.T) {
+	fs, w, fd := growthRig(t, layoutPageSize)
+	nt, flushes, fences := persistDelta(t, fs.dev, func() error {
+		_, err := w.WriteAt(fd, make([]byte, 125), layoutPageSize)
+		return err
+	})
+	if nt != 1 || flushes != 2+1 || fences != 2 {
+		t.Fatalf("125-byte append into a fresh block: %d NT lines, %d flushed, %d fences; want 1, 3, 2", nt, flushes, fences)
+	}
+}
+
+// TestTruncateGrowFences pins what a growing truncate pays for the gap it
+// exposes. From an aligned size the gap is all hole: the inode record
+// alone, one fence, as before. From 100 the rest of block 0 is zeroed in
+// an epoch of its own: the line [64, 128) stored and flushed, the 62 lines
+// [128, 4096) streamed, and one fence more.
+func TestTruncateGrowFences(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		from                int
+		nt, flushes, fences int64
+	}{
+		{"aligned", layoutPageSize, 1, 0, 1},
+		{"unaligned", 100, 62 + 1, 1, 2},
+	} {
+		fs, w, _ := growthRig(t, tc.from)
+		nt, flushes, fences := persistDelta(t, fs.dev, func() error { return w.Truncate("/f", 2*layoutPageSize) })
+		if nt != tc.nt || flushes != tc.flushes || fences != tc.fences {
+			t.Errorf("%s: %d NT lines, %d flushed, %d fences; want %d, %d, %d",
+				tc.name, nt, flushes, fences, tc.nt, tc.flushes, tc.fences)
+		}
+	}
+}
+
+// TestTruncateToOneTiB: the map chain for 1 TiB does not fit the device,
+// so the truncate fails with ENOSPC, promptly, and leaves the size as it
+// was — it used to publish the new size before finding that out. The gap
+// walk toward 1 TiB visits only the file's one block: one store for the
+// ragged line, one for the streamed rest.
+func TestTruncateToOneTiB(t *testing.T) {
+	fs, w, fd := growthRig(t, 100)
+	if err := w.Truncate("/f", 1<<40); !errors.Is(err, fsapi.ErrNoSpace) {
+		t.Fatalf("Truncate to 1 TiB: %v, want ErrNoSpace", err)
+	}
+	if st, err := w.Stat("/f"); err != nil || st.Size != 100 {
+		t.Fatalf("Stat after the failed truncate: %+v, %v; want size 100", st, err)
+	}
+	if n, err := w.ReadAt(fd, make([]byte, 8), 100); n != 0 || err != nil {
+		t.Fatalf("ReadAt past the old size after the failed truncate: %d, %v; want 0, nil", n, err)
+	}
+	mi, err := w.lookupFD(fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := fs.dev.Stats.Stores.Load()
+	if !fs.zeroGap(w, mi.file.Load(), 100, 1<<40) {
+		t.Fatal("zeroGap stored nothing over the tail of an allocated block")
+	}
+	w.pb.Barrier()
+	if n := fs.dev.Stats.Stores.Load() - stores; n != 2 {
+		t.Fatalf("zeroGap toward 1 TiB issued %d stores, want 2", n)
 	}
 }
 

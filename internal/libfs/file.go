@@ -6,6 +6,7 @@ import (
 
 	"arckfs/internal/fsapi"
 	"arckfs/internal/layout"
+	"arckfs/internal/pmem"
 )
 
 // Open returns a descriptor for an existing file or directory.
@@ -121,6 +122,22 @@ func (fs *FS) lockHeld(t *Thread, mi *minode) error {
 	}
 }
 
+// Bytes past the size. A byte at or past a file's size is unspecified,
+// and whatever makes it readable zeroes it first. Nothing zeroes a block
+// when a write or a shrink leaves part of it past the size; the zeroing
+// happens when the size grows over it:
+//
+//   - a write past the end zeroes the gap [size, off) in the blocks the
+//     file already has (zeroGap), and the head [blockStart, off) of a
+//     fresh block it starts in;
+//   - a growing Truncate zeroes [size, new size) in the blocks the file
+//     already has (zeroGap);
+//   - a fresh block below the size — a hole being filled — is zeroed
+//     whole, because its pointer is reachable the instant it is stored.
+//
+// Holes read as zeroes and need nothing. The zeroes are stored before the
+// size that exposes them is published, and durable before the inode
+// record that persists it.
 func (fs *FS) writeAt(t *Thread, mi *minode, p []byte, off int64) (int, error) {
 	if mi.typ != layout.TypeFile {
 		return 0, fsapi.ErrIsDir
@@ -142,15 +159,16 @@ func (fs *FS) writeAt(t *Thread, mi *minode, p []byte, off int64) (int, error) {
 
 	end := uint64(off) + uint64(len(p))
 	needBlocks := layout.BlocksForSize(end)
+	curSize := st.size.Load()
+	if uint64(off) > curSize {
+		fs.zeroGap(t, st, curSize, uint64(off))
+	}
 
-	// Pass 1: allocate every missing block the write touches, zeroing
-	// blocks the write covers only partially. The zeroes are streamed so
-	// they are durable at the data barrier (the old code never flushed
-	// them, so a crash could expose garbage through a fenced pointer).
+	// Pass 1: allocate every missing block the write touches. Its zeroes,
+	// like zeroGap's, are durable at the data barrier.
 	t.dirty = t.dirty[:0]
 	st.ensureBlocks(needBlocks)
 	arr := st.blockArr()
-	curSize := st.size.Load()
 	firstBlock := int(off / layout.PageSize)
 	lastBlock := int((end - 1) / layout.PageSize)
 	for bi := firstBlock; bi <= lastBlock; bi++ {
@@ -159,21 +177,20 @@ func (fs *FS) writeAt(t *Thread, mi *minode, p []byte, off int64) (int, error) {
 		}
 		b, err := fs.allocPage(t, t.cpu)
 		if err != nil {
+			t.pb.Drain()
 			return 0, err
 		}
-		fullyCovered := int64(bi)*layout.PageSize >= off &&
-			uint64(bi+1)*layout.PageSize <= end
-		// Zero the fresh page before publishing its pointer when (a) the
-		// write covers it only partially — the gap bytes must be durable
-		// zeroes at the data barrier — or (b) the block sits below the
-		// published size (a hole being filled): that pointer is reachable
-		// the instant it is stored, before pass 2 copies the data, and a
-		// lock-free reader must find zeroes there, never the recycled
-		// page's previous contents. Blocks at or beyond curSize stay
-		// unzeroed when fully covered — the publish-size-last ordering
-		// keeps them invisible until the copy lands.
-		if !fullyCovered || uint64(bi)*layout.PageSize < curSize {
+		// A fresh block below the published size is reachable the
+		// instant its pointer is stored, before pass 2 copies the data:
+		// a lock-free reader must find zeroes there, never the recycled
+		// page's previous contents. A fresh block at or past it stays
+		// invisible until the size is published, so only the gap in
+		// front of the write, rounded up to off's line, is zeroed.
+		start := int64(bi) * layout.PageSize
+		if uint64(start) < curSize {
 			t.pb.ZeroStream(int64(b*layout.PageSize), layout.PageSize)
+		} else if off > start {
+			t.pb.ZeroStream(int64(b*layout.PageSize), (off-start+pmem.LineSize-1)/pmem.LineSize*pmem.LineSize)
 		}
 		arr[bi].Store(b)
 		t.dirty = append(t.dirty, bi)
@@ -244,6 +261,46 @@ func (fs *FS) ensureMapCapacity(t *Thread, mi *minode, n int) error {
 	return nil
 }
 
+// zeroGap zeroes [from, to) in every allocated block of st: the bytes a
+// growing write or truncate is about to make readable. Holes already read
+// as zeroes and are skipped, and the walk stops at st.nblocks, so a far
+// target costs the blocks the file has, not the blocks it would span.
+// Whole lines are streamed; the ragged edge lines are stored and flushed.
+// Everything is durable at the caller's next Barrier. It reports whether
+// it stored anything.
+func (fs *FS) zeroGap(t *Thread, st *fileState, from, to uint64) bool {
+	if from >= to {
+		return false
+	}
+	arr := st.blockArr()
+	stored := false
+	last := min(st.nblocks, layout.BlocksForSize(to))
+	for bi := int(from / layout.PageSize); bi < last; bi++ {
+		b := arr[bi].Load()
+		if b == 0 {
+			continue
+		}
+		start := uint64(bi) * layout.PageSize
+		base := int64(b*layout.PageSize) - int64(start)
+		lo, hi := base+int64(max(from, start)), base+int64(min(to, start+layout.PageSize))
+		head := min((lo+pmem.LineSize-1)/pmem.LineSize*pmem.LineSize, hi)
+		tail := max(hi/pmem.LineSize*pmem.LineSize, head)
+		if head > lo {
+			fs.dev.Zero(lo, head-lo)
+			t.pb.Flush(lo, head-lo)
+		}
+		if tail > head {
+			t.pb.ZeroStream(head, tail-head)
+		}
+		if hi > tail {
+			fs.dev.Zero(tail, hi-tail)
+			t.pb.Flush(tail, hi-tail)
+		}
+		stored = true
+	}
+	return stored
+}
+
 // persistFileInode streams mi's rewritten inode record (size, mtime, root
 // pointer) into the batch. The caller issues the Barrier.
 func (fs *FS) persistFileInode(t *Thread, mi *minode) {
@@ -261,7 +318,8 @@ func (fs *FS) persistFileInode(t *Thread, mi *minode) {
 }
 
 // Truncate sets path's size. Shrinking frees whole blocks beyond the new
-// size; growing leaves a hole.
+// size and leaves the cut tail of the last one as it is; growing zeroes
+// that tail (see writeAt for the rule) and leaves a hole beyond it.
 func (t *Thread) Truncate(path string, size uint64) (err error) {
 	defer t.endOp(t.beginOp(fsapi.OpTruncate), &err)
 	fs := t.fs
@@ -280,11 +338,16 @@ func (t *Thread) Truncate(path string, size uint64) (err error) {
 		return err
 	}
 	st := mi.file.Load()
-	if size >= st.size.Load() {
-		st.size.Store(size)
+	if old := st.size.Load(); size >= old {
 		if err := fs.ensureMapCapacity(t, mi, layout.BlocksForSize(size)); err != nil {
 			return err
 		}
+		// The zeroes get their own epoch: a crash must not keep the new
+		// size without them. A grow from an aligned size stores none.
+		if fs.zeroGap(t, st, old, size) {
+			t.pb.Barrier()
+		}
+		st.size.Store(size)
 		fs.persistFileInode(t, mi)
 		t.pb.Barrier()
 		mi.cacheAttrs(st.size.Load(), 1, fs.clock.Load())
