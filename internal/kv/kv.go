@@ -6,6 +6,11 @@
 // dominated by file data operations, which is exactly why ArckFS and
 // ArckFS+ perform alike on it.
 //
+// Every write-ahead log record is zero-padded to a multiple of 64 bytes,
+// so a Put streams whole cache lines instead of storing and flushing
+// ragged ones. Open replays the log up to its first torn record and cuts
+// the log there before appending.
+//
 // Level 0 holds flushed memtables, newest first, and they may overlap.
 // Every deeper level is one sorted run of disjoint tables, so a Get probes
 // at most one table per level. A full level 0 merges with the level-1
@@ -103,10 +108,11 @@ func Open(fs fsapi.FS, opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.pushed = make([][]byte, len(db.levels))
-	if err := db.replayWAL(); err != nil {
+	end, err := db.replayWAL()
+	if err != nil {
 		return nil, err
 	}
-	w, err := openWAL(db.t, db.walPath())
+	w, err := openWAL(db.t, db.walPath(), end)
 	if err != nil {
 		return nil, err
 	}

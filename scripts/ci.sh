@@ -48,6 +48,7 @@ for p in 1 2 4; do
     -run 'Compact|HandoffChurn|HandoffTurn|Reacquire|UnlinkOfCommitted|ReleaseAllSpan|ReleaseAllLockOrder|TestBug43|TestBug46|ShardStress|ParsesOnce|SetRef|Delegated|RepeatAcquire|StatNeverTears|StatVsConcurrentWriters|CountedSpin|AcquireGuard|ACLDies|ShardStatsKinds|TestCrossing|InodeRecordCrashAtomic|LookupDuringGrowth|GrowthZeroes' \
     ./internal/libfs/ ./internal/kernel/ ./internal/htable/ ./internal/hlock/
   GOMAXPROCS=$p go test -race -count=2 -run AppRowMatchesDevice ./internal/core/
+  GOMAXPROCS=$p go test -race -count=2 -run 'ConcurrentReaders|WAL' ./internal/kv/
 done
 
 step "fuzz the path cursor for 5 s (native Go fuzzing; the seed corpus already ran under go test)"
