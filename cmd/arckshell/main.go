@@ -224,7 +224,7 @@ func printTrace(sys *arckfs.System, args []string) {
 			switch ev.Kind {
 			case telemetry.SpanEvCrossing:
 				kind = telemetry.EventKind(ev.A).String()
-			case telemetry.SpanEvReleaseBatch:
+			case telemetry.SpanEvReleaseBatch, telemetry.SpanEvAcquireBatch:
 				kind, inodes = telemetry.SpanEventName(ev.Kind), fmt.Sprintf(" %d inode(s)", ev.A)
 			default:
 				continue
@@ -263,7 +263,7 @@ func printSpans(sys *arckfs.System, n int) {
 			switch ev.Kind {
 			case telemetry.SpanEvCrossing:
 				detail = fmt.Sprintf("%s %.2fµs", telemetry.EventKind(ev.A), float64(ev.B)/1e3)
-			case telemetry.SpanEvReleaseBatch:
+			case telemetry.SpanEvReleaseBatch, telemetry.SpanEvAcquireBatch:
 				detail = fmt.Sprintf("1 crossing, %d inode(s) %.2fµs", ev.A, float64(ev.B)/1e3)
 			}
 			fmt.Printf("        +%8.2fµs %-13s %s\n",

@@ -115,7 +115,8 @@ func assertSameFlightShape(t *testing.T, a, b *span.FlightRecord) {
 			}
 			// B is a duration for crossings; it is only pinned for the
 			// deterministic kinds (flush line counts, ntstore sizes...).
-			timed := ea.Kind == telemetry.SpanEvCrossing || ea.Kind == telemetry.SpanEvReleaseBatch
+			timed := ea.Kind == telemetry.SpanEvCrossing || ea.Kind == telemetry.SpanEvReleaseBatch ||
+				ea.Kind == telemetry.SpanEvAcquireBatch
 			if !timed && ea.B != eb.B {
 				t.Fatalf("flight span %d event %d payload differs: %v vs %v", i, j, ea, eb)
 			}

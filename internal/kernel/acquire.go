@@ -224,9 +224,11 @@ func (c *Controller) acquireHeld(se *shadowEnt, appID AppID, ino uint64, write b
 		se.lease = c.now().Add(c.opts.LeaseTTL)
 		return se.mapping, nil, false
 	}
+	if se.owner != 0 && c.prefetchHeld(se, a) {
+		return nil, errBusy(ino, se.owner), false
+	}
 	if se.owner != 0 && !c.reclaimDormant(se, true) {
-		holder := c.lookupApp(se.owner)
-		if holder != nil && holder.group.Load() != 0 && holder.group.Load() == a.group.Load() {
+		if sameGroup(c.lookupApp(se.owner), a) {
 			return c.groupTransfer(se, appID), nil, false
 		}
 		if c.now().Before(se.lease) {
@@ -246,6 +248,114 @@ func (c *Controller) acquireHeld(se *shadowEnt, appID AppID, ino uint64, write b
 		return nil, err, false
 	}
 	return se.mapping, nil, false
+}
+
+// AcquireBatch takes back, in one crossing, what a LibFS lost since its
+// last hold: inos[0] is the inode whose lease miss prompted the crossing,
+// the rest the other inodes it lost to a lease miss in its previous hold.
+// inos[0] is acquired exactly as Acquire does it, with write intent — the
+// same errors, ErrBusy and the punt to the exclusive epoch — and its error
+// is the batch's; on an error nothing else is granted. Every other inode
+// is granted only if another application holds it dormant (handOverDormant)
+// and comes back as a dormant mapping appID may Reactivate without a
+// crossing. Until appID reactivates it or ends its hold (Mapping.EndHold),
+// apps outside appID's trust group meet it as held (prefetchHeld); after
+// that it is an ordinary dormant lease. Anything else in the tail is
+// skipped, out[i] nil: no error, no involuntary release, no parse.
+//
+// The crossing holds the shared epoch and one shard lock at a time, in
+// list order; an inos[0] that punts is acquired alone under the exclusive
+// epoch. Acquires counts every inode mapped. sink (nil-safe) receives
+// timed admission- and shard-wait events. A list longer than
+// MaxReleaseBatch is refused whole.
+func (c *Controller) AcquireBatch(appID AppID, inos []uint64, sink telemetry.SpanSink) ([]*Mapping, error) {
+	defer c.syscallObserved(appID, sink)()
+	if len(inos) == 0 || len(inos) > MaxReleaseBatch {
+		return nil, fmt.Errorf("acquire of %d inodes outside the batch cap 1..%d: %w", len(inos), MaxReleaseBatch, fsapi.ErrInval)
+	}
+	c.Stats.Acquires.Add(1)
+	out := make([]*Mapping, len(inos))
+	err, punt := c.acquireBatchFast(appID, inos, out, sink)
+	if punt {
+		out[0], err = c.acquireExcl(appID, inos[0], true)
+	}
+	return out, err
+}
+
+// acquireBatchFast is AcquireBatch on the shared epoch: inos[0] as
+// acquireFast does it, then the tail.
+func (c *Controller) acquireBatchFast(appID AppID, inos []uint64, out []*Mapping, sink telemetry.SpanSink) (err error, punt bool) {
+	e := c.epoch.RLock()
+	defer c.epoch.RUnlock(e)
+	sh := c.lockShard(inos[0], sink)
+	out[0], err, punt = c.acquireHeld(sh.m[inos[0]], appID, inos[0], true, nil)
+	sh.mu.Unlock()
+	if err != nil || punt {
+		return err, punt
+	}
+	a := c.lookupApp(appID)
+	if a == nil {
+		return nil, false // unregistered since the head: grant nothing more
+	}
+	for i := 1; i < len(inos); i++ {
+		sh := c.lockShard(inos[i], sink)
+		out[i] = c.handOverDormant(sh.m[inos[i]], a, appID)
+		sh.mu.Unlock()
+	}
+	return nil, false
+}
+
+// prefetchHeld reports whether se's mapping is a batch's prefetch that a's
+// acquire must meet as held: dormant, neither reactivated nor released from
+// its hold by its owner (Mapping.held), within its lease, and owned outside
+// a's trust group — a group peer takes it as it takes any dormant lease.
+// Without the hold, a read-only touch by the app the batch took the inode
+// from could take it straight back before the batch's owner touched it,
+// and turn that touch — a write, as likely as not — into ErrBusy, where a
+// single acquire at the touch would have left the reader the stale read.
+// Caller holds se's shard lock or the exclusive epoch.
+func (c *Controller) prefetchHeld(se *shadowEnt, a *app) bool {
+	m := se.mapping
+	if m == nil || !m.held.Load() || !m.dormant.Load() || !c.now().Before(se.lease) {
+		return false
+	}
+	holder := c.lookupApp(se.owner)
+	return holder != nil && !sameGroup(holder, a)
+}
+
+// sameGroup reports whether apps a and b (either may be nil) are in one
+// trust group.
+func sameGroup(a, b *app) bool {
+	return a != nil && b != nil && a.group.Load() != 0 && a.group.Load() == b.group.Load()
+}
+
+// handOverDormant grants a batch's tail inode se to a, application appID,
+// if another application holds it dormant and a may write it: the dormant
+// lease is reclaimed with its snapshot handed over, the inode is
+// established for a on that snapshot — no verification, no parse — and the
+// new mapping is left dormant and held (Mapping.held). It changes nothing
+// and returns nil for any other se: missing, uncommitted, inaccessible,
+// kernel-held, already a's, another batch's held prefetch, or actively held
+// (by a trust-group peer too), however stale that holder's lease. Caller
+// holds se's shard lock.
+func (c *Controller) handOverDormant(se *shadowEnt, a *app, appID AppID) *Mapping {
+	if se == nil || !se.info.Committed || se.inaccessible || se.owner == 0 || se.owner == appID || se.snap == nil || c.prefetchHeld(se, a) {
+		return nil
+	}
+	perm := se.info.Perm
+	if ov, ok := se.acl[appID]; ok {
+		perm = ov
+	}
+	if perm&layout.PermWrite == 0 || !c.reclaimDormant(se, true) {
+		return nil
+	}
+	if err := c.establish(se, appID); err != nil {
+		return nil // unreachable: the handed-over snapshot needs no parse
+	}
+	c.Stats.Acquires.Add(1)
+	se.mapping.held.Store(true)
+	se.mapping.dormant.Store(true)
+	return se.mapping
 }
 
 // groupTransfer hands se to a trust-group peer (§5.4): the holder's
@@ -555,6 +665,7 @@ func (c *Controller) transferHeld(se *shadowEnt, appID AppID, ino uint64, kind x
 		return nil, err
 	}
 	se.lease = c.now().Add(c.opts.LeaseTTL)
+	se.mapping.held.Store(false) // a released prefetch is an ordinary lease
 	se.mapping.dormant.Store(true)
 	return se.mapping, nil
 }

@@ -237,6 +237,12 @@ type Mapping struct {
 	// re-activating, or the kernel reclaiming for another app) owns the
 	// mapping's fate.
 	dormant atomic.Bool
+	// held marks a mapping an AcquireBatch prefetched. While it is dormant,
+	// held and within its lease, acquires from outside its app's trust
+	// group meet it as if its app had acquired it actively (prefetchHeld).
+	// The LibFS clears it when its hold ends (EndHold), the kernel when the
+	// mapping is lease-released.
+	held atomic.Bool
 }
 
 // Ino returns the mapped inode number.
@@ -267,6 +273,17 @@ func (m *Mapping) Reactivate() bool {
 	// it may already have been revoked (ForceRelease, deletion by a
 	// trust-group peer) before we got here.
 	return m.Valid()
+}
+
+// EndHold makes a prefetched mapping its app never reactivated an ordinary
+// dormant lease, which any other application's acquire may reclaim: the
+// LibFS side of the end of a hold, like Reactivate a store to the
+// mapping's shared word and no crossing. A nil or unprefetched mapping is
+// left as it is.
+func (m *Mapping) EndHold() {
+	if m != nil {
+		m.held.Store(false)
+	}
 }
 
 func (m *Mapping) revoke() {

@@ -27,6 +27,10 @@ import (
 //     old global mutex, so cross-inode atomicity is unchanged. A batch
 //     holds its epoch to its one fence, downgraded to shared for the
 //     files after its directories (transfer).
+//   - A vectored acquire (AcquireBatch) is single-inode crossings in
+//     sequence under one shared epoch: it takes its inodes' shard locks one
+//     at a time, in list order, and never holds two. Its first inode alone
+//     may punt to the exclusive epoch, after the shared one is dropped.
 //
 // The declared lock order (see internal/analysis lockorder) is
 // Controller.epoch < shadowShard.mu < Controller.appsMu < Mapping.mu.

@@ -1,6 +1,7 @@
 package libfs
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -377,6 +378,69 @@ func TestUnlinkOfCommittedFileFreesItsPages(t *testing.T) {
 	}
 	if rep, err := kernel.Fsck(dev, kernel.Options{}); err != nil || !rep.Clean() {
 		t.Fatalf("fsck: %v %v", rep, err)
+	}
+}
+
+// TestGrownCommittedFileLeaksNoPages: pages a LibFS adds to a committed
+// file stay app-granted until the kernel next verifies the file, so when
+// an unlink, or a shrink, drops them first they are the LibFS's to recycle
+// — the kernel frees only the pages it verified. They used to stay granted
+// to an app that had forgotten them: two pages a round when an empty
+// committed file gets a block at 1 MiB (the block and its map page) and is
+// unlinked, one when a file is shrunk to nothing after the same write (the
+// block; the shrink also cuts a verified block, which the kernel frees).
+func TestGrownCommittedFileLeaksNoPages(t *testing.T) {
+	for _, cut := range []string{"unlink", "shrink"} {
+		t.Run(cut, func(t *testing.T) {
+			dev := pmem.New(16<<20, nil)
+			ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 1 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs := New(ctrl, ctrl.RegisterApp(0, 0), Options{GrantPageBatch: 16})
+			w := th(t, fs)
+			settle := func() {
+				t.Helper()
+				if err := fs.ReleaseAll(); err != nil {
+					t.Fatal(err)
+				}
+				fs.dom.Barrier()
+				fs.ReturnGrants()
+			}
+			block := bytes.Repeat([]byte{0x5A}, layout.PageSize)
+			for round := 0; round < 4; round++ {
+				p := fmt.Sprintf("/f%d", round)
+				if err := w.Create(p); err != nil {
+					t.Fatal(err)
+				}
+				fd, err := w.Open(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cut == "shrink" {
+					if _, err := w.WriteAt(fd, block, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				settle() // commits the file
+				if _, err := w.WriteAt(fd, block, 1<<20); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Close(fd); err != nil {
+					t.Fatal(err)
+				}
+				if cut == "unlink" {
+					err = w.Unlink(p)
+				} else {
+					err = w.Truncate(p, 0)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				settle()
+				wantConserved(t, ctrl, dev)
+			}
+		})
 	}
 }
 

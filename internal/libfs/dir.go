@@ -521,8 +521,12 @@ func (t *Thread) Unlink(path string) (err error) {
 }
 
 // destroyFile tears down an unlinked file, already out of the inode
-// table: zero the inode record and, when the kernel never learned of the
-// inode, recycle its resources.
+// table: zero the inode record and recycle what is still the app's. When
+// the kernel never learned of the inode that is all of it. Of a committed
+// file it is the pages added since the kernel last verified it; the kernel
+// frees the rest when it verifies the unlink. Should the kernel have
+// revoked the mapping, it verified the file on the way, adopting those
+// pages too, and nothing is recycled.
 // The resources are retired through the RCU domain, not recycled in
 // place: child.lock excludes no reader, so a thread with an open FD can
 // be mid-copyOutRange on these very pages, and reuse must wait out its
@@ -532,9 +536,11 @@ func (fs *FS) destroyFile(t *Thread, child *minode) {
 	layout.FreeInode(fs.dev, fs.geo, child.ino)
 	t.pb.Flush(layout.InodeOff(fs.geo, child.ino), layout.InodeSize)
 	t.pb.Barrier()
-	if child.fresh.Load() {
+	st := child.file.Load()
+	switch {
+	case child.fresh.Load():
 		var pages []uint64
-		if st := child.file.Load(); st != nil {
+		if st != nil {
 			pages = append(pages, st.mapPages...)
 			arr := st.blockArr()
 			for bi := 0; bi < st.nblocks && bi < len(arr); bi++ {
@@ -544,6 +550,9 @@ func (fs *FS) destroyFile(t *Thread, child *minode) {
 			}
 		}
 		fs.retire(t.cpu, pages, child.ino)
+	case st != nil && !child.unmapped():
+		fs.retire(t.cpu, st.unverified, 0)
+		st.unverified = nil
 	}
 	child.lock.Unlock()
 }

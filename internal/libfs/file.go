@@ -194,6 +194,7 @@ func (fs *FS) writeAt(t *Thread, mi *minode, p []byte, off int64) (int, error) {
 		}
 		arr[bi].Store(b)
 		t.dirty = append(t.dirty, bi)
+		st.added(mi, b)
 	}
 
 	// Pass 2: copy the data — fanned out to delegate workers for large
@@ -257,6 +258,7 @@ func (fs *FS) ensureMapCapacity(t *Thread, mi *minode, n int) error {
 			t.pb.Barrier()
 		}
 		st.mapPages = append(st.mapPages, p)
+		st.added(mi, p)
 	}
 	return nil
 }
@@ -373,11 +375,16 @@ func (t *Thread) Truncate(path string, size uint64) (err error) {
 	st.nblocks = keep
 	fs.persistFileInode(t, mi)
 	t.pb.Barrier()
+	// A lock-free reader that loaded the old size before the store above
+	// can still chase the unpublished block pointers, so the pages must
+	// wait out a grace period before they are reusable. Only app-granted
+	// pages are the LibFS's to reuse: all of a fresh file's, and of a
+	// committed file's those added since the kernel last verified it. The
+	// kernel frees the rest when it verifies the shrink.
 	if mi.fresh.Load() {
-		// A lock-free reader that loaded the old size before the store
-		// above can still chase the unpublished block pointers, so the
-		// pages must wait out a grace period before they are reusable.
 		fs.retire(t.cpu, slices.Clone(t.freed), 0)
+	} else {
+		fs.retire(t.cpu, st.cutUnverified(t.freed), 0)
 	}
 	mi.cacheAttrs(size, 1, fs.clock.Load())
 	return nil

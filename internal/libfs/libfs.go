@@ -157,6 +157,8 @@ type FS struct {
 	dom  *rcu.Domain
 
 	mtab sync.Map // ino -> *minode
+	// ws is what the first lease miss of a hold takes back (takeBack).
+	ws workingSet
 
 	// renameMu serializes this LibFS's cross-directory directory renames
 	// (see Rename).
@@ -194,12 +196,14 @@ type FS struct {
 
 // Stats counts LibFS events of interest to telemetry: remaps after an
 // involuntary revocation (§4.3 patched path), re-acquisitions of
-// voluntarily released inodes that crossed into the kernel, and the
+// voluntarily released inodes whose lease the kernel reclaimed, and the
 // grant-lease outcomes. A LeaseHit is a kernel crossing that did not
 // happen — a dormant mapping reactivated in place, or a page taken from
 // the pre-granted reserve — and every hit also increments
-// SyscallsAvoided (kept separate so the ratio stays meaningful if the
-// two ever diverge). A LeaseMiss fell back to a real crossing.
+// SyscallsAvoided. A LeaseMiss found the lease gone; an inode's miss is
+// then a Reacquire, through a crossing or through a mapping a batch
+// prefetched, and the latter is the one place the two counters diverge:
+// it avoided a crossing without a hit.
 type Stats struct {
 	Remaps          atomic.Int64
 	Reacquires      atomic.Int64

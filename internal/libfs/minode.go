@@ -3,7 +3,10 @@ package libfs
 import (
 	"errors"
 	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
+	"time"
 
 	"arckfs/internal/fsapi"
 	"arckfs/internal/hlock"
@@ -31,6 +34,12 @@ type minode struct {
 	// mapping). Like dir and file it is published atomically: remap and
 	// reacquire swap it while lock-free readers are checking it.
 	mapping atomic.Pointer[kernel.Mapping]
+	// prefetched is a dormant mapping an AcquireBatch granted while the
+	// inode was released with its lease lost. It is kept apart from mapping
+	// on purpose: the read path trusts the retained aux state under a valid
+	// mapping, and this one covers core state a peer may have changed. The
+	// next touch reactivates it and rebuilds the aux state (takeBack).
+	prefetched atomic.Pointer[kernel.Mapping]
 
 	// lock is the per-inode readers-writer lock: files take it for
 	// writes (reads take no lock); directories take it for whole-inode
@@ -121,6 +130,42 @@ type fileState struct {
 	// mapPages are the PM map-chain pages backing blocks; writers only.
 	mapPages []uint64
 	size     atomic.Uint64
+	// unverified lists the blocks and map pages this LibFS added to a
+	// committed file since the kernel last verified it (a fresh file's
+	// pages are all its own, and are not listed). They are still
+	// app-granted, so when a shrink cuts one off or the file is unlinked
+	// they go back to the LibFS pool; every other page is inode-owned and
+	// the kernel frees it at its next verification. Writers only, like
+	// mapPages.
+	unverified []uint64
+}
+
+// added records page p, just linked into mi's file, as unverified.
+// Caller holds mi.lock.
+func (st *fileState) added(mi *minode, p uint64) {
+	if !mi.fresh.Load() {
+		st.unverified = append(st.unverified, p)
+	}
+}
+
+// cutUnverified removes from the unverified list the pages of cut, which
+// it sorts, and returns them in list order. Caller holds minode.lock.
+func (st *fileState) cutUnverified(cut []uint64) []uint64 {
+	if len(st.unverified) == 0 {
+		return nil
+	}
+	slices.Sort(cut)
+	var out []uint64
+	keep := st.unverified[:0]
+	for _, p := range st.unverified {
+		if _, found := slices.BinarySearch(cut, p); found {
+			out = append(out, p)
+		} else {
+			keep = append(keep, p)
+		}
+	}
+	st.unverified = keep
+	return out
 }
 
 // newFileState builds a published index from recovered state.
@@ -287,9 +332,7 @@ func (fs *FS) getMinode(t *Thread, ino uint64, write bool) (*minode, error) {
 		}
 		return mi, nil
 	}
-	begin := t.crossStart()
-	m, err := fs.ctrl.AcquireObserved(fs.app, ino, true, t.sink())
-	t.crossEnd(telemetry.EvAcquire, begin)
+	m, err := fs.acquire(t, ino)
 	if err != nil {
 		return nil, err
 	}
@@ -301,6 +344,15 @@ func (fs *FS) getMinode(t *Thread, ino uint64, write bool) (*minode, error) {
 	return actual.(*minode), nil
 }
 
+// acquire is one Acquire crossing for ino, with write intent, attributed to
+// t's span (t nil-tolerated).
+func (fs *FS) acquire(t *Thread, ino uint64) (*kernel.Mapping, error) {
+	begin := t.crossStart()
+	m, err := fs.ctrl.AcquireObserved(fs.app, ino, true, t.sink())
+	t.crossEnd(telemetry.EvAcquire, begin)
+	return m, err
+}
+
 // remap re-acquires an inode whose mapping the kernel revoked underneath
 // us (an involuntary release or a trust-group transfer to a peer): the
 // patched LibFS rebuilds and retries instead of crashing. ArckFS as
@@ -310,9 +362,7 @@ func (fs *FS) remap(t *Thread, mi *minode) error {
 		return fsapi.ErrBusError
 	}
 	fs.Stats.Remaps.Add(1)
-	begin := t.crossStart()
-	m, err := fs.ctrl.AcquireObserved(fs.app, mi.ino, true, t.sink())
-	t.crossEnd(telemetry.EvAcquire, begin)
+	m, err := fs.acquire(t, mi.ino)
 	if err != nil {
 		return err
 	}
@@ -332,7 +382,7 @@ func (fs *FS) remap(t *Thread, mi *minode) error {
 // and the retained auxiliary state is still exact because a dormant
 // inode's core state cannot have changed (any change requires a reclaim,
 // which fails the CAS). Only on a lost CAS — the kernel revoked the
-// lease — does this fall back to a real Acquire.
+// lease — is the inode taken back from the kernel (takeBack).
 func (fs *FS) reacquire(t *Thread, mi *minode) error {
 	mi.lock.Lock()
 	if !mi.released.Load() {
@@ -353,9 +403,7 @@ func (fs *FS) reacquire(t *Thread, mi *minode) error {
 	fs.Stats.LeaseMisses.Add(1)
 	t.spanEv(telemetry.SpanEvLeaseMiss, int64(mi.ino), 0)
 	fs.Stats.Reacquires.Add(1)
-	begin := t.crossStart()
-	m, err := fs.ctrl.AcquireObserved(fs.app, mi.ino, true, t.sink())
-	t.crossEnd(telemetry.EvAcquire, begin)
+	m, err := fs.takeBack(t, mi)
 	if err != nil {
 		return err
 	}
@@ -365,6 +413,98 @@ func (fs *FS) reacquire(t *Thread, mi *minode) error {
 		return nil // lost the race to another re-acquirer
 	}
 	return fs.adopt(mi, m)
+}
+
+// workingSet is what a LibFS takes back in one AcquireBatch crossing at the
+// first lease miss of a hold (a hold runs from one ReleaseAll to the next):
+// the inodes it lost to a lease miss in its previous hold. Not every lease
+// a peer revoked — an inode touched once, at setup say, would then ride
+// along with every first miss after it.
+type workingSet struct {
+	// mu is held across the batch crossing, so exactly one thread of the
+	// FS issues it; a thread that misses meanwhile waits, then finds its
+	// inode prefetched.
+	mu sync.Mutex
+	// lost lists the inodes this hold lost to a lease miss, at most one
+	// batch's worth; prev is the previous hold's, emptied by the batch
+	// that asks for it; ask is that batch's request. All three are reused.
+	lost, prev, ask []uint64
+	// held is what this hold's batch prefetched. The kernel holds each
+	// against apps outside this one's trust group until it is reactivated
+	// or endHold ends the hold.
+	held []*kernel.Mapping
+}
+
+// endHold begins a new hold: what the one ending lost is what the next
+// one's first lease miss takes back, and a prefetch it never touched
+// becomes an ordinary dormant lease, free for another app to reclaim.
+func (ws *workingSet) endHold() {
+	ws.mu.Lock()
+	for _, m := range ws.held {
+		m.EndHold()
+	}
+	clear(ws.held)
+	ws.held = ws.held[:0]
+	ws.prev, ws.lost = ws.lost, ws.prev[:0]
+	ws.mu.Unlock()
+}
+
+// takeBack returns a kernel mapping for released mi, whose dormant lease
+// the kernel reclaimed. One a batch prefetched is reactivated without a
+// crossing. Otherwise the first such miss of a hold asks, in one
+// AcquireBatch, for mi and for every inode of the previous hold's working
+// set that is still released with its lease lost; the tail comes back
+// dormant into prefetched, held for this app until endHold. A batch that
+// fails on mi grants nothing, and the next miss asks again; once one
+// succeeds, later misses pay one Acquire.
+func (fs *FS) takeBack(t *Thread, mi *minode) (*kernel.Mapping, error) {
+	ws := &fs.ws
+	ws.mu.Lock()
+	if len(ws.lost) < kernel.MaxReleaseBatch && !slices.Contains(ws.lost, mi.ino) {
+		ws.lost = append(ws.lost, mi.ino)
+	}
+	if m := mi.prefetched.Swap(nil); m.Reactivate() {
+		ws.mu.Unlock()
+		fs.Stats.SyscallsAvoided.Add(1)
+		return m, nil
+	}
+	ask := append(ws.ask[:0], mi.ino)
+	for _, ino := range ws.prev {
+		if v, ok := fs.mtab.Load(ino); ok && ino != mi.ino && len(ask) < kernel.MaxReleaseBatch {
+			if p := v.(*minode); p.released.Load() && !p.mapping.Load().Valid() && !p.prefetched.Load().Valid() {
+				ask = append(ask, ino)
+			}
+		}
+	}
+	if ws.ask = ask; len(ask) == 1 {
+		ws.prev = ws.prev[:0]
+		ws.mu.Unlock()
+		return fs.acquire(t, mi.ino)
+	}
+	defer ws.mu.Unlock()
+	begin := t.crossStart()
+	ms, err := fs.ctrl.AcquireBatch(fs.app, ask, t.sink())
+	n := 0 // inodes mapped
+	for i, m := range ms {
+		if m == nil {
+			continue
+		}
+		if n++; i == 0 {
+			continue
+		}
+		ws.held = append(ws.held, m)
+		if v, ok := fs.mtab.Load(ask[i]); ok {
+			v.(*minode).prefetched.Store(m)
+		}
+	}
+	if !begin.IsZero() {
+		t.spanEv(telemetry.SpanEvAcquireBatch, int64(n), time.Since(begin).Nanoseconds())
+	}
+	if err != nil {
+		return nil, err // nothing was granted: the next miss asks again
+	}
+	ws.prev = ws.prev[:0]
+	return ms[0], nil
 }
 
 // adopt makes m, a mapping the kernel has just established, mi's own: the

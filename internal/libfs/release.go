@@ -51,7 +51,13 @@ func (fs *FS) commitCrossing(t *Thread, ino uint64) error {
 	err := fs.ctrl.CommitObserved(fs.app, ino, t.sink())
 	t.crossEnd(telemetry.EvCommit, begin)
 	if v, ok := fs.mtab.Load(ino); ok && err == nil {
-		v.(*minode).dir.Load().markVerified()
+		mi := v.(*minode)
+		mi.dir.Load().markVerified()
+		if mi.typ == layout.TypeFile {
+			mi.lock.Lock()
+			mi.file.Load().markVerified()
+			mi.lock.Unlock()
+		}
 	}
 	return err
 }
@@ -70,6 +76,15 @@ func (ds *dirState) markVerified() {
 	ds.idxMu.Lock()
 	ds.unverified = nil
 	ds.idxMu.Unlock()
+}
+
+// markVerified is the file's: every page added so far is inode-owned now.
+// A page a concurrent writer adds while a Commit is in flight is forgotten
+// the same way. Caller holds minode.lock.
+func (st *fileState) markVerified() {
+	if st != nil {
+		st.unverified = nil
+	}
 }
 
 // markChildrenKnown clears the fresh flag on every cached minode whose
@@ -210,6 +225,7 @@ func (fs *FS) releaseBatch(batch []quiesced, sp *span.Span) (err error) {
 				q.mi.mapping.Store(r.Mapping)
 			}
 			q.mi.dir.Load().markVerified()
+			q.mi.file.Load().markVerified()
 		}
 		q.mi.released.Store(true)
 		if q.unlockBuckets != nil {
@@ -248,6 +264,7 @@ func (fs *FS) ReleaseAll() (err error) {
 	// schedule.
 	fs.dom.Barrier()
 	err = fs.releaseBatch(fs.quiesceHeld(sp), sp)
+	fs.ws.endHold()
 	if fs.Stats.DirCompactions.Load() != compactions {
 		// Same reason as the Barrier above: pages a compaction retired must
 		// be back in the pool when ReleaseAll returns.

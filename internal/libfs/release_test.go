@@ -18,9 +18,9 @@ import (
 )
 
 // spanCrossings counts the kernel crossings that the children of tr's
-// spans with an ID above since witnessed: timed crossings by kind, and
-// vectored releases.
-func spanCrossings(tr *span.Tracer, since uint64) (byKind map[telemetry.EventKind]int64, batches int64) {
+// spans with an ID above since witnessed: timed crossings by kind, vectored
+// releases, and vectored acquires with the inodes they mapped.
+func spanCrossings(tr *span.Tracer, since uint64) (byKind map[telemetry.EventKind]int64, releases, acquires, acquired int64) {
 	byKind = make(map[telemetry.EventKind]int64)
 	for _, sp := range tr.Snapshot() {
 		if sp.ID <= since {
@@ -31,23 +31,29 @@ func spanCrossings(tr *span.Tracer, since uint64) (byKind map[telemetry.EventKin
 			case telemetry.SpanEvCrossing:
 				byKind[telemetry.EventKind(ev.A)]++
 			case telemetry.SpanEvReleaseBatch:
-				batches++
+				releases++
+			case telemetry.SpanEvAcquireBatch:
+				acquires++
+				acquired += ev.A
 			}
 		}
 	}
 	return
 }
 
-// TestHandoffTurnIsOneReleaseCrossing pins what a sharing turn costs: two
-// applications alternate on a shared directory and shared files; each turn
-// pays one crossing per inode it has to take over, one for everything it
-// hands back, and the verifier walks each released inode once — the
-// acquire adopts the peer's verified baseline. Every span is sampled, so
-// the holder's span rings account for every crossing the kernel charged —
-// each is a child of the operation that paid it — and the per-app row
-// counts the same; the turn's release span shows its one crossing with the
-// inode count.
-func TestHandoffTurnIsOneReleaseCrossing(t *testing.T) {
+// TestHandoffTurnIsTwoCrossings pins what a sharing turn costs: two
+// applications alternate on a shared directory and shared files. An
+// application's first turn pays one crossing per inode it has to take over;
+// from its second on, the first lease miss takes back everything the
+// previous turn lost in one AcquireBatch, whose acquire-batch event carries
+// the inode count. Either way the turn hands everything back in one
+// crossing, and the verifier walks each released inode once — the acquires
+// adopt the peer's verified baseline. Every span is sampled, so the
+// holder's span rings account for every crossing the kernel charged — each
+// is a child of the operation that paid it — and the per-app row counts
+// the same; the turn's release span shows its one crossing with the inode
+// count.
+func TestHandoffTurnIsTwoCrossings(t *testing.T) {
 	const shared, batch = 4, 8
 	dev := pmem.New(64<<20, nil)
 	dim := telemetry.NewAppDim()
@@ -123,22 +129,28 @@ func TestHandoffTurnIsOneReleaseCrossing(t *testing.T) {
 			t.Fatalf("turn %d: %d releases, %d verifications; want %d each",
 				turn, d.Releases-st.Releases, d.Verifications-st.Verifications, n)
 		}
-		byKind, batches := spanCrossings(trs[a], since)
+		byKind, batches, acqBatches, acquired := spanCrossings(trs[a], since)
 		acquires, commits := byKind[telemetry.EvAcquire], byKind[telemetry.EvCommit]
 		grants := byKind[telemetry.EvGrantInodes] + byKind[telemetry.EvGrantPages]
-		if acquires != d.Acquires-st.Acquires || commits != d.Commits-st.Commits || batches != 1 {
-			t.Fatalf("turn %d: spans show %d acquires, %d commits, %d release crossings; kernel counted %d, %d, want 1",
-				turn, acquires, commits, batches, d.Acquires-st.Acquires, d.Commits-st.Commits)
+		if acquires+acquired != d.Acquires-st.Acquires || commits != d.Commits-st.Commits || batches != 1 {
+			t.Fatalf("turn %d: spans show %d acquires + %d batched, %d commits, %d release crossings; kernel counted %d, %d, want 1",
+				turn, acquires, acquired, commits, batches, d.Acquires-st.Acquires, d.Commits-st.Commits)
 		}
-		if got := d.Syscalls - st.Syscalls; got != acquires+commits+grants+batches {
-			t.Fatalf("turn %d: kernel charged %d crossings, spans show %d acquires + %d commits + %d grants + %d release (%v)",
-				turn, got, acquires, commits, grants, batches, byKind)
+		if got := d.Syscalls - st.Syscalls; got != acquires+acqBatches+commits+grants+batches {
+			t.Fatalf("turn %d: kernel charged %d crossings, spans show %d acquires + %d acquire batches + %d commits + %d grants + %d release (%v)",
+				turn, got, acquires, acqBatches, commits, grants, batches, byKind)
 		}
 		if got := dim.Row(int64(fss[a].app)).Get(telemetry.AppSyscalls) - row; got != d.Syscalls-st.Syscalls {
 			t.Fatalf("turn %d: app row counts %d crossings, kernel %d", turn, got, d.Syscalls-st.Syscalls)
 		}
-		if acquires != 2+shared {
-			t.Fatalf("turn %d: %d acquires, want %d: everything the peer held", turn, acquires, 2+shared)
+		if got := d.Acquires - st.Acquires; got != 2+shared {
+			t.Fatalf("turn %d: %d acquires, want %d: everything the peer held", turn, got, 2+shared)
+		}
+		// Each application's first turn has no working set yet: one
+		// crossing per inode. From its second turn on, one crossing.
+		if turn >= 2 && (acqBatches != 1 || acquires != 0 || acquired != 2+shared || commits+grants != 0) {
+			t.Fatalf("turn %d: %d acquire batches of %d inodes, %d single acquires, %d commits, %d grants; want one batch of %d and nothing else",
+				turn, acqBatches, acquired, acquires, commits, grants, 2+shared)
 		}
 		if trs[a].Recorded() != spans+1 {
 			t.Fatalf("turn %d: ReleaseAll recorded %d spans, want 1", turn, trs[a].Recorded()-spans)

@@ -57,6 +57,10 @@ const (
 	// SpanEvReleaseBatch: one vectored release crossing completed.
 	// a = inodes released by the crossing, b = its duration in nanoseconds.
 	SpanEvReleaseBatch
+	// SpanEvAcquireBatch: one vectored acquire crossing completed — a
+	// lease miss taking back the working set. a = inodes it mapped, b = its
+	// duration in nanoseconds.
+	SpanEvAcquireBatch
 )
 
 var spanEventNames = [...]string{
@@ -71,11 +75,13 @@ var spanEventNames = [...]string{
 	SpanEvAdmitWait:    "admit-wait",
 	SpanEvDirCompact:   "dir-compact",
 	SpanEvReleaseBatch: "release-batch",
+	SpanEvAcquireBatch: "acquire-batch",
 }
 
 // EventKind says which kernel crossing a SpanEvCrossing event timed. A
-// vectored release is not one of them: it has its own event,
-// SpanEvReleaseBatch, because its payload is an inode count.
+// vectored release or acquire is not one of them: each has its own event,
+// SpanEvReleaseBatch and SpanEvAcquireBatch, because its payload is an
+// inode count.
 type EventKind uint8
 
 // Crossing kinds.
