@@ -8,7 +8,7 @@
 //	          [-systems arckfs,arckfs+,nova,pmfs,kucofs]
 //
 // The output is the rendered tables. The per-op costs behind them
-// (flushes, fences, crossings, lease hits, admission) are deterministic
+// (flushes, fences, crossings, lease hits) are deterministic
 // and are pinned by go test -run TestCostBounds ./internal/bench/fxmark/,
 // which runs small -fast table2, fxmark and tenants cells.
 //
@@ -21,8 +21,7 @@
 // "all"): the tenant-scaling sweep over -tenants population sizes (k
 // suffix allowed: "16,128,1k,4k,10k"), the measured idle-tenant
 // footprint, and the revocation storm (-storm-tenants /
-// -storm-migrations). -max-inflight sizes the crossing admission
-// scheduler.
+// -storm-migrations).
 //
 // Table 1 (the six bugs and their fixes) is reproduced by the test
 // suite: go test ./internal/libfs -run TestBug -v
@@ -52,7 +51,6 @@ func main() {
 	tenants := flag.String("tenants", "16,128,1k", "tenant population sweep for -exp tenants (k suffix = x1000)")
 	stormTenants := flag.Int("storm-tenants", 256, "revocation-storm tenant count for -exp tenants")
 	stormMigrations := flag.Int("storm-migrations", 0, "revocation-storm migration count (default 4x tenants)")
-	maxInflight := flag.Int("max-inflight", 0, "admission-scheduler slot count (0 = off; -exp tenants defaults to 4)")
 	flag.Parse()
 
 	if *exp != "all" && !isKnown(*exp) {
@@ -91,7 +89,6 @@ func main() {
 		cfg.TenantCounts = tenantCounts
 		cfg.StormTenants = *stormTenants
 		cfg.StormMigrations = *stormMigrations
-		cfg.MaxInflight = *maxInflight
 	}
 
 	run := func(name string, fn func() error) {

@@ -308,13 +308,12 @@ func printTenants(sys *arckfs.System) {
 		}
 		return fmt.Sprintf("%d", v)
 	}
-	fmt.Printf("  %4s %10s %10s %10s %10s %10s %6s\n",
-		"app", "pages out", "max pages", "inos out", "max inos", "cross/s", "weight")
+	fmt.Printf("  %4s %10s %10s %10s %10s\n",
+		"app", "pages out", "max pages", "inos out", "max inos")
 	for _, u := range usage {
-		fmt.Printf("  %4d %10d %10s %10d %10s %10s %6s\n",
+		fmt.Printf("  %4d %10d %10s %10d %10s\n",
 			u.App, u.PagesOut, lim(u.Quota.MaxPages),
-			u.InodesGranted, lim(u.Quota.MaxInodes),
-			lim(u.Quota.CrossingsPerSec), lim(u.Quota.Weight))
+			u.InodesGranted, lim(u.Quota.MaxInodes))
 	}
 	if len(usage) == 0 {
 		fmt.Println("  (no applications registered)")

@@ -39,7 +39,7 @@ var counterRegAnalyzer = &Analyzer{
 // counterNameRe matches the repository's namespaced counter names. Names
 // without a namespace dot (e.g. "syscalls") are not checked for drift but
 // still participate in the once-only rule. Dotted suffixes are allowed
-// ("pmalloc.steals.remote", "kernel.shard.acquisitions").
+// ("pmalloc.steals.local", "kernel.shard.acquisitions").
 var counterNameRe = regexp.MustCompile(`^(pmem|kernel|verifier|libfs|pmalloc)\.[a-z0-9_.]+$`)
 
 type regSite struct {

@@ -43,14 +43,10 @@ type Config struct {
 	Trials int
 	// TenantCounts is the population sweep of the tenants experiment
 	// (default 16,128,1024); StormTenants/StormMigrations size its
-	// revocation storm (defaults 256 and 4x tenants). MaxInflight bounds
-	// concurrent kernel crossings via the admission scheduler (the
-	// tenants experiment defaults it to 4 when unset; other experiments
-	// leave admission off at 0).
+	// revocation storm (defaults 256 and 4x tenants).
 	TenantCounts    []int
 	StormTenants    int
 	StormMigrations int
-	MaxInflight     int
 	// Out receives rendered tables.
 	Out io.Writer
 }

@@ -21,21 +21,12 @@ func Tenants(cfg Config) error {
 	if len(counts) == 0 {
 		counts = []int{16, 128, 1024}
 	}
-	maxInflight := cfg.MaxInflight
-	if maxInflight == 0 {
-		// The sweep exists to measure the admission path; default it on,
-		// and below the active worker count so the queue actually forms.
-		maxInflight = 4
-	}
 	mkSys := func() (*core.System, error) {
-		return core.NewSystem(core.Config{
-			Mode: core.ArckFSPlus, DevSize: cfg.DevSize, Cost: cfg.cost(),
-			MaxInflight: maxInflight,
-		})
+		return core.NewSystem(core.Config{Mode: core.ArckFSPlus, DevSize: cfg.DevSize, Cost: cfg.cost()})
 	}
 	// Every tenant gets a real quota so the sweep also measures the
 	// grant-time enforcement path, not just unlimited tenants.
-	quota := kernel.Quota{MaxPages: 8192, MaxInodes: 2048, Weight: 1}
+	quota := kernel.Quota{MaxPages: 8192, MaxInodes: 2048}
 
 	per, err := tenancy.MeasureIdleFootprint(2048)
 	if err != nil {
@@ -44,8 +35,8 @@ func Tenants(cfg Config) error {
 	fmt.Fprintf(cfg.Out, "idle tenant footprint: %.0f B/tenant over 2048 tenants (budget: 8192 B)\n\n", per)
 
 	tbl := harness.Table{
-		Title:   fmt.Sprintf("Tenant scaling (%d crossings in flight, %d active workers)", maxInflight, 8),
-		Headers: []string{"tenants", "spawn µs/t", "retire µs/t", "active ops/s", "p99 µs", "admit queued", "shards"},
+		Title:   "Tenant scaling (8 active workers)",
+		Headers: []string{"tenants", "spawn µs/t", "retire µs/t", "active ops/s", "p99 µs", "shards"},
 	}
 	for _, n := range counts {
 		sys, err := mkSys()
@@ -66,7 +57,6 @@ func Tenants(cfg Config) error {
 			fmt.Sprintf("%.1f", res.RetireMicros),
 			fmt.Sprintf("%.0f", res.Active.OpsPerSec()),
 			fmt.Sprintf("%.1f", p99),
-			fmt.Sprintf("%d", res.Active.Counters["kernel.admission.queued"]),
 			fmt.Sprintf("%d", res.ShardCount),
 		)
 	}

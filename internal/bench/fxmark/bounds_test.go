@@ -72,24 +72,18 @@ var costBounds = []costBound{
 		note: "the overwrite's fence plus one commit fence for the leased release crossing (measured 1.980-1.999)"},
 	{fs: "arckfs+", workload: "MWCL", metric: "span.recorded", max: 0,
 		note: "benchmarks run with span tracing disabled, so the tracer must record exactly zero spans (any nonzero value means the atomic enable gate leaks work onto the hot path)"},
-	{fs: "arckfs+", workload: "DWAL", metric: "pmalloc.steals.remote", max: 0,
-		note: "NUMA pin: with the device far from full, appends refill from the shared pool or steal node-locally; a cross-node steal here means the node-local allocation path regressed"},
 
 	// Multi-tenant serving, over the tenant sweep and the revocation storm.
-	{fs: "arckfs+", workload: "Tenants", metric: "kernel.admission.admitted", min: 0.002, max: 0.02,
-		note: "steady-state fd appends cross only for page-grant refills (measured 0.0044/op); growth means the dormant-lease fast path stopped firing, zero means crossings bypassed admission accounting"},
-	{fs: "arckfs+", workload: "Tenants", metric: "kernel.admission.queued", max: 0.05,
-		note: "the active subset fits the admission slots at steady state (measured 0); sustained queueing here means crossings multiplied or slots shrank"},
-	{fs: "arckfs+", workload: "Tenants", metric: "kernel.admission.throttled", max: 0.001,
-		note: "the sweep installs page/inode quotas but no crossing-rate quota, so any throttle is spurious (measured 0)"},
-	{fs: "arckfs+", workload: "RevocationStorm", metric: "kernel.admission.admitted", min: 1.9, max: 2.1,
-		note: "one migration is exactly two admitted crossings: the voluntary release and the next tenant's re-acquire (measured 2.00)"},
+	{fs: "arckfs+", workload: "Tenants", metric: "kernel.syscalls", min: 0.002, max: 0.02,
+		note: "steady-state fd appends cross only for page-grant refills (measured 0.0044/op); growth means the dormant-lease fast path stopped firing, zero means the appends stopped granting pages"},
+	{fs: "arckfs+", workload: "RevocationStorm", metric: "kernel.syscalls", min: 1.9, max: 2.1,
+		note: "one migration is exactly two crossings: the voluntary release and the next tenant's re-acquire (measured 2.00)"},
 	{fs: "arckfs+", workload: "RevocationStorm", metric: "kernel.acquires", min: 0.95, max: 1.05,
 		note: "every migration pays exactly one kernel Acquire (unmap + verify + rebuild); more means redundant transfers, fewer means the storm stopped migrating"},
 	{fs: "arckfs+", workload: "RevocationStorm", metric: "pmem.fences", min: 1.9, max: 2.4,
 		note: "a migration is the overwrite's fence plus one commit fence for its whole release crossing (measured 2.002); more means the crossing fences more than once"},
 	{fs: "arckfs+", workload: "RevocationStorm", metric: p99Metric, max: 2000,
-		note: "per-migration tail (measured 38-76 µs -fast). Host-speed sensitive, hence the wide margin; the bound catches tails that grow with the 256-tenant population or with admission backlog, which land in milliseconds"},
+		note: "per-migration tail (measured 38-76 µs -fast). Host-speed sensitive, hence the wide margin; the bound catches tails that grow with the 256-tenant population, which land in milliseconds"},
 
 	// The fences of the retired batching ablation (EXPERIMENTS.md): the
 	// write-combining batcher moves clwbs, never fences, so these sit where
@@ -163,16 +157,16 @@ func TestCostBounds(t *testing.T) {
 		}
 	}
 
-	// The tenant cells as arckbench -exp tenants builds them: 4 admission
-	// slots and a page/inode quota on every tenant.
+	// The tenant cells as arckbench -exp tenants builds them: a page/inode
+	// quota on every tenant.
 	tenantSys := func() *core.System {
-		sys, err := core.NewSystem(core.Config{Mode: core.ArckFSPlus, DevSize: 64 << 20, MaxInflight: 4})
+		sys, err := core.NewSystem(core.Config{Mode: core.ArckFSPlus, DevSize: 64 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sys
 	}
-	quota := kernel.Quota{MaxPages: 8192, MaxInodes: 2048, Weight: 1}
+	quota := kernel.Quota{MaxPages: 8192, MaxInodes: 2048}
 	for _, n := range []int{16, 128, 1000, 4000, 10000} {
 		res, err := Tenants(tenantSys(), n, TenantsConfig{Quota: quota})
 		if err != nil {

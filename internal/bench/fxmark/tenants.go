@@ -95,8 +95,8 @@ func Tenants(sys *core.System, n int, cfg TenantsConfig) (TenantsResult, error) 
 	// next tenant walks the root directory. The measured region then runs
 	// fd-based appends only — every write reactivates the tenant's own
 	// file through the lease/reacquire path, so what contends is exactly
-	// the shared kernel substrate (admission slots, the epoch lock, the
-	// shadow shards, page grants against the quota), not the namespace.
+	// the shared kernel substrate (the epoch lock, the shadow shards, page
+	// grants against the quota), not the namespace.
 	threads := make([]fsapi.Thread, workers)
 	fds := make([]fsapi.FD, workers)
 	for i, tn := range active {

@@ -60,10 +60,6 @@ type Config struct {
 	// two). 0 (the default) leaves the tracer attached but disabled —
 	// tools can still flip it on at runtime via System.Tracer().
 	SpanSampling int
-	// MaxInflight bounds concurrently-running kernel crossings with the
-	// fair-share admission scheduler (kernel.Options.MaxInflight); 0
-	// leaves admission off.
-	MaxInflight int
 }
 
 func (c *Config) fill() {
@@ -194,12 +190,11 @@ func NewSystem(cfg Config) (*System, error) {
 	dev := pmem.New(cfg.DevSize, cfg.Cost)
 	dim := telemetry.NewAppDim()
 	ctrl, err := kernel.Format(dev, kernel.Options{
-		Mode:        cfg.verifierMode(),
-		Cost:        cfg.Cost,
-		InodeCap:    cfg.InodeCap,
-		LeaseTTL:    cfg.LeaseTTL,
-		AppDim:      dim,
-		MaxInflight: cfg.MaxInflight,
+		Mode:     cfg.verifierMode(),
+		Cost:     cfg.Cost,
+		InodeCap: cfg.InodeCap,
+		LeaseTTL: cfg.LeaseTTL,
+		AppDim:   dim,
 	})
 	if err != nil {
 		return nil, err
@@ -228,12 +223,11 @@ func Recover(img []byte, cfg Config) (*System, *kernel.Report, error) {
 		sink = sp
 	}
 	ctrl, rep, err := kernel.Mount(dev, kernel.Options{
-		Mode:        cfg.verifierMode(),
-		Cost:        cfg.Cost,
-		LeaseTTL:    cfg.LeaseTTL,
-		AppDim:      dim,
-		Span:        sink,
-		MaxInflight: cfg.MaxInflight,
+		Mode:     cfg.verifierMode(),
+		Cost:     cfg.Cost,
+		LeaseTTL: cfg.LeaseTTL,
+		AppDim:   dim,
+		Span:     sink,
 	}, true)
 	rl.End(sp, err)
 	if err != nil {

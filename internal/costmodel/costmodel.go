@@ -49,10 +49,9 @@ type Model struct {
 	// inode's core state into a LibFS (page-table manipulation).
 	MapNS   int64
 	UnmapNS int64
-	// NUMARemoteNS is charged per page the allocator steals from a
-	// stripe belonging to a different NUMA node group: remote-socket PM
-	// access pays an interconnect round trip on top of the media
-	// latency.
+	// NUMARemoteNS priced a page stolen across NUMA node groups. No
+	// simulator site charges it any more; it remains because
+	// benchmark/workload/run.go prices a counter with it.
 	NUMARemoteNS int64
 }
 
@@ -194,13 +193,5 @@ func (m *Model) Map() {
 func (m *Model) Unmap() {
 	if m != nil {
 		Spin(m.UnmapNS)
-	}
-}
-
-// NUMARemote charges the interconnect cost of pulling n pages from a
-// remote NUMA node's stripe group.
-func (m *Model) NUMARemote(n int) {
-	if m != nil && m.NUMARemoteNS > 0 && n > 0 {
-		Spin(m.NUMARemoteNS * int64(n))
 	}
 }

@@ -159,7 +159,7 @@ func (c *Controller) Acquire(appID AppID, ino uint64, write bool) (*Mapping, err
 // the fast path reports a timed shard-wait event to sink (nil = plain
 // Acquire).
 func (c *Controller) AcquireObserved(appID AppID, ino uint64, write bool, sink telemetry.SpanSink) (*Mapping, error) {
-	defer c.syscallObserved(appID, sink)()
+	c.syscall(appID)
 	c.Stats.Acquires.Add(1)
 	if m, err, punt := c.acquireFast(appID, ino, write, sink); !punt {
 		return m, err
@@ -266,10 +266,10 @@ func (c *Controller) acquireHeld(se *shadowEnt, appID AppID, ino uint64, write b
 // The crossing holds the shared epoch and one shard lock at a time, in
 // list order; an inos[0] that punts is acquired alone under the exclusive
 // epoch. Acquires counts every inode mapped. sink (nil-safe) receives
-// timed admission- and shard-wait events. A list longer than
+// timed shard-wait events. A list longer than
 // MaxReleaseBatch is refused whole.
 func (c *Controller) AcquireBatch(appID AppID, inos []uint64, sink telemetry.SpanSink) ([]*Mapping, error) {
-	defer c.syscallObserved(appID, sink)()
+	c.syscall(appID)
 	if len(inos) == 0 || len(inos) > MaxReleaseBatch {
 		return nil, fmt.Errorf("acquire of %d inodes outside the batch cap 1..%d: %w", len(inos), MaxReleaseBatch, fsapi.ErrInval)
 	}
@@ -489,8 +489,8 @@ const (
 )
 
 // MaxReleaseBatch is the most inodes one ReleaseBatch crossing accepts:
-// the crossing holds one admission slot for all of its verifications, so
-// the work a tenant can put behind a single slot has to be bounded.
+// the crossing runs all of its verifications as one syscall, so the work
+// a tenant can put behind a single crossing has to be bounded.
 const MaxReleaseBatch = 64
 
 // Released is one inode's outcome of a ReleaseBatch.
@@ -502,9 +502,8 @@ type Released struct {
 	Err     error
 }
 
-// ReleaseBatch returns inos to the kernel in one crossing — one admission
-// slot, one rate-quota token — transferring them one by one in the order
-// given, which the caller makes Rule-1 order (parents before children):
+// ReleaseBatch returns inos to the kernel in one crossing, transferring
+// them one by one in the order given, which the caller makes Rule-1 order (parents before children):
 // unmap, verify, apply or roll back, files under their shard lock and
 // directories under the exclusive epoch. A failed verification tears down
 // that inode only; the rest of the batch proceeds.
@@ -516,10 +515,10 @@ type Released struct {
 // crossing — until the kernel reclaims it for another application
 // (reclaimDormant).
 //
-// sink (nil-safe) receives timed admission- and shard-wait events. A batch
-// longer than MaxReleaseBatch is refused whole.
+// sink (nil-safe) receives timed shard-wait events. A batch longer than
+// MaxReleaseBatch is refused whole.
 func (c *Controller) ReleaseBatch(appID AppID, inos []uint64, leased bool, sink telemetry.SpanSink) []Released {
-	defer c.syscallObserved(appID, sink)()
+	c.syscall(appID)
 	out := make([]Released, len(inos))
 	if len(inos) > MaxReleaseBatch {
 		err := fmt.Errorf("release of %d inodes exceeds the batch cap %d: %w", len(inos), MaxReleaseBatch, fsapi.ErrInval)
@@ -564,7 +563,7 @@ func (c *Controller) Commit(appID AppID, ino uint64) error {
 // CommitObserved is Commit with a span sink for timed shard-wait events
 // (nil = plain Commit).
 func (c *Controller) CommitObserved(appID AppID, ino uint64, sink telemetry.SpanSink) error {
-	defer c.syscallObserved(appID, sink)()
+	c.syscall(appID)
 	c.Stats.Commits.Add(1)
 	q := c.crossing(false)
 	defer c.commit(q)
@@ -674,7 +673,7 @@ func (c *Controller) transferHeld(se *shadowEnt, appID AppID, ino uint64, kind x
 // the involuntary-release path, also used by tests to simulate an
 // application crash.
 func (c *Controller) ForceRelease(ino uint64) error {
-	defer c.syscall(0)()
+	c.syscall(0)
 	q := c.crossing(true)
 	defer c.commit(q)
 	se := c.shadowGet(ino, nil)

@@ -63,11 +63,6 @@ type Options struct {
 	// LeaseTTL bounds how long an application may hold an inode another
 	// application is waiting for; 0 means a generous default.
 	LeaseTTL time.Duration
-	// MaxInflight caps concurrently admitted kernel crossings; excess
-	// crossings queue in the fair-share admission scheduler (see
-	// admission.go). 0 disables admission entirely: the only residual
-	// cost is one nil check per crossing.
-	MaxInflight int
 	// RecoverWorkers bounds the recovery worker pool (Mount/Fsck).
 	// 0 = min(GOMAXPROCS, 8); 1 = serial.
 	RecoverWorkers int
@@ -204,16 +199,11 @@ type app struct {
 	// lower them while crossings are in flight; 0 means unlimited.
 	maxPages  atomic.Int64
 	maxInodes atomic.Int64
-	crossRate atomic.Int64 // crossings per second
-	weight    atomic.Int64 // admission fair-share weight (0 = 1)
 	// pagesOut counts outstanding granted pages: charged at GrantPages,
 	// uncharged when a page is adopted by a committed inode, returned, or
 	// reclaimed at unregister. It also lets UnregisterApp skip the
 	// device-wide page-owner scan for tenants that never held a page.
 	pagesOut atomic.Int64
-	// rateTAT is the GCRA theoretical-arrival-time (ns) for the
-	// crossings/sec throttle.
-	rateTAT atomic.Int64
 }
 
 // Mapping is a LibFS's handle on an inode's mapped core state. The
@@ -315,17 +305,6 @@ type Controller struct {
 	// through pageOwnerAt/setPageOwner/casPageOwner (atomics).
 	pages []uint64
 
-	// adm is the fair-share crossing admission scheduler (admission.go);
-	// nil when Options.MaxInflight is 0.
-	adm *admission
-	// quotaRates indexes apps with a crossings/sec quota so the syscall
-	// hot path stays lock-free: one atomic check when no rate quota
-	// exists anywhere, one sync.Map load otherwise.
-	quotaRates sync.Map // AppID -> *app
-	rateActive atomic.Int32
-	// throttled counts crossings delayed by a crossings/sec quota.
-	throttled atomic.Int64
-
 	// appsMu guards the app table, grantedInos sets, the inode free
 	// list, and the id counters.
 	appsMu    hlock.CountedSpin
@@ -411,7 +390,6 @@ func Format(dev *pmem.Device, opts Options) (*Controller, error) {
 	// tail-set belongs to the root inode and is excluded from the free
 	// pool.
 	c.alloc = pmalloc.NewExcluding(g, rootIn.DataRoot)
-	c.alloc.ConfigureNUMA(numaNodes, c.cost)
 	c.setPageOwner(rootIn.DataRoot, ownIno(layout.RootIno))
 	// Inode free list (descending so grants ascend).
 	for ino := g.InodeCap - 1; ino >= 2; ino-- {
@@ -431,46 +409,18 @@ func newController(dev *pmem.Device, g layout.Geometry, opts Options) *Controlle
 	}
 	c.shadow.Store(newShadowGen(nShadowMin))
 	c.queues.New = func() any { return &persistQ{Batch: dev.NewBatch()} }
-	if opts.MaxInflight > 0 {
-		c.adm = newAdmission(opts.MaxInflight, opts.AppDim)
-	}
 	now := clockFn(time.Now)
 	c.clock.Store(&now)
 	c.ver = &verifier.V{Mode: opts.Mode, Dev: dev, Geo: g, Cost: opts.Cost}
 	return c
 }
 
-// noRelease is the crossing-end hook when admission is disabled.
-func noRelease() {}
-
-// syscall charges and counts one kernel crossing, attributing it to
-// appID's row of the app dimension (0 = unattributed). It applies the
-// app's crossings/sec throttle and, when admission is enabled, blocks
-// until the fair-share scheduler admits the crossing. The returned hook
-// ends the crossing; call it deferred so the admission slot is held for
-// the crossing's full duration:
-//
-//	defer c.syscall(appID)()
-func (c *Controller) syscall(appID AppID) func() {
-	return c.syscallObserved(appID, nil)
-}
-
-// syscallObserved is syscall with a span sink: a queued admission wait is
-// reported as a timed SpanEvAdmitWait event.
-func (c *Controller) syscallObserved(appID AppID, sink telemetry.SpanSink) func() {
+// syscall counts and charges one kernel crossing, attributing it to
+// appID's row of the app dimension (0 = unattributed).
+func (c *Controller) syscall(appID AppID) {
 	c.Stats.Syscalls.Add(1)
 	c.opts.AppDim.Add(appID, telemetry.AppSyscalls, 1)
 	c.cost.Syscall()
-	if c.rateActive.Load() != 0 {
-		if v, ok := c.quotaRates.Load(appID); ok {
-			c.throttleCrossing(v.(*app))
-		}
-	}
-	if c.adm == nil {
-		return noRelease
-	}
-	c.adm.admit(appID, sink)
-	return c.adm.releaseFn
 }
 
 // VerifierStats exposes the verifier's work counters.
@@ -493,14 +443,9 @@ func (c *Controller) RegisterTelemetry(set *telemetry.Set) {
 	set.Gauge("kernel.shard.acquisitions", func() int64 { return c.shardTelemetry(false) })
 	set.Gauge("kernel.shard.contended", func() int64 { return c.shardTelemetry(true) })
 	set.Gauge("kernel.shard.count", func() int64 { return int64(len(c.shadow.Load().shards)) })
-	set.Gauge("kernel.admission.admitted", func() int64 { return c.adm.admittedCount() })
-	set.Gauge("kernel.admission.queued", func() int64 { return c.adm.queuedCount() })
-	set.Gauge("kernel.admission.wait_ns", func() int64 { return c.adm.waitNSCount() })
-	set.Gauge("kernel.admission.handoffs", func() int64 { return c.adm.handoffCount() })
-	set.Gauge("kernel.admission.queue_depth", func() int64 { return c.adm.queueDepth() })
-	set.Gauge("kernel.admission.throttled", c.throttled.Load)
-	set.Gauge("pmalloc.steals.local", func() int64 { return c.alloc.StealsLocal() })
-	set.Gauge("pmalloc.steals.remote", func() int64 { return c.alloc.StealsRemote() })
+	// One steal counter; its key says "local" because benchmark/ reads it
+	// by that name.
+	set.Gauge("pmalloc.steals.local", func() int64 { return c.alloc.Steals() })
 	set.Gauge("verifier.dentries", c.ver.Stats.Dentries.Load)
 	set.Gauge("verifier.pages", c.ver.Stats.Pages.Load)
 }
@@ -533,7 +478,7 @@ func (c *Controller) SetClock(now func() time.Time) {
 // count outruns the shadow-shard count, the table grows before returning
 // (the tenant-scaling fix: shard counts follow tenant counts).
 func (c *Controller) RegisterApp(uid, gid uint32) AppID {
-	defer c.syscall(0)()
+	c.syscall(0)
 	e := c.epoch.RLock()
 	c.appsMu.Lock()
 	c.nextApp++
@@ -549,11 +494,11 @@ func (c *Controller) RegisterApp(uid, gid uint32) AppID {
 // UnregisterApp retires an application identity: every inode it still
 // holds is force-released (verified and returned to the kernel), its
 // unused inode grants go back to the free pool, any still-granted pages
-// are reclaimed, and its telemetry/admission state is dropped. Idle
+// are reclaimed, and its app row is dropped. Idle
 // tenants — no held inodes, no outstanding pages — unregister without
 // touching the shadow or page tables beyond the app row itself.
 func (c *Controller) UnregisterApp(appID AppID) error {
-	defer c.syscall(appID)()
+	c.syscall(appID)
 	a := c.lookupApp(appID)
 	if a == nil {
 		return fmt.Errorf("kernel: unknown app %d", appID)
@@ -591,20 +536,13 @@ func (c *Controller) UnregisterApp(appID AppID) error {
 			}
 		}
 	}
-	c.quotaRates.Delete(appID)
-	if a.crossRate.Load() > 0 {
-		c.rateActive.Add(-1)
-	}
-	if c.adm != nil {
-		c.adm.evict(appID)
-	}
 	return nil
 }
 
 // NewTrustGroup places the given applications in a fresh trust group:
 // inode ownership moves among them without verification (§5.4).
 func (c *Controller) NewTrustGroup(ids ...AppID) (int, error) {
-	defer c.syscall(0)()
+	c.syscall(0)
 	e := c.epoch.RLock()
 	defer c.epoch.RUnlock(e)
 	c.appsMu.Lock()
@@ -623,7 +561,7 @@ func (c *Controller) NewTrustGroup(ids ...AppID) (int, error) {
 // GrantInodes hands n fresh inode numbers to app; the LibFS builds new
 // files and directories in them without further system calls.
 func (c *Controller) GrantInodes(appID AppID, n int) ([]uint64, error) {
-	defer c.syscall(appID)()
+	c.syscall(appID)
 	e := c.epoch.RLock()
 	defer c.epoch.RUnlock(e)
 	c.appsMu.Lock()
@@ -652,7 +590,7 @@ func (c *Controller) GrantInodes(appID AppID, n int) ([]uint64, error) {
 // GrantPages hands n free pages to app, charging them against the app's
 // outstanding-page quota.
 func (c *Controller) GrantPages(appID AppID, cpu, n int) ([]uint64, error) {
-	defer c.syscall(appID)()
+	c.syscall(appID)
 	a := c.lookupApp(appID)
 	if a == nil {
 		return nil, fmt.Errorf("kernel: unknown app %d", appID)
@@ -681,7 +619,7 @@ func (c *Controller) GrantPages(appID AppID, cpu, n int) ([]uint64, error) {
 // ReturnPages gives unused granted pages back (LibFS teardown),
 // uncharging them from the app's outstanding-page quota.
 func (c *Controller) ReturnPages(appID AppID, pages []uint64) {
-	defer c.syscall(appID)()
+	c.syscall(appID)
 	e := c.epoch.RLock()
 	var back []uint64
 	for _, p := range pages {
@@ -700,14 +638,14 @@ func (c *Controller) ReturnPages(appID AppID, pages []uint64) {
 
 // RenameLockAcquire takes the global rename lease for app (§4.6 patch).
 func (c *Controller) RenameLockAcquire(appID AppID) {
-	defer c.syscall(appID)()
+	c.syscall(appID)
 	c.renameLock.Acquire(appID, renameLeaseTTL)
 }
 
 // RenameLockRelease returns the lease; false means it had expired and
 // been stolen.
 func (c *Controller) RenameLockRelease(appID AppID) bool {
-	defer c.syscall(appID)()
+	c.syscall(appID)
 	return c.renameLock.Release(appID)
 }
 
@@ -718,7 +656,7 @@ func (c *Controller) RenameLockRelease(appID AppID) bool {
 // SetACL is a no-op. Like every other entry point it models (and charges)
 // a kernel crossing.
 func (c *Controller) SetACL(ino uint64, appID AppID, perm uint16) {
-	defer c.syscall(appID)()
+	c.syscall(appID)
 	e := c.epoch.RLock()
 	defer c.epoch.RUnlock(e)
 	sh := c.lockShard(ino, nil)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 )
 
 // ErrQuota is returned (wrapped, with context) when a grant would push a
@@ -23,13 +22,6 @@ type Quota struct {
 	MaxPages int64
 	// MaxInodes caps outstanding granted inode numbers.
 	MaxInodes int64
-	// CrossingsPerSec rate-limits the tenant's kernel crossings with a
-	// GCRA token bucket (burst tolerance ~1/8 s of crossings).
-	CrossingsPerSec int64
-	// Weight is the tenant's fair-share weight in the crossing admission
-	// scheduler (0 = 1): under contention a weight-4 tenant is admitted
-	// 4x as often as a weight-1 tenant.
-	Weight int64
 }
 
 // SetQuota installs (or, with a zero Quota, clears) appID's quota.
@@ -38,27 +30,13 @@ type Quota struct {
 // revoke anything, it only blocks further grants until usage drains
 // below the new limit.
 func (c *Controller) SetQuota(appID AppID, q Quota) error {
-	defer c.syscall(appID)()
+	c.syscall(appID)
 	a := c.lookupApp(appID)
 	if a == nil {
 		return fmt.Errorf("kernel: unknown app %d", appID)
 	}
 	a.maxPages.Store(q.MaxPages)
 	a.maxInodes.Store(q.MaxInodes)
-	a.weight.Store(q.Weight)
-	old := a.crossRate.Swap(q.CrossingsPerSec)
-	if q.CrossingsPerSec > 0 {
-		c.quotaRates.Store(appID, a)
-		if old <= 0 {
-			c.rateActive.Add(1)
-		}
-	} else if old > 0 {
-		c.quotaRates.Delete(appID)
-		c.rateActive.Add(-1)
-	}
-	if c.adm != nil {
-		c.adm.setWeight(appID, q.Weight)
-	}
 	return nil
 }
 
@@ -68,12 +46,11 @@ func (c *Controller) QuotaOf(appID AppID) (Quota, bool) {
 	if a == nil {
 		return Quota{}, false
 	}
-	return Quota{
-		MaxPages:        a.maxPages.Load(),
-		MaxInodes:       a.maxInodes.Load(),
-		CrossingsPerSec: a.crossRate.Load(),
-		Weight:          a.weight.Load(),
-	}, true
+	return a.quota(), true
+}
+
+func (a *app) quota() Quota {
+	return Quota{MaxPages: a.maxPages.Load(), MaxInodes: a.maxInodes.Load()}
 }
 
 // AppUsage is one tenant's live quota/usage snapshot (arckshell's
@@ -95,12 +72,7 @@ func (c *Controller) Usage() []AppUsage {
 			App:           id,
 			PagesOut:      a.pagesOut.Load(),
 			InodesGranted: int64(len(a.grantedInos)),
-			Quota: Quota{
-				MaxPages:        a.maxPages.Load(),
-				MaxInodes:       a.maxInodes.Load(),
-				CrossingsPerSec: a.crossRate.Load(),
-				Weight:          a.weight.Load(),
-			},
+			Quota:         a.quota(),
 		})
 	}
 	c.appsMu.Unlock()
@@ -120,50 +92,6 @@ func (a *app) chargePages(n int) error {
 		}
 		if a.pagesOut.CompareAndSwap(cur, cur+int64(n)) {
 			return nil
-		}
-	}
-}
-
-// throttleCrossing applies the app's crossings/sec quota: a GCRA token
-// bucket over the controller clock with ~1/8 s of burst tolerance.
-// Non-conforming crossings block (with a real-time backoff, so a modeled
-// clock that tracks real time converges without spinning a core) until
-// the bucket drains. Called before admission so a rate-limited tenant
-// never parks itself on an admission slot.
-func (c *Controller) throttleCrossing(a *app) {
-	rate := a.crossRate.Load()
-	if rate <= 0 {
-		return
-	}
-	interval := int64(time.Second) / rate
-	if interval <= 0 {
-		interval = 1
-	}
-	burst := rate / 8
-	if burst < 1 {
-		burst = 1
-	}
-	tau := burst * interval
-	throttled := false
-	for {
-		now := c.now().UnixNano()
-		tat := a.rateTAT.Load()
-		base := tat
-		if base < now {
-			base = now
-		}
-		if base-now > tau {
-			// Over rate: the theoretical arrival time has run ahead of
-			// the burst tolerance. Wait for real time to catch up.
-			if !throttled {
-				throttled = true
-				c.throttled.Add(1)
-			}
-			time.Sleep(50 * time.Microsecond)
-			continue
-		}
-		if a.rateTAT.CompareAndSwap(tat, base+interval) {
-			return
 		}
 	}
 }

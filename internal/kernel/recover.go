@@ -291,7 +291,6 @@ func Mount(dev *pmem.Device, opts Options, repair bool) (*Controller, *Report, e
 		usedPages = append(usedPages, inoPageLists[i]...)
 	}
 	c.alloc = pmalloc.NewExcluding(g, usedPages...)
-	c.alloc.ConfigureNUMA(numaNodes, c.cost)
 	// Everything not referenced by the surviving tree returns to the free
 	// pool; report how many pages that recovered beyond the tree itself.
 	rep.LeakedPages = c.alloc.FreeCount()

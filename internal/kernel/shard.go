@@ -41,11 +41,6 @@ const (
 	// nShadowMax (see maybeGrowShards).
 	nShadowMin = 16
 	nShadowMax = 4096
-	// numaNodes groups the page allocator's stripes into NUMA node
-	// groups: refill and free stay node-local, and cross-node stealing
-	// (which pays the modeled interconnect cost) happens only when the
-	// local group is dry. 2 is the paper testbed's dual-socket shape.
-	numaNodes = 2
 	// renameLeaseTTL bounds the global rename lock lease (§4.6).
 	renameLeaseTTL = time.Second
 )

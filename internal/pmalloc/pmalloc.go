@@ -5,12 +5,8 @@
 //
 // Allocation is striped to reduce cross-thread contention: each virtual
 // CPU draws from its own stripe and refills from the global pool in
-// batches. Stripes can further be grouped into NUMA node groups
-// (ConfigureNUMA): refill and FreeLocal stay node-local, and a starving
-// CPU steals from its own node's stripes first, crossing to a remote
-// node — and paying the modeled interconnect cost — only when the whole
-// local group is dry. Steals are counted per node so telemetry can
-// distinguish cheap local rebalancing from remote traffic.
+// batches. A CPU whose stripe and the global pool are both dry steals
+// from a sibling stripe.
 package pmalloc
 
 import (
@@ -18,7 +14,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"arckfs/internal/costmodel"
 	"arckfs/internal/hlock"
 	"arckfs/internal/layout"
 )
@@ -39,15 +34,7 @@ type Allocator struct {
 		_    [40]byte
 	}
 
-	// nodes is the number of NUMA node groups the stripes are split
-	// into; 1 (the default) means a single group and reproduces the
-	// ungrouped stealing order. Set once via ConfigureNUMA before the
-	// allocator sees concurrent use.
-	nodes int
-	cost  *costmodel.Model
-
-	stealsLocal  [stripes]atomic.Int64 // indexed by stealing node
-	stealsRemote [stripes]atomic.Int64 // indexed by stealing node
+	steals atomic.Int64 // pages moved between stripes
 }
 
 // New creates an allocator with every data page of g free.
@@ -78,59 +65,8 @@ func NewExcluding(g layout.Geometry, used ...uint64) *Allocator {
 // with Free as it discovers unreachable pages.
 func NewEmpty() *Allocator { return &Allocator{} }
 
-// ConfigureNUMA splits the stripes into n node groups and installs the
-// cost model charged for remote steals. n is clamped to [1, stripes];
-// with the default of 1 every stripe is local to every other and no
-// remote cost is ever charged. Call before the allocator sees
-// concurrent use.
-func (a *Allocator) ConfigureNUMA(n int, cost *costmodel.Model) {
-	if n < 1 {
-		n = 1
-	}
-	if n > stripes {
-		n = stripes
-	}
-	a.nodes = n
-	a.cost = cost
-}
-
-// nodeOf maps a stripe index to its NUMA node group. Groups are
-// contiguous: with 2 nodes, stripes 0-3 are node 0 and 4-7 node 1.
-func (a *Allocator) nodeOf(si int) int {
-	if a.nodes <= 1 {
-		return 0
-	}
-	return si * a.nodes / stripes
-}
-
-// StealsLocal returns the total number of pages stolen from stripes in
-// the stealing CPU's own node group.
-func (a *Allocator) StealsLocal() int64 {
-	var n int64
-	for i := range a.stealsLocal {
-		n += a.stealsLocal[i].Load()
-	}
-	return n
-}
-
-// StealsRemote returns the total number of pages stolen across node
-// groups.
-func (a *Allocator) StealsRemote() int64 {
-	var n int64
-	for i := range a.stealsRemote {
-		n += a.stealsRemote[i].Load()
-	}
-	return n
-}
-
-// NodeSteals returns the (local, remote) pages stolen by CPUs of the
-// given node group.
-func (a *Allocator) NodeSteals(node int) (local, remote int64) {
-	if node < 0 || node >= stripes {
-		return 0, 0
-	}
-	return a.stealsLocal[node].Load(), a.stealsRemote[node].Load()
-}
+// Steals returns the number of pages stolen from sibling stripes.
+func (a *Allocator) Steals() int64 { return a.steals.Load() }
 
 // Alloc returns one free page for the given virtual CPU. When both the
 // CPU's stripe and the global pool are dry it steals from a sibling
@@ -168,36 +104,22 @@ func (a *Allocator) Alloc(cpu int) (uint64, error) {
 }
 
 // steal takes up to half of the first non-empty sibling stripe's pages,
-// trying every stripe in si's own node group before touching a remote
-// node. Remote steals charge the modeled interconnect cost and are
-// counted separately. At most one stripe lock is held at a time.
+// trying the stripes after si in turn. At most one stripe lock is held at
+// a time.
 func (a *Allocator) steal(si int) []uint64 {
-	node := a.nodeOf(si)
-	for pass := 0; pass < 2; pass++ {
-		remote := pass == 1
-		for i := 1; i < stripes; i++ {
-			vi := (si + i) % stripes
-			if (a.nodeOf(vi) != node) != remote {
-				continue
-			}
-			v := &a.stripe[vi]
-			v.mu.Lock()
-			n := (len(v.free) + 1) / 2
-			if n == 0 {
-				v.mu.Unlock()
-				continue
-			}
-			stolen := append([]uint64(nil), v.free[len(v.free)-n:]...)
-			v.free = v.free[:len(v.free)-n]
+	for i := 1; i < stripes; i++ {
+		v := &a.stripe[(si+i)%stripes]
+		v.mu.Lock()
+		n := (len(v.free) + 1) / 2
+		if n == 0 {
 			v.mu.Unlock()
-			if remote {
-				a.stealsRemote[node].Add(int64(n))
-				a.cost.NUMARemote(n)
-			} else {
-				a.stealsLocal[node].Add(int64(n))
-			}
-			return stolen
+			continue
 		}
+		stolen := append([]uint64(nil), v.free[len(v.free)-n:]...)
+		v.free = v.free[:len(v.free)-n]
+		v.mu.Unlock()
+		a.steals.Add(int64(n))
+		return stolen
 	}
 	return nil
 }

@@ -22,24 +22,16 @@ const (
 	// AppNTStores: cache lines the app's threads wrote with non-temporal
 	// streaming stores.
 	AppNTStores
-	// AppAdmitQueued: kernel crossings that queued in the fair-share
-	// admission scheduler instead of taking the fast path.
-	AppAdmitQueued
-	// AppAdmitWaitNS: total nanoseconds the app's crossings spent queued
-	// for admission.
-	AppAdmitWaitNS
 
 	appMetricCount
 )
 
 var appMetricNames = [appMetricCount]string{
-	AppOps:         "ops",
-	AppSyscalls:    "syscalls",
-	AppFlushes:     "flushes",
-	AppFences:      "fences",
-	AppNTStores:    "ntstores",
-	AppAdmitQueued: "admit_queued",
-	AppAdmitWaitNS: "admit_wait_ns",
+	AppOps:      "ops",
+	AppSyscalls: "syscalls",
+	AppFlushes:  "flushes",
+	AppFences:   "fences",
+	AppNTStores: "ntstores",
 }
 
 // String returns the metric's snapshot key.
@@ -103,15 +95,13 @@ func (r *AppRow) RecordLatency(ns int64) {
 
 // AppStat is one application's attribution snapshot.
 type AppStat struct {
-	App         int64           `json:"app"`
-	Ops         int64           `json:"ops"`
-	Syscalls    int64           `json:"syscalls"`
-	Flushes     int64           `json:"flushes"`
-	Fences      int64           `json:"fences"`
-	NTStores    int64           `json:"ntstores"`
-	AdmitQueued int64           `json:"admit_queued,omitempty"`
-	AdmitWaitNS int64           `json:"admit_wait_ns,omitempty"`
-	Latency     *LatencySummary `json:"latency,omitempty"`
+	App      int64           `json:"app"`
+	Ops      int64           `json:"ops"`
+	Syscalls int64           `json:"syscalls"`
+	Flushes  int64           `json:"flushes"`
+	Fences   int64           `json:"fences"`
+	NTStores int64           `json:"ntstores"`
+	Latency  *LatencySummary `json:"latency,omitempty"`
 }
 
 // AppDim is the app-keyed dimension of the counter registry: one AppRow
@@ -164,14 +154,12 @@ func (d *AppDim) Snapshot() []AppStat {
 	d.rows.Range(func(k, v any) bool {
 		r := v.(*AppRow)
 		st := AppStat{
-			App:         k.(int64),
-			Ops:         r.Get(AppOps),
-			Syscalls:    r.Get(AppSyscalls),
-			Flushes:     r.Get(AppFlushes),
-			Fences:      r.Get(AppFences),
-			NTStores:    r.Get(AppNTStores),
-			AdmitQueued: r.Get(AppAdmitQueued),
-			AdmitWaitNS: r.Get(AppAdmitWaitNS),
+			App:      k.(int64),
+			Ops:      r.Get(AppOps),
+			Syscalls: r.Get(AppSyscalls),
+			Flushes:  r.Get(AppFlushes),
+			Fences:   r.Get(AppFences),
+			NTStores: r.Get(AppNTStores),
 		}
 		if h := r.lat.Load(); h != nil {
 			if s := h.Summary(); s.Count > 0 {

@@ -47,10 +47,6 @@ const (
 	// SpanEvRecoveryPass: one mount-time recovery pass finished. a = pass
 	// index (0-based, in Mount order), b = duration in nanoseconds.
 	SpanEvRecoveryPass
-	// SpanEvAdmitWait: the crossing queued in the fair-share admission
-	// scheduler before being admitted. a = app id, b = wait in
-	// nanoseconds.
-	SpanEvAdmitWait
 	// SpanEvDirCompact: a release rewrote a directory's dentry log before
 	// handing it back. a = inode, b = duration in nanoseconds.
 	SpanEvDirCompact
@@ -72,7 +68,6 @@ var spanEventNames = [...]string{
 	SpanEvLeaseMiss:    "lease-miss",
 	SpanEvShardWait:    "shard-wait",
 	SpanEvRecoveryPass: "recovery-pass",
-	SpanEvAdmitWait:    "admit-wait",
 	SpanEvDirCompact:   "dir-compact",
 	SpanEvReleaseBatch: "release-batch",
 	SpanEvAcquireBatch: "acquire-batch",

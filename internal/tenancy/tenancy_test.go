@@ -46,11 +46,11 @@ func TestTenantLifecycle(t *testing.T) {
 	sys := newSys(t)
 	reg := NewRegistry(sys)
 
-	tn, err := reg.Spawn(kernel.Quota{MaxPages: 1024, MaxInodes: 512, Weight: 2})
+	tn, err := reg.Spawn(kernel.Quota{MaxPages: 1024, MaxInodes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := sys.Ctrl.QuotaOf(tn.App()); !ok || got.MaxPages != 1024 || got.Weight != 2 {
+	if got, ok := sys.Ctrl.QuotaOf(tn.App()); !ok || got.MaxPages != 1024 || got.MaxInodes != 512 {
 		t.Fatalf("quota not installed: %+v ok=%v", got, ok)
 	}
 
@@ -118,7 +118,7 @@ func TestTenantLifecycle(t *testing.T) {
 
 // TestRegistryChurnRace churns spawn/quota/retire cycles from many
 // goroutines at once (run under -race in CI): the registry map, the
-// kernel's app table and admission scheduler, and the attribution
+// kernel's app table and quota state, and the attribution
 // dimension all see concurrent registration and eviction, and the test
 // asserts everything drains back to baseline.
 func TestRegistryChurnRace(t *testing.T) {
@@ -138,7 +138,7 @@ func TestRegistryChurnRace(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < cycles; i++ {
-				tn, err := reg.Spawn(kernel.Quota{MaxPages: 256, Weight: int64(w%4 + 1)})
+				tn, err := reg.Spawn(kernel.Quota{MaxPages: int64(256 * (w%4 + 1))})
 				if err != nil {
 					errs <- fmt.Errorf("worker %d spawn %d: %w", w, i, err)
 					return
@@ -238,7 +238,7 @@ func TestRetiredTenantsLeaveNoGoroutines(t *testing.T) {
 // syscalls.avoided) must keep a retired tenant's totals, because tools read
 // them as deltas. Levels are exempt — they are allowed to fall.
 func TestCountersSurviveRetire(t *testing.T) {
-	levels := map[string]bool{"rcu.pending": true, "kernel.admission.queue_depth": true}
+	levels := map[string]bool{"rcu.pending": true}
 	sys := newSys(t)
 	reg := NewRegistry(sys)
 	tn, err := reg.Spawn(kernel.Quota{})
