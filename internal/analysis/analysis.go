@@ -13,8 +13,6 @@
 //     Batch.Barrier since the last dentry-body store on every path.
 //   - flushcheck: no raw store into the pmem image that is never flushed
 //     (the "never-flushed partial-block zero" class PR 2 fixed).
-//   - epochdrain: a pmem.Batch obtained in a function reaches Barrier or
-//     is handed off on every return path, including early error returns.
 //   - lockorder: hlock acquisition in libfs/kernel follows the declared
 //     partial order, and the whole-program acquisition graph is acyclic.
 //   - rcusection: RCU read-side critical sections take no blocking lock,
@@ -25,23 +23,23 @@
 //   - publishorder: a page published into a lock-free block array is
 //     zeroed (or guarded by a published-size check) before the pointer
 //     store, and published before the size store that exposes it.
-//   - graceblock: no call that can wait for a grace period
-//     (Domain.Synchronize/Barrier, transitively) while holding an hlock
-//     or while RCU-pinned — the retire-vs-reclaim deadlock class.
 //   - counterreg: telemetry counters are registered once and every
 //     namespaced counter-name literal refers to a registered counter.
+//
+// Each checker owns a ✓ in docs/TESTING.md's matrix, a bug class it is
+// recorded catching (TestEveryCheckerOwnsACell).
 //
 // Since v2 the suite is interprocedural: before any checker runs, the
 // engine in summary.go computes one effect Summary per function — locks
 // it may acquire, whether it can leave a body store unbarriered, its
 // RCU pin balance, whether it can block a grace period or recycle
-// reader-reachable resources, which batch parameters it drains — bottom-
-// up over the call graph's strongly connected components to a
-// conservative fixpoint. Checkers stay flow-sensitive walks of a single
-// function body but see every call through the callee's summary, so a
-// violation assembled across two, three, or N frames (writeAt holding an
-// inode lock calling a helper that calls a helper that waits for grace)
-// is reported at the outermost call site with the via-chain named.
+// reader-reachable resources — bottom-up over the call graph's strongly
+// connected components to a conservative fixpoint. Checkers stay
+// flow-sensitive walks of a single function body but see every call
+// through the callee's summary, so a violation assembled across two,
+// three, or N frames (a pinned reader calling a helper that calls a
+// helper that takes a lock) is reported at the outermost call site with
+// the via-chain named.
 //
 // The suite is built on the standard library only (go/parser, go/ast,
 // go/types), so it runs offline with no module dependencies. Each checker
@@ -100,12 +98,10 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		persistOrderAnalyzer,
 		flushCheckAnalyzer,
-		epochDrainAnalyzer,
 		lockOrderAnalyzer,
 		rcuSectionAnalyzer,
 		retireCheckAnalyzer,
 		publishOrderAnalyzer,
-		graceBlockAnalyzer,
 		counterRegAnalyzer,
 	}
 }

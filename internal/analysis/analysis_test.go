@@ -68,13 +68,11 @@ func TestGolden(t *testing.T) {
 	}{
 		{"persistorder", "persistorder", 0},
 		{"flushcheck", "flushcheck", 1},
-		{"epochdrain", "epochdrain", 0},
 		{"lockorder", "lockorder", 0},
 		{"rcusection", "rcusection", 0},
 		{"counterreg", "counterreg", 0},
 		{"retirecheck", "retirecheck", 1},
 		{"publishorder", "publishorder", 0},
-		{"graceblock", "graceblock", 0},
 		{"lockcycle", "lockorder", 0},
 	}
 	for _, tc := range cases {
@@ -184,8 +182,8 @@ func TestMalformedAllows(t *testing.T) {
 // TestSelect covers the checker-selection surface the CLI exposes.
 func TestSelect(t *testing.T) {
 	all, err := Select("")
-	if err != nil || len(all) != 9 {
-		t.Fatalf("Select(\"\") = %d analyzers, err %v; want 9, nil", len(all), err)
+	if err != nil || len(all) != 7 {
+		t.Fatalf("Select(\"\") = %d analyzers, err %v; want 7, nil", len(all), err)
 	}
 	two, err := Select("persistorder, lockorder")
 	if err != nil || len(two) != 2 {
@@ -195,6 +193,56 @@ func TestSelect(t *testing.T) {
 		t.Fatal("Select(nosuch): expected error")
 	}
 }
+
+// TestEveryCheckerOwnsACell enforces the suite's rent rule: a checker
+// stays only while it owns a "✓ <name>" cell in the arcklint column of
+// docs/TESTING.md's matrix, a bug class it is recorded catching. Deleting
+// a checker's row, or adding a checker without one, fails here.
+func TestEveryCheckerOwnsACell(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "docs", "TESTING.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, matrix, ok := strings.Cut(string(data), "## The matrix")
+	if !ok {
+		t.Fatal(`docs/TESTING.md has no "## The matrix" section`)
+	}
+	owned := make(map[string]bool)
+	col := -1
+	for _, line := range strings.Split(matrix, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if col >= 0 {
+				break // the table has ended
+			}
+			continue
+		}
+		// An escaped pipe inside a cell does not split it.
+		cells := strings.Split(strings.ReplaceAll(line, `\|`, ""), "|")
+		if col < 0 {
+			for i, c := range cells {
+				if strings.HasPrefix(strings.TrimSpace(c), "arcklint") {
+					col = i
+				}
+			}
+			continue
+		}
+		if col < len(cells) {
+			for _, m := range ownedRe.FindAllStringSubmatch(cells[col], -1) {
+				owned[m[1]] = true
+			}
+		}
+	}
+	if col < 0 {
+		t.Fatal("the matrix has no arcklint column")
+	}
+	for _, a := range Analyzers() {
+		if !owned[a.Name] {
+			t.Errorf("checker %s owns no ✓ in the matrix's arcklint column: record the mutation only it catches, or delete it", a.Name)
+		}
+	}
+}
+
+var ownedRe = regexp.MustCompile(`✓ ([a-z]+)`)
 
 // TestLockCycles pins the whole-program acquisition-graph rule: the
 // seeded two-function cycle in the lockcycle fixture must produce a
@@ -232,7 +280,7 @@ func TestSummaryDeterminism(t *testing.T) {
 	root := filepath.Join("testdata", "src")
 	dirs := []string{
 		filepath.Join(root, "retirecheck"),
-		filepath.Join(root, "graceblock"),
+		filepath.Join(root, "rcusection"),
 		filepath.Join(root, "lockorder"),
 	}
 	run := func() []byte {

@@ -8,7 +8,8 @@ import (
 )
 
 // This file implements the small abstract interpreter the flow-sensitive
-// checkers (persistorder, flushcheck, epochdrain, lockorder) share. It
+// checkers (persistorder, flushcheck, lockorder, rcusection, retirecheck,
+// publishorder) and the summary engine share. It
 // walks a function body statement by statement, threading a
 // checker-specific abstract state through it:
 //
@@ -30,7 +31,7 @@ import (
 // Interprocedural facts arrive through the effect summaries of
 // summary.go instead: a checker's onCall consults the callee's
 // precomputed Summary (may it store body bytes? acquire a lock class?
-// wait for grace?) rather than walking into it, which keeps every walk
+// block a grace period?) rather than walking into it, which keeps every walk
 // linear in the function's size while still catching violations
 // assembled across call boundaries.
 
@@ -50,12 +51,6 @@ type flowClient interface {
 	// onReturn fires once per path that leaves the function, after
 	// deferred calls have been replayed into st.
 	onReturn(st flowState, pos token.Pos)
-}
-
-// identClient is an optional extension: onIdent fires for identifier uses
-// outside method-receiver position (epochdrain uses it for escapes).
-type identClient interface {
-	onIdent(st flowState, id *ast.Ident)
 }
 
 // assignClient is an optional extension: when implemented, assignment
@@ -253,27 +248,11 @@ func (w *flowWalker) clauses(body *ast.BlockStmt, st flowState) flowState {
 }
 
 // scan walks an expression (or expression-bearing statement) delivering
-// call and identifier events in pre-order. Function-literal bodies are
-// skipped — they execute later, not here.
+// call events in pre-order. Function-literal bodies are skipped — they
+// execute later, not here.
 func (w *flowWalker) scan(st flowState, n ast.Node) {
 	if n == nil {
 		return
-	}
-	ic, wantIdents := w.client.(identClient)
-	// Identifiers in method-receiver position are not "uses" for escape
-	// purposes; collect them first so the main pass can skip them.
-	recv := make(map[*ast.Ident]bool)
-	if wantIdents {
-		ast.Inspect(n, func(node ast.Node) bool {
-			if call, ok := node.(*ast.CallExpr); ok {
-				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-					if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-						recv[id] = true
-					}
-				}
-			}
-			return true
-		})
 	}
 	ast.Inspect(n, func(node ast.Node) bool {
 		switch node := node.(type) {
@@ -281,10 +260,6 @@ func (w *flowWalker) scan(st flowState, n ast.Node) {
 			return false
 		case *ast.CallExpr:
 			w.client.onCall(w, st, node)
-		case *ast.Ident:
-			if wantIdents && !recv[node] {
-				ic.onIdent(st, node)
-			}
 		}
 		return true
 	})

@@ -13,11 +13,11 @@ import (
 // effect Summary, computed bottom-up over strongly connected components
 // with a conservative fixpoint for recursion. Checkers consult callee
 // summaries through Program.summaryFor instead of treating calls as
-// opaque, which is what lets retirecheck/publishorder/graceblock re-find
-// the PR 7 use-after-free classes statically and lets the original five
-// checkers see violations hidden one or more calls deep (through method
-// values, single-implementation interfaces, and function literals bound
-// to single-assignment locals).
+// opaque, which is what lets retirecheck/publishorder re-find the PR 7
+// use-after-free classes statically and lets the other checkers see
+// violations hidden one or more calls deep (through method values,
+// single-implementation interfaces, and function literals bound to
+// single-assignment locals).
 //
 // The design follows the compositional-summary school (RacerD-style
 // lock/ownership summaries): each function is abstracted once into a
@@ -56,11 +56,6 @@ type Summary struct {
 	// period, or cross into the kernel. BlockVia names the first cause.
 	MayBlockPinned bool
 	BlockVia       string
-	// MaySync: the call can wait on an RCU grace period
-	// (Domain.Synchronize or Domain.Barrier), transitively. SyncVia names
-	// the first cause.
-	MaySync bool
-	SyncVia string
 	// MayRecycle: the call can return a reader-reachable page or inode
 	// directly to an allocator pool — a recyclePages/recycleIno call that
 	// is not provably fed only freshly allocated resources,
@@ -74,11 +69,6 @@ type Summary struct {
 	MayPublish bool
 	// MayCross: the call can issue a kernel crossing (Controller method).
 	MayCross bool
-	// BatchParamDrained maps the index of each *pmem.Batch parameter to
-	// whether the callee drains it (Barrier/Drain/AssertEmpty) or hands
-	// it off on every path. epochdrain keeps a caller's batch pending
-	// across a call whose entry is false.
-	BatchParamDrained map[int]bool
 }
 
 func newBottomSummary() *Summary {
@@ -95,20 +85,14 @@ func newBottomSummary() *Summary {
 func (s *Summary) equal(o *Summary) bool {
 	if s.MayStoreBody != o.MayStoreBody || s.AlwaysClean != o.AlwaysClean ||
 		s.FlushesAll != o.FlushesAll || s.PinDelta != o.PinDelta ||
-		s.MayBlockPinned != o.MayBlockPinned || s.MaySync != o.MaySync ||
+		s.MayBlockPinned != o.MayBlockPinned ||
 		s.MayRecycle != o.MayRecycle || s.MayPublish != o.MayPublish ||
 		s.MayCross != o.MayCross ||
-		len(s.MayAcquire) != len(o.MayAcquire) ||
-		len(s.BatchParamDrained) != len(o.BatchParamDrained) {
+		len(s.MayAcquire) != len(o.MayAcquire) {
 		return false
 	}
 	for k := range s.MayAcquire {
 		if _, ok := o.MayAcquire[k]; !ok {
-			return false
-		}
-	}
-	for k, v := range s.BatchParamDrained {
-		if ov, ok := o.BatchParamDrained[k]; !ok || ov != v {
 			return false
 		}
 	}
@@ -122,7 +106,6 @@ type sumNode struct {
 	fn   *types.Func // nil for literals
 	lit  *ast.FuncLit
 	body *ast.BlockStmt
-	ftyp *ast.FuncType
 	pos  token.Pos
 	sum  *Summary
 
@@ -258,7 +241,7 @@ func (prog *Program) ensureSummaries(suppressedAt func(pos token.Position, check
 				if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
 					fn = obj
 				}
-				n := &sumNode{pkg: pkg, fn: fn, body: fd.Body, ftyp: fd.Type, pos: fd.Pos()}
+				n := &sumNode{pkg: pkg, fn: fn, body: fd.Body, pos: fd.Pos()}
 				nodes = append(nodes, n)
 				if fn != nil {
 					ss.byFunc[fn] = n
@@ -266,7 +249,7 @@ func (prog *Program) ensureSummaries(suppressedAt func(pos token.Position, check
 			}
 			ast.Inspect(file, func(node ast.Node) bool {
 				if lit, ok := node.(*ast.FuncLit); ok {
-					n := &sumNode{pkg: pkg, lit: lit, body: lit.Body, ftyp: lit.Type, pos: lit.Pos()}
+					n := &sumNode{pkg: pkg, lit: lit, body: lit.Body, pos: lit.Pos()}
 					nodes = append(nodes, n)
 					ss.byLit[lit] = n
 				}
@@ -567,21 +550,16 @@ type sumState struct {
 	flushed   bool // >=1 flush-ish call so far on this path
 	pin       int  // RCU pin depth
 	fresh     map[*types.Var]bool
-	drained   map[*types.Var]bool // batch params drained/escaped
 }
 
 func (s *sumState) Copy() flowState {
 	c := &sumState{
 		dirty: s.dirty, barriered: s.barriered, flushed: s.flushed,
-		pin:     s.pin,
-		fresh:   make(map[*types.Var]bool, len(s.fresh)),
-		drained: make(map[*types.Var]bool, len(s.drained)),
+		pin:   s.pin,
+		fresh: make(map[*types.Var]bool, len(s.fresh)),
 	}
 	for k, v := range s.fresh {
 		c.fresh[k] = v
-	}
-	for k, v := range s.drained {
-		c.drained[k] = v
 	}
 	return c
 }
@@ -599,9 +577,6 @@ func (s *sumState) Merge(o flowState) {
 			delete(s.fresh, k)
 		}
 	}
-	for k, v := range s.drained {
-		s.drained[k] = v && os.drained[k]
-	}
 }
 
 type sumClient struct {
@@ -610,16 +585,9 @@ type sumClient struct {
 	pkg  *Package
 	out  *Summary
 
-	batchParams map[*types.Var]int
-	// heldArgs marks batch-param identifiers passed to a callee whose
-	// summary proves the parameter is neither drained nor handed off —
-	// the obligation stays here, so the generic escape rule must not
-	// fire for that use.
-	heldArgs   map[*ast.Ident]bool
-	exited     bool
-	pinLo      int
-	pinHi      int
-	drainedAll map[int]bool
+	exited bool
+	pinLo  int
+	pinHi  int
 }
 
 func clampPin(d int) int {
@@ -636,20 +604,8 @@ func clampPin(d int) int {
 // body, applying the current summaries of its callees.
 func computeSummary(prog *Program, ss *summarySet, n *sumNode) *Summary {
 	out := newBottomSummary()
-	c := &sumClient{
-		prog: prog, ss: ss, pkg: n.pkg, out: out,
-		batchParams: batchParamVars(n.pkg, n.ftyp),
-		heldArgs:    make(map[*ast.Ident]bool),
-		drainedAll:  make(map[int]bool),
-	}
-	for _, i := range c.batchParams {
-		c.drainedAll[i] = true
-	}
-	st := &sumState{
-		fresh:   make(map[*types.Var]bool),
-		drained: make(map[*types.Var]bool),
-	}
-	walkFunc(n.pkg, n.body, c, st)
+	c := &sumClient{prog: prog, ss: ss, pkg: n.pkg, out: out}
+	walkFunc(n.pkg, n.body, c, &sumState{fresh: make(map[*types.Var]bool)})
 	if !c.exited {
 		// Every path panics or loops forever; nothing reaches a return,
 		// so the "always" facts are vacuously true and deltas are zero.
@@ -660,50 +616,7 @@ func computeSummary(prog *Program, ss *summarySet, n *sumNode) *Summary {
 			out.PinDelta = clampPin(c.pinLo)
 		}
 	}
-	out.BatchParamDrained = make(map[int]bool, len(c.drainedAll))
-	for i, v := range c.drainedAll {
-		out.BatchParamDrained[i] = v
-	}
 	return out
-}
-
-// batchParamVars maps each parameter of type *pmem.Batch (by package
-// suffix and type name) to its position.
-func batchParamVars(pkg *Package, ftyp *ast.FuncType) map[*types.Var]int {
-	out := make(map[*types.Var]int)
-	if ftyp == nil || ftyp.Params == nil {
-		return out
-	}
-	i := 0
-	for _, field := range ftyp.Params.List {
-		names := field.Names
-		if len(names) == 0 {
-			i++
-			continue
-		}
-		for _, name := range names {
-			v, ok := pkg.Info.Defs[name].(*types.Var)
-			if ok && isBatchPtr(v.Type()) {
-				out[v] = i
-			}
-			i++
-		}
-	}
-	return out
-}
-
-func isBatchPtr(t types.Type) bool {
-	p, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := p.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Batch" && obj.Pkg() != nil &&
-		pkgPathHasSuffix(obj.Pkg().Path(), "internal/pmem")
 }
 
 func (c *sumClient) suppressedAt(pos token.Pos, checker string) bool {
@@ -742,20 +655,6 @@ func (c *sumClient) onAssign(w *flowWalker, st flowState, as *ast.AssignStmt) {
 	w.scan(st, as)
 }
 
-func (c *sumClient) onIdent(st flowState, id *ast.Ident) {
-	s := st.(*sumState)
-	if c.heldArgs[id] {
-		return
-	}
-	if v, ok := c.pkg.Info.Uses[id].(*types.Var); ok {
-		if _, isParam := c.batchParams[v]; isParam {
-			// Escape: the batch param is handed onward (argument, struct
-			// store, closure capture); draining is the recipient's job.
-			s.drained[v] = true
-		}
-	}
-}
-
 func (c *sumClient) onCall(w *flowWalker, st flowState, call *ast.CallExpr) {
 	s := st.(*sumState)
 	fn, lit := resolveCallee(c.prog, c.pkg, call)
@@ -767,15 +666,10 @@ func (c *sumClient) onCall(w *flowWalker, st flowState, call *ast.CallExpr) {
 		case isMethod(fn, "internal/pmem", "Batch", "Barrier"):
 			s.dirty = false
 			s.barriered = true
-			c.markBatchParamDrained(s, call)
 			c.noteBlockPinned("Batch.Barrier")
 			return
-		case isMethod(fn, "internal/pmem", "Batch", "Drain"),
-			isMethod(fn, "internal/pmem", "Batch", "AssertEmpty"):
-			c.markBatchParamDrained(s, call)
-			if fn.Name() == "Drain" {
-				c.noteBlockPinned("Batch.Drain")
-			}
+		case isMethod(fn, "internal/pmem", "Batch", "Drain"):
+			c.noteBlockPinned("Batch.Drain")
 			return
 		case isMethod(fn, "internal/pmem", "Batch", "Flush"),
 			isMethod(fn, "internal/pmem", "Device", "Flush"),
@@ -803,14 +697,6 @@ func (c *sumClient) onCall(w *flowWalker, st flowState, call *ast.CallExpr) {
 		}
 		if isMethod(fn, "internal/rcu", "Domain", "Synchronize") ||
 			isMethod(fn, "internal/rcu", "Domain", "Barrier") {
-			// A graceblock suppression at the wait site asserts the wait is
-			// safe for every caller (failure-path-only, reader-excluded), so
-			// it stops MaySync from propagating at all; the pinned-reader
-			// hazard (MayBlockPinned) still propagates — a suppression
-			// about lock holders says nothing about pinned callers.
-			if !c.suppressedAt(call.Pos(), "graceblock") {
-				c.noteSync("Domain." + fn.Name())
-			}
 			c.noteBlockPinned("Domain." + fn.Name())
 			return
 		}
@@ -877,12 +763,6 @@ func (c *sumClient) onCall(w *flowWalker, st flowState, call *ast.CallExpr) {
 	}
 	if sum != nil {
 		c.applyCalleeSummary(s, sum, call)
-		// A tracked batch passed to a callee that provably drains it (or
-		// to one we cannot see through) transfers the obligation.
-		c.applyBatchArgs(s, sum, call)
-	} else {
-		// Unknown callee: any batch param passed along escapes.
-		c.applyBatchArgs(s, nil, call)
 	}
 }
 
@@ -904,10 +784,6 @@ func (c *sumClient) applyCalleeSummary(s *sumState, sum *Summary, call *ast.Call
 		c.out.MayBlockPinned = true
 		c.out.BlockVia = calleeName(c.prog, c.pkg, call) + " -> " + sum.BlockVia
 	}
-	if sum.MaySync && !c.suppressedAt(call.Pos(), "graceblock") && !c.out.MaySync {
-		c.out.MaySync = true
-		c.out.SyncVia = calleeName(c.prog, c.pkg, call) + " -> " + sum.SyncVia
-	}
 	if sum.MayRecycle && !c.suppressedAt(call.Pos(), "retirecheck") && !c.out.MayRecycle {
 		c.out.MayRecycle = true
 		c.out.RecycleVia = calleeName(c.prog, c.pkg, call) + " -> " + sum.RecycleVia
@@ -921,62 +797,10 @@ func (c *sumClient) applyCalleeSummary(s *sumState, sum *Summary, call *ast.Call
 	}
 }
 
-// applyBatchArgs marks tracked batch params passed as arguments: drained
-// when the callee provably drains that parameter or is opaque, kept
-// pending when the callee's summary proves it neither drains nor hands
-// off.
-func (c *sumClient) applyBatchArgs(s *sumState, sum *Summary, call *ast.CallExpr) {
-	for i, arg := range call.Args {
-		id, ok := ast.Unparen(arg).(*ast.Ident)
-		if !ok {
-			continue
-		}
-		v, ok := c.pkg.Info.Uses[id].(*types.Var)
-		if !ok {
-			continue
-		}
-		if _, isParam := c.batchParams[v]; !isParam {
-			continue
-		}
-		if sum != nil {
-			if drained, known := sum.BatchParamDrained[i]; known && !drained {
-				// Obligation stays with this function; keep the generic
-				// escape rule from marking this use as a handoff.
-				c.heldArgs[id] = true
-				continue
-			}
-		}
-		s.drained[v] = true
-	}
-}
-
-func (c *sumClient) markBatchParamDrained(s *sumState, call *ast.CallExpr) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	id, ok := ast.Unparen(sel.X).(*ast.Ident)
-	if !ok {
-		return
-	}
-	if v, ok := c.pkg.Info.Uses[id].(*types.Var); ok {
-		if _, isParam := c.batchParams[v]; isParam {
-			s.drained[v] = true
-		}
-	}
-}
-
 func (c *sumClient) noteBlockPinned(via string) {
 	if !c.out.MayBlockPinned {
 		c.out.MayBlockPinned = true
 		c.out.BlockVia = via
-	}
-}
-
-func (c *sumClient) noteSync(via string) {
-	if !c.out.MaySync {
-		c.out.MaySync = true
-		c.out.SyncVia = via
 	}
 }
 
@@ -1000,11 +824,6 @@ func (c *sumClient) onReturn(st flowState, _ token.Pos) {
 		}
 		if s.pin > c.pinHi {
 			c.pinHi = s.pin
-		}
-	}
-	for v, i := range c.batchParams {
-		if !s.drained[v] {
-			c.drainedAll[i] = false
 		}
 	}
 }

@@ -26,5 +26,4 @@ func (b *Batch) WriteStream(off int64, p []byte) {}
 func (b *Batch) ZeroStream(off, n int64)         {}
 func (b *Batch) Barrier()                        {}
 func (b *Batch) Drain()                          {}
-func (b *Batch) AssertEmpty()                    {}
 func (b *Batch) Pending() int                    { return 0 }

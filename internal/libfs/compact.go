@@ -154,7 +154,7 @@ func (fs *FS) compactDir(mi *minode, sp *span.Span) {
 		err := fs.writeChain(pb, r)
 		fresh = append(fresh, r.pages...)
 		if err != nil {
-			pb.Drain() // a no-op: writeChain only streams, it queues nothing
+			// writeChain only streams: pb has nothing queued to drain.
 			//arcklint:allow retirecheck these pages were granted above and never linked: no reader, and no scan, can have reached them
 			fs.recyclePages(compactStripe, fresh)
 			return

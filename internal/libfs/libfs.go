@@ -499,11 +499,14 @@ func (fs *FS) retire(cpu int, pages []uint64, ino uint64) {
 // It reports whether anything was (or may have been) reclaimed. Blocking
 // on grace periods is legal here only because this runs on allocation-
 // failure paths; see allocPage for why it must stay off the common
-// dry-stripe path.
+// dry-stripe path. Callers may hold inode locks while they wait: readers
+// take no inode or pool lock, so no pinned reader can be stalled behind
+// them. A caller must not hold a pool lock, which the reclaim callbacks
+// run here take (TestAllocReclaimsRetiredOnGrantFailure), nor be inside a
+// read-side section, whose end the grace period would wait for.
 func (fs *FS) reclaimRetired() bool {
 	drained := false
 	for fs.dom.Pending() > 0 {
-		//arcklint:allow graceblock allocation-failure path only: readers take no inode or pool lock, so no pinned reader can be stalled behind the locks our callers hold while they wait here
 		fs.dom.Synchronize()
 		drained = true
 		runtime.Gosched()

@@ -1,7 +1,6 @@
 package pmem
 
 import (
-	"fmt"
 	"slices"
 
 	"arckfs/internal/telemetry"
@@ -160,14 +159,5 @@ func (b *Batch) Drain() {
 	if len(b.pending) > 0 {
 		Killpoint("pmem.batch.drain")
 		b.Barrier()
-	}
-}
-
-// AssertEmpty panics if lines are queued; operations must end on an epoch
-// boundary, so the queue is empty between operations. Tests use it to pin
-// the invariant.
-func (b *Batch) AssertEmpty() {
-	if len(b.pending) > 0 {
-		panic(fmt.Sprintf("pmem: batch holds %d undrained lines across an operation boundary", len(b.pending)))
 	}
 }
