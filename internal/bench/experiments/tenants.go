@@ -6,7 +6,6 @@ import (
 	"arckfs/internal/bench/fxmark"
 	"arckfs/internal/core"
 	"arckfs/internal/harness"
-	"arckfs/internal/kernel"
 	"arckfs/internal/tenancy"
 )
 
@@ -24,9 +23,6 @@ func Tenants(cfg Config) error {
 	mkSys := func() (*core.System, error) {
 		return core.NewSystem(core.Config{Mode: core.ArckFSPlus, DevSize: cfg.DevSize, Cost: cfg.cost()})
 	}
-	// Every tenant gets a real quota so the sweep also measures the
-	// grant-time enforcement path, not just unlimited tenants.
-	quota := kernel.Quota{MaxPages: 8192, MaxInodes: 2048}
 
 	per, err := tenancy.MeasureIdleFootprint(2048)
 	if err != nil {
@@ -36,14 +32,14 @@ func Tenants(cfg Config) error {
 
 	tbl := harness.Table{
 		Title:   "Tenant scaling (8 active workers)",
-		Headers: []string{"tenants", "spawn µs/t", "retire µs/t", "active ops/s", "p99 µs", "shards"},
+		Headers: []string{"tenants", "spawn µs/t", "retire µs/t", "active ops/s", "p99 µs"},
 	}
 	for _, n := range counts {
 		sys, err := mkSys()
 		if err != nil {
 			return err
 		}
-		res, err := fxmark.Tenants(sys, n, fxmark.TenantsConfig{Quota: quota})
+		res, err := fxmark.Tenants(sys, n)
 		if err != nil {
 			return fmt.Errorf("tenants@%d: %w", n, err)
 		}
@@ -57,7 +53,6 @@ func Tenants(cfg Config) error {
 			fmt.Sprintf("%.1f", res.RetireMicros),
 			fmt.Sprintf("%.0f", res.Active.OpsPerSec()),
 			fmt.Sprintf("%.1f", p99),
-			fmt.Sprintf("%d", res.ShardCount),
 		)
 	}
 	fmt.Fprint(cfg.Out, tbl.Render())

@@ -6,7 +6,6 @@ import (
 
 	"arckfs/internal/core"
 	"arckfs/internal/harness"
-	"arckfs/internal/kernel"
 )
 
 // costBound is one row of the cost gate: on every measured cell of (fs,
@@ -166,9 +165,8 @@ func TestCostBounds(t *testing.T) {
 		}
 		return sys
 	}
-	quota := kernel.Quota{MaxPages: 8192, MaxInodes: 2048}
 	for _, n := range []int{16, 128, 1000, 4000, 10000} {
-		res, err := Tenants(tenantSys(), n, TenantsConfig{Quota: quota})
+		res, err := Tenants(tenantSys(), n)
 		if err != nil {
 			t.Fatalf("tenants@%d: %v", n, err)
 		}

@@ -21,26 +21,16 @@ import (
 // and the storm answers "what does one hot file migrating across the
 // population cost", the worst case for the ownership-transfer design.
 
-// TenantsConfig sizes the tenant-scaling sweep.
-type TenantsConfig struct {
-	// Workers is the number of concurrently active tenants (the rest of
-	// the population is idle load on the registry); default 8.
-	Workers int
-	// OpsPerWorker is the operation count each active tenant runs
-	// (default 200).
-	OpsPerWorker int
-	// Quota, when non-zero, is installed on every spawned tenant.
-	Quota kernel.Quota
-}
+// The tenant-scaling sweep's fixed shape: tenantWorkers tenants spread
+// across the population run tenantOps appends each, and every tenant gets
+// tenantQuota, so the sweep also measures the grant-time enforcement
+// path, not just unlimited tenants.
+const (
+	tenantWorkers = 8
+	tenantOps     = 200
+)
 
-func (c *TenantsConfig) fill() {
-	if c.Workers <= 0 {
-		c.Workers = 8
-	}
-	if c.OpsPerWorker <= 0 {
-		c.OpsPerWorker = 200
-	}
-}
+var tenantQuota = kernel.Quota{MaxPages: 8192, MaxInodes: 2048}
 
 // TenantsResult is one cell of the tenant-scaling sweep.
 type TenantsResult struct {
@@ -54,24 +44,19 @@ type TenantsResult struct {
 	// *population* size (so a Series over cells reads as the scaling
 	// curve), Ops/Lat/Counters the usual harness meaning.
 	Active harness.Result
-	// ShardCount is the kernel.shard.count gauge at peak population —
-	// an absolute reading (the counter delta across the measured region
-	// is zero, since the table grew during spawn).
-	ShardCount int64
 }
 
 // Tenants runs the tenant-scaling experiment at one population size: n
 // tenants spawned under one Controller, an active subset spread across
 // the population running a create/write/unlink mix in per-tenant
 // namespaces, then the whole population retired.
-func Tenants(sys *core.System, n int, cfg TenantsConfig) (TenantsResult, error) {
-	cfg.fill()
+func Tenants(sys *core.System, n int) (TenantsResult, error) {
 	reg := tenancy.NewRegistry(sys)
 
 	spawnStart := time.Now()
 	tenants := make([]*tenancy.Tenant, n)
 	for i := range tenants {
-		t, err := reg.Spawn(cfg.Quota)
+		t, err := reg.Spawn(tenantQuota)
 		if err != nil {
 			return TenantsResult{}, fmt.Errorf("spawn %d: %w", i, err)
 		}
@@ -79,10 +64,7 @@ func Tenants(sys *core.System, n int, cfg TenantsConfig) (TenantsResult, error) 
 	}
 	spawnEl := time.Since(spawnStart)
 
-	workers := cfg.Workers
-	if workers > n {
-		workers = n
-	}
+	workers := min(tenantWorkers, n)
 	// Spread the active subset across the population so shard and app-ID
 	// locality do not flatter the run.
 	active := make([]*tenancy.Tenant, workers)
@@ -115,7 +97,7 @@ func Tenants(sys *core.System, n int, cfg TenantsConfig) (TenantsResult, error) 
 		}
 	}
 	res := harness.RunCounted(harness.SourceOf(sys), "arckfs+", "Tenants",
-		workers, cfg.OpsPerWorker, func(tid, i int) error {
+		workers, tenantOps, func(tid, i int) error {
 			_, err := threads[tid].WriteAt(fds[tid], tenantBlock[:], int64(i)*4096)
 			return err
 		})
@@ -123,7 +105,6 @@ func Tenants(sys *core.System, n int, cfg TenantsConfig) (TenantsResult, error) 
 	if res.Err != nil {
 		return TenantsResult{}, res.Err
 	}
-	shards := sys.Telemetry().Snapshot()["kernel.shard.count"]
 
 	retireStart := time.Now()
 	if err := reg.RetireAll(); err != nil {
@@ -136,7 +117,6 @@ func Tenants(sys *core.System, n int, cfg TenantsConfig) (TenantsResult, error) 
 		SpawnMicros:  spawnEl.Seconds() * 1e6 / float64(n),
 		RetireMicros: retireEl.Seconds() * 1e6 / float64(n),
 		Active:       res,
-		ShardCount:   shards,
 	}, nil
 }
 

@@ -22,7 +22,7 @@ func (c *Controller) lockShard(ino uint64, sink telemetry.SpanSink) *shadowShard
 	} else if !sh.mu.TryLock() {
 		begin := time.Now()
 		sh.mu.Lock()
-		sink.SpanEvent(telemetry.SpanEvShardWait, int64(c.shardIndex(ino)),
+		sink.SpanEvent(telemetry.SpanEvShardWait, int64(shardIndex(ino)),
 			time.Since(begin).Nanoseconds())
 	}
 	return sh

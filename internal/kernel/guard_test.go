@@ -184,10 +184,10 @@ func TestAcquireGuardSameUnderBothEpochs(t *testing.T) {
 	}
 }
 
-// TestShardStatsKinds: the counted control-plane locks are the shadow
-// shards and the app table, nothing else, and the aggregate gauges built
-// from them never run backwards — not even when the shadow table grows a
-// generation and its per-shard rows start over.
+// TestShardStatsKinds: the counted control-plane locks are the nShadow
+// shadow shards and the app table, nothing else; the table does not
+// follow the app population, and the aggregate gauges built from it never
+// run backwards.
 func TestShardStatsKinds(t *testing.T) {
 	h := newHarness(t, verifier.Enhanced)
 	set := telemetry.NewSet()
@@ -195,16 +195,15 @@ func TestShardStatsKinds(t *testing.T) {
 	checkRows := func() {
 		t.Helper()
 		rows := h.c.ShardStats()
-		shards := int(set.Snapshot()["kernel.shard.count"])
-		if len(rows) != shards+1 {
-			t.Fatalf("%d rows for %d shadow shards, want one each plus the app table", len(rows), shards)
+		if len(rows) != nShadow+1 {
+			t.Fatalf("%d rows, want %d shadow shards plus the app table", len(rows), nShadow)
 		}
-		for i, r := range rows[:shards] {
+		for i, r := range rows[:nShadow] {
 			if r.Kind != "shadow" || r.Index != i {
 				t.Fatalf("row %d = %+v, want shadow shard %d", i, r, i)
 			}
 		}
-		if last := rows[shards]; last.Kind != "apps" || last.Index != 0 {
+		if last := rows[nShadow]; last.Kind != "apps" || last.Index != 0 {
 			t.Fatalf("last row = %+v, want the app table", last)
 		}
 	}
@@ -223,17 +222,14 @@ func TestShardStatsKinds(t *testing.T) {
 		t.Fatal("a full acquire/release round counted no lock acquisition")
 	}
 
-	for i := 0; i <= nShadowMin; i++ {
+	for range 10000 {
 		h.c.RegisterApp(0, 0)
 	}
-	after := set.Snapshot()
-	if after["kernel.shard.count"] <= before["kernel.shard.count"] {
-		t.Fatalf("shadow table did not grow: %d shards for %d apps", after["kernel.shard.count"], nShadowMin+2)
-	}
 	checkRows()
+	after := set.Snapshot()
 	for _, k := range []string{"kernel.shard.acquisitions", "kernel.shard.contended"} {
 		if after[k] < before[k] {
-			t.Errorf("%s fell from %d to %d across the grow", k, before[k], after[k])
+			t.Errorf("%s fell from %d to %d across 10 000 registrations", k, before[k], after[k])
 		}
 	}
 }

@@ -295,12 +295,8 @@ type Controller struct {
 	// epoch is the big-reader lock over the sharded state: shared for
 	// single-inode crossings, exclusive for multi-inode ones (shard.go).
 	epoch hlock.BRLock
-	// shadow is the current shadow-shard generation; it grows with the
-	// registered-app count (maybeGrowShards) and is swapped only under
-	// the exclusive epoch.
-	shadow            atomic.Pointer[shadowGen]
-	shadowRetiredAcq  atomic.Int64
-	shadowRetiredCont atomic.Int64
+	// shadow is the shadow-inode table, striped by inode number.
+	shadow [nShadow]shadowShard
 	// pages holds one pageOwner word per device page, accessed only
 	// through pageOwnerAt/setPageOwner/casPageOwner (atomics).
 	pages []uint64
@@ -407,7 +403,9 @@ func newController(dev *pmem.Device, g layout.Geometry, opts Options) *Controlle
 		pages: make([]uint64, g.PageCount),
 		apps:  make(map[AppID]*app),
 	}
-	c.shadow.Store(newShadowGen(nShadowMin))
+	for i := range c.shadow {
+		c.shadow[i].m = make(map[uint64]*shadowEnt)
+	}
 	c.queues.New = func() any { return &persistQ{Batch: dev.NewBatch()} }
 	now := clockFn(time.Now)
 	c.clock.Store(&now)
@@ -442,7 +440,6 @@ func (c *Controller) RegisterTelemetry(set *telemetry.Set) {
 	set.Gauge("kernel.epoch_exclusive", c.Stats.EpochExclusive.Load)
 	set.Gauge("kernel.shard.acquisitions", func() int64 { return c.shardTelemetry(false) })
 	set.Gauge("kernel.shard.contended", func() int64 { return c.shardTelemetry(true) })
-	set.Gauge("kernel.shard.count", func() int64 { return int64(len(c.shadow.Load().shards)) })
 	// One steal counter; its key says "local" because benchmark/ reads it
 	// by that name.
 	set.Gauge("pmalloc.steals.local", func() int64 { return c.alloc.Steals() })
@@ -474,9 +471,7 @@ func (c *Controller) SetClock(now func() time.Time) {
 	c.renameLock.SetClock(now)
 }
 
-// RegisterApp creates an application identity. When the registered-app
-// count outruns the shadow-shard count, the table grows before returning
-// (the tenant-scaling fix: shard counts follow tenant counts).
+// RegisterApp creates an application identity.
 func (c *Controller) RegisterApp(uid, gid uint32) AppID {
 	c.syscall(0)
 	e := c.epoch.RLock()
@@ -484,10 +479,8 @@ func (c *Controller) RegisterApp(uid, gid uint32) AppID {
 	c.nextApp++
 	id := c.nextApp
 	c.apps[id] = &app{id: id, uid: uid, gid: gid, grantedInos: make(map[uint64]bool)}
-	napps := len(c.apps)
 	c.appsMu.Unlock()
 	c.epoch.RUnlock(e)
-	c.maybeGrowShards(napps)
 	return id
 }
 
@@ -679,16 +672,6 @@ func (c *Controller) SetACL(ino uint64, appID AppID, perm uint16) {
 
 // FreeCount exposes allocator occupancy for tests.
 func (c *Controller) FreeCount() int { return c.alloc.FreeCount() }
-
-// FreePageFraction reports the fraction of data pages still free —
-// the reclaim-pressure signal LibFS lease reserves scale their TTL by.
-func (c *Controller) FreePageFraction() float64 {
-	total := len(c.pages)
-	if total == 0 {
-		return 0
-	}
-	return float64(c.alloc.FreeCount()) / float64(total)
-}
 
 // ShadowOf returns a copy of ino's shadow info (tests and tools).
 func (c *Controller) ShadowOf(ino uint64) (verifier.ShadowInfo, bool) {

@@ -25,10 +25,9 @@ type Quota struct {
 }
 
 // SetQuota installs (or, with a zero Quota, clears) appID's quota.
-// Limits may be raised or lowered while grants — including a parked
-// lease reserve — are outstanding: lowering below current usage does not
-// revoke anything, it only blocks further grants until usage drains
-// below the new limit.
+// Limits may be raised or lowered while grants are outstanding: lowering
+// below current usage does not revoke anything, it only blocks further
+// grants until usage drains below the new limit.
 func (c *Controller) SetQuota(appID AppID, q Quota) error {
 	c.syscall(appID)
 	a := c.lookupApp(appID)

@@ -58,9 +58,9 @@ func TestQuotaInodeBoundary(t *testing.T) {
 }
 
 // TestQuotaRaiseLowerWithGrantsParked covers runtime requota while
-// grants are outstanding (the LibFS parks a lease reserve in exactly
-// this state): lowering below current usage revokes nothing and only
-// blocks further grants; raising unblocks immediately.
+// grants are outstanding (a LibFS's pooled pages are exactly this
+// state): lowering below current usage revokes nothing and only blocks
+// further grants; raising unblocks immediately.
 func TestQuotaRaiseLowerWithGrantsParked(t *testing.T) {
 	h := newHarness(t, verifier.Enhanced)
 	app := h.c.RegisterApp(0, 0)

@@ -36,73 +36,13 @@ import (
 // Controller.epoch < shadowShard.mu < Controller.appsMu < Mapping.mu.
 
 const (
-	// nShadowMin is the floor (and initial) shadow shard count; the
-	// controller grows the table with the registered-app count up to
-	// nShadowMax (see maybeGrowShards).
-	nShadowMin = 16
-	nShadowMax = 4096
+	// nShadow is the shadow shard count. Shard-lock contention follows how
+	// many crossings run at once, which GOMAXPROCS bounds, not how many
+	// apps are registered, so the table is fixed.
+	nShadow = 16
 	// renameLeaseTTL bounds the global rename lock lease (§4.6).
 	renameLeaseTTL = time.Second
 )
-
-// shadowGen is one generation of the shadow-shard table. The controller
-// swaps in a larger generation (under the exclusive epoch) as tenants
-// register, so shard count scales with tenant count instead of pinning
-// 10k tenants' hot inodes onto 16 locks. Readers load the generation
-// pointer once per access; the swap is safe because it only happens while
-// every shared-epoch holder is drained.
-type shadowGen struct {
-	shards []shadowShard
-	mask   uint64
-}
-
-// shardsFor returns the shard count appropriate for napps registered
-// applications: the next power of two at or above napps, clamped to
-// [nShadowMin, nShadowMax].
-func shardsFor(napps int) int {
-	n := nShadowMin
-	for n < napps && n < nShadowMax {
-		n <<= 1
-	}
-	return n
-}
-
-func newShadowGen(n int) *shadowGen {
-	g := &shadowGen{shards: make([]shadowShard, n), mask: uint64(n - 1)}
-	for i := range g.shards {
-		g.shards[i].m = make(map[uint64]*shadowEnt)
-	}
-	return g
-}
-
-// maybeGrowShards grows the shadow table when the app count has outrun
-// the shard count. The fast path is one atomic load and a compare; the
-// grow path drains the epoch, rehashes every entry into a fresh
-// generation, and folds the old generation's lock-traffic counters into
-// the retired totals so the kernel.shard.* gauges stay monotonic.
-func (c *Controller) maybeGrowShards(napps int) {
-	want := shardsFor(napps)
-	if want <= len(c.shadow.Load().shards) {
-		return
-	}
-	c.enterExcl()
-	defer c.exitExcl()
-	old := c.shadow.Load()
-	if want <= len(old.shards) {
-		return // raced with another grower
-	}
-	next := newShadowGen(want)
-	for i := range old.shards {
-		sh := &old.shards[i]
-		for ino, se := range sh.m {
-			next.shards[ino&next.mask].m[ino] = se
-		}
-		acq, cont := sh.mu.Counts()
-		c.shadowRetiredAcq.Add(acq)
-		c.shadowRetiredCont.Add(cont)
-	}
-	c.shadow.Store(next)
-}
 
 // shadowShard holds a stripe of the shadow-inode table. The lock's
 // counters feed the kernel.shard.* telemetry and arckshell's `shards`
@@ -113,15 +53,11 @@ type shadowShard struct {
 }
 
 func (c *Controller) shardOf(ino uint64) *shadowShard {
-	g := c.shadow.Load()
-	return &g.shards[ino&g.mask]
+	return &c.shadow[shardIndex(ino)]
 }
 
-// shardIndex returns ino's shard index in the current generation (span
-// payloads and tooling).
-func (c *Controller) shardIndex(ino uint64) int {
-	return int(ino & c.shadow.Load().mask)
-}
+// shardIndex returns ino's shard index (span payloads and tooling).
+func shardIndex(ino uint64) int { return int(ino % nShadow) }
 
 // enterExcl begins an exclusive (multi-inode) crossing: every fast-path
 // holder drains before it returns.
@@ -176,9 +112,8 @@ func (c *Controller) shadowDelete(ino uint64, held *shadowShard) {
 // shadowRange calls fn for every shadow entry. Exclusive epoch or
 // single-threaded (mount/recovery) callers only.
 func (c *Controller) shadowRange(fn func(ino uint64, se *shadowEnt)) {
-	g := c.shadow.Load()
-	for i := range g.shards {
-		for ino, se := range g.shards[i].m {
+	for i := range c.shadow {
+		for ino, se := range c.shadow[i].m {
 			fn(ino, se)
 		}
 	}
@@ -188,9 +123,8 @@ func (c *Controller) shadowRange(fn func(ino uint64, se *shadowEnt)) {
 // mount-time callers).
 func (c *Controller) shadowCount() int {
 	n := 0
-	g := c.shadow.Load()
-	for i := range g.shards {
-		n += len(g.shards[i].m)
+	for i := range c.shadow {
+		n += len(c.shadow[i].m)
 	}
 	return n
 }
@@ -250,22 +184,18 @@ type ShardStat struct {
 
 // ShardStats snapshots the acquisition and contention counters of every
 // counted control-plane lock: one row per shadow shard, then the app
-// table's. Shadow-shard rows reset when the table grows a generation; the
-// retired generations' totals stay in the aggregate gauges
-// (shardTelemetry).
+// table's.
 func (c *Controller) ShardStats() []ShardStat {
-	g := c.shadow.Load()
-	out := make([]ShardStat, 0, len(g.shards)+1)
-	for i := range g.shards {
-		acq, cont := g.shards[i].mu.Counts()
+	out := make([]ShardStat, 0, nShadow+1)
+	for i := range c.shadow {
+		acq, cont := c.shadow[i].mu.Counts()
 		out = append(out, ShardStat{"shadow", i, acq, cont})
 	}
 	acq, cont := c.appsMu.Counts()
 	return append(out, ShardStat{"apps", 0, acq, cont})
 }
 
-// shardTelemetry sums a counter over every shard, including retired
-// shadow-table generations (so the gauges stay monotonic across grows).
+// shardTelemetry sums a counter over every shard.
 func (c *Controller) shardTelemetry(contended bool) int64 {
 	var n int64
 	for _, s := range c.ShardStats() {
@@ -274,11 +204,6 @@ func (c *Controller) shardTelemetry(contended bool) int64 {
 		} else {
 			n += s.Acquisitions
 		}
-	}
-	if contended {
-		n += c.shadowRetiredCont.Load()
-	} else {
-		n += c.shadowRetiredAcq.Load()
 	}
 	return n
 }

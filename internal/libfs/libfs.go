@@ -15,7 +15,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"arckfs/internal/costmodel"
 	"arckfs/internal/fsapi"
@@ -169,11 +168,6 @@ type FS struct {
 
 	pageMu   [8]hlock.SpinLock
 	pagePool [8][]uint64
-	// pageReserve is the page half of the grant lease: each refill
-	// over-grants and parks the surplus here, so the next dry stripe
-	// restocks without a crossing. Guarded by the stripe's pageMu.
-	pageReserve    [8][]uint64
-	pageReserveExp [8]time.Time
 
 	nthreads atomic.Int64
 	clock    atomic.Uint64 // logical mtime source
@@ -198,12 +192,11 @@ type FS struct {
 // involuntary revocation (§4.3 patched path), re-acquisitions of
 // voluntarily released inodes whose lease the kernel reclaimed, and the
 // grant-lease outcomes. A LeaseHit is a kernel crossing that did not
-// happen — a dormant mapping reactivated in place, or a page taken from
-// the pre-granted reserve — and every hit also increments
-// SyscallsAvoided. A LeaseMiss found the lease gone; an inode's miss is
-// then a Reacquire, through a crossing or through a mapping a batch
-// prefetched, and the latter is the one place the two counters diverge:
-// it avoided a crossing without a hit.
+// happen — a dormant mapping reactivated in place — and every hit also
+// increments SyscallsAvoided. A LeaseMiss found the lease gone; an
+// inode's miss is then a Reacquire, through a crossing or through a
+// mapping a batch prefetched, and the latter is the one place the two
+// counters diverge: it avoided a crossing without a hit.
 type Stats struct {
 	Remaps          atomic.Int64
 	Reacquires      atomic.Int64
@@ -307,60 +300,14 @@ func (fs *FS) recycleIno(ino uint64) {
 	fs.inoMu.Unlock()
 }
 
-// pageReserveTTL bounds how long a parked page reserve still counts as
-// "recently granted" for lease accounting. Consuming an expired reserve
-// is still legal (the pages remain granted to this app); it just counts
-// as a miss instead of a hit.
-const pageReserveTTL = 2 * time.Second
-
-// Reserve-pressure thresholds: the fraction of device pages still free
-// below which the lease reserve stops being cheap insurance and starts
-// starving other tenants. Below reservePressureLow the parked reserve's
-// TTL halves; below reservePressureHigh it drops to a quarter second and
-// refills stop over-granting entirely, so a tenant population that
-// collectively parked most of the device drains its reserves back to
-// the allocator instead of holding them while grants fail elsewhere.
-const (
-	reservePressureLow  = 0.25
-	reservePressureHigh = 0.10
-)
-
-// reserveTTL adapts the parked-reserve lifetime to allocator pressure.
-// Consulted only on the refill crossing (once per GrantPageBatch pages),
-// so the FreePageFraction read costs nothing on the alloc fast path.
-func (fs *FS) reserveTTL() time.Duration {
-	switch frac := fs.ctrl.FreePageFraction(); {
-	case frac < reservePressureHigh:
-		return pageReserveTTL / 8
-	case frac < reservePressureLow:
-		return pageReserveTTL / 2
-	}
-	return pageReserveTTL
-}
-
-// allocPage takes a granted page, refilling from the kernel when the
-// stripe runs dry. A dry stripe first consumes its reserve — pages the
-// kernel already granted on a previous crossing — so the refill costs no
-// syscall; only when both pool and reserve are empty
-// does the stripe cross, over-granting to restock both halves.
+// allocPage takes a granted page, refilling the stripe from the kernel
+// when it runs dry.
 func (fs *FS) allocPage(t *Thread, cpu int) (uint64, error) {
 	s := uint(cpu) % 8
 	fs.pageMu[s].Lock()
-	if len(fs.pagePool[s]) == 0 && len(fs.pageReserve[s]) > 0 {
-		fs.pagePool[s] = fs.pageReserve[s]
-		fs.pageReserve[s] = nil
-		if time.Now().Before(fs.pageReserveExp[s]) {
-			fs.Stats.LeaseHits.Add(1)
-			fs.Stats.SyscallsAvoided.Add(1)
-			t.spanEv(telemetry.SpanEvLeaseHit, 0, 0)
-		} else {
-			fs.Stats.LeaseMisses.Add(1)
-			t.spanEv(telemetry.SpanEvLeaseMiss, 0, 0)
-		}
-	}
 	if len(fs.pagePool[s]) == 0 {
 		fs.pageMu[s].Unlock()
-		batch, reserve, err := fs.grantPageBatch(t, cpu)
+		batch, err := fs.grantPageBatch(t, cpu)
 		if err != nil && fs.reclaimRetired() {
 			// The device may look exhausted only because retired pages
 			// are parked behind a grace period: drain the retire queue,
@@ -377,23 +324,13 @@ func (fs *FS) allocPage(t *Thread, cpu int) (uint64, error) {
 				return p, nil
 			}
 			fs.pageMu[s].Unlock()
-			batch, reserve, err = fs.grantPageBatch(t, cpu)
+			batch, err = fs.grantPageBatch(t, cpu)
 		}
 		if err != nil {
 			return 0, err
 		}
 		fs.pageMu[s].Lock()
 		fs.pagePool[s] = append(fs.pagePool[s], batch...)
-		if len(reserve) > 0 {
-			if len(fs.pageReserve[s]) == 0 {
-				fs.pageReserve[s] = reserve
-				fs.pageReserveExp[s] = time.Now().Add(fs.reserveTTL())
-			} else {
-				// A racing refill already parked a reserve; ours goes
-				// straight to the pool.
-				fs.pagePool[s] = append(fs.pagePool[s], reserve...)
-			}
-		}
 	}
 	p := fs.pagePool[s][len(fs.pagePool[s])-1]
 	fs.pagePool[s] = fs.pagePool[s][:len(fs.pagePool[s])-1]
@@ -402,46 +339,35 @@ func (fs *FS) allocPage(t *Thread, cpu int) (uint64, error) {
 }
 
 // grantPageBatch performs the kernel page-grant crossing. It asks for
-// double the batch and splits the result into an immediate pool
-// and a parked reserve; when the double grant fails (a small device near
-// capacity) it falls back to a plain single grant so leases never turn a
-// satisfiable allocation into ENOSPC. Under high allocator pressure
-// (free fraction below reservePressureHigh) the over-grant is skipped
-// up front: hoarding a reserve while other tenants' grants fail is the
-// wrong trade, and skipping saves the doomed double-grant crossing.
-func (fs *FS) grantPageBatch(t *Thread, cpu int) (pool, reserve []uint64, err error) {
+// double the batch, so a stripe crosses once per 2×GrantPageBatch pages;
+// when the double grant fails (a quota or a small device near capacity)
+// it falls back to a single batch, so the over-grant never turns a
+// satisfiable allocation into an error.
+func (fs *FS) grantPageBatch(t *Thread, cpu int) ([]uint64, error) {
 	n := fs.opts.GrantPageBatch
-	if fs.ctrl.FreePageFraction() >= reservePressureHigh {
-		begin := t.crossStart()
-		batch, err := fs.ctrl.GrantPages(fs.app, cpu, 2*n)
-		t.crossEnd(telemetry.EvGrantPages, begin)
-		if err == nil {
-			return batch[:n], batch[n:], nil
-		}
-	}
 	begin := t.crossStart()
-	batch, err := fs.ctrl.GrantPages(fs.app, cpu, n)
+	batch, err := fs.ctrl.GrantPages(fs.app, cpu, 2*n)
 	t.crossEnd(telemetry.EvGrantPages, begin)
-	if err != nil {
-		return nil, nil, err
+	if err == nil {
+		return batch, nil
 	}
-	return batch, nil, nil
+	begin = t.crossStart()
+	batch, err = fs.ctrl.GrantPages(fs.app, cpu, n)
+	t.crossEnd(telemetry.EvGrantPages, begin)
+	return batch, err
 }
 
-// ReturnGrants hands every pooled page — the allocator stripes and the
-// parked lease reserves — back to the kernel in one crossing. The
-// tenancy registry calls it when retiring a tenant, so a departed app's
-// unused grants rejoin the global allocator immediately instead of
-// being swept up by UnregisterApp's ownership scan. Unused inode-number
-// grants are reclaimed by UnregisterApp itself.
+// ReturnGrants hands every pooled page back to the kernel in one
+// crossing. The tenancy registry calls it when retiring a tenant, so a
+// departed app's unused grants rejoin the global allocator immediately
+// instead of being swept up by UnregisterApp's ownership scan. Unused
+// inode-number grants are reclaimed by UnregisterApp itself.
 func (fs *FS) ReturnGrants() {
 	var pages []uint64
 	for s := range fs.pagePool {
 		fs.pageMu[s].Lock()
 		pages = append(pages, fs.pagePool[s]...)
-		pages = append(pages, fs.pageReserve[s]...)
 		fs.pagePool[s] = nil
-		fs.pageReserve[s] = nil
 		fs.pageMu[s].Unlock()
 	}
 	if len(pages) > 0 {

@@ -74,20 +74,28 @@ func hoard(grant func() error) (n int, err error) {
 // inode numbers or both — so its next grant of that kind fails with
 // ErrQuota.
 func capAtUsage(fs *FS, pages, inodes bool) error {
-	for _, u := range fs.ctrl.Usage() {
-		if u.App != fs.app {
-			continue
-		}
-		var q kernel.Quota
-		if pages {
-			q.MaxPages = u.PagesOut
-		}
-		if inodes {
-			q.MaxInodes = u.InodesGranted
-		}
-		return fs.ctrl.SetQuota(fs.app, q)
+	u, err := usageOf(fs)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("app %d has no usage row", fs.app)
+	var q kernel.Quota
+	if pages {
+		q.MaxPages = u.PagesOut
+	}
+	if inodes {
+		q.MaxInodes = u.InodesGranted
+	}
+	return fs.ctrl.SetQuota(fs.app, q)
+}
+
+// usageOf returns fs's app's row of the kernel's usage table.
+func usageOf(fs *FS) (kernel.AppUsage, error) {
+	for _, u := range fs.ctrl.Usage() {
+		if u.App == fs.app {
+			return u, nil
+		}
+	}
+	return kernel.AppUsage{}, fmt.Errorf("app %d has no usage row", fs.app)
 }
 
 // TestAllocReclaimsRetiredOnGrantFailure drives reclaimRetired: a kernel
@@ -151,7 +159,7 @@ func reclaimPages(fs *FS, w *Thread) error {
 	}
 	s := uint(w.cpu) % 8
 	fs.pageMu[s].Lock()
-	pooled := len(fs.pagePool[s]) + len(fs.pageReserve[s])
+	pooled := len(fs.pagePool[s])
 	fs.pageMu[s].Unlock()
 	b, err := w.Open("/b")
 	if err != nil {

@@ -2,9 +2,9 @@
 // one kernel Controller: an application registry that spins tenants up
 // and down by the thousand. It is the serving-side complement of the
 // single-app benchmarks — the interesting questions at 10k tenants are
-// not per-op latency but per-idle-tenant footprint, quota containment,
-// and fair sharing of the kernel crossing path, and the registry is the
-// harness those are measured against.
+// not per-op latency but per-idle-tenant footprint and quota
+// containment, and the registry is the harness those are measured
+// against.
 //
 // Footprint discipline: an idle tenant is a registered app plus a LibFS
 // whose expensive state is all lazily allocated — directory hash tables
@@ -188,8 +188,8 @@ func (r *Registry) Usage() []kernel.AppUsage {
 // MeasureIdleFootprint boots a fresh system, spawns n idle tenants, and
 // returns the resident heap bytes each one cost: the number
 // EXPERIMENTS.md reports against the <8 KiB/tenant budget. The spawn
-// crossings themselves (registration, shadow-table growth) are included
-// — that is the honest cost of an idle tenant, not just its structs.
+// crossing itself (registration) is included — that is the honest cost
+// of an idle tenant, not just its structs.
 func MeasureIdleFootprint(n int) (bytesPerTenant float64, err error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("tenancy: need n > 0, got %d", n)
@@ -199,6 +199,10 @@ func MeasureIdleFootprint(n int) (bytesPerTenant float64, err error) {
 		return 0, err
 	}
 	reg := NewRegistry(sys)
+	// Twice: a sync.Pool keeps what it holds through one collection (its
+	// victim cache), and pooled garbage the collection after the spawns
+	// frees would be subtracted from the tenants' cost.
+	runtime.GC()
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -3,6 +3,7 @@ package tenancy
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -23,8 +24,8 @@ func newSys(t *testing.T) *core.System {
 
 // TestIdleTenantFootprint pins the per-idle-tenant heap cost under the
 // 8 KiB budget the package documentation promises. The measurement
-// includes the spawn crossings (registration, shadow-table growth) —
-// the honest cost of an idle tenant, not just its structs.
+// includes the spawn crossing (registration) — the honest cost of an
+// idle tenant, not just its structs.
 func TestIdleTenantFootprint(t *testing.T) {
 	const budget = 8192.0
 	per, err := MeasureIdleFootprint(2048)
@@ -34,6 +35,26 @@ func TestIdleTenantFootprint(t *testing.T) {
 	t.Logf("idle tenant footprint: %.0f B/tenant", per)
 	if per >= budget {
 		t.Fatalf("idle tenant costs %.0f B, budget is %.0f B", per, budget)
+	}
+}
+
+// TestIdleFootprintIgnoresPooledGarbage: garbage parked in a sync.Pool
+// when the measurement starts must not count against the tenants. A pool
+// keeps its contents through one collection, so a measurement that
+// collects once before its baseline reads the pool's release as a
+// negative footprint. Automatic collection is off so that only the
+// measurement's own collections run, as at the repo benchmark's GOGC=400.
+func TestIdleFootprintIgnoresPooledGarbage(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var pool sync.Pool
+	pool.Put(make([]byte, 64<<20))
+	per, err := MeasureIdleFootprint(256)
+	runtime.KeepAlive(&pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if per <= 0 {
+		t.Fatalf("idle tenant footprint %.0f B/tenant with 64 MiB pooled beforehand; want the tenants' own positive cost", per)
 	}
 }
 
