@@ -22,8 +22,6 @@
 package arckfs
 
 import (
-	"time"
-
 	"arckfs/internal/core"
 	"arckfs/internal/costmodel"
 	"arckfs/internal/fsapi"
@@ -95,9 +93,6 @@ type Options struct {
 	// CrashImage can materialize power-failure states. It costs memory
 	// and time; enable it only for crash experiments.
 	CrashTracking bool
-	// LeaseTTL bounds how long an application can hold an inode another
-	// application waits for.
-	LeaseTTL time.Duration
 	// SpanSampling enables arcktrace causal span tracing: 1 traces every
 	// operation, N traces one in N (rounded up to a power of two). 0 (the
 	// default) leaves the tracer attached but disabled; Tracer() can flip
@@ -122,7 +117,6 @@ func New(opts Options) (*System, error) {
 		InodeCap:     opts.InodeCap,
 		Cost:         cost,
 		Tracking:     opts.CrashTracking,
-		LeaseTTL:     opts.LeaseTTL,
 		SpanSampling: opts.SpanSampling,
 	})
 	if err != nil {
@@ -142,7 +136,6 @@ func Recover(img []byte, opts Options) (*System, *Report, error) {
 		Mode:         opts.Mode,
 		Cost:         cost,
 		Tracking:     opts.CrashTracking,
-		LeaseTTL:     opts.LeaseTTL,
 		SpanSampling: opts.SpanSampling,
 	})
 	if err != nil {
@@ -220,7 +213,7 @@ type FlightRecord = span.FlightRecord
 
 // AppStat is one application's attribution row: operations, kernel
 // crossings, persist traffic, and sampled operation latency.
-type AppStat = telemetry.AppStat
+type AppStat = core.AppStat
 
 // Tracer returns the arcktrace span tracer (always attached; enabled per
 // Options.SpanSampling or at runtime via its SetEnabled).

@@ -6,8 +6,8 @@
 package core
 
 import (
+	"sort"
 	"sync"
-	"time"
 
 	"arckfs/internal/costmodel"
 	"arckfs/internal/fsapi"
@@ -53,8 +53,6 @@ type Config struct {
 	Hooks *libfs.Hooks
 	// Tracking enables pmem crash tracking from the moment after format.
 	Tracking bool
-	// LeaseTTL bounds inode ownership.
-	LeaseTTL time.Duration
 	// SpanSampling enables arcktrace causal span tracing from boot: 1
 	// traces every operation, N traces one in N (rounded up to a power of
 	// two). 0 (the default) leaves the tracer attached but disabled —
@@ -93,7 +91,6 @@ type System struct {
 
 	tel    *telemetry.Set
 	tracer *span.Tracer
-	appDim *telemetry.AppDim
 	appsMu sync.Mutex
 	apps   []*libfs.FS
 	// sums are the per-application counters the telemetry set adds up
@@ -188,13 +185,10 @@ func (s *System) Telemetry() *telemetry.Set { return s.tel }
 func NewSystem(cfg Config) (*System, error) {
 	cfg.fill()
 	dev := pmem.New(cfg.DevSize, cfg.Cost)
-	dim := telemetry.NewAppDim()
 	ctrl, err := kernel.Format(dev, kernel.Options{
 		Mode:     cfg.verifierMode(),
 		Cost:     cfg.Cost,
 		InodeCap: cfg.InodeCap,
-		LeaseTTL: cfg.LeaseTTL,
-		AppDim:   dim,
 	})
 	if err != nil {
 		return nil, err
@@ -202,7 +196,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.Tracking {
 		dev.EnableTracking()
 	}
-	s := &System{cfg: cfg, Dev: dev, Ctrl: ctrl, tracer: cfg.newTracer(), appDim: dim}
+	s := &System{cfg: cfg, Dev: dev, Ctrl: ctrl, tracer: cfg.newTracer()}
 	s.initTelemetry()
 	return s, nil
 }
@@ -212,7 +206,6 @@ func NewSystem(cfg Config) (*System, error) {
 func Recover(img []byte, cfg Config) (*System, *kernel.Report, error) {
 	cfg.fill()
 	dev := pmem.Restore(img, cfg.Cost)
-	dim := telemetry.NewAppDim()
 	// Recovery itself is traced: the mount runs under an OpRecover span
 	// whose child events are the per-pass timings the kernel reports.
 	tr := cfg.newTracer()
@@ -223,11 +216,9 @@ func Recover(img []byte, cfg Config) (*System, *kernel.Report, error) {
 		sink = sp
 	}
 	ctrl, rep, err := kernel.Mount(dev, kernel.Options{
-		Mode:     cfg.verifierMode(),
-		Cost:     cfg.Cost,
-		LeaseTTL: cfg.LeaseTTL,
-		AppDim:   dim,
-		Span:     sink,
+		Mode: cfg.verifierMode(),
+		Cost: cfg.Cost,
+		Span: sink,
 	}, true)
 	rl.End(sp, err)
 	if err != nil {
@@ -236,7 +227,7 @@ func Recover(img []byte, cfg Config) (*System, *kernel.Report, error) {
 	if cfg.Tracking {
 		dev.EnableTracking()
 	}
-	s := &System{cfg: cfg, Dev: dev, Ctrl: ctrl, tracer: tr, appDim: dim}
+	s := &System{cfg: cfg, Dev: dev, Ctrl: ctrl, tracer: tr}
 	s.initTelemetry()
 	return s, rep, nil
 }
@@ -250,7 +241,7 @@ func (s *System) NewApp(uid, gid uint32) *libfs.FS {
 		Hooks: s.cfg.Hooks,
 	})
 	fs.SetTelemetry(s.tel)
-	fs.SetObservability(s.tracer, s.appDim.Row(int64(app)))
+	fs.SetTracer(s.tracer)
 	s.appsMu.Lock()
 	s.apps = append(s.apps, fs)
 	s.appsMu.Unlock()
@@ -259,11 +250,10 @@ func (s *System) NewApp(uid, gid uint32) *libfs.FS {
 
 // RetireApp tears one application down: the LibFS leaves the system's
 // telemetry aggregation (its counter totals stay, folded into the retired
-// sums), the kernel unregisters the app
-// (force-releasing owned inodes and reclaiming every outstanding
-// grant), and the per-app attribution row is evicted so long-lived
-// systems spinning tenants up and down hold state for live tenants
-// only. The caller should stop using fs (and its threads) first;
+// sums) and with it AppStats, so long-lived systems spinning tenants up and
+// down hold rows for live tenants only; then the kernel unregisters the
+// app (force-releasing owned inodes and reclaiming every outstanding
+// grant). The caller should stop using fs (and its threads) first;
 // tenancy.Registry wraps the full quiesce-then-retire sequence.
 func (s *System) RetireApp(fs *libfs.FS) error {
 	s.appsMu.Lock()
@@ -277,9 +267,7 @@ func (s *System) RetireApp(fs *libfs.FS) error {
 		}
 	}
 	s.appsMu.Unlock()
-	err := s.Ctrl.UnregisterApp(fs.App())
-	s.appDim.Evict(int64(fs.App()))
-	return err
+	return s.Ctrl.UnregisterApp(fs.App())
 }
 
 // Mode returns the configured preset.
@@ -288,7 +276,41 @@ func (s *System) Mode() Mode { return s.cfg.Mode }
 // Tracer returns the system's arcktrace span tracer (always non-nil).
 func (s *System) Tracer() *span.Tracer { return s.tracer }
 
-// AppStats returns the per-application attribution snapshot, sorted by
-// app ID: kernel crossings, persist traffic, and sampled op latency per
-// tenant.
-func (s *System) AppStats() []telemetry.AppStat { return s.appDim.Snapshot() }
+// AppStat is one application's attribution row, read off its LibFS's
+// Stats: operations, the kernel crossings the LibFS made, persist
+// traffic, and sampled operation latency.
+type AppStat struct {
+	App      int64                     `json:"app"`
+	Ops      int64                     `json:"ops"`
+	Syscalls int64                     `json:"syscalls"`
+	Flushes  int64                     `json:"flushes"`
+	Fences   int64                     `json:"fences"`
+	NTStores int64                     `json:"ntstores"`
+	Latency  *telemetry.LatencySummary `json:"latency,omitempty"`
+}
+
+// AppStats returns one row per live application, sorted by app ID.
+func (s *System) AppStats() []AppStat {
+	s.appsMu.Lock()
+	defer s.appsMu.Unlock()
+	out := make([]AppStat, 0, len(s.apps))
+	for _, fs := range s.apps {
+		st := &fs.Stats
+		row := AppStat{
+			App:      fs.App(),
+			Ops:      st.Ops.Load(),
+			Syscalls: st.Syscalls.Load(),
+			Flushes:  st.Flushes.Load(),
+			Fences:   st.Fences.Load(),
+			NTStores: st.NTStores.Load(),
+		}
+		if h := fs.Latency(); h != nil {
+			if sum := h.Summary(); sum.Count > 0 {
+				row.Latency = &sum
+			}
+		}
+		out = append(out, row)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].App < out[j].App })
+	return out
+}

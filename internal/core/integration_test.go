@@ -72,12 +72,16 @@ func TestMultiAppHandoffStress(t *testing.T) {
 
 // TestInvoluntaryReleaseUnderLeaseExpiry lets a second application steal
 // an inode whose holder's lease lapsed, while the holder keeps working —
-// the patched LibFS remaps instead of crashing.
+// the patched LibFS remaps instead of crashing. The lease clock is the
+// test's: it jumps past a lease instead of sleeping through one.
 func TestInvoluntaryReleaseUnderLeaseExpiry(t *testing.T) {
-	sys, err := NewSystem(Config{DevSize: 64 << 20, LeaseTTL: time.Millisecond})
+	sys, err := NewSystem(Config{DevSize: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
+	now := time.Now()
+	sys.Ctrl.SetClock(func() time.Time { return now })
+	lapse := func() { now = now.Add(time.Minute) }
 	a1 := sys.NewApp(0, 0)
 	a2 := sys.NewApp(0, 0)
 	w1 := a1.NewThread(0).(*libfs.Thread)
@@ -92,7 +96,7 @@ func TestInvoluntaryReleaseUnderLeaseExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Let the lease lapse, then the second app takes the file.
-	time.Sleep(5 * time.Millisecond)
+	lapse()
 	w2 := a2.NewThread(0).(*libfs.Thread)
 	fd2, err := w2.Open("/contended")
 	if err != nil {
@@ -104,7 +108,7 @@ func TestInvoluntaryReleaseUnderLeaseExpiry(t *testing.T) {
 	// The original holder's next write re-acquires transparently (after
 	// the second app's lease lapses in turn), which forces an
 	// involuntary release of the second holder.
-	time.Sleep(5 * time.Millisecond)
+	lapse()
 	if _, err := w1.WriteAt(fd1, []byte("first-again"), 0); err != nil {
 		t.Fatalf("holder could not continue after revocation: %v", err)
 	}

@@ -176,7 +176,7 @@ func newRig(cfg *Config, seed int64, onPoint func()) (*rig, error) {
 				GrantPageBatch: 32,
 				DirBuckets:     8,
 			})
-			fs.SetObservability(r.tracer, nil)
+			fs.SetTracer(r.tracer)
 			r.fss = append(r.fss, fs)
 			r.ths = append(r.ths, fs.NewThread(0))
 		}

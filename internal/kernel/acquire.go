@@ -159,7 +159,7 @@ func (c *Controller) Acquire(appID AppID, ino uint64, write bool) (*Mapping, err
 // the fast path reports a timed shard-wait event to sink (nil = plain
 // Acquire).
 func (c *Controller) AcquireObserved(appID AppID, ino uint64, write bool, sink telemetry.SpanSink) (*Mapping, error) {
-	c.syscall(appID)
+	c.syscall()
 	c.Stats.Acquires.Add(1)
 	if m, err, punt := c.acquireFast(appID, ino, write, sink); !punt {
 		return m, err
@@ -221,7 +221,7 @@ func (c *Controller) acquireHeld(se *shadowEnt, appID AppID, ino uint64, write b
 			// either way the mapping is active again.
 			m.dormant.CompareAndSwap(true, false)
 		}
-		se.lease = c.now().Add(c.opts.LeaseTTL)
+		se.lease = c.now().Add(leaseTTL)
 		return se.mapping, nil, false
 	}
 	if se.owner != 0 && c.prefetchHeld(se, a) {
@@ -269,7 +269,7 @@ func (c *Controller) acquireHeld(se *shadowEnt, appID AppID, ino uint64, write b
 // timed shard-wait events. A list longer than
 // MaxReleaseBatch is refused whole.
 func (c *Controller) AcquireBatch(appID AppID, inos []uint64, sink telemetry.SpanSink) ([]*Mapping, error) {
-	c.syscall(appID)
+	c.syscall()
 	if len(inos) == 0 || len(inos) > MaxReleaseBatch {
 		return nil, fmt.Errorf("acquire of %d inodes outside the batch cap 1..%d: %w", len(inos), MaxReleaseBatch, fsapi.ErrInval)
 	}
@@ -365,7 +365,7 @@ func (c *Controller) groupTransfer(se *shadowEnt, appID AppID) *Mapping {
 	c.Stats.TrustTransfers.Add(1)
 	for _, m := range se.groupMappings {
 		if m.app == appID && m.Valid() {
-			se.lease = c.now().Add(c.opts.LeaseTTL)
+			se.lease = c.now().Add(leaseTTL)
 			return m
 		}
 	}
@@ -376,7 +376,7 @@ func (c *Controller) groupTransfer(se *shadowEnt, appID AppID) *Mapping {
 	se.groupMappings = append(se.groupMappings, m)
 	se.owner = appID
 	se.mapping = m
-	se.lease = c.now().Add(c.opts.LeaseTTL)
+	se.lease = c.now().Add(leaseTTL)
 	c.cost.Map()
 	return m
 }
@@ -397,7 +397,7 @@ func (c *Controller) establish(se *shadowEnt, appID AppID) error {
 	}
 	se.owner = appID
 	se.mapping = newMapping(se.info.Ino, appID)
-	se.lease = c.now().Add(c.opts.LeaseTTL)
+	se.lease = c.now().Add(leaseTTL)
 	c.cost.Map()
 	return nil
 }
@@ -518,7 +518,7 @@ type Released struct {
 // sink (nil-safe) receives timed shard-wait events. A batch longer than
 // MaxReleaseBatch is refused whole.
 func (c *Controller) ReleaseBatch(appID AppID, inos []uint64, leased bool, sink telemetry.SpanSink) []Released {
-	c.syscall(appID)
+	c.syscall()
 	out := make([]Released, len(inos))
 	if len(inos) > MaxReleaseBatch {
 		err := fmt.Errorf("release of %d inodes exceeds the batch cap %d: %w", len(inos), MaxReleaseBatch, fsapi.ErrInval)
@@ -563,7 +563,7 @@ func (c *Controller) Commit(appID AppID, ino uint64) error {
 // CommitObserved is Commit with a span sink for timed shard-wait events
 // (nil = plain Commit).
 func (c *Controller) CommitObserved(appID AppID, ino uint64, sink telemetry.SpanSink) error {
-	c.syscall(appID)
+	c.syscall()
 	c.Stats.Commits.Add(1)
 	q := c.crossing(false)
 	defer c.commit(q)
@@ -663,7 +663,7 @@ func (c *Controller) transferHeld(se *shadowEnt, appID AppID, ino uint64, kind x
 		se.snap = nil
 		return nil, err
 	}
-	se.lease = c.now().Add(c.opts.LeaseTTL)
+	se.lease = c.now().Add(leaseTTL)
 	se.mapping.held.Store(false) // a released prefetch is an ordinary lease
 	se.mapping.dormant.Store(true)
 	return se.mapping, nil
@@ -673,7 +673,7 @@ func (c *Controller) transferHeld(se *shadowEnt, appID AppID, ino uint64, kind x
 // the involuntary-release path, also used by tests to simulate an
 // application crash.
 func (c *Controller) ForceRelease(ino uint64) error {
-	c.syscall(0)
+	c.syscall()
 	q := c.crossing(true)
 	defer c.commit(q)
 	se := c.shadowGet(ino, nil)
@@ -830,7 +830,7 @@ func (c *Controller) putPendingChild(appID AppID, ino uint64, held *shadowShard)
 		inode:   cin,
 		owner:   appID,
 		mapping: newMapping(ino, appID),
-		lease:   c.now().Add(c.opts.LeaseTTL),
+		lease:   c.now().Add(leaseTTL),
 	}, held)
 }
 

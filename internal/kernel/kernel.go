@@ -60,16 +60,9 @@ type Options struct {
 	InodeCap uint64
 	// NTails is the directory log tail count (Format only).
 	NTails int
-	// LeaseTTL bounds how long an application may hold an inode another
-	// application is waiting for; 0 means a generous default.
-	LeaseTTL time.Duration
 	// RecoverWorkers bounds the recovery worker pool (Mount/Fsck).
 	// 0 = min(GOMAXPROCS, 8); 1 = serial.
 	RecoverWorkers int
-	// AppDim, when set, receives per-application crossing counts: every
-	// syscall is charged to the calling app's row, so involuntary work
-	// (lease reclaims triggered by a competitor) is attributed too.
-	AppDim *telemetry.AppDim
 	// Span, when set, receives SpanEvRecoveryPass events while Mount
 	// runs recovery, one per pass with its duration.
 	Span telemetry.SpanSink
@@ -81,9 +74,6 @@ func (o *Options) fill() {
 	}
 	if o.NTails == 0 {
 		o.NTails = layout.DefaultTails
-	}
-	if o.LeaseTTL == 0 {
-		o.LeaseTTL = 10 * time.Second
 	}
 }
 
@@ -413,11 +403,10 @@ func newController(dev *pmem.Device, g layout.Geometry, opts Options) *Controlle
 	return c
 }
 
-// syscall counts and charges one kernel crossing, attributing it to
-// appID's row of the app dimension (0 = unattributed).
-func (c *Controller) syscall(appID AppID) {
+// syscall counts and charges one kernel crossing. Which application made
+// it is the caller's to count (libfs.Stats.Syscalls).
+func (c *Controller) syscall() {
 	c.Stats.Syscalls.Add(1)
-	c.opts.AppDim.Add(appID, telemetry.AppSyscalls, 1)
 	c.cost.Syscall()
 }
 
@@ -473,7 +462,7 @@ func (c *Controller) SetClock(now func() time.Time) {
 
 // RegisterApp creates an application identity.
 func (c *Controller) RegisterApp(uid, gid uint32) AppID {
-	c.syscall(0)
+	c.syscall()
 	e := c.epoch.RLock()
 	c.appsMu.Lock()
 	c.nextApp++
@@ -491,7 +480,7 @@ func (c *Controller) RegisterApp(uid, gid uint32) AppID {
 // tenants — no held inodes, no outstanding pages — unregister without
 // touching the shadow or page tables beyond the app row itself.
 func (c *Controller) UnregisterApp(appID AppID) error {
-	c.syscall(appID)
+	c.syscall()
 	a := c.lookupApp(appID)
 	if a == nil {
 		return fmt.Errorf("kernel: unknown app %d", appID)
@@ -535,7 +524,7 @@ func (c *Controller) UnregisterApp(appID AppID) error {
 // NewTrustGroup places the given applications in a fresh trust group:
 // inode ownership moves among them without verification (§5.4).
 func (c *Controller) NewTrustGroup(ids ...AppID) (int, error) {
-	c.syscall(0)
+	c.syscall()
 	e := c.epoch.RLock()
 	defer c.epoch.RUnlock(e)
 	c.appsMu.Lock()
@@ -554,7 +543,7 @@ func (c *Controller) NewTrustGroup(ids ...AppID) (int, error) {
 // GrantInodes hands n fresh inode numbers to app; the LibFS builds new
 // files and directories in them without further system calls.
 func (c *Controller) GrantInodes(appID AppID, n int) ([]uint64, error) {
-	c.syscall(appID)
+	c.syscall()
 	e := c.epoch.RLock()
 	defer c.epoch.RUnlock(e)
 	c.appsMu.Lock()
@@ -583,7 +572,7 @@ func (c *Controller) GrantInodes(appID AppID, n int) ([]uint64, error) {
 // GrantPages hands n free pages to app, charging them against the app's
 // outstanding-page quota.
 func (c *Controller) GrantPages(appID AppID, cpu, n int) ([]uint64, error) {
-	c.syscall(appID)
+	c.syscall()
 	a := c.lookupApp(appID)
 	if a == nil {
 		return nil, fmt.Errorf("kernel: unknown app %d", appID)
@@ -612,7 +601,7 @@ func (c *Controller) GrantPages(appID AppID, cpu, n int) ([]uint64, error) {
 // ReturnPages gives unused granted pages back (LibFS teardown),
 // uncharging them from the app's outstanding-page quota.
 func (c *Controller) ReturnPages(appID AppID, pages []uint64) {
-	c.syscall(appID)
+	c.syscall()
 	e := c.epoch.RLock()
 	var back []uint64
 	for _, p := range pages {
@@ -631,14 +620,14 @@ func (c *Controller) ReturnPages(appID AppID, pages []uint64) {
 
 // RenameLockAcquire takes the global rename lease for app (§4.6 patch).
 func (c *Controller) RenameLockAcquire(appID AppID) {
-	c.syscall(appID)
+	c.syscall()
 	c.renameLock.Acquire(appID, renameLeaseTTL)
 }
 
 // RenameLockRelease returns the lease; false means it had expired and
 // been stolen.
 func (c *Controller) RenameLockRelease(appID AppID) bool {
-	c.syscall(appID)
+	c.syscall()
 	return c.renameLock.Release(appID)
 }
 
@@ -649,7 +638,7 @@ func (c *Controller) RenameLockRelease(appID AppID) bool {
 // SetACL is a no-op. Like every other entry point it models (and charges)
 // a kernel crossing.
 func (c *Controller) SetACL(ino uint64, appID AppID, perm uint16) {
-	c.syscall(appID)
+	c.syscall()
 	e := c.epoch.RLock()
 	defer c.epoch.RUnlock(e)
 	sh := c.lockShard(ino, nil)

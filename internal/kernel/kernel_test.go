@@ -195,7 +195,7 @@ func TestAcquireIdempotentForOwner(t *testing.T) {
 }
 
 // TestRepeatAcquireAllocatesNothing pins the crossing's fast path: an
-// owner asking again for what it holds is counted (Stats, the app row) and
+// owner asking again for what it holds is counted (Stats) and
 // answered with the existing mapping, and no record of it is built.
 func TestRepeatAcquireAllocatesNothing(t *testing.T) {
 	h := newHarness(t, verifier.Enhanced)

@@ -29,7 +29,7 @@ type Quota struct {
 // below current usage does not revoke anything, it only blocks further
 // grants until usage drains below the new limit.
 func (c *Controller) SetQuota(appID AppID, q Quota) error {
-	c.syscall(appID)
+	c.syscall()
 	a := c.lookupApp(appID)
 	if a == nil {
 		return fmt.Errorf("kernel: unknown app %d", appID)

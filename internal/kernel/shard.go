@@ -40,6 +40,9 @@ const (
 	// many crossings run at once, which GOMAXPROCS bounds, not how many
 	// apps are registered, so the table is fixed.
 	nShadow = 16
+	// leaseTTL bounds how long an application may hold an inode another
+	// application is waiting for (tests advance the clock, SetClock).
+	leaseTTL = 10 * time.Second
 	// renameLeaseTTL bounds the global rename lock lease (§4.6).
 	renameLeaseTTL = time.Second
 )

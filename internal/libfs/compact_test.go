@@ -616,7 +616,7 @@ func TestReleaseAllSpanShowsCompaction(t *testing.T) {
 	fs := newFS(t, BugsNone, nil)
 	tr := span.New(64, 1)
 	tr.SetEnabled(true)
-	fs.SetObservability(tr, nil)
+	fs.SetTracer(tr)
 	w := th(t, fs)
 	if err := w.Mkdir("/d"); err != nil {
 		t.Fatal(err)

@@ -314,12 +314,34 @@ func TestGrowthZeroesCrashStates(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dev, w, fd := bootGrowth(t)
-			var imgs [][]byte
+			// Each image is judged as it is taken: the run makes hundreds, and
+			// keeping them all for a later loop costs gigabytes under -race.
+			images, grown, torn := 0, 0, 0
+			check := func(img []byte) {
+				i := images
+				images++
+				got, err := recoverFile(t, tc.name, img)
+				if err != nil && strings.Contains(err.Error(), "block pointer beyond size") {
+					torn++
+					return
+				}
+				if err != nil {
+					t.Fatalf("image %d: %v", i, err)
+				}
+				if len(got) > 100 {
+					grown++
+				}
+				gap := got[min(100, len(got)):min(tc.gapEnd, int64(len(got)))]
+				if j := nonZero(gap); j >= 0 {
+					t.Fatalf("image %d: recovered size %d, gap byte at %d reads %#x", i, len(got), 100+j, gap[j])
+				}
+			}
 			dev.SetFenceObserver(func() {
-				imgs = append(imgs, dev.CrashImage(pmem.CrashDropAll), dev.CrashImage(pmem.CrashPersistAll))
+				check(dev.CrashImage(pmem.CrashDropAll))
+				check(dev.CrashImage(pmem.CrashPersistAll))
 				for _, l := range dev.DirtyLines() {
 					for _, alone := range []bool{true, false} {
-						imgs = append(imgs, dev.CrashImage(func(o int64, versions int) int {
+						check(dev.CrashImage(func(o int64, versions int) int {
 							if (o == l) == alone {
 								return versions
 							}
@@ -333,28 +355,10 @@ func TestGrowthZeroesCrashStates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			grown, torn := 0, 0
-			for i, img := range imgs {
-				got, err := recoverFile(t, tc.name, img)
-				if err != nil && strings.Contains(err.Error(), "block pointer beyond size") {
-					torn++
-					continue
-				}
-				if err != nil {
-					t.Fatalf("image %d: %v", i, err)
-				}
-				if len(got) > 100 {
-					grown++
-				}
-				gap := got[min(100, len(got)):min(tc.gapEnd, int64(len(got)))]
-				if j := nonZero(gap); j >= 0 {
-					t.Fatalf("image %d: recovered size %d, gap byte at %d reads %#x", i, len(got), 100+j, gap[j])
-				}
-			}
 			if grown == 0 {
-				t.Fatalf("none of %d images recovered the grown file; the enumeration is vacuous", len(imgs))
+				t.Fatalf("none of %d images recovered the grown file; the enumeration is vacuous", images)
 			}
-			t.Logf("%d images, %d grown, %d map lines without the size", len(imgs), grown, torn)
+			t.Logf("%d images, %d grown, %d map lines without the size", images, grown, torn)
 		})
 	}
 }

@@ -172,16 +172,18 @@ type FS struct {
 	nthreads atomic.Int64
 	clock    atomic.Uint64 // logical mtime source
 
-	// Stats counts the LibFS's recovery-path events (telemetry only).
+	// Stats counts the LibFS's events, the application's row among them
+	// (telemetry only).
 	Stats Stats
 
 	// tel is the owning system's counter set (set by core.NewApp).
 	tel *telemetry.Set
 
-	// tracer and appRow are the arcktrace observability hooks, attached by
-	// SetObservability (see span.go). Both may be nil.
+	// tracer is the arcktrace span tracer, attached by SetTracer (see
+	// span.go); nil disables tracing. lat is the sampled operation-latency
+	// histogram, made on first use.
 	tracer *span.Tracer
-	appRow *telemetry.AppRow
+	lat    atomic.Pointer[telemetry.Histogram]
 	// relMu runs ReleaseAll calls one at a time; relLane is their lane in
 	// the tracer, made on first traced use.
 	relMu   sync.Mutex
@@ -197,7 +199,18 @@ type FS struct {
 // inode's miss is then a Reacquire, through a crossing or through a
 // mapping a batch prefetched, and the latter is the one place the two
 // counters diverge: it avoided a crossing without a hit.
+//
+// Ops, Syscalls, Flushes, Fences and NTStores are the application's row
+// (core.System.AppStats): the fsapi operations it entered, the kernel
+// crossings its LibFS made, and the lines its threads' persist batches
+// drained at fences, the fences, and the lines they streamed.
 type Stats struct {
+	Ops      atomic.Int64
+	Syscalls atomic.Int64
+	Flushes  atomic.Int64
+	Fences   atomic.Int64
+	NTStores atomic.Int64
+
 	Remaps          atomic.Int64
 	Reacquires      atomic.Int64
 	LeaseHits       atomic.Int64
@@ -262,9 +275,7 @@ func (fs *FS) allocIno(t *Thread) (uint64, error) {
 	fs.inoMu.Lock()
 	if len(fs.inoPool) == 0 {
 		fs.inoMu.Unlock()
-		begin := t.crossStart()
-		batch, err := fs.ctrl.GrantInodes(fs.app, fs.opts.GrantInoBatch)
-		t.crossEnd(telemetry.EvGrantInodes, begin)
+		batch, err := fs.grantInodes(t)
 		if err != nil && fs.reclaimRetired() {
 			// Retired inode numbers may be parked behind a grace period;
 			// as in allocPage, drain the retire queue on the failure path
@@ -277,9 +288,7 @@ func (fs *FS) allocIno(t *Thread) (uint64, error) {
 				return ino, nil
 			}
 			fs.inoMu.Unlock()
-			begin = t.crossStart()
-			batch, err = fs.ctrl.GrantInodes(fs.app, fs.opts.GrantInoBatch)
-			t.crossEnd(telemetry.EvGrantInodes, begin)
+			batch, err = fs.grantInodes(t)
 		}
 		if err != nil {
 			return 0, err
@@ -291,6 +300,14 @@ func (fs *FS) allocIno(t *Thread) (uint64, error) {
 	fs.inoPool = fs.inoPool[:len(fs.inoPool)-1]
 	fs.inoMu.Unlock()
 	return ino, nil
+}
+
+// grantInodes is the inode-grant crossing.
+func (fs *FS) grantInodes(t *Thread) ([]uint64, error) {
+	c := fs.cross(t.CurrentSpan())
+	batch, err := fs.ctrl.GrantInodes(fs.app, fs.opts.GrantInoBatch)
+	c.done(telemetry.SpanEvCrossing, int64(telemetry.EvGrantInodes))
+	return batch, err
 }
 
 // recycleIno returns a never-committed inode number to the pool.
@@ -345,15 +362,18 @@ func (fs *FS) allocPage(t *Thread, cpu int) (uint64, error) {
 // satisfiable allocation into an error.
 func (fs *FS) grantPageBatch(t *Thread, cpu int) ([]uint64, error) {
 	n := fs.opts.GrantPageBatch
-	begin := t.crossStart()
-	batch, err := fs.ctrl.GrantPages(fs.app, cpu, 2*n)
-	t.crossEnd(telemetry.EvGrantPages, begin)
+	batch, err := fs.grantPages(t, cpu, 2*n)
 	if err == nil {
 		return batch, nil
 	}
-	begin = t.crossStart()
-	batch, err = fs.ctrl.GrantPages(fs.app, cpu, n)
-	t.crossEnd(telemetry.EvGrantPages, begin)
+	return fs.grantPages(t, cpu, n)
+}
+
+// grantPages is the page-grant crossing.
+func (fs *FS) grantPages(t *Thread, cpu, n int) ([]uint64, error) {
+	c := fs.cross(t.CurrentSpan())
+	batch, err := fs.ctrl.GrantPages(fs.app, cpu, n)
+	c.done(telemetry.SpanEvCrossing, int64(telemetry.EvGrantPages))
 	return batch, err
 }
 
@@ -371,7 +391,9 @@ func (fs *FS) ReturnGrants() {
 		fs.pageMu[s].Unlock()
 	}
 	if len(pages) > 0 {
+		c := fs.cross(nil) // no operation pays for it: no span
 		fs.ctrl.ReturnPages(fs.app, pages)
+		c.done(0, 0)
 	}
 }
 
@@ -484,7 +506,7 @@ func (fs *FS) NewThread(cpu int) fsapi.Thread {
 	pb := fs.dev.NewBatch()
 	t := &Thread{fs: fs, cpu: cpu, rd: fs.dom.Register(), pb: pb, tl: fs.tracer.NewLocal()}
 	// The batch reports every flush, streaming store, and fence to the
-	// thread (see Thread.SpanEvent), which counts them per-app and attaches
+	// thread (see Thread.SpanEvent), which counts them in Stats and attaches
 	// them to the sampled span when one is open.
 	pb.SetSink(t)
 	return t

@@ -266,6 +266,63 @@ func TestRenameFileCrossDir(t *testing.T) {
 	}
 }
 
+// TestRenameCommittedFileCrossDir moves a file the kernel already knows
+// into another directory and releases. Inode numbers are handed out
+// downward, so whichever of the two directories was made second releases
+// first; when that is the old parent, the release reads the move as an
+// unlink unless the new parent was committed at the rename. The new parent
+// may also be one the kernel has not seen yet. Every way, the bytes must be
+// readable at the new name by a second application.
+func TestRenameCommittedFileCrossDir(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		before, after []string // directories made before and after the first release
+	}{
+		{"src-first", []string{"/src", "/dst"}, nil},
+		{"dst-first", []string{"/dst", "/src"}, nil},
+		{"dst-fresh", []string{"/src"}, []string{"/dst"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fs := newFS(t, BugsNone, nil)
+			w := th(t, fs)
+			must := func(err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, d := range c.before {
+				must(w.Mkdir(d))
+			}
+			must(w.Create("/src/f"))
+			want := []byte("moved, not lost")
+			fd, err := w.Open("/src/f")
+			must(err)
+			_, err = w.WriteAt(fd, want, 0)
+			must(err)
+			must(w.Close(fd))
+			must(fs.ReleaseAll())
+			for _, d := range c.after {
+				must(w.Mkdir(d))
+			}
+			must(w.Rename("/src/f", "/dst/g"))
+			must(fs.ReleaseAll())
+
+			peer := New(fs.ctrl, fs.ctrl.RegisterApp(0, 0), Options{})
+			r := th(t, peer)
+			fd, err = r.Open("/dst/g")
+			must(err)
+			got := make([]byte, len(want))
+			if _, err := r.ReadAt(fd, got, 0); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("read %q, %v; want %q", got, err, want)
+			}
+			if _, err := r.Stat("/src/f"); !errors.Is(err, fsapi.ErrNotExist) {
+				t.Fatalf("the old name survives: %v", err)
+			}
+		})
+	}
+}
+
 func TestRenameDirCrossDirPlus(t *testing.T) {
 	fs := newFS(t, BugsNone, nil)
 	w := th(t, fs)

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"arckfs/internal/fsapi"
 	"arckfs/internal/hlock"
@@ -347,9 +346,9 @@ func (fs *FS) getMinode(t *Thread, ino uint64, write bool) (*minode, error) {
 // acquire is one Acquire crossing for ino, with write intent, attributed to
 // t's span (t nil-tolerated).
 func (fs *FS) acquire(t *Thread, ino uint64) (*kernel.Mapping, error) {
-	begin := t.crossStart()
+	c := fs.cross(t.CurrentSpan())
 	m, err := fs.ctrl.AcquireObserved(fs.app, ino, true, t.sink())
-	t.crossEnd(telemetry.EvAcquire, begin)
+	c.done(telemetry.SpanEvCrossing, int64(telemetry.EvAcquire))
 	return m, err
 }
 
@@ -482,7 +481,7 @@ func (fs *FS) takeBack(t *Thread, mi *minode) (*kernel.Mapping, error) {
 		return fs.acquire(t, mi.ino)
 	}
 	defer ws.mu.Unlock()
-	begin := t.crossStart()
+	c := fs.cross(t.CurrentSpan())
 	ms, err := fs.ctrl.AcquireBatch(fs.app, ask, t.sink())
 	n := 0 // inodes mapped
 	for i, m := range ms {
@@ -497,9 +496,7 @@ func (fs *FS) takeBack(t *Thread, mi *minode) (*kernel.Mapping, error) {
 			v.(*minode).prefetched.Store(m)
 		}
 	}
-	if !begin.IsZero() {
-		t.spanEv(telemetry.SpanEvAcquireBatch, int64(n), time.Since(begin).Nanoseconds())
-	}
+	c.done(telemetry.SpanEvAcquireBatch, int64(n))
 	if err != nil {
 		return nil, err // nothing was granted: the next miss asks again
 	}

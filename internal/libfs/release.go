@@ -2,7 +2,6 @@ package libfs
 
 import (
 	"sort"
-	"time"
 
 	"arckfs/internal/fsapi"
 	"arckfs/internal/htable"
@@ -47,9 +46,9 @@ func (fs *FS) ensureCommitted(t *Thread, mi *minode) error {
 
 // commitCrossing performs a Commit syscall with span attribution.
 func (fs *FS) commitCrossing(t *Thread, ino uint64) error {
-	begin := t.crossStart()
+	c := fs.cross(t.CurrentSpan())
 	err := fs.ctrl.CommitObserved(fs.app, ino, t.sink())
-	t.crossEnd(telemetry.EvCommit, begin)
+	c.done(telemetry.SpanEvCrossing, int64(telemetry.EvCommit))
 	if v, ok := fs.mtab.Load(ino); ok && err == nil {
 		mi := v.(*minode)
 		mi.dir.Load().markVerified()
@@ -120,7 +119,10 @@ func (fs *FS) CommitInode(t *Thread, path string) (err error) {
 func (fs *FS) ReleaseInode(ino uint64) error {
 	v, ok := fs.mtab.Load(ino)
 	if !ok {
-		return fs.ctrl.Release(fs.app, ino)
+		c := fs.cross(nil) // no operation pays for it: no span
+		err := fs.ctrl.Release(fs.app, ino)
+		c.done(telemetry.SpanEvReleaseBatch, 1)
+		return err
 	}
 	var batch []quiesced
 	if q, ok := fs.quiesce(v.(*minode), nil); ok {
@@ -197,14 +199,9 @@ func (fs *FS) releaseBatch(batch []quiesced, sp *span.Span) (err error) {
 	res := make([]kernel.Released, 0, len(inos))
 	for lo := 0; lo < len(inos); lo += kernel.MaxReleaseBatch {
 		part := inos[lo:min(lo+kernel.MaxReleaseBatch, len(inos))]
-		var begin time.Time
-		if sp != nil {
-			begin = time.Now()
-		}
+		c := fs.cross(sp)
 		res = append(res, fs.ctrl.ReleaseBatch(fs.app, part, leased, sink)...)
-		if sp != nil {
-			sp.Event(telemetry.SpanEvReleaseBatch, int64(len(part)), time.Since(begin).Nanoseconds())
-		}
+		c.done(telemetry.SpanEvReleaseBatch, int64(len(part)))
 	}
 
 	// The kernel has seen the children of every directory in the batch;

@@ -50,14 +50,13 @@ func spanCrossings(tr *span.Tracer, since uint64) (byKind map[telemetry.EventKin
 // crossing, and the verifier walks each released inode once — the acquires
 // adopt the peer's verified baseline. Every span is sampled, so the
 // holder's span rings account for every crossing the kernel charged — each
-// is a child of the operation that paid it — and the per-app row counts
-// the same; the turn's release span shows its one crossing with the inode
+// is a child of the operation that paid it — and the LibFS's Stats.Syscalls
+// counts the same; the turn's release span shows its one crossing with the inode
 // count.
 func TestHandoffTurnIsTwoCrossings(t *testing.T) {
 	const shared, batch = 4, 8
 	dev := pmem.New(64<<20, nil)
-	dim := telemetry.NewAppDim()
-	ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 1 << 12, AppDim: dim})
+	ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +68,7 @@ func TestHandoffTurnIsTwoCrossings(t *testing.T) {
 		fss[a] = New(ctrl, ctrl.RegisterApp(0, 0), Options{})
 		trs[a] = span.New(64, 1)
 		trs[a].SetEnabled(true)
-		fss[a].SetObservability(trs[a], nil)
+		fss[a].SetTracer(trs[a])
 		ws[a] = fss[a].NewThread(a).(*Thread)
 	}
 	if err := ws[0].Mkdir("/h"); err != nil {
@@ -101,7 +100,7 @@ func TestHandoffTurnIsTwoCrossings(t *testing.T) {
 		a := turn % 2
 		since := uint64(trs[a].Recorded()) // span IDs count from 1
 		st := ctrl.Stats.Snapshot()
-		row := dim.Row(int64(fss[a].app)).Get(telemetry.AppSyscalls)
+		row := fss[a].Stats.Syscalls.Load()
 		walked := vs.Dentries.Load() + vs.Pages.Load()
 		for i := 0; i < batch; i++ {
 			if err := ws[a].Create(fmt.Sprintf("/h/t%d-%d", turn, i)); err != nil {
@@ -140,7 +139,7 @@ func TestHandoffTurnIsTwoCrossings(t *testing.T) {
 			t.Fatalf("turn %d: kernel charged %d crossings, spans show %d acquires + %d acquire batches + %d commits + %d grants + %d release (%v)",
 				turn, got, acquires, acqBatches, commits, grants, batches, byKind)
 		}
-		if got := dim.Row(int64(fss[a].app)).Get(telemetry.AppSyscalls) - row; got != d.Syscalls-st.Syscalls {
+		if got := fss[a].Stats.Syscalls.Load() - row; got != d.Syscalls-st.Syscalls {
 			t.Fatalf("turn %d: app row counts %d crossings, kernel %d", turn, got, d.Syscalls-st.Syscalls)
 		}
 		if got := d.Acquires - st.Acquires; got != 2+shared {

@@ -51,10 +51,14 @@ func (t *Thread) Rename(oldPath, newPath string) (err error) {
 		// threads queue on renameMu first.
 		fs.renameMu.Lock()
 		defer fs.renameMu.Unlock()
-		begin := t.crossStart()
+		c := fs.cross(t.CurrentSpan())
 		fs.ctrl.RenameLockAcquire(fs.app)
-		t.crossEnd(telemetry.EvRenameLockAcquire, begin)
-		defer fs.ctrl.RenameLockRelease(fs.app)
+		c.done(telemetry.SpanEvCrossing, int64(telemetry.EvRenameLockAcquire))
+		defer func() {
+			c := fs.cross(t.CurrentSpan())
+			fs.ctrl.RenameLockRelease(fs.app)
+			c.done(telemetry.SpanEvCrossing, int64(telemetry.EvRenameLockRelease))
+		}()
 		// §4.6 patch, case 2: refuse renaming a directory into itself or
 		// one of its own descendants.
 		if fs.isAncestor(child, newDir) {
@@ -66,13 +70,20 @@ func (t *Thread) Rename(oldPath, newPath string) (err error) {
 	}
 
 	verifiedReloc := isDir && crossDir && !fs.opts.Bugs.Has(BugRenameVerify)
-	if verifiedReloc {
+	// A file the kernel knows is relocated the same way, the child and the
+	// old parent being known already: without the new parent's commits a
+	// release that reaches the old parent first reads the move as an unlink,
+	// and the new parent's entry then links an unknown inode.
+	knownFile := !isDir && crossDir && !child.fresh.Load() && !fs.opts.Bugs.Has(BugRenameVerify)
+	if verifiedReloc || (knownFile && newDir.fresh.Load()) {
 		// Rule 3: commit the new parent before performing the rename (it
 		// may be newly created; the commit chain connects it to the
 		// root).
 		if err := fs.ensureCommitted(t, newDir); err != nil {
 			return err
 		}
+	}
+	if verifiedReloc {
 		// The child must be known to the kernel for the relocation to be
 		// verifiable.
 		if err := fs.ensureCommitted(t, child); err != nil {
@@ -101,7 +112,7 @@ func (t *Thread) Rename(oldPath, newPath string) (err error) {
 		fs.rewriteParent(t, child, newDir.ino)
 	}
 
-	if verifiedReloc {
+	if verifiedReloc || knownFile {
 		// Rule 2 (§4.1 patch): commit the new parent before the old
 		// parent can be committed or released; this is the per-operation
 		// verification that advances the child's shadow parent pointer.

@@ -19,7 +19,7 @@ func TestLeaseHitSpanPropagation(t *testing.T) {
 	fs := newFS(t, BugsNone, nil)
 	tr := span.New(span.DefaultRingCap, 1)
 	tr.SetEnabled(true)
-	fs.SetObservability(tr, nil)
+	fs.SetTracer(tr)
 	w := th(t, fs)
 
 	if err := w.Create("/f"); err != nil {
@@ -92,7 +92,7 @@ func TestLeaseHitSpanPropagation(t *testing.T) {
 func TestSpanDisabledNoRecords(t *testing.T) {
 	fs := newFS(t, BugsNone, nil)
 	tr := span.New(span.DefaultRingCap, 1) // attached but disabled
-	fs.SetObservability(tr, nil)
+	fs.SetTracer(tr)
 	w := th(t, fs)
 	if err := w.Create("/quiet"); err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestSpanDisabledNoRecords(t *testing.T) {
 func TestDelegatedWriteSpan(t *testing.T) {
 	fs := newFS(t, BugsNone, nil)
 	tr := span.New(span.DefaultRingCap, 1)
-	fs.SetObservability(tr, nil)
+	fs.SetTracer(tr)
 	w := th(t, fs)
 	if err := w.Create("/big"); err != nil {
 		t.Fatal(err)

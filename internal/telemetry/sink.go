@@ -86,6 +86,7 @@ const (
 	EvGrantInodes
 	EvGrantPages
 	EvRenameLockAcquire
+	EvRenameLockRelease
 )
 
 var eventKindNames = [...]string{
@@ -94,6 +95,7 @@ var eventKindNames = [...]string{
 	EvGrantInodes:       "grant-inodes",
 	EvGrantPages:        "grant-pages",
 	EvRenameLockAcquire: "rename-lock-acquire",
+	EvRenameLockRelease: "rename-lock-release",
 }
 
 func (k EventKind) String() string {

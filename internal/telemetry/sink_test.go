@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// TestEventKindString: the five crossing kinds render by the names
+// TestEventKindString: the six crossing kinds render by the names
 // arckshell's trace filters match on, and anything else still renders.
 func TestEventKindString(t *testing.T) {
-	want := []string{"acquire", "commit", "grant-inodes", "grant-pages", "rename-lock-acquire"}
+	want := []string{"acquire", "commit", "grant-inodes", "grant-pages", "rename-lock-acquire",
+		"rename-lock-release"}
 	for i, name := range want {
 		if got := EventKind(i + 1).String(); got != name {
 			t.Fatalf("EventKind(%d) = %q, want %q", i+1, got, name)

@@ -10,7 +10,7 @@
 // whose expensive state is all lazily allocated — directory hash tables
 // appear when a directory is first walked, the per-thread persist
 // batcher's dedup map on the first flush, the span tracer's ring on the
-// first recorded span, the attribution histogram on the first sampled
+// first recorded span, the LibFS's latency histogram on the first sampled
 // latency, and worker threads themselves on first use (Tenant.Thread).
 // What remains is the FS shell, its RCU domain, and the kernel's
 // per-app record: a few hundred bytes, pinned well under the 8 KiB

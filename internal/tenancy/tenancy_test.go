@@ -61,8 +61,8 @@ func TestIdleFootprintIgnoresPooledGarbage(t *testing.T) {
 // TestTenantLifecycle walks one tenant through the full arc — spawn
 // with a quota, create/write/read through a lazily-built thread, retire
 // — and checks the teardown leaves no residue: the registry forgets the
-// tenant, the kernel's usage table drops the app, the attribution
-// dimension evicts its row, and the namespace survives for successors.
+// tenant, the kernel's usage table drops the app, its attribution row
+// leaves with its LibFS, and the namespace survives for successors.
 func TestTenantLifecycle(t *testing.T) {
 	sys := newSys(t)
 	reg := NewRegistry(sys)
@@ -111,7 +111,7 @@ func TestTenantLifecycle(t *testing.T) {
 	}
 	for _, st := range sys.AppStats() {
 		if st.App == int64(app) {
-			t.Fatalf("attribution row for retired app %d not evicted", app)
+			t.Fatalf("attribution row for retired app %d outlived its LibFS", app)
 		}
 	}
 
@@ -139,9 +139,9 @@ func TestTenantLifecycle(t *testing.T) {
 
 // TestRegistryChurnRace churns spawn/quota/retire cycles from many
 // goroutines at once (run under -race in CI): the registry map, the
-// kernel's app table and quota state, and the attribution
-// dimension all see concurrent registration and eviction, and the test
-// asserts everything drains back to baseline.
+// kernel's app table and quota state, and the system's LibFS list (the
+// attribution rows) all see concurrent registration and retirement, and
+// the test asserts everything drains back to baseline.
 func TestRegistryChurnRace(t *testing.T) {
 	sys := newSys(t)
 	reg := NewRegistry(sys)
@@ -164,7 +164,7 @@ func TestRegistryChurnRace(t *testing.T) {
 					errs <- fmt.Errorf("worker %d spawn %d: %w", w, i, err)
 					return
 				}
-				// Touch the lazy paths so eviction races against live rows.
+				// Touch the lazy paths so retirement races against live rows.
 				if tn.Thread(w) == nil {
 					errs <- fmt.Errorf("worker %d: nil thread", w)
 					return
@@ -192,7 +192,7 @@ func TestRegistryChurnRace(t *testing.T) {
 		t.Fatalf("kernel usage table holds %d apps after churn, want %d", got, baseline)
 	}
 	if stats := sys.AppStats(); len(stats) != 0 {
-		t.Fatalf("attribution dimension holds %d rows after churn: %+v", len(stats), stats)
+		t.Fatalf("AppStats holds %d rows after churn: %+v", len(stats), stats)
 	}
 }
 

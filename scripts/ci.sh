@@ -33,23 +33,7 @@ step vet;   go vet ./...
 step build; go build ./...
 step test;  go test ./...
 
-step "race (concurrency-sensitive packages)"
-go test -race \
-  ./internal/harness/ ./internal/telemetry/ ./internal/telemetry/span/ \
-  ./internal/kernel/ ./internal/libfs/ ./internal/kv/ ./internal/rcu/ \
-  ./internal/htable/ ./internal/pmem/ ./internal/pmalloc/ ./internal/verifier/ \
-  ./internal/baseline/
-
-step "race at GOMAXPROCS 1, 2, 4"
-for p in 1 2 4; do
-  GOMAXPROCS=$p go test -race \
-    ./internal/core/ ./internal/crashmc/ ./internal/hlock/ ./internal/tenancy/
-  GOMAXPROCS=$p go test -race -count=2 \
-    -run 'Compact|HandoffChurn|HandoffTurn|Reacquire|UnlinkOfCommitted|ReleaseAllSpan|ReleaseAllLockOrder|TestBug43|TestBug46|ShardStress|ParsesOnce|SetRef|Delegated|RepeatAcquire|StatNeverTears|StatVsConcurrentWriters|CountedSpin|AcquireGuard|ACLDies|ShardStatsKinds|PageGrantsCross|TestCrossing|InodeRecordCrashAtomic|LookupDuringGrowth|GrowthZeroes|AcquireBatch|TestPrefetch|ConcurrentMissesOneBatch|GrownCommittedFileLeaksNoPages|AllocReclaims|EpochBoundary' \
-    ./internal/libfs/ ./internal/kernel/ ./internal/htable/ ./internal/hlock/
-  GOMAXPROCS=$p go test -race -count=2 -run AppRowMatchesDevice ./internal/core/
-  GOMAXPROCS=$p go test -race -count=2 -run 'ConcurrentReaders|WAL' ./internal/kv/
-done
+bash scripts/race.sh
 
 step "fuzz the path cursor for 5 s (native Go fuzzing; the seed corpus already ran under go test)"
 go test -run '^$' -fuzz=FuzzPathCursor -fuzztime=5s ./internal/fsapi/
