@@ -160,7 +160,8 @@ func loopWarmup() []Op {
 //   - Honest-device injectable bugs: missing-fence must re-find the
 //     §4.2 torn commit (I2) and reserve-len the reserveDentry hole (I3),
 //     again from their flags alone; arckfs-plus must stay clean over the
-//     same generator.
+//     same generator. A row that has not found its expected breach by
+//     Iters runs on until it does, up to loopExtend×Iters (see loop).
 //   - Lying devices against the *patched* system: drop-flush and
 //     drop-fence surface torn commits and verified-state loss on
 //     ArckFS+ (I2/I3) even though crash-only enumeration proves it
@@ -179,7 +180,10 @@ func loopWarmup() []Op {
 func Campaign() []Config {
 	victim := "/victim" + longName
 	alpha := "/alpha" + longName
-	bravo := "/bravo" + longName
+	// bravo's record is longer than alpha's: it appends behind the dead
+	// slot the duplicate create leaves, where one of alpha's length would
+	// fill that slot instead.
+	bravo := "/bravo-bravo" + longName
 	warm := []Op{{Kind: OpCreate, Path: "/warmup" + longName}}
 	create := []Op{{Kind: OpCreate, Path: victim}}
 	reserve := []Op{
@@ -202,14 +206,20 @@ func Campaign() []Config {
 	// Churn the root to one dead slot short of a compaction, then tip it
 	// over inside the tracked window: the second release rewrites the log
 	// with the keepers — verified, multi-line records — in the pages it
-	// replaces.
+	// replaces. Every churn name is created before any is unlinked: a
+	// create fills a dead slot of its length, so create-unlink pairs would
+	// leave one dead slot, not a page of them. For the same reason the
+	// churn names have a record length no generated name has (genOps
+	// writes 4- and 59-byte names), or the looped row's creates would
+	// refill the churned slots and seldom tip the log over.
 	churnWarm := append([]Op(nil), warm...)
 	for i := 0; i < 6; i++ {
 		churnWarm = append(churnWarm, Op{Kind: OpCreate, Path: fmt.Sprintf("/keeper%d%s", i, longName)})
 	}
-	for i := 0; i < libfs.CompactMinDeadSlots-1; i++ {
-		p := fmt.Sprintf("/churn%03d", i)
-		churnWarm = append(churnWarm, Op{Kind: OpCreate, Path: p}, Op{Kind: OpUnlink, Path: p})
+	for _, kind := range []OpKind{OpCreate, OpUnlink} {
+		for i := 0; i < libfs.CompactMinDeadSlots-1; i++ {
+			churnWarm = append(churnWarm, Op{Kind: kind, Path: fmt.Sprintf("/churn-%03d", i)})
+		}
 	}
 	compact := []Op{
 		{Kind: OpCreate, Path: "/doomed" + longName},

@@ -3,6 +3,7 @@ package crashmc
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"arckfs/internal/kernel"
 	"arckfs/internal/pmem"
@@ -71,13 +72,26 @@ func Unreached(kills map[string]int) []string {
 	return missed
 }
 
+// loopExtend bounds how far past cfg.Iters a row that expects a breach
+// runs to find its first one, as a multiple of cfg.Iters.
+const loopExtend = 5
+
 // loop is the seeded-random driver: cfg.Iters iterations, each a
 // generated workload cut by one seeded kill and checked on one policy
-// image.
+// image. A row with a non-empty Expect that has found none of it by then
+// runs on until its first expected breach, up to loopExtend×cfg.Iters
+// iterations: where a rare breach first shows depends on everything the
+// system under test does, and a search that stops short of it says nothing
+// about the bug. The iteration seeds are drawn in the same order either
+// way, so the first cfg.Iters iterations are the same.
 func loop(cfg Config) (*Result, error) {
 	res := &Result{Config: cfg, Sites: map[string]int{}}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	for i := 0; i < cfg.Iters; i++ {
+	limit := cfg.Iters
+	if len(cfg.Expect) > 0 {
+		limit = loopExtend * cfg.Iters
+	}
+	for i := 0; i < limit && (i < cfg.Iters || !slices.ContainsFunc(cfg.Expect, res.Violated)); i++ {
 		iterSeed := rng.Int63()
 		it, err := runIteration(&res.Config, i, iterSeed)
 		if err != nil {

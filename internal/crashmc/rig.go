@@ -69,7 +69,9 @@ type Config struct {
 	// driver, which generates one per iteration.
 	Ops []Op
 
-	// Iters is the number of loop iterations (default 40).
+	// Iters is the number of loop iterations (default 40). A row with a
+	// non-empty Expect that has found none of it by then runs on, up to
+	// loopExtend×Iters, until its first expected breach.
 	Iters int
 	// Seed drives everything random (default 1): the enumerate driver's
 	// sampler, and the loop driver's iteration seeds, each of which

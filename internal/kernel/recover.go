@@ -350,8 +350,11 @@ func (c *Controller) reconcileDir(dirIno uint64, se *shadowEnt, rep *Report, rep
 				// A crash between a rename's new-name commit and its
 				// old-name invalidation leaves one inode live under two
 				// names (found by crashmc's mixed-ops workload). The
-				// rename was never kernel-verified, so the earlier record
-				// wins and the later duplicate is dropped.
+				// rename was never kernel-verified, so either name is a
+				// correct outcome: the earlier record in scan order wins
+				// and the later duplicate is dropped. A create may fill a
+				// dead slot ahead of the old record, so the earlier record
+				// can be the rename's new name.
 				rep.DanglingEntries++
 				drop = true
 			default:

@@ -14,14 +14,17 @@ import (
 
 // Release-time dentry-log compaction.
 //
-// The dentry log is append-only with in-place tombstones, so a directory
-// under create/unlink churn grows without bound — and the kernel's
-// verification cost at every ownership transfer is proportional to the
-// record slots it must parse, not to the entries that exist. ReleaseInode
-// therefore rewrites a mostly-dead log before handing the directory back,
-// while it already holds the inode lock and every bucket lock (no writer
-// is mid-operation, and lock-free readers only ever touch the hash
-// table).
+// An unlink tombstones its record in place, and a create fills a dead slot
+// of exactly its record length before it appends (appendDentry). Churn
+// that keeps one mix of name lengths therefore reuses its slots; churn
+// that does not — a burst of creates followed by a burst of unlinks, names
+// whose lengths drift — still grows the log, and the kernel's verification
+// cost at every ownership transfer is proportional to the record slots it
+// must parse, not to the entries that exist. ReleaseInode therefore
+// rewrites a mostly-dead log before handing the directory back, while it
+// already holds the inode lock and every bucket lock (no writer is
+// mid-operation, and lock-free readers only ever touch the hash table).
+// The dead slots listed on the pages it retires are dropped with them.
 //
 // Each tail keeps its last page — the one appends go to — in place, and
 // has the live records of every page before it copied into fresh pages
@@ -187,6 +190,11 @@ func (fs *FS) compactDir(mi *minode, sp *span.Span) {
 		}
 	}
 	ds.unverified = append(keep, fresh...)
+	// The dead slots of the retired pages went with them.
+	ds.dead.keep(func(s layout.DentryRef) bool {
+		r := moving[s.Page()].r
+		return r == nil || r.dead == 0
+	})
 	ds.idxMu.Unlock()
 	fs.retire(compactStripe, retire, 0)
 

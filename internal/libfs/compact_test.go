@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,15 +19,19 @@ import (
 	"arckfs/internal/telemetry/span"
 )
 
-// churn creates and unlinks n files in dir, leaving n dead record slots.
+// churn creates n files in dir and then unlinks them all. In a directory
+// with no dead slot of their length the creates append, leaving n dead
+// record slots; unlinking each name before the next create would leave
+// one, filled and freed again n times.
 func churn(t testing.TB, w *Thread, dir string, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		p := fmt.Sprintf("%s/churn-%04d", dir, i)
-		if err := w.Create(p); err != nil {
+		if err := w.Create(fmt.Sprintf("%s/churn-%04d", dir, i)); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Unlink(p); err != nil {
+	}
+	for i := 0; i < n; i++ {
+		if err := w.Unlink(fmt.Sprintf("%s/churn-%04d", dir, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,15 +121,30 @@ func TestReleaseCompactsChurnedDirectory(t *testing.T) {
 			}
 
 			// The retained aux state must point at the moved records: unlink
-			// one, add one, and hand the directory back again.
+			// one, add some, and hand the directory back again.
 			if err := w.Unlink("/d/" + want[7]); err != nil {
 				t.Fatal(err)
 			}
-			if err := w.Create("/d/zz-new"); err != nil {
+			want = append(append([]string(nil), want[:7]...), want[8:]...)
+			// A create fills a dead slot the compaction kept, on a tail's
+			// append page, or appends — never a slot on a page it retired.
+			// These names are as long as the churn's, so they take every
+			// listed slot of that length before they append.
+			d, err := w.resolve("/d")
+			if err != nil {
 				t.Fatal(err)
 			}
-			want = append(append([]string(nil), want[:7]...), want[8:]...)
-			want = append(want, "zz-new")
+			for i := 0; i < 3*CompactMinDeadSlots; i++ {
+				name := fmt.Sprintf("zz-new-%03d", i)
+				if err := w.Create("/d/" + name); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, name)
+				_, ref, _, _ := fs.lookupInDir(w, d, name)
+				if !slices.Contains(slices.Concat(fs.dirLogPages(d.dir.Load())...), layout.DentryRef(ref).Page()) {
+					t.Fatalf("%s landed on log page %d, which the compaction retired", name, layout.DentryRef(ref).Page())
+				}
+			}
 			if err := fs.ReleaseAll(); err != nil {
 				t.Fatalf("release after post-compaction writes: %v", err)
 			}
@@ -173,12 +193,20 @@ func TestCompactionSkippedBelowThreshold(t *testing.T) {
 
 // TestHandoffChurnAccounting: two applications alternate on one shared
 // directory for 200 turns, each unlinking the peer's batch and creating
-// its own (the first turn also churns the directory while it is still
-// fresh). The log must stay bounded, and once both have handed every
-// grant back no page may be left granted-but-unreferenced: free pages
-// plus pages reachable from the inode table are the whole data region.
+// its own, with names of two record lengths. Each create fills a slot the
+// peer's unlinks left, so once both have had a turn the log stops growing:
+// no release parses more than the live entries and a batch of dead slots,
+// the log links no new page, and nothing is compacted. Before the turns
+// the directory is churned while still fresh, so the first release
+// compacts a log whose pages are all app-granted; once both have handed
+// every grant back no page may be left granted-but-unreferenced: free
+// pages plus pages reachable from the inode table are the whole data
+// region.
 func TestHandoffChurnAccounting(t *testing.T) {
-	const turns, static, batch = 200, 60, 16
+	// static is more records than a log page holds, so the static names —
+	// as long as the churn's — fill every dead slot the compaction leaves
+	// on the append page.
+	const turns, static, batch, warm = 200, 130, 16, 2
 	dev := pmem.New(64<<20, nil)
 	ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 1 << 12})
 	if err != nil {
@@ -193,6 +221,16 @@ func TestHandoffChurnAccounting(t *testing.T) {
 	if err := ws[0].Mkdir("/h"); err != nil {
 		t.Fatal(err)
 	}
+	// Churn before the kernel has ever seen /h: the first release compacts
+	// a log whose pages are all still app-granted, so every page it
+	// unlinks must find its way back to the pool.
+	churn(t, ws[0], "/h", 2*CompactMinDeadSlots)
+	if err := fss[0].ReleaseAll(); err != nil {
+		t.Fatal(err)
+	}
+	if n := fss[0].Stats.DirCompactions.Load(); n != 1 {
+		t.Fatalf("the churned release ran %d compactions, want 1", n)
+	}
 	want := map[string]bool{}
 	for i := 0; i < static; i++ {
 		name := fmt.Sprintf("static-%03d", i)
@@ -201,43 +239,52 @@ func TestHandoffChurnAccounting(t *testing.T) {
 		}
 		want[name] = true
 	}
-	// Churn before the kernel has ever seen /h: the first release compacts
-	// a log whose pages are all still app-granted, so every page it
-	// unlinks must find its way back to the pool.
-	churn(t, ws[0], "/h", 2*CompactMinDeadSlots)
-	maxPages := 0
+	// Half of each batch has short names and half long ones: a create
+	// fills only a slot of its own record length.
+	batchName := func(a, turn, i int) string {
+		if i%2 == 0 {
+			return fmt.Sprintf("b%d-%03d-%02d", a, turn, i)
+		}
+		return fmt.Sprintf("b%d-%03d-%02d-0123456789-0123456789", a, turn, i)
+	}
+	vs := ctrl.VerifierStats()
+	pages := 0
 	for turn := 0; turn < turns; turn++ {
 		a := turn % 2
 		for i := 0; i < batch && turn > 0; i++ {
-			name := fmt.Sprintf("b%d-%03d-%02d", 1-a, turn-1, i)
+			name := batchName(1-a, turn-1, i)
 			if err := ws[a].Unlink("/h/" + name); err != nil {
 				t.Fatalf("turn %d: %v", turn, err)
 			}
 			delete(want, name)
 		}
 		for i := 0; i < batch; i++ {
-			name := fmt.Sprintf("b%d-%03d-%02d", a, turn, i)
+			name := batchName(a, turn, i)
 			if err := ws[a].Create("/h/" + name); err != nil {
 				t.Fatalf("turn %d: %v", turn, err)
 			}
 			want[name] = true
 		}
-		if n := logPages(t, fss[a], ws[a], "/h"); n > maxPages {
-			maxPages = n
-		}
+		n := logPages(t, fss[a], ws[a], "/h")
+		parsed := vs.Dentries.Load()
 		if err := fss[a].ReleaseAll(); err != nil {
 			t.Fatalf("turn %d release: %v", turn, err)
 		}
+		parsed = vs.Dentries.Load() - parsed
+		if turn < warm {
+			pages = n
+			continue
+		}
+		// The root's one entry, /h, is parsed too.
+		if live := len(want) + 1; parsed > int64(live+batch) {
+			t.Fatalf("turn %d: the release parsed %d records for %d live entries", turn, parsed, live)
+		}
+		if n > pages {
+			t.Fatalf("turn %d: the log grew from %d to %d pages", turn, pages, n)
+		}
 	}
-	compactions := fss[0].Stats.DirCompactions.Load() + fss[1].Stats.DirCompactions.Load()
-	if compactions < 5 {
-		t.Fatalf("only %d compactions in %d turns", compactions, turns)
-	}
-	// Uncompacted, 200 turns of 16 appends are ~30 pages. Compacted, the
-	// log holds the live records twice over at most, plus each tail's
-	// append page.
-	if maxPages > 8 {
-		t.Fatalf("log grew to %d pages", maxPages)
+	if n := fss[0].Stats.DirCompactions.Load() + fss[1].Stats.DirCompactions.Load(); n != 1 {
+		t.Fatalf("%d compactions after the churned release, want none", n-1)
 	}
 	got := mustNames(t, ws[0], "/h")
 	if len(got) != len(want) {

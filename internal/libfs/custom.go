@@ -64,12 +64,13 @@ func (t *Thread) CreateBatch(dir string, names []string) (n int, err error) {
 
 		var ref layout.DentryRef
 		var insErr error
-		dmi.ht().WithBucket(name, func(lb htable.LockedBucket) {
+		ds := dmi.dir.Load()
+		ds.ht.WithBucket(name, func(lb htable.LockedBucket) {
 			if _, exists := lb.Get(name); exists {
 				insErr = fsapi.ErrExist
 				return
 			}
-			ref, insErr = fs.reserveDentry(t, dmi, len(name))
+			ref, insErr = fs.reserveDentry(t, dmi, ds, len(name))
 			if insErr != nil {
 				return
 			}

@@ -103,15 +103,19 @@ func (fs *FS) persistDentryBody(b *pmem.Batch, r layout.DentryRef, nameLen int) 
 	}
 }
 
-// appendDentry appends a committed dentry for (childIno, name) to one of
-// mi's log tails, honoring the §4.2 and §4.3 settings. The §4.2 patch is
-// the single Barrier between the body epoch and the marker update: the
-// new child's inode record (streamed by the caller before this call) and
-// the dentry body all become durable before the commit marker can
-// possibly persist. The marker line is queued only after that Barrier —
-// it must never merge into the body epoch.
-func (fs *FS) appendDentry(t *Thread, mi *minode, childIno uint64, name string) (layout.DentryRef, error) {
-	ds := mi.dir.Load()
+// appendDentry writes a committed dentry for (childIno, name) into mi's
+// log — a dead slot of the record's length if ds lists one, else the end
+// of one of its tails — honoring the §4.2 and §4.3 settings. ds is mi's
+// directory state the caller found mi held under. The §4.2 patch is the
+// single Barrier between the body epoch and the marker update: the new
+// child's inode record (streamed by the caller before this call) and the
+// dentry body all become durable before the commit marker can possibly
+// persist. The marker line is queued only after that Barrier — it must
+// never merge into the body epoch. A dead slot's marker is already zero
+// and durable, and its record length is the one written again, so until
+// the marker persists a crash finds the slot dead, whatever of the new
+// body it kept.
+func (fs *FS) appendDentry(t *Thread, mi *minode, ds *dirState, childIno uint64, name string) (layout.DentryRef, error) {
 	ti := t.cpu % len(ds.tails)
 	tc := &ds.tails[ti]
 	tc.mu.Lock()
@@ -124,14 +128,16 @@ func (fs *FS) appendDentry(t *Thread, mi *minode, childIno uint64, name string) 
 		h() // §4.3 window: the mapping may be torn down while we sit here
 	}
 
-	if err := fs.ensureTailSpace(t, ds, ti, tc, len(name)); err != nil {
+	r, reused, err := fs.takeSlot(t, ds, ti, tc, len(name))
+	if err != nil {
 		return 0, err
 	}
-
 	if err := fs.checkMapped(mi); err != nil {
+		if reused {
+			ds.addDead(r, len(name))
+		}
 		return 0, err
 	}
-	r := layout.MakeDentryRef(tc.page, tc.off)
 	// Step 1: persist the body with the marker still zero.
 	layout.WriteDentryBody(fs.dev, r, childIno, name)
 	fs.persistDentryBody(t.pb, r, len(name))
@@ -152,9 +158,34 @@ func (fs *FS) appendDentry(t *Thread, mi *minode, childIno uint64, name string) 
 	pmem.Killpoint("libfs.create.marker")
 	t.pb.Barrier()
 
-	tc.off += layout.DentryRecLen(len(name))
-	tc.slots++
+	if !reused {
+		tc.advance(len(name))
+	}
 	return r, nil
+}
+
+// takeSlot returns where a record for a name of nameLen bytes goes: a dead
+// slot of exactly its length when ds lists one (reused), else the tail
+// cursor, linking log pages as needed. The cursor moves only when the
+// caller advances it past an appended record. Caller holds the tail lock.
+func (fs *FS) takeSlot(t *Thread, ds *dirState, ti int, tc *tailCursor, nameLen int) (r layout.DentryRef, reused bool, err error) {
+	ds.idxMu.Lock()
+	r, reused = ds.dead.pop(layout.DentryRecLen(nameLen))
+	ds.idxMu.Unlock()
+	if reused {
+		return r, true, nil
+	}
+	if err := fs.ensureTailSpace(t, ds, ti, tc, nameLen); err != nil {
+		return 0, false, err
+	}
+	return layout.MakeDentryRef(tc.page, tc.off), false, nil
+}
+
+// advance moves the cursor past the record just appended for a name of
+// nameLen bytes. Caller holds the tail lock.
+func (tc *tailCursor) advance(nameLen int) {
+	tc.off += layout.DentryRecLen(nameLen)
+	tc.slots++
 }
 
 // ensureTailSpace points the tail cursor at a slot that fits a record
@@ -215,12 +246,15 @@ func (fs *FS) insertEntry(t *Thread, mi *minode, childIno uint64, name string, c
 		// auxiliary state, and only then write the core record — with no
 		// common critical section. In the window after the insert, the
 		// name is visible while its core data does not exist yet.
-		r, err := fs.reserveDentry(t, mi, len(name))
+		ds := mi.dir.Load()
+		r, err := fs.reserveDentry(t, mi, ds, len(name))
 		if err != nil {
 			return 0, err
 		}
-		if !mi.ht().Insert(name, childIno, uint64(r)) {
-			// Name exists; the reserved record stays a dead slot.
+		if !ds.ht.Insert(name, childIno, uint64(r)) {
+			// Name exists; the reserved record stays a dead slot, for the
+			// next create of its length to fill.
+			ds.addDead(r, len(name))
 			return 0, fsapi.ErrExist
 		}
 		if h := fs.opts.Hooks.CreateBetweenAuxAndCore; h != nil {
@@ -237,12 +271,12 @@ func (fs *FS) insertEntry(t *Thread, mi *minode, childIno uint64, name string, c
 	}
 	// ArckFS+: the bucket lock covers both updates.
 	var r layout.DentryRef
-	err := fs.withHeldBucket(t, mi, name, func(lb htable.LockedBucket) error {
+	err := fs.withHeldBucket(t, mi, name, func(ds *dirState, lb htable.LockedBucket) error {
 		if _, exists := lb.Get(name); exists {
 			return fsapi.ErrExist
 		}
 		var err error
-		if r, err = fs.appendDentry(t, mi, childIno, name); err != nil {
+		if r, err = fs.appendDentry(t, mi, ds, childIno, name); err != nil {
 			return err
 		}
 		if child != nil {
@@ -254,22 +288,23 @@ func (fs *FS) insertEntry(t *Thread, mi *minode, childIno uint64, name string, c
 	return r, err
 }
 
-// withHeldBucket runs fn with name's bucket of mi locked and mi held.
+// withHeldBucket runs fn with name's bucket of mi locked and mi held,
+// passing the directory state whose table that bucket is in.
 // The caller checked that mi is held before it came here, but a release
 // takes every bucket lock, so one may have slipped in since: the check is
 // repeated under the lock, and a released directory is taken back —
 // outside the lock, which a release of it would need — before the next
 // try. Without this an operation that lost that race would write through a
 // dormant mapping, behind the verification that made it dormant.
-func (fs *FS) withHeldBucket(t *Thread, mi *minode, name string, fn func(htable.LockedBucket) error) error {
+func (fs *FS) withHeldBucket(t *Thread, mi *minode, name string, fn func(*dirState, htable.LockedBucket) error) error {
 	for {
-		ht := mi.ht()
+		ds := mi.dir.Load()
 		held := false
 		var err error
-		ht.WithBucket(name, func(lb htable.LockedBucket) {
-			// A reacquire that rebuilt the directory swapped the table.
-			if held = !mi.released.Load() && mi.ht() == ht; held {
-				err = fn(lb)
+		ds.ht.WithBucket(name, func(lb htable.LockedBucket) {
+			// A reacquire that rebuilt the directory swapped the state.
+			if held = !mi.released.Load() && mi.dir.Load() == ds; held {
+				err = fn(ds, lb)
 			}
 		})
 		if held {
@@ -281,10 +316,11 @@ func (fs *FS) withHeldBucket(t *Thread, mi *minode, name string, fn func(htable.
 	}
 }
 
-// reserveDentry claims log space for a record (tail lock only): it
+// reserveDentry claims a slot of mi's log for a record (tail lock only),
+// a dead one of its length if ds, mi's directory state, lists one: it
 // persists the record length so scans skip the slot until it is filled.
-func (fs *FS) reserveDentry(t *Thread, mi *minode, nameLen int) (layout.DentryRef, error) {
-	ds := mi.dir.Load()
+// A dead slot holds that length already; it is written again all the same.
+func (fs *FS) reserveDentry(t *Thread, mi *minode, ds *dirState, nameLen int) (layout.DentryRef, error) {
 	ti := t.cpu % len(ds.tails)
 	tc := &ds.tails[ti]
 	tc.mu.Lock()
@@ -292,10 +328,10 @@ func (fs *FS) reserveDentry(t *Thread, mi *minode, nameLen int) (layout.DentryRe
 	if err := fs.checkMapped(mi); err != nil {
 		return 0, err
 	}
-	if err := fs.ensureTailSpace(t, ds, ti, tc, nameLen); err != nil {
+	r, reused, err := fs.takeSlot(t, ds, ti, tc, nameLen)
+	if err != nil {
 		return 0, err
 	}
-	r := layout.MakeDentryRef(tc.page, tc.off)
 	//arcklint:allow flushcheck the write-back is skipped only when BugReserveLenUnflushed deliberately reproduces the reservation persistence hole for crashmc; the fixed path queues it below
 	fs.dev.Store16(r.DevOff()+8, uint16(layout.DentryRecLen(nameLen)))
 	if !fs.opts.Bugs.Has(BugReserveLenUnflushed) {
@@ -307,8 +343,9 @@ func (fs *FS) reserveDentry(t *Thread, mi *minode, nameLen int) (layout.DentryRe
 		// the happy path costs no extra flush.
 		t.pb.Flush(r.DevOff()+8, 2)
 	}
-	tc.off += layout.DentryRecLen(nameLen)
-	tc.slots++
+	if !reused {
+		tc.advance(nameLen)
+	}
 	return r, nil
 }
 
@@ -348,7 +385,8 @@ func (fs *FS) removeEntry(t *Thread, mi *minode, name string, doomed func(ino ui
 		return 0, err
 	}
 	if fs.opts.Bugs.Has(BugAuxCoreRace) {
-		ino, ref, ok := mi.ht().Delete(name)
+		ds := mi.dir.Load()
+		ino, ref, ok := ds.ht.Delete(name)
 		if !ok {
 			return 0, fsapi.ErrNotExist
 		}
@@ -365,13 +403,14 @@ func (fs *FS) removeEntry(t *Thread, mi *minode, name string, doomed func(ino ui
 		layout.InvalidateDentry(fs.dev, r)
 		t.pb.Flush(r.MarkerOff(), 2)
 		t.pb.Barrier()
+		ds.addDead(r, len(name))
 		if doomed != nil {
 			doomed(ino)
 		}
 		return ino, nil
 	}
 	var ino uint64
-	err := fs.withHeldBucket(t, mi, name, func(lb htable.LockedBucket) error {
+	err := fs.withHeldBucket(t, mi, name, func(ds *dirState, lb htable.LockedBucket) error {
 		e, ok := lb.Get(name)
 		if !ok {
 			return fsapi.ErrNotExist
@@ -384,6 +423,8 @@ func (fs *FS) removeEntry(t *Thread, mi *minode, name string, doomed func(ino ui
 		t.pb.Flush(r.MarkerOff(), 2)
 		t.pb.Barrier()
 		ino, _, _ = lb.Delete(name)
+		// The tombstone is durable: a create may fill the slot.
+		ds.addDead(r, len(name))
 		if doomed != nil {
 			doomed(ino)
 		}

@@ -99,6 +99,55 @@ type dirState struct {
 	// log page is inode-owned and the kernel frees it at the next
 	// verification. Guarded by idxMu.
 	unverified []uint64
+	// dead lists the tombstoned record slots a create may fill instead of
+	// appending. Guarded by idxMu.
+	dead deadSlots
+}
+
+// deadSlots holds a directory's dead record slots in one stack per record
+// length, so a create finds a slot of its own length without a search.
+// Stack c holds records of length layout.DentryHeaderSize + 8c.
+type deadSlots [][]layout.DentryRef
+
+// maxDeadRecLen is the longest record a create writes; a dead record
+// longer than that (only a corrupt image has one) is never listed.
+var maxDeadRecLen = layout.DentryRecLen(layout.MaxName)
+
+// push lists the dead record r of length recLen.
+func (d *deadSlots) push(r layout.DentryRef, recLen int) {
+	if recLen > maxDeadRecLen {
+		return
+	}
+	c := (recLen - layout.DentryHeaderSize) / 8
+	for len(*d) <= c {
+		*d = append(*d, nil)
+	}
+	(*d)[c] = append((*d)[c], r)
+}
+
+// pop takes a listed slot of length recLen, if there is one.
+func (d deadSlots) pop(recLen int) (layout.DentryRef, bool) {
+	c := (recLen - layout.DentryHeaderSize) / 8
+	if c >= len(d) || len(d[c]) == 0 {
+		return 0, false
+	}
+	s := d[c]
+	d[c] = s[:len(s)-1]
+	return s[len(s)-1], true
+}
+
+// keep drops every listed slot for which ok is false.
+func (d deadSlots) keep(ok func(layout.DentryRef) bool) {
+	for c, s := range d {
+		d[c] = slices.DeleteFunc(s, func(r layout.DentryRef) bool { return !ok(r) })
+	}
+}
+
+// addDead lists the dead slot r of a record for a name of nameLen bytes.
+func (ds *dirState) addDead(r layout.DentryRef, nameLen int) {
+	ds.idxMu.Lock()
+	ds.dead.push(r, layout.DentryRecLen(nameLen))
+	ds.idxMu.Unlock()
 }
 
 type tailCursor struct {
@@ -106,7 +155,8 @@ type tailCursor struct {
 	page uint64 // 0 = tail empty
 	off  int
 	// slots counts the record slots (live, dead, reserved) in this
-	// tail's chain: the buildMinode scan plus every append since.
+	// tail's chain: the buildMinode scan plus every append since. Filling
+	// a dead slot leaves it as it is.
 	slots int
 	_     [32]byte
 }
@@ -526,8 +576,8 @@ func (fs *FS) adopt(mi *minode, m *kernel.Mapping) error {
 // Trio step 3: "the LibFS builds its auxiliary state from the core
 // state". retained, when the inode is a directory this LibFS held before,
 // is the auxiliary state it kept: the rebuilt table is sized from it, so
-// it fills without growing, and shares its strings for the names that are
-// still there.
+// it fills without growing, shares its strings for the names that are
+// still there, and lists the dead slots the scan finds in its storage.
 func (fs *FS) buildMinode(ino uint64, m *kernel.Mapping, retained *dirState) (*minode, error) {
 	in, ok, corrupt := layout.ReadInode(fs.dev, fs.geo, ino)
 	if !ok || corrupt {
@@ -540,13 +590,23 @@ func (fs *FS) buildMinode(ino uint64, m *kernel.Mapping, retained *dirState) (*m
 	case layout.TypeDir:
 		name := func(rec []byte) string { return string(rec) }
 		entries := 0
+		var dead deadSlots
 		if retained != nil {
 			name, entries = retained.ht.Intern, retained.ht.Len()
+			// Take the dead list's storage, emptied, for this scan to
+			// fill; a writer still on retained lists slots in new storage.
+			retained.idxMu.Lock()
+			dead, retained.dead = retained.dead, nil
+			retained.idxMu.Unlock()
+			for c := range dead {
+				dead[c] = dead[c][:0]
+			}
 		}
 		ds := &dirState{
 			ht:      fs.newDirTable(entries),
 			tailset: in.DataRoot,
 			tails:   make([]tailCursor, in.NTails),
+			dead:    dead,
 		}
 		for t := 0; t < int(in.NTails); t++ {
 			head := layout.TailHead(fs.dev, in.DataRoot, t)
@@ -556,11 +616,11 @@ func (fs *FS) buildMinode(ino uint64, m *kernel.Mapping, retained *dirState) (*m
 			var scanErr error
 			page, off, corrupt := layout.ScanTail(fs.dev, head, func(d layout.RawDentry) bool {
 				ds.tails[t].slots++
-				if d.Live {
-					if !ds.ht.Insert(name(d.Name), d.Ino, uint64(d.Ref)) {
-						scanErr = fsapi.ErrStale
-						return false
-					}
+				if !d.Live {
+					ds.dead.push(d.Ref, d.RecLen)
+				} else if !ds.ht.Insert(name(d.Name), d.Ino, uint64(d.Ref)) {
+					scanErr = fsapi.ErrStale
+					return false
 				}
 				return true
 			})
