@@ -101,7 +101,7 @@ func TestAppRowMatchesDevice(t *testing.T) {
 // the kernel's own count: over a window of two applications, registered
 // before it, the rows' Syscalls sum to the kernel.syscalls delta. The
 // window reaches every LibFS crossing site — inode and page grants, Acquire
-// and AcquireBatch, Commit, a ReleaseAll split into two ReleaseBatch
+// and AcquireBatch, Commit, a ReleaseAll split into two Transfer
 // crossings, a cross-directory directory rename taking and returning the
 // rename lease, ReturnGrants, and ReleaseInode of an inode the LibFS never
 // mapped — so a site that crosses without counting breaks the sum. Every

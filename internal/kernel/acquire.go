@@ -118,7 +118,7 @@ func (c *Controller) isDescendant(node, anc uint64, held *shadowShard) bool {
 }
 
 // reclaimDormant tears down a mapping whose holder lease-released the
-// inode (ReleaseBatch, leased). The release-time verification already ran
+// inode (Transfer, XferLease). The release-time verification already ran
 // and the holder has not re-activated — winning the dormant CAS guarantees
 // it never will — so the core state is exactly as verified. That one
 // invariant pays twice: the kernel reclaims without re-running the
@@ -150,32 +150,76 @@ func (c *Controller) reclaimDormant(se *shadowEnt, handOver bool) bool {
 
 // Acquire grants app access to ino and maps its core state. write
 // requests write intent. A second acquire by the current owner is
-// idempotent and returns the existing mapping.
+// idempotent and returns the existing mapping. It is an acquire batch of
+// one, on stack arrays, without a span sink.
 func (c *Controller) Acquire(appID AppID, ino uint64, write bool) (*Mapping, error) {
-	return c.AcquireObserved(appID, ino, write, nil)
-}
-
-// AcquireObserved is Acquire with a span sink: a contended shard lock on
-// the fast path reports a timed shard-wait event to sink (nil = plain
-// Acquire).
-func (c *Controller) AcquireObserved(appID AppID, ino uint64, write bool, sink telemetry.SpanSink) (*Mapping, error) {
 	c.syscall()
-	c.Stats.Acquires.Add(1)
-	if m, err, punt := c.acquireFast(appID, ino, write, sink); !punt {
-		return m, err
-	}
-	return c.acquireExcl(appID, ino, write)
+	inos, out := [1]uint64{ino}, [1]*Mapping{}
+	err := c.acquire(appID, inos[:], out[:], write, nil)
+	return out[0], err
 }
 
-// acquireFast runs the acquire under the shared epoch and ino's shard
-// lock, which covers every acquire that touches only ino's own shard: all
-// of them except the expired-lease involuntary release (punt=true).
-func (c *Controller) acquireFast(appID AppID, ino uint64, write bool, sink telemetry.SpanSink) (m *Mapping, err error, punt bool) {
+// AcquireBatch takes back, in one crossing, what a LibFS lost since its
+// last hold: inos[0] is the inode whose lease miss prompted the crossing,
+// the rest the other inodes it lost to a lease miss in its previous hold.
+// inos[0] is acquired exactly as Acquire does it, with write intent — the
+// same errors, ErrBusy and the punt to the exclusive epoch — and its error
+// is the batch's; on an error nothing else is granted. Every other inode
+// is granted only if another application holds it dormant (handOverDormant)
+// and comes back as a dormant mapping appID may Reactivate without a
+// crossing. Until appID reactivates it or ends its hold (Mapping.EndHold),
+// apps outside appID's trust group meet it as held (prefetchHeld); after
+// that it is an ordinary dormant lease. Anything else in the tail is
+// skipped, out[i] nil: no error, no involuntary release, no parse.
+//
+// The crossing holds the shared epoch and one shard lock at a time, in
+// list order; an inos[0] that punts is acquired alone under the exclusive
+// epoch. Acquires counts every inode mapped. sink (nil-safe) receives
+// timed shard-wait events. A list longer than
+// MaxReleaseBatch is refused whole.
+func (c *Controller) AcquireBatch(appID AppID, inos []uint64, sink telemetry.SpanSink) ([]*Mapping, error) {
+	c.syscall()
+	if len(inos) == 0 || len(inos) > MaxReleaseBatch {
+		return nil, fmt.Errorf("acquire of %d inodes outside the batch cap 1..%d: %w", len(inos), MaxReleaseBatch, fsapi.ErrInval)
+	}
+	out := make([]*Mapping, len(inos))
+	return out, c.acquire(appID, inos, out, true, sink)
+}
+
+// acquire is the body of both acquire forms, filling out (len(inos)) with
+// what it maps.
+func (c *Controller) acquire(appID AppID, inos []uint64, out []*Mapping, write bool, sink telemetry.SpanSink) error {
+	c.Stats.Acquires.Add(1)
+	err, punt := c.acquireBatchFast(appID, inos, out, write, sink)
+	if punt {
+		out[0], err = c.acquireExcl(appID, inos[0], write)
+	}
+	return err
+}
+
+// acquireBatchFast runs an acquire on the shared epoch: inos[0] under its
+// shard lock, which covers every acquire that touches only inos[0]'s own
+// shard — all of them except the expired-lease involuntary release
+// (punt=true) — then the tail.
+func (c *Controller) acquireBatchFast(appID AppID, inos []uint64, out []*Mapping, write bool, sink telemetry.SpanSink) (err error, punt bool) {
 	e := c.epoch.RLock()
 	defer c.epoch.RUnlock(e)
-	sh := c.lockShard(ino, sink)
-	defer sh.mu.Unlock()
-	return c.acquireHeld(sh.m[ino], appID, ino, write, nil)
+	sh := c.lockShard(inos[0], sink)
+	out[0], err, punt = c.acquireHeld(sh.m[inos[0]], appID, inos[0], write, nil)
+	sh.mu.Unlock()
+	if err != nil || punt || len(inos) == 1 {
+		return err, punt
+	}
+	a := c.lookupApp(appID)
+	if a == nil {
+		return nil, false // unregistered since the head: grant nothing more
+	}
+	for i := 1; i < len(inos); i++ {
+		sh := c.lockShard(inos[i], sink)
+		out[i] = c.handOverDormant(sh.m[inos[i]], a, appID)
+		sh.mu.Unlock()
+	}
+	return nil, false
 }
 
 // acquireExcl runs the acquire again from the top under the exclusive
@@ -248,61 +292,6 @@ func (c *Controller) acquireHeld(se *shadowEnt, appID AppID, ino uint64, write b
 		return nil, err, false
 	}
 	return se.mapping, nil, false
-}
-
-// AcquireBatch takes back, in one crossing, what a LibFS lost since its
-// last hold: inos[0] is the inode whose lease miss prompted the crossing,
-// the rest the other inodes it lost to a lease miss in its previous hold.
-// inos[0] is acquired exactly as Acquire does it, with write intent — the
-// same errors, ErrBusy and the punt to the exclusive epoch — and its error
-// is the batch's; on an error nothing else is granted. Every other inode
-// is granted only if another application holds it dormant (handOverDormant)
-// and comes back as a dormant mapping appID may Reactivate without a
-// crossing. Until appID reactivates it or ends its hold (Mapping.EndHold),
-// apps outside appID's trust group meet it as held (prefetchHeld); after
-// that it is an ordinary dormant lease. Anything else in the tail is
-// skipped, out[i] nil: no error, no involuntary release, no parse.
-//
-// The crossing holds the shared epoch and one shard lock at a time, in
-// list order; an inos[0] that punts is acquired alone under the exclusive
-// epoch. Acquires counts every inode mapped. sink (nil-safe) receives
-// timed shard-wait events. A list longer than
-// MaxReleaseBatch is refused whole.
-func (c *Controller) AcquireBatch(appID AppID, inos []uint64, sink telemetry.SpanSink) ([]*Mapping, error) {
-	c.syscall()
-	if len(inos) == 0 || len(inos) > MaxReleaseBatch {
-		return nil, fmt.Errorf("acquire of %d inodes outside the batch cap 1..%d: %w", len(inos), MaxReleaseBatch, fsapi.ErrInval)
-	}
-	c.Stats.Acquires.Add(1)
-	out := make([]*Mapping, len(inos))
-	err, punt := c.acquireBatchFast(appID, inos, out, sink)
-	if punt {
-		out[0], err = c.acquireExcl(appID, inos[0], true)
-	}
-	return out, err
-}
-
-// acquireBatchFast is AcquireBatch on the shared epoch: inos[0] as
-// acquireFast does it, then the tail.
-func (c *Controller) acquireBatchFast(appID AppID, inos []uint64, out []*Mapping, sink telemetry.SpanSink) (err error, punt bool) {
-	e := c.epoch.RLock()
-	defer c.epoch.RUnlock(e)
-	sh := c.lockShard(inos[0], sink)
-	out[0], err, punt = c.acquireHeld(sh.m[inos[0]], appID, inos[0], true, nil)
-	sh.mu.Unlock()
-	if err != nil || punt {
-		return err, punt
-	}
-	a := c.lookupApp(appID)
-	if a == nil {
-		return nil, false // unregistered since the head: grant nothing more
-	}
-	for i := 1; i < len(inos); i++ {
-		sh := c.lockShard(inos[i], sink)
-		out[i] = c.handOverDormant(sh.m[inos[i]], a, appID)
-		sh.mu.Unlock()
-	}
-	return nil, false
 }
 
 // prefetchHeld reports whether se's mapping is a batch's prefetch that a's
@@ -478,60 +467,65 @@ func (c *Controller) copySnapshot(ino uint64, snap *snapshot, restore *persistQ)
 	}
 }
 
-// xferKind distinguishes the three ownership transfers that share guard
-// logic: plain release, Commit, and leased release.
-type xferKind int
+// XferKind is what a Transfer does with each inode. All three kinds share
+// one guard and one verification.
+type XferKind int
 
 const (
-	xferRelease xferKind = iota
-	xferCommit
-	xferLease
+	// XferRelease returns the inode: unmap, verify, apply or roll back.
+	XferRelease XferKind = iota
+	// XferCommit verifies and applies the inode's state and keeps the hold
+	// [Trio §4.3]: the Rule-1 commit of a pending inode, or a held inode's
+	// delta, whose view becomes the new baseline.
+	XferCommit
+	// XferLease verifies and applies as XferRelease does, but leaves the
+	// mapping established and dormant: the LibFS may Reactivate it without
+	// a crossing until the kernel reclaims it (reclaimDormant).
+	XferLease
 )
 
-// MaxReleaseBatch is the most inodes one ReleaseBatch crossing accepts:
-// the crossing runs all of its verifications as one syscall, so the work
-// a tenant can put behind a single crossing has to be bounded.
+// MaxReleaseBatch is the most inodes one Transfer crossing accepts: the
+// crossing runs all of its verifications as one syscall, so the work a
+// tenant can put behind a single crossing has to be bounded.
 const MaxReleaseBatch = 64
 
-// Released is one inode's outcome of a ReleaseBatch.
+// Released is one inode's outcome of a Transfer.
 type Released struct {
-	// Mapping is the dormant mapping a leased release left established,
-	// for the LibFS to cache; nil after a plain release, and after a
-	// failed verification (the inode was fully released).
+	// Mapping is the dormant mapping an XferLease left established, for
+	// the LibFS to cache; nil after the other kinds, and after a failed
+	// verification (the inode was fully released).
 	Mapping *Mapping
 	Err     error
 }
 
-// ReleaseBatch returns inos to the kernel in one crossing, transferring
-// them one by one in the order given, which the caller makes Rule-1 order (parents before children):
-// unmap, verify, apply or roll back, files under their shard lock and
-// directories under the exclusive epoch. A failed verification tears down
-// that inode only; the rest of the batch proceeds.
-//
-// leased selects release under a grant lease: the state is verified and
-// applied exactly as on a plain release, but the mapping is left
-// established and dormant instead of being torn down. The LibFS may
-// re-activate it with Mapping.Reactivate — skipping the re-Acquire
-// crossing — until the kernel reclaims it for another application
-// (reclaimDormant).
+// Transfer applies kind to inos in one crossing, one by one in the order
+// given, which the caller makes Rule-1 order (parents before children):
+// files under their shard lock and directories under the exclusive epoch.
+// A failed verification tears down that inode only; the rest of the batch
+// proceeds. Commits counts XferCommit inodes, Releases the other two kinds
+// and LeasedReleases XferLease.
 //
 // sink (nil-safe) receives timed shard-wait events. A batch longer than
-// MaxReleaseBatch is refused whole.
-func (c *Controller) ReleaseBatch(appID AppID, inos []uint64, leased bool, sink telemetry.SpanSink) []Released {
+// MaxReleaseBatch, or of an unknown kind, is refused whole.
+func (c *Controller) Transfer(appID AppID, inos []uint64, kind XferKind, sink telemetry.SpanSink) []Released {
 	c.syscall()
 	out := make([]Released, len(inos))
-	if len(inos) > MaxReleaseBatch {
-		err := fmt.Errorf("release of %d inodes exceeds the batch cap %d: %w", len(inos), MaxReleaseBatch, fsapi.ErrInval)
+	n := int64(len(inos))
+	if n > MaxReleaseBatch || kind < XferRelease || kind > XferLease {
+		err := fmt.Errorf("transfer of %d inodes of kind %d: the cap is %d, the kinds 0..%d: %w", n, kind, MaxReleaseBatch, XferLease, fsapi.ErrInval)
 		for i := range out {
 			out[i].Err = err
 		}
 		return out
 	}
-	c.Stats.Releases.Add(int64(len(inos)))
-	kind := xferRelease
-	if leased {
-		c.Stats.LeasedReleases.Add(int64(len(inos)))
-		kind = xferLease
+	switch kind {
+	case XferCommit:
+		c.Stats.Commits.Add(n)
+	case XferLease:
+		c.Stats.LeasedReleases.Add(n)
+		fallthrough
+	default:
+		c.Stats.Releases.Add(n)
 	}
 	q := c.crossing(false)
 	defer c.commit(q)
@@ -541,34 +535,9 @@ func (c *Controller) ReleaseBatch(appID AppID, inos []uint64, leased bool, sink 
 	return out
 }
 
-// Release is a plain ReleaseBatch of one.
+// Release is a plain Transfer of one.
 func (c *Controller) Release(appID AppID, ino uint64) error {
-	return c.ReleaseBatch(appID, []uint64{ino}, false, nil)[0].Err
-}
-
-// ReleaseLeased is a leased ReleaseBatch of one.
-func (c *Controller) ReleaseLeased(appID AppID, ino uint64) (*Mapping, error) {
-	r := c.ReleaseBatch(appID, []uint64{ino}, true, nil)[0]
-	return r.Mapping, r.Err
-}
-
-// Commit verifies ino's current state without releasing it [Trio §4.3]:
-// for a pending (newly created) inode it performs the Rule-1 commit; for
-// a held committed inode it applies the verified delta and refreshes the
-// baseline snapshot. The mapping stays valid on success.
-func (c *Controller) Commit(appID AppID, ino uint64) error {
-	return c.CommitObserved(appID, ino, nil)
-}
-
-// CommitObserved is Commit with a span sink for timed shard-wait events
-// (nil = plain Commit).
-func (c *Controller) CommitObserved(appID AppID, ino uint64, sink telemetry.SpanSink) error {
-	c.syscall()
-	c.Stats.Commits.Add(1)
-	q := c.crossing(false)
-	defer c.commit(q)
-	_, err := c.transfer(appID, ino, xferCommit, sink, q)
-	return err
+	return c.Transfer(appID, []uint64{ino}, XferRelease, nil)[0].Err
 }
 
 // transfer applies one transfer kind to ino. A crossing that reaches a
@@ -576,7 +545,7 @@ func (c *Controller) CommitObserved(appID AppID, ino uint64, sink telemetry.Span
 // may read the directory's change before it is durable. Files that follow
 // run on the epoch downgraded to shared, beside other apps' file crossings
 // (a file's change is one record, which the next writer rewrites whole).
-func (c *Controller) transfer(appID AppID, ino uint64, kind xferKind, sink telemetry.SpanSink, q *persistQ) (*Mapping, error) {
+func (c *Controller) transfer(appID AppID, ino uint64, kind XferKind, sink telemetry.SpanSink, q *persistQ) (*Mapping, error) {
 	if q.excl {
 		if se := c.shadowGet(ino, nil); se != nil && se.info.Type == layout.TypeDir {
 			return c.transferHeld(se, appID, ino, kind, ctlView{c: c, q: q})
@@ -600,7 +569,7 @@ func (c *Controller) transfer(appID AppID, ino uint64, kind xferKind, sink telem
 // words, so the shard lock suffices. Directories punt to the exclusive
 // epoch (their commits create, relocate, and free children on other
 // shards).
-func (c *Controller) transferFast(appID AppID, ino uint64, kind xferKind, sink telemetry.SpanSink, q *persistQ) (m *Mapping, err error, punt bool) {
+func (c *Controller) transferFast(appID AppID, ino uint64, kind XferKind, sink telemetry.SpanSink, q *persistQ) (m *Mapping, err error, punt bool) {
 	if q.shared == 0 {
 		e := c.epoch.RLock()
 		defer c.epoch.RUnlock(e)
@@ -619,7 +588,7 @@ func (c *Controller) transferFast(appID AppID, ino uint64, kind xferKind, sink t
 // transferHeld guard-checks and applies one transfer kind to ino's shadow
 // entry se (nil = no such inode). Caller holds se's shard lock or the
 // exclusive epoch.
-func (c *Controller) transferHeld(se *shadowEnt, appID AppID, ino uint64, kind xferKind, view ctlView) (*Mapping, error) {
+func (c *Controller) transferHeld(se *shadowEnt, appID AppID, ino uint64, kind XferKind, view ctlView) (*Mapping, error) {
 	if se == nil {
 		// Either a LibFS Rule 1 violation (releasing a granted inode whose
 		// parent was never committed — from the kernel's perspective it is
@@ -629,7 +598,7 @@ func (c *Controller) transferHeld(se *shadowEnt, appID AppID, ino uint64, kind x
 		}
 		return nil, fsapi.ErrNotExist
 	}
-	if se.owner != appID {
+	if se.owner != appID || appID == 0 { // owner 0 is the kernel, not an app
 		return nil, fmt.Errorf("inode %d not held by app %d: %w", ino, appID, fsapi.ErrPerm)
 	}
 	if m := se.mapping; m != nil && m.dormant.Load() {
@@ -639,12 +608,12 @@ func (c *Controller) transferHeld(se *shadowEnt, appID AppID, ino uint64, kind x
 		m.dormant.CompareAndSwap(true, false)
 	}
 	switch kind {
-	case xferCommit:
+	case XferCommit:
 		return nil, c.verifyAndApply(se, appID, true, view)
-	case xferRelease:
+	case XferRelease:
 		return nil, c.releaseHeld(se, appID, view)
 	}
-	// xferLease.
+	// XferLease.
 	if len(se.groupMappings) > 0 {
 		// Trust-group peers hold concurrently valid mappings; a dormant
 		// lease has no single holder to hand back to. Plain release.
@@ -667,21 +636,6 @@ func (c *Controller) transferHeld(se *shadowEnt, appID AppID, ino uint64, kind x
 	se.mapping.held.Store(false) // a released prefetch is an ordinary lease
 	se.mapping.dormant.Store(true)
 	return se.mapping, nil
-}
-
-// ForceRelease revokes and verifies ino regardless of lease state —
-// the involuntary-release path, also used by tests to simulate an
-// application crash.
-func (c *Controller) ForceRelease(ino uint64) error {
-	c.syscall()
-	q := c.crossing(true)
-	defer c.commit(q)
-	se := c.shadowGet(ino, nil)
-	if se == nil || se.owner == 0 {
-		return fsapi.ErrNotExist
-	}
-	c.Stats.Involuntary.Add(1)
-	return c.releaseHeld(se, se.owner, ctlView{c: c, q: q})
 }
 
 // releaseHeld tears down se's hold: revoke, unmap, verify, apply or

@@ -25,7 +25,7 @@ func batchFixture(t *testing.T) (h *harness, a, b AppID, inos []uint64, bm []*Ma
 			t.Fatal(err)
 		}
 	}
-	for i, r := range h.c.ReleaseBatch(b, inos, true, nil) {
+	for i, r := range h.c.Transfer(b, inos, XferLease, nil) {
 		if r.Err != nil || r.Mapping == nil {
 			t.Fatalf("leased release of %d: %v", inos[i], r.Err)
 		}
@@ -80,7 +80,7 @@ func TestAcquireBatchHandsOverDormant(t *testing.T) {
 		t.Fatal("the caller could not reactivate its prefetched mappings")
 	}
 	nf := h.mkfile(a, inos[1], "new")
-	for i, r := range h.c.ReleaseBatch(a, []uint64{inos[0], inos[1], nf, inos[3]}, true, nil) {
+	for i, r := range h.c.Transfer(a, []uint64{inos[0], inos[1], nf, inos[3]}, XferLease, nil) {
 		if r.Err != nil {
 			t.Fatalf("leased release %d: %v", i, r.Err)
 		}
@@ -138,7 +138,7 @@ func TestAcquireBatchPrefetchHeldUntilHoldEnds(t *testing.T) {
 				if !out[1].Reactivate() {
 					t.Fatal("the owner could not reactivate its prefetch")
 				}
-				if _, err := h.c.ReleaseLeased(a, file1); err != nil {
+				if _, err := h.c.releaseLeased(a, file1); err != nil {
 					t.Fatal(err)
 				}
 			default:

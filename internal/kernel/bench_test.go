@@ -37,8 +37,8 @@ func newHandoffBench(tb testing.TB) *handoffBench {
 	b.apps = [2]AppID{a, h.c.RegisterApp(0, 0)}
 	h.c.Acquire(a, layout.RootIno, true)
 	b.dir = h.mkdir(a, layout.RootIno, "h")
-	h.c.Commit(a, layout.RootIno)
-	h.c.Commit(a, b.dir)
+	h.c.commitOne(a, layout.RootIno)
+	h.c.commitOne(a, b.dir)
 	var inos []uint64
 	for i := 0; i < 220; i++ {
 		inos = append(inos, h.mkfile(a, b.dir, fmt.Sprintf("static-%03d-%x", i, i*2654435761)))
@@ -85,7 +85,7 @@ func newHandoffBench(tb testing.TB) *handoffBench {
 func (b *handoffBench) releaseAll(app AppID, inos []uint64) {
 	for len(inos) > 0 {
 		n := min(len(inos), MaxReleaseBatch)
-		for i, r := range b.c.ReleaseBatch(app, inos[:n], true, nil) {
+		for i, r := range b.c.Transfer(app, inos[:n], XferLease, nil) {
 			if r.Err != nil {
 				b.t.Fatalf("turn %d: release of inode %d: %v", b.turns, inos[i], r.Err)
 			}
@@ -145,7 +145,7 @@ func TestHandoffTurns(t *testing.T) {
 
 // BenchmarkReleaseBatchHandoffTurn: one handoff turn — one AcquireBatch of
 // the directory and the 4 shared files, one inode grant, and one 21-inode
-// leased ReleaseBatch that verifies 16 removed and 16 added names among 240,
+// leased Transfer that verifies 16 removed and 16 added names among 240,
 // 16 new files and 4 touched 512-block files.
 func BenchmarkReleaseBatchHandoffTurn(b *testing.B) {
 	hb := newHandoffBench(b)
@@ -176,7 +176,7 @@ func BenchmarkFileCommitBesideHandoff(b *testing.B) {
 		files = append(files, ino)
 	}
 	for _, ino := range append([]uint64{layout.RootIno}, files...) {
-		if err := h.c.Commit(app, ino); err != nil {
+		if err := h.c.commitOne(app, ino); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -192,7 +192,7 @@ func BenchmarkFileCommitBesideHandoff(b *testing.B) {
 			layout.WriteInode(h.dev, h.g, ino, &in)
 			h.dev.Persist(layout.InodeOff(h.g, ino), layout.InodeSize)
 			t0 := time.Now()
-			if err := h.c.Commit(app, ino); err != nil {
+			if err := h.c.commitOne(app, ino); err != nil {
 				b.Error(err)
 				return
 			}

@@ -96,7 +96,7 @@ func compactionFixture(t *testing.T) (h *harness, app AppID, sub uint64) {
 	acquire(layout.RootIno)
 	h.unlink(layout.RootIno, "dead0")
 	h.unlink(layout.RootIno, "dead1")
-	if err := h.c.Commit(app, layout.RootIno); err != nil {
+	if err := h.c.commitOne(app, layout.RootIno); err != nil {
 		t.Fatal(err)
 	}
 	return h, app, sub
@@ -226,8 +226,8 @@ func TestDirTransferParsesOnce(t *testing.T) {
 			t.Fatalf("%s scanned %d record slots, want %d parse(s) of %d", step, got, want, slots)
 		}
 	}
-	parses("Commit", func() error { return h.c.Commit(app, layout.RootIno) }, 1)
-	parses("ReleaseLeased", func() error { _, err := h.c.ReleaseLeased(app, layout.RootIno); return err }, 1)
+	parses("Commit", func() error { return h.c.commitOne(app, layout.RootIno) }, 1)
+	parses("XferLease", func() error { _, err := h.c.releaseLeased(app, layout.RootIno); return err }, 1)
 	other := h.c.RegisterApp(0, 0)
 	parses("Acquire of a dormant lease", func() error { _, err := h.c.Acquire(other, layout.RootIno, true); return err }, 0)
 	parses("Release", func() error { return h.c.Release(other, layout.RootIno) }, 1)
@@ -245,6 +245,6 @@ func TestDirTransferParsesOnce(t *testing.T) {
 	}
 	h.mkfile(app, nd, "x")
 	slots = 1
-	parses("Commit of a new directory", func() error { return h.c.Commit(app, nd) }, 1)
-	parses("Commit again", func() error { return h.c.Commit(app, nd) }, 1)
+	parses("Commit of a new directory", func() error { return h.c.commitOne(app, nd) }, 1)
+	parses("Commit again", func() error { return h.c.commitOne(app, nd) }, 1)
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // TestCrossingIsOneFence pins what a release crossing costs in PM. A
-// handoff turn's 21-inode ReleaseBatch issues one fence and flushes each
+// handoff turn's 21-inode leased Transfer issues one fence and flushes each
 // record it writes once, one line a record: 21 shadow records (the
 // directory, 16 created and 4 touched files) and 16 freed shadows, which go
 // by their type word while the LibFS already freed the inode records —
@@ -34,7 +34,7 @@ func TestCrossingIsOneFence(t *testing.T) {
 		h.c.Acquire(app, layout.RootIno, true)
 		ino := h.mkfile(app, layout.RootIno, "f")
 		for _, i := range []uint64{layout.RootIno, ino} {
-			if err := h.c.Commit(app, i); err != nil {
+			if err := h.c.commitOne(app, i); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -84,7 +84,7 @@ func TestCrossingFreesAfterFence(t *testing.T) {
 	h.c.Acquire(app, layout.RootIno, true)
 	ino, _, _ := h.mkdatafile(app, layout.RootIno, "f")
 	for _, i := range []uint64{layout.RootIno, ino} {
-		if err := h.c.Commit(app, i); err != nil {
+		if err := h.c.commitOne(app, i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,7 +139,7 @@ func TestCrossingKeepsItsEpochToTheFence(t *testing.T) {
 	d1, d2 := h.mkdir(a, layout.RootIno, "d1"), h.mkdir(a, layout.RootIno, "d2")
 	f, g := h.mkfile(a, layout.RootIno, "f"), h.mkfile(a, layout.RootIno, "g")
 	for _, ino := range []uint64{layout.RootIno, d1, d2, f, g} {
-		if err := h.c.Commit(a, ino); err != nil {
+		if err := h.c.commitOne(a, ino); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +167,7 @@ func TestCrossingKeepsItsEpochToTheFence(t *testing.T) {
 			return // a's batch holds the exclusive epoch again for d2
 		}
 		done := make(chan error)
-		go func() { done <- h.c.Commit(b, g) }()
+		go func() { done <- h.c.commitOne(b, g) }()
 		select {
 		case err := <-done:
 			if err != nil {
@@ -178,7 +178,7 @@ func TestCrossingKeepsItsEpochToTheFence(t *testing.T) {
 		}
 	})
 	excl := h.c.Stats.EpochExclusive.Load()
-	for _, r := range h.c.ReleaseBatch(a, []uint64{d1, f, d2}, false, nil) {
+	for _, r := range h.c.Transfer(a, []uint64{d1, f, d2}, XferRelease, nil) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
@@ -190,7 +190,7 @@ func TestCrossingKeepsItsEpochToTheFence(t *testing.T) {
 }
 
 // TestCrossingQueuesRace: two applications' crossings — one's leased
-// ReleaseBatch of a directory and its files (the epoch held to the commit,
+// Transfer of a directory and its files (the epoch held to the commit,
 // downgraded to shared for the files), the other's file Commits (shard
 // locks) — run concurrently on the recycled queues. Each crossing persists exactly what it wrote: when they
 // are done no line of the device is dirty, and every shadow record on it
@@ -204,19 +204,19 @@ func TestCrossingQueuesRace(t *testing.T) {
 	for _, n := range []string{"b0", "b1", "b2", "b3"} {
 		theirs = append(theirs, h.mkfile(a, layout.RootIno, n))
 	}
-	h.c.Commit(a, layout.RootIno)
-	h.c.Commit(a, dir)
+	h.c.commitOne(a, layout.RootIno)
+	h.c.commitOne(a, dir)
 	for _, n := range []string{"a0", "a1", "a2", "a3"} {
 		mine = append(mine, h.mkfile(a, dir, n))
 	}
-	h.c.Commit(a, dir)
+	h.c.commitOne(a, dir)
 	all := append(append([]uint64{layout.RootIno, dir}, mine...), theirs...)
 	for _, ino := range all[2:] {
-		if err := h.c.Commit(a, ino); err != nil {
+		if err := h.c.commitOne(a, ino); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, r := range h.c.ReleaseBatch(a, all, false, nil) {
+	for _, r := range h.c.Transfer(a, all, XferRelease, nil) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
@@ -247,7 +247,7 @@ func TestCrossingQueuesRace(t *testing.T) {
 			for _, ino := range mine {
 				touch(ino)
 			}
-			for _, r := range h.c.ReleaseBatch(a, held, true, nil) {
+			for _, r := range h.c.Transfer(a, held, XferLease, nil) {
 				if r.Err != nil {
 					t.Error(r.Err)
 				}
@@ -260,7 +260,7 @@ func TestCrossingQueuesRace(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			for _, ino := range theirs {
 				touch(ino)
-				if err := h.c.Commit(b, ino); err != nil {
+				if err := h.c.commitOne(b, ino); err != nil {
 					t.Error(err)
 				}
 			}

@@ -49,7 +49,7 @@ func TestAcquireGuardSameUnderBothEpochs(t *testing.T) {
 				creator, other := h.c.RegisterApp(0, 0), h.c.RegisterApp(0, 0)
 				mustAcquire(h, creator)
 				f := h.mkfile(creator, root, "pending")
-				if err := h.c.Commit(creator, root); err != nil {
+				if err := h.c.commitOne(creator, root); err != nil {
 					h.t.Fatal(err)
 				}
 				return attempt{other, f, false}
@@ -98,7 +98,7 @@ func TestAcquireGuardSameUnderBothEpochs(t *testing.T) {
 			setup: func(h *harness) attempt {
 				app := h.c.RegisterApp(0, 0)
 				mustAcquire(h, app)
-				if _, err := h.c.ReleaseLeased(app, root); err != nil {
+				if _, err := h.c.releaseLeased(app, root); err != nil {
 					h.t.Fatal(err)
 				}
 				return attempt{app, root, true}
@@ -107,7 +107,7 @@ func TestAcquireGuardSameUnderBothEpochs(t *testing.T) {
 			setup: func(h *harness) attempt {
 				holder, other := h.c.RegisterApp(0, 0), h.c.RegisterApp(0, 0)
 				mustAcquire(h, holder)
-				if _, err := h.c.ReleaseLeased(holder, root); err != nil {
+				if _, err := h.c.releaseLeased(holder, root); err != nil {
 					h.t.Fatal(err)
 				}
 				return attempt{other, root, true}
@@ -155,7 +155,9 @@ func TestAcquireGuardSameUnderBothEpochs(t *testing.T) {
 				if excl {
 					m, err = h.c.acquireExcl(a.app, a.ino, a.write)
 				} else {
-					m, err, punt = h.c.acquireFast(a.app, a.ino, a.write, nil)
+					out := []*Mapping{nil}
+					err, punt = h.c.acquireBatchFast(a.app, []uint64{a.ino}, out, a.write, nil)
+					m = out[0]
 					if tc.fast != "" {
 						want = tc.fast
 					}

@@ -72,7 +72,7 @@ func TestHandOverScribbleIsADelta(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			h, a, sub := compactionFixture(t)
-			if _, err := h.c.ReleaseLeased(a, layout.RootIno); err != nil {
+			if _, err := h.c.releaseLeased(a, layout.RootIno); err != nil {
 				t.Fatal(err)
 			}
 			verified := h.dirImage(layout.RootIno)
@@ -115,7 +115,7 @@ func TestHandOverScribbleIsADelta(t *testing.T) {
 		if err := h.c.Release(a, layout.RootIno); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h.c.ReleaseLeased(a, f); err != nil {
+		if _, err := h.c.releaseLeased(a, f); err != nil {
 			t.Fatal(err)
 		}
 		verified := h.grab(map[int64]int64{
@@ -171,7 +171,7 @@ func TestReclaimWithoutAcquireDropsBaseline(t *testing.T) {
 		if _, err := h.c.Acquire(a, sub, true); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h.c.ReleaseLeased(a, sub); err != nil {
+		if _, err := h.c.releaseLeased(a, sub); err != nil {
 			t.Fatal(err)
 		}
 		h.c.SetACL(sub, a, layout.PermRead)
@@ -184,7 +184,7 @@ func TestReclaimWithoutAcquireDropsBaseline(t *testing.T) {
 		if _, err := h.c.Acquire(a, sub, true); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h.c.ReleaseLeased(a, sub); err != nil {
+		if _, err := h.c.releaseLeased(a, sub); err != nil {
 			t.Fatal(err)
 		}
 		if err := h.c.Release(a, layout.RootIno); err != nil {
@@ -210,12 +210,12 @@ func TestReclaimWithoutAcquireDropsBaseline(t *testing.T) {
 			}
 		}
 		// The child is dormant when the new parent's commit relocates it.
-		if _, err := h.c.ReleaseLeased(a, dir3); err != nil {
+		if _, err := h.c.releaseLeased(a, dir3); err != nil {
 			t.Fatal(err)
 		}
 		h.c.RenameLockAcquire(a)
 		h.rename(a, dir1, dir2, dir3, "dir3")
-		if err := h.c.Commit(a, dir2); err != nil {
+		if err := h.c.commitOne(a, dir2); err != nil {
 			t.Fatalf("new parent commit: %v", err)
 		}
 		h.c.RenameLockRelease(a)
@@ -240,7 +240,7 @@ func TestReleaseBatchIsolatesFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ino := range files {
-		if err := h.c.Commit(app, ino); err != nil {
+		if err := h.c.commitOne(app, ino); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -252,7 +252,7 @@ func TestReleaseBatchIsolatesFailure(t *testing.T) {
 	h.dev.Persist(layout.InodeOff(h.g, files[bad]), layout.InodeSize)
 
 	st := h.c.Stats.Snapshot()
-	res := h.c.ReleaseBatch(app, files, true, nil)
+	res := h.c.Transfer(app, files, XferLease, nil)
 	if len(res) != len(files) {
 		t.Fatalf("%d results for %d inodes", len(res), len(files))
 	}
@@ -291,7 +291,7 @@ func TestReleaseBatchCap(t *testing.T) {
 		inos[i] = layout.RootIno
 	}
 	before := h.c.Stats.Snapshot()
-	for _, r := range h.c.ReleaseBatch(app, inos, false, nil) {
+	for _, r := range h.c.Transfer(app, inos, XferRelease, nil) {
 		if !errors.Is(r.Err, fsapi.ErrInval) {
 			t.Fatalf("oversized batch: %v, want ErrInval", r.Err)
 		}
@@ -304,7 +304,7 @@ func TestReleaseBatchCap(t *testing.T) {
 	if h.c.OwnerOf(layout.RootIno) != app {
 		t.Fatal("oversized batch released an inode")
 	}
-	if res := h.c.ReleaseBatch(app, inos[:1], false, nil); res[0].Err != nil {
+	if res := h.c.Transfer(app, inos[:1], XferRelease, nil); res[0].Err != nil {
 		t.Fatal(res[0].Err)
 	}
 }

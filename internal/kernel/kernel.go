@@ -211,7 +211,7 @@ type Mapping struct {
 	// reader that raced the revocation under the old lock.
 	ok atomic.Bool
 	// dormant marks a mapping whose holder voluntarily released the
-	// inode under a grant lease (ReleaseLeased): the kernel keeps the
+	// inode under a grant lease (XferLease): the kernel keeps the
 	// mapping established but may reclaim it at any time. The flag is
 	// the handoff point — whichever side wins the CAS (the LibFS
 	// re-activating, or the kernel reclaiming for another app) owns the
@@ -250,7 +250,7 @@ func (m *Mapping) Reactivate() bool {
 		return false
 	}
 	// Won the CAS: the kernel will no longer reclaim this mapping, but
-	// it may already have been revoked (ForceRelease, deletion by a
+	// it may already have been revoked (UnregisterApp, deletion by a
 	// trust-group peer) before we got here.
 	return m.Valid()
 }
@@ -474,11 +474,12 @@ func (c *Controller) RegisterApp(uid, gid uint32) AppID {
 }
 
 // UnregisterApp retires an application identity: every inode it still
-// holds is force-released (verified and returned to the kernel), its
-// unused inode grants go back to the free pool, any still-granted pages
-// are reclaimed, and its app row is dropped. Idle
-// tenants — no held inodes, no outstanding pages — unregister without
-// touching the shadow or page tables beyond the app row itself.
+// holds is force-released (verified and returned to the kernel), a rename
+// lease it holds is released, its unused inode grants go back to the free
+// pool, any still-granted pages are reclaimed, and its app row is
+// dropped. Idle tenants — no held inodes, no outstanding pages —
+// unregister without touching the shadow or page tables beyond the app
+// row itself.
 func (c *Controller) UnregisterApp(appID AppID) error {
 	c.syscall()
 	a := c.lookupApp(appID)
@@ -508,6 +509,7 @@ func (c *Controller) UnregisterApp(appID AppID) error {
 	}
 	delete(c.apps, appID)
 	c.appsMu.Unlock()
+	c.renameLock.Release(appID)
 	// Reclaim granted pages. The scan is device-wide, so skip it for the
 	// common idle-tenant retire (pagesOut == 0 means no page the app was
 	// granted is still app-owned).
@@ -618,10 +620,15 @@ func (c *Controller) ReturnPages(appID AppID, pages []uint64) {
 	}
 }
 
-// RenameLockAcquire takes the global rename lease for app (§4.6 patch).
-func (c *Controller) RenameLockAcquire(appID AppID) {
+// RenameLockAcquire takes the global rename lease for app (§4.6 patch),
+// waiting while another app holds it. An unregistered app is refused.
+func (c *Controller) RenameLockAcquire(appID AppID) error {
 	c.syscall()
+	if c.lookupApp(appID) == nil {
+		return fmt.Errorf("kernel: unknown app %d", appID)
+	}
 	c.renameLock.Acquire(appID, renameLeaseTTL)
+	return nil
 }
 
 // RenameLockRelease returns the lease; false means it had expired and

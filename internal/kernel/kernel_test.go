@@ -35,6 +35,17 @@ func newSizedHarness(t testing.TB, mode verifier.Mode, pages int, inodes uint64)
 	return &harness{t: t, dev: dev, c: c, g: c.Geometry()}
 }
 
+// commitOne commits ino: a Transfer of one, XferCommit.
+func (c *Controller) commitOne(app AppID, ino uint64) error {
+	return c.Transfer(app, []uint64{ino}, XferCommit, nil)[0].Err
+}
+
+// releaseLeased lease-releases ino: a Transfer of one, XferLease.
+func (c *Controller) releaseLeased(app AppID, ino uint64) (*Mapping, error) {
+	r := c.Transfer(app, []uint64{ino}, XferLease, nil)[0]
+	return r.Mapping, r.Err
+}
+
 // grant fetches one inode number and n pages for app.
 func (h *harness) grant(app AppID, npages int) (uint64, []uint64) {
 	h.t.Helper()
@@ -241,7 +252,7 @@ func TestCreateCommitFlow(t *testing.T) {
 		t.Fatalf("root childCount = %d", root.ChildCount)
 	}
 	// Rule-1 commit.
-	if err := h.c.Commit(app, ino); err != nil {
+	if err := h.c.commitOne(app, ino); err != nil {
 		t.Fatal(err)
 	}
 	sh, _ = h.c.ShadowOf(ino)
@@ -258,7 +269,7 @@ func TestRule1CommitBeforeParentReleaseFails(t *testing.T) {
 	app := h.c.RegisterApp(0, 0)
 	h.c.Acquire(app, layout.RootIno, true)
 	ino := h.mkfile(app, layout.RootIno, "early.txt")
-	err := h.c.Commit(app, ino)
+	err := h.c.commitOne(app, ino)
 	if !IsVerificationError(err) {
 		t.Fatalf("commit before parent release: %v, want verification failure (Rule 1)", err)
 	}
@@ -273,7 +284,7 @@ func TestCommitKeepsOwnershipAndRefreshesBaseline(t *testing.T) {
 	app := h.c.RegisterApp(0, 0)
 	m, _ := h.c.Acquire(app, layout.RootIno, true)
 	h.mkfile(app, layout.RootIno, "one")
-	if err := h.c.Commit(app, layout.RootIno); err != nil {
+	if err := h.c.commitOne(app, layout.RootIno); err != nil {
 		t.Fatal(err)
 	}
 	if !m.Valid() {
@@ -299,10 +310,10 @@ func TestUnlinkFreesInodeAndPages(t *testing.T) {
 	app := h.c.RegisterApp(0, 0)
 	h.c.Acquire(app, layout.RootIno, true)
 	ino := h.mkfile(app, layout.RootIno, "gone.txt")
-	if err := h.c.Commit(app, layout.RootIno); err != nil {
+	if err := h.c.commitOne(app, layout.RootIno); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.c.Commit(app, ino); err != nil {
+	if err := h.c.commitOne(app, ino); err != nil {
 		t.Fatal(err)
 	}
 	free := h.c.FreeCount()
@@ -327,10 +338,10 @@ func TestI3RejectsNonEmptyDirRemoval(t *testing.T) {
 	app := h.c.RegisterApp(0, 0)
 	h.c.Acquire(app, layout.RootIno, true)
 	dir := h.mkdir(app, layout.RootIno, "d")
-	h.c.Commit(app, layout.RootIno)
-	h.c.Commit(app, dir)
+	h.c.commitOne(app, layout.RootIno)
+	h.c.commitOne(app, dir)
 	h.mkfile(app, dir, "inner")
-	h.c.Commit(app, dir)
+	h.c.commitOne(app, dir)
 
 	// Delete d's dentry while d still has a child: I3 violation.
 	h.unlink(layout.RootIno, "d")
@@ -352,8 +363,8 @@ func TestEmptyDirRemovalOK(t *testing.T) {
 	app := h.c.RegisterApp(0, 0)
 	h.c.Acquire(app, layout.RootIno, true)
 	dir := h.mkdir(app, layout.RootIno, "d")
-	h.c.Commit(app, layout.RootIno)
-	h.c.Commit(app, dir)
+	h.c.commitOne(app, layout.RootIno)
+	h.c.commitOne(app, dir)
 	h.unlink(layout.RootIno, "d")
 	if err := h.c.Release(app, layout.RootIno); err != nil {
 		t.Fatal(err)
@@ -379,7 +390,7 @@ func TestRemovalFreesPagesWithoutTheInodeRecord(t *testing.T) {
 		dir := h.mkdir(app, layout.RootIno, "d")
 		file, _, _ := h.mkdatafile(app, layout.RootIno, "f")
 		for _, ino := range []uint64{layout.RootIno, dir, file} {
-			if err := h.c.Commit(app, ino); err != nil {
+			if err := h.c.commitOne(app, ino); err != nil {
 				t.Fatal(err)
 			}
 			if !held && ino != layout.RootIno {
@@ -409,7 +420,7 @@ func TestRemovalFreesPagesWithoutTheInodeRecord(t *testing.T) {
 	in, _, _ := layout.ReadInode(h.dev, h.g, ino)
 	in.Size = 1 << 60
 	layout.WriteInode(h.dev, h.g, ino, &in)
-	if err := h.c.Commit(app, layout.RootIno); err != nil {
+	if err := h.c.commitOne(app, layout.RootIno); err != nil {
 		t.Fatal(err)
 	}
 	h.unlink(layout.RootIno, "pending")
@@ -431,10 +442,10 @@ func TestMarkInaccessiblePolicy(t *testing.T) {
 	app := c.RegisterApp(0, 0)
 	c.Acquire(app, layout.RootIno, true)
 	dir := h.mkdir(app, layout.RootIno, "d")
-	c.Commit(app, layout.RootIno)
-	c.Commit(app, dir)
+	c.commitOne(app, layout.RootIno)
+	c.commitOne(app, dir)
 	h.mkfile(app, dir, "inner")
-	c.Commit(app, dir)
+	c.commitOne(app, dir)
 	h.unlink(layout.RootIno, "d")
 	if err := c.Release(app, layout.RootIno); !IsVerificationError(err) {
 		t.Fatalf("expected verification failure, got %v", err)
@@ -521,13 +532,18 @@ func TestTrustGroupTransferSkipsVerification(t *testing.T) {
 	}
 }
 
+// TestForceReleaseVerifies: an app that leaves holding an inode has it
+// released involuntarily, verified and applied as a voluntary release is.
 func TestForceReleaseVerifies(t *testing.T) {
 	h := newHarness(t, verifier.Enhanced)
 	app := h.c.RegisterApp(0, 0)
 	h.c.Acquire(app, layout.RootIno, true)
 	h.mkfile(app, layout.RootIno, "f")
-	if err := h.c.ForceRelease(layout.RootIno); err != nil {
+	if err := h.c.UnregisterApp(app); err != nil {
 		t.Fatal(err)
+	}
+	if n := h.c.Stats.Involuntary.Load(); n != 1 {
+		t.Fatalf("%d involuntary releases, want 1", n)
 	}
 	root, _ := h.c.ShadowOf(layout.RootIno)
 	if root.ChildCount != 1 {

@@ -16,14 +16,14 @@ func buildCommittedTree(h *harness, app AppID) (dirA, file1, file2, fileTop uint
 	h.c.Acquire(app, layout.RootIno, true)
 	dirA = h.mkdir(app, layout.RootIno, "dirA")
 	fileTop = h.mkfile(app, layout.RootIno, "fileTop")
-	h.c.Commit(app, layout.RootIno)
-	h.c.Commit(app, dirA)
-	h.c.Commit(app, fileTop)
+	h.c.commitOne(app, layout.RootIno)
+	h.c.commitOne(app, dirA)
+	h.c.commitOne(app, fileTop)
 	file1 = h.mkfile(app, dirA, "file1")
 	file2 = h.mkfile(app, dirA, "file2")
-	h.c.Commit(app, dirA)
-	h.c.Commit(app, file1)
-	h.c.Commit(app, file2)
+	h.c.commitOne(app, dirA)
+	h.c.commitOne(app, file1)
+	h.c.commitOne(app, file2)
 	for _, ino := range []uint64{file1, file2, fileTop, dirA, layout.RootIno} {
 		if err := h.c.Release(app, ino); err != nil {
 			h.t.Fatalf("release %d: %v", ino, err)

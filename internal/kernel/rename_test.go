@@ -32,15 +32,15 @@ func setupTree(h *harness, app AppID) (dir1, dir2, dir3, file1 uint64) {
 	h.c.Acquire(app, layout.RootIno, true)
 	dir1 = h.mkdir(app, layout.RootIno, "dir1")
 	dir2 = h.mkdir(app, layout.RootIno, "dir2")
-	h.c.Commit(app, layout.RootIno)
-	h.c.Commit(app, dir1)
-	h.c.Commit(app, dir2)
+	h.c.commitOne(app, layout.RootIno)
+	h.c.commitOne(app, dir1)
+	h.c.commitOne(app, dir2)
 	dir3 = h.mkdir(app, dir1, "dir3")
-	h.c.Commit(app, dir1)
-	h.c.Commit(app, dir3)
+	h.c.commitOne(app, dir1)
+	h.c.commitOne(app, dir3)
 	file1 = h.mkfile(app, dir3, "file1")
-	h.c.Commit(app, dir3)
-	h.c.Commit(app, file1)
+	h.c.commitOne(app, dir3)
+	h.c.commitOne(app, file1)
 	for _, ino := range []uint64{file1, dir3, dir2, dir1, layout.RootIno} {
 		if err := h.c.Release(app, ino); err != nil {
 			h.t.Fatalf("setup release %d: %v", ino, err)
@@ -64,7 +64,7 @@ func TestLegitimateRelocationEnhanced(t *testing.T) {
 	h.c.RenameLockAcquire(app)
 	h.rename(app, dir1, dir2, dir3, "dir3")
 	// Rule 2: commit the new parent before releasing the old one.
-	if err := h.c.Commit(app, dir2); err != nil {
+	if err := h.c.commitOne(app, dir2); err != nil {
 		t.Fatalf("new parent commit: %v", err)
 	}
 	h.c.RenameLockRelease(app)
@@ -102,7 +102,7 @@ func TestBug41OriginalRejectsLegitimateRename(t *testing.T) {
 		h.c.Acquire(app, ino, true)
 	}
 	h.rename(app, dir1, dir2, dir3, "dir3")
-	if err := h.c.Commit(app, dir2); err != nil {
+	if err := h.c.commitOne(app, dir2); err != nil {
 		t.Fatalf("new parent commit under original verifier: %v", err)
 	}
 	err := h.c.Release(app, dir1)
@@ -188,13 +188,13 @@ func TestFigure2CircularDependency(t *testing.T) {
 	// Build /dir0/dir2/file, committed; keep dir0 and dir2 held.
 	h.c.Acquire(app, layout.RootIno, true)
 	dir0 := h.mkdir(app, layout.RootIno, "dir0")
-	h.c.Commit(app, layout.RootIno)
-	h.c.Commit(app, dir0)
+	h.c.commitOne(app, layout.RootIno)
+	h.c.commitOne(app, dir0)
 	dir2 := h.mkdir(app, dir0, "dir2")
-	h.c.Commit(app, dir0)
-	h.c.Commit(app, dir2)
+	h.c.commitOne(app, dir0)
+	h.c.commitOne(app, dir2)
 	h.mkfile(app, dir2, "file")
-	h.c.Commit(app, dir2)
+	h.c.commitOne(app, dir2)
 
 	// Create the new sibling dir1 under dir0 — NOT yet known to the
 	// kernel (dir0 not committed since).
@@ -206,7 +206,7 @@ func TestFigure2CircularDependency(t *testing.T) {
 
 	// The circular dependency: dir1 cannot commit (Rule 1 — its parent
 	// dir0 has not been released/committed since dir1's creation)...
-	if err := h.c.Commit(app, dir1); !IsVerificationError(err) {
+	if err := h.c.commitOne(app, dir1); !IsVerificationError(err) {
 		t.Fatalf("commit dir1 = %v, want Rule-1 failure", err)
 	}
 	// ...and dir0 cannot be released (Rule 2 — dir2 is gone but its
@@ -224,16 +224,16 @@ func TestFigure2CircularDependency(t *testing.T) {
 	}
 	dir1 = h.mkdir(app, dir0, "dir1")
 	// Rule 3: commit the new parent before performing the rename.
-	if err := h.c.Commit(app, dir0); err != nil {
+	if err := h.c.commitOne(app, dir0); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.c.Commit(app, dir1); err != nil {
+	if err := h.c.commitOne(app, dir1); err != nil {
 		t.Fatalf("commit dir1 after parent commit: %v", err)
 	}
 	h.c.RenameLockAcquire(app)
 	h.rename(app, dir0, dir1, dir2, "dir2")
 	// Rule 2: commit the new parent before releasing the old.
-	if err := h.c.Commit(app, dir1); err != nil {
+	if err := h.c.commitOne(app, dir1); err != nil {
 		t.Fatalf("commit dir1 after rename: %v", err)
 	}
 	h.c.RenameLockRelease(app)
@@ -256,7 +256,7 @@ func TestRelocationRequiresRenameLock(t *testing.T) {
 		h.c.Acquire(app, ino, true)
 	}
 	h.rename(app, dir1, dir2, dir3, "dir3")
-	err := h.c.Commit(app, dir2)
+	err := h.c.commitOne(app, dir2)
 	if !IsVerificationError(err) || !strings.Contains(err.Error(), "rename lock") {
 		t.Fatalf("commit without rename lock = %v", err)
 	}
@@ -274,7 +274,7 @@ func TestRelocationDescendantCheck(t *testing.T) {
 	h.c.Acquire(app, dir3, true)
 	h.c.RenameLockAcquire(app)
 	h.rename(app, layout.RootIno, dir3, dir1, "dir1")
-	err := h.c.Commit(app, dir3)
+	err := h.c.commitOne(app, dir3)
 	if !IsVerificationError(err) || !strings.Contains(err.Error(), "cycle") {
 		t.Fatalf("descendant rename commit = %v", err)
 	}
@@ -295,7 +295,7 @@ func TestRelocationRequiresOldParentHeld(t *testing.T) {
 	// Drop dir1 the wrong way first: release it (fails I3, rolls back,
 	// restoring dir3's dentry there) — after which app no longer holds it.
 	h.c.Release(app, dir1)
-	err := h.c.Commit(app, dir2)
+	err := h.c.commitOne(app, dir2)
 	if !IsVerificationError(err) || !strings.Contains(err.Error(), "old parent") {
 		t.Fatalf("commit with old parent released = %v", err)
 	}
@@ -309,8 +309,8 @@ func TestFileRenameWithinDirectory(t *testing.T) {
 	app := h.c.RegisterApp(0, 0)
 	h.c.Acquire(app, layout.RootIno, true)
 	ino := h.mkfile(app, layout.RootIno, "old-name")
-	h.c.Commit(app, layout.RootIno)
-	h.c.Commit(app, ino)
+	h.c.commitOne(app, layout.RootIno)
+	h.c.commitOne(app, ino)
 	// Rename: new dentry, invalidate old.
 	pages, _ := h.c.GrantPages(app, 0, 1)
 	h.appendDentry(layout.RootIno, ino, "new-name", &pages)

@@ -14,14 +14,14 @@ import (
 //
 // Concurrency scheme — a big-reader epoch over fine-grained shards:
 //
-//   - Single-inode crossings (Acquire, file Release/Commit, grants,
+//   - Single-inode crossings (Acquire, a Transfer's files, grants,
 //     ReturnPages, SetACL, ...) run under epoch.RLock plus the target
 //     shard's spinlock, which also guards the entry's ACL overrides. The
 //     app table has its own short leaf lock; page-owner words are
 //     single-word atomics. Fast-path holders never take two locks of the
 //     same class.
-//   - Multi-inode crossings (directory Release/Commit, which can create,
-//     relocate, or free children across shards; ForceRelease; expired-
+//   - Multi-inode crossings (a Transfer's directories, which can create,
+//     relocate, or free children across shards; UnregisterApp; expired-
 //     lease reclaim) take epoch.Lock, draining every fast-path holder:
 //     the exclusive holder owns the whole controller, exactly like the
 //     old global mutex, so cross-inode atomicity is unchanged. A batch

@@ -393,13 +393,16 @@ func (fs *FS) getMinode(t *Thread, ino uint64, write bool) (*minode, error) {
 	return actual.(*minode), nil
 }
 
-// acquire is one Acquire crossing for ino, with write intent, attributed to
-// t's span (t nil-tolerated).
+// acquire is one crossing that acquires ino, an AcquireBatch of one (with
+// write intent), attributed to t's span (t nil-tolerated).
 func (fs *FS) acquire(t *Thread, ino uint64) (*kernel.Mapping, error) {
 	c := fs.cross(t.CurrentSpan())
-	m, err := fs.ctrl.AcquireObserved(fs.app, ino, true, t.sink())
+	ms, err := fs.ctrl.AcquireBatch(fs.app, []uint64{ino}, t.sink())
 	c.done(telemetry.SpanEvCrossing, int64(telemetry.EvAcquire))
-	return m, err
+	if err != nil {
+		return nil, err
+	}
+	return ms[0], nil
 }
 
 // remap re-acquires an inode whose mapping the kernel revoked underneath

@@ -44,10 +44,10 @@ func (fs *FS) ensureCommitted(t *Thread, mi *minode) error {
 	return fs.commitCrossing(t, mi.ino)
 }
 
-// commitCrossing performs a Commit syscall with span attribution.
+// commitCrossing commits ino in a Transfer of one, with span attribution.
 func (fs *FS) commitCrossing(t *Thread, ino uint64) error {
 	c := fs.cross(t.CurrentSpan())
-	err := fs.ctrl.CommitObserved(fs.app, ino, t.sink())
+	err := fs.ctrl.Transfer(fs.app, []uint64{ino}, kernel.XferCommit, t.sink())[0].Err
 	c.done(telemetry.SpanEvCrossing, int64(telemetry.EvCommit))
 	if v, ok := fs.mtab.Load(ino); ok && err == nil {
 		mi := v.(*minode)
@@ -120,7 +120,7 @@ func (fs *FS) ReleaseInode(ino uint64) error {
 	v, ok := fs.mtab.Load(ino)
 	if !ok {
 		c := fs.cross(nil) // no operation pays for it: no span
-		err := fs.ctrl.Release(fs.app, ino)
+		err := fs.ctrl.Transfer(fs.app, []uint64{ino}, kernel.XferRelease, nil)[0].Err
 		c.done(telemetry.SpanEvReleaseBatch, 1)
 		return err
 	}
@@ -191,7 +191,10 @@ func (fs *FS) releaseBatch(batch []quiesced, sp *span.Span) (err error) {
 	// kernel keeps the mapping alive in a dormant state so a later
 	// reacquire can win it back without a crossing. ArckFS as shipped has
 	// no leases: its release unmaps.
-	leased := !unsync
+	kind := kernel.XferLease
+	if unsync {
+		kind = kernel.XferRelease
+	}
 	var sink telemetry.SpanSink
 	if sp != nil {
 		sink = sp
@@ -200,7 +203,7 @@ func (fs *FS) releaseBatch(batch []quiesced, sp *span.Span) (err error) {
 	for lo := 0; lo < len(inos); lo += kernel.MaxReleaseBatch {
 		part := inos[lo:min(lo+kernel.MaxReleaseBatch, len(inos))]
 		c := fs.cross(sp)
-		res = append(res, fs.ctrl.ReleaseBatch(fs.app, part, leased, sink)...)
+		res = append(res, fs.ctrl.Transfer(fs.app, part, kind, sink)...)
 		c.done(telemetry.SpanEvReleaseBatch, int64(len(part)))
 	}
 

@@ -52,8 +52,11 @@ func (t *Thread) Rename(oldPath, newPath string) (err error) {
 		fs.renameMu.Lock()
 		defer fs.renameMu.Unlock()
 		c := fs.cross(t.CurrentSpan())
-		fs.ctrl.RenameLockAcquire(fs.app)
+		err = fs.ctrl.RenameLockAcquire(fs.app)
 		c.done(telemetry.SpanEvCrossing, int64(telemetry.EvRenameLockAcquire))
+		if err != nil {
+			return err
+		}
 		defer func() {
 			c := fs.cross(t.CurrentSpan())
 			fs.ctrl.RenameLockRelease(fs.app)

@@ -15,8 +15,8 @@ import (
 // entry point (beginOp), collects child events from every layer the
 // operation touches — persist-batch flushes and fences via
 // Thread.SpanEvent, kernel crossings via cross/done, shard-lock waits via
-// the sink handed to the kernel's *Observed variants, lease hits and
-// misses at the fast paths that avoid a crossing — and closes at endOp
+// the sink handed to the kernel's AcquireBatch and Transfer, lease hits
+// and misses at the fast paths that avoid a crossing — and closes at endOp
 // into the tracer's per-thread ring. Everything here is nil-safe and
 // sampling-aware: with no tracer attached, or on an unsampled operation,
 // the extra cost is a nil check per hook.
