@@ -42,6 +42,9 @@ type ctlView struct {
 	c    *Controller
 	held *shadowShard
 	q    *persistQ
+	// dir is the directory a verification through this view parses, whose
+	// page lists CleanPage keeps (nil outside VerifyDir).
+	dir *shadowEnt
 }
 
 func (v ctlView) Shadow(ino uint64) (verifier.ShadowInfo, bool) {
@@ -97,6 +100,41 @@ func (v ctlView) IsDescendant(node, anc uint64) bool {
 	return v.c.isDescendant(node, anc, v.held)
 }
 
+// CleanPage reads and clears page's dirty bit: on hardware the PTE dirty
+// bit, which the MMU sets and the LibFS cannot clear. Only a page the owner
+// table gives to ino has its bit cleared; any other page is dirty to this
+// verification, and its bit is left for its owner's. A page is clean if its
+// bit was clear and it is neither harvested nor due a reread. While ino
+// stays mapped the clear comes without a TLB shootdown, so a page whose bit
+// it found set is harvested.
+func (v ctlView) CleanPage(ino, page uint64) bool {
+	se := v.dir
+	if se == nil || se.info.Ino != ino || page >= uint64(len(v.c.pages)) || v.c.pageOwnerAt(page) != ownIno(ino) {
+		return false
+	}
+	stored := v.c.dev.ClearDirty(page)
+	harvested := slices.Contains(se.harvested, page)
+	if stored && !harvested && se.mapped() {
+		se.harvested, harvested = append(se.harvested, page), true
+	}
+	n := len(se.reread)
+	se.reread = slices.DeleteFunc(se.reread, func(p uint64) bool { return p == page })
+	return !stored && !harvested && len(se.reread) == n
+}
+
+// mapped reports whether an application's mapping of se is established.
+func (se *shadowEnt) mapped() bool {
+	return se.mapping.Valid() || len(se.groupMappings) > 0
+}
+
+// unmapped moves se's harvested pages to its rereads once its mappings are
+// torn down: the unmap's TLB shootdown ends the stores that could skip the
+// bit, and the next verification reads what they stored.
+func (c *Controller) unmapped(se *shadowEnt) {
+	se.reread = append(se.reread, se.harvested...)
+	se.harvested = se.harvested[:0]
+}
+
 func (c *Controller) isDescendant(node, anc uint64, held *shadowShard) bool {
 	cur := node
 	for depth := 0; depth < 1<<16; depth++ {
@@ -140,6 +178,7 @@ func (c *Controller) reclaimDormant(se *shadowEnt, handOver bool) bool {
 	}
 	se.groupMappings = nil
 	c.cost.Unmap()
+	c.unmapped(se)
 	se.owner = 0
 	se.mapping = nil
 	if !handOver {
@@ -627,6 +666,7 @@ func (c *Controller) transferHeld(se *shadowEnt, appID AppID, ino uint64, kind X
 			se.mapping.revoke()
 		}
 		c.cost.Unmap()
+		c.unmapped(se)
 		se.owner = 0
 		se.mapping = nil
 		se.snap = nil
@@ -647,6 +687,7 @@ func (c *Controller) releaseHeld(se *shadowEnt, appID AppID, view ctlView) error
 	}
 	se.groupMappings = nil
 	c.cost.Unmap()
+	c.unmapped(se)
 	err := c.verifyAndApply(se, appID, false, view)
 	se.owner = 0
 	se.mapping = nil
@@ -682,12 +723,14 @@ func (c *Controller) verifyAndApply(se *shadowEnt, appID AppID, keepHeld bool, v
 
 	switch se.info.Type {
 	case layout.TypeDir:
+		view.dir = se
 		res, err := c.ver.VerifyDir(appID, ino, se.snap.dir, view)
 		if err != nil {
 			c.Stats.VerifyFailures.Add(1)
 			c.applyPolicy(se, view)
 			return err
 		}
+		se.reread = se.reread[:0]
 		c.applyDir(se, appID, res, view.q)
 		if keepHeld {
 			se.snap = c.newSnapshot(ino, res.View, nil, se.snap)

@@ -133,10 +133,43 @@ func (b *handoffBench) turn() {
 
 // TestHandoffTurns runs the benchmark's turn as a test: every release of
 // every turn verifies, and the directory ends with the names it should.
+// From the third turn on each turn's directory verification reads the log
+// pages that turn's unlinks and creates wrote, and those the previous
+// turn's wrote — its leased release harvested them under a live mapping,
+// so this turn's reads them again after the unmap — and no other: every
+// other page of the directory, and its tail set, comes from the baseline.
+// (The setup wrote every page and leased them: the first turn, under the
+// same mapping, reads them all, and the second once more.)
 func TestHandoffTurns(t *testing.T) {
 	b := newHandoffBench(t)
+	vs := b.c.VerifierStats()
+	logPages := int64(len(b.c.shadowGet(b.dir, nil).snap.dir.Pages))
 	for i := 0; i < 40; i++ {
+		written := map[uint64]bool{}
+		for k := max(b.turns-1, 0); k <= b.turns; k++ {
+			// Turn k creates batch k/2 of app k%2 and unlinks the peer's
+			// batch of turn k-1.
+			for _, ref := range b.slots[k%2][(k/2)%8] {
+				written[ref.Page()] = true
+			}
+			if k > 0 {
+				for _, ref := range b.slots[1-k%2][((k-1)/2)%8] {
+					written[ref.Page()] = true
+				}
+			}
+		}
+		wantRecs := int64(0)
+		for p := range written {
+			wantRecs += b.pageSlots(p)
+		}
+		recs, pages, clean := vs.Dentries.Load(), vs.Pages.Load(), vs.PagesClean.Load()
 		b.turn()
+		recs, pages, clean = vs.Dentries.Load()-recs, vs.Pages.Load()-pages, vs.PagesClean.Load()-clean
+		// Each shared file's two map pages are read whole, every turn.
+		if i > 1 && (recs != wantRecs || pages != int64(len(written))+8 || clean != 1+logPages-int64(len(written))) {
+			t.Fatalf("turn %d: %d records on %d pages read, %d pages clean; want %d records on %d pages of %d written, 8 map pages, and %d clean",
+				i, recs, pages, clean, wantRecs, len(written), logPages, 1+logPages-int64(len(written)))
+		}
 	}
 	if sh, _ := b.c.ShadowOf(b.dir); sh.ChildCount != 220+4+16 {
 		t.Fatalf("the directory has %d verified children, want %d", sh.ChildCount, 220+4+16)

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"slices"
 	"testing"
 
 	"arckfs/internal/layout"
@@ -200,11 +201,18 @@ func TestForgedCompactionRejectedAndRolledBack(t *testing.T) {
 }
 
 // TestDirTransferParsesOnce pins the verifier's work per transfer of a
-// directory at one parse: Commit and a leased release make the view they
-// verified the new baseline instead of parsing again, and so does the
-// Rule-1 commit of a new directory. An Acquire that wins a dormant lease
-// adopts that baseline and parses nothing; only a cold Acquire — after a
-// plain release — adds a parse of its own.
+// directory at one parse of what was written since the last one: a
+// verification reads only the pages stored to since their bits were last
+// cleared, and — while the directory stays mapped — the pages whose bits it
+// cleared under that mapping (harvested: the holder's TLB may still store
+// to them unmarked), which the first verification after the unmap reads
+// once more. A transfer with nothing written since that read scans
+// nothing. Commit and a leased release make the view they verified the new
+// baseline instead of parsing again, and so does the Rule-1 commit of a
+// new directory. An Acquire that wins a dormant lease adopts that baseline
+// and parses nothing; only a cold Acquire — after a plain release — adds a
+// parse of its own, of every page, and so do a new directory's commit and
+// recovery, which have no baseline.
 func TestDirTransferParsesOnce(t *testing.T) {
 	h, app, _ := compactionFixture(t)
 	slots := int64(0)
@@ -222,20 +230,45 @@ func TestDirTransferParsesOnce(t *testing.T) {
 		if err := fn(); err != nil {
 			t.Fatalf("%s: %v", step, err)
 		}
-		if got := vs.Dentries.Load() - before; got != want*slots {
-			t.Fatalf("%s scanned %d record slots, want %d parse(s) of %d", step, got, want, slots)
+		if got := vs.Dentries.Load() - before; got != want {
+			t.Fatalf("%s scanned %d record slots, want %d", step, got, want)
 		}
 	}
-	parses("Commit", func() error { return h.c.commitOne(app, layout.RootIno) }, 1)
-	parses("XferLease", func() error { _, err := h.c.releaseLeased(app, layout.RootIno); return err }, 1)
+	// slotsOn counts the record slots on the distinct log pages of pages.
+	slotsOn := func(pages []uint64) (n int64) {
+		seen := map[uint64]bool{in.DataRoot: true}
+		for _, p := range pages {
+			if !seen[p] {
+				seen[p], n = true, n+h.pageSlots(p)
+			}
+		}
+		return n
+	}
+	commit := func() error { return h.c.commitOne(app, layout.RootIno) }
+	// The fixture's last commit harvested the page its unlinks wrote.
+	harvested := slices.Clone(h.c.shadowGet(layout.RootIno, nil).harvested)
+	if slotsOn(harvested) == 0 {
+		t.Fatal("the fixture's commit harvested no log page")
+	}
+	parses("Commit, nothing written", commit, slotsOn(harvested))
+	// One create dirties one log page, which joins the harvested ones.
+	h.mkfile(app, layout.RootIno, "g")
+	ref, _ := h.findDentry(layout.RootIno, "g")
+	slots++
+	harvested = append(harvested, ref.Page())
+	parses("Commit of a create", commit, slotsOn(harvested))
+	parses("XferLease", func() error { _, err := h.c.releaseLeased(app, layout.RootIno); return err }, slotsOn(harvested))
 	other := h.c.RegisterApp(0, 0)
 	parses("Acquire of a dormant lease", func() error { _, err := h.c.Acquire(other, layout.RootIno, true); return err }, 0)
-	parses("Release", func() error { return h.c.Release(other, layout.RootIno) }, 1)
-	parses("cold Acquire", func() error { _, err := h.c.Acquire(other, layout.RootIno, true); return err }, 1)
-	parses("Release", func() error { return h.c.Release(other, layout.RootIno) }, 1)
+	parses("Release after the unmap", func() error { return h.c.Release(other, layout.RootIno) }, slotsOn(harvested))
+	parses("cold Acquire", func() error { _, err := h.c.Acquire(other, layout.RootIno, true); return err }, slots)
+	parses("Release", func() error { return h.c.Release(other, layout.RootIno) }, 0)
 
 	// A new directory: pending after its parent's release, then its own
-	// Rule-1 commit parses it once (one record slot, "x").
+	// Rule-1 commit parses it whole (one record slot, "x") and clears no
+	// bit. The next commit reads its page and harvests it, so every commit
+	// reads it until the plain release's unmap; that release reads it once
+	// more, and after a cold acquire a release reads nothing.
 	if _, err := h.c.Acquire(app, layout.RootIno, true); err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +277,10 @@ func TestDirTransferParsesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.mkfile(app, nd, "x")
-	slots = 1
 	parses("Commit of a new directory", func() error { return h.c.commitOne(app, nd) }, 1)
 	parses("Commit again", func() error { return h.c.commitOne(app, nd) }, 1)
+	parses("Commit a third time", func() error { return h.c.commitOne(app, nd) }, 1)
+	parses("Release of the new directory", func() error { return h.c.Release(app, nd) }, 1)
+	parses("cold Acquire of the new directory", func() error { _, err := h.c.Acquire(app, nd, true); return err }, 1)
+	parses("Release, nothing written", func() error { return h.c.Release(app, nd) }, 0)
 }

@@ -158,6 +158,19 @@ type shadowEnt struct {
 	groupMappings []*Mapping
 	snap          *snapshot
 	lease         time.Time
+	// harvested lists the pages whose dirty bits a verification cleared
+	// while the inode stayed mapped (a commit or a leased release). On
+	// hardware that clears PTE dirty bits under a live mapping with no TLB
+	// shootdown: the holder's TLB may still cache such a page as dirty and
+	// store to it without setting the bit again. So each counts as dirty to
+	// every verification until the unmap's shootdown ends those stores,
+	// and then moves to reread (unmapped).
+	harvested []uint64
+	// reread lists the harvested pages whose mapping is gone: the next
+	// verification reads each once, whatever its bit says. A successful
+	// directory verification, having visited every page of the chain,
+	// empties it.
+	reread []uint64
 
 	inaccessible bool
 	// acl holds per-application permission overrides (SetACL); nil until
@@ -434,6 +447,7 @@ func (c *Controller) RegisterTelemetry(set *telemetry.Set) {
 	set.Gauge("pmalloc.steals.local", func() int64 { return c.alloc.Steals() })
 	set.Gauge("verifier.dentries", c.ver.Stats.Dentries.Load)
 	set.Gauge("verifier.pages", c.ver.Stats.Pages.Load)
+	set.Gauge("verifier.pages_clean", c.ver.Stats.PagesClean.Load)
 }
 
 func shadowInfoOf(ino uint64, in *layout.Inode, childCount uint32, committed bool) verifier.ShadowInfo {

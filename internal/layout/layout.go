@@ -534,27 +534,10 @@ func ScanTail(dev *pmem.Device, head uint64, fn func(RawDentry) bool) (lastPage 
 		if page >= uint64(dev.Size())/PageSize {
 			return page, 0, true
 		}
-		off := 0
-		for off+DentryHeaderSize <= LogDataSize {
-			r := MakeDentryRef(page, off)
-			recLen := int(dev.Load16(r.DevOff() + deRecLen))
-			if recLen == 0 {
-				// Append frontier of this page; if a next page exists the
-				// append cursor moved on and scanning continues there.
-				break
-			}
-			if recLen < DentryHeaderSize || recLen%8 != 0 || off+recLen > LogDataSize {
-				// Torn length: stop at the corruption.
-				return page, off, true
-			}
-			d, c := readDentry(dev, r, name)
-			if c {
-				corrupt = true
-			}
-			if fn != nil && !fn(d) {
-				return page, off + recLen, corrupt
-			}
-			off += recLen
+		off, c, stop := ScanPage(dev, page, name, fn)
+		corrupt = corrupt || c
+		if stop {
+			return page, off, corrupt
 		}
 		next := NextPage(dev, page)
 		if next == 0 {
@@ -563,6 +546,33 @@ func ScanTail(dev *pmem.Device, head uint64, fn func(RawDentry) bool) (lastPage 
 		page = next
 	}
 	return 0, 0, corrupt
+}
+
+// ScanPage walks one log page's record slots up to the page's append
+// frontier, invoking fn for each, with name (MaxName bytes) as every
+// record's Name buffer. It returns the offset it stopped at, whether a
+// committed record was corrupt, and stop: a record's length field is torn
+// (corrupt, and the walk cannot go on), or fn returned false (off is then
+// past that record). A page whose frontier is short of the page's end may
+// still have a next page: the append cursor moved on.
+func ScanPage(dev *pmem.Device, page uint64, name []byte, fn func(RawDentry) bool) (off int, corrupt, stop bool) {
+	for off+DentryHeaderSize <= LogDataSize {
+		r := MakeDentryRef(page, off)
+		recLen := int(dev.Load16(r.DevOff() + deRecLen))
+		if recLen == 0 {
+			break // this page's append frontier
+		}
+		if recLen < DentryHeaderSize || recLen%8 != 0 || off+recLen > LogDataSize {
+			return off, true, true // torn length: stop at the corruption
+		}
+		d, c := readDentry(dev, r, name)
+		corrupt = corrupt || c
+		if fn != nil && !fn(d) {
+			return off + recLen, corrupt, true
+		}
+		off += recLen
+	}
+	return off, corrupt, false
 }
 
 // --- Block maps -----------------------------------------------------------

@@ -24,6 +24,11 @@
 // Tracking is off by default; in that mode stores and flushes only update
 // the volatile image and cost/statistics counters, which is what the
 // benchmarks use.
+//
+// Every store also sets its page's dirty bit, the model of a PTE dirty bit:
+// the store sets it, nothing else does, and only the kernel reads and clears
+// it (ClearDirty) — it is how a directory verification knows which log
+// pages it must parse again.
 package pmem
 
 import (
@@ -105,6 +110,10 @@ type Device struct {
 	obs func()
 	// fault, when set, is the device's lie schedule (see fault.go).
 	fault *FaultPlan
+	// dirty holds one bit per page, set by every store to the page once its
+	// bytes are in place and cleared only by ClearDirty. A new device starts
+	// with every bit set: nothing has been verified against it yet.
+	dirty []atomic.Uint64
 
 	Stats Stats
 }
@@ -116,10 +125,15 @@ func New(size int64, cost *costmodel.Model) *Device {
 		panic("pmem: non-positive device size")
 	}
 	size = (size + PageSize - 1) / PageSize * PageSize
-	return &Device{
-		buf:  make([]byte, size),
-		cost: cost,
+	d := &Device{
+		buf:   make([]byte, size),
+		cost:  cost,
+		dirty: make([]atomic.Uint64, (size/PageSize+63)/64),
 	}
+	for i := range d.dirty {
+		d.dirty[i].Store(^uint64(0))
+	}
+	return d
 }
 
 // Size returns the device capacity in bytes.
@@ -197,6 +211,7 @@ func (d *Device) recordStore(off, n int64) {
 func (d *Device) Write(off int64, p []byte) {
 	d.check(off, int64(len(p)))
 	copy(d.buf[off:], p)
+	d.markDirty(off, int64(len(p)))
 	d.Stats.Stores.Add(1)
 	d.Stats.Bytes.Add(int64(len(p)))
 	d.cost.PMWrite(len(p))
@@ -212,6 +227,7 @@ func (d *Device) Zero(off, n int64) {
 	for i := range b {
 		b[i] = 0
 	}
+	d.markDirty(off, n)
 	d.Stats.Stores.Add(1)
 	d.Stats.Bytes.Add(n)
 	d.cost.PMWrite(int(n))
@@ -224,6 +240,7 @@ func (d *Device) Zero(off, n int64) {
 func (d *Device) Store8(off int64, v uint8) {
 	d.check(off, 1)
 	d.buf[off] = v
+	d.markDirty(off, 1)
 	d.Stats.Stores.Add(1)
 	d.Stats.Bytes.Add(1)
 	if d.tracking.Load() {
@@ -235,6 +252,7 @@ func (d *Device) Store8(off int64, v uint8) {
 func (d *Device) Store16(off int64, v uint16) {
 	d.check(off, 2)
 	binary.LittleEndian.PutUint16(d.buf[off:], v)
+	d.markDirty(off, 2)
 	d.Stats.Stores.Add(1)
 	d.Stats.Bytes.Add(2)
 	if d.tracking.Load() {
@@ -246,6 +264,7 @@ func (d *Device) Store16(off int64, v uint16) {
 func (d *Device) Store32(off int64, v uint32) {
 	d.check(off, 4)
 	binary.LittleEndian.PutUint32(d.buf[off:], v)
+	d.markDirty(off, 4)
 	d.Stats.Stores.Add(1)
 	d.Stats.Bytes.Add(4)
 	if d.tracking.Load() {
@@ -257,6 +276,7 @@ func (d *Device) Store32(off int64, v uint32) {
 func (d *Device) Store64(off int64, v uint64) {
 	d.check(off, 8)
 	binary.LittleEndian.PutUint64(d.buf[off:], v)
+	d.markDirty(off, 8)
 	d.Stats.Stores.Add(1)
 	d.Stats.Bytes.Add(8)
 	if d.tracking.Load() {
@@ -279,6 +299,7 @@ func (d *Device) WriteNT(off int64, p []byte) {
 	}
 	d.check(off, int64(len(p)))
 	copy(d.buf[off:], p)
+	d.markDirty(off, int64(len(p)))
 	nl := int64(len(p) / LineSize)
 	d.Stats.Stores.Add(1)
 	d.Stats.Bytes.Add(int64(len(p)))
@@ -301,6 +322,7 @@ func (d *Device) ZeroNT(off, n int64) {
 	for i := range b {
 		b[i] = 0
 	}
+	d.markDirty(off, n)
 	nl := n / LineSize
 	d.Stats.Stores.Add(1)
 	d.Stats.Bytes.Add(n)
@@ -310,6 +332,39 @@ func (d *Device) ZeroNT(off, n int64) {
 		d.recordStore(off, n)
 		d.markFlushed(off/LineSize, (off+n-1)/LineSize)
 	}
+}
+
+// markDirty sets the dirty bit of every page [off, off+n) touches. Store
+// paths call it once the bytes are in place. The Or is unconditional, even
+// when the bit is already set: it is the write that orders the store's
+// bytes before the bit, so a ClearDirty that finds the bit set is
+// synchronized after the store and the read that follows it sees the
+// store; a ClearDirty before the Or leaves the bit set for the next. (A
+// plain load that found the bit set would order nothing: a racing
+// ClearDirty could clear the bit and read the page without the store.)
+func (d *Device) markDirty(off, n int64) {
+	if n <= 0 {
+		return
+	}
+	for p := off / PageSize; p <= (off+n-1)/PageSize; p++ {
+		d.dirty[p/64].Or(uint64(1) << (p % 64))
+	}
+}
+
+// Dirty reports whether page's dirty bit is set: the page was stored to
+// since the bit was last cleared, or never cleared since the device was
+// created.
+func (d *Device) Dirty(page uint64) bool {
+	return d.dirty[page/64].Load()&(uint64(1)<<(page%64)) != 0
+}
+
+// ClearDirty clears page's dirty bit and reports whether it was set. It is
+// the kernel's alone: a caller that clears a bit and then reads the page
+// sees every store whose bit it cleared, and every later store sets the bit
+// again.
+func (d *Device) ClearDirty(page uint64) bool {
+	bit := uint64(1) << (page % 64)
+	return d.dirty[page/64].And(^bit)&bit != 0
 }
 
 // markFlushed records that lines [first, last] have write-back initiated

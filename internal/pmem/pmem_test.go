@@ -364,3 +364,56 @@ func TestQuickCrashImagesAreLineConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDirtyBits: a new or restored device has every page's bit set; each
+// store path sets the bit of every page it touches and of no other, after
+// a ClearDirty that reported the bit set; reads and flushes set nothing;
+// ClearDirty leaves the other bits of the word alone.
+func TestDirtyBits(t *testing.T) {
+	const pages = 130 // three bitmap words, the last one partly used
+	for name, d := range map[string]*Device{"new": New(pages*PageSize, nil), "restored": Restore(make([]byte, pages*PageSize), nil)} {
+		for p := uint64(0); p < pages; p++ {
+			if !d.Dirty(p) {
+				t.Fatalf("%s device: page %d clean", name, p)
+			}
+		}
+	}
+	line := make([]byte, LineSize)
+	for name, store := range map[string]func(d *Device, off int64){
+		"Write":   func(d *Device, off int64) { d.Write(off, []byte{1, 2, 3}) },
+		"Zero":    func(d *Device, off int64) { d.Zero(off, 3) },
+		"Store8":  func(d *Device, off int64) { d.Store8(off, 1) },
+		"Store16": func(d *Device, off int64) { d.Store16(off, 1) },
+		"Store32": func(d *Device, off int64) { d.Store32(off, 1) },
+		"Store64": func(d *Device, off int64) { d.Store64(off, 1) },
+		"WriteNT": func(d *Device, off int64) { d.WriteNT(off/LineSize*LineSize, line) },
+		"ZeroNT":  func(d *Device, off int64) { d.ZeroNT(off/LineSize*LineSize, LineSize) },
+	} {
+		d := New(pages*PageSize, nil)
+		for p := uint64(0); p < pages; p++ {
+			if !d.ClearDirty(p) || d.ClearDirty(p) || d.Dirty(p) {
+				t.Fatalf("%s: ClearDirty of page %d did not report set, then clear", name, p)
+			}
+		}
+		d.Read(0, make([]byte, PageSize))
+		d.Flush(0, PageSize)
+		d.Fence()
+		for _, p := range []uint64{0, 63, 64, 129} {
+			store(d, int64(p)*PageSize+PageSize/2)
+			for q := uint64(0); q < pages; q++ {
+				if d.Dirty(q) != (q == p) {
+					t.Fatalf("%s to page %d: page %d dirty %v", name, p, q, d.Dirty(q))
+				}
+			}
+			d.ClearDirty(p)
+		}
+	}
+	d := New(pages*PageSize, nil)
+	for p := uint64(0); p < pages; p++ {
+		d.ClearDirty(p)
+	}
+	d.Write(2*PageSize-1, []byte{1, 2}) // one store across two pages
+	if !d.Dirty(1) || !d.Dirty(2) || d.Dirty(0) || d.Dirty(3) {
+		t.Fatal("a store across a page boundary set the wrong bits")
+	}
+}

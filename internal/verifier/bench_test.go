@@ -45,7 +45,9 @@ func (b *fileBench) step() {
 
 // dirBench is a directory whose holder creates a name on one step and
 // unlinks it on the next (one spare record's commit marker set and
-// cleared), each step verified against the previous view.
+// cleared), each step verified against the previous view with the device's
+// dirty bits: the step's store dirties the spare's page, a log page shared
+// with other records, and the verification reads that page alone.
 type dirBench struct {
 	*img
 	tb    testing.TB
@@ -72,7 +74,13 @@ func newDirBench(tb testing.TB, names int) *dirBench {
 	for _, r := range recs {
 		kv.shadows[r.ino] = ShadowInfo{Ino: r.ino, Type: layout.TypeFile, Parent: imgDir, Committed: true}
 	}
-	b := &dirBench{img: m, tb: tb, kv: kv, old: old}
+	// A first verification reads every page of the new device and clears
+	// its bit.
+	res, err := m.v.VerifyDir(1, imgDir, old, kv)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b := &dirBench{img: m, tb: tb, kv: kv, old: res.View}
 	layout.ScanTail(m.dev, layout.TailHead(m.dev, old.Inode.DataRoot, names%2), func(d layout.RawDentry) bool {
 		b.spare = d.Ref
 		return true

@@ -76,14 +76,25 @@ type KernelView interface {
 	// IsDescendant reports whether node is anc itself or lies below anc
 	// in the verified tree.
 	IsDescendant(node, anc uint64) bool
+	// CleanPage is the dirty-bit harvest of directory ino's verification,
+	// asked of every page the verification visits, before it reads the
+	// page: if the owner table gives page to ino, it clears the page's
+	// dirty bit and reports whether the page is clean — the bit was
+	// already clear, and no store can have escaped it since the last
+	// verification read the page. Any other page reports dirty and keeps
+	// its bit.
+	CleanPage(ino, page uint64) bool
 }
 
 // Stats counts the verifier's work units: dentry records and pages
-// scanned during core-state parsing. Telemetry-only; the simulated
-// verification latency is charged through Cost.
+// scanned during core-state parsing, and the directory pages a
+// verification took from the baseline instead. Telemetry-only; the
+// simulated verification latency is charged through Cost, for what was
+// scanned.
 type Stats struct {
-	Dentries atomic.Int64
-	Pages    atomic.Int64
+	Dentries   atomic.Int64
+	Pages      atomic.Int64
+	PagesClean atomic.Int64
 }
 
 // V is a verifier instance.
@@ -101,13 +112,16 @@ type V struct {
 // immutable once built, and it is also the baseline the next verification
 // diffs against: every set a diff needs is kept sorted, so a transfer is
 // slice work over what was parsed. A view parsed against a previous one
-// shares that view's entries (and name strings), blocks and block set
-// wherever they did not change.
+// shares that view's entries (and name strings), tail heads, blocks and
+// block set wherever they did not change. A directory view also keeps, per
+// log page, what a verification needs to take a clean page from it unread.
 
 // DirEntry is one live name of a directory.
 type DirEntry struct {
 	Name string
 	Ino  uint64
+
+	page uint64 // the log page holding the record
 }
 
 // DirView is the parsed core state of a directory.
@@ -119,11 +133,30 @@ type DirView struct {
 	// Pages are the dentry log pages (excluding the tail-set page) in
 	// chain order, tail by tail.
 	Pages []uint64
-	// Records counts every record slot scanned (live and dead), the
-	// verifier's work unit.
+	// Records counts every record slot (live and dead) on Pages, scanned
+	// or taken from the baseline.
 	Records int
 
-	pageSet []uint64 // Pages, sorted
+	heads  []uint64  // the tail set's head pointers, one per tail (0 = empty)
+	byPage []logPage // one per page of Pages, sorted by page number
+}
+
+// logPage is what a directory view knows of one of its log pages: enough
+// to stand in for the page when a later verification finds it clean.
+type logPage struct {
+	no, next uint64
+	recs     int // record slots
+}
+
+// pageIndex finds log page p in dv.byPage.
+func (dv *DirView) pageIndex(p uint64) (int, bool) {
+	return slices.BinarySearchFunc(dv.byPage, p, func(lp logPage, p uint64) int { return cmp.Compare(lp.no, p) })
+}
+
+// hasPage reports whether p is one of the view's log pages.
+func (dv *DirView) hasPage(p uint64) bool {
+	_, ok := dv.pageIndex(p)
+	return ok
 }
 
 // FileView is the parsed core state of a regular file.
@@ -138,39 +171,47 @@ type FileView struct {
 	mapSet   []uint64 // MapPages, sorted
 }
 
-// chain appends the pages linked from head to pages. A page outside the
-// data region stops it, and so does a chain that loops: the mark jumps to
-// the current page at every power of two (Brent), so a walk caught in a
-// loop meets it within about twice the loop's length. A hostile chain
-// costs what it occupies, not the device.
+// chain appends the pages linked from head to pages.
 func (v *V) chain(pages []uint64, head uint64, kind string) ([]uint64, error) {
-	mark, steps, limit := uint64(0), 0, 1
+	var loop loopCheck
 	for p := head; p != 0; p = layout.NextPage(v.Dev, p) {
-		if p < v.Geo.DataStart || p >= v.Geo.PageCount {
-			return nil, fmt.Errorf("%s page %d out of range", kind, p)
-		}
-		if p == mark {
-			return nil, fmt.Errorf("%s chain cycle at page %d", kind, p)
-		}
-		if steps++; steps == limit {
-			mark, steps, limit = p, 0, 2*limit
+		if err := v.step(&loop, p, kind); err != nil {
+			return nil, err
 		}
 		pages = append(pages, p)
 	}
 	return pages, nil
 }
 
-// sortedSet returns pages as a sorted set, and the first page that occurs
-// twice, if any.
-func sortedSet(pages []uint64) (set []uint64, dup uint64, isDup bool) {
-	set = slices.Clone(pages)
-	slices.Sort(set)
-	for i := 1; i < len(set); i++ {
-		if set[i] == set[i-1] {
-			return nil, set[i], true
-		}
+// step checks p, the next page of a chain of kind: a page outside the data
+// region stops the walk, and so does a chain that loops.
+func (v *V) step(loop *loopCheck, p uint64, kind string) error {
+	if p < v.Geo.DataStart || p >= v.Geo.PageCount {
+		return fmt.Errorf("%s page %d out of range", kind, p)
 	}
-	return set, 0, false
+	if loop.revisits(p) {
+		return fmt.Errorf("%s chain cycle at page %d", kind, p)
+	}
+	return nil
+}
+
+// loopCheck catches a chain walk caught in a loop: the mark jumps to the
+// current page at every power of two (Brent), so the walk meets it within
+// about twice the loop's length. A hostile chain costs what it occupies,
+// not the device.
+type loopCheck struct {
+	mark         uint64
+	steps, limit int
+}
+
+func (l *loopCheck) revisits(p uint64) bool {
+	if p == l.mark {
+		return true
+	}
+	if l.steps++; l.steps >= l.limit {
+		l.mark, l.steps, l.limit = p, 0, max(2*l.limit, 2)
+	}
+	return false
 }
 
 // patchSet returns the sorted set old with removed taken out and added put
@@ -226,17 +267,23 @@ var (
 	noFile FileView
 )
 
-// ParseDir reads and structurally validates directory ino's core state.
+// ParseDir reads and structurally validates directory ino's core state,
+// every page of it: the parse of recovery, a cold acquire and a new
+// directory's commit, none of which has a baseline or touches a dirty bit.
 func (v *V) ParseDir(ino uint64) (*DirView, error) {
-	dv, _, _, err := v.parseDir(ino, &noDir)
+	dv, _, _, err := v.parseDir(ino, &noDir, nil)
 	return dv, err
 }
 
 // parseDir is ParseDir given the directory's previous view, whose strings
-// it reuses for the names that are still there. was lists the entries of
-// prev that are gone or now name another inode, now the entries prev does
-// not hold, both sorted by name.
-func (v *V) parseDir(ino uint64, prev *DirView) (dv *DirView, was, now []DirEntry, err error) {
+// it reuses for the names that are still there. With kv it is a
+// verification's parse: every page it visits is first put to
+// kv.CleanPage, and a clean page of prev's is not read — its records, its
+// live entries and its next pointer (for the tail-set page, its heads) are
+// prev's. Only what is read is charged. was lists the entries of prev that
+// are gone or now name another inode, now the entries prev does not hold,
+// both sorted by name.
+func (v *V) parseDir(ino uint64, prev *DirView, kv KernelView) (dv *DirView, was, now []DirEntry, err error) {
 	in, ok, corrupt := layout.ReadInode(v.Dev, v.Geo, ino)
 	if corrupt {
 		return nil, nil, nil, fmt.Errorf("inode %d: corrupt record", ino)
@@ -247,77 +294,143 @@ func (v *V) parseDir(ino uint64, prev *DirView) (dv *DirView, was, now []DirEntr
 	if in.DataRoot == 0 || in.DataRoot >= v.Geo.PageCount {
 		return nil, nil, nil, fmt.Errorf("inode %d: tail-set page %d out of range", ino, in.DataRoot)
 	}
-	nt := layout.TailCount(v.Dev, in.DataRoot)
-	if nt != int(in.NTails) || nt <= 0 || nt > layout.MaxTails {
+	// fromPrev reports whether page p is taken from prev. The question is
+	// put to kv first, whatever the answer: it is what clears p's bit
+	// before p is read.
+	fromPrev := func(p uint64, inPrev bool) bool {
+		return kv != nil && kv.CleanPage(ino, p) && inPrev
+	}
+	dv = &DirView{Inode: in}
+	read, clean, scanned := 0, 0, 0 // pages scanned, pages taken from prev, records scanned
+	if fromPrev(in.DataRoot, in.DataRoot == prev.Inode.DataRoot) {
+		dv.heads, clean = prev.heads, 1
+	} else {
+		nt := layout.TailCount(v.Dev, in.DataRoot)
+		if nt <= 0 || nt > layout.MaxTails {
+			return nil, nil, nil, fmt.Errorf("inode %d: tail count %d disagrees with inode (%d)", ino, nt, in.NTails)
+		}
+		var heads [layout.MaxTails]uint64
+		for t := range nt {
+			// Each head is read once: the chain that is scanned is the
+			// chain that was walked.
+			heads[t] = layout.TailHead(v.Dev, in.DataRoot, t)
+		}
+		if dv.heads = prev.heads; !slices.Equal(heads[:nt], prev.heads) {
+			dv.heads = slices.Clone(heads[:nt])
+		}
+		read = 1
+	}
+	if nt := len(dv.heads); nt != int(in.NTails) {
 		return nil, nil, nil, fmt.Errorf("inode %d: tail count %d disagrees with inode (%d)", ino, nt, in.NTails)
 	}
-	dv = &DirView{Inode: in, Pages: make([]uint64, 0, len(prev.Pages)+1)}
 	// kept marks the entries of prev still there under the same inode;
-	// every other live record goes to now.
-	kept := make([]bool, len(prev.Entries))
-	for t := 0; t < nt; t++ {
-		// The head is read once: the chain that is scanned is the chain
-		// that was walked, and a cycle never reaches the scan.
-		head := layout.TailHead(v.Dev, in.DataRoot, t)
-		if dv.Pages, err = v.chain(dv.Pages, head, "log"); err != nil {
-			return nil, nil, nil, fmt.Errorf("inode %d: %v", ino, err)
-		}
-		_, _, corrupt := layout.ScanTail(v.Dev, head, func(d layout.RawDentry) bool {
-			dv.Records++
-			if !d.Live {
-				return true
+	// every other live record goes to now. moved lists the kept entries
+	// found on another page than prev's; taken marks the pages of
+	// prev.byPage taken unread, whose live entries are all kept.
+	flags := make([]bool, len(prev.Entries)+len(prev.byPage))
+	kept, taken := flags[:len(prev.Entries)], flags[len(prev.Entries):]
+	var moved []DirEntry
+	var name []byte // the scans' name buffer, made at the first scan
+	dv.Pages = make([]uint64, 0, len(prev.Pages)+1)
+	dv.byPage = make([]logPage, 0, len(prev.byPage)+1)
+	for _, head := range dv.heads {
+		var loop loopCheck
+		for p := head; p != 0; {
+			if err := v.step(&loop, p, "log"); err != nil {
+				return nil, nil, nil, fmt.Errorf("inode %d: %v", ino, err)
 			}
-			if !layout.ValidName(d.Name) {
-				err = fmt.Errorf("inode %d: invalid name %q", ino, d.Name)
-				return false
+			i, inPrev := prev.pageIndex(p)
+			var lp logPage
+			if fromPrev(p, inPrev) {
+				lp, taken[i] = prev.byPage[i], true
+				clean++
+			} else {
+				if name == nil {
+					name = make([]byte, layout.MaxName)
+				}
+				lp = logPage{no: p}
+				_, corrupt, _ := layout.ScanPage(v.Dev, p, name, func(d layout.RawDentry) bool {
+					lp.recs++
+					if !d.Live {
+						return true
+					}
+					if !layout.ValidName(d.Name) {
+						err = fmt.Errorf("inode %d: invalid name %q", ino, d.Name)
+						return false
+					}
+					switch i, found := searchName(prev.Entries, d.Name); {
+					case !found:
+						now = append(now, DirEntry{Name: string(d.Name), Ino: d.Ino, page: p})
+					case kept[i]:
+						err = fmt.Errorf("inode %d: duplicate name %q", ino, d.Name)
+						return false
+					case prev.Entries[i].Ino == d.Ino:
+						kept[i] = true
+						if prev.Entries[i].page != p {
+							moved = append(moved, DirEntry{Name: prev.Entries[i].Name, Ino: d.Ino, page: p})
+						}
+					default:
+						now = append(now, DirEntry{Name: prev.Entries[i].Name, Ino: d.Ino, page: p})
+					}
+					return true
+				})
+				if err != nil {
+					return nil, nil, nil, err
+				}
+				if corrupt {
+					return nil, nil, nil, fmt.Errorf("inode %d: corrupt dentry record (torn commit?)", ino)
+				}
+				lp.next = layout.NextPage(v.Dev, p)
+				read++
+				scanned += lp.recs
 			}
-			switch i, found := searchName(prev.Entries, d.Name); {
-			case !found:
-				now = append(now, DirEntry{Name: string(d.Name), Ino: d.Ino})
-			case kept[i]:
-				err = fmt.Errorf("inode %d: duplicate name %q", ino, d.Name)
-				return false
-			case prev.Entries[i].Ino == d.Ino:
-				kept[i] = true
-			default:
-				now = append(now, DirEntry{Name: prev.Entries[i].Name, Ino: d.Ino})
-			}
-			return true
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if corrupt {
-			return nil, nil, nil, fmt.Errorf("inode %d: corrupt dentry record (torn commit?)", ino)
+			dv.Pages = append(dv.Pages, p)
+			dv.byPage = append(dv.byPage, lp)
+			dv.Records += lp.recs
+			p = lp.next
 		}
 	}
-	set, dup, isDup := sortedSet(dv.Pages)
-	if isDup {
-		return nil, nil, nil, fmt.Errorf("inode %d: log page %d linked twice", ino, dup)
+	slices.SortFunc(dv.byPage, func(a, b logPage) int { return cmp.Compare(a.no, b.no) })
+	for i := 1; i < len(dv.byPage); i++ {
+		if dv.byPage[i].no == dv.byPage[i-1].no {
+			return nil, nil, nil, fmt.Errorf("inode %d: log page %d linked twice", ino, dv.byPage[i].no)
+		}
 	}
-	dv.pageSet = set
+	// The live entries of a page taken from prev are there as prev had
+	// them, unless a scanned page holds one of their names too.
+	for i, e := range prev.Entries {
+		if j, ok := prev.pageIndex(e.page); ok && taken[j] {
+			if kept[i] {
+				return nil, nil, nil, fmt.Errorf("inode %d: duplicate name %q", ino, e.Name)
+			}
+			kept[i] = true
+		}
+	}
 	for i, k := range kept {
 		if !k {
 			was = append(was, prev.Entries[i])
 		}
 	}
 	dv.Entries = prev.Entries
-	if len(was) > 0 || len(now) > 0 {
+	if len(was) > 0 || len(now) > 0 || len(moved) > 0 {
 		slices.SortFunc(now, func(a, b DirEntry) int { return strings.Compare(a.Name, b.Name) })
-		if err := dv.mergeEntries(prev.Entries, kept, now); err != nil {
+		slices.SortFunc(moved, func(a, b DirEntry) int { return strings.Compare(a.Name, b.Name) })
+		if err := dv.mergeEntries(prev.Entries, kept, moved, now); err != nil {
 			return nil, nil, nil, fmt.Errorf("inode %d: %v", ino, err)
 		}
 	}
-	v.Cost.VerifyDentries(dv.Records)
-	v.Cost.VerifyPages(len(dv.Pages) + 1)
-	v.Stats.Dentries.Add(int64(dv.Records))
-	v.Stats.Pages.Add(int64(len(dv.Pages) + 1))
+	v.Cost.VerifyDentries(scanned)
+	v.Cost.VerifyPages(read)
+	v.Stats.Dentries.Add(int64(scanned))
+	v.Stats.Pages.Add(int64(read))
+	v.Stats.PagesClean.Add(int64(clean))
 	return dv, was, now, nil
 }
 
-// mergeEntries sets dv's entries to the kept ones of old plus added (both
-// sorted by name), and rejects a name or an inode that then occurs twice.
-func (dv *DirView) mergeEntries(old []DirEntry, kept []bool, added []DirEntry) error {
+// mergeEntries sets dv's entries to the kept ones of old, each moved one on
+// its new page, plus added (all three sorted by name), and rejects a name
+// or an inode that then occurs twice.
+func (dv *DirView) mergeEntries(old []DirEntry, kept []bool, moved, added []DirEntry) error {
 	// The kept entries already name distinct inodes: a second link is
 	// between two added entries, or an added and a kept one.
 	byIno := slices.Clone(added)
@@ -334,6 +447,9 @@ func (dv *DirView) mergeEntries(old []DirEntry, kept []bool, added []DirEntry) e
 		}
 		if !kept[i] {
 			continue
+		}
+		if len(moved) > 0 && moved[0].Name == e.Name {
+			e.page, moved = moved[0].page, moved[1:]
 		}
 		if j, dup := slices.BinarySearchFunc(byIno, e.Ino, func(a DirEntry, ino uint64) int { return cmp.Compare(a.Ino, ino) }); dup {
 			return fmt.Errorf("inode %d linked as both %q and %q", e.Ino, e.Name, byIno[j].Name)
@@ -370,7 +486,8 @@ func (v *V) parseFile(ino uint64, prev *FileView) (fv *FileView, came, gone []ui
 	if fv.MapPages, err = v.chain(make([]uint64, 0, len(prev.MapPages)), in.DataRoot, "map"); err != nil {
 		return nil, nil, nil, fmt.Errorf("inode %d: %v", ino, err)
 	}
-	fv.mapSet, _, _ = sortedSet(fv.MapPages) // one chain without a cycle repeats no page
+	fv.mapSet = slices.Clone(fv.MapPages) // one chain without a cycle repeats no page
+	slices.Sort(fv.mapSet)
 	// The size is the LibFS's word; the chain bounds what is allocated
 	// for it.
 	need := layout.BlocksForSize(in.Size)

@@ -1,6 +1,7 @@
 package verifier
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -22,6 +23,10 @@ type fakeKV struct {
 	owned      map[uint64]bool
 	ownedOther map[uint64]bool
 	renameLock bool
+	// dev, when set, is the device whose dirty bits CleanPage harvests, as
+	// the kernel does for the pages its owner table gives the directory:
+	// here every page but the denied ones. Without it every page is dirty.
+	dev *pmem.Device
 }
 
 func (f *fakeKV) Shadow(ino uint64) (ShadowInfo, bool) {
@@ -35,6 +40,9 @@ func (f *fakeKV) PageUsableBy(_ int64, _, page uint64) bool {
 func (f *fakeKV) OwnedBy(_ int64, ino uint64) bool      { return f.owned[ino] }
 func (f *fakeKV) OwnedByOther(_ int64, ino uint64) bool { return f.ownedOther[ino] }
 func (f *fakeKV) HoldsRenameLock(int64) bool            { return f.renameLock }
+func (f *fakeKV) CleanPage(_, page uint64) bool {
+	return f.dev != nil && !f.denied[page] && !f.dev.ClearDirty(page)
+}
 func (f *fakeKV) IsDescendant(node, anc uint64) bool {
 	// Walk the fake shadow parents.
 	cur := node
@@ -95,7 +103,7 @@ func TestParseDirHappyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dv.Entries) != 2 || dv.Entries[0] != (DirEntry{Name: "a", Ino: 10}) {
+	if len(dv.Entries) != 2 || dv.Entries[0].Name != "a" || dv.Entries[0].Ino != 10 {
 		t.Fatalf("entries: %+v", dv.Entries)
 	}
 	if len(dv.Pages) != 1 {
@@ -389,6 +397,9 @@ type img struct {
 	dev  *pmem.Device
 	g    layout.Geometry
 	next uint64
+	// scratch is where rewriteDir renders a directory before it stores the
+	// pages that differ.
+	scratch *pmem.Device
 }
 
 const (
@@ -433,18 +444,63 @@ type rec struct {
 // chain tails[t], and spreads recs over the tails round-robin.
 func (m *img) writeDir(tailset uint64, tails [2][]uint64, recs []rec) {
 	m.tb.Helper()
-	layout.InitTailSet(m.dev, tailset, 2)
+	m.layDir(m.dev, tailset, tails, recs)
+}
+
+// rewriteDir lays out the directory writeDir would, as a LibFS does it:
+// only the pages whose bytes change are stored to. It returns those pages,
+// and the record slots on each page of the chain.
+func (m *img) rewriteDir(tailset uint64, tails [2][]uint64, recs []rec) (written map[uint64]bool, slots map[uint64]int) {
+	m.tb.Helper()
+	if m.scratch == nil {
+		m.scratch = pmem.New(m.dev.Size(), nil)
+	}
+	slots = m.layDir(m.scratch, tailset, tails, recs)
+	written = map[uint64]bool{}
+	for _, p := range slices.Concat([]uint64{tailset}, tails[0], tails[1]) {
+		off := int64(p) * layout.PageSize
+		if want := m.scratch.Slice(off, layout.PageSize); !bytes.Equal(want, m.dev.Slice(off, layout.PageSize)) {
+			m.dev.Write(off, want)
+			written[p] = true
+		}
+	}
+	in, _, _ := layout.ReadInode(m.scratch, m.g, imgDir)
+	layout.WriteInode(m.dev, m.g, imgDir, &in)
+	return written, slots
+}
+
+// fits reports whether writeDir can lay recs out on tails.
+func fits(tails [2][]uint64, recs []rec) bool {
+	var at [2]struct{ page, off int }
+	for i, r := range recs {
+		c := &at[i%2]
+		if !layout.DentryFits(c.off, len(r.name)) {
+			c.page, c.off = c.page+1, 0
+		}
+		if c.page >= len(tails[i%2]) {
+			return false
+		}
+		c.off += layout.DentryRecLen(len(r.name))
+	}
+	return true
+}
+
+// layDir is writeDir on dev, returning the record slots on each log page.
+func (m *img) layDir(dev *pmem.Device, tailset uint64, tails [2][]uint64, recs []rec) map[uint64]int {
+	m.tb.Helper()
+	layout.InitTailSet(dev, tailset, 2)
 	var at [2]struct{ page, off int }
 	for t, chain := range tails {
 		for i, p := range chain {
-			layout.ZeroPage(m.dev, p)
+			layout.ZeroPage(dev, p)
 			if i == 0 {
-				layout.SetTailHead(m.dev, tailset, t, p)
+				layout.SetTailHead(dev, tailset, t, p)
 			} else {
-				layout.SetNextPage(m.dev, chain[i-1], p)
+				layout.SetNextPage(dev, chain[i-1], p)
 			}
 		}
 	}
+	slots := map[uint64]int{}
 	for i, r := range recs {
 		t := i % 2
 		c := &at[t]
@@ -455,15 +511,17 @@ func (m *img) writeDir(tailset uint64, tails [2][]uint64, recs []rec) {
 			m.tb.Fatalf("tail %d: %d pages do not hold the records", t, len(tails[t]))
 		}
 		ref := layout.MakeDentryRef(tails[t][c.page], c.off)
-		layout.WriteDentryBody(m.dev, ref, r.ino, r.name)
+		layout.WriteDentryBody(dev, ref, r.ino, r.name)
 		if !r.dead {
-			layout.CommitDentry(m.dev, ref, len(r.name))
+			layout.CommitDentry(dev, ref, len(r.name))
 		}
 		c.off += layout.DentryRecLen(len(r.name))
+		slots[tails[t][c.page]]++
 	}
 	in := layout.Inode{Type: layout.TypeDir, Perm: layout.PermRead | layout.PermWrite, Nlink: 2,
 		DataRoot: tailset, NTails: 2, Parent: layout.RootIno}
-	layout.WriteInode(m.dev, m.g, imgDir, &in)
+	layout.WriteInode(dev, m.g, imgDir, &in)
+	return slots
 }
 
 // writeFile makes imgFile a file of size bytes whose map chain is mapPages
@@ -492,7 +550,7 @@ func (m *img) writeFile(size uint64, mapPages, blocks []uint64) {
 // every page but the denied ones is usable.
 func (m *img) kv(denied ...uint64) *fakeKV {
 	dir, _, _ := layout.ReadInode(m.dev, m.g, imgDir)
-	kv := &fakeKV{pagesOK: true, denied: map[uint64]bool{}, shadows: map[uint64]ShadowInfo{
+	kv := &fakeKV{pagesOK: true, denied: map[uint64]bool{}, dev: m.dev, shadows: map[uint64]ShadowInfo{
 		imgDir: {Ino: imgDir, Type: layout.TypeDir, Perm: layout.PermRead | layout.PermWrite, Parent: layout.RootIno,
 			DataRoot: dir.DataRoot, NTails: 2, Committed: true},
 		imgFile: {Ino: imgFile, Type: layout.TypeFile, Perm: layout.PermRead | layout.PermWrite, Parent: layout.RootIno, Committed: true},
@@ -597,6 +655,17 @@ func anyDenied(kv *fakeKV, pages []uint64) bool {
 	return slices.ContainsFunc(pages, func(p uint64) bool { return kv.denied[p] })
 }
 
+// verifierWork is a reading of a verifier's work counters.
+type verifierWork struct{ dentries, pages, clean int64 }
+
+func work(v *V) verifierWork {
+	return verifierWork{v.Stats.Dentries.Load(), v.Stats.Pages.Load(), v.Stats.PagesClean.Load()}
+}
+
+func (w verifierWork) minus(o verifierWork) verifierWork {
+	return verifierWork{w.dentries - o.dentries, w.pages - o.pages, w.clean - o.clean}
+}
+
 // pick returns up to n distinct elements of pool, shuffled.
 func pick[T any](rng *rand.Rand, pool []T, n int) []T {
 	out := slices.Clone(pool)
@@ -606,17 +675,25 @@ func pick[T any](rng *rand.Rand, pool []T, n int) []T {
 
 // TestVerifyDirMatchesMapReference drives a directory through seeded random
 // rounds — names added, removed, renamed within the directory, re-pointed
-// and swapped, the log rewritten onto kept and fresh pages, and now and then
-// a duplicate name, a double link, a shared page or a page the kernel
+// and swapped, the log rewritten onto kept and fresh pages or changed in
+// place (dead records and appends, as a LibFS does it), and now and then a
+// duplicate name, a double link, a shared page or a page the kernel
 // denies — and demands of every round the verdict, and Changes, NewPages and
-// FreedPages in the order, the map-based verifier gave. Each accepted view
-// is the next round's baseline, and must equal a cold parse of the image.
+// FreedPages in the order, the map-based verifier gave. Each round stores
+// only the pages it changes, so the verifier takes every other page of the
+// baseline unread: each accepted view is the next round's baseline, and must
+// equal a cold parse of the image field by field, and the records and pages
+// it scanned must be exactly those of the pages stored to since their last
+// verification, the pages new to the chain and the pages the kernel does
+// not give the directory. A rejected round leaves the baseline in place
+// with its pages dirty again, as the kernel does.
 func TestVerifyDirMatchesMapReference(t *testing.T) {
-	var accepted, rejected, changes, pages int
+	var accepted, rejected, changes, pages, scanned, taken int
 	defer func() {
-		t.Logf("%d rounds accepted (%d changes, %d pages new or freed), %d rejected", accepted, changes, pages, rejected)
-		if accepted < 500 || rejected < 100 || changes < 2000 || pages < 1000 {
-			t.Error("the generator no longer covers both verdicts and both diffs")
+		t.Logf("%d rounds accepted (%d changes, %d pages new or freed; %d pages scanned, %d taken clean), %d rejected",
+			accepted, changes, pages, scanned, taken, rejected)
+		if accepted < 500 || rejected < 100 || changes < 2000 || pages < 1000 || taken < 1000 || scanned < 1000 {
+			t.Error("the generator no longer covers both verdicts, both diffs and both kinds of page")
 		}
 	}()
 	for seed := int64(1); seed <= 40; seed++ {
@@ -626,7 +703,8 @@ func TestVerifyDirMatchesMapReference(t *testing.T) {
 		pool := m.pages(12)
 		names := make([]string, 48)
 		for i := range names {
-			names[i] = fmt.Sprintf("%c%x", 'a'+rng.Intn(4), rng.Intn(1<<16)+i<<16)
+			// Up to 120 bytes: a tail's records span pages.
+			names[i] = fmt.Sprintf("%c%x%s", 'a'+rng.Intn(4), rng.Intn(1<<16)+i<<16, strings.Repeat("-", rng.Intn(112)))
 		}
 		inos := make([]uint64, 200)
 		for i := range inos {
@@ -637,7 +715,14 @@ func TestVerifyDirMatchesMapReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// stale is the test's own account of the dirty bits: a page is
+		// stale from its last store until a verification harvests it. A
+		// new device's pages are all stale.
+		stale := map[uint64]bool{}
+		isStale := func(p uint64) bool { s, seen := stale[p]; return s || !seen }
 		oldMap := map[string]uint64{}
+		var oldRecs []rec // the records of the last accepted round
+		var oldTails [2][]uint64
 		for round := 0; round < 30; round++ {
 			cur := map[string]uint64{}
 			for k, v := range oldMap {
@@ -676,9 +761,29 @@ func TestVerifyDirMatchesMapReference(t *testing.T) {
 					delete(cur, name)
 				}
 			}
+			// In place: the last accepted records, a gone name's record dead,
+			// a re-pointed one's inode rewritten, new names appended, on the
+			// same chain. Otherwise the live names, shuffled, on a new chain.
+			inPlace := oldRecs != nil && rng.Intn(2) == 0
 			var recs []rec
-			for _, name := range sortedKeys(cur) {
-				recs = append(recs, rec{name: name, ino: cur[name]})
+			if inPlace {
+				recs = slices.Clone(oldRecs)
+				for i, r := range recs {
+					if ino, still := cur[r.name]; !r.dead && !still {
+						recs[i].dead = true
+					} else if !r.dead {
+						recs[i].ino = ino
+					}
+				}
+				for _, name := range sortedKeys(cur) {
+					if _, had := oldMap[name]; !had {
+						recs = append(recs, rec{name: name, ino: cur[name]})
+					}
+				}
+			} else {
+				for _, name := range sortedKeys(cur) {
+					recs = append(recs, rec{name: name, ino: cur[name]})
+				}
 			}
 			for n := rng.Intn(4); n > 0; n-- {
 				recs = append(recs, rec{name: names[rng.Intn(len(names))], ino: free(), dead: true})
@@ -687,23 +792,34 @@ func TestVerifyDirMatchesMapReference(t *testing.T) {
 			switch rng.Intn(12) {
 			case 0: // a second live record of a name
 				if len(cur) > 0 {
-					recs = append(recs, rec{name: recs[0].name, ino: free()})
+					name := sortedKeys(cur)[0]
+					recs = append(recs, rec{name: name, ino: free()})
 					wantOK = false
 				}
 			case 1: // a second name for an inode
 				if len(cur) > 0 {
-					recs = append(recs, rec{name: "alias", ino: recs[0].ino})
+					recs = append(recs, rec{name: "alias", ino: cur[sortedKeys(cur)[0]]})
 					wantOK = false
 				}
 			}
-			rng.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
-			chain := pick(rng, pool, 2+rng.Intn(4))
-			tails := [2][]uint64{chain[:len(chain)/2], chain[len(chain)/2:]}
-			if rng.Intn(12) == 0 {
-				tails[1] = append(tails[1], tails[0][0]) // tail 1 runs into tail 0
-				wantOK = false
+			tails := oldTails
+			if inPlace = inPlace && fits(tails, recs); !inPlace {
+				rng.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
+				for n := 2 + rng.Intn(4); ; n++ {
+					chain := pick(rng, pool, n)
+					if tails = [2][]uint64{chain[:len(chain)/2], chain[len(chain)/2:]}; fits(tails, recs) {
+						break
+					}
+				}
+				if rng.Intn(12) == 0 {
+					tails[1] = append(tails[1], tails[0][0]) // tail 1 runs into tail 0
+					wantOK = false
+				}
 			}
-			m.writeDir(tailset, tails, recs)
+			written, slots := m.rewriteDir(tailset, tails, recs)
+			for p := range written {
+				stale[p] = true
+			}
 			var denied []uint64
 			if rng.Intn(6) == 0 {
 				denied = pick(rng, pool, 1)
@@ -713,14 +829,43 @@ func TestVerifyDirMatchesMapReference(t *testing.T) {
 			curPages := append(slices.Clone(tails[0]), tails[1]...)
 			wantNew, wantFreed, pagesOK := refPages(old.Pages, nil, curPages, nil)
 			wantOK = wantOK && pagesOK && !anyDenied(kv, wantNew)
+			// A page is scanned if it is stale, new to the chain, or not the
+			// directory's; every other one is taken from the baseline.
+			wantRecs, wantPages := 0, 0
+			for _, p := range slices.Concat([]uint64{tailset}, curPages) {
+				inBase := old.hasPage(p)
+				if isStale(p) || kv.denied[p] || !inBase && p != tailset {
+					wantRecs, wantPages = wantRecs+slots[p], wantPages+1
+				}
+			}
+			before := work(m.v)
 			res, err := m.v.VerifyDir(1, imgDir, old, kv)
 			if (err == nil) != wantOK {
 				t.Fatalf("seed %d round %d: verdict %v, reference accepts: %v", seed, round, err, wantOK)
 			}
 			if err != nil {
 				rejected++
-				continue // the kernel rolls back: the baseline stands
+				// The kernel rolls back: the baseline stands, and the next
+				// verification reads its pages again (here a store of a
+				// word's own value marks them). Pages outside it are scanned
+				// when next met anyway.
+				for _, p := range append([]uint64{tailset}, old.Pages...) {
+					off := int64(p) * layout.PageSize
+					m.dev.Store64(off, m.dev.Load64(off))
+					stale[p] = true
+				}
+				continue
 			}
+			for _, p := range slices.Concat([]uint64{tailset}, curPages) {
+				if !kv.denied[p] {
+					stale[p] = false
+				}
+			}
+			if d, want := work(m.v).minus(before), (verifierWork{int64(wantRecs), int64(wantPages), int64(1 + len(curPages) - wantPages)}); d != want {
+				t.Fatalf("seed %d round %d: scanned %d records on %d pages and took %d clean, want %d, %d and %d",
+					seed, round, d.dentries, d.pages, d.clean, want.dentries, want.pages, want.clean)
+			}
+			scanned, taken = scanned+wantPages, taken+1+len(curPages)-wantPages
 			accepted, changes, pages = accepted+1, changes+len(res.Changes), pages+len(res.NewPages)+len(res.FreedPages)
 			var got []refChange
 			for _, ch := range res.Changes {
@@ -734,10 +879,10 @@ func TestVerifyDirMatchesMapReference(t *testing.T) {
 			}
 			cold, err := m.v.ParseDir(imgDir)
 			if v := res.View; err != nil || cold.Inode != v.Inode || cold.Records != v.Records || !slices.Equal(cold.Entries, v.Entries) ||
-				!slices.Equal(cold.Pages, v.Pages) || !slices.Equal(cold.pageSet, v.pageSet) {
+				!slices.Equal(cold.Pages, v.Pages) || !slices.Equal(cold.heads, v.heads) || !slices.Equal(cold.byPage, v.byPage) {
 				t.Fatalf("seed %d round %d: the view verified against a baseline differs from a cold parse (%v)\n got %+v\nwant %+v", seed, round, err, v, cold)
 			}
-			old, oldMap = res.View, cur
+			old, oldMap, oldRecs, oldTails = res.View, cur, recs, tails
 		}
 	}
 }
@@ -992,7 +1137,9 @@ func TestChainCycleCostsTheCycle(t *testing.T) {
 
 // TestVerifyAllocatesForTheChange pins the allocation count of a
 // verification whose baseline is the previous view: a small constant for
-// one changed block or one added name, whatever the size of the inode.
+// one changed block or one added name, whatever the size of the inode. A
+// directory's work is pinned too: adding a name reads the one log page it
+// dirtied, that page's records and no other, at any size.
 func TestVerifyAllocatesForTheChange(t *testing.T) {
 	fileAllocs := func(blocks int) float64 {
 		b := newFileBench(t, blocks)
@@ -1000,7 +1147,17 @@ func TestVerifyAllocatesForTheChange(t *testing.T) {
 	}
 	dirAllocs := func(names int) float64 {
 		b := newDirBench(t, names)
-		return testing.AllocsPerRun(20, b.step)
+		allocs := testing.AllocsPerRun(20, b.step)
+		before := work(b.v)
+		b.step()
+		var recs int64
+		layout.ScanPage(b.dev, b.spare.Page(), make([]byte, layout.MaxName), func(layout.RawDentry) bool { recs++; return true })
+		w := work(b.v).minus(before)
+		t.Logf("VerifyDir, one name added or removed among %d: %+v, %d records on the spare's page", names, w, recs)
+		if w.pages != 1 || w.dentries != recs {
+			t.Errorf("VerifyDir at %d names scanned %d records on %d pages, want the %d records of the changed name's page alone", names, w.dentries, w.pages, recs)
+		}
+		return allocs
 	}
 	small, large := fileAllocs(512), fileAllocs(16384)
 	t.Logf("VerifyFile, one changed block: %.0f allocs at 512 blocks, %.0f at 16384", small, large)

@@ -72,14 +72,16 @@ func fail(ino uint64, format string, args ...any) error {
 
 // VerifyDir checks directory ino as released (or committed) by app
 // against old, the view its last verification (or its acquire) produced,
-// and the kernel's shadow state.
+// and the kernel's shadow state. It reads only the pages of the directory
+// that kv.CleanPage does not report clean, and those old does not hold;
+// every other page it takes from old.
 func (v *V) VerifyDir(app int64, ino uint64, old *DirView, kv KernelView) (*DirResult, error) {
 	sh, ok := kv.Shadow(ino)
 	if !ok {
 		return nil, fail(ino, "no shadow record")
 	}
 	// was holds the old side of every name that changed, now the new side.
-	dv, was, now, err := v.parseDir(ino, old)
+	dv, was, now, err := v.parseDir(ino, old, kv)
 	if err != nil {
 		return nil, fail(ino, "structural: %v", err)
 	}
@@ -171,16 +173,16 @@ func (v *V) VerifyDir(app int64, ino uint64, old *DirView, kv KernelView) (*DirR
 	// Page accounting: every page newly linked into the log must be
 	// usable by this app; pages no longer linked are reclaimed.
 	for _, p := range dv.Pages {
-		if !contains(old.pageSet, p) {
+		if !old.hasPage(p) {
 			if !kv.PageUsableBy(app, ino, p) {
 				return nil, fail(ino, "log page %d not granted to the releasing LibFS", p)
 			}
 			res.NewPages = append(res.NewPages, p)
 		}
 	}
-	for _, p := range old.pageSet {
-		if !contains(dv.pageSet, p) {
-			res.FreedPages = append(res.FreedPages, p)
+	for _, lp := range old.byPage {
+		if !dv.hasPage(lp.no) {
+			res.FreedPages = append(res.FreedPages, lp.no)
 		}
 	}
 	return res, nil

@@ -42,6 +42,44 @@ func TestSentinelErrorsComparedWithErrorsIs(t *testing.T) {
 	})
 }
 
+// TestOnlyTheKernelClearsDirtyBits keeps a page's dirty bit what a PTE
+// dirty bit is: every store sets it and only the kernel clears it. Whoever
+// else could clear one could hide a store from the next directory
+// verification, which takes a clean page from its baseline unread. So
+// pmem.Device.ClearDirty is named only in internal/kernel, in
+// internal/pmem's tests, and in the verifier tests' fake kernel view; and
+// recovery, which trusts no bit, names no dirty-bit method at all.
+func TestOnlyTheKernelClearsDirtyBits(t *testing.T) {
+	const recovery = "internal/kernel/recover.go"
+	mayClear := func(path string) bool {
+		return strings.HasPrefix(path, "internal/kernel/") && path != recovery ||
+			strings.HasPrefix(path, "internal/pmem/") && strings.HasSuffix(path, "_test.go") ||
+			path == "internal/verifier/verifier_test.go"
+	}
+	seen := 0
+	walkModuleGo(t, func(fset *token.FileSet, path string, file *ast.File) {
+		ast.Inspect(file, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			switch name := sel.Sel.Name; {
+			case name == "ClearDirty":
+				seen++
+				if !mayClear(path) {
+					t.Errorf("%s: %s outside the kernel", fset.Position(sel.Sel.Pos()), name)
+				}
+			case path == recovery && (name == "Dirty" || name == "CleanPage"):
+				t.Errorf("%s: recovery reads dirty bits (%s)", fset.Position(sel.Sel.Pos()), name)
+			}
+			return true
+		})
+	})
+	if seen == 0 {
+		t.Error("no use of ClearDirty found: the rule checks nothing")
+	}
+}
+
 // walkModuleGo parses every Go file of this module — tests included,
 // testdata, dot-directories and nested modules (benchmark/) excluded —
 // and hands each to fn with its slash-separated path.
