@@ -174,7 +174,7 @@ func loopWarmup() []Op {
 //   - compact-churn puts the enumerated row's churn warmup ahead of the
 //     generated ops, so the first release after one more dead slot
 //     compacts the root's log and seeded kills land on the compaction's
-//     fences and on libfs.compact.swap.
+//     fence and on libfs.compact.swap.
 //   - soak-nova: a baseline has no recovery scan to test, so it runs
 //     crash-free and must match the oracle's live namespace.
 func Campaign() []Config {
@@ -204,21 +204,23 @@ func Campaign() []Config {
 		{Kind: OpRelease},
 	}
 	// Churn the root to one dead slot short of a compaction, then tip it
-	// over inside the tracked window: the second release rewrites the log
-	// with the keepers — verified, multi-line records — in the pages it
-	// replaces. Every churn name is created before any is unlinked: a
-	// create fills a dead slot of its length, so create-unlink pairs would
-	// leave one dead slot, not a page of them. For the same reason the
-	// churn names have a record length no generated name has (genOps
-	// writes 4- and 59-byte names), or the looped row's creates would
-	// refill the churned slots and seldom tip the log over.
+	// over inside the tracked window: the second release splices out the
+	// churn's pages behind the keepers' — verified, multi-line records —
+	// and keeps the rest. Every churn name is created before any is
+	// unlinked: a create fills a dead slot of its length, so create-unlink
+	// pairs would leave one dead slot, not a page of them. For the same
+	// reason the churn names have a record length no generated name has
+	// (genOps writes 4- and 59-byte names), or the looped row's creates
+	// would refill the churned slots and seldom tip the log over. They are
+	// 42 bytes, 63 records a page, so the churn fills at least one page
+	// between the keepers' and the append page: what the release unlinks.
 	churnWarm := append([]Op(nil), warm...)
 	for i := 0; i < 6; i++ {
 		churnWarm = append(churnWarm, Op{Kind: OpCreate, Path: fmt.Sprintf("/keeper%d%s", i, longName)})
 	}
 	for _, kind := range []OpKind{OpCreate, OpUnlink} {
 		for i := 0; i < libfs.CompactMinDeadSlots-1; i++ {
-			churnWarm = append(churnWarm, Op{Kind: kind, Path: fmt.Sprintf("/churn-%03d", i)})
+			churnWarm = append(churnWarm, Op{Kind: kind, Path: fmt.Sprintf("/churn-%03d-0123456789abcdef0123456789abcdef", i)})
 		}
 	}
 	compact := []Op{
@@ -235,10 +237,9 @@ func Campaign() []Config {
 		{Name: "reserve-scan/arckfs", Bugs: libfs.BugAuxCoreRace | libfs.BugReserveLenUnflushed, Warmup: warm, Ops: reserve, Expect: []string{lost}},
 		{Name: "reserve-scan/arckfs+", Warmup: warm, Ops: reserve},
 		{Name: "mixed-ops/arckfs+", Warmup: warm, Ops: mixed},
-		// Release-time log compaction: every crash image at the
-		// chain-durable fence and at the head-publish fence must mount,
-		// repair clean and still resolve every verified path — the old
-		// chain or the new one, never a mixture.
+		// Release-time log compaction: every crash image at the splice
+		// fence must mount, repair clean and still resolve every verified
+		// path — the old chain or the spliced one.
 		{Name: "compact-churn/arckfs+", Warmup: churnWarm, Ops: compact},
 
 		{Name: "arckfs-plus"},

@@ -146,8 +146,8 @@ func TestCheckImageModelFree(t *testing.T) {
 // against silently testing nothing: its warmup stops one dead slot short
 // of libfs.CompactMinDeadSlots, so the tracked release must run exactly
 // one compaction, and the checker must have enumerated crash images at
-// both of its fences — a page of streamed lines (sampled) and the single
-// head line (exhaustive) — on top of the per-op points.
+// its one fence — the splice's next-pointer line, exhaustively — on top
+// of the per-op points.
 func TestCompactionConfigCompacts(t *testing.T) {
 	res := rowResult(t, "compact-churn/arckfs+")
 	if !res.OK() {
@@ -162,12 +162,12 @@ func TestCompactionConfigCompacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The release adds its post-op checkpoint and the two compaction fences.
-	if got := res.Points - base.Points; got != 3 {
-		t.Fatalf("the compacting release added %d observation points, want 3", got)
+	// The release adds its post-op checkpoint and the splice fence.
+	if got := res.Points - base.Points; got != 2 {
+		t.Fatalf("the compacting release added %d observation points, want 2", got)
 	}
-	if res.Sampled <= base.Sampled || res.Images < base.Images+100 {
-		t.Fatalf("compaction fences barely enumerated: %d images (%d without), sampled %d (%d without)",
-			res.Images, base.Images, res.Sampled, base.Sampled)
+	if res.Exhaustive != base.Exhaustive+1 || res.Sampled != base.Sampled {
+		t.Fatalf("the splice fence was not enumerated exhaustively: exhaustive %d (%d without), sampled %d (%d without)",
+			res.Exhaustive, base.Exhaustive, res.Sampled, base.Sampled)
 	}
 }

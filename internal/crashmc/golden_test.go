@@ -17,7 +17,7 @@ func TestCampaignGolden(t *testing.T) {
 	var summaries, breaches []string
 	for _, res := range campaignResults(t) {
 		if res.Config.Name == "compact-churn" {
-			continue // checked by TestLoopCompactChurnKills; the golden predates it
+			continue // checked by TestCampaignReachesEverySite; the golden predates it
 		}
 		summaries = append(summaries, res.Summary())
 		for _, b := range res.Breaches {

@@ -37,7 +37,8 @@ var killpointPool = []struct {
 	// Detach) — and the generator stays inside same-parent renames on
 	// purpose (see genOps).
 	{site: "pmem.batch.drain", unreachable: true},
-	// A compaction publishes once per ~170 dead slots.
+	// A compaction splices at most once per release, and only after
+	// ~170 dead slots.
 	{site: "libfs.compact.swap", firstHit: true},
 }
 

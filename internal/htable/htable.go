@@ -50,8 +50,9 @@ type Entry struct {
 	name string
 	Ino  uint64
 	// ref is the opaque payload: the PM location of the dentry record. It
-	// is atomic because log compaction relocates records — and rewrites
-	// this word through SetRef — while lockless readers may be loading it.
+	// is atomic because a recycled entry is rewritten while a §4.5 buggy
+	// reader, whose unprotected traversal can still reach it, may be
+	// loading it.
 	ref atomic.Uint64
 
 	// pool is where the entry goes back to.
@@ -67,10 +68,6 @@ func (e *Entry) Name() string { return e.name }
 
 // Ref returns the entry's payload.
 func (e *Entry) Ref() uint64 { return e.ref.Load() }
-
-// SetRef replaces the entry's payload in place. The caller holds the
-// entry's bucket lock (or LockAll).
-func (e *Entry) SetRef(ref uint64) { e.ref.Store(ref) }
 
 // Slabs start at minSlab entries and double up to maxSlab: a directory of
 // a few names pays for a few, a large one allocates once per maxSlab.
@@ -443,7 +440,7 @@ func (t *Table) LockAll() (unlock func()) {
 }
 
 // EachLocked calls fn for every live entry. The caller holds LockAll, so
-// no writer can change the table underneath the walk; fn may SetRef.
+// no writer can change the table underneath the walk.
 func (t *Table) EachLocked(fn func(e *Entry)) {
 	arr := t.arr.Load()
 	for i := range arr.buckets {

@@ -165,53 +165,3 @@ func TestRCUGracePeriodBlocksOnPinnedReader(t *testing.T) {
 		t.Fatalf("Pending = %d after grace period, want 0", n)
 	}
 }
-
-// TestSetRefVsLockFreeLookups rewrites every entry's payload in place
-// under LockAll — what log compaction does when it relocates dentry
-// records — while lock-free lookups load the same words. Under -race the
-// load must not be a data race, and a reader must only ever see a value
-// some writer round stored for that key.
-func TestSetRefVsLockFreeLookups(t *testing.T) {
-	dom := rcu.NewDomain()
-	tbl := New(Options{RCUReaders: true, Dom: dom, InitialBuckets: 4})
-	const keys, rounds = 32, 200
-	for i := 0; i < keys; i++ {
-		tbl.Insert(fmt.Sprintf("k%d", i), uint64(i), uint64(i))
-	}
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rd := dom.Register()
-			defer dom.Unregister(rd)
-			rng := rand.New(rand.NewSource(seed))
-			for !stop.Load() {
-				k := rng.Intn(keys)
-				ino, ref, ok, err := tbl.Lookup(rd, fmt.Sprintf("k%d", k))
-				if err != nil || !ok || ino != uint64(k) || ref%keys != uint64(k) {
-					t.Errorf("lookup k%d = ino %d ref %d ok %v err %v", k, ino, ref, ok, err)
-					return
-				}
-			}
-		}(int64(r) + 1)
-	}
-	for round := 1; round <= rounds; round++ {
-		unlock := tbl.LockAll()
-		tbl.EachLocked(func(e *Entry) { e.SetRef(e.Ino + uint64(round*keys)) })
-		unlock()
-	}
-	stop.Store(true)
-	wg.Wait()
-	seen := 0
-	tbl.EachLocked(func(e *Entry) {
-		seen++
-		if e.Ref() != e.Ino+rounds*keys || e.Name() != fmt.Sprintf("k%d", e.Ino) {
-			t.Errorf("entry %q: ino %d ref %d after %d rounds", e.Name(), e.Ino, e.Ref(), rounds)
-		}
-	})
-	if seen != keys {
-		t.Fatalf("EachLocked visited %d entries, want %d", seen, keys)
-	}
-}

@@ -29,9 +29,11 @@ func (h *harness) liveEntries(dirIno uint64) []liveEntry {
 	return out
 }
 
-// compactInto rewrites tail 0 of dir the way libfs compaction does — the
+// compactInto rewrites tail 0 of dir as a copying compaction would — the
 // given records, complete, into page; page durable; then the head swap —
-// except that the caller chooses the records and the page.
+// with the records and the page the caller chooses. The LibFS never
+// rewrites a chain (it only splices dead pages out), but a forged one is
+// what the verifier must stand up to.
 func (h *harness) compactInto(dirIno, page uint64, ents []liveEntry) {
 	buf := make([]byte, layout.PageSize)
 	off := 0

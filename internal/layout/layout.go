@@ -442,9 +442,9 @@ func WriteDentryBody(dev *pmem.Device, r DentryRef, ino uint64, name string) {
 // EncodeDentry renders a complete, committed record for (ino, name) into
 // buf — zeroed, and at least DentryRecLen(len(name)) bytes — and returns
 // the record length. It is for callers that build a whole log page in
-// DRAM and stream it into a chain nothing can reach yet (log compaction);
-// a record written in place must use the two-step WriteDentryBody /
-// CommitDentry protocol instead.
+// DRAM and make it durable before any chain links it (the kernel's
+// chain-rewrite tests); a record written in place must use the two-step
+// WriteDentryBody / CommitDentry protocol instead.
 func EncodeDentry(buf []byte, ino uint64, name string) int {
 	binary.LittleEndian.PutUint64(buf[deIno:], ino)
 	binary.LittleEndian.PutUint16(buf[deRecLen:], uint16(DentryRecLen(len(name))))

@@ -191,6 +191,118 @@ func TestCompactionSkippedBelowThreshold(t *testing.T) {
 	}
 }
 
+// TestCompactionSplicesInPlace: a compacting release unlinks the dead
+// runs of a log with one 8-byte store each under one fence, and moves no
+// record. /d's tail holds six pages, live records on the second and the
+// fifth only: the run at the head goes by the tail-head store, the run
+// behind the second page by its next pointer, and the live entries keep
+// their refs and their pages' bytes. /s keeps every 100th of its names,
+// one or two a page: each page holds a survivor, so all six stay.
+func TestCompactionSplicesInPlace(t *testing.T) {
+	var stores, flushes, fences, nt int64
+	var fs *FS
+	hooks := &Hooks{DirCompaction: func(begin bool) {
+		st := &fs.dev.Stats
+		sign := int64(-1)
+		if !begin {
+			sign = 1
+		}
+		stores += sign * st.Stores.Load()
+		flushes += sign * st.Flushes.Load()
+		fences += sign * st.Fences.Load()
+		nt += sign * st.NTStores.Load()
+	}}
+	fs = newFS(t, BugsNone, hooks)
+	w := th(t, fs)
+	// 1 000 records of one length, 170 a page: six pages, the last short.
+	fill := func(dir string, keep func(i int) bool) []string {
+		t.Helper()
+		if err := w.Mkdir(dir); err != nil {
+			t.Fatal(err)
+		}
+		var kept []string
+		for i := 0; i < 1000; i++ {
+			if err := w.Create(fmt.Sprintf("%s/f-%04d", dir, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 1000; i++ {
+			name := fmt.Sprintf("f-%04d", i)
+			if keep(i) {
+				kept = append(kept, name)
+			} else if err := w.Unlink(dir + "/" + name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return kept
+	}
+	live := fill("/d", func(i int) bool { return i == 250 || i == 700 })
+	scattered := fill("/s", func(i int) bool { return i%100 == 0 })
+
+	d, err := w.resolve("/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := d.dir.Load()
+	chain := fs.dirLogPages(ds)[0]
+	if len(chain) != 6 {
+		t.Fatalf("/d's log has %d pages, want 6", len(chain))
+	}
+	refs := map[string]uint64{}
+	for _, name := range live {
+		_, refs[name], _, _ = fs.lookupInDir(w, d, name)
+	}
+	if pages := []uint64{layout.DentryRef(refs[live[0]]).Page(), layout.DentryRef(refs[live[1]]).Page()}; !slices.Equal(pages, []uint64{chain[1], chain[4]}) {
+		t.Fatalf("live records on pages %v, want the 2nd and 5th of %v", pages, chain)
+	}
+	body := func(p uint64) []byte {
+		b := make([]byte, layout.LogDataSize)
+		fs.dev.Read(int64(p*layout.PageSize), b)
+		return b
+	}
+	kept := []uint64{chain[1], chain[4], chain[5]}
+	var bodies [][]byte
+	for _, p := range kept {
+		bodies = append(bodies, body(p))
+	}
+
+	if err := fs.ReleaseAll(); err != nil {
+		t.Fatal(err)
+	}
+	if n := fs.Stats.DirCompactions.Load(); n != 1 {
+		t.Fatalf("compactions = %d, want 1: /d spliced, /s left as it is", n)
+	}
+	if stores != 2 || flushes != 2 || fences != 1 || nt != 0 {
+		t.Fatalf("the compaction made %d stores, %d flushes, %d fences, %d streamed lines; want 2, 2, 1, 0", stores, flushes, fences, nt)
+	}
+	if got := fs.dirLogPages(ds)[0]; !slices.Equal(got, kept) {
+		t.Fatalf("/d's log after the release %v, want %v", got, kept)
+	}
+	if head := layout.TailHead(fs.dev, ds.tailset, 0); head != chain[1] {
+		t.Fatalf("tail head %d, want %d: the head run is spliced by the tail-head store", head, chain[1])
+	}
+	for i, p := range kept {
+		if !bytes.Equal(body(p), bodies[i]) {
+			t.Fatalf("log page %d's records changed", p)
+		}
+	}
+	for _, name := range live {
+		if _, ref, ok, _ := fs.lookupInDir(w, d, name); !ok || ref != refs[name] {
+			t.Fatalf("%s: ref %#x -> %#x: a compaction moves no record", name, refs[name], ref)
+		}
+	}
+	if n := logPages(t, fs, w, "/s"); n != 6 {
+		t.Fatalf("/s has %d log pages, want all 6: each holds a survivor", n)
+	}
+
+	peer := th(t, New(fs.ctrl, fs.ctrl.RegisterApp(0, 0), Options{}))
+	for dir, want := range map[string][]string{"/d": live, "/s": scattered} {
+		if got := mustNames(t, peer, dir); !reflect.DeepEqual(got, want) {
+			t.Fatalf("a peer lists %d names in %s, want %d", len(got), dir, len(want))
+		}
+	}
+}
+
 // TestHandoffChurnAccounting: two applications alternate on one shared
 // directory for 200 turns, each unlinking the peer's batch and creating
 // its own, with names of two record lengths. Each create fills a slot the
@@ -492,10 +604,18 @@ func TestGrownCommittedFileLeaksNoPages(t *testing.T) {
 }
 
 // TestCompactionVsLockFreeReaders races lock-free lookups and Readdir on
-// a directory against a thread that keeps releasing it with compaction
-// and reacquiring it — by lease hit, and, when a second application
-// takes the directory in between, by lease miss and rebuild. Run under
-// -race: the readers load entry refs the compaction rewrites.
+// a directory against a thread that keeps churning it, releasing it and
+// reacquiring it — by lease hit, and, when a second application takes the
+// directory in between, by lease miss and rebuild. Run under -race: the
+// readers run while a release splices the log under them and while a
+// lease miss rebuilds the table.
+//
+// Only rounds 0-3 splice. An odd round's peer create has no dead slot of
+// its record length, so it lands on the then-last page, and that page
+// stays pinned once the next churn appends past it. From round 4 on the
+// log is the keepers' page, the pages peer-01 and peer-03 pinned, and the
+// append page: every page but the last holds a live record, and the churn
+// fits the dead slots they hold.
 func TestCompactionVsLockFreeReaders(t *testing.T) {
 	dev := pmem.New(64<<20, nil)
 	ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 1 << 12})
@@ -544,11 +664,15 @@ func TestCompactionVsLockFreeReaders(t *testing.T) {
 
 	deadline := time.Now().Add(2 * time.Second)
 	rounds := 0
+	var spliced, want []bool
 	for ; rounds < 12 && time.Now().Before(deadline); rounds++ {
 		churn(t, w, "/d", 2*CompactMinDeadSlots)
+		n := fs.Stats.DirCompactions.Load()
 		if err := fs.ReleaseAll(); err != nil {
 			t.Fatalf("round %d release: %v", rounds, err)
 		}
+		spliced = append(spliced, fs.Stats.DirCompactions.Load() > n)
+		want = append(want, rounds < 4)
 		if rounds%2 == 1 {
 			// The peer takes the directory: our next write is a lease miss.
 			if err := pw.Create(fmt.Sprintf("/d/peer-%02d", rounds)); err != nil {
@@ -561,8 +685,8 @@ func TestCompactionVsLockFreeReaders(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
-	if n := fs.Stats.DirCompactions.Load(); n < int64(rounds) {
-		t.Fatalf("%d compactions in %d rounds", n, rounds)
+	if !slices.Equal(spliced, want) {
+		t.Fatalf("rounds that spliced %v, want %v", spliced, want)
 	}
 	if fs.Stats.LeaseHits.Load() == 0 || fs.Stats.LeaseMisses.Load() == 0 {
 		t.Fatalf("want both reacquire paths: hits %d, misses %d", fs.Stats.LeaseHits.Load(), fs.Stats.LeaseMisses.Load())
@@ -570,11 +694,12 @@ func TestCompactionVsLockFreeReaders(t *testing.T) {
 }
 
 // TestCompactionCrashStatesKeepLiveSet crashes a compacting release at
-// both fences inside the compaction and at the swap killpoint between
-// them, under every corner of the dirty-line space plus seeded samples.
-// Every image must mount, be fsck-clean after repair, and list exactly
-// the pre-compaction live set: the old chain or the new one, never a
-// mixture.
+// the swap killpoint, after the splice stores, and at the compaction's
+// one fence, under every corner of the dirty-line space plus seeded
+// samples. The log splices two runs: the dead page at the tail's head and
+// a dead page behind the keepers' one, so the images hold each store
+// alone, both and neither. Every image must mount, be fsck-clean after
+// repair, and list exactly the pre-compaction live set.
 func TestCompactionCrashStatesKeepLiveSet(t *testing.T) {
 	dev := pmem.New(1<<20, nil)
 	ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 512})
@@ -609,9 +734,17 @@ func TestCompactionCrashStatesKeepLiveSet(t *testing.T) {
 	if err := w.Mkdir("/d"); err != nil {
 		t.Fatal(err)
 	}
+	// The head page: a page full of records of a length no later name has.
+	var head []string
+	for off := 0; layout.DentryFits(off, 19); off += layout.DentryRecLen(19) {
+		head = append(head, fmt.Sprintf("head-%03d-0123456789", len(head)))
+		if err := w.Create("/d/" + head[len(head)-1]); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var want []string
 	for i := 0; i < 40; i++ {
-		// Multi-line records, so a torn copy is expressible.
+		// Multi-line records, so a torn record is expressible.
 		name := fmt.Sprintf("keep-%02d-0123456789-0123456789-0123456789-0123456789-0123456789", i)
 		if err := w.Create("/d/" + name); err != nil {
 			t.Fatal(err)
@@ -621,7 +754,15 @@ func TestCompactionCrashStatesKeepLiveSet(t *testing.T) {
 	if err := fs.ReleaseAll(); err != nil { // verified: the live set is now durable
 		t.Fatal(err)
 	}
+	for _, name := range head {
+		if err := w.Unlink("/d/" + name); err != nil {
+			t.Fatal(err)
+		}
+	}
 	churn(t, w, "/d", CompactMinDeadSlots+8)
+	if n := logPages(t, fs, w, "/d"); n != 4 {
+		t.Fatalf("%d log pages before the release, want 4: head, keepers, churn, append", n)
+	}
 
 	dev.EnableTracking()
 	dev.SetFenceObserver(capture)
@@ -635,8 +776,12 @@ func TestCompactionCrashStatesKeepLiveSet(t *testing.T) {
 	if fs.Stats.DirCompactions.Load() != 1 {
 		t.Fatal("the churned directory was not compacted")
 	}
-	if len(imgs) < 3*10 {
-		t.Fatalf("captured only %d images over two fences and the killpoint", len(imgs))
+	if n := logPages(t, fs, w, "/d"); n != 2 {
+		t.Fatalf("%d log pages after the release, want 2: keepers, append", n)
+	}
+	// Per point: both ends, each splice line alone and all but it, eight samples.
+	if len(imgs) < 2*14 {
+		t.Fatalf("captured only %d images at the fence and the killpoint", len(imgs))
 	}
 	for i, img := range imgs {
 		rdev := pmem.Restore(img, nil)

@@ -107,11 +107,11 @@ type Hooks struct {
 	// test widens the window with it.
 	FileReadBlock func()
 	// DirCompaction brackets a release-time dentry-log compaction: it
-	// runs with true before the new chains are written and with false once
-	// the old pages are retired. The persist schedule in between is the
+	// runs with true before the splice stores and with false once the
+	// unlinked pages are retired. The persist schedule in between is the
 	// LibFS's own — the only part of a release that is — so the crash
-	// checkers use the bracket to observe fences they otherwise skip as
-	// kernel protocol.
+	// checkers use the bracket to observe the fence they otherwise skip
+	// as kernel protocol.
 	DirCompaction func(begin bool)
 }
 
@@ -220,8 +220,9 @@ type Stats struct {
 	// peer actively held: served from the retained last-verified aux
 	// because a read cannot steal ownership from a live holder.
 	StaleReads atomic.Int64
-	// DirCompactions counts release-time dentry-log rewrites (compact.go)
-	// and DirCompactedSlots the dead record slots they dropped.
+	// DirCompactions counts release-time dentry-log compactions that
+	// spliced pages out (compact.go) and DirCompactedSlots the dead record
+	// slots those pages held.
 	DirCompactions    atomic.Int64
 	DirCompactedSlots atomic.Int64
 }

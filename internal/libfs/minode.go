@@ -94,8 +94,8 @@ type dirState struct {
 	// growth (linking new pages, publishing tail heads).
 	idxMu hlock.SpinLock
 	// unverified lists the log pages this LibFS linked since the kernel
-	// last verified the directory. They are still app-granted, so when
-	// compaction unlinks them they go back to the LibFS pool; every other
+	// last verified the directory. They are still app-granted, so when a
+	// compaction splices them out they go back to the LibFS pool; every other
 	// log page is inode-owned and the kernel frees it at the next
 	// verification. Guarded by idxMu.
 	unverified []uint64

@@ -65,9 +65,10 @@ func (fs *FS) commitCrossing(t *Thread, ino uint64) error {
 // successful Commit or Release): every log page linked so far is now
 // inode-owned. A page a concurrent append links while the crossing is in
 // flight is forgotten with the rest even if the kernel's parse missed it;
-// should compaction later unlink it, it stays granted-but-idle until the
-// app unregisters — the safe side, since handing the pool a page the
-// kernel did adopt would fail the next verification that links it.
+// should a compaction later splice it out, it stays granted-but-idle
+// until the app unregisters — the safe side, since handing the pool a
+// page the kernel did adopt would fail the next verification that links
+// it.
 func (ds *dirState) markVerified() {
 	if ds == nil {
 		return

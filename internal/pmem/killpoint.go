@@ -23,8 +23,8 @@ import "sync/atomic"
 //	libfs.create.marker  — after a dentry commit-marker store, before
 //	                       the operation's final persist barrier
 //	libfs.compact.swap   — inside a release-time dentry-log compaction,
-//	                       after the new chains are fenced durable,
-//	                       before the tail heads that publish them
+//	                       after the stores that splice dead pages out,
+//	                       before the fence that makes them durable
 //	pmem.batch.barrier   — entry of Batch.Barrier, before the queue
 //	                       drains and the fence issues
 //	pmem.batch.drain     — entry of Batch.Drain with lines queued

@@ -47,8 +47,9 @@ const (
 	// SpanEvRecoveryPass: one mount-time recovery pass finished. a = pass
 	// index (0-based, in Mount order), b = duration in nanoseconds.
 	SpanEvRecoveryPass
-	// SpanEvDirCompact: a release rewrote a directory's dentry log before
-	// handing it back. a = inode, b = duration in nanoseconds.
+	// SpanEvDirCompact: a release spliced dead pages out of a directory's
+	// dentry log before handing it back. a = inode, b = duration in
+	// nanoseconds.
 	SpanEvDirCompact
 	// SpanEvReleaseBatch: one vectored release crossing completed.
 	// a = inodes released by the crossing, b = its duration in nanoseconds.

@@ -23,9 +23,9 @@ go test -race \
 # core.
 #
 # Then the tests that only collide with real parallelism (and the ones that
-# shipped red because CI had one core): log compaction vs lock-free
-# readers, the two-app handoff accounting, the §4.6 same-app rename window,
-# the kernel shard stress and parse-once pin, and the ReleaseAll lock-order
+# shipped red because CI had one core): the two-app handoff accounting,
+# the §4.6 same-app rename window, the kernel shard stress and parse-once
+# pin, and the ReleaseAll lock-order
 # stress (it holds every inode's locks at once) with the §4.3 interleavings
 # it must not reopen, the delegated I/O fan-out (worker goroutines per large
 # request), and the lease-miss rebuild and committed-unlink page accounting,
@@ -47,7 +47,7 @@ for p in 1 2 4; do
   GOMAXPROCS=$p go test -race \
     ./internal/core/ ./internal/crashmc/ ./internal/hlock/ ./internal/tenancy/
   GOMAXPROCS=$p go test -race -count=2 \
-    -run 'Compact|HandoffChurn|HandoffTurn|Reacquire|UnlinkOfCommitted|ReleaseAllSpan|ReleaseAllLockOrder|TestBug43|TestBug46|ShardStress|ParsesOnce|SetRef|Delegated|RepeatAcquire|StatNeverTears|StatVsConcurrentWriters|CountedSpin|AcquireGuard|ACLDies|ShardStatsKinds|PageGrantsCross|TestCrossing|InodeRecordCrashAtomic|LookupDuringGrowth|GrowthZeroes|AcquireBatch|TestPrefetch|ConcurrentMissesOneBatch|GrownCommittedFileLeaksNoPages|AllocReclaims|EpochBoundary|ShardWaitSpanEvents|DirtyBits' \
+    -run 'Compact|HandoffChurn|HandoffTurn|Reacquire|UnlinkOfCommitted|ReleaseAllSpan|ReleaseAllLockOrder|TestBug43|TestBug46|ShardStress|ParsesOnce|Delegated|RepeatAcquire|StatNeverTears|StatVsConcurrentWriters|CountedSpin|AcquireGuard|ACLDies|ShardStatsKinds|PageGrantsCross|TestCrossing|InodeRecordCrashAtomic|LookupDuringGrowth|GrowthZeroes|AcquireBatch|TestPrefetch|ConcurrentMissesOneBatch|GrownCommittedFileLeaksNoPages|AllocReclaims|EpochBoundary|ShardWaitSpanEvents|DirtyBits' \
     ./internal/libfs/ ./internal/kernel/ ./internal/htable/ ./internal/hlock/
   GOMAXPROCS=$p go test -race -count=10 -run 'TestDeadSlotReuseConcurrent' ./internal/libfs/
   GOMAXPROCS=$p go test -race -count=2 -run 'AppRowMatchesDevice|AppStatsCountEveryCrossing' ./internal/core/
