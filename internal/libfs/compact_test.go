@@ -610,12 +610,12 @@ func TestGrownCommittedFileLeaksNoPages(t *testing.T) {
 // readers run while a release splices the log under them and while a
 // lease miss rebuilds the table.
 //
-// Only rounds 0-3 splice. An odd round's peer create has no dead slot of
-// its record length, so it lands on the then-last page, and that page
-// stays pinned once the next churn appends past it. From round 4 on the
-// log is the keepers' page, the pages peer-01 and peer-03 pinned, and the
-// append page: every page but the last holds a live record, and the churn
-// fits the dead slots they hold.
+// Only rounds 0-5 splice. An odd round's peer create has no dead slot of
+// its record length and finds the verified tail page more than half full,
+// so it links a page of its own, which its live record pins. From round 6
+// on the log is the keepers' page, the pages peer-01, peer-03 and peer-05
+// pinned, and the append page: every page but the last holds a live
+// record, and the churn fits the dead slots they hold.
 func TestCompactionVsLockFreeReaders(t *testing.T) {
 	dev := pmem.New(64<<20, nil)
 	ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 1 << 12})
@@ -672,7 +672,7 @@ func TestCompactionVsLockFreeReaders(t *testing.T) {
 			t.Fatalf("round %d release: %v", rounds, err)
 		}
 		spliced = append(spliced, fs.Stats.DirCompactions.Load() > n)
-		want = append(want, rounds < 4)
+		want = append(want, rounds < 6)
 		if rounds%2 == 1 {
 			// The peer takes the directory: our next write is a lease miss.
 			if err := pw.Create(fmt.Sprintf("/d/peer-%02d", rounds)); err != nil {

@@ -188,36 +188,38 @@ func (tc *tailCursor) advance(nameLen int) {
 	tc.slots++
 }
 
+// verifiedPageFull is the fill past which an append links a fresh page
+// instead of joining names a verification already read: each hold's young
+// names then land apart from survivors, and a page left behind is at least
+// half used, so the log takes at most twice the pages packed appends would.
+const verifiedPageFull = layout.LogDataSize / 2
+
 // ensureTailSpace points the tail cursor at a slot that fits a record
-// for a name of nameLen bytes, allocating and linking log pages as
-// needed. Caller holds the tail lock.
+// for a name of nameLen bytes, linking a fresh log page when the tail has
+// none, when the record does not fit, or when the kernel has verified a
+// tail page that is at least half full. Caller holds the tail lock.
 func (fs *FS) ensureTailSpace(t *Thread, ds *dirState, ti int, tc *tailCursor, nameLen int) error {
+	if tc.page != 0 && layout.DentryFits(tc.off, nameLen) &&
+		(tc.linked.Load() || tc.off < verifiedPageFull) {
+		return nil
+	}
+	p, err := fs.newLogPage(t)
+	if err != nil {
+		return err
+	}
+	ds.idxMu.Lock()
 	if tc.page == 0 {
-		p, err := fs.newLogPage(t)
-		if err != nil {
-			return err
-		}
-		ds.idxMu.Lock()
 		layout.SetTailHead(fs.dev, ds.tailset, ti, p)
 		t.pb.Flush(layout.TailHeadOff(ds.tailset, ti), 8)
-		t.pb.Barrier()
-		ds.unverified = append(ds.unverified, p)
-		ds.idxMu.Unlock()
-		tc.page, tc.off = p, 0
-	}
-	if !layout.DentryFits(tc.off, nameLen) {
-		p, err := fs.newLogPage(t)
-		if err != nil {
-			return err
-		}
-		ds.idxMu.Lock()
+	} else {
 		layout.SetNextPage(fs.dev, tc.page, p)
 		t.pb.Flush(int64(tc.page*layout.PageSize)+layout.NextPtrOff, 8)
-		t.pb.Barrier()
-		ds.unverified = append(ds.unverified, p)
-		ds.idxMu.Unlock()
-		tc.page, tc.off = p, 0
 	}
+	t.pb.Barrier()
+	ds.unverified = append(ds.unverified, p)
+	tc.linked.Store(true)
+	ds.idxMu.Unlock()
+	tc.page, tc.off = p, 0
 	return nil
 }
 

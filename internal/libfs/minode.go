@@ -151,9 +151,13 @@ func (ds *dirState) addDead(r layout.DentryRef, nameLen int) {
 }
 
 type tailCursor struct {
-	mu   hlock.SpinLock
-	page uint64 // 0 = tail empty
-	off  int
+	mu hlock.SpinLock
+	// linked is set when this LibFS links the tail's current page, and
+	// cleared when the kernel verifies the directory. Set under the tail
+	// lock and idxMu, cleared under idxMu alone.
+	linked atomic.Bool
+	page   uint64 // 0 = tail empty
+	off    int
 	// slots counts the record slots (live, dead, reserved) in this
 	// tail's chain: the buildMinode scan plus every append since. Filling
 	// a dead slot leaves it as it is.

@@ -63,18 +63,21 @@ func (fs *FS) commitCrossing(t *Thread, ino uint64) error {
 
 // markVerified records that the kernel has verified the directory (a
 // successful Commit or Release): every log page linked so far is now
-// inode-owned. A page a concurrent append links while the crossing is in
-// flight is forgotten with the rest even if the kernel's parse missed it;
-// should a compaction later splice it out, it stays granted-but-idle
-// until the app unregisters — the safe side, since handing the pool a
-// page the kernel did adopt would fail the next verification that links
-// it.
+// inode-owned, and no tail's current page is this hold's. A page a
+// concurrent append links while the crossing is in flight is forgotten
+// with the rest even if the kernel's parse missed it; should a compaction
+// later splice it out, it stays granted-but-idle until the app
+// unregisters — the safe side, since handing the pool a page the kernel
+// did adopt would fail the next verification that links it.
 func (ds *dirState) markVerified() {
 	if ds == nil {
 		return
 	}
 	ds.idxMu.Lock()
 	ds.unverified = nil
+	for i := range ds.tails {
+		ds.tails[i].linked.Store(false)
+	}
 	ds.idxMu.Unlock()
 }
 

@@ -1,6 +1,7 @@
 package libfs
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"strings"
@@ -16,18 +17,26 @@ import (
 // dirty line persists any prefix of its unfenced store history, every
 // combination of them. The superblock and the shadow table are the
 // kernel's, whose records persist whole under one fence a crossing (the
-// premise crashmc's campaign makes too): their lines persist fully.
+// premise crashmc's campaign makes too): their lines persist fully. So
+// does a line whose one unfenced store left the bytes it had — a zeroed
+// page that was zero — since either choice gives the same image.
 func eachCrashImage(t *testing.T, dev *pmem.Device, geo layout.Geometry, fn func(img []byte)) {
 	t.Helper()
 	lo, hi := int64(geo.ShadowStart)*layout.PageSize, int64(geo.ShadowStart+geo.ShadowPages)*layout.PageSize
-	kernelLine := func(off int64) bool { return off < layout.PageSize || (off >= lo && off < hi) }
+	durable := dev.CrashImage(func(int64, int) int { return 0 })
+	volatile := dev.CrashImage(func(_ int64, versions int) int { return versions })
+	whole := map[int64]bool{} // lines that persist fully in every image
 	var states []pmem.LineState
 	total := 1
 	for _, s := range dev.DirtyLineStates() {
-		if !kernelLine(s.Off) {
-			states = append(states, s)
-			total *= s.Versions + 1
+		line := func(img []byte) []byte { return img[s.Off : s.Off+pmem.LineSize] }
+		if s.Off < layout.PageSize || (s.Off >= lo && s.Off < hi) ||
+			s.Versions == 1 && bytes.Equal(line(durable), line(volatile)) {
+			whole[s.Off] = true
+			continue
 		}
+		states = append(states, s)
+		total *= s.Versions + 1
 	}
 	if total > 1<<14 {
 		t.Fatalf("%d dirty lines admit %d crash images; too many to enumerate", len(states), total)
@@ -39,7 +48,7 @@ func eachCrashImage(t *testing.T, dev *pmem.Device, geo layout.Geometry, fn func
 			rest /= states[i].Versions + 1
 		}
 		fn(dev.CrashImage(func(off int64, versions int) int {
-			if kernelLine(off) {
+			if whole[off] {
 				return versions
 			}
 			return keep[off]
@@ -71,7 +80,9 @@ func recoverNames(t *testing.T, img []byte) ([]string, kernel.Report) {
 // same-directory rename whose new record fills a slot ahead of the old
 // one keeps exactly one of its two names in every image: recovery keeps
 // the earlier of two records linking one inode, which here is the new
-// name.
+// name. A create whose verified tail page is more than half full but has
+// room links a fresh page for its record: across the page's zeroing, the
+// link and the record, every image keeps every verified name.
 func TestDeadSlotReuseCrashStates(t *testing.T) {
 	boot := func(t *testing.T, bugs Bugs, names ...string) (*pmem.Device, *FS, *Thread) {
 		dev := pmem.New(1<<20, nil)
@@ -198,6 +209,62 @@ func TestDeadSlotReuseCrashStates(t *testing.T) {
 		if both == 0 {
 			t.Fatalf("none of %d crash images held both records live; the enumeration is vacuous", images)
 		}
+	})
+
+	t.Run("fresh-page", func(t *testing.T) {
+		// 40 records of 80 bytes fill the verified tail page past half.
+		var verified []string
+		for i := 0; i < 40; i++ {
+			verified = append(verified, fmt.Sprintf("kept-%02d-%s", i, oldName[:52]))
+		}
+		newName := "young-" + newName[:54]
+		dev, fs, w := boot(t, BugsNone, verified...)
+		last := ref(t, fs, w, verified[len(verified)-1])
+		frontier := last.Off() + layout.DentryRecLen(len(verified[0]))
+		if frontier < verifiedPageFull || !layout.DentryFits(frontier, len(newName)) {
+			t.Fatalf("the verified tail page's frontier is %d: want half full, with room for the new record", frontier)
+		}
+		images, created := 0, 0
+		dev.EnableTracking()
+		dev.SetFenceObserver(func() {
+			eachCrashImage(t, dev, fs.geo, func(img []byte) {
+				images++
+				names, rep := recoverNames(t, img)
+				if rep.CorruptDentries > 0 {
+					t.Fatalf("image %d: torn record: %s", images, rep.String())
+				}
+				for _, n := range verified {
+					if !slices.Contains(names, n) {
+						t.Fatalf("image %d: the verified name %q is gone", images, n)
+					}
+				}
+				if slices.Contains(names, newName) {
+					created++
+				}
+			})
+		})
+		err := w.Create("/" + newName)
+		if err == nil {
+			err = fs.ReleaseAll()
+		}
+		dev.SetFenceObserver(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The release verified the new name: from here on every image
+		// keeps it.
+		eachCrashImage(t, dev, fs.geo, func(img []byte) {
+			if names, _ := recoverNames(t, img); !slices.Contains(names, newName) {
+				t.Fatalf("a crash after the release loses the verified name %q", newName)
+			}
+		})
+		if got := ref(t, fs, w, newName); got.Page() == last.Page() || got.Off() != 0 {
+			t.Fatalf("the create wrote its record at %#x, not at the head of a fresh page after %d", got, last.Page())
+		}
+		if created == 0 {
+			t.Fatalf("none of %d crash images kept the new name; the enumeration is vacuous", images)
+		}
+		t.Logf("%d images, %d with the new name", images, created)
 	})
 }
 

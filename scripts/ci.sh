@@ -52,4 +52,10 @@ go run ./cmd/arckcrash -iters 40 -seed 1 -artifacts "$out/crash-artifacts"
 step "repo benchmark module tests"
 (cd benchmark && go test ./...)
 
+step "repo benchmark: handoff, 2 s, seed 1 (correct, nothing failed; Recover -> Fsck over compacted directories)"
+result="$(bash benchmark/run.sh --workload handoff --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+echo "$result"
+echo "$result" | grep -q '"correct":true'
+echo "$result" | grep -q '"failed":0,'
+
 printf '\nci.sh: all steps passed\n'
