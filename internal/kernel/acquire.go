@@ -214,15 +214,16 @@ func (c *Controller) Acquire(appID AppID, ino uint64, write bool) (*Mapping, err
 // The crossing holds the shared epoch and one shard lock at a time, in
 // list order; an inos[0] that punts is acquired alone under the exclusive
 // epoch. Acquires counts every inode mapped. sink (nil-safe) receives
-// timed shard-wait events. A list longer than
-// MaxReleaseBatch is refused whole.
-func (c *Controller) AcquireBatch(appID AppID, inos []uint64, sink telemetry.SpanSink) ([]*Mapping, error) {
+// timed shard-wait events. The mappings, one per inode, are appended to out
+// (the caller's storage, or nil). A list longer than MaxReleaseBatch is
+// refused whole, and out comes back as it was.
+func (c *Controller) AcquireBatch(appID AppID, inos []uint64, sink telemetry.SpanSink, out []*Mapping) ([]*Mapping, error) {
 	c.syscall()
 	if len(inos) == 0 || len(inos) > MaxReleaseBatch {
-		return nil, fmt.Errorf("acquire of %d inodes outside the batch cap 1..%d: %w", len(inos), MaxReleaseBatch, fsapi.ErrInval)
+		return out, fmt.Errorf("acquire of %d inodes outside the batch cap 1..%d: %w", len(inos), MaxReleaseBatch, fsapi.ErrInval)
 	}
-	out := make([]*Mapping, len(inos))
-	return out, c.acquire(appID, inos, out, true, sink)
+	out = append(out, make([]*Mapping, len(inos))...)
+	return out, c.acquire(appID, inos, out[len(out)-len(inos):], true, sink)
 }
 
 // acquire is the body of both acquire forms, filling out (len(inos)) with
@@ -442,29 +443,49 @@ func (c *Controller) buildSnapshot(se *shadowEnt) (*snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		return c.newSnapshot(ino, dv, nil, nil), nil
+		return c.fillSnapshot(new(snapshot), ino, dv, nil, nil), nil
 	case layout.TypeFile:
 		fv, err := c.ver.ParseFile(ino)
 		if err != nil {
 			return nil, err
 		}
-		return c.newSnapshot(ino, nil, fv, nil), nil
+		return c.fillSnapshot(new(snapshot), ino, nil, fv, nil), nil
 	}
 	return nil, fmt.Errorf("inode %d: unknown type %d", ino, se.info.Type)
 }
 
-// newSnapshot makes a parsed view (dv or fv) ino's snapshot: the baseline
-// is the view itself, so what a transfer verified and what the next one
-// diffs against cannot drift apart, and the rollback bytes are copied raw.
-// old, the snapshot this one supersedes, donates its buffer.
-func (c *Controller) newSnapshot(ino uint64, dv *verifier.DirView, fv *verifier.FileView, old *snapshot) *snapshot {
-	snap := &snapshot{dir: dv, file: fv}
-	if n := snap.rawSize(); old != nil && cap(old.raw) >= n {
-		snap.raw = old.raw[:n]
-	} else {
+// fillSnapshot makes snap, with the parsed view dv or fv, ino's snapshot:
+// the baseline is the view itself, so what a transfer verified and what the
+// next one diffs against cannot drift apart, and the rollback bytes are
+// copied raw — into snap's own inode bytes if they are all there is, else
+// into donor if it has room.
+func (c *Controller) fillSnapshot(snap *snapshot, ino uint64, dv *verifier.DirView, fv *verifier.FileView, donor []byte) *snapshot {
+	snap.dir, snap.file = dv, fv
+	switch n := snap.rawSize(); {
+	case n <= len(snap.inode):
+		snap.raw = snap.inode[:n]
+	case cap(donor) >= n:
+		snap.raw = donor[:n]
+	default:
 		snap.raw = make([]byte, n)
 	}
 	c.copySnapshot(ino, snap, nil)
+	return snap
+}
+
+// supersede makes dv or fv, the view a verification of ino just parsed into
+// the spare of old, ino's snapshot in place of old. The spare (or, if old
+// has none, a new snapshot) takes old's rollback buffer, and old becomes its
+// spare: what a supersede allocates is what the first one did.
+func (c *Controller) supersede(ino uint64, old *snapshot, dv *verifier.DirView, fv *verifier.FileView) *snapshot {
+	snap := old.spare
+	if snap == nil {
+		snap = new(snapshot)
+	}
+	raw := old.raw
+	old.spare, old.raw = nil, nil
+	c.fillSnapshot(snap, ino, dv, fv, raw)
+	snap.spare = old
 	return snap
 }
 
@@ -544,16 +565,18 @@ type Released struct {
 // proceeds. Commits counts XferCommit inodes, Releases the other two kinds
 // and LeasedReleases XferLease.
 //
-// sink (nil-safe) receives timed shard-wait events. A batch longer than
-// MaxReleaseBatch, or of an unknown kind, is refused whole.
-func (c *Controller) Transfer(appID AppID, inos []uint64, kind XferKind, sink telemetry.SpanSink) []Released {
+// sink (nil-safe) receives timed shard-wait events. The outcomes, one per
+// inode, are appended to out (the caller's storage, or nil). A batch longer
+// than MaxReleaseBatch, or of an unknown kind, is refused whole.
+func (c *Controller) Transfer(appID AppID, inos []uint64, kind XferKind, sink telemetry.SpanSink, out []Released) []Released {
 	c.syscall()
-	out := make([]Released, len(inos))
+	out = append(out, make([]Released, len(inos))...)
+	res := out[len(out)-len(inos):]
 	n := int64(len(inos))
 	if n > MaxReleaseBatch || kind < XferRelease || kind > XferLease {
 		err := fmt.Errorf("transfer of %d inodes of kind %d: the cap is %d, the kinds 0..%d: %w", n, kind, MaxReleaseBatch, XferLease, fsapi.ErrInval)
-		for i := range out {
-			out[i].Err = err
+		for i := range res {
+			res[i].Err = err
 		}
 		return out
 	}
@@ -569,14 +592,15 @@ func (c *Controller) Transfer(appID AppID, inos []uint64, kind XferKind, sink te
 	q := c.crossing(false)
 	defer c.commit(q)
 	for i, ino := range inos {
-		out[i].Mapping, out[i].Err = c.transfer(appID, ino, kind, sink, q)
+		res[i].Mapping, res[i].Err = c.transfer(appID, ino, kind, sink, q)
 	}
 	return out
 }
 
-// Release is a plain Transfer of one.
+// Release is a plain Transfer of one, on stack arrays.
 func (c *Controller) Release(appID AppID, ino uint64) error {
-	return c.Transfer(appID, []uint64{ino}, XferRelease, nil)[0].Err
+	inos, out := [1]uint64{ino}, [1]Released{}
+	return c.Transfer(appID, inos[:], XferRelease, nil, out[:0])[0].Err
 }
 
 // transfer applies one transfer kind to ino. A crossing that reaches a
@@ -705,46 +729,66 @@ func (c *Controller) releaseHeld(se *shadowEnt, appID AppID, view ctlView) error
 func (c *Controller) verifyAndApply(se *shadowEnt, appID AppID, keepHeld bool, view ctlView) error {
 	c.Stats.Verifications.Add(1)
 	ino := se.info.Ino
+	kv := &view.q.kv
+	*kv = view
 
 	if !se.info.Committed {
-		// Rule-1 commit of a newly created inode.
-		res, err := c.ver.VerifyNewInode(appID, ino, se.info.Parent, view)
+		// Rule-1 commit of a newly created inode. A file that stays held is
+		// parsed straight into its snapshot.
+		var snap *snapshot
+		var into *verifier.FileView
+		if keepHeld {
+			snap = new(snapshot)
+			into = &snap.fv
+		}
+		res, err := c.ver.VerifyNewInode(appID, ino, se.info.Parent, into, kv)
 		if err != nil {
 			c.Stats.VerifyFailures.Add(1)
 			c.applyPolicy(se, view)
 			return err
 		}
-		c.applyNewInode(se, appID, res, view)
+		c.applyNewInode(se, appID, &res, view)
 		if keepHeld {
-			se.snap = c.newSnapshot(ino, res.Dir, res.File, nil)
+			se.snap = c.fillSnapshot(snap, ino, res.Dir, res.File, nil)
 		}
 		return nil
 	}
 
+	// The verification parses into the spare's view, if there is one: no
+	// other view shares the storage it reuses.
+	spare := se.snap.spare
 	switch se.info.Type {
 	case layout.TypeDir:
-		view.dir = se
-		res, err := c.ver.VerifyDir(appID, ino, se.snap.dir, view)
+		kv.dir = se
+		var into *verifier.DirView
+		if spare != nil {
+			into = spare.dir
+		}
+		res, err := c.ver.VerifyDir(appID, ino, se.snap.dir, into, kv)
 		if err != nil {
 			c.Stats.VerifyFailures.Add(1)
 			c.applyPolicy(se, view)
 			return err
 		}
 		se.reread = se.reread[:0]
-		c.applyDir(se, appID, res, view.q)
+		c.applyDir(se, appID, &res, view.q)
 		if keepHeld {
-			se.snap = c.newSnapshot(ino, res.View, nil, se.snap)
+			se.snap = c.supersede(ino, se.snap, res.View, nil)
 		}
 	case layout.TypeFile:
-		res, err := c.ver.VerifyFile(appID, ino, se.snap.file, view)
+		var into *verifier.FileView
+		if spare != nil {
+			into = spare.file
+		}
+		res, err := c.ver.VerifyFile(appID, ino, se.snap.file, into, kv)
 		if err != nil {
 			c.Stats.VerifyFailures.Add(1)
 			c.applyPolicy(se, view)
 			return err
 		}
-		c.applyFile(se, appID, res, view.q)
+		c.applyFile(se, appID, &res, view.q)
 		if keepHeld {
-			se.snap = c.newSnapshot(ino, nil, res.View, se.snap)
+			se.snap = c.supersede(ino, se.snap, nil, res.View)
 		}
 	default:
 		return fmt.Errorf("inode %d: unknown shadow type %d", ino, se.info.Type)

@@ -25,7 +25,7 @@ func batchFixture(t *testing.T) (h *harness, a, b AppID, inos []uint64, bm []*Ma
 			t.Fatal(err)
 		}
 	}
-	for i, r := range h.c.Transfer(b, inos, XferLease, nil) {
+	for i, r := range h.c.Transfer(b, inos, XferLease, nil, nil) {
 		if r.Err != nil || r.Mapping == nil {
 			t.Fatalf("leased release of %d: %v", inos[i], r.Err)
 		}
@@ -50,7 +50,7 @@ func (h *harness) walked() int64 {
 func TestAcquireBatchHandsOverDormant(t *testing.T) {
 	h, a, b, inos, bm := batchFixture(t)
 	before, walked := h.c.Stats.Snapshot(), h.walked()
-	out, err := h.c.AcquireBatch(a, inos, nil)
+	out, err := h.c.AcquireBatch(a, inos, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestAcquireBatchHandsOverDormant(t *testing.T) {
 		t.Fatal("the caller could not reactivate its prefetched mappings")
 	}
 	nf := h.mkfile(a, inos[1], "new")
-	for i, r := range h.c.Transfer(a, []uint64{inos[0], inos[1], nf, inos[3]}, XferLease, nil) {
+	for i, r := range h.c.Transfer(a, []uint64{inos[0], inos[1], nf, inos[3]}, XferLease, nil, nil) {
 		if r.Err != nil {
 			t.Fatalf("leased release %d: %v", i, r.Err)
 		}
@@ -91,7 +91,7 @@ func TestAcquireBatchHandsOverDormant(t *testing.T) {
 	out[2].EndHold()
 	out[4].EndHold()
 	walked = h.walked()
-	back, err := h.c.AcquireBatch(b, inos, nil)
+	back, err := h.c.AcquireBatch(b, inos, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestAcquireBatchPrefetchHeldUntilHoldEnds(t *testing.T) {
 			now := time.Unix(5000, 0)
 			h.c.SetClock(func() time.Time { return now })
 			file1 := inos[3]
-			out, err := h.c.AcquireBatch(a, []uint64{layout.RootIno, file1}, nil)
+			out, err := h.c.AcquireBatch(a, []uint64{layout.RootIno, file1}, nil, nil)
 			if err != nil || out[1] == nil {
 				t.Fatalf("batch: %v %v", out, err)
 			}
@@ -128,7 +128,7 @@ func TestAcquireBatchPrefetchHeldUntilHoldEnds(t *testing.T) {
 			if _, err := h.c.Acquire(b, file1, true); !errors.Is(err, fsapi.ErrBusy) {
 				t.Fatalf("single acquire of the prefetched file1: %v, want ErrBusy", err)
 			}
-			if back, err := h.c.AcquireBatch(b, []uint64{inos[2], file1}, nil); err != nil || back[1] != nil {
+			if back, err := h.c.AcquireBatch(b, []uint64{inos[2], file1}, nil, nil); err != nil || back[1] != nil {
 				t.Fatalf("a peer batch took the prefetched file1: %v %v", back, err)
 			}
 			switch end {
@@ -169,7 +169,7 @@ func TestAcquireBatchPrefetchNotHeldInTrustGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	fileTop, file1 := inos[2], inos[3]
-	out, err := h.c.AcquireBatch(a, []uint64{layout.RootIno, fileTop, file1}, nil)
+	out, err := h.c.AcquireBatch(a, []uint64{layout.RootIno, fileTop, file1}, nil, nil)
 	if err != nil || out[1] == nil || out[2] == nil {
 		t.Fatalf("batch: %v %v", out, err)
 	}
@@ -180,7 +180,7 @@ func TestAcquireBatchPrefetchNotHeldInTrustGroup(t *testing.T) {
 	if _, err := h.c.Acquire(b, file1, true); err != nil {
 		t.Fatalf("group peer's acquire of the prefetched file1: %v, want a grant", err)
 	}
-	back, err := h.c.AcquireBatch(b, []uint64{file1, fileTop}, nil)
+	back, err := h.c.AcquireBatch(b, []uint64{file1, fileTop}, nil, nil)
 	if err != nil || back[1] == nil {
 		t.Fatalf("group peer's batch over the prefetched fileTop: %v %v, want it granted", back, err)
 	}
@@ -200,7 +200,7 @@ func TestAcquireBatchSkipsActiveHolder(t *testing.T) {
 	if !bm[3].Reactivate() {
 		t.Fatal("peer could not reactivate file1")
 	}
-	out, err := h.c.AcquireBatch(a, []uint64{layout.RootIno, file1, file2}, nil)
+	out, err := h.c.AcquireBatch(a, []uint64{layout.RootIno, file1, file2}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestAcquireBatchSkipsActiveHolder(t *testing.T) {
 
 	// Busy head: the error is the batch's, and the dormant tail stays put.
 	before := h.c.Stats.Snapshot()
-	out, err = h.c.AcquireBatch(a, []uint64{file1, inos[2]}, nil)
+	out, err = h.c.AcquireBatch(a, []uint64{file1, inos[2]}, nil, nil)
 	if !errors.Is(err, fsapi.ErrBusy) || out[1] != nil || !bm[2].Valid() {
 		t.Fatalf("busy head: err %v, tail %v, peer's fileTop valid %v; want ErrBusy and nothing granted", err, out[1], bm[2].Valid())
 	}
@@ -242,7 +242,7 @@ func TestAcquireBatchExpiredTailIsNotReclaimed(t *testing.T) {
 		t.Fatal(err)
 	}
 	now = now.Add(time.Hour)
-	out, err := h.c.AcquireBatch(a, []uint64{layout.RootIno, file1}, nil)
+	out, err := h.c.AcquireBatch(a, []uint64{layout.RootIno, file1}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestAcquireBatchSkipsKernelHeld(t *testing.T) {
 		t.Fatal(err)
 	}
 	walked := h.walked()
-	out, err := h.c.AcquireBatch(a, []uint64{layout.RootIno, dirA}, nil)
+	out, err := h.c.AcquireBatch(a, []uint64{layout.RootIno, dirA}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestAcquireBatchCap(t *testing.T) {
 	}
 	for _, list := range [][]uint64{long, nil} {
 		before := h.c.Stats.Snapshot()
-		if out, err := h.c.AcquireBatch(a, list, nil); !errors.Is(err, fsapi.ErrInval) || out != nil {
+		if out, err := h.c.AcquireBatch(a, list, nil, nil); !errors.Is(err, fsapi.ErrInval) || out != nil {
 			t.Fatalf("batch of %d: %v %v, want ErrInval", len(list), out, err)
 		}
 		after := h.c.Stats.Snapshot()
@@ -305,7 +305,7 @@ func TestAcquireBatchCap(t *testing.T) {
 			t.Fatalf("a refused batch reclaimed inode %d", inos[i])
 		}
 	}
-	if _, err := h.c.AcquireBatch(a, long[:MaxReleaseBatch], nil); err != nil {
+	if _, err := h.c.AcquireBatch(a, long[:MaxReleaseBatch], nil, nil); err != nil {
 		t.Fatalf("batch at the cap: %v", err)
 	}
 }

@@ -8,16 +8,20 @@ import (
 	"time"
 
 	"arckfs/internal/layout"
+	"arckfs/internal/race"
 	"arckfs/internal/verifier"
 )
 
 // handoffBench replays the kernel's side of the repo benchmark's handoff
-// workload with a hand-rolled LibFS: two applications alternate on a
-// directory of 220 static files, 4 shared 512-block files and the peer's
-// batch of 16. A turn takes the directory and the shared files back in one
-// AcquireBatch, unlinks the peer's batch, creates its own, touches the
-// shared files and releases the 21 inodes in one leased batch. Records are re-committed in the slots
-// their names first took, so the log does not grow with the turn count.
+// workload with a hand-rolled LibFS: two applications alternate on the
+// root, a directory of 220 static files, 4 shared 512-block files and the
+// peer's batch of 16. A turn takes the root, the directory and the shared
+// files back in one AcquireBatch (the root's lease is lost every turn: the
+// peer resolved its paths through it), unlinks the peer's batch, creates
+// its own, touches the shared files and releases the 22 inodes in one
+// leased batch, in the LibFS's Rule-1 order: the root, the directory, then
+// the files by inode number. Records are re-committed in the slots their
+// names first took, so the log does not grow with the turn count.
 type handoffBench struct {
 	*harness
 	apps   [2]AppID
@@ -27,6 +31,9 @@ type handoffBench struct {
 	names  [2][8][16]string
 	live   [2][16]uint64 // each application's batch now in the directory
 	turns  int
+	rel    []uint64 // the turn's release list
+	ms     []*Mapping
+	res    []Released
 }
 
 func newHandoffBench(tb testing.TB) *handoffBench {
@@ -85,7 +92,8 @@ func newHandoffBench(tb testing.TB) *handoffBench {
 func (b *handoffBench) releaseAll(app AppID, inos []uint64) {
 	for len(inos) > 0 {
 		n := min(len(inos), MaxReleaseBatch)
-		for i, r := range b.c.Transfer(app, inos[:n], XferLease, nil) {
+		b.res = b.c.Transfer(app, inos[:n], XferLease, nil, b.res[:0])
+		for i, r := range b.res {
 			if r.Err != nil {
 				b.t.Fatalf("turn %d: release of inode %d: %v", b.turns, inos[i], r.Err)
 			}
@@ -100,7 +108,10 @@ func (b *handoffBench) turn() {
 	// The shared files come back dormant, and the release takes them back
 	// in-kernel. (On the first turn they are the app's own dormant leases,
 	// which the batch skips; the release takes those back the same way.)
-	if _, err := h.c.AcquireBatch(app, append([]uint64{b.dir}, b.shared[:]...), nil); err != nil {
+	acq := [2 + len(b.shared)]uint64{layout.RootIno, b.dir}
+	copy(acq[2:], b.shared[:])
+	var err error
+	if b.ms, err = h.c.AcquireBatch(app, acq[:], nil, b.ms[:0]); err != nil {
 		b.t.Fatalf("turn %d: acquire: %v", b.turns, err)
 	}
 	if b.turns > 0 {
@@ -127,12 +138,15 @@ func (b *handoffBench) turn() {
 		in.MTime++
 		layout.WriteInode(h.dev, h.g, ino, &in)
 	}
-	b.releaseAll(app, append(append([]uint64{b.dir}, inos...), b.shared[:]...))
+	b.rel = append(append(append(b.rel[:0], layout.RootIno, b.dir), inos...), b.shared[:]...)
+	slices.Sort(b.rel[2:])
+	b.releaseAll(app, b.rel)
 	b.turns++
 }
 
 // TestHandoffTurns runs the benchmark's turn as a test: every release of
 // every turn verifies, and the directory ends with the names it should.
+// The root's pages, which no turn writes, are all clean.
 // From the third turn on each turn's directory verification reads the log
 // pages that turn's unlinks and creates wrote, and those the previous
 // turn's wrote — its leased release harvested them under a live mapping,
@@ -144,6 +158,7 @@ func TestHandoffTurns(t *testing.T) {
 	b := newHandoffBench(t)
 	vs := b.c.VerifierStats()
 	logPages := int64(len(b.c.shadowGet(b.dir, nil).snap.dir.Pages))
+	rootPages := 1 + int64(len(b.c.shadowGet(layout.RootIno, nil).snap.dir.Pages))
 	for i := 0; i < 40; i++ {
 		written := map[uint64]bool{}
 		for k := max(b.turns-1, 0); k <= b.turns; k++ {
@@ -166,9 +181,10 @@ func TestHandoffTurns(t *testing.T) {
 		b.turn()
 		recs, pages, clean = vs.Dentries.Load()-recs, vs.Pages.Load()-pages, vs.PagesClean.Load()-clean
 		// Each shared file's two map pages are read whole, every turn.
-		if i > 1 && (recs != wantRecs || pages != int64(len(written))+8 || clean != 1+logPages-int64(len(written))) {
+		wantClean := rootPages + 1 + logPages - int64(len(written))
+		if i > 1 && (recs != wantRecs || pages != int64(len(written))+8 || clean != wantClean) {
 			t.Fatalf("turn %d: %d records on %d pages read, %d pages clean; want %d records on %d pages of %d written, 8 map pages, and %d clean",
-				i, recs, pages, clean, wantRecs, len(written), logPages, 1+logPages-int64(len(written)))
+				i, recs, pages, clean, wantRecs, len(written), logPages, wantClean)
 		}
 	}
 	if sh, _ := b.c.ShadowOf(b.dir); sh.ChildCount != 220+4+16 {
@@ -176,10 +192,31 @@ func TestHandoffTurns(t *testing.T) {
 	}
 }
 
+// TestHandoffTurnAllocations pins what the kernel's side of a handoff turn
+// leaves on the Go heap. Most of it outlives the turn: per created file its
+// shadow entry, its snapshot (one object), its name and the mapping its
+// release leaves dormant, and the mapping of each of the 6 inodes the turn
+// acquires. The rest is the inode grant and the directory verification's
+// lists of what changed. A superseded snapshot's struct and view storage
+// are reused, and so are the results of each verification and crossing.
+func TestHandoffTurnAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	b := newHandoffBench(t)
+	for b.turns < 16 {
+		b.turn()
+	}
+	const limit = 84
+	if got := testing.AllocsPerRun(16, b.turn); got > limit {
+		t.Fatalf("a handoff turn allocates %v objects in the kernel, want at most %d", got, limit)
+	}
+}
+
 // BenchmarkReleaseBatchHandoffTurn: one handoff turn — one AcquireBatch of
-// the directory and the 4 shared files, one inode grant, and one 21-inode
-// leased Transfer that verifies 16 removed and 16 added names among 240,
-// 16 new files and 4 touched 512-block files.
+// the root, the directory and the 4 shared files, one inode grant, and one
+// 22-inode leased Transfer that verifies the root, 16 removed and 16 added
+// names among 240, 16 new files and 4 touched 512-block files.
 func BenchmarkReleaseBatchHandoffTurn(b *testing.B) {
 	hb := newHandoffBench(b)
 	hb.turn()

@@ -84,7 +84,7 @@ func TestCrossingsRefuseUnknownApps(t *testing.T) {
 	transfer := func(kind XferKind) func(*Controller, AppID, *boundaryWorld) []error {
 		return func(c *Controller, app AppID, w *boundaryWorld) []error {
 			var errs []error
-			for _, r := range c.Transfer(app, []uint64{w.held, w.dormant, w.kernel}, kind, nil) {
+			for _, r := range c.Transfer(app, []uint64{w.held, w.dormant, w.kernel}, kind, nil, nil) {
 				errs = append(errs, r.Err)
 			}
 			return errs
@@ -101,7 +101,7 @@ func TestCrossingsRefuseUnknownApps(t *testing.T) {
 			return []error{err}
 		}},
 		{"AcquireBatch", func(c *Controller, app AppID, w *boundaryWorld) []error {
-			_, err := c.AcquireBatch(app, []uint64{w.kernel, w.dormant, w.held}, nil)
+			_, err := c.AcquireBatch(app, []uint64{w.kernel, w.dormant, w.held}, nil, nil)
 			return []error{err}
 		}},
 		{"Release", func(c *Controller, app AppID, w *boundaryWorld) []error {
@@ -240,11 +240,11 @@ func TestShardWaitSpanEvents(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_, acqErr = h.c.AcquireBatch(taker, []uint64{take}, &acqSink)
+		_, acqErr = h.c.AcquireBatch(taker, []uint64{take}, &acqSink, nil)
 	}()
 	go func() {
 		defer wg.Done()
-		xferErr = h.c.Transfer(holder, []uint64{keep}, XferCommit, &xferSink)[0].Err
+		xferErr = h.c.Transfer(holder, []uint64{keep}, XferCommit, &xferSink, nil)[0].Err
 	}()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		if _, n := sh.mu.Counts(); n-contended >= 2 {

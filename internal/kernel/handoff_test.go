@@ -252,7 +252,7 @@ func TestReleaseBatchIsolatesFailure(t *testing.T) {
 	h.dev.Persist(layout.InodeOff(h.g, files[bad]), layout.InodeSize)
 
 	st := h.c.Stats.Snapshot()
-	res := h.c.Transfer(app, files, XferLease, nil)
+	res := h.c.Transfer(app, files, XferLease, nil, nil)
 	if len(res) != len(files) {
 		t.Fatalf("%d results for %d inodes", len(res), len(files))
 	}
@@ -278,6 +278,48 @@ func TestReleaseBatchIsolatesFailure(t *testing.T) {
 	}
 }
 
+// TestRollbackAfterReuse: after leased handoff turns, in which each
+// verification parses into the storage of the snapshot superseded before
+// the last and the new snapshot takes over the old one's rollback buffer,
+// a damaged release rolls back to exactly the bytes the last good release
+// copied — the directory's, and a shared file's inode record and map
+// pages. A donated buffer that still backed the baseline, or a view that
+// shared storage with it, would restore something else.
+func TestRollbackAfterReuse(t *testing.T) {
+	b := newHandoffBench(t)
+	for b.turns < 5 {
+		b.turn()
+	}
+	h, app := b.harness, b.apps[b.turns%2]
+	f := b.shared[1]
+	good := h.dirImage(b.dir)
+	fileRanges := map[int64]int64{layout.InodeOff(h.g, f): layout.InodeSize}
+	for _, p := range h.c.shadowGet(f, nil).snap.file.MapPages {
+		fileRanges[int64(p*layout.PageSize)] = layout.PageSize
+	}
+	for off, bytes := range h.grab(fileRanges) {
+		good[off] = bytes
+	}
+
+	acq := append([]uint64{layout.RootIno, b.dir}, b.shared[:]...)
+	if _, err := h.c.AcquireBatch(app, acq, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	var none []uint64
+	h.appendDentry(b.dir, h.g.InodeCap-1, "forged", &none) // an inode no one was granted
+	in, _, _ := layout.ReadInode(h.dev, h.g, f)
+	in.MTime++
+	layout.WriteInode(h.dev, h.g, f, &in)
+	other, _, _ := layout.ReadInode(h.dev, h.g, b.shared[2])
+	layout.SetMapEntry(h.dev, in.DataRoot, 0, layout.MapEntry(h.dev, other.DataRoot, 0)) // another file's block
+	for i, r := range h.c.Transfer(app, acq, XferLease, nil, nil) {
+		if damaged := acq[i] == b.dir || acq[i] == f; damaged != IsVerificationError(r.Err) || !damaged && r.Err != nil {
+			t.Fatalf("inode %d: %v", acq[i], r.Err)
+		}
+	}
+	h.wantBytes(good, "after the rollback")
+}
+
 // TestReleaseBatchCap: a batch longer than MaxReleaseBatch is refused
 // whole — nothing released — at the price of the crossing.
 func TestReleaseBatchCap(t *testing.T) {
@@ -291,7 +333,7 @@ func TestReleaseBatchCap(t *testing.T) {
 		inos[i] = layout.RootIno
 	}
 	before := h.c.Stats.Snapshot()
-	for _, r := range h.c.Transfer(app, inos, XferRelease, nil) {
+	for _, r := range h.c.Transfer(app, inos, XferRelease, nil, nil) {
 		if !errors.Is(r.Err, fsapi.ErrInval) {
 			t.Fatalf("oversized batch: %v, want ErrInval", r.Err)
 		}
@@ -304,7 +346,7 @@ func TestReleaseBatchCap(t *testing.T) {
 	if h.c.OwnerOf(layout.RootIno) != app {
 		t.Fatal("oversized batch released an inode")
 	}
-	if res := h.c.Transfer(app, inos[:1], XferRelease, nil); res[0].Err != nil {
+	if res := h.c.Transfer(app, inos[:1], XferRelease, nil, nil); res[0].Err != nil {
 		t.Fatal(res[0].Err)
 	}
 }

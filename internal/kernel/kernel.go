@@ -188,6 +188,15 @@ type snapshot struct {
 	dir  *verifier.DirView
 	file *verifier.FileView
 	raw  []byte
+	// spare is the snapshot this one superseded, with its rollback bytes
+	// gone to this one: the next verification parses into its view, and the
+	// snapshot that verification makes is its struct (supersede).
+	spare *snapshot
+	// fv and inode are the storage of a new file's view and rollback bytes
+	// (an empty file's are its inode record alone), so that its snapshot is
+	// one object.
+	fv    verifier.FileView
+	inode [layout.InodeSize]byte
 }
 
 type app struct {
@@ -332,6 +341,10 @@ type persistQ struct {
 	pages, inos []uint64
 	excl        bool
 	shared      int
+	// kv is the view the crossing's verification in progress reads
+	// through: as a pointer into the pooled queue, the verifier's
+	// KernelView costs no allocation.
+	kv ctlView
 }
 
 // crossing takes a recycled queue and, with excl, the exclusive epoch.
@@ -358,6 +371,7 @@ func (c *Controller) persist(q *persistQ) {
 func (c *Controller) commit(q *persistQ) {
 	c.persist(q)
 	c.leaveEpoch(q)
+	q.kv = ctlView{}
 	c.queues.Put(q)
 }
 

@@ -37,12 +37,12 @@ func newSizedHarness(t testing.TB, mode verifier.Mode, pages int, inodes uint64)
 
 // commitOne commits ino: a Transfer of one, XferCommit.
 func (c *Controller) commitOne(app AppID, ino uint64) error {
-	return c.Transfer(app, []uint64{ino}, XferCommit, nil)[0].Err
+	return c.Transfer(app, []uint64{ino}, XferCommit, nil, nil)[0].Err
 }
 
 // releaseLeased lease-releases ino: a Transfer of one, XferLease.
 func (c *Controller) releaseLeased(app AppID, ino uint64) (*Mapping, error) {
-	r := c.Transfer(app, []uint64{ino}, XferLease, nil)[0]
+	r := c.Transfer(app, []uint64{ino}, XferLease, nil, nil)[0]
 	return r.Mapping, r.Err
 }
 

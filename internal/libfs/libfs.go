@@ -185,9 +185,10 @@ type FS struct {
 	tracer *span.Tracer
 	lat    atomic.Pointer[telemetry.Histogram]
 	// relMu runs ReleaseAll calls one at a time; relLane is their lane in
-	// the tracer, made on first traced use.
+	// the tracer, made on first traced use, and rel their working storage.
 	relMu   sync.Mutex
 	relLane *span.Local
+	rel     releaseScratch
 }
 
 // Stats counts LibFS events of interest to telemetry: remaps after an

@@ -159,7 +159,7 @@ type tailCursor struct {
 	page   uint64 // 0 = tail empty
 	off    int
 	// slots counts the record slots (live, dead, reserved) in this
-	// tail's chain: the buildMinode scan plus every append since. Filling
+	// tail's chain: the build scan plus every append since. Filling
 	// a dead slot leaves it as it is.
 	slots int
 	_     [32]byte
@@ -389,8 +389,13 @@ func (fs *FS) getMinode(t *Thread, ino uint64, write bool) (*minode, error) {
 	if err != nil {
 		return nil, err
 	}
-	mi, err := fs.buildMinode(ino, m, nil)
-	if err != nil {
+	in, ok, corrupt := layout.ReadInode(fs.dev, fs.geo, ino)
+	if !ok || corrupt {
+		return nil, fsapi.ErrStale
+	}
+	mi := &minode{ino: ino, typ: in.Type}
+	mi.parent.Store(in.Parent)
+	if err := fs.build(mi, m, &in); err != nil {
 		return nil, err
 	}
 	actual, _ := fs.mtab.LoadOrStore(ino, mi)
@@ -401,7 +406,8 @@ func (fs *FS) getMinode(t *Thread, ino uint64, write bool) (*minode, error) {
 // write intent), attributed to t's span (t nil-tolerated).
 func (fs *FS) acquire(t *Thread, ino uint64) (*kernel.Mapping, error) {
 	c := fs.cross(t.CurrentSpan())
-	ms, err := fs.ctrl.AcquireBatch(fs.app, []uint64{ino}, t.sink())
+	inos, out := [1]uint64{ino}, [1]*kernel.Mapping{}
+	ms, err := fs.ctrl.AcquireBatch(fs.app, inos[:], t.sink(), out[:0])
 	c.done(telemetry.SpanEvCrossing, int64(telemetry.EvAcquire))
 	if err != nil {
 		return nil, err
@@ -483,8 +489,10 @@ type workingSet struct {
 	mu sync.Mutex
 	// lost lists the inodes this hold lost to a lease miss, at most one
 	// batch's worth; prev is the previous hold's, emptied by the batch
-	// that asks for it; ask is that batch's request. All three are reused.
+	// that asks for it; ask is that batch's request, and got its answer.
+	// All four are reused.
 	lost, prev, ask []uint64
+	got             []*kernel.Mapping
 	// held is what this hold's batch prefetched. The kernel holds each
 	// against apps outside this one's trust group until it is reactivated
 	// or endHold ends the hold.
@@ -539,7 +547,8 @@ func (fs *FS) takeBack(t *Thread, mi *minode) (*kernel.Mapping, error) {
 	}
 	defer ws.mu.Unlock()
 	c := fs.cross(t.CurrentSpan())
-	ms, err := fs.ctrl.AcquireBatch(fs.app, ask, t.sink())
+	ms, err := fs.ctrl.AcquireBatch(fs.app, ask, t.sink(), ws.got[:0])
+	defer func() { clear(ms); ws.got = ms[:0] }()
 	n := 0 // inodes mapped
 	for i, m := range ms {
 		if m == nil {
@@ -563,42 +572,35 @@ func (fs *FS) takeBack(t *Thread, mi *minode) (*kernel.Mapping, error) {
 
 // adopt makes m, a mapping the kernel has just established, mi's own: the
 // core state may have changed while mi was not held, so the auxiliary
-// state and the cached attributes are rebuilt from it. Caller holds
-// mi.lock.
+// state and the cached attributes are rebuilt from it, into mi. Caller
+// holds mi.lock.
 func (fs *FS) adopt(mi *minode, m *kernel.Mapping) error {
-	fresh, err := fs.buildMinode(mi.ino, m, mi.dir.Load())
-	if err != nil {
+	in, ok, corrupt := layout.ReadInode(fs.dev, fs.geo, mi.ino)
+	if !ok || corrupt || in.Type != mi.typ {
+		return fsapi.ErrStale
+	}
+	if err := fs.build(mi, m, &in); err != nil {
 		return err
 	}
-	mi.mapping.Store(m)
-	mi.dir.Store(fresh.dir.Load())
-	mi.file.Store(fresh.file.Load())
-	st := fresh.stat()
-	mi.cacheAttrs(st.Size, st.Nlink, st.MTime)
 	mi.released.Store(false)
 	return nil
 }
 
-// buildMinode reads ino's core state and constructs auxiliary state —
-// Trio step 3: "the LibFS builds its auxiliary state from the core
-// state". retained, when the inode is a directory this LibFS held before,
-// is the auxiliary state it kept: the rebuilt table is sized from it, so
-// it fills without growing, shares its strings for the names that are
-// still there, and lists the dead slots the scan finds in its storage.
-func (fs *FS) buildMinode(ino uint64, m *kernel.Mapping, retained *dirState) (*minode, error) {
-	in, ok, corrupt := layout.ReadInode(fs.dev, fs.geo, ino)
-	if !ok || corrupt {
-		return nil, fsapi.ErrStale
-	}
-	mi := &minode{ino: ino, typ: in.Type}
-	mi.mapping.Store(m)
-	mi.parent.Store(in.Parent)
+// build constructs mi's auxiliary state from its core state, whose inode
+// record is in, and publishes it with mapping m — Trio step 3: "the LibFS
+// builds its auxiliary state from the core state". A directory this LibFS
+// held before keeps the auxiliary state it retained in use: the rebuilt
+// table is sized from it, so it fills without growing, shares its strings
+// for the names that are still there, and lists the dead slots the scan
+// finds in its storage. A file keeps its index if it still says what the
+// core state does (indexes). On an error mi keeps its published state.
+func (fs *FS) build(mi *minode, m *kernel.Mapping, in *layout.Inode) error {
 	switch in.Type {
 	case layout.TypeDir:
 		name := func(rec []byte) string { return string(rec) }
 		entries := 0
 		var dead deadSlots
-		if retained != nil {
+		if retained := mi.dir.Load(); retained != nil {
 			name, entries = retained.ht.Intern, retained.ht.Len()
 			// Take the dead list's storage, emptied, for this scan to
 			// fill; a writer still on retained lists slots in new storage.
@@ -632,28 +634,64 @@ func (fs *FS) buildMinode(ino uint64, m *kernel.Mapping, retained *dirState) (*m
 				return true
 			})
 			if scanErr != nil {
-				return nil, scanErr
+				return scanErr
 			}
 			if corrupt {
-				return nil, fsapi.ErrStale
+				return fsapi.ErrStale
 			}
 			ds.tails[t].page = page
 			ds.tails[t].off = off
 		}
+		mi.mapping.Store(m)
 		mi.dir.Store(ds)
+		mi.file.Store(nil)
 		mi.cacheAttrs(uint64(ds.ht.Len()), in.Nlink, in.MTime)
 	case layout.TypeFile:
-		var blocks, mapPages []uint64
-		if in.DataRoot != 0 {
-			mapPages = layout.MapChainPages(fs.dev, in.DataRoot)
-			blocks = layout.WalkBlockMap(fs.dev, in.DataRoot, layout.BlocksForSize(in.Size))
+		st := mi.file.Load()
+		if !fs.indexes(st, in) {
+			var blocks, mapPages []uint64
+			if in.DataRoot != 0 {
+				mapPages = layout.MapChainPages(fs.dev, in.DataRoot)
+				blocks = layout.WalkBlockMap(fs.dev, in.DataRoot, layout.BlocksForSize(in.Size))
+			}
+			st = newFileState(in.Size, blocks, mapPages)
 		}
-		mi.file.Store(newFileState(in.Size, blocks, mapPages))
+		mi.mapping.Store(m)
+		mi.dir.Store(nil)
+		mi.file.Store(st)
 		mi.cacheAttrs(in.Size, in.Nlink, in.MTime)
 	default:
-		return nil, fsapi.ErrStale
+		return fsapi.ErrStale
 	}
-	return mi, nil
+	return nil
+}
+
+// indexes reports whether st, a file's index, is what a rebuild from the
+// file's inode record in would make: the same size, the same map chain and
+// the same block pointers, with no page of st's still unverified. A peer
+// that only overwrote the file in place leaves it so. The walk compares as
+// it goes, and stops at the first difference.
+func (fs *FS) indexes(st *fileState, in *layout.Inode) bool {
+	if st == nil || st.size.Load() != in.Size || len(st.unverified) > 0 {
+		return false
+	}
+	n := 0 // map pages walked
+	for p := in.DataRoot; p != 0; p = layout.NextPage(fs.dev, p) {
+		if n == len(st.mapPages) || st.mapPages[n] != p {
+			return false
+		}
+		n++
+	}
+	if n != len(st.mapPages) || min(layout.BlocksForSize(in.Size), n*layout.MapEntriesPerPage) != st.nblocks {
+		return false
+	}
+	arr := st.blockArr()
+	for k := range st.nblocks {
+		if layout.MapEntry(fs.dev, st.mapPages[k/layout.MapEntriesPerPage], k%layout.MapEntriesPerPage) != arr[k].Load() {
+			return false
+		}
+	}
+	return true
 }
 
 // newDirTable builds a directory hash table that holds entries names

@@ -6,9 +6,11 @@ import (
 	"slices"
 	"testing"
 
+	"arckfs/internal/fsapi"
 	"arckfs/internal/kernel"
 	"arckfs/internal/layout"
 	"arckfs/internal/pmem"
+	"arckfs/internal/race"
 )
 
 // placementNames returns n distinct names of 7-21 bytes: prefix and a
@@ -39,113 +41,168 @@ func pageSlots(dev *pmem.Device, p uint64) int64 {
 	return n
 }
 
-// TestHandoffTurnPlacement drives the handoff benchmark's turn through two
-// LibFS apps: after a setup of 220 static names and 4 data files, each
-// turn unlinks the peer's 16 names, creates 16 of its own and releases
-// everything. A turn's verification reads the log pages stored to since
-// the last one, and those the previous turn stored to (the peer's mapping
-// was live then, so their dirty bits were harvested, and its unmap makes
-// them due a reread). From turn 3 on none of them may hold a static name,
-// and the verification parses at most 48 records. Appending a hold's names
-// onto the verified, half-full page that holds the last static names puts
-// that page, and its ~100 records, into every turn's read set.
-func TestHandoffTurnPlacement(t *testing.T) {
-	dev := pmem.New(64<<20, nil)
-	ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 1 << 12})
-	if err != nil {
+// handoffRig is the repo benchmark's handoff workload on two LibFS apps.
+// Setup fills /h with 220 static names and 4 data files of 512 blocks;
+// each app opens the data files once and keeps the descriptors across its
+// releases. Turn k is app k%2's: it unlinks the peer's previous batch of
+// 16 names, creates its own batch (k/2)%8, overwrites one block of each
+// data file and releases everything.
+type handoffRig struct {
+	dev    *pmem.Device
+	ctrl   *kernel.Controller
+	fss    [2]*FS
+	ws     [2]*Thread                  // each app appends on a tail of its own, as the benchmark's do
+	static []string                    // the static names, the data files last
+	pool   [2][handoffBatches][]string // paths
+	fds    [2][handoffShared]fsapi.FD
+	block  []byte
+	turns  int
+}
+
+const (
+	handoffDir        = "/h"
+	handoffStatics    = 220
+	handoffBatch      = 16
+	handoffBatches    = 8
+	handoffShared     = 4
+	handoffFileBlocks = 512
+)
+
+func newHandoffRig(t testing.TB) *handoffRig {
+	r := &handoffRig{dev: pmem.New(64<<20, nil), block: make([]byte, layout.PageSize)}
+	var err error
+	if r.ctrl, err = kernel.Format(r.dev, kernel.Options{InodeCap: 1 << 12}); err != nil {
 		t.Fatal(err)
 	}
-	fss := [2]*FS{New(ctrl, ctrl.RegisterApp(0, 0), Options{}), New(ctrl, ctrl.RegisterApp(0, 0), Options{})}
-	// Each app appends on a tail of its own, as the benchmark's do.
-	ws := [2]*Thread{fss[0].NewThread(0).(*Thread), fss[1].NewThread(1).(*Thread)}
+	for a := range r.fss {
+		r.fss[a] = New(r.ctrl, r.ctrl.RegisterApp(0, 0), Options{})
+		r.ws[a] = r.fss[a].NewThread(a).(*Thread)
+	}
 	rng := rand.New(rand.NewSource(1))
 	seen := map[string]bool{}
-
-	const dir, statics, batch, batches = "/h", 220, 16, 8
-	w := ws[0]
-	if err := w.Mkdir(dir); err != nil {
-		t.Fatal(err)
-	}
-	static := placementNames(rng, seen, "s", statics)
-	static = append(static, placementNames(rng, seen, "data", 4)...)
-	for i, n := range static {
-		if err := w.Create(dir + "/" + n); err != nil {
-			t.Fatal(err)
-		}
-		if i >= statics { // a data file
-			fd, err := w.Open(dir + "/" + n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := w.WriteAt(fd, make([]byte, layout.PageSize), 0); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Close(fd); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := fss[0].ReleaseAll(); err != nil {
-		t.Fatal(err)
-	}
-	staticPages := map[uint64]bool{}
-	mi, err := w.resolve(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range static {
-		_, r, ok, err := fss[0].lookupInDir(w, mi, n)
-		if err != nil || !ok {
-			t.Fatalf("static name %q: found %v, %v", n, ok, err)
-		}
-		staticPages[layout.DentryRef(r).Page()] = true
-	}
-	var pool [2][batches][]string
-	for a := range pool {
-		for b := range pool[a] {
-			pool[a][b] = placementNames(rng, seen, string(rune('a'+a)), batch)
-		}
-	}
-
-	vs := ctrl.VerifierStats()
-	var lastDirty map[uint64]bool
-	for k := 0; k < 24; k++ {
-		a := k % 2
-		w := ws[a]
-		if k > 0 {
-			for _, n := range pool[1-a][((k-1)/2)%batches] {
-				if err := w.Unlink(dir + "/" + n); err != nil {
-					t.Fatalf("turn %d: %v", k, err)
-				}
-			}
-		}
-		for _, n := range pool[a][(k/2)%batches] {
-			if err := w.Create(dir + "/" + n); err != nil {
-				t.Fatalf("turn %d: %v", k, err)
-			}
-		}
-		d, err := w.resolve(dir)
+	w := r.ws[0]
+	must := func(err error) {
+		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
-		chain := slices.Concat(fss[a].dirLogPages(d.dir.Load())...)
+	}
+	must(w.Mkdir(handoffDir))
+	r.static = placementNames(rng, seen, "s", handoffStatics)
+	r.static = append(r.static, placementNames(rng, seen, "data", handoffShared)...)
+	for i, n := range r.static {
+		must(w.Create(handoffDir + "/" + n))
+		if i < handoffStatics {
+			continue
+		}
+		fd, err := w.Open(handoffDir + "/" + n)
+		must(err)
+		for b := int64(0); b < handoffFileBlocks; b++ {
+			_, err := w.WriteAt(fd, r.block, b*layout.PageSize)
+			must(err)
+		}
+		must(w.Close(fd))
+	}
+	for a := range r.pool {
+		for b := range r.pool[a] {
+			for _, n := range placementNames(rng, seen, string(rune('a'+a)), handoffBatch) {
+				r.pool[a][b] = append(r.pool[a][b], handoffDir+"/"+n)
+			}
+		}
+	}
+	for a := range r.fss {
+		for i, n := range r.static[handoffStatics:] {
+			fd, err := r.ws[a].Open(handoffDir + "/" + n)
+			must(err)
+			r.fds[a][i] = fd
+		}
+		must(r.fss[a].ReleaseAll())
+	}
+	return r
+}
+
+// work runs the next turn up to its release: the unlinks, the creates and
+// the overwrites.
+func (r *handoffRig) work(t testing.TB) {
+	k, a := r.turns, r.turns%2
+	w := r.ws[a]
+	if k > 0 {
+		for _, p := range r.pool[1-a][((k-1)/2)%handoffBatches] {
+			if err := w.Unlink(p); err != nil {
+				t.Fatalf("turn %d: %v", k, err)
+			}
+		}
+	}
+	for _, p := range r.pool[a][(k/2)%handoffBatches] {
+		if err := w.Create(p); err != nil {
+			t.Fatalf("turn %d: %v", k, err)
+		}
+	}
+	for i, fd := range r.fds[a] {
+		off := int64((k*7+i*131)%handoffFileBlocks) * layout.PageSize
+		if _, err := w.WriteAt(fd, r.block, off); err != nil {
+			t.Fatalf("turn %d: %v", k, err)
+		}
+	}
+}
+
+// release ends the turn: the app's ReleaseAll.
+func (r *handoffRig) release(t testing.TB) {
+	if err := r.fss[r.turns%2].ReleaseAll(); err != nil {
+		t.Fatalf("turn %d: %v", r.turns, err)
+	}
+	r.turns++
+}
+
+// TestHandoffTurnPlacement drives the handoff rig. A turn's verification
+// reads the log pages stored to since the last one, and those the previous
+// turn stored to (the peer's mapping was live then, so their dirty bits
+// were harvested, and its unmap makes them due a reread). From turn 3 on
+// none of them may hold a static name, and the verification parses at most
+// 48 records. Appending a hold's names onto the verified, half-full page
+// that holds the last static names puts that page, and its ~100 records,
+// into every turn's read set.
+func TestHandoffTurnPlacement(t *testing.T) {
+	r := newHandoffRig(t)
+	staticPages := map[uint64]bool{}
+	w := r.ws[0]
+	mi, err := w.resolve(handoffDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range r.static {
+		_, ref, ok, err := r.fss[0].lookupInDir(w, mi, n)
+		if err != nil || !ok {
+			t.Fatalf("static name %q: found %v, %v", n, ok, err)
+		}
+		staticPages[layout.DentryRef(ref).Page()] = true
+	}
+
+	vs := r.ctrl.VerifierStats()
+	var lastDirty map[uint64]bool
+	for k := 0; k < 24; k++ {
+		a := k % 2
+		r.work(t)
+		d, err := r.ws[a].resolve(handoffDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain := slices.Concat(r.fss[a].dirLogPages(d.dir.Load())...)
 		dirty := map[uint64]bool{}
 		for _, p := range chain {
-			if dev.Dirty(p) {
+			if r.dev.Dirty(p) {
 				dirty[p] = true
 			}
 		}
 		recs := vs.Dentries.Load()
-		if err := fss[a].ReleaseAll(); err != nil {
-			t.Fatalf("turn %d: %v", k, err)
-		}
+		r.release(t)
 		recs = vs.Dentries.Load() - recs
 
 		var want int64
 		var read, staticRead []uint64
 		for _, p := range chain {
 			if dirty[p] || lastDirty[p] {
-				want += pageSlots(dev, p)
+				want += pageSlots(r.dev, p)
 				read = append(read, p)
 				if staticPages[p] {
 					staticRead = append(staticRead, p)
@@ -164,6 +221,35 @@ func TestHandoffTurnPlacement(t *testing.T) {
 			t.Fatalf("turn %d: the verification parsed %d records (want <= 48) on pages %v; %v hold static names",
 				k, recs, read, staticRead)
 		}
+	}
+}
+
+// TestHandoffTurnAllocations pins what a handoff turn leaves on the Go
+// heap, with kernel.TestHandoffTurnAllocations the kernel's part of it.
+// Most of it outlives the turn: per create the minode, its inode-table
+// node and key, and on the kernel's side its shadow entry, snapshot and
+// mapping; the names, each once in the kernel's view and once in the
+// peer's rebuilt table; and the mappings and rebuilt directory tables of
+// the lease misses. The release's lists, the kernel's results, and a
+// shared file's block index, which an overwrite in place leaves as it was,
+// are reused from turn to turn. (343.75 a turn before they were.)
+func TestHandoffTurnAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	r := newHandoffRig(t)
+	for r.turns < 2*handoffBatches {
+		r.work(t)
+		r.release(t)
+	}
+	const limit = 182
+	got := allocsPerOp(2*handoffBatches, func(int) {
+		r.work(t)
+		r.release(t)
+	})
+	t.Logf("%.2f allocations a turn", got)
+	if got > limit {
+		t.Fatalf("a handoff turn allocates %.2f objects, want at most %v", got, limit)
 	}
 }
 

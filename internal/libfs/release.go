@@ -1,7 +1,8 @@
 package libfs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"arckfs/internal/fsapi"
 	"arckfs/internal/htable"
@@ -37,7 +38,9 @@ func (fs *FS) ensureCommitted(t *Thread, mi *minode) error {
 		if err := fs.commitCrossing(t, pIno); err != nil {
 			return err
 		}
-		fs.markChildrenKnown(map[uint64]bool{pIno: true})
+		for _, c := range fs.freshChildren(nil, pIno) {
+			c.fresh.Store(false)
+		}
 	}
 	// Pending -> committed (or a re-verification of an already committed
 	// inode, which also refreshes the kernel's baseline snapshot).
@@ -47,7 +50,8 @@ func (fs *FS) ensureCommitted(t *Thread, mi *minode) error {
 // commitCrossing commits ino in a Transfer of one, with span attribution.
 func (fs *FS) commitCrossing(t *Thread, ino uint64) error {
 	c := fs.cross(t.CurrentSpan())
-	err := fs.ctrl.Transfer(fs.app, []uint64{ino}, kernel.XferCommit, t.sink())[0].Err
+	inos, out := [1]uint64{ino}, [1]kernel.Released{}
+	err := fs.ctrl.Transfer(fs.app, inos[:], kernel.XferCommit, t.sink(), out[:0])[0].Err
 	c.done(telemetry.SpanEvCrossing, int64(telemetry.EvCommit))
 	if v, ok := fs.mtab.Load(ino); ok && err == nil {
 		mi := v.(*minode)
@@ -90,21 +94,19 @@ func (st *fileState) markVerified() {
 	}
 }
 
-// markChildrenKnown clears the fresh flag on every cached minode whose
-// parent is in dirs: the kernel has now seen them, so their resources are
-// no longer locally recyclable. One pass over the table, however many
-// directories were just transferred.
-func (fs *FS) markChildrenKnown(dirs map[uint64]bool) {
-	if len(dirs) == 0 {
-		return
-	}
+// freshChildren appends to dst the cached fresh minodes whose parent is
+// dir: the children a verification of dir makes known to the kernel, so
+// that their resources are no longer locally recyclable. It ranges over the
+// whole inode table; ReleaseAll reads them off the directories' own tables
+// instead (quiesceHeld).
+func (fs *FS) freshChildren(dst []*minode, dir uint64) []*minode {
 	fs.mtab.Range(func(_, v any) bool {
-		mi := v.(*minode)
-		if dirs[mi.parent.Load()] {
-			mi.fresh.Store(false)
+		if mi := v.(*minode); mi.fresh.Load() && mi.parent.Load() == dir {
+			dst = append(dst, mi)
 		}
 		return true
 	})
+	return dst
 }
 
 // CommitInode runs the commit protocol for path's inode, making it (and
@@ -124,15 +126,20 @@ func (fs *FS) ReleaseInode(ino uint64) error {
 	v, ok := fs.mtab.Load(ino)
 	if !ok {
 		c := fs.cross(nil) // no operation pays for it: no span
-		err := fs.ctrl.Transfer(fs.app, []uint64{ino}, kernel.XferRelease, nil)[0].Err
+		inos, out := [1]uint64{ino}, [1]kernel.Released{}
+		err := fs.ctrl.Transfer(fs.app, inos[:], kernel.XferRelease, nil, out[:0])[0].Err
 		c.done(telemetry.SpanEvReleaseBatch, 1)
 		return err
 	}
-	var batch []quiesced
-	if q, ok := fs.quiesce(v.(*minode), nil); ok {
-		batch = append(batch, q)
+	var s releaseScratch
+	mi := v.(*minode)
+	if q, ok := fs.quiesce(mi, nil); ok {
+		s.batch = append(s.batch, q)
+		if mi.typ == layout.TypeDir {
+			s.known = fs.freshChildren(s.known, mi.ino)
+		}
 	}
-	return fs.releaseBatch(batch, nil)
+	return fs.releaseBatch(&s, nil)
 }
 
 // quiesced is one inode of a release batch with the locks that hold it
@@ -140,6 +147,20 @@ func (fs *FS) ReleaseInode(ino uint64) error {
 type quiesced struct {
 	mi            *minode
 	unlockBuckets func() // nil for files
+}
+
+// releaseScratch is a release's working storage: the batch, and what
+// quiesceHeld and releaseBatch build around it. ReleaseAll's lives on the
+// FS under relMu and is reused from call to call; none of it outlives the
+// call that fills it.
+type releaseScratch struct {
+	levels [][]*minode // quiesceHeld's: levels[d] is what is held d steps below the root
+	batch  []quiesced
+	// known lists the fresh children of the batch's directories, which the
+	// directories' verification makes known to the kernel.
+	known []*minode
+	inos  []uint64
+	res   []kernel.Released
 }
 
 // quiesce stills mi for a release; ok is false when mi is not (or no
@@ -176,19 +197,15 @@ func (fs *FS) quiesce(mi *minode, sp *span.Span) (q quiesced, ok bool) {
 	return q, true
 }
 
-// releaseBatch hands a quiesced batch — parents before children — to the
+// releaseBatch hands s.batch, quiesced parents before children, to the
 // kernel, one crossing per kernel.MaxReleaseBatch inodes, then publishes
 // every verdict and drops the locks. It returns the first error, after
-// releasing everything.
-func (fs *FS) releaseBatch(batch []quiesced, sp *span.Span) (err error) {
+// releasing everything, and leaves s empty.
+func (fs *FS) releaseBatch(s *releaseScratch, sp *span.Span) (err error) {
 	unsync := fs.opts.Bugs.Has(BugReleaseUnsync)
-	inos := make([]uint64, len(batch))
-	dirs := make(map[uint64]bool)
-	for i, q := range batch {
-		inos[i] = q.mi.ino
-		if q.mi.typ == layout.TypeDir {
-			dirs[q.mi.ino] = true
-		}
+	batch, inos := s.batch, s.inos[:0]
+	for _, q := range batch {
+		inos = append(inos, q.mi.ino)
 	}
 
 	// A leased release is verified and applied like a plain one, but the
@@ -203,17 +220,20 @@ func (fs *FS) releaseBatch(batch []quiesced, sp *span.Span) (err error) {
 	if sp != nil {
 		sink = sp
 	}
-	res := make([]kernel.Released, 0, len(inos))
+	res := s.res[:0]
 	for lo := 0; lo < len(inos); lo += kernel.MaxReleaseBatch {
 		part := inos[lo:min(lo+kernel.MaxReleaseBatch, len(inos))]
 		c := fs.cross(sp)
-		res = append(res, fs.ctrl.Transfer(fs.app, part, kind, sink)...)
+		res = fs.ctrl.Transfer(fs.app, part, kind, sink, res)
 		c.done(telemetry.SpanEvReleaseBatch, int64(len(part)))
 	}
 
-	// The kernel has seen the children of every directory in the batch;
-	// say so before any lock drops, or an unlink could still recycle one.
-	fs.markChildrenKnown(dirs)
+	// The kernel has seen the fresh children of every directory in the
+	// batch; say so before any lock drops, or an unlink could still recycle
+	// one.
+	for _, mi := range s.known {
+		mi.fresh.Store(false)
+	}
 	for i, q := range batch {
 		r := res[i]
 		if r.Err != nil && err == nil {
@@ -237,6 +257,10 @@ func (fs *FS) releaseBatch(batch []quiesced, sp *span.Span) (err error) {
 		}
 		q.mi.lock.Unlock()
 	}
+	clear(batch)
+	clear(s.known)
+	clear(res)
+	s.batch, s.known, s.inos, s.res = batch[:0], s.known[:0], inos[:0], res[:0]
 	return err
 }
 
@@ -267,7 +291,8 @@ func (fs *FS) ReleaseAll() (err error) {
 	// allocation order part of the invariant, not just the persist
 	// schedule.
 	fs.dom.Barrier()
-	err = fs.releaseBatch(fs.quiesceHeld(sp), sp)
+	fs.quiesceHeld(&fs.rel, sp)
+	err = fs.releaseBatch(&fs.rel, sp)
 	fs.ws.endHold()
 	if fs.Stats.DirCompactions.Load() != compactions {
 		// Same reason as the Barrier above: pages a compaction retired must
@@ -277,11 +302,11 @@ func (fs *FS) ReleaseAll() (err error) {
 	return err
 }
 
-// quiesceHeld quiesces every held inode in the order ReleaseAll hands them
-// back: parents before children (LibFS Rule 1), ties by inode number —
-// the inode table is a sync.Map whose Range order varies run to run, and
-// release order decides the persist schedule the crash-state enumeration
-// sees, so it must be deterministic.
+// quiesceHeld quiesces every held inode into s.batch, in the order
+// ReleaseAll hands them back: parents before children (LibFS Rule 1), ties
+// by inode number — the inode table is a sync.Map whose Range order varies
+// run to run, and release order decides the persist schedule the
+// crash-state enumeration sees, so it must be deterministic.
 //
 // What is held comes from two places that cannot overlap. Inodes the
 // kernel knows are read off the inode table: each can be handed back on
@@ -294,16 +319,18 @@ func (fs *FS) ReleaseAll() (err error) {
 // mi.lock: the order an unlink takes the two it needs. Nothing else waits
 // for a second inode's lock with a first in hand (a rename backs off, see
 // pinDirs).
-func (fs *FS) quiesceHeld(sp *span.Span) []quiesced {
+func (fs *FS) quiesceHeld(s *releaseScratch, sp *span.Span) {
 	// ArckFS as shipped stills nothing, so it reads everything off the
 	// inode table.
 	unsync := fs.opts.Bugs.Has(BugReleaseUnsync)
-	var levels [][]*minode // levels[d]: what is held d steps below the root
+	for d := range s.levels {
+		s.levels[d] = s.levels[d][:0]
+	}
 	add := func(mi *minode, depth int) {
-		for len(levels) <= depth {
-			levels = append(levels, nil)
+		for len(s.levels) <= depth {
+			s.levels = append(s.levels, nil)
 		}
-		levels[depth] = append(levels[depth], mi)
+		s.levels[depth] = append(s.levels[depth], mi)
 	}
 	fs.mtab.Range(func(_, v any) bool {
 		mi := v.(*minode)
@@ -321,25 +348,25 @@ func (fs *FS) quiesceHeld(sp *span.Span) []quiesced {
 		add(mi, depth)
 		return true
 	})
-	var batch []quiesced
-	for d := 0; d < len(levels); d++ {
-		level := levels[d]
-		sort.Slice(level, func(i, j int) bool { return level[i].ino < level[j].ino })
+	for d := 0; d < len(s.levels); d++ {
+		level := s.levels[d]
+		slices.SortFunc(level, func(a, b *minode) int { return cmp.Compare(a.ino, b.ino) })
 		for _, mi := range level {
 			q, ok := fs.quiesce(mi, sp)
 			if !ok {
 				continue
 			}
-			batch = append(batch, q)
+			s.batch = append(s.batch, q)
 			if q.unlockBuckets == nil {
 				continue
 			}
 			mi.ht().EachLocked(func(e *htable.Entry) {
 				if v, ok := fs.mtab.Load(e.Ino); ok && v.(*minode).fresh.Load() {
+					s.known = append(s.known, v.(*minode))
 					add(v.(*minode), d+1)
 				}
 			})
 		}
+		clear(level)
 	}
-	return batch
 }

@@ -199,6 +199,73 @@ func TestReleaseAllSplitsAtBatchCap(t *testing.T) {
 	}
 }
 
+// TestReleaseMarksFreshChildrenKnown: a release leaves no cached minode
+// under a directory it handed back fresh — the kernel has seen them all, so
+// an unlink may no longer recycle their resources — among them a fresh
+// directory's fresh children, and with 10 000 cached inodes of another
+// directory beside them. ReleaseAll learns the fresh children from the
+// directories' own tables, not from a pass over the inode table. The same
+// holds for a ReleaseInode of one directory.
+func TestReleaseMarksFreshChildrenKnown(t *testing.T) {
+	dev := pmem.New(64<<20, nil)
+	ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 1 << 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := New(ctrl, ctrl.RegisterApp(0, 0), Options{})
+	w := th(t, fs)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(w.Mkdir("/other"))
+	for i := 0; i < 10000; i++ {
+		must(w.Create(fmt.Sprintf("/other/f%05d", i)))
+	}
+	must(w.Mkdir("/d"))
+	must(fs.ReleaseAll())
+	for i := 0; i < 8; i++ {
+		must(w.Create(fmt.Sprintf("/d/f%d", i)))
+	}
+	must(w.Mkdir("/d/sub"))
+	for i := 0; i < 8; i++ {
+		must(w.Create(fmt.Sprintf("/d/sub/f%d", i)))
+	}
+	must(w.Create("/other/late"))
+	cached, fresh := 0, 0
+	fs.mtab.Range(func(_, v any) bool {
+		if cached++; v.(*minode).fresh.Load() {
+			fresh++
+		}
+		return true
+	})
+	if cached < 10000 || fresh != 8+1+8+1 {
+		t.Fatalf("before the release: %d cached inodes, %d fresh; want over 10 000 and %d", cached, fresh, 8+1+8+1)
+	}
+	must(fs.ReleaseAll())
+	noneFresh := func(what string) {
+		t.Helper()
+		fs.mtab.Range(func(_, v any) bool {
+			if mi := v.(*minode); mi.fresh.Load() {
+				t.Errorf("inode %d under directory %d is still fresh after %s", mi.ino, mi.parent.Load(), what)
+			}
+			return true
+		})
+	}
+	noneFresh("ReleaseAll")
+
+	// A directory handed back alone: its fresh children stay held, known.
+	for i := 0; i < 8; i++ {
+		must(w.Create(fmt.Sprintf("/d/g%d", i)))
+	}
+	st, err := w.Stat("/d")
+	must(err)
+	must(fs.ReleaseInode(st.Ino))
+	noneFresh("ReleaseInode of their directory")
+}
+
 // heldInOrder lists what fs holds in ReleaseAll's order, computed the
 // plain way: depth below the root, then inode number.
 func heldInOrder(fs *FS) []uint64 {

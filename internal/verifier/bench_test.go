@@ -10,14 +10,15 @@ import (
 // fileBench is a file whose holder overwrites one block per step, as a
 // copy-on-write of one 4 KiB block does: the block pointer at a fixed
 // index alternates between two pages. Each step verifies the change
-// against the previous view, which is what a transfer costs the kernel.
+// against the previous view, into the view before that, which is what a
+// transfer costs the kernel.
 type fileBench struct {
 	*img
-	tb    testing.TB
-	kv    *fakeKV
-	old   *FileView
-	slot  [2]uint64
-	turns int
+	tb         testing.TB
+	kv         *fakeKV
+	old, spare *FileView
+	slot       [2]uint64
+	turns      int
 }
 
 func newFileBench(tb testing.TB, blocks int) *fileBench {
@@ -36,25 +37,26 @@ func (b *fileBench) step() {
 	b.turns++
 	i := len(b.old.Blocks) / 2
 	layout.SetMapEntry(b.dev, b.old.MapPages[i/layout.MapEntriesPerPage], i%layout.MapEntriesPerPage, b.slot[b.turns%2])
-	res, err := b.v.VerifyFile(1, imgFile, b.old, b.kv)
+	res, err := b.v.VerifyFile(1, imgFile, b.old, b.spare, b.kv)
 	if err != nil || len(res.NewPages) != 1 || len(res.FreedPages) != 1 {
 		b.tb.Fatalf("step %d: %v %+v", b.turns, err, res)
 	}
-	b.old = res.View
+	b.old, b.spare = res.View, b.old
 }
 
 // dirBench is a directory whose holder creates a name on one step and
 // unlinks it on the next (one spare record's commit marker set and
 // cleared), each step verified against the previous view with the device's
 // dirty bits: the step's store dirties the spare's page, a log page shared
-// with other records, and the verification reads that page alone.
+// with other records, and the verification reads that page alone. Like
+// fileBench it parses into the view before the previous one.
 type dirBench struct {
 	*img
-	tb    testing.TB
-	kv    *fakeKV
-	old   *DirView
-	spare layout.DentryRef
-	turns int
+	tb       testing.TB
+	kv       *fakeKV
+	old, was *DirView
+	spare    layout.DentryRef
+	turns    int
 }
 
 func newDirBench(tb testing.TB, names int) *dirBench {
@@ -76,7 +78,7 @@ func newDirBench(tb testing.TB, names int) *dirBench {
 	}
 	// A first verification reads every page of the new device and clears
 	// its bit.
-	res, err := m.v.VerifyDir(1, imgDir, old, kv)
+	res, err := m.v.VerifyDir(1, imgDir, old, nil, kv)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -95,11 +97,11 @@ func (b *dirBench) step() {
 	} else {
 		layout.InvalidateDentry(b.dev, b.spare)
 	}
-	res, err := b.v.VerifyDir(1, imgDir, b.old, b.kv)
+	res, err := b.v.VerifyDir(1, imgDir, b.old, b.was, b.kv)
 	if err != nil || len(res.Changes) != 1 {
 		b.tb.Fatalf("step %d: %v %+v", b.turns, err, res)
 	}
-	b.old = res.View
+	b.old, b.was = res.View, b.old
 }
 
 // BenchmarkVerifyFile64M: one overwritten block of a 64 MiB file.

@@ -115,6 +115,8 @@ type V struct {
 // shares that view's entries (and name strings), tail heads, blocks and
 // block set wherever they did not change. A directory view also keeps, per
 // log page, what a verification needs to take a clean page from it unread.
+// A view no one reads any more may be handed to a later parse as into: the
+// parse reuses the slices that view alone holds (DirView.reset).
 
 // DirEntry is one live name of a directory.
 type DirEntry struct {
@@ -159,6 +161,16 @@ func (dv *DirView) hasPage(p uint64) bool {
 	return ok
 }
 
+// reset empties dv for a parse to fill, and returns the storage of its
+// slices that no other view shares: a parse makes Pages and byPage afresh
+// or takes them from the view it fills. Entries and heads may be shared
+// with the views parsed after dv, and are never reused.
+func (dv *DirView) reset() (pages []uint64, byPage []logPage) {
+	pages, byPage = dv.Pages[:0], dv.byPage[:0]
+	*dv = DirView{}
+	return pages, byPage
+}
+
 // FileView is the parsed core state of a regular file.
 type FileView struct {
 	Inode layout.Inode
@@ -169,6 +181,14 @@ type FileView struct {
 
 	blockSet []uint64 // the nonzero Blocks, sorted; disjoint from mapSet
 	mapSet   []uint64 // MapPages, sorted
+}
+
+// reset is DirView.reset for a file: MapPages and mapSet are the view's
+// own; Blocks and blockSet may be shared.
+func (fv *FileView) reset() (mapPages, mapSet []uint64) {
+	mapPages, mapSet = fv.MapPages[:0], fv.mapSet[:0]
+	*fv = FileView{}
+	return mapPages, mapSet
 }
 
 // chain appends the pages linked from head to pages.
@@ -271,19 +291,20 @@ var (
 // every page of it: the parse of recovery, a cold acquire and a new
 // directory's commit, none of which has a baseline or touches a dirty bit.
 func (v *V) ParseDir(ino uint64) (*DirView, error) {
-	dv, _, _, err := v.parseDir(ino, &noDir, nil)
+	dv, _, _, err := v.parseDir(ino, &noDir, nil, nil)
 	return dv, err
 }
 
 // parseDir is ParseDir given the directory's previous view, whose strings
-// it reuses for the names that are still there. With kv it is a
+// it reuses for the names that are still there, into the view into (nil, or
+// prev itself: a new one). With kv it is a
 // verification's parse: every page it visits is first put to
 // kv.CleanPage, and a clean page of prev's is not read — its records, its
 // live entries and its next pointer (for the tail-set page, its heads) are
 // prev's. Only what is read is charged. was lists the entries of prev that
 // are gone or now name another inode, now the entries prev does not hold,
 // both sorted by name.
-func (v *V) parseDir(ino uint64, prev *DirView, kv KernelView) (dv *DirView, was, now []DirEntry, err error) {
+func (v *V) parseDir(ino uint64, prev, into *DirView, kv KernelView) (dv *DirView, was, now []DirEntry, err error) {
 	in, ok, corrupt := layout.ReadInode(v.Dev, v.Geo, ino)
 	if corrupt {
 		return nil, nil, nil, fmt.Errorf("inode %d: corrupt record", ino)
@@ -300,7 +321,11 @@ func (v *V) parseDir(ino uint64, prev *DirView, kv KernelView) (dv *DirView, was
 	fromPrev := func(p uint64, inPrev bool) bool {
 		return kv != nil && kv.CleanPage(ino, p) && inPrev
 	}
-	dv = &DirView{Inode: in}
+	if dv = into; dv == nil || dv == prev {
+		dv = new(DirView)
+	}
+	pages, byPage := dv.reset()
+	dv.Inode = in
 	read, clean, scanned := 0, 0, 0 // pages scanned, pages taken from prev, records scanned
 	if fromPrev(in.DataRoot, in.DataRoot == prev.Inode.DataRoot) {
 		dv.heads, clean = prev.heads, 1
@@ -331,8 +356,8 @@ func (v *V) parseDir(ino uint64, prev *DirView, kv KernelView) (dv *DirView, was
 	kept, taken := flags[:len(prev.Entries)], flags[len(prev.Entries):]
 	var moved []DirEntry
 	var name []byte // the scans' name buffer, made at the first scan
-	dv.Pages = make([]uint64, 0, len(prev.Pages)+1)
-	dv.byPage = make([]logPage, 0, len(prev.byPage)+1)
+	dv.Pages = slices.Grow(pages, len(prev.Pages)+1)
+	dv.byPage = slices.Grow(byPage, len(prev.byPage)+1)
 	for _, head := range dv.heads {
 		var loop loopCheck
 		for p := head; p != 0; {
@@ -406,6 +431,13 @@ func (v *V) parseDir(ino uint64, prev *DirView, kv KernelView) (dv *DirView, was
 			kept[i] = true
 		}
 	}
+	gone := 0 // was's length: the entries of prev not kept
+	for _, k := range kept {
+		if !k {
+			gone++
+		}
+	}
+	was = make([]DirEntry, 0, gone)
 	for i, k := range kept {
 		if !k {
 			was = append(was, prev.Entries[i])
@@ -467,14 +499,15 @@ func (dv *DirView) mergeEntries(old []DirEntry, kept []bool, moved, added []DirE
 
 // ParseFile reads and structurally validates file ino's core state.
 func (v *V) ParseFile(ino uint64) (*FileView, error) {
-	fv, _, _, err := v.parseFile(ino, &noFile)
+	fv, _, _, err := v.parseFile(ino, &noFile, nil)
 	return fv, err
 }
 
-// parseFile is ParseFile given the file's previous view. came lists, in
+// parseFile is ParseFile given the file's previous view, into the view into
+// (nil, or prev itself: a new one). came lists, in
 // block-map order, the blocks that are not where prev has them; gone, in
 // ascending order, the blocks of prev that are no longer where they were.
-func (v *V) parseFile(ino uint64, prev *FileView) (fv *FileView, came, gone []uint64, err error) {
+func (v *V) parseFile(ino uint64, prev, into *FileView) (fv *FileView, came, gone []uint64, err error) {
 	in, ok, corrupt := layout.ReadInode(v.Dev, v.Geo, ino)
 	if corrupt {
 		return nil, nil, nil, fmt.Errorf("inode %d: corrupt record", ino)
@@ -482,11 +515,15 @@ func (v *V) parseFile(ino uint64, prev *FileView) (fv *FileView, came, gone []ui
 	if !ok || in.Type != layout.TypeFile {
 		return nil, nil, nil, fmt.Errorf("inode %d: not a regular file", ino)
 	}
-	fv = &FileView{Inode: in}
-	if fv.MapPages, err = v.chain(make([]uint64, 0, len(prev.MapPages)), in.DataRoot, "map"); err != nil {
+	if fv = into; fv == nil || fv == prev {
+		fv = new(FileView)
+	}
+	mapPages, mapSet := fv.reset()
+	fv.Inode = in
+	if fv.MapPages, err = v.chain(slices.Grow(mapPages, len(prev.MapPages)), in.DataRoot, "map"); err != nil {
 		return nil, nil, nil, fmt.Errorf("inode %d: %v", ino, err)
 	}
-	fv.mapSet = slices.Clone(fv.MapPages) // one chain without a cycle repeats no page
+	fv.mapSet = append(mapSet, fv.MapPages...) // one chain without a cycle repeats no page
 	slices.Sort(fv.mapSet)
 	// The size is the LibFS's word; the chain bounds what is allocated
 	// for it.

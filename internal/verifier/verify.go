@@ -74,31 +74,32 @@ func fail(ino uint64, format string, args ...any) error {
 // against old, the view its last verification (or its acquire) produced,
 // and the kernel's shadow state. It reads only the pages of the directory
 // that kv.CleanPage does not report clean, and those old does not hold;
-// every other page it takes from old.
-func (v *V) VerifyDir(app int64, ino uint64, old *DirView, kv KernelView) (*DirResult, error) {
+// every other page it takes from old. The new view is parsed into into
+// (nil: a new view), whose own storage it reuses (see DirView.reset).
+func (v *V) VerifyDir(app int64, ino uint64, old, into *DirView, kv KernelView) (DirResult, error) {
 	sh, ok := kv.Shadow(ino)
 	if !ok {
-		return nil, fail(ino, "no shadow record")
+		return DirResult{}, fail(ino, "no shadow record")
 	}
 	// was holds the old side of every name that changed, now the new side.
-	dv, was, now, err := v.parseDir(ino, old, kv)
+	dv, was, now, err := v.parseDir(ino, old, into, kv)
 	if err != nil {
-		return nil, fail(ino, "structural: %v", err)
+		return DirResult{}, fail(ino, "structural: %v", err)
 	}
 	in := dv.Inode
 	// Immutable attributes: a LibFS may change size and times, nothing
 	// else.
 	if in.Perm != sh.Perm || in.UID != sh.UID || in.GID != sh.GID {
-		return nil, fail(ino, "permission or ownership fields changed")
+		return DirResult{}, fail(ino, "permission or ownership fields changed")
 	}
 	if in.DataRoot != sh.DataRoot || in.NTails != sh.NTails {
-		return nil, fail(ino, "directory structure fields changed")
+		return DirResult{}, fail(ino, "directory structure fields changed")
 	}
 	if in.Parent != sh.Parent {
-		return nil, fail(ino, "parent pointer changed by LibFS")
+		return DirResult{}, fail(ino, "parent pointer changed by LibFS")
 	}
 
-	res := &DirResult{Inode: in, View: dv}
+	res := DirResult{Inode: in, View: dv, Changes: make([]ChildChange, 0, len(now)+len(was))}
 
 	// Inodes that gained an entry in this directory: a "removal" of one
 	// of these under another name is a rename within the directory, not
@@ -115,8 +116,8 @@ func (v *V) VerifyDir(app int64, ino uint64, old *DirView, kv KernelView) (*DirR
 		if i, replaced := searchName(was, name); replaced && !contains(addedInos, was[i].Ino) {
 			// Same name now points at a different inode: verify the
 			// removal of the old target too.
-			if err := v.verifyRemoval(app, ino, name, was[i].Ino, kv, res); err != nil {
-				return nil, err
+			if err := v.verifyRemoval(app, ino, name, was[i].Ino, kv, &res); err != nil {
+				return DirResult{}, err
 			}
 		}
 		if kv.InodeGrantedTo(app, e.Ino) {
@@ -125,20 +126,20 @@ func (v *V) VerifyDir(app int64, ino uint64, old *DirView, kv KernelView) (*DirR
 			// verified at its own commit (LibFS Rule 1).
 			cin, cok, ccorrupt := layout.ReadInode(v.Dev, v.Geo, e.Ino)
 			if ccorrupt || !cok {
-				return nil, fail(ino, "entry %q links invalid new inode %d", name, e.Ino)
+				return DirResult{}, fail(ino, "entry %q links invalid new inode %d", name, e.Ino)
 			}
 			if cin.Parent != ino {
-				return nil, fail(ino, "new inode %d claims parent %d, linked under %d", e.Ino, cin.Parent, ino)
+				return DirResult{}, fail(ino, "new inode %d claims parent %d, linked under %d", e.Ino, cin.Parent, ino)
 			}
 			if cin.Type != layout.TypeFile && cin.Type != layout.TypeDir {
-				return nil, fail(ino, "new inode %d has unknown type %d", e.Ino, cin.Type)
+				return DirResult{}, fail(ino, "new inode %d has unknown type %d", e.Ino, cin.Type)
 			}
 			res.Changes = append(res.Changes, ChildChange{Name: name, Ino: e.Ino, Action: AddNew})
 			continue
 		}
 		csh, cok := kv.Shadow(e.Ino)
 		if !cok || !csh.Committed {
-			return nil, fail(ino, "entry %q links unknown inode %d", name, e.Ino)
+			return DirResult{}, fail(ino, "entry %q links unknown inode %d", name, e.Ino)
 		}
 		// An existing committed inode appearing here is a relocation. The
 		// Original verifier accepts the new link with no relocation
@@ -147,13 +148,13 @@ func (v *V) VerifyDir(app int64, ino uint64, old *DirView, kv KernelView) (*DirR
 		// same inode).
 		if v.Mode == Enhanced && csh.Parent != ino {
 			if !kv.OwnedBy(app, csh.Parent) {
-				return nil, fail(ino, "relocation of inode %d: old parent %d not held by releasing LibFS", e.Ino, csh.Parent)
+				return DirResult{}, fail(ino, "relocation of inode %d: old parent %d not held by releasing LibFS", e.Ino, csh.Parent)
 			}
 			if kv.IsDescendant(ino, e.Ino) {
-				return nil, fail(ino, "relocation of inode %d would create a cycle", e.Ino)
+				return DirResult{}, fail(ino, "relocation of inode %d would create a cycle", e.Ino)
 			}
 			if csh.Type == layout.TypeDir && !kv.HoldsRenameLock(app) {
-				return nil, fail(ino, "directory relocation of inode %d without the global rename lock", e.Ino)
+				return DirResult{}, fail(ino, "directory relocation of inode %d without the global rename lock", e.Ino)
 			}
 		}
 		res.Changes = append(res.Changes, ChildChange{Name: name, Ino: e.Ino, Action: RelocateIn})
@@ -165,8 +166,8 @@ func (v *V) VerifyDir(app int64, ino uint64, old *DirView, kv KernelView) (*DirR
 		if _, replaced := searchName(now, e.Name); replaced || contains(addedInos, e.Ino) {
 			continue
 		}
-		if err := v.verifyRemoval(app, ino, e.Name, e.Ino, kv, res); err != nil {
-			return nil, err
+		if err := v.verifyRemoval(app, ino, e.Name, e.Ino, kv, &res); err != nil {
+			return DirResult{}, err
 		}
 	}
 
@@ -175,7 +176,7 @@ func (v *V) VerifyDir(app int64, ino uint64, old *DirView, kv KernelView) (*DirR
 	for _, p := range dv.Pages {
 		if !old.hasPage(p) {
 			if !kv.PageUsableBy(app, ino, p) {
-				return nil, fail(ino, "log page %d not granted to the releasing LibFS", p)
+				return DirResult{}, fail(ino, "log page %d not granted to the releasing LibFS", p)
 			}
 			res.NewPages = append(res.NewPages, p)
 		}
@@ -238,28 +239,30 @@ type FileResult struct {
 }
 
 // VerifyFile checks regular file ino as released by app against old, the
-// view its last verification (or its acquire) produced.
-func (v *V) VerifyFile(app int64, ino uint64, old *FileView, kv KernelView) (*FileResult, error) {
+// view its last verification (or its acquire) produced. The new view is
+// parsed into into (nil: a new view), whose own storage it reuses (see
+// FileView.reset).
+func (v *V) VerifyFile(app int64, ino uint64, old, into *FileView, kv KernelView) (FileResult, error) {
 	sh, ok := kv.Shadow(ino)
 	if !ok {
-		return nil, fail(ino, "no shadow record")
+		return FileResult{}, fail(ino, "no shadow record")
 	}
-	fv, came, gone, err := v.parseFile(ino, old)
+	fv, came, gone, err := v.parseFile(ino, old, into)
 	if err != nil {
-		return nil, fail(ino, "structural: %v", err)
+		return FileResult{}, fail(ino, "structural: %v", err)
 	}
 	in := fv.Inode
 	if in.Perm != sh.Perm || in.UID != sh.UID || in.GID != sh.GID {
-		return nil, fail(ino, "permission or ownership fields changed")
+		return FileResult{}, fail(ino, "permission or ownership fields changed")
 	}
 	if in.Parent != sh.Parent {
-		return nil, fail(ino, "parent pointer changed by LibFS")
+		return FileResult{}, fail(ino, "parent pointer changed by LibFS")
 	}
-	res := &FileResult{Inode: in, View: fv}
+	res := FileResult{Inode: in, View: fv}
 	for _, p := range fv.MapPages {
 		if !contains(old.mapSet, p) {
 			if !kv.PageUsableBy(app, ino, p) {
-				return nil, fail(ino, "map page %d not granted to the releasing LibFS", p)
+				return FileResult{}, fail(ino, "map page %d not granted to the releasing LibFS", p)
 			}
 			res.NewPages = append(res.NewPages, p)
 		}
@@ -267,7 +270,7 @@ func (v *V) VerifyFile(app int64, ino uint64, old *FileView, kv KernelView) (*Fi
 	for _, b := range came {
 		if !contains(old.blockSet, b) && !contains(old.mapSet, b) {
 			if !kv.PageUsableBy(app, ino, b) {
-				return nil, fail(ino, "data block %d not granted to the releasing LibFS", b)
+				return FileResult{}, fail(ino, "data block %d not granted to the releasing LibFS", b)
 			}
 			res.NewPages = append(res.NewPages, b)
 		}
@@ -304,29 +307,30 @@ type NewInodeResult struct {
 
 // VerifyNewInode checks a freshly created inode at commit time. parent is
 // the verified parent recorded when the parent directory's verification
-// accepted the AddNew entry.
-func (v *V) VerifyNewInode(app int64, ino, parent uint64, kv KernelView) (*NewInodeResult, error) {
+// accepted the AddNew entry. A file's view is parsed into into (nil: a new
+// view).
+func (v *V) VerifyNewInode(app int64, ino, parent uint64, into *FileView, kv KernelView) (NewInodeResult, error) {
 	in, ok, corrupt := layout.ReadInode(v.Dev, v.Geo, ino)
 	if corrupt {
-		return nil, fail(ino, "corrupt inode record")
+		return NewInodeResult{}, fail(ino, "corrupt inode record")
 	}
 	if !ok {
-		return nil, fail(ino, "free inode record")
+		return NewInodeResult{}, fail(ino, "free inode record")
 	}
 	if in.Parent != parent {
-		return nil, fail(ino, "inode parent %d disagrees with verified dentry parent %d", in.Parent, parent)
+		return NewInodeResult{}, fail(ino, "inode parent %d disagrees with verified dentry parent %d", in.Parent, parent)
 	}
-	res := &NewInodeResult{Inode: in}
+	res := NewInodeResult{Inode: in}
 	switch in.Type {
 	case layout.TypeFile:
-		fv, err := v.ParseFile(ino)
+		fv, _, _, err := v.parseFile(ino, &noFile, into)
 		if err != nil {
-			return nil, fail(ino, "structural: %v", err)
+			return NewInodeResult{}, fail(ino, "structural: %v", err)
 		}
 		res.File = fv
 		for _, p := range fv.MapPages {
 			if !kv.PageUsableBy(app, ino, p) {
-				return nil, fail(ino, "map page %d not granted", p)
+				return NewInodeResult{}, fail(ino, "map page %d not granted", p)
 			}
 			res.Pages = append(res.Pages, p)
 		}
@@ -335,35 +339,35 @@ func (v *V) VerifyNewInode(app int64, ino, parent uint64, kv KernelView) (*NewIn
 				continue
 			}
 			if !kv.PageUsableBy(app, ino, b) {
-				return nil, fail(ino, "data block %d not granted", b)
+				return NewInodeResult{}, fail(ino, "data block %d not granted", b)
 			}
 			res.Pages = append(res.Pages, b)
 		}
 	case layout.TypeDir:
 		dv, err := v.ParseDir(ino)
 		if err != nil {
-			return nil, fail(ino, "structural: %v", err)
+			return NewInodeResult{}, fail(ino, "structural: %v", err)
 		}
 		res.Dir = dv
 		if in.DataRoot < v.Geo.DataStart || !kv.PageUsableBy(app, ino, in.DataRoot) {
-			return nil, fail(ino, "tail-set page %d not granted", in.DataRoot)
+			return NewInodeResult{}, fail(ino, "tail-set page %d not granted", in.DataRoot)
 		}
 		res.Pages = append(res.Pages, in.DataRoot)
 		for _, p := range dv.Pages {
 			if !kv.PageUsableBy(app, ino, p) {
-				return nil, fail(ino, "log page %d not granted", p)
+				return NewInodeResult{}, fail(ino, "log page %d not granted", p)
 			}
 			res.Pages = append(res.Pages, p)
 		}
 		for _, e := range dv.Entries {
 			if !kv.InodeGrantedTo(app, e.Ino) {
-				return nil, fail(ino, "entry %q links inode %d not granted to the LibFS", e.Name, e.Ino)
+				return NewInodeResult{}, fail(ino, "entry %q links inode %d not granted to the LibFS", e.Name, e.Ino)
 			}
 			res.PendingChildren = append(res.PendingChildren, ChildChange{Name: e.Name, Ino: e.Ino, Action: AddNew})
 		}
 		res.ChildCount = uint32(len(dv.Entries))
 	default:
-		return nil, fail(ino, "unknown inode type %d", in.Type)
+		return NewInodeResult{}, fail(ino, "unknown inode type %d", in.Type)
 	}
 	return res, nil
 }

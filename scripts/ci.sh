@@ -35,8 +35,9 @@ step test;  go test ./...
 
 bash scripts/race.sh
 
-step "fuzz the path cursor for 5 s (native Go fuzzing; the seed corpus already ran under go test)"
+step "fuzz the path cursor and the directory verifier for 5 s each (native Go fuzzing; the seed corpora already ran under go test)"
 go test -run '^$' -fuzz=FuzzPathCursor -fuzztime=5s ./internal/fsapi/
+go test -run '^$' -fuzz=FuzzVerifyDir -fuzztime=5s ./internal/verifier/
 
 step "per-layer Go benchmarks build and run once"
 go test -run '^$' -bench . -benchtime 1x ./internal/libfs/ ./internal/kv/ ./internal/verifier/ ./internal/kernel/
