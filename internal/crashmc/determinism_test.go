@@ -1,6 +1,7 @@
 package crashmc
 
 import (
+	"encoding/binary"
 	"hash/maphash"
 	"reflect"
 	"testing"
@@ -12,11 +13,12 @@ var digestSeed = maphash.MakeSeed()
 
 // runDataPlane boots the campaign's mixed metadata+data schedule, drives
 // it through the rig and returns what the run admits: the set of crash
-// images (by digest) over every fence, and the final durable image's
-// digest. Its own fence observer sees every fence — kernel-protocol ones
-// included, unlike the drivers — and enumerates the first few dirty lines
-// through every keep-subset; the truncation is deterministic, so it cuts
-// every run identically and cannot mask a divergence by itself.
+// states over every fence, each digested with its fence's dirty-line
+// offsets, and the final durable image's digest. Its own fence observer
+// sees every fence — kernel-protocol ones included, unlike the drivers —
+// and enumerates every dirty line the way the enumerate driver does:
+// exhaustively within pointBudget, otherwise the corners and seeded
+// samples.
 func runDataPlane(t *testing.T) (states map[uint64]bool, final uint64) {
 	cfg := rowConfig(t, "mixed-ops/arckfs+")
 	cfg.fill()
@@ -26,21 +28,25 @@ func runDataPlane(t *testing.T) (states map[uint64]bool, final uint64) {
 	}
 	r.ops = cfg.Ops
 	states = map[uint64]bool{}
-	const maxEnum = 6
+	fences := int64(0)
 	r.dev.SetFenceObserver(func() {
-		dirty := r.dev.DirtyLines()
-		n := len(dirty)
-		if n > maxEnum {
-			n = maxEnum
-		}
-		for mask := 0; mask < 1<<n; mask++ {
-			var keep []int64
-			for i := 0; i < n; i++ {
-				if mask&(1<<i) != 0 {
-					keep = append(keep, dirty[i])
-				}
+		fences++
+		// An image differs from the fence's durable one only on the dirty
+		// lines, so it is digested as the durable one's digest plus those
+		// lines and their offsets: hashing every whole image would double
+		// the test's time.
+		lines := r.dev.DirtyLineStates()
+		durable := maphash.Bytes(digestSeed, r.dev.CrashImage(pmem.CrashDropAll))
+		images, _ := r.dev.CrashImages(lines, pmem.CrashDropAll, pointBudget, fences)
+		for _, img := range images {
+			var h maphash.Hash
+			h.SetSeed(digestSeed)
+			h.Write(binary.LittleEndian.AppendUint64(nil, durable))
+			for _, s := range lines {
+				h.Write(binary.LittleEndian.AppendUint64(nil, uint64(s.Off)))
+				h.Write(img[s.Off : s.Off+pmem.LineSize])
 			}
-			states[maphash.Bytes(digestSeed, r.dev.CrashImage(pmem.CrashKeepLines(keep...)))] = true
+			states[h.Sum64()] = true
 		}
 	})
 	if err := r.run(func() bool { return false }); err != nil {
@@ -53,9 +59,9 @@ func runDataPlane(t *testing.T) (states map[uint64]bool, final uint64) {
 // TestCrashStateEnumerationDeterministic pins the property every recorded
 // seed and the campaign golden stand on: replaying the same schedule
 // twice yields the same crash-state set and final image. The enumeration
-// samples a truncated prefix of the dirty-line list at every fence, so
-// any map-iteration order leaking into DirtyLines, verification results,
-// or release order shows up here as a run-to-run diff.
+// covers every dirty line at every fence, so any map-iteration order
+// leaking into DirtyLineStates, verification results, or release order
+// shows up here as a run-to-run diff.
 func TestCrashStateEnumerationDeterministic(t *testing.T) {
 	sa, fa := runDataPlane(t)
 	sb, fb := runDataPlane(t)

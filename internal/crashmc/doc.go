@@ -13,8 +13,9 @@
 // LibFS per tenant, a tracer, optionally a lying device — runs a warmup
 // and its hidden release, and then executes the tracked ops while an
 // Oracle (model.go) follows the namespace. It owns the rules both
-// drivers share: which fences are LibFS persist points, which lines are
-// kernel-hardened, how an image is built, what a breach records.
+// drivers share: which fences are LibFS persist points, how an image is
+// built, what a breach records. Which lines are kernel-hardened is
+// layout.Geometry.Hardened.
 //
 // A Config row with scripted Ops runs under the enumerate driver
 // (enumerate.go): every fence the workload issues — plus a checkpoint
@@ -22,11 +23,11 @@
 // driver reads the device's dirty-line state: each line with V
 // unpersisted store versions may independently persist any prefix of
 // them, so the crash-state space is the product of (V+1) over all dirty
-// lines. Small spaces are enumerated exhaustively, larger ones by
-// adversarial corners plus a seeded sample. A violating image is shrunk
-// twice — its persisted-line assignment greedily while the device is
-// still live, its op schedule by re-running sub-schedules — into a
-// breach small enough to read.
+// lines. pmem.Device.CrashImages enumerates small spaces exhaustively,
+// larger ones by adversarial corners plus a seeded sample. A violating
+// image is shrunk twice — its persisted-line assignment greedily while
+// the device is still live, its op schedule by re-running sub-schedules
+// — into a breach small enough to read.
 //
 // A row without Ops runs under the loop driver (loop.go): each iteration
 // is fully determined by (Config, iteration seed). A seeded generator

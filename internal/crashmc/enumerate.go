@@ -2,7 +2,6 @@ package crashmc
 
 import (
 	"fmt"
-	"math/rand"
 
 	"arckfs/internal/pmem"
 )
@@ -69,109 +68,37 @@ func (e *enumerator) observe() {
 	}
 }
 
-// enumerate covers one observation point's crash-state space. Each
-// dirty line l may persist any prefix of its Versions_l unpersisted
-// store batches independently, so the space is the mixed-radix product
-// of (Versions_l + 1). Spaces within pointBudget are enumerated
-// completely; larger ones get the adversarial corners — nothing,
-// everything, each line alone, each line missing — plus sampleN seeded
-// random assignments. The corners are what manifest ordering bugs
-// deterministically: a §4.2 torn commit IS "marker line alone", and the
-// reserveDentry hole IS "record-length line missing".
+// enumerate covers one observation point's crash-state space with
+// pmem's enumerator: exhaustive within pointBudget images, otherwise the
+// adversarial corners plus seeded samples. The soft lines are the ones
+// enumerated; every other dirty line is hardened and persists fully.
 func (e *enumerator) enumerate(states []pmem.LineState, expect []string) {
-	total := 1
-	for _, s := range states {
-		total *= s.Versions + 1
-		if total > pointBudget {
-			total = -1
-			break
-		}
-	}
-	ks := make([]int, len(states))
-	if total > 0 {
+	images, exhaustive := e.dev.CrashImages(states, pmem.CrashPersistAll, pointBudget, e.cfg.Seed+int64(e.res.Points)*1000003)
+	if exhaustive {
 		e.res.Exhaustive++
-		for {
-			if !e.checkAssignment(states, ks, expect) {
-				return
-			}
-			i := 0
-			for ; i < len(ks); i++ {
-				ks[i]++
-				if ks[i] <= states[i].Versions {
-					break
-				}
-				ks[i] = 0
-			}
-			if i == len(ks) {
-				return
-			}
-		}
+	} else {
+		e.res.Sampled++
 	}
-	e.res.Sampled++
-	tried := map[string]bool{}
-	try := func(ks []int) bool {
-		key := fmt.Sprint(ks)
-		if tried[key] {
-			return true
+	for ks, img := range images {
+		e.res.Images++
+		if vs := CheckImage(img, expect); len(vs) > 0 {
+			e.record(states, ks, expect, vs[0])
 		}
-		tried[key] = true
-		return e.checkAssignment(states, ks, expect)
-	}
-	zero := make([]int, len(states))
-	full := make([]int, len(states))
-	for i, s := range states {
-		full[i] = s.Versions
-	}
-	if !try(zero) || !try(full) {
-		return
-	}
-	for i := range states {
-		alone := make([]int, len(states))
-		alone[i] = states[i].Versions
-		if !try(alone) {
-			return
-		}
-		missing := append([]int(nil), full...)
-		missing[i] = 0
-		if !try(missing) {
-			return
-		}
-	}
-	rng := rand.New(rand.NewSource(e.cfg.Seed + int64(e.res.Points)*1000003))
-	for n := 0; n < sampleN; n++ {
-		for i, s := range states {
-			ks[i] = rng.Intn(s.Versions + 1)
-		}
-		if !try(ks) {
+		if len(e.res.Breaches) >= maxBreaches {
 			return
 		}
 	}
 }
 
-// check mounts the image for one assignment over states and returns its
-// violations.
-func (e *enumerator) check(states []pmem.LineState, ks []int, expect []string) []Violation {
+// violates re-checks a candidate (shrunk) assignment over states for a
+// specific invariant.
+func (e *enumerator) violates(states []pmem.LineState, ks []int, expect []string, inv string) (bool, string) {
 	keep := make(map[int64]int, len(states))
 	for i, s := range states {
 		keep[s.Off] = ks[i]
 	}
 	e.res.Images++
-	return CheckImage(e.image(e.dev, keepLines(keep)), expect)
-}
-
-// checkAssignment checks one crash image; it returns false once the
-// breach budget is exhausted.
-func (e *enumerator) checkAssignment(states []pmem.LineState, ks []int, expect []string) bool {
-	if vs := e.check(states, ks, expect); len(vs) > 0 {
-		e.record(states, ks, expect, vs[0])
-	}
-	return len(e.res.Breaches) < maxBreaches
-}
-
-// violates re-checks a candidate (shrunk) assignment for a specific
-// invariant.
-func (e *enumerator) violates(states []pmem.LineState, ks []int, expect []string, inv string) (bool, string) {
-	for _, v := range e.check(states, ks, expect) {
+	for _, v := range CheckImage(e.image(e.dev, keepLines(keep)), expect) {
 		if v.Invariant == inv {
 			return true, v.Detail
 		}

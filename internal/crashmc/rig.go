@@ -17,11 +17,9 @@ import (
 const (
 	// pointBudget bounds exhaustive enumeration: a point whose
 	// crash-state space is at most this many images is enumerated
-	// completely, larger spaces fall back to corners + sampling.
+	// completely, larger spaces fall back to pmem.Device.CrashImages'
+	// corners + sampling.
 	pointBudget = 64
-	// sampleN is the number of seeded random assignments checked at each
-	// over-budget point, on top of the adversarial corners.
-	sampleN = 24
 	// maxBreaches stops an enumerated run early once this many distinct
 	// invariants are violated.
 	maxBreaches = 4
@@ -297,28 +295,13 @@ func (r *rig) compactions() int {
 	return n
 }
 
-// hardened reports whether a line lies in a kernel-trusted region — the
-// superblock or the shadow inode table — that every crash image persists
-// fully, and that device lies therefore cannot touch. A kernel crossing
-// persists all its records, one line each, under one fence; losing them
-// fails recovery by construction and says nothing about LibFS ordering,
-// the property under test.
-func (r *rig) hardened(off int64) bool {
-	if off < layout.PageSize {
-		return true
-	}
-	s := int64(r.geo.ShadowStart) * layout.PageSize
-	e := s + int64(r.geo.ShadowPages)*layout.PageSize
-	return off >= s && off < e
-}
-
-// softStates returns dev's dirty lines outside the hardened regions —
-// the ones a crash policy decides.
+// softStates returns dev's dirty lines outside the hardened regions
+// (layout.Geometry.Hardened) — the ones a crash policy decides.
 func (r *rig) softStates() []pmem.LineState {
 	all := r.dev.DirtyLineStates()
 	soft := all[:0]
 	for _, s := range all {
-		if !r.hardened(s.Off) {
+		if !r.geo.Hardened(s.Off) {
 			soft = append(soft, s)
 		}
 	}
@@ -330,7 +313,7 @@ func (r *rig) softStates() []pmem.LineState {
 // that soft chooses.
 func (r *rig) image(dev *pmem.Device, soft pmem.CrashPolicy) []byte {
 	return dev.CrashImage(func(off int64, versions int) int {
-		if r.hardened(off) {
+		if r.geo.Hardened(off) {
 			return versions
 		}
 		return soft(off, versions)

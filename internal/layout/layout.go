@@ -89,6 +89,20 @@ type Geometry struct {
 	DataStart   uint64 // first allocatable data page
 }
 
+// Hardened reports whether the device offset off lies in a kernel-trusted
+// region — the superblock page or the shadow inode table — whose lines a
+// crash keeps whole. A kernel crossing persists all its records, one line
+// each, under one fence; losing them fails recovery by construction and
+// says nothing about LibFS ordering, so crash-state enumerations persist
+// these lines fully.
+func (g Geometry) Hardened(off int64) bool {
+	if off < PageSize {
+		return true
+	}
+	s := int64(g.ShadowStart) * PageSize
+	return off >= s && off < s+int64(g.ShadowPages)*PageSize
+}
+
 // Superblock field offsets (page 0).
 const (
 	sbMagic     = 0

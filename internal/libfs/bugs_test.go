@@ -64,16 +64,15 @@ func TestBug41FixedInPlus(t *testing.T) {
 
 // --- §4.2 Partially persisted dentry and inode ------------------------------
 
-// crashDuringCreate runs a create up to the §4.2 crash window and
-// materializes the most adversarial crash image: only the commit marker's
-// cache line persists out of the pending write-backs.
-func crashDuringCreate(t *testing.T, bugs Bugs) []byte {
+// crashDuringCreate creates name after a committed baseline and, at the
+// §4.2 crash window — the commit marker stored, its fence not yet issued —
+// mounts every crash image the device admits. It returns how many images
+// it mounted and how many recovered a committed dentry over a torn body.
+func crashDuringCreate(t *testing.T, bugs Bugs, name string) (images, torn int) {
 	t.Helper()
-	var img []byte
 	hooks := &Hooks{}
-	dev := pmem.New(64<<20, nil)
-	mode := kernel.Options{InodeCap: 1 << 12}
-	ctrl, err := kernel.Format(dev, mode)
+	dev := pmem.New(8<<20, nil)
+	ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +80,7 @@ func crashDuringCreate(t *testing.T, bugs Bugs) []byte {
 	w := th(t, fs)
 
 	// Track from a consistent baseline that already contains a committed
-	// file, so the image is a realistic mid-workload crash.
+	// file, so the images are a realistic mid-workload crash.
 	if err := w.Create("/before"); err != nil {
 		t.Fatal(err)
 	}
@@ -89,85 +88,38 @@ func crashDuringCreate(t *testing.T, bugs Bugs) []byte {
 		t.Fatal(err)
 	}
 	dev.EnableTracking()
-
-	name := "/victim-" + strings.Repeat("x", 120) // spans several cache lines
 	hooks.CreateBeforeMarkerFence = func() {
-		if img != nil {
-			return // only the victim's create
-		}
-		// Find the in-flight record: its marker line is pending.
-		// The adversarial crash persists exactly the flushed marker
-		// lines and drops everything else pending.
-		var markerLines []int64
-		for _, l := range dev.DirtyLines() {
-			markerLines = append(markerLines, l)
-		}
-		// Keep only lines whose content change includes a nonzero
-		// nameLen at some record... simpler: keep the line containing
-		// the marker of the record we just wrote. We do not know the
-		// ref here, so keep lines one at a time and pick the image
-		// where a committed-but-torn dentry appears.
-		img = dev.CrashImage(pickMarkerOnly(dev))
+		n, k := tornImages(t, dev)
+		images, torn = images+n, torn+k
 	}
 	if err := w.Create(name); err != nil {
 		t.Fatal(err)
 	}
-	if img == nil {
+	if images == 0 {
 		t.Fatal("crash hook never fired")
 	}
-	return img
+	t.Logf("%d images, %d torn", images, torn)
+	return images, torn
 }
 
-// pickMarkerOnly persists, among pending lines, exactly those whose
-// latest pending content contains a plausible committed dentry marker —
-// an adversary aiming for the §4.2 signature. Implemented simply: keep
-// every line whose content changed only in bytes 14..15 of some 8-aligned
-// record... in practice the marker line is the one whose pending versions
-// include the CommitDentry store; we approximate by keeping lines whose
-// final version differs from the first version in at most 2 bytes.
-func pickMarkerOnly(dev *pmem.Device) pmem.CrashPolicy {
-	return func(lineOff int64, versions int) int {
-		// The marker store is always the last store to its line in the
-		// create sequence, and that line was also written earlier in
-		// step 1 (body write with marker=0). Body-only lines see a
-		// single burst of stores and then a flush with no later store.
-		// We persist only lines whose store history has at least two
-		// entries (body write + marker write = the marker line);
-		// pure-body lines (one batch) are dropped.
-		if versions >= 2 {
-			return versions
-		}
-		return 0
-	}
-}
+// bug42Name spans several cache lines.
+var bug42Name = "/victim-" + strings.Repeat("x", 120)
 
 func TestBug42PartialPersistOnCrash(t *testing.T) {
-	img := crashDuringCreate(t, BugMissingFence)
-	// Recovery finds the §4.2 signature: a committed dentry whose body
-	// was torn.
-	dev := pmem.Restore(img, nil)
-	_, rep, err := kernel.Mount(dev, kernel.Options{}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.CorruptDentries == 0 {
-		t.Fatalf("expected a partially persisted dentry, report: %s", rep)
+	// Some crash state recovers the §4.2 signature: a committed dentry
+	// whose body was torn.
+	if images, torn := crashDuringCreate(t, BugMissingFence, bug42Name); torn == 0 {
+		t.Fatalf("none of %d crash images holds a partially persisted dentry", images)
 	}
 }
 
 func TestBug42FixedByFence(t *testing.T) {
-	img := crashDuringCreate(t, BugsNone)
-	dev := pmem.Restore(img, nil)
-	_, rep, err := kernel.Mount(dev, kernel.Options{}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.CorruptDentries != 0 {
-		t.Fatalf("fence did not prevent torn dentries: %s", rep)
-	}
 	// The in-flight create either fully committed (then dropped as an
 	// uncommitted inode, a dangling entry) or never appeared — both are
-	// consistent outcomes; corruption is impossible.
+	// consistent outcomes; no crash state can tear an entry.
+	if images, torn := crashDuringCreate(t, BugsNone, bug42Name); torn > 0 {
+		t.Fatalf("fence did not prevent torn dentries: %d of %d crash images hold one", torn, images)
+	}
 }
 
 // --- §4.3 Incorrect synchronization of inode sharing -------------------------

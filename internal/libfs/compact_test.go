@@ -706,26 +706,32 @@ func TestCompactionCrashStatesKeepLiveSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var imgs [][]byte
-	compacting := false
+	var want []string // the pre-compaction live set
+	images, compacting := 0, false
+	// capture judges each image as it takes it.
 	capture := func() {
 		if !compacting {
 			return // a kernel fence of the release protocol
 		}
-		one := func(off int64, alone bool) pmem.CrashPolicy {
-			return func(o int64, versions int) int {
-				if (o == off) == alone {
-					return versions
-				}
-				return 0
+		corners, _ := dev.CrashImages(dev.DirtyLineStates(), pmem.CrashDropAll, 0, int64(images))
+		for _, img := range corners {
+			i := images
+			images++
+			rdev := pmem.Restore(img, nil)
+			rctrl, rep, err := kernel.Mount(rdev, kernel.Options{}, true)
+			if err != nil {
+				t.Fatalf("image %d: mount: %v", i, err)
 			}
-		}
-		imgs = append(imgs, dev.CrashImage(pmem.CrashDropAll), dev.CrashImage(pmem.CrashPersistAll))
-		for _, s := range dev.DirtyLineStates() {
-			imgs = append(imgs, dev.CrashImage(one(s.Off, true)), dev.CrashImage(one(s.Off, false)))
-		}
-		for i := 0; i < 8; i++ {
-			imgs = append(imgs, dev.CrashImage(pmem.CrashRandom(int64(len(imgs)))))
+			if rep.CorruptDentries != 0 {
+				t.Fatalf("image %d: torn dentry: %s", i, rep)
+			}
+			if rep2, err := kernel.Fsck(rdev, kernel.Options{}); err != nil || !rep2.Clean() {
+				t.Fatalf("image %d: fsck after repair: %v %v", i, rep2, err)
+			}
+			r := th(t, New(rctrl, rctrl.RegisterApp(0, 0), Options{}))
+			if got := mustNames(t, r, "/d"); !reflect.DeepEqual(got, want) {
+				t.Fatalf("image %d: %d names after recovery, want the %d pre-compaction ones", i, len(got), len(want))
+			}
 		}
 	}
 	hooks := &Hooks{DirCompaction: func(begin bool) { compacting = begin }}
@@ -742,7 +748,6 @@ func TestCompactionCrashStatesKeepLiveSet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var want []string
 	for i := 0; i < 40; i++ {
 		// Multi-line records, so a torn record is expressible.
 		name := fmt.Sprintf("keep-%02d-0123456789-0123456789-0123456789-0123456789-0123456789", i)
@@ -779,26 +784,9 @@ func TestCompactionCrashStatesKeepLiveSet(t *testing.T) {
 	if n := logPages(t, fs, w, "/d"); n != 2 {
 		t.Fatalf("%d log pages after the release, want 2: keepers, append", n)
 	}
-	// Per point: both ends, each splice line alone and all but it, eight samples.
-	if len(imgs) < 2*14 {
-		t.Fatalf("captured only %d images at the fence and the killpoint", len(imgs))
-	}
-	for i, img := range imgs {
-		rdev := pmem.Restore(img, nil)
-		rctrl, rep, err := kernel.Mount(rdev, kernel.Options{}, true)
-		if err != nil {
-			t.Fatalf("image %d: mount: %v", i, err)
-		}
-		if rep.CorruptDentries != 0 {
-			t.Fatalf("image %d: torn dentry: %s", i, rep)
-		}
-		if rep2, err := kernel.Fsck(rdev, kernel.Options{}); err != nil || !rep2.Clean() {
-			t.Fatalf("image %d: fsck after repair: %v %v", i, rep2, err)
-		}
-		r := th(t, New(rctrl, rctrl.RegisterApp(0, 0), Options{}))
-		if got := mustNames(t, r, "/d"); !reflect.DeepEqual(got, want) {
-			t.Fatalf("image %d: %d names after recovery, want the %d pre-compaction ones", i, len(got), len(want))
-		}
+	// Per point: each of the two splice lines alone, both and neither.
+	if images < 2*4 {
+		t.Fatalf("captured only %d images at the fence and the killpoint", images)
 	}
 }
 

@@ -13,17 +13,34 @@ import (
 	"arckfs/internal/pmem"
 )
 
-// TestExhaustiveCrashEnumerationSingleCreate enumerates EVERY all-or-
-// nothing line subset of the unpersisted state left by one create (not
-// just sampled ones) and requires:
+// tornImages mounts every crash image dev admits now and returns how many
+// it mounted and how many recovered a committed dentry over a torn body —
+// the §4.2 signature.
+func tornImages(t *testing.T, dev *pmem.Device) (images, torn int) {
+	t.Helper()
+	for ks, img := range everyCrashImage(t, dev, dev.DirtyLineStates(), pmem.CrashDropAll) {
+		images++
+		_, rep, err := kernel.Mount(pmem.Restore(img, nil), kernel.Options{}, true)
+		if err != nil {
+			t.Fatalf("crash image %v: recovery failed: %v", ks, err)
+		}
+		if rep.CorruptDentries > 0 {
+			torn++
+		}
+	}
+	return images, torn
+}
+
+// TestExhaustiveCrashEnumerationSingleCreate enumerates, at every fence
+// of one create, EVERY crash state of its dirty lines (each line any
+// prefix of its store history, not just sampled ones) and requires:
 //
 //   - ArckFS+ (fence present): no crash image contains a torn dentry.
 //   - ArckFS (fence missing): at least one crash image does — the §4.2
 //     bug is not merely possible but enumerable.
 //
-// This is bounded model checking over the persistence state space: with
-// the per-line prefix rule fixed to "all or nothing", a create touches a
-// handful of lines, so the full 2^k space is small.
+// This is bounded model checking over the persistence state space: a
+// create touches a handful of lines, so the full space is small.
 func TestExhaustiveCrashEnumerationSingleCreate(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -33,9 +50,8 @@ func TestExhaustiveCrashEnumerationSingleCreate(t *testing.T) {
 		{"arckfs+-fence", BugsNone, false},
 		{"arckfs-missing-fence", BugMissingFence, true},
 	} {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			dev := pmem.New(64<<20, nil)
+			dev := pmem.New(8<<20, nil)
 			ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 1 << 10})
 			if err != nil {
 				t.Fatal(err)
@@ -51,61 +67,34 @@ func TestExhaustiveCrashEnumerationSingleCreate(t *testing.T) {
 			if err := fs.ReleaseAll(); err != nil {
 				t.Fatal(err)
 			}
+			images, torn := 0, 0
 			dev.EnableTracking()
+			dev.SetFenceObserver(func() {
+				n, k := tornImages(t, dev)
+				images, torn = images+n, torn+k
+			})
 			// A name long enough to span cache lines.
-			if err := w.Create("/victim-0123456789-0123456789-0123456789-0123456789-0123456789"); err != nil {
+			err = w.Create("/victim-0123456789-0123456789-0123456789-0123456789-0123456789")
+			dev.SetFenceObserver(nil)
+			if err != nil {
 				t.Fatal(err)
 			}
-
-			lines := dev.DirtyLines()
-			if len(lines) == 0 {
-				// Everything already fenced durable: only the complete
-				// image exists; nothing to enumerate. (This is what the
-				// patched two-fence protocol can produce.)
-				return
+			if images < 2 {
+				t.Fatalf("the create's fences admitted %d crash images; the enumeration is vacuous", images)
 			}
-			if len(lines) > 14 {
-				t.Fatalf("dirty set unexpectedly large: %d lines", len(lines))
+			if (torn > 0) != tc.wantTorn {
+				t.Fatalf("%d of %d crash images hold a torn dentry; want the §4.2 bug enumerable: %v", torn, images, tc.wantTorn)
 			}
-			sawTorn := false
-			total := 1 << len(lines)
-			for mask := 0; mask < total; mask++ {
-				keep := map[int64]bool{}
-				for i, l := range lines {
-					if mask&(1<<i) != 0 {
-						keep[l] = true
-					}
-				}
-				img := dev.CrashImage(func(lineOff int64, versions int) int {
-					if keep[lineOff] {
-						return versions
-					}
-					return 0
-				})
-				rdev := pmem.Restore(img, nil)
-				_, rep, err := kernel.Mount(rdev, kernel.Options{}, true)
-				if err != nil {
-					t.Fatalf("mask %b: recovery failed: %v", mask, err)
-				}
-				if rep.CorruptDentries > 0 {
-					sawTorn = true
-					if !tc.wantTorn {
-						t.Fatalf("mask %b: fence-protected create produced a torn dentry: %s", mask, rep)
-					}
-				}
-			}
-			if tc.wantTorn && !sawTorn {
-				t.Fatalf("no crash subset of %d lines tore the dentry; the §4.2 bug should be enumerable", len(lines))
-			}
+			t.Logf("%d images, %d torn", images, torn)
 		})
 	}
 }
 
 // TestExhaustiveCrashEnumerationUnlink does the same for unlink: the
-// single-marker invalidation is atomic in both modes, so no subset may
-// corrupt — the entry is either still live or cleanly gone.
+// single-marker invalidation is atomic in both modes, so no crash state
+// may corrupt — the entry is either still live or cleanly gone.
 func TestExhaustiveCrashEnumerationUnlink(t *testing.T) {
-	dev := pmem.New(64<<20, nil)
+	dev := pmem.New(8<<20, nil)
 	ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
@@ -118,44 +107,36 @@ func TestExhaustiveCrashEnumerationUnlink(t *testing.T) {
 	if err := fs.ReleaseAll(); err != nil {
 		t.Fatal(err)
 	}
+	images := 0
 	dev.EnableTracking()
-	if err := w.Unlink("/doomed"); err != nil {
+	dev.SetFenceObserver(func() {
+		for ks, img := range everyCrashImage(t, dev, dev.DirtyLineStates(), pmem.CrashDropAll) {
+			images++
+			ctrl2, rep, err := kernel.Mount(pmem.Restore(img, nil), kernel.Options{}, true)
+			if err != nil {
+				t.Fatalf("image %d %v: %v", images, ks, err)
+			}
+			if rep.CorruptDentries != 0 {
+				t.Fatalf("image %d %v: unlink tore a dentry: %s", images, ks, rep)
+			}
+			// The file is either fully there or fully gone.
+			r := New(ctrl2, ctrl2.RegisterApp(0, 0), Options{}).NewThread(0).(*Thread)
+			if _, err := r.Stat("/doomed"); err == nil {
+				if _, err := r.Open("/doomed"); err != nil {
+					t.Fatalf("image %d %v: half-alive file: %v", images, ks, err)
+				}
+			}
+		}
+	})
+	err = w.Unlink("/doomed")
+	dev.SetFenceObserver(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	lines := dev.DirtyLines()
-	if len(lines) > 14 {
-		t.Fatalf("unlink dirtied %d lines", len(lines))
+	if images < 2 {
+		t.Fatalf("the unlink's fences admitted %d crash images; the enumeration is vacuous", images)
 	}
-	for mask := 0; mask < 1<<len(lines); mask++ {
-		keep := map[int64]bool{}
-		for i, l := range lines {
-			if mask&(1<<i) != 0 {
-				keep[l] = true
-			}
-		}
-		img := dev.CrashImage(func(lineOff int64, versions int) int {
-			if keep[lineOff] {
-				return versions
-			}
-			return 0
-		})
-		rdev := pmem.Restore(img, nil)
-		ctrl2, rep, err := kernel.Mount(rdev, kernel.Options{}, true)
-		if err != nil {
-			t.Fatalf("mask %b: %v", mask, err)
-		}
-		if rep.CorruptDentries != 0 {
-			t.Fatalf("mask %b: unlink tore a dentry: %s", mask, rep)
-		}
-		// The file is either fully there or fully gone.
-		fs2 := New(ctrl2, ctrl2.RegisterApp(0, 0), Options{})
-		r := fs2.NewThread(0).(*Thread)
-		if _, err := r.Stat("/doomed"); err == nil {
-			if _, err := r.Open("/doomed"); err != nil {
-				t.Fatalf("mask %b: half-alive file: %v", mask, err)
-			}
-		}
-	}
+	t.Logf("%d images", images)
 }
 
 // TestInodeRecordCrashAtomic enumerates, at every fence of a create and of
@@ -193,26 +174,11 @@ func TestInodeRecordCrashAtomic(t *testing.T) {
 				rec = append(rec, s)
 			}
 		}
-		keep := map[int64]int{}
-		var walk func(i int)
-		walk = func(i int) {
-			if i < len(rec) {
-				for v := 0; v <= rec[i].Versions; v++ {
-					keep[rec[i].Off] = v
-					walk(i + 1)
-				}
-				return
-			}
-			for _, others := range []bool{false, true} {
-				img := dev.CrashImage(func(off int64, versions int) int {
-					if v, ok := keep[off]; ok {
-						return v
-					}
-					if others {
-						return versions
-					}
-					return 0
-				})
+		if len(rec) == 0 {
+			return
+		}
+		for _, others := range []pmem.CrashPolicy{pmem.CrashDropAll, pmem.CrashPersistAll} {
+			for _, img := range everyCrashImage(t, dev, rec, others) {
 				images++
 				rdev := pmem.Restore(img, nil)
 				for _, s := range rec {
@@ -222,9 +188,6 @@ func TestInodeRecordCrashAtomic(t *testing.T) {
 					}
 				}
 			}
-		}
-		if len(rec) > 0 {
-			walk(0)
 		}
 	}
 	for _, op := range []struct {
@@ -290,7 +253,8 @@ func bootGrowth(t *testing.T) (*pmem.Device, *Thread, fsapi.FD) {
 
 // TestGrowthZeroesCrashStates takes, at every fence of a truncate-grow and
 // of a write past the end, the crash images where every dirty line is kept
-// or lost together, and where each one alone is kept or alone is lost. Each
+// or lost together, and where each one alone is kept or alone is lost,
+// plus seeded samples. Each
 // image must recover fsck-clean, and every gap byte below the recovered
 // size must read zero: the zeroes are durable before the size that exposes
 // them. A map line kept without the size makes the file unreadable at
@@ -337,17 +301,9 @@ func TestGrowthZeroesCrashStates(t *testing.T) {
 				}
 			}
 			dev.SetFenceObserver(func() {
-				check(dev.CrashImage(pmem.CrashDropAll))
-				check(dev.CrashImage(pmem.CrashPersistAll))
-				for _, l := range dev.DirtyLines() {
-					for _, alone := range []bool{true, false} {
-						check(dev.CrashImage(func(o int64, versions int) int {
-							if (o == l) == alone {
-								return versions
-							}
-							return 0
-						}))
-					}
+				corners, _ := dev.CrashImages(dev.DirtyLineStates(), pmem.CrashDropAll, 0, int64(images))
+				for _, img := range corners {
+					check(img)
 				}
 			})
 			err := tc.grow(w, fd)
@@ -439,14 +395,14 @@ func nonZero(b []byte) int {
 	return -1
 }
 
-// TestBatchedCreateCrashEnumerationAtMarkerWindow enumerates crash
-// states in the narrowest §4.2 window — the commit marker's flush is
+// TestBatchedCreateCrashEnumerationAtMarkerWindow enumerates every crash
+// state in the narrowest §4.2 window — the commit marker's flush is
 // queued in the write-combining batch but the final fence has not been
 // issued — and proves the batcher preserves the ordering-epoch rule:
 //
 //   - ArckFS+ : the body epoch's Barrier ran before the marker was
-//     queued, so no all-or-nothing subset of the remaining dirty lines
-//     yields a valid commit marker over a garbage dentry body.
+//     queued, so no crash state of the remaining dirty lines yields a
+//     valid commit marker over a garbage dentry body.
 //   - ArckFS (BugMissingFence): under batching the body lines and the
 //     marker share one ordering epoch, so the enumeration must still
 //     find the torn state — batching does not accidentally fix the bug,
@@ -460,69 +416,10 @@ func TestBatchedCreateCrashEnumerationAtMarkerWindow(t *testing.T) {
 		{"arckfs+-fence", BugsNone, false},
 		{"arckfs-missing-fence", BugMissingFence, true},
 	} {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			dev := pmem.New(8<<20, nil)
-			ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 1 << 10})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var imgs [][]byte
-			hooks := &Hooks{CreateBeforeMarkerFence: func() {
-				if !dev.Tracking() {
-					return // warmup create, before the measured window
-				}
-				lines := dev.DirtyLines()
-				if len(lines) > 14 {
-					t.Errorf("dirty set at marker window unexpectedly large: %d lines", len(lines))
-					return
-				}
-				for mask := 0; mask < 1<<len(lines); mask++ {
-					keep := map[int64]bool{}
-					for i, l := range lines {
-						if mask&(1<<i) != 0 {
-							keep[l] = true
-						}
-					}
-					imgs = append(imgs, dev.CrashImage(func(lineOff int64, versions int) int {
-						if keep[lineOff] {
-							return versions
-						}
-						return 0
-					}))
-				}
-			}}
-			fs := New(ctrl, ctrl.RegisterApp(0, 0), Options{Bugs: tc.bugs, Hooks: hooks})
-			w := fs.NewThread(0).(*Thread)
-			if err := w.Create("/warmup"); err != nil {
-				t.Fatal(err)
-			}
-			if err := fs.ReleaseAll(); err != nil {
-				t.Fatal(err)
-			}
-			dev.EnableTracking()
-			if err := w.Create("/victim-0123456789-0123456789-0123456789-0123456789-0123456789"); err != nil {
-				t.Fatal(err)
-			}
-			if len(imgs) == 0 {
-				t.Fatal("marker-window hook never fired")
-			}
-			sawTorn := false
-			for i, img := range imgs {
-				rdev := pmem.Restore(img, nil)
-				_, rep, err := kernel.Mount(rdev, kernel.Options{}, true)
-				if err != nil {
-					t.Fatalf("image %d: recovery failed: %v", i, err)
-				}
-				if rep.CorruptDentries > 0 {
-					sawTorn = true
-					if !tc.wantTorn {
-						t.Fatalf("image %d: batched fence-protected create produced a torn dentry: %s", i, rep)
-					}
-				}
-			}
-			if tc.wantTorn && !sawTorn {
-				t.Fatal("no crash subset tore the dentry under batching; the §4.2 bug should still be enumerable")
+			images, torn := crashDuringCreate(t, tc.bugs, "/victim-0123456789-0123456789-0123456789-0123456789-0123456789")
+			if (torn > 0) != tc.wantTorn {
+				t.Fatalf("%d of %d crash images hold a torn dentry under batching; want the §4.2 bug enumerable: %v", torn, images, tc.wantTorn)
 			}
 		})
 	}

@@ -184,42 +184,17 @@ func TestDelegatedWriteCrashStates(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := bootDelegated(t, tc)
 			coordinator := goid()
-			var imgs [][]byte
-			r.write(t, func() {
-				if g := goid(); g != coordinator {
-					t.Errorf("goroutine %s fenced; only the coordinator (%s) may", g, coordinator)
-				}
-				only := func(off int64, alone bool) pmem.CrashPolicy {
-					return func(o int64, versions int) int {
-						if (o == off) == alone {
-							return versions
-						}
-						return 0
-					}
-				}
-				imgs = append(imgs, r.dev.CrashImage(pmem.CrashDropAll), r.dev.CrashImage(pmem.CrashPersistAll))
-				// A data epoch holds thousands of dirty lines: take its
-				// corners around the first, middle and last line, and
-				// seeded samples of the rest.
-				if s := r.dev.DirtyLineStates(); len(s) > 0 {
-					for _, l := range []pmem.LineState{s[0], s[len(s)/2], s[len(s)-1]} {
-						imgs = append(imgs, r.dev.CrashImage(only(l.Off, true)), r.dev.CrashImage(only(l.Off, false)))
-					}
-				}
-				for i := 0; i < 6; i++ {
-					imgs = append(imgs, r.dev.CrashImage(pmem.CrashRandom(int64(len(imgs)))))
-				}
-			})
-			if len(imgs) < 14 {
-				t.Fatalf("captured only %d images", len(imgs))
-			}
 			grows := len(r.new) > len(r.old)
-			sawOld, sawNew, metaTorn := false, false, 0
-			for i, img := range imgs {
+			images, sawOld, sawNew, metaTorn := 0, false, false, 0
+			// Each image is judged as it is taken: a data epoch's corners
+			// cost hundreds of images, too many to keep.
+			check := func(img []byte) {
+				i := images
+				images++
 				got, err := recoverFile(t, tc.name, img)
 				if grows && err != nil && strings.Contains(err.Error(), "block pointer beyond size") {
 					metaTorn++ // a map line without the size: see below
-					continue
+					return
 				}
 				if err != nil {
 					t.Fatalf("image %d: %v", i, err)
@@ -233,7 +208,7 @@ func TestDelegatedWriteCrashStates(t *testing.T) {
 					if stale := staleLines(got, r.old, r.new); len(stale) > 0 {
 						t.Fatalf("image %d: %d lines neither old nor new, first at file offset %d", i, len(stale), stale[0])
 					}
-					continue
+					return
 				}
 				// The new size is durable. Every block the map points at
 				// must hold the new bytes; the pool pages were junk, so an
@@ -249,11 +224,27 @@ func TestDelegatedWriteCrashStates(t *testing.T) {
 					}
 				}
 			}
+			r.write(t, func() {
+				if g := goid(); g != coordinator {
+					t.Errorf("goroutine %s fenced; only the coordinator (%s) may", g, coordinator)
+					return
+				}
+				// A data epoch holds thousands of dirty lines: its corners
+				// are the first, middle and last line's, plus seeded samples.
+				corners, _ := r.dev.CrashImages(r.dev.DirtyLineStates(), pmem.CrashDropAll, 0, int64(images))
+				for _, img := range corners {
+					check(img)
+				}
+			})
+			if images < 14 {
+				t.Fatalf("captured only %d images", images)
+			}
 			// Not the data path's doing, and the same at every commit before
 			// this test existed: writeAt's metadata epoch holds the map
 			// entries and the inode record unordered, so a crash inside it
-			// can keep either without the other (ROADMAP item 2). The data
-			// was fenced before both, which is what is checked here.
+			// can keep either without the other (ROADMAP debt 3(b), which
+			// item 1 fixes). The data was fenced before both, which is what
+			// is checked here.
 			if metaTorn > 0 {
 				t.Logf("%d metadata-epoch tears seen (a map line without the size, or the size without a map line)", metaTorn)
 			}

@@ -3,6 +3,7 @@ package libfs
 import (
 	"bytes"
 	"fmt"
+	"iter"
 	"slices"
 	"strings"
 	"sync"
@@ -13,46 +14,40 @@ import (
 	"arckfs/internal/pmem"
 )
 
+// crashSpaceCap bounds an exhaustive crash-state enumeration: a point
+// that admits more images fails its test rather than be sampled.
+const crashSpaceCap = 1 << 14
+
+// everyCrashImage returns every crash image dev admits now over lines,
+// every other dirty line following rest, and fails t when lines admit
+// more than crashSpaceCap of them.
+func everyCrashImage(t *testing.T, dev *pmem.Device, lines []pmem.LineState, rest pmem.CrashPolicy) iter.Seq2[[]int, []byte] {
+	t.Helper()
+	images, exhaustive := dev.CrashImages(lines, rest, crashSpaceCap, 0)
+	if !exhaustive {
+		t.Fatalf("%d dirty lines admit more than %d crash images; too many to enumerate", len(lines), crashSpaceCap)
+	}
+	return images
+}
+
 // eachCrashImage calls fn with every crash image dev admits now: each
 // dirty line persists any prefix of its unfenced store history, every
-// combination of them. The superblock and the shadow table are the
-// kernel's, whose records persist whole under one fence a crossing (the
-// premise crashmc's campaign makes too): their lines persist fully. So
-// does a line whose one unfenced store left the bytes it had — a zeroed
-// page that was zero — since either choice gives the same image.
+// combination of them. The hardened regions (layout.Geometry.Hardened)
+// persist fully, the premise crashmc's campaign makes too. So does a line
+// whose one unfenced store left the bytes it had — a zeroed page that was
+// zero — since either choice gives the same image.
 func eachCrashImage(t *testing.T, dev *pmem.Device, geo layout.Geometry, fn func(img []byte)) {
 	t.Helper()
-	lo, hi := int64(geo.ShadowStart)*layout.PageSize, int64(geo.ShadowStart+geo.ShadowPages)*layout.PageSize
-	durable := dev.CrashImage(func(int64, int) int { return 0 })
-	volatile := dev.CrashImage(func(_ int64, versions int) int { return versions })
-	whole := map[int64]bool{} // lines that persist fully in every image
+	durable, volatile := dev.CrashImage(pmem.CrashDropAll), dev.CrashImage(pmem.CrashPersistAll)
 	var states []pmem.LineState
-	total := 1
 	for _, s := range dev.DirtyLineStates() {
 		line := func(img []byte) []byte { return img[s.Off : s.Off+pmem.LineSize] }
-		if s.Off < layout.PageSize || (s.Off >= lo && s.Off < hi) ||
-			s.Versions == 1 && bytes.Equal(line(durable), line(volatile)) {
-			whole[s.Off] = true
-			continue
+		if !geo.Hardened(s.Off) && (s.Versions > 1 || !bytes.Equal(line(durable), line(volatile))) {
+			states = append(states, s)
 		}
-		states = append(states, s)
-		total *= s.Versions + 1
 	}
-	if total > 1<<14 {
-		t.Fatalf("%d dirty lines admit %d crash images; too many to enumerate", len(states), total)
-	}
-	keep := map[int64]int{}
-	for n := 0; n < total; n++ {
-		for i, rest := 0, n; i < len(states); i++ {
-			keep[states[i].Off] = rest % (states[i].Versions + 1)
-			rest /= states[i].Versions + 1
-		}
-		fn(dev.CrashImage(func(off int64, versions int) int {
-			if whole[off] {
-				return versions
-			}
-			return keep[off]
-		}))
+	for _, img := range everyCrashImage(t, dev, states, pmem.CrashPersistAll) {
+		fn(img)
 	}
 }
 

@@ -2,6 +2,8 @@ package pmem
 
 import (
 	"cmp"
+	"fmt"
+	"iter"
 	"math/rand"
 	"slices"
 
@@ -111,6 +113,119 @@ type LineState struct {
 	Versions int
 }
 
+// Bounds of CrashImages' sampled enumeration.
+const (
+	// sampleN is the number of seeded random assignments checked at a
+	// point whose crash-state space exceeds its budget, on top of the
+	// corners.
+	sampleN = 24
+	// maxCornerLines bounds the per-line corners: past this many lines
+	// only the first, middle and last line are kept alone and left out,
+	// so a data epoch of thousands of lines costs a handful of images.
+	maxCornerLines = 256
+)
+
+// CrashImages enumerates the crash images the device admits now over
+// lines, a subset of DirtyLineStates: each assignment gives line i a
+// persisted prefix of ks[i] in [0, lines[i].Versions], and every other
+// dirty line persists what rest chooses. The second result reports
+// whether the enumeration is exhaustive.
+//
+// A space of at most budget images, the product of (Versions+1) over
+// lines, is enumerated exhaustively in mixed-radix order with line 0
+// least significant. A larger one yields the adversarial corners —
+// nothing, everything, then each line alone and each line missing —
+// followed by sampleN assignments drawn from seed, skipping repeats; the
+// corners are what manifest ordering bugs deterministically (a §4.2 torn
+// commit is "marker line alone"). Past maxCornerLines lines the corners
+// take only the first, middle and last line. A budget of 0 always takes
+// the corners and samples.
+//
+// Each image is materialized only when the range reaches it, so breaking
+// out stops the work. The yielded assignment is reused: copy it to keep
+// it past the iteration step.
+func (d *Device) CrashImages(lines []LineState, rest CrashPolicy, budget int, seed int64) (iter.Seq2[[]int, []byte], bool) {
+	total := 1
+	for _, s := range lines {
+		total *= s.Versions + 1
+		if total > budget {
+			break
+		}
+	}
+	exhaustive := total <= budget
+	return func(yield func([]int, []byte) bool) {
+		idx := make(map[int64]int, len(lines))
+		for i, s := range lines {
+			idx[s.Off] = i
+		}
+		ks := make([]int, len(lines))
+		emit := func() bool {
+			return yield(ks, d.CrashImage(func(off int64, versions int) int {
+				if i, ok := idx[off]; ok {
+					return ks[i]
+				}
+				return rest(off, versions)
+			}))
+		}
+		if exhaustive {
+			for {
+				if !emit() {
+					return
+				}
+				i := 0
+				for ; i < len(ks); i++ {
+					if ks[i]++; ks[i] <= lines[i].Versions {
+						break
+					}
+					ks[i] = 0
+				}
+				if i == len(ks) {
+					return
+				}
+			}
+		}
+		tried := map[string]bool{}
+		// try assigns each line keep(i, its Versions) and yields the image
+		// unless an earlier corner or sample had the same assignment.
+		try := func(keep func(i, versions int) int) bool {
+			for i, s := range lines {
+				ks[i] = keep(i, s.Versions)
+			}
+			key := fmt.Sprint(ks)
+			if tried[key] {
+				return true
+			}
+			tried[key] = true
+			return emit()
+		}
+		if !try(func(int, int) int { return 0 }) || !try(func(_, v int) int { return v }) {
+			return
+		}
+		n := len(lines)
+		for c := range lines {
+			if n > maxCornerLines && c != 0 && c != n/2 && c != n-1 {
+				continue
+			}
+			alone := func(i, v int) int {
+				if i == c {
+					return v
+				}
+				return 0
+			}
+			missing := func(i, v int) int { return v - alone(i, v) }
+			if !try(alone) || !try(missing) {
+				return
+			}
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for range sampleN {
+			if !try(func(_, v int) int { return rng.Intn(v + 1) }) {
+				return
+			}
+		}
+	}, exhaustive
+}
+
 // DirtyLineStates returns the state of every cache line with unpersisted
 // store history, sorted by offset. It is the enumeration-ready
 // counterpart of DirtyLines, for crash-state model checking.
@@ -126,10 +241,8 @@ func (d *Device) DirtyLineStates() []LineState {
 }
 
 // DirtyLines returns the offsets of all cache lines with unpersisted
-// store history, sorted ascending. Useful for exhaustive small-scope
-// crash enumeration in tests: enumerators routinely truncate this list,
-// so its order must not depend on Go map iteration or the sampled
-// crash-state set varies run to run.
+// store history, sorted ascending, so that nothing derived from it
+// depends on Go map iteration order.
 func (d *Device) DirtyLines() []int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()

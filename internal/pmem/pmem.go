@@ -170,7 +170,7 @@ func (d *Device) Tracking() bool { return d.tracking.Load() }
 // tracking is enabled, before the fence makes flushed content durable.
 // At that instant the device still holds the ending ordering epoch's
 // complete dirty-line state, so fn can materialize every crash image the
-// epoch admits (via DirtyLineStates and CrashImage): within an epoch the
+// epoch admits (via DirtyLineStates and CrashImages): within an epoch the
 // reachable crash-state set only grows as stores accumulate, so the set
 // enumerable immediately before the fence is a superset of the states
 // reachable at any intermediate point since the previous fence. Observing

@@ -50,6 +50,10 @@ sh scripts/check_pkg_docs.sh
 step "arckcrash campaign (oracles + strict killpoint sweep)"
 go run ./cmd/arckcrash -iters 40 -seed 1 -artifacts "$out/crash-artifacts"
 
+step "replay one enumerated and one looped breach"
+go run ./cmd/arckcrash -replay "$out/crash-artifacts/arckcrash-reserve-scan-arckfs-seed1-iter0-I3-verified-durable.json"
+go run ./cmd/arckcrash -replay "$(ls "$out"/crash-artifacts/arckcrash-reserve-len-* | head -n 1)"
+
 step "repo benchmark module tests"
 (cd benchmark && go test ./...)
 
