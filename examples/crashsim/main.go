@@ -6,6 +6,8 @@
 // This is the in-process equivalent of the paper's experiment: "we insert
 // a flush of the cache line containing the commit marker, followed by a
 // sleep immediately after updating the commit marker", then cut power.
+// It exits non-zero unless ArckFS recovers a torn dentry and ArckFS+
+// recovers none, so CI runs it as a check.
 package main
 
 import (
@@ -20,10 +22,7 @@ import (
 )
 
 func crashDuringCreate(mode core.Mode) *kernel.Report {
-	hooks := &libfs.Hooks{}
-	sys, err := core.NewSystem(core.Config{
-		Mode: mode, DevSize: 64 << 20, Hooks: hooks,
-	})
+	sys, err := core.NewSystem(core.Config{Mode: mode, DevSize: 64 << 20})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,8 +44,8 @@ func crashDuringCreate(mode core.Mode) *kernel.Report {
 	// single-write body lines — the write-back order the missing fence
 	// permits.
 	var img []byte
-	hooks.CreateBeforeMarkerFence = func() {
-		if img == nil {
+	sys.Dev.SetObserver(func(site string) {
+		if site == "libfs.create.marker" && img == nil {
 			img = sys.Dev.CrashImage(func(_ int64, versions int) int {
 				if versions >= 2 {
 					return versions
@@ -54,7 +53,7 @@ func crashDuringCreate(mode core.Mode) *kernel.Report {
 				return 0
 			})
 		}
-	}
+	})
 	name := "/victim-" + strings.Repeat("x", 120)
 	if err := w.Create(name); err != nil {
 		log.Fatal(err)
@@ -72,16 +71,18 @@ func main() {
 	fmt.Println("Crashing ArckFS (missing fence, §4.2) during create:")
 	rep := crashDuringCreate(core.ArckFS)
 	fmt.Printf("  recovery: %s\n", rep)
-	if rep.CorruptDentries > 0 {
-		fmt.Println("  -> a directory entry with a valid commit marker was only")
-		fmt.Println("     partially persisted (torn name detected by its hash)")
+	if rep.CorruptDentries == 0 {
+		log.Fatal("ArckFS recovered no torn dentry: the §4.2 bug did not reproduce")
 	}
+	fmt.Println("  -> a directory entry with a valid commit marker was only")
+	fmt.Println("     partially persisted (torn name detected by its hash)")
 
 	fmt.Println("Crashing ArckFS+ (fence added) at the same instant:")
 	rep = crashDuringCreate(core.ArckFSPlus)
 	fmt.Printf("  recovery: %s\n", rep)
-	if rep.CorruptDentries == 0 {
-		fmt.Println("  -> the fence orders body write-backs before the marker:")
-		fmt.Println("     the entry is either fully present or absent, never torn")
+	if rep.CorruptDentries != 0 {
+		log.Fatal("ArckFS+ recovered a torn dentry: the fence did not hold")
 	}
+	fmt.Println("  -> the fence orders body write-backs before the marker:")
+	fmt.Println("     the entry is either fully present or absent, never torn")
 }

@@ -21,11 +21,11 @@ import (
 //     (pmem.*, kernel.*, verifier.*, libfs.*, pmalloc.*) must
 //     match a registered name — the drift that silently breaks dashboards
 //     and bench tooling when a counter is renamed but a lookup key is
-//     not. Whitebox killpoint sites (pmem.Killpoint /
-//     ArmKillpoint names like "libfs.create.marker") share the dotted
-//     vocabulary but are not counters: any value that appears as a
-//     Killpoint argument somewhere in the program is exempt from the
-//     drift rule everywhere (site lists, arming calls).
+//     not. Whitebox killpoint sites ((*pmem.Device).Killpoint names
+//     like "libfs.create.marker") share the dotted vocabulary but are
+//     not counters: any value that appears as a Killpoint argument
+//     somewhere in the program is exempt from the drift rule everywhere
+//     (site lists, observers matching on a site).
 //
 // The registry is program-wide: run the checker over the whole module
 // (./...) or registrations in unloaded packages will look missing.
@@ -73,8 +73,7 @@ func runCounterReg(prog *Program) []Finding {
 				if fn == nil || len(call.Args) == 0 {
 					return true
 				}
-				if isPkgFunc(fn, "internal/pmem", "Killpoint") ||
-					isPkgFunc(fn, "internal/pmem", "ArmKillpoint") {
+				if isMethod(fn, "internal/pmem", "Device", "Killpoint") {
 					if lit, ok := ast.Unparen(call.Args[0]).(*ast.BasicLit); ok && lit.Kind == token.STRING {
 						if site, err := strconv.Unquote(lit.Value); err == nil {
 							killSites[site] = true

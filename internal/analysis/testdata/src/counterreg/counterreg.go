@@ -2,7 +2,10 @@
 // names, once-only registration, and no drifted lookup keys.
 package counterreg
 
-import "fixture/internal/telemetry"
+import (
+	"fixture/internal/pmem"
+	"fixture/internal/telemetry"
+)
 
 // register is the canonical site for both names below.
 func register(s *telemetry.Set) *telemetry.Counter {
@@ -29,4 +32,21 @@ func lookupKeys() []string {
 		"libfs.ops",
 		"pmem.storez", // want "no counter with that name is registered"
 	}
+}
+
+// commit marks a whitebox killpoint site: its dotted name is not a
+// counter, so neither the site nor an observer's match on it is drift.
+func commit(d *pmem.Device) {
+	d.Killpoint("libfs.commit.marker")
+}
+
+// observer matches on the site beside a drifted lookup key.
+func observer(site string) int64 {
+	switch site {
+	case "libfs.commit.marker":
+		return 1
+	case "libfs.opz": // want "no counter with that name is registered"
+		return 2
+	}
+	return 0
 }

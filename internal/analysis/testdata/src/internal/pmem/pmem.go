@@ -18,6 +18,7 @@ func (d *Device) Flush(off, n int64)          {}
 func (d *Device) Fence()                      {}
 func (d *Device) Persist(off, n int64)        {}
 func (d *Device) NewBatch() *Batch            { return &Batch{} }
+func (d *Device) Killpoint(site string)       {}
 
 type Batch struct{}
 

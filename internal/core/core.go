@@ -49,8 +49,6 @@ type Config struct {
 	// Bugs, when non-nil, overrides the Mode's bug preset (for per-bug
 	// ablation).
 	Bugs *libfs.Bugs
-	// Hooks are the deterministic race-window hooks for tests.
-	Hooks *libfs.Hooks
 	// Tracking enables pmem crash tracking from the moment after format.
 	Tracking bool
 	// SpanSampling enables arcktrace causal span tracing from boot: 1
@@ -236,9 +234,8 @@ func Recover(img []byte, cfg Config) (*System, *kernel.Report, error) {
 func (s *System) NewApp(uid, gid uint32) *libfs.FS {
 	app := s.Ctrl.RegisterApp(uid, gid)
 	fs := libfs.New(s.Ctrl, app, libfs.Options{
-		Bugs:  s.cfg.bugs(),
-		Cost:  s.cfg.Cost,
-		Hooks: s.cfg.Hooks,
+		Bugs: s.cfg.bugs(),
+		Cost: s.cfg.Cost,
 	})
 	fs.SetTelemetry(s.tel)
 	fs.SetTracer(s.tracer)

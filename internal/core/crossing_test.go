@@ -75,7 +75,7 @@ func TestCrossingAtomicByEnumeration(t *testing.T) {
 	var records [][]pmem.LineState // dirty lines by record
 	fences := 0
 	dev.EnableTracking()
-	dev.SetFenceObserver(func() {
+	dev.SetObserver(pmem.OnFence(func() {
 		fences++
 		byRecord := map[int64]int{}
 		for _, s := range dev.DirtyLineStates() {
@@ -105,9 +105,9 @@ func TestCrossingAtomicByEnumeration(t *testing.T) {
 			checkCrossingImage(t, fmt.Sprintf("records %0*b", len(records), mask),
 				dev.CrashImage(func(off int64, _ int) int { return keep[off] }), verified, gone, data)
 		}
-	})
+	}))
 	must(me.ReleaseAll())
-	dev.SetFenceObserver(nil)
+	dev.SetObserver(nil)
 	if fences != 1 {
 		t.Fatalf("the release issued %d fences, want the crossing's one", fences)
 	}

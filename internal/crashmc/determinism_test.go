@@ -29,7 +29,7 @@ func runDataPlane(t *testing.T) (states map[uint64]bool, final uint64) {
 	r.ops = cfg.Ops
 	states = map[uint64]bool{}
 	fences := int64(0)
-	r.dev.SetFenceObserver(func() {
+	r.dev.SetObserver(pmem.OnFence(func() {
 		fences++
 		// An image differs from the fence's durable one only on the dirty
 		// lines, so it is digested as the durable one's digest plus those
@@ -48,11 +48,11 @@ func runDataPlane(t *testing.T) (states map[uint64]bool, final uint64) {
 			}
 			states[h.Sum64()] = true
 		}
-	})
+	}))
 	if err := r.run(func() bool { return false }); err != nil {
 		t.Fatal(err)
 	}
-	r.dev.SetFenceObserver(nil)
+	r.dev.SetObserver(nil)
 	return states, maphash.Bytes(digestSeed, r.dev.CrashImage(pmem.CrashDropAll))
 }
 

@@ -32,13 +32,16 @@
 // A row without Ops runs under the loop driver (loop.go): each iteration
 // is fully determined by (Config, iteration seed). A seeded generator
 // (workload.go) grows a randomized workload against an oracle mirror;
-// execution is killed at a random fence, at a named whitebox killpoint
-// (pmem.Killpoint sites at commit-marker stores, batch drains, log
-// compactions), at a post-op checkpoint, or at a fence and then again
-// inside the repair mount; one image is built under a seeded line
-// policy and recovered. With Faults set the device additionally lies
-// per a seeded pmem.FaultPlan — dropped flushes, lying fences, torn
-// lines — exposing crash states honest enumeration can never reach.
+// execution is killed at a random fence, at the Nth hit of a named
+// whitebox killpoint ((*pmem.Device).Killpoint sites at commit-marker
+// stores, batch drains, log compactions), at a post-op checkpoint, or at
+// a fence and then again at a recovery pass of the repair mount; one
+// image is built under a seeded line policy and recovered. Fences and
+// sites reach the driver through one hook, the device's observer
+// (pmem.Device.SetObserver); the loop's own observer counts a site's
+// hits. With Faults set the device additionally lies per a seeded
+// pmem.FaultPlan — dropped flushes, lying fences, torn lines — exposing
+// crash states honest enumeration can never reach.
 // Iterations whose kill never fires, and the baselines (nova, pmfs,
 // kucofs), which have no recovery scan, walk the live namespace and
 // compare it to the oracle instead (L1).
@@ -66,7 +69,8 @@
 // this reproduction. (core.TestCrossingAtomicByEnumeration checks the
 // cross-record order a crossing relaxes.) For the same reason fences
 // inside Release (the kernel verification protocol) are not crash points,
-// except those of a log compaction, which is the LibFS's own schedule.
+// except a log compaction's splice fence — the device's next fence after
+// the libfs.compact.swap site — which is the LibFS's own schedule.
 //
 // # Breaches
 //

@@ -8,7 +8,7 @@ import (
 
 // enumerator is the exhaustive-bounded driver: it stops at every
 // observation point of a scripted workload — each fence, any Interleave
-// hook, and a checkpoint after each op — and checks the crash images the
+// site, and a checkpoint after each op — and checks the crash images the
 // persistency model admits there. Observing at the start of a fence is
 // sufficient: between two fences the set of dirty lines only grows, so
 // the images reachable just before fence N are a superset of those
@@ -44,7 +44,7 @@ func enumerate(cfg Config, replay *Breach) (*Result, error) {
 }
 
 // observe is the per-point entry: called through the rig's filter at
-// every fence and Interleave hook, and directly as the post-op
+// every fence and Interleave site, and directly as the post-op
 // checkpoint.
 func (e *enumerator) observe() {
 	e.res.Points++

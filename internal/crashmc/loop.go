@@ -16,8 +16,8 @@ import (
 const InvLiveMismatch = "L1-live-namespace"
 
 // killpointPool is the loop driver's choice of whitebox kill sites —
-// every registered site but kernel.recover.pass, which the recovery
-// double fault arms itself. The seeded draw indexes into it, so the
+// every registered site but kernel.recover.pass, where only the
+// recovery double fault kills. The seeded draw indexes into it, so the
 // order is part of every recorded seed.
 var killpointPool = []struct {
 	site string
@@ -167,20 +167,22 @@ func runIteration(cfg *Config, iter int, iterSeed int64) (*iteration, error) {
 		it.kill = it.pickKill()
 	}
 	if it.kill.kind == "killpoint" {
-		pmem.ArmKillpoint(it.kill.site, it.kill.n, func(site string) {
-			if it.crash == nil {
-				it.capture("killpoint", site, it.kill.n)
-				panic(killSentinel{})
+		hits := 0
+		r.dev.SetObserver(func(site string) {
+			r.filter(site)
+			if site == it.kill.site {
+				if hits++; hits == it.kill.n && it.crash == nil {
+					it.capture("killpoint", site, it.kill.n)
+					panic(killSentinel{})
+				}
 			}
 		})
-		defer pmem.DisarmKillpoint()
 	}
 	if err := it.runWorkload(); err != nil {
 		return nil, err
 	}
-	pmem.DisarmKillpoint()
 	if r.dev != nil {
-		r.dev.SetFenceObserver(nil)
+		r.dev.SetObserver(nil)
 	}
 	if it.crash == nil {
 		// No kill fired (a baseline, a fence ordinal past the run, a
@@ -318,17 +320,21 @@ func (it *iteration) verifyCrash() {
 // interruptRecovery restores the crash image, kills the repair mount at
 // the end of the scheduled recovery pass, and returns the crash image
 // of the half-repaired device — the input for the second (checked)
-// recovery. Recovery-pass kills force RecoverWorkers=1 so the armed
+// recovery. Recovery-pass kills force RecoverWorkers=1 so the observer's
 // panic unwinds the mounting goroutine, never a parallel worker.
 func (it *iteration) interruptRecovery(img []byte) []byte {
 	rdev := pmem.Restore(img, nil)
 	rdev.EnableTracking()
 	var img2 []byte
-	pmem.ArmKillpoint("kernel.recover.pass", it.kill.recPass, func(string) {
-		img2 = it.image(rdev, func(_ int64, versions int) int { return it.rng.Intn(versions + 1) })
-		panic(killSentinel{})
+	passes := 0
+	rdev.SetObserver(func(site string) {
+		if site == "kernel.recover.pass" {
+			if passes++; passes == it.kill.recPass {
+				img2 = it.image(rdev, func(_ int64, versions int) int { return it.rng.Intn(versions + 1) })
+				panic(killSentinel{})
+			}
+		}
 	})
-	defer pmem.DisarmKillpoint()
 	func() {
 		defer func() {
 			if r := recover(); r != nil {

@@ -43,9 +43,10 @@ type Config struct {
 	// Bugs is the injected LibFS bug set (libfs.BugsNone = ArckFS+).
 	Bugs libfs.Bugs
 	// Interleave optionally names an extra instrumented observation
-	// point. "marker-window" observes inside the §4.2 commit window
-	// (after the marker's flush is queued, before the final fence),
-	// mirroring the Table-1 schedule the paper widens with sleep().
+	// point. "marker-window" observes at the libfs.create.marker site,
+	// inside the §4.2 commit window (after the marker's flush is queued,
+	// before the final fence), mirroring the Table-1 schedule the paper
+	// widens with sleep().
 	Interleave string
 	// Faults selects device lie modes. The pmem.FaultPlan is built from
 	// the run's seed (the iteration seed under the loop driver), so a
@@ -130,12 +131,14 @@ type rig struct {
 	oracle *Oracle
 	ops    []Op // the tracked workload
 
-	opIdx        int
-	inflight     *Op
-	inRelease    bool
+	opIdx     int
+	inflight  *Op
+	inRelease bool
+	// inCompaction is set at a log compaction's splice site and cleared
+	// at the device's next fence, the splice's own.
 	inCompaction bool
 	// onPoint is the driver's reaction to a LibFS persist point: a fence
-	// or the Interleave hook, after the rig's filter.
+	// or the Interleave site, after the rig's filter.
 	onPoint func()
 }
 
@@ -156,12 +159,7 @@ func newRig(cfg *Config, seed int64, onPoint func()) (*rig, error) {
 			return nil, err
 		}
 		r.geo = ctrl.Geometry()
-		hooks := &libfs.Hooks{DirCompaction: func(begin bool) { r.inCompaction = begin }}
-		switch cfg.Interleave {
-		case "":
-		case "marker-window":
-			hooks.CreateBeforeMarkerFence = r.point
-		default:
+		if cfg.Interleave != "" && cfg.Interleave != "marker-window" {
 			return nil, fmt.Errorf("crashmc: unknown interleave %q", cfg.Interleave)
 		}
 		// Trace every op (sample=1): a breach ships with the span history
@@ -171,7 +169,6 @@ func newRig(cfg *Config, seed int64, onPoint func()) (*rig, error) {
 		for k := 0; k < cfg.Tenants; k++ {
 			fs := libfs.New(ctrl, ctrl.RegisterApp(0, 0), libfs.Options{
 				Bugs:           cfg.Bugs,
-				Hooks:          hooks,
 				GrantInoBatch:  32,
 				GrantPageBatch: 32,
 				DirBuckets:     8,
@@ -201,21 +198,30 @@ func newRig(cfg *Config, seed int64, onPoint func()) (*rig, error) {
 			r.dev.SetFaultPlan(pmem.NewFaultPlan(cfg.Faults, seed))
 		}
 		r.dev.EnableTracking()
-		r.dev.SetFenceObserver(r.point)
+		r.dev.SetObserver(r.filter)
 	}
 	return r, nil
 }
 
-// point is the one observation filter. Fences inside the kernel release
-// protocol are not LibFS persist points: the kernel is trusted (see
-// hardened), and the checkpoint after the release still sees whatever
-// LibFS left dirty across it. A log compaction the LibFS runs before
-// crossing is its own schedule and is observed like any op.
-func (r *rig) point() {
-	if !r.dev.Tracking() || (r.inRelease && !r.inCompaction) {
-		return
+// filter is the rig's device observer and its one observation filter.
+// Fences inside the kernel release protocol are not LibFS persist points:
+// the kernel is trusted (see hardened), and the checkpoint after the
+// release still sees whatever LibFS left dirty across it. A log
+// compaction the LibFS runs before crossing is its own schedule: its
+// splice fence, the device's next after the libfs.compact.swap site, is
+// observed like any op's. Interleave "marker-window" adds the
+// libfs.create.marker site.
+func (r *rig) filter(site string) {
+	switch {
+	case site == "libfs.compact.swap":
+		r.inCompaction = true
+	case site == pmem.FenceSite && (!r.inRelease || r.inCompaction),
+		site == "libfs.create.marker" && r.cfg.Interleave == "marker-window":
+		r.onPoint()
 	}
-	r.onPoint()
+	if site == pmem.FenceSite {
+		r.inCompaction = false
+	}
 }
 
 // release returns everything the current tenant holds to the kernel for

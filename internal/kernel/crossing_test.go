@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"arckfs/internal/layout"
+	"arckfs/internal/pmem"
 	"arckfs/internal/race"
 	"arckfs/internal/verifier"
 )
@@ -102,7 +103,7 @@ func TestCrossingFreesAfterFence(t *testing.T) {
 	}
 	free, fences := h.c.FreeCount(), 0
 	h.dev.EnableTracking()
-	h.dev.SetFenceObserver(func() {
+	h.dev.SetObserver(pmem.OnFence(func() {
 		fences++
 		if got := h.c.FreeCount() - free; got != 0 {
 			t.Errorf("%d freed pages back in the allocator before the fence", got)
@@ -110,11 +111,11 @@ func TestCrossingFreesAfterFence(t *testing.T) {
 		if inoBack() {
 			t.Error("the freed inode number is back in the free list before the fence")
 		}
-	})
+	}))
 	if err := h.c.Release(app, layout.RootIno); err != nil {
 		t.Fatal(err)
 	}
-	h.dev.SetFenceObserver(nil)
+	h.dev.SetObserver(nil)
 	if fences != 1 {
 		t.Fatalf("the removal issued %d fences, want 1", fences)
 	}
@@ -153,7 +154,7 @@ func TestCrossingKeepsItsEpochToTheFence(t *testing.T) {
 	var fences int
 	var inside sync.Mutex // held while a fence of a's batch is checked
 	h.dev.EnableTracking()
-	h.dev.SetFenceObserver(func() {
+	h.dev.SetObserver(pmem.OnFence(func() {
 		if !inside.TryLock() {
 			return // b's commit fencing from inside the check
 		}
@@ -176,14 +177,14 @@ func TestCrossingKeepsItsEpochToTheFence(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("another app's file commit waited on the batch's files")
 		}
-	})
+	}))
 	excl := h.c.Stats.EpochExclusive.Load()
 	for _, r := range h.c.Transfer(a, []uint64{d1, f, d2}, XferRelease, nil, nil) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
 	}
-	h.dev.SetFenceObserver(nil)
+	h.dev.SetObserver(nil)
 	if got := h.c.Stats.EpochExclusive.Load() - excl; fences != 2 || got != 2 {
 		t.Fatalf("[dir, file, dir] batch: %d fences and %d exclusive epochs, want 2 and 2", fences, got)
 	}

@@ -134,8 +134,9 @@ func Mount(dev *pmem.Device, opts Options, repair bool) (*Controller, *Report, e
 		}
 		// Whitebox kill site for crash-during-recovery testing (always on
 		// the mounting goroutine — passes end sequentially even when their
-		// interior parallelizes, so an armed kill unwinds Mount itself).
-		pmem.Killpoint("kernel.recover.pass")
+		// interior parallelizes, so an observer that panics here unwinds
+		// Mount itself).
+		dev.Killpoint("kernel.recover.pass")
 		passBegin = time.Now()
 	}
 

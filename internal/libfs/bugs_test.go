@@ -70,13 +70,12 @@ func TestBug41FixedInPlus(t *testing.T) {
 // it mounted and how many recovered a committed dentry over a torn body.
 func crashDuringCreate(t *testing.T, bugs Bugs, name string) (images, torn int) {
 	t.Helper()
-	hooks := &Hooks{}
 	dev := pmem.New(8<<20, nil)
 	ctrl, err := kernel.Format(dev, kernel.Options{InodeCap: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := New(ctrl, ctrl.RegisterApp(0, 0), Options{Bugs: bugs, Hooks: hooks})
+	fs := New(ctrl, ctrl.RegisterApp(0, 0), Options{Bugs: bugs})
 	w := th(t, fs)
 
 	// Track from a consistent baseline that already contains a committed
@@ -88,15 +87,17 @@ func crashDuringCreate(t *testing.T, bugs Bugs, name string) (images, torn int) 
 		t.Fatal(err)
 	}
 	dev.EnableTracking()
-	hooks.CreateBeforeMarkerFence = func() {
-		n, k := tornImages(t, dev)
-		images, torn = images+n, torn+k
-	}
+	dev.SetObserver(func(site string) {
+		if site == "libfs.create.marker" {
+			n, k := tornImages(t, dev)
+			images, torn = images+n, torn+k
+		}
+	})
 	if err := w.Create(name); err != nil {
 		t.Fatal(err)
 	}
 	if images == 0 {
-		t.Fatal("crash hook never fired")
+		t.Fatal("the commit-marker site never fired")
 	}
 	t.Logf("%d images, %d torn", images, torn)
 	return images, torn

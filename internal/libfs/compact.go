@@ -5,7 +5,6 @@ import (
 
 	"arckfs/internal/htable"
 	"arckfs/internal/layout"
-	"arckfs/internal/pmem"
 	"arckfs/internal/telemetry"
 	"arckfs/internal/telemetry/span"
 )
@@ -127,11 +126,6 @@ func (fs *FS) compactDir(mi *minode, sp *span.Span) {
 	if len(runs) == 0 {
 		return
 	}
-	if h := fs.opts.Hooks.DirCompaction; h != nil {
-		h(true)
-		defer h(false)
-	}
-
 	// One 8-byte store per run, one fence for them all.
 	pb := fs.dev.NewBatch()
 	ds.idxMu.Lock()
@@ -145,7 +139,7 @@ func (fs *FS) compactDir(mi *minode, sp *span.Span) {
 		}
 	}
 	ds.idxMu.Unlock()
-	pmem.Killpoint("libfs.compact.swap")
+	fs.dev.Killpoint("libfs.compact.swap")
 	pb.Barrier()
 
 	// The runs are unreachable. Retire their pages the kernel never

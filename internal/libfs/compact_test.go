@@ -197,22 +197,13 @@ func TestCompactionSkippedBelowThreshold(t *testing.T) {
 // fifth only: the run at the head goes by the tail-head store, the run
 // behind the second page by its next pointer, and the live entries keep
 // their refs and their pages' bytes. /s keeps every 100th of its names,
-// one or two a page: each page holds a survivor, so all six stay.
+// one or two a page: each page holds a survivor, so all six stay. The
+// device's observer sees the splice: at the swap site and at the next
+// fence the only dirty lines are the two link words, one store each, the
+// device flushes two lines in between, and that fence's barrier is the
+// release's only LibFS one.
 func TestCompactionSplicesInPlace(t *testing.T) {
-	var stores, flushes, fences, nt int64
-	var fs *FS
-	hooks := &Hooks{DirCompaction: func(begin bool) {
-		st := &fs.dev.Stats
-		sign := int64(-1)
-		if !begin {
-			sign = 1
-		}
-		stores += sign * st.Stores.Load()
-		flushes += sign * st.Flushes.Load()
-		fences += sign * st.Fences.Load()
-		nt += sign * st.NTStores.Load()
-	}}
-	fs = newFS(t, BugsNone, hooks)
+	fs := newFS(t, BugsNone, nil)
 	w := th(t, fs)
 	// 1 000 records of one length, 170 a page: six pages, the last short.
 	fill := func(dir string, keep func(i int) bool) []string {
@@ -266,14 +257,42 @@ func TestCompactionSplicesInPlace(t *testing.T) {
 		bodies = append(bodies, body(p))
 	}
 
-	if err := fs.ReleaseAll(); err != nil {
+	dev := fs.dev
+	var sites []string
+	var dirty [][]pmem.LineState // at the swap site and at its fence
+	var flushes [2]int64
+	dev.EnableTracking()
+	dev.SetObserver(func(site string) {
+		sites = append(sites, site)
+		if n := len(dirty); site == "libfs.compact.swap" || site == pmem.FenceSite && n == 1 {
+			dirty = append(dirty, dev.DirtyLineStates())
+			flushes[n] = dev.Stats.Flushes.Load()
+		}
+	})
+	err = fs.ReleaseAll()
+	dev.SetObserver(nil)
+	dev.DisableTracking()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if n := fs.Stats.DirCompactions.Load(); n != 1 {
 		t.Fatalf("compactions = %d, want 1: /d spliced, /s left as it is", n)
 	}
-	if stores != 2 || flushes != 2 || fences != 1 || nt != 0 {
-		t.Fatalf("the compaction made %d stores, %d flushes, %d fences, %d streamed lines; want 2, 2, 1, 0", stores, flushes, fences, nt)
+	// The splice's barrier is the release's only LibFS persist point; the
+	// last fence is the crossing's.
+	if want := []string{"libfs.compact.swap", "pmem.batch.barrier", pmem.FenceSite, pmem.FenceSite}; !slices.Equal(sites, want) {
+		t.Fatalf("the release reached %q, want %q", sites, want)
+	}
+	links := []pmem.LineState{
+		{Off: layout.TailHeadOff(ds.tailset, 0) &^ (pmem.LineSize - 1), Versions: 1},
+		{Off: int64(chain[1]*layout.PageSize+layout.NextPtrOff) &^ (pmem.LineSize - 1), Versions: 1},
+	}
+	slices.SortFunc(links, func(a, b pmem.LineState) int { return int(a.Off - b.Off) })
+	if want := [][]pmem.LineState{links, links}; !reflect.DeepEqual(dirty, want) {
+		t.Fatalf("dirty lines at the swap and at its fence %v, want the two link words' %v, one store each", dirty, links)
+	}
+	if n := flushes[1] - flushes[0]; n != 2 {
+		t.Fatalf("from the swap to its fence the device flushed %d lines, want 2", n)
 	}
 	if got := fs.dirLogPages(ds)[0]; !slices.Equal(got, kept) {
 		t.Fatalf("/d's log after the release %v, want %v", got, kept)
@@ -710,9 +729,6 @@ func TestCompactionCrashStatesKeepLiveSet(t *testing.T) {
 	images, compacting := 0, false
 	// capture judges each image as it takes it.
 	capture := func() {
-		if !compacting {
-			return // a kernel fence of the release protocol
-		}
 		corners, _ := dev.CrashImages(dev.DirtyLineStates(), pmem.CrashDropAll, 0, int64(images))
 		for _, img := range corners {
 			i := images
@@ -734,8 +750,7 @@ func TestCompactionCrashStatesKeepLiveSet(t *testing.T) {
 			}
 		}
 	}
-	hooks := &Hooks{DirCompaction: func(begin bool) { compacting = begin }}
-	fs := New(ctrl, ctrl.RegisterApp(0, 0), Options{Hooks: hooks, GrantPageBatch: 16, GrantInoBatch: 32})
+	fs := New(ctrl, ctrl.RegisterApp(0, 0), Options{GrantPageBatch: 16, GrantInoBatch: 32})
 	w := th(t, fs)
 	if err := w.Mkdir("/d"); err != nil {
 		t.Fatal(err)
@@ -770,11 +785,16 @@ func TestCompactionCrashStatesKeepLiveSet(t *testing.T) {
 	}
 
 	dev.EnableTracking()
-	dev.SetFenceObserver(capture)
-	pmem.ArmKillpoint("libfs.compact.swap", 1, func(string) { capture() })
+	// The swap site and the device's next fence, the splice's own; the
+	// release's other fences are the kernel's.
+	dev.SetObserver(func(site string) {
+		if site == "libfs.compact.swap" || site == pmem.FenceSite && compacting {
+			compacting = site != pmem.FenceSite
+			capture()
+		}
+	})
 	err = fs.ReleaseAll()
-	pmem.DisarmKillpoint()
-	dev.SetFenceObserver(nil)
+	dev.SetObserver(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

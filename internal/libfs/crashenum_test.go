@@ -69,13 +69,13 @@ func TestExhaustiveCrashEnumerationSingleCreate(t *testing.T) {
 			}
 			images, torn := 0, 0
 			dev.EnableTracking()
-			dev.SetFenceObserver(func() {
+			dev.SetObserver(pmem.OnFence(func() {
 				n, k := tornImages(t, dev)
 				images, torn = images+n, torn+k
-			})
+			}))
 			// A name long enough to span cache lines.
 			err = w.Create("/victim-0123456789-0123456789-0123456789-0123456789-0123456789")
-			dev.SetFenceObserver(nil)
+			dev.SetObserver(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +109,7 @@ func TestExhaustiveCrashEnumerationUnlink(t *testing.T) {
 	}
 	images := 0
 	dev.EnableTracking()
-	dev.SetFenceObserver(func() {
+	dev.SetObserver(pmem.OnFence(func() {
 		for ks, img := range everyCrashImage(t, dev, dev.DirtyLineStates(), pmem.CrashDropAll) {
 			images++
 			ctrl2, rep, err := kernel.Mount(pmem.Restore(img, nil), kernel.Options{}, true)
@@ -127,9 +127,9 @@ func TestExhaustiveCrashEnumerationUnlink(t *testing.T) {
 				}
 			}
 		}
-	})
+	}))
 	err = w.Unlink("/doomed")
-	dev.SetFenceObserver(nil)
+	dev.SetObserver(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,9 +202,9 @@ func TestInodeRecordCrashAtomic(t *testing.T) {
 	} {
 		images, torn = 0, 0
 		dev.EnableTracking()
-		dev.SetFenceObserver(check)
+		dev.SetObserver(pmem.OnFence(check))
 		err := op.run()
-		dev.SetFenceObserver(nil)
+		dev.SetObserver(nil)
 		dev.DisableTracking()
 		if err != nil {
 			t.Fatal(err)
@@ -300,14 +300,14 @@ func TestGrowthZeroesCrashStates(t *testing.T) {
 					t.Fatalf("image %d: recovered size %d, gap byte at %d reads %#x", i, len(got), 100+j, gap[j])
 				}
 			}
-			dev.SetFenceObserver(func() {
+			dev.SetObserver(pmem.OnFence(func() {
 				corners, _ := dev.CrashImages(dev.DirtyLineStates(), pmem.CrashDropAll, 0, int64(images))
 				for _, img := range corners {
 					check(img)
 				}
-			})
+			}))
 			err := tc.grow(w, fd)
-			dev.SetFenceObserver(nil)
+			dev.SetObserver(nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -84,12 +84,12 @@ func bootDelegated(t *testing.T, tc delegatedCase) *delegatedRig {
 	return r
 }
 
-// write issues the delegated write with obs armed as the fence observer.
+// write issues the delegated write, running obs at every fence.
 func (r *delegatedRig) write(t *testing.T, obs func()) {
 	t.Helper()
-	r.dev.SetFenceObserver(obs)
+	r.dev.SetObserver(pmem.OnFence(obs))
 	_, err := r.w.WriteAt(r.fd, r.blob, r.tc.off)
-	r.dev.SetFenceObserver(nil)
+	r.dev.SetObserver(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestDelegatedWriteLiesReportAlike(t *testing.T) {
 		plan.FlushEvery = 1
 		plan.Filter = func(lineOff int64) bool { return lineOff == r.devLine(target) }
 		r.dev.SetFaultPlan(plan)
-		r.write(t, nil)
+		r.write(t, func() {})
 		if lied, dirty := r.dev.Stats.LiedFlushes.Load(), r.dev.DirtyLines(); lied != 1 || !reflect.DeepEqual(dirty, []int64{r.devLine(target)}) {
 			t.Fatalf("%s: %d lied flushes, dirty after the write %v; want 1 and the aimed line %d",
 				tc.name, lied, dirty, r.devLine(target))

@@ -152,10 +152,8 @@ func (fs *FS) appendDentry(t *Thread, mi *minode, ds *dirState, childIno uint64,
 	//arcklint:allow persistorder the Barrier is skipped only when BugMissingFence deliberately reproduces the §4.2 bug; the patched path barriers above
 	layout.CommitDentry(fs.dev, r, len(name))
 	t.pb.Flush(r.MarkerOff(), 2)
-	if h := fs.opts.Hooks.CreateBeforeMarkerFence; h != nil {
-		h() // §4.2 crash window: marker flush queued, final fence not yet issued
-	}
-	pmem.Killpoint("libfs.create.marker")
+	// §4.2 crash window: marker flush queued, final fence not yet issued.
+	fs.dev.Killpoint("libfs.create.marker")
 	t.pb.Barrier()
 
 	if !reused {
@@ -368,10 +366,7 @@ func (fs *FS) fillDentry(t *Thread, mi *minode, r layout.DentryRef, childIno uin
 	//arcklint:allow persistorder the Barrier is skipped only when BugMissingFence deliberately reproduces the §4.2 bug; the patched path barriers above
 	layout.CommitDentry(fs.dev, r, len(name))
 	t.pb.Flush(r.MarkerOff(), 2)
-	if h := fs.opts.Hooks.CreateBeforeMarkerFence; h != nil {
-		h()
-	}
-	pmem.Killpoint("libfs.create.marker")
+	fs.dev.Killpoint("libfs.create.marker")
 	t.pb.Barrier()
 	return nil
 }

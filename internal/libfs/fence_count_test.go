@@ -82,14 +82,14 @@ func TestInodeRecordPersistsOneLine(t *testing.T) {
 		seen := map[int64]bool{}
 		dev.EnableTracking()
 		defer dev.DisableTracking()
-		dev.SetFenceObserver(func() {
+		dev.SetObserver(pmem.OnFence(func() {
 			for _, s := range dev.DirtyLineStates() {
 				if s.Off >= lo && s.Off < hi {
 					seen[s.Off] = true
 				}
 			}
-		})
-		defer dev.SetFenceObserver(nil)
+		}))
+		defer dev.SetObserver(nil)
 		nt, fl := dev.Stats.NTStores.Load(), dev.Stats.Flushes.Load()
 		if err := op(); err != nil {
 			t.Fatal(err)

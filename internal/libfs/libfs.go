@@ -93,12 +93,6 @@ type Hooks struct {
 	// BucketTraverse is forwarded to every directory hash table — the
 	// §4.5 window.
 	BucketTraverse func()
-	// CreateBeforeMarkerFence runs after the commit marker's flush has
-	// been issued but before the operation's final fence — the §4.2
-	// crash window. A test can capture a crash image here: under
-	// BugMissingFence the dentry body is still unfenced at this point,
-	// so the marker may persist without it.
-	CreateBeforeMarkerFence func()
 	// FileReadBlock runs in the file read path after a block pointer has
 	// been loaded from the published index, before its page is copied —
 	// the data-plane reclamation window: a truncate or unlink that
@@ -106,13 +100,6 @@ type Hooks struct {
 	// the reader leaves its read-side section. The reclamation stress
 	// test widens the window with it.
 	FileReadBlock func()
-	// DirCompaction brackets a release-time dentry-log compaction: it
-	// runs with true before the splice stores and with false once the
-	// unlinked pages are retired. The persist schedule in between is the
-	// LibFS's own — the only part of a release that is — so the crash
-	// checkers use the bracket to observe the fence they otherwise skip
-	// as kernel protocol.
-	DirCompaction func(begin bool)
 }
 
 // Options configures a LibFS instance.

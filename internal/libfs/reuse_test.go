@@ -127,7 +127,7 @@ func TestDeadSlotReuseCrashStates(t *testing.T) {
 			}
 			images, torn, created := 0, 0, 0
 			dev.EnableTracking()
-			dev.SetFenceObserver(func() {
+			dev.SetObserver(pmem.OnFence(func() {
 				eachCrashImage(t, dev, fs.geo, func(img []byte) {
 					images++
 					names, rep := recoverNames(t, img)
@@ -144,14 +144,14 @@ func TestDeadSlotReuseCrashStates(t *testing.T) {
 						created++
 					}
 				})
-			})
+			}))
 			// The release verifies the new name: only from then on may an
 			// image keep it.
 			err := w.Create("/" + newName)
 			if err == nil {
 				err = fs.ReleaseAll()
 			}
-			dev.SetFenceObserver(nil)
+			dev.SetObserver(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +178,7 @@ func TestDeadSlotReuseCrashStates(t *testing.T) {
 		}
 		images, both := 0, 0 // both: images holding both records live
 		dev.EnableTracking()
-		dev.SetFenceObserver(func() {
+		dev.SetObserver(pmem.OnFence(func() {
 			eachCrashImage(t, dev, fs.geo, func(img []byte) {
 				images++
 				names, rep := recoverNames(t, img)
@@ -192,9 +192,9 @@ func TestDeadSlotReuseCrashStates(t *testing.T) {
 					}
 				}
 			})
-		})
+		}))
 		err := w.Rename("/"+moved, "/"+target)
-		dev.SetFenceObserver(nil)
+		dev.SetObserver(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestDeadSlotReuseCrashStates(t *testing.T) {
 		}
 		images, created := 0, 0
 		dev.EnableTracking()
-		dev.SetFenceObserver(func() {
+		dev.SetObserver(pmem.OnFence(func() {
 			eachCrashImage(t, dev, fs.geo, func(img []byte) {
 				images++
 				names, rep := recoverNames(t, img)
@@ -237,12 +237,12 @@ func TestDeadSlotReuseCrashStates(t *testing.T) {
 					created++
 				}
 			})
-		})
+		}))
 		err := w.Create("/" + newName)
 		if err == nil {
 			err = fs.ReleaseAll()
 		}
-		dev.SetFenceObserver(nil)
+		dev.SetObserver(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -118,7 +118,7 @@ func (b *Batch) Pending() int { return len(b.pending) }
 // issues one fence. Everything flushed or streamed before the Barrier is
 // durable when it returns.
 func (b *Batch) Barrier() {
-	Killpoint("pmem.batch.barrier")
+	b.dev.Killpoint("pmem.batch.barrier")
 	b.barrier()
 }
 
@@ -157,7 +157,7 @@ func (b *Batch) barrier() {
 // to avoid paying a fence in the common already-drained case.
 func (b *Batch) Drain() {
 	if len(b.pending) > 0 {
-		Killpoint("pmem.batch.drain")
+		b.dev.Killpoint("pmem.batch.drain")
 		b.Barrier()
 	}
 }

@@ -179,7 +179,7 @@ func (p *FaultPlan) tearChoice(n int) (idx, split int) {
 }
 
 // SetFaultPlan attaches a lie plan to the device (nil detaches). Like
-// the fence observer it must be set while the device is quiescent.
+// the observer it must be set while the device is quiescent.
 func (d *Device) SetFaultPlan(p *FaultPlan) { d.fault = p }
 
 // Fault returns the attached lie plan (possibly nil).

@@ -3,6 +3,7 @@ package pmem
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -195,31 +196,30 @@ func TestFaultPlanDeterminism(t *testing.T) {
 	}
 }
 
-func TestKillpointArmsAndFires(t *testing.T) {
-	defer DisarmKillpoint()
-	fired := 0
-	ArmKillpoint("test.site", 2, func(site string) {
-		if site != "test.site" {
-			t.Fatalf("fired with site %q", site)
-		}
-		fired++
-	})
-	Killpoint("other.site") // wrong site: ignored
-	Killpoint("test.site")  // hit 1 of 2
-	if fired != 0 {
-		t.Fatalf("fired on hit 1, want hit 2")
+// TestObserverIsPerDevice: a device's observer sees its own named sites
+// always and its own fences only while tracking, never another device's,
+// and a device without one ignores both.
+func TestObserverIsPerDevice(t *testing.T) {
+	a, b := New(PageSize, nil), New(PageSize, nil)
+	var seen []string
+	a.SetObserver(func(site string) { seen = append(seen, site) })
+	run := func(d *Device) []string {
+		seen = nil
+		d.Killpoint("test.site")
+		d.NewBatch().Barrier()
+		return seen
 	}
-	Killpoint("test.site") // hit 2: fires
-	if fired != 1 {
-		t.Fatalf("fired = %d after hit 2, want 1", fired)
+	if got, want := run(a), []string{"test.site", "pmem.batch.barrier"}; !slices.Equal(got, want) {
+		t.Fatalf("untracked: observer saw %q, want %q", got, want)
 	}
-	Killpoint("test.site") // past the armed hit: no refire
-	if fired != 1 {
-		t.Fatalf("fired = %d after hit 3, want 1", fired)
+	a.EnableTracking()
+	b.EnableTracking()
+	if got, want := run(a), []string{"test.site", "pmem.batch.barrier", FenceSite}; !slices.Equal(got, want) {
+		t.Fatalf("tracked: observer saw %q, want %q", got, want)
 	}
-	DisarmKillpoint()
-	Killpoint("test.site")
-	if fired != 1 {
-		t.Fatalf("disarmed killpoint fired")
+	if got := run(b); got != nil {
+		t.Fatalf("device a's observer saw device b's %q", got)
 	}
+	a.SetObserver(nil)
+	run(a) // a nil observer is a no-op
 }

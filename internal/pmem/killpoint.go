@@ -1,21 +1,26 @@
 package pmem
 
-import "sync/atomic"
-
-// Whitebox killpoints.
+// Crash points.
 //
-// A killpoint is a named code site at which a crash-loop orchestrator
-// (cmd/arckcrash) can cut an execution deterministically: the site calls
-// Killpoint("name") inline, and a harness arms one (site, hit-count)
-// pair per run. When the armed site's Nth hit occurs, the registered
-// function runs on the hitting goroutine — typically capturing a crash
-// image and unwinding via panic, which the orchestrator recovers.
+// A device has one observer, the only way a harness stops an execution at
+// a persistence-relevant instant. Two kinds of instant reach it by name:
 //
-// The unarmed cost is one atomic pointer load and a nil check, so the
-// markers are safe on persist hot paths (commit-marker stores, batch
-// drains) and inside recovery passes. Exactly one killpoint is armed at
-// a time; arming is not synchronized with concurrent hits, so harnesses
-// arm before starting the workload and disarm after unwinding.
+//   - every Fence while tracking is enabled, as FenceSite, before the
+//     fence makes flushed content durable. The ending epoch's dirty-line
+//     state is still enumerable there (DirtyLineStates, CrashImages), and
+//     within an epoch the reachable crash states only grow, so observing
+//     fences covers the whole execution, epoch by epoch;
+//   - every named whitebox site, a Killpoint("name") call inline in the
+//     code under test, whether or not tracking is enabled.
+//
+// What happens there is the observer's: count hits and cut the Nth
+// (typically capturing a crash image and unwinding via panic, which the
+// harness recovers), enumerate images, or read counters. With no observer
+// a site costs one field load and a nil check, so sites are safe on
+// persist hot paths and inside recovery passes. The observer runs on the
+// goroutine that reaches the instant and must not store, flush or fence
+// on this device; set it (or clear it with nil) only while the device is
+// quiescent.
 //
 // Registered sites (callers keep this list current; cmd/arckcrash
 // -killpoints prints it):
@@ -24,18 +29,15 @@ import "sync/atomic"
 //	                       the operation's final persist barrier
 //	libfs.compact.swap   — inside a release-time dentry-log compaction,
 //	                       after the stores that splice dead pages out,
-//	                       before the fence that makes them durable
+//	                       before the fence that makes them durable (the
+//	                       device's next fence)
 //	pmem.batch.barrier   — entry of Batch.Barrier, before the queue
 //	                       drains and the fence issues
 //	pmem.batch.drain     — entry of Batch.Drain with lines queued
 //	kernel.recover.pass  — end of each kernel.Mount recovery pass
-type killArm struct {
-	site string
-	left atomic.Int64
-	fn   func(site string)
-}
 
-var armedKill atomic.Pointer[killArm]
+// FenceSite is the site a tracked Fence reports to the observer.
+const FenceSite = "fence"
 
 // KillpointSites lists every registered Killpoint call site.
 func KillpointSites() []string {
@@ -48,29 +50,22 @@ func KillpointSites() []string {
 	}
 }
 
-// Killpoint marks a named kill site. When the site is armed and this is
-// its configured hit, the armed function runs synchronously on the
-// calling goroutine.
-func Killpoint(site string) {
-	a := armedKill.Load()
-	if a == nil || a.site != site {
-		return
-	}
-	if a.left.Add(-1) == 0 {
-		a.fn(site)
+// SetObserver registers fn as the device's observer (nil clears it).
+func (d *Device) SetObserver(fn func(site string)) { d.obs = fn }
+
+// Killpoint reports the named whitebox site to the device's observer.
+func (d *Device) Killpoint(site string) {
+	if d.obs != nil {
+		d.obs(site)
 	}
 }
 
-// ArmKillpoint arms site to fire fn on its hit-th hit (1 = next hit).
-// Any previously armed killpoint is replaced.
-func ArmKillpoint(site string, hit int, fn func(site string)) {
-	if hit < 1 {
-		hit = 1
+// OnFence adapts fn into an observer that runs it at every tracked fence
+// and ignores the named sites.
+func OnFence(fn func()) func(site string) {
+	return func(site string) {
+		if site == FenceSite {
+			fn()
+		}
 	}
-	a := &killArm{site: site, fn: fn}
-	a.left.Store(int64(hit))
-	armedKill.Store(a)
 }
-
-// DisarmKillpoint removes the armed killpoint, if any.
-func DisarmKillpoint() { armedKill.Store(nil) }

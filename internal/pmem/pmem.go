@@ -103,11 +103,9 @@ type Device struct {
 	// while tracking.
 	persistent []byte
 	lines      map[int64]*lineTrack
-	// obs, when set, is invoked at the start of every Fence while tracking
-	// is enabled, before the fence's persistence takes effect — i.e. with
-	// the epoch's full dirty-line state still enumerable. See
-	// SetFenceObserver.
-	obs func()
+	// obs, when set, is the device's observer: every tracked fence and
+	// every Killpoint site reaches it (see killpoint.go).
+	obs func(site string)
 	// fault, when set, is the device's lie schedule (see fault.go).
 	fault *FaultPlan
 	// dirty holds one bit per page, set by every store to the page once its
@@ -165,22 +163,6 @@ func (d *Device) DisableTracking() {
 
 // Tracking reports whether crash tracking is enabled.
 func (d *Device) Tracking() bool { return d.tracking.Load() }
-
-// SetFenceObserver registers fn to run at the start of every Fence while
-// tracking is enabled, before the fence makes flushed content durable.
-// At that instant the device still holds the ending ordering epoch's
-// complete dirty-line state, so fn can materialize every crash image the
-// epoch admits (via DirtyLineStates and CrashImages): within an epoch the
-// reachable crash-state set only grows as stores accumulate, so the set
-// enumerable immediately before the fence is a superset of the states
-// reachable at any intermediate point since the previous fence. Observing
-// fences therefore covers the whole execution, epoch by epoch.
-//
-// fn must not issue stores, flushes, or fences on this device. The
-// observer must be registered (or cleared with nil) while the device is
-// quiescent; it is invoked on whichever thread fences, so crash-state
-// checkers drive single-threaded workloads.
-func (d *Device) SetFenceObserver(fn func()) { d.obs = fn }
 
 func (d *Device) check(off, n int64) {
 	if off < 0 || n < 0 || off+n > int64(len(d.buf)) {
@@ -455,7 +437,7 @@ func (d *Device) Fence() {
 		return
 	}
 	if d.obs != nil {
-		d.obs()
+		d.obs(FenceSite)
 	}
 	d.mu.Lock()
 	if d.fault.dropFence() {

@@ -50,9 +50,23 @@ sh scripts/check_pkg_docs.sh
 step "arckcrash campaign (oracles + strict killpoint sweep)"
 go run ./cmd/arckcrash -iters 40 -seed 1 -artifacts "$out/crash-artifacts"
 
+step "breach artifacts written for expected breaches"
+test -n "$(ls "$out"/crash-artifacts/arckcrash-missing-fence-* 2>/dev/null)"
+test -n "$(ls "$out"/crash-artifacts/arckcrash-lie-* 2>/dev/null)"
+
 step "replay one enumerated and one looped breach"
 go run ./cmd/arckcrash -replay "$out/crash-artifacts/arckcrash-reserve-scan-arckfs-seed1-iter0-I3-verified-durable.json"
 go run ./cmd/arckcrash -replay "$(ls "$out"/crash-artifacts/arckcrash-reserve-len-* | head -n 1)"
+
+step "flight-recorder artifact (the §4.2 breach carries the marker line's flush)"
+go run ./cmd/arckcrash -configs create-commit/arckfs -artifacts "$out/flight"
+flight="$out/flight/arckcrash-create-commit-arckfs-seed1-iter0-I2-no-torn-commit.json"
+test -s "$flight"
+grep -q '"kind": "flush"' "$flight"
+go test -run 'TestFlightRecorderCapturesBreach' ./internal/crashmc/
+
+step "crashsim (ArckFS recovers a torn dentry, ArckFS+ none)"
+go run ./examples/crashsim
 
 step "repo benchmark module tests"
 (cd benchmark && go test ./...)
