@@ -1,6 +1,6 @@
 // Benchmarks regenerating the paper's evaluation as Go testing.B
 // targets. Each benchmark corresponds to a table or figure of the
-// ArckFS+ paper (see DESIGN.md's per-experiment index); cmd/arckbench
+// ArckFS+ paper (EXPERIMENTS.md gives each one's command); cmd/arckbench
 // produces the full rendered tables.
 //
 //	go test -bench=. -benchmem

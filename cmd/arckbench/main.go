@@ -3,11 +3,12 @@
 //
 // Usage:
 //
-//	arckbench -exp figure3|figure4|table2|dataScale|fxmark|filebench|leveldb|table4|all \
+//	arckbench -exp <experiment>|all \
 //	          [-threads 1,2,4,8,16,32,64] [-ops 20000] [-dev 512] [-fast] \
 //	          [-systems arckfs,arckfs+,nova,pmfs,kucofs]
 //
-// The output is the rendered tables. The per-op costs behind them
+// arckbench -h lists the experiments (experiments.Experiments). The
+// output is the rendered tables. The per-op costs behind them
 // (flushes, fences, crossings, lease hits) are deterministic
 // and are pinned by go test -run TestCostBounds ./internal/bench/fxmark/,
 // which runs small -fast table2, fxmark and tenants cells.
@@ -32,6 +33,7 @@ import (
 	"fmt"
 	"os"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -39,7 +41,8 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: figure3, figure4, table2, dataScale, fxmark, filebench, leveldb, table4, all")
+	names := strings.Join(experiments.Names(), ", ")
+	exp := flag.String("exp", "all", "experiment: "+names+", or all")
 	threads := flag.String("threads", "1,2,4,8,16,32,64", "comma-separated thread sweep")
 	ops := flag.Int("ops", 20000, "total operations per measurement cell")
 	dev := flag.Int64("dev", 512, "device size in MiB per instance")
@@ -53,8 +56,8 @@ func main() {
 	stormMigrations := flag.Int("storm-migrations", 0, "revocation-storm migration count (default 4x tenants)")
 	flag.Parse()
 
-	if *exp != "all" && !isKnown(*exp) {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (want figure3, figure4, table2, dataScale, fxmark, filebench, leveldb, table4, tenants, or all)\n", *exp)
+	if *exp != "all" && !slices.Contains(experiments.Names(), *exp) {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (want %s, or all)\n", *exp, names)
 		os.Exit(2)
 	}
 	tenantCounts, err := parseTenants(*tenants)
@@ -100,53 +103,44 @@ func main() {
 		fmt.Println()
 	}
 
-	want := func(name string) bool { return *exp == "all" || *exp == name }
-
-	if want("figure3") {
-		run("figure3", func() error { return experiments.Figure3(cfg) })
-	}
-	if want("figure4") || want("table2") {
-		run("figure4+table2", func() error {
-			series, err := experiments.Figure4(cfg)
-			if err != nil {
-				return err
-			}
-			return experiments.Table2(cfg, series)
-		})
-	}
-	// fxmark is not part of "all": it re-covers figure4 and dataScale
-	// cells and exists for targeted persistence-cost comparisons.
-	if *exp == "fxmark" {
-		run("fxmark", func() error { return experiments.Fxmark(cfg) })
-	}
-	// tenants is not part of "all": it measures the multi-tenant serving
-	// path (ArckFS+-only), not a paper figure, and 10k-population sweeps
-	// deserve their own invocation.
-	if *exp == "tenants" {
-		run("tenants", func() error { return experiments.Tenants(cfg) })
-	}
-	if want("dataScale") {
-		run("dataScale", func() error { return experiments.DataScale(cfg) })
-	}
-	if want("filebench") {
-		run("filebench", func() error { return experiments.Filebench(cfg) })
-	}
-	if want("leveldb") {
-		run("leveldb", func() error { return experiments.LevelDB(cfg) })
-	}
-	if want("table4") {
-		run("table4", func() error {
-			return experiments.Table4(cfg, *smallMB<<20, *bigMB<<20, 400, 20)
-		})
+	steps := stepsFor(cfg, *smallMB<<20, *bigMB<<20)
+	for _, e := range experiments.Experiments {
+		if *exp == e.Name || *exp == "all" && e.InAll {
+			run(steps[e.Name].label, steps[e.Name].fn)
+		}
 	}
 }
 
-func isKnown(e string) bool {
-	switch e {
-	case "figure3", "figure4", "table2", "dataScale", "fxmark", "filebench", "leveldb", "table4", "tenants":
-		return true
+// A step is what one experiment runs, under the header it prints.
+type step struct {
+	label string
+	fn    func() error
+}
+
+// stepsFor maps every name in experiments.Experiments to its step.
+// figure4 and table2 are one step: Table 2 is derived from Figure 4's
+// series.
+func stepsFor(cfg experiments.Config, smallBytes, bigBytes uint64) map[string]step {
+	fig4 := step{"figure4+table2", func() error {
+		series, err := experiments.Figure4(cfg)
+		if err != nil {
+			return err
+		}
+		return experiments.Table2(cfg, series)
+	}}
+	return map[string]step{
+		"figure3":   {"figure3", func() error { return experiments.Figure3(cfg) }},
+		"figure4":   fig4,
+		"table2":    fig4,
+		"fxmark":    {"fxmark", func() error { return experiments.Fxmark(cfg) }},
+		"tenants":   {"tenants", func() error { return experiments.Tenants(cfg) }},
+		"dataScale": {"dataScale", func() error { return experiments.DataScale(cfg) }},
+		"filebench": {"filebench", func() error { return experiments.Filebench(cfg) }},
+		"leveldb":   {"leveldb", func() error { return experiments.LevelDB(cfg) }},
+		"table4": {"table4", func() error {
+			return experiments.Table4(cfg, smallBytes, bigBytes, 400, 20)
+		}},
 	}
-	return false
 }
 
 // parseTenants parses a population sweep like "16,128,1k,4k,10k".

@@ -23,8 +23,42 @@ import (
 
 // AllSystems lists every file system the evaluation compares. The
 // remaining baselines of the paper (ext4, OdinFS, WineFS, SplitFS,
-// Strata) are represented by these archetypes; see DESIGN.md.
+// Strata) are represented by these archetypes; see ARCHITECTURE.md's
+// "What is simulated".
 var AllSystems = append([]string{"arckfs", "arckfs+"}, baseline.Names()...)
+
+// An Experiment is one value of cmd/arckbench's -exp flag.
+type Experiment struct {
+	Name string
+	// InAll reports whether -exp all runs it.
+	InAll bool
+}
+
+// Experiments lists every experiment cmd/arckbench runs, in the order
+// -exp all runs them. table2 is derived from figure4's series, so -exp
+// all prints it with figure4; fxmark re-covers figure4 and dataScale
+// cells for targeted persistence-cost comparisons; tenants measures the
+// multi-tenant serving path, not a paper figure.
+var Experiments = []Experiment{
+	{"figure3", true},
+	{"figure4", true},
+	{"table2", false},
+	{"fxmark", false},
+	{"tenants", false},
+	{"dataScale", true},
+	{"filebench", true},
+	{"leveldb", true},
+	{"table4", true},
+}
+
+// Names returns the names of Experiments, in order.
+func Names() []string {
+	names := make([]string, len(Experiments))
+	for i, e := range Experiments {
+		names[i] = e.Name
+	}
+	return names
+}
 
 // Config parameterizes a run.
 type Config struct {

@@ -84,9 +84,10 @@ var costBounds = []costBound{
 	{fs: "arckfs+", workload: "RevocationStorm", metric: p99Metric, max: 2000,
 		note: "per-migration tail (measured 38-76 µs -fast). Host-speed sensitive, hence the wide margin; the bound catches tails that grow with the 256-tenant population, which land in milliseconds"},
 
-	// The fences of the retired batching ablation (EXPERIMENTS.md): the
-	// write-combining batcher moves clwbs, never fences, so these sit where
-	// the unbatched schedule put them.
+	// The fences of the retired batching ablation (the eager persist
+	// mode's row of EXPERIMENTS.md's trajectory table): the write-combining
+	// batcher moves clwbs, never fences, so these sit where the unbatched
+	// schedule put them.
 	{fs: "arckfs+", workload: "MWUL", metric: "pmem.fences", max: 4.8,
 		note: "create + unlink: the create's two epochs, then the cleared marker and the freed record each end on their own Barrier (measured 4.01-4.04)"},
 	{fs: "arckfs+", workload: "MWRL", metric: "pmem.fences", max: 3.6,

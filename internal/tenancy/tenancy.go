@@ -187,9 +187,9 @@ func (r *Registry) Usage() []kernel.AppUsage {
 
 // MeasureIdleFootprint boots a fresh system, spawns n idle tenants, and
 // returns the resident heap bytes each one cost: the number
-// EXPERIMENTS.md reports against the <8 KiB/tenant budget. The spawn
-// crossing itself (registration) is included — that is the honest cost
-// of an idle tenant, not just its structs.
+// EXPERIMENTS.md's "Tenant scaling" reports against the <8 KiB/tenant
+// budget. The spawn crossing itself (registration) is included — that is
+// the honest cost of an idle tenant, not just its structs.
 func MeasureIdleFootprint(n int) (bytesPerTenant float64, err error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("tenancy: need n > 0, got %d", n)

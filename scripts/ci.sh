@@ -6,7 +6,9 @@
 # Stops at the first failing step. Breach artifacts go to a temporary
 # directory that is removed on exit; the repo benchmark's own
 # .bench_build/ and benchmark/out/ are gitignored. The per-op cost gate
-# (fxmark.TestCostBounds) runs in the test step.
+# (fxmark.TestCostBounds) and the prose docs' budget and citation checks
+# (TestProseBudget, TestDocCommandsResolve, TestEveryPackageHasADoc) run in
+# the test step.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,10 +44,9 @@ go test -run '^$' -fuzz=FuzzVerifyDir -fuzztime=5s ./internal/verifier/
 step "per-layer Go benchmarks build and run once"
 go test -run '^$' -bench . -benchtime 1x ./internal/libfs/ ./internal/kv/ ./internal/verifier/ ./internal/kernel/
 
-step "arcklint (baseline + runtime budget, suppression audit, package docs)"
+step "arcklint (baseline + runtime budget, suppression audit)"
 go run ./cmd/arcklint -baseline scripts/arcklint_baseline.json ./...
 go run ./cmd/arcklint -suppressions -strict ./...
-sh scripts/check_pkg_docs.sh
 
 step "arckcrash campaign (oracles + strict killpoint sweep)"
 go run ./cmd/arckcrash -iters 40 -seed 1 -artifacts "$out/crash-artifacts"
