@@ -493,16 +493,10 @@ func TestBug46FixedByLockAndDescendantCheck(t *testing.T) {
 	}
 }
 
-// mustIno finds a (possibly detached) minode's ino by scanning mtab for
-// the directory created as /<name>.
+// mustIno finds a (possibly detached) directory's ino by its name.
 func mustIno(t *testing.T, fs *FS, name string) uint64 {
 	t.Helper()
 	var found uint64
-	fs.mtab.Range(func(k, v any) bool {
-		mi := v.(*minode)
-		_ = mi
-		return true
-	})
 	// Names are not stored in minodes; recover the ino from the other
 	// dir's entries instead: a is under /c/d, c is under /a/b.
 	w := th(t, fs)
@@ -513,8 +507,7 @@ func mustIno(t *testing.T, fs *FS, name string) uint64 {
 	}
 	if found == 0 {
 		// Fall back: scan every directory table.
-		fs.mtab.Range(func(k, v any) bool {
-			mi := v.(*minode)
+		fs.inodes.Range(func(mi *minode) bool {
 			if mi.dir.Load() == nil {
 				return true
 			}
@@ -534,9 +527,4 @@ func mustIno(t *testing.T, fs *FS, name string) uint64 {
 	return found
 }
 
-func loadMinode(fs *FS, ino uint64) *minode {
-	if v, ok := fs.mtab.Load(ino); ok {
-		return v.(*minode)
-	}
-	return nil
-}
+func loadMinode(fs *FS, ino uint64) *minode { return fs.inodes.Load(ino) }

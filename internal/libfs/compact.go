@@ -157,7 +157,7 @@ func (fs *FS) compactDir(mi *minode, sp *span.Span) {
 	ds.unverified = keep
 	ds.dead.keep(func(s layout.DentryRef) bool { return !gone[s.Page()] })
 	ds.idxMu.Unlock()
-	fs.retire(compactStripe, retire, 0)
+	fs.retire(compactStripe, retire)
 
 	dropped := 0
 	for _, r := range runs {

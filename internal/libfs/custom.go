@@ -27,7 +27,8 @@ import (
 // CreateBatch creates every name in names (which must be distinct) as an
 // empty file under dir. It returns the number of files created; on error
 // the first err is returned and earlier files of the batch remain
-// created.
+// created, each whole: a name that is not valid fails the batch before
+// anything is written, and a later failure commits what came before it.
 func (t *Thread) CreateBatch(dir string, names []string) (n int, err error) {
 	defer t.endOp(t.beginOp(fsapi.OpBatch), &err)
 	fs := t.fs
@@ -44,17 +45,21 @@ func (t *Thread) CreateBatch(dir string, names []string) (n int, err error) {
 		}
 	}
 
+	for _, name := range names {
+		if !layout.ValidName(name) {
+			return 0, fsapi.ErrInval
+		}
+	}
+
 	var pending []pendingCreate
 
 	// Pass 1: write every inode record and dentry body, flushing but not
 	// fencing — the §4.2 protocol's step 1 for the whole batch.
 	for _, name := range names {
-		if !layout.ValidName(name) {
-			return 0, fsapi.ErrInval
-		}
 		ino, err := fs.allocIno(t)
 		if err != nil {
-			return 0, err
+			fs.finishBatch(t, dmi, pending)
+			return len(pending), err
 		}
 		in := layout.Inode{
 			Type: layout.TypeFile, Perm: layout.PermRead | layout.PermWrite,
@@ -95,7 +100,7 @@ func (t *Thread) CreateBatch(dir string, names []string) (n int, err error) {
 func (fs *FS) finishBatch(t *Thread, dmi *minode, pending []pendingCreate) {
 	fs.commitBatch(t, pending)
 	for _, pc := range pending {
-		fs.mtab.Store(pc.ino, newFileMinode(pc.ino, dmi.ino, fs.clock.Load()))
+		fs.inodes.Store(pc.ino, newFileMinode(pc.ino, dmi.ino, fs.clock.Load()))
 	}
 	dmi.cacheDirAttrs(fs.clock.Load())
 }

@@ -3,10 +3,12 @@ package libfs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"arckfs/internal/fsapi"
 	"arckfs/internal/kernel"
+	"arckfs/internal/layout"
 	"arckfs/internal/pmem"
 )
 
@@ -59,6 +61,72 @@ func TestCreateBatchDuplicateStopsCleanly(t *testing.T) {
 	}
 	if err := fs.ReleaseAll(); err != nil {
 		t.Fatalf("ReleaseAll: %v", err)
+	}
+}
+
+// TestCreateBatchAllOrNothing: a batch that fails leaves each of its names
+// whole or absent. An invalid name fails it before anything is written; an
+// inode grant that fails partway commits the files before it, which then
+// behave like any others, and leaves the rest uncreated.
+func TestCreateBatchAllOrNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		names []string
+		quota bool // cap the app's inode grants at what it holds, until the checks
+		want  error
+	}{
+		{"invalid name", []string{"a", "b/c"}, false, fsapi.ErrInval},
+		{"inode quota", []string{"a", "b", "c", "d", "e", "f"}, true, kernel.ErrQuota},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctrl, err := kernel.Format(pmem.New(16<<20, nil), kernel.Options{InodeCap: 1 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs := New(ctrl, ctrl.RegisterApp(0, 0), Options{GrantInoBatch: 4})
+			w := th(t, fs)
+			if err := w.Mkdir("/d"); err != nil {
+				t.Fatal(err)
+			}
+			if tc.quota {
+				if err := capAtUsage(fs, false, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			n, err := w.CreateBatch("/d", tc.names)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("CreateBatch = %d, %v; want %v", n, err, tc.want)
+			}
+			if tc.quota && (n == 0 || n == len(tc.names)) {
+				t.Fatalf("CreateBatch created %d of %d before the grant failed; want some, not all", n, len(tc.names))
+			}
+			if !tc.quota && n != 0 {
+				t.Fatalf("CreateBatch created %d files, want 0", n)
+			}
+			if got, err := w.Readdir("/d"); err != nil || !slices.Equal(got, tc.names[:n]) {
+				t.Fatalf("Readdir = %v, %v; want %v", got, err, tc.names[:n])
+			}
+			if err := ctrl.SetQuota(fs.app, kernel.Quota{}); err != nil {
+				t.Fatal(err)
+			}
+			for i, name := range tc.names {
+				path := "/d/" + name
+				if !layout.ValidName(name) {
+					continue
+				}
+				_, statErr := w.Stat(path)
+				createErr := w.Create(path)
+				if i < n && (statErr != nil || !errors.Is(createErr, fsapi.ErrExist)) {
+					t.Errorf("%s, created: Stat %v, Create %v; want nil, ErrExist", path, statErr, createErr)
+				}
+				if i >= n && (!errors.Is(statErr, fsapi.ErrNotExist) || createErr != nil) {
+					t.Errorf("%s, not created: Stat %v, Create %v; want ErrNotExist, nil", path, statErr, createErr)
+				}
+			}
+			if err := fs.ReleaseAll(); err != nil {
+				t.Fatalf("ReleaseAll: %v", err)
+			}
+		})
 	}
 }
 

@@ -265,7 +265,7 @@ func (fs *FS) insertEntry(t *Thread, mi *minode, childIno uint64, name string, c
 			return 0, err
 		}
 		if child != nil {
-			fs.mtab.Store(childIno, child)
+			fs.inodes.Store(childIno, child)
 		}
 		return r, nil
 	}
@@ -280,7 +280,7 @@ func (fs *FS) insertEntry(t *Thread, mi *minode, childIno uint64, name string, c
 			return err
 		}
 		if child != nil {
-			fs.mtab.Store(childIno, child)
+			fs.inodes.Store(childIno, child)
 		}
 		lb.Insert(name, childIno, uint64(r))
 		return nil
@@ -512,8 +512,8 @@ func (t *Thread) Mkdir(path string) (err error) {
 // rootTails returns the tail cursor slice of the root directory, used
 // only for its length (the FS-wide tail count).
 func (fs *FS) rootTails() []tailCursor {
-	if v, ok := fs.mtab.Load(uint64(layout.RootIno)); ok {
-		return v.(*minode).dir.Load().tails
+	if root := fs.inodes.Load(layout.RootIno); root != nil {
+		return root.dir.Load().tails
 	}
 	// Root not faulted in yet: read the count from PM.
 	in, _, _ := layout.ReadInode(fs.dev, fs.geo, layout.RootIno)
@@ -541,8 +541,8 @@ func (t *Thread) Unlink(path string) (err error) {
 		return fsapi.ErrIsDir
 	}
 	_, err = fs.removeEntry(t, dir, name, func(ino uint64) {
-		if v, cached := fs.mtab.LoadAndDelete(ino); cached {
-			fs.destroyFile(t, v.(*minode))
+		if child := fs.inodes.LoadAndDelete(ino); child != nil {
+			fs.destroyFile(t, child)
 		} else {
 			// Not in our table: zero the record; the kernel reclaims pages
 			// at the directory's next verification.
@@ -568,7 +568,7 @@ func (t *Thread) Unlink(path string) (err error) {
 // The resources are retired through the RCU domain, not recycled in
 // place: child.lock excludes no reader, so a thread with an open FD can
 // be mid-copyOutRange on these very pages, and reuse must wait out its
-// read-side section.
+// read-side section. child itself carries them there (retireInode).
 func (fs *FS) destroyFile(t *Thread, child *minode) {
 	child.lock.Lock()
 	layout.FreeInode(fs.dev, fs.geo, child.ino)
@@ -587,9 +587,9 @@ func (fs *FS) destroyFile(t *Thread, child *minode) {
 				}
 			}
 		}
-		fs.retire(t.cpu, pages, child.ino)
+		fs.retireInode(t.cpu, child, pages, child.ino)
 	case st != nil && !child.unmapped():
-		fs.retire(t.cpu, st.unverified, 0)
+		fs.retireInode(t.cpu, child, st.unverified, 0)
 		st.unverified = nil
 	}
 	child.lock.Unlock()
@@ -628,7 +628,7 @@ func (t *Thread) Rmdir(path string) (err error) {
 		layout.FreeInode(fs.dev, fs.geo, child.ino)
 		t.pb.Flush(layout.InodeOff(fs.geo, child.ino), layout.InodeSize)
 		t.pb.Barrier()
-		fs.mtab.Delete(child.ino)
+		fs.inodes.Delete(child.ino)
 		if child.fresh.Load() {
 			cds := child.dir.Load()
 			pages := []uint64{cds.tailset}
@@ -637,7 +637,7 @@ func (t *Thread) Rmdir(path string) (err error) {
 			}
 			// Same grace-period discipline as destroyFile: a lock-free
 			// lookup may still be scanning these log pages.
-			fs.retire(t.cpu, pages, child.ino)
+			fs.retireInode(t.cpu, child, pages, child.ino)
 		}
 		child.lock.Unlock()
 	})

@@ -382,9 +382,9 @@ func (t *Thread) Truncate(path string, size uint64) (err error) {
 	// committed file's those added since the kernel last verified it. The
 	// kernel frees the rest when it verifies the shrink.
 	if mi.fresh.Load() {
-		fs.retire(t.cpu, slices.Clone(t.freed), 0)
+		fs.retire(t.cpu, slices.Clone(t.freed))
 	} else {
-		fs.retire(t.cpu, st.cutUnverified(t.freed), 0)
+		fs.retire(t.cpu, st.cutUnverified(t.freed))
 	}
 	mi.cacheAttrs(size, 1, fs.clock.Load())
 	return nil

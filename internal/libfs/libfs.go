@@ -142,7 +142,8 @@ type FS struct {
 	opts Options
 	dom  *rcu.Domain
 
-	mtab sync.Map // ino -> *minode
+	// inodes holds every minode this LibFS has built, by inode number.
+	inodes inodeTable
 	// ws is what the first lease miss of a hold takes back (takeBack).
 	ws workingSet
 
@@ -227,12 +228,13 @@ func (fs *FS) Telemetry() *telemetry.Set { return fs.tel }
 func New(ctrl *kernel.Controller, app kernel.AppID, opts Options) *FS {
 	opts.fill()
 	return &FS{
-		ctrl: ctrl,
-		dev:  ctrl.Device(),
-		geo:  ctrl.Geometry(),
-		app:  app,
-		opts: opts,
-		dom:  rcu.NewDomain(),
+		ctrl:   ctrl,
+		dev:    ctrl.Device(),
+		geo:    ctrl.Geometry(),
+		app:    app,
+		opts:   opts,
+		dom:    rcu.NewDomain(),
+		inodes: inodeTable{cap: ctrl.Geometry().InodeCap},
 	}
 }
 
@@ -398,14 +400,14 @@ func (fs *FS) recyclePages(cpu int, pages []uint64) {
 }
 
 // retiree is what an unlink, an rmdir or a shrinking truncate leaves
-// behind of a never-committed inode: pages a writer has just unpublished
-// and, when the inode itself went, its number (0 otherwise). A reader
-// inside an RCU read-side section may still hold a block pointer it loaded
-// before the unpublish, or be acting on the stale minode, so reuse waits
-// out a grace period through the FS's domain — the same retire path htable
-// uses for unlinked bucket entries. One object carries both, pages first:
-// the order the allocator pools see them in is the order they hand them
-// out again.
+// behind: pages a writer has just unpublished and, when the inode itself
+// went and the kernel never learned of it, its number (0 otherwise). A
+// reader inside an RCU read-side section may still hold a block pointer it
+// loaded before the unpublish, or be acting on the stale minode, so reuse
+// waits out a grace period through the FS's domain — the same retire path
+// htable uses for unlinked bucket entries. One object carries both, pages
+// first: the order the allocator pools see them in is the order they hand
+// them out again.
 type retiree struct {
 	fs    *FS
 	cpu   int
@@ -421,13 +423,23 @@ func (r *retiree) Reclaim() {
 	}
 }
 
-// retire queues pages, which it keeps, and ino (0 for none) for reuse
-// after a grace period.
-func (fs *FS) retire(cpu int, pages []uint64, ino uint64) {
+// retire queues pages, which it keeps, for reuse after a grace period.
+func (fs *FS) retire(cpu int, pages []uint64) {
+	if len(pages) > 0 {
+		fs.dom.Retire(&retiree{fs: fs, cpu: cpu, pages: pages})
+	}
+}
+
+// retireInode queues pages, which it keeps, and ino (0 for none) for reuse
+// after a grace period. mi, which an unlink or rmdir has just taken out of
+// the inode table, is their queue node, as an unlinked htable entry is its
+// own: retiring allocates nothing.
+func (fs *FS) retireInode(cpu int, mi *minode, pages []uint64, ino uint64) {
 	if len(pages) == 0 && ino == 0 {
 		return
 	}
-	fs.dom.Retire(&retiree{fs: fs, cpu: cpu, pages: pages, ino: ino})
+	mi.gone = retiree{fs: fs, cpu: cpu, pages: pages, ino: ino}
+	fs.dom.Retire(mi)
 }
 
 // reclaimRetired drains the retire queue — including callbacks an

@@ -64,7 +64,14 @@ type minode struct {
 	// dereferences it with no lock held; remap/reacquire swap in a fresh
 	// fileState while readers may be mid-walk on the old one.
 	file atomic.Pointer[fileState]
+
+	// gone is what an unlink or rmdir that took the inode out of the table
+	// hands back after the grace period it queued mi for (retireInode).
+	gone retiree
 }
+
+// Reclaim runs after the grace period (rcu.Reclaimer).
+func (mi *minode) Reclaim() { mi.gone.Reclaim() }
 
 // attrCache holds an inode's changing attributes in place, under a
 // sequence counter: odd while a writer is inside. Writers — concurrent
@@ -356,8 +363,7 @@ func newFileMinode(ino, parent, mtime uint64) *minode {
 // kernel and rebuilding auxiliary state on first touch. t (nil-tolerated)
 // attributes kernel crossings to the operation's span.
 func (fs *FS) getMinode(t *Thread, ino uint64, write bool) (*minode, error) {
-	if v, ok := fs.mtab.Load(ino); ok {
-		mi := v.(*minode)
+	if mi := fs.inodes.Load(ino); mi != nil {
 		if mi.released.Load() {
 			switch {
 			case write:
@@ -398,8 +404,7 @@ func (fs *FS) getMinode(t *Thread, ino uint64, write bool) (*minode, error) {
 	if err := fs.build(mi, m, &in); err != nil {
 		return nil, err
 	}
-	actual, _ := fs.mtab.LoadOrStore(ino, mi)
-	return actual.(*minode), nil
+	return fs.inodes.LoadOrStore(ino, mi), nil
 }
 
 // acquire is one crossing that acquires ino, an AcquireBatch of one (with
@@ -534,8 +539,8 @@ func (fs *FS) takeBack(t *Thread, mi *minode) (*kernel.Mapping, error) {
 	}
 	ask := append(ws.ask[:0], mi.ino)
 	for _, ino := range ws.prev {
-		if v, ok := fs.mtab.Load(ino); ok && ino != mi.ino && len(ask) < kernel.MaxReleaseBatch {
-			if p := v.(*minode); p.released.Load() && !p.mapping.Load().Valid() && !p.prefetched.Load().Valid() {
+		if p := fs.inodes.Load(ino); p != nil && ino != mi.ino && len(ask) < kernel.MaxReleaseBatch {
+			if p.released.Load() && !p.mapping.Load().Valid() && !p.prefetched.Load().Valid() {
 				ask = append(ask, ino)
 			}
 		}
@@ -558,8 +563,8 @@ func (fs *FS) takeBack(t *Thread, mi *minode) (*kernel.Mapping, error) {
 			continue
 		}
 		ws.held = append(ws.held, m)
-		if v, ok := fs.mtab.Load(ask[i]); ok {
-			v.(*minode).prefetched.Store(m)
+		if p := fs.inodes.Load(ask[i]); p != nil {
+			p.prefetched.Store(m)
 		}
 	}
 	c.done(telemetry.SpanEvAcquireBatch, int64(n))

@@ -52,7 +52,8 @@ func TestOpPathAllocations(t *testing.T) {
 		}
 	}
 	// slack is what amortised growth may add to a limit: a slab of entries
-	// every 256th insert, the retire queue and the freelists doubling.
+	// every 256th insert, an inode-table leaf every 256th number, the retire
+	// queue and the freelists doubling.
 	const runs, slack = 200, 0.1
 	paths := make([]string, runs+1)
 	for i := range paths {
@@ -93,13 +94,13 @@ func TestOpPathAllocations(t *testing.T) {
 			}
 			must(w.Rename(from, to))
 		}},
-		// The minode with its block index (one object), and in the inode
-		// table the node for it, the boxed inode number that is its key and
-		// now and then an interior node; the name is the caller's string and
-		// the entry comes out of a slab.
-		{"Create", 4, func(i int) { must(w.Create(paths[i])) }},
-		// The retiree that carries the inode number past the grace period.
-		{"Unlink of a fresh file", 1, func(i int) { must(w.Unlink(paths[i])) }},
+		// The minode with its block index, one object. The inode table's
+		// slot for it is in a leaf made once per 256 numbers and kept, the
+		// name is the caller's string and the entry comes out of a slab.
+		{"Create", 1, func(i int) { must(w.Create(paths[i])) }},
+		// Nothing: the minode is its own retire-queue node, and carries its
+		// inode number past the grace period.
+		{"Unlink of a fresh file", 0, func(i int) { must(w.Unlink(paths[i])) }},
 	} {
 		got := allocsPerOp(runs, pin.run)
 		t.Logf("%-28s %.3f allocations/op", pin.op, got)
@@ -164,12 +165,20 @@ func TestStatVsConcurrentWriters(t *testing.T) {
 	}
 	const creators, perCreator, appends = 3, 150, 300
 
-	var published sync.Map // size -> mtime, by the appender
+	// published maps size to mtime, as the appender Stats them; the
+	// reader checks what it saw against it once the writers are done.
+	var pubMu sync.Mutex
+	published := map[uint64]uint64{}
+	publish := func(st fsapi.Stat) {
+		pubMu.Lock()
+		published[st.Size] = st.MTime
+		pubMu.Unlock()
+	}
 	first, err := setup.Stat("/d/log")
 	if err != nil {
 		t.Fatal(err)
 	}
-	published.Store(first.Size, first.MTime)
+	publish(first)
 
 	var stop atomic.Bool
 	var writers, reader sync.WaitGroup
@@ -209,7 +218,7 @@ func TestStatVsConcurrentWriters(t *testing.T) {
 				t.Errorf("stat: %v", err)
 				return
 			}
-			published.Store(st.Size, st.MTime)
+			publish(st)
 		}
 	}()
 
@@ -241,7 +250,7 @@ func TestStatVsConcurrentWriters(t *testing.T) {
 	reader.Wait()
 
 	for _, st := range seen {
-		if mtime, ok := published.Load(st.Size); !ok || mtime.(uint64) != st.MTime {
+		if mtime, ok := published[st.Size]; !ok || mtime != st.MTime {
 			t.Fatalf("reader saw size %d with mtime %d; the appender published mtime %v for that size", st.Size, st.MTime, mtime)
 		}
 	}

@@ -226,13 +226,14 @@ func TestHandoffTurnPlacement(t *testing.T) {
 
 // TestHandoffTurnAllocations pins what a handoff turn leaves on the Go
 // heap, with kernel.TestHandoffTurnAllocations the kernel's part of it.
-// Most of it outlives the turn: per create the minode, its inode-table
-// node and key, and on the kernel's side its shadow entry, snapshot and
-// mapping; the names, each once in the kernel's view and once in the
-// peer's rebuilt table; and the mappings and rebuilt directory tables of
-// the lease misses. The release's lists, the kernel's results, and a
-// shared file's block index, which an overwrite in place leaves as it was,
-// are reused from turn to turn. (343.75 a turn before they were.)
+// Most of it outlives the turn: per create the minode, and on the
+// kernel's side its shadow entry, snapshot and mapping; the names, each
+// once in the kernel's view and once in the peer's rebuilt table; and the
+// mappings and rebuilt directory tables of the lease misses. The release's
+// lists, the kernel's results, the inode table's leaves, an unlinked
+// minode's retire-queue node (the minode itself) and a shared file's block
+// index, which an overwrite in place leaves as it was, are reused from
+// turn to turn.
 func TestHandoffTurnAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -242,7 +243,7 @@ func TestHandoffTurnAllocations(t *testing.T) {
 		r.work(t)
 		r.release(t)
 	}
-	const limit = 182
+	const limit = 144
 	got := allocsPerOp(2*handoffBatches, func(int) {
 		r.work(t)
 		r.release(t)

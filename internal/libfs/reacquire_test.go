@@ -53,11 +53,11 @@ func newReacquireBench(tb testing.TB, n int) *reacquireBench {
 }
 
 func (b *reacquireBench) minode(app int, ino uint64) *minode {
-	v, ok := b.fss[app].mtab.Load(ino)
-	if !ok {
+	mi := b.fss[app].inodes.Load(ino)
+	if mi == nil {
 		b.tb.Fatalf("app %d has no minode for inode %d", app, ino)
 	}
-	return v.(*minode)
+	return mi
 }
 
 func (b *reacquireBench) steal() {

@@ -53,8 +53,7 @@ func (fs *FS) commitCrossing(t *Thread, ino uint64) error {
 	inos, out := [1]uint64{ino}, [1]kernel.Released{}
 	err := fs.ctrl.Transfer(fs.app, inos[:], kernel.XferCommit, t.sink(), out[:0])[0].Err
 	c.done(telemetry.SpanEvCrossing, int64(telemetry.EvCommit))
-	if v, ok := fs.mtab.Load(ino); ok && err == nil {
-		mi := v.(*minode)
+	if mi := fs.inodes.Load(ino); mi != nil && err == nil {
 		mi.dir.Load().markVerified()
 		if mi.typ == layout.TypeFile {
 			mi.lock.Lock()
@@ -100,8 +99,8 @@ func (st *fileState) markVerified() {
 // whole inode table; ReleaseAll reads them off the directories' own tables
 // instead (quiesceHeld).
 func (fs *FS) freshChildren(dst []*minode, dir uint64) []*minode {
-	fs.mtab.Range(func(_, v any) bool {
-		if mi := v.(*minode); mi.fresh.Load() && mi.parent.Load() == dir {
+	fs.inodes.Range(func(mi *minode) bool {
+		if mi.fresh.Load() && mi.parent.Load() == dir {
 			dst = append(dst, mi)
 		}
 		return true
@@ -123,8 +122,8 @@ func (fs *FS) CommitInode(t *Thread, path string) (err error) {
 // ReleaseInode voluntarily returns ino to the kernel: a release batch of
 // one.
 func (fs *FS) ReleaseInode(ino uint64) error {
-	v, ok := fs.mtab.Load(ino)
-	if !ok {
+	mi := fs.inodes.Load(ino)
+	if mi == nil {
 		c := fs.cross(nil) // no operation pays for it: no span
 		inos, out := [1]uint64{ino}, [1]kernel.Released{}
 		err := fs.ctrl.Transfer(fs.app, inos[:], kernel.XferRelease, nil, out[:0])[0].Err
@@ -132,7 +131,6 @@ func (fs *FS) ReleaseInode(ino uint64) error {
 		return err
 	}
 	var s releaseScratch
-	mi := v.(*minode)
 	if q, ok := fs.quiesce(mi, nil); ok {
 		s.batch = append(s.batch, q)
 		if mi.typ == layout.TypeDir {
@@ -180,11 +178,11 @@ func (fs *FS) quiesce(mi *minode, sp *span.Span) (q quiesced, ok bool) {
 	}
 	q.mi = mi
 	if fs.opts.Bugs.Has(BugReleaseUnsync) {
-		fs.mtab.Delete(mi.ino)
+		fs.inodes.Delete(mi.ino)
 		return q, true
 	}
 	mi.lock.Lock()
-	if cur, cached := fs.mtab.Load(mi.ino); mi.released.Load() || !cached || cur != mi {
+	if mi.released.Load() || fs.inodes.Load(mi.ino) != mi {
 		// Released or unlinked while we waited for the lock.
 		mi.lock.Unlock()
 		return q, false
@@ -304,9 +302,10 @@ func (fs *FS) ReleaseAll() (err error) {
 
 // quiesceHeld quiesces every held inode into s.batch, in the order
 // ReleaseAll hands them back: parents before children (LibFS Rule 1), ties
-// by inode number — the inode table is a sync.Map whose Range order varies
-// run to run, and release order decides the persist schedule the
-// crash-state enumeration sees, so it must be deterministic.
+// by inode number. Release order decides the persist schedule the
+// crash-state enumeration sees, so it must be deterministic: the inode
+// table ranges in inode order, but fresh children join a level in their
+// parent's hash-table order, so each level is sorted before it is quiesced.
 //
 // What is held comes from two places that cannot overlap. Inodes the
 // kernel knows are read off the inode table: each can be handed back on
@@ -332,18 +331,17 @@ func (fs *FS) quiesceHeld(s *releaseScratch, sp *span.Span) {
 		}
 		s.levels[depth] = append(s.levels[depth], mi)
 	}
-	fs.mtab.Range(func(_, v any) bool {
-		mi := v.(*minode)
+	fs.inodes.Range(func(mi *minode) bool {
 		if mi.released.Load() || (mi.fresh.Load() && !unsync) {
 			return true
 		}
 		depth := 0
 		for cur := mi.ino; cur != layout.RootIno && depth < 1024; depth++ {
-			pv, ok := fs.mtab.Load(cur)
-			if !ok {
+			p := fs.inodes.Load(cur)
+			if p == nil {
 				break
 			}
-			cur = pv.(*minode).parent.Load()
+			cur = p.parent.Load()
 		}
 		add(mi, depth)
 		return true
@@ -361,9 +359,9 @@ func (fs *FS) quiesceHeld(s *releaseScratch, sp *span.Span) {
 				continue
 			}
 			mi.ht().EachLocked(func(e *htable.Entry) {
-				if v, ok := fs.mtab.Load(e.Ino); ok && v.(*minode).fresh.Load() {
-					s.known = append(s.known, v.(*minode))
-					add(v.(*minode), d+1)
+				if c := fs.inodes.Load(e.Ino); c != nil && c.fresh.Load() {
+					s.known = append(s.known, c)
+					add(c, d+1)
 				}
 			})
 		}

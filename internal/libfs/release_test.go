@@ -235,8 +235,8 @@ func TestReleaseMarksFreshChildrenKnown(t *testing.T) {
 	}
 	must(w.Create("/other/late"))
 	cached, fresh := 0, 0
-	fs.mtab.Range(func(_, v any) bool {
-		if cached++; v.(*minode).fresh.Load() {
+	fs.inodes.Range(func(mi *minode) bool {
+		if cached++; mi.fresh.Load() {
 			fresh++
 		}
 		return true
@@ -247,8 +247,8 @@ func TestReleaseMarksFreshChildrenKnown(t *testing.T) {
 	must(fs.ReleaseAll())
 	noneFresh := func(what string) {
 		t.Helper()
-		fs.mtab.Range(func(_, v any) bool {
-			if mi := v.(*minode); mi.fresh.Load() {
+		fs.inodes.Range(func(mi *minode) bool {
+			if mi.fresh.Load() {
 				t.Errorf("inode %d under directory %d is still fresh after %s", mi.ino, mi.parent.Load(), what)
 			}
 			return true
@@ -271,15 +271,14 @@ func TestReleaseMarksFreshChildrenKnown(t *testing.T) {
 func heldInOrder(fs *FS) []uint64 {
 	depth := func(ino uint64) (d int) {
 		for ; ino != layout.RootIno; d++ {
-			v, _ := fs.mtab.Load(ino)
-			ino = v.(*minode).parent.Load()
+			ino = fs.inodes.Load(ino).parent.Load()
 		}
 		return d
 	}
 	var inos []uint64
-	fs.mtab.Range(func(k, v any) bool {
-		if !v.(*minode).released.Load() {
-			inos = append(inos, k.(uint64))
+	fs.inodes.Range(func(mi *minode) bool {
+		if !mi.released.Load() {
+			inos = append(inos, mi.ino)
 		}
 		return true
 	})
@@ -345,8 +344,7 @@ func TestVectoredReleaseMatchesSingleReleases(t *testing.T) {
 		var first error
 		prevDir := false
 		for _, ino := range heldInOrder(fs) {
-			v, _ := fs.mtab.Load(ino)
-			isDir := v.(*minode).typ == layout.TypeDir
+			isDir := fs.inodes.Load(ino).typ == layout.TypeDir
 			if isDir {
 				dirs++
 				if !prevDir {
@@ -427,8 +425,7 @@ func TestReleaseAllIsolatesVerificationFailure(t *testing.T) {
 			d.Releases-before.Releases, d.VerifyFailures-before.VerifyFailures, d.Rollbacks-before.Rollbacks)
 	}
 	for _, ino := range inos {
-		v, _ := fs.mtab.Load(ino)
-		mi := v.(*minode)
+		mi := fs.inodes.Load(ino)
 		if !mi.released.Load() {
 			t.Fatalf("inode %d not released", ino)
 		}

@@ -188,8 +188,8 @@ func (fs *FS) isAncestor(anc, node *minode) bool {
 		if cur == layout.RootIno {
 			return false
 		}
-		if v, ok := fs.mtab.Load(cur); ok {
-			cur = v.(*minode).parent.Load()
+		if mi := fs.inodes.Load(cur); mi != nil {
+			cur = mi.parent.Load()
 			continue
 		}
 		in, ok, _ := layout.ReadInode(fs.dev, fs.geo, cur)

@@ -55,11 +55,11 @@ func (s *sharers) minode(a int, path string) *minode {
 	s.t.Helper()
 	st, err := s.ws[a].Stat(path)
 	s.must(err)
-	v, ok := s.fss[a].mtab.Load(st.Ino)
-	if !ok {
+	mi := s.fss[a].inodes.Load(st.Ino)
+	if mi == nil {
 		s.t.Fatalf("app %d has no minode for %s", a, path)
 	}
-	return v.(*minode)
+	return mi
 }
 
 // prefetchDir leaves app 0 holding the root, taken back by a batch whose

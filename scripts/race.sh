@@ -40,14 +40,16 @@ go test -race \
 # op ending on an epoch boundary, and an acquire and a transfer waiting on
 # one held shard lock, and a directory commit clearing dirty bits while
 # another app stores to pages of the same bitmap word, and a release
-# harvesting the bit of a page a store races it to. A create filling the
-# dead slot an unlink on another tail just freed runs ten times over.
+# harvesting the bit of a page a store races it to, and the LibFS inode
+# table's stores, deletes and walks beside lock-free loads. A create
+# filling the dead slot an unlink on another tail just freed runs ten
+# times over.
 step "race at GOMAXPROCS 1, 2, 4"
 for p in 1 2 4; do
   GOMAXPROCS=$p go test -race \
     ./internal/core/ ./internal/crashmc/ ./internal/hlock/ ./internal/tenancy/
   GOMAXPROCS=$p go test -race -count=2 \
-    -run 'Compact|HandoffChurn|HandoffTurn|Reacquire|UnlinkOfCommitted|ReleaseAllSpan|ReleaseAllLockOrder|TestBug43|TestBug46|ShardStress|ParsesOnce|Delegated|RepeatAcquire|StatNeverTears|StatVsConcurrentWriters|CountedSpin|AcquireGuard|ACLDies|ShardStatsKinds|PageGrantsCross|TestCrossing|InodeRecordCrashAtomic|LookupDuringGrowth|GrowthZeroes|AcquireBatch|TestPrefetch|ConcurrentMissesOneBatch|GrownCommittedFileLeaksNoPages|AllocReclaims|EpochBoundary|ShardWaitSpanEvents|DirtyBits' \
+    -run 'Compact|HandoffChurn|HandoffTurn|Reacquire|UnlinkOfCommitted|ReleaseAllSpan|ReleaseAllLockOrder|TestBug43|TestBug46|ShardStress|ParsesOnce|Delegated|RepeatAcquire|StatNeverTears|StatVsConcurrentWriters|CountedSpin|AcquireGuard|ACLDies|ShardStatsKinds|PageGrantsCross|TestCrossing|InodeRecordCrashAtomic|LookupDuringGrowth|GrowthZeroes|AcquireBatch|TestPrefetch|ConcurrentMissesOneBatch|GrownCommittedFileLeaksNoPages|AllocReclaims|EpochBoundary|ShardWaitSpanEvents|DirtyBits|TestInodeTableConcurrent' \
     ./internal/libfs/ ./internal/kernel/ ./internal/htable/ ./internal/hlock/
   GOMAXPROCS=$p go test -race -count=10 -run 'TestDeadSlotReuseConcurrent' ./internal/libfs/
   GOMAXPROCS=$p go test -race -count=2 -run 'AppRowMatchesDevice|AppStatsCountEveryCrossing' ./internal/core/
