@@ -34,17 +34,20 @@ type Report struct {
 	// page not referenced by the surviving tree, including pages leaked
 	// by crashes mid-allocation.
 	LeakedPages int
+	// TrimmedBlocks counts block pointers past their file's size, cleared
+	// by recovery: a growing write torn between its map and its size.
+	TrimmedBlocks int
 }
 
 func (r Report) String() string {
-	return fmt.Sprintf("inodes=%d corruptDentries=%d danglingEntries=%d restoredInodes=%d orphans=%d leakedPages=%d",
-		r.CommittedInodes, r.CorruptDentries, r.DanglingEntries, r.RestoredInodes, r.OrphanInodes, r.LeakedPages)
+	return fmt.Sprintf("inodes=%d corruptDentries=%d danglingEntries=%d restoredInodes=%d orphans=%d leakedPages=%d trimmedBlocks=%d",
+		r.CommittedInodes, r.CorruptDentries, r.DanglingEntries, r.RestoredInodes, r.OrphanInodes, r.LeakedPages, r.TrimmedBlocks)
 }
 
 // Clean reports whether nothing needed repair.
 func (r Report) Clean() bool {
 	return r.CorruptDentries == 0 && r.DanglingEntries == 0 &&
-		r.RestoredInodes == 0 && r.OrphanInodes == 0
+		r.RestoredInodes == 0 && r.OrphanInodes == 0 && r.TrimmedBlocks == 0
 }
 
 // recoverWorkers resolves Options.RecoverWorkers to a pool size.
@@ -275,15 +278,24 @@ func Mount(dev *pmem.Device, opts Options, repair bool) (*Controller, *Report, e
 	endPass(3)
 
 	// Pass 5: rebuild page ownership and the allocator from the
-	// surviving tree. Workers enumerate each inode's pages; the merge —
-	// owner words and the used set — is sequential in sorted inode
-	// order, so duplicate claims resolve deterministically.
+	// surviving tree. Workers trim each file to its size and enumerate
+	// each inode's pages; the merge — owner words and the used set — is
+	// sequential in sorted inode order, so duplicate claims resolve
+	// deterministically.
 	rep.CommittedInodes = c.shadowCount()
 	inos = c.sortedInos()
 	inoPageLists := make([][]uint64, len(inos))
-	parallelEach(workers, len(inos), func(_, i int) {
-		inoPageLists[i] = c.inodePages(inos[i], c.shadowGet(inos[i], nil))
+	trimmed := make([]int, workers)
+	parallelEach(workers, len(inos), func(w, i int) {
+		se := c.shadowGet(inos[i], nil)
+		if se.info.Type == layout.TypeFile {
+			trimmed[w] += c.trimFile(inos[i], se, repair, qs[w])
+		}
+		inoPageLists[i] = c.inodePages(inos[i], se)
 	})
+	for _, n := range trimmed {
+		rep.TrimmedBlocks += n
+	}
 	var usedPages []uint64
 	for i, ino := range inos {
 		for _, p := range inoPageLists[i] {
@@ -380,6 +392,36 @@ func (c *Controller) reconcileDir(dirIno uint64, se *shadowEnt, rep *Report, rep
 		})
 	}
 	return children
+}
+
+// trimFile clears the block pointers of file ino past its recorded size
+// and returns how many it found. A growing write fences its map entries
+// before its size, so a crash between the two keeps pointers the size
+// does not cover; the verifier rejects such a file at its next ownership
+// transfer. Recovery rolls the write back instead, and pass 5 returns the
+// blocks to the free pool.
+func (c *Controller) trimFile(ino uint64, se *shadowEnt, repair bool, q *persistQ) int {
+	in, ok, corrupt := layout.ReadInode(c.dev, c.geo, ino)
+	if !ok || corrupt || in.DataRoot != se.info.DataRoot {
+		return 0 // torn: pass 2 restored it, unless this is a dry run
+	}
+	need, n := layout.BlocksForSize(in.Size), 0
+	for i, page := range layout.MapChainPages(c.dev, in.DataRoot) {
+		if page >= c.geo.PageCount {
+			break
+		}
+		for e := max(need-i*layout.MapEntriesPerPage, 0); e < layout.MapEntriesPerPage; e++ {
+			if layout.MapEntry(c.dev, page, e) == 0 {
+				continue
+			}
+			n++
+			if repair {
+				layout.SetMapEntry(c.dev, page, e, 0)
+				q.Flush(int64(page*layout.PageSize)+int64(e)*8, 8)
+			}
+		}
+	}
+	return n
 }
 
 // inodePages lists every page ino's structure references (best effort on

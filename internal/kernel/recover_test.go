@@ -191,6 +191,53 @@ func TestMountRestoresInodeFromShadow(t *testing.T) {
 	}
 }
 
+// TestMountTrimsPointersPastSize: a growing write fences its map entry
+// before its size, so a crash between the two leaves a block pointer past
+// the durable size, which the verifier refuses at acquire. Recovery clears
+// the pointer and frees its page, keeps the block the size covers, and the
+// file is acquirable again.
+func TestMountTrimsPointersPastSize(t *testing.T) {
+	h := newHarness(t, verifier.Enhanced)
+	app := h.c.RegisterApp(0, 0)
+	h.c.Acquire(app, layout.RootIno, true)
+	ino, mapPage, block := h.mkdatafile(app, layout.RootIno, "f")
+	for _, i := range []uint64{layout.RootIno, ino} {
+		if err := h.c.commitOne(app, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	torn, err := h.c.GrantPages(app, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout.SetMapEntry(h.dev, mapPage, 1, torn[0])
+	h.dev.Persist(int64(mapPage*layout.PageSize)+8, 8)
+
+	rep, err := Fsck(h.dev, Options{Mode: verifier.Enhanced})
+	if err != nil || rep.TrimmedBlocks != 1 || rep.Clean() {
+		t.Fatalf("dry run: %v, %v; want one pointer to trim", rep, err)
+	}
+	if layout.MapEntry(h.dev, mapPage, 1) != torn[0] {
+		t.Fatal("the dry run modified the device")
+	}
+	c2, rep, err := Mount(h.dev, Options{Mode: verifier.Enhanced}, true)
+	if err != nil || rep.TrimmedBlocks != 1 {
+		t.Fatalf("mount: %v, %v; want one pointer trimmed", rep, err)
+	}
+	if got := layout.MapEntry(h.dev, mapPage, 1); got != 0 {
+		t.Fatalf("map entry 1 reads %d after repair", got)
+	}
+	if c2.pageOwnerAt(torn[0]) != ownFree || c2.pageOwnerAt(block) != ownIno(ino) {
+		t.Fatalf("owners after repair: trimmed page %#x, kept block %#x", c2.pageOwnerAt(torn[0]), c2.pageOwnerAt(block))
+	}
+	if _, err := c2.Acquire(c2.RegisterApp(0, 0), ino, false); err != nil {
+		t.Fatalf("acquire after repair: %v", err)
+	}
+	if rep, err := Fsck(h.dev, Options{Mode: verifier.Enhanced}); err != nil || !rep.Clean() {
+		t.Fatalf("fsck after repair: %v, %v", rep, err)
+	}
+}
+
 func TestMountRejectsUnformatted(t *testing.T) {
 	dev := pmem.New(64*layout.PageSize, nil)
 	if _, _, err := Mount(dev, Options{}, true); err == nil {

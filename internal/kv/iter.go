@@ -111,15 +111,26 @@ func (db *DB) NewIterator() (*Iterator, error) {
 		return nil, err
 	}
 
-	// Memtable source.
-	if cur := db.mem.first(); cur != nil {
+	// Memtable source: its entries now. The arena never reuses memory, so
+	// these slices hold their bytes while later writes overwrite entries,
+	// insert others or flush the memtable.
+	if db.mem.entries > 0 {
+		type entry struct {
+			key, val []byte
+			del      bool
+		}
+		snap := make([]entry, 0, db.mem.entries)
+		db.mem.iter(func(k, v []byte, del bool) bool {
+			snap = append(snap, entry{k, v, del})
+			return true
+		})
 		s := &source{prio: 0}
 		s.next = func() bool {
-			if cur == nil {
+			if len(snap) == 0 {
 				return false
 			}
-			s.key, s.val, s.del = cur.key, cur.val, cur.del
-			cur = cur.next[0]
+			s.key, s.val, s.del = snap[0].key, snap[0].val, snap[0].del
+			snap = snap[1:]
 			return true
 		}
 		s.next()

@@ -19,6 +19,11 @@
 // nothing move down by a manifest write alone, which is why an in-order
 // fill writes every entry once. The manifest is installed before anything
 // it supersedes is removed, and Open removes what it does not name.
+//
+// The steady state reuses its memory: a Put copies into the memtable's
+// arena, every table is built in one reused writer, and a Get reads its
+// block into a pooled buffer, so a Get allocates only the value it
+// returns.
 package kv
 
 import (
@@ -88,6 +93,7 @@ type DB struct {
 	readers map[string]*tableReader
 	nextNum int
 	t       fsapi.Thread // internal maintenance thread
+	tw      tableWriter  // reset for every table a flush or merge writes
 }
 
 // Open creates or reopens a database in opts.Dir.
@@ -145,7 +151,7 @@ func (db *DB) write(key, val []byte, del bool) error {
 	if err := db.wal.append(key, val, del); err != nil {
 		return err
 	}
-	db.mem.put(append([]byte(nil), key...), append([]byte(nil), val...), del)
+	db.mem.put(key, val, del)
 	if db.mem.size >= db.opts.MemtableBytes {
 		return db.flushLocked()
 	}
@@ -223,12 +229,13 @@ func (db *DB) flushLocked() error {
 	if db.mem.entries == 0 {
 		return nil
 	}
-	var w tableWriter
+	w := &db.tw
+	w.reset()
 	db.mem.iter(func(k, v []byte, del bool) bool {
 		w.add(k, v, del)
 		return true
 	})
-	meta, err := db.finishTable(&w)
+	meta, err := db.finishTable(w)
 	if err != nil {
 		return err
 	}
@@ -350,13 +357,14 @@ func (db *DB) mergeTables(outLvl int, runs [][]*tableMeta) (out []*tableMeta, er
 		below = db.levels[outLvl+1]
 	}
 	spanned := 0
-	var w tableWriter
+	w := &db.tw
+	w.reset()
 	finish := func() {
 		var meta *tableMeta
-		if meta, err = db.finishTable(&w); err == nil {
+		if meta, err = db.finishTable(w); err == nil {
 			out = append(out, meta)
 		}
-		w = tableWriter{}
+		w.reset()
 	}
 	for h.Len() > 0 && err == nil {
 		key, val, del := h.pop()

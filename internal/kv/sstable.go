@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 
 	"arckfs/internal/fsapi"
 )
@@ -33,11 +34,20 @@ type tableMeta struct {
 }
 
 // tableWriter accumulates sorted entries into one table image. Keys must
-// be added in strictly increasing order.
+// be added in strictly increasing order. A DB keeps one and resets it for
+// every table, so its buffers grow to the largest table once.
 type tableWriter struct {
 	buf, idx          bytes.Buffer
 	smallest, largest []byte
 	count             int
+}
+
+// reset empties w for the next table, keeping its buffers.
+func (w *tableWriter) reset() {
+	w.buf.Reset()
+	w.idx.Reset()
+	w.smallest, w.largest = w.smallest[:0], w.largest[:0]
+	w.count = 0
 }
 
 func (w *tableWriter) add(key, val []byte, del bool) {
@@ -60,8 +70,8 @@ func (w *tableWriter) add(key, val []byte, del bool) {
 	if !del {
 		w.buf.Write(val)
 	}
-	if w.smallest == nil {
-		w.smallest = append([]byte(nil), key...)
+	if w.count == 0 {
+		w.smallest = append(w.smallest[:0], key...)
 	}
 	w.largest = append(w.largest[:0], key...)
 	w.count++
@@ -76,7 +86,8 @@ func (w *tableWriter) sizeWith(key, val []byte) int {
 	return w.buf.Len() + w.idx.Len() + entry + index + len(w.smallest) + len(key) + footerSize
 }
 
-// finish writes the table to path via t, syncs it and returns its meta.
+// finish writes the table to path via t, syncs it and returns its meta,
+// whose keys are its own: w's buffers serve the next table.
 func (w *tableWriter) finish(t fsapi.Thread, path string) (*tableMeta, error) {
 	if err := t.Create(path); err != nil {
 		return nil, err
@@ -108,7 +119,7 @@ func (w *tableWriter) finish(t fsapi.Thread, path string) (*tableMeta, error) {
 	if err := t.Fsync(fd); err != nil {
 		return nil, err
 	}
-	return &tableMeta{file: path, smallest: w.smallest, largest: w.largest, entries: w.count}, nil
+	return &tableMeta{file: path, smallest: bytes.Clone(w.smallest), largest: bytes.Clone(w.largest), entries: w.count}, nil
 }
 
 // tableReader serves point lookups and scans from one table. It keeps
@@ -170,7 +181,13 @@ func openTable(t fsapi.Thread, meta *tableMeta) (*tableReader, error) {
 
 func (r *tableReader) close() { r.t.Close(r.fd) }
 
-// get performs a point lookup.
+// blockBufs holds the buffers get reads blocks into. Get runs under the
+// DB's read lock, so concurrent readers each take their own; a buffer
+// grows to the largest block it has held.
+var blockBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// get performs a point lookup; val is a copy, as the block's buffer goes
+// back to blockBufs.
 func (r *tableReader) get(key []byte) (val []byte, del, found bool, err error) {
 	if len(r.idxKeys) == 0 {
 		return nil, false, false, nil
@@ -190,7 +207,13 @@ func (r *tableReader) get(key []byte) (val []byte, del, found bool, err error) {
 	if i+1 < len(r.idxOffs) {
 		end = int64(r.idxOffs[i+1])
 	}
-	blk := make([]byte, end-start)
+	buf := blockBufs.Get().(*[]byte)
+	defer blockBufs.Put(buf)
+	n := int(end - start)
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	blk := (*buf)[:n]
 	if _, err := r.t.ReadAt(r.fd, blk, start); err != nil {
 		return nil, false, false, err
 	}

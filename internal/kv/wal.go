@@ -115,9 +115,7 @@ func (db *DB) replayWAL() (int64, error) {
 		if walHeader+kl+vl != total {
 			break
 		}
-		key := append([]byte(nil), buf[pos+walHeader:pos+walHeader+kl]...)
-		val := append([]byte(nil), buf[pos+walHeader+kl:pos+total]...)
-		db.mem.put(key, val, del)
+		db.mem.put(buf[pos+walHeader:pos+walHeader+kl], buf[pos+walHeader+kl:pos+total], del)
 		pos += padded(total)
 	}
 	return int64(pos), nil

@@ -3,7 +3,6 @@ package libfs
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -257,9 +256,7 @@ func bootGrowth(t *testing.T) (*pmem.Device, *Thread, fsapi.FD) {
 // plus seeded samples. Each
 // image must recover fsck-clean, and every gap byte below the recovered
 // size must read zero: the zeroes are durable before the size that exposes
-// them. A map line kept without the size makes the file unreadable at
-// acquire (ROADMAP 3(b), not this test's concern); those images are counted
-// and skipped.
+// them. A map line kept without the size is trimmed by recovery.
 func TestGrowthZeroesCrashStates(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -280,15 +277,11 @@ func TestGrowthZeroesCrashStates(t *testing.T) {
 			dev, w, fd := bootGrowth(t)
 			// Each image is judged as it is taken: the run makes hundreds, and
 			// keeping them all for a later loop costs gigabytes under -race.
-			images, grown, torn := 0, 0, 0
+			images, grown := 0, 0
 			check := func(img []byte) {
 				i := images
 				images++
 				got, err := recoverFile(t, tc.name, img)
-				if err != nil && strings.Contains(err.Error(), "block pointer beyond size") {
-					torn++
-					return
-				}
 				if err != nil {
 					t.Fatalf("image %d: %v", i, err)
 				}
@@ -314,7 +307,7 @@ func TestGrowthZeroesCrashStates(t *testing.T) {
 			if grown == 0 {
 				t.Fatalf("none of %d images recovered the grown file; the enumeration is vacuous", images)
 			}
-			t.Logf("%d images, %d grown, %d map lines without the size", images, grown, torn)
+			t.Logf("%d images, %d grown", images, grown)
 		})
 	}
 }

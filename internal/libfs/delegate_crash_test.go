@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 
 	"arckfs/internal/fsapi"
@@ -178,24 +177,21 @@ func goid() string {
 // stream, so the coordinator must be the one thread that ever fences; every
 // image must recover fsck-clean; the append recovers the old size or the
 // new size with all the new bytes — never a block pointer over unwritten
-// data — and the overwrite recovers old-or-new bytes line by line.
+// data, never a hole — and the overwrite recovers old-or-new bytes line by
+// line. A map entry persisted without the size is trimmed by recovery.
 func TestDelegatedWriteCrashStates(t *testing.T) {
 	for _, tc := range delegatedCases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := bootDelegated(t, tc)
 			coordinator := goid()
 			grows := len(r.new) > len(r.old)
-			images, sawOld, sawNew, metaTorn := 0, false, false, 0
+			images, sawOld, sawNew := 0, false, false
 			// Each image is judged as it is taken: a data epoch's corners
 			// cost hundreds of images, too many to keep.
 			check := func(img []byte) {
 				i := images
 				images++
 				got, err := recoverFile(t, tc.name, img)
-				if grows && err != nil && strings.Contains(err.Error(), "block pointer beyond size") {
-					metaTorn++ // a map line without the size: see below
-					return
-				}
 				if err != nil {
 					t.Fatalf("image %d: %v", i, err)
 				}
@@ -210,17 +206,12 @@ func TestDelegatedWriteCrashStates(t *testing.T) {
 					}
 					return
 				}
-				// The new size is durable. Every block the map points at
-				// must hold the new bytes; the pool pages were junk, so an
-				// unwritten one cannot pass for a hole.
+				// The new size is durable, so is the map before it: every
+				// block must hold the new bytes. The pool pages were junk,
+				// so an unwritten one cannot pass for them.
 				for lo := len(r.old); lo < len(got); lo += layout.PageSize {
-					hi := min(lo+layout.PageSize, len(got))
-					switch blk := got[lo:hi]; {
-					case bytes.Equal(blk, r.new[lo:hi]):
-					case len(bytes.TrimLeft(blk, "\x00")) == 0:
-						metaTorn++ // the size without a map line: a hole
-					default:
-						t.Fatalf("image %d: block at file offset %d is reachable but holds neither the new bytes nor a hole", i, lo)
+					if hi := min(lo+layout.PageSize, len(got)); !bytes.Equal(got[lo:hi], r.new[lo:hi]) {
+						t.Fatalf("image %d: block at file offset %d does not hold the new bytes (a hole: %v)", i, lo, len(bytes.TrimLeft(got[lo:hi], "\x00")) == 0)
 					}
 				}
 			}
@@ -238,15 +229,6 @@ func TestDelegatedWriteCrashStates(t *testing.T) {
 			})
 			if images < 14 {
 				t.Fatalf("captured only %d images", images)
-			}
-			// Not the data path's doing, and the same at every commit before
-			// this test existed: writeAt's metadata epoch holds the map
-			// entries and the inode record unordered, so a crash inside it
-			// can keep either without the other (ROADMAP debt 3(b), which
-			// item 1 fixes). The data was fenced before both, which is what
-			// is checked here.
-			if metaTorn > 0 {
-				t.Logf("%d metadata-epoch tears seen (a map line without the size, or the size without a map line)", metaTorn)
 			}
 			if !sawOld || !sawNew {
 				t.Fatalf("enumeration is vacuous: old state seen %v, new state seen %v", sawOld, sawNew)

@@ -174,7 +174,7 @@ func persistDelta(t *testing.T, dev *pmem.Device, op func() error) (nt, flushes,
 // block: the block lies past the size and the write starts at its first
 // byte, so nothing is zeroed. The only line streamed is the inode record;
 // the 125 bytes are two stored and flushed lines, the new map entry one
-// more; data and metadata are one fence each. Before the block was
+// more; data, map entry and size are one fence each. Before the block was
 // zero-streamed whole: 64 lines more.
 func TestFreshBlockAppendStreamsNoZeroes(t *testing.T) {
 	fs, w, fd := growthRig(t, layoutPageSize)
@@ -182,8 +182,8 @@ func TestFreshBlockAppendStreamsNoZeroes(t *testing.T) {
 		_, err := w.WriteAt(fd, make([]byte, 125), layoutPageSize)
 		return err
 	})
-	if nt != 1 || flushes != 2+1 || fences != 2 {
-		t.Fatalf("125-byte append into a fresh block: %d NT lines, %d flushed, %d fences; want 1, 3, 2", nt, flushes, fences)
+	if nt != 1 || flushes != 2+1 || fences != 3 {
+		t.Fatalf("125-byte append into a fresh block: %d NT lines, %d flushed, %d fences; want 1, 3, 3", nt, flushes, fences)
 	}
 }
 

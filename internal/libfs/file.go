@@ -227,9 +227,16 @@ func (fs *FS) writeAt(t *Thread, mi *minode, p []byte, off int64) (int, error) {
 		// the batch.
 		t.pb.Flush(int64(page*layout.PageSize)+int64(bi%layout.MapEntriesPerPage)*8, 8)
 	}
+	// Order: map before size. A crash between the two leaves pointers
+	// past the durable size, which recovery trims; the size without its
+	// map entries would expose holes in the middle of the written range.
+	grows := end > st.size.Load()
+	if grows && len(t.dirty) > 0 {
+		t.pb.Barrier()
+	}
 	// Publish the size last: a lock-free reader that observes it also
 	// observes every block pointer stored above.
-	if end > st.size.Load() {
+	if grows {
 		st.size.Store(end)
 	}
 	fs.persistFileInode(t, mi)

@@ -86,4 +86,12 @@ echo "$result" | grep -q '"failed":0,'
 allocs="$(echo "$result" | sed -n 's/.*"allocs_per_op":{"value":\([0-9.eE+-]*\).*/\1/p')"
 awk -v a="$allocs" 'BEGIN { if (a == "" || a + 0 > 0.45) { print "meta_churn allocs_per_op " a ", want at most 0.45" > "/dev/stderr"; exit 1 } }'
 
+step "repo benchmark: kv_app, 1 s, seed 1 (correct, nothing failed, at most 1.0 heap objects an op)"
+result="$(bash benchmark/run.sh --workload kv_app --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+echo "$result"
+echo "$result" | grep -q '"correct":true'
+echo "$result" | grep -q '"failed":0,'
+allocs="$(echo "$result" | sed -n 's/.*"allocs_per_op":{"value":\([0-9.eE+-]*\).*/\1/p')"
+awk -v a="$allocs" 'BEGIN { if (a == "" || a + 0 > 1.0) { print "kv_app allocs_per_op " a ", want at most 1.0" > "/dev/stderr"; exit 1 } }'
+
 printf '\nci.sh: all steps passed\n'
