@@ -78,20 +78,23 @@ const (
 
 // pool hands out entries: recycled ones first, last freed first, so that —
 // as in the C artifact — a freed entry's memory can be handed out again
-// immediately; otherwise the next one of the current slab.
+// immediately; otherwise the next one of the current slab. Freed entries
+// are linked through their own next pointers, so freeing one allocates
+// nothing.
 type pool struct {
-	mu   hlock.SpinLock
-	free []*Entry
-	slab []Entry // the part of the newest slab not handed out yet
-	grow int     // size of the next slab
+	mu    hlock.SpinLock
+	free  *Entry  // the freelist, last freed first
+	nfree int     // its length
+	slab  []Entry // the part of the newest slab not handed out yet
+	grow  int     // size of the next slab
 }
 
 func (p *pool) alloc() *Entry {
 	p.mu.Lock()
-	var e *Entry
-	if n := len(p.free); n > 0 {
-		e = p.free[n-1]
-		p.free = p.free[:n-1]
+	e := p.free
+	if e != nil {
+		p.free = e.next.Load()
+		p.nfree--
 	} else {
 		if len(p.slab) == 0 {
 			p.grow = min(max(2*p.grow, minSlab), maxSlab)
@@ -111,25 +114,34 @@ func (p *pool) newSlab(n int) {
 	}
 }
 
+// push puts e on the freelist. Caller holds p.mu.
+func (p *pool) push(e *Entry) {
+	e.next.Store(p.free)
+	p.free = e
+	p.nfree++
+}
+
 // reserve makes the next n allocations come out of what the pool has and
 // one slab of exactly the size they still need: a table that knows how
 // many names it is about to take allocates for them once.
 func (p *pool) reserve(n int) {
 	p.mu.Lock()
-	if need := n - len(p.free) - len(p.slab); need > 0 {
+	if need := n - p.nfree - len(p.slab); need > 0 {
 		for i := range p.slab {
-			p.free = append(p.free, &p.slab[i])
+			p.push(&p.slab[i])
 		}
 		p.newSlab(need)
 	}
 	p.mu.Unlock()
 }
 
+// release frees e. The generation moves before the link is rewritten, so a
+// §4.5 reader that loaded e before the free sees its read torn instead of
+// following the freelist as if it were a chain.
 func (p *pool) release(e *Entry) {
 	e.gen.Add(1) // odd -> even: free
-	e.next.Store(nil)
 	p.mu.Lock()
-	p.free = append(p.free, e)
+	p.push(e)
 	p.mu.Unlock()
 }
 
@@ -192,8 +204,12 @@ func New(opts Options) *Table {
 		panic("htable: RCUReaders requires a Domain")
 	}
 	t := &Table{opts: opts}
-	t.arr.Store(&bucketArray{buckets: make([]bucket, n), mask: uint32(n - 1)})
+	t.arr.Store(newBucketArray(n))
 	return t
+}
+
+func newBucketArray(n int) *bucketArray {
+	return &bucketArray{buckets: make([]bucket, n), mask: uint32(n - 1)}
 }
 
 // Hash is FNV-1a, exported so the LibFS can co-locate hashes in dentry
@@ -450,6 +466,35 @@ func (t *Table) EachLocked(fn func(e *Entry)) {
 	}
 }
 
+// Drain returns once every writer that was inside a bucket critical
+// section when it was called has left it. A writer that takes a bucket
+// lock after that sees whatever the caller stored before calling Drain;
+// unlike LockAll it allocates nothing.
+func (t *Table) Drain() {
+	t.growMu.Lock()
+	arr := t.arr.Load()
+	for i := range arr.buckets {
+		arr.buckets[i].lock.Lock()
+		arr.buckets[i].lock.Unlock()
+	}
+	t.growMu.Unlock()
+}
+
+// Reuse readies t for a new owner once no reader or writer can reach it,
+// and reports whether it can have one: only an empty table can. The table
+// keeps its options and its entries, on their freelist, and its bucket
+// array if that has at most maxBuckets buckets; a larger one is replaced by
+// an array of buckets buckets, a power of two.
+func (t *Table) Reuse(maxBuckets, buckets int) bool {
+	if t.Len() != 0 {
+		return false
+	}
+	if len(t.arr.Load().buckets) > maxBuckets {
+		t.arr.Store(newBucketArray(buckets))
+	}
+	return true
+}
+
 // maybeGrow doubles the bucket array when the load factor exceeds 4.
 // Growth copies entries into fresh nodes — one slab for what the freelist
 // does not cover — and retires the old ones, so in-flight lockless readers
@@ -469,10 +514,7 @@ func (t *Table) maybeGrow() {
 	for i := range arr.buckets {
 		arr.buckets[i].lock.Lock()
 	}
-	newArr := &bucketArray{
-		buckets: make([]bucket, len(arr.buckets)*2),
-		mask:    uint32(len(arr.buckets)*2 - 1),
-	}
+	newArr := newBucketArray(len(arr.buckets) * 2)
 	t.pool.reserve(int(t.count.Load()))
 	for i := range arr.buckets {
 		for e := arr.buckets[i].head.Load(); e != nil; e = e.next.Load() {

@@ -202,6 +202,91 @@ func TestWritersDoNotAllocate(t *testing.T) {
 	}
 }
 
+// TestReleaseAllocatesNothing: a freed entry is its own freelist node, so
+// freeing more entries than the freelist ever held costs nothing — the
+// warm-up frees 1 024, the measured run 1 024 more — whether a delete
+// frees at once or a grace period reclaims what it retired.
+func TestReleaseAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const batch = 1024
+	dom := rcu.NewDomain()
+	for _, arm := range []struct {
+		name  string
+		opts  Options
+		grace func()
+	}{
+		{"freed at once", Options{}, func() {}},
+		{"retired through RCU", Options{RCUReaders: true, Dom: dom}, dom.Synchronize},
+	} {
+		tbl := New(arm.opts)
+		keys := make([]string, 2*batch)
+		tbl.Reserve(len(keys))
+		for i := range keys {
+			keys[i] = fmt.Sprintf("n%d", i)
+			tbl.Insert(keys[i], uint64(i), 0)
+		}
+		next := 0
+		if n := testing.AllocsPerRun(1, func() {
+			for _, k := range keys[next : next+batch] {
+				tbl.Delete(k)
+			}
+			next += batch
+			arm.grace()
+		}); n != 0 || tbl.Len() != 0 {
+			t.Fatalf("%s: deleting and reclaiming %d entries: %v allocations, %d left", arm.name, batch, n, tbl.Len())
+		}
+		if dom.Pending() != 0 {
+			t.Fatalf("%s: %d entries not reclaimed", arm.name, dom.Pending())
+		}
+	}
+}
+
+// TestReuse: only an empty table can be reused; it keeps its entries, and
+// its bucket array up to the cap it is given, so the next owner takes as
+// many names as the last one held without allocating.
+func TestReuse(t *testing.T) {
+	const names = 1000 // grows the table to 256 buckets
+	tbl := New(Options{})
+	keys := make([]string, names)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("n%d", i)
+		tbl.Insert(keys[i], uint64(i), 0)
+	}
+	if tbl.Reuse(1<<20, 8) {
+		t.Fatal("a table holding names was reused")
+	}
+	for _, k := range keys {
+		tbl.Delete(k)
+	}
+	grown := tbl.arr.Load()
+	if !tbl.Reuse(len(grown.buckets), 8) || tbl.arr.Load() != grown {
+		t.Fatal("an empty table at the cap was not reused as it is")
+	}
+	if !race.Enabled {
+		if n := testing.AllocsPerRun(1, func() {
+			for i, k := range keys {
+				tbl.Insert(k, uint64(i), 0)
+			}
+			for _, k := range keys {
+				tbl.Delete(k)
+			}
+		}); n != 0 {
+			t.Fatalf("the reused table allocates %v objects for the names it held", n)
+		}
+	}
+	if !tbl.Reuse(len(grown.buckets)-1, 8) || len(tbl.arr.Load().buckets) != 8 {
+		t.Fatalf("an array over the cap kept %d buckets, want 8", len(tbl.arr.Load().buckets))
+	}
+	for i, k := range keys {
+		tbl.Insert(k, uint64(i), 0)
+	}
+	if ino, _, ok, _ := tbl.Lookup(nil, keys[7]); !ok || ino != 7 || tbl.Len() != names {
+		t.Fatalf("after a reuse: lookup %d, %v; %d names", ino, ok, tbl.Len())
+	}
+}
+
 // TestBug45UseAfterFree reproduces the §4.5 bug deterministically: a
 // lockless reader is paused mid-traversal while a writer deletes the
 // entry it is standing on and the pool hands the memory to a new

@@ -76,7 +76,7 @@ func TestReleaseCompactsChurnedDirectory(t *testing.T) {
 	for _, leases := range []bool{true, false} {
 		t.Run(fmt.Sprintf("leases=%v", leases), func(t *testing.T) {
 			fs := newFS(t, BugsNone, nil)
-			peer := New(fs.ctrl, fs.ctrl.RegisterApp(0, 0), Options{})
+			peer := New(kctl(fs), kctl(fs).RegisterApp(0, 0), Options{})
 			w := th(t, fs)
 			if err := w.Mkdir("/d"); err != nil {
 				t.Fatal(err)
@@ -314,7 +314,7 @@ func TestCompactionSplicesInPlace(t *testing.T) {
 		t.Fatalf("/s has %d log pages, want all 6: each holds a survivor", n)
 	}
 
-	peer := th(t, New(fs.ctrl, fs.ctrl.RegisterApp(0, 0), Options{}))
+	peer := th(t, New(kctl(fs), kctl(fs).RegisterApp(0, 0), Options{}))
 	for dir, want := range map[string][]string{"/d": live, "/s": scattered} {
 		if got := mustNames(t, peer, dir); !reflect.DeepEqual(got, want) {
 			t.Fatalf("a peer lists %d names in %s, want %d", len(got), dir, len(want))

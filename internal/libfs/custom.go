@@ -70,6 +70,11 @@ func (t *Thread) CreateBatch(dir string, names []string) (n int, err error) {
 		var ref layout.DentryRef
 		var insErr error
 		ds := dmi.dir.Load()
+		if ds == removedDir {
+			fs.recycleIno(ino)
+			fs.finishBatch(t, dmi, pending)
+			return len(pending), fsapi.ErrNotExist
+		}
 		ds.ht.WithBucket(name, func(lb htable.LockedBucket) {
 			if _, exists := lb.Get(name); exists {
 				insErr = fsapi.ErrExist

@@ -289,16 +289,15 @@ func (fs *FS) insertEntry(t *Thread, mi *minode, childIno uint64, name string, c
 }
 
 // withHeldBucket runs fn with name's bucket of mi locked and mi held,
-// passing the directory state whose table that bucket is in.
-// The caller checked that mi is held before it came here, but a release
-// takes every bucket lock, so one may have slipped in since: the check is
-// repeated under the lock, and a released directory is taken back —
-// outside the lock, which a release of it would need — before the next
-// try. Without this an operation that lost that race would write through a
-// dormant mapping, behind the verification that made it dormant.
+// passing the directory state whose table that bucket is in. The caller
+// checked that mi is held, but a release takes every bucket lock, so one
+// may have slipped in since: the check is repeated under the lock, and a
+// released directory is taken back — outside the lock, which a release of
+// it would need — before the next try. Without this an operation that lost
+// that race would write through a dormant mapping, behind the verification
+// that made it dormant. A removed directory's state is not written to.
 func (fs *FS) withHeldBucket(t *Thread, mi *minode, name string, fn func(*dirState, htable.LockedBucket) error) error {
-	for {
-		ds := mi.dir.Load()
+	for ds := mi.dir.Load(); ds != removedDir; ds = mi.dir.Load() {
 		held := false
 		var err error
 		ds.ht.WithBucket(name, func(lb htable.LockedBucket) {
@@ -314,6 +313,7 @@ func (fs *FS) withHeldBucket(t *Thread, mi *minode, name string, fn func(*dirSta
 			return err
 		}
 	}
+	return fsapi.ErrNotExist
 }
 
 // reserveDentry claims a slot of mi's log for a record (tail lock only),
@@ -492,17 +492,16 @@ func (t *Thread) Mkdir(path string) (err error) {
 	}
 	t.streamInode(ino, &in)
 	mi := &minode{ino: ino, typ: layout.TypeDir}
-	mi.dir.Store(&dirState{
-		ht:      fs.newDirTable(0),
-		tailset: tailset,
-		tails:   make([]tailCursor, ntails),
-	})
+	ds := fs.spareDir(tailset, ntails)
+	mi.dir.Store(ds)
 	mi.parent.Store(dir.ino)
 	mi.fresh.Store(true)
 	mi.cacheAttrs(0, 2, in.MTime)
 	if _, err := fs.insertEntry(t, dir, ino, name, mi); err != nil {
 		fs.recycleIno(ino)
 		fs.recyclePages(t.cpu, []uint64{tailset})
+		// No one saw mi: its state is as spareDir made it.
+		fs.spareDirs.Put(ds)
 		return err
 	}
 	dir.cacheDirAttrs(in.MTime)
@@ -587,9 +586,9 @@ func (fs *FS) destroyFile(t *Thread, child *minode) {
 				}
 			}
 		}
-		fs.retireInode(t.cpu, child, pages, child.ino)
+		fs.retireInode(t.cpu, child, pages, child.ino, nil)
 	case st != nil && !child.unmapped():
-		fs.retireInode(t.cpu, child, st.unverified, 0)
+		fs.retireInode(t.cpu, child, st.unverified, 0, nil)
 		st.unverified = nil
 	}
 	child.lock.Unlock()
@@ -629,16 +628,31 @@ func (t *Thread) Rmdir(path string) (err error) {
 		t.pb.Flush(layout.InodeOff(fs.geo, child.ino), layout.InodeSize)
 		t.pb.Barrier()
 		fs.inodes.Delete(child.ino)
+		cds := child.dir.Load()
+		var pages []uint64
+		var ino uint64
 		if child.fresh.Load() {
-			cds := child.dir.Load()
-			pages := []uint64{cds.tailset}
-			for _, chain := range fs.dirLogPages(cds) {
-				pages = append(pages, chain...)
+			pages = append(cds.logPages[:0], cds.tailset)
+			for ti := range cds.tails {
+				for p := layout.TailHead(fs.dev, cds.tailset, ti); p != 0; p = layout.NextPage(fs.dev, p) {
+					pages = append(pages, p)
+				}
 			}
-			// Same grace-period discipline as destroyFile: a lock-free
-			// lookup may still be scanning these log pages.
-			fs.retireInode(t.cpu, child, pages, child.ino)
+			cds.logPages, ino = pages, child.ino
 		}
+		var spare *dirState
+		if fs.reusesDirs() {
+			// Readers that load the state from here on find the removed
+			// one; Drain waits out writers that loaded it before. Those
+			// that still hold it are readers, which the grace period
+			// waits out.
+			child.dir.Store(removedDir)
+			cds.ht.Drain()
+			spare = cds
+		}
+		// Same grace-period discipline as destroyFile: a lock-free
+		// lookup may still be scanning these log pages, or this state.
+		fs.retireInode(t.cpu, child, pages, ino, spare)
 		child.lock.Unlock()
 	})
 	if err != nil {
@@ -676,6 +690,11 @@ func (t *Thread) Readdir(path string) (names []string, err error) {
 		names = append(names, name)
 		return true
 	})
+	if mi.dir.Load() == removedDir {
+		// Removed while we listed it: the table may be another
+		// directory's by now (Mkdir reuses it).
+		return names[:0], nil
+	}
 	sort.Strings(names)
 	return names, nil
 }

@@ -263,7 +263,7 @@ func TestReadPathsPersistNothing(t *testing.T) {
 	counters := func() [5]int64 {
 		d := &fs.dev.Stats
 		return [5]int64{d.Flushes.Load(), d.Fences.Load(), d.NTStores.Load(), d.Stores.Load(),
-			fs.ctrl.Stats.Syscalls.Load()}
+			kctl(fs).Stats.Syscalls.Load()}
 	}
 	before := counters()
 	ok(w.Stat("/d/f"))

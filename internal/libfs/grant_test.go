@@ -53,10 +53,10 @@ func TestPageGrantsCrossOncePerDoubleBatch(t *testing.T) {
 		fs := newGrantFS(t)
 		w, n := th(t, fs), fs.opts.GrantPageBatch
 		seen := make(map[uint64]bool)
-		start := fs.ctrl.Stats.Syscalls.Load()
+		start := kctl(fs).Stats.Syscalls.Load()
 		for k := int64(1); k <= 3; k++ {
 			allocN(t, fs, w, 0, 2*n, seen)
-			if got := fs.ctrl.Stats.Syscalls.Load() - start; got != k {
+			if got := kctl(fs).Stats.Syscalls.Load() - start; got != k {
 				t.Fatalf("%d pages cost %d crossings, want %d", k*int64(2*n), got, k)
 			}
 		}
@@ -66,12 +66,12 @@ func TestPageGrantsCrossOncePerDoubleBatch(t *testing.T) {
 	t.Run("quota between n and 2n", func(t *testing.T) {
 		fs := newGrantFS(t)
 		w, n := th(t, fs), fs.opts.GrantPageBatch
-		if err := fs.ctrl.SetQuota(fs.app, kernel.Quota{MaxPages: int64(n * 3 / 2)}); err != nil {
+		if err := kctl(fs).SetQuota(fs.app, kernel.Quota{MaxPages: int64(n * 3 / 2)}); err != nil {
 			t.Fatal(err)
 		}
-		start := fs.ctrl.Stats.Syscalls.Load()
+		start := kctl(fs).Stats.Syscalls.Load()
 		allocN(t, fs, w, 0, n, make(map[uint64]bool))
-		if got := fs.ctrl.Stats.Syscalls.Load() - start; got != 2 {
+		if got := kctl(fs).Stats.Syscalls.Load() - start; got != 2 {
 			t.Fatalf("first refill under the quota cost %d crossings, want 2 (refused 2n, granted n)", got)
 		}
 		if _, err := fs.allocPage(w, 0); !errors.Is(err, kernel.ErrQuota) {
@@ -131,9 +131,9 @@ func TestPageGrantsCrossOncePerDoubleBatch(t *testing.T) {
 		if int(granted) != handed+len(pooled) {
 			t.Fatalf("%d pages granted, want %d handed out + %d pooled", granted, handed, len(pooled))
 		}
-		free := fs.ctrl.FreeCount()
+		free := kctl(fs).FreeCount()
 		fs.ReturnGrants()
-		if back := fs.ctrl.FreeCount() - free; back != len(pooled) {
+		if back := kctl(fs).FreeCount() - free; back != len(pooled) {
 			t.Fatalf("ReturnGrants handed back %d pages, want the %d pooled", back, len(pooled))
 		}
 		if out := pagesOut(t, fs); int(out) != handed {

@@ -133,9 +133,25 @@ func (o *Options) fill() {
 	}
 }
 
+// kernelCtl is the kernel as a LibFS reaches it: the seven crossings, each
+// of which can fail, and the device and geometry they govern.
+// *kernel.Controller implements it; tests wrap one to fail a crossing on
+// demand.
+type kernelCtl interface {
+	AcquireBatch(app kernel.AppID, inos []uint64, sink telemetry.SpanSink, out []*kernel.Mapping) ([]*kernel.Mapping, error)
+	Transfer(app kernel.AppID, inos []uint64, kind kernel.XferKind, sink telemetry.SpanSink, out []kernel.Released) []kernel.Released
+	GrantPages(app kernel.AppID, cpu, n int) ([]uint64, error)
+	GrantInodes(app kernel.AppID, n int) ([]uint64, error)
+	ReturnPages(app kernel.AppID, pages []uint64)
+	RenameLockAcquire(app kernel.AppID) error
+	RenameLockRelease(app kernel.AppID) bool
+	Device() *pmem.Device
+	Geometry() layout.Geometry
+}
+
 // FS is one application's library file system.
 type FS struct {
-	ctrl *kernel.Controller
+	ctrl kernelCtl
 	dev  *pmem.Device
 	geo  layout.Geometry
 	app  kernel.AppID
@@ -177,6 +193,12 @@ type FS struct {
 	relMu   sync.Mutex
 	relLane *span.Local
 	rel     releaseScratch
+
+	// spareDirs holds removed directories' auxiliary states, each back
+	// from the grace period its rmdir queued it behind, for Mkdir to build
+	// on (spareDir). Being a sync.Pool, it is bounded by the garbage
+	// collector, not by a count.
+	spareDirs sync.Pool
 }
 
 // Stats counts LibFS events of interest to telemetry: remaps after an
@@ -407,12 +429,14 @@ func (fs *FS) recyclePages(cpu int, pages []uint64) {
 // waits out a grace period through the FS's domain — the same retire path
 // htable uses for unlinked bucket entries. One object carries both, pages
 // first: the order the allocator pools see them in is the order they hand
-// them out again.
+// them out again. An rmdir's also carries the directory's auxiliary state,
+// which the next Mkdir reuses (spareDir).
 type retiree struct {
 	fs    *FS
 	cpu   int
 	pages []uint64
 	ino   uint64
+	dir   *dirState
 }
 
 // Reclaim runs after the grace period (rcu.Reclaimer).
@@ -420,6 +444,14 @@ func (r *retiree) Reclaim() {
 	r.fs.recyclePages(r.cpu, r.pages)
 	if r.ino != 0 {
 		r.fs.recycleIno(r.ino)
+	}
+	if ds := r.dir; ds != nil {
+		r.dir = nil
+		// A create that raced the rmdir's emptiness check may have left a
+		// name behind: such a state is dropped, not reused.
+		if ds.ht.Reuse(maxSpareBuckets, r.fs.dirBuckets(0)) {
+			r.fs.spareDirs.Put(ds)
+		}
 	}
 }
 
@@ -430,15 +462,16 @@ func (fs *FS) retire(cpu int, pages []uint64) {
 	}
 }
 
-// retireInode queues pages, which it keeps, and ino (0 for none) for reuse
-// after a grace period. mi, which an unlink or rmdir has just taken out of
-// the inode table, is their queue node, as an unlinked htable entry is its
+// retireInode queues pages, which it keeps, ino (0 for none) and the
+// auxiliary state of a removed directory (nil for none) for reuse after a
+// grace period. mi, which an unlink or rmdir has just taken out of the
+// inode table, is their queue node, as an unlinked htable entry is its
 // own: retiring allocates nothing.
-func (fs *FS) retireInode(cpu int, mi *minode, pages []uint64, ino uint64) {
-	if len(pages) == 0 && ino == 0 {
+func (fs *FS) retireInode(cpu int, mi *minode, pages []uint64, ino uint64, dir *dirState) {
+	if len(pages) == 0 && ino == 0 && dir == nil {
 		return
 	}
-	mi.gone = retiree{fs: fs, cpu: cpu, pages: pages, ino: ino}
+	mi.gone = retiree{fs: fs, cpu: cpu, pages: pages, ino: ino, dir: dir}
 	fs.dom.Retire(mi)
 }
 
@@ -488,10 +521,13 @@ type Thread struct {
 
 	// Scratch an operation fills and is done with before it returns: the
 	// inode record being streamed (see streamInode), the block indexes a
-	// write installed, the pages a truncate unpublished.
-	rec   [layout.InodeSize]byte
-	dirty []int
-	freed []uint64
+	// write installed, the pages a truncate unpublished, an acquire's
+	// request and answer.
+	rec    [layout.InodeSize]byte
+	dirty  []int
+	freed  []uint64
+	acq    [1]uint64
+	acqOut [1]*kernel.Mapping
 }
 
 // streamInode renders in and streams it to ino's slot: the whole record

@@ -38,6 +38,9 @@ func newFSStrict(t testing.TB, bugs Bugs, hooks *Hooks, strict bool) *FS {
 	return New(ctrl, app, Options{Bugs: bugs, Hooks: hooks, StrictUAF: strict})
 }
 
+// kctl returns the kernel fs crosses into.
+func kctl(fs *FS) *kernel.Controller { return fs.ctrl.(*kernel.Controller) }
+
 func th(t testing.TB, fs *FS) *Thread {
 	return fs.NewThread(0).(*Thread)
 }
@@ -308,7 +311,7 @@ func TestRenameCommittedFileCrossDir(t *testing.T) {
 			must(w.Rename("/src/f", "/dst/g"))
 			must(fs.ReleaseAll())
 
-			peer := New(fs.ctrl, fs.ctrl.RegisterApp(0, 0), Options{})
+			peer := New(kctl(fs), kctl(fs).RegisterApp(0, 0), Options{})
 			r := th(t, peer)
 			fd, err = r.Open("/dst/g")
 			must(err)

@@ -109,6 +109,54 @@ type dirState struct {
 	// dead lists the tombstoned record slots a create may fill instead of
 	// appending. Guarded by idxMu.
 	dead deadSlots
+	// logPages is the storage an rmdir of the fresh directory lists its
+	// tail-set and log pages in, kept with the state for the next rmdir.
+	logPages []uint64
+}
+
+// removedDir is the auxiliary state of every removed directory: empty,
+// and refused to writers (withHeldBucket). Rmdir swaps it in before it
+// retires the directory's own state, which a later Mkdir may reuse, so a
+// thread still holding the removed minode finds it empty rather than
+// finding that other directory's names.
+var removedDir = &dirState{ht: htable.New(htable.Options{InitialBuckets: 1})}
+
+// maxSpareBuckets bounds the bucket array a spare directory state keeps.
+// Readdir's Range and a release's LockAll visit every bucket, full or
+// empty, so a new directory built on a spare pays for the array its
+// predecessor grew to. 1 024 buckets (64 KiB, what a directory of 4 096
+// names grows to) bound either walk at about 18 µs on a 2-vCPU host; a
+// larger array goes back to the default size, and the spare keeps its
+// entries.
+const maxSpareBuckets = 1024
+
+// reusesDirs reports whether a removed directory's auxiliary state is
+// kept for the next Mkdir. Only with the §4.4 and §4.5 patches both in:
+// Rmdir's Drain then waits out every writer of the state, and every
+// reader of it is inside a read-side section its grace period waits for.
+func (fs *FS) reusesDirs() bool {
+	return !fs.opts.Bugs.Has(BugAuxCoreRace | BugLocklessBucketRead)
+}
+
+// spareDir returns the auxiliary state of an empty directory whose
+// tail-set page is tailset: a removed directory's, reset, when one is back
+// from its grace period, else a new one.
+func (fs *FS) spareDir(tailset uint64, ntails int) *dirState {
+	ds, _ := fs.spareDirs.Get().(*dirState)
+	if ds == nil {
+		return &dirState{ht: fs.newDirTable(0), tailset: tailset, tails: make([]tailCursor, ntails)}
+	}
+	ds.tailset = tailset
+	if len(ds.tails) == ntails {
+		clear(ds.tails)
+	} else {
+		ds.tails = make([]tailCursor, ntails)
+	}
+	ds.unverified = ds.unverified[:0]
+	for c := range ds.dead {
+		ds.dead[c] = ds.dead[c][:0]
+	}
+	return ds
 }
 
 // deadSlots holds a directory's dead record slots in one stack per record
@@ -408,16 +456,19 @@ func (fs *FS) getMinode(t *Thread, ino uint64, write bool) (*minode, error) {
 }
 
 // acquire is one crossing that acquires ino, an AcquireBatch of one (with
-// write intent), attributed to t's span (t nil-tolerated).
+// write intent), attributed to t's span. Its request and answer are t's:
+// arrays on the stack would escape through the kernelCtl call.
 func (fs *FS) acquire(t *Thread, ino uint64) (*kernel.Mapping, error) {
 	c := fs.cross(t.CurrentSpan())
-	inos, out := [1]uint64{ino}, [1]*kernel.Mapping{}
-	ms, err := fs.ctrl.AcquireBatch(fs.app, inos[:], t.sink(), out[:0])
+	t.acq[0] = ino
+	ms, err := fs.ctrl.AcquireBatch(fs.app, t.acq[:], t.sink(), t.acqOut[:0])
 	c.done(telemetry.SpanEvCrossing, int64(telemetry.EvAcquire))
-	if err != nil {
-		return nil, err
+	var m *kernel.Mapping
+	if err == nil {
+		m = ms[0]
 	}
-	return ms[0], nil
+	t.acqOut[0] = nil
+	return m, err
 }
 
 // remap re-acquires an inode whose mapping the kernel revoked underneath
@@ -699,13 +750,19 @@ func (fs *FS) indexes(st *fileState, in *layout.Inode) bool {
 	return true
 }
 
+// dirBuckets is the bucket count a directory table starts with when it is
+// made for entries names.
+func (fs *FS) dirBuckets(entries int) int {
+	return max(fs.opts.DirBuckets, htable.BucketsFor(entries))
+}
+
 // newDirTable builds a directory hash table that holds entries names
 // before it has to grow, honoring the §4.5 bug flag: buggy mode reads with
 // no discipline at all (lockless and unprotected, as shipped); the default
 // is the RCU-protected lock-free path.
 func (fs *FS) newDirTable(entries int) *htable.Table {
 	opts := htable.Options{
-		InitialBuckets: max(fs.opts.DirBuckets, htable.BucketsFor(entries)),
+		InitialBuckets: fs.dirBuckets(entries),
 		StrictUAF:      fs.opts.StrictUAF,
 	}
 	if !fs.opts.Bugs.Has(BugLocklessBucketRead) {
@@ -739,6 +796,11 @@ func (fs *FS) lookupInDir(t *Thread, mi *minode, name string) (uint64, uint64, b
 	if err != nil {
 		// The simulated segfault of §4.5.
 		return 0, 0, false, fsapi.ErrSegfault
+	}
+	if ok && mi.dir.Load() == removedDir {
+		// mi was removed while we looked, and ds may be another
+		// directory's by now (Mkdir reuses it): the name is not mi's.
+		return 0, 0, false, nil
 	}
 	return ino, ref, ok, nil
 }

@@ -3,6 +3,7 @@ package libfs
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,10 +13,12 @@ import (
 )
 
 // allocsPerOp is testing.AllocsPerRun without the rounding down: the heap
-// objects one call of op allocates, averaged over runs calls, after one
-// call to warm up.
-func allocsPerOp(runs int, op func(i int)) float64 {
+// objects one call of op allocates, and their bytes, averaged over runs
+// calls, after one call to warm up. The collector is off while it
+// measures, so a sync.Pool keeps what was put in it.
+func allocsPerOp(runs int, op func(i int)) (objects, bytes float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	op(0)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -23,7 +26,8 @@ func allocsPerOp(runs int, op func(i int)) float64 {
 		op(i)
 	}
 	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // TestOpPathAllocations pins what an operation of ArckFS+ leaves on the Go
@@ -59,35 +63,42 @@ func TestOpPathAllocations(t *testing.T) {
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/d/e/n%04d", i)
 	}
+	const lifeNames = 1024
+	life := make([]string, lifeNames)
+	for i := range life {
+		life[i] = fmt.Sprintf("/d/life/f%04d", i)
+	}
 
 	for _, pin := range []struct {
 		op    string
 		limit float64
+		// bytes, when set, pins the bytes the operation allocates too.
+		bytes float64
 		run   func(i int)
 	}{
-		{"Stat", 0, func(int) {
+		{"Stat", 0, 0, func(int) {
 			if st, err := w.Stat("/d/e/f"); err != nil || st.Size != 8*4096 {
 				t.Fatalf("Stat = %+v, %v", st, err)
 			}
 		}},
-		{"Open+Close", 0, func(int) {
+		{"Open+Close", 0, 0, func(int) {
 			fd, err := w.Open("//d/e//f")
 			must(err)
 			must(w.Close(fd))
 		}},
-		{"ReadAt 4 KiB", 0, func(i int) {
+		{"ReadAt 4 KiB", 0, 0, func(i int) {
 			if n, err := w.ReadAt(fd, block, int64(i%8)*4096); n != 4096 || err != nil {
 				t.Fatalf("ReadAt = %d, %v", n, err)
 			}
 		}},
-		{"WriteAt 4 KiB overwrite", 0, func(i int) {
+		{"WriteAt 4 KiB overwrite", 0, 0, func(i int) {
 			if n, err := w.WriteAt(fd, block, int64(i%8)*4096); n != 4096 || err != nil {
 				t.Fatalf("WriteAt = %d, %v", n, err)
 			}
 		}},
 		// Nothing per rename: the retired entry is not back from its grace
 		// period when the next rename wants one, which is the slack.
-		{"Rename within a directory", 0, func(i int) {
+		{"Rename within a directory", 0, 0, func(i int) {
 			from, to := "/d/e/f", "/d/e/g"
 			if i%2 == 1 {
 				from, to = to, from
@@ -97,15 +108,40 @@ func TestOpPathAllocations(t *testing.T) {
 		// The minode with its block index, one object. The inode table's
 		// slot for it is in a leaf made once per 256 numbers and kept, the
 		// name is the caller's string and the entry comes out of a slab.
-		{"Create", 1, func(i int) { must(w.Create(paths[i])) }},
+		{"Create", 1, 0, func(i int) { must(w.Create(paths[i])) }},
 		// Nothing: the minode is its own retire-queue node, and carries its
 		// inode number past the grace period.
-		{"Unlink of a fresh file", 0, func(i int) { must(w.Unlink(paths[i])) }},
+		{"Unlink of a fresh file", 0, 0, func(i int) { must(w.Unlink(paths[i])) }},
+		// The minode. The directory's hash table, cursors and page list are
+		// the state of the one removed a grace period before.
+		{"Mkdir+Rmdir of a fresh directory", 1, 0, func(int) {
+			must(w.Mkdir("/d/e/sub"))
+			must(w.Rmdir("/d/e/sub"))
+			fs.dom.Barrier()
+		}},
+		// A directory filled with 1 024 names, emptied and removed: the
+		// minodes it creates (288 B a file's, 208 B its own: 295 120 B),
+		// and nothing of its index, which it inherits from the one before
+		// at the size that one grew to.
+		{"Life of a 1 024-name directory", lifeNames + 1, 300_000, func(int) {
+			must(w.Mkdir("/d/life"))
+			for _, p := range life {
+				must(w.Create(p))
+			}
+			for _, p := range life {
+				must(w.Unlink(p))
+			}
+			must(w.Rmdir("/d/life"))
+			fs.dom.Barrier()
+		}},
 	} {
-		got := allocsPerOp(runs, pin.run)
-		t.Logf("%-28s %.3f allocations/op", pin.op, got)
+		got, bytes := allocsPerOp(runs, pin.run)
+		t.Logf("%-32s %.3f allocations/op, %.0f B/op", pin.op, got, bytes)
 		if got > pin.limit+slack {
 			t.Errorf("%s allocates %.3f objects an operation, want at most %v", pin.op, got, pin.limit)
+		}
+		if pin.bytes > 0 && bytes > pin.bytes {
+			t.Errorf("%s allocates %.0f bytes an operation, want at most %.0f", pin.op, bytes, pin.bytes)
 		}
 	}
 }

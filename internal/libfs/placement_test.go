@@ -244,7 +244,7 @@ func TestHandoffTurnAllocations(t *testing.T) {
 		r.release(t)
 	}
 	const limit = 144
-	got := allocsPerOp(2*handoffBatches, func(int) {
+	got, _ := allocsPerOp(2*handoffBatches, func(int) {
 		r.work(t)
 		r.release(t)
 	})
@@ -281,7 +281,7 @@ func TestPlacementLogBounds(t *testing.T) {
 		if err := fs.ReleaseAll(); err != nil {
 			t.Fatal(err)
 		}
-		vs := fs.ctrl.VerifierStats()
+		vs := kctl(fs).VerifierStats()
 		recs := vs.Dentries.Load()
 		for i := 0; i < 2000; i++ {
 			if err := w.Create(fmt.Sprintf("/d/f%05d", i)); err != nil {

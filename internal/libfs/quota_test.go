@@ -85,12 +85,12 @@ func capAtUsage(fs *FS, pages, inodes bool) error {
 	if inodes {
 		q.MaxInodes = u.InodesGranted
 	}
-	return fs.ctrl.SetQuota(fs.app, q)
+	return kctl(fs).SetQuota(fs.app, q)
 }
 
 // usageOf returns fs's app's row of the kernel's usage table.
 func usageOf(fs *FS) (kernel.AppUsage, error) {
-	for _, u := range fs.ctrl.Usage() {
+	for _, u := range kctl(fs).Usage() {
 		if u.App == fs.app {
 			return u, nil
 		}

@@ -414,12 +414,12 @@ func TestReleaseAllIsolatesVerificationFailure(t *testing.T) {
 	layout.WriteInode(fs.dev, fs.geo, bad, &in)
 	fs.dev.Persist(layout.InodeOff(fs.geo, bad), layout.InodeSize)
 
-	before := fs.ctrl.Stats.Snapshot()
+	before := kctl(fs).Stats.Snapshot()
 	err := fs.ReleaseAll()
 	if !kernel.IsVerificationError(err) {
 		t.Fatalf("ReleaseAll = %v, want the forged inode's verification failure", err)
 	}
-	d := fs.ctrl.Stats.Snapshot()
+	d := kctl(fs).Stats.Snapshot()
 	if d.Releases-before.Releases != 5 || d.VerifyFailures-before.VerifyFailures != 1 || d.Rollbacks-before.Rollbacks != 1 {
 		t.Fatalf("%d releases, %d failures, %d rollbacks; want 5, 1, 1",
 			d.Releases-before.Releases, d.VerifyFailures-before.VerifyFailures, d.Rollbacks-before.Rollbacks)
