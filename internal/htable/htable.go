@@ -442,17 +442,26 @@ func (t *Table) Range(fn func(name string, ino, ref uint64) bool) {
 // writers — the §4.3 patch uses this to drain a directory before its
 // inode is released. The returned function unlocks everything.
 func (t *Table) LockAll() (unlock func()) {
+	arr := t.lockAll()
+	return func() { t.unlockAll(arr) }
+}
+
+// lockAll blocks resizing and locks every bucket of the array it returns.
+func (t *Table) lockAll() *bucketArray {
 	t.growMu.Lock()
 	arr := t.arr.Load()
 	for i := range arr.buckets {
 		arr.buckets[i].lock.Lock()
 	}
-	return func() {
-		for i := range arr.buckets {
-			arr.buckets[i].lock.Unlock()
-		}
-		t.growMu.Unlock()
+	return arr
+}
+
+// unlockAll undoes lockAll.
+func (t *Table) unlockAll(arr *bucketArray) {
+	for i := range arr.buckets {
+		arr.buckets[i].lock.Unlock()
 	}
+	t.growMu.Unlock()
 }
 
 // EachLocked calls fn for every live entry. The caller holds LockAll, so
@@ -470,15 +479,7 @@ func (t *Table) EachLocked(fn func(e *Entry)) {
 // section when it was called has left it. A writer that takes a bucket
 // lock after that sees whatever the caller stored before calling Drain;
 // unlike LockAll it allocates nothing.
-func (t *Table) Drain() {
-	t.growMu.Lock()
-	arr := t.arr.Load()
-	for i := range arr.buckets {
-		arr.buckets[i].lock.Lock()
-		arr.buckets[i].lock.Unlock()
-	}
-	t.growMu.Unlock()
-}
+func (t *Table) Drain() { t.unlockAll(t.lockAll()) }
 
 // Reuse readies t for a new owner once no reader or writer can reach it,
 // and reports whether it can have one: only an empty table can. The table

@@ -500,3 +500,23 @@ func TestQuickModelEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkEmptyWalk prices the walks that visit every bucket of a table
+// whether it holds anything or not — a Readdir's Range and a release's
+// LockAll — on an empty table of each bucket count. It is what bounds the
+// bucket array a reused table keeps (libfs's maxSpareBuckets).
+func BenchmarkEmptyWalk(b *testing.B) {
+	for _, n := range []int{16, 1024, 4096} {
+		tbl := New(Options{InitialBuckets: n})
+		b.Run(fmt.Sprintf("Range/%d", n), func(b *testing.B) {
+			for range b.N {
+				tbl.Range(func(string, uint64, uint64) bool { return true })
+			}
+		})
+		b.Run(fmt.Sprintf("LockAll/%d", n), func(b *testing.B) {
+			for range b.N {
+				tbl.LockAll()()
+			}
+		})
+	}
+}

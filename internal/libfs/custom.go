@@ -67,27 +67,7 @@ func (t *Thread) CreateBatch(dir string, names []string) (n int, err error) {
 		}
 		t.streamInode(ino, &in)
 
-		var ref layout.DentryRef
-		var insErr error
-		ds := dmi.dir.Load()
-		if ds == removedDir {
-			fs.recycleIno(ino)
-			fs.finishBatch(t, dmi, pending)
-			return len(pending), fsapi.ErrNotExist
-		}
-		ds.ht.WithBucket(name, func(lb htable.LockedBucket) {
-			if _, exists := lb.Get(name); exists {
-				insErr = fsapi.ErrExist
-				return
-			}
-			ref, insErr = fs.reserveDentry(t, dmi, ds, len(name))
-			if insErr != nil {
-				return
-			}
-			layout.WriteDentryBody(fs.dev, ref, ino, name)
-			fs.persistDentryBody(t.pb, ref, len(name))
-			lb.Insert(name, ino, uint64(ref))
-		})
+		ref, insErr := fs.batchInsert(t, dmi, name, ino)
 		if insErr != nil {
 			fs.recycleIno(ino)
 			// Commit and register what we already wrote before reporting.
@@ -98,6 +78,43 @@ func (t *Thread) CreateBatch(dir string, names []string) (n int, err error) {
 	}
 	fs.finishBatch(t, dmi, pending)
 	return len(pending), nil
+}
+
+// batchInsert reserves name's dentry slot in dmi, writes and flushes its
+// body for ino and lists it in dmi's table, all under name's bucket lock.
+// The state it locks must still be dmi's under that lock: Rmdir swaps
+// removedDir in before its Drain takes each bucket lock, and the state it
+// retires may be another directory's by the time a writer that loaded it
+// gets the lock. A state a reacquire rebuilt is taken up instead.
+func (fs *FS) batchInsert(t *Thread, dmi *minode, name string, ino uint64) (ref layout.DentryRef, err error) {
+	for {
+		ds := dmi.dir.Load()
+		if ds == removedDir {
+			return 0, fsapi.ErrNotExist
+		}
+		if h := fs.opts.Hooks.CreateBatchBeforeLock; h != nil {
+			h()
+		}
+		stale := false
+		ds.ht.WithBucket(name, func(lb htable.LockedBucket) {
+			if stale = dmi.dir.Load() != ds; stale {
+				return
+			}
+			if _, exists := lb.Get(name); exists {
+				err = fsapi.ErrExist
+				return
+			}
+			if ref, err = fs.reserveDentry(t, dmi, ds, len(name)); err != nil {
+				return
+			}
+			layout.WriteDentryBody(fs.dev, ref, ino, name)
+			fs.persistDentryBody(t.pb, ref, len(name))
+			lb.Insert(name, ino, uint64(ref))
+		})
+		if !stale {
+			return ref, err
+		}
+	}
 }
 
 // finishBatch commits the batch durably and registers the new files in

@@ -634,9 +634,7 @@ func (t *Thread) Rmdir(path string) (err error) {
 		if child.fresh.Load() {
 			pages = append(cds.logPages[:0], cds.tailset)
 			for ti := range cds.tails {
-				for p := layout.TailHead(fs.dev, cds.tailset, ti); p != 0; p = layout.NextPage(fs.dev, p) {
-					pages = append(pages, p)
-				}
+				pages = fs.appendTailPages(pages, cds, ti)
 			}
 			cds.logPages, ino = pages, child.ino
 		}
@@ -667,11 +665,18 @@ func (t *Thread) Rmdir(path string) (err error) {
 func (fs *FS) dirLogPages(ds *dirState) [][]uint64 {
 	chains := make([][]uint64, len(ds.tails))
 	for i := range chains {
-		for p := layout.TailHead(fs.dev, ds.tailset, i); p != 0; p = layout.NextPage(fs.dev, p) {
-			chains[i] = append(chains[i], p)
-		}
+		chains[i] = fs.appendTailPages(nil, ds, i)
 	}
 	return chains
+}
+
+// appendTailPages appends the pages of ds's log chain ti to dst, in link
+// order, and returns the extended slice.
+func (fs *FS) appendTailPages(dst []uint64, ds *dirState, ti int) []uint64 {
+	for p := layout.TailHead(fs.dev, ds.tailset, ti); p != 0; p = layout.NextPage(fs.dev, p) {
+		dst = append(dst, p)
+	}
+	return dst
 }
 
 // Readdir lists a directory's names in sorted order.

@@ -100,6 +100,10 @@ type Hooks struct {
 	// the reader leaves its read-side section. The reclamation stress
 	// test widens the window with it.
 	FileReadBlock func()
+	// CreateBatchBeforeLock runs in CreateBatch after it loads the
+	// directory's auxiliary state, before it locks a name's bucket — the
+	// window in which an rmdir may retire that state and a mkdir reuse it.
+	CreateBatchBeforeLock func()
 }
 
 // Options configures a LibFS instance.
@@ -189,7 +193,8 @@ type FS struct {
 	tracer *span.Tracer
 	lat    atomic.Pointer[telemetry.Histogram]
 	// relMu runs ReleaseAll calls one at a time; relLane is their lane in
-	// the tracer, made on first traced use, and rel their working storage.
+	// the tracer, made on first traced use, and rel their working storage
+	// (and that of ReleaseInode's crossing for an inode it never built).
 	relMu   sync.Mutex
 	relLane *span.Local
 	rel     releaseScratch
@@ -521,13 +526,15 @@ type Thread struct {
 
 	// Scratch an operation fills and is done with before it returns: the
 	// inode record being streamed (see streamInode), the block indexes a
-	// write installed, the pages a truncate unpublished, an acquire's
-	// request and answer.
-	rec    [layout.InodeSize]byte
-	dirty  []int
-	freed  []uint64
-	acq    [1]uint64
-	acqOut [1]*kernel.Mapping
+	// write installed, the pages a truncate unpublished, and a crossing of
+	// one inode's request and answer (arrays on the stack would escape
+	// through the kernelCtl call).
+	rec     [layout.InodeSize]byte
+	dirty   []int
+	freed   []uint64
+	req     [1]uint64
+	acqOut  [1]*kernel.Mapping
+	xferOut [1]kernel.Released
 }
 
 // streamInode renders in and streams it to ino's slot: the whole record

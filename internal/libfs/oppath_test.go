@@ -14,11 +14,9 @@ import (
 
 // allocsPerOp is testing.AllocsPerRun without the rounding down: the heap
 // objects one call of op allocates, and their bytes, averaged over runs
-// calls, after one call to warm up. The collector is off while it
-// measures, so a sync.Pool keeps what was put in it.
+// calls, after one call to warm up.
 func allocsPerOp(runs int, op func(i int)) (objects, bytes float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	op(0)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -69,13 +67,24 @@ func TestOpPathAllocations(t *testing.T) {
 		life[i] = fmt.Sprintf("/d/life/f%04d", i)
 	}
 
-	for _, pin := range []struct {
+	type pin struct {
 		op    string
 		limit float64
 		// bytes, when set, pins the bytes the operation allocates too.
 		bytes float64
 		run   func(i int)
-	}{
+	}
+	check := func(pin pin) {
+		got, bytes := allocsPerOp(runs, pin.run)
+		t.Logf("%-32s %.3f allocations/op, %.0f B/op", pin.op, got, bytes)
+		if got > pin.limit+slack {
+			t.Errorf("%s allocates %.3f objects an operation, want at most %v", pin.op, got, pin.limit)
+		}
+		if pin.bytes > 0 && bytes > pin.bytes {
+			t.Errorf("%s allocates %.0f bytes an operation, want at most %.0f", pin.op, bytes, pin.bytes)
+		}
+	}
+	for _, pin := range []pin{
 		{"Stat", 0, 0, func(int) {
 			if st, err := w.Stat("/d/e/f"); err != nil || st.Size != 8*4096 {
 				t.Fatalf("Stat = %+v, %v", st, err)
@@ -112,6 +121,15 @@ func TestOpPathAllocations(t *testing.T) {
 		// Nothing: the minode is its own retire-queue node, and carries its
 		// inode number past the grace period.
 		{"Unlink of a fresh file", 0, 0, func(i int) { must(w.Unlink(paths[i])) }},
+	} {
+		check(pin)
+	}
+
+	// A removed directory's state waits for the next Mkdir in a sync.Pool,
+	// which a collection may empty: these rows measure with the collector
+	// off.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, pin := range []pin{
 		// The minode. The directory's hash table, cursors and page list are
 		// the state of the one removed a grace period before.
 		{"Mkdir+Rmdir of a fresh directory", 1, 0, func(int) {
@@ -135,14 +153,7 @@ func TestOpPathAllocations(t *testing.T) {
 			fs.dom.Barrier()
 		}},
 	} {
-		got, bytes := allocsPerOp(runs, pin.run)
-		t.Logf("%-32s %.3f allocations/op, %.0f B/op", pin.op, got, bytes)
-		if got > pin.limit+slack {
-			t.Errorf("%s allocates %.3f objects an operation, want at most %v", pin.op, got, pin.limit)
-		}
-		if pin.bytes > 0 && bytes > pin.bytes {
-			t.Errorf("%s allocates %.0f bytes an operation, want at most %.0f", pin.op, bytes, pin.bytes)
-		}
+		check(pin)
 	}
 }
 

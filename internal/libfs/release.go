@@ -47,11 +47,13 @@ func (fs *FS) ensureCommitted(t *Thread, mi *minode) error {
 	return fs.commitCrossing(t, mi.ino)
 }
 
-// commitCrossing commits ino in a Transfer of one, with span attribution.
+// commitCrossing commits ino in a Transfer of one, with span attribution,
+// in t's scratch.
 func (fs *FS) commitCrossing(t *Thread, ino uint64) error {
 	c := fs.cross(t.CurrentSpan())
-	inos, out := [1]uint64{ino}, [1]kernel.Released{}
-	err := fs.ctrl.Transfer(fs.app, inos[:], kernel.XferCommit, t.sink(), out[:0])[0].Err
+	t.req[0] = ino
+	err := fs.ctrl.Transfer(fs.app, t.req[:], kernel.XferCommit, t.sink(), t.xferOut[:0])[0].Err
+	t.xferOut[0] = kernel.Released{}
 	c.done(telemetry.SpanEvCrossing, int64(telemetry.EvCommit))
 	if mi := fs.inodes.Load(ino); mi != nil && err == nil {
 		mi.dir.Load().markVerified()
@@ -124,10 +126,16 @@ func (fs *FS) CommitInode(t *Thread, path string) (err error) {
 func (fs *FS) ReleaseInode(ino uint64) error {
 	mi := fs.inodes.Load(ino)
 	if mi == nil {
+		// No thread lends its scratch here: ReleaseAll's, under its lock.
+		fs.relMu.Lock()
+		defer fs.relMu.Unlock()
+		s := &fs.rel
 		c := fs.cross(nil) // no operation pays for it: no span
-		inos, out := [1]uint64{ino}, [1]kernel.Released{}
-		err := fs.ctrl.Transfer(fs.app, inos[:], kernel.XferRelease, nil, out[:0])[0].Err
+		s.res = fs.ctrl.Transfer(fs.app, append(s.inos[:0], ino), kernel.XferRelease, nil, s.res[:0])
 		c.done(telemetry.SpanEvReleaseBatch, 1)
+		err := s.res[0].Err
+		clear(s.res)
+		s.res = s.res[:0]
 		return err
 	}
 	var s releaseScratch

@@ -1,6 +1,7 @@
 package libfs
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -9,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"arckfs/internal/fsapi"
 	"arckfs/internal/kernel"
 	"arckfs/internal/layout"
 	"arckfs/internal/pmem"
@@ -183,4 +185,69 @@ func TestSpareDirVsLockFreeReaders(t *testing.T) {
 	stop.Store(true)
 	readers.Wait()
 	t.Logf("%d of 300 rounds built /b on a removed /a's state", reused)
+}
+
+// TestCreateBatchLosesToRmdir: a CreateBatch that loaded /a's state before
+// /a was removed, and /b built on that state, locks its bucket only
+// afterwards. The batch fails with ErrNotExist and its name shows up in
+// neither the table /b now owns nor /b's log, before or after a recovery.
+func TestCreateBatchLosesToRmdir(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's sync.Pool drops what it is given at random")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	hooks := &Hooks{}
+	fs := newFS(t, BugsNone, hooks)
+	fs.dev.EnableTracking()
+	w, o := th(t, fs), fs.NewThread(1).(*Thread)
+	if err := w.Mkdir("/a"); err != nil {
+		t.Fatal(err)
+	}
+	a, err := w.resolve("/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := a.dir.Load()
+	var hookErr error
+	hooks.CreateBatchBeforeLock = func() {
+		hooks.CreateBatchBeforeLock = nil
+		if hookErr = o.Rmdir("/a"); hookErr != nil {
+			return
+		}
+		fs.dom.Barrier()
+		hookErr = o.Mkdir("/b")
+	}
+	n, err := w.CreateBatch("/a", []string{"x"})
+	if hookErr != nil {
+		t.Fatal(hookErr)
+	}
+	if n != 0 || !errors.Is(err, fsapi.ErrNotExist) {
+		t.Errorf("CreateBatch into the removed /a = %d, %v; want 0, %v", n, err, fsapi.ErrNotExist)
+	}
+	b, err := w.resolve("/b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.dir.Load() != old {
+		t.Fatal("/b was not built on /a's state")
+	}
+	if got := mustNames(t, w, "/b"); len(got) != 0 {
+		t.Fatalf("/b lists %v", got)
+	}
+	if err := fs.ReleaseAll(); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := kernel.Fsck(fs.dev, kernel.Options{}); err != nil || !rep.Clean() {
+		t.Fatalf("fsck after ReleaseAll: %v %v", rep, err)
+	}
+	rdev := pmem.Restore(fs.dev.CrashImage(pmem.CrashDropAll), nil)
+	rctrl, rep, err := kernel.Mount(rdev, kernel.Options{}, true)
+	if err != nil || !rep.Clean() {
+		t.Fatalf("recovery: %v %v", rep, err)
+	}
+	r := th(t, New(rctrl, rctrl.RegisterApp(0, 0), Options{}))
+	if got := mustNames(t, r, "/b"); len(got) != 0 {
+		t.Fatalf("/b after recovery lists %v", got)
+	}
 }
