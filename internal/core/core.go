@@ -126,9 +126,9 @@ func (s *System) initTelemetry() {
 	s.tel.Gauge("libfs.remaps", s.sumApps(func(fs *libfs.FS) int64 { return fs.Stats.Remaps.Load() }))
 	s.tel.Gauge("libfs.reacquires", s.sumApps(func(fs *libfs.FS) int64 { return fs.Stats.Reacquires.Load() }))
 	s.tel.Gauge("libfs.stale_reads", s.sumApps(func(fs *libfs.FS) int64 { return fs.Stats.StaleReads.Load() }))
-	// Each application's RCU domain: what is queued behind a grace period
-	// now, and the grace periods run and objects reclaimed so far.
+	// Each application's RCU domain: objects and pages queued now, grace periods and reclaims so far.
 	s.tel.Gauge("rcu.pending", s.sumLive(func(fs *libfs.FS) int64 { return int64(fs.Domain().Pending()) }))
+	s.tel.Gauge("rcu.pending_pages", s.sumLive(func(fs *libfs.FS) int64 { return int64(fs.Domain().PendingPages()) }))
 	s.tel.Gauge("rcu.grace_periods", s.sumApps(func(fs *libfs.FS) int64 { return fs.Domain().GracePeriods() }))
 	s.tel.Gauge("rcu.reclaimed", s.sumApps(func(fs *libfs.FS) int64 { return fs.Domain().Reclaimed() }))
 	// Release-time dentry-log compactions and the dead record slots they
@@ -158,8 +158,9 @@ func (s *System) sumApps(counter func(*libfs.FS) int64) func() int64 {
 	return s.sumGauge(sum)
 }
 
-// sumLive is sumApps for a level (rcu.pending): attached applications
-// only, because what a retired one had queued is not queued any more.
+// sumLive is sumApps for a level (rcu.pending, rcu.pending_pages):
+// attached applications only, because what a retired one had queued is
+// not queued any more.
 func (s *System) sumLive(level func(*libfs.FS) int64) func() int64 {
 	return s.sumGauge(&appSum{counter: level})
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"arckfs/internal/fsapi"
+	"arckfs/internal/layout"
 	"arckfs/internal/libfs"
 )
 
@@ -157,7 +158,8 @@ func TestStaleReadIsCounted(t *testing.T) {
 // TestRCUGauges: an unlink burst leaves its bucket entries and inode
 // numbers queued behind a grace period, where rcu.pending shows them;
 // ReleaseAll drains the domain, which moves rcu.reclaimed by as many and
-// rcu.grace_periods by at least the one it took.
+// rcu.grace_periods by at least the one it took. A truncate queues one
+// object holding the file's pages, which rcu.pending_pages counts.
 func TestRCUGauges(t *testing.T) {
 	sys, err := NewSystem(Config{DevSize: 64 << 20})
 	if err != nil {
@@ -177,20 +179,46 @@ func TestRCUGauges(t *testing.T) {
 		}
 	}
 	before := sys.Telemetry().Snapshot()
-	// An entry and a retiree for each file.
-	if got := before["rcu.pending"]; got != 2*files {
-		t.Fatalf("rcu.pending = %d after %d unlinks, want %d", got, files, 2*files)
+	// An entry and a retiree for each file, neither holding a page.
+	if got, pages := before["rcu.pending"], before["rcu.pending_pages"]; got != 2*files || pages != 2*files {
+		t.Fatalf("rcu.pending = %d, rcu.pending_pages = %d after %d unlinks, want %d each", got, pages, files, 2*files)
 	}
 	if err := a.ReleaseAll(); err != nil {
 		t.Fatal(err)
 	}
 	after := sys.Telemetry().Snapshot()
-	if after["rcu.pending"] != 0 ||
+	if after["rcu.pending"] != 0 || after["rcu.pending_pages"] != 0 ||
 		after["rcu.reclaimed"]-before["rcu.reclaimed"] != 2*files ||
 		after["rcu.grace_periods"] <= before["rcu.grace_periods"] {
-		t.Fatalf("after ReleaseAll: pending %d, reclaimed %d -> %d, grace periods %d -> %d",
-			after["rcu.pending"], before["rcu.reclaimed"], after["rcu.reclaimed"],
+		t.Fatalf("after ReleaseAll: pending %d (%d pages), reclaimed %d -> %d, grace periods %d -> %d",
+			after["rcu.pending"], after["rcu.pending_pages"], before["rcu.reclaimed"], after["rcu.reclaimed"],
 			before["rcu.grace_periods"], after["rcu.grace_periods"])
+	}
+
+	const pages = 40
+	if err := w.Create("/big"); err != nil {
+		t.Fatal(err)
+	}
+	fd, err := w.Open("/big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.WriteAt(fd, make([]byte, pages*layout.PageSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Truncate("/big", 0); err != nil {
+		t.Fatal(err)
+	}
+	cut := sys.Telemetry().Snapshot()
+	if cut["rcu.pending"] != 1 || cut["rcu.pending_pages"] != pages {
+		t.Fatalf("after a truncate of %d pages: rcu.pending = %d, rcu.pending_pages = %d, want 1 and %d",
+			pages, cut["rcu.pending"], cut["rcu.pending_pages"], pages)
+	}
+	if err := a.ReleaseAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.Telemetry().Snapshot()["rcu.pending_pages"]; got != 0 {
+		t.Fatalf("rcu.pending_pages = %d after ReleaseAll, want 0", got)
 	}
 }
 

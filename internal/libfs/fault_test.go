@@ -1,10 +1,13 @@
 package libfs
 
 import (
+	"bytes"
 	"fmt"
+	"hash/crc32"
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"arckfs/internal/fsapi"
@@ -13,6 +16,7 @@ import (
 	"arckfs/internal/pmem"
 	"arckfs/internal/race"
 	"arckfs/internal/telemetry"
+	"arckfs/internal/verifier"
 )
 
 // faultCtl is the kernel made to fail on demand: the k-th call (from 1; 0
@@ -78,7 +82,32 @@ func (f *faultCtl) RenameLockAcquire(app kernel.AppID) error {
 type fsState struct {
 	names           map[string][]string
 	stats           map[string]string
+	data            map[string]string
 	free, reachable int
+}
+
+// diff lists what differs between st and want, one line each, or is
+// empty. Up to linked pages may have moved from free to reachable.
+func (st fsState) diff(want fsState, linked int) string {
+	var b strings.Builder
+	for _, m := range []struct {
+		got, want map[string]string
+	}{{st.stats, want.stats}, {st.data, want.data}} {
+		for k, v := range m.want {
+			if m.got[k] != v {
+				fmt.Fprintf(&b, "\n  %s: %s\n  %s  %s", k, m.got[k], strings.Repeat(" ", len(k)), v)
+			}
+		}
+	}
+	for d, v := range want.names {
+		if !reflect.DeepEqual(st.names[d], v) {
+			fmt.Fprintf(&b, "\n  readdir %s: %v, %v", d, st.names[d], v)
+		}
+	}
+	if st.free+st.reachable != want.free+want.reachable || st.reachable < want.reachable || st.reachable > want.reachable+linked {
+		fmt.Fprintf(&b, "\n  free %d, %d; reachable %d, %d", st.free, want.free, st.reachable, want.reachable)
+	}
+	return b.String()
 }
 
 // reachablePages counts the pages of every inode a walk of the committed
@@ -127,8 +156,17 @@ type faultCase struct {
 	opts  Options
 	setup func(t *testing.T, ctrl *kernel.Controller, fs *FS, w *Thread)
 	op    func(w *Thread) error
-	dirs  []string // Readdir'd
-	paths []string // Stat'd
+	// partial, if set, returns an op that does what the op that last
+	// failed documents it left done (a batch's first names), or nil if
+	// that is nothing.
+	partial func() func(w *Thread) error
+	// mayLink is how many pages a failed op may leave linked into a
+	// directory it wrote to and then undid: a log page holding only a dead
+	// record, still accounted for by free + reachable.
+	mayLink int
+	dirs    []string // Readdir'd
+	paths   []string // Stat'd
+	reads   []string // read whole
 }
 
 // run builds the case's state and runs its op with crossing k failed, and
@@ -138,7 +176,7 @@ type faultCase struct {
 func (c faultCase) run(t *testing.T, k int, sticky bool) (err error, st fsState, calls int) {
 	t.Helper()
 	dev := pmem.New(16<<20, nil)
-	ctrl, ferr := kernel.Format(dev, kernel.Options{InodeCap: 1 << 10})
+	ctrl, ferr := kernel.Format(dev, kernel.Options{Mode: verifier.Enhanced, InodeCap: 1 << 10})
 	if ferr != nil {
 		t.Fatal(ferr)
 	}
@@ -173,7 +211,7 @@ func (c faultCase) run(t *testing.T, k int, sticky bool) (err error, st fsState,
 			fs.spareDirs.Put(got)
 		}
 	}
-	st = fsState{names: map[string][]string{}, stats: map[string]string{}}
+	st = fsState{names: map[string][]string{}, stats: map[string]string{}, data: map[string]string{}}
 	for _, d := range c.dirs {
 		names, rerr := w.Readdir(d)
 		st.names[d] = append(names, fmt.Sprint(rerr))
@@ -181,6 +219,9 @@ func (c faultCase) run(t *testing.T, k int, sticky bool) (err error, st fsState,
 	for _, p := range c.paths {
 		s, serr := w.Stat(p)
 		st.stats[p] = fmt.Sprintf("%+v %v", s, serr)
+	}
+	for _, p := range c.reads {
+		st.data[p] = readWhole(w, p)
 	}
 	if rerr := fs.ReleaseAll(); rerr != nil {
 		t.Fatalf("crossing %d failed (sticky %v): ReleaseAll: %v", k, sticky, rerr)
@@ -193,10 +234,61 @@ func (c faultCase) run(t *testing.T, k int, sticky bool) (err error, st fsState,
 	return err, st, calls
 }
 
-// TestMkdirRmdirAllOrNothing fails each crossing Mkdir and Rmdir make, one
-// at a time, with the kernel's own error for it: the operation fails and
-// leaves the file system as it found it, or it recovers and leaves it as
-// it does when nothing fails.
+// readWhole is the bytes of the file at path, as a checksum and a length,
+// or the error reading it met.
+func readWhole(w *Thread, path string) string {
+	s, err := w.Stat(path)
+	if err != nil {
+		return err.Error()
+	}
+	fd, err := w.Open(path)
+	if err != nil {
+		return err.Error()
+	}
+	defer w.Close(fd)
+	buf := make([]byte, s.Size)
+	n, err := w.ReadAt(fd, buf, 0)
+	return fmt.Sprintf("%d bytes crc %08x %v", n, crc32.ChecksumIEEE(buf[:n]), err)
+}
+
+// check fails each crossing c's op makes, one at a time and from then on,
+// with the kernel's own error for it: the op fails and leaves the file
+// system as it found it (or as its documented prefix leaves it), or it
+// recovers and leaves it as it does when nothing fails.
+func (c faultCase) check(t *testing.T) {
+	_, before, _ := c.run(t, -1, false)
+	err, after, crossings := c.run(t, 0, false)
+	if err != nil {
+		t.Fatalf("with no crossing failed: %v", err)
+	}
+	if crossings == 0 {
+		t.Fatal("the operation made no crossing that can fail")
+	}
+	for _, sticky := range []bool{false, true} {
+		failed := 0
+		for k := 1; k <= crossings; k++ {
+			err, got, _ := c.run(t, k, sticky)
+			want := after
+			if err != nil {
+				failed++
+				want = before
+				if c.partial != nil {
+					if redo := c.partial(); redo != nil {
+						done := c
+						done.op = redo
+						_, want, _ = done.run(t, 0, false)
+					}
+				}
+			}
+			if d := got.diff(want, c.mayLink); d != "" {
+				t.Errorf("crossing %d of %d failed (sticky %v, op error %v): got, want%s", k, crossings, sticky, err, d)
+			}
+		}
+		t.Logf("%d crossings, sticky %v: %d failures reported", crossings, sticky, failed)
+	}
+}
+
+// TestMkdirRmdirAllOrNothing runs check over Mkdir and Rmdir.
 func TestMkdirRmdirAllOrNothing(t *testing.T) {
 	// A sync.Pool hands a Get what a Put on the same processor left, and
 	// keeps it while the collector is off.
@@ -230,29 +322,147 @@ func TestMkdirRmdirAllOrNothing(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			c.dirs, c.paths = dirs, paths
-			_, before, _ := c.run(t, -1, false)
-			err, after, crossings := c.run(t, 0, false)
-			if err != nil {
-				t.Fatalf("with no crossing failed: %v", err)
-			}
-			if crossings == 0 {
-				t.Fatal("the operation made no crossing that can fail")
-			}
-			for _, sticky := range []bool{false, true} {
-				failed := 0
-				for k := 1; k <= crossings; k++ {
-					err, got, _ := c.run(t, k, sticky)
-					want := after
-					if err != nil {
-						failed++
-						want = before
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("crossing %d of %d failed (sticky %v, op error %v):\n got %+v\nwant %+v", k, crossings, sticky, err, got, want)
-					}
-				}
-				t.Logf("%d crossings, sticky %v: %d failures reported", crossings, sticky, failed)
-			}
+			c.check(t)
 		})
+	}
+}
+
+// TestOpsAllOrNothing runs check over the other operations that cross:
+// Create, Unlink, Rename, WriteAt, Truncate and CreateBatch. Grants of one
+// page or one inode make the page and inode grants cross once per
+// resource.
+func TestOpsAllOrNothing(t *testing.T) {
+	dirs, paths := []string{"/", "/d", "/d/e", "/q", "/q/e"}, []string{"/d/f", "/d/g", "/d/e/f", "/d/new", "/d/a", "/d/b", "/d/c"}
+	one := Options{GrantPageBatch: 1, GrantInoBatch: 1}
+	page := make([]byte, layout.PageSize)
+	for i := range page {
+		page[i] = byte(i) | 1
+	}
+	write := func(n int) func(w *Thread) error {
+		return func(w *Thread) error {
+			fd, err := w.Open("/d/f")
+			if err != nil {
+				return err
+			}
+			defer w.Close(fd)
+			for i := range n {
+				if _, err := w.WriteAt(fd, page, int64(i)*layout.PageSize); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	// setupWrite leaves /d/f holding n pages, released.
+	setupWrite := func(n int) func(t *testing.T, _ *kernel.Controller, fs *FS, w *Thread) {
+		return func(t *testing.T, _ *kernel.Controller, fs *FS, w *Thread) {
+			if err := write(n)(w); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.ReleaseAll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var fd fsapi.FD
+	openF := func(t *testing.T, _ *kernel.Controller, _ *FS, w *Thread) {
+		var err error
+		if fd, err = w.Open("/d/f"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	big := make([]byte, 5*layout.PageSize)
+	for i := range big {
+		big[i] = byte(i*7) | 1
+	}
+	names, made := []string{"a", "b", "c"}, 0
+	for _, c := range []faultCase{
+		{name: "create", opts: one, op: func(w *Thread) error { return w.Create("/d/new") }},
+		{name: "unlink", op: func(w *Thread) error { return w.Unlink("/d/f") }},
+		{name: "rename", op: func(w *Thread) error { return w.Rename("/d/f", "/d/g") }},
+		// Undone after its last crossing fails, a move leaves the first log
+		// page of the empty new parent behind.
+		{name: "rename across directories", mayLink: 1, op: func(w *Thread) error { return w.Rename("/d/f", "/d/e/f") }},
+		{name: "rename a directory across directories", mayLink: 1, setup: func(t *testing.T, _ *kernel.Controller, fs *FS, w *Thread) {
+			if err := w.Mkdir("/q"); err != nil {
+				t.Fatal(err)
+			}
+		}, op: func(w *Thread) error { return w.Rename("/d/e", "/q/e") }},
+		{name: "write", opts: one, setup: openF, op: func(w *Thread) error {
+			_, err := w.WriteAt(fd, big, 0)
+			return err
+		}},
+		{name: "write past the end", opts: one, setup: setupWrite(2), op: func(w *Thread) error {
+			fd, err := w.Open("/d/f")
+			if err != nil {
+				return err
+			}
+			_, err = w.WriteAt(fd, big, layout.PageSize+100)
+			return err
+		}},
+		{name: "truncate up", opts: one, op: func(w *Thread) error { return w.Truncate("/d/f", 1100*layout.PageSize) }},
+		{name: "create batch", opts: one, op: func(w *Thread) error {
+			var err error
+			made, err = w.CreateBatch("/d", names)
+			return err
+		}, partial: func() func(w *Thread) error {
+			if made == 0 {
+				return nil
+			}
+			n := made
+			return func(w *Thread) error {
+				_, err := w.CreateBatch("/d", names[:n])
+				return err
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			c.dirs, c.paths, c.reads = dirs, paths, []string{"/d/f", "/d/g", "/d/e/f"}
+			c.check(t)
+		})
+	}
+}
+
+// TestWriteRetriedAfterRefusedGrant: a write whose page grant the kernel
+// refuses, retried once the kernel grants again, is read back whole by
+// another application after the release. A write that kept the pages it
+// had taken before the refusal found them in its block index on the
+// retry and never persisted their pointers: the peer read zeroes.
+func TestWriteRetriedAfterRefusedGrant(t *testing.T) {
+	ctrl, err := kernel.Format(pmem.New(16<<20, nil), kernel.Options{Mode: verifier.Enhanced, InodeCap: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := New(ctrl, ctrl.RegisterApp(0, 0), Options{GrantPageBatch: 1})
+	fc := &faultCtl{kernelCtl: fs.ctrl}
+	fs.ctrl = fc
+	w := th(t, fs)
+	if err := w.Create("/f"); err != nil {
+		t.Fatal(err)
+	}
+	fd, err := w.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte{7}, 5*layout.PageSize)
+	fc.calls, fc.k, fc.sticky = 0, 2, true // the second page grant on
+	if _, err := w.WriteAt(fd, want, 0); err == nil {
+		t.Fatal("the write succeeded with its second grant refused")
+	}
+	fc.k = 0
+	if _, err := w.WriteAt(fd, want, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.ReleaseAll(); err != nil {
+		t.Fatal(err)
+	}
+	r := th(t, New(ctrl, ctrl.RegisterApp(0, 0), Options{}))
+	rfd, err := r.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(want))
+	if n, err := r.ReadAt(rfd, got, 0); n != len(want) || err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("the peer read %d bytes (%v), equal %v", n, err, bytes.Equal(got, want))
 	}
 }

@@ -159,27 +159,35 @@ func (fs *FS) writeAt(t *Thread, mi *minode, p []byte, off int64) (int, error) {
 
 	end := uint64(off) + uint64(len(p))
 	needBlocks := layout.BlocksForSize(end)
+	firstBlock := int(off / layout.PageSize)
+	lastBlock := int((end - 1) / layout.PageSize)
+	arr := st.blockArr()
+	missing := 0
+	for bi := firstBlock; bi <= lastBlock; bi++ {
+		if bi >= len(arr) || arr[bi].Load() == 0 {
+			missing++
+		}
+	}
+	if err := fs.takePages(t, missing+st.mapShort(needBlocks)); err != nil {
+		return 0, err
+	}
+	fresh := t.fresh
 	curSize := st.size.Load()
 	if uint64(off) > curSize {
 		fs.zeroGap(t, st, curSize, uint64(off))
 	}
 
-	// Pass 1: allocate every missing block the write touches. Its zeroes,
-	// like zeroGap's, are durable at the data barrier.
+	// Pass 1: install a taken page at every missing block the write
+	// touches. Its zeroes, like zeroGap's, are durable at the data barrier.
 	t.dirty = t.dirty[:0]
 	st.ensureBlocks(needBlocks)
-	arr := st.blockArr()
-	firstBlock := int(off / layout.PageSize)
-	lastBlock := int((end - 1) / layout.PageSize)
+	arr = st.blockArr()
 	for bi := firstBlock; bi <= lastBlock; bi++ {
 		if arr[bi].Load() != 0 {
 			continue
 		}
-		b, err := fs.allocPage(t, t.cpu)
-		if err != nil {
-			t.pb.Drain()
-			return 0, err
-		}
+		b := fresh[0]
+		fresh = fresh[1:]
 		// A fresh block below the published size is reachable the
 		// instant its pointer is stored, before pass 2 copies the data:
 		// a lock-free reader must find zeroes there, never the recycled
@@ -216,10 +224,7 @@ func (fs *FS) writeAt(t *Thread, mi *minode, p []byte, off int64) (int, error) {
 	}
 
 	// Extend the map chain to cover needBlocks entries.
-	if err := fs.ensureMapCapacity(t, mi, needBlocks); err != nil {
-		t.pb.Drain()
-		return written, err
-	}
+	fs.linkMapPages(t, mi, fresh)
 	for _, bi := range t.dirty {
 		page := st.mapPages[bi/layout.MapEntriesPerPage]
 		layout.SetMapEntry(fs.dev, page, bi%layout.MapEntriesPerPage, arr[bi].Load())
@@ -245,17 +250,28 @@ func (fs *FS) writeAt(t *Thread, mi *minode, p []byte, off int64) (int, error) {
 	return written, nil
 }
 
-// ensureMapCapacity grows the file's map chain to hold n entries. New map
-// pages are stream-zeroed and fenced before being linked, as the old code
-// did with a full-page flush loop.
-func (fs *FS) ensureMapCapacity(t *Thread, mi *minode, n int) error {
-	st := mi.file.Load()
-	needPages := (n + layout.MapEntriesPerPage - 1) / layout.MapEntriesPerPage
-	for len(st.mapPages) < needPages {
+// takePages replaces t.fresh with n granted pages. An operation takes
+// every page it will link before it changes anything, so a grant the
+// kernel refuses fails it whole: the pages taken by then go back through
+// a grace period, like any the file system let go of.
+func (fs *FS) takePages(t *Thread, n int) error {
+	t.fresh = t.fresh[:0]
+	for range n {
 		p, err := fs.allocPage(t, t.cpu)
 		if err != nil {
+			fs.retire(t.cpu, slices.Clone(t.fresh))
 			return err
 		}
+		t.fresh = append(t.fresh, p)
+	}
+	return nil
+}
+
+// linkMapPages appends pages to the file's map chain. Each is
+// stream-zeroed and fenced before it is linked.
+func (fs *FS) linkMapPages(t *Thread, mi *minode, pages []uint64) {
+	st := mi.file.Load()
+	for _, p := range pages {
 		t.pb.ZeroStream(int64(p*layout.PageSize), layout.PageSize)
 		t.pb.Barrier()
 		if len(st.mapPages) > 0 {
@@ -267,7 +283,6 @@ func (fs *FS) ensureMapCapacity(t *Thread, mi *minode, n int) error {
 		st.mapPages = append(st.mapPages, p)
 		st.added(mi, p)
 	}
-	return nil
 }
 
 // zeroGap zeroes [from, to) in every allocated block of st: the bytes a
@@ -348,9 +363,10 @@ func (t *Thread) Truncate(path string, size uint64) (err error) {
 	}
 	st := mi.file.Load()
 	if old := st.size.Load(); size >= old {
-		if err := fs.ensureMapCapacity(t, mi, layout.BlocksForSize(size)); err != nil {
+		if err := fs.takePages(t, st.mapShort(layout.BlocksForSize(size))); err != nil {
 			return err
 		}
+		fs.linkMapPages(t, mi, t.fresh)
 		// The zeroes get their own epoch: a crash must not keep the new
 		// size without them. A grow from an aligned size stores none.
 		if fs.zeroGap(t, st, old, size) {

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"arckfs/internal/kernel"
+	"arckfs/internal/layout"
 	"arckfs/internal/pmem"
 )
 
@@ -150,4 +152,54 @@ func pagesOut(t *testing.T, fs *FS) int64 {
 		t.Fatal(err)
 	}
 	return u.PagesOut
+}
+
+// TestTruncatedPagesComeBackAfterOneGracePeriod appends n pages to a file
+// and truncates it to nothing, cycles times over, with n the domain's
+// bound on deferred pages: each truncate retires one object holding n
+// pages, which must start a grace period by its weight alone, so the next
+// cycle's appends take the same pages back from the pool instead of
+// drawing n fresh ones from the kernel. The test only waits for the
+// background grace period (no Synchronize, no Barrier), and the device is
+// large enough that no grant fails, which would drain the queue itself.
+func TestTruncatedPagesComeBackAfterOneGracePeriod(t *testing.T) {
+	const n, cycles = 4096, 4
+	ctrl, err := kernel.Format(pmem.New(96<<20, nil), kernel.Options{InodeCap: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := New(ctrl, ctrl.RegisterApp(0, 0), Options{})
+	w := th(t, fs)
+	if err := w.Create("/f"); err != nil {
+		t.Fatal(err)
+	}
+	fd, err := w.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := make([]byte, 16*layout.PageSize)
+	deadline := time.Now().Add(5 * time.Second)
+	for c := range cycles {
+		for off := 0; off < n*layout.PageSize; off += len(chunk) {
+			if _, err := w.WriteAt(fd, chunk, int64(off)); err != nil {
+				t.Fatalf("cycle %d: append at %d: %v", c, off, err)
+			}
+		}
+		if err := w.Truncate("/f", 0); err != nil {
+			t.Fatal(err)
+		}
+		for fs.dom.Pending() > 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if free := ctrl.FreeCount(); free < 2*fs.opts.GrantPageBatch {
+		t.Fatalf("%d pages left free: a grant may have failed and drained the queue", free)
+	}
+	limit := 2*n + 4*fs.opts.GrantPageBatch
+	got := pagesOut(t, fs)
+	t.Logf("%d cycles of %d pages drew %d pages", cycles, n, got)
+	if got > int64(limit) {
+		t.Fatalf("%d cycles of %d pages drew %d pages from the kernel, want at most %d (%d still retired)",
+			cycles, n, got, limit, fs.dom.Pending())
+	}
 }

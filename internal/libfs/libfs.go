@@ -460,6 +460,10 @@ func (r *retiree) Reclaim() {
 	}
 }
 
+// Weight is what r counts against the domain's bound on deferred pages
+// (rcu.Weigher).
+func (r *retiree) Weight() int { return len(r.pages) }
+
 // retire queues pages, which it keeps, for reuse after a grace period.
 func (fs *FS) retire(cpu int, pages []uint64) {
 	if len(pages) > 0 {
@@ -526,11 +530,13 @@ type Thread struct {
 
 	// Scratch an operation fills and is done with before it returns: the
 	// inode record being streamed (see streamInode), the block indexes a
-	// write installed, the pages a truncate unpublished, and a crossing of
-	// one inode's request and answer (arrays on the stack would escape
-	// through the kernelCtl call).
+	// write installed, the pages it took before linking them (takePages),
+	// the pages a truncate unpublished, and a crossing of one inode's
+	// request and answer (arrays on the stack would escape through the
+	// kernelCtl call).
 	rec     [layout.InodeSize]byte
 	dirty   []int
+	fresh   []uint64
 	freed   []uint64
 	req     [1]uint64
 	acqOut  [1]*kernel.Mapping

@@ -73,6 +73,9 @@ type minode struct {
 // Reclaim runs after the grace period (rcu.Reclaimer).
 func (mi *minode) Reclaim() { mi.gone.Reclaim() }
 
+// Weight is the pages mi carries back (rcu.Weigher).
+func (mi *minode) Weight() int { return mi.gone.Weight() }
+
 // attrCache holds an inode's changing attributes in place, under a
 // sequence counter: odd while a writer is inside. Writers — concurrent
 // creators in different buckets of one directory are the case — take turns
@@ -298,6 +301,11 @@ func (st *fileState) blockArr() []atomic.Uint64 {
 		return *p
 	}
 	return nil
+}
+
+// mapShort is how many pages the map chain lacks to index n blocks.
+func (st *fileState) mapShort(n int) int {
+	return max(0, (n+layout.MapEntriesPerPage-1)/layout.MapEntriesPerPage-len(st.mapPages))
 }
 
 // ensureBlocks grows the published index to hold at least n entries and

@@ -120,7 +120,7 @@ func (t *Thread) Rename(oldPath, newPath string) (err error) {
 		// parent can be committed or released; this is the per-operation
 		// verification that advances the child's shadow parent pointer.
 		if err := fs.commitCrossing(t, newDir.ino); err != nil {
-			return err
+			return fs.unmove(t, child, oldDir, oldName, newDir, newName, err)
 		}
 	}
 	return nil
@@ -200,4 +200,17 @@ func (fs *FS) isAncestor(anc, node *minode) bool {
 	}
 	// Depth bound exceeded: an existing cycle; refuse the operation.
 	return true
+}
+
+// unmove undoes a cross-directory move whose Rule 2 commit failed with
+// err, which it returns: uncommitted, the move would read as an unlink to
+// a release that reaches the old parent first. The old name goes back
+// first, as the forward move inserts before it removes; should that fail
+// too, the move stays.
+func (fs *FS) unmove(t *Thread, child, oldDir *minode, oldName string, newDir *minode, newName string, err error) error {
+	if _, ierr := fs.insertEntry(t, oldDir, child.ino, oldName, nil); ierr == nil {
+		_, _ = fs.removeEntry(t, newDir, newName, nil)
+		fs.rewriteParent(t, child, oldDir.ino)
+	}
+	return err
 }

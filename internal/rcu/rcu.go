@@ -14,6 +14,10 @@
 // holds the object itself, as a Reclaimer, and a grace period sorts the
 // queue into a buffer it keeps, so a retire-and-reclaim cycle in steady
 // state allocates nothing either.
+//
+// The queue is bounded in pages, not objects: a Reclaimer that holds
+// pages reports how many (Weigher), and Retire starts a background grace
+// period once the queue holds autoReclaimPages of them.
 package rcu
 
 import (
@@ -31,6 +35,19 @@ type Reclaimer interface {
 	Reclaim()
 }
 
+// Weigher is implemented by a Reclaimer that holds pages: Weight is how
+// many, read once, when it is retired. An object without the method, or
+// whose Weight is below 1, weighs 1.
+type Weigher interface {
+	Weight() int
+}
+
+// autoReclaimPages is the queued weight at which Retire starts a
+// background grace period: it bounds what a domain defers at 16 MiB of
+// 4 KiB pages (and at 4 096 objects that hold none), the batching
+// userspace-RCU's call_rcu does.
+const autoReclaimPages = 4096
+
 // Domain is an independent RCU context. A file system instance owns one.
 type Domain struct {
 	epoch atomic.Uint64 // global epoch, starts at 1
@@ -40,33 +57,31 @@ type Domain struct {
 	mu      sync.Mutex
 	readers atomic.Pointer[[]*Reader]
 
-	cbMu     sync.Mutex
-	retired  []deferred   // the queue, in retire order
-	inflight atomic.Int64 // reaped objects not yet reclaimed
+	cbMu          sync.Mutex
+	retired       []deferred   // the queue, in retire order
+	weight        int          // the queue's total weight
+	inflight      atomic.Int64 // reaped objects not yet reclaimed
+	inflightPages atomic.Int64 // and their weight
 
 	// reapMu lets one grace period reclaim at a time, so that ripe — what
 	// it took off the queue — can be one buffer, kept between them.
 	reapMu sync.Mutex
 	ripe   []deferred
 
-	graces    atomic.Int64
-	reclaimed atomic.Int64
-
-	// AutoReclaimThreshold triggers an asynchronous grace period once
-	// this many objects are queued, bounding deferred memory the way
-	// userspace-RCU's batched reclamation does. Zero disables it.
-	AutoReclaimThreshold int
-	reclaiming           atomic.Bool
+	graces     atomic.Int64
+	reclaimed  atomic.Int64
+	reclaiming atomic.Bool // a background grace period is running
 }
 
 type deferred struct {
-	epoch uint64 // epoch at Retire
-	obj   Reclaimer
+	epoch  uint64 // epoch at Retire
+	weight int
+	obj    Reclaimer
 }
 
-// NewDomain creates an RCU domain with auto-reclamation enabled.
+// NewDomain creates an RCU domain.
 func NewDomain() *Domain {
-	d := &Domain{AutoReclaimThreshold: 4096}
+	d := &Domain{}
 	d.epoch.Store(1)
 	return d
 }
@@ -163,16 +178,20 @@ func (d *Domain) Synchronize() {
 
 // Retire queues obj to be reclaimed after a grace period. It may be
 // called from writers holding locks; Reclaim runs on a later Synchronize
-// (or Barrier). When the queue exceeds AutoReclaimThreshold, a background
-// grace period drains it.
+// (or Barrier). When the queue's weight reaches autoReclaimPages, a
+// background grace period drains it.
 func (d *Domain) Retire(obj Reclaimer) {
+	w := 1
+	if o, ok := obj.(Weigher); ok {
+		w = max(o.Weight(), 1)
+	}
 	e := d.epoch.Load()
 	d.cbMu.Lock()
-	d.retired = append(d.retired, deferred{epoch: e, obj: obj})
-	n := len(d.retired)
+	d.retired = append(d.retired, deferred{epoch: e, weight: w, obj: obj})
+	d.weight += w
+	full := d.weight >= autoReclaimPages
 	d.cbMu.Unlock()
-	if d.AutoReclaimThreshold > 0 && n >= d.AutoReclaimThreshold &&
-		d.reclaiming.CompareAndSwap(false, true) {
+	if full && d.reclaiming.CompareAndSwap(false, true) {
 		go func() {
 			d.Synchronize()
 			d.reclaiming.Store(false)
@@ -194,23 +213,28 @@ func (d *Domain) reap(now uint64) {
 	d.reapMu.Lock()
 	defer d.reapMu.Unlock()
 	ripe := d.ripe[:0]
+	weight := 0
 	d.cbMu.Lock()
 	rest := d.retired[:0]
 	for _, r := range d.retired {
 		if r.epoch < now {
 			ripe = append(ripe, r)
+			weight += r.weight
 		} else {
 			rest = append(rest, r)
 		}
 	}
 	clear(d.retired[len(rest):])
 	d.retired = rest
+	d.weight -= weight
 	d.inflight.Add(int64(len(ripe)))
+	d.inflightPages.Add(int64(weight))
 	d.cbMu.Unlock()
 	for i := range ripe {
 		ripe[i].obj.Reclaim()
 		ripe[i].obj = nil
 		d.inflight.Add(-1)
+		d.inflightPages.Add(-int64(ripe[i].weight))
 	}
 	d.reclaimed.Add(int64(len(ripe)))
 	d.ripe = ripe
@@ -234,6 +258,15 @@ func (d *Domain) Barrier() {
 func (d *Domain) Pending() int {
 	d.cbMu.Lock()
 	n := len(d.retired) + int(d.inflight.Load())
+	d.cbMu.Unlock()
+	return n
+}
+
+// PendingPages is Pending counted in weight: the pages queued or being
+// reclaimed, an object that holds none counting 1.
+func (d *Domain) PendingPages() int {
+	d.cbMu.Lock()
+	n := d.weight + int(d.inflightPages.Load())
 	d.cbMu.Unlock()
 	return n
 }

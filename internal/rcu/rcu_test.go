@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"arckfs/internal/race"
 )
@@ -243,5 +244,50 @@ func TestReclaimOrder(t *testing.T) {
 	}
 	if len(got) != 40 {
 		t.Fatalf("%d of 40 reclaimed", len(got))
+	}
+}
+
+type pagesObj struct {
+	pages     int
+	reclaimed atomic.Bool
+}
+
+func (o *pagesObj) Reclaim()    { o.reclaimed.Store(true) }
+func (o *pagesObj) Weight() int { return o.pages }
+
+// TestAutoReclaimCountsPages: the background grace period starts when the
+// queue holds autoReclaimPages pages, not that many objects. One object
+// that weighs the bound is reclaimed on its own, with no Synchronize or
+// Barrier; one object short of the bound, each weighing 1 (an object
+// without Weight, or one holding no pages), still waits.
+func TestAutoReclaimCountsPages(t *testing.T) {
+	short := NewDomain()
+	objs := make([]countedObj, autoReclaimPages-2)
+	for i := range objs {
+		short.Retire(&objs[i])
+	}
+	short.Retire(&pagesObj{})
+	if p, n := short.PendingPages(), short.Pending(); p != autoReclaimPages-1 || n != autoReclaimPages-1 {
+		t.Fatalf("PendingPages = %d, Pending = %d, want %d each", p, n, autoReclaimPages-1)
+	}
+
+	full := NewDomain()
+	big := &pagesObj{pages: autoReclaimPages}
+	full.Retire(big)
+	for deadline := time.Now().Add(5 * time.Second); !big.reclaimed.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("an object of %d pages not reclaimed within 5 s: %d grace periods, %d pages pending",
+				autoReclaimPages, full.GracePeriods(), full.PendingPages())
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); full.PendingPages() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d pages pending after the reclaim", full.PendingPages())
+		}
+	}
+
+	if g := short.GracePeriods(); g != 0 || short.Pending() != autoReclaimPages-1 {
+		t.Fatalf("%d objects short of the bound started %d grace periods, %d left pending",
+			autoReclaimPages-1, g, short.Pending())
 	}
 }

@@ -259,7 +259,7 @@ func TestRetiredTenantsLeaveNoGoroutines(t *testing.T) {
 // syscalls.avoided) must keep a retired tenant's totals, because tools read
 // them as deltas. Levels are exempt — they are allowed to fall.
 func TestCountersSurviveRetire(t *testing.T) {
-	levels := map[string]bool{"rcu.pending": true}
+	levels := map[string]bool{"rcu.pending": true, "rcu.pending_pages": true}
 	sys := newSys(t)
 	reg := NewRegistry(sys)
 	tn, err := reg.Spawn(kernel.Quota{})

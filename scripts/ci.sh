@@ -96,4 +96,12 @@ echo "$result" | grep -q '"failed":0,'
 allocs="$(echo "$result" | sed -n 's/.*"allocs_per_op":{"value":\([0-9.eE+-]*\).*/\1/p')"
 awk -v a="$allocs" 'BEGIN { if (a == "" || a + 0 > 1.0) { print "kv_app allocs_per_op " a ", want at most 1.0" > "/dev/stderr"; exit 1 } }'
 
+step "repo benchmark: data_rw, 1 s, seed 1 (correct, nothing failed, at most 110 MiB peak RSS)"
+result="$(bash benchmark/run.sh --workload data_rw --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+echo "$result"
+echo "$result" | grep -q '"correct":true'
+echo "$result" | grep -q '"failed":0,'
+rss="$(echo "$result" | sed -n 's/.*"peak_rss_mb":{"value":\([0-9.eE+-]*\).*/\1/p')"
+awk -v r="$rss" 'BEGIN { if (r == "" || r + 0 > 110) { print "data_rw peak_rss_mb " r ", want at most 110" > "/dev/stderr"; exit 1 } }'
+
 printf '\nci.sh: all steps passed\n'

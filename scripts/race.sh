@@ -43,8 +43,9 @@ go test -race \
 # harvesting the bit of a page a store races it to, and the LibFS inode
 # table's stores, deletes and walks beside lock-free loads. A create
 # filling the dead slot an unlink on another tail just freed, and lock-free
-# lookups racing an rmdir whose directory state a mkdir reuses, run ten
-# times over.
+# lookups racing an rmdir whose directory state a mkdir reuses, and a
+# lock-free read racing a truncate whose pages come back after one grace
+# period, run ten times over.
 step "race at GOMAXPROCS 1, 2, 4"
 for p in 1 2 4; do
   GOMAXPROCS=$p go test -race \
@@ -52,7 +53,7 @@ for p in 1 2 4; do
   GOMAXPROCS=$p go test -race -count=2 \
     -run 'Compact|HandoffChurn|HandoffTurn|Reacquire|UnlinkOfCommitted|ReleaseAllSpan|ReleaseAllLockOrder|TestBug43|TestBug46|ShardStress|ParsesOnce|Delegated|RepeatAcquire|StatNeverTears|StatVsConcurrentWriters|CountedSpin|AcquireGuard|ACLDies|ShardStatsKinds|PageGrantsCross|TestCrossing|InodeRecordCrashAtomic|LookupDuringGrowth|GrowthZeroes|AcquireBatch|TestPrefetch|ConcurrentMissesOneBatch|GrownCommittedFileLeaksNoPages|AllocReclaims|EpochBoundary|ShardWaitSpanEvents|DirtyBits|TestInodeTableConcurrent' \
     ./internal/libfs/ ./internal/kernel/ ./internal/htable/ ./internal/hlock/
-  GOMAXPROCS=$p go test -race -count=10 -run 'TestDeadSlotReuseConcurrent|TestSpareDirVsLockFreeReaders' ./internal/libfs/
+  GOMAXPROCS=$p go test -race -count=10 -run 'TestDeadSlotReuseConcurrent|TestSpareDirVsLockFreeReaders|TestReadAtVsTruncateReclaim' ./internal/libfs/
   GOMAXPROCS=$p go test -race -count=2 -run 'AppRowMatchesDevice|AppStatsCountEveryCrossing' ./internal/core/
   GOMAXPROCS=$p go test -race -count=2 -run 'ConcurrentReaders|WAL' ./internal/kv/
 done
