@@ -350,10 +350,29 @@ func (t *Table) Intern(name []byte) string {
 	return string(name)
 }
 
-// Reserve readies the table to take n more names with one allocation for
-// their entries; with InitialBuckets from BucketsFor(n), the way to build
-// a table for a directory of known size.
-func (t *Table) Reserve(n int) { t.pool.reserve(n) }
+// Reserve readies the table to take n more names without growing: one
+// allocation for the entries its freelist and slab do not cover and, if it
+// is empty and has fewer buckets than BucketsFor(n), one for a bucket array
+// of that many. With InitialBuckets from BucketsFor(n), the way to build a
+// table for a directory of known size.
+func (t *Table) Reserve(n int) {
+	t.pool.reserve(n)
+	if b := BucketsFor(n); len(t.arr.Load().buckets) < b {
+		arr := t.lockAll()
+		if t.Len() == 0 && len(arr.buckets) < b {
+			t.arr.Store(newBucketArray(b))
+		}
+		t.unlockAll(arr)
+	}
+}
+
+// Capacity is how many names the table holds before it allocates entries:
+// those it holds, and those its freelist and slab can still take.
+func (t *Table) Capacity() int {
+	t.pool.mu.Lock()
+	defer t.pool.mu.Unlock()
+	return t.Len() + t.pool.nfree + len(t.pool.slab)
+}
 
 // BucketsFor returns the InitialBuckets under which n entries insert
 // without the table growing.
@@ -481,19 +500,40 @@ func (t *Table) EachLocked(fn func(e *Entry)) {
 // unlike LockAll it allocates nothing.
 func (t *Table) Drain() { t.unlockAll(t.lockAll()) }
 
-// Reuse readies t for a new owner once no reader or writer can reach it,
-// and reports whether it can have one: only an empty table can. The table
-// keeps its options and its entries, on their freelist, and its bucket
-// array if that has at most maxBuckets buckets; a larger one is replaced by
-// an array of buckets buckets, a power of two.
-func (t *Table) Reuse(maxBuckets, buckets int) bool {
+// IfEmpty runs fn with every bucket locked, and resizing blocked, if the
+// table is empty, and reports whether it ran: no writer adds a name to the
+// table while fn runs.
+func (t *Table) IfEmpty(fn func()) bool {
+	arr := t.lockAll()
+	defer t.unlockAll(arr)
 	if t.Len() != 0 {
 		return false
 	}
-	if len(t.arr.Load().buckets) > maxBuckets {
+	fn()
+	return true
+}
+
+// Clear empties t for a new owner once no reader can reach it: under every
+// bucket lock, which a writer that still holds t may take, its entries go
+// to its freelist. It keeps its options and its bucket array if that has at
+// most maxBuckets buckets; a larger one is replaced by an array of buckets
+// buckets, a power of two.
+func (t *Table) Clear(maxBuckets, buckets int) {
+	arr := t.lockAll()
+	for i := range arr.buckets {
+		b := &arr.buckets[i]
+		for e := b.head.Load(); e != nil; {
+			next := e.next.Load()
+			t.pool.release(e)
+			e = next
+		}
+		b.head.Store(nil)
+	}
+	t.count.Store(0)
+	if len(arr.buckets) > maxBuckets {
 		t.arr.Store(newBucketArray(buckets))
 	}
-	return true
+	t.unlockAll(arr)
 }
 
 // maybeGrow doubles the bucket array when the load factor exceeds 4.

@@ -243,9 +243,10 @@ func TestReleaseAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestReuse: only an empty table can be reused; it keeps its entries, and
+// TestReuse: Clear empties a table into its freelist, and the table keeps
 // its bucket array up to the cap it is given, so the next owner takes as
-// many names as the last one held without allocating.
+// many names as the last one held without allocating. Reserve makes an
+// emptied table's array, back at the default size, big enough again.
 func TestReuse(t *testing.T) {
 	const names = 1000 // grows the table to 256 buckets
 	tbl := New(Options{})
@@ -254,36 +255,34 @@ func TestReuse(t *testing.T) {
 		keys[i] = fmt.Sprintf("n%d", i)
 		tbl.Insert(keys[i], uint64(i), 0)
 	}
-	if tbl.Reuse(1<<20, 8) {
-		t.Fatal("a table holding names was reused")
-	}
-	for _, k := range keys {
-		tbl.Delete(k)
-	}
-	grown := tbl.arr.Load()
-	if !tbl.Reuse(len(grown.buckets), 8) || tbl.arr.Load() != grown {
-		t.Fatal("an empty table at the cap was not reused as it is")
+	grown, held := tbl.arr.Load(), tbl.Capacity()
+	tbl.Clear(len(grown.buckets), 8)
+	if _, _, ok, _ := tbl.Lookup(nil, keys[7]); ok || tbl.Len() != 0 || tbl.Capacity() != held || tbl.arr.Load() != grown {
+		t.Fatalf("a cleared table: lookup %v, %d names, capacity %d (was %d), array kept %v",
+			ok, tbl.Len(), tbl.Capacity(), held, tbl.arr.Load() == grown)
 	}
 	if !race.Enabled {
 		if n := testing.AllocsPerRun(1, func() {
 			for i, k := range keys {
 				tbl.Insert(k, uint64(i), 0)
 			}
-			for _, k := range keys {
-				tbl.Delete(k)
-			}
+			tbl.Clear(len(grown.buckets), 8)
 		}); n != 0 {
 			t.Fatalf("the reused table allocates %v objects for the names it held", n)
 		}
 	}
-	if !tbl.Reuse(len(grown.buckets)-1, 8) || len(tbl.arr.Load().buckets) != 8 {
+	tbl.Insert(keys[0], 0, 0)
+	if tbl.Clear(len(grown.buckets)-1, 8); len(tbl.arr.Load().buckets) != 8 || tbl.Len() != 0 {
 		t.Fatalf("an array over the cap kept %d buckets, want 8", len(tbl.arr.Load().buckets))
+	}
+	if tbl.Reserve(names); len(tbl.arr.Load().buckets) != BucketsFor(names) {
+		t.Fatalf("Reserve(%d) left %d buckets, want %d", names, len(tbl.arr.Load().buckets), BucketsFor(names))
 	}
 	for i, k := range keys {
 		tbl.Insert(k, uint64(i), 0)
 	}
-	if ino, _, ok, _ := tbl.Lookup(nil, keys[7]); !ok || ino != 7 || tbl.Len() != names {
-		t.Fatalf("after a reuse: lookup %d, %v; %d names", ino, ok, tbl.Len())
+	if ino, _, ok, _ := tbl.Lookup(nil, keys[7]); !ok || ino != 7 || tbl.Len() != names || tbl.arr.Load().mask != uint32(BucketsFor(names)-1) {
+		t.Fatalf("after a reuse: lookup %d, %v; %d names; %d buckets", ino, ok, tbl.Len(), len(tbl.arr.Load().buckets))
 	}
 }
 

@@ -197,8 +197,9 @@ func TestHandoffTurns(t *testing.T) {
 // shadow entry, its snapshot (one object), its name and the mapping its
 // release leaves dormant, and the mapping of each of the 6 inodes the turn
 // acquires. The rest is the inode grant and the directory verification's
-// lists of what changed. A superseded snapshot's struct and view storage
-// are reused, and so are the results of each verification and crossing.
+// lists of what changed. A superseded snapshot's struct and view storage,
+// the directory's entry list among it, are reused, and so are the results
+// of each verification and crossing.
 func TestHandoffTurnAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -207,8 +208,10 @@ func TestHandoffTurnAllocations(t *testing.T) {
 	for b.turns < 16 {
 		b.turn()
 	}
-	const limit = 84
-	if got := testing.AllocsPerRun(16, b.turn); got > limit {
+	const limit = 83
+	got := testing.AllocsPerRun(16, b.turn)
+	t.Logf("%v allocations a turn", got)
+	if got > limit {
 		t.Fatalf("a handoff turn allocates %v objects in the kernel, want at most %d", got, limit)
 	}
 }

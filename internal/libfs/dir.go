@@ -372,12 +372,14 @@ func (fs *FS) fillDentry(t *Thread, mi *minode, r layout.DentryRef, childIno uin
 }
 
 // removeEntry unlinks name from mi and invalidates its persistent
-// record, honoring the §4.4 critical-section setting. doomed, for an entry
-// whose inode goes away with it, destroys that inode inside the critical
-// section: a release of mi — which needs every bucket lock — then never
-// finds the entry gone and the inode still there, in the inode table or
-// half-zeroed on the device. It returns the removed child's ino.
-func (fs *FS) removeEntry(t *Thread, mi *minode, name string, doomed func(ino uint64)) (uint64, error) {
+// record, honoring the §4.4 critical-section setting. With want other than
+// 0 the patched path refuses, with ErrNotExist, an entry that names
+// another inode. doomed, for an entry whose inode goes away with it,
+// destroys that inode inside the critical section: a release of mi — which
+// needs every bucket lock — then never finds the entry gone and the inode
+// still there, in the inode table or half-zeroed on the device. It returns
+// the removed child's ino.
+func (fs *FS) removeEntry(t *Thread, mi *minode, name string, want uint64, doomed func(ino uint64)) (uint64, error) {
 	if err := fs.checkMapped(mi); err != nil {
 		return 0, err
 	}
@@ -409,7 +411,7 @@ func (fs *FS) removeEntry(t *Thread, mi *minode, name string, doomed func(ino ui
 	var ino uint64
 	err := fs.withHeldBucket(t, mi, name, func(ds *dirState, lb htable.LockedBucket) error {
 		e, ok := lb.Get(name)
-		if !ok {
+		if !ok || want != 0 && e.Ino != want {
 			return fsapi.ErrNotExist
 		}
 		if err := fs.checkMapped(mi); err != nil {
@@ -492,7 +494,7 @@ func (t *Thread) Mkdir(path string) (err error) {
 	}
 	t.streamInode(ino, &in)
 	mi := &minode{ino: ino, typ: layout.TypeDir}
-	ds := fs.spareDir(tailset, ntails)
+	ds := fs.emptyDir(tailset, ntails, 0)
 	mi.dir.Store(ds)
 	mi.parent.Store(dir.ino)
 	mi.fresh.Store(true)
@@ -500,8 +502,8 @@ func (t *Thread) Mkdir(path string) (err error) {
 	if _, err := fs.insertEntry(t, dir, ino, name, mi); err != nil {
 		fs.recycleIno(ino)
 		fs.recyclePages(t.cpu, []uint64{tailset})
-		// No one saw mi: its state is as spareDir made it.
-		fs.spareDirs.Put(ds)
+		// No one saw mi: its state is as emptyDir made it.
+		fs.spareDirs.put(ds)
 		return err
 	}
 	dir.cacheDirAttrs(in.MTime)
@@ -539,7 +541,7 @@ func (t *Thread) Unlink(path string) (err error) {
 	if in, inOk, _ := layout.ReadInode(fs.dev, fs.geo, childIno); inOk && in.Type == layout.TypeDir {
 		return fsapi.ErrIsDir
 	}
-	_, err = fs.removeEntry(t, dir, name, func(ino uint64) {
+	_, err = fs.removeEntry(t, dir, name, 0, func(ino uint64) {
 		if child := fs.inodes.LoadAndDelete(ino); child != nil {
 			fs.destroyFile(t, child)
 		} else {
@@ -594,7 +596,12 @@ func (fs *FS) destroyFile(t *Thread, child *minode) {
 	child.lock.Unlock()
 }
 
-// Rmdir removes an empty directory.
+// Rmdir removes an empty directory. It takes its locks in the order a
+// rename does, inode locks before bucket locks: the parent's shared
+// (pinDirs), the victim's, every bucket lock of the victim's table, and
+// last the parent's bucket lock for the name. The victim is found empty
+// under its bucket locks, and they are held until removedDir has replaced
+// its state, so no create can leave a name in a removed directory.
 func (t *Thread) Rmdir(path string) (err error) {
 	defer t.endOp(t.beginOp(fsapi.OpRmdir), &err)
 	fs := t.fs
@@ -619,40 +626,57 @@ func (t *Thread) Rmdir(path string) (err error) {
 	if child.typ != layout.TypeDir {
 		return fsapi.ErrNotDir
 	}
-	if child.ht().Len() != 0 {
+	if err := fs.pinDirs(t, dir, dir); err != nil {
+		return err
+	}
+	defer unpinDirs(dir, dir)
+	child.lock.Lock()
+	for child.released.Load() {
+		child.lock.Unlock()
+		if err := fs.reacquire(t, child); err != nil {
+			return err
+		}
+		child.lock.Lock()
+	}
+	defer child.lock.Unlock()
+	if fs.inodes.Load(child.ino) != child {
+		return fsapi.ErrNotExist // removed while we waited for the lock
+	}
+	cds := child.dir.Load()
+	if !cds.ht.IfEmpty(func() {
+		if h := fs.opts.Hooks.RmdirFoundEmpty; h != nil {
+			h()
+		}
+		_, err = fs.removeEntry(t, dir, name, child.ino, func(uint64) {
+			layout.FreeInode(fs.dev, fs.geo, child.ino)
+			t.pb.Flush(layout.InodeOff(fs.geo, child.ino), layout.InodeSize)
+			t.pb.Barrier()
+			fs.inodes.Delete(child.ino)
+			var pages []uint64
+			var ino uint64
+			if child.fresh.Load() {
+				pages = append(cds.logPages[:0], cds.tailset)
+				for ti := range cds.tails {
+					pages = fs.appendTailPages(pages, cds, ti)
+				}
+				cds.logPages, ino = pages, child.ino
+			}
+			var spare *dirState
+			if fs.reusesDirs() {
+				// Readers that load the state from here on find the
+				// removed one, and so does every writer waiting for one of
+				// its bucket locks. Those that still hold it are readers,
+				// which the grace period waits out.
+				child.dir.Store(removedDir)
+				spare = cds
+			}
+			// Same grace-period discipline as destroyFile: a lock-free
+			// lookup may still be scanning these log pages, or this state.
+			fs.retireInode(t.cpu, child, pages, ino, spare)
+		})
+	}) {
 		return fsapi.ErrNotEmpty
 	}
-	_, err = fs.removeEntry(t, dir, name, func(uint64) {
-		child.lock.Lock()
-		layout.FreeInode(fs.dev, fs.geo, child.ino)
-		t.pb.Flush(layout.InodeOff(fs.geo, child.ino), layout.InodeSize)
-		t.pb.Barrier()
-		fs.inodes.Delete(child.ino)
-		cds := child.dir.Load()
-		var pages []uint64
-		var ino uint64
-		if child.fresh.Load() {
-			pages = append(cds.logPages[:0], cds.tailset)
-			for ti := range cds.tails {
-				pages = fs.appendTailPages(pages, cds, ti)
-			}
-			cds.logPages, ino = pages, child.ino
-		}
-		var spare *dirState
-		if fs.reusesDirs() {
-			// Readers that load the state from here on find the removed
-			// one; Drain waits out writers that loaded it before. Those
-			// that still hold it are readers, which the grace period
-			// waits out.
-			child.dir.Store(removedDir)
-			cds.ht.Drain()
-			spare = cds
-		}
-		// Same grace-period discipline as destroyFile: a lock-free
-		// lookup may still be scanning these log pages, or this state.
-		fs.retireInode(t.cpu, child, pages, ino, spare)
-		child.lock.Unlock()
-	})
 	if err != nil {
 		return err
 	}
@@ -689,19 +713,23 @@ func (t *Thread) Readdir(path string) (names []string, err error) {
 	if mi.typ != layout.TypeDir {
 		return nil, fsapi.ErrNotDir
 	}
-	ht := mi.ht()
-	names = make([]string, 0, ht.Len())
-	ht.Range(func(name string, _, _ uint64) bool {
-		names = append(names, name)
-		return true
-	})
-	if mi.dir.Load() == removedDir {
-		// Removed while we listed it: the table may be another
-		// directory's by now (Mkdir reuses it).
-		return names[:0], nil
+	return mi.names(), nil
+}
+
+// names lists directory mi's names in sorted order.
+func (mi *minode) names() []string {
+	for {
+		ds, reuses := mi.loadDir()
+		names := make([]string, 0, ds.ht.Len())
+		ds.ht.Range(func(name string, _, _ uint64) bool {
+			names = append(names, name)
+			return true
+		})
+		if ds.reuses.Load() == reuses {
+			sort.Strings(names)
+			return names
+		}
 	}
-	sort.Strings(names)
-	return names, nil
 }
 
 // Stat returns path's attributes. ArckFS+ serves it from the cached

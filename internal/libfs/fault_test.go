@@ -2,11 +2,11 @@ package libfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"reflect"
-	"runtime"
-	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,7 +14,6 @@ import (
 	"arckfs/internal/kernel"
 	"arckfs/internal/layout"
 	"arckfs/internal/pmem"
-	"arckfs/internal/race"
 	"arckfs/internal/telemetry"
 	"arckfs/internal/verifier"
 )
@@ -171,8 +170,11 @@ type faultCase struct {
 
 // run builds the case's state and runs its op with crossing k failed, and
 // with sticky every one after it (k < 0: no op at all). It returns the op's
-// error, the state after it and the crossings it made. A directory state
-// setup left for Mkdir to reuse must still be there after a failed op.
+// error, the state after it and the crossings it made. A failed op must
+// leave at least as many spare directory states, once the grace periods it
+// started are over, as it found: one it took for a Mkdir is back, and a
+// rebuild that took one retired the state it replaced. (A rebuild that
+// found none retired one all the same: there can be more.)
 func (c faultCase) run(t *testing.T, k int, sticky bool) (err error, st fsState, calls int) {
 	t.Helper()
 	dev := pmem.New(16<<20, nil)
@@ -194,22 +196,15 @@ func (c faultCase) run(t *testing.T, k int, sticky bool) (err error, st fsState,
 	if c.setup != nil {
 		c.setup(t, ctrl, fs, w)
 	}
-	spare, _ := fs.spareDirs.Get().(*dirState)
-	if spare != nil {
-		fs.spareDirs.Put(spare)
-	}
+	fs.dom.Barrier()
+	spares := fs.spareDirs.len()
 	if k >= 0 {
 		fc.calls, fc.k, fc.sticky = 0, k, sticky
 		err = c.op(w)
 		calls, fc.k = fc.calls, 0
 	}
-	if err != nil && spare != nil && !race.Enabled {
-		// (The race detector's sync.Pool drops what it is given at random.)
-		if got, _ := fs.spareDirs.Get().(*dirState); got != spare {
-			t.Errorf("crossing %d failed (sticky %v): the spare directory state is lost", k, sticky)
-		} else {
-			fs.spareDirs.Put(got)
-		}
+	if fs.dom.Barrier(); err != nil && fs.spareDirs.len() < spares {
+		t.Errorf("crossing %d failed (sticky %v): %d spare directory states, fewer than the %d it found", k, sticky, fs.spareDirs.len(), spares)
 	}
 	st = fsState{names: map[string][]string{}, stats: map[string]string{}, data: map[string]string{}}
 	for _, d := range c.dirs {
@@ -290,10 +285,6 @@ func (c faultCase) check(t *testing.T) {
 
 // TestMkdirRmdirAllOrNothing runs check over Mkdir and Rmdir.
 func TestMkdirRmdirAllOrNothing(t *testing.T) {
-	// A sync.Pool hands a Get what a Put on the same processor left, and
-	// keeps it while the collector is off.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	dirs, paths := []string{"/", "/d", "/q"}, []string{"/d", "/d/e", "/d/new", "/q", "/q/x"}
 	must := func(t *testing.T, errs ...error) {
 		t.Helper()
@@ -376,7 +367,25 @@ func TestOpsAllOrNothing(t *testing.T) {
 		big[i] = byte(i*7) | 1
 	}
 	names, made := []string{"a", "b", "c"}, 0
+	readF := func(w *Thread) error {
+		fd, err := w.Open("/d/f")
+		if err != nil {
+			return err
+		}
+		defer w.Close(fd)
+		_, err = w.ReadAt(fd, page, 0)
+		return err
+	}
 	for _, c := range []faultCase{
+		// A peer took back what the app held: the op's first lease miss
+		// asks for it all in one AcquireBatch.
+		{name: "create after a lease miss", setup: stolen, op: func(w *Thread) error { return w.Create("/d/new") }},
+		{name: "open and read after a lease miss", setup: stolen, op: readF},
+		{name: "release all", setup: func(t *testing.T, _ *kernel.Controller, fs *FS, w *Thread) {
+			if err := w.Create("/d/new"); err != nil {
+				t.Fatal(err)
+			}
+		}, op: func(w *Thread) error { return w.fs.ReleaseAll() }},
 		{name: "create", opts: one, op: func(w *Thread) error { return w.Create("/d/new") }},
 		{name: "unlink", op: func(w *Thread) error { return w.Unlink("/d/f") }},
 		{name: "rename", op: func(w *Thread) error { return w.Rename("/d/f", "/d/g") }},
@@ -420,6 +429,84 @@ func TestOpsAllOrNothing(t *testing.T) {
 			c.dirs, c.paths, c.reads = dirs, paths, []string{"/d/f", "/d/g", "/d/e/f"}
 			c.check(t)
 		})
+	}
+}
+
+// stolen leaves the app holding nothing after a hold in which it lost
+// /, /d and /d/f to a lease miss, and a peer has taken all three since: the
+// app's next lease miss asks for the three in one AcquireBatch.
+func stolen(t *testing.T, ctrl *kernel.Controller, fs *FS, w *Thread) {
+	t.Helper()
+	peer := th(t, New(ctrl, ctrl.RegisterApp(0, 0), Options{}))
+	block := make([]byte, layout.PageSize)
+	touch := func(w *Thread, name string) {
+		t.Helper()
+		fd, err := w.Open("/d/f")
+		if err == nil {
+			_, err = w.WriteAt(fd, block, 0)
+			w.Close(fd)
+		}
+		for _, err := range []error{err, w.Create("/d/" + name), w.Unlink("/d/" + name), w.fs.ReleaseAll()} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	touch(w, "own")
+	touch(peer, "peer")
+	touch(w, "own")
+	touch(peer, "peer")
+}
+
+// TestRefusedReacquire: lease misses whose AcquireBatch the kernel refuses
+// leave the directory states the app retained published and its spare
+// states as they were, and the next try rebuilds them. (The miss on / is a
+// read's, which falls back to the retained state; the miss on /d fails the
+// create.)
+func TestRefusedReacquire(t *testing.T) {
+	ctrl, err := kernel.Format(pmem.New(16<<20, nil), kernel.Options{Mode: verifier.Enhanced, InodeCap: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := th(t, New(ctrl, ctrl.RegisterApp(0, 0), Options{}))
+	for _, err := range []error{peer.Mkdir("/d"), peer.Create("/d/f"), peer.fs.ReleaseAll()} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs := New(ctrl, ctrl.RegisterApp(0, 0), Options{})
+	fc := &faultCtl{kernelCtl: fs.ctrl}
+	fs.ctrl = fc
+	w := th(t, fs)
+	stolen(t, ctrl, fs, w)
+	root, d := fs.inodes.Load(layout.RootIno), (*minode)(nil)
+	if root != nil {
+		if ino, _, ok, _ := fs.lookupInDir(w, root, "d"); ok {
+			d = fs.inodes.Load(ino)
+		}
+	}
+	if d == nil {
+		t.Fatal("the app retained no state for / and /d")
+	}
+	rootDS, dDS := root.dir.Load(), d.dir.Load()
+	fs.dom.Barrier()
+	spares := fs.spareDirs.len()
+	fc.calls, fc.k, fc.sticky = 0, 1, true
+	err = w.Create("/d/new")
+	fc.k = 0
+	fs.dom.Barrier()
+	if !errors.Is(err, fsapi.ErrBusy) {
+		t.Fatalf("Create with every crossing refused = %v after %d crossings, want %v", err, fc.calls, fsapi.ErrBusy)
+	}
+	if root.dir.Load() != rootDS || d.dir.Load() != dDS || fs.spareDirs.len() != spares {
+		t.Fatalf("after the refused reacquire: / and /d keep their states %v, %v; %d spares, want %d",
+			root.dir.Load() == rootDS, d.dir.Load() == dDS, fs.spareDirs.len(), spares)
+	}
+	if err := w.Create("/d/new"); err != nil {
+		t.Fatal(err)
+	}
+	if d.dir.Load() == dDS || !slices.Equal(mustNames(t, w, "/d"), []string{"f", "new"}) {
+		t.Fatalf("the retried create: /d rebuilt %v, lists %v", d.dir.Load() != dDS, mustNames(t, w, "/d"))
 	}
 }
 

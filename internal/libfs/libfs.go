@@ -104,6 +104,10 @@ type Hooks struct {
 	// directory's auxiliary state, before it locks a name's bucket — the
 	// window in which an rmdir may retire that state and a mkdir reuse it.
 	CreateBatchBeforeLock func()
+	// RmdirFoundEmpty runs in Rmdir once the victim is found empty, before
+	// its entry leaves the parent — the window in which no create may add
+	// a name to it.
+	RmdirFoundEmpty func()
 }
 
 // Options configures a LibFS instance.
@@ -199,11 +203,10 @@ type FS struct {
 	relLane *span.Local
 	rel     releaseScratch
 
-	// spareDirs holds removed directories' auxiliary states, each back
-	// from the grace period its rmdir queued it behind, for Mkdir to build
-	// on (spareDir). Being a sync.Pool, it is bounded by the garbage
-	// collector, not by a count.
-	spareDirs sync.Pool
+	// spareDirs holds the auxiliary states of removed and rebuilt
+	// directories, each back from the grace period it was retired behind,
+	// for Mkdir and rebuilds to build on (emptyDir).
+	spareDirs spareDirs
 }
 
 // Stats counts LibFS events of interest to telemetry: remaps after an
@@ -435,7 +438,7 @@ func (fs *FS) recyclePages(cpu int, pages []uint64) {
 // htable uses for unlinked bucket entries. One object carries both, pages
 // first: the order the allocator pools see them in is the order they hand
 // them out again. An rmdir's also carries the directory's auxiliary state,
-// which the next Mkdir reuses (spareDir).
+// which becomes a spare (recycleDir).
 type retiree struct {
 	fs    *FS
 	cpu   int
@@ -452,11 +455,7 @@ func (r *retiree) Reclaim() {
 	}
 	if ds := r.dir; ds != nil {
 		r.dir = nil
-		// A create that raced the rmdir's emptiness check may have left a
-		// name behind: such a state is dropped, not reused.
-		if ds.ht.Reuse(maxSpareBuckets, r.fs.dirBuckets(0)) {
-			r.fs.spareDirs.Put(ds)
-		}
+		r.fs.recycleDir(ds)
 	}
 }
 

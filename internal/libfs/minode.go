@@ -96,7 +96,10 @@ type attrCache struct {
 const attrSpins = 16
 
 // dirState is a directory's auxiliary state plus its log-append cursors.
+// A state an rmdir or a rebuild replaced is retired whole, itself the RCU
+// queue node, and after the grace period becomes a spare (spareDirs).
 type dirState struct {
+	fs      *FS
 	ht      *htable.Table
 	tailset uint64
 	tails   []tailCursor
@@ -115,7 +118,13 @@ type dirState struct {
 	// logPages is the storage an rmdir of the fresh directory lists its
 	// tail-set and log pages in, kept with the state for the next rmdir.
 	logPages []uint64
+	// reuses counts the times ds became a spare (loadDir).
+	reuses atomic.Uint64
 }
+
+// Reclaim runs after the grace period a rebuild queued ds behind
+// (rcu.Reclaimer).
+func (ds *dirState) Reclaim() { ds.fs.recycleDir(ds) }
 
 // removedDir is the auxiliary state of every removed directory: empty,
 // and refused to writers (withHeldBucket). Rmdir swaps it in before it
@@ -135,22 +144,83 @@ var removedDir = &dirState{ht: htable.New(htable.Options{InitialBuckets: 1})}
 // directories grow to 256 buckets.
 const maxSpareBuckets = 1024
 
-// reusesDirs reports whether a removed directory's auxiliary state is
-// kept for the next Mkdir. Only with the §4.4 and §4.5 patches both in:
-// Rmdir's Drain then waits out every writer of the state, and every
-// reader of it is inside a read-side section its grace period waits for.
+// maxSpareDirs bounds the spares an FS keeps; one more is left to the
+// garbage collector. The benchmark's workloads keep at most 3 (meta_churn)
+// and 2 a LibFS (handoff: the root and /h, each rebuilt once a turn).
+const maxSpareDirs = 16
+
+// reusesDirs reports whether a removed or rebuilt directory's auxiliary
+// state is kept for a later Mkdir or rebuild. Only with the §4.4 and §4.5
+// patches both in: every writer of the state then holds a bucket lock,
+// which Drain and Clear wait out, and every reader of it is inside a
+// read-side section its grace period waits for.
 func (fs *FS) reusesDirs() bool {
 	return !fs.opts.Bugs.Has(BugAuxCoreRace | BugLocklessBucketRead)
 }
 
-// spareDir returns the auxiliary state of an empty directory whose
-// tail-set page is tailset: a removed directory's, reset, when one is back
-// from its grace period, else a new one.
-func (fs *FS) spareDir(tailset uint64, ntails int) *dirState {
-	ds, _ := fs.spareDirs.Get().(*dirState)
-	if ds == nil {
-		return &dirState{ht: fs.newDirTable(0), tailset: tailset, tails: make([]tailCursor, ntails)}
+// spareDirs is the stack of directory states back from their grace period,
+// which Mkdir and rebuilds build on. Any goroutine's grace period pushes to
+// it, and every get sees all of them.
+type spareDirs struct {
+	mu   sync.Mutex
+	dirs []*dirState
+}
+
+// put pushes ds, empty and unreachable, unless the stack is full.
+func (s *spareDirs) put(ds *dirState) {
+	s.mu.Lock()
+	if len(s.dirs) < maxSpareDirs {
+		s.dirs = append(s.dirs, ds)
 	}
+	s.mu.Unlock()
+}
+
+// get takes the spare that fits n names best, nil if there is none: the
+// smallest whose table takes them without allocating, else the largest.
+func (s *spareDirs) get(n int) *dirState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	best, bestCap := -1, 0
+	for i, ds := range s.dirs {
+		c := ds.ht.Capacity()
+		fits, bestFits := c >= n, bestCap >= n
+		if best < 0 || fits && (!bestFits || c < bestCap) || !fits && !bestFits && c > bestCap {
+			best, bestCap = i, c
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	ds, last := s.dirs[best], len(s.dirs)-1
+	s.dirs[best], s.dirs[last] = s.dirs[last], nil
+	s.dirs = s.dirs[:last]
+	return ds
+}
+
+// len is how many spares the stack holds.
+func (s *spareDirs) len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.dirs)
+}
+
+// recycleDir empties ds, which no reader can reach any more, and makes it
+// a spare.
+func (fs *FS) recycleDir(ds *dirState) {
+	ds.reuses.Add(1)
+	ds.ht.Clear(maxSpareBuckets, fs.dirBuckets(0))
+	fs.spareDirs.put(ds)
+}
+
+// emptyDir returns the auxiliary state of an empty directory whose
+// tail-set page is tailset, ready to take entries names without growing:
+// the spare that fits them best, reset, if there is one, else a new one.
+func (fs *FS) emptyDir(tailset uint64, ntails, entries int) *dirState {
+	ds := fs.spareDirs.get(entries)
+	if ds == nil {
+		return &dirState{fs: fs, ht: fs.newDirTable(entries), tailset: tailset, tails: make([]tailCursor, ntails)}
+	}
+	ds.ht.Reserve(entries)
 	ds.tailset = tailset
 	if len(ds.tails) == ntails {
 		clear(ds.tails)
@@ -653,64 +723,38 @@ func (fs *FS) adopt(mi *minode, m *kernel.Mapping) error {
 
 // build constructs mi's auxiliary state from its core state, whose inode
 // record is in, and publishes it with mapping m — Trio step 3: "the LibFS
-// builds its auxiliary state from the core state". A directory this LibFS
-// held before keeps the auxiliary state it retained in use: the rebuilt
-// table is sized from it, so it fills without growing, shares its strings
-// for the names that are still there, and lists the dead slots the scan
-// finds in its storage. A file keeps its index if it still says what the
-// core state does (indexes). On an error mi keeps its published state.
+// builds its auxiliary state from the core state". A directory is built
+// into a spare state when there is one (emptyDir). One this LibFS held
+// before is sized from the state it retained, so it fills without growing,
+// and shares that state's strings for the names still there; the retained
+// state is then retired, for a later build to reuse. A file keeps its index
+// if it still says what the core state does (indexes). On an error mi
+// keeps its published state.
 func (fs *FS) build(mi *minode, m *kernel.Mapping, in *layout.Inode) error {
 	switch in.Type {
 	case layout.TypeDir:
 		name := func(rec []byte) string { return string(rec) }
 		entries := 0
-		var dead deadSlots
-		if retained := mi.dir.Load(); retained != nil {
+		retained := mi.dir.Load()
+		if retained != nil {
 			name, entries = retained.ht.Intern, retained.ht.Len()
-			// Take the dead list's storage, emptied, for this scan to
-			// fill; a writer still on retained lists slots in new storage.
-			retained.idxMu.Lock()
-			dead, retained.dead = retained.dead, nil
-			retained.idxMu.Unlock()
-			for c := range dead {
-				dead[c] = dead[c][:0]
-			}
 		}
-		ds := &dirState{
-			ht:      fs.newDirTable(entries),
-			tailset: in.DataRoot,
-			tails:   make([]tailCursor, in.NTails),
-			dead:    dead,
-		}
-		for t := 0; t < int(in.NTails); t++ {
-			head := layout.TailHead(fs.dev, in.DataRoot, t)
-			if head == 0 {
-				continue
-			}
-			var scanErr error
-			page, off, corrupt := layout.ScanTail(fs.dev, head, func(d layout.RawDentry) bool {
-				ds.tails[t].slots++
-				if !d.Live {
-					ds.dead.push(d.Ref, d.RecLen)
-				} else if !ds.ht.Insert(name(d.Name), d.Ino, uint64(d.Ref)) {
-					scanErr = fsapi.ErrStale
-					return false
-				}
-				return true
-			})
-			if scanErr != nil {
-				return scanErr
-			}
-			if corrupt {
-				return fsapi.ErrStale
-			}
-			ds.tails[t].page = page
-			ds.tails[t].off = off
+		ds := fs.emptyDir(in.DataRoot, int(in.NTails), entries)
+		if err := fs.scanDir(ds, in, name); err != nil {
+			// Never published: no reader or writer has used ds.
+			fs.recycleDir(ds)
+			return err
 		}
 		mi.mapping.Store(m)
 		mi.dir.Store(ds)
 		mi.file.Store(nil)
 		mi.cacheAttrs(uint64(ds.ht.Len()), in.Nlink, in.MTime)
+		if retained != nil && retained != removedDir && fs.reusesDirs() {
+			// A writer that locks one of retained's buckets from here on
+			// finds mi's state changed; Drain waits out those inside one.
+			retained.ht.Drain()
+			fs.dom.Retire(retained)
+		}
 	case layout.TypeFile:
 		st := mi.file.Load()
 		if !fs.indexes(st, in) {
@@ -727,6 +771,38 @@ func (fs *FS) build(mi *minode, m *kernel.Mapping, in *layout.Inode) error {
 		mi.cacheAttrs(in.Size, in.Nlink, in.MTime)
 	default:
 		return fsapi.ErrStale
+	}
+	return nil
+}
+
+// scanDir fills ds, an empty directory state, from the dentry log of the
+// directory whose inode record is in, taking each live record's name
+// through name.
+func (fs *FS) scanDir(ds *dirState, in *layout.Inode, name func([]byte) string) error {
+	for t := range ds.tails {
+		head := layout.TailHead(fs.dev, in.DataRoot, t)
+		if head == 0 {
+			continue
+		}
+		var scanErr error
+		page, off, corrupt := layout.ScanTail(fs.dev, head, func(d layout.RawDentry) bool {
+			ds.tails[t].slots++
+			if !d.Live {
+				ds.dead.push(d.Ref, d.RecLen)
+			} else if !ds.ht.Insert(name(d.Name), d.Ino, uint64(d.Ref)) {
+				scanErr = fsapi.ErrStale
+				return false
+			}
+			return true
+		})
+		if scanErr != nil {
+			return scanErr
+		}
+		if corrupt {
+			return fsapi.ErrStale
+		}
+		ds.tails[t].page = page
+		ds.tails[t].off = off
 	}
 	return nil
 }
@@ -790,26 +866,43 @@ func (fs *FS) newDirTable(entries int) *htable.Table {
 	return t
 }
 
+// loadDir returns mi's directory state (nil for a file) and the times it
+// had become a spare, for a reader that takes no bucket lock: what it reads
+// is mi's, or was while mi held the state, only if the count is the same
+// after the read. A state an rmdir or a rebuild retired may be another
+// directory's by then, or mi's again, rebuilt into it.
+func (mi *minode) loadDir() (*dirState, uint64) {
+	for {
+		ds := mi.dir.Load()
+		if ds == nil {
+			return nil, 0
+		}
+		reuses := ds.reuses.Load()
+		if mi.dir.Load() == ds {
+			return ds, reuses
+		}
+	}
+}
+
 // lookupInDir finds name in dir's hash table without locking; the §4.5
 // bug drops the RCU protection. The caller supplies its RCU reader.
 func (fs *FS) lookupInDir(t *Thread, mi *minode, name string) (uint64, uint64, bool, error) {
-	ds := mi.dir.Load()
-	if ds == nil {
-		return 0, 0, false, fsapi.ErrNotDir
-	}
 	var rd = t.rd
 	if fs.opts.Bugs.Has(BugLocklessBucketRead) {
 		rd = nil
 	}
-	ino, ref, ok, err := ds.ht.Lookup(rd, name)
-	if err != nil {
-		// The simulated segfault of §4.5.
-		return 0, 0, false, fsapi.ErrSegfault
+	for {
+		ds, reuses := mi.loadDir()
+		if ds == nil {
+			return 0, 0, false, fsapi.ErrNotDir
+		}
+		ino, ref, ok, err := ds.ht.Lookup(rd, name)
+		if err != nil {
+			// The simulated segfault of §4.5.
+			return 0, 0, false, fsapi.ErrSegfault
+		}
+		if ds.reuses.Load() == reuses {
+			return ino, ref, ok, nil
+		}
 	}
-	if ok && mi.dir.Load() == removedDir {
-		// mi was removed while we looked, and ds may be another
-		// directory's by now (Mkdir reuses it): the name is not mi's.
-		return 0, 0, false, nil
-	}
-	return ino, ref, ok, nil
 }

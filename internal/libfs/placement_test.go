@@ -229,11 +229,14 @@ func TestHandoffTurnPlacement(t *testing.T) {
 // Most of it outlives the turn: per create the minode, and on the
 // kernel's side its shadow entry, snapshot and mapping; the names, each
 // once in the kernel's view and once in the peer's rebuilt table; and the
-// mappings and rebuilt directory tables of the lease misses. The release's
-// lists, the kernel's results, the inode table's leaves, an unlinked
-// minode's retire-queue node (the minode itself) and a shared file's block
-// index, which an overwrite in place leaves as it was, are reused from
-// turn to turn.
+// mappings of the lease misses. The release's lists, the kernel's results,
+// the inode table's leaves, an unlinked minode's retire-queue node (the
+// minode itself), a shared file's block index, which an overwrite in place
+// leaves as it was, a rebuilt directory's table, built into the state the
+// previous rebuild retired, and a verified directory's entry list are
+// reused from turn to turn. The bytes bound the memory the objects leave
+// behind: 58 KB a turn when each rebuild made a new table and each
+// verification a new entry list.
 func TestHandoffTurnAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -243,14 +246,14 @@ func TestHandoffTurnAllocations(t *testing.T) {
 		r.work(t)
 		r.release(t)
 	}
-	const limit = 144
-	got, _ := allocsPerOp(2*handoffBatches, func(int) {
+	const limit, byteLimit = 124, 24 << 10
+	got, bytes := allocsPerOp(2*handoffBatches, func(int) {
 		r.work(t)
 		r.release(t)
 	})
-	t.Logf("%.2f allocations a turn", got)
-	if got > limit {
-		t.Fatalf("a handoff turn allocates %.2f objects, want at most %v", got, limit)
+	t.Logf("%.2f allocations, %.0f bytes a turn", got, bytes)
+	if got > limit || bytes > byteLimit {
+		t.Fatalf("a handoff turn allocates %.2f objects, %.0f bytes; want at most %v and %v", got, bytes, limit, byteLimit)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"arckfs/internal/kernel"
 	"arckfs/internal/pmem"
+	"arckfs/internal/race"
 )
 
 // reacquireBench is a directory of n names an owner shares with a peer.
@@ -86,14 +87,19 @@ func (b *reacquireBench) reacquire(want int) {
 }
 
 // TestReacquireRebuildAllocatesPerEntry: the rebuild after a lease miss
-// fills a table sized for what the retained one held, reusing its name
-// strings and taking its chain nodes as one slab — a dozen objects for the
-// directory, where a node a name cost one each and growing from the default
-// size through four doublings about five.
+// fills the state the previous rebuild retired, back from its grace period
+// with its chain nodes and bucket array, and reuses the retained table's
+// name strings. What is left is about 5 objects for the directory, one
+// more under the race detector, where a table built afresh cost 11, a node
+// a name one each and growing from the default size through four
+// doublings about five.
 func TestReacquireRebuildAllocatesPerEntry(t *testing.T) {
 	const names, rounds = 256, 8
+	limit := 6.0
+	if race.Enabled {
+		limit++
+	}
 	b := newReacquireBench(t, names)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var ms runtime.MemStats
 	total := uint64(0)
 	for i := 0; i < rounds; i++ {
@@ -105,9 +111,9 @@ func TestReacquireRebuildAllocatesPerEntry(t *testing.T) {
 		total += ms.Mallocs - before
 	}
 	perRebuild := float64(total) / rounds
-	t.Logf("%.0f allocations per reacquire of a %d-name directory", perRebuild, names)
-	if perRebuild > names/8 {
-		t.Fatalf("%.0f allocations per reacquire of a %d-name directory, want at most %d", perRebuild, names, names/8)
+	t.Logf("%.2f allocations per reacquire of a %d-name directory", perRebuild, names)
+	if perRebuild > limit {
+		t.Fatalf("%.0f allocations per reacquire of a %d-name directory, want at most %.0f", perRebuild, names, limit)
 	}
 }
 

@@ -234,21 +234,27 @@ func (fs *FS) releaseBatch(s *releaseScratch, sp *span.Span) (err error) {
 		c.done(telemetry.SpanEvReleaseBatch, int64(len(part)))
 	}
 
+	for i := range batch {
+		if res[i].Err != nil {
+			err = res[i].Err
+			break
+		}
+	}
 	// The kernel has seen the fresh children of every directory in the
-	// batch; say so before any lock drops, or an unlink could still recycle
-	// one.
+	// batch it verified; say so before any lock drops, or an unlink could
+	// still recycle one.
 	for _, mi := range s.known {
-		mi.fresh.Store(false)
+		if err == nil || !refused(batch, res, mi.parent.Load()) {
+			mi.fresh.Store(false)
+		}
 	}
 	for i, q := range batch {
 		r := res[i]
-		if r.Err != nil && err == nil {
-			err = r.Err
-		}
 		if unsync {
 			continue
 		}
-		if r.Err == nil {
+		switch {
+		case r.Err == nil:
 			// The returned mapping also covers inodes this LibFS built
 			// itself and never mapped (mapping == nil until now).
 			if r.Mapping != nil {
@@ -256,8 +262,16 @@ func (fs *FS) releaseBatch(s *releaseScratch, sp *span.Span) (err error) {
 			}
 			q.mi.dir.Load().markVerified()
 			q.mi.file.Load().markVerified()
+			q.mi.released.Store(true)
+		case q.mi.fresh.Load() || q.mi.mapping.Load().Valid():
+			// Refused with the hold as it was (and a fresh inode still
+			// unknown to the kernel): it stays held, for the next release
+			// to hand back.
+		default:
+			// Refused and torn down (a failed verification revokes the
+			// mapping): the next touch takes the inode back.
+			q.mi.released.Store(true)
 		}
-		q.mi.released.Store(true)
 		if q.unlockBuckets != nil {
 			q.unlockBuckets()
 		}
@@ -268,6 +282,17 @@ func (fs *FS) releaseBatch(s *releaseScratch, sp *span.Span) (err error) {
 	clear(res)
 	s.batch, s.known, s.inos, s.res = batch[:0], s.known[:0], inos[:0], res[:0]
 	return err
+}
+
+// refused reports whether the kernel refused ino's release in batch, whose
+// results are res.
+func refused(batch []quiesced, res []kernel.Released, ino uint64) bool {
+	for i, q := range batch {
+		if q.mi.ino == ino {
+			return res[i].Err != nil
+		}
+	}
+	return false
 }
 
 // ReleaseAll returns every held inode to the kernel in Rule-1-compatible

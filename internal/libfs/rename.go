@@ -106,9 +106,9 @@ func (t *Thread) Rename(oldPath, newPath string) (err error) {
 	if _, err := fs.insertEntry(t, newDir, childIno, newName, nil); err != nil {
 		return err
 	}
-	if _, err := fs.removeEntry(t, oldDir, oldName, nil); err != nil {
+	if _, err := fs.removeEntry(t, oldDir, oldName, 0, nil); err != nil {
 		// Roll the insertion back to keep aux state consistent.
-		_, _ = fs.removeEntry(t, newDir, newName, nil)
+		_, _ = fs.removeEntry(t, newDir, newName, 0, nil)
 		return err
 	}
 	if crossDir {
@@ -209,7 +209,7 @@ func (fs *FS) isAncestor(anc, node *minode) bool {
 // too, the move stays.
 func (fs *FS) unmove(t *Thread, child, oldDir *minode, oldName string, newDir *minode, newName string, err error) error {
 	if _, ierr := fs.insertEntry(t, oldDir, child.ino, oldName, nil); ierr == nil {
-		_, _ = fs.removeEntry(t, newDir, newName, nil)
+		_, _ = fs.removeEntry(t, newDir, newName, 0, nil)
 		fs.rewriteParent(t, child, oldDir.ino)
 	}
 	return err

@@ -3,18 +3,19 @@ package libfs
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
-	"runtime/debug"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"arckfs/internal/fsapi"
 	"arckfs/internal/kernel"
 	"arckfs/internal/layout"
 	"arckfs/internal/pmem"
-	"arckfs/internal/race"
 )
 
 // TestSpareDirIsClean: a directory built on the state of one removed before
@@ -24,13 +25,6 @@ import (
 // appends into its own tail set, and survives a release and a recovery
 // fsck-clean.
 func TestSpareDirIsClean(t *testing.T) {
-	if race.Enabled {
-		t.Skip("the race detector's sync.Pool drops what it is given at random")
-	}
-	// A sync.Pool hands a Get what a Put on the same processor left, and
-	// keeps it while the collector is off.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, committed := range []bool{false, true} {
 		t.Run(fmt.Sprintf("committed=%v", committed), func(t *testing.T) {
 			testSpareDirIsClean(t, committed)
@@ -192,11 +186,6 @@ func TestSpareDirVsLockFreeReaders(t *testing.T) {
 // afterwards. The batch fails with ErrNotExist and its name shows up in
 // neither the table /b now owns nor /b's log, before or after a recovery.
 func TestCreateBatchLosesToRmdir(t *testing.T) {
-	if race.Enabled {
-		t.Skip("the race detector's sync.Pool drops what it is given at random")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	hooks := &Hooks{}
 	fs := newFS(t, BugsNone, hooks)
 	fs.dev.EnableTracking()
@@ -249,5 +238,276 @@ func TestCreateBatchLosesToRmdir(t *testing.T) {
 	r := th(t, New(rctrl, rctrl.RegisterApp(0, 0), Options{}))
 	if got := mustNames(t, r, "/b"); len(got) != 0 {
 		t.Fatalf("/b after recovery lists %v", got)
+	}
+}
+
+// TestRmdirVsCreate: a create into a directory that an rmdir has found
+// empty waits for the rmdir, then fails; the rmdir succeeds. An rmdir that
+// looked at emptiness before it took the victim's bucket locks let both
+// succeed, and the new name sat in the removed directory's recycled log.
+func TestRmdirVsCreate(t *testing.T) {
+	hooks := &Hooks{}
+	fs := newFS(t, BugsNone, hooks)
+	w, o := th(t, fs), fs.NewThread(1).(*Thread)
+	defer o.Detach()
+	if err := w.Mkdir("/a"); err != nil {
+		t.Fatal(err)
+	}
+	created := make(chan error, 1)
+	hooks.RmdirFoundEmpty = func() {
+		hooks.RmdirFoundEmpty = nil
+		go func() { created <- o.Create("/a/x") }()
+		// Give the create the time it needs to finish, unless it waits for
+		// the rmdir.
+		select {
+		case err := <-created:
+			created <- err
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+	rmErr := w.Rmdir("/a")
+	crErr := <-created
+	if rmErr != nil || !errors.Is(crErr, fsapi.ErrNotExist) {
+		t.Fatalf("Rmdir(/a) = %v and Create(/a/x) = %v; want nil and %v", rmErr, crErr, fsapi.ErrNotExist)
+	}
+	if names := mustNames(t, w, "/"); len(names) != 0 {
+		t.Fatalf("/ lists %v", names)
+	}
+	if err := fs.ReleaseAll(); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := kernel.Fsck(fs.dev, kernel.Options{}); err != nil || !rep.Clean() {
+		t.Fatalf("fsck after ReleaseAll: %v %v", rep, err)
+	}
+}
+
+// dirStateDiff lists, one per line, where got differs from want in what a
+// build from the log decides: the names with their inodes and record refs,
+// the dead slots, the tail cursors and the tail-set page.
+func dirStateDiff(got, want *dirState) string {
+	var b strings.Builder
+	entries := func(ds *dirState) map[string][2]uint64 {
+		m := map[string][2]uint64{}
+		ds.ht.Range(func(name string, ino, ref uint64) bool {
+			m[name] = [2]uint64{ino, ref}
+			return true
+		})
+		return m
+	}
+	if g, w := entries(got), entries(want); !reflect.DeepEqual(g, w) || got.ht.Len() != want.ht.Len() {
+		fmt.Fprintf(&b, "\n  %d entries, want %d; equal %v", got.ht.Len(), want.ht.Len(), reflect.DeepEqual(g, w))
+	}
+	for c := range max(len(got.dead), len(want.dead)) {
+		var g, w []layout.DentryRef
+		if c < len(got.dead) {
+			g = got.dead[c]
+		}
+		if c < len(want.dead) {
+			w = want.dead[c]
+		}
+		if !slices.Equal(g, w) {
+			fmt.Fprintf(&b, "\n  dead slots of class %d: %v, want %v", c, g, w)
+		}
+	}
+	if len(got.tails) != len(want.tails) {
+		fmt.Fprintf(&b, "\n  %d tails, want %d", len(got.tails), len(want.tails))
+	}
+	for i := range min(len(got.tails), len(want.tails)) {
+		g, w := &got.tails[i], &want.tails[i]
+		if g.page != w.page || g.off != w.off || g.slots != w.slots || g.linked.Load() != w.linked.Load() {
+			fmt.Fprintf(&b, "\n  tail %d at page %d offset %d, %d slots; want %d, %d, %d", i, g.page, g.off, g.slots, w.page, w.off, w.slots)
+		}
+	}
+	if got.tailset != want.tailset || len(got.unverified) != 0 || len(want.unverified) != 0 {
+		fmt.Fprintf(&b, "\n  tail set %d, want %d; unverified %v and %v", got.tailset, want.tailset, got.unverified, want.unverified)
+	}
+	return b.String()
+}
+
+// TestRebuildOntoSpareEqualsFreshBuild: a directory rebuilt into a spare
+// state, one left by a larger directory and one left by a smaller, is the
+// state a build into a new one makes: the same names, inodes and refs, the
+// same dead slots and the same tail cursors.
+func TestRebuildOntoSpareEqualsFreshBuild(t *testing.T) {
+	for _, spareNames := range []int{600, 3} {
+		t.Run(fmt.Sprintf("spare of %d names", spareNames), func(t *testing.T) {
+			fs := newFS(t, BugsNone, nil)
+			ws := []*Thread{th(t, fs), fs.NewThread(1).(*Thread), fs.NewThread(2).(*Thread)}
+			must := func(err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			// /d's log spreads over the tails, a third of it dead.
+			must(ws[0].Mkdir("/d"))
+			for i := range 200 {
+				must(ws[i%3].Create(fmt.Sprintf("/d/f%03d", i)))
+			}
+			for i := 0; i < 200; i += 3 {
+				must(ws[i%2].Unlink(fmt.Sprintf("/d/f%03d", i)))
+			}
+			must(ws[0].Mkdir("/s"))
+			for i := range spareNames {
+				must(ws[0].Create(fmt.Sprintf("/s/g%03d", i)))
+			}
+			for i := range spareNames {
+				must(ws[0].Unlink(fmt.Sprintf("/s/g%03d", i)))
+			}
+			must(fs.ReleaseAll())
+			d, err := ws[0].resolve("/d")
+			must(err)
+			in, _, _ := layout.ReadInode(fs.dev, fs.geo, d.ino)
+
+			fs.spareDirs.dirs = nil
+			must(ws[0].Rmdir("/s"))
+			fs.dom.Barrier()
+			if fs.spareDirs.len() != 1 {
+				t.Fatalf("%d spares, want /s's", fs.spareDirs.len())
+			}
+			spare := fs.spareDirs.dirs[0]
+			d.lock.Lock()
+			err = fs.build(d, d.mapping.Load(), &in)
+			d.lock.Unlock()
+			must(err)
+			if d.dir.Load() != spare {
+				t.Fatal("/d was not rebuilt into /s's state")
+			}
+
+			fs.dom.Barrier()
+			fs.spareDirs.dirs = nil
+			fresh := &minode{ino: d.ino, typ: layout.TypeDir}
+			must(fs.build(fresh, d.mapping.Load(), &in))
+			if diff := dirStateDiff(spare, fresh.dir.Load()); diff != "" {
+				t.Fatalf("the rebuild into a spare differs from a fresh build:%s", diff)
+			}
+			if len(spare.tails) < 2 || spare.tails[1].slots == 0 || len(slices.Concat(spare.dead...)) == 0 {
+				t.Fatal("the fixture does not spread over tails or leave dead slots")
+			}
+		})
+	}
+}
+
+// TestRebuildVsLockFreeReaders races lock-free lookups and listings of a
+// shared directory against the lease-miss rebuilds that replace its state,
+// and against a writer of the same application. Another application takes
+// the directory each round; the owner's next create rebuilds it into a
+// spare, which is often a state the directory had before (the ABA case
+// withHeldBucket's check under the bucket lock must get right). A reader
+// never misses a name that is always there nor finds one of the root's,
+// and the writer's names are all in the directory at the end. Run under
+// -race -count=10 at GOMAXPROCS 1, 2 and 4.
+func TestRebuildVsLockFreeReaders(t *testing.T) {
+	ctrl, err := kernel.Format(pmem.New(64<<20, nil), kernel.Options{InodeCap: 1 << 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := New(ctrl, ctrl.RegisterApp(0, 0), Options{})
+	peer := th(t, New(ctrl, ctrl.RegisterApp(0, 0), Options{}))
+	w, wr := th(t, owner), owner.NewThread(1).(*Thread)
+	defer wr.Detach()
+	static := make([]string, 48)
+	for i := range static {
+		static[i] = fmt.Sprintf("s%02d", i)
+	}
+	for _, err := range []error{w.Mkdir("/d"), w.Mkdir("/o")} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range static {
+		if err := w.Create("/d/" + n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := owner.ReleaseAll(); err != nil {
+		t.Fatal(err)
+	}
+	root, err := w.resolve("/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := w.resolve("/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inos := map[string]uint64{}
+	for _, n := range static {
+		ino, _, _, _ := owner.lookupInDir(w, d, n)
+		inos[n] = ino
+	}
+
+	var stop atomic.Bool
+	var readers sync.WaitGroup
+	for r := range 2 {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			rt := owner.NewThread(r + 2).(*Thread)
+			defer rt.Detach()
+			for i := 0; !stop.Load(); i++ {
+				n := static[i%len(static)]
+				if ino, _, ok, err := owner.lookupInDir(rt, d, n); !ok || err != nil || ino != inos[n] {
+					t.Errorf("/d/%s: inode %d, %v, %v; want %d", n, ino, ok, err, inos[n])
+					return
+				}
+				if _, _, ok, _ := owner.lookupInDir(rt, d, "o"); ok {
+					t.Error("/d lists the root's name o")
+					return
+				}
+				if _, _, ok, _ := owner.lookupInDir(rt, root, n); ok {
+					t.Errorf("/ lists /d's name %s", n)
+					return
+				}
+				if names := d.names(); len(names) < len(static) || slices.Contains(names, "o") {
+					t.Errorf("/d lists %d names: %v", len(names), names)
+					return
+				}
+				if i%8 == 0 {
+					runtime.Gosched() // on one core, let the rounds run
+				}
+			}
+		}()
+	}
+
+	var written []string
+	seen, aba := map[*dirState]bool{}, 0
+	for round := 0; round < 60 && !t.Failed(); round++ {
+		for _, err := range []error{peer.Create(fmt.Sprintf("/d/p%d", round)), peer.Unlink(fmt.Sprintf("/d/p%d", round)), peer.fs.ReleaseAll()} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		seen[d.dir.Load()] = true
+		name := fmt.Sprintf("w%d", round)
+		done := make(chan error, 1)
+		go func() { done <- wr.Create("/d/" + name) }()
+		errs := []error{w.Create(fmt.Sprintf("/d/a%d", round)), <-done}
+		if ds := d.dir.Load(); seen[ds] {
+			aba++
+		}
+		errs = append(errs, w.Unlink(fmt.Sprintf("/d/a%d", round)), owner.ReleaseAll())
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		written = append(written, name)
+	}
+	stop.Store(true)
+	readers.Wait()
+	t.Logf("%d of 60 rebuilds took a state /d had before", aba)
+	if aba == 0 {
+		t.Error("no rebuild took a state /d had before")
+	}
+	got := mustNames(t, w, "/d")
+	if want := slices.Sorted(slices.Values(slices.Concat(static, written))); !slices.Equal(got, want) {
+		t.Fatalf("/d lists %v, want %v", got, want)
+	}
+	if err := owner.ReleaseAll(); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := kernel.Fsck(ctrl.Device(), kernel.Options{}); err != nil || !rep.Clean() {
+		t.Fatalf("fsck: %v %v", rep, err)
 	}
 }

@@ -161,14 +161,19 @@ func (dv *DirView) hasPage(p uint64) bool {
 	return ok
 }
 
-// reset empties dv for a parse to fill, and returns the storage of its
-// slices that no other view shares: a parse makes Pages and byPage afresh
-// or takes them from the view it fills. Entries and heads may be shared
-// with the views parsed after dv, and are never reused.
-func (dv *DirView) reset() (pages []uint64, byPage []logPage) {
+// reset empties dv for a parse against prev to fill, and returns the
+// storage of its slices that no other view shares: a parse makes Pages and
+// byPage afresh or takes them from the view it fills, and so Entries,
+// unless their array is prev's (a parse of an unchanged directory shares
+// it). heads may be shared with the views parsed after dv, and are never
+// reused.
+func (dv *DirView) reset(prev *DirView) (pages []uint64, byPage []logPage, entries []DirEntry) {
 	pages, byPage = dv.Pages[:0], dv.byPage[:0]
+	if e := dv.Entries; cap(e) > 0 && (cap(prev.Entries) == 0 || &e[:1][0] != &prev.Entries[:1][0]) {
+		entries = e[:0]
+	}
 	*dv = DirView{}
-	return pages, byPage
+	return pages, byPage, entries
 }
 
 // FileView is the parsed core state of a regular file.
@@ -324,7 +329,7 @@ func (v *V) parseDir(ino uint64, prev, into *DirView, kv KernelView) (dv *DirVie
 	if dv = into; dv == nil || dv == prev {
 		dv = new(DirView)
 	}
-	pages, byPage := dv.reset()
+	pages, byPage, entries := dv.reset(prev)
 	dv.Inode = in
 	read, clean, scanned := 0, 0, 0 // pages scanned, pages taken from prev, records scanned
 	if fromPrev(in.DataRoot, in.DataRoot == prev.Inode.DataRoot) {
@@ -447,7 +452,7 @@ func (v *V) parseDir(ino uint64, prev, into *DirView, kv KernelView) (dv *DirVie
 	if len(was) > 0 || len(now) > 0 || len(moved) > 0 {
 		slices.SortFunc(now, func(a, b DirEntry) int { return strings.Compare(a.Name, b.Name) })
 		slices.SortFunc(moved, func(a, b DirEntry) int { return strings.Compare(a.Name, b.Name) })
-		if err := dv.mergeEntries(prev.Entries, kept, moved, now); err != nil {
+		if err := dv.mergeEntries(entries, prev.Entries, kept, moved, now); err != nil {
 			return nil, nil, nil, fmt.Errorf("inode %d: %v", ino, err)
 		}
 	}
@@ -459,10 +464,10 @@ func (v *V) parseDir(ino uint64, prev, into *DirView, kv KernelView) (dv *DirVie
 	return dv, was, now, nil
 }
 
-// mergeEntries sets dv's entries to the kept ones of old, each moved one on
-// its new page, plus added (all three sorted by name), and rejects a name
-// or an inode that then occurs twice.
-func (dv *DirView) mergeEntries(old []DirEntry, kept []bool, moved, added []DirEntry) error {
+// mergeEntries sets dv's entries, in storage, to the kept ones of old, each
+// moved one on its new page, plus added (all three sorted by name), and
+// rejects a name or an inode that then occurs twice.
+func (dv *DirView) mergeEntries(storage, old []DirEntry, kept []bool, moved, added []DirEntry) error {
 	// The kept entries already name distinct inodes: a second link is
 	// between two added entries, or an added and a kept one.
 	byIno := slices.Clone(added)
@@ -472,7 +477,7 @@ func (dv *DirView) mergeEntries(old []DirEntry, kept []bool, moved, added []DirE
 			return fmt.Errorf("inode %d linked as both %q and %q", a.Ino, a.Name, b.Name)
 		}
 	}
-	dv.Entries = make([]DirEntry, 0, len(old)+len(added))
+	dv.Entries = slices.Grow(storage, len(old)+len(added))
 	for i, e := range old {
 		for len(added) > 0 && added[0].Name <= e.Name {
 			dv.Entries, added = append(dv.Entries, added[0]), added[1:]
