@@ -433,29 +433,10 @@ func (t *Table) Lookup(rd *rcu.Reader, name string) (ino, ref uint64, ok bool, e
 	}
 }
 
-// Range calls fn for every live entry under bucket locks (a consistent
-// per-bucket view; the table may change between buckets). fn must not
-// call back into the table. It stops early if fn returns false.
-func (t *Table) Range(fn func(name string, ino, ref uint64) bool) {
-	arr := t.arr.Load()
-	for i := range arr.buckets {
-		b := &arr.buckets[i]
-		b.lock.Lock()
-		if t.arr.Load() != arr {
-			// A resize happened; restart on the new array.
-			b.lock.Unlock()
-			t.Range(fn)
-			return
-		}
-		for e := b.head.Load(); e != nil; e = e.next.Load() {
-			if !fn(e.name, e.Ino, e.ref.Load()) {
-				b.lock.Unlock()
-				return
-			}
-		}
-		b.lock.Unlock()
-	}
-}
+// Range calls fn for every live entry with every bucket locked and
+// resizing blocked, so no writer changes the table during the walk. fn
+// must not call back into the table. It stops early if fn returns false.
+func (t *Table) Range(fn func(name string, ino, ref uint64) bool) { t.RangeIf(nil, fn) }
 
 // LockAll locks every bucket (and blocks resizing), quiescing all
 // writers — the §4.3 patch uses this to drain a directory before its
@@ -510,6 +491,24 @@ func (t *Table) IfEmpty(fn func()) bool {
 		return false
 	}
 	fn()
+	return true
+}
+
+// RangeIf is Range if ok, called under the walk's locks first, reports
+// true (a nil ok always does); it reports whether it walked.
+func (t *Table) RangeIf(ok func() bool, fn func(name string, ino, ref uint64) bool) bool {
+	arr := t.lockAll()
+	defer t.unlockAll(arr)
+	if ok != nil && !ok() {
+		return false
+	}
+	for i := range arr.buckets {
+		for e := arr.buckets[i].head.Load(); e != nil; e = e.next.Load() {
+			if !fn(e.name, e.Ino, e.ref.Load()) {
+				return true
+			}
+		}
+	}
 	return true
 }
 

@@ -83,6 +83,37 @@ func TestRangeSeesAll(t *testing.T) {
 	}
 }
 
+// TestRangeIf: RangeIf walks every entry under the locks ok ran under, and
+// nothing when ok says no; a writer waits for the walk.
+func TestRangeIf(t *testing.T) {
+	tbl := New(Options{})
+	for i := 0; i < 100; i++ {
+		tbl.Insert(fmt.Sprintf("n%d", i), uint64(i), 0)
+	}
+	seen := 0
+	count := func(string, uint64, uint64) bool {
+		seen++
+		return true
+	}
+	if tbl.RangeIf(func() bool { return false }, count) || seen != 0 {
+		t.Fatalf("RangeIf with ok false walked %d entries", seen)
+	}
+	inserted := make(chan struct{})
+	if !tbl.RangeIf(func() bool {
+		go func() {
+			tbl.Insert("late", 1, 0)
+			close(inserted)
+		}()
+		return true
+	}, count) || seen != 100 {
+		t.Fatalf("RangeIf walked %d entries, want 100", seen)
+	}
+	<-inserted
+	if _, _, ok, _ := tbl.Lookup(nil, "late"); !ok {
+		t.Fatal("the insert that waited for the walk is lost")
+	}
+}
+
 func TestRangeEarlyStop(t *testing.T) {
 	tbl := New(Options{})
 	for i := 0; i < 10; i++ {

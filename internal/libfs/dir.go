@@ -713,19 +713,31 @@ func (t *Thread) Readdir(path string) (names []string, err error) {
 	if mi.typ != layout.TypeDir {
 		return nil, fsapi.ErrNotDir
 	}
-	return mi.names(), nil
+	return mi.names(t.fs.opts.Hooks.DirStateLoaded), nil
 }
 
-// names lists directory mi's names in sorted order.
-func (mi *minode) names() []string {
+// names lists directory mi's names in sorted order (loaded is the
+// DirStateLoaded hook). It walks a state with
+// every bucket locked once it has seen, under those locks, that the state
+// is still mi's: a rebuild or rmdir swaps the state out before it retires
+// it, and Table.Clear waits for the locks.
+func (mi *minode) names(loaded func()) []string {
 	for {
-		ds, reuses := mi.loadDir()
-		names := make([]string, 0, ds.ht.Len())
-		ds.ht.Range(func(name string, _, _ uint64) bool {
+		ds := mi.dir.Load()
+		if loaded != nil {
+			loaded()
+		}
+		var names []string
+		if ds.ht.RangeIf(func() bool {
+			if mi.dir.Load() != ds {
+				return false
+			}
+			names = make([]string, 0, ds.ht.Len())
+			return true
+		}, func(name string, _, _ uint64) bool {
 			names = append(names, name)
 			return true
-		})
-		if ds.reuses.Load() == reuses {
+		}) {
 			sort.Strings(names)
 			return names
 		}

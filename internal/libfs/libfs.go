@@ -108,6 +108,11 @@ type Hooks struct {
 	// its entry leaves the parent — the window in which no create may add
 	// a name to it.
 	RmdirFoundEmpty func()
+	// DirStateLoaded runs in a lock-free lookup and in a listing after
+	// they load the directory's auxiliary state, before they search or lock
+	// it — the window in which a rebuild may retire that state and a grace
+	// period recycle it.
+	DirStateLoaded func()
 }
 
 // Options configures a LibFS instance.

@@ -12,6 +12,7 @@ import (
 	"arckfs/internal/htable"
 	"arckfs/internal/kernel"
 	"arckfs/internal/layout"
+	"arckfs/internal/rcu"
 	"arckfs/internal/telemetry"
 )
 
@@ -118,8 +119,6 @@ type dirState struct {
 	// logPages is the storage an rmdir of the fresh directory lists its
 	// tail-set and log pages in, kept with the state for the next rmdir.
 	logPages []uint64
-	// reuses counts the times ds became a spare (loadDir).
-	reuses atomic.Uint64
 }
 
 // Reclaim runs after the grace period a rebuild queued ds behind
@@ -152,8 +151,9 @@ const maxSpareDirs = 16
 // reusesDirs reports whether a removed or rebuilt directory's auxiliary
 // state is kept for a later Mkdir or rebuild. Only with the §4.4 and §4.5
 // patches both in: every writer of the state then holds a bucket lock,
-// which Drain and Clear wait out, and every reader of it is inside a
-// read-side section its grace period waits for.
+// which Drain and Clear wait out, every lookup in it loaded it inside a
+// read-side section its grace period waits for, and a listing holds every
+// bucket lock (names).
 func (fs *FS) reusesDirs() bool {
 	return !fs.opts.Bugs.Has(BugAuxCoreRace | BugLocklessBucketRead)
 }
@@ -207,7 +207,6 @@ func (s *spareDirs) len() int {
 // recycleDir empties ds, which no reader can reach any more, and makes it
 // a spare.
 func (fs *FS) recycleDir(ds *dirState) {
-	ds.reuses.Add(1)
 	ds.ht.Clear(maxSpareBuckets, fs.dirBuckets(0))
 	fs.spareDirs.put(ds)
 }
@@ -222,12 +221,16 @@ func (fs *FS) emptyDir(tailset uint64, ntails, entries int) *dirState {
 	}
 	ds.ht.Reserve(entries)
 	ds.tailset = tailset
+	// Under idxMu, as markVerified reads them: one that loaded ds while
+	// it was its directory's may still be about to look.
+	ds.idxMu.Lock()
 	if len(ds.tails) == ntails {
 		clear(ds.tails)
 	} else {
 		ds.tails = make([]tailCursor, ntails)
 	}
 	ds.unverified = ds.unverified[:0]
+	ds.idxMu.Unlock()
 	for c := range ds.dead {
 		ds.dead[c] = ds.dead[c][:0]
 	}
@@ -866,43 +869,35 @@ func (fs *FS) newDirTable(entries int) *htable.Table {
 	return t
 }
 
-// loadDir returns mi's directory state (nil for a file) and the times it
-// had become a spare, for a reader that takes no bucket lock: what it reads
-// is mi's, or was while mi held the state, only if the count is the same
-// after the read. A state an rmdir or a rebuild retired may be another
-// directory's by then, or mi's again, rebuilt into it.
-func (mi *minode) loadDir() (*dirState, uint64) {
-	for {
-		ds := mi.dir.Load()
-		if ds == nil {
-			return nil, 0
-		}
-		reuses := ds.reuses.Load()
-		if mi.dir.Load() == ds {
-			return ds, reuses
-		}
+// lookupInDir finds name in dir's hash table without locking; the §4.5
+// bug drops the RCU protection. The caller supplies its RCU reader, which
+// is pinned before the state is loaded: a state a rebuild or an rmdir
+// retires after that load is not emptied, nor reused, until the lookup's
+// read-side section ends.
+func (fs *FS) lookupInDir(t *Thread, mi *minode, name string) (uint64, uint64, bool, error) {
+	if fs.opts.Bugs.Has(BugLocklessBucketRead) {
+		return fs.searchDir(nil, mi, name)
 	}
+	t.rd.ReadLock()
+	ino, ref, ok, err := fs.searchDir(t.rd, mi, name)
+	t.rd.ReadUnlock()
+	return ino, ref, ok, err
 }
 
-// lookupInDir finds name in dir's hash table without locking; the §4.5
-// bug drops the RCU protection. The caller supplies its RCU reader.
-func (fs *FS) lookupInDir(t *Thread, mi *minode, name string) (uint64, uint64, bool, error) {
-	var rd = t.rd
-	if fs.opts.Bugs.Has(BugLocklessBucketRead) {
-		rd = nil
+// searchDir looks name up in mi's directory state inside rd's read-side
+// section (nil: none, the §4.5 bug).
+func (fs *FS) searchDir(rd *rcu.Reader, mi *minode, name string) (uint64, uint64, bool, error) {
+	ds := mi.dir.Load()
+	if ds == nil {
+		return 0, 0, false, fsapi.ErrNotDir
 	}
-	for {
-		ds, reuses := mi.loadDir()
-		if ds == nil {
-			return 0, 0, false, fsapi.ErrNotDir
-		}
-		ino, ref, ok, err := ds.ht.Lookup(rd, name)
-		if err != nil {
-			// The simulated segfault of §4.5.
-			return 0, 0, false, fsapi.ErrSegfault
-		}
-		if ds.reuses.Load() == reuses {
-			return ino, ref, ok, nil
-		}
+	if h := fs.opts.Hooks.DirStateLoaded; h != nil {
+		h()
 	}
+	ino, ref, ok, err := ds.ht.Lookup(rd, name)
+	if err != nil {
+		// The simulated segfault of §4.5.
+		return 0, 0, false, fsapi.ErrSegfault
+	}
+	return ino, ref, ok, nil
 }

@@ -305,3 +305,30 @@ func TestStatVsConcurrentWriters(t *testing.T) {
 		t.Fatalf("final directory Stat = %+v, %v", d, err)
 	}
 }
+
+// BenchmarkStat times a Stat of a file five directories down: six lock-free
+// lookups, each in a read-side section of its own, then the cached
+// attributes.
+func BenchmarkStat(b *testing.B) {
+	fs := newFS(b, BugsNone, nil)
+	w := th(b, fs)
+	path := ""
+	for _, d := range []string{"a", "b", "c", "d", "e", "f"} {
+		if path != "" {
+			if err := w.Mkdir(path); err != nil {
+				b.Fatal(err)
+			}
+		}
+		path += "/" + d
+	}
+	if err := w.Create(path); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := w.Stat(path); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -50,13 +50,20 @@ func (fs *FS) ensureCommitted(t *Thread, mi *minode) error {
 // commitCrossing commits ino in a Transfer of one, with span attribution,
 // in t's scratch.
 func (fs *FS) commitCrossing(t *Thread, ino uint64) error {
+	// The directory state the verification covers is the one published
+	// before the crossing: a rebuild may replace it meanwhile.
+	mi := fs.inodes.Load(ino)
+	var ds *dirState
+	if mi != nil {
+		ds = mi.dir.Load()
+	}
 	c := fs.cross(t.CurrentSpan())
 	t.req[0] = ino
 	err := fs.ctrl.Transfer(fs.app, t.req[:], kernel.XferCommit, t.sink(), t.xferOut[:0])[0].Err
 	t.xferOut[0] = kernel.Released{}
 	c.done(telemetry.SpanEvCrossing, int64(telemetry.EvCommit))
-	if mi := fs.inodes.Load(ino); mi != nil && err == nil {
-		mi.dir.Load().markVerified()
+	if mi != nil && err == nil {
+		ds.markVerified(mi)
 		if mi.typ == layout.TypeFile {
 			mi.lock.Lock()
 			mi.file.Load().markVerified()
@@ -66,22 +73,26 @@ func (fs *FS) commitCrossing(t *Thread, ino uint64) error {
 	return err
 }
 
-// markVerified records that the kernel has verified the directory (a
-// successful Commit or Release): every log page linked so far is now
-// inode-owned, and no tail's current page is this hold's. A page a
-// concurrent append links while the crossing is in flight is forgotten
-// with the rest even if the kernel's parse missed it; should a compaction
-// later splice it out, it stays granted-but-idle until the app
+// markVerified records that the kernel has verified directory mi, whose
+// state ds was (a successful Commit or Release): every log page linked so
+// far is now inode-owned, and no tail's current page is this hold's. A
+// page a concurrent append links while the crossing is in flight is
+// forgotten with the rest even if the kernel's parse missed it; should a
+// compaction later splice it out, it stays granted-but-idle until the app
 // unregisters — the safe side, since handing the pool a page the kernel
-// did adopt would fail the next verification that links it.
-func (ds *dirState) markVerified() {
+// did adopt would fail the next verification that links it. A state that
+// is no longer mi's is left alone: a rebuild retired it, and after the
+// grace period its lists may be another directory's.
+func (ds *dirState) markVerified(mi *minode) {
 	if ds == nil {
 		return
 	}
 	ds.idxMu.Lock()
-	ds.unverified = nil
-	for i := range ds.tails {
-		ds.tails[i].linked.Store(false)
+	if mi.dir.Load() == ds {
+		ds.unverified = nil
+		for i := range ds.tails {
+			ds.tails[i].linked.Store(false)
+		}
 	}
 	ds.idxMu.Unlock()
 }
@@ -260,7 +271,7 @@ func (fs *FS) releaseBatch(s *releaseScratch, sp *span.Span) (err error) {
 			if r.Mapping != nil {
 				q.mi.mapping.Store(r.Mapping)
 			}
-			q.mi.dir.Load().markVerified()
+			q.mi.dir.Load().markVerified(q.mi)
 			q.mi.file.Load().markVerified()
 			q.mi.released.Store(true)
 		case q.mi.fresh.Load() || q.mi.mapping.Load().Valid():

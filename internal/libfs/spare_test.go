@@ -16,6 +16,7 @@ import (
 	"arckfs/internal/kernel"
 	"arckfs/internal/layout"
 	"arckfs/internal/pmem"
+	"arckfs/internal/telemetry"
 )
 
 // TestSpareDirIsClean: a directory built on the state of one removed before
@@ -459,7 +460,7 @@ func TestRebuildVsLockFreeReaders(t *testing.T) {
 					t.Errorf("/ lists /d's name %s", n)
 					return
 				}
-				if names := d.names(); len(names) < len(static) || slices.Contains(names, "o") {
+				if names := d.names(nil); len(names) < len(static) || slices.Contains(names, "o") {
 					t.Errorf("/d lists %d names: %v", len(names), names)
 					return
 				}
@@ -509,5 +510,199 @@ func TestRebuildVsLockFreeReaders(t *testing.T) {
 	}
 	if rep, err := kernel.Fsck(ctrl.Device(), kernel.Options{}); err != nil || !rep.Clean() {
 		t.Fatalf("fsck: %v %v", rep, err)
+	}
+}
+
+// pausedOverRebuild runs read, a read of /d on a thread of its own, paused
+// once it has loaded /d's state, while a lease-miss rebuild retires that
+// state and a Barrier runs. It returns what read returned, /d/f's inode,
+// and whether the Barrier ended before read was let go.
+func pausedOverRebuild[R any](t *testing.T, read func(fs *FS, rt *Thread, d *minode) R) (r R, fIno uint64, recycledUnder bool) {
+	t.Helper()
+	ctrl, err := kernel.Format(pmem.New(16<<20, nil), kernel.Options{InodeCap: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hooks := &Hooks{}
+	owner := New(ctrl, ctrl.RegisterApp(0, 0), Options{Hooks: hooks})
+	peer := th(t, New(ctrl, ctrl.RegisterApp(0, 0), Options{}))
+	w, rt := th(t, owner), owner.NewThread(1).(*Thread)
+	defer rt.Detach()
+	for _, err := range []error{w.Mkdir("/d"), w.Create("/d/f"), owner.ReleaseAll()} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := w.resolve("/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fIno, _, _, _ = owner.lookupInDir(w, d, "f")
+	for _, err := range []error{peer.Create("/d/p"), peer.fs.ReleaseAll()} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := d.dir.Load()
+	var armed atomic.Bool
+	loaded, resume := make(chan struct{}), make(chan struct{})
+	hooks.DirStateLoaded = func() {
+		if armed.CompareAndSwap(true, false) {
+			close(loaded)
+			<-resume
+		}
+	}
+	armed.Store(true)
+	done := make(chan R, 1)
+	go func() { done <- read(owner, rt, d) }()
+	<-loaded
+	err = w.Create("/d/x")
+	if err == nil && d.dir.Load() == old {
+		err = errors.New("the lease miss did not rebuild /d")
+	}
+	recycled := make(chan struct{})
+	go func() {
+		owner.dom.Barrier()
+		close(recycled)
+	}()
+	select {
+	case <-recycled:
+		recycledUnder = true
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(resume)
+	r = <-done
+	<-recycled
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, fIno, recycledUnder
+}
+
+// TestLookupPinsTheStateItLoaded: a lock-free lookup paused after it has
+// loaded a directory's state, while a lease-miss rebuild retires that
+// state, holds the grace period off until it has searched it, and finds
+// its name. A lookup pinned only inside the table let the grace period
+// end, and Table.Clear run, under it.
+func TestLookupPinsTheStateItLoaded(t *testing.T) {
+	type result struct {
+		ino uint64
+		ok  bool
+		err error
+	}
+	r, fIno, recycled := pausedOverRebuild(t, func(fs *FS, rt *Thread, d *minode) result {
+		ino, _, ok, err := fs.lookupInDir(rt, d, "f")
+		return result{ino, ok, err}
+	})
+	if recycled {
+		t.Error("the grace period ended while a lookup held the state the rebuild retired")
+	}
+	if !r.ok || r.err != nil || r.ino != fIno {
+		t.Errorf("the paused lookup of /d/f: inode %d, %v, %v; want %d", r.ino, r.ok, r.err, fIno)
+	}
+}
+
+// TestListingRetriesARecycledState: a listing paused after it has loaded a
+// directory's state, which a lease-miss rebuild then retires and a grace
+// period empties, lists the directory's names all the same: it sees under
+// the bucket locks that the state is no longer the directory's, and takes
+// the new one. Without that check it listed the emptied state.
+func TestListingRetriesARecycledState(t *testing.T) {
+	names, _, recycled := pausedOverRebuild(t, func(fs *FS, rt *Thread, d *minode) []string {
+		return d.names(fs.opts.Hooks.DirStateLoaded)
+	})
+	if !recycled {
+		t.Error("no grace period ended under the paused listing")
+	}
+	if want := []string{"f", "p", "x"}; !slices.Equal(names, want) {
+		t.Fatalf("the paused listing of /d: %v, want %v", names, want)
+	}
+}
+
+// commitHookCtl is the kernel with during run once, after the next commit
+// crossing has committed and before the LibFS learns the verdict.
+type commitHookCtl struct {
+	kernelCtl
+	during func()
+}
+
+func (c *commitHookCtl) Transfer(app kernel.AppID, inos []uint64, kind kernel.XferKind, sink telemetry.SpanSink, out []kernel.Released) []kernel.Released {
+	out = c.kernelCtl.Transfer(app, inos, kind, sink, out)
+	if f := c.during; kind == kernel.XferCommit && f != nil {
+		c.during = nil
+		f()
+	}
+	return out
+}
+
+// TestCommitLeavesARecycledStateAlone: a commit of /d during which /d is
+// released, taken by a peer and rebuilt, and its old state recycled into a
+// new directory that links a log page, leaves that directory's unverified
+// pages and linked tails as they were: the verification covered /d, not
+// it. Clearing them would leak the page should a compaction splice it out.
+func TestCommitLeavesARecycledStateAlone(t *testing.T) {
+	ctrl, err := kernel.Format(pmem.New(16<<20, nil), kernel.Options{InodeCap: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := New(ctrl, ctrl.RegisterApp(0, 0), Options{})
+	hc := &commitHookCtl{kernelCtl: owner.ctrl}
+	owner.ctrl = hc
+	peer := th(t, New(ctrl, ctrl.RegisterApp(0, 0), Options{}))
+	w, w2 := th(t, owner), owner.NewThread(1).(*Thread)
+	defer w2.Detach()
+	must := func(errs ...error) {
+		t.Helper()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	must(w.Mkdir("/d"), w.Create("/d/f"), owner.ReleaseAll(), w.Create("/d/g"))
+	d, err := w.resolve("/d")
+	must(err)
+	old := d.dir.Load()
+	var e *minode
+	var unverified []uint64
+	var linked []bool
+	hc.during = func() {
+		must(owner.ReleaseAll(), peer.Create("/d/p"), peer.fs.ReleaseAll(), w2.Create("/d/x"))
+		if d.dir.Load() == old {
+			t.Fatal("the lease miss did not rebuild /d")
+		}
+		owner.dom.Barrier()
+		for i := 0; e == nil && i <= maxSpareDirs; i++ {
+			path := fmt.Sprintf("/e%d", i)
+			must(w2.Mkdir(path))
+			mi, err := w2.resolve(path)
+			must(err)
+			if mi.dir.Load() == old {
+				must(w2.Create(path + "/f"))
+				e = mi
+			}
+		}
+		if e == nil {
+			t.Fatal("no new directory took /d's old state")
+		}
+		unverified = slices.Clone(old.unverified)
+		for i := range old.tails {
+			linked = append(linked, old.tails[i].linked.Load())
+		}
+	}
+	must(owner.CommitInode(w, "/d"))
+	if hc.during != nil {
+		t.Fatal("the commit of /d crossed no commit")
+	}
+	if len(unverified) == 0 || !slices.Contains(linked, true) {
+		t.Fatalf("the new directory linked no page: unverified %v, linked %v", unverified, linked)
+	}
+	got := make([]bool, len(old.tails))
+	for i := range old.tails {
+		got[i] = old.tails[i].linked.Load()
+	}
+	if !slices.Equal(old.unverified, unverified) || !slices.Equal(got, linked) {
+		t.Fatalf("after the commit of /d, the directory holding its old state has unverified %v, linked %v; want %v, %v",
+			old.unverified, got, unverified, linked)
 	}
 }

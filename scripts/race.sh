@@ -47,7 +47,9 @@ go test -race \
 # lock-free lookups and listings racing the lease-miss rebuilds that build
 # a directory into a state it had before, and a create racing an rmdir that
 # found the directory empty, and a lock-free read racing a truncate whose
-# pages come back after one grace period, run ten times over.
+# pages come back after one grace period, and a lookup paused on a state a
+# rebuild retires, and a listing paused on one, and a commit during which
+# its directory's state is recycled, run ten times over.
 step "race at GOMAXPROCS 1, 2, 4"
 for p in 1 2 4; do
   GOMAXPROCS=$p go test -race \
@@ -55,7 +57,7 @@ for p in 1 2 4; do
   GOMAXPROCS=$p go test -race -count=2 \
     -run 'Compact|HandoffChurn|HandoffTurn|Reacquire|UnlinkOfCommitted|ReleaseAllSpan|ReleaseAllLockOrder|TestBug43|TestBug46|ShardStress|ParsesOnce|Delegated|RepeatAcquire|StatNeverTears|StatVsConcurrentWriters|CountedSpin|AcquireGuard|ACLDies|ShardStatsKinds|PageGrantsCross|TestCrossing|InodeRecordCrashAtomic|LookupDuringGrowth|GrowthZeroes|AcquireBatch|TestPrefetch|ConcurrentMissesOneBatch|GrownCommittedFileLeaksNoPages|AllocReclaims|EpochBoundary|ShardWaitSpanEvents|DirtyBits|TestInodeTableConcurrent' \
     ./internal/libfs/ ./internal/kernel/ ./internal/htable/ ./internal/hlock/
-  GOMAXPROCS=$p go test -race -count=10 -run 'TestDeadSlotReuseConcurrent|TestSpareDirVsLockFreeReaders|TestRebuildVsLockFreeReaders|TestRmdirVsCreate|TestReadAtVsTruncateReclaim' ./internal/libfs/
+  GOMAXPROCS=$p go test -race -count=10 -run 'TestDeadSlotReuseConcurrent|TestSpareDirVsLockFreeReaders|TestRebuildVsLockFreeReaders|TestRmdirVsCreate|TestReadAtVsTruncateReclaim|TestLookupPinsTheStateItLoaded|TestListingRetriesARecycledState|TestCommitLeavesARecycledStateAlone' ./internal/libfs/
   GOMAXPROCS=$p go test -race -count=2 -run 'AppRowMatchesDevice|AppStatsCountEveryCrossing' ./internal/core/
   GOMAXPROCS=$p go test -race -count=2 -run 'ConcurrentReaders|WAL' ./internal/kv/
 done
