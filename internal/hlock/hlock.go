@@ -89,9 +89,16 @@ func (l *CountedSpin) Counts() (acquisitions, contended int64) {
 	return l.acquisitions.Load(), l.contended.Load()
 }
 
-// RWSpin is a readers-writer spinlock with writer preference encoded as a
-// single atomic counter: positive values count readers, the writerBias
-// marks an exclusive holder.
+// RWSpin is a readers-writer spinlock encoded as a single atomic counter:
+// positive values count shared holders, the writerBias marks an exclusive
+// holder. It has no writer preference: Lock only takes the word from 0,
+// and a waiting Lock does not stop new shared holders, so shared holds
+// that overlap keep an exclusive locker out for as long as they overlap.
+// A shared holder may therefore take the lock shared again while another
+// goroutine waits in Lock. The LibFS's shared takers are pinDirs (rename
+// pins both parents, rmdir its parent: RLock, then TryRLock on the
+// second) in internal/libfs/rename.go; everything else takes it
+// exclusively.
 // The zero value is unlocked.
 type RWSpin struct {
 	state atomic.Int64

@@ -123,6 +123,41 @@ func TestRWSpinReadersShareWritersExclude(t *testing.T) {
 	l.Unlock()
 }
 
+// TestRWSpinHasNoWriterPreference pins what RWSpin's doc says: a Lock
+// waiting on a shared holder does not stop new shared holders, so shared
+// holds that overlap, each taken before the last one ends, keep the
+// writer out until none is left.
+func TestRWSpinHasNoWriterPreference(t *testing.T) {
+	var l RWSpin
+	l.RLock()
+	waiting, locked := make(chan struct{}), make(chan struct{})
+	go func() {
+		close(waiting)
+		l.Lock()
+		close(locked)
+		l.Unlock()
+	}()
+	<-waiting
+	for i := range 5 {
+		time.Sleep(2 * time.Millisecond) // let the writer spin on the held word
+		if !l.TryRLock() {
+			t.Fatalf("hand-off %d: a shared holder was refused while a writer waited", i)
+		}
+		l.RUnlock() // the earlier holder leaves; the new one still holds
+		select {
+		case <-locked:
+			t.Fatalf("hand-off %d: the writer got in under a shared hold", i)
+		default:
+		}
+	}
+	l.RUnlock()
+	select {
+	case <-locked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the writer did not get in once no shared holder was left")
+	}
+}
+
 func TestRWSpinCounter(t *testing.T) {
 	var l RWSpin
 	var shared int

@@ -19,7 +19,7 @@ import (
 // --- §4.1 Cross-directory rename failure -----------------------------------
 
 func TestBug41CrossDirRenameFailure(t *testing.T) {
-	fs := newFS(t, BugRenameVerify, nil) // original verifier + rule-less LibFS
+	fs := newFS(t, BugRenameVerify) // original verifier + rule-less LibFS
 	w := th(t, fs)
 	w.Mkdir("/a")
 	w.Mkdir("/b")
@@ -45,7 +45,7 @@ func TestBug41CrossDirRenameFailure(t *testing.T) {
 }
 
 func TestBug41FixedInPlus(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	w := th(t, fs)
 	w.Mkdir("/a")
 	w.Mkdir("/b")
@@ -130,8 +130,7 @@ func runBug43Interleaving(t *testing.T, bugs Bugs) error {
 	inWrite := make(chan struct{})
 	resume := make(chan struct{})
 	var fired atomic.Bool
-	hooks := &Hooks{}
-	fs := newFS(t, bugs, hooks)
+	fs := newFS(t, bugs)
 	setup := th(t, fs)
 	if err := setup.Mkdir("/dir"); err != nil {
 		t.Fatal(err)
@@ -141,12 +140,12 @@ func runBug43Interleaving(t *testing.T, bugs Bugs) error {
 		t.Fatal(err)
 	}
 	// Arm the window only after setup: it should catch the victim create.
-	hooks.DirWriteInProgress = func() {
+	fs.dev.SetObserver(pmem.OnSite(siteDirWriteInProgress, func() {
 		if fired.CompareAndSwap(false, true) {
 			close(inWrite)
 			<-resume
 		}
-	}
+	}))
 	dirIno := func() uint64 {
 		st, err := setup.Stat("/dir")
 		if err != nil {
@@ -210,7 +209,7 @@ func TestBug43FixedByLockedRelease(t *testing.T) {
 // dereference the unmapped core state.
 func TestBug43ReadAfterReleaseCachedVsCrash(t *testing.T) {
 	run := func(bugs Bugs) error {
-		fs := newFS(t, bugs, nil)
+		fs := newFS(t, bugs)
 		w := th(t, fs)
 		if err := w.Create("/f"); err != nil {
 			t.Fatal(err)
@@ -253,16 +252,15 @@ func TestBug44AuxCoreRaceSegfault(t *testing.T) {
 	inWindow := make(chan struct{})
 	resume := make(chan struct{})
 	var fired atomic.Bool
-	hooks := &Hooks{}
-	fs := newFS(t, BugAuxCoreRace, hooks)
+	fs := newFS(t, BugAuxCoreRace)
 	setup := th(t, fs)
 	setup.Mkdir("/d")
-	hooks.CreateBetweenAuxAndCore = func() {
+	fs.dev.SetObserver(pmem.OnSite(siteCreateBetweenAuxAndCore, func() {
 		if fired.CompareAndSwap(false, true) {
 			close(inWindow)
 			<-resume
 		}
-	}
+	}))
 
 	createErr := make(chan error, 1)
 	go func() {
@@ -287,13 +285,12 @@ func TestBug44AuxCoreRaceSegfault(t *testing.T) {
 
 func TestBug44FixedByExtendedCriticalSection(t *testing.T) {
 	// Same workload, patched mode: the §4.4 window does not exist (the
-	// hook is unreachable), so run the full concurrent churn and require
+	// site is unreachable), so run the full concurrent churn and require
 	// zero faults.
-	fs := newFS(t, BugsNone, &Hooks{
-		CreateBetweenAuxAndCore: func() {
-			panic("unreachable: §4.4 window must not exist in ArckFS+")
-		},
-	})
+	fs := newFS(t, BugsNone)
+	fs.dev.SetObserver(pmem.OnSite(siteCreateBetweenAuxAndCore, func() {
+		panic("unreachable: §4.4 window must not exist in ArckFS+")
+	}))
 	setup := th(t, fs)
 	setup.Mkdir("/d")
 	var wg sync.WaitGroup
@@ -336,15 +333,19 @@ func runBug45Interleaving(t *testing.T, bugs Bugs, strict bool) error {
 	inTraverse := make(chan struct{})
 	resume := make(chan struct{})
 	var fired atomic.Bool
-	hooks := &Hooks{}
-	fs := newFSStrict(t, bugs, hooks, strict)
+	fs := newFSStrict(t, bugs, strict)
 	setup := th(t, fs)
 	if err := setup.Create("/victim"); err != nil {
 		t.Fatal(err)
 	}
-	// CAS, not sync.Once: later traversals (the writer's own lookups)
-	// must pass straight through while the reader is parked.
-	hooks.BucketTraverse = func() {
+	root, err := setup.resolve("/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The window is the root table's own seam: htable has no device. CAS,
+	// not sync.Once: later traversals (the writer's own lookups) must pass
+	// straight through while the reader is parked.
+	root.dir.Load().ht.TraverseHook = func() {
 		if fired.CompareAndSwap(false, true) {
 			close(inTraverse)
 			<-resume
@@ -395,14 +396,13 @@ func runBug46ConcurrentRenames(t *testing.T, bugs Bugs) (*FS, error, error) {
 	barrier := make(chan struct{})
 	var entered sync.WaitGroup
 	entered.Add(1) // only the buggy mode parks both; see below
-	hooks := &Hooks{}
-	var fs *FS
+	fs := newFS(t, bugs)
 	if bugs.Has(BugNoCycleCheck) {
 		// Park both renames after their (absent) checks so the moves
 		// interleave — the paper's case (1).
 		var mu sync.Mutex
 		waiting := 0
-		hooks.RenameAfterCheck = func() {
+		fs.dev.SetObserver(pmem.OnSite(siteRenameAfterCheck, func() {
 			mu.Lock()
 			waiting++
 			w := waiting
@@ -412,9 +412,8 @@ func runBug46ConcurrentRenames(t *testing.T, bugs Bugs) (*FS, error, error) {
 			} else {
 				close(barrier)
 			}
-		}
+		}))
 	}
-	fs = newFS(t, bugs, hooks)
 	setup := th(t, fs)
 	for _, p := range []string{"/a", "/a/b", "/c", "/c/d"} {
 		if err := setup.Mkdir(p); err != nil {

@@ -75,7 +75,7 @@ func logPages(t testing.TB, fs *FS, w *Thread, dir string) int {
 func TestReleaseCompactsChurnedDirectory(t *testing.T) {
 	for _, leases := range []bool{true, false} {
 		t.Run(fmt.Sprintf("leases=%v", leases), func(t *testing.T) {
-			fs := newFS(t, BugsNone, nil)
+			fs := newFS(t, BugsNone)
 			peer := New(kctl(fs), kctl(fs).RegisterApp(0, 0), Options{})
 			w := th(t, fs)
 			if err := w.Mkdir("/d"); err != nil {
@@ -168,7 +168,7 @@ func TestReleaseCompactsChurnedDirectory(t *testing.T) {
 
 // TestCompactionSkippedBelowThreshold pins both halves of the trigger.
 func TestCompactionSkippedBelowThreshold(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	w := th(t, fs)
 	if err := w.Mkdir("/few"); err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestCompactionSkippedBelowThreshold(t *testing.T) {
 // device flushes two lines in between, and that fence's barrier is the
 // release's only LibFS one.
 func TestCompactionSplicesInPlace(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	w := th(t, fs)
 	// 1 000 records of one length, 170 a page: six pages, the last short.
 	fill := func(dir string, keep func(i int) bool) []string {
@@ -813,7 +813,7 @@ func TestCompactionCrashStatesKeepLiveSet(t *testing.T) {
 // TestReleaseAllSpanShowsCompaction: a traced ReleaseAll records one
 // release span carrying a dir-compact event for the rewritten directory.
 func TestReleaseAllSpanShowsCompaction(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	tr := span.New(64, 1)
 	tr.SetEnabled(true)
 	fs.SetTracer(tr)

@@ -318,7 +318,7 @@ func TestGrowthZeroesCrashStates(t *testing.T) {
 // before the size is published, so the reader that sees the size also
 // sees them; the bytes it reads are never the ones being zeroed.
 func TestGrowthZeroesConcurrentReader(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	w := th(t, fs)
 	const old, grown = 100, 2 * layout.PageSize
 	for round := 0; round < 40; round++ {

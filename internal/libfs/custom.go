@@ -92,9 +92,7 @@ func (fs *FS) batchInsert(t *Thread, dmi *minode, name string, ino uint64) (ref 
 		if ds == removedDir {
 			return 0, fsapi.ErrNotExist
 		}
-		if h := fs.opts.Hooks.CreateBatchBeforeLock; h != nil {
-			h()
-		}
+		fs.dev.Killpoint(siteCreateBatchBeforeLock)
 		stale := false
 		ds.ht.WithBucket(name, func(lb htable.LockedBucket) {
 			if stale = dmi.dir.Load() != ds; stale {

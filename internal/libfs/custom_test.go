@@ -13,7 +13,7 @@ import (
 )
 
 func TestCreateBatchBasic(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	w := th(t, fs)
 	if err := w.Mkdir("/bulk"); err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func TestCreateBatchBasic(t *testing.T) {
 }
 
 func TestCreateBatchDuplicateStopsCleanly(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	w := th(t, fs)
 	w.Mkdir("/bulk")
 	w.Create("/bulk/taken")

@@ -93,9 +93,7 @@ func (fs *FS) copyOutRange(st *fileState, off int64, p []byte) {
 			b = arr[bi].Load()
 		}
 		if b != 0 {
-			if h := fs.opts.Hooks.FileReadBlock; h != nil {
-				h() // reclamation window: pointer loaded, page not yet read
-			}
+			fs.dev.Killpoint(siteFileReadBlock)
 			fs.dev.Read(int64(b*layout.PageSize)+bo, p[read:read+n])
 		} else {
 			for i := read; i < read+n; i++ {

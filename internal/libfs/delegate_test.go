@@ -16,7 +16,7 @@ import (
 // threshold in both directions and checks byte-exact round trips,
 // including unaligned offsets and pre-existing data around the edges.
 func TestDelegatedIORoundTrip(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	w := th(t, fs)
 	if err := w.Create("/big"); err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestDelegatedIORoundTrip(t *testing.T) {
 // TestDelegatedReadConcurrentWithSmallIO mixes delegated and inline
 // paths across goroutines on distinct files.
 func TestDelegatedReadConcurrentWithSmallIO(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	setup := th(t, fs)
 	setup.Create("/a")
 	setup.Create("/b")
@@ -220,7 +220,7 @@ func dirtyPool(t *testing.T, w *Thread, n int) {
 // itself never stores to, so the overlap is race-free by construction —
 // and afterwards the whole range, byte-exact.
 func TestDelegatedHoleFillConcurrentReader(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	w := th(t, fs)
 	const (
 		fileSize = 2 << 20
@@ -292,7 +292,7 @@ func TestDelegatedHoleFillConcurrentReader(t *testing.T) {
 }
 
 func benchDelegated(b *testing.B, write bool) {
-	fs := newFS(b, BugsNone, nil)
+	fs := newFS(b, BugsNone)
 	w := th(b, fs)
 	if err := w.Create("/bench"); err != nil {
 		b.Fatal(err)

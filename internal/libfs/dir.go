@@ -124,9 +124,7 @@ func (fs *FS) appendDentry(t *Thread, mi *minode, ds *dirState, childIno uint64,
 	if err := fs.checkMapped(mi); err != nil {
 		return 0, err
 	}
-	if h := fs.opts.Hooks.DirWriteInProgress; h != nil {
-		h() // §4.3 window: the mapping may be torn down while we sit here
-	}
+	fs.dev.Killpoint(siteDirWriteInProgress) // the mapping may be torn down here
 
 	r, reused, err := fs.takeSlot(t, ds, ti, tc, len(name))
 	if err != nil {
@@ -257,9 +255,7 @@ func (fs *FS) insertEntry(t *Thread, mi *minode, childIno uint64, name string, c
 			ds.addDead(r, len(name))
 			return 0, fsapi.ErrExist
 		}
-		if h := fs.opts.Hooks.CreateBetweenAuxAndCore; h != nil {
-			h()
-		}
+		fs.dev.Killpoint(siteCreateBetweenAuxAndCore)
 		if err := fs.fillDentry(t, mi, r, childIno, name); err != nil {
 			mi.ht().Delete(name)
 			return 0, err
@@ -355,9 +351,7 @@ func (fs *FS) fillDentry(t *Thread, mi *minode, r layout.DentryRef, childIno uin
 	if err := fs.checkMapped(mi); err != nil {
 		return err
 	}
-	if h := fs.opts.Hooks.DirWriteInProgress; h != nil {
-		h()
-	}
+	fs.dev.Killpoint(siteDirWriteInProgress)
 	layout.WriteDentryBody(fs.dev, r, childIno, name)
 	fs.persistDentryBody(t.pb, r, len(name))
 	if !fs.opts.Bugs.Has(BugMissingFence) {
@@ -644,9 +638,7 @@ func (t *Thread) Rmdir(path string) (err error) {
 	}
 	cds := child.dir.Load()
 	if !cds.ht.IfEmpty(func() {
-		if h := fs.opts.Hooks.RmdirFoundEmpty; h != nil {
-			h()
-		}
+		fs.dev.Killpoint(siteRmdirFoundEmpty)
 		_, err = fs.removeEntry(t, dir, name, child.ino, func(uint64) {
 			layout.FreeInode(fs.dev, fs.geo, child.ino)
 			t.pb.Flush(layout.InodeOff(fs.geo, child.ino), layout.InodeSize)
@@ -713,20 +705,17 @@ func (t *Thread) Readdir(path string) (names []string, err error) {
 	if mi.typ != layout.TypeDir {
 		return nil, fsapi.ErrNotDir
 	}
-	return mi.names(t.fs.opts.Hooks.DirStateLoaded), nil
+	return t.fs.names(mi), nil
 }
 
-// names lists directory mi's names in sorted order (loaded is the
-// DirStateLoaded hook). It walks a state with
+// names lists directory mi's names in sorted order. It walks a state with
 // every bucket locked once it has seen, under those locks, that the state
 // is still mi's: a rebuild or rmdir swaps the state out before it retires
 // it, and Table.Clear waits for the locks.
-func (mi *minode) names(loaded func()) []string {
+func (fs *FS) names(mi *minode) []string {
 	for {
 		ds := mi.dir.Load()
-		if loaded != nil {
-			loaded()
-		}
+		fs.dev.Killpoint(siteDirStateLoaded)
 		var names []string
 		if ds.ht.RangeIf(func() bool {
 			if mi.dir.Load() != ds {

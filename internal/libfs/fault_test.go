@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"arckfs/internal/fsapi"
 	"arckfs/internal/kernel"
@@ -319,9 +320,9 @@ func TestMkdirRmdirAllOrNothing(t *testing.T) {
 }
 
 // TestOpsAllOrNothing runs check over the other operations that cross:
-// Create, Unlink, Rename, WriteAt, Truncate and CreateBatch. Grants of one
-// page or one inode make the page and inode grants cross once per
-// resource.
+// Create, Unlink, Rename, WriteAt, Truncate, CreateBatch, CommitInode, and
+// a write whose mapping the kernel revoked. Grants of one page or one inode
+// make the page and inode grants cross once per resource.
 func TestOpsAllOrNothing(t *testing.T) {
 	dirs, paths := []string{"/", "/d", "/d/e", "/q", "/q/e"}, []string{"/d/f", "/d/g", "/d/e/f", "/d/new", "/d/a", "/d/b", "/d/c"}
 	one := Options{GrantPageBatch: 1, GrantInoBatch: 1}
@@ -410,6 +411,19 @@ func TestOpsAllOrNothing(t *testing.T) {
 			return err
 		}},
 		{name: "truncate up", opts: one, op: func(w *Thread) error { return w.Truncate("/d/f", 1100*layout.PageSize) }},
+		// The kernel revoked the app's mapping of /d/f when a peer took the
+		// file after its lease lapsed: the write remaps it in one acquire.
+		{name: "write after a revoked mapping", opts: one, setup: revoked(&fd), op: func(w *Thread) error {
+			_, err := w.WriteAt(fd, page, layout.PageSize)
+			return err
+		}},
+		// A fresh file commits its parent twice (the parent itself, then
+		// the entry that names the file) and then itself.
+		{name: "commit", setup: func(t *testing.T, _ *kernel.Controller, _ *FS, w *Thread) {
+			if err := w.Create("/d/new"); err != nil {
+				t.Fatal(err)
+			}
+		}, op: func(w *Thread) error { return w.fs.CommitInode(w, "/d/new") }},
 		{name: "create batch", opts: one, op: func(w *Thread) error {
 			var err error
 			made, err = w.CreateBatch("/d", names)
@@ -429,6 +443,73 @@ func TestOpsAllOrNothing(t *testing.T) {
 			c.dirs, c.paths, c.reads = dirs, paths, []string{"/d/f", "/d/g", "/d/e/f"}
 			c.check(t)
 		})
+	}
+}
+
+// revoked leaves *fd open on /d/f, which the app wrote, and whose mapping
+// the kernel revoked when a peer took the file after the app's lease
+// lapsed. The app released / and /d before, so only the file was taken
+// from it; the peer has released all three since.
+func revoked(fd *fsapi.FD) func(t *testing.T, ctrl *kernel.Controller, fs *FS, w *Thread) {
+	return func(t *testing.T, ctrl *kernel.Controller, fs *FS, w *Thread) {
+		t.Helper()
+		now := time.Now()
+		ctrl.SetClock(func() time.Time { return now })
+		peer := th(t, New(ctrl, ctrl.RegisterApp(0, 0), Options{}))
+		b := []byte("held")
+		var err error
+		if *fd, err = w.Open("/d/f"); err == nil {
+			_, err = w.WriteAt(*fd, b, 0)
+		}
+		d, derr := w.Stat("/d")
+		for _, err := range []error{err, derr, fs.ReleaseInode(layout.RootIno), fs.ReleaseInode(d.Ino)} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		now = now.Add(time.Minute)
+		pfd, err := peer.Open("/d/f")
+		if err == nil {
+			_, err = peer.WriteAt(pfd, b, 0)
+		}
+		for _, err := range []error{err, peer.fs.ReleaseAll()} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		mi, err := w.lookupFD(*fd)
+		if err != nil || !mi.unmapped() {
+			t.Fatalf("/d/f: %v, unmapped %v; want its mapping revoked", err, mi != nil && mi.unmapped())
+		}
+	}
+}
+
+// TestRefusedRemapReportsTheKernel: a read or write whose mapping the
+// kernel revoked, and whose re-acquire the kernel refuses, fails with the
+// kernel's error. Both reported the simulated bus error of the revoked
+// mapping instead, the crash ArckFS+ exists to avoid.
+func TestRefusedRemapReportsTheKernel(t *testing.T) {
+	ctrl, err := kernel.Format(pmem.New(16<<20, nil), kernel.Options{Mode: verifier.Enhanced, InodeCap: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := New(ctrl, ctrl.RegisterApp(0, 0), Options{})
+	w := th(t, fs)
+	for _, err := range []error{w.Mkdir("/d"), w.Create("/d/f"), fs.ReleaseAll()} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var fd fsapi.FD
+	revoked(&fd)(t, ctrl, fs, w)
+	fc := &faultCtl{kernelCtl: fs.ctrl, k: 1, sticky: true}
+	fs.ctrl = fc
+	buf := make([]byte, 4)
+	if _, err := w.ReadAt(fd, buf, 0); !errors.Is(err, fsapi.ErrBusy) {
+		t.Errorf("read with its remap refused: %v, want %v", err, fsapi.ErrBusy)
+	}
+	if _, err := w.WriteAt(fd, buf, 0); !errors.Is(err, fsapi.ErrBusy) {
+		t.Errorf("write with its remap refused: %v, want %v", err, fsapi.ErrBusy)
 	}
 }
 

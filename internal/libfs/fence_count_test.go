@@ -66,7 +66,7 @@ func TestCreateFenceCountPatchedVsBuggy(t *testing.T) {
 // and an unlink of a cached file stores and flushes exactly one, the freed
 // record's type word, beside the line of its cleared commit marker.
 func TestInodeRecordPersistsOneLine(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	w := th(t, fs)
 	if err := w.Mkdir("/d"); err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestTruncateFlushCountBatched(t *testing.T) {
 // growthRig is a file /f holding n bytes of 0xAB, open as fd.
 func growthRig(t *testing.T, n int) (*FS, *Thread, fsapi.FD) {
 	t.Helper()
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	w := th(t, fs)
 	if err := w.Create("/f"); err != nil {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestTruncateToOneTiB(t *testing.T) {
 // into the kernel — so no read can move the persist schedule the crash
 // checkers enumerate.
 func TestReadPathsPersistNothing(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	w := th(t, fs)
 	ok := func(_ any, err error) {
 		t.Helper()

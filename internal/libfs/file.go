@@ -20,7 +20,8 @@ func (t *Thread) Open(path string) (fd fsapi.FD, err error) {
 }
 
 // ReadAt copies file data at off into p, transparently re-acquiring if a
-// trust-group peer took the inode.
+// trust-group peer took the inode; a refused re-acquire returns the
+// kernel's error.
 func (t *Thread) ReadAt(fd fsapi.FD, p []byte, off int64) (n int, err error) {
 	defer t.endOp(t.beginOp(fsapi.OpRead), &err)
 	mi, err := t.lookupFD(fd)
@@ -29,7 +30,7 @@ func (t *Thread) ReadAt(fd fsapi.FD, p []byte, off int64) (n int, err error) {
 	}
 	n, err = t.readAt(mi, p, off)
 	if errors.Is(err, fsapi.ErrBusError) {
-		if rerr := t.fs.remap(t, mi); rerr == nil {
+		if err = t.fs.remap(t, mi); err == nil {
 			return t.readAt(mi, p, off)
 		}
 	}
@@ -87,7 +88,8 @@ func (t *Thread) readAtCommon(mi *minode, p []byte, off int64) (int, error) {
 //
 // If the kernel moved the inode to a trust-group peer since the last
 // operation, the patched LibFS transparently re-acquires and retries
-// once; ArckFS crashes (§4.3).
+// once (a refused re-acquire returns the kernel's error); ArckFS crashes
+// (§4.3).
 func (t *Thread) WriteAt(fd fsapi.FD, p []byte, off int64) (n int, err error) {
 	defer t.endOp(t.beginOp(fsapi.OpWrite), &err)
 	mi, err := t.lookupFD(fd)
@@ -96,7 +98,7 @@ func (t *Thread) WriteAt(fd fsapi.FD, p []byte, off int64) (n int, err error) {
 	}
 	n, err = t.fs.writeAt(t, mi, p, off)
 	if errors.Is(err, fsapi.ErrBusError) {
-		if rerr := t.fs.remap(t, mi); rerr == nil {
+		if err = t.fs.remap(t, mi); err == nil {
 			return t.fs.writeAt(t, mi, p, off)
 		}
 	}

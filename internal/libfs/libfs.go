@@ -7,8 +7,8 @@
 // The package implements both the file system as shipped in the Trio
 // artifact (ArckFS) and the patched ArckFS+ of the paper. The six bugs of
 // Table 1 are individually toggleable through the Bugs bit-set, and the
-// Hooks structure exposes the exact race windows the paper instruments
-// with sleep() calls, so every bug is reproducible deterministically.
+// race windows the paper instruments with sleep() calls are named sites
+// on the device's observer, so every bug is reproducible deterministically.
 package libfs
 
 import (
@@ -77,49 +77,46 @@ const (
 // Has reports whether bug b is enabled.
 func (bs Bugs) Has(b Bugs) bool { return bs&b != 0 }
 
-// Hooks are deterministic stand-ins for the sleep() calls the paper
-// inserts to widen race windows. All are optional.
-type Hooks struct {
-	// CreateBetweenAuxAndCore runs in the §4.4 window: after the
-	// auxiliary hash-table insert, before the persistent dentry append
-	// (only reachable with BugAuxCoreRace).
-	CreateBetweenAuxAndCore func()
-	// DirWriteInProgress runs during a directory write, after the
-	// mapping check and before the persistent append — the §4.3 window.
-	DirWriteInProgress func()
-	// RenameAfterCheck runs after a rename's checks and resolution,
-	// before the persistent moves — the §4.6 window.
-	RenameAfterCheck func()
-	// BucketTraverse is forwarded to every directory hash table — the
-	// §4.5 window.
-	BucketTraverse func()
-	// FileReadBlock runs in the file read path after a block pointer has
-	// been loaded from the published index, before its page is copied —
-	// the data-plane reclamation window: a truncate or unlink that
-	// unpublishes the block here must not let the page be reused until
-	// the reader leaves its read-side section. The reclamation stress
-	// test widens the window with it.
-	FileReadBlock func()
-	// CreateBatchBeforeLock runs in CreateBatch after it loads the
-	// directory's auxiliary state, before it locks a name's bucket — the
-	// window in which an rmdir may retire that state and a mkdir reuse it.
-	CreateBatchBeforeLock func()
-	// RmdirFoundEmpty runs in Rmdir once the victim is found empty, before
-	// its entry leaves the parent — the window in which no create may add
-	// a name to it.
-	RmdirFoundEmpty func()
-	// DirStateLoaded runs in a lock-free lookup and in a listing after
-	// they load the directory's auxiliary state, before they search or lock
-	// it — the window in which a rebuild may retire that state and a grace
-	// period recycle it.
-	DirStateLoaded func()
-}
+// Race windows: the instants the paper widens with sleep() calls, and the
+// ones this reproduction's own races need. Each is a fs.dev.Killpoint
+// call, so a test arms one through the device's observer and may block
+// there or run other threads' operations (see pmem's killpoint.go).
+const (
+	// siteCreateBetweenAuxAndCore is the §4.4 window: after the auxiliary
+	// hash-table insert, before the persistent dentry append (only
+	// reachable with BugAuxCoreRace).
+	siteCreateBetweenAuxAndCore = "libfs.window.create-aux-core"
+	// siteDirWriteInProgress is the §4.3 window: during a directory
+	// write, after the mapping check and before the persistent append.
+	siteDirWriteInProgress = "libfs.window.dir-write"
+	// siteRenameAfterCheck is the §4.6 window: after a rename's checks
+	// and resolution, before the persistent moves.
+	siteRenameAfterCheck = "libfs.window.rename-checked"
+	// siteFileReadBlock is the data-plane reclamation window: a file read
+	// has loaded a block pointer from the published index and not yet
+	// copied its page. A truncate or unlink that unpublishes the block
+	// here must not let the page be reused until the reader leaves its
+	// read-side section.
+	siteFileReadBlock = "libfs.window.file-read-block"
+	// siteCreateBatchBeforeLock: CreateBatch has loaded the directory's
+	// auxiliary state and not yet locked a name's bucket, the window in
+	// which an rmdir may retire that state and a mkdir reuse it.
+	siteCreateBatchBeforeLock = "libfs.window.batch-before-lock"
+	// siteRmdirFoundEmpty: Rmdir has found the victim empty and its entry
+	// has not left the parent, the window in which no create may add a
+	// name to it.
+	siteRmdirFoundEmpty = "libfs.window.rmdir-found-empty"
+	// siteDirStateLoaded: a lock-free lookup or a listing has loaded the
+	// directory's auxiliary state and not yet searched or locked it, the
+	// window in which a rebuild may retire that state and a grace period
+	// recycle it.
+	siteDirStateLoaded = "libfs.window.dir-state-loaded"
+)
 
 // Options configures a LibFS instance.
 type Options struct {
-	Bugs  Bugs
-	Cost  *costmodel.Model
-	Hooks *Hooks
+	Bugs Bugs
+	Cost *costmodel.Model
 	// GrantInoBatch and GrantPageBatch size the resource-grant syscalls.
 	GrantInoBatch  int
 	GrantPageBatch int
@@ -140,9 +137,6 @@ func (o *Options) fill() {
 	}
 	if o.DirBuckets == 0 {
 		o.DirBuckets = 16
-	}
-	if o.Hooks == nil {
-		o.Hooks = &Hooks{}
 	}
 }
 
@@ -355,8 +349,8 @@ func (fs *FS) allocPage(t *Thread, cpu int) (uint64, error) {
 			// The device may look exhausted only because retired pages
 			// are parked behind a grace period: drain the retire queue,
 			// retry the pool, and only then re-try the kernel. This wait
-			// must stay on the failure path — a pinned reader parked in a
-			// test hook can be blocked on this very writer's progress, so
+			// must stay on the failure path — a pinned reader parked at a
+			// race window can be blocked on this very writer's progress, so
 			// waiting for grace on every dry stripe would deadlock the
 			// deterministic interleaving tests.
 			fs.pageMu[s].Lock()

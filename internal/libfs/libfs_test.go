@@ -16,14 +16,14 @@ import (
 	"arckfs/internal/verifier"
 )
 
-// newFS builds a fresh system with the given bug set. Hooks may be nil.
-func newFS(t testing.TB, bugs Bugs, hooks *Hooks) *FS {
-	return newFSStrict(t, bugs, hooks, false)
+// newFS builds a fresh system with the given bug set.
+func newFS(t testing.TB, bugs Bugs) *FS {
+	return newFSStrict(t, bugs, false)
 }
 
 // newFSStrict additionally selects the instrumented §4.5 build that
 // faults immediately on a recycled entry.
-func newFSStrict(t testing.TB, bugs Bugs, hooks *Hooks, strict bool) *FS {
+func newFSStrict(t testing.TB, bugs Bugs, strict bool) *FS {
 	t.Helper()
 	mode := verifier.Enhanced
 	if bugs.Has(BugRenameVerify) {
@@ -35,7 +35,7 @@ func newFSStrict(t testing.TB, bugs Bugs, hooks *Hooks, strict bool) *FS {
 		t.Fatal(err)
 	}
 	app := ctrl.RegisterApp(0, 0)
-	return New(ctrl, app, Options{Bugs: bugs, Hooks: hooks, StrictUAF: strict})
+	return New(ctrl, app, Options{Bugs: bugs, StrictUAF: strict})
 }
 
 // kctl returns the kernel fs crosses into.
@@ -46,7 +46,7 @@ func th(t testing.TB, fs *FS) *Thread {
 }
 
 func TestCreateOpenReadWrite(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	w := th(t, fs)
 	if err := w.Create("/hello.txt"); err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestCreateOpenReadWrite(t *testing.T) {
 }
 
 func TestErrnoSemantics(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	w := th(t, fs)
 	if err := w.Create("/a"); err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestErrnoSemantics(t *testing.T) {
 }
 
 func TestDeepPathsAndReaddir(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	w := th(t, fs)
 	path := ""
 	for i := 0; i < 5; i++ {
@@ -157,7 +157,7 @@ func TestDeepPathsAndReaddir(t *testing.T) {
 }
 
 func TestSparseAndLargeFile(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	w := th(t, fs)
 	if err := w.Create("/big"); err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestSparseAndLargeFile(t *testing.T) {
 }
 
 func TestTruncate(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	w := th(t, fs)
 	w.Create("/f")
 	fd, _ := w.Open("/f")
@@ -224,7 +224,7 @@ func TestTruncate(t *testing.T) {
 }
 
 func TestRenameFileSameDir(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	w := th(t, fs)
 	w.Create("/old")
 	fd, _ := w.Open("/old")
@@ -252,7 +252,7 @@ func TestRenameFileSameDir(t *testing.T) {
 }
 
 func TestRenameFileCrossDir(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	w := th(t, fs)
 	w.Mkdir("/src")
 	w.Mkdir("/dst")
@@ -286,7 +286,7 @@ func TestRenameCommittedFileCrossDir(t *testing.T) {
 		{"dst-fresh", []string{"/src"}, []string{"/dst"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			fs := newFS(t, BugsNone, nil)
+			fs := newFS(t, BugsNone)
 			w := th(t, fs)
 			must := func(err error) {
 				t.Helper()
@@ -327,7 +327,7 @@ func TestRenameCommittedFileCrossDir(t *testing.T) {
 }
 
 func TestRenameDirCrossDirPlus(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	w := th(t, fs)
 	w.Mkdir("/a")
 	w.Mkdir("/b")
@@ -349,7 +349,7 @@ func TestRenameDirCrossDirPlus(t *testing.T) {
 }
 
 func TestRenameDirIntoOwnDescendantRejected(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	w := th(t, fs)
 	w.Mkdir("/a")
 	w.Mkdir("/a/b")
@@ -359,7 +359,7 @@ func TestRenameDirIntoOwnDescendantRejected(t *testing.T) {
 }
 
 func TestReleaseAllAndReuse(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	w := th(t, fs)
 	w.Mkdir("/d")
 	for i := 0; i < 20; i++ {
@@ -415,7 +415,7 @@ func TestSecondAppSeesVerifiedState(t *testing.T) {
 }
 
 func TestConcurrentCreatesDistinctDirs(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	setup := th(t, fs)
 	const nt = 4
 	for g := 0; g < nt; g++ {
@@ -458,7 +458,7 @@ func TestConcurrentCreatesDistinctDirs(t *testing.T) {
 }
 
 func TestConcurrentSharedDirChurn(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	setup := th(t, fs)
 	if err := setup.Mkdir("/shared"); err != nil {
 		t.Fatal(err)
@@ -510,7 +510,7 @@ func TestConcurrentSharedDirChurn(t *testing.T) {
 func TestQuickOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		fs := newFS(t, BugsNone, nil)
+		fs := newFS(t, BugsNone)
 		w := th(t, fs)
 		type mfile struct{ data []byte }
 		dirs := map[string]bool{"/": true}

@@ -859,13 +859,6 @@ func (fs *FS) newDirTable(entries int) *htable.Table {
 	}
 	t := htable.New(opts)
 	t.Reserve(entries)
-	// Indirect through the Hooks struct so tests can arm the window after
-	// tables already exist.
-	t.TraverseHook = func() {
-		if h := fs.opts.Hooks.BucketTraverse; h != nil {
-			h()
-		}
-	}
 	return t
 }
 
@@ -891,9 +884,7 @@ func (fs *FS) searchDir(rd *rcu.Reader, mi *minode, name string) (uint64, uint64
 	if ds == nil {
 		return 0, 0, false, fsapi.ErrNotDir
 	}
-	if h := fs.opts.Hooks.DirStateLoaded; h != nil {
-		h()
-	}
+	fs.dev.Killpoint(siteDirStateLoaded)
 	ino, ref, ok, err := ds.ht.Lookup(rd, name)
 	if err != nil {
 		// The simulated segfault of §4.5.

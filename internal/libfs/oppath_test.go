@@ -34,7 +34,7 @@ func TestOpPathAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	w := th(t, fs)
 	must := func(err error) {
 		t.Helper()
@@ -202,7 +202,7 @@ func TestStatNeverTears(t *testing.T) {
 // so it records each by a Stat of its own — and the directory's size never
 // exceeds what was created or runs backwards.
 func TestStatVsConcurrentWriters(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	setup := th(t, fs)
 	if err := setup.Mkdir("/d"); err != nil {
 		t.Fatal(err)
@@ -310,7 +310,7 @@ func TestStatVsConcurrentWriters(t *testing.T) {
 // lookups, each in a read-side section of its own, then the cached
 // attributes.
 func BenchmarkStat(b *testing.B) {
-	fs := newFS(b, BugsNone, nil)
+	fs := newFS(b, BugsNone)
 	w := th(b, fs)
 	path := ""
 	for _, d := range []string{"a", "b", "c", "d", "e", "f"} {

@@ -114,7 +114,7 @@ func TestAllocReclaimsRetiredOnGrantFailure(t *testing.T) {
 		{"inodes", reclaimInodes},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fs := newFS(t, BugsNone, nil)
+			fs := newFS(t, BugsNone)
 			w := th(t, fs)
 			done := make(chan error, 1)
 			go func() { done <- tc.run(fs, w) }()
@@ -213,7 +213,7 @@ func reclaimInodes(fs *FS, w *Thread) error {
 // queued would become durable only at a later operation's fence, after
 // stores that operation meant to order behind it.
 func TestOpsEndOnAnEpochBoundary(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	w := th(t, fs)
 	step := func(op string, err, want error) {
 		t.Helper()

@@ -389,7 +389,7 @@ func TestVectoredReleaseMatchesSingleReleases(t *testing.T) {
 // verification; ReleaseAll returns that error, the kernel applies its
 // policy to that inode alone, and every other inode is released.
 func TestReleaseAllIsolatesVerificationFailure(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	w := th(t, fs)
 	var inos []uint64
 	for i := 0; i < 5; i++ {
@@ -447,7 +447,7 @@ func TestReleaseAllIsolatesVerificationFailure(t *testing.T) {
 // (§4.3), and every release must verify. Run under -race at GOMAXPROCS 1,
 // 2 and 4.
 func TestReleaseAllLockOrderStress(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	setup := th(t, fs)
 	for _, d := range []string{"/s", "/s/x", "/s/y"} {
 		if err := setup.Mkdir(d); err != nil {

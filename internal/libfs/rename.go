@@ -68,9 +68,7 @@ func (t *Thread) Rename(oldPath, newPath string) (err error) {
 			return fsapi.ErrInval
 		}
 	}
-	if h := fs.opts.Hooks.RenameAfterCheck; h != nil {
-		h() // §4.6 window: checks done, moves not yet performed
-	}
+	fs.dev.Killpoint(siteRenameAfterCheck)
 
 	verifiedReloc := isDir && crossDir && !fs.opts.Bugs.Has(BugRenameVerify)
 	// A file the kernel knows is relocated the same way, the child and the

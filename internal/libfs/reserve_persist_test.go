@@ -1,6 +1,10 @@
 package libfs
 
-import "testing"
+import (
+	"testing"
+
+	"arckfs/internal/pmem"
+)
 
 // TestReserveDentryQueuesRecLenWriteback pins the arcklint flushcheck fix
 // in reserveDentry: the reserved record length must be queued for
@@ -10,20 +14,19 @@ import "testing"
 // as 0 after a crash, and layout.ScanTail treats a zero length as the
 // append frontier, hiding every later record in the page.
 func TestReserveDentryQueuesRecLenWriteback(t *testing.T) {
-	hooks := &Hooks{}
-	fs := newFS(t, BugAuxCoreRace, hooks)
+	fs := newFS(t, BugAuxCoreRace)
 	w := th(t, fs)
 	if err := w.Mkdir("/d"); err != nil {
 		t.Fatal(err)
 	}
 
-	// The §4.4 hook fires between reserveDentry+aux insert and
+	// The §4.4 window opens between reserveDentry+aux insert and
 	// fillDentry: at that instant the only queued write-back can be the
 	// one reserveDentry itself issued for the record-length field.
 	var pendingInWindow int
-	hooks.CreateBetweenAuxAndCore = func() {
+	fs.dev.SetObserver(pmem.OnSite(siteCreateBetweenAuxAndCore, func() {
 		pendingInWindow = w.pb.Pending()
-	}
+	}))
 	if err := w.Create("/d/a"); err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +39,6 @@ func TestReserveDentryQueuesRecLenWriteback(t *testing.T) {
 	// auxiliary insert fails, fillDentry never runs. The thread's next
 	// barrier must still have the length line queued so the dead slot is
 	// persistently skippable rather than a scan terminator.
-	hooks.CreateBetweenAuxAndCore = nil
 	if err := w.Create("/d/a"); err == nil {
 		t.Fatal("duplicate create unexpectedly succeeded")
 	}

@@ -271,7 +271,7 @@ func TestDeadSlotReuseCrashStates(t *testing.T) {
 // the result must mount fsck-clean and rebuild in a second application.
 func TestDeadSlotReuseConcurrent(t *testing.T) {
 	const rounds, batch = 12, 32
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	peer := New(kctl(fs), kctl(fs).RegisterApp(0, 0), Options{})
 	name := func(round, i int) string { return fmt.Sprintf("/d/r%02d-%03d", round, i) }
 	unlinker, creator := fs.NewThread(0).(*Thread), fs.NewThread(1).(*Thread)

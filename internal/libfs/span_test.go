@@ -16,7 +16,7 @@ import (
 // so — complete, closed, carrying the lease-hit event instead of a
 // crossing.
 func TestLeaseHitSpanPropagation(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	tr := span.New(span.DefaultRingCap, 1)
 	tr.SetEnabled(true)
 	fs.SetTracer(tr)
@@ -90,7 +90,7 @@ func TestLeaseHitSpanPropagation(t *testing.T) {
 // TestSpanDisabledNoRecords pins the off switch: with no tracer
 // attached, operations run untraced and nothing is recorded.
 func TestSpanDisabledNoRecords(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	tr := span.New(span.DefaultRingCap, 1) // attached but disabled
 	fs.SetTracer(tr)
 	w := th(t, fs)
@@ -111,7 +111,7 @@ func TestSpanDisabledNoRecords(t *testing.T) {
 // edge lines as the flushes its own batch queued, and the one fence that
 // drained exactly those two.
 func TestDelegatedWriteSpan(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	tr := span.New(span.DefaultRingCap, 1)
 	fs.SetTracer(tr)
 	w := th(t, fs)

@@ -34,7 +34,7 @@ func TestSpareDirIsClean(t *testing.T) {
 }
 
 func testSpareDirIsClean(t *testing.T, committed bool) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	w := th(t, fs)
 	must := func(err error) {
 		t.Helper()
@@ -123,7 +123,7 @@ func testSpareDirIsClean(t *testing.T, committed bool) {
 // inside a read-side section meets an entry recycled under it (htable
 // panics if one does). Run under -race -count=10 at GOMAXPROCS 1, 2 and 4.
 func TestSpareDirVsLockFreeReaders(t *testing.T) {
-	fs := newFS(t, BugsNone, nil)
+	fs := newFS(t, BugsNone)
 	w := th(t, fs)
 	if err := w.Mkdir("/a"); err != nil {
 		t.Fatal(err)
@@ -187,8 +187,7 @@ func TestSpareDirVsLockFreeReaders(t *testing.T) {
 // afterwards. The batch fails with ErrNotExist and its name shows up in
 // neither the table /b now owns nor /b's log, before or after a recovery.
 func TestCreateBatchLosesToRmdir(t *testing.T) {
-	hooks := &Hooks{}
-	fs := newFS(t, BugsNone, hooks)
+	fs := newFS(t, BugsNone)
 	fs.dev.EnableTracking()
 	w, o := th(t, fs), fs.NewThread(1).(*Thread)
 	if err := w.Mkdir("/a"); err != nil {
@@ -199,15 +198,21 @@ func TestCreateBatchLosesToRmdir(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := a.dir.Load()
+	// The window runs the rmdir and the mkdir once; the fences they issue
+	// reach the same observer and pass through.
 	var hookErr error
-	hooks.CreateBatchBeforeLock = func() {
-		hooks.CreateBatchBeforeLock = nil
+	var armed atomic.Bool
+	armed.Store(true)
+	fs.dev.SetObserver(pmem.OnSite(siteCreateBatchBeforeLock, func() {
+		if !armed.CompareAndSwap(true, false) {
+			return
+		}
 		if hookErr = o.Rmdir("/a"); hookErr != nil {
 			return
 		}
 		fs.dom.Barrier()
 		hookErr = o.Mkdir("/b")
-	}
+	}))
 	n, err := w.CreateBatch("/a", []string{"x"})
 	if hookErr != nil {
 		t.Fatal(hookErr)
@@ -247,16 +252,19 @@ func TestCreateBatchLosesToRmdir(t *testing.T) {
 // looked at emptiness before it took the victim's bucket locks let both
 // succeed, and the new name sat in the removed directory's recycled log.
 func TestRmdirVsCreate(t *testing.T) {
-	hooks := &Hooks{}
-	fs := newFS(t, BugsNone, hooks)
+	fs := newFS(t, BugsNone)
 	w, o := th(t, fs), fs.NewThread(1).(*Thread)
 	defer o.Detach()
 	if err := w.Mkdir("/a"); err != nil {
 		t.Fatal(err)
 	}
 	created := make(chan error, 1)
-	hooks.RmdirFoundEmpty = func() {
-		hooks.RmdirFoundEmpty = nil
+	var armed atomic.Bool
+	armed.Store(true)
+	fs.dev.SetObserver(pmem.OnSite(siteRmdirFoundEmpty, func() {
+		if !armed.CompareAndSwap(true, false) {
+			return
+		}
 		go func() { created <- o.Create("/a/x") }()
 		// Give the create the time it needs to finish, unless it waits for
 		// the rmdir.
@@ -265,7 +273,7 @@ func TestRmdirVsCreate(t *testing.T) {
 			created <- err
 		case <-time.After(100 * time.Millisecond):
 		}
-	}
+	}))
 	rmErr := w.Rmdir("/a")
 	crErr := <-created
 	if rmErr != nil || !errors.Is(crErr, fsapi.ErrNotExist) {
@@ -332,7 +340,7 @@ func dirStateDiff(got, want *dirState) string {
 func TestRebuildOntoSpareEqualsFreshBuild(t *testing.T) {
 	for _, spareNames := range []int{600, 3} {
 		t.Run(fmt.Sprintf("spare of %d names", spareNames), func(t *testing.T) {
-			fs := newFS(t, BugsNone, nil)
+			fs := newFS(t, BugsNone)
 			ws := []*Thread{th(t, fs), fs.NewThread(1).(*Thread), fs.NewThread(2).(*Thread)}
 			must := func(err error) {
 				t.Helper()
@@ -460,7 +468,7 @@ func TestRebuildVsLockFreeReaders(t *testing.T) {
 					t.Errorf("/ lists /d's name %s", n)
 					return
 				}
-				if names := d.names(nil); len(names) < len(static) || slices.Contains(names, "o") {
+				if names := owner.names(d); len(names) < len(static) || slices.Contains(names, "o") {
 					t.Errorf("/d lists %d names: %v", len(names), names)
 					return
 				}
@@ -523,8 +531,7 @@ func pausedOverRebuild[R any](t *testing.T, read func(fs *FS, rt *Thread, d *min
 	if err != nil {
 		t.Fatal(err)
 	}
-	hooks := &Hooks{}
-	owner := New(ctrl, ctrl.RegisterApp(0, 0), Options{Hooks: hooks})
+	owner := New(ctrl, ctrl.RegisterApp(0, 0), Options{})
 	peer := th(t, New(ctrl, ctrl.RegisterApp(0, 0), Options{}))
 	w, rt := th(t, owner), owner.NewThread(1).(*Thread)
 	defer rt.Detach()
@@ -546,12 +553,12 @@ func pausedOverRebuild[R any](t *testing.T, read func(fs *FS, rt *Thread, d *min
 	old := d.dir.Load()
 	var armed atomic.Bool
 	loaded, resume := make(chan struct{}), make(chan struct{})
-	hooks.DirStateLoaded = func() {
+	ctrl.Device().SetObserver(pmem.OnSite(siteDirStateLoaded, func() {
 		if armed.CompareAndSwap(true, false) {
 			close(loaded)
 			<-resume
 		}
-	}
+	}))
 	armed.Store(true)
 	done := make(chan R, 1)
 	go func() { done <- read(owner, rt, d) }()
@@ -609,7 +616,7 @@ func TestLookupPinsTheStateItLoaded(t *testing.T) {
 // the new one. Without that check it listed the emptied state.
 func TestListingRetriesARecycledState(t *testing.T) {
 	names, _, recycled := pausedOverRebuild(t, func(fs *FS, rt *Thread, d *minode) []string {
-		return d.names(fs.opts.Hooks.DirStateLoaded)
+		return fs.names(d)
 	})
 	if !recycled {
 		t.Error("no grace period ended under the paused listing")

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"arckfs/internal/layout"
+	"arckfs/internal/pmem"
 )
 
 // TestLockFreeReadersVsDirectoryWriters is the data-plane stress test the
@@ -21,7 +22,7 @@ import (
 // stress keeps them out of scope). Run it under -race.
 func TestLockFreeReadersVsDirectoryWriters(t *testing.T) {
 	t.Run("lockfree", func(t *testing.T) {
-		fs := newFS(t, BugsNone, nil)
+		fs := newFS(t, BugsNone)
 		setup := th(t, fs)
 		if err := setup.Mkdir("/shared"); err != nil {
 			t.Fatal(err)
@@ -134,12 +135,12 @@ func TestLockFreeReadersVsDirectoryWriters(t *testing.T) {
 // overlapping writes out of scope.
 func TestReadAtVsTruncateReclaim(t *testing.T) {
 	t.Run("lockfree", func(t *testing.T) {
-		// The FileReadBlock hook yields between a reader's block-pointer
-		// load and the page copy — the reclamation window — so the
-		// truncator and churn threads get scheduled while a loaded
-		// pointer is still live (the deterministic stand-in for the
-		// paper's sleep() instrumentation).
-		fs := newFS(t, BugsNone, &Hooks{FileReadBlock: runtime.Gosched})
+		// Readers yield between a block-pointer load and the page copy —
+		// the reclamation window — so the truncator and churn threads get
+		// scheduled while a loaded pointer is still live (the
+		// deterministic stand-in for the paper's sleep() instrumentation).
+		fs := newFS(t, BugsNone)
+		fs.dev.SetObserver(pmem.OnSite(siteFileReadBlock, runtime.Gosched))
 		setup := th(t, fs)
 		if err := setup.Mkdir("/shared"); err != nil {
 			t.Fatal(err)
