@@ -436,7 +436,17 @@ func (t *Table) Lookup(rd *rcu.Reader, name string) (ino, ref uint64, ok bool, e
 // Range calls fn for every live entry with every bucket locked and
 // resizing blocked, so no writer changes the table during the walk. fn
 // must not call back into the table. It stops early if fn returns false.
-func (t *Table) Range(fn func(name string, ino, ref uint64) bool) { t.RangeIf(nil, fn) }
+func (t *Table) Range(fn func(name string, ino, ref uint64) bool) {
+	arr := t.lockAll()
+	defer t.unlockAll(arr)
+	for i := range arr.buckets {
+		for e := arr.buckets[i].head.Load(); e != nil; e = e.next.Load() {
+			if !fn(e.name, e.Ino, e.ref.Load()) {
+				return
+			}
+		}
+	}
+}
 
 // LockAll locks every bucket (and blocks resizing), quiescing all
 // writers — the §4.3 patch uses this to drain a directory before its
@@ -481,35 +491,24 @@ func (t *Table) EachLocked(fn func(e *Entry)) {
 // unlike LockAll it allocates nothing.
 func (t *Table) Drain() { t.unlockAll(t.lockAll()) }
 
+// WithAll runs fn with every bucket locked and resizing blocked: no writer
+// changes the table while fn runs.
+func (t *Table) WithAll(fn func()) {
+	arr := t.lockAll()
+	defer t.unlockAll(arr)
+	fn()
+}
+
 // IfEmpty runs fn with every bucket locked, and resizing blocked, if the
 // table is empty, and reports whether it ran: no writer adds a name to the
 // table while fn runs.
-func (t *Table) IfEmpty(fn func()) bool {
-	arr := t.lockAll()
-	defer t.unlockAll(arr)
-	if t.Len() != 0 {
-		return false
-	}
-	fn()
-	return true
-}
-
-// RangeIf is Range if ok, called under the walk's locks first, reports
-// true (a nil ok always does); it reports whether it walked.
-func (t *Table) RangeIf(ok func() bool, fn func(name string, ino, ref uint64) bool) bool {
-	arr := t.lockAll()
-	defer t.unlockAll(arr)
-	if ok != nil && !ok() {
-		return false
-	}
-	for i := range arr.buckets {
-		for e := arr.buckets[i].head.Load(); e != nil; e = e.next.Load() {
-			if !fn(e.name, e.Ino, e.ref.Load()) {
-				return true
-			}
+func (t *Table) IfEmpty(fn func()) (ran bool) {
+	t.WithAll(func() {
+		if ran = t.Len() == 0; ran {
+			fn()
 		}
-	}
-	return true
+	})
+	return ran
 }
 
 // Clear empties t for a new owner once no reader can reach it: under every

@@ -83,34 +83,31 @@ func TestRangeSeesAll(t *testing.T) {
 	}
 }
 
-// TestRangeIf: RangeIf walks every entry under the locks ok ran under, and
-// nothing when ok says no; a writer waits for the walk.
-func TestRangeIf(t *testing.T) {
+// TestWithAll: fn runs with every bucket locked, so an insert started
+// inside it waits for fn to return, and is not lost.
+func TestWithAll(t *testing.T) {
 	tbl := New(Options{})
 	for i := 0; i < 100; i++ {
 		tbl.Insert(fmt.Sprintf("n%d", i), uint64(i), 0)
 	}
-	seen := 0
-	count := func(string, uint64, uint64) bool {
-		seen++
-		return true
-	}
-	if tbl.RangeIf(func() bool { return false }, count) || seen != 0 {
-		t.Fatalf("RangeIf with ok false walked %d entries", seen)
-	}
 	inserted := make(chan struct{})
-	if !tbl.RangeIf(func() bool {
+	tbl.WithAll(func() {
 		go func() {
 			tbl.Insert("late", 1, 0)
 			close(inserted)
 		}()
-		return true
-	}, count) || seen != 100 {
-		t.Fatalf("RangeIf walked %d entries, want 100", seen)
-	}
+		for range 8 {
+			runtime.Gosched()
+		}
+		seen := 0
+		tbl.EachLocked(func(*Entry) { seen++ })
+		if seen != 100 || tbl.Len() != 100 {
+			t.Errorf("inside WithAll: %d entries walked, Len %d; want 100 each", seen, tbl.Len())
+		}
+	})
 	<-inserted
 	if _, _, ok, _ := tbl.Lookup(nil, "late"); !ok {
-		t.Fatal("the insert that waited for the walk is lost")
+		t.Fatal("the insert that waited for WithAll is lost")
 	}
 }
 

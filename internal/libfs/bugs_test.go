@@ -345,7 +345,7 @@ func runBug45Interleaving(t *testing.T, bugs Bugs, strict bool) error {
 	// The window is the root table's own seam: htable has no device. CAS,
 	// not sync.Once: later traversals (the writer's own lookups) must pass
 	// straight through while the reader is parked.
-	root.dir.Load().ht.TraverseHook = func() {
+	root.dir.peek().ht.TraverseHook = func() {
 		if fired.CompareAndSwap(false, true) {
 			close(inTraverse)
 			<-resume
@@ -507,10 +507,10 @@ func mustIno(t *testing.T, fs *FS, name string) uint64 {
 	if found == 0 {
 		// Fall back: scan every directory table.
 		fs.inodes.Range(func(mi *minode) bool {
-			if mi.dir.Load() == nil {
+			if mi.dir.peek() == nil {
 				return true
 			}
-			mi.ht().Range(func(n string, ino, _ uint64) bool {
+			mi.dir.peek().ht.Range(func(n string, ino, _ uint64) bool {
 				if n == name {
 					found = ino
 					return false

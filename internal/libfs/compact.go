@@ -75,7 +75,7 @@ func (fs *FS) compactDir(mi *minode, sp *span.Span) {
 		// holding them all does not quiesce the log.
 		return
 	}
-	ds := mi.dir.Load()
+	ds := mi.dir.exclusive()
 	live, slots := ds.ht.Len(), 0
 	for i := range ds.tails {
 		slots += ds.tails[i].slots

@@ -141,7 +141,7 @@ func TestReleaseCompactsChurnedDirectory(t *testing.T) {
 				}
 				want = append(want, name)
 				_, ref, _, _ := fs.lookupInDir(w, d, name)
-				if !slices.Contains(slices.Concat(fs.dirLogPages(d.dir.Load())...), layout.DentryRef(ref).Page()) {
+				if !slices.Contains(slices.Concat(fs.dirLogPages(d.dir.peek())...), layout.DentryRef(ref).Page()) {
 					t.Fatalf("%s landed on log page %d, which the compaction retired", name, layout.DentryRef(ref).Page())
 				}
 			}
@@ -234,7 +234,7 @@ func TestCompactionSplicesInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := d.dir.Load()
+	ds := d.dir.peek()
 	chain := fs.dirLogPages(ds)[0]
 	if len(chain) != 6 {
 		t.Fatalf("/d's log has %d pages, want 6", len(chain))

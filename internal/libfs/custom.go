@@ -39,11 +39,6 @@ func (t *Thread) CreateBatch(dir string, names []string) (n int, err error) {
 	if dmi.typ != layout.TypeDir {
 		return 0, fsapi.ErrNotDir
 	}
-	if dmi.released.Load() {
-		if err := fs.reacquire(t, dmi); err != nil {
-			return 0, err
-		}
-	}
 
 	for _, name := range names {
 		if !layout.ValidName(name) {
@@ -56,10 +51,9 @@ func (t *Thread) CreateBatch(dir string, names []string) (n int, err error) {
 	// Pass 1: write every inode record and dentry body, flushing but not
 	// fencing — the §4.2 protocol's step 1 for the whole batch.
 	for _, name := range names {
-		ino, err := fs.allocIno(t)
-		if err != nil {
-			fs.finishBatch(t, dmi, pending)
-			return len(pending), err
+		var ino uint64
+		if ino, err = fs.allocIno(t); err != nil {
+			break
 		}
 		in := layout.Inode{
 			Type: layout.TypeFile, Perm: layout.PermRead | layout.PermWrite,
@@ -67,62 +61,33 @@ func (t *Thread) CreateBatch(dir string, names []string) (n int, err error) {
 		}
 		t.streamInode(ino, &in)
 
-		ref, insErr := fs.batchInsert(t, dmi, name, ino)
-		if insErr != nil {
+		// The slot, the flushed body and the table entry, under name's
+		// bucket lock, the way insertEntry takes it.
+		var ref layout.DentryRef
+		err = fs.locked(t, dmi, dirLock{bucket: name}, func(ds *dirState, lb htable.LockedBucket) (err error) {
+			if _, exists := lb.Get(name); exists {
+				return fsapi.ErrExist
+			}
+			if ref, err = fs.reserveDentry(t, dmi, ds, len(name)); err == nil {
+				layout.WriteDentryBody(fs.dev, ref, ino, name)
+				fs.persistDentryBody(t.pb, ref, len(name))
+				lb.Insert(name, ino, uint64(ref))
+			}
+			return err
+		})
+		if err != nil {
 			fs.recycleIno(ino)
-			// Commit and register what we already wrote before reporting.
-			fs.finishBatch(t, dmi, pending)
-			return len(pending), insErr
+			break
 		}
 		pending = append(pending, pendingCreate{name, ino, ref})
 	}
-	fs.finishBatch(t, dmi, pending)
-	return len(pending), nil
-}
-
-// batchInsert reserves name's dentry slot in dmi, writes and flushes its
-// body for ino and lists it in dmi's table, all under name's bucket lock.
-// The state it locks must still be dmi's under that lock: Rmdir swaps
-// removedDir in before its Drain takes each bucket lock, and the state it
-// retires may be another directory's by the time a writer that loaded it
-// gets the lock. A state a reacquire rebuilt is taken up instead.
-func (fs *FS) batchInsert(t *Thread, dmi *minode, name string, ino uint64) (ref layout.DentryRef, err error) {
-	for {
-		ds := dmi.dir.Load()
-		if ds == removedDir {
-			return 0, fsapi.ErrNotExist
-		}
-		fs.dev.Killpoint(siteCreateBatchBeforeLock)
-		stale := false
-		ds.ht.WithBucket(name, func(lb htable.LockedBucket) {
-			if stale = dmi.dir.Load() != ds; stale {
-				return
-			}
-			if _, exists := lb.Get(name); exists {
-				err = fsapi.ErrExist
-				return
-			}
-			if ref, err = fs.reserveDentry(t, dmi, ds, len(name)); err != nil {
-				return
-			}
-			layout.WriteDentryBody(fs.dev, ref, ino, name)
-			fs.persistDentryBody(t.pb, ref, len(name))
-			lb.Insert(name, ino, uint64(ref))
-		})
-		if !stale {
-			return ref, err
-		}
-	}
-}
-
-// finishBatch commits the batch durably and registers the new files in
-// the auxiliary tables.
-func (fs *FS) finishBatch(t *Thread, dmi *minode, pending []pendingCreate) {
+	// Commit and register what was written, before reporting any error.
 	fs.commitBatch(t, pending)
 	for _, pc := range pending {
 		fs.inodes.Store(pc.ino, newFileMinode(pc.ino, dmi.ino, fs.clock.Load()))
 	}
-	dmi.cacheDirAttrs(fs.clock.Load())
+	t.cacheDirAttrs(dmi, fs.clock.Load())
+	return len(pending), err
 }
 
 type pendingCreate struct {

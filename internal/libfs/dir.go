@@ -136,24 +136,7 @@ func (fs *FS) appendDentry(t *Thread, mi *minode, ds *dirState, childIno uint64,
 		}
 		return 0, err
 	}
-	// Step 1: persist the body with the marker still zero.
-	layout.WriteDentryBody(fs.dev, r, childIno, name)
-	fs.persistDentryBody(t.pb, r, len(name))
-	if !fs.opts.Bugs.Has(BugMissingFence) {
-		// The §4.2 patch: end the body epoch — the dentry body (and the
-		// streamed inode record) are durable before the commit marker can
-		// possibly persist.
-		t.pb.Barrier()
-	}
-	// Step 2: set and persist the commit marker. Its line enters the
-	// queue only here, after the body-epoch Barrier.
-	//arcklint:allow persistorder the Barrier is skipped only when BugMissingFence deliberately reproduces the §4.2 bug; the patched path barriers above
-	layout.CommitDentry(fs.dev, r, len(name))
-	t.pb.Flush(r.MarkerOff(), 2)
-	// §4.2 crash window: marker flush queued, final fence not yet issued.
-	fs.dev.Killpoint("libfs.create.marker")
-	t.pb.Barrier()
-
+	fs.persistDentry(t, r, childIno, name)
 	if !reused {
 		tc.advance(len(name))
 	}
@@ -244,7 +227,7 @@ func (fs *FS) insertEntry(t *Thread, mi *minode, childIno uint64, name string, c
 		// auxiliary state, and only then write the core record — with no
 		// common critical section. In the window after the insert, the
 		// name is visible while its core data does not exist yet.
-		ds := mi.dir.Load()
+		ds := mi.dir.pinned(fs.dev, nil)
 		r, err := fs.reserveDentry(t, mi, ds, len(name))
 		if err != nil {
 			return 0, err
@@ -257,7 +240,7 @@ func (fs *FS) insertEntry(t *Thread, mi *minode, childIno uint64, name string, c
 		}
 		fs.dev.Killpoint(siteCreateBetweenAuxAndCore)
 		if err := fs.fillDentry(t, mi, r, childIno, name); err != nil {
-			mi.ht().Delete(name)
+			ds.ht.Delete(name)
 			return 0, err
 		}
 		if child != nil {
@@ -267,7 +250,7 @@ func (fs *FS) insertEntry(t *Thread, mi *minode, childIno uint64, name string, c
 	}
 	// ArckFS+: the bucket lock covers both updates.
 	var r layout.DentryRef
-	err := fs.withHeldBucket(t, mi, name, func(ds *dirState, lb htable.LockedBucket) error {
+	err := fs.locked(t, mi, dirLock{bucket: name}, func(ds *dirState, lb htable.LockedBucket) error {
 		if _, exists := lb.Get(name); exists {
 			return fsapi.ErrExist
 		}
@@ -282,34 +265,6 @@ func (fs *FS) insertEntry(t *Thread, mi *minode, childIno uint64, name string, c
 		return nil
 	})
 	return r, err
-}
-
-// withHeldBucket runs fn with name's bucket of mi locked and mi held,
-// passing the directory state whose table that bucket is in. The caller
-// checked that mi is held, but a release takes every bucket lock, so one
-// may have slipped in since: the check is repeated under the lock, and a
-// released directory is taken back — outside the lock, which a release of
-// it would need — before the next try. Without this an operation that lost
-// that race would write through a dormant mapping, behind the verification
-// that made it dormant. A removed directory's state is not written to.
-func (fs *FS) withHeldBucket(t *Thread, mi *minode, name string, fn func(*dirState, htable.LockedBucket) error) error {
-	for ds := mi.dir.Load(); ds != removedDir; ds = mi.dir.Load() {
-		held := false
-		var err error
-		ds.ht.WithBucket(name, func(lb htable.LockedBucket) {
-			// A reacquire that rebuilt the directory swapped the state.
-			if held = !mi.released.Load() && mi.dir.Load() == ds; held {
-				err = fn(ds, lb)
-			}
-		})
-		if held {
-			return err
-		}
-		if err := fs.reacquire(t, mi); err != nil {
-			return err
-		}
-	}
-	return fsapi.ErrNotExist
 }
 
 // reserveDentry claims a slot of mi's log for a record (tail lock only),
@@ -345,24 +300,36 @@ func (fs *FS) reserveDentry(t *Thread, mi *minode, ds *dirState, nameLen int) (l
 	return r, nil
 }
 
-// fillDentry writes a reserved record's contents and commits it with the
-// two-step marker protocol (§4.2 ordering per the bug flag).
+// fillDentry writes a reserved record's contents and commits it.
 func (fs *FS) fillDentry(t *Thread, mi *minode, r layout.DentryRef, childIno uint64, name string) error {
 	if err := fs.checkMapped(mi); err != nil {
 		return err
 	}
 	fs.dev.Killpoint(siteDirWriteInProgress)
+	fs.persistDentry(t, r, childIno, name)
+	return nil
+}
+
+// persistDentry writes record r for (childIno, name) and commits it with
+// the two-step marker protocol, §4.2's ordering per the bug flag.
+func (fs *FS) persistDentry(t *Thread, r layout.DentryRef, childIno uint64, name string) {
+	// Step 1: persist the body with the marker still zero.
 	layout.WriteDentryBody(fs.dev, r, childIno, name)
 	fs.persistDentryBody(t.pb, r, len(name))
 	if !fs.opts.Bugs.Has(BugMissingFence) {
+		// The §4.2 patch: end the body epoch — the dentry body (and the
+		// streamed inode record) are durable before the commit marker can
+		// possibly persist.
 		t.pb.Barrier()
 	}
+	// Step 2: set and persist the commit marker. Its line enters the
+	// queue only here, after the body-epoch Barrier.
 	//arcklint:allow persistorder the Barrier is skipped only when BugMissingFence deliberately reproduces the §4.2 bug; the patched path barriers above
 	layout.CommitDentry(fs.dev, r, len(name))
 	t.pb.Flush(r.MarkerOff(), 2)
+	// §4.2 crash window: marker flush queued, final fence not yet issued.
 	fs.dev.Killpoint("libfs.create.marker")
 	t.pb.Barrier()
-	return nil
 }
 
 // removeEntry unlinks name from mi and invalidates its persistent
@@ -378,7 +345,7 @@ func (fs *FS) removeEntry(t *Thread, mi *minode, name string, want uint64, doome
 		return 0, err
 	}
 	if fs.opts.Bugs.Has(BugAuxCoreRace) {
-		ds := mi.dir.Load()
+		ds := mi.dir.pinned(fs.dev, nil)
 		ino, ref, ok := ds.ht.Delete(name)
 		if !ok {
 			return 0, fsapi.ErrNotExist
@@ -403,7 +370,7 @@ func (fs *FS) removeEntry(t *Thread, mi *minode, name string, want uint64, doome
 		return ino, nil
 	}
 	var ino uint64
-	err := fs.withHeldBucket(t, mi, name, func(ds *dirState, lb htable.LockedBucket) error {
+	err := fs.locked(t, mi, dirLock{bucket: name}, func(ds *dirState, lb htable.LockedBucket) error {
 		e, ok := lb.Get(name)
 		if !ok || want != 0 && e.Ino != want {
 			return fsapi.ErrNotExist
@@ -451,7 +418,7 @@ func (t *Thread) Create(path string) (err error) {
 		fs.recycleIno(ino)
 		return err
 	}
-	dir.cacheDirAttrs(in.MTime)
+	t.cacheDirAttrs(dir, in.MTime)
 	return nil
 }
 
@@ -472,7 +439,7 @@ func (t *Thread) Mkdir(path string) (err error) {
 		fs.recycleIno(ino)
 		return err
 	}
-	ntails := len(fs.rootTails())
+	ntails := fs.ntails
 	// Stream-zero the tail-set page, patch in the tail count, and fence —
 	// the same ordering point as the unbatched code (the page must be
 	// durable before any dentry can commit into it), at one line flush
@@ -489,7 +456,7 @@ func (t *Thread) Mkdir(path string) (err error) {
 	t.streamInode(ino, &in)
 	mi := &minode{ino: ino, typ: layout.TypeDir}
 	ds := fs.emptyDir(tailset, ntails, 0)
-	mi.dir.Store(ds)
+	mi.dir.set(ds)
 	mi.parent.Store(dir.ino)
 	mi.fresh.Store(true)
 	mi.cacheAttrs(0, 2, in.MTime)
@@ -500,19 +467,8 @@ func (t *Thread) Mkdir(path string) (err error) {
 		fs.spareDirs.put(ds)
 		return err
 	}
-	dir.cacheDirAttrs(in.MTime)
+	t.cacheDirAttrs(dir, in.MTime)
 	return nil
-}
-
-// rootTails returns the tail cursor slice of the root directory, used
-// only for its length (the FS-wide tail count).
-func (fs *FS) rootTails() []tailCursor {
-	if root := fs.inodes.Load(layout.RootIno); root != nil {
-		return root.dir.Load().tails
-	}
-	// Root not faulted in yet: read the count from PM.
-	in, _, _ := layout.ReadInode(fs.dev, fs.geo, layout.RootIno)
-	return make([]tailCursor, in.NTails)
 }
 
 // Unlink removes a regular file.
@@ -549,7 +505,7 @@ func (t *Thread) Unlink(path string) (err error) {
 	if err != nil {
 		return err
 	}
-	dir.cacheDirAttrs(fs.clock.Load())
+	t.cacheDirAttrs(dir, fs.clock.Load())
 	return nil
 }
 
@@ -624,19 +580,14 @@ func (t *Thread) Rmdir(path string) (err error) {
 		return err
 	}
 	defer unpinDirs(dir, dir)
-	child.lock.Lock()
-	for child.released.Load() {
-		child.lock.Unlock()
-		if err := fs.reacquire(t, child); err != nil {
-			return err
-		}
-		child.lock.Lock()
+	if err := fs.lockHeld(t, child); err != nil {
+		return err
 	}
 	defer child.lock.Unlock()
 	if fs.inodes.Load(child.ino) != child {
 		return fsapi.ErrNotExist // removed while we waited for the lock
 	}
-	cds := child.dir.Load()
+	cds := child.dir.exclusive()
 	if !cds.ht.IfEmpty(func() {
 		fs.dev.Killpoint(siteRmdirFoundEmpty)
 		_, err = fs.removeEntry(t, dir, name, child.ino, func(uint64) {
@@ -659,7 +610,7 @@ func (t *Thread) Rmdir(path string) (err error) {
 				// removed one, and so does every writer waiting for one of
 				// its bucket locks. Those that still hold it are readers,
 				// which the grace period waits out.
-				child.dir.Store(removedDir)
+				child.dir.set(removedDir)
 				spare = cds
 			}
 			// Same grace-period discipline as destroyFile: a lock-free
@@ -672,7 +623,7 @@ func (t *Thread) Rmdir(path string) (err error) {
 	if err != nil {
 		return err
 	}
-	dir.cacheDirAttrs(fs.clock.Load())
+	t.cacheDirAttrs(dir, fs.clock.Load())
 	return nil
 }
 
@@ -708,29 +659,16 @@ func (t *Thread) Readdir(path string) (names []string, err error) {
 	return t.fs.names(mi), nil
 }
 
-// names lists directory mi's names in sorted order. It walks a state with
-// every bucket locked once it has seen, under those locks, that the state
-// is still mi's: a rebuild or rmdir swaps the state out before it retires
-// it, and Table.Clear waits for the locks.
-func (fs *FS) names(mi *minode) []string {
-	for {
-		ds := mi.dir.Load()
-		fs.dev.Killpoint(siteDirStateLoaded)
-		var names []string
-		if ds.ht.RangeIf(func() bool {
-			if mi.dir.Load() != ds {
-				return false
-			}
-			names = make([]string, 0, ds.ht.Len())
-			return true
-		}, func(name string, _, _ uint64) bool {
-			names = append(names, name)
-			return true
-		}) {
-			sort.Strings(names)
-			return names
-		}
-	}
+// names lists directory mi's names in sorted order, from its state with
+// every bucket locked. A removed directory (ErrNotExist) lists none.
+func (fs *FS) names(mi *minode) (names []string) {
+	_ = fs.locked(nil, mi, dirLock{}, func(ds *dirState, _ htable.LockedBucket) error {
+		names = make([]string, 0, ds.ht.Len())
+		ds.ht.EachLocked(func(e *htable.Entry) { names = append(names, e.Name()) })
+		return nil
+	})
+	sort.Strings(names)
+	return names
 }
 
 // Stat returns path's attributes. ArckFS+ serves it from the cached

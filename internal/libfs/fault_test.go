@@ -513,6 +513,45 @@ func TestRefusedRemapReportsTheKernel(t *testing.T) {
 	}
 }
 
+// TestReleaseAllSkipsARevokedInode: a ReleaseAll after the kernel revoked
+// the mapping of a held file succeeds, and leaves the file to its next
+// touch, which takes it back and writes it. It handed the kernel the
+// revoked inode, and failed with the kernel's "not held" error.
+func TestReleaseAllSkipsARevokedInode(t *testing.T) {
+	ctrl, err := kernel.Format(pmem.New(16<<20, nil), kernel.Options{Mode: verifier.Enhanced, InodeCap: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := New(ctrl, ctrl.RegisterApp(0, 0), Options{})
+	w := th(t, fs)
+	for _, err := range []error{w.Mkdir("/d"), w.Create("/d/f"), fs.ReleaseAll()} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var fd fsapi.FD
+	revoked(&fd)(t, ctrl, fs, w)
+	if err := fs.ReleaseAll(); err != nil {
+		t.Fatalf("ReleaseAll after the revoke: %v", err)
+	}
+	want := []byte("back")
+	if _, err := w.WriteAt(fd, want, 0); err != nil {
+		t.Fatalf("the write after the release: %v", err)
+	}
+	if err := fs.ReleaseAll(); err != nil {
+		t.Fatal(err)
+	}
+	r := th(t, New(ctrl, ctrl.RegisterApp(0, 0), Options{}))
+	got := make([]byte, len(want))
+	rfd, err := r.Open("/d/f")
+	if err == nil {
+		_, err = r.ReadAt(rfd, got, 0)
+	}
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("a peer reads /d/f: %q, %v; want %q", got, err, want)
+	}
+}
+
 // stolen leaves the app holding nothing after a hold in which it lost
 // /, /d and /d/f to a lease miss, and a peer has taken all three since: the
 // app's next lease miss asks for the three in one AcquireBatch.
@@ -569,7 +608,7 @@ func TestRefusedReacquire(t *testing.T) {
 	if d == nil {
 		t.Fatal("the app retained no state for / and /d")
 	}
-	rootDS, dDS := root.dir.Load(), d.dir.Load()
+	rootDS, dDS := root.dir.peek(), d.dir.peek()
 	fs.dom.Barrier()
 	spares := fs.spareDirs.len()
 	fc.calls, fc.k, fc.sticky = 0, 1, true
@@ -579,15 +618,15 @@ func TestRefusedReacquire(t *testing.T) {
 	if !errors.Is(err, fsapi.ErrBusy) {
 		t.Fatalf("Create with every crossing refused = %v after %d crossings, want %v", err, fc.calls, fsapi.ErrBusy)
 	}
-	if root.dir.Load() != rootDS || d.dir.Load() != dDS || fs.spareDirs.len() != spares {
+	if root.dir.peek() != rootDS || d.dir.peek() != dDS || fs.spareDirs.len() != spares {
 		t.Fatalf("after the refused reacquire: / and /d keep their states %v, %v; %d spares, want %d",
-			root.dir.Load() == rootDS, d.dir.Load() == dDS, fs.spareDirs.len(), spares)
+			root.dir.peek() == rootDS, d.dir.peek() == dDS, fs.spareDirs.len(), spares)
 	}
 	if err := w.Create("/d/new"); err != nil {
 		t.Fatal(err)
 	}
-	if d.dir.Load() == dDS || !slices.Equal(mustNames(t, w, "/d"), []string{"f", "new"}) {
-		t.Fatalf("the retried create: /d rebuilt %v, lists %v", d.dir.Load() != dDS, mustNames(t, w, "/d"))
+	if d.dir.peek() == dDS || !slices.Equal(mustNames(t, w, "/d"), []string{"f", "new"}) {
+		t.Fatalf("the retried create: /d rebuilt %v, lists %v", d.dir.peek() != dDS, mustNames(t, w, "/d"))
 	}
 }
 

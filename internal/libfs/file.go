@@ -107,8 +107,8 @@ func (t *Thread) WriteAt(fd fsapi.FD, p []byte, off int64) (n int, err error) {
 
 // lockHeld takes mi.lock for a writer with mi held: a released inode is
 // taken back first, and because a release may slip in between that and
-// the lock — it takes the same lock — the check is repeated under it. The
-// file counterpart of withHeldBucket.
+// the lock — it takes the same lock — the check is repeated under it: the
+// inode counterpart of the locked accessor's writer lock (dirref.go).
 func (fs *FS) lockHeld(t *Thread, mi *minode) error {
 	for {
 		if mi.released.Load() {

@@ -98,18 +98,16 @@ const (
 	// here must not let the page be reused until the reader leaves its
 	// read-side section.
 	siteFileReadBlock = "libfs.window.file-read-block"
-	// siteCreateBatchBeforeLock: CreateBatch has loaded the directory's
-	// auxiliary state and not yet locked a name's bucket, the window in
-	// which an rmdir may retire that state and a mkdir reuse it.
-	siteCreateBatchBeforeLock = "libfs.window.batch-before-lock"
+	// siteDirStateBeforeLock: the locked accessor has loaded a directory's
+	// state and not yet locked it, the window in which a release, a rebuild
+	// or an rmdir may take the directory or the state away.
+	siteDirStateBeforeLock = "libfs.window.dir-state-before-lock"
 	// siteRmdirFoundEmpty: Rmdir has found the victim empty and its entry
 	// has not left the parent, the window in which no create may add a
 	// name to it.
 	siteRmdirFoundEmpty = "libfs.window.rmdir-found-empty"
-	// siteDirStateLoaded: a lock-free lookup or a listing has loaded the
-	// directory's auxiliary state and not yet searched or locked it, the
-	// window in which a rebuild may retire that state and a grace period
-	// recycle it.
+	// siteDirStateLoaded: the pinned accessor has loaded a directory's
+	// state, which a rebuild may retire here; its grace period waits.
 	siteDirStateLoaded = "libfs.window.dir-state-loaded"
 )
 
@@ -164,6 +162,10 @@ type FS struct {
 	app  kernel.AppID
 	opts Options
 	dom  *rcu.Domain
+
+	// ntails is the tail count of every directory: the root's, which
+	// layout.Mkfs sets.
+	ntails int
 
 	// inodes holds every minode this LibFS has built, by inode number.
 	inodes inodeTable
@@ -256,6 +258,7 @@ func (fs *FS) Telemetry() *telemetry.Set { return fs.tel }
 // New attaches a LibFS for a registered application.
 func New(ctrl *kernel.Controller, app kernel.AppID, opts Options) *FS {
 	opts.fill()
+	root, _, _ := layout.ReadInode(ctrl.Device(), ctrl.Geometry(), layout.RootIno)
 	return &FS{
 		ctrl:   ctrl,
 		dev:    ctrl.Device(),
@@ -263,6 +266,7 @@ func New(ctrl *kernel.Controller, app kernel.AppID, opts Options) *FS {
 		app:    app,
 		opts:   opts,
 		dom:    rcu.NewDomain(),
+		ntails: int(root.NTails),
 		inodes: inodeTable{cap: ctrl.Geometry().InodeCap},
 	}
 }

@@ -60,7 +60,7 @@ type minode struct {
 	// re-acquire.
 	released atomic.Bool
 
-	dir atomic.Pointer[dirState]
+	dir dirRef
 	// file is published atomically because the lock-free read path
 	// dereferences it with no lock held; remap/reacquire swap in a fresh
 	// fileState while readers may be mid-walk on the old one.
@@ -126,7 +126,7 @@ type dirState struct {
 func (ds *dirState) Reclaim() { ds.fs.recycleDir(ds) }
 
 // removedDir is the auxiliary state of every removed directory: empty,
-// and refused to writers (withHeldBucket). Rmdir swaps it in before it
+// and refused to writers (locked). Rmdir swaps it in before it
 // retires the directory's own state, which a later Mkdir may reuse, so a
 // thread still holding the removed minode finds it empty rather than
 // finding that other directory's names.
@@ -197,13 +197,6 @@ func (s *spareDirs) get(n int) *dirState {
 	return ds
 }
 
-// len is how many spares the stack holds.
-func (s *spareDirs) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.dirs)
-}
-
 // recycleDir empties ds, which no reader can reach any more, and makes it
 // a spare.
 func (fs *FS) recycleDir(ds *dirState) {
@@ -221,16 +214,14 @@ func (fs *FS) emptyDir(tailset uint64, ntails, entries int) *dirState {
 	}
 	ds.ht.Reserve(entries)
 	ds.tailset = tailset
-	// Under idxMu, as markVerified reads them: one that loaded ds while
-	// it was its directory's may still be about to look.
-	ds.idxMu.Lock()
+	// A markVerified that loaded ds while it was another directory's locks
+	// idxMu, and finds ds not that directory's: it looks no further.
 	if len(ds.tails) == ntails {
 		clear(ds.tails)
 	} else {
 		ds.tails = make([]tailCursor, ntails)
 	}
 	ds.unverified = ds.unverified[:0]
-	ds.idxMu.Unlock()
 	for c := range ds.dead {
 		ds.dead[c] = ds.dead[c][:0]
 	}
@@ -405,9 +396,6 @@ func (st *fileState) ensureBlocks(n int) {
 	}
 }
 
-// ht returns a directory minode's current hash table.
-func (mi *minode) ht() *htable.Table { return mi.dir.Load().ht }
-
 // unmapped reports whether the kernel revoked the inode's mapping (an
 // inode that never had one is self-built, not unmapped).
 func (mi *minode) unmapped() bool {
@@ -433,13 +421,15 @@ func (mi *minode) cacheAttrs(size uint64, nlink uint16, mtime uint64) {
 	a.seq.Add(1)
 }
 
-// cacheDirAttrs is cacheAttrs for a directory. Its size, the entry count,
-// is read inside the writer section: creators racing in different buckets
-// publish counts in the order they enter it, so the size never runs
+// cacheDirAttrs is cacheAttrs for t's directory mi. Its size, the entry
+// count, is read inside the writer section: creators racing in different
+// buckets publish counts in the order they enter it, so the size never runs
 // backwards.
-func (mi *minode) cacheDirAttrs(mtime uint64) {
+func (t *Thread) cacheDirAttrs(mi *minode, mtime uint64) {
 	a := mi.writeAttrs()
-	a.size.Store(uint64(mi.ht().Len()))
+	t.rd.ReadLock()
+	a.size.Store(uint64(mi.dir.pinned(t.fs.dev, t.rd).ht.Len()))
+	t.rd.ReadUnlock()
 	a.nlink.Store(2)
 	a.mtime.Store(mtime)
 	a.seq.Add(1)
@@ -732,13 +722,14 @@ func (fs *FS) adopt(mi *minode, m *kernel.Mapping) error {
 // and shares that state's strings for the names still there; the retained
 // state is then retired, for a later build to reuse. A file keeps its index
 // if it still says what the core state does (indexes). On an error mi
-// keeps its published state.
+// keeps its published state. The caller holds mi.lock, or is the only
+// thread that can reach mi.
 func (fs *FS) build(mi *minode, m *kernel.Mapping, in *layout.Inode) error {
 	switch in.Type {
 	case layout.TypeDir:
 		name := func(rec []byte) string { return string(rec) }
 		entries := 0
-		retained := mi.dir.Load()
+		retained := mi.dir.exclusive()
 		if retained != nil {
 			name, entries = retained.ht.Intern, retained.ht.Len()
 		}
@@ -749,7 +740,7 @@ func (fs *FS) build(mi *minode, m *kernel.Mapping, in *layout.Inode) error {
 			return err
 		}
 		mi.mapping.Store(m)
-		mi.dir.Store(ds)
+		mi.dir.set(ds)
 		mi.file.Store(nil)
 		mi.cacheAttrs(uint64(ds.ht.Len()), in.Nlink, in.MTime)
 		if retained != nil && retained != removedDir && fs.reusesDirs() {
@@ -769,7 +760,7 @@ func (fs *FS) build(mi *minode, m *kernel.Mapping, in *layout.Inode) error {
 			st = newFileState(in.Size, blocks, mapPages)
 		}
 		mi.mapping.Store(m)
-		mi.dir.Store(nil)
+		mi.dir.set(nil)
 		mi.file.Store(st)
 		mi.cacheAttrs(in.Size, in.Nlink, in.MTime)
 	default:
@@ -880,11 +871,10 @@ func (fs *FS) lookupInDir(t *Thread, mi *minode, name string) (uint64, uint64, b
 // searchDir looks name up in mi's directory state inside rd's read-side
 // section (nil: none, the §4.5 bug).
 func (fs *FS) searchDir(rd *rcu.Reader, mi *minode, name string) (uint64, uint64, bool, error) {
-	ds := mi.dir.Load()
+	ds := mi.dir.pinned(fs.dev, rd)
 	if ds == nil {
 		return 0, 0, false, fsapi.ErrNotDir
 	}
-	fs.dev.Killpoint(siteDirStateLoaded)
 	ino, ref, ok, err := ds.ht.Lookup(rd, name)
 	if err != nil {
 		// The simulated segfault of §4.5.

@@ -187,7 +187,7 @@ func TestHandoffTurnPlacement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chain := slices.Concat(r.fss[a].dirLogPages(d.dir.Load())...)
+		chain := slices.Concat(r.fss[a].dirLogPages(d.dir.peek())...)
 		dirty := map[uint64]bool{}
 		for _, p := range chain {
 			if r.dev.Dirty(p) {

@@ -81,7 +81,7 @@ func (b *reacquireBench) reacquire(want int) {
 	if err := b.fss[0].reacquire(b.ws[0], b.dir); err != nil {
 		b.tb.Fatal(err)
 	}
-	if got := b.dir.ht().Len(); got != want || b.fss[0].Stats.LeaseMisses.Load() != misses+1 {
+	if got := b.dir.dir.peek().ht.Len(); got != want || b.fss[0].Stats.LeaseMisses.Load() != misses+1 {
 		b.tb.Fatalf("rebuilt table holds %d names after %d lease misses, want %d after one", got, b.fss[0].Stats.LeaseMisses.Load()-misses, want)
 	}
 }

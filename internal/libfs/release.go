@@ -51,11 +51,14 @@ func (fs *FS) ensureCommitted(t *Thread, mi *minode) error {
 // in t's scratch.
 func (fs *FS) commitCrossing(t *Thread, ino uint64) error {
 	// The directory state the verification covers is the one published
-	// before the crossing: a rebuild may replace it meanwhile.
+	// before the crossing, a rebuild may replace it meanwhile: markVerified
+	// takes it as an identity, which it checks.
 	mi := fs.inodes.Load(ino)
 	var ds *dirState
 	if mi != nil {
-		ds = mi.dir.Load()
+		t.rd.ReadLock()
+		ds = mi.dir.pinned(fs.dev, t.rd)
+		t.rd.ReadUnlock()
 	}
 	c := fs.cross(t.CurrentSpan())
 	t.req[0] = ino
@@ -63,7 +66,7 @@ func (fs *FS) commitCrossing(t *Thread, ino uint64) error {
 	t.xferOut[0] = kernel.Released{}
 	c.done(telemetry.SpanEvCrossing, int64(telemetry.EvCommit))
 	if mi != nil && err == nil {
-		ds.markVerified(mi)
+		fs.markVerified(mi, ds)
 		if mi.typ == layout.TypeFile {
 			mi.lock.Lock()
 			mi.file.Load().markVerified()
@@ -74,27 +77,25 @@ func (fs *FS) commitCrossing(t *Thread, ino uint64) error {
 }
 
 // markVerified records that the kernel has verified directory mi, whose
-// state ds was (a successful Commit or Release): every log page linked so
-// far is now inode-owned, and no tail's current page is this hold's. A
-// page a concurrent append links while the crossing is in flight is
-// forgotten with the rest even if the kernel's parse missed it; should a
-// compaction later splice it out, it stays granted-but-idle until the app
-// unregisters — the safe side, since handing the pool a page the kernel
-// did adopt would fail the next verification that links it. A state that
-// is no longer mi's is left alone: a rebuild retired it, and after the
-// grace period its lists may be another directory's.
-func (ds *dirState) markVerified(mi *minode) {
+// state ds was (nil for a file): every log page linked so far is now
+// inode-owned, and no tail's current page is this hold's. A page a
+// concurrent append links while the crossing is in flight is forgotten too;
+// should a compaction splice it out, it stays granted-but-idle until the
+// app unregisters — the safe side: handing the pool a page the kernel did
+// adopt would fail the next verification that links it. A state that is no
+// longer mi's may be another directory's: it is left alone. Nothing here
+// fails.
+func (fs *FS) markVerified(mi *minode, ds *dirState) {
 	if ds == nil {
 		return
 	}
-	ds.idxMu.Lock()
-	if mi.dir.Load() == ds {
+	_ = fs.locked(nil, mi, dirLock{since: ds}, func(ds *dirState, _ htable.LockedBucket) error {
 		ds.unverified = nil
 		for i := range ds.tails {
 			ds.tails[i].linked.Store(false)
 		}
-	}
-	ds.idxMu.Unlock()
+		return nil
+	})
 }
 
 // markVerified is the file's: every page added so far is inode-owned now.
@@ -201,12 +202,15 @@ func (fs *FS) quiesce(mi *minode, sp *span.Span) (q quiesced, ok bool) {
 		return q, true
 	}
 	mi.lock.Lock()
+	if mi.unmapped() {
+		mi.released.Store(true) // revoked by the kernel: the next touch takes it back
+	}
 	if mi.released.Load() || fs.inodes.Load(mi.ino) != mi {
-		// Released or unlinked while we waited for the lock.
+		// Released, revoked or unlinked while we waited for the lock.
 		mi.lock.Unlock()
 		return q, false
 	}
-	if ds := mi.dir.Load(); ds != nil {
+	if ds := mi.dir.exclusive(); ds != nil {
 		q.unlockBuckets = ds.ht.LockAll()
 		// The directory is quiescent: hand back live entries, not history.
 		fs.compactDir(mi, sp)
@@ -271,7 +275,7 @@ func (fs *FS) releaseBatch(s *releaseScratch, sp *span.Span) (err error) {
 			if r.Mapping != nil {
 				q.mi.mapping.Store(r.Mapping)
 			}
-			q.mi.dir.Load().markVerified(q.mi)
+			fs.markVerified(q.mi, q.mi.dir.exclusive())
 			q.mi.file.Load().markVerified()
 			q.mi.released.Store(true)
 		case q.mi.fresh.Load() || q.mi.mapping.Load().Valid():
@@ -402,7 +406,7 @@ func (fs *FS) quiesceHeld(s *releaseScratch, sp *span.Span) {
 			if q.unlockBuckets == nil {
 				continue
 			}
-			mi.ht().EachLocked(func(e *htable.Entry) {
+			mi.dir.exclusive().ht.EachLocked(func(e *htable.Entry) {
 				if c := fs.inodes.Load(e.Ino); c != nil && c.fresh.Load() {
 					s.known = append(s.known, c)
 					add(c, d+1)

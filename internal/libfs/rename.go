@@ -129,7 +129,7 @@ func (t *Thread) Rename(oldPath, newPath string) (err error) {
 // until then it cannot hand either directory back. pinDirs never waits for
 // the second lock with the first in hand: ReleaseAll holds many of these
 // at once, in an order of its own. While the pins are in place
-// withHeldBucket's second look cannot fail — a release or a rebuild needs
+// the locked accessor's second look cannot fail — a release or a rebuild needs
 // the lock exclusively — so nothing under them tries to take it.
 func (fs *FS) pinDirs(t *Thread, a, b *minode) error {
 	for {

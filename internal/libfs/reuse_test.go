@@ -326,7 +326,7 @@ func TestDeadSlotReuseConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	slots := 0
-	for _, chain := range fs.dirLogPages(d.dir.Load()) {
+	for _, chain := range fs.dirLogPages(d.dir.peek()) {
 		if len(chain) > 0 {
 			layout.ScanTail(fs.dev, chain[0], func(layout.RawDentry) bool { slots++; return true })
 		}

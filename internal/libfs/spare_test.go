@@ -19,6 +19,17 @@ import (
 	"arckfs/internal/telemetry"
 )
 
+// peek returns the state d publishes, under no guard: for a test that
+// compares states, or reads one no other thread is using.
+func (d *dirRef) peek() *dirState { return d.p.Load() }
+
+// len is how many spares the stack holds.
+func (s *spareDirs) len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.dirs)
+}
+
 // TestSpareDirIsClean: a directory built on the state of one removed before
 // it shows nothing of that one. /a grows its index and its log, and leaves
 // every record slot dead, fresh or committed by a release; /b, made after
@@ -54,14 +65,14 @@ func testSpareDirIsClean(t *testing.T, committed bool) {
 	}
 	a, err := w.resolve("/a")
 	must(err)
-	old := a.dir.Load()
+	old := a.dir.peek()
 	must(w.Rmdir("/a"))
 	fs.dom.Barrier()
 
 	must(w.Mkdir("/b"))
 	b, err := w.resolve("/b")
 	must(err)
-	ds := b.dir.Load()
+	ds := b.dir.peek()
 	if ds != old {
 		t.Fatal("/b was not built on /a's state")
 	}
@@ -156,14 +167,14 @@ func TestSpareDirVsLockFreeReaders(t *testing.T) {
 	}
 	reused, seen := 0, map[*dirState]bool{}
 	for i := 0; i < 300 && !t.Failed(); i++ {
-		seen[a.dir.Load()] = true
+		seen[a.dir.peek()] = true
 		ops := []error{w.Create("/a/x"), w.Unlink("/a/x"), w.Rmdir("/a")}
 		removed.Store(a)
 		fs.dom.Synchronize()
 		ops = append(ops, w.Mkdir("/b"))
 		b, err := w.resolve("/b")
 		ops = append(ops, err)
-		if err == nil && seen[b.dir.Load()] {
+		if err == nil && seen[b.dir.peek()] {
 			reused++
 		}
 		ops = append(ops, w.Create("/b/y"), w.Unlink("/b/y"), w.Rmdir("/b"), w.Mkdir("/a"))
@@ -197,13 +208,13 @@ func TestCreateBatchLosesToRmdir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := a.dir.Load()
+	old := a.dir.peek()
 	// The window runs the rmdir and the mkdir once; the fences they issue
 	// reach the same observer and pass through.
 	var hookErr error
 	var armed atomic.Bool
 	armed.Store(true)
-	fs.dev.SetObserver(pmem.OnSite(siteCreateBatchBeforeLock, func() {
+	fs.dev.SetObserver(pmem.OnSite(siteDirStateBeforeLock, func() {
 		if !armed.CompareAndSwap(true, false) {
 			return
 		}
@@ -224,7 +235,7 @@ func TestCreateBatchLosesToRmdir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.dir.Load() != old {
+	if b.dir.peek() != old {
 		t.Fatal("/b was not built on /a's state")
 	}
 	if got := mustNames(t, w, "/b"); len(got) != 0 {
@@ -244,6 +255,61 @@ func TestCreateBatchLosesToRmdir(t *testing.T) {
 	r := th(t, New(rctrl, rctrl.RegisterApp(0, 0), Options{}))
 	if got := mustNames(t, r, "/b"); len(got) != 0 {
 		t.Fatalf("/b after recovery lists %v", got)
+	}
+}
+
+// TestCreateBatchLosesToReleaseAll: a CreateBatch into /a that a ReleaseAll
+// overtakes between loading /a's state and locking its bucket takes /a back
+// before it writes. The name it acknowledges is listed, the next release
+// hands /a back with it, and fsck and a recovery find it. A batch that
+// checked only that the state was still /a's wrote into the released /a:
+// /a stayed released, fsck found a dangling entry, and a recovery lost x.
+func TestCreateBatchLosesToReleaseAll(t *testing.T) {
+	fs := newFS(t, BugsNone)
+	fs.dev.EnableTracking()
+	w := th(t, fs)
+	if err := w.Mkdir("/a"); err != nil {
+		t.Fatal(err)
+	}
+	a, err := w.resolve("/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hookErr error
+	var armed atomic.Bool
+	armed.Store(true)
+	fs.dev.SetObserver(pmem.OnSite(siteDirStateBeforeLock, func() {
+		if armed.CompareAndSwap(true, false) {
+			hookErr = fs.ReleaseAll()
+		}
+	}))
+	n, err := w.CreateBatch("/a", []string{"x"})
+	if hookErr != nil {
+		t.Fatal(hookErr)
+	}
+	if n != 1 || err != nil {
+		t.Fatalf("CreateBatch(/a, x) = %d, %v; want 1, nil", n, err)
+	}
+	if a.released.Load() {
+		t.Fatal("the batch wrote into /a and left it released")
+	}
+	if got := mustNames(t, w, "/a"); !slices.Equal(got, []string{"x"}) {
+		t.Fatalf("/a lists %v", got)
+	}
+	if err := fs.ReleaseAll(); err != nil || !a.released.Load() {
+		t.Fatalf("the release after the batch: %v, /a released %v", err, a.released.Load())
+	}
+	if rep, err := kernel.Fsck(fs.dev, kernel.Options{}); err != nil || !rep.Clean() {
+		t.Fatalf("fsck after ReleaseAll: %v %v", rep, err)
+	}
+	rdev := pmem.Restore(fs.dev.CrashImage(pmem.CrashDropAll), nil)
+	rctrl, rep, err := kernel.Mount(rdev, kernel.Options{}, true)
+	if err != nil || !rep.Clean() {
+		t.Fatalf("recovery: %v %v", rep, err)
+	}
+	r := th(t, New(rctrl, rctrl.RegisterApp(0, 0), Options{}))
+	if got := mustNames(t, r, "/a"); !slices.Equal(got, []string{"x"}) {
+		t.Fatalf("/a after recovery lists %v", got)
 	}
 }
 
@@ -379,7 +445,7 @@ func TestRebuildOntoSpareEqualsFreshBuild(t *testing.T) {
 			err = fs.build(d, d.mapping.Load(), &in)
 			d.lock.Unlock()
 			must(err)
-			if d.dir.Load() != spare {
+			if d.dir.peek() != spare {
 				t.Fatal("/d was not rebuilt into /s's state")
 			}
 
@@ -387,7 +453,7 @@ func TestRebuildOntoSpareEqualsFreshBuild(t *testing.T) {
 			fs.spareDirs.dirs = nil
 			fresh := &minode{ino: d.ino, typ: layout.TypeDir}
 			must(fs.build(fresh, d.mapping.Load(), &in))
-			if diff := dirStateDiff(spare, fresh.dir.Load()); diff != "" {
+			if diff := dirStateDiff(spare, fresh.dir.peek()); diff != "" {
 				t.Fatalf("the rebuild into a spare differs from a fresh build:%s", diff)
 			}
 			if len(spare.tails) < 2 || spare.tails[1].slots == 0 || len(slices.Concat(spare.dead...)) == 0 {
@@ -487,12 +553,12 @@ func TestRebuildVsLockFreeReaders(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		seen[d.dir.Load()] = true
+		seen[d.dir.peek()] = true
 		name := fmt.Sprintf("w%d", round)
 		done := make(chan error, 1)
 		go func() { done <- wr.Create("/d/" + name) }()
 		errs := []error{w.Create(fmt.Sprintf("/d/a%d", round)), <-done}
-		if ds := d.dir.Load(); seen[ds] {
+		if ds := d.dir.peek(); seen[ds] {
 			aba++
 		}
 		errs = append(errs, w.Unlink(fmt.Sprintf("/d/a%d", round)), owner.ReleaseAll())
@@ -522,10 +588,10 @@ func TestRebuildVsLockFreeReaders(t *testing.T) {
 }
 
 // pausedOverRebuild runs read, a read of /d on a thread of its own, paused
-// once it has loaded /d's state, while a lease-miss rebuild retires that
-// state and a Barrier runs. It returns what read returned, /d/f's inode,
-// and whether the Barrier ended before read was let go.
-func pausedOverRebuild[R any](t *testing.T, read func(fs *FS, rt *Thread, d *minode) R) (r R, fIno uint64, recycledUnder bool) {
+// at site once it has loaded /d's state, while a lease-miss rebuild retires
+// that state and a Barrier runs. It returns what read returned, /d/f's
+// inode, and whether the Barrier ended before read was let go.
+func pausedOverRebuild[R any](t *testing.T, site string, read func(fs *FS, rt *Thread, d *minode) R) (r R, fIno uint64, recycledUnder bool) {
 	t.Helper()
 	ctrl, err := kernel.Format(pmem.New(16<<20, nil), kernel.Options{InodeCap: 1 << 10})
 	if err != nil {
@@ -550,10 +616,10 @@ func pausedOverRebuild[R any](t *testing.T, read func(fs *FS, rt *Thread, d *min
 			t.Fatal(err)
 		}
 	}
-	old := d.dir.Load()
+	old := d.dir.peek()
 	var armed atomic.Bool
 	loaded, resume := make(chan struct{}), make(chan struct{})
-	ctrl.Device().SetObserver(pmem.OnSite(siteDirStateLoaded, func() {
+	ctrl.Device().SetObserver(pmem.OnSite(site, func() {
 		if armed.CompareAndSwap(true, false) {
 			close(loaded)
 			<-resume
@@ -564,7 +630,7 @@ func pausedOverRebuild[R any](t *testing.T, read func(fs *FS, rt *Thread, d *min
 	go func() { done <- read(owner, rt, d) }()
 	<-loaded
 	err = w.Create("/d/x")
-	if err == nil && d.dir.Load() == old {
+	if err == nil && d.dir.peek() == old {
 		err = errors.New("the lease miss did not rebuild /d")
 	}
 	recycled := make(chan struct{})
@@ -597,7 +663,7 @@ func TestLookupPinsTheStateItLoaded(t *testing.T) {
 		ok  bool
 		err error
 	}
-	r, fIno, recycled := pausedOverRebuild(t, func(fs *FS, rt *Thread, d *minode) result {
+	r, fIno, recycled := pausedOverRebuild(t, siteDirStateLoaded, func(fs *FS, rt *Thread, d *minode) result {
 		ino, _, ok, err := fs.lookupInDir(rt, d, "f")
 		return result{ino, ok, err}
 	})
@@ -615,7 +681,7 @@ func TestLookupPinsTheStateItLoaded(t *testing.T) {
 // the bucket locks that the state is no longer the directory's, and takes
 // the new one. Without that check it listed the emptied state.
 func TestListingRetriesARecycledState(t *testing.T) {
-	names, _, recycled := pausedOverRebuild(t, func(fs *FS, rt *Thread, d *minode) []string {
+	names, _, recycled := pausedOverRebuild(t, siteDirStateBeforeLock, func(fs *FS, rt *Thread, d *minode) []string {
 		return fs.names(d)
 	})
 	if !recycled {
@@ -669,13 +735,13 @@ func TestCommitLeavesARecycledStateAlone(t *testing.T) {
 	must(w.Mkdir("/d"), w.Create("/d/f"), owner.ReleaseAll(), w.Create("/d/g"))
 	d, err := w.resolve("/d")
 	must(err)
-	old := d.dir.Load()
+	old := d.dir.peek()
 	var e *minode
 	var unverified []uint64
 	var linked []bool
 	hc.during = func() {
 		must(owner.ReleaseAll(), peer.Create("/d/p"), peer.fs.ReleaseAll(), w2.Create("/d/x"))
-		if d.dir.Load() == old {
+		if d.dir.peek() == old {
 			t.Fatal("the lease miss did not rebuild /d")
 		}
 		owner.dom.Barrier()
@@ -684,7 +750,7 @@ func TestCommitLeavesARecycledStateAlone(t *testing.T) {
 			must(w2.Mkdir(path))
 			mi, err := w2.resolve(path)
 			must(err)
-			if mi.dir.Load() == old {
+			if mi.dir.peek() == old {
 				must(w2.Create(path + "/f"))
 				e = mi
 			}

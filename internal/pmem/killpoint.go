@@ -32,8 +32,9 @@ package pmem
 // Race windows (libfs, one constant each): libfs.window.dir-write (§4.3,
 // two sites), libfs.window.create-aux-core (§4.4),
 // libfs.window.rename-checked (§4.6), libfs.window.file-read-block,
-// libfs.window.batch-before-lock, libfs.window.rmdir-found-empty,
-// libfs.window.dir-state-loaded (a lookup's and a listing's). §4.5's
+// libfs.window.rmdir-found-empty, and one for each directory-state
+// accessor that loads before its guard holds: libfs.window.dir-state-loaded
+// (pinned) and libfs.window.dir-state-before-lock (locked). §4.5's
 // window is htable.Table.TraverseHook.
 //
 // Registered crash sites (callers keep this list current; cmd/arckcrash

@@ -51,7 +51,9 @@ go test -race \
 # rebuild retires, and a listing paused on one, and a commit during which
 # its directory's state is recycled, and the race windows armed on the
 # device's observer (§4.4, §4.5, a batch create losing to an rmdir, the
-# reserved record length queued in the §4.4 window), run ten times over.
+# reserved record length queued in the §4.4 window), and a batch create
+# that a ReleaseAll overtakes before its bucket lock, and a ReleaseAll
+# after the kernel revoked a held file's mapping, run ten times over.
 step "race at GOMAXPROCS 1, 2, 4"
 for p in 1 2 4; do
   GOMAXPROCS=$p go test -race \
@@ -59,7 +61,7 @@ for p in 1 2 4; do
   GOMAXPROCS=$p go test -race -count=2 \
     -run 'Compact|HandoffChurn|HandoffTurn|Reacquire|UnlinkOfCommitted|ReleaseAllSpan|ReleaseAllLockOrder|TestBug43|TestBug46|ShardStress|ParsesOnce|Delegated|RepeatAcquire|StatNeverTears|StatVsConcurrentWriters|CountedSpin|AcquireGuard|ACLDies|ShardStatsKinds|PageGrantsCross|TestCrossing|InodeRecordCrashAtomic|LookupDuringGrowth|GrowthZeroes|AcquireBatch|TestPrefetch|ConcurrentMissesOneBatch|GrownCommittedFileLeaksNoPages|AllocReclaims|EpochBoundary|ShardWaitSpanEvents|DirtyBits|TestInodeTableConcurrent' \
     ./internal/libfs/ ./internal/kernel/ ./internal/htable/ ./internal/hlock/
-  GOMAXPROCS=$p go test -race -count=10 -run 'TestDeadSlotReuseConcurrent|TestSpareDirVsLockFreeReaders|TestRebuildVsLockFreeReaders|TestRmdirVsCreate|TestReadAtVsTruncateReclaim|TestLookupPinsTheStateItLoaded|TestListingRetriesARecycledState|TestCommitLeavesARecycledStateAlone|TestBug44|TestBug45|TestCreateBatchLosesToRmdir|TestReserveDentryQueuesRecLenWriteback' ./internal/libfs/
+  GOMAXPROCS=$p go test -race -count=10 -run 'TestDeadSlotReuseConcurrent|TestSpareDirVsLockFreeReaders|TestRebuildVsLockFreeReaders|TestRmdirVsCreate|TestReadAtVsTruncateReclaim|TestLookupPinsTheStateItLoaded|TestListingRetriesARecycledState|TestCommitLeavesARecycledStateAlone|TestBug44|TestBug45|TestCreateBatchLosesToRmdir|TestReserveDentryQueuesRecLenWriteback|TestCreateBatchLosesToReleaseAll|TestReleaseAllSkipsARevokedInode' ./internal/libfs/
   GOMAXPROCS=$p go test -race -count=2 -run 'AppRowMatchesDevice|AppStatsCountEveryCrossing' ./internal/core/
   GOMAXPROCS=$p go test -race -count=2 -run 'ConcurrentReaders|WAL' ./internal/kv/
 done
