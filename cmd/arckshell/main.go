@@ -29,8 +29,6 @@
 //	                          crossings, persist traffic, and p99
 //	tenants                   per-tenant quota/usage table: outstanding
 //	                          page and inode grants against the limits
-//	lint                      run the arcklint checkers over this source tree
-//	                          (or just the configs whose name contains name)
 //	help, quit
 package main
 
@@ -44,7 +42,6 @@ import (
 	"strings"
 
 	"arckfs"
-	"arckfs/internal/analysis"
 	"arckfs/internal/telemetry"
 )
 
@@ -80,7 +77,7 @@ func main() {
 		var err error
 		switch cmd {
 		case "help":
-			fmt.Println("mkdir create write cat ls stat rm rmdir mv trunc release fsck crash stats shards trace spans top tenants lint quit")
+			fmt.Println("mkdir create write cat ls stat rm rmdir mv trunc release fsck crash stats shards trace spans top tenants quit")
 		case "quit", "exit":
 			return
 		case "mkdir":
@@ -168,8 +165,6 @@ func main() {
 			err = sys.Telemetry().WriteJSON(os.Stdout)
 		case "shards":
 			printShards(sys)
-		case "lint":
-			err = runLint()
 		case "trace":
 			printTrace(sys, args)
 		case "spans":
@@ -335,35 +330,6 @@ func printShards(sys *arckfs.System) {
 	if shown == 0 {
 		fmt.Println("  (no kernel crossings yet)")
 	}
-}
-
-// runLint runs the full arcklint suite in-process over the module this
-// binary was started inside, mirroring `arcklint ./...`.
-func runLint() error {
-	cwd, err := os.Getwd()
-	if err != nil {
-		return err
-	}
-	root, dirs, err := analysis.ExpandPatterns(cwd, []string{"./..."})
-	if err != nil {
-		return err
-	}
-	prog, err := analysis.LoadDirs(root, dirs)
-	if err != nil {
-		return err
-	}
-	findings := analysis.Run(prog, analysis.Analyzers())
-	unsuppressed, suppressed := 0, 0
-	for _, f := range findings {
-		if f.Suppressed {
-			suppressed++
-			continue
-		}
-		unsuppressed++
-		fmt.Println(" ", f)
-	}
-	fmt.Printf("  %d finding(s), %d suppressed\n", unsuppressed, suppressed)
-	return nil
 }
 
 func writeAll(w arckfs.Thread, path, text string) error {

@@ -320,8 +320,7 @@ func (it *iteration) verifyCrash() {
 // interruptRecovery restores the crash image, kills the repair mount at
 // the end of the scheduled recovery pass, and returns the crash image
 // of the half-repaired device — the input for the second (checked)
-// recovery. Recovery-pass kills force RecoverWorkers=1 so the observer's
-// panic unwinds the mounting goroutine, never a parallel worker.
+// recovery.
 func (it *iteration) interruptRecovery(img []byte) []byte {
 	rdev := pmem.Restore(img, nil)
 	rdev.EnableTracking()
@@ -343,7 +342,7 @@ func (it *iteration) interruptRecovery(img []byte) []byte {
 				}
 			}
 		}()
-		_, _, _ = kernel.Mount(rdev, kernel.Options{RecoverWorkers: 1}, true)
+		_, _, _ = kernel.Mount(rdev, kernel.Options{}, true)
 	}()
 	if img2 == nil {
 		// The mount failed before the scheduled pass ended; check the

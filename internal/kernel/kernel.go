@@ -60,9 +60,6 @@ type Options struct {
 	InodeCap uint64
 	// NTails is the directory log tail count (Format only).
 	NTails int
-	// RecoverWorkers bounds the recovery worker pool (Mount/Fsck).
-	// 0 = min(GOMAXPROCS, 8); 1 = serial.
-	RecoverWorkers int
 	// Span, when set, receives SpanEvRecoveryPass events while Mount
 	// runs recovery, one per pass with its duration.
 	Span telemetry.SpanSink

@@ -2,10 +2,7 @@ package kernel
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"arckfs/internal/layout"
@@ -50,61 +47,13 @@ func (r Report) Clean() bool {
 		r.RestoredInodes == 0 && r.OrphanInodes == 0 && r.TrimmedBlocks == 0
 }
 
-// recoverWorkers resolves Options.RecoverWorkers to a pool size.
-func recoverWorkers(opts Options) int {
-	w := opts.RecoverWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-		if w > 8 {
-			w = 8
-		}
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// parallelEach runs fn(worker, i) for every i in [0, n) on a bounded
-// worker pool. Callers keep results deterministic by writing into
-// index-i slots and merging sequentially afterwards.
-func parallelEach(workers, n int, fn func(worker, i int)) {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 // Mount recovers a formatted device. It trusts the PM shadow table,
 // reconciles every committed inode's LibFS core state against it
 // (repairing torn dentries and dropping uncommitted creations), rebuilds
 // page ownership, and returns everything unreachable to the allocator.
 //
-// The inode-table scans (passes 1, 2 and 5) and each reachability
-// level's directory reconciliations (pass 3) run on a bounded worker
-// pool (Options.RecoverWorkers); per-chunk results merge in index order,
-// so the report and the recovered state are identical to a serial run.
+// The passes run in order on the calling goroutine, and every repair goes
+// through one queue, so a pass that repaired something costs one fence.
 //
 // When repair is false the device is not modified (fsck dry-run); the
 // returned controller is still usable for inspection but repairs that
@@ -118,78 +67,37 @@ func Mount(dev *pmem.Device, opts Options, repair bool) (*Controller, *Report, e
 	opts.InodeCap = g.InodeCap
 	c := newController(dev, g, opts)
 	rep := &Report{}
-	workers := recoverWorkers(opts)
-	qs := make([]*persistQ, workers) // one repair queue per worker
-	for w := range qs {
-		qs[w] = &persistQ{Batch: dev.NewBatch()}
-	}
+	q := &persistQ{Batch: dev.NewBatch()}
 
-	// endPass persists the pass's repairs (a fence per worker that made
-	// any) and reports its duration to the mount span (0-based, in order).
+	// endPass persists the pass's repairs (one fence if it made any) and
+	// reports its duration to the mount span (0-based, in order).
 	passBegin := time.Now()
 	endPass := func(i int) {
-		for _, q := range qs {
-			c.persist(q)
-		}
+		c.persist(q)
 		if opts.Span != nil {
 			opts.Span.SpanEvent(telemetry.SpanEvRecoveryPass, int64(i),
 				time.Since(passBegin).Nanoseconds())
 		}
-		// Whitebox kill site for crash-during-recovery testing (always on
-		// the mounting goroutine — passes end sequentially even when their
-		// interior parallelizes, so an observer that panics here unwinds
-		// Mount itself).
+		// Whitebox kill site for crash-during-recovery testing.
 		dev.Killpoint("kernel.recover.pass")
 		passBegin = time.Now()
 	}
 
-	// Pass 1: read the shadow table — the trusted ground truth — in
-	// contiguous inode chunks. Workers only parse; the merge into the
-	// shard maps is sequential, in chunk order.
-	type p1ent struct {
-		ino uint64
-		se  *shadowEnt
-	}
-	nchunk := workers
-	span := (g.InodeCap - 1 + uint64(nchunk) - 1) / uint64(nchunk)
-	if span == 0 {
-		span = 1
-	}
-	chunkEnts := make([][]p1ent, nchunk)
-	chunkErr := make([]error, nchunk)
-	parallelEach(workers, nchunk, func(_, i int) {
-		lo := 1 + uint64(i)*span
-		hi := lo + span
-		if hi > g.InodeCap {
-			hi = g.InodeCap
+	// Pass 1: read the shadow table — the trusted ground truth.
+	for ino := uint64(1); ino < g.InodeCap; ino++ {
+		sin, ex, ok, corrupt := layout.ReadShadow(dev, g, ino)
+		if corrupt {
+			return nil, nil, fmt.Errorf("kernel: shadow record %d corrupt; records are assumed to persist whole, device damaged", ino)
 		}
-		for ino := lo; ino < hi; ino++ {
-			sin, ex, ok, corrupt := layout.ReadShadow(dev, g, ino)
-			if corrupt {
-				chunkErr[i] = fmt.Errorf("kernel: shadow record %d corrupt; records are assumed to persist whole, device damaged", ino)
-				return
-			}
-			if !ok || !ex.Committed {
-				// Pending shadows (crash before the child committed) are
-				// dropped: the creation never completed.
-				continue
-			}
-			se := &shadowEnt{
-				info:  shadowInfoOf(ino, &sin, ex.ChildCount, true),
-				inode: sin,
-			}
-			if ex.Inaccessible {
-				se.inaccessible = true
-			}
-			chunkEnts[i] = append(chunkEnts[i], p1ent{ino, se})
+		if !ok || !ex.Committed {
+			// Pending shadows (crash before the child committed) are
+			// dropped: the creation never completed.
+			continue
 		}
-	})
-	for i := 0; i < nchunk; i++ {
-		if chunkErr[i] != nil {
-			return nil, nil, chunkErr[i]
-		}
-		for _, e := range chunkEnts[i] {
-			c.shardOf(e.ino).m[e.ino] = e.se
+		c.shardOf(ino).m[ino] = &shadowEnt{
+			info:         shadowInfoOf(ino, &sin, ex.ChildCount, true),
+			inode:        sin,
+			inaccessible: ex.Inaccessible,
 		}
 	}
 	if c.shadowGet(layout.RootIno, nil) == nil {
@@ -198,65 +106,42 @@ func Mount(dev *pmem.Device, opts Options, repair bool) (*Controller, *Report, e
 	endPass(0)
 
 	// Pass 2: restore LibFS inode records that disagree with the shadow
-	// (zeroed or torn by a crash mid-create). Each inode's check and
-	// repair is independent; per-worker counters sum deterministically.
-	inos := c.sortedInos()
-	restored := make([]int, workers)
-	parallelEach(workers, len(inos), func(w, i int) {
-		ino := inos[i]
+	// (zeroed or torn by a crash mid-create).
+	for _, ino := range c.sortedInos() {
 		se := c.shadowGet(ino, nil)
 		in, ok, corrupt := layout.ReadInode(dev, g, ino)
 		if ok && !corrupt && in.Type == se.info.Type && in.DataRoot == se.info.DataRoot {
-			return
+			continue
 		}
-		restored[w]++
+		rep.RestoredInodes++
 		if repair {
 			layout.WriteInode(dev, g, ino, &se.inode)
-			qs[w].Flush(layout.InodeOff(g, ino), layout.InodeSize)
+			q.Flush(layout.InodeOff(g, ino), layout.InodeSize)
 		}
-	})
-	for _, n := range restored {
-		rep.RestoredInodes += n
 	}
 	endPass(1)
 
-	// Pass 3: reachability walk from the root, reconciling each
-	// directory's dentry log against the shadow table. Directories on
-	// the same level are independent (an entry only survives under its
-	// shadow-verified parent), so each level fans out on the pool;
-	// children and report deltas merge in level order, keeping the walk
-	// order — and every repair — identical to a serial BFS.
+	// Pass 3: breadth-first reachability walk from the root, reconciling
+	// each directory's dentry log against the shadow table.
 	reachable := map[uint64]bool{layout.RootIno: true}
-	level := []uint64{layout.RootIno}
-	for len(level) > 0 {
-		levelChildren := make([][]uint64, len(level))
-		levelReps := make([]Report, len(level))
-		parallelEach(workers, len(level), func(w, i int) {
-			se := c.shadowGet(level[i], nil)
-			if se.info.Type != layout.TypeDir {
-				return
-			}
-			children := c.reconcileDir(level[i], se, &levelReps[i], repair, qs[w])
-			// Recount children after repair; rewrite the shadow if it moved.
-			moved := uint32(len(children)) != se.info.ChildCount
-			se.info.ChildCount = uint32(len(children))
-			if repair && moved {
-				c.writeShadow(se, qs[w])
-			}
-			levelChildren[i] = children
-		})
-		var next []uint64
-		for i := range level {
-			rep.CorruptDentries += levelReps[i].CorruptDentries
-			rep.DanglingEntries += levelReps[i].DanglingEntries
-			for _, child := range levelChildren[i] {
-				if !reachable[child] {
-					reachable[child] = true
-					next = append(next, child)
-				}
+	for walk := []uint64{layout.RootIno}; len(walk) > 0; walk = walk[1:] {
+		se := c.shadowGet(walk[0], nil)
+		if se.info.Type != layout.TypeDir {
+			continue
+		}
+		children := c.reconcileDir(walk[0], se, rep, repair, q)
+		// Recount children after repair; rewrite the shadow if it moved.
+		moved := uint32(len(children)) != se.info.ChildCount
+		se.info.ChildCount = uint32(len(children))
+		if repair && moved {
+			c.writeShadow(se, q)
+		}
+		for _, child := range children {
+			if !reachable[child] {
+				reachable[child] = true
+				walk = append(walk, child)
 			}
 		}
-		level = next
 	}
 	endPass(2)
 
@@ -271,37 +156,27 @@ func Mount(dev *pmem.Device, opts Options, repair bool) (*Controller, *Report, e
 	for _, ino := range orphans {
 		rep.OrphanInodes++
 		if repair {
-			c.freeRecords(ino, qs[0])
+			c.freeRecords(ino, q)
 		}
 		c.shadowDelete(ino, nil)
 	}
 	endPass(3)
 
 	// Pass 5: rebuild page ownership and the allocator from the
-	// surviving tree. Workers trim each file to its size and enumerate
-	// each inode's pages; the merge — owner words and the used set — is
-	// sequential in sorted inode order, so duplicate claims resolve
-	// deterministically.
+	// surviving tree, trimming each file to its size. Inodes go in sorted
+	// order, so duplicate claims resolve deterministically.
 	rep.CommittedInodes = c.shadowCount()
-	inos = c.sortedInos()
-	inoPageLists := make([][]uint64, len(inos))
-	trimmed := make([]int, workers)
-	parallelEach(workers, len(inos), func(w, i int) {
-		se := c.shadowGet(inos[i], nil)
-		if se.info.Type == layout.TypeFile {
-			trimmed[w] += c.trimFile(inos[i], se, repair, qs[w])
-		}
-		inoPageLists[i] = c.inodePages(inos[i], se)
-	})
-	for _, n := range trimmed {
-		rep.TrimmedBlocks += n
-	}
 	var usedPages []uint64
-	for i, ino := range inos {
-		for _, p := range inoPageLists[i] {
+	for _, ino := range c.sortedInos() {
+		se := c.shadowGet(ino, nil)
+		if se.info.Type == layout.TypeFile {
+			rep.TrimmedBlocks += c.trimFile(ino, se, repair, q)
+		}
+		pages := c.inodePages(ino, se)
+		for _, p := range pages {
 			c.setPageOwner(p, ownIno(ino))
 		}
-		usedPages = append(usedPages, inoPageLists[i]...)
+		usedPages = append(usedPages, pages...)
 	}
 	c.alloc = pmalloc.NewExcluding(g, usedPages...)
 	// Everything not referenced by the surviving tree returns to the free

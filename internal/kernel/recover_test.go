@@ -77,7 +77,7 @@ func TestRepairMountWritesOnlyWhatChanged(t *testing.T) {
 	mount := func() [3]int64 {
 		t.Helper()
 		before := counts()
-		if _, _, err := Mount(h.dev, Options{Mode: verifier.Enhanced, RecoverWorkers: 1}, true); err != nil {
+		if _, _, err := Mount(h.dev, Options{Mode: verifier.Enhanced}, true); err != nil {
 			t.Fatal(err)
 		}
 		after := counts()

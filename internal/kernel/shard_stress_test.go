@@ -2,13 +2,15 @@
 // outside the package (package kernel_test) so they can drive the
 // Controller through real LibFS instances: many applications hammering
 // Acquire/Commit/Release/grant paths across shards concurrently, plus a
-// pin that parallel recovery produces state identical to a serial scan.
+// pin that recovery's fences and results do not follow GOMAXPROCS.
 package kernel_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -221,91 +223,120 @@ func TestShardStressMultiApp(t *testing.T) {
 	}
 }
 
-// TestRecoveryParallelMatchesSerial pins the parallel-recovery
-// determinism contract: mounting the same image with a single worker and
-// with eight workers must produce identical reports, identical shadow
-// tables, and identical free-page pools — on a clean image and on a
-// crash image that needs real repair (uncommitted creations to drop,
-// leaked pages to reclaim).
-func TestRecoveryParallelMatchesSerial(t *testing.T) {
-	sys, err := core.NewSystem(core.Config{DevSize: 64 << 20, InodeCap: 1 << 10, Tracking: true})
+// TestRecoveryFencesIgnoreGOMAXPROCS: recovery persists on one schedule
+// whatever the host. Each of 64 sibling directories holds a committed
+// file whose inode record is torn and whose map keeps a block past its
+// size, beside a creation the kernel never saw, so passes 2, 3 and 5 each
+// repair 64 inodes. Mounted at GOMAXPROCS 1 and 4, the image takes one
+// fence in each of those passes and none in the others, and comes out as
+// the same report, free pool, shadow table and device bytes.
+func TestRecoveryFencesIgnoreGOMAXPROCS(t *testing.T) {
+	const dirs = 64
+	sys, err := core.NewSystem(core.Config{DevSize: 16 << 20, InodeCap: 1 << 10, Tracking: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fs := sys.NewApp(0, 0)
 	th := fs.NewThread(0).(*libfs.Thread)
-	blob := make([]byte, 8192)
-	for d := 0; d < 4; d++ {
-		dir := fmt.Sprintf("/d%d/sub", d)
-		for _, p := range []string{fmt.Sprintf("/d%d", d), dir} {
-			if err := th.Mkdir(p); err != nil {
-				t.Fatal(err)
-			}
+	files := make([]uint64, dirs)
+	for d := range files {
+		dir := fmt.Sprintf("/d%02d", d)
+		if err := th.Mkdir(dir); err != nil {
+			t.Fatal(err)
 		}
-		for f := 0; f < 6; f++ {
-			p := fmt.Sprintf("%s/f%d", dir, f)
-			if err := th.Create(p); err != nil {
-				t.Fatal(err)
-			}
-			fd, err := th.Open(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := th.WriteAt(fd, blob, 0); err != nil {
-				t.Fatal(err)
-			}
-			th.Close(fd)
+		if err := th.Create(dir + "/f"); err != nil {
+			t.Fatal(err)
 		}
+		fd, err := th.Open(dir + "/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := th.WriteAt(fd, make([]byte, layout.PageSize), 0); err != nil {
+			t.Fatal(err)
+		}
+		th.Close(fd)
+		st, err := th.Stat(dir + "/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[d] = st.Ino
 	}
 	if err := fs.ReleaseAll(); err != nil {
 		t.Fatal(err)
 	}
-	clean := make([]byte, sys.Dev.Size())
-	sys.Dev.Read(0, clean)
-
-	// Dirty the tree without committing: these creations and writes are
-	// unknown to the kernel, so recovery has dangling entries to drop and
-	// pages to sweep back.
-	for f := 0; f < 8; f++ {
-		p := fmt.Sprintf("/d0/sub/lost%d", f)
-		if err := th.Create(p); err != nil {
+	for d := range files {
+		if err := th.Create(fmt.Sprintf("/d%02d/lost", d)); err != nil {
 			t.Fatal(err)
 		}
-		fd, err := th.Open(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := th.WriteAt(fd, blob, 0); err != nil {
-			t.Fatal(err)
-		}
-		th.Close(fd)
 	}
-	crash := sys.Dev.CrashImage(pmem.CrashPersistAll)
+	crash := pmem.Restore(sys.Dev.CrashImage(pmem.CrashPersistAll), nil)
+	g, err := layout.Load(crash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ino := range files {
+		in, _, _ := layout.ReadInode(crash, g, ino)
+		layout.SetMapEntry(crash, in.DataRoot, 1, layout.MapEntry(crash, in.DataRoot, 0))
+		crash.Zero(layout.InodeOff(g, ino), layout.InodeSize)
+	}
+	img := make([]byte, crash.Size())
+	crash.Read(0, img)
 
-	for name, img := range map[string][]byte{"clean": clean, "crash": crash} {
-		mount := func(workers int) (*kernel.Controller, *kernel.Report) {
-			dev := pmem.Restore(append([]byte(nil), img...), nil)
-			c, rep, err := kernel.Mount(dev, kernel.Options{RecoverWorkers: workers}, true)
-			if err != nil {
-				t.Fatalf("%s mount workers=%d: %v", name, workers, err)
-			}
-			return c, rep
+	type mounted struct {
+		c      *kernel.Controller
+		rep    kernel.Report
+		fences []int64 // per pass
+		img    []byte
+	}
+	mount := func(procs int) mounted {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		dev := pmem.Restore(img, nil)
+		var m mounted
+		last := dev.Stats.Fences.Load()
+		dev.SetObserver(pmem.OnSite("kernel.recover.pass", func() {
+			now := dev.Stats.Fences.Load()
+			m.fences = append(m.fences, now-last)
+			last = now
+		}))
+		c, rep, err := kernel.Mount(dev, kernel.Options{}, true)
+		if err != nil {
+			t.Fatalf("mount at GOMAXPROCS %d: %v", procs, err)
 		}
-		c1, r1 := mount(1)
-		c8, r8 := mount(8)
-		if *r1 != *r8 {
-			t.Fatalf("%s: serial report %v != parallel report %v", name, r1, r8)
+		m.c, m.rep = c, *rep
+		m.img = make([]byte, dev.Size())
+		dev.Read(0, m.img)
+		return m
+	}
+	want := []int64{0, 1, 1, 0, 1, 0}
+	one := mount(1)
+	if one.rep.RestoredInodes != dirs || one.rep.DanglingEntries != dirs || one.rep.TrimmedBlocks != dirs {
+		t.Fatalf("report %v: want %d restored, dangling and trimmed", one.rep, dirs)
+	}
+	if !reflect.DeepEqual(one.fences, want) {
+		t.Fatalf("fences per pass at GOMAXPROCS 1: %v, want %v", one.fences, want)
+	}
+	// A worker pool would split a pass's repairs only when a second worker
+	// wakes in time, so the wider mount is repeated.
+	for round := 0; round < 8; round++ {
+		four := mount(4)
+		if !reflect.DeepEqual(four.fences, want) {
+			t.Fatalf("round %d: fences per pass at GOMAXPROCS 4: %v, want %v", round, four.fences, want)
 		}
-		if f1, f8 := c1.FreeCount(), c8.FreeCount(); f1 != f8 {
-			t.Fatalf("%s: free pool diverged: serial %d, parallel %d", name, f1, f8)
+		if one.rep != four.rep {
+			t.Fatalf("round %d: report %v at GOMAXPROCS 1, %v at 4", round, one.rep, four.rep)
+		}
+		if f1, f4 := one.c.FreeCount(), four.c.FreeCount(); f1 != f4 {
+			t.Fatalf("round %d: free pool %d at GOMAXPROCS 1, %d at 4", round, f1, f4)
 		}
 		for ino := uint64(0); ino < 1<<10; ino++ {
-			s1, ok1 := c1.ShadowOf(ino)
-			s8, ok8 := c8.ShadowOf(ino)
-			if ok1 != ok8 || !reflect.DeepEqual(s1, s8) {
-				t.Fatalf("%s: shadow of inode %d diverged: serial (%v,%v) parallel (%v,%v)",
-					name, ino, s1, ok1, s8, ok8)
+			s1, ok1 := one.c.ShadowOf(ino)
+			s4, ok4 := four.c.ShadowOf(ino)
+			if ok1 != ok4 || !reflect.DeepEqual(s1, s4) {
+				t.Fatalf("round %d: shadow of inode %d: (%v,%v) at GOMAXPROCS 1, (%v,%v) at 4", round, ino, s1, ok1, s4, ok4)
 			}
+		}
+		if !bytes.Equal(one.img, four.img) {
+			t.Fatalf("round %d: recovered devices differ between GOMAXPROCS 1 and 4", round)
 		}
 	}
 }

@@ -42,7 +42,7 @@ go test -run '^$' -fuzz=FuzzPathCursor -fuzztime=5s ./internal/fsapi/
 go test -run '^$' -fuzz=FuzzVerifyDir -fuzztime=5s ./internal/verifier/
 
 step "per-layer Go benchmarks build and run once"
-go test -run '^$' -bench . -benchtime 1x ./internal/libfs/ ./internal/kv/ ./internal/verifier/ ./internal/kernel/
+go test -run '^$' -bench . -benchtime 1x . ./internal/libfs/ ./internal/kv/ ./internal/verifier/ ./internal/kernel/
 
 step "arcklint (baseline + runtime budget, suppression audit)"
 go run ./cmd/arcklint -baseline scripts/arcklint_baseline.json ./...
