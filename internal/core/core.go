@@ -148,6 +148,9 @@ func (s *System) initTelemetry() {
 	// per-thread rings; fxmark.TestCostBounds pins it at 0 per op while
 	// tracing is disabled.
 	s.tel.Gauge("span.recorded", s.tracer.Recorded)
+	// The collector's heap goal: with the device mapped outside the heap
+	// (pmem.mapped_bytes), it follows the file system's own heap.
+	s.tel.Gauge("go.heap_goal_bytes", telemetry.HeapGoal)
 }
 
 // sumApps returns a gauge that sums one LibFS counter over every

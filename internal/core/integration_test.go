@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -220,6 +222,30 @@ func TestRCUGauges(t *testing.T) {
 	if got := sys.Telemetry().Snapshot()["rcu.pending_pages"]; got != 0 {
 		t.Fatalf("rcu.pending_pages = %d after ReleaseAll, want 0", got)
 	}
+}
+
+// TestHeapGoalIgnoresTheDevice: the snapshot names the device bytes mapped
+// outside the Go heap and the collector's heap goal, and with the device
+// mapped the goal follows the file system's own heap, far below the device.
+func TestHeapGoalIgnoresTheDevice(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(100))
+	const size = 256 << 20
+	sys, err := NewSystem(Config{DevSize: size})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	snap := sys.Telemetry().Snapshot()
+	if snap["pmem.mapped_bytes"] == 0 {
+		t.Skip("this build keeps the device on the Go heap (-race, or not unix)")
+	}
+	if got := snap["pmem.mapped_bytes"]; got != size {
+		t.Fatalf("pmem.mapped_bytes = %d, want the device's %d", got, size)
+	}
+	if goal := snap["go.heap_goal_bytes"]; goal <= 0 || goal >= size {
+		t.Fatalf("go.heap_goal_bytes = %d beside a %d-byte mapped device, want 0 < goal < device", goal, size)
+	}
+	runtime.KeepAlive(sys)
 }
 
 // TestParallelAppsPrivateTrees runs several applications concurrently on

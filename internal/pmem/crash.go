@@ -256,8 +256,13 @@ func (d *Device) DirtyLines() []int64 {
 
 // Restore creates a fresh untracked device whose volatile image is img —
 // the "reboot" following a crash. The new device shares the cost model.
+//
+// Unlike New, Restore keeps the image on the Go heap. The crash checkers
+// restore thousands of short-lived images; the heap hands each one warm,
+// reused spans, where a fresh mapping per image would pay a page fault and
+// the kernel's zeroing for every page it touches.
 func Restore(img []byte, cost *costmodel.Model) *Device {
-	d := New(int64(len(img)), cost)
-	copy(d.buf, img)
-	return d
+	buf := make([]byte, pageRound(int64(len(img))))
+	copy(buf, img)
+	return newDevice(buf, cost)
 }

@@ -34,6 +34,7 @@ package pmem
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -80,6 +81,7 @@ func (d *Device) RegisterTelemetry(set *telemetry.Set) {
 	set.Gauge("pmem.lies.dropped_flushes", d.Stats.LiedFlushes.Load)
 	set.Gauge("pmem.lies.dropped_fences", d.Stats.LiedFences.Load)
 	set.Gauge("pmem.lies.torn_lines", d.Stats.TornLines.Load)
+	set.Gauge("pmem.mapped_bytes", d.mappedBytes)
 }
 
 // lineTrack records the unpersisted store history of one cache line.
@@ -93,8 +95,14 @@ type lineTrack struct {
 }
 
 // Device is a simulated persistent-memory module.
+//
+// Every method that touches buf ends with runtime.KeepAlive(d): buf may be
+// a mapping that a finalizer unmaps once the device is unreachable (see
+// mapping), so the device must stay reachable until the last access, as an
+// os.File must until its last read.
 type Device struct {
 	buf  []byte
+	mem  *mapping // owns buf for a device New made
 	cost *costmodel.Model
 
 	tracking atomic.Bool
@@ -116,22 +124,46 @@ type Device struct {
 	Stats Stats
 }
 
+// mapping is the memory of a device New made. In a build that maps devices
+// (mem_mapped.go) buf lies outside the Go heap, and a finalizer on the
+// mapping, not on the Device, unmaps it: the mapping refers to no Go object, so
+// a device caught in a cycle (an observer that refers to it) is still
+// collected and unmapped. Under -race, or off unix, buf is on the heap
+// (mem_heap.go).
+type mapping struct{ buf []byte }
+
 // New creates a device of the given size in bytes (rounded up to a page).
 // cost may be nil for zero simulated latency.
 func New(size int64, cost *costmodel.Model) *Device {
+	m := newMapping(pageRound(size))
+	d := newDevice(m.buf, cost)
+	d.mem = m
+	return d
+}
+
+// pageRound rounds a positive device size up to a whole page.
+func pageRound(size int64) int64 {
 	if size <= 0 {
 		panic("pmem: non-positive device size")
 	}
-	size = (size + PageSize - 1) / PageSize * PageSize
-	d := &Device{
-		buf:   make([]byte, size),
-		cost:  cost,
-		dirty: make([]atomic.Uint64, (size/PageSize+63)/64),
+	return (size + PageSize - 1) / PageSize * PageSize
+}
+
+func newDevice(buf []byte, cost *costmodel.Model) *Device {
+	dirty := make([]atomic.Uint64, (len(buf)/PageSize+63)/64)
+	for i := range dirty {
+		dirty[i].Store(^uint64(0))
 	}
-	for i := range d.dirty {
-		d.dirty[i].Store(^uint64(0))
+	return &Device{buf: buf, cost: cost, dirty: dirty}
+}
+
+// mappedBytes is the device memory mapped outside the Go heap: the size of
+// a device New mapped, 0 for one on the heap.
+func (d *Device) mappedBytes() int64 {
+	if !mapsDevices || d.mem == nil {
+		return 0
 	}
-	return d
+	return int64(len(d.buf))
 }
 
 // Size returns the device capacity in bytes.
@@ -148,6 +180,7 @@ func (d *Device) EnableTracking() {
 	defer d.mu.Unlock()
 	d.persistent = make([]byte, len(d.buf))
 	copy(d.persistent, d.buf)
+	runtime.KeepAlive(d)
 	d.lines = make(map[int64]*lineTrack)
 	d.tracking.Store(true)
 }
@@ -187,6 +220,7 @@ func (d *Device) recordStore(off, n int64) {
 		lt.versions = append(lt.versions, snap)
 	}
 	d.mu.Unlock()
+	runtime.KeepAlive(d)
 }
 
 // Write stores p at off.
@@ -200,6 +234,7 @@ func (d *Device) Write(off int64, p []byte) {
 	if d.tracking.Load() {
 		d.recordStore(off, int64(len(p)))
 	}
+	runtime.KeepAlive(d)
 }
 
 // Zero stores n zero bytes at off.
@@ -216,6 +251,7 @@ func (d *Device) Zero(off, n int64) {
 	if d.tracking.Load() {
 		d.recordStore(off, n)
 	}
+	runtime.KeepAlive(d)
 }
 
 // Store8 stores one byte.
@@ -228,6 +264,7 @@ func (d *Device) Store8(off int64, v uint8) {
 	if d.tracking.Load() {
 		d.recordStore(off, 1)
 	}
+	runtime.KeepAlive(d)
 }
 
 // Store16 stores a little-endian uint16.
@@ -240,6 +277,7 @@ func (d *Device) Store16(off int64, v uint16) {
 	if d.tracking.Load() {
 		d.recordStore(off, 2)
 	}
+	runtime.KeepAlive(d)
 }
 
 // Store32 stores a little-endian uint32.
@@ -252,6 +290,7 @@ func (d *Device) Store32(off int64, v uint32) {
 	if d.tracking.Load() {
 		d.recordStore(off, 4)
 	}
+	runtime.KeepAlive(d)
 }
 
 // Store64 stores a little-endian uint64.
@@ -264,6 +303,7 @@ func (d *Device) Store64(off int64, v uint64) {
 	if d.tracking.Load() {
 		d.recordStore(off, 8)
 	}
+	runtime.KeepAlive(d)
 }
 
 // WriteNT stores p at off with non-temporal (streaming, movnt-style)
@@ -291,6 +331,7 @@ func (d *Device) WriteNT(off int64, p []byte) {
 		d.recordStore(off, int64(len(p)))
 		d.markFlushed(off/LineSize, (off+int64(len(p))-1)/LineSize)
 	}
+	runtime.KeepAlive(d)
 }
 
 // ZeroNT stores n zero bytes at off with non-temporal stores. The same
@@ -314,6 +355,7 @@ func (d *Device) ZeroNT(off, n int64) {
 		d.recordStore(off, n)
 		d.markFlushed(off/LineSize, (off+n-1)/LineSize)
 	}
+	runtime.KeepAlive(d)
 }
 
 // markDirty sets the dirty bit of every page [off, off+n) touches. Store
@@ -374,40 +416,53 @@ func (d *Device) markFlushed(first, last int64) {
 func (d *Device) Read(off int64, p []byte) {
 	d.check(off, int64(len(p)))
 	copy(p, d.buf[off:])
+	runtime.KeepAlive(d)
 	d.cost.PMRead(len(p))
 }
 
 // Load8 loads one byte.
 func (d *Device) Load8(off int64) uint8 {
 	d.check(off, 1)
-	return d.buf[off]
+	v := d.buf[off]
+	runtime.KeepAlive(d)
+	return v
 }
 
 // Load16 loads a little-endian uint16.
 func (d *Device) Load16(off int64) uint16 {
 	d.check(off, 2)
-	return binary.LittleEndian.Uint16(d.buf[off:])
+	v := binary.LittleEndian.Uint16(d.buf[off:])
+	runtime.KeepAlive(d)
+	return v
 }
 
 // Load32 loads a little-endian uint32.
 func (d *Device) Load32(off int64) uint32 {
 	d.check(off, 4)
-	return binary.LittleEndian.Uint32(d.buf[off:])
+	v := binary.LittleEndian.Uint32(d.buf[off:])
+	runtime.KeepAlive(d)
+	return v
 }
 
 // Load64 loads a little-endian uint64.
 func (d *Device) Load64(off int64) uint64 {
 	d.check(off, 8)
-	return binary.LittleEndian.Uint64(d.buf[off:])
+	v := binary.LittleEndian.Uint64(d.buf[off:])
+	runtime.KeepAlive(d)
+	return v
 }
 
 // Slice returns a read-only view of [off, off+n). Callers must not write
 // through it (writes would bypass tracking and statistics); it exists so
-// hot read paths avoid copies.
+// hot read paths avoid copies. The view dies with its device: a caller
+// keeps the device reachable while it reads the view, since a mapped
+// device's memory is unmapped once the device is collected.
 func (d *Device) Slice(off, n int64) []byte {
 	d.check(off, n)
 	d.cost.PMRead(int(n))
-	return d.buf[off : off+n : off+n]
+	v := d.buf[off : off+n : off+n]
+	runtime.KeepAlive(d)
+	return v
 }
 
 // Flush issues clwb for every cache line overlapping [off, off+n). The

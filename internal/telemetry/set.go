@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 )
@@ -81,6 +82,22 @@ func (s *Set) WriteJSON(w io.Writer) error {
 	}
 	_, err = w.Write(append(b, '\n'))
 	return err
+}
+
+// heapGoal is HeapGoal's sample, allocated once.
+var heapGoal = struct {
+	sync.Mutex
+	s []metrics.Sample
+}{s: []metrics.Sample{{Name: "/gc/heap/goal:bytes"}}}
+
+// HeapGoal returns the Go collector's heap goal: the heap size at which the
+// next collection starts. It is a level gauge's read-out and allocates
+// nothing.
+func HeapGoal() int64 {
+	heapGoal.Lock()
+	defer heapGoal.Unlock()
+	metrics.Read(heapGoal.s)
+	return int64(heapGoal.s[0].Value.Uint64())
 }
 
 // Delta returns after-before per key, keeping keys that exist in either

@@ -75,3 +75,12 @@ func TestSetConcurrent(t *testing.T) {
 		t.Fatalf("shared = %d", s.Snapshot()["shared"])
 	}
 }
+
+func TestHeapGoalAllocatesNothing(t *testing.T) {
+	if g := HeapGoal(); g <= 0 {
+		t.Fatalf("HeapGoal = %d, want a positive byte count", g)
+	}
+	if n := testing.AllocsPerRun(100, func() { HeapGoal() }); n != 0 {
+		t.Fatalf("HeapGoal allocates %v objects a read, want 0", n)
+	}
+}

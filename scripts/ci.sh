@@ -82,15 +82,15 @@ awk -v r="$rss" 'BEGIN { if (r == "" || r + 0 > 31) { print "handoff peak_rss_mb
 allocs="$(echo "$result" | sed -n 's/.*"allocs_per_op":{"value":\([0-9.eE+-]*\).*/\1/p')"
 awk -v a="$allocs" 'BEGIN { if (a == "" || a + 0 > 128) { print "handoff allocs_per_op " a ", want at most 128" > "/dev/stderr"; exit 1 } }'
 
-step "repo benchmark: meta_churn, 1 s, seed 1 (correct, nothing failed, at most 0.45 heap objects an op and 40 MiB peak RSS)"
-result="$(bash benchmark/run.sh --workload meta_churn --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+step "repo benchmark: meta_churn, 3 s, seed 1 (correct, nothing failed, at most 0.45 heap objects an op and 42 MiB peak RSS)"
+result="$(bash benchmark/run.sh --workload meta_churn --seed 1 --seconds 3 --trace 0 | tail -n 1)"
 echo "$result"
 echo "$result" | grep -q '"correct":true'
 echo "$result" | grep -q '"failed":0,'
 allocs="$(echo "$result" | sed -n 's/.*"allocs_per_op":{"value":\([0-9.eE+-]*\).*/\1/p')"
 awk -v a="$allocs" 'BEGIN { if (a == "" || a + 0 > 0.45) { print "meta_churn allocs_per_op " a ", want at most 0.45" > "/dev/stderr"; exit 1 } }'
 rss="$(echo "$result" | sed -n 's/.*"peak_rss_mb":{"value":\([0-9.eE+-]*\).*/\1/p')"
-awk -v r="$rss" 'BEGIN { if (r == "" || r + 0 > 40) { print "meta_churn peak_rss_mb " r ", want at most 40" > "/dev/stderr"; exit 1 } }'
+awk -v r="$rss" 'BEGIN { if (r == "" || r + 0 > 42) { print "meta_churn peak_rss_mb " r ", want at most 42" > "/dev/stderr"; exit 1 } }'
 
 step "repo benchmark: kv_app, 1 s, seed 1 (correct, nothing failed, at most 1.0 heap objects an op)"
 result="$(bash benchmark/run.sh --workload kv_app --seed 1 --seconds 1 --trace 0 | tail -n 1)"
