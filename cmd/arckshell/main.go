@@ -35,6 +35,7 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"sort"
@@ -46,22 +47,30 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdin, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run reads commands from in, one a line, until quit or the end of in,
+// and writes their output to out.
+func run(in io.Reader, out io.Writer) error {
 	// SpanSampling 1: the shell is interactive, so every operation gets a
 	// causal span — `spans` then explains any slow command just typed.
 	sys, err := arckfs.New(arckfs.Options{DevSize: 128 << 20, CrashTracking: true, SpanSampling: 1})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	app := sys.NewApp()
 	w := app.NewThread(0)
-	fmt.Println("arckshell — ArckFS+ on a 128 MiB simulated PM device. 'help' for commands.")
+	fmt.Fprintln(out, "arckshell — ArckFS+ on a 128 MiB simulated PM device. 'help' for commands.")
 
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(in)
 	for {
-		fmt.Print("arckfs+ > ")
+		fmt.Fprint(out, "arckfs+ > ")
 		if !sc.Scan() {
-			return
+			return sc.Err()
 		}
 		fields := strings.Fields(sc.Text())
 		if len(fields) == 0 {
@@ -77,9 +86,9 @@ func main() {
 		var err error
 		switch cmd {
 		case "help":
-			fmt.Println("mkdir create write cat ls stat rm rmdir mv trunc release fsck crash stats shards trace spans top tenants quit")
+			fmt.Fprintln(out, "mkdir create write cat ls stat rm rmdir mv trunc release fsck crash stats shards trace spans top tenants quit")
 		case "quit", "exit":
-			return
+			return nil
 		case "mkdir":
 			err = w.Mkdir(arg(0))
 		case "create":
@@ -98,7 +107,7 @@ func main() {
 				if err == nil {
 					buf := make([]byte, st.Size)
 					_, err = w.ReadAt(fd, buf, 0)
-					fmt.Printf("%s\n", buf)
+					fmt.Fprintf(out, "%s\n", buf)
 					w.Close(fd)
 				}
 			}
@@ -110,7 +119,7 @@ func main() {
 			var names []string
 			names, err = w.Readdir(path)
 			for _, n := range names {
-				fmt.Println(" ", n)
+				fmt.Fprintln(out, " ", n)
 			}
 		case "stat":
 			var st arckfs.Stat
@@ -120,7 +129,7 @@ func main() {
 				if st.Dir {
 					kind = "dir"
 				}
-				fmt.Printf("  ino=%d type=%s size=%d nlink=%d\n", st.Ino, kind, st.Size, st.Nlink)
+				fmt.Fprintf(out, "  ino=%d type=%s size=%d nlink=%d\n", st.Ino, kind, st.Size, st.Nlink)
 			}
 		case "rm":
 			err = w.Unlink(arg(0))
@@ -138,14 +147,14 @@ func main() {
 			err = app.ReleaseAll()
 			if err == nil {
 				st := sys.Stats()
-				fmt.Printf("  verified; kernel has run %d verifications (%d failures, %d rollbacks)\n",
+				fmt.Fprintf(out, "  verified; kernel has run %d verifications (%d failures, %d rollbacks)\n",
 					st.Verifications, st.VerifyFailures, st.Rollbacks)
 			}
 		case "fsck":
 			var rep *arckfs.Report
 			rep, err = arckfs.Fsck(sys.Image())
 			if err == nil {
-				fmt.Println(" ", rep)
+				fmt.Fprintln(out, " ", rep)
 			}
 		case "crash":
 			if err = app.ReleaseAll(); err != nil {
@@ -160,28 +169,28 @@ func main() {
 			// Re-enable tracking on the recovered system for further crashes.
 			app = sys.NewApp()
 			w = app.NewThread(0)
-			fmt.Println("  power failed and remounted:", rep)
+			fmt.Fprintln(out, "  power failed and remounted:", rep)
 		case "stats":
-			err = sys.Telemetry().WriteJSON(os.Stdout)
+			err = sys.Telemetry().WriteJSON(out)
 		case "shards":
-			printShards(sys)
+			printShards(out, sys)
 		case "trace":
-			printTrace(sys, args)
+			printTrace(out, sys, args)
 		case "spans":
 			n := 10
 			if v, convErr := strconv.Atoi(arg(0)); convErr == nil && v > 0 {
 				n = v
 			}
-			printSpans(sys, n)
+			printSpans(out, sys, n)
 		case "top":
-			printTop(sys)
+			printTop(out, sys)
 		case "tenants":
-			printTenants(sys)
+			printTenants(out, sys)
 		default:
-			fmt.Println("  unknown command; try 'help'")
+			fmt.Fprintln(out, "  unknown command; try 'help'")
 		}
 		if err != nil {
-			fmt.Println("  error:", err)
+			fmt.Fprintln(out, "  error:", err)
 		}
 	}
 }
@@ -191,7 +200,7 @@ func main() {
 // shell runs one operation at a time, so span order is time order. args
 // is an optional count followed by filters: kind-name substrings (any may
 // match) and/or one app=<id>.
-func printTrace(sys *arckfs.System, args []string) {
+func printTrace(out io.Writer, sys *arckfs.System, args []string) {
 	n := 16
 	if len(args) > 0 {
 		if v, err := strconv.Atoi(args[0]); err == nil && v > 0 {
@@ -209,7 +218,7 @@ func printTrace(sys *arckfs.System, args []string) {
 		}
 		kinds = append(kinds, strings.ToLower(f))
 	}
-	var out []string
+	var rows []string
 	for _, sp := range sys.Spans() {
 		if appFilter >= 0 && sp.App != appFilter {
 			continue
@@ -225,25 +234,25 @@ func printTrace(sys *arckfs.System, args []string) {
 				continue
 			}
 			if len(kinds) == 0 || slices.ContainsFunc(kinds, func(k string) bool { return strings.Contains(kind, k) }) {
-				out = append(out, fmt.Sprintf("+%.3fms %-19s app=%d %-8s %.2fµs%s",
+				rows = append(rows, fmt.Sprintf("+%.3fms %-19s app=%d %-8s %.2fµs%s",
 					float64(sp.StartNS+ev.TNS)/1e6, kind, sp.App, sp.Op, float64(ev.B)/1e3, inodes))
 			}
 		}
 	}
-	if len(out) == 0 {
-		fmt.Println("  (no matching kernel crossings)")
+	if len(rows) == 0 {
+		fmt.Fprintln(out, "  (no matching kernel crossings)")
 	}
-	for _, line := range out[max(0, len(out)-n):] {
-		fmt.Println(" ", line)
+	for _, line := range rows[max(0, len(rows)-n):] {
+		fmt.Fprintln(out, " ", line)
 	}
 }
 
 // printSpans renders the slowest retained operation spans with their
 // causal event history — the "why was that slow" view.
-func printSpans(sys *arckfs.System, n int) {
+func printSpans(out io.Writer, sys *arckfs.System, n int) {
 	spans := sys.SlowestSpans(n)
 	if len(spans) == 0 {
-		fmt.Println("  (no spans recorded yet)")
+		fmt.Fprintln(out, "  (no spans recorded yet)")
 		return
 	}
 	for _, sp := range spans {
@@ -251,7 +260,7 @@ func printSpans(sys *arckfs.System, n int) {
 		if sp.Err != "" {
 			suffix = " err=" + sp.Err
 		}
-		fmt.Printf("  #%-4d %-8s app=%d %9.2fµs %d event(s)%s\n",
+		fmt.Fprintf(out, "  #%-4d %-8s app=%d %9.2fµs %d event(s)%s\n",
 			sp.ID, sp.Op, sp.App, float64(sp.DurNS)/1e3, len(sp.Events), suffix)
 		for _, ev := range sp.Events {
 			detail := fmt.Sprintf("a=%d b=%d", ev.A, ev.B)
@@ -261,7 +270,7 @@ func printSpans(sys *arckfs.System, n int) {
 			case telemetry.SpanEvReleaseBatch, telemetry.SpanEvAcquireBatch:
 				detail = fmt.Sprintf("1 crossing, %d inode(s) %.2fµs", ev.A, float64(ev.B)/1e3)
 			}
-			fmt.Printf("        +%8.2fµs %-13s %s\n",
+			fmt.Fprintf(out, "        +%8.2fµs %-13s %s\n",
 				float64(ev.TNS)/1e3, telemetry.SpanEventName(ev.Kind), detail)
 		}
 	}
@@ -269,7 +278,7 @@ func printSpans(sys *arckfs.System, n int) {
 
 // printTop renders the per-app attribution table, busiest tenants (by
 // kernel crossings, then operations) first.
-func printTop(sys *arckfs.System) {
+func printTop(out io.Writer, sys *arckfs.System) {
 	stats := sys.AppStats()
 	sort.Slice(stats, func(i, j int) bool {
 		if stats[i].Syscalls != stats[j].Syscalls {
@@ -277,7 +286,7 @@ func printTop(sys *arckfs.System) {
 		}
 		return stats[i].Ops > stats[j].Ops
 	})
-	fmt.Printf("  %4s %8s %9s %8s %7s %9s %10s %10s\n",
+	fmt.Fprintf(out, "  %4s %8s %9s %8s %7s %9s %10s %10s\n",
 		"app", "ops", "syscalls", "flushes", "fences", "ntstores", "p50", "p99")
 	for _, st := range stats {
 		p50, p99 := "-", "-"
@@ -285,17 +294,17 @@ func printTop(sys *arckfs.System) {
 			p50 = fmt.Sprintf("%.1fµs", float64(st.Latency.P50NS)/1e3)
 			p99 = fmt.Sprintf("%.1fµs", float64(st.Latency.P99NS)/1e3)
 		}
-		fmt.Printf("  %4d %8d %9d %8d %7d %9d %10s %10s\n",
+		fmt.Fprintf(out, "  %4d %8d %9d %8d %7d %9d %10s %10s\n",
 			st.App, st.Ops, st.Syscalls, st.Flushes, st.Fences, st.NTStores, p50, p99)
 	}
 	if len(stats) == 0 {
-		fmt.Println("  (no application activity yet)")
+		fmt.Fprintln(out, "  (no application activity yet)")
 	}
 }
 
 // printTenants renders the per-tenant quota/usage table: outstanding
 // grants against the installed limits ("-" = unlimited).
-func printTenants(sys *arckfs.System) {
+func printTenants(out io.Writer, sys *arckfs.System) {
 	usage := sys.Usage()
 	lim := func(v int64) string {
 		if v <= 0 {
@@ -303,32 +312,32 @@ func printTenants(sys *arckfs.System) {
 		}
 		return fmt.Sprintf("%d", v)
 	}
-	fmt.Printf("  %4s %10s %10s %10s %10s\n",
+	fmt.Fprintf(out, "  %4s %10s %10s %10s %10s\n",
 		"app", "pages out", "max pages", "inos out", "max inos")
 	for _, u := range usage {
-		fmt.Printf("  %4d %10d %10s %10d %10s\n",
+		fmt.Fprintf(out, "  %4d %10d %10s %10d %10s\n",
 			u.App, u.PagesOut, lim(u.Quota.MaxPages),
 			u.InodesGranted, lim(u.Quota.MaxInodes))
 	}
 	if len(usage) == 0 {
-		fmt.Println("  (no applications registered)")
+		fmt.Fprintln(out, "  (no applications registered)")
 	}
 }
 
 // printShards renders the kernel's per-shard lock counters, skipping
 // shards never touched so the busy ones stand out.
-func printShards(sys *arckfs.System) {
-	fmt.Printf("  %-8s %5s %12s %10s\n", "kind", "idx", "acquisitions", "contended")
+func printShards(out io.Writer, sys *arckfs.System) {
+	fmt.Fprintf(out, "  %-8s %5s %12s %10s\n", "kind", "idx", "acquisitions", "contended")
 	var shown int
 	for _, s := range sys.ShardStats() {
 		if s.Acquisitions == 0 && s.Contended == 0 {
 			continue
 		}
 		shown++
-		fmt.Printf("  %-8s %5d %12d %10d\n", s.Kind, s.Index, s.Acquisitions, s.Contended)
+		fmt.Fprintf(out, "  %-8s %5d %12d %10d\n", s.Kind, s.Index, s.Acquisitions, s.Contended)
 	}
 	if shown == 0 {
-		fmt.Println("  (no kernel crossings yet)")
+		fmt.Fprintln(out, "  (no kernel crossings yet)")
 	}
 }
 

@@ -1,18 +1,9 @@
 // Package analysis implements arcklint, a suite of static analyzers that
-// enforce the repository's persist-ordering, crash-consistency, and
-// lock-free-data-plane discipline at compile time.
-//
-// Every one of the paper's six ArckFS bugs is a discipline violation
-// visible in source code; the checkers here turn the rules PR 2 made
-// machine-checkable at runtime (Batch ordering epochs, exhaustive crash
-// enumeration) — and the use-after-free classes PR 7's lock-free plane
-// introduced and fixed — into static rules, so a future hot path cannot
-// silently reintroduce a §4.2-class mistake or a pre-PR7 direct-free:
+// enforce the repository's persist-ordering, locking, and lock-free-plane
+// discipline at compile time:
 //
 //   - persistorder: a commit-marker persist must be dominated by a
 //     Batch.Barrier since the last dentry-body store on every path.
-//   - flushcheck: no raw store into the pmem image that is never flushed
-//     (the "never-flushed partial-block zero" class PR 2 fixed).
 //   - lockorder: hlock acquisition in libfs/kernel follows the declared
 //     partial order, and the whole-program acquisition graph is acyclic.
 //   - rcusection: RCU read-side critical sections take no blocking lock,
@@ -20,14 +11,14 @@
 //   - retirecheck: reader-reachable pages and inode numbers go through
 //     rcu retire (grace period), never straight back to an allocator
 //     pool — the PR 7 Truncate-shrink use-after-free class.
-//   - publishorder: a page published into a lock-free block array is
-//     zeroed (or guarded by a published-size check) before the pointer
-//     store, and published before the size store that exposes it.
 //   - counterreg: telemetry counters are registered once and every
 //     namespaced counter-name literal refers to a registered counter.
 //
-// Each checker owns a ✓ in docs/TESTING.md's matrix, a bug class it is
-// recorded catching (TestEveryCheckerOwnsACell).
+// A checker stays only while it owns a row of docs/TESTING.md's matrix: a
+// bug class it alone is recorded catching, where no other detector column
+// (both arckcrash drivers, -race, TestCostBounds) holds a ✓ and no
+// targeted test catches it (TestEveryCheckerOwnsACell). The row cites the
+// mutant in testdata/mutants that scripts/mutants.sh re-runs.
 //
 // Since v2 the suite is interprocedural: before any checker runs, the
 // engine in summary.go computes one effect Summary per function — locks
@@ -97,11 +88,9 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		persistOrderAnalyzer,
-		flushCheckAnalyzer,
 		lockOrderAnalyzer,
 		rcuSectionAnalyzer,
 		retireCheckAnalyzer,
-		publishOrderAnalyzer,
 		counterRegAnalyzer,
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -67,12 +68,10 @@ func TestGolden(t *testing.T) {
 		wantSuppressed int
 	}{
 		{"persistorder", "persistorder", 0},
-		{"flushcheck", "flushcheck", 1},
 		{"lockorder", "lockorder", 0},
 		{"rcusection", "rcusection", 0},
 		{"counterreg", "counterreg", 0},
 		{"retirecheck", "retirecheck", 1},
-		{"publishorder", "publishorder", 0},
 		{"lockcycle", "lockorder", 0},
 	}
 	for _, tc := range cases {
@@ -135,7 +134,7 @@ func TestMalformedAllows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	analyzers, err := Select("flushcheck")
+	analyzers, err := Select("lockorder")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +153,7 @@ func TestMalformedAllows(t *testing.T) {
 	}
 
 	wantMeta := []string{
-		`allow directive for "flushcheck" requires a reason`,
+		`allow directive for "lockorder" requires a reason`,
 		`unknown checker "nosuchchecker"`,
 	}
 	if len(meta) != len(wantMeta) {
@@ -166,15 +165,15 @@ func TestMalformedAllows(t *testing.T) {
 		}
 	}
 
-	// The malformed directives must not suppress their stores; only the
-	// valid one does.
+	// The malformed directives must not suppress their acquisitions; only
+	// the valid one does.
 	if len(unsuppressed) != 2 {
-		t.Errorf("unsuppressed flushcheck findings = %d, want 2: %v", len(unsuppressed), unsuppressed)
+		t.Errorf("unsuppressed lockorder findings = %d, want 2: %v", len(unsuppressed), unsuppressed)
 	}
 	if len(suppressed) != 1 {
 		t.Fatalf("suppressed findings = %d, want 1: %v", len(suppressed), suppressed)
 	}
-	if want := "recovery rewrites this line before readers see it"; suppressed[0].Reason != want {
+	if want := "the callers pass a < b, so no two threads wait on each other"; suppressed[0].Reason != want {
 		t.Errorf("suppression reason = %q, want %q", suppressed[0].Reason, want)
 	}
 }
@@ -182,8 +181,8 @@ func TestMalformedAllows(t *testing.T) {
 // TestSelect covers the checker-selection surface the CLI exposes.
 func TestSelect(t *testing.T) {
 	all, err := Select("")
-	if err != nil || len(all) != 7 {
-		t.Fatalf("Select(\"\") = %d analyzers, err %v; want 7, nil", len(all), err)
+	if err != nil || len(all) != 5 {
+		t.Fatalf("Select(\"\") = %d analyzers, err %v; want 5, nil", len(all), err)
 	}
 	two, err := Select("persistorder, lockorder")
 	if err != nil || len(two) != 2 {
@@ -194,55 +193,99 @@ func TestSelect(t *testing.T) {
 	}
 }
 
-// TestEveryCheckerOwnsACell enforces the suite's rent rule: a checker
-// stays only while it owns a "✓ <name>" cell in the arcklint column of
-// docs/TESTING.md's matrix, a bug class it is recorded catching. Deleting
-// a checker's row, or adding a checker without one, fails here.
-func TestEveryCheckerOwnsACell(t *testing.T) {
+// matrix returns docs/TESTING.md's matrix as its header row and its body
+// rows, each split into trimmed cells (an escaped pipe does not split).
+func matrix(t *testing.T) (header []string, rows [][]string) {
+	t.Helper()
 	data, err := os.ReadFile(filepath.Join("..", "..", "docs", "TESTING.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, matrix, ok := strings.Cut(string(data), "## The matrix")
+	_, text, ok := strings.Cut(string(data), "## The matrix")
 	if !ok {
 		t.Fatal(`docs/TESTING.md has no "## The matrix" section`)
 	}
-	owned := make(map[string]bool)
-	col := -1
-	for _, line := range strings.Split(matrix, "\n") {
+	for _, line := range strings.Split(text, "\n") {
 		if !strings.HasPrefix(line, "|") {
-			if col >= 0 {
+			if header != nil {
 				break // the table has ended
 			}
 			continue
 		}
-		// An escaped pipe inside a cell does not split it.
 		cells := strings.Split(strings.ReplaceAll(line, `\|`, ""), "|")
-		if col < 0 {
-			for i, c := range cells {
-				if strings.HasPrefix(strings.TrimSpace(c), "arcklint") {
-					col = i
-				}
-			}
-			continue
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
 		}
-		if col < len(cells) {
-			for _, m := range ownedRe.FindAllStringSubmatch(cells[col], -1) {
-				owned[m[1]] = true
-			}
+		switch {
+		case header == nil:
+			header = cells
+		case !strings.HasPrefix(cells[1], "---"):
+			rows = append(rows, cells)
 		}
 	}
-	if col < 0 {
-		t.Fatal("the matrix has no arcklint column")
+	return header, rows
+}
+
+// column returns the index of the matrix column whose header starts with
+// prefix.
+func column(t *testing.T, header []string, prefix string) int {
+	t.Helper()
+	for i, c := range header {
+		if strings.HasPrefix(c, prefix) {
+			return i
+		}
+	}
+	t.Fatalf("the matrix has no %q column", prefix)
+	return 0
+}
+
+// TestEveryCheckerOwnsACell enforces the suite's rent rule: a checker
+// stays only while it owns a row of docs/TESTING.md's matrix, a bug class
+// only it is recorded catching. Its arcklint cell reads "✓ <name>", no
+// other detector column (both arckcrash drivers, -race, TestCostBounds)
+// holds a ✓, and its targeted-test cell starts with "—". Deleting a
+// checker's row, or adding a checker without one, fails here.
+func TestEveryCheckerOwnsACell(t *testing.T) {
+	header, rows := matrix(t)
+	lint, targeted := column(t, header, "arcklint"), column(t, header, "Targeted test")
+	others := []int{
+		column(t, header, "arckcrash enumerate"), column(t, header, "arckcrash loop"),
+		column(t, header, "`-race`"), column(t, header, "TestCostBounds"),
+	}
+	owned := make(map[string]bool)
+	for _, row := range rows {
+		if !strings.HasPrefix(row[targeted], "—") ||
+			slices.ContainsFunc(others, func(i int) bool { return strings.Contains(row[i], "✓") }) {
+			continue
+		}
+		for _, m := range ownedRe.FindAllStringSubmatch(row[lint], -1) {
+			owned[m[1]] = true
+		}
 	}
 	for _, a := range Analyzers() {
 		if !owned[a.Name] {
-			t.Errorf("checker %s owns no ✓ in the matrix's arcklint column: record the mutation only it catches, or delete it", a.Name)
+			t.Errorf("checker %s owns no matrix row where it is the only ✓ and no targeted test catches the class: record the mutation only it catches, or delete it", a.Name)
 		}
 	}
 }
 
 var ownedRe = regexp.MustCompile(`✓ ([a-z]+)`)
+
+// TestArcklintRowsCiteAMutant requires every matrix row with an arcklint
+// ✓ to cite the mutant that backs it, testdata/mutants/<name>.diff, which
+// scripts/mutants.sh re-runs (the root package's TestDocCommandsResolve
+// checks that a cited path exists).
+func TestArcklintRowsCiteAMutant(t *testing.T) {
+	header, rows := matrix(t)
+	lint := column(t, header, "arcklint")
+	for _, row := range rows {
+		if strings.Contains(row[lint], "✓") && !mutantRe.MatchString(strings.Join(row, "|")) {
+			t.Errorf("matrix row %q has an arcklint ✓ but cites no testdata/mutants/*.diff", row[1])
+		}
+	}
+}
+
+var mutantRe = regexp.MustCompile(`testdata/mutants/[a-z0-9-]+\.diff`)
 
 // TestLockCycles pins the whole-program acquisition-graph rule: the
 // seeded two-function cycle in the lockcycle fixture must produce a
@@ -374,9 +417,9 @@ func TestExpandPatterns(t *testing.T) {
 }
 
 func ExampleFinding_String() {
-	f := Finding{Checker: "flushcheck", Message: "raw store never flushed"}
-	f.Pos.Filename = "dir.go"
-	f.Pos.Line = 256
+	f := Finding{Checker: "lockorder", Message: "lock class libfs/minode acquired twice"}
+	f.Pos.Filename = "rename.go"
+	f.Pos.Line = 144
 	fmt.Println(f)
-	// Output: dir.go:256: flushcheck: raw store never flushed
+	// Output: rename.go:144: lockorder: lock class libfs/minode acquired twice
 }

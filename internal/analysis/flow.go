@@ -8,10 +8,9 @@ import (
 )
 
 // This file implements the small abstract interpreter the flow-sensitive
-// checkers (persistorder, flushcheck, lockorder, rcusection, retirecheck,
-// publishorder) and the summary engine share. It
-// walks a function body statement by statement, threading a
-// checker-specific abstract state through it:
+// checkers (persistorder, lockorder, rcusection, retirecheck) and the
+// summary engine share. It walks a function body statement by statement,
+// threading a checker-specific abstract state through it:
 //
 //   - if/else, switch, and select fork the state and merge (least upper
 //     bound) at the join;
@@ -57,15 +56,6 @@ type flowClient interface {
 // statements are delivered whole instead of being scanned generically.
 type assignClient interface {
 	onAssign(w *flowWalker, st flowState, as *ast.AssignStmt)
-}
-
-// branchClient is an optional extension: onBranch fires on the state copy
-// entering each arm of an if statement, with the controlling condition
-// and which arm (taken=true for the then branch). Checkers use it to
-// model guard conditions — a size-comparing branch legitimizes an
-// unzeroed publish.
-type branchClient interface {
-	onBranch(st flowState, cond ast.Expr, taken bool)
 }
 
 type flowWalker struct {
@@ -145,16 +135,8 @@ func (w *flowWalker) stmt(s ast.Stmt, st flowState) flowState {
 			return nil
 		}
 		w.scan(st, s.Cond)
-		bc, branching := w.client.(branchClient)
-		thenIn := st.Copy()
-		if branching {
-			bc.onBranch(thenIn, s.Cond, true)
-		}
-		then := w.block(s.Body, thenIn)
+		then := w.block(s.Body, st.Copy())
 		els := st.Copy()
-		if branching {
-			bc.onBranch(els, s.Cond, false)
-		}
 		if s.Else != nil {
 			els = w.stmt(s.Else, els)
 		}

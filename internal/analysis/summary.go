@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // This file implements the interprocedural half of arcklint: a
@@ -13,7 +12,7 @@ import (
 // effect Summary, computed bottom-up over strongly connected components
 // with a conservative fixpoint for recursion. Checkers consult callee
 // summaries through Program.summaryFor instead of treating calls as
-// opaque, which is what lets retirecheck/publishorder re-find the PR 7
+// opaque, which is what lets retirecheck re-find the PR 7
 // use-after-free classes statically and lets the other checkers see
 // violations hidden one or more calls deep (through method values,
 // single-implementation interfaces, and function literals bound to
@@ -40,9 +39,6 @@ type Summary struct {
 	// AlwaysClean: every path issues a Batch.Barrier after its last body
 	// store, so the call clears the caller's dirty epoch.
 	AlwaysClean bool
-	// FlushesAll: every path issues a flush (Batch.Flush, Device.Flush,
-	// or Device.Persist), discharging the caller's pending raw stores.
-	FlushesAll bool
 	// MayAcquire is the set of classified hlock classes the call can
 	// acquire, transitively (lockorder: held-set x MayAcquire gives the
 	// interprocedural acquisition edges).
@@ -64,11 +60,6 @@ type Summary struct {
 	// first cause.
 	MayRecycle bool
 	RecycleVia string
-	// MayPublish: the call can publish a block pointer to lock-free
-	// readers (a non-zero store through an indexed atomic), transitively.
-	MayPublish bool
-	// MayCross: the call can issue a kernel crossing (Controller method).
-	MayCross bool
 }
 
 func newBottomSummary() *Summary {
@@ -77,17 +68,15 @@ func newBottomSummary() *Summary {
 	// conservative side, so the least fixpoint is reached monotonically.
 	return &Summary{
 		AlwaysClean: true,
-		FlushesAll:  true,
 		MayAcquire:  make(map[string]lockClass),
 	}
 }
 
 func (s *Summary) equal(o *Summary) bool {
 	if s.MayStoreBody != o.MayStoreBody || s.AlwaysClean != o.AlwaysClean ||
-		s.FlushesAll != o.FlushesAll || s.PinDelta != o.PinDelta ||
+		s.PinDelta != o.PinDelta ||
 		s.MayBlockPinned != o.MayBlockPinned ||
-		s.MayRecycle != o.MayRecycle || s.MayPublish != o.MayPublish ||
-		s.MayCross != o.MayCross ||
+		s.MayRecycle != o.MayRecycle ||
 		len(s.MayAcquire) != len(o.MayAcquire) {
 		return false
 	}
@@ -201,10 +190,7 @@ func summaryLayerExempt(fn *types.Func) bool {
 	return pkgPathHasSuffix(pkgPath, "internal/pmem") ||
 		pkgPathHasSuffix(pkgPath, "internal/layout") ||
 		pkgPathHasSuffix(pkgPath, "internal/rcu") ||
-		pkgPathHasSuffix(pkgPath, "internal/hlock") ||
-		// The whole telemetry subtree (rings, spans, traces): its indexed
-		// atomic stores are ring publishes, not block-array publishes.
-		containsSegment(pkgPath, "telemetry")
+		pkgPathHasSuffix(pkgPath, "internal/hlock")
 }
 
 // ensureSummaries computes every function's Summary (idempotent).
@@ -420,32 +406,7 @@ func calleeName(prog *Program, pkg *Package, call *ast.CallExpr) string {
 	return "function literal"
 }
 
-// --- shared condition / freshness helpers ---------------------------------
-
-// mentionsSize reports whether a condition consults the published size:
-// any identifier or selector whose name contains "size" (curSize,
-// st.size.Load(), fileSize...). publishorder accepts an unzeroed page
-// publish only on paths that branched on such a condition — the
-// discipline is "you may skip the zero only after comparing against the
-// published size" (a fully covered block at or beyond the size stays
-// invisible until the size store).
-func mentionsSize(cond ast.Expr) bool {
-	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.Ident:
-			if strings.Contains(strings.ToLower(n.Name), "size") {
-				found = true
-			}
-		case *ast.SelectorExpr:
-			if strings.Contains(strings.ToLower(n.Sel.Name), "size") {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
+// --- retirecheck's recycle and freshness helpers --------------------------
 
 // recycleTarget classifies a call as one of the allocator-pool return
 // primitives (FS.recyclePages / FS.recycleIno, matched by receiver type
@@ -513,49 +474,18 @@ func allFresh(pkg *Package, args []ast.Expr, fresh map[*types.Var]bool) bool {
 	return true
 }
 
-// indexedAtomicStore matches the syntactic shape of a block-pointer
-// publish — arr[i].Store(v) — which the stubbed sync/atomic types keep
-// invisible to go/types. It returns the stored value. Stores of the
-// literal 0 are unpublishes, not publishes.
-func indexedAtomicStore(call *ast.CallExpr) (ast.Expr, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Store" || len(call.Args) != 1 {
-		return nil, false
-	}
-	if _, ok := ast.Unparen(sel.X).(*ast.IndexExpr); !ok {
-		return nil, false
-	}
-	if lit, ok := ast.Unparen(call.Args[0]).(*ast.BasicLit); ok && lit.Value == "0" {
-		return nil, false
-	}
-	return call.Args[0], true
-}
-
-// sizeFieldStore matches st.size.Store(v) — the publish of a file's
-// readable range to lock-free readers.
-func sizeFieldStore(call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Store" || len(call.Args) != 1 {
-		return false
-	}
-	inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-	return ok && inner.Sel.Name == "size"
-}
-
 // --- the summary computation walk ------------------------------------------
 
 type sumState struct {
 	dirty     bool // persist epoch may hold a body store
 	barriered bool // >=1 Batch.Barrier so far on this path
-	flushed   bool // >=1 flush-ish call so far on this path
 	pin       int  // RCU pin depth
 	fresh     map[*types.Var]bool
 }
 
 func (s *sumState) Copy() flowState {
 	c := &sumState{
-		dirty: s.dirty, barriered: s.barriered, flushed: s.flushed,
-		pin:   s.pin,
+		dirty: s.dirty, barriered: s.barriered, pin: s.pin,
 		fresh: make(map[*types.Var]bool, len(s.fresh)),
 	}
 	for k, v := range s.fresh {
@@ -568,7 +498,6 @@ func (s *sumState) Merge(o flowState) {
 	os := o.(*sumState)
 	s.dirty = s.dirty || os.dirty
 	s.barriered = s.barriered && os.barriered
-	s.flushed = s.flushed && os.flushed
 	if os.pin > s.pin {
 		s.pin = os.pin
 	}
@@ -610,7 +539,6 @@ func computeSummary(prog *Program, ss *summarySet, n *sumNode) *Summary {
 		// Every path panics or loops forever; nothing reaches a return,
 		// so the "always" facts are vacuously true and deltas are zero.
 		out.AlwaysClean = true
-		out.FlushesAll = true
 	} else {
 		if c.pinLo == c.pinHi {
 			out.PinDelta = clampPin(c.pinLo)
@@ -671,16 +599,7 @@ func (c *sumClient) onCall(w *flowWalker, st flowState, call *ast.CallExpr) {
 		case isMethod(fn, "internal/pmem", "Batch", "Drain"):
 			c.noteBlockPinned("Batch.Drain")
 			return
-		case isMethod(fn, "internal/pmem", "Batch", "Flush"),
-			isMethod(fn, "internal/pmem", "Device", "Flush"),
-			isMethod(fn, "internal/pmem", "Device", "Persist"):
-			s.flushed = true
-			if isBodyStore(c.pkg, fn, call) {
-				s.dirty = true
-			}
-			return
-		}
-		if isBodyStore(c.pkg, fn, call) {
+		case isBodyStore(c.pkg, fn, call):
 			s.dirty = true
 			return
 		}
@@ -730,7 +649,6 @@ func (c *sumClient) onCall(w *flowWalker, st flowState, call *ast.CallExpr) {
 			return
 		}
 		if p, t := recvTypeOf(fn); t == "Controller" && pkgPathHasSuffix(p, "internal/kernel") {
-			c.out.MayCross = true
 			c.noteBlockPinned("Controller." + fn.Name())
 			return
 		}
@@ -743,11 +661,6 @@ func (c *sumClient) onCall(w *flowWalker, st flowState, call *ast.CallExpr) {
 			}
 			return
 		}
-	}
-
-	// Syntactic publishes (atomics are stubbed, so no symbol resolves).
-	if _, ok := indexedAtomicStore(call); ok {
-		c.out.MayPublish = true
 	}
 
 	// Module-local callee: apply its summary.
@@ -773,9 +686,6 @@ func (c *sumClient) applyCalleeSummary(s *sumState, sum *Summary, call *ast.Call
 		s.dirty = false
 		s.barriered = true
 	}
-	if sum.FlushesAll {
-		s.flushed = true
-	}
 	for k, v := range sum.MayAcquire {
 		c.out.MayAcquire[k] = v
 	}
@@ -787,13 +697,6 @@ func (c *sumClient) applyCalleeSummary(s *sumState, sum *Summary, call *ast.Call
 	if sum.MayRecycle && !c.suppressedAt(call.Pos(), "retirecheck") && !c.out.MayRecycle {
 		c.out.MayRecycle = true
 		c.out.RecycleVia = calleeName(c.prog, c.pkg, call) + " -> " + sum.RecycleVia
-	}
-	if sum.MayPublish {
-		c.out.MayPublish = true
-	}
-	if sum.MayCross {
-		c.out.MayCross = true
-		c.noteBlockPinned(calleeName(c.prog, c.pkg, call) + " (kernel crossing)")
 	}
 }
 
@@ -811,9 +714,6 @@ func (c *sumClient) onReturn(st flowState, _ token.Pos) {
 	}
 	if !(s.barriered && !s.dirty) {
 		c.out.AlwaysClean = false
-	}
-	if !s.flushed {
-		c.out.FlushesAll = false
 	}
 	if !c.exited {
 		c.exited = true

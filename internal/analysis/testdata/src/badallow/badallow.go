@@ -4,22 +4,33 @@
 // directive's reason).
 package badallow
 
-import "fixture/internal/pmem"
+import "fixture/internal/hlock"
+
+type FS struct{ pageMu [8]hlock.SpinLock }
 
 // missingReason omits the mandatory justification.
-func missingReason(dev *pmem.Device) {
-	//arcklint:allow flushcheck
-	dev.Store16(0, 1)
+func missingReason(fs *FS, a, b int) {
+	fs.pageMu[a].Lock()
+	//arcklint:allow lockorder
+	fs.pageMu[b].Lock()
+	fs.pageMu[b].Unlock()
+	fs.pageMu[a].Unlock()
 }
 
 // unknownChecker names a checker that does not exist.
-func unknownChecker(dev *pmem.Device) {
+func unknownChecker(fs *FS, a, b int) {
+	fs.pageMu[a].Lock()
 	//arcklint:allow nosuchchecker the checker name is misspelled
-	dev.Store16(8, 1)
+	fs.pageMu[b].Lock()
+	fs.pageMu[b].Unlock()
+	fs.pageMu[a].Unlock()
 }
 
 // valid is well-formed and suppresses its finding.
-func valid(dev *pmem.Device) {
-	//arcklint:allow flushcheck recovery rewrites this line before readers see it
-	dev.Store16(16, 1)
+func valid(fs *FS, a, b int) {
+	fs.pageMu[a].Lock()
+	//arcklint:allow lockorder the callers pass a < b, so no two threads wait on each other
+	fs.pageMu[b].Lock()
+	fs.pageMu[b].Unlock()
+	fs.pageMu[a].Unlock()
 }

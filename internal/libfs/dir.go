@@ -283,7 +283,6 @@ func (fs *FS) reserveDentry(t *Thread, mi *minode, ds *dirState, nameLen int) (l
 	if err != nil {
 		return 0, err
 	}
-	//arcklint:allow flushcheck the write-back is skipped only when BugReserveLenUnflushed deliberately reproduces the reservation persistence hole for crashmc; the fixed path queues it below
 	fs.dev.Store16(r.DevOff()+8, uint16(layout.DentryRecLen(nameLen)))
 	if !fs.opts.Bugs.Has(BugReserveLenUnflushed) {
 		// Queue the write-back here, not just in fillDentry: if the

@@ -6,8 +6,8 @@ import (
 	"arckfs/internal/pmem"
 )
 
-// TestReserveDentryQueuesRecLenWriteback pins the arcklint flushcheck fix
-// in reserveDentry: the reserved record length must be queued for
+// TestReserveDentryQueuesRecLenWriteback pins the BugReserveLenUnflushed
+// fix in reserveDentry: the reserved record length must be queued for
 // write-back by reserveDentry itself, not left to fillDentry. When the
 // auxiliary insert fails (duplicate name), the slot stays reserved but
 // dead and fillDentry never runs — an unflushed length would read back

@@ -8,7 +8,8 @@
 # .bench_build/ and benchmark/out/ are gitignored. The per-op cost gate
 # (fxmark.TestCostBounds) and the prose docs' budget and citation checks
 # (TestProseBudget, TestDocCommandsResolve, TestEveryPackageHasADoc) run in
-# the test step.
+# the test step; the race steps live in scripts/race.sh and the repo
+# benchmark's smoke gates in scripts/bench_smoke.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -69,43 +70,6 @@ go test -run 'TestFlightRecorderCapturesBreach' ./internal/crashmc/
 step "crashsim (ArckFS recovers a torn dentry, ArckFS+ none)"
 go run ./examples/crashsim
 
-step "repo benchmark module tests"
-(cd benchmark && go test ./...)
-
-step "repo benchmark: handoff, 3 s, seed 1 (correct, nothing failed, Recover -> Fsck over compacted directories; at most 31 MiB peak RSS and 128 heap objects an op)"
-result="$(bash benchmark/run.sh --workload handoff --seed 1 --seconds 3 --trace 0 | tail -n 1)"
-echo "$result"
-echo "$result" | grep -q '"correct":true'
-echo "$result" | grep -q '"failed":0,'
-rss="$(echo "$result" | sed -n 's/.*"peak_rss_mb":{"value":\([0-9.eE+-]*\).*/\1/p')"
-awk -v r="$rss" 'BEGIN { if (r == "" || r + 0 > 31) { print "handoff peak_rss_mb " r ", want at most 31" > "/dev/stderr"; exit 1 } }'
-allocs="$(echo "$result" | sed -n 's/.*"allocs_per_op":{"value":\([0-9.eE+-]*\).*/\1/p')"
-awk -v a="$allocs" 'BEGIN { if (a == "" || a + 0 > 128) { print "handoff allocs_per_op " a ", want at most 128" > "/dev/stderr"; exit 1 } }'
-
-step "repo benchmark: meta_churn, 3 s, seed 1 (correct, nothing failed, at most 0.45 heap objects an op and 42 MiB peak RSS)"
-result="$(bash benchmark/run.sh --workload meta_churn --seed 1 --seconds 3 --trace 0 | tail -n 1)"
-echo "$result"
-echo "$result" | grep -q '"correct":true'
-echo "$result" | grep -q '"failed":0,'
-allocs="$(echo "$result" | sed -n 's/.*"allocs_per_op":{"value":\([0-9.eE+-]*\).*/\1/p')"
-awk -v a="$allocs" 'BEGIN { if (a == "" || a + 0 > 0.45) { print "meta_churn allocs_per_op " a ", want at most 0.45" > "/dev/stderr"; exit 1 } }'
-rss="$(echo "$result" | sed -n 's/.*"peak_rss_mb":{"value":\([0-9.eE+-]*\).*/\1/p')"
-awk -v r="$rss" 'BEGIN { if (r == "" || r + 0 > 42) { print "meta_churn peak_rss_mb " r ", want at most 42" > "/dev/stderr"; exit 1 } }'
-
-step "repo benchmark: kv_app, 1 s, seed 1 (correct, nothing failed, at most 1.0 heap objects an op)"
-result="$(bash benchmark/run.sh --workload kv_app --seed 1 --seconds 1 --trace 0 | tail -n 1)"
-echo "$result"
-echo "$result" | grep -q '"correct":true'
-echo "$result" | grep -q '"failed":0,'
-allocs="$(echo "$result" | sed -n 's/.*"allocs_per_op":{"value":\([0-9.eE+-]*\).*/\1/p')"
-awk -v a="$allocs" 'BEGIN { if (a == "" || a + 0 > 1.0) { print "kv_app allocs_per_op " a ", want at most 1.0" > "/dev/stderr"; exit 1 } }'
-
-step "repo benchmark: data_rw, 1 s, seed 1 (correct, nothing failed, at most 110 MiB peak RSS)"
-result="$(bash benchmark/run.sh --workload data_rw --seed 1 --seconds 1 --trace 0 | tail -n 1)"
-echo "$result"
-echo "$result" | grep -q '"correct":true'
-echo "$result" | grep -q '"failed":0,'
-rss="$(echo "$result" | sed -n 's/.*"peak_rss_mb":{"value":\([0-9.eE+-]*\).*/\1/p')"
-awk -v r="$rss" 'BEGIN { if (r == "" || r + 0 > 110) { print "data_rw peak_rss_mb " r ", want at most 110" > "/dev/stderr"; exit 1 } }'
+bash scripts/bench_smoke.sh
 
 printf '\nci.sh: all steps passed\n'
