@@ -7,10 +7,6 @@
 // Usage:
 //
 //	arckfsck [-repair] [-deep] image.pm
-//	arckfsck -demo
-//
-// With -demo, the tool builds a small file system in memory, injects the
-// paper's §4.2 partial persist crash, and shows the report.
 //
 // With -deep, the image is additionally run through the crashmc
 // recovery invariants (internal/crashmc.CheckImage in model-free form):
@@ -30,16 +26,11 @@ import (
 
 func main() {
 	repair := flag.Bool("repair", false, "repair the image in place (writes the file back)")
-	demo := flag.Bool("demo", false, "run a built-in crash-injection demonstration")
 	deep := flag.Bool("deep", false, "also check the crashmc recovery invariants (I1, I2, I4)")
 	flag.Parse()
 
-	if *demo {
-		runDemo()
-		return
-	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: arckfsck [-repair] [-deep] image.pm | arckfsck -demo")
+		fmt.Fprintln(os.Stderr, "usage: arckfsck [-repair] [-deep] image.pm")
 		os.Exit(2)
 	}
 	path := flag.Arg(0)
@@ -103,49 +94,4 @@ func writeFlight(imgPath string, img []byte, reason, detail string) {
 		return
 	}
 	fmt.Fprintf(os.Stderr, "flight record: %s (%d spans)\n", out, len(fr.Spans))
-}
-
-func runDemo() {
-	fmt.Println("Building a file system, then simulating a §4.2 crash during create...")
-	sys, err := arckfs.New(arckfs.Options{DevSize: 64 << 20, CrashTracking: true, Mode: arckfs.ModeArckFS})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	app := sys.NewApp()
-	w := app.NewThread(0)
-	if err := w.Mkdir("/docs"); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := w.Create("/docs/survivor"); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := app.ReleaseAll(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	// An in-flight create whose ordering is unprotected (ModeArckFS), cut
-	// by a random-subset crash.
-	if err := w.Create("/docs/in-flight-with-a-rather-long-name-spanning-cache-lines"); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	img := sys.CrashImage(arckfs.CrashRandom(2))
-	rep, err := arckfs.Fsck(img)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Println("fsck report:", rep)
-	sys2, rep2, err := arckfs.Recover(img, arckfs.Options{})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Println("after repair:", rep2)
-	w2 := sys2.NewApp().NewThread(0)
-	names, err := w2.Readdir("/docs")
-	fmt.Printf("surviving /docs entries: %v (err=%v)\n", names, err)
 }

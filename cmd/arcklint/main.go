@@ -2,31 +2,24 @@
 // crash-consistency, and lock-free-plane static analyzer suite
 // (internal/analysis) over a set of package patterns and reports
 // findings as "file:line: checker: message" lines. It exits 1 when any
-// unsuppressed finding remains (under -baseline: when the findings drift
-// from the snapshot), 2 on usage or load errors.
+// finding remains (under -baseline: when the findings drift from the
+// snapshot), 2 on usage or load errors.
 //
 // Usage:
 //
-//	arcklint [-json] [-checker list] [-suppressions [-strict]]
-//	         [-baseline file] [-write-baseline file] [patterns ...]
+//	arcklint [-json] [-checker list] [-baseline file] [-write-baseline file] [patterns ...]
 //
 // Patterns default to ./... and accept plain directories, dir/..., and
-// ./... forms. Suppressions are written in source as
-// "//arcklint:allow <checker> <reason>"; the reason is mandatory.
-//
-// -suppressions switches to audit mode: instead of findings it lists
-// every allow directive with its reason, marking directives that no
-// longer suppress anything as STALE. Stale directives exit 1 only under
-// -strict (CI uses -strict so dead allows cannot linger).
+// ./... forms.
 //
 // -baseline compares the run against a checked-in snapshot
-// (scripts/arcklint_baseline.json): the finding set must match exactly,
-// and the analysis must finish within twice the snapshot's recorded
-// seconds (floored at 2s to absorb runner noise) — a coarse guard
-// against both silent finding drift and superlinear slowdowns in the
-// summary engine. A finding the snapshot records is expected: it is
-// still printed, but an unsuppressed one fails the run only when no
-// baseline is given. -write-baseline regenerates the snapshot.
+// (scripts/arcklint_baseline.json), the one place a finding is accepted:
+// the finding set must match exactly, and the analysis must finish
+// within twice the snapshot's recorded seconds (floored at 2s to absorb
+// runner noise) — a coarse guard against both silent finding drift and
+// superlinear slowdowns in the summary engine. A finding the snapshot
+// records is expected: it is still printed, but it fails the run only
+// when no baseline is given. -write-baseline regenerates the snapshot.
 package main
 
 import (
@@ -42,8 +35,8 @@ import (
 )
 
 // baselineFile is the -baseline / -write-baseline snapshot: the exact
-// finding set (suppressed included, module-root-relative paths) and the
-// analysis wall time that produced it.
+// finding set (module-root-relative paths) and the analysis wall time
+// that produced it.
 type baselineFile struct {
 	Findings []analysis.Finding `json:"findings"`
 	Seconds  float64            `json:"seconds"`
@@ -55,10 +48,8 @@ func fatalf(format string, args ...any) {
 }
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit results (including suppressed findings) as JSON")
+	jsonOut := flag.Bool("json", false, "emit the findings as JSON")
 	checkers := flag.String("checker", "", "comma-separated subset of checkers to run (default: all)")
-	suppressions := flag.Bool("suppressions", false, "audit //arcklint:allow directives instead of reporting findings")
-	strict := flag.Bool("strict", false, "with -suppressions: exit 1 if any directive is stale")
 	baselinePath := flag.String("baseline", "", "compare findings and runtime against this snapshot file")
 	writeBaseline := flag.String("write-baseline", "", "write the findings/runtime snapshot to this file and exit")
 	flag.Parse()
@@ -85,26 +76,18 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	if *suppressions {
-		auditSuppressions(prog, root, *jsonOut, *strict)
-		return
-	}
-
 	findings := analysis.Run(prog, analyzers)
 	elapsed := time.Since(start)
-	relativize := func(fs []analysis.Finding) {
-		for i := range fs {
-			if rel, err := filepath.Rel(root, fs[i].Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
-				fs[i].Pos.Filename = filepath.ToSlash(rel)
-			}
+	if findings == nil {
+		findings = []analysis.Finding{} // JSON [] rather than null
+	}
+	for i := range findings {
+		if rel, err := filepath.Rel(root, findings[i].Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+			findings[i].Pos.Filename = filepath.ToSlash(rel)
 		}
 	}
-	relativize(findings)
 
 	if *writeBaseline != "" {
-		if findings == nil {
-			findings = []analysis.Finding{}
-		}
 		data, err := json.MarshalIndent(baselineFile{Findings: findings, Seconds: elapsed.Seconds()}, "", "  ")
 		if err != nil {
 			fatalf("%v", err)
@@ -121,39 +104,22 @@ func main() {
 		}
 	}
 
-	unsuppressed, suppressed := 0, 0
-	for _, f := range findings {
-		if f.Suppressed {
-			suppressed++
-		} else {
-			unsuppressed++
-		}
-	}
 	if *jsonOut {
-		if findings == nil {
-			findings = []analysis.Finding{}
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(findings); err != nil {
+			fatalf("%v", err)
 		}
-		emitJSON(findings)
 	} else {
 		for _, f := range findings {
-			if !f.Suppressed {
-				fmt.Println(f)
-			}
+			fmt.Println(f)
 		}
 	}
-	if unsuppressed > 0 {
-		fmt.Fprintf(os.Stderr, "arcklint: %d finding(s), %d suppressed\n", unsuppressed, suppressed)
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "arcklint: %d finding(s)\n", len(findings))
 		if *baselinePath == "" {
 			os.Exit(1)
 		}
-	}
-}
-
-func emitJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		fatalf("%v", err)
 	}
 }
 
@@ -161,7 +127,7 @@ func emitJSON(v any) {
 // column is excluded: gofmt churn should not invalidate the snapshot,
 // file/line/checker/message already pin the violation.
 func findingKey(f analysis.Finding) string {
-	return fmt.Sprintf("%s:%d:%s:%s:suppressed=%v", f.Pos.Filename, f.Pos.Line, f.Checker, f.Message, f.Suppressed)
+	return fmt.Sprintf("%s:%d:%s:%s", f.Pos.Filename, f.Pos.Line, f.Checker, f.Message)
 }
 
 // checkBaseline compares the run against the snapshot and reports any
@@ -188,13 +154,13 @@ func checkBaseline(path string, findings []analysis.Finding, elapsed time.Durati
 	for _, f := range findings {
 		if !want[findingKey(f)] {
 			ok = false
-			fmt.Fprintf(os.Stderr, "arcklint: finding not in baseline: %s (suppressed=%v)\n", f, f.Suppressed)
+			fmt.Fprintf(os.Stderr, "arcklint: finding not in baseline: %s\n", f)
 		}
 	}
 	for _, f := range base.Findings {
 		if !got[findingKey(f)] {
 			ok = false
-			fmt.Fprintf(os.Stderr, "arcklint: baseline finding no longer produced: %s (suppressed=%v)\n", f, f.Suppressed)
+			fmt.Fprintf(os.Stderr, "arcklint: baseline finding no longer produced: %s\n", f)
 		}
 	}
 	if !ok {
@@ -210,48 +176,4 @@ func checkBaseline(path string, findings []analysis.Finding, elapsed time.Durati
 			elapsed.Seconds(), budget, base.Seconds)
 	}
 	return ok
-}
-
-// auditSuppressions implements -suppressions: list every allow
-// directive, flag stale ones, and surface malformed directives.
-func auditSuppressions(prog *analysis.Program, root string, jsonOut, strict bool) {
-	entries, findings := analysis.AuditSuppressions(prog)
-	rel := func(name string) string {
-		if r, err := filepath.Rel(root, name); err == nil && !strings.HasPrefix(r, "..") {
-			return filepath.ToSlash(r)
-		}
-		return name
-	}
-	stale := 0
-	for i := range entries {
-		entries[i].Pos.Filename = rel(entries[i].Pos.Filename)
-		if entries[i].Stale {
-			stale++
-		}
-	}
-	malformed := 0
-	for _, f := range findings {
-		if f.Checker == "arcklint" {
-			malformed++
-			fmt.Fprintf(os.Stderr, "arcklint: %s:%d: %s\n", rel(f.Pos.Filename), f.Pos.Line, f.Message)
-		}
-	}
-	if jsonOut {
-		if entries == nil {
-			entries = []analysis.SuppressionEntry{}
-		}
-		emitJSON(entries)
-	} else {
-		for _, e := range entries {
-			mark := ""
-			if e.Stale {
-				mark = " [STALE]"
-			}
-			fmt.Printf("%s:%d: %s: %s%s\n", e.Pos.Filename, e.Pos.Line, e.Checker, e.Reason, mark)
-		}
-		fmt.Printf("arcklint: %d suppression(s), %d stale\n", len(entries), stale)
-	}
-	if malformed > 0 || (strict && stale > 0) {
-		os.Exit(1)
-	}
 }

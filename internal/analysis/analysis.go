@@ -38,18 +38,9 @@
 // later be rehosted on golang.org/x/tools/go/analysis without rewriting
 // the checker bodies.
 //
-// Deliberate exceptions are suppressed in source with
-//
-//	//arcklint:allow <checker> <reason>
-//
-// on the flagged line or the line directly above it. The reason is
-// mandatory: an allow directive without one is itself reported. A
-// suppression placed at a primitive site is honored by the summary
-// engine too: the excused effect does not propagate, so one allow at the
-// choke point covers the whole call tree above it. AuditSuppressions
-// (arcklint -suppressions) lists every directive and marks the ones that
-// no longer suppress anything, so stale allows cannot linger and mask a
-// future, real finding.
+// A finding is fixed, or accepted in one place: the snapshot
+// scripts/arcklint_baseline.json, which arcklint -baseline diffs every run
+// against.
 package analysis
 
 import (
@@ -65,10 +56,6 @@ type Finding struct {
 	Pos     token.Position `json:"pos"`
 	Checker string         `json:"checker"`
 	Message string         `json:"message"`
-	// Suppressed marks a finding matched by an //arcklint:allow
-	// directive; Reason carries the directive's justification.
-	Suppressed bool   `json:"suppressed,omitempty"`
-	Reason     string `json:"reason,omitempty"`
 }
 
 func (f Finding) String() string {
@@ -76,8 +63,8 @@ func (f Finding) String() string {
 }
 
 // Analyzer is one named checker. Run inspects the program and returns raw
-// findings; suppression handling, deduplication, and ordering are applied
-// centrally by Run (the package-level function).
+// findings; deduplication and ordering are applied centrally by Run (the
+// package-level function).
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -126,115 +113,14 @@ func checkerNames() string {
 	return strings.Join(names, ", ")
 }
 
-// allowDirective is one parsed //arcklint:allow comment.
-type allowDirective struct {
-	checker string
-	reason  string
-	pos     token.Position
-}
-
-const allowPrefix = "//arcklint:allow"
-
-// collectAllows parses every //arcklint:allow directive in the program.
-// The returned map is keyed by filename, then by the source line the
-// directive covers (its own line and the one below it, so a directive
-// can sit on the flagged line or directly above it). Malformed
-// directives — a missing checker, an unknown checker name, or a missing
-// reason — are returned as findings so suppressions cannot silently rot.
-func collectAllows(prog *Program) (map[string]map[int][]allowDirective, []Finding) {
-	known := make(map[string]bool)
-	for _, a := range Analyzers() {
-		known[a.Name] = true
-	}
-	allows := make(map[string]map[int][]allowDirective)
-	var bad []Finding
-	for _, pkg := range prog.Pkgs {
-		for _, file := range pkg.Files {
-			for _, cg := range file.Comments {
-				for _, c := range cg.List {
-					if !strings.HasPrefix(c.Text, allowPrefix) {
-						continue
-					}
-					pos := prog.Fset.Position(c.Pos())
-					rest := strings.TrimPrefix(c.Text, allowPrefix)
-					fields := strings.Fields(rest)
-					switch {
-					case len(fields) == 0:
-						bad = append(bad, Finding{Pos: pos, Checker: "arcklint",
-							Message: "malformed allow directive: missing checker name and reason"})
-						continue
-					case !known[fields[0]]:
-						bad = append(bad, Finding{Pos: pos, Checker: "arcklint",
-							Message: fmt.Sprintf("allow directive names unknown checker %q (have %s)", fields[0], checkerNames())})
-						continue
-					case len(fields) < 2:
-						bad = append(bad, Finding{Pos: pos, Checker: "arcklint",
-							Message: fmt.Sprintf("allow directive for %q requires a reason", fields[0])})
-						continue
-					}
-					d := allowDirective{
-						checker: fields[0],
-						reason:  strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(rest), fields[0])),
-						pos:     pos,
-					}
-					byLine := allows[pos.Filename]
-					if byLine == nil {
-						byLine = make(map[int][]allowDirective)
-						allows[pos.Filename] = byLine
-					}
-					byLine[pos.Line] = append(byLine[pos.Line], d)
-					byLine[pos.Line+1] = append(byLine[pos.Line+1], d)
-				}
-			}
-		}
-	}
-	return allows, bad
-}
-
-// ensureAllows parses and caches the program's allow directives
-// (idempotent, like ensureSummaries: the directive set is a property of
-// the loaded source).
-func (prog *Program) ensureAllows() (map[string]map[int][]allowDirective, []Finding) {
-	if prog.allows == nil {
-		prog.allows, prog.allowsBad = collectAllows(prog)
-		prog.allowsUsed = make(map[token.Position]bool)
-	}
-	return prog.allows, prog.allowsBad
-}
-
-// suppressedAt reports whether pos is covered by an allow directive for
-// checker, recording the directive as live for the -suppressions audit.
-// This is the callback the summary engine consults when deciding whether
-// a primitive's effect propagates to callers.
-func (prog *Program) suppressedAt(pos token.Position, checker string) bool {
-	for _, d := range prog.allows[pos.Filename][pos.Line] {
-		if d.checker == checker {
-			prog.allowsUsed[d.pos] = true
-			return true
-		}
-	}
-	return false
-}
-
 // Run executes the given analyzers over the program and returns the
-// deduplicated, suppression-annotated findings in file/line order.
-// Directive problems (malformed allows) are always included, whichever
-// checkers were selected.
+// deduplicated findings in file/line order.
 func Run(prog *Program, analyzers []*Analyzer) []Finding {
-	allows, bad := prog.ensureAllows()
-	prog.ensureSummaries(prog.suppressedAt)
-	findings := append([]Finding(nil), bad...)
+	prog.ensureSummaries()
+	var findings []Finding
 	for _, a := range analyzers {
 		for _, f := range a.Run(prog) {
 			f.Checker = a.Name
-			for _, d := range allows[f.Pos.Filename][f.Pos.Line] {
-				if d.checker == a.Name {
-					f.Suppressed = true
-					f.Reason = d.reason
-					prog.allowsUsed[d.pos] = true
-					break
-				}
-			}
 			findings = append(findings, f)
 		}
 	}
@@ -261,56 +147,6 @@ func Run(prog *Program, analyzers []*Analyzer) []Finding {
 		out = append(out, f)
 	}
 	return out
-}
-
-// SuppressionEntry is one //arcklint:allow directive as reported by the
-// -suppressions audit.
-type SuppressionEntry struct {
-	Pos     token.Position `json:"pos"`
-	Checker string         `json:"checker"`
-	Reason  string         `json:"reason"`
-	// Stale marks a directive that suppressed no finding and gated no
-	// summary propagation in a full run: the code it excused has changed
-	// (or the checker has improved past the false positive), and the
-	// directive should be deleted before it hides a real finding at the
-	// same line later.
-	Stale bool `json:"stale"`
-}
-
-// AuditSuppressions runs the full suite and reports every well-formed
-// allow directive in file/line order, marking stale ones. The returned
-// findings are the full run's output (malformed directives included), so
-// callers can report both without running the suite twice.
-func AuditSuppressions(prog *Program) ([]SuppressionEntry, []Finding) {
-	findings := Run(prog, Analyzers())
-	allows, _ := prog.ensureAllows()
-	seen := make(map[token.Position]bool)
-	var entries []SuppressionEntry
-	for _, byLine := range allows {
-		for _, ds := range byLine {
-			for _, d := range ds {
-				if seen[d.pos] {
-					// Each directive is registered under two lines.
-					continue
-				}
-				seen[d.pos] = true
-				entries = append(entries, SuppressionEntry{
-					Pos:     d.pos,
-					Checker: d.checker,
-					Reason:  d.reason,
-					Stale:   !prog.allowsUsed[d.pos],
-				})
-			}
-		}
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		return a.Pos.Line < b.Pos.Line
-	})
-	return entries, findings
 }
 
 // eachFunc invokes fn for every function or method body in the program.

@@ -58,21 +58,17 @@ func collectWants(t *testing.T, dir string) []*wantComment {
 }
 
 // TestGolden runs each checker over its fixture package and diffs the
-// unsuppressed findings against the // want comments: every finding must
-// be expected, and every expectation must fire.
+// findings against the // want comments: every finding must be expected,
+// and every expectation must fire.
 func TestGolden(t *testing.T) {
 	root := filepath.Join("testdata", "src")
-	cases := []struct {
-		dir            string
-		checker        string
-		wantSuppressed int
-	}{
-		{"persistorder", "persistorder", 0},
-		{"lockorder", "lockorder", 0},
-		{"rcusection", "rcusection", 0},
-		{"counterreg", "counterreg", 0},
-		{"retirecheck", "retirecheck", 1},
-		{"lockcycle", "lockorder", 0},
+	cases := []struct{ dir, checker string }{
+		{"persistorder", "persistorder"},
+		{"lockorder", "lockorder"},
+		{"rcusection", "rcusection"},
+		{"counterreg", "counterreg"},
+		{"retirecheck", "retirecheck"},
+		{"lockcycle", "lockorder"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
@@ -88,15 +84,7 @@ func TestGolden(t *testing.T) {
 			findings := Run(prog, analyzers)
 			wants := collectWants(t, dir)
 
-			suppressed := 0
 			for _, f := range findings {
-				if f.Suppressed {
-					suppressed++
-					if f.Reason == "" {
-						t.Errorf("suppressed finding with empty reason: %s", f)
-					}
-					continue
-				}
 				matched := false
 				for _, w := range wants {
 					if w.file == filepath.Base(f.Pos.Filename) && w.line == f.Pos.Line &&
@@ -116,65 +104,7 @@ func TestGolden(t *testing.T) {
 						w.file, w.line, w.pattern)
 				}
 			}
-			if suppressed != tc.wantSuppressed {
-				t.Errorf("suppressed findings = %d, want %d", suppressed, tc.wantSuppressed)
-			}
 		})
-	}
-}
-
-// TestMalformedAllows checks that broken //arcklint:allow directives are
-// themselves reported and do not suppress anything. (These fixtures
-// cannot carry want comments: appended text would parse as the
-// directive's reason.)
-func TestMalformedAllows(t *testing.T) {
-	root := filepath.Join("testdata", "src")
-	dir := filepath.Join(root, "badallow")
-	prog, err := LoadDirs(root, []string{dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	analyzers, err := Select("lockorder")
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings := Run(prog, analyzers)
-
-	var meta, unsuppressed, suppressed []Finding
-	for _, f := range findings {
-		switch {
-		case f.Checker == "arcklint":
-			meta = append(meta, f)
-		case f.Suppressed:
-			suppressed = append(suppressed, f)
-		default:
-			unsuppressed = append(unsuppressed, f)
-		}
-	}
-
-	wantMeta := []string{
-		`allow directive for "lockorder" requires a reason`,
-		`unknown checker "nosuchchecker"`,
-	}
-	if len(meta) != len(wantMeta) {
-		t.Fatalf("arcklint meta-findings = %d, want %d: %v", len(meta), len(wantMeta), meta)
-	}
-	for i, want := range wantMeta {
-		if !strings.Contains(meta[i].Message, want) {
-			t.Errorf("meta finding %d = %q, want substring %q", i, meta[i].Message, want)
-		}
-	}
-
-	// The malformed directives must not suppress their acquisitions; only
-	// the valid one does.
-	if len(unsuppressed) != 2 {
-		t.Errorf("unsuppressed lockorder findings = %d, want 2: %v", len(unsuppressed), unsuppressed)
-	}
-	if len(suppressed) != 1 {
-		t.Fatalf("suppressed findings = %d, want 1: %v", len(suppressed), suppressed)
-	}
-	if want := "the callers pass a < b, so no two threads wait on each other"; suppressed[0].Reason != want {
-		t.Errorf("suppression reason = %q, want %q", suppressed[0].Reason, want)
 	}
 }
 
@@ -347,39 +277,6 @@ func TestSummaryDeterminism(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		if next := run(); !bytes.Equal(first, next) {
 			t.Fatalf("run %d differs from run 0:\n%s\nvs\n%s", i+1, first, next)
-		}
-	}
-}
-
-// TestSuppressionAudit covers the -suppressions surface: the live
-// directive (gating a summary propagation) and the stale one must be
-// told apart.
-func TestSuppressionAudit(t *testing.T) {
-	root := filepath.Join("testdata", "src")
-	prog, err := LoadDirs(root, []string{filepath.Join(root, "retirecheck")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, findings := AuditSuppressions(prog)
-	for _, f := range findings {
-		if f.Checker == "arcklint" {
-			t.Errorf("unexpected malformed directive: %s", f)
-		}
-	}
-	if len(entries) != 2 {
-		t.Fatalf("suppression entries = %d, want 2: %v", len(entries), entries)
-	}
-	// Entries are sorted by line: poolPrimitive's live allow first, then
-	// staleAllowed's leftover.
-	if entries[0].Stale {
-		t.Errorf("poolPrimitive directive reported stale; it suppresses a finding and gates MayRecycle")
-	}
-	if !entries[1].Stale {
-		t.Errorf("staleAllowed directive not reported stale; it covers a retire call that cannot fire")
-	}
-	for _, e := range entries {
-		if e.Checker != "retirecheck" || e.Reason == "" {
-			t.Errorf("bad entry: %+v", e)
 		}
 	}
 }

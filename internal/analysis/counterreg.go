@@ -12,8 +12,8 @@ import (
 
 // counterreg keeps the telemetry registry honest. Three rules:
 //
-//  1. Registrations (telemetry Set.Counter / Set.Gauge) must pass a
-//     string literal, so the registry contents are statically known.
+//  1. Registrations (telemetry Set.Gauge) must pass a string literal, so
+//     the registry contents are statically known.
 //  2. Each name is registered at exactly one call site; a second site is
 //     flagged against the first (sites are ordered by position, so the
 //     canonical one is stable).
@@ -81,8 +81,7 @@ func runCounterReg(prog *Program) []Finding {
 					}
 					return true
 				}
-				if !isMethod(fn, "internal/telemetry", "Set", "Counter") &&
-					!isMethod(fn, "internal/telemetry", "Set", "Gauge") {
+				if !isMethod(fn, "internal/telemetry", "Set", "Gauge") {
 					return true
 				}
 				lit, ok := ast.Unparen(call.Args[0]).(*ast.BasicLit)

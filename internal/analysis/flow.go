@@ -13,7 +13,8 @@ import (
 // threading a checker-specific abstract state through it:
 //
 //   - if/else, switch, and select fork the state and merge (least upper
-//     bound) at the join;
+//     bound) at the join; an if on exactly bugs.Has(…) or !bugs.Has(…)
+//     walks only the branch ArckFS+ takes (bugFlagCond);
 //   - loop bodies are interpreted twice so loop-carried effects (a store
 //     queued in iteration N observed in iteration N+1) are seen, then
 //     merged with the zero-iteration path;
@@ -135,6 +136,12 @@ func (w *flowWalker) stmt(s ast.Stmt, st flowState) flowState {
 			return nil
 		}
 		w.scan(st, s.Cond)
+		if takesThen, ok := w.bugFlagCond(s.Cond); ok {
+			if takesThen {
+				return w.block(s.Body, st)
+			}
+			return w.stmt(s.Else, st)
+		}
 		then := w.block(s.Body, st.Copy())
 		els := st.Copy()
 		if s.Else != nil {
@@ -200,6 +207,23 @@ func (w *flowWalker) stmt(s ast.Stmt, st flowState) flowState {
 		return out
 	}
 	return st
+}
+
+// bugFlagCond reports whether cond is exactly bugs.Has(…) or
+// !bugs.Has(…) on a libfs.Bugs value and, if so, whether ArckFS+
+// (BugsNone, where Has is false) takes the then branch. Only that branch
+// is walked: a bug flag's branch reproduces a paper bug on purpose. A
+// compound condition or a flag stored in a variable is walked both ways.
+func (w *flowWalker) bugFlagCond(cond ast.Expr) (takesThen, ok bool) {
+	cond = ast.Unparen(cond)
+	if not, isNot := cond.(*ast.UnaryExpr); isNot && not.Op == token.NOT {
+		cond, takesThen = ast.Unparen(not.X), true
+	}
+	call, isCall := cond.(*ast.CallExpr)
+	if !isCall || !isMethod(calleeFunc(w.pkg, call), "internal/libfs", "Bugs", "Has") {
+		return false, false
+	}
+	return takesThen, true
 }
 
 // clauses merges the case bodies of a switch, plus the fall-past path

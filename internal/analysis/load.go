@@ -46,15 +46,6 @@ type Program struct {
 	// Both are built lazily and shared by every checker in a Run.
 	idx  *progIndex
 	sums *summarySet
-
-	// allows caches the parsed //arcklint:allow directives (filename ->
-	// covered line -> directives), allowsBad the malformed ones, and
-	// allowsUsed the directives (by their own position) that suppressed a
-	// finding or gated a summary propagation — the liveness bit the
-	// -suppressions audit reads.
-	allows     map[string]map[int][]allowDirective
-	allowsBad  []Finding
-	allowsUsed map[token.Position]bool
 }
 
 // FindModuleRoot walks upward from dir to the directory holding go.mod

@@ -55,9 +55,7 @@ type Summary struct {
 	// MayRecycle: the call can return a reader-reachable page or inode
 	// directly to an allocator pool — a recyclePages/recycleIno call that
 	// is not provably fed only freshly allocated resources,
-	// transitively. Sites suppressed with
-	// //arcklint:allow retirecheck do not propagate. RecycleVia names the
-	// first cause.
+	// transitively. RecycleVia names the first cause.
 	MayRecycle bool
 	RecycleVia string
 }
@@ -104,12 +102,10 @@ type sumNode struct {
 	callees    []*sumNode
 }
 
-// summarySet holds the computed summaries plus the suppression table the
-// retirecheck propagation rule consults.
+// summarySet holds the computed summaries.
 type summarySet struct {
-	byFunc     map[*types.Func]*sumNode
-	byLit      map[*ast.FuncLit]*sumNode
-	suppressed func(pos token.Position, checker string) bool
+	byFunc map[*types.Func]*sumNode
+	byLit  map[*ast.FuncLit]*sumNode
 }
 
 // progIndex caches whole-program resolution facts.
@@ -194,22 +190,13 @@ func summaryLayerExempt(fn *types.Func) bool {
 }
 
 // ensureSummaries computes every function's Summary (idempotent).
-// suppressedAt reports whether a position is covered by an
-// //arcklint:allow directive for the given checker; a suppressed
-// retirecheck site does not propagate its effect to callers — the allow
-// asserts the discipline holds there, so the assertion holds for the
-// call chain above it too.
-func (prog *Program) ensureSummaries(suppressedAt func(pos token.Position, checker string) bool) {
+func (prog *Program) ensureSummaries() {
 	if prog.sums != nil {
 		return
 	}
 	ss := &summarySet{
-		byFunc:     make(map[*types.Func]*sumNode),
-		byLit:      make(map[*ast.FuncLit]*sumNode),
-		suppressed: suppressedAt,
-	}
-	if ss.suppressed == nil {
-		ss.suppressed = func(token.Position, string) bool { return false }
+		byFunc: make(map[*types.Func]*sumNode),
+		byLit:  make(map[*ast.FuncLit]*sumNode),
 	}
 	prog.sums = ss
 
@@ -547,10 +534,6 @@ func computeSummary(prog *Program, ss *summarySet, n *sumNode) *Summary {
 	return out
 }
 
-func (c *sumClient) suppressedAt(pos token.Pos, checker string) bool {
-	return c.ss.suppressed(c.prog.Fset.Position(pos), checker)
-}
-
 func (c *sumClient) onAssign(w *flowWalker, st flowState, as *ast.AssignStmt) {
 	s := st.(*sumState)
 	// A fresh-resource definition: v, err := fs.allocPage(...).
@@ -654,8 +637,7 @@ func (c *sumClient) onCall(w *flowWalker, st flowState, call *ast.CallExpr) {
 		}
 		// Direct pool-return primitives.
 		if name, res, ok := recycleTarget(fn, call); ok {
-			if !allFresh(c.pkg, res, s.fresh) &&
-				!c.suppressedAt(call.Pos(), "retirecheck") && !c.out.MayRecycle {
+			if !allFresh(c.pkg, res, s.fresh) && !c.out.MayRecycle {
 				c.out.MayRecycle = true
 				c.out.RecycleVia = name
 			}
@@ -694,7 +676,7 @@ func (c *sumClient) applyCalleeSummary(s *sumState, sum *Summary, call *ast.Call
 		c.out.MayBlockPinned = true
 		c.out.BlockVia = calleeName(c.prog, c.pkg, call) + " -> " + sum.BlockVia
 	}
-	if sum.MayRecycle && !c.suppressedAt(call.Pos(), "retirecheck") && !c.out.MayRecycle {
+	if sum.MayRecycle && !c.out.MayRecycle {
 		c.out.MayRecycle = true
 		c.out.RecycleVia = calleeName(c.prog, c.pkg, call) + " -> " + sum.RecycleVia
 	}

@@ -7,21 +7,22 @@ import (
 	"fixture/internal/telemetry"
 )
 
+func zero() int64 { return 0 }
+
 // register is the canonical site for both names below.
-func register(s *telemetry.Set) *telemetry.Counter {
-	ops := s.Counter("libfs.ops")
-	s.Gauge("pmem.stores", func() int64 { return 0 })
-	return ops
+func register(s *telemetry.Set) {
+	s.Gauge("libfs.ops", zero)
+	s.Gauge("pmem.stores", zero)
 }
 
 // registerAgain re-registers a name the canonical site already owns.
 func registerAgain(s *telemetry.Set) {
-	s.Counter("libfs.ops") // want "already registered"
+	s.Gauge("libfs.ops", zero) // want "already registered"
 }
 
 // dynamic registers through a variable, defeating static checking.
 func dynamic(s *telemetry.Set, name string) {
-	s.Counter(name) // want "non-constant name"
+	s.Gauge(name, zero) // want "non-constant name"
 }
 
 // lookupKeys mimics bench tooling reading counters back by name. The

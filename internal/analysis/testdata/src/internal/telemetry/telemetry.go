@@ -1,9 +1,6 @@
 // Package telemetry mimics the counter registry for counterreg fixtures.
 package telemetry
 
-type Counter struct{}
-
 type Set struct{}
 
-func (s *Set) Counter(name string) *Counter       { return &Counter{} }
 func (s *Set) Gauge(name string, fn func() int64) {}

@@ -6,6 +6,7 @@ package persistorder
 
 import (
 	"fixture/internal/layout"
+	"fixture/internal/libfs"
 	"fixture/internal/pmem"
 )
 
@@ -48,6 +49,22 @@ func twoDeep(b *pmem.Batch, dev *pmem.Device, r layout.DentryRef) {
 func cleanViaHelper(b *pmem.Batch, dev *pmem.Device, r layout.DentryRef) {
 	writeBody(b, dev, r)
 	sealed(b)
+	layout.CommitDentry(dev, r, 1)
+	b.Flush(r.MarkerOff(), 2)
+	b.Barrier()
+}
+
+// sealUnlessBug's summary follows the bug-flag pruning: on ArckFS+'s
+// path it always ends on a Barrier, so it is AlwaysClean.
+func sealUnlessBug(b *pmem.Batch, bugs libfs.Bugs) {
+	if !bugs.Has(libfs.BugMissingFence) {
+		b.Barrier()
+	}
+}
+
+func cleanViaBugHelper(b *pmem.Batch, dev *pmem.Device, r layout.DentryRef, bugs libfs.Bugs) {
+	writeBody(b, dev, r)
+	sealUnlessBug(b, bugs)
 	layout.CommitDentry(dev, r, 1)
 	b.Flush(r.MarkerOff(), 2)
 	b.Barrier()

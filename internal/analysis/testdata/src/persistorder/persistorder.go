@@ -7,6 +7,7 @@ package persistorder
 
 import (
 	"fixture/internal/layout"
+	"fixture/internal/libfs"
 	"fixture/internal/pmem"
 )
 
@@ -37,6 +38,59 @@ func conditionalFence(b *pmem.Batch, dev *pmem.Device, r layout.DentryRef, fence
 	layout.WriteDentryBody(dev, r, 7, "x")
 	b.Flush(r.DevOff(), 64)
 	if fenced {
+		b.Barrier()
+	}
+	layout.CommitDentry(dev, r, 1) // want "no Batch.Barrier dominates this call"
+	b.Flush(r.MarkerOff(), 2)
+	b.Barrier()
+}
+
+// fenceUnlessBug is persistDentry's shape: only a bug flag skips the
+// Barrier, and ArckFS+ (no flags) always takes it, so the marker is
+// ordered on every path the patched system runs.
+func fenceUnlessBug(b *pmem.Batch, dev *pmem.Device, r layout.DentryRef, bugs libfs.Bugs) {
+	layout.WriteDentryBody(dev, r, 7, "x")
+	b.Flush(r.DevOff(), 64)
+	if !bugs.Has(libfs.BugMissingFence) {
+		b.Barrier()
+	}
+	layout.CommitDentry(dev, r, 1)
+	b.Flush(r.MarkerOff(), 2)
+	b.Barrier()
+}
+
+// storeUnderBug: a body store that only a bug flag reaches does not
+// dirty ArckFS+'s epoch.
+func storeUnderBug(b *pmem.Batch, dev *pmem.Device, r layout.DentryRef, bugs libfs.Bugs) {
+	layout.WriteDentryBody(dev, r, 7, "x")
+	b.Barrier()
+	if bugs.Has(libfs.BugMissingFence) {
+		b.Flush(r.DevOff(), 64)
+	}
+	layout.CommitDentry(dev, r, 1)
+	b.Flush(r.MarkerOff(), 2)
+	b.Barrier()
+}
+
+// compoundBugCond: only a condition that is exactly a bug-flag test is
+// pruned; this one is walked both ways, like conditionalFence.
+func compoundBugCond(b *pmem.Batch, dev *pmem.Device, r layout.DentryRef, isDir bool, bugs libfs.Bugs) {
+	layout.WriteDentryBody(dev, r, 7, "x")
+	b.Flush(r.DevOff(), 64)
+	if isDir && !bugs.Has(libfs.BugMissingFence) {
+		b.Barrier()
+	}
+	layout.CommitDentry(dev, r, 1) // want "no Batch.Barrier dominates this call"
+	b.Flush(r.MarkerOff(), 2)
+	b.Barrier()
+}
+
+// storedBugFlag: a flag held in a variable is walked both ways too.
+func storedBugFlag(b *pmem.Batch, dev *pmem.Device, r layout.DentryRef, bugs libfs.Bugs) {
+	skip := bugs.Has(libfs.BugMissingFence)
+	layout.WriteDentryBody(dev, r, 7, "x")
+	b.Flush(r.DevOff(), 64)
+	if !skip {
 		b.Barrier()
 	}
 	layout.CommitDentry(dev, r, 1) // want "no Batch.Barrier dominates this call"

@@ -147,24 +147,3 @@ func viaClosure(fs *FS, cpu int, pages []uint64) {
 	}
 	free() // want "can recycle reader-reachable resources"
 }
-
-// poolPrimitive is an audited choke point: the allow suppresses the
-// direct finding here AND stops MayRecycle from propagating, so
-// auditedCaller below stays clean — one reasoned exemption covers the
-// call tree.
-func (fs *FS) poolPrimitive(cpu int, pages []uint64) {
-	//arcklint:allow retirecheck audited: every caller serializes readers before freeing
-	fs.recyclePages(cpu, pages)
-}
-
-func (fs *FS) auditedCaller(cpu int, pages []uint64) {
-	fs.poolPrimitive(cpu, pages)
-}
-
-// staleAllowed keeps a directive that no longer suppresses anything (the
-// direct free it once excused became a retire): the -suppressions audit
-// must mark it stale.
-func (fs *FS) staleAllowed(cpu int, pages []uint64) {
-	//arcklint:allow retirecheck left behind after the shrink path was fixed
-	fs.retirePages(cpu, pages)
-}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"arckfs/internal/costmodel"
 	"arckfs/internal/fsapi"
@@ -77,7 +78,7 @@ type FS struct {
 	alloc *pmalloc.Allocator
 
 	tel      *telemetry.Set
-	syscalls *telemetry.Counter
+	syscalls atomic.Int64
 
 	imu     sync.Mutex
 	inodes  map[uint64]*inode
@@ -121,7 +122,7 @@ func New(name string, size int64, cost *costmodel.Model) (*FS, error) {
 			InodeCap:  1, // unused; the allocator only needs the page range
 		})
 		dev.RegisterTelemetry(fs.tel)
-		fs.syscalls = fs.tel.Counter("syscalls")
+		fsapi.RegisterSyscalls(fs.tel, fs.syscalls.Load)
 		fs.root = fs.newInode(true)
 		return fs, nil
 	}

@@ -115,20 +115,8 @@ func (c *Config) cost() *costmodel.Model {
 
 // MakeFS constructs a fresh instance of the named file system.
 func MakeFS(name string, devSize int64, cost *costmodel.Model) (fsapi.FS, error) {
-	return MakeFSWith(name, FSOpts{DevSize: devSize, Cost: cost})
-}
-
-// FSOpts parameterizes MakeFSWith. The zero value matches MakeFS.
-type FSOpts struct {
-	DevSize int64
-	Cost    *costmodel.Model
-}
-
-// MakeFSWith constructs a fresh instance of the named file system under
-// the given options.
-func MakeFSWith(name string, o FSOpts) (fsapi.FS, error) {
 	arck := func(mode core.Mode) (fsapi.FS, error) {
-		sys, err := core.NewSystem(core.Config{Mode: mode, DevSize: o.DevSize, Cost: o.Cost})
+		sys, err := core.NewSystem(core.Config{Mode: mode, DevSize: devSize, Cost: cost})
 		if err != nil {
 			return nil, err
 		}
@@ -140,7 +128,7 @@ func MakeFSWith(name string, o FSOpts) (fsapi.FS, error) {
 	case "arckfs":
 		return arck(core.ArckFS)
 	}
-	fs, err := baseline.New(name, o.DevSize, o.Cost)
+	fs, err := baseline.New(name, devSize, cost)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +137,7 @@ func MakeFSWith(name string, o FSOpts) (fsapi.FS, error) {
 
 // makeFS builds the named system under this run's configuration.
 func (c *Config) makeFS(name string) (fsapi.FS, error) {
-	return MakeFSWith(name, FSOpts{DevSize: c.DevSize, Cost: c.cost()})
+	return MakeFS(name, c.DevSize, c.cost())
 }
 
 func opsFor(total, threads int) int {

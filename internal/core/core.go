@@ -135,10 +135,7 @@ func (s *System) initTelemetry() {
 	// dropped (libfs/compact.go).
 	s.tel.Gauge("libfs.dir_compactions", s.sumApps(func(fs *libfs.FS) int64 { return fs.Stats.DirCompactions.Load() }))
 	s.tel.Gauge("libfs.dir_compacted_slots", s.sumApps(func(fs *libfs.FS) int64 { return fs.Stats.DirCompactedSlots.Load() }))
-	// "syscalls" is the cross-system comparable name: the baselines
-	// expose theirs under the same key.
-	//arcklint:allow counterreg every system meters "syscalls" in its own private Set so bench tooling reads one cross-system key
-	s.tel.Gauge("syscalls", s.Ctrl.Stats.Syscalls.Load)
+	fsapi.RegisterSyscalls(s.tel, s.Ctrl.Stats.Syscalls.Load)
 	s.tel.Gauge("leases.hit", s.sumApps(func(fs *libfs.FS) int64 { return fs.Stats.LeaseHits.Load() }))
 	s.tel.Gauge("leases.miss", s.sumApps(func(fs *libfs.FS) int64 { return fs.Stats.LeaseMisses.Load() }))
 	// "syscalls.avoided" is the companion of "syscalls": crossings the

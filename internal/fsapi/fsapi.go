@@ -6,6 +6,8 @@ package fsapi
 import (
 	"errors"
 	"strings"
+
+	"arckfs/internal/telemetry"
 )
 
 // Error codes, deliberately close to the POSIX errnos the paper's
@@ -79,6 +81,13 @@ type FS interface {
 	Name() string
 	// NewThread creates a worker handle pinned to a virtual CPU.
 	NewThread(cpu int) Thread
+}
+
+// RegisterSyscalls exposes an instance's kernel-crossing count in set as
+// "syscalls", the one key ArckFS and every baseline share, so bench
+// tooling reads one name whatever the system.
+func RegisterSyscalls(set *telemetry.Set, crossings func() int64) {
+	set.Gauge("syscalls", crossings)
 }
 
 // SplitPath splits an absolute path into its directory part and final

@@ -80,7 +80,8 @@ func TestRunSampledLatency(t *testing.T) {
 
 func TestRunCountedDeltas(t *testing.T) {
 	set := telemetry.NewSet()
-	c := set.Counter("side.effects")
+	var c atomic.Int64
+	set.Gauge("side.effects", c.Load)
 	c.Add(100) // setup-phase counts must not leak into the delta
 	res := RunCounted(set, "fs", "w", 2, 10, func(tid, i int) error {
 		c.Add(1)

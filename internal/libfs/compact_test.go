@@ -681,10 +681,13 @@ func TestCompactionVsLockFreeReaders(t *testing.T) {
 		}(r)
 	}
 
+	// The deadline never cuts the loop before round 2: round 1's peer
+	// create makes round 2's churn the lease miss the test asserts.
 	deadline := time.Now().Add(2 * time.Second)
+	const minRounds = 3
 	rounds := 0
 	var spliced, want []bool
-	for ; rounds < 12 && time.Now().Before(deadline); rounds++ {
+	for ; rounds < 12 && (rounds < minRounds || time.Now().Before(deadline)); rounds++ {
 		churn(t, w, "/d", 2*CompactMinDeadSlots)
 		n := fs.Stats.DirCompactions.Load()
 		if err := fs.ReleaseAll(); err != nil {

@@ -323,7 +323,6 @@ func (fs *FS) persistDentry(t *Thread, r layout.DentryRef, childIno uint64, name
 	}
 	// Step 2: set and persist the commit marker. Its line enters the
 	// queue only here, after the body-epoch Barrier.
-	//arcklint:allow persistorder the Barrier is skipped only when BugMissingFence deliberately reproduces the §4.2 bug; the patched path barriers above
 	layout.CommitDentry(fs.dev, r, len(name))
 	t.pb.Flush(r.MarkerOff(), 2)
 	// §4.2 crash window: marker flush queued, final fence not yet issued.

@@ -140,7 +140,6 @@ func (fs *FS) pinDirs(t *Thread, a, b *minode) error {
 				}
 			}
 		}
-		//arcklint:allow lockorder the second lock is only ever tried: when it is taken, the first is dropped before the next round, so this never waits with a lock in hand
 		a.lock.RLock()
 		if a != b && !b.lock.TryRLock() {
 			a.lock.RUnlock()
@@ -151,7 +150,12 @@ func (fs *FS) pinDirs(t *Thread, a, b *minode) error {
 		if !a.released.Load() && !b.released.Load() {
 			return nil
 		}
-		unpinDirs(a, b)
+		// unpinDirs, spelled out so that lockorder sees both locks
+		// dropped before the next round's RLock.
+		a.lock.RUnlock()
+		if a != b {
+			b.lock.RUnlock()
+		}
 	}
 }
 

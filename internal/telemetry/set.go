@@ -5,34 +5,20 @@ import (
 	"io"
 	"runtime/metrics"
 	"sync"
-	"sync/atomic"
 )
 
-// Counter is a registered atomic counter.
-type Counter struct{ v atomic.Int64 }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Load returns the current value.
-func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Set is an expvar-style counter registry: named int64 sources that a
-// snapshot reads atomically enough for monitoring. It unifies counters
-// owned by the Set itself with gauges reading external state (device
-// statistics, kernel counters), so one snapshot covers the whole system.
+// Set is an expvar-style counter registry: named int64 gauges, each
+// reading state its owner keeps (device statistics, kernel counters), that
+// a snapshot reads atomically enough for monitoring, so one snapshot
+// covers the whole system.
 type Set struct {
-	mu       sync.Mutex
-	sources  map[string]func() int64
-	counters map[string]*Counter
+	mu      sync.Mutex
+	sources map[string]func() int64
 }
 
 // NewSet creates an empty registry.
 func NewSet() *Set {
-	return &Set{
-		sources:  make(map[string]func() int64),
-		counters: make(map[string]*Counter),
-	}
+	return &Set{sources: make(map[string]func() int64)}
 }
 
 // Gauge registers a named read-out. fn must be safe to call from any
@@ -41,19 +27,6 @@ func (s *Set) Gauge(name string, fn func() int64) {
 	s.mu.Lock()
 	s.sources[name] = fn
 	s.mu.Unlock()
-}
-
-// Counter registers (or returns the existing) counter under name.
-func (s *Set) Counter(name string) *Counter {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c, ok := s.counters[name]; ok {
-		return c
-	}
-	c := &Counter{}
-	s.counters[name] = c
-	s.sources[name] = c.Load
-	return c
 }
 
 // Snapshot reads every source. The result is a point-in-time view; with

@@ -4,16 +4,15 @@ import (
 	"encoding/json"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 func TestSetCountersAndGauges(t *testing.T) {
 	s := NewSet()
-	c := s.Counter("ops")
-	c.Add(3)
-	if again := s.Counter("ops"); again != c {
-		t.Fatal("Counter must return the same instance per name")
-	}
+	var ops atomic.Int64
+	s.Gauge("ops", ops.Load)
+	ops.Add(3)
 	var ext int64 = 41
 	s.Gauge("ext", func() int64 { return ext })
 	snap := s.Snapshot()
@@ -21,17 +20,21 @@ func TestSetCountersAndGauges(t *testing.T) {
 		t.Fatalf("snapshot = %v", snap)
 	}
 	ext++
-	c.Add(1)
+	ops.Add(1)
 	snap = s.Snapshot()
 	if snap["ops"] != 4 || snap["ext"] != 42 {
 		t.Fatalf("snapshot = %v", snap)
+	}
+	s.Gauge("ops", func() int64 { return -1 })
+	if got := s.Snapshot()["ops"]; got != -1 {
+		t.Fatalf("re-registered gauge reads %d, want the replacement's -1", got)
 	}
 }
 
 func TestSetWriteJSON(t *testing.T) {
 	s := NewSet()
-	s.Counter("b.two").Add(2)
-	s.Counter("a.one").Add(1)
+	s.Gauge("b.two", func() int64 { return 2 })
+	s.Gauge("a.one", func() int64 { return 1 })
 	var sb strings.Builder
 	if err := s.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
@@ -59,16 +62,18 @@ func TestDelta(t *testing.T) {
 
 func TestSetConcurrent(t *testing.T) {
 	s := NewSet()
+	var shared atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				s.Counter("shared").Add(1)
+				s.Gauge("shared", shared.Load)
+				shared.Add(1)
 				s.Snapshot()
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if s.Snapshot()["shared"] != 2000 {

@@ -45,9 +45,8 @@ go test -run '^$' -fuzz=FuzzVerifyDir -fuzztime=5s ./internal/verifier/
 step "per-layer Go benchmarks build and run once"
 go test -run '^$' -bench . -benchtime 1x . ./internal/libfs/ ./internal/kv/ ./internal/verifier/ ./internal/kernel/
 
-step "arcklint (baseline + runtime budget, suppression audit)"
+step "arcklint (baseline + runtime budget)"
 go run ./cmd/arcklint -baseline scripts/arcklint_baseline.json ./...
-go run ./cmd/arcklint -suppressions -strict ./...
 
 step "arckcrash campaign (oracles + strict killpoint sweep)"
 go run ./cmd/arckcrash -iters 40 -seed 1 -artifacts "$out/crash-artifacts"

@@ -121,7 +121,7 @@ func walkModuleGo(t *testing.T, fn func(fset *token.FileSet, path string, file *
 // value in use: make it a constant.
 func TestOptionFieldsAreSet(t *testing.T) {
 	structs := []string{"core.Config", "kernel.Options", "libfs.Options", "htable.Options",
-		"experiments.Config", "experiments.FSOpts"}
+		"experiments.Config"}
 	fields := map[string][]string{} // struct -> its exported fields
 	set := map[string]bool{}        // "struct.Field" -> set somewhere
 	walkModuleGo(t, func(_ *token.FileSet, path string, file *ast.File) {
