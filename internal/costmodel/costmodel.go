@@ -79,42 +79,56 @@ func Default() *Model {
 	}
 }
 
-// spinsPerNS is the calibrated number of busy-wait loop iterations per
-// nanosecond, stored as iterations<<16 to keep fractional precision.
+// spinsPerNSx65536 is the calibrated number of busy-wait loop iterations
+// per nanosecond, stored as iterations<<16 to keep fractional precision.
 var spinsPerNSx65536 atomic.Int64
 
 func init() {
 	calibrate()
 }
 
+// spinLoop runs n iterations of a chain of dependent multiplies held in a
+// register. Each iteration costs the multiplier's latency, so the rate
+// timed at init holds for the process; a loop of adds ran 1.1 to 2.5
+// iterations a ns from one process to the next on a 2-vCPU VM. Concurrent
+// spinners share no memory until the one store at the end, which keeps the
+// compiler from dropping the loop.
+//
 //go:noinline
 func spinLoop(n int64) {
+	x := uint64(n) | 1 // odd, so the product never settles at zero
 	for i := int64(0); i < n; i++ {
-		spinSink++
+		x *= x
 	}
+	spinSink.Store(x)
 }
 
-var spinSink int64
+var spinSink atomic.Uint64
 
+// maxSpinsPerNS bounds the calibrated rate: one multiply waits at least a
+// cycle, so a probe that reads faster than this (or reads no time at all)
+// was not timed.
+const maxSpinsPerNS = 16
+
+// spinRate converts a probe of iters iterations that took el nanoseconds
+// into the fixed-point rate Spin uses. It keeps the measured rate however
+// slow the loop runs: a floor would make every Spin burn more than it
+// charges.
+func spinRate(iters, el int64) int64 {
+	return min(max(iters<<16/max(el, 1), 1), maxSpinsPerNS<<16)
+}
+
+// calibrate times several probes and keeps the fastest: preemption only
+// ever adds time to a probe.
 func calibrate() {
 	const probe = 1 << 16
 	best := int64(1 << 62)
-	for trial := 0; trial < 3; trial++ {
+	for trial := 0; trial < 5; trial++ {
 		start := time.Now()
 		spinLoop(probe)
-		el := time.Since(start).Nanoseconds()
-		if el > 0 && el < best {
-			best = el
-		}
+		best = min(best, time.Since(start).Nanoseconds())
 	}
-	if best <= 0 {
-		best = 1
-	}
-	v := probe * 65536 / best
-	if v < 65536 {
-		v = 65536 // at least one iteration per ns
-	}
-	spinsPerNSx65536.Store(v)
+	spinsPerNSx65536.Store(spinRate(probe, best))
 }
 
 // Spin busy-waits for approximately ns nanoseconds. It never sleeps, so it

@@ -15,7 +15,7 @@ go test -race \
   ./internal/harness/ ./internal/telemetry/ ./internal/telemetry/span/ \
   ./internal/kernel/ ./internal/libfs/ ./internal/kv/ ./internal/rcu/ \
   ./internal/htable/ ./internal/pmem/ ./internal/pmalloc/ ./internal/verifier/ \
-  ./internal/baseline/
+  ./internal/baseline/ ./internal/costmodel/
 
 # Packages whose tests drive several goroutines (or, for crashmc, whose
 # determinism must not depend on the scheduler) run at more than one core

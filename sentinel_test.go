@@ -17,9 +17,10 @@ import (
 // TestSentinelErrorsComparedWithErrorsIs keeps the tree on one way of
 // testing for a sentinel error: kernel.errBusy and friends wrap their
 // sentinels with %w, so `err == fsapi.ErrBusy` is silently false exactly
-// when it matters (ROADMAP item 0 was such a bug). Any ==/!= against an
-// Err* name fails here; use errors.Is. The walk covers this module's
-// non-testdata Go files.
+// when it matters (kernel.TestShardStressMultiApp failed at GOMAXPROCS >= 2
+// on such a compare until commit 5777067). Any ==/!= against an Err* name
+// fails here; use errors.Is. The walk covers this module's non-testdata Go
+// files.
 func TestSentinelErrorsComparedWithErrorsIs(t *testing.T) {
 	sentinel := regexp.MustCompile(`^Err[A-Z]`)
 	isSentinel := func(e ast.Expr) bool {
