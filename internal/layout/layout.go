@@ -12,6 +12,13 @@
 // Allocation state is not persisted: like other log-structured PM file
 // systems, recovery rebuilds the free lists by walking the inode table
 // and every reachable log and block-map page.
+//
+// Records are self-describing, as XFS v5 metadata blocks carry their file
+// system's UUID: the superblock holds a format ID, every inode and shadow
+// record carries it in its checksummed line, and a record with another ID
+// reads as free. A format therefore writes the superblock and the root
+// alone, and a record an earlier format left behind can neither survive a
+// reformat nor pass for a fresh one.
 package layout
 
 import (
@@ -28,8 +35,8 @@ const (
 	PageSize = pmem.PageSize
 	// Magic identifies a formatted device.
 	Magic = uint64(0x31464b4352413147) // "G1ARCKF1"
-	// Version of the on-PM format.
-	Version = 2
+	// Version of the on-PM format: 3 since records carry the format ID.
+	Version = 3
 
 	// InodeSize is the on-PM inode record size: one cache line, so a
 	// record is persisted by one flush or one streaming store and no
@@ -87,6 +94,9 @@ type Geometry struct {
 	ShadowStart uint64
 	ShadowPages uint64
 	DataStart   uint64 // first allocatable data page
+	// FormatID is the ID every live record of this format carries; it is
+	// never zero.
+	FormatID uint32
 }
 
 // Hardened reports whether the device offset off lies in a kernel-trusted
@@ -115,14 +125,19 @@ const (
 	sbRootIno   = 56
 	sbShadowSt  = 64
 	sbShadowPg  = 72
-	sbCsum      = 80
+	sbFormatID  = 80
+	sbCsum      = 84
 )
+
+// SuperblockSize is the number of bytes Mkfs stores at page 0.
+const SuperblockSize = sbCsum + 4
 
 var crcTab = crc32.MakeTable(crc32.Castagnoli)
 
 // Mkfs formats the device with capacity for inodeCap inodes and returns
 // the geometry. It writes the superblock and a root directory inode with
-// ntails log tails, persisting everything.
+// ntails log tails, persisting everything, and nothing else: the tables
+// keep whatever they held, which reads as free under the new format ID.
 func Mkfs(dev *pmem.Device, inodeCap uint64, ntails int) (Geometry, error) {
 	if inodeCap < 2 {
 		return Geometry{}, fmt.Errorf("layout: inodeCap %d too small", inodeCap)
@@ -144,9 +159,13 @@ func Mkfs(dev *pmem.Device, inodeCap uint64, ntails int) (Geometry, error) {
 	if g.DataStart+2 > pages {
 		return Geometry{}, fmt.Errorf("layout: device too small: %d pages, need > %d", pages, g.DataStart+2)
 	}
-
-	// Zero the inode and shadow tables.
-	dev.Zero(int64(g.TableStart*PageSize), int64((g.TablePages+g.ShadowPages)*PageSize))
+	// The ID is one past the superblock's ID word, whether or not the
+	// superblock validates, and goes into that word, durably, before any
+	// record carries it: the word is never below an ID a record on the
+	// device carries, and on a device never formatted it is 0.
+	g.FormatID = max(dev.Load32(sbFormatID)+1, 1) // all ones wraps past 0
+	dev.Store32(sbFormatID, g.FormatID)
+	dev.Persist(sbFormatID, 4)
 
 	// Root directory: its tail-set page is the first data page.
 	tailset := g.DataStart
@@ -162,7 +181,8 @@ func Mkfs(dev *pmem.Device, inodeCap uint64, ntails int) (Geometry, error) {
 	dev.Flush(int64(tailset*PageSize), PageSize)
 	dev.Fence()
 
-	// Superblock last, so a formatted magic implies a complete format.
+	// The rest of the superblock last, so a formatted magic implies a
+	// complete format.
 	sb := int64(0)
 	dev.Store64(sb+sbMagic, Magic)
 	dev.Store32(sb+sbVersion, Version)
@@ -175,7 +195,7 @@ func Mkfs(dev *pmem.Device, inodeCap uint64, ntails int) (Geometry, error) {
 	dev.Store64(sb+sbShadowSt, g.ShadowStart)
 	dev.Store64(sb+sbShadowPg, g.ShadowPages)
 	dev.Store32(sb+sbCsum, crc32.Checksum(dev.Slice(0, sbCsum), crcTab))
-	dev.Persist(0, sbCsum+4)
+	dev.Persist(0, SuperblockSize)
 	return g, nil
 }
 
@@ -198,8 +218,9 @@ func Load(dev *pmem.Device) (Geometry, error) {
 		ShadowStart: dev.Load64(sbShadowSt),
 		ShadowPages: dev.Load64(sbShadowPg),
 		DataStart:   dev.Load64(sbDataSt),
+		FormatID:    dev.Load32(sbFormatID),
 	}
-	if g.PageCount*PageSize > uint64(dev.Size()) || g.DataStart >= g.PageCount {
+	if g.PageCount*PageSize > uint64(dev.Size()) || g.DataStart >= g.PageCount || g.FormatID == 0 {
 		return Geometry{}, fmt.Errorf("layout: inconsistent geometry %+v", g)
 	}
 	return g, nil
@@ -222,20 +243,22 @@ type Inode struct {
 	MTime    uint64
 }
 
-// Inode record offsets. [48,60) holds the shadow record's extras
-// (shadow.go); the inode table's writers leave it zero.
+// Inode record offsets. [48,56) holds the shadow record's extras
+// (shadow.go); the inode table's writers leave it zero. Both records carry
+// the format ID at [56,60), inside the checksum.
 const (
-	inType   = 0
-	inPerm   = 2
-	inNlink  = 4
-	inNTails = 6
-	inUID    = 8
-	inGID    = 12
-	inSize   = 16
-	inRoot   = 24
-	inParent = 32
-	inMTime  = 40
-	inCsum   = 60 // crc32c over [0,60)
+	inType     = 0
+	inPerm     = 2
+	inNlink    = 4
+	inNTails   = 6
+	inUID      = 8
+	inGID      = 12
+	inSize     = 16
+	inRoot     = 24
+	inParent   = 32
+	inMTime    = 40
+	inFormatID = 56
+	inCsum     = 60 // crc32c over [0,60)
 )
 
 // InodeOff returns the device offset of inode ino's record.
@@ -246,11 +269,12 @@ func InodeOff(g Geometry, ino uint64) int64 {
 	return int64(g.TableStart*PageSize) + int64(ino)*InodeSize
 }
 
-// WriteInode encodes in at ino's slot, including the checksum. The caller
-// is responsible for flushing and fencing.
+// WriteInode encodes in at ino's slot, including the format ID and the
+// checksum. The caller is responsible for flushing and fencing.
 func WriteInode(dev *pmem.Device, g Geometry, ino uint64, in *Inode) {
 	off := InodeOff(g, ino)
 	storeInode(dev, off, in)
+	dev.Store32(off+inFormatID, g.FormatID)
 	dev.Store32(off+inCsum, crc32.Checksum(dev.Slice(off, inCsum), crcTab))
 }
 
@@ -268,8 +292,9 @@ func storeInode(dev *pmem.Device, off int64, in *Inode) {
 	dev.Store64(off+inMTime, in.MTime)
 }
 
-// loadInode decodes the inode or shadow record at off, as ReadInode does.
-func loadInode(dev *pmem.Device, off int64) (in Inode, ok, corrupt bool) {
+// loadInode decodes the inode or shadow record at off under format id, as
+// ReadInode does.
+func loadInode(dev *pmem.Device, off int64, id uint32) (in Inode, ok, corrupt bool) {
 	in = Inode{
 		Type:     dev.Load16(off + inType),
 		Perm:     dev.Load16(off + inPerm),
@@ -288,22 +313,26 @@ func loadInode(dev *pmem.Device, off int64) (in Inode, ok, corrupt bool) {
 	if dev.Load32(off+inCsum) != crc32.Checksum(dev.Slice(off, inCsum), crcTab) {
 		return in, false, true
 	}
+	if dev.Load32(off+inFormatID) != id {
+		return in, false, false // an earlier format's record: free
+	}
 	return in, true, false
 }
 
-// EncodeInodeInto renders in as a complete InodeSize-byte record — all
-// fields, zero padding, checksum — into rec, for callers that store the
-// whole record at once with streaming (non-temporal) stores instead of
-// field-by-field with a trailing flush. The record is one full cache
-// line, so a pmem.Batch can WriteStream it with no clwb at all. The
-// caller owns rec and may render into it again once the record is stored
-// (the checksum call would move a record returned by value to the heap).
+// EncodeInodeInto renders in as a complete InodeSize-byte record of
+// format id — all fields, zero padding, the ID, checksum — into rec, for
+// callers that store the whole record at once with streaming
+// (non-temporal) stores instead of field-by-field with a trailing flush.
+// The record is one full cache line, so a pmem.Batch can WriteStream it
+// with no clwb at all. The caller owns rec and may render into it again
+// once the record is stored (the checksum call would move a record
+// returned by value to the heap).
 //
 // The checksum is computed over the rendered buffer, so unlike WriteInode
 // (which checksums whatever the padding bytes on the device happen to
 // hold) an encoded record always has zeroed padding; both forms verify
 // under ReadInode.
-func EncodeInodeInto(rec *[InodeSize]byte, in *Inode) {
+func EncodeInodeInto(rec *[InodeSize]byte, id uint32, in *Inode) {
 	*rec = [InodeSize]byte{}
 	binary.LittleEndian.PutUint16(rec[inType:], in.Type)
 	binary.LittleEndian.PutUint16(rec[inPerm:], in.Perm)
@@ -315,14 +344,15 @@ func EncodeInodeInto(rec *[InodeSize]byte, in *Inode) {
 	binary.LittleEndian.PutUint64(rec[inRoot:], in.DataRoot)
 	binary.LittleEndian.PutUint64(rec[inParent:], in.Parent)
 	binary.LittleEndian.PutUint64(rec[inMTime:], in.MTime)
+	binary.LittleEndian.PutUint32(rec[inFormatID:], id)
 	binary.LittleEndian.PutUint32(rec[inCsum:], crc32.Checksum(rec[:inCsum], crcTab))
 }
 
-// ReadInode decodes ino's record. ok is false for a free slot; corrupt is
-// true when the record fails its checksum (e.g. a partially persisted
-// inode after a crash, §4.2).
+// ReadInode decodes ino's record. ok is false for a free slot, which is
+// also a record of another format; corrupt is true when the record fails
+// its checksum (e.g. a partially persisted inode after a crash, §4.2).
 func ReadInode(dev *pmem.Device, g Geometry, ino uint64) (in Inode, ok, corrupt bool) {
-	return loadInode(dev, InodeOff(g, ino))
+	return loadInode(dev, InodeOff(g, ino), g.FormatID)
 }
 
 // FreeInode marks ino's slot free by its type word alone, as FreeShadow

@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -100,8 +101,8 @@ func TestEncodeInodeIntoReusedBuffer(t *testing.T) {
 	for i := range rec {
 		rec[i] = 0xa5
 	}
-	EncodeInodeInto(&rec, &in)
-	EncodeInodeInto(&clean, &in)
+	EncodeInodeInto(&rec, g.FormatID, &in)
+	EncodeInodeInto(&clean, g.FormatID, &in)
 	if rec != clean {
 		t.Fatal("a record rendered over old bytes differs from one rendered into zeroes")
 	}
@@ -109,7 +110,7 @@ func TestEncodeInodeIntoReusedBuffer(t *testing.T) {
 	if got, ok, corrupt := ReadInode(dev, g, 6); !ok || corrupt || got != in {
 		t.Fatalf("read back %+v ok=%v corrupt=%v, want %+v", got, ok, corrupt, in)
 	}
-	if n := testing.AllocsPerRun(100, func() { EncodeInodeInto(&rec, &in) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { EncodeInodeInto(&rec, g.FormatID, &in) }); n != 0 {
 		t.Fatalf("EncodeInodeInto allocates %v objects", n)
 	}
 }
@@ -130,7 +131,7 @@ func TestInodeRecordIsOneLine(t *testing.T) {
 		{"ntails", inNTails, 2}, {"uid", inUID, 4}, {"gid", inGID, 4},
 		{"size", inSize, 8}, {"root", inRoot, 8}, {"parent", inParent, 8},
 		{"mtime", inMTime, 8}, {"childcount", shChildCount, 4}, {"flags", shFlags, 1},
-		{"csum", inCsum, 4},
+		{"format id", inFormatID, 4}, {"csum", inCsum, 4},
 	}
 	end := 0
 	for _, f := range fields {
@@ -163,19 +164,112 @@ func TestInodeRecordIsOneLine(t *testing.T) {
 			t.Fatalf("shadow %d read back %+v %+v ok=%v corrupt=%v, want %+v %+v", ino, got, ex, ok, corrupt, in, want)
 		}
 	}
-	if off := ShadowOff(g, 5); dev.Load32(off+48) != 0xdeadbeef || dev.Load8(off+52) != shFlagCommitted {
-		t.Fatal("shadow extras are not at offsets 48 and 52")
+	if off := ShadowOff(g, 5); dev.Load32(off+48) != 0xdeadbeef || dev.Load8(off+52) != shFlagCommitted || dev.Load32(off+56) != g.FormatID {
+		t.Fatal("shadow extras are not at offsets 48 and 52, or the format ID not at 56")
 	}
 }
 
-// TestLoadRejectsVersion1: an image of the two-line record format is
-// refused, not misread.
+// TestFormatIDIsDurableBeforeAnyRecord: at every fence of a reformat, a
+// crash that keeps every store made so far leaves no record whose ID is
+// above the superblock's ID word as the fenced image holds it, so the
+// next format takes an ID above every record, however this one was cut.
+func TestFormatIDIsDurableBeforeAnyRecord(t *testing.T) {
+	dev, g := newDev(t, 64)
+	dev.EnableTracking()
+	fences := 0
+	dev.SetObserver(pmem.OnFence(func() {
+		fences++
+		all, fenced := dev.CrashImage(pmem.CrashPersistAll), dev.CrashImage(pmem.CrashDropAll)
+		word := binary.LittleEndian.Uint32(fenced[sbFormatID:])
+		for _, off := range []int64{InodeOff(g, RootIno), ShadowOff(g, RootIno)} {
+			if id := binary.LittleEndian.Uint32(all[off+inFormatID:]); id > word {
+				t.Fatalf("fence %d: a record at %d carries ID %d over a durable ID word of %d", fences, off, id, word)
+			}
+		}
+	}))
+	if _, err := Mkfs(dev, g.InodeCap, DefaultTails); err != nil {
+		t.Fatal(err)
+	}
+	if fences == 0 {
+		t.Fatal("the format fenced nothing")
+	}
+}
+
+// TestLoadRejectsVersion1: an image of the two-line record format, or of
+// the one-line format whose records carry no format ID, is refused, not
+// misread.
 func TestLoadRejectsVersion1(t *testing.T) {
-	dev, _ := newDev(t, 64)
-	dev.Store32(sbVersion, 1)
-	dev.Store32(sbCsum, crc32.Checksum(dev.Slice(0, sbCsum), crcTab))
-	if _, err := Load(dev); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
-		t.Fatalf("Load of a version-1 image: %v", err)
+	for _, v := range []uint32{1, 2} {
+		dev, _ := newDev(t, 64)
+		dev.Store32(sbVersion, v)
+		dev.Store32(sbCsum, crc32.Checksum(dev.Slice(0, sbCsum), crcTab))
+		if _, err := Load(dev); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d", v)) {
+			t.Fatalf("Load of a version-%d image: %v", v, err)
+		}
+	}
+}
+
+// TestReformatFreesEveryRecord: a format writes no table, yet every record
+// an earlier format wrote reads as free under it, whether the earlier
+// superblock validates or is torn: a torn one still holds the last ID a
+// format took, since a format stores its ID first. A record that fails its
+// checksum still reads corrupt, whatever its ID, and a fresh device always
+// gets ID 1.
+func TestReformatFreesEveryRecord(t *testing.T) {
+	dev, g := newDev(t, 64)
+	if g.FormatID != 1 {
+		t.Fatalf("a fresh device's format ID = %d, want 1", g.FormatID)
+	}
+	in := Inode{Type: TypeFile, Perm: PermRead, Nlink: 1, Parent: RootIno}
+	write := func(g Geometry) { // over an earlier format's records but the first time
+		for ino := uint64(2); ino < 6; ino++ {
+			WriteInode(dev, g, ino, &in)
+			WriteShadow(dev, g, ino, &in, &ShadowExtra{Committed: true})
+			_, iok, _ := ReadInode(dev, g, ino)
+			if _, _, sok, _ := ReadShadow(dev, g, ino); !iok || !sok {
+				t.Fatalf("format %d: inode %d's records read back ok=%v, %v", g.FormatID, ino, iok, sok)
+			}
+		}
+	}
+	write(g)
+	WriteInode(dev, g, 9, &in)
+	dev.Store64(InodeOff(g, 9)+inSize, 777) // torn: fails its checksum
+	for _, tc := range []struct {
+		name   string
+		damage func()
+		want   uint32
+	}{
+		{"valid superblock", func() {}, 2},
+		{"torn superblock", func() { dev.Store64(sbPageCount, 1) }, 3},
+		{"format torn after its ID", func() { dev.Store32(sbFormatID, 7) }, 8},
+	} {
+		tc.damage()
+		was := g
+		var err error
+		if g, err = Mkfs(dev, 128, DefaultTails); err != nil {
+			t.Fatal(err)
+		}
+		if g.FormatID != tc.want {
+			t.Fatalf("%s: format ID %d after %d, want %d", tc.name, g.FormatID, was.FormatID, tc.want)
+		}
+		for ino := uint64(2); ino < 6; ino++ {
+			if _, ok, corrupt := ReadInode(dev, g, ino); ok || corrupt {
+				t.Fatalf("%s: inode %d of format %d reads ok=%v corrupt=%v, want free", tc.name, ino, was.FormatID, ok, corrupt)
+			}
+			if _, _, ok, corrupt := ReadShadow(dev, g, ino); ok || corrupt {
+				t.Fatalf("%s: shadow %d of format %d reads ok=%v corrupt=%v, want free", tc.name, ino, was.FormatID, ok, corrupt)
+			}
+		}
+		if _, ok, corrupt := ReadInode(dev, g, 9); ok || !corrupt {
+			t.Fatalf("%s: a torn record reads ok=%v corrupt=%v, want corrupt", tc.name, ok, corrupt)
+		}
+		if got, ok, _ := ReadInode(dev, g, RootIno); !ok || got.Type != TypeDir {
+			t.Fatalf("%s: root after reformat %+v ok=%v", tc.name, got, ok)
+		}
+		write(g)
+	}
+	if _, err := Load(dev); err != nil {
+		t.Fatal(err)
 	}
 }
 

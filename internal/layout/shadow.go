@@ -21,8 +21,8 @@ type ShadowExtra struct {
 }
 
 // Shadow record extra-field offsets (within the one-line record, before
-// the checksum; the mirrored inode fields use the same offsets as the
-// inode table).
+// the format ID; the mirrored inode fields and the ID use the same offsets
+// as the inode table).
 const (
 	shChildCount = 48
 	shFlags      = 52
@@ -55,13 +55,18 @@ func WriteShadow(dev *pmem.Device, g Geometry, ino uint64, in *Inode, ex *Shadow
 		fl |= shFlagInaccessible
 	}
 	dev.Store8(off+shFlags, fl)
+	// A slot this format wrote before already carries the ID: only a
+	// record's first write in a format stores it.
+	if dev.Load32(off+inFormatID) != g.FormatID {
+		dev.Store32(off+inFormatID, g.FormatID)
+	}
 	dev.Store32(off+inCsum, crc32.Checksum(dev.Slice(off, inCsum), crcTab))
 }
 
-// ReadShadow decodes ino's shadow record.
+// ReadShadow decodes ino's shadow record; one of another format is free.
 func ReadShadow(dev *pmem.Device, g Geometry, ino uint64) (in Inode, ex ShadowExtra, ok, corrupt bool) {
 	off := ShadowOff(g, ino)
-	if in, ok, corrupt = loadInode(dev, off); !ok {
+	if in, ok, corrupt = loadInode(dev, off, g.FormatID); !ok {
 		return in, ex, ok, corrupt
 	}
 	fl := dev.Load8(off + shFlags)

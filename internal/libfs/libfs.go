@@ -548,7 +548,7 @@ type Thread struct {
 // streamInode renders in and streams it to ino's slot: the whole record
 // goes out with non-temporal stores, durable at the caller's next Barrier.
 func (t *Thread) streamInode(ino uint64, in *layout.Inode) {
-	layout.EncodeInodeInto(&t.rec, in)
+	layout.EncodeInodeInto(&t.rec, t.fs.geo.FormatID, in)
 	t.pb.WriteStream(layout.InodeOff(t.fs.geo, ino), t.rec[:])
 }
 

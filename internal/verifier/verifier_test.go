@@ -1111,6 +1111,12 @@ func TestStructuralRejections(t *testing.T) {
 			in.Size = (2*per + 1) * layout.PageSize
 			layout.WriteInode(f.dev, f.g, imgFile, &in)
 		}},
+		{"record of another format", true, func(f *damageFixture) {
+			in, _, _ := layout.ReadInode(f.dev, f.g, imgFile)
+			g := f.g
+			g.FormatID++ // as a superblock whose ID moved would read it
+			layout.WriteInode(f.dev, g, imgFile, &in)
+		}},
 	}...) {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newDamageFixture(t)

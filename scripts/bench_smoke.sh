@@ -12,13 +12,15 @@
 #   -> Fsck -> oracle check runs over directories the final ReleaseAll
 #   compacted. A lease miss rebuilds a directory into the state the
 #   previous rebuild retired, and a verification merges its entries into
-#   the spare view's: about 27 MiB peak RSS and 119 heap objects an op
-#   (36 MiB and 136 when each made new ones).
+#   the spare view's: about 19 MiB peak RSS and 119 heap objects an op
+#   (36 MiB and 136 when each made new ones; 27 MiB while a format
+#   zeroed both inode tables).
 # - meta_churn, 3 s: create, open, stat, rename and unlink allocate only
 #   the minode a create keeps, about 0.20 heap objects an op; the gate
 #   sits at twice that. A removed directory's index is the next one's,
-#   and the device is mapped outside the Go heap: about 37 MiB peak RSS
-#   (54 while the device sat in the heap).
+#   and the device is mapped outside the Go heap: about 29 MiB peak RSS
+#   (54 while the device sat in the heap, 37 while a format zeroed both
+#   inode tables).
 # - kv_app, 1 s: a Put copies into the memtable's arena and a Get reads
 #   its block into a pooled buffer, about 0.32 heap objects an op (3.6
 #   when each allocated its own).
@@ -53,7 +55,7 @@ gate() {
 step "repo benchmark module tests"
 (cd benchmark && go test ./...)
 
-gate handoff 3 peak_rss_mb 31 allocs_per_op 128
-gate meta_churn 3 allocs_per_op 0.45 peak_rss_mb 42
+gate handoff 3 peak_rss_mb 23 allocs_per_op 128
+gate meta_churn 3 allocs_per_op 0.45 peak_rss_mb 34
 gate kv_app 1 allocs_per_op 1.0
 gate data_rw 1 peak_rss_mb 110
