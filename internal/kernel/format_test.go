@@ -72,6 +72,63 @@ func TestReformatSurvivesACrash(t *testing.T) {
 	}
 }
 
+// TestReformatWithMoreInodes: a format with four times the inodes moves
+// its shadow table onto pages that held a LibFS's data, here committed
+// shadow records forged with the next format ID. The format zeroes those
+// pages, and the device mounts clean and empty, with or without a crash
+// that keeps only what the format fenced.
+func TestReformatWithMoreInodes(t *testing.T) {
+	h := newHarness(t, verifier.Enhanced)
+	app := h.c.RegisterApp(0, 0)
+	if _, err := h.c.Acquire(app, layout.RootIno, true); err != nil {
+		t.Fatal(err)
+	}
+	inos := []uint64{layout.RootIno}
+	for i := 0; i < 20; i++ {
+		inos = append(inos, h.mkfile(app, layout.RootIno, fmt.Sprintf("f%02d", i)))
+	}
+	for i, r := range h.c.Transfer(app, inos, XferCommit, nil, nil) {
+		if r.Err != nil {
+			t.Fatalf("commit of inode %d: %v", inos[i], r.Err)
+		}
+	}
+	forged := pmem.New(layout.PageSize, nil)
+	fg := layout.Geometry{InodeCap: 2, FormatID: h.g.FormatID + 1}
+	layout.WriteShadow(forged, fg, 1, &layout.Inode{Type: layout.TypeFile, Nlink: 1, Parent: layout.RootIno}, &layout.ShadowExtra{Committed: true})
+	pages, err := h.c.GrantPages(app, 0, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const inodes = 1024
+	shadowStart, shadowPages := uint64(1+inodes*layout.InodeSize/layout.PageSize), uint64(inodes*layout.InodeSize/layout.PageSize)
+	over := 0
+	for _, p := range pages {
+		for off := int64(p * layout.PageSize); off < int64((p+1)*layout.PageSize); off += layout.InodeSize {
+			h.dev.Write(off, forged.Slice(layout.ShadowOff(fg, 1), layout.InodeSize))
+		}
+		if p >= shadowStart && p < shadowStart+shadowPages {
+			over++
+		}
+	}
+	if over == 0 {
+		t.Fatalf("no page of %v lies where the new shadow table will", pages)
+	}
+	h.dev.EnableTracking()
+	c, err := Format(h.dev, Options{InodeCap: inodes, NTails: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := c.Geometry(); g.ShadowStart != shadowStart || g.ShadowPages != shadowPages {
+		t.Fatalf("shadow table at %d+%d pages, want %d+%d", g.ShadowStart, g.ShadowPages, shadowStart, shadowPages)
+	}
+	for _, dev := range []*pmem.Device{h.dev, pmem.Restore(h.dev.CrashImage(pmem.CrashDropAll), nil)} {
+		_, rep, err := Mount(dev, Options{}, false)
+		if err != nil || !rep.Clean() || rep.CommittedInodes != 1 {
+			t.Fatalf("mount after the reformat: %v %v, want one clean inode", rep, err)
+		}
+	}
+}
+
 // TestAnEarlierFormatsRecordIsNoInode: a LibFS that links a granted inode
 // number without writing its record is refused, though the slot holds a
 // record an earlier format committed there, with a valid checksum and the

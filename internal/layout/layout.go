@@ -16,12 +16,14 @@
 // Records are self-describing, as XFS v5 metadata blocks carry their file
 // system's UUID: the superblock holds a format ID, every inode and shadow
 // record carries it in its checksummed line, and a record with another ID
-// reads as free. A format therefore writes the superblock and the root
-// alone, and a record an earlier format left behind can neither survive a
-// reformat nor pass for a fresh one.
+// reads as free. A format therefore writes the superblock and the root,
+// and zeroes only table pages that held something else before, and a
+// record an earlier format left behind can neither survive a reformat nor
+// pass for a fresh one.
 package layout
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -136,8 +138,10 @@ var crcTab = crc32.MakeTable(crc32.Castagnoli)
 
 // Mkfs formats the device with capacity for inodeCap inodes and returns
 // the geometry. It writes the superblock and a root directory inode with
-// ntails log tails, persisting everything, and nothing else: the tables
-// keep whatever they held, which reads as free under the new format ID.
+// ntails log tails, persisting everything. A table page that held the same
+// table under the previous format keeps what it holds, records that read
+// as free under the new format ID; clearTables zeroes any other page of the
+// tables that is not zero.
 func Mkfs(dev *pmem.Device, inodeCap uint64, ntails int) (Geometry, error) {
 	if inodeCap < 2 {
 		return Geometry{}, fmt.Errorf("layout: inodeCap %d too small", inodeCap)
@@ -162,10 +166,14 @@ func Mkfs(dev *pmem.Device, inodeCap uint64, ntails int) (Geometry, error) {
 	// The ID is one past the superblock's ID word, whether or not the
 	// superblock validates, and goes into that word, durably, before any
 	// record carries it: the word is never below an ID a record on the
-	// device carries, and on a device never formatted it is 0.
+	// device carries, and on a device never formatted it is 0. The store
+	// invalidates the previous superblock before clearTables touches a
+	// page that format may still use.
+	prev, err := Load(dev)
 	g.FormatID = max(dev.Load32(sbFormatID)+1, 1) // all ones wraps past 0
 	dev.Store32(sbFormatID, g.FormatID)
 	dev.Persist(sbFormatID, 4)
+	clearTables(dev, g, prev, err == nil)
 
 	// Root directory: its tail-set page is the first data page.
 	tailset := g.DataStart
@@ -198,6 +206,30 @@ func Mkfs(dev *pmem.Device, inodeCap uint64, ntails int) (Geometry, error) {
 	dev.Persist(0, SuperblockSize)
 	return g, nil
 }
+
+// clearTables readies g's tables before the fence that makes the root
+// durable. Every shadow line must read free, since Mount trusts the shadow
+// table; an inode line may hold only what a LibFS could write to a granted
+// inode itself, since nothing trusts one without its shadow record. Where
+// prev validated, its own tables' pages already meet that: its shadow
+// lines are records the kernel wrote under an earlier ID. Any other page
+// may hold a file's data or a line forged with the new ID, so it is zeroed
+// unless it reads zero already; a fresh device or a reformat at the same
+// geometry stores nothing here.
+func clearTables(dev *pmem.Device, g, prev Geometry, valid bool) {
+	in := func(p, start, n uint64) bool { return p >= start && p < start+n }
+	for p := g.TableStart; p < g.DataStart; p++ {
+		if valid && (in(p, g.TableStart, g.TablePages) && in(p, prev.TableStart, prev.TablePages) ||
+			in(p, g.ShadowStart, g.ShadowPages) && in(p, prev.ShadowStart, prev.ShadowPages)) {
+			continue
+		}
+		if off := int64(p * PageSize); !bytes.Equal(dev.Slice(off, PageSize), zeroPage[:]) {
+			dev.ZeroNT(off, PageSize)
+		}
+	}
+}
+
+var zeroPage [PageSize]byte
 
 // Load reads and validates the superblock.
 func Load(dev *pmem.Device) (Geometry, error) {

@@ -209,12 +209,12 @@ func TestLoadRejectsVersion1(t *testing.T) {
 	}
 }
 
-// TestReformatFreesEveryRecord: a format writes no table, yet every record
-// an earlier format wrote reads as free under it, whether the earlier
-// superblock validates or is torn: a torn one still holds the last ID a
-// format took, since a format stores its ID first. A record that fails its
-// checksum still reads corrupt, whatever its ID, and a fresh device always
-// gets ID 1.
+// TestReformatFreesEveryRecord: every record an earlier format wrote reads
+// as free under the next, whether the earlier superblock validates (the
+// format then writes no table) or is torn (it zeroes the table pages that
+// are not zero): a torn one still holds the last ID a format took, since a
+// format stores its ID first. A record that fails its checksum in a table
+// the format kept still reads corrupt, and a fresh device always gets ID 1.
 func TestReformatFreesEveryRecord(t *testing.T) {
 	dev, g := newDev(t, 64)
 	if g.FormatID != 1 {
@@ -232,17 +232,18 @@ func TestReformatFreesEveryRecord(t *testing.T) {
 		}
 	}
 	write(g)
-	WriteInode(dev, g, 9, &in)
-	dev.Store64(InodeOff(g, 9)+inSize, 777) // torn: fails its checksum
 	for _, tc := range []struct {
-		name   string
-		damage func()
-		want   uint32
+		name    string
+		damage  func()
+		want    uint32
+		cleared bool
 	}{
-		{"valid superblock", func() {}, 2},
-		{"torn superblock", func() { dev.Store64(sbPageCount, 1) }, 3},
-		{"format torn after its ID", func() { dev.Store32(sbFormatID, 7) }, 8},
+		{"valid superblock", func() {}, 2, false},
+		{"torn superblock", func() { dev.Store64(sbPageCount, 1) }, 3, true},
+		{"format torn after its ID", func() { dev.Store32(sbFormatID, 7) }, 8, true},
 	} {
+		WriteInode(dev, g, 9, &in)
+		dev.Store64(InodeOff(g, 9)+inSize, 777) // torn: fails its checksum
 		tc.damage()
 		was := g
 		var err error
@@ -260,8 +261,8 @@ func TestReformatFreesEveryRecord(t *testing.T) {
 				t.Fatalf("%s: shadow %d of format %d reads ok=%v corrupt=%v, want free", tc.name, ino, was.FormatID, ok, corrupt)
 			}
 		}
-		if _, ok, corrupt := ReadInode(dev, g, 9); ok || !corrupt {
-			t.Fatalf("%s: a torn record reads ok=%v corrupt=%v, want corrupt", tc.name, ok, corrupt)
+		if _, ok, corrupt := ReadInode(dev, g, 9); ok || corrupt == tc.cleared {
+			t.Fatalf("%s: a torn record reads ok=%v corrupt=%v, want corrupt=%v", tc.name, ok, corrupt, !tc.cleared)
 		}
 		if got, ok, _ := ReadInode(dev, g, RootIno); !ok || got.Type != TypeDir {
 			t.Fatalf("%s: root after reformat %+v ok=%v", tc.name, got, ok)
@@ -270,6 +271,60 @@ func TestReformatFreesEveryRecord(t *testing.T) {
 	}
 	if _, err := Load(dev); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMkfsClearsWhatNoTableHeld: a table page that did not hold the same
+// table under a superblock that validates may hold anything, and Mkfs
+// zeroes it unless it is zero: on a device of non-zero bytes, and where a
+// format moves the shadow table onto the previous format's data pages or
+// inode table, which hold committed shadow records forged with the next
+// ID. Every record then reads free, none corrupt.
+func TestMkfsClearsWhatNoTableHeld(t *testing.T) {
+	forge := func(dev *pmem.Device, id uint32, from uint64) {
+		g := Geometry{InodeCap: 2, ShadowStart: from, FormatID: id}
+		WriteShadow(dev, g, 1, &Inode{Type: TypeFile, Nlink: 1, Parent: RootIno}, &ShadowExtra{Committed: true})
+		line := dev.Slice(ShadowOff(g, 1), InodeSize)
+		for off := int64(from * PageSize); off < dev.Size(); off += InodeSize {
+			dev.Write(off, line)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		setup  func() *pmem.Device
+		inodes uint64
+	}{
+		{"non-zero device", func() *pmem.Device {
+			return pmem.Restore([]byte(strings.Repeat("\xa5", 512*PageSize)), nil)
+		}, 1024},
+		{"shadow table over data", func() *pmem.Device {
+			dev, g := newDev(t, 512)
+			forge(dev, g.FormatID+1, g.DataStart+1)
+			return dev
+		}, 1024},
+		{"shadow table over the inode table", func() *pmem.Device {
+			dev := pmem.New(512*PageSize, nil)
+			g, err := Mkfs(dev, 1024, DefaultTails)
+			if err != nil {
+				t.Fatal(err)
+			}
+			forge(dev, g.FormatID+1, 3)
+			return dev
+		}, 128},
+	} {
+		dev := tc.setup()
+		g, err := Mkfs(dev, tc.inodes, DefaultTails)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ino := uint64(2); ino < g.InodeCap; ino++ {
+			if _, ok, corrupt := ReadInode(dev, g, ino); ok || corrupt {
+				t.Fatalf("%s: inode %d reads ok=%v corrupt=%v, want free", tc.name, ino, ok, corrupt)
+			}
+			if _, _, ok, corrupt := ReadShadow(dev, g, ino); ok || corrupt {
+				t.Fatalf("%s: shadow %d reads ok=%v corrupt=%v, want free", tc.name, ino, ok, corrupt)
+			}
+		}
 	}
 }
 

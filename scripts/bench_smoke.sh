@@ -14,13 +14,13 @@
 #   previous rebuild retired, and a verification merges its entries into
 #   the spare view's: about 19 MiB peak RSS and 119 heap objects an op
 #   (36 MiB and 136 when each made new ones; 27 MiB while a format
-#   zeroed both inode tables).
+#   zeroed its tables).
 # - meta_churn, 3 s: create, open, stat, rename and unlink allocate only
 #   the minode a create keeps, about 0.20 heap objects an op; the gate
 #   sits at twice that. A removed directory's index is the next one's,
 #   and the device is mapped outside the Go heap: about 29 MiB peak RSS
-#   (54 while the device sat in the heap, 37 while a format zeroed both
-#   inode tables).
+#   (54 while the device sat in the heap, 37 while a format zeroed its
+#   tables).
 # - kv_app, 1 s: a Put copies into the memtable's arena and a Get reads
 #   its block into a pooled buffer, about 0.32 heap objects an op (3.6
 #   when each allocated its own).
